@@ -4,6 +4,10 @@ Every benchmark writes its paper-style table into ``benchmarks/out/`` so
 EXPERIMENTS.md can cite concrete transcripts, and prints it so the
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` run keeps
 a full record.
+
+For performance, ``BENCHMARK.json`` and ``benchmarks/e2e/README.md`` are
+canonical; the ``benchmarks/out/BENCH_*`` transcripts of the scripts here
+are historical, and no new ones should be added.
 """
 
 from __future__ import annotations

@@ -906,14 +906,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
                     f"  {name:<20} {shard_state:<6} "
                     f"stamp {str(shard['stamp']):>5}  "
                     f"tip {str(shard['tip']):>5}  "
+                    f"base {shard['baseRows']} row(s)  "
                     f"chain {shard['chainLen']} delta(s) / "
-                    f"{shard['chainBytes']} B"
+                    f"{shard['chainRows']} row(s) / "
+                    f"{shard['chainBytes']} B at rest"
                 )
             journal = freshness["journal"]
             if journal["rows"]:
                 print(
                     f"journal: {journal['rows']} append(s), "
-                    f"{journal['bytes']} B "
+                    f"{journal['bytes']} B at rest "
                     f"({journal['bytesPerMutation']:.0f} B/mutation), "
                     f"{journal['compactions']} compaction(s)"
                 )

@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.errors import NotFoundError
 from repro.registry.entities import PERecord, UserRecord, WorkflowRecord
+from repro.registry.veccodec import decode_vectors, encode_vectors
 
 #: status stored while a write's idempotency key is *claimed* but its
 #: outcome not yet recorded — the cross-process serialization marker.
@@ -311,15 +312,14 @@ class RegistryDAO(ABC):
         rids: np.ndarray,
         vectors: np.ndarray | None,
         counter: int,
-    ) -> tuple[int, int]:
+    ) -> int:
         """Append one ``'add'``/``'remove'`` row batch to the shard's
         delta journal, stamped ``counter``.
 
-        Returns the shard's post-append ``(chain_len, chain_bytes)`` so
-        the caller can trigger compaction past a threshold.  Backends
-        without a journal return ``(0, 0)``.
+        Returns the bytes the row occupies at rest (ids + encoded
+        vectors); backends without a journal return 0.
         """
-        return (0, 0)
+        return 0
 
     def load_index_shards(
         self,
@@ -355,7 +355,9 @@ class RegistryDAO(ABC):
 
     def shard_chain_meta(self) -> dict[tuple[int, str], dict[str, int]]:
         """Per-shard chain statistics, no blob deserialization:
-        ``{key: {baseCounter, rows, chainLen, chainBytes, tip}}``."""
+        ``{key: {baseCounter, rows, chainLen, chainRows, chainBytes,
+        tip}}`` — ``rows`` counts the base slab, ``chainRows`` the ids
+        journaled on top of it, ``chainBytes`` their bytes at rest."""
         return {}
 
     # -- idempotency receipts (v1 write surface) ---------------------------
@@ -668,16 +670,23 @@ def _replay_shard(
     ``'remove'`` of an absent id is tolerated — a rebuilt base may
     already reflect a delta appended concurrently with the rebuild.
     """
-    rows: dict[int, np.ndarray] = {}
     dim: int | None = None
     tip: int | None = None
+    # every (id, vector) event in replay order: the base slab's rows,
+    # then each delta's; the last event of an id decides it
+    id_parts: list[np.ndarray] = []
+    part_is_add: list[bool] = []
+    delta_vectors: list[np.ndarray] = []
+    base_matrix = None
     if base is not None:
         tip, ids, matrix = base
         if matrix.ndim != 2 or ids.shape[0] != matrix.shape[0]:
             raise ValueError("base slab shape mismatch")
-        dim = int(matrix.shape[1]) if matrix.shape[0] else None
-        for row, rid in enumerate(ids.tolist()):
-            rows[int(rid)] = matrix[row]
+        if matrix.shape[0]:
+            dim = int(matrix.shape[1])
+            id_parts.append(ids)
+            part_is_add.append(True)
+            base_matrix = matrix
     for counter, op, rids, vectors in deltas:
         if tip is not None and counter <= tip:
             # a delta at or below the base stamp means a crash left
@@ -686,8 +695,8 @@ def _replay_shard(
             raise ValueError("non-increasing delta chain")
         tip = counter
         if op == _OP_REMOVE:
-            for rid in rids.tolist():
-                rows.pop(int(rid), None)
+            id_parts.append(rids)
+            part_is_add.append(False)
         elif op == _OP_ADD:
             if vectors is None or vectors.ndim != 2:
                 raise ValueError("add delta without vectors")
@@ -696,24 +705,48 @@ def _replay_shard(
             if dim is not None and vectors.shape[1] != dim:
                 raise ValueError("delta dimension mismatch")
             dim = int(vectors.shape[1])
-            for row, rid in enumerate(rids.tolist()):
-                rows[int(rid)] = vectors[row]
+            id_parts.append(rids)
+            part_is_add.append(True)
+            delta_vectors.append(vectors)
         else:
             raise ValueError(f"unknown delta op {op!r}")
     if tip is None:
         raise ValueError("empty shard chain")
-    if not rows:
+    if id_parts:
+        event_ids = np.concatenate(id_parts).astype(np.int64, copy=False)
+        is_add = np.repeat(
+            np.asarray(part_is_add), [part.shape[0] for part in id_parts]
+        )
+        # stable sort: equal ids stay in replay order, so each run's
+        # last element is that id's deciding event
+        order = np.argsort(event_ids, kind="stable")
+        ordered = event_ids[order]
+        run_end = np.ones(ordered.shape[0], dtype=bool)
+        run_end[:-1] = ordered[1:] != ordered[:-1]
+        winners = order[run_end]
+        winners = winners[is_add[winners]]
+    else:
+        winners = np.empty(0, dtype=np.intp)
+    if not winners.shape[0]:
         return (
             np.empty(0, dtype=np.int64),
             np.empty((0, dim or 0), dtype=np.float32),
             int(tip),
         )
-    ordered = sorted(rows)
-    ids_out = np.asarray(ordered, dtype=np.int64)
-    matrix_out = np.ascontiguousarray(
-        np.stack([rows[rid] for rid in ordered]), dtype=np.float32
-    )
-    return ids_out, matrix_out, int(tip)
+    # an add event's vector is row (add events before it) of the base
+    # slab followed by the deltas' vectors; the slab is only ever read
+    # through the winning rows, never copied whole
+    taken = (np.cumsum(is_add) - 1)[winners]
+    base_rows = 0 if base_matrix is None else base_matrix.shape[0]
+    from_base = taken < base_rows
+    matrix_out = np.empty((winners.shape[0], dim), dtype=np.float32)
+    if base_matrix is not None:
+        matrix_out[from_base] = base_matrix[taken[from_base]]
+    if delta_vectors:
+        matrix_out[~from_base] = np.concatenate(delta_vectors)[
+            taken[~from_base] - base_rows
+        ]
+    return event_ids[winners], matrix_out, int(tip)
 
 
 class InMemoryDAO(RegistryDAO):
@@ -1171,7 +1204,7 @@ class InMemoryDAO(RegistryDAO):
 
     def append_index_delta(
         self, user_id, kind, op, rids, vectors, counter
-    ) -> tuple[int, int]:
+    ) -> int:
         with self._lock:
             key = (int(user_id), str(kind))
             ids = np.asarray(rids, dtype=np.int64).reshape(-1).copy()
@@ -1181,13 +1214,10 @@ class InMemoryDAO(RegistryDAO):
                 if vecs.ndim == 1:
                     vecs = vecs.reshape(1, -1)
                 vecs = vecs.copy()
-            chain = self._shard_deltas.setdefault(key, [])
-            chain.append((int(counter), str(op), ids, vecs))
-            nbytes = sum(
-                d[2].nbytes + (0 if d[3] is None else d[3].nbytes)
-                for d in chain
+            self._shard_deltas.setdefault(key, []).append(
+                (int(counter), str(op), ids, vecs)
             )
-            return len(chain), nbytes
+            return ids.nbytes + (0 if vecs is None else vecs.nbytes)
 
     def load_index_shards(self):
         with self._lock:
@@ -1233,6 +1263,7 @@ class InMemoryDAO(RegistryDAO):
                     "baseCounter": base[0] if base else None,
                     "rows": len(base[1]) if base else 0,
                     "chainLen": len(chain),
+                    "chainRows": sum(len(d[2]) for d in chain),
                     "chainBytes": sum(
                         d[2].nbytes + (0 if d[3] is None else d[3].nbytes)
                         for d in chain
@@ -1587,8 +1618,13 @@ CREATE INDEX IF NOT EXISTS idx_index_deltas_shard
 #: and persisted HNSW graph state; v6 added per-shard freshness
 #: stamps (``shard_stamps``, maintained inside every mutation
 #: transaction) and the append-only ``index_deltas`` journal, with
-#: ``index_shards`` rows now stamped independently per shard
-_SCHEMA_VERSION = 6
+#: ``index_shards`` rows now stamped independently per shard; v7
+#: changed no table — it marks that vector blobs (record rows, journal
+#: rows, base slabs) may be in :mod:`~repro.registry.veccodec`'s sparse
+#: layout.  Dense blobs written by v6 and older decode through the same
+#: codec (no rewrite on open: a row re-encodes when next written, a slab
+#: at its next fold), but code older than v7 cannot read a v7 file
+_SCHEMA_VERSION = 7
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
 #: IN(...) lists well below that
@@ -1598,13 +1634,14 @@ _IN_CHUNK = 500
 def _blob(vec: np.ndarray | None) -> bytes | None:
     if vec is None:
         return None
-    return np.asarray(vec, dtype=np.float32).tobytes()
+    return encode_vectors(np.asarray(vec, dtype=np.float32).reshape(1, -1))
 
 
 def _unblob(raw: bytes | None) -> np.ndarray | None:
+    """One record's vector; a corrupt blob raises ``ValueError``."""
     if raw is None:
         return None
-    return np.frombuffer(raw, dtype=np.float32).copy()
+    return decode_vectors(raw, 1)[0]
 
 
 def _chunked(ids: Sequence[int]) -> Iterable[Sequence[int]]:
@@ -1655,7 +1692,8 @@ class SqliteDAO(RegistryDAO):
         that snapshot's uniform counter equals the current mutation
         counter — a stale pre-v6 snapshot must not be stamped fresh, so
         it is left unstamped and the first attach pays one full rebuild
-        (which then seeds every stamp).
+        (which then seeds every stamp); v6 -> v7 only raises the version
+        (see ``_SCHEMA_VERSION``).
         """
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         if version >= _SCHEMA_VERSION:
@@ -1719,7 +1757,8 @@ class SqliteDAO(RegistryDAO):
                 " NOT NULL DEFAULT 0"
             )
         # v5 text side tables: one-time backfill from the record tables
-        self._backfill_text_index()
+        if version < 5 or self._text_index_stale():
+            self._backfill_text_index()
         # v6 per-shard stamps: trust a pre-v6 snapshot only when it is
         # provably current (uniform stamp == the live mutation counter);
         # anything else stays unstamped and rebuilds once on attach
@@ -1839,7 +1878,10 @@ class SqliteDAO(RegistryDAO):
         self, pe_id: int
     ) -> tuple[set[int], bytes | None, bytes | None] | None:
         """The committed ``(owners, desc_bytes, code_bytes)`` of a PE —
-        what a mutation diffs against to decide which shards it stamps."""
+        what a mutation diffs against to decide which shards it stamps.
+        The bytes are the canonical dense ones (:func:`_embed_bytes`),
+        not the stored encoding: a legacy dense row and its sparse
+        re-encoding are the same vector."""
         row = self._conn.execute(
             "SELECT owners, desc_embedding, code_embedding FROM pes"
             " WHERE pe_id=?",
@@ -1849,8 +1891,8 @@ class SqliteDAO(RegistryDAO):
             return None
         return (
             {int(uid) for uid in json.loads(row["owners"])},
-            row["desc_embedding"],
-            row["code_embedding"],
+            _embed_bytes(_unblob(row["desc_embedding"])),
+            _embed_bytes(_unblob(row["code_embedding"])),
         )
 
     def _wf_old_state(
@@ -1865,7 +1907,7 @@ class SqliteDAO(RegistryDAO):
             return None
         return (
             {int(uid) for uid in json.loads(row["owners"])},
-            row["desc_embedding"],
+            _embed_bytes(_unblob(row["desc_embedding"])),
         )
 
     # -- join-table sync ---------------------------------------------------
@@ -2590,14 +2632,15 @@ class SqliteDAO(RegistryDAO):
     def _shard_payload_row(user_id, kind, counter, ids, matrix):
         ids = np.asarray(ids, dtype=np.int64)
         matrix = np.asarray(matrix, dtype=np.float32)
+        vectors = encode_vectors(matrix)  # raises unless 2-D
         return (
             int(user_id),
             str(kind),
             int(counter),
-            int(matrix.shape[1]) if matrix.ndim == 2 else 0,
+            int(matrix.shape[1]),
             int(ids.shape[0]),
             ids.tobytes(),
-            matrix.tobytes(),
+            vectors,
         )
 
     def save_index_shards(
@@ -2693,7 +2736,7 @@ class SqliteDAO(RegistryDAO):
         rids: np.ndarray,
         vectors: np.ndarray | None,
         counter: int,
-    ) -> tuple[int, int]:
+    ) -> int:
         ids = np.asarray(rids, dtype=np.int64).reshape(-1)
         if vectors is None:
             vecs = np.empty((ids.shape[0], 0), dtype=np.float32)
@@ -2701,6 +2744,7 @@ class SqliteDAO(RegistryDAO):
             vecs = np.asarray(vectors, dtype=np.float32)
             if vecs.ndim == 1:
                 vecs = vecs.reshape(1, -1)
+        ids_blob, vec_blob = ids.tobytes(), encode_vectors(vecs)
         with self._lock, self._conn:
             self._conn.execute(
                 """INSERT INTO index_deltas
@@ -2714,17 +2758,11 @@ class SqliteDAO(RegistryDAO):
                     int(counter),
                     int(vecs.shape[1]),
                     int(ids.shape[0]),
-                    ids.tobytes(),
-                    vecs.tobytes(),
+                    ids_blob,
+                    vec_blob,
                 ),
             )
-            row = self._conn.execute(
-                "SELECT COUNT(*) AS n,"
-                " COALESCE(SUM(LENGTH(ids) + LENGTH(vectors)), 0) AS b"
-                " FROM index_deltas WHERE user_id=? AND kind=?",
-                (int(user_id), str(kind)),
-            ).fetchone()
-        return int(row["n"]), int(row["b"])
+        return len(ids_blob) + len(vec_blob)
 
     def load_index_shards(
         self,
@@ -2792,18 +2830,11 @@ class SqliteDAO(RegistryDAO):
         against the declared rows/dim; raises ``ValueError`` on any
         truncated or inconsistent blob."""
         rows, dim = int(row["rows"]), int(row["dim"])
-        if rows < 0 or dim < 0:
-            raise ValueError("negative shape")
-        ids_blob, vec_blob = row["ids"], row["vectors"]
-        if len(ids_blob) != rows * 8 or len(vec_blob) != rows * dim * 4:
+        ids_blob = row["ids"]
+        if len(ids_blob) != rows * 8:
             raise ValueError("truncated blob")
         ids = np.frombuffer(ids_blob, dtype=np.int64).copy()
-        matrix = (
-            np.frombuffer(vec_blob, dtype=np.float32)
-            .reshape(rows, dim)
-            .copy()
-        )
-        return ids, matrix
+        return ids, decode_vectors(row["vectors"], rows, dim)
 
     def index_shards_meta(self) -> dict[str, int | None]:
         with self._lock:
@@ -2831,7 +2862,7 @@ class SqliteDAO(RegistryDAO):
                 " FROM index_shards"
             ).fetchall()
             delta_rows = self._conn.execute(
-                "SELECT user_id, kind, COUNT(*) AS n,"
+                "SELECT user_id, kind, COUNT(*) AS n, SUM(rows) AS r,"
                 " COALESCE(SUM(LENGTH(ids) + LENGTH(vectors)), 0) AS b,"
                 " MAX(mutation_counter) AS tip"
                 " FROM index_deltas GROUP BY user_id, kind"
@@ -2842,6 +2873,7 @@ class SqliteDAO(RegistryDAO):
                 "baseCounter": int(row["mutation_counter"]),
                 "rows": int(row["rows"]),
                 "chainLen": 0,
+                "chainRows": 0,
                 "chainBytes": 0,
                 "tip": int(row["mutation_counter"]),
             }
@@ -2851,6 +2883,7 @@ class SqliteDAO(RegistryDAO):
                 {"baseCounter": None, "rows": 0},
             )
             entry["chainLen"] = int(row["n"])
+            entry["chainRows"] = int(row["r"])
             entry["chainBytes"] = int(row["b"])
             entry["tip"] = int(row["tip"])
         return meta

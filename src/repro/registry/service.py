@@ -34,6 +34,15 @@ from repro.registry.entities import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.search.backend import IndexBackend
 
+#: a shard's journal is folded into its base slab once the rows
+#: journaled since the last fold reach ``max(_FOLD_FLOOR, base rows)``:
+#: a fold then rewrites at most twice what the journal it retires added
+#: (amortised O(delta) per write), and the chain a restart replays never
+#: outgrows the base it is replayed onto.  The floor keeps a small shard
+#: from folding on every write.  Rows, not bytes: replay costs one
+#: last-writer-wins slot per journaled id whatever its encoded size.
+_FOLD_FLOOR = 64
+
 
 class RegistryService:
     """All registry business logic, backend-agnostic.
@@ -73,11 +82,13 @@ class RegistryService:
         #: live index at O(delta) cost instead of whole-snapshot
         #: rewrites
         self._persist = False
-        #: compaction thresholds: once a shard's journal chain exceeds
-        #: either bound, the chain is folded back into its base slab
-        #: (one per-shard upsert) so replay cost stays bounded
-        self.compact_after_deltas = 64
-        self.compact_after_bytes = 4 * 1024 * 1024
+        #: per-shard ``[base rows, rows journaled since the last fold]``
+        #: — what the fold rule reads.  Seeded from the DAO at attach,
+        #: bumped on every append, reset by every base upsert this
+        #: service issues.  A foreign process's appends are not counted,
+        #: which is harmless: a fold is refused anyway while the
+        #: mutation counters disagree.
+        self._chains: dict[tuple[int, str], list[int]] = {}
         #: journal telemetry for ``repro stats --shards``
         self._journal_rows = 0
         self._journal_bytes = 0
@@ -126,6 +137,10 @@ class RegistryService:
         stamps = self.dao.shard_stamps()
         loaded, discarded = self.dao.load_index_shards()
         self._attach_discarded = discarded
+        self._chains = {
+            key: [chain["rows"], chain["chainRows"]]
+            for key, chain in self.dao.shard_chain_meta().items()
+        }
 
         if not stamps:
             # pre-v6 rows without provable stamps (or an empty DAO):
@@ -184,7 +199,7 @@ class RegistryService:
             # stamped at the counter read above; upsert_index_shards
             # max-seeds stamps, so a racing foreign write (which stamps
             # higher) correctly leaves its shard stale
-            self.dao.upsert_index_shards(rebuilt, counter)
+            self._upsert_shards(rebuilt, counter)
         if persist:
             consume = getattr(index, "consume_dirty", None)
             if consume is not None:
@@ -279,8 +294,8 @@ class RegistryService:
         intentionally unguarded: a crash *between* mutation and append
         leaves stamp > tip, which is also just stale.
 
-        Past :attr:`compact_after_deltas` / :attr:`compact_after_bytes`
-        the chain is folded back into the base slab inline —  unless
+        Once the fold rule (``_FOLD_FLOOR``) says so, the chain is
+        folded back into the base slab inline —  unless
         ``allow_compact`` is off: a bulk caller that will issue one
         ``persist_shards()`` when it finishes (the ingest pipeline)
         opts out, because every mid-stream fold re-exports the whole
@@ -294,18 +309,32 @@ class RegistryService:
             vecs = np.asarray(vectors, dtype=np.float32)
             if vecs.ndim == 1:
                 vecs = vecs.reshape(1, -1)
-        chain_len, chain_bytes = self.dao.append_index_delta(
+        key = (int(user_id), str(kind))
+        self._journal_bytes += self.dao.append_index_delta(
             user_id, kind, op, ids, vecs, self._index_counter
         )
         self._journal_rows += 1
-        self._journal_bytes += int(ids.nbytes) + (
-            0 if vecs is None else int(vecs.nbytes)
-        )
-        if allow_compact and (
-            chain_len >= self.compact_after_deltas
-            or chain_bytes >= self.compact_after_bytes
-        ):
-            self._compact_shard((int(user_id), str(kind)))
+        self._chains.setdefault(key, [0, 0])[1] += int(ids.shape[0])
+        if allow_compact and self._fold_due(key):
+            self._compact_shard(key)
+
+    def _fold_due(self, key: tuple[int, str]) -> bool:
+        base_rows, journaled = self._chains.get(key, (0, 0))
+        return journaled >= max(_FOLD_FLOOR, base_rows)
+
+    def _upsert_shards(
+        self,
+        shards: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]],
+        stamp: int,
+    ) -> None:
+        """Write base slabs at ``stamp`` (folding the chains below it)
+        and restart those shards' fold accounting from the new bases."""
+        self.dao.upsert_index_shards(shards, stamp)
+        self._rebase_chains(shards)
+
+    def _rebase_chains(self, shards) -> None:
+        for key, (ids, _matrix) in shards.items():
+            self._chains[key] = [int(ids.shape[0]), 0]
 
     def _journal_pe(self, user_id: int, record: PERecord, op: str) -> None:
         """Journal a PE's row under ``user_id`` for every kind it embeds
@@ -359,7 +388,7 @@ class RegistryService:
             shards[key] = self._stack_shard([])
         if self.dao.mutation_counter() != stamp:
             return False
-        self.dao.upsert_index_shards(shards, stamp)
+        self._upsert_shards(shards, stamp)
         self._compactions += 1
         return True
 
@@ -373,6 +402,8 @@ class RegistryService:
         if self.dao.mutation_counter() != stamp:
             return False
         self.dao.save_index_shards(shards, stamp)
+        self._chains.clear()  # the wholesale save dropped every journal
+        self._rebase_chains(shards)
         consume = getattr(self.index, "consume_dirty", None)
         if consume is not None:
             consume()
@@ -384,8 +415,11 @@ class RegistryService:
 
         With inline journaling armed, a dirty shard whose journal chain
         tip already equals its expected stamp needs nothing — the
-        journal *is* its persistence — so this degenerates to a cheap
-        metadata check.  Shards the journal does not cover (mutated
+        journal *is* its persistence — unless the fold rule says its
+        chain is due: a persist-deferred bulk caller (an ingest job)
+        journals without folding, and this call at the end of the job
+        folds what it left, off the request path, so a restart replays
+        a bounded chain.  Shards the journal does not cover (mutated
         while journaling was off) are upserted individually; backends
         without dirty-shard tracking fall back to the wholesale
         snapshot.  The export is stamped with the counter the index is
@@ -406,12 +440,14 @@ class RegistryService:
         if dirty:
             stamps = self.dao.shard_stamps()
             chains = self.dao.shard_chain_meta()
-            pending = {
+            uncovered = {
                 key
                 for key in dirty
                 if chains.get(key, {}).get("tip") is None
                 or chains.get(key, {}).get("tip") != stamps.get(key)
             }
+            due = {key for key in dirty - uncovered if self._fold_due(key)}
+            pending = uncovered | due
             if pending:
                 shards = self.index.snapshot(keys=pending)
                 for key in pending - set(shards):
@@ -420,7 +456,8 @@ class RegistryService:
                     shards[key] = self._stack_shard([])
                 if self.dao.mutation_counter() != stamp:
                     return False
-                self.dao.upsert_index_shards(shards, stamp)
+                self._upsert_shards(shards, stamp)
+                self._compactions += len(due)
         self.index.consume_dirty()
         self.persist_approx_states()
         return True
@@ -518,10 +555,11 @@ class RegistryService:
         """Freshness report for the persisted per-shard state.
 
         ``perShard`` maps ``"user/kind"`` to that shard's expected
-        stamp, journaled chain tip, chain length/bytes and freshness
-        (``tip == stamp``); ``journal`` totals this service's inline
-        delta appends (the bytes written per mutation the stats CLI
-        reports).  The legacy top-level keys (``storedCounter``,
+        stamp, journaled chain tip, base rows, chain length/rows/bytes
+        and freshness (``tip == stamp``); ``journal`` totals this
+        service's inline delta appends.  Every byte count is bytes at
+        rest — what the DAO stored after encoding, not the dense
+        arrays' ``nbytes``.  The legacy top-level keys (``storedCounter``,
         ``fresh``, ...) are kept for existing callers — ``fresh`` now
         means *every* known shard replays to its expected stamp.
         """
@@ -540,8 +578,9 @@ class RegistryService:
             per_shard[f"{key[0]}/{key[1]}"] = {
                 "stamp": stamp,
                 "tip": tip,
-                "rows": chain.get("rows", 0),
+                "baseRows": chain.get("rows", 0),
                 "chainLen": chain.get("chainLen", 0),
+                "chainRows": chain.get("chainRows", 0),
                 "chainBytes": chain.get("chainBytes", 0),
                 "fresh": fresh,
             }

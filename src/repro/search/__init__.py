@@ -86,11 +86,18 @@ owner's records.  The invariants:
 * **Chains are strictly increasing** — a delta at or below the current
   tip is a crash-mid-compaction artifact; replay discards exactly that
   shard (never the whole snapshot), and the attach rebuilds it.
-* **Compaction is bounded and crash-safe** — past
-  ``RegistryService.compact_after_deltas`` / ``compact_after_bytes``
-  the chain folds into its base slab at the same stamp, deleting only
-  the folded counters.  A crash at any point leaves tip <= stamp:
-  stale at worst, never wrongly fresh.
+* **Compaction is bounded and crash-safe** — once the rows journaled
+  since a shard's last fold reach ``max(64, rows in its base slab)``
+  the chain folds into the base at the same stamp, deleting only the
+  folded counters: a fold rewrites at most twice what the journal it
+  retires added, and a restart never replays a chain longer than the
+  base it lands on.  A crash at any point leaves tip <= stamp: stale
+  at worst, never wrongly fresh.
+* **Vectors are sparse at rest, dense in memory** — every vector blob
+  (record rows, journal rows, base slabs) goes through one bit-exact
+  codec (:mod:`repro.registry.veccodec`); decoding yields the dense
+  float32 rows the index ranks, so nothing here depends on which
+  layout a row was stored in.
 * **Replay is bitwise** — a replayed slab is one C-contiguous float32
   matrix in ascending id order, identical to the live index's layout,
   so warm-started searches equal cold-rebuilt ones byte for byte.

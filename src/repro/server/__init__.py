@@ -53,11 +53,11 @@ replays each persisted base slab through its append-only delta journal
 and loads every shard whose replayed chain tip equals the per-shard
 mutation stamp the DAO keeps — O(delta) work, zero record
 deserialization.  Writes journal their row batches inline (folded back
-into the base slab past a chain-length/bytes bound), so a warm restart
-costs the replay of what actually changed; only shards that are stale
-(a write the journal never saw — e.g. a foreign process's), torn, or
-corrupt rebuild, each from its own owner's records.  One tenant's
-write never invalidates another tenant's slab.
+into the base slab once the chain has as many rows as the base), so a
+warm restart costs the replay of what actually changed; only shards
+that are stale (a write the journal never saw — e.g. a foreign
+process's), torn, or corrupt rebuild, each from its own owner's
+records.  One tenant's write never invalidates another tenant's slab.
 
 Storage schema versions
 =======================
@@ -91,6 +91,17 @@ v6   Incremental persistence: per-shard ``shard_stamps`` and the
      the stamps only when provably current (uniform counter equal to
      the live mutation counter); otherwise the first attach pays one
      full rebuild, which then stamps every shard.
+v7   No table changes: vector blobs (``pes`` / ``workflows`` embedding
+     columns, ``index_deltas.vectors``, ``index_shards.vectors``) may
+     be in the sparse layout of :mod:`repro.registry.veccodec` —
+     (count, uint16 columns, float32 values) per row where that is
+     smaller than dense, checksummed.  Dense blobs from v6 and older
+     decode through the same codec with no rewrite on open (a record
+     re-encodes when next written, a slab at its next fold).  The fold
+     rule is ``max(64, base rows)`` journaled rows per shard, replacing
+     the fixed chain-length/bytes bounds.  **Not readable by older
+     code**: a pre-v7 reader opening a v7 file fails on the first
+     sparse blob.
 ===  =================================================================
 
 Scatter/gather shard serving

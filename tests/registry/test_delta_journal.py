@@ -276,7 +276,28 @@ class TestForeignWriters:
             assert index.contains(alice2.user_id, KIND_DESC, kept.pe_id)
 
 
+def record_folds(service):
+    """Rows every base upsert writes from here on, per call."""
+    written = []
+    upsert = service.dao.upsert_index_shards
+
+    def recording(shards, stamp):
+        written.extend(len(ids) for ids, _matrix in shards.values())
+        return upsert(shards, stamp)
+
+    service.dao.upsert_index_shards = recording
+    return written
+
+
+def assert_chains_bounded(service):
+    for stats in service.dao.shard_chain_meta().values():
+        assert stats["chainRows"] <= max(64, stats["rows"])
+
+
 class TestCompaction:
+    """The fold rule: a shard's chain folds into its base once the rows
+    journaled since the last fold reach ``max(64, base rows)``."""
+
     def test_inline_compaction_folds_chain_and_stays_fresh(
         self, dao_factory
     ):
@@ -284,8 +305,9 @@ class TestCompaction:
         service = RegistryService(dao_factory())
         alice = service.register_user("alice", "pw")
         service.attach_index(VectorIndex())
-        service.compact_after_deltas = 3
-        for i in range(8):
+        folded = record_folds(service)
+        n = 300
+        for i in range(n):
             service.add_pe(
                 alice,
                 make_pe(
@@ -295,13 +317,17 @@ class TestCompaction:
                     desc_embedding=unit(rng),
                 ),
             )
+            # the chain a restart replays never outgrows its base
+            assert_chains_bounded(service)
         report = service.shard_persistence()
         assert report["fresh"]
-        assert report["journal"]["compactions"] > 0
-        # compaction keeps every chain within the configured bound
-        meta = service.dao.shard_chain_meta()
-        for stats in meta.values():
-            assert stats["chainLen"] <= service.compact_after_deltas
+        # folds at 64, 128 and 256 rows: each rewrites at most twice
+        # what the journal it retired had added
+        assert folded == [64, 128, 256]
+        assert report["journal"]["compactions"] == len(folded)
+        assert sum(folded) <= 2 * n + 64
+        shard = report["perShard"][f"{alice.user_id}/{KIND_DESC}"]
+        assert (shard["baseRows"], shard["chainRows"]) == (256, n - 256)
         if hasattr(service.dao, "close"):
             service.dao.close()
 
@@ -310,6 +336,87 @@ class TestCompaction:
         assert counted.all_pes_calls == 0
         assert counted.pes_owned_by_users == []
         user = restarted.get_user("alice")
-        assert len(restarted.user_pes(user)) == 8
+        assert len(restarted.user_pes(user)) == n
         for record in restarted.user_pes(user):
             assert index.contains(user.user_id, KIND_DESC, record.pe_id)
+        # the accounting is seeded from the file: the restarted service
+        # folds where the first one would have
+        folded = record_folds(restarted)
+        for i in range(n, 512):
+            restarted.add_pe(
+                user,
+                make_pe(
+                    f"PE{i}",
+                    code=f"c:{i}".encode().hex(),
+                    description=f"element {i}",
+                    desc_embedding=unit(rng),
+                ),
+            )
+        assert folded == [512]
+
+    def test_removes_count_toward_the_fold_and_the_bound_holds(
+        self, dao_factory
+    ):
+        """Replay pays per journaled row, removes included."""
+        rng = np.random.default_rng(37)
+        service, alice, _bob = build(dao_factory, rng, n=40)
+        folded = record_folds(service)
+        for i in range(30):
+            service.remove_pe_by_name(alice, f"alicePE{i}")
+            assert_chains_bounded(service)
+        # 40 adds + 24 removes reach the floor on both of alice's shards
+        assert folded == [16, 16]
+        assert service.shard_persistence()["fresh"]
+        if hasattr(service.dao, "close"):
+            service.dao.close()
+        restarted, counted, index, mode = reattach(dao_factory)
+        assert mode == "fresh"
+        user = restarted.get_user("alice")
+        assert index.ids(user.user_id, KIND_DESC) == [
+            record.pe_id for record in restarted.user_pes(user)
+        ]
+
+    def test_persist_shards_folds_the_chain_a_deferred_bulk_left(
+        self, dao_factory
+    ):
+        """A persist-deferred bulk caller (an ingest job) journals
+        without folding; its closing ``persist_shards`` folds once."""
+        rng = np.random.default_rng(38)
+        service = RegistryService(dao_factory())
+        alice = service.register_user("alice", "pw")
+        service.attach_index(VectorIndex())
+        folded = record_folds(service)
+        for batch in range(5):
+            service.register_pes_bulk(
+                alice,
+                [
+                    make_pe(
+                        f"PE{batch}_{i}",
+                        code=f"c:{batch}:{i}".encode().hex(),
+                        description=f"element {i}",
+                        desc_embedding=unit(rng),
+                        code_embedding=unit(rng),
+                    )
+                    for i in range(32)
+                ],
+                persist=False,
+            )
+        assert folded == []
+        key = (alice.user_id, KIND_DESC)
+        assert service.dao.shard_chain_meta()[key]["chainRows"] == 160
+
+        assert service.persist_shards()
+        assert folded == [160, 160]
+        report = service.shard_persistence()
+        assert report["fresh"]
+        assert report["journal"]["compactions"] == 2
+        for stats in service.dao.shard_chain_meta().values():
+            assert (stats["rows"], stats["chainRows"]) == (160, 0)
+        # nothing is due any more: a second persist writes nothing
+        assert service.persist_shards()
+        assert folded == [160, 160]
+        if hasattr(service.dao, "close"):
+            service.dao.close()
+        _restarted, counted, _index, mode = reattach(dao_factory)
+        assert mode == "fresh"
+        assert counted.pes_owned_by_users == []

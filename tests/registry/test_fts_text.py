@@ -17,7 +17,7 @@ import sqlite3
 
 import pytest
 
-from repro.registry.dao import InMemoryDAO, SqliteDAO
+from repro.registry.dao import _SCHEMA_VERSION, InMemoryDAO, SqliteDAO
 from repro.registry.service import RegistryService
 from tests.registry.test_dao import make_pe, make_wf
 
@@ -209,7 +209,7 @@ class TestSchemaV5Backfill:
 
         dao2 = SqliteDAO(path)
         version = dao2._conn.execute("PRAGMA user_version").fetchone()[0]
-        assert version == 6
+        assert version == _SCHEMA_VERSION
         assert (
             dao2.text_topk_pes(alice.user_id, "prime") == expected_pes
         )

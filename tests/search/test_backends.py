@@ -584,20 +584,18 @@ class TestEmbedMany:
             vec[rid % 8] = 1.0
             index.add("u", KIND_DESC, rid, vec)
         records = {rid: {"id": rid} for rid in rids}
-        batcher = SearchBatcher(window=0.25, max_batch=4)
+        # window far longer than the test: the leader is released by the
+        # size cap (the fourth arrival), never by the clock
+        batcher = SearchBatcher(window=60.0, max_batch=4)
         texts = ["alpha", "beta", "alpha", "gamma"]
         results = [None] * len(texts)
-        barrier = threading.Barrier(len(texts))
 
-        def worker(i):
-            text = texts[i]
-            embed_many = embedder.embed_queries  # fresh bound method
-            barrier.wait()
-            results[i] = batcher.submit(
+        def submit(user, owned_ids, text, embed_many):
+            return batcher.submit(
                 index=index,
-                user="u",
+                user=user,
                 kind=KIND_DESC,
-                owned_ids=lambda: sorted(records),
+                owned_ids=owned_ids,
                 k=3,
                 query_vector=lambda: embed_many([text])[0],
                 resolve=lambda wanted: [
@@ -611,6 +609,31 @@ class TestEmbedMany:
                 embed_many=embed_many,
             )
 
+        # A leader only waits for company while another search is in
+        # flight, so park one on a different shard key inside its flush:
+        # the first of the four then waits instead of flushing alone,
+        # and every schedule ends in one flush of all four.
+        parked, release = threading.Event(), threading.Event()
+
+        def park():
+            parked.set()
+            release.wait(30)
+            return []
+
+        blocker = threading.Thread(
+            target=submit,
+            args=("parked", park, "unused", embedder.embed_queries),
+        )
+        blocker.start()
+        assert parked.wait(30)
+
+        def worker(i):
+            # a fresh bound method per request, as production passes
+            results[i] = submit(
+                "u", lambda: sorted(records), texts[i],
+                embedder.embed_queries,
+            )
+
         threads = [
             threading.Thread(target=worker, args=(i,))
             for i in range(len(texts))
@@ -618,16 +641,20 @@ class TestEmbedMany:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(30)
+        release.set()
+        blocker.join(30)
+        assert not blocker.is_alive()
+        assert not any(t.is_alive() for t in threads)
         assert all(result is not None for result in results)
-        # every text embedded at most once overall (duplicate queries
-        # coalesce through the shared embed_key), and any flush that
-        # batched >= 2 requests embedded its distinct texts together
-        embedded = [text for call in embedder.calls for text in call]
-        assert len(embedded) == len(set(embedded))
-        if batcher.stats()["batchedRequests"] > 0:
-            assert any(len(call) > 1 for call in embedder.calls)
-            assert batcher.stats()["batchEmbeds"] > 0
+        # one flush carried all four requests and embedded its three
+        # distinct texts in ONE model call (the duplicate coalesces
+        # through the shared embed_key)
+        assert len(embedder.calls) == 1
+        assert sorted(embedder.calls[0]) == ["alpha", "beta", "gamma"]
+        stats = batcher.stats()
+        assert stats["batchedRequests"] == 4
+        assert stats["batchEmbeds"] == 1
 
     def test_production_searcher_batches_distinct_queries(self, fast_bundle):
         """End-to-end: concurrent searches through a real searcher hit
