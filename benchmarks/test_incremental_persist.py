@@ -4,15 +4,17 @@ Three measurements for the v6 persistence plane, emitted as the
 ``BENCH_incremental_persist.json`` trajectory point:
 
 * **Bytes written per mutation** — K scattered single-record writes
-  against an N=5000-record SQLite registry, with a DAO proxy summing
-  the payload bytes of every journal append and compaction fold.  The
-  baseline is the pre-v6 whole-snapshot persist, which re-exported
-  every slab on each write; the bar is a >= 10x reduction.
-* **Warm attach after scattered writes** — a foreign (unjournaled)
-  connection stamps two tenants' shards behind the journal's back;
-  the restart must replay every other slab from its delta chain
-  (zero ``all_pes()`` calls, per-owner loads for exactly the stale
-  tenants) and still match the O(corpus) rebuild bitwise.
+  against an N=5000-record SQLite registry, with a meter summing the
+  payload bytes of every journal row (ids only since schema v8 — the
+  DAO writes it inside the mutation's transaction) and compaction
+  fold.  The baseline is the pre-v6 whole-snapshot persist, which
+  re-exported every slab on each write; the bar is a >= 10x reduction.
+* **Warm attach after scattered writes** — a writer that bypasses the
+  DAO (raw SQL) moves two tenants' stamps behind the journal's back
+  and rows land on those stale shards; the restart must replay every
+  other slab from its delta chain (zero ``all_pes()`` calls, per-owner
+  loads for exactly the stale tenants) and still match the O(corpus)
+  rebuild bitwise.
 * **Insert-time HNSW builds** — pure appends extend the small-world
   graph in place instead of rebuilding it; the extended graph must
   rank bitwise-identically to a from-scratch build over the grown
@@ -37,7 +39,7 @@ DIM = 256
 K_ADDS = 700  # scattered journaled writes (round-robin over tenants)
 K_REMOVES = 60
 FOREIGN_TENANTS = 2
-FOREIGN_ROWS = 5  # unjournaled rows per foreign-touched tenant
+FOREIGN_ROWS = 5  # rows landing on each stale tenant's shards
 
 HNSW_N = 3000
 HNSW_DIM = 64
@@ -59,17 +61,19 @@ class _ByteMeter:
         self.delta_appends = 0
         self.delta_bytes = 0
         self.upsert_bytes = 0  # compaction folds / dirty-shard upserts
+        # the DAO calls its journal-row writer on itself, inside the
+        # mutation's transaction: meter it on the instance
+        append = inner.append_index_delta
+
+        def metered(user_id, kind, op, ids, counter):
+            self.delta_appends += 1
+            self.delta_bytes += 8 * len(ids)
+            return append(user_id, kind, op, ids, counter)
+
+        inner.append_index_delta = metered
 
     def __getattr__(self, name):
         attr = getattr(self.inner, name)
-        if name == "append_index_delta":
-            def wrapped(user_id, kind, op, ids, vectors, counter):
-                self.delta_appends += 1
-                self.delta_bytes += ids.nbytes + (
-                    vectors.nbytes if vectors is not None else 0
-                )
-                return attr(user_id, kind, op, ids, vectors, counter)
-            return wrapped
         if name == "upsert_index_shards":
             def wrapped(shards, stamp):
                 for ids, matrix in shards.values():
@@ -131,7 +135,8 @@ def test_incremental_persist(tmp_path, record, out_dir):
                 for i in range(PER_TENANT)
             ]
         )
-    assert service.attach_index(VectorIndex()) == "rebuilt"  # arms journaling
+    # the bulk inserts journaled themselves: even the first attach replays
+    assert service.attach_index(VectorIndex()) == "fresh"
     meter.delta_appends = meter.delta_bytes = meter.upsert_bytes = 0
 
     # -- K scattered journaled writes ------------------------------------
@@ -161,9 +166,15 @@ def test_incremental_persist(tmp_path, record, out_dir):
     )
     improvement_x = snapshot_bytes / incremental_per_mut
 
-    # -- foreign writes the journal never sees ---------------------------
+    # -- stamps moved behind the journal's back, then rows on top --------
     stale_tenants = users[-FOREIGN_TENANTS:]
     foreign = SqliteDAO(db)
+    foreign._conn.executemany(
+        "UPDATE shard_stamps SET mutation_counter = mutation_counter + 1"
+        " WHERE user_id = ?",
+        [(user.user_id,) for user in stale_tenants],
+    )
+    foreign._conn.commit()
     for j in range(FOREIGN_ROWS):
         for user in stale_tenants:
             foreign.insert_pe(

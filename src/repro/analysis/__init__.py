@@ -37,17 +37,16 @@ RPR002  No ``await``/blocking call while a ``with <lock>:`` block is
         (batcher PR 3, write core PR 5, scatter PR 6); a sleep inside
         one convoys every contender.  Runtime complement: lockwatch.
 RPR003  Every DAO method writing the ``pes``/``workflows`` tables bumps
-        the registry mutation counter *and* stamps the changed shards —
-        the counter/stamp pair is the freshness authority for persisted
+        the registry mutation counter *and* calls ``_stamp_shards`` —
+        the one helper that stamps the changed shards and appends their
+        journal rows in the mutation's transaction — and neither it nor
+        anyone else stamps or journals around that helper.  The
+        counter/stamp pair is the freshness authority for persisted
         slabs, journals and IVF/HNSW state (PRs 3/8); an unstamped
-        write makes stale persistence load as fresh.
-RPR004  In ``RegistryService``, ``_journal_delta``/``_journal_pe``/
-        ``_journal_workflow`` calls lexically follow the live-index
-        mutation they journal — a threshold-crossing append compacts
-        inline from a live-index snapshot, so journaling first folds a
-        snapshot missing the batch.  PR 8 shipped and fixed exactly
-        this bug; the rule pins the shape, the regression test pins the
-        behaviour.
+        write makes stale persistence load as fresh, a stamp without
+        its journal row a fresh shard load stale.  (RPR004, which kept
+        the service's journal calls after its index mutations, went
+        with those calls: the DAO journals now.)
 RPR005  No ``time.time()``/``random``/``uuid``/set-iteration in the
         bitwise-determinism surface (``repro/search/{index,scatter,
         fusion,serving}.py``) — batched == single-shot == brute-force

@@ -14,6 +14,5 @@ from repro.analysis.rules import (  # noqa: F401  (import-for-effect)
     deadcode,
     determinism,
     error_envelope,
-    journal_order,
     lock_discipline,
 )

@@ -1,4 +1,5 @@
-"""RPR003 — every DAO write to pes/workflows bumps the counter and stamps shards.
+"""RPR003 — every DAO write to pes/workflows bumps the counter and
+stamps + journals the changed shards through the one helper.
 
 Invariant (PRs 3/8, ``repro/registry/dao.py``): the registry mutation
 counter is the freshness authority for every persisted artifact (index
@@ -6,14 +7,21 @@ slabs, delta journals, IVF/HNSW training state), and since schema v6
 each mutation must *also* stamp exactly the ``(user, kind)`` shards it
 changed — an unbumped or unstamped write makes a stale slab load as
 fresh on the next attach, silently serving deleted or missing rows.
-PR 8's cross-process tests exist because this failure mode is
-invisible until a cold start.
+Since schema v8 the stamp and the shard's journal row are one act:
+``_stamp_shards`` writes both in the mutation's transaction, so *stamp
+== journal tip* holds by construction — as long as nothing stamps or
+journals around it.
 
 Detection: a method "writes" when it executes SQL matching
-``INSERT INTO/UPDATE/DELETE FROM pes|workflows`` or mutates the
-in-memory ``self._pes``/``self._workflows`` stores; such a method must
-contain both a mutation bump (``_bump_mutation()`` call or
-``self._mutations += …``) and a ``_stamp_shards(...)`` call.
+``INSERT INTO/UPDATE/DELETE FROM pes|workflows`` (string literals and
+the literal parts of f-strings) or mutates the in-memory
+``self._pes``/``self._workflows`` stores; such a method must contain
+both a mutation bump (``_bump_mutation()`` call or
+``self._mutations += …``) and a ``_stamp_shards(...)`` call, and must
+not itself write the stamp or journal state (``shard_stamps`` /
+``index_deltas`` SQL, the ``self._shard_stamps``/``_shard_tips``/
+``_shard_deltas`` stores).  ``append_index_delta``, the single
+journal-row writer, may be called from ``_stamp_shards`` only.
 """
 
 from __future__ import annotations
@@ -38,17 +46,45 @@ _SQL_WRITE = re.compile(
 
 _MEMORY_STORES = {"self._pes", "self._workflows"}
 
+#: the stamp + journal state only ``_stamp_shards`` (and the base-slab
+#: writers, which are not mutations) may touch
+_STAMP_SQL_WRITE = re.compile(
+    r"(?i)\b(?:insert(?:\s+or\s+\w+)?\s+into|update|delete\s+from)\s+"
+    r"(shard_stamps|index_deltas)\b"
+)
+_STAMP_STORES = {
+    "self._shard_stamps",
+    "self._shard_tips",
+    "self._shard_deltas",
+}
+
+_STAMP_HELPER = "_stamp_shards"
+_JOURNAL_WRITER = "append_index_delta"
+
 
 def _sql_text(node: ast.Call) -> str | None:
+    """The SQL a call executes: a string literal, or the literal parts
+    of an f-string (a conditional ``SET`` clause still names its table
+    outside the braces)."""
     if not node.args:
         return None
     first = node.args[0]
     if isinstance(first, ast.Constant) and isinstance(first.value, str):
         return first.value
+    if isinstance(first, ast.JoinedStr):
+        return " ".join(
+            part.value
+            for part in first.values
+            if isinstance(part, ast.Constant) and isinstance(part.value, str)
+        )
     return None
 
 
-def _written_tables(fn: ast.FunctionDef) -> set[str]:
+def _written(
+    fn: ast.FunctionDef, sql_write: re.Pattern, stores: set[str]
+) -> set[str]:
+    """Tables (SQL) and in-memory stores ``fn`` itself writes, out of
+    the given ones."""
     tables: set[str] = set()
     for node in walk_scope(fn):
         if isinstance(node, ast.Call) and isinstance(
@@ -57,7 +93,7 @@ def _written_tables(fn: ast.FunctionDef) -> set[str]:
             if node.func.attr in ("execute", "executemany"):
                 sql = _sql_text(node)
                 if sql:
-                    tables.update(_SQL_WRITE.findall(sql))
+                    tables.update(sql_write.findall(sql))
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
             targets = (
                 node.targets
@@ -67,7 +103,7 @@ def _written_tables(fn: ast.FunctionDef) -> set[str]:
             for target in targets:
                 if isinstance(target, ast.Subscript):
                     store = dotted_name(target.value)
-                    if store in _MEMORY_STORES:
+                    if store in stores:
                         tables.add(store.rsplit("._", 1)[-1])
     return tables
 
@@ -85,11 +121,11 @@ def _has_bump(fn: ast.FunctionDef) -> bool:
     return False
 
 
-def _has_stamp(fn: ast.FunctionDef) -> bool:
+def _calls(fn: ast.FunctionDef, method: str) -> bool:
     return any(
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "_stamp_shards"
+        and node.func.attr == method
         for node in walk_scope(fn)
     )
 
@@ -99,7 +135,8 @@ class DaoStampRule(Rule):
     name = "RPR003"
     summary = (
         "DAO methods writing pes/workflows must bump the mutation"
-        " counter and stamp the changed shards"
+        " counter and stamp + journal the changed shards through"
+        " _stamp_shards alone"
     )
 
     def applies_to(self, module: LintModule) -> bool:
@@ -112,7 +149,14 @@ class DaoStampRule(Rule):
             for fn in cls.body:
                 if not isinstance(fn, ast.FunctionDef):
                     continue
-                tables = _written_tables(fn)
+                if fn.name != _STAMP_HELPER and _calls(fn, _JOURNAL_WRITER):
+                    yield self.finding(
+                        module,
+                        fn,
+                        f"{cls.name}.{fn.name} writes a journal row outside"
+                        f" {_STAMP_HELPER} (stamp and journal are one act)",
+                    )
+                tables = _written(fn, _SQL_WRITE, _MEMORY_STORES)
                 if not tables:
                     continue
                 wrote = "/".join(sorted(tables))
@@ -124,11 +168,20 @@ class DaoStampRule(Rule):
                         " bumping the registry mutation counter"
                         " (persisted slabs would load stale-as-fresh)",
                     )
-                if not _has_stamp(fn):
+                if not _calls(fn, _STAMP_HELPER):
                     yield self.finding(
                         module,
                         fn,
                         f"{cls.name}.{fn.name} writes {wrote} without"
                         " stamping the changed shards"
                         " (_stamp_shards; v6 per-shard freshness)",
+                    )
+                around = _written(fn, _STAMP_SQL_WRITE, _STAMP_STORES)
+                if around:
+                    yield self.finding(
+                        module,
+                        fn,
+                        f"{cls.name}.{fn.name} writes"
+                        f" {'/'.join(sorted(around))} itself: a mutation"
+                        f" stamps and journals only through {_STAMP_HELPER}",
                     )

@@ -281,13 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--shards", action="store_true",
         help="also build the vector index and report shard occupancy and "
-        "persistence freshness (loads persisted slabs when fresh, else "
-        "reads the whole registry, like server startup)",
+        "persistence freshness per shard: stamp, chain tip, base rows, and "
+        "the ids-only journal chain on top (deltas / rows / bytes at rest); "
+        "replays each fresh shard's base slab and journal, reading journaled "
+        "vectors from the record rows, and rebuilds stale ones from their "
+        "owner's records, like server startup — but writes nothing",
     )
     stats.add_argument(
         "--persist", action="store_true",
-        help="with --shards: save the (re)built slabs back to the "
-        "registry so the next cold start skips the rebuild",
+        help="with --shards: write base slabs for the shards the journal "
+        "does not cover and fold the chains that are due, so the next cold "
+        "start replays less",
     )
 
     lint = sub.add_parser(
@@ -914,9 +918,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
             journal = freshness["journal"]
             if journal["rows"]:
                 print(
-                    f"journal: {journal['rows']} append(s), "
-                    f"{journal['bytes']} B at rest "
-                    f"({journal['bytesPerMutation']:.0f} B/mutation), "
+                    f"journal: {journal['rows']} row(s), "
+                    f"{journal['bytes']} B of ids at rest "
+                    f"({journal['bytesPerMutation']:.0f} B/row), "
                     f"{journal['compactions']} compaction(s)"
                 )
         if args.persist:

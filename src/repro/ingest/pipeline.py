@@ -26,10 +26,24 @@ landed stay landed (ingest is not transactional; the counters say
 exactly how far it got).  Shards persist once at the end — mid-ingest
 the live index serves every batch already, persistence only matters
 for the next cold start.
+
+The job thread **yields the interpreter after every record it
+prepares** (``os.sched_yield()`` in :func:`_flush`).  Preparing a
+record is pure-Python work that holds the GIL, and the less time a
+batch spends inside SQLite (where the GIL is released) the larger the
+share of each batch the job holds it for: a request thread then waits
+out whole switch intervals behind the job.  This was ROADMAP item 3's
+hypothesis (b) for the read tail beside a live ingest, and the
+measurement confirms it: with the yield, fetch p95 beside the job fell
+about threefold and semantic p95 by a third at unchanged seeding time;
+without it (and with cheaper writes) the foreground ran up to twice as
+slow.  ``time.sleep(0)`` is not a substitute — timer slack makes it
+cost ~170 µs a call here, which the seeding time pays.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -132,18 +146,22 @@ def _flush(
     from repro.server.v1_write import build_pe_record
 
     ctx.checkpoint()
-    records = [
-        build_pe_record(
-            app,
-            name=chunk.name,
-            code=chunk.code,
-            description=chunk.docstring,
-            origin="user" if chunk.docstring else "auto",
-            source=chunk.source_text(),
-            imports=list(chunk.imports),
+    records = []
+    for chunk in batch:
+        records.append(
+            build_pe_record(
+                app,
+                name=chunk.name,
+                code=chunk.code,
+                description=chunk.docstring,
+                origin="user" if chunk.docstring else "auto",
+                source=chunk.source_text(),
+                imports=list(chunk.imports),
+            )
         )
-        for chunk in batch
-    ]
+        # let a waiting request thread have the interpreter (see the
+        # module docstring)
+        os.sched_yield()
     ctx.advance("chunksEmbedded", len(records))
     with app.write_lock:
         _, created = app.registry.register_pes_bulk(

@@ -281,10 +281,16 @@ class RegistryDAO(ABC):
 
         Every registry mutation stamps the shards whose *content* it
         changed (owner gained/lost, embedding bytes changed) with the
-        bumped mutation counter, inside the same transaction.  A
-        persisted shard is fresh iff its replayed chain tip equals this
-        stamp.  Backends without stamp tracking return ``{}`` — every
-        persisted shard is then permanently stale (attach rebuilds).
+        bumped mutation counter and, in the same transaction, appends
+        that shard's ids-only journal row — provided the shard was
+        *covered* before the write (its stamp equalled its chain tip; a
+        shard's first stamp counts, replay from an empty base is then
+        complete).  A stale shard is only stamped and stays stale until
+        a base upsert rebuilds it, so a journal row never lands on top
+        of a gap.  A persisted shard is fresh iff its replayed chain
+        tip equals this stamp.  Backends without stamp tracking return
+        ``{}`` — every persisted shard is then permanently stale
+        (attach rebuilds).
         """
         return {}
 
@@ -298,28 +304,12 @@ class RegistryDAO(ABC):
         For each shard this (atomically, per shard) replaces the base
         slab row, deletes journaled deltas with counter ``<= stamp``
         (they are folded into the new base — this is compaction), and
-        raises the shard's expected stamp to at least ``stamp`` (seeding
-        missing stamps, e.g. after a full rebuild of a pre-v6 file).
+        raises the shard's expected stamp and its chain tip to at least
+        ``stamp`` (seeding missing stamps, e.g. after a full rebuild of
+        a pre-v6 file) — a shard upserted at its stamp is covered again.
         Untouched shards keep their rows — one tenant's flush never
         rewrites another tenant's slab.  No-op by default.
         """
-
-    def append_index_delta(
-        self,
-        user_id: int,
-        kind: str,
-        op: str,
-        rids: np.ndarray,
-        vectors: np.ndarray | None,
-        counter: int,
-    ) -> int:
-        """Append one ``'add'``/``'remove'`` row batch to the shard's
-        delta journal, stamped ``counter``.
-
-        Returns the bytes the row occupies at rest (ids + encoded
-        vectors); backends without a journal return 0.
-        """
-        return 0
 
     def load_index_shards(
         self,
@@ -329,11 +319,14 @@ class RegistryDAO(ABC):
         """Replayed per-shard slabs: ``({key: (ids, matrix, tip)}, discarded)``.
 
         Each shard's base slab is replayed through its delta chain in
-        append order; ``tip`` is the counter of the last event folded in
+        append order; the journal holds ids only, so the vector of
+        every id whose last journaled op is ``add`` is read from its
+        record row.  ``tip`` is the counter of the last event folded in
         (the shard is fresh iff ``tip == shard_stamps()[key]``).  A
         corrupt, truncated or torn shard (bad blob, non-monotonic chain,
-        delta at or below the base stamp) discards *only that shard* and
-        increments ``discarded`` — never the whole snapshot.
+        delta at or below the base stamp, a winning ``add`` whose record
+        row is gone or has no vector of that kind) discards *only that
+        shard* and increments ``discarded`` — never the whole snapshot.
         """
         return {}, 0
 
@@ -357,7 +350,8 @@ class RegistryDAO(ABC):
         """Per-shard chain statistics, no blob deserialization:
         ``{key: {baseCounter, rows, chainLen, chainRows, chainBytes,
         tip}}`` — ``rows`` counts the base slab, ``chainRows`` the ids
-        journaled on top of it, ``chainBytes`` their bytes at rest."""
+        journaled on top of it, ``chainBytes`` their bytes at rest (ids
+        only — the journal stores no vectors)."""
         return {}
 
     # -- idempotency receipts (v1 write surface) ---------------------------
@@ -582,6 +576,14 @@ _KIND_DESC = "desc"
 _KIND_CODE = "code"
 _KIND_WORKFLOW = "wf-desc"
 
+#: where each shard kind's vectors live: (table, id column, embedding
+#: column) — the column is also the record attribute's name
+_KIND_SOURCE = {
+    _KIND_DESC: ("pes", "pe_id", "desc_embedding"),
+    _KIND_CODE: ("pes", "pe_id", "code_embedding"),
+    _KIND_WORKFLOW: ("workflows", "workflow_id", "desc_embedding"),
+}
+
 #: delta-journal ops
 _OP_ADD = "add"
 _OP_REMOVE = "remove"
@@ -651,32 +653,130 @@ def _wf_stamp_keys(
     return keys
 
 
+#: what one mutation does to the shards it stamps — each one's journal
+#: row: ``{(user_id, kind): (op, ids)}``
+_Changes = dict[tuple[int, str], tuple[str, list[int]]]
+
+
+def _shard_changes(
+    keys: Iterable[tuple[int, str]],
+    record_id: int,
+    owners: Iterable[int],
+    embedded: Mapping[str, bool],
+) -> _Changes:
+    """The journal row of every shard a single-record write stamps:
+    ``{key: (op, [record_id])}``.
+
+    One rule for stamp and journal: a stamped ``(user, kind)`` gets
+    ``add`` when the record is in that shard after the write (the user
+    owns it and it carries a vector of that kind — ``embedded``),
+    ``remove`` when it is not.
+    """
+    owners = set(owners)
+    return {
+        (user_id, kind): (
+            _OP_ADD if user_id in owners and embedded[kind] else _OP_REMOVE,
+            [int(record_id)],
+        )
+        for user_id, kind in keys
+    }
+
+
+def _pe_changes(
+    pe_id: int,
+    old_owners: set[int],
+    new_owners: set[int],
+    old_desc: bytes | None,
+    new_desc: bytes | None,
+    old_code: bytes | None,
+    new_code: bytes | None,
+) -> _Changes:
+    """Stamped shards and journal rows of one PE write (a delete passes
+    no new owners and no new bytes)."""
+    return _shard_changes(
+        _pe_stamp_keys(
+            old_owners, new_owners, old_desc, new_desc, old_code, new_code
+        ),
+        pe_id,
+        new_owners,
+        {_KIND_DESC: new_desc is not None, _KIND_CODE: new_code is not None},
+    )
+
+
+def _wf_changes(
+    workflow_id: int,
+    old_owners: set[int],
+    new_owners: set[int],
+    old_desc: bytes | None,
+    new_desc: bytes | None,
+) -> _Changes:
+    """Workflow analogue of :func:`_pe_changes` (one kind)."""
+    return _shard_changes(
+        _wf_stamp_keys(old_owners, new_owners, old_desc, new_desc),
+        workflow_id,
+        new_owners,
+        {_KIND_WORKFLOW: new_desc is not None},
+    )
+
+
+def _merge_changes(total: _Changes, changes: _Changes) -> None:
+    """Fold one inserted record's changes into its batch's: a bulk
+    insert is one mutation, so each shard gets one ``add`` row carrying
+    every id the batch put in it."""
+    for key, (op, ids) in changes.items():
+        total.setdefault(key, (op, []))[1].extend(ids)
+
+
+def _stack_vectors(
+    ids: np.ndarray, found: Mapping[int, np.ndarray | None]
+) -> np.ndarray:
+    """The ``(len(ids), dim)`` float32 matrix of ``ids``' record
+    vectors, in order.  A missing row, a row without a vector or a row
+    of another width means the journal names something the record
+    table does not hold — a torn chain, ``ValueError``."""
+    rows = []
+    for rid in ids.tolist():
+        vec = found.get(rid)
+        if vec is None:
+            raise ValueError("journaled add without a record vector")
+        rows.append(np.asarray(vec, dtype=np.float32).reshape(-1))
+    if len({row.shape[0] for row in rows}) != 1:
+        raise ValueError("delta dimension mismatch")
+    return np.stack(rows)
+
+
 def _replay_shard(
     base: tuple[int, np.ndarray, np.ndarray] | None,
-    deltas: list[tuple[int, str, np.ndarray, np.ndarray | None]],
+    deltas: list[tuple[int, str, np.ndarray]],
+    fetch,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Fold a shard's delta chain into its base slab.
 
     ``base`` is ``(counter, ids, matrix)`` or ``None``; ``deltas`` are
-    ``(counter, op, ids, vectors)`` in journal append order.  Returns
-    the replayed ``(ids, matrix, tip)`` with ascending int64 ids and a
-    C-contiguous float32 matrix — byte-for-byte the layout a live
-    :class:`~repro.search.index.VectorIndex` shard holds, so replayed
-    slabs score bitwise-identically.
+    ids-only ``(counter, op, ids)`` rows in journal append order;
+    ``fetch(ids)`` returns the ``(len(ids), dim)`` float32 matrix of
+    those records' current vectors (see :func:`_stack_vectors`) and is
+    asked only for ids whose *last* journaled op is ``add`` — a vector
+    lives in its record row and in the base slab, nowhere else.
+    Returns the replayed ``(ids, matrix, tip)`` with ascending int64
+    ids and a C-contiguous float32 matrix — byte-for-byte the layout a
+    live :class:`~repro.search.index.VectorIndex` shard holds, so
+    replayed slabs score bitwise-identically.
 
     Raises ``ValueError`` on a torn chain: a delta stamped at or below
     the base (a crash left compaction half-applied), a non-increasing
-    chain (two writers raced the journal), or a dimension mismatch.
-    ``'remove'`` of an absent id is tolerated — a rebuilt base may
-    already reflect a delta appended concurrently with the rebuild.
+    chain (two writers raced the journal), an unknown op, a dimension
+    mismatch, or whatever ``fetch`` raises for a winning ``add`` whose
+    record row cannot supply the vector.  ``'remove'`` of an absent id
+    is tolerated — a rebuilt base may already reflect a delta appended
+    concurrently with the rebuild.
     """
     dim: int | None = None
     tip: int | None = None
-    # every (id, vector) event in replay order: the base slab's rows,
-    # then each delta's; the last event of an id decides it
+    # every id event in replay order: the base slab's rows, then each
+    # delta's; the last event of an id decides it
     id_parts: list[np.ndarray] = []
     part_is_add: list[bool] = []
-    delta_vectors: list[np.ndarray] = []
     base_matrix = None
     if base is not None:
         tip, ids, matrix = base
@@ -687,29 +787,17 @@ def _replay_shard(
             id_parts.append(ids)
             part_is_add.append(True)
             base_matrix = matrix
-    for counter, op, rids, vectors in deltas:
+    for counter, op, rids in deltas:
         if tip is not None and counter <= tip:
             # a delta at or below the base stamp means a crash left
             # compaction half-applied; a non-increasing chain means two
             # writers raced the journal — either way the chain is torn
             raise ValueError("non-increasing delta chain")
         tip = counter
-        if op == _OP_REMOVE:
-            id_parts.append(rids)
-            part_is_add.append(False)
-        elif op == _OP_ADD:
-            if vectors is None or vectors.ndim != 2:
-                raise ValueError("add delta without vectors")
-            if rids.shape[0] != vectors.shape[0]:
-                raise ValueError("add delta shape mismatch")
-            if dim is not None and vectors.shape[1] != dim:
-                raise ValueError("delta dimension mismatch")
-            dim = int(vectors.shape[1])
-            id_parts.append(rids)
-            part_is_add.append(True)
-            delta_vectors.append(vectors)
-        else:
+        if op not in (_OP_ADD, _OP_REMOVE):
             raise ValueError(f"unknown delta op {op!r}")
+        id_parts.append(rids)
+        part_is_add.append(op == _OP_ADD)
     if tip is None:
         raise ValueError("empty shard chain")
     if id_parts:
@@ -733,20 +821,25 @@ def _replay_shard(
             np.empty((0, dim or 0), dtype=np.float32),
             int(tip),
         )
-    # an add event's vector is row (add events before it) of the base
-    # slab followed by the deltas' vectors; the slab is only ever read
-    # through the winning rows, never copied whole
-    taken = (np.cumsum(is_add) - 1)[winners]
+    # the base slab's rows are the first events, so a winning event
+    # below its row count is that slab row (read only through the
+    # winners, never copied whole); every other winner is a journaled
+    # add, whose vector the record row holds
+    ids_out = event_ids[winners]
     base_rows = 0 if base_matrix is None else base_matrix.shape[0]
-    from_base = taken < base_rows
+    from_base = winners < base_rows
+    fetched = None
+    if not from_base.all():
+        fetched = fetch(ids_out[~from_base])
+        if dim is not None and fetched.shape[1] != dim:
+            raise ValueError("delta dimension mismatch")
+        dim = int(fetched.shape[1])
     matrix_out = np.empty((winners.shape[0], dim), dtype=np.float32)
     if base_matrix is not None:
-        matrix_out[from_base] = base_matrix[taken[from_base]]
-    if delta_vectors:
-        matrix_out[~from_base] = np.concatenate(delta_vectors)[
-            taken[~from_base] - base_rows
-        ]
-    return event_ids[winners], matrix_out, int(tip)
+        matrix_out[from_base] = base_matrix[winners[from_base]]
+    if fetched is not None:
+        matrix_out[~from_base] = fetched
+    return ids_out, matrix_out, int(tip)
 
 
 class InMemoryDAO(RegistryDAO):
@@ -779,17 +872,17 @@ class InMemoryDAO(RegistryDAO):
         # shard-persistence bookkeeping (process-local: an in-memory
         # registry has no cold start, but tracking the counter keeps the
         # freshness protocol uniform and testable across backends).
-        # Per-shard: base slabs, append-only delta chains and expected
-        # stamps mirror SqliteDAO's index_shards / index_deltas /
-        # shard_stamps tables exactly.
+        # Per-shard: base slabs, append-only ids-only delta chains and
+        # expected stamps + chain tips mirror SqliteDAO's index_shards /
+        # index_deltas / shard_stamps tables exactly.
         self._mutations = 0
         self._shard_stamps: dict[tuple[int, str], int] = {}
+        self._shard_tips: dict[tuple[int, str], int | None] = {}
         self._base_shards: dict[
             tuple[int, str], tuple[int, np.ndarray, np.ndarray]
         ] = {}
         self._shard_deltas: dict[
-            tuple[int, str],
-            list[tuple[int, str, np.ndarray, np.ndarray | None]],
+            tuple[int, str], list[tuple[int, str, np.ndarray]]
         ] = {}
         # last-committed embedding bytes, so updates can diff against
         # record objects the service mutates in place (same reason the
@@ -883,11 +976,27 @@ class InMemoryDAO(RegistryDAO):
             return sorted(self._users.values(), key=lambda u: u.user_id)
 
     # -- per-shard stamping ------------------------------------------------
-    def _stamp_shards(self, keys: Iterable[tuple[int, str]]) -> None:
+    def _stamp_shards(self, changes: _Changes) -> None:
         """Stamp the shards a mutation changed with the bumped counter
-        (caller holds the lock and has already bumped)."""
-        for key in keys:
+        and journal each one that was covered (caller holds the lock
+        and has already bumped) — the rule of
+        :meth:`RegistryDAO.shard_stamps`."""
+        for key, (op, ids) in sorted(changes.items()):
+            if key not in self._shard_stamps or (
+                self._shard_stamps[key] == self._shard_tips.get(key)
+            ):
+                self.append_index_delta(*key, op, ids, self._mutations)
+                self._shard_tips[key] = self._mutations
             self._shard_stamps[key] = self._mutations
+
+    def append_index_delta(
+        self, user_id: int, kind: str, op: str, ids: list[int], counter: int
+    ) -> None:
+        """The single journal-row writer; only :meth:`_stamp_shards`
+        calls it."""
+        self._shard_deltas.setdefault((user_id, kind), []).append(
+            (counter, op, np.asarray(ids, dtype=np.int64))
+        )
 
     def _snapshot_pe_embeds(self, record: PERecord) -> None:
         self._pe_embed_snapshot[record.pe_id] = (
@@ -895,11 +1004,12 @@ class InMemoryDAO(RegistryDAO):
             _embed_bytes(record.code_embedding),
         )
 
-    def _pe_write_keys(
+    def _pe_write_changes(
         self, record: PERecord, *, inserted: bool
-    ) -> set[tuple[int, str]]:
-        """Shards this PE write changes; diffs against the owner and
-        embedding snapshots (the service mutates records in place)."""
+    ) -> _Changes:
+        """Shards this PE write changes and their journal rows; diffs
+        against the owner and embedding snapshots (the service mutates
+        records in place)."""
         new_desc = _embed_bytes(record.desc_embedding)
         new_code = _embed_bytes(record.code_embedding)
         if inserted:
@@ -912,14 +1022,14 @@ class InMemoryDAO(RegistryDAO):
             old_desc, old_code = self._pe_embed_snapshot.get(
                 record.pe_id, (None, None)
             )
-        return _pe_stamp_keys(
-            old_owners, set(record.owners),
+        return _pe_changes(
+            record.pe_id, old_owners, set(record.owners),
             old_desc, new_desc, old_code, new_code,
         )
 
-    def _wf_write_keys(
+    def _wf_write_changes(
         self, record: WorkflowRecord, *, inserted: bool
-    ) -> set[tuple[int, str]]:
+    ) -> _Changes:
         new_desc = _embed_bytes(record.desc_embedding)
         if inserted:
             old_owners: set[int] = set()
@@ -929,8 +1039,9 @@ class InMemoryDAO(RegistryDAO):
                 self._wf_owner_snapshot.get(record.workflow_id, frozenset())
             )
             old_desc = self._wf_embed_snapshot.get(record.workflow_id)
-        return _wf_stamp_keys(
-            old_owners, set(record.owners), old_desc, new_desc
+        return _wf_changes(
+            record.workflow_id, old_owners, set(record.owners),
+            old_desc, new_desc,
         )
 
     # -- PEs ---------------------------------------------------------------
@@ -941,7 +1052,7 @@ class InMemoryDAO(RegistryDAO):
             record.revision = 1
             self._next_pe += 1
             self._pes[record.pe_id] = record
-            self._stamp_shards(self._pe_write_keys(record, inserted=True))
+            self._stamp_shards(self._pe_write_changes(record, inserted=True))
             self._reindex_pe_owners(record)
             self._snapshot_pe_embeds(record)
             self._index_pe_text(record)
@@ -958,17 +1069,19 @@ class InMemoryDAO(RegistryDAO):
             return []
         with self._lock:
             self._mutations += 1
+            changes: _Changes = {}
             for record in records:
                 record.pe_id = self._next_pe
                 record.revision = 1
                 self._next_pe += 1
                 self._pes[record.pe_id] = record
-                self._stamp_shards(
-                    self._pe_write_keys(record, inserted=True)
+                _merge_changes(
+                    changes, self._pe_write_changes(record, inserted=True)
                 )
                 self._reindex_pe_owners(record)
                 self._snapshot_pe_embeds(record)
                 self._index_pe_text(record)
+            self._stamp_shards(changes)
             return list(records)
 
     def update_pe(self, record: PERecord) -> None:
@@ -980,7 +1093,7 @@ class InMemoryDAO(RegistryDAO):
                 )
             record.revision += 1
             self._pes[record.pe_id] = record
-            self._stamp_shards(self._pe_write_keys(record, inserted=False))
+            self._stamp_shards(self._pe_write_changes(record, inserted=False))
             self._reindex_pe_owners(record)
             self._snapshot_pe_embeds(record)
             self._index_pe_text(record)
@@ -1018,8 +1131,8 @@ class InMemoryDAO(RegistryDAO):
                 pe_id, (None, None)
             )
             self._stamp_shards(
-                _pe_stamp_keys(
-                    old_owners, set(), old_desc, None, old_code, None
+                _pe_changes(
+                    pe_id, old_owners, set(), old_desc, None, old_code, None
                 )
             )
             del self._pes[pe_id]
@@ -1040,7 +1153,7 @@ class InMemoryDAO(RegistryDAO):
             record.revision = 1
             self._next_workflow += 1
             self._workflows[record.workflow_id] = record
-            self._stamp_shards(self._wf_write_keys(record, inserted=True))
+            self._stamp_shards(self._wf_write_changes(record, inserted=True))
             self._reindex_wf_owners(record)
             self._wf_embed_snapshot[record.workflow_id] = _embed_bytes(
                 record.desc_embedding
@@ -1057,13 +1170,14 @@ class InMemoryDAO(RegistryDAO):
             return []
         with self._lock:
             self._mutations += 1
+            changes: _Changes = {}
             for record in records:
                 record.workflow_id = self._next_workflow
                 record.revision = 1
                 self._next_workflow += 1
                 self._workflows[record.workflow_id] = record
-                self._stamp_shards(
-                    self._wf_write_keys(record, inserted=True)
+                _merge_changes(
+                    changes, self._wf_write_changes(record, inserted=True)
                 )
                 self._reindex_wf_owners(record)
                 self._wf_embed_snapshot[record.workflow_id] = _embed_bytes(
@@ -1071,6 +1185,7 @@ class InMemoryDAO(RegistryDAO):
                 )
                 self._reindex_wf_links(record)
                 self._index_wf_text(record)
+            self._stamp_shards(changes)
             return list(records)
 
     def update_workflow(self, record: WorkflowRecord) -> None:
@@ -1083,7 +1198,7 @@ class InMemoryDAO(RegistryDAO):
                 )
             record.revision += 1
             self._workflows[record.workflow_id] = record
-            self._stamp_shards(self._wf_write_keys(record, inserted=False))
+            self._stamp_shards(self._wf_write_changes(record, inserted=False))
             self._reindex_wf_owners(record)
             self._wf_embed_snapshot[record.workflow_id] = _embed_bytes(
                 record.desc_embedding
@@ -1146,7 +1261,7 @@ class InMemoryDAO(RegistryDAO):
             )
             old_desc = self._wf_embed_snapshot.pop(workflow_id, None)
             self._stamp_shards(
-                _wf_stamp_keys(old_owners, set(), old_desc, None)
+                _wf_changes(workflow_id, old_owners, set(), old_desc, None)
             )
             del self._workflows[workflow_id]
             self._drop_wf_owners(workflow_id)
@@ -1170,10 +1285,14 @@ class InMemoryDAO(RegistryDAO):
                 for (user_id, kind), (ids, matrix) in shards.items()
             }
             self._shard_deltas = {}
+            # every chain is gone: only the shards given a base are
+            # covered again
+            self._shard_tips = {}
             for key in self._base_shards:
                 self._shard_stamps[key] = max(
                     self._shard_stamps.get(key, counter), counter
                 )
+                self._shard_tips[key] = counter
 
     def shard_stamps(self) -> dict[tuple[int, str], int]:
         with self._lock:
@@ -1201,23 +1320,24 @@ class InMemoryDAO(RegistryDAO):
                 self._shard_stamps[key] = max(
                     self._shard_stamps.get(key, stamp), stamp
                 )
+                self._shard_tips[key] = max(
+                    self._shard_tips.get(key) or 0, stamp
+                )
 
-    def append_index_delta(
-        self, user_id, kind, op, rids, vectors, counter
-    ) -> int:
-        with self._lock:
-            key = (int(user_id), str(kind))
-            ids = np.asarray(rids, dtype=np.int64).reshape(-1).copy()
-            vecs = None
-            if vectors is not None:
-                vecs = np.asarray(vectors, dtype=np.float32)
-                if vecs.ndim == 1:
-                    vecs = vecs.reshape(1, -1)
-                vecs = vecs.copy()
-            self._shard_deltas.setdefault(key, []).append(
-                (int(counter), str(op), ids, vecs)
-            )
-            return ids.nbytes + (0 if vecs is None else vecs.nbytes)
+    def _record_vectors(self, kind: str, ids: np.ndarray) -> np.ndarray:
+        """Replay's ``fetch``: the ``kind`` vectors of record ``ids``."""
+        if kind not in _KIND_SOURCE:
+            raise ValueError(f"unknown shard kind {kind!r}")
+        table, _, attr = _KIND_SOURCE[kind]
+        records = self._pes if table == "pes" else self._workflows
+        return _stack_vectors(
+            ids,
+            {
+                rid: getattr(records[rid], attr)
+                for rid in ids.tolist()
+                if rid in records
+            },
+        )
 
     def load_index_shards(self):
         with self._lock:
@@ -1228,6 +1348,9 @@ class InMemoryDAO(RegistryDAO):
                     shards[key] = _replay_shard(
                         self._base_shards.get(key),
                         self._shard_deltas.get(key, []),
+                        lambda ids, kind=key[1]: self._record_vectors(
+                            kind, ids
+                        ),
                     )
                 except ValueError:
                     discarded += 1
@@ -1238,7 +1361,7 @@ class InMemoryDAO(RegistryDAO):
             counters = {counter for counter, _, _ in self._base_shards.values()}
             deltas = sum(len(c) for c in self._shard_deltas.values())
             delta_bytes = sum(
-                d[2].nbytes + (0 if d[3] is None else d[3].nbytes)
+                d[2].nbytes
                 for chain in self._shard_deltas.values()
                 for d in chain
             )
@@ -1264,10 +1387,7 @@ class InMemoryDAO(RegistryDAO):
                     "rows": len(base[1]) if base else 0,
                     "chainLen": len(chain),
                     "chainRows": sum(len(d[2]) for d in chain),
-                    "chainBytes": sum(
-                        d[2].nbytes + (0 if d[3] is None else d[3].nbytes)
-                        for d in chain
-                    ),
+                    "chainBytes": sum(d[2].nbytes for d in chain),
                     "tip": tip,
                 }
             return meta
@@ -1587,10 +1707,16 @@ CREATE TABLE IF NOT EXISTS hnsw_states (
     PRIMARY KEY (user_id, kind)
 );
 -- schema v6: per-shard freshness stamps + the append-only delta journal
+-- schema v8: the journal is an ids-only changelog (no vectors, no
+-- secondary index: every reader scans it whole in delta_id order) and
+-- each stamp row carries its shard's chain tip beside it, so the one
+-- row a mutation rewrites anyway also says whether to journal (tip =
+-- stamp: covered; NULL or lower: stale until a base upsert)
 CREATE TABLE IF NOT EXISTS shard_stamps (
     user_id INTEGER NOT NULL,
     kind TEXT NOT NULL,
     mutation_counter INTEGER NOT NULL,
+    tip INTEGER,
     PRIMARY KEY (user_id, kind)
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS index_deltas (
@@ -1599,13 +1725,9 @@ CREATE TABLE IF NOT EXISTS index_deltas (
     kind TEXT NOT NULL,
     op TEXT NOT NULL,
     mutation_counter INTEGER NOT NULL,
-    dim INTEGER NOT NULL,
     rows INTEGER NOT NULL,
-    ids BLOB NOT NULL,
-    vectors BLOB NOT NULL
+    ids BLOB NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_index_deltas_shard
-    ON index_deltas (user_id, kind, delta_id);
 """
 
 #: v1 introduced the normalized join tables (files at version 0 are
@@ -1623,8 +1745,13 @@ CREATE INDEX IF NOT EXISTS idx_index_deltas_shard
 #: rows, base slabs) may be in :mod:`~repro.registry.veccodec`'s sparse
 #: layout.  Dense blobs written by v6 and older decode through the same
 #: codec (no rewrite on open: a row re-encodes when next written, a slab
-#: at its next fold), but code older than v7 cannot read a v7 file
-_SCHEMA_VERSION = 7
+#: at its next fold), but code older than v7 cannot read a v7 file; v8
+#: made ``index_deltas`` an ids-only changelog written inside each
+#: mutation's own transaction (``vectors``/``dim`` and the secondary
+#: index dropped; replay reads the vectors from the record rows) and
+#: added ``shard_stamps.tip`` — older code cannot write a v8 journal.
+#: Files created by v8 use 1 KB pages; a migrated file keeps its own
+_SCHEMA_VERSION = 8
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
 #: IN(...) lists well below that
@@ -1665,6 +1792,12 @@ class SqliteDAO(RegistryDAO):
         self._conn.row_factory = sqlite3.Row
         self._lock = threading.RLock()
         with self._lock, self._conn:
+            # a WAL commit logs whole pages and the rows this registry
+            # commits are tens of bytes (stamps, owners, counter,
+            # journal) to ~2.5 KB (a record): 1 KB pages log a quarter
+            # of what 4 KB ones do for the same touch.  Takes effect on
+            # a file without pages only; an existing file keeps its own
+            self._conn.execute("PRAGMA page_size=1024")
             # WAL lets readers proceed during writes; NORMAL fsyncs once
             # per checkpoint instead of per transaction (both no-ops for
             # :memory: databases)
@@ -1693,7 +1826,8 @@ class SqliteDAO(RegistryDAO):
         counter — a stale pre-v6 snapshot must not be stamped fresh, so
         it is left unstamped and the first attach pays one full rebuild
         (which then seeds every stamp); v6 -> v7 only raises the version
-        (see ``_SCHEMA_VERSION``).
+        (see ``_SCHEMA_VERSION``); v7 -> v8 reshapes the journal in
+        place (:meth:`_migrate_journal`).
         """
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         if version >= _SCHEMA_VERSION:
@@ -1786,7 +1920,69 @@ class SqliteDAO(RegistryDAO):
                     " SELECT user_id, kind, mutation_counter"
                     " FROM index_shards"
                 )
+        self._migrate_journal()
         self._conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
+
+    def _migrate_journal(self) -> None:
+        """v8, in one transaction: the journal keeps its membership and
+        loses its vectors, every stamp learns its chain tip.
+
+        Base slabs and chains are unchanged — replay reads a journaled
+        ``add``'s vector from the record row for old and new journal
+        rows alike, so there is no second decoder.  A shard whose chain
+        tip is below its stamp (a crash between mutation and append, a
+        ``persist=False`` era) is seeded stale and stays stale until
+        rebuilt; a shard that holds records but was never stamped (a
+        pre-v6 file nobody attached) gets a stale stamp too, so that
+        from here on "no stamp row" can only mean "no content" — the
+        one case in which a first journal row is a complete chain.
+        """
+        if not self._conn.in_transaction:
+            self._conn.execute("BEGIN")
+        columns = {
+            row["name"]
+            for row in self._conn.execute("PRAGMA table_info(index_deltas)")
+        }
+        if "vectors" in columns:
+            self._conn.execute("DROP INDEX IF EXISTS idx_index_deltas_shard")
+            self._conn.execute(
+                "ALTER TABLE index_deltas RENAME TO index_deltas_v7"
+            )
+            self._conn.execute(
+                "CREATE TABLE index_deltas (delta_id INTEGER PRIMARY KEY,"
+                " user_id INTEGER NOT NULL, kind TEXT NOT NULL,"
+                " op TEXT NOT NULL, mutation_counter INTEGER NOT NULL,"
+                " rows INTEGER NOT NULL, ids BLOB NOT NULL)"
+            )
+            self._conn.execute(
+                "INSERT INTO index_deltas SELECT delta_id, user_id, kind,"
+                " op, mutation_counter, rows, ids FROM index_deltas_v7"
+            )
+            self._conn.execute("DROP TABLE index_deltas_v7")
+        columns = {
+            row["name"]
+            for row in self._conn.execute("PRAGMA table_info(shard_stamps)")
+        }
+        if "tip" not in columns:
+            self._conn.execute("ALTER TABLE shard_stamps ADD COLUMN tip INTEGER")
+        self._conn.executemany(
+            "UPDATE shard_stamps SET tip=? WHERE user_id=? AND kind=?",
+            [
+                (chain["tip"], user_id, kind)
+                for (user_id, kind), chain in self.shard_chain_meta().items()
+            ],
+        )
+        counter = self.mutation_counter()
+        for kind, (table, id_col, blob_col) in _KIND_SOURCE.items():
+            owners = "pe_owners" if table == "pes" else "workflow_owners"
+            self._conn.execute(
+                f"INSERT OR IGNORE INTO shard_stamps"
+                f" (user_id, kind, mutation_counter, tip)"
+                f" SELECT DISTINCT o.user_id, ?, ?, NULL FROM {owners} o"
+                f" JOIN {table} r ON r.{id_col} = o.{id_col}"
+                f" WHERE r.{blob_col} IS NOT NULL",
+                (kind, counter),
+            )
 
     def _text_index_stale(self) -> bool:
         """Best-effort drift check: side-table row counts must match the
@@ -1863,52 +2059,78 @@ class SqliteDAO(RegistryDAO):
             ).fetchone()[0]
         )
 
-    def _stamp_shards(
-        self, keys: Iterable[tuple[int, str]], counter: int
+    def _stamp_shards(self, changes: _Changes, counter: int) -> None:
+        """Stamp the shards a mutation changed and journal each one that
+        was covered, inside the caller's transaction — the rule of
+        :meth:`RegistryDAO.shard_stamps`.  Stamp and journal row land in
+        one commit, so *stamp == journal tip* cannot be torn, and a
+        stale shard (a raw-SQL writer raised its stamp, an old file
+        crashed between mutation and append) never gets a row on top of
+        the gap: it keeps its tip and waits for a rebuild."""
+        for (user_id, kind), (op, ids) in sorted(changes.items()):
+            row = self._conn.execute(
+                "SELECT mutation_counter, tip FROM shard_stamps"
+                " WHERE user_id=? AND kind=?",
+                (user_id, kind),
+            ).fetchone()
+            tip = None if row is None else row["tip"]
+            if row is None or row["mutation_counter"] == tip:
+                self.append_index_delta(user_id, kind, op, ids, counter)
+                tip = counter
+            self._conn.execute(
+                "INSERT OR REPLACE INTO shard_stamps"
+                " (user_id, kind, mutation_counter, tip) VALUES (?, ?, ?, ?)",
+                (user_id, kind, counter, tip),
+            )
+
+    def append_index_delta(
+        self, user_id: int, kind: str, op: str, ids: list[int], counter: int
     ) -> None:
-        """Stamp the shards a mutation changed (same transaction), so
-        per-shard freshness survives foreign raw-DAO writers."""
-        self._conn.executemany(
-            "INSERT OR REPLACE INTO shard_stamps"
-            " (user_id, kind, mutation_counter) VALUES (?, ?, ?)",
-            [(int(uid), str(kind), int(counter)) for uid, kind in keys],
+        """The single journal-row writer: one ids-only ``'add'`` /
+        ``'remove'`` row for one shard at ``counter``.  Only
+        :meth:`_stamp_shards` calls it, inside the mutation's
+        transaction — it must not open (and so commit) one of its own."""
+        self._conn.execute(
+            "INSERT INTO index_deltas"
+            " (user_id, kind, op, mutation_counter, rows, ids)"
+            " VALUES (?, ?, ?, ?, ?, ?)",
+            (
+                user_id,
+                kind,
+                op,
+                counter,
+                len(ids),
+                np.asarray(ids, dtype=np.int64).tobytes(),
+            ),
         )
 
-    def _pe_old_state(
-        self, pe_id: int
-    ) -> tuple[set[int], bytes | None, bytes | None] | None:
-        """The committed ``(owners, desc_bytes, code_bytes)`` of a PE —
-        what a mutation diffs against to decide which shards it stamps.
-        The bytes are the canonical dense ones (:func:`_embed_bytes`),
-        not the stored encoding: a legacy dense row and its sparse
-        re-encoding are the same vector."""
-        row = self._conn.execute(
-            "SELECT owners, desc_embedding, code_embedding FROM pes"
-            " WHERE pe_id=?",
+    def _pe_old_state(self, pe_id: int) -> sqlite3.Row | None:
+        """The committed row of a PE, as far as a mutation needs it: to
+        decide which shards it stamps (owners, embeddings) and which
+        derived rows an update can leave alone (name, description)."""
+        return self._conn.execute(
+            "SELECT pe_name, description, owners, desc_embedding,"
+            " code_embedding FROM pes WHERE pe_id=?",
             (int(pe_id),),
         ).fetchone()
-        if row is None:
-            return None
-        return (
-            {int(uid) for uid in json.loads(row["owners"])},
-            _embed_bytes(_unblob(row["desc_embedding"])),
-            _embed_bytes(_unblob(row["code_embedding"])),
-        )
 
-    def _wf_old_state(
-        self, workflow_id: int
-    ) -> tuple[set[int], bytes | None] | None:
-        row = self._conn.execute(
-            "SELECT owners, desc_embedding FROM workflows"
-            " WHERE workflow_id=?",
+    def _wf_old_state(self, workflow_id: int) -> sqlite3.Row | None:
+        return self._conn.execute(
+            "SELECT workflow_name, entry_point, description, pe_ids, owners,"
+            " desc_embedding FROM workflows WHERE workflow_id=?",
             (int(workflow_id),),
         ).fetchone()
-        if row is None:
-            return None
-        return (
-            {int(uid) for uid in json.loads(row["owners"])},
-            _embed_bytes(_unblob(row["desc_embedding"])),
-        )
+
+    @staticmethod
+    def _old_owners(row: sqlite3.Row) -> set[int]:
+        return {int(uid) for uid in json.loads(row["owners"])}
+
+    @staticmethod
+    def _old_embed(row: sqlite3.Row, column: str) -> bytes | None:
+        """Canonical dense bytes (:func:`_embed_bytes`) of a stored
+        vector, not its stored encoding: a legacy dense row and its
+        sparse re-encoding are the same vector."""
+        return _embed_bytes(_unblob(row[column]))
 
     # -- join-table sync ---------------------------------------------------
     def _sync_pe_owners(self, pe_id: int, owners: Iterable[int]) -> None:
@@ -2038,8 +2260,8 @@ class SqliteDAO(RegistryDAO):
             )
             record.pe_id = int(cursor.lastrowid)
             self._stamp_shards(
-                _pe_stamp_keys(
-                    set(), set(record.owners),
+                _pe_changes(
+                    record.pe_id, set(), set(record.owners),
                     None, _embed_bytes(record.desc_embedding),
                     None, _embed_bytes(record.code_embedding),
                 ),
@@ -2055,20 +2277,22 @@ class SqliteDAO(RegistryDAO):
             return []
         with self._lock, self._conn:
             counter = self._bump_mutation()
-            keys: set[tuple[int, str]] = set()
-            for record in records:
-                keys |= _pe_stamp_keys(
-                    set(), set(record.owners),
-                    None, _embed_bytes(record.desc_embedding),
-                    None, _embed_bytes(record.code_embedding),
-                )
-            self._stamp_shards(keys, counter)
             base = self._conn.execute(
                 "SELECT COALESCE(MAX(pe_id), 0) FROM pes"
             ).fetchone()[0]
+            changes: _Changes = {}
             for offset, record in enumerate(records, start=1):
                 record.pe_id = base + offset
                 record.revision = 1
+                _merge_changes(
+                    changes,
+                    _pe_changes(
+                        record.pe_id, set(), set(record.owners),
+                        None, _embed_bytes(record.desc_embedding),
+                        None, _embed_bytes(record.code_embedding),
+                    ),
+                )
+            self._stamp_shards(changes, counter)
             self._conn.executemany(
                 """INSERT INTO pes (pe_id, pe_name, description,
                    description_origin, pe_code, pe_source, pe_imports,
@@ -2096,32 +2320,49 @@ class SqliteDAO(RegistryDAO):
             return list(records)
 
     def update_pe(self, record: PERecord) -> None:
+        """Write only what changed: SQLite rewrites the index entry of
+        every column named in ``SET``, so an unchanged ``pe_name`` stays
+        out of it; the owner join rows and the FTS document (a delete +
+        insert in three b-trees) are re-synced only when they differ
+        from the committed row — an ownership grant touches no text, a
+        revision touches no owners."""
         with self._lock, self._conn:
             counter = self._bump_mutation()
             old = self._pe_old_state(record.pe_id)
-            cursor = self._conn.execute(
-                """UPDATE pes SET pe_name=?, description=?,
-                   description_origin=?, pe_code=?, pe_source=?,
-                   pe_imports=?, code_embedding=?, desc_embedding=?, owners=?,
-                   revision=? WHERE pe_id=?""",
-                (*self._pe_params(record), record.revision + 1, record.pe_id),
-            )
-            if cursor.rowcount == 0:
+            if old is None:
                 raise NotFoundError(
                     f"PE id {record.pe_id} not found", params={"peId": record.pe_id}
                 )
+            renamed = old["pe_name"] != record.pe_name
+            name, *rest = self._pe_params(record)
+            self._conn.execute(
+                f"""UPDATE pes SET {'pe_name=?,' if renamed else ''}
+                   description=?, description_origin=?, pe_code=?,
+                   pe_source=?, pe_imports=?, code_embedding=?,
+                   desc_embedding=?, owners=?, revision=? WHERE pe_id=?""",
+                (
+                    *([name] if renamed else []),
+                    *rest,
+                    record.revision + 1,
+                    record.pe_id,
+                ),
+            )
             record.revision += 1
-            old_owners, old_desc, old_code = old
+            old_owners = self._old_owners(old)
             self._stamp_shards(
-                _pe_stamp_keys(
-                    old_owners, set(record.owners),
-                    old_desc, _embed_bytes(record.desc_embedding),
-                    old_code, _embed_bytes(record.code_embedding),
+                _pe_changes(
+                    record.pe_id, old_owners, set(record.owners),
+                    self._old_embed(old, "desc_embedding"),
+                    _embed_bytes(record.desc_embedding),
+                    self._old_embed(old, "code_embedding"),
+                    _embed_bytes(record.code_embedding),
                 ),
                 counter,
             )
-            self._sync_pe_owners(record.pe_id, record.owners)
-            self._sync_pe_text(record)
+            if old_owners != set(record.owners):
+                self._sync_pe_owners(record.pe_id, record.owners)
+            if renamed or old["description"] != record.description:
+                self._sync_pe_text(record)
 
     def get_pe(self, pe_id: int) -> PERecord | None:
         with self._lock:
@@ -2321,17 +2562,17 @@ class SqliteDAO(RegistryDAO):
         with self._lock, self._conn:
             counter = self._bump_mutation()
             old = self._pe_old_state(pe_id)
-            if old is not None:
-                old_owners, old_desc, old_code = old
-                self._stamp_shards(
-                    _pe_stamp_keys(
-                        old_owners, set(), old_desc, None, old_code, None
-                    ),
-                    counter,
-                )
-            cursor = self._conn.execute("DELETE FROM pes WHERE pe_id=?", (pe_id,))
-            if cursor.rowcount == 0:
+            if old is None:
                 raise NotFoundError(f"PE id {pe_id} not found", params={"peId": pe_id})
+            self._stamp_shards(
+                _pe_changes(
+                    pe_id, self._old_owners(old), set(),
+                    self._old_embed(old, "desc_embedding"), None,
+                    self._old_embed(old, "code_embedding"), None,
+                ),
+                counter,
+            )
+            self._conn.execute("DELETE FROM pes WHERE pe_id=?", (pe_id,))
             self._conn.execute("DELETE FROM pe_owners WHERE pe_id=?", (pe_id,))
             self._conn.execute("DELETE FROM pe_text WHERE pe_id=?", (pe_id,))
             # back-reference from the link table: touch only the
@@ -2397,8 +2638,8 @@ class SqliteDAO(RegistryDAO):
             )
             record.workflow_id = int(cursor.lastrowid)
             self._stamp_shards(
-                _wf_stamp_keys(
-                    set(), set(record.owners),
+                _wf_changes(
+                    record.workflow_id, set(), set(record.owners),
                     None, _embed_bytes(record.desc_embedding),
                 ),
                 counter,
@@ -2416,19 +2657,21 @@ class SqliteDAO(RegistryDAO):
             return []
         with self._lock, self._conn:
             counter = self._bump_mutation()
-            keys: set[tuple[int, str]] = set()
-            for record in records:
-                keys |= _wf_stamp_keys(
-                    set(), set(record.owners),
-                    None, _embed_bytes(record.desc_embedding),
-                )
-            self._stamp_shards(keys, counter)
             base = self._conn.execute(
                 "SELECT COALESCE(MAX(workflow_id), 0) FROM workflows"
             ).fetchone()[0]
+            changes: _Changes = {}
             for offset, record in enumerate(records, start=1):
                 record.workflow_id = base + offset
                 record.revision = 1
+                _merge_changes(
+                    changes,
+                    _wf_changes(
+                        record.workflow_id, set(), set(record.owners),
+                        None, _embed_bytes(record.desc_embedding),
+                    ),
+                )
+            self._stamp_shards(changes, counter)
             self._conn.executemany(
                 """INSERT INTO workflows (workflow_id, workflow_name,
                    entry_point, description, workflow_code, workflow_source,
@@ -2471,37 +2714,54 @@ class SqliteDAO(RegistryDAO):
             return list(records)
 
     def update_workflow(self, record: WorkflowRecord) -> None:
+        """Write only what changed (see :meth:`update_pe`): the indexed
+        ``entry_point`` stays out of ``SET`` when unchanged, and the
+        owner, link and FTS rows are re-synced only when they differ
+        from the committed row."""
         with self._lock, self._conn:
             counter = self._bump_mutation()
             old = self._wf_old_state(record.workflow_id)
-            cursor = self._conn.execute(
-                """UPDATE workflows SET workflow_name=?, entry_point=?,
-                   description=?, workflow_code=?, workflow_source=?,
-                   pe_ids=?, desc_embedding=?, owners=?, revision=?
-                   WHERE workflow_id=?""",
-                (
-                    *self._wf_params(record),
-                    record.revision + 1,
-                    record.workflow_id,
-                ),
-            )
-            if cursor.rowcount == 0:
+            if old is None:
                 raise NotFoundError(
                     f"workflow id {record.workflow_id} not found",
                     params={"workflowId": record.workflow_id},
                 )
+            moved = old["entry_point"] != record.entry_point
+            name, entry_point, *rest = self._wf_params(record)
+            self._conn.execute(
+                f"""UPDATE workflows SET workflow_name=?,
+                   {'entry_point=?,' if moved else ''} description=?,
+                   workflow_code=?, workflow_source=?, pe_ids=?,
+                   desc_embedding=?, owners=?, revision=?
+                   WHERE workflow_id=?""",
+                (
+                    name,
+                    *([entry_point] if moved else []),
+                    *rest,
+                    record.revision + 1,
+                    record.workflow_id,
+                ),
+            )
             record.revision += 1
-            old_owners, old_desc = old
+            old_owners = self._old_owners(old)
             self._stamp_shards(
-                _wf_stamp_keys(
-                    old_owners, set(record.owners),
-                    old_desc, _embed_bytes(record.desc_embedding),
+                _wf_changes(
+                    record.workflow_id, old_owners, set(record.owners),
+                    self._old_embed(old, "desc_embedding"),
+                    _embed_bytes(record.desc_embedding),
                 ),
                 counter,
             )
-            self._sync_wf_owners(record.workflow_id, record.owners)
-            self._sync_wf_links(record.workflow_id, record.pe_ids)
-            self._sync_wf_text(record)
+            if old_owners != set(record.owners):
+                self._sync_wf_owners(record.workflow_id, record.owners)
+            if set(json.loads(old["pe_ids"])) != set(record.pe_ids):
+                self._sync_wf_links(record.workflow_id, record.pe_ids)
+            if (
+                moved
+                or old["workflow_name"] != record.workflow_name
+                or old["description"] != record.description
+            ):
+                self._sync_wf_text(record)
 
     def get_workflow(self, workflow_id: int) -> WorkflowRecord | None:
         with self._lock:
@@ -2596,20 +2856,21 @@ class SqliteDAO(RegistryDAO):
         with self._lock, self._conn:
             counter = self._bump_mutation()
             old = self._wf_old_state(workflow_id)
-            if old is not None:
-                old_owners, old_desc = old
-                self._stamp_shards(
-                    _wf_stamp_keys(old_owners, set(), old_desc, None),
-                    counter,
-                )
-            cursor = self._conn.execute(
-                "DELETE FROM workflows WHERE workflow_id=?", (workflow_id,)
-            )
-            if cursor.rowcount == 0:
+            if old is None:
                 raise NotFoundError(
                     f"workflow id {workflow_id} not found",
                     params={"workflowId": workflow_id},
                 )
+            self._stamp_shards(
+                _wf_changes(
+                    workflow_id, self._old_owners(old), set(),
+                    self._old_embed(old, "desc_embedding"), None,
+                ),
+                counter,
+            )
+            self._conn.execute(
+                "DELETE FROM workflows WHERE workflow_id=?", (workflow_id,)
+            )
             self._conn.execute(
                 "DELETE FROM workflow_owners WHERE workflow_id=?", (workflow_id,)
             )
@@ -2655,7 +2916,8 @@ class SqliteDAO(RegistryDAO):
         — one row per table entry per (user, kind), so a fresh attach
         reads them back with zero record deserialization.  Being a
         truth assertion for the *whole* index, it also drops every
-        journaled delta and stamps each written shard.
+        journaled delta and stamps each written shard; a stamped shard
+        it was not given loses its chain and so its coverage.
         """
         payload = [
             self._shard_payload_row(user_id, kind, counter, ids, matrix)
@@ -2664,19 +2926,29 @@ class SqliteDAO(RegistryDAO):
         with self._lock, self._conn:
             self._conn.execute("DELETE FROM index_shards")
             self._conn.execute("DELETE FROM index_deltas")
+            self._conn.execute("UPDATE shard_stamps SET tip = NULL")
             self._conn.executemany(
                 """INSERT INTO index_shards
                    (user_id, kind, mutation_counter, dim, rows, ids, vectors)
                    VALUES (?, ?, ?, ?, ?, ?, ?)""",
                 payload,
             )
-            self._conn.executemany(
-                "INSERT INTO shard_stamps (user_id, kind, mutation_counter)"
-                " VALUES (?, ?, ?)"
-                " ON CONFLICT(user_id, kind) DO UPDATE SET mutation_counter ="
-                " MAX(mutation_counter, excluded.mutation_counter)",
-                [(row[0], row[1], int(counter)) for row in payload],
-            )
+            self._raise_stamps(payload, int(counter))
+
+    def _raise_stamps(self, payload: list[tuple], stamp: int) -> None:
+        """A base slab was written at ``stamp`` for each payload row:
+        raise its shard's stamp and chain tip to at least that (a
+        racing writer's higher values survive, and with them the truth
+        about whether its journal row does)."""
+        self._conn.executemany(
+            "INSERT INTO shard_stamps (user_id, kind, mutation_counter, tip)"
+            " VALUES (?, ?, ?, ?)"
+            " ON CONFLICT(user_id, kind) DO UPDATE SET"
+            " mutation_counter = MAX(mutation_counter,"
+            " excluded.mutation_counter),"
+            " tip = MAX(COALESCE(tip, 0), excluded.tip)",
+            [(row[0], row[1], stamp, stamp) for row in payload],
+        )
 
     def shard_stamps(self) -> dict[tuple[int, str], int]:
         with self._lock:
@@ -2699,9 +2971,9 @@ class SqliteDAO(RegistryDAO):
 
         Only the given shards are touched: each gets its base slab
         replaced, its deltas with counter ``<= stamp`` dropped (folded
-        into the new base), and its expected stamp raised to at least
-        ``stamp`` — deltas above the stamp (a racing writer) survive
-        and correctly leave the shard stale.
+        into the new base), and its expected stamp and chain tip raised
+        to at least ``stamp`` — a delta above the stamp (a racing
+        writer's) survives on top of the new base.
         """
         stamp = int(stamp)
         payload = [
@@ -2720,49 +2992,24 @@ class SqliteDAO(RegistryDAO):
                 " AND mutation_counter<=?",
                 [(row[0], row[1], stamp) for row in payload],
             )
-            self._conn.executemany(
-                "INSERT INTO shard_stamps (user_id, kind, mutation_counter)"
-                " VALUES (?, ?, ?)"
-                " ON CONFLICT(user_id, kind) DO UPDATE SET mutation_counter ="
-                " MAX(mutation_counter, excluded.mutation_counter)",
-                [(row[0], row[1], stamp) for row in payload],
-            )
+            self._raise_stamps(payload, stamp)
 
-    def append_index_delta(
-        self,
-        user_id: int,
-        kind: str,
-        op: str,
-        rids: np.ndarray,
-        vectors: np.ndarray | None,
-        counter: int,
-    ) -> int:
-        ids = np.asarray(rids, dtype=np.int64).reshape(-1)
-        if vectors is None:
-            vecs = np.empty((ids.shape[0], 0), dtype=np.float32)
-        else:
-            vecs = np.asarray(vectors, dtype=np.float32)
-            if vecs.ndim == 1:
-                vecs = vecs.reshape(1, -1)
-        ids_blob, vec_blob = ids.tobytes(), encode_vectors(vecs)
-        with self._lock, self._conn:
-            self._conn.execute(
-                """INSERT INTO index_deltas
-                   (user_id, kind, op, mutation_counter, dim, rows, ids,
-                    vectors)
-                   VALUES (?, ?, ?, ?, ?, ?, ?, ?)""",
-                (
-                    int(user_id),
-                    str(kind),
-                    str(op),
-                    int(counter),
-                    int(vecs.shape[1]),
-                    int(ids.shape[0]),
-                    ids_blob,
-                    vec_blob,
-                ),
-            )
-        return len(ids_blob) + len(vec_blob)
+    def _record_vectors(self, kind: str, ids: np.ndarray) -> np.ndarray:
+        """Replay's ``fetch``: the ``kind`` vectors of record ``ids``,
+        read from the record rows and decoded by the one codec."""
+        if kind not in _KIND_SOURCE:
+            raise ValueError(f"unknown shard kind {kind!r}")
+        table, id_col, blob_col = _KIND_SOURCE[kind]
+        found: dict[int, np.ndarray | None] = {}
+        for chunk in _chunked(ids.tolist()):
+            placeholders = ",".join("?" * len(chunk))
+            for row in self._conn.execute(
+                f"SELECT {id_col}, {blob_col} FROM {table}"
+                f" WHERE {id_col} IN ({placeholders})",
+                chunk,
+            ):
+                found[row[0]] = _unblob(row[1])
+        return _stack_vectors(ids, found)
 
     def load_index_shards(
         self,
@@ -2771,9 +3018,9 @@ class SqliteDAO(RegistryDAO):
     ]:
         """Replay each base slab through its delta chain, per shard.
 
-        A corrupt blob, torn row, or non-monotonic chain discards only
-        that shard (counted in ``discarded``) — never the whole
-        snapshot.
+        A corrupt blob, torn row, non-monotonic chain or journaled
+        ``add`` the record table cannot back discards only that shard
+        (counted in ``discarded``) — never the whole snapshot.
         """
         with self._lock:
             base_rows = self._conn.execute(
@@ -2781,60 +3028,62 @@ class SqliteDAO(RegistryDAO):
                 " vectors FROM index_shards"
             ).fetchall()
             delta_rows = self._conn.execute(
-                "SELECT user_id, kind, op, mutation_counter, dim, rows, ids,"
-                " vectors FROM index_deltas ORDER BY delta_id"
+                "SELECT user_id, kind, op, mutation_counter, rows, ids"
+                " FROM index_deltas ORDER BY delta_id"
             ).fetchall()
-        bases: dict[tuple[int, str], tuple] = {}
-        bad: set[tuple[int, str]] = set()
-        for row in base_rows:
-            key = (int(row["user_id"]), str(row["kind"]))
-            try:
-                ids, matrix = self._decode_slab_row(row)
-            except ValueError:
-                bad.add(key)
-                continue
-            bases[key] = (int(row["mutation_counter"]), ids, matrix)
-        chains: dict[tuple[int, str], list] = {}
-        for row in delta_rows:
-            key = (int(row["user_id"]), str(row["kind"]))
-            try:
-                ids, vecs = self._decode_slab_row(row)
-            except ValueError:
-                bad.add(key)
-                continue
-            chains.setdefault(key, []).append(
-                (
-                    int(row["mutation_counter"]),
-                    str(row["op"]),
-                    ids,
-                    vecs if str(row["op"]) == _OP_ADD else None,
+            bases: dict[tuple[int, str], tuple] = {}
+            bad: set[tuple[int, str]] = set()
+            for row in base_rows:
+                key = (int(row["user_id"]), str(row["kind"]))
+                try:
+                    ids = self._decode_ids(row)
+                    matrix = decode_vectors(
+                        row["vectors"], int(row["rows"]), int(row["dim"])
+                    )
+                except ValueError:
+                    bad.add(key)
+                    continue
+                bases[key] = (int(row["mutation_counter"]), ids, matrix)
+            chains: dict[tuple[int, str], list] = {}
+            for row in delta_rows:
+                key = (int(row["user_id"]), str(row["kind"]))
+                try:
+                    ids = self._decode_ids(row)
+                except ValueError:
+                    bad.add(key)
+                    continue
+                chains.setdefault(key, []).append(
+                    (int(row["mutation_counter"]), str(row["op"]), ids)
                 )
-            )
-        shards: dict[tuple[int, str], tuple] = {}
-        discarded = 0
-        for key in sorted(set(bases) | set(chains) | bad):
-            if key in bad:
-                discarded += 1
-                continue
-            try:
-                shards[key] = _replay_shard(
-                    bases.get(key), chains.get(key, [])
-                )
-            except ValueError:
-                discarded += 1
+            shards: dict[tuple[int, str], tuple] = {}
+            discarded = 0
+            for key in sorted(set(bases) | set(chains) | bad):
+                if key in bad:
+                    discarded += 1
+                    continue
+                try:
+                    # under the same lock hold as the journal read: the
+                    # record rows replay fetches are the ones that
+                    # journal describes
+                    shards[key] = _replay_shard(
+                        bases.get(key),
+                        chains.get(key, []),
+                        lambda ids, kind=key[1]: self._record_vectors(
+                            kind, ids
+                        ),
+                    )
+                except ValueError:
+                    discarded += 1
         return shards, discarded
 
     @staticmethod
-    def _decode_slab_row(row) -> tuple[np.ndarray, np.ndarray]:
-        """ids + 2D float32 matrix from one base/delta row, validated
-        against the declared rows/dim; raises ``ValueError`` on any
-        truncated or inconsistent blob."""
-        rows, dim = int(row["rows"]), int(row["dim"])
+    def _decode_ids(row) -> np.ndarray:
+        """The int64 ids of one base/delta row, validated against its
+        declared row count; ``ValueError`` on a truncated blob."""
         ids_blob = row["ids"]
-        if len(ids_blob) != rows * 8:
+        if len(ids_blob) != int(row["rows"]) * 8:
             raise ValueError("truncated blob")
-        ids = np.frombuffer(ids_blob, dtype=np.int64).copy()
-        return ids, decode_vectors(row["vectors"], rows, dim)
+        return np.frombuffer(ids_blob, dtype=np.int64).copy()
 
     def index_shards_meta(self) -> dict[str, int | None]:
         with self._lock:
@@ -2842,8 +3091,7 @@ class SqliteDAO(RegistryDAO):
                 "SELECT mutation_counter, rows FROM index_shards"
             ).fetchall()
             delta = self._conn.execute(
-                "SELECT COUNT(*) AS n,"
-                " COALESCE(SUM(LENGTH(ids) + LENGTH(vectors)), 0) AS b"
+                "SELECT COUNT(*) AS n, COALESCE(SUM(LENGTH(ids)), 0) AS b"
                 " FROM index_deltas"
             ).fetchone()
         counters = {row["mutation_counter"] for row in rows}
@@ -2863,7 +3111,7 @@ class SqliteDAO(RegistryDAO):
             ).fetchall()
             delta_rows = self._conn.execute(
                 "SELECT user_id, kind, COUNT(*) AS n, SUM(rows) AS r,"
-                " COALESCE(SUM(LENGTH(ids) + LENGTH(vectors)), 0) AS b,"
+                " COALESCE(SUM(LENGTH(ids)), 0) AS b,"
                 " MAX(mutation_counter) AS tip"
                 " FROM index_deltas GROUP BY user_id, kind"
             ).fetchall()

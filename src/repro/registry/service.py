@@ -75,23 +75,19 @@ class RegistryService:
         #: out to them, so their results stay bitwise identical to the
         #: authoritative exact index
         self._mirrors: list = []
-        #: journal index deltas inline with every write (enabled by
-        #: attach_index's ``persist`` flag): each mutation appends a
-        #: small add/remove row batch to the DAO's delta journal at the
-        #: counter the DAO stamped, so the persisted state tracks the
-        #: live index at O(delta) cost instead of whole-snapshot
-        #: rewrites
+        #: write base slabs and fold chains (attach_index's ``persist``
+        #: flag).  Journaling is not this service's to switch: the DAO
+        #: appends each mutation's ids-only journal row inside the
+        #: mutation's own transaction, whoever the writer is
         self._persist = False
         #: per-shard ``[base rows, rows journaled since the last fold]``
         #: — what the fold rule reads.  Seeded from the DAO at attach,
-        #: bumped on every append, reset by every base upsert this
-        #: service issues.  A foreign process's appends are not counted,
-        #: which is harmless: a fold is refused anyway while the
-        #: mutation counters disagree.
+        #: bumped where a journaled write is mirrored into the live
+        #: index, reset by every base upsert this service issues.  A
+        #: foreign process's rows are not counted, which is harmless: a
+        #: fold is refused anyway while the mutation counters disagree.
         self._chains: dict[tuple[int, str], list[int]] = {}
-        #: journal telemetry for ``repro stats --shards``
-        self._journal_rows = 0
-        self._journal_bytes = 0
+        #: folds this service performed, for ``repro stats --shards``
         self._compactions = 0
         #: shards the last attach had to discard (corrupt/torn rows)
         self._attach_discarded = 0
@@ -124,9 +120,9 @@ class RegistryService:
         stamps could not be provably seeded, or an empty DAO) falls
         back to the legacy full O(corpus) rebuild.
 
-        ``persist`` also arms inline delta journaling: every subsequent
-        write through this service appends its row batch to the journal
-        at the counter the DAO stamped (see :meth:`_journal_delta`).
+        ``persist`` also arms chain folding (see :meth:`_journaled`);
+        without it this service writes no base slab and folds nothing —
+        the DAO journals every write regardless.
         """
         from repro.search.index import KIND_CODE, KIND_DESC, KIND_WORKFLOW
 
@@ -268,54 +264,25 @@ class RegistryService:
         registry at the bumped counter)."""
         self._index_counter += 1
 
-    def _journal_delta(
-        self,
-        user_id: int,
-        kind: str,
-        op: str,
-        rids,
-        vectors=None,
-        *,
-        allow_compact: bool = True,
+    def _journaled(
+        self, key: tuple[int, str], rows: int, *, fold: bool = True
     ) -> None:
-        """Append one add/remove row batch to the shard's delta journal.
+        """Account ``rows`` ids the DAO journaled on shard ``key`` and
+        fold the chain once the rule (``_FOLD_FLOOR``) says it is due.
 
-        Called on every write path *after* the mutation has been applied
-        to the live index (a threshold-crossing append compacts the
-        chain inline from a live-index snapshot, so the snapshot must
-        already contain this batch), for
-        exactly the shards the DAO's stamping rule marked changed — the
-        journal row carries the counter the DAO stamped, so an honest
-        chain's tip equals the shard's expected stamp and the next
-        attach loads it without touching a single record.  If a foreign
-        process wrote between attach and now, the tracked counter lags
-        the DAO's and every later stamp exceeds the journaled tip —
-        conservatively stale, so those shards rebuild.  Appends are
-        intentionally unguarded: a crash *between* mutation and append
-        leaves stamp > tip, which is also just stale.
-
-        Once the fold rule (``_FOLD_FLOOR``) says so, the chain is
-        folded back into the base slab inline —  unless
-        ``allow_compact`` is off: a bulk caller that will issue one
-        ``persist_shards()`` when it finishes (the ingest pipeline)
-        opts out, because every mid-stream fold re-exports the whole
-        growing slab only for the final persist to do it again.
+        The DAO writes a mutation's journal rows itself, in the
+        mutation's transaction; what is left here is the fold, which
+        snapshots the *live* index — so every call sits right after the
+        loop that applied that same mutation to it, never before.
+        ``fold`` is off for a bulk caller that will issue one
+        ``persist_shards()`` when it finishes (the ingest pipeline):
+        every mid-stream fold re-exports the whole growing slab only for
+        the final persist to do it again.
         """
         if not self._persist or self.index is None:
             return
-        ids = np.asarray(rids, dtype=np.int64).reshape(-1)
-        vecs = None
-        if vectors is not None:
-            vecs = np.asarray(vectors, dtype=np.float32)
-            if vecs.ndim == 1:
-                vecs = vecs.reshape(1, -1)
-        key = (int(user_id), str(kind))
-        self._journal_bytes += self.dao.append_index_delta(
-            user_id, kind, op, ids, vecs, self._index_counter
-        )
-        self._journal_rows += 1
-        self._chains.setdefault(key, [0, 0])[1] += int(ids.shape[0])
-        if allow_compact and self._fold_due(key):
+        self._chains.setdefault(key, [0, 0])[1] += rows
+        if fold and self._fold_due(key):
             self._compact_shard(key)
 
     def _fold_due(self, key: tuple[int, str]) -> bool:
@@ -335,40 +302,6 @@ class RegistryService:
     def _rebase_chains(self, shards) -> None:
         for key, (ids, _matrix) in shards.items():
             self._chains[key] = [int(ids.shape[0]), 0]
-
-    def _journal_pe(self, user_id: int, record: PERecord, op: str) -> None:
-        """Journal a PE's row under ``user_id`` for every kind it embeds
-        — the same kinds the DAO's stamping rule touches."""
-        from repro.search.index import KIND_CODE, KIND_DESC
-
-        for kind, vec in (
-            (KIND_DESC, record.desc_embedding),
-            (KIND_CODE, record.code_embedding),
-        ):
-            if vec is None:
-                continue
-            self._journal_delta(
-                user_id,
-                kind,
-                op,
-                [record.pe_id],
-                [vec] if op == "add" else None,
-            )
-
-    def _journal_workflow(
-        self, user_id: int, record: WorkflowRecord, op: str
-    ) -> None:
-        from repro.search.index import KIND_WORKFLOW
-
-        if record.desc_embedding is None:
-            return
-        self._journal_delta(
-            user_id,
-            KIND_WORKFLOW,
-            op,
-            [record.workflow_id],
-            [record.desc_embedding] if op == "add" else None,
-        )
 
     def _compact_shard(self, key: tuple[int, str]) -> bool:
         """Fold one shard's delta chain into its base slab.
@@ -413,14 +346,14 @@ class RegistryService:
     def persist_shards(self) -> bool:
         """Flush the index's unpersisted shards through the DAO.
 
-        With inline journaling armed, a dirty shard whose journal chain
-        tip already equals its expected stamp needs nothing — the
-        journal *is* its persistence — unless the fold rule says its
-        chain is due: a persist-deferred bulk caller (an ingest job)
-        journals without folding, and this call at the end of the job
-        folds what it left, off the request path, so a restart replays
-        a bounded chain.  Shards the journal does not cover (mutated
-        while journaling was off) are upserted individually; backends
+        A dirty shard whose journal chain tip already equals its
+        expected stamp needs nothing — the journal *is* its persistence
+        — unless the fold rule says its chain is due: a
+        persist-deferred bulk caller (an ingest job) leaves its chain
+        unfolded, and this call at the end of the job folds it, off the
+        request path, so a restart replays a bounded chain.  Shards the
+        journal does not cover (stale: stamped by a writer that could
+        not journal them) are upserted individually; backends
         without dirty-shard tracking fall back to the wholesale
         snapshot.  The export is stamped with the counter the index is
         *known* to reflect — never a fresh counter read, which could
@@ -556,12 +489,13 @@ class RegistryService:
 
         ``perShard`` maps ``"user/kind"`` to that shard's expected
         stamp, journaled chain tip, base rows, chain length/rows/bytes
-        and freshness (``tip == stamp``); ``journal`` totals this
-        service's inline delta appends.  Every byte count is bytes at
-        rest — what the DAO stored after encoding, not the dense
-        arrays' ``nbytes``.  The legacy top-level keys (``storedCounter``,
-        ``fresh``, ...) are kept for existing callers — ``fresh`` now
-        means *every* known shard replays to its expected stamp.
+        and freshness (``tip == stamp``); ``journal`` is the journal at
+        rest (rows, their ids-only bytes) plus the folds this service
+        performed.  Every byte count is bytes at rest — what the DAO
+        stored, not the dense arrays' ``nbytes``.  The legacy top-level
+        keys (``storedCounter``, ``fresh``, ...) are kept for existing
+        callers — ``fresh`` now means *every* known shard replays to its
+        expected stamp.
         """
         meta = self.dao.index_shards_meta()
         stamps = self.dao.shard_stamps()
@@ -599,12 +533,12 @@ class RegistryService:
             "discardedShards": self._attach_discarded,
             "perShard": per_shard,
             "journal": {
-                "rows": self._journal_rows,
-                "bytes": self._journal_bytes,
+                "rows": meta.get("deltas", 0),
+                "bytes": meta.get("deltaBytes", 0),
                 "compactions": self._compactions,
                 "bytesPerMutation": (
-                    self._journal_bytes / self._journal_rows
-                    if self._journal_rows
+                    meta.get("deltaBytes", 0) / meta["deltas"]
+                    if meta.get("deltas")
                     else 0.0
                 ),
             },
@@ -631,36 +565,61 @@ class RegistryService:
             return []
         return [self.index, *self._mirrors]
 
-    def _index_pe(self, user_id: int, record: PERecord) -> None:
+    def _index_pe(
+        self, user_id: int, record: PERecord, *, journaled: bool = True
+    ) -> None:
+        """Put a PE into ``user_id``'s shards of the live index and its
+        mirrors.  ``journaled`` says a DAO write put it there (and so
+        journaled it); re-indexing a record the caller already owned is
+        not one."""
         from repro.search.index import KIND_CODE, KIND_DESC
 
-        for index in self._index_targets():
-            if record.desc_embedding is not None:
-                index.add(user_id, KIND_DESC, record.pe_id, record.desc_embedding)
-            if record.code_embedding is not None:
-                index.add(user_id, KIND_CODE, record.pe_id, record.code_embedding)
+        for kind, vector in (
+            (KIND_DESC, record.desc_embedding),
+            (KIND_CODE, record.code_embedding),
+        ):
+            if vector is None:
+                continue
+            for index in self._index_targets():
+                index.add(user_id, kind, record.pe_id, vector)
+            if journaled:
+                self._journaled((user_id, kind), 1)
 
-    def _unindex_pe(self, user_id: int, pe_id: int) -> None:
+    def _unindex_pe(self, user_id: int, record: PERecord) -> None:
+        """Drop a PE from both of ``user_id``'s shards; the DAO journaled
+        a ``remove`` for the kinds the record embeds."""
         from repro.search.index import KIND_CODE, KIND_DESC
 
-        for index in self._index_targets():
-            index.remove(user_id, KIND_DESC, pe_id)
-            index.remove(user_id, KIND_CODE, pe_id)
+        for kind, vector in (
+            (KIND_DESC, record.desc_embedding),
+            (KIND_CODE, record.code_embedding),
+        ):
+            for index in self._index_targets():
+                index.remove(user_id, kind, record.pe_id)
+            if vector is not None:
+                self._journaled((user_id, kind), 1)
 
-    def _index_workflow(self, user_id: int, record: WorkflowRecord) -> None:
+    def _index_workflow(
+        self, user_id: int, record: WorkflowRecord, *, journaled: bool = True
+    ) -> None:
+        from repro.search.index import KIND_WORKFLOW
+
+        if record.desc_embedding is None:
+            return
+        for index in self._index_targets():
+            index.add(
+                user_id, KIND_WORKFLOW, record.workflow_id, record.desc_embedding
+            )
+        if journaled:
+            self._journaled((user_id, KIND_WORKFLOW), 1)
+
+    def _unindex_workflow(self, user_id: int, record: WorkflowRecord) -> None:
         from repro.search.index import KIND_WORKFLOW
 
         for index in self._index_targets():
-            if record.desc_embedding is not None:
-                index.add(
-                    user_id, KIND_WORKFLOW, record.workflow_id, record.desc_embedding
-                )
-
-    def _unindex_workflow(self, user_id: int, workflow_id: int) -> None:
-        from repro.search.index import KIND_WORKFLOW
-
-        for index in self._index_targets():
-            index.remove(user_id, KIND_WORKFLOW, workflow_id)
+            index.remove(user_id, KIND_WORKFLOW, record.workflow_id)
+        if record.desc_embedding is not None:
+            self._journaled((user_id, KIND_WORKFLOW), 1)
 
     # ------------------------------------------------------------------
     # Users / auth
@@ -714,9 +673,7 @@ class RegistryService:
                     existing.owners.add(user.user_id)
                     self.dao.update_pe(existing)
                     self._note_write()
-                self._index_pe(user.user_id, existing)
-                if granted:
-                    self._journal_pe(user.user_id, existing, "add")
+                self._index_pe(user.user_id, existing, journaled=granted)
                 return existing
         return None
 
@@ -737,7 +694,6 @@ class RegistryService:
         stored = self.dao.insert_pe(record)
         self._note_write()
         self._index_pe(user.user_id, stored)
-        self._journal_pe(user.user_id, stored, "add")
         return stored, True
 
     def upsert_pe(
@@ -771,9 +727,9 @@ class RegistryService:
         must change the code payload (which forks via upsert).
 
         Only kinds whose embedding *bytes* actually changed touch the
-        index and the journal (matching the DAO's stamping rule); an
-        embedding revised away entirely now also drops the stale row
-        from every owner's live shard.
+        index (matching the DAO's stamping and journaling rule); an
+        embedding revised away entirely also drops the stale row from
+        every owner's live shard.
         """
         from repro.search.index import KIND_CODE, KIND_DESC
 
@@ -794,18 +750,12 @@ class RegistryService:
         self._note_write()
         for kind, vec in changed.items():
             for owner in current.owners:
-                if vec is not None:
-                    for index in self._index_targets():
+                for index in self._index_targets():
+                    if vec is not None:
                         index.add(owner, kind, current.pe_id, vec)
-                    self._journal_delta(
-                        owner, kind, "add", [current.pe_id], [vec]
-                    )
-                else:
-                    for index in self._index_targets():
+                    else:
                         index.remove(owner, kind, current.pe_id)
-                    self._journal_delta(
-                        owner, kind, "remove", [current.pe_id]
-                    )
+                self._journaled((owner, kind), 1)
         return current, False
 
     def register_pes_bulk(
@@ -853,52 +803,20 @@ class RegistryService:
             self.dao.insert_pes(fresh)
             # both DAOs treat a bulk insert as ONE mutation event
             self._note_write()
-            desc = [
-                (r.pe_id, r.desc_embedding)
-                for r in fresh
-                if r.desc_embedding is not None
-            ]
-            code = [
-                (r.pe_id, r.code_embedding)
-                for r in fresh
-                if r.code_embedding is not None
-            ]
-            for index in self._index_targets():
-                if desc:
-                    index.add_many(
-                        user.user_id,
-                        KIND_DESC,
-                        [rid for rid, _ in desc],
-                        [vec for _, vec in desc],
-                    )
-                if code:
-                    index.add_many(
-                        user.user_id,
-                        KIND_CODE,
-                        [rid for rid, _ in code],
-                        [vec for _, vec in code],
-                    )
-            # one journal row per kind for the whole batch, at the one
-            # counter the DAO stamped it with; with persist deferred to
-            # the caller, inline chain compaction is deferred with it
-            if desc:
-                self._journal_delta(
-                    user.user_id,
-                    KIND_DESC,
-                    "add",
-                    [rid for rid, _ in desc],
-                    [vec for _, vec in desc],
-                    allow_compact=persist,
-                )
-            if code:
-                self._journal_delta(
-                    user.user_id,
-                    KIND_CODE,
-                    "add",
-                    [rid for rid, _ in code],
-                    [vec for _, vec in code],
-                    allow_compact=persist,
-                )
+            # the DAO journaled one row per kind for the whole batch;
+            # with persist deferred to the caller, folding the chain is
+            # deferred with it
+            for kind, embedded in (
+                (KIND_DESC, [(r.pe_id, r.desc_embedding) for r in fresh]),
+                (KIND_CODE, [(r.pe_id, r.code_embedding) for r in fresh]),
+            ):
+                ids = [rid for rid, vec in embedded if vec is not None]
+                vectors = [vec for _, vec in embedded if vec is not None]
+                if not ids:
+                    continue
+                for index in self._index_targets():
+                    index.add_many(user.user_id, kind, ids, vectors)
+                self._journaled((user.user_id, kind), len(ids), fold=persist)
         if persist:
             self.persist_shards()
         return stored, created
@@ -1002,8 +920,7 @@ class RegistryService:
         else:
             self.dao.delete_pe(record.pe_id)
         self._note_write()
-        self._unindex_pe(user.user_id, record.pe_id)
-        self._journal_pe(user.user_id, record, "remove")
+        self._unindex_pe(user.user_id, record)
 
     def remove_pe_by_name(self, user: UserRecord, name: str) -> None:
         record = self.get_pe_by_name(user, name)
@@ -1030,9 +947,9 @@ class RegistryService:
                     existing.owners.add(user.user_id)
                     self.dao.update_workflow(existing)
                     self._note_write()
-                self._index_workflow(user.user_id, existing)
-                if granted:
-                    self._journal_workflow(user.user_id, existing, "add")
+                self._index_workflow(
+                    user.user_id, existing, journaled=granted
+                )
                 return existing
         return None
 
@@ -1047,7 +964,6 @@ class RegistryService:
         stored = self.dao.insert_workflow(record)
         self._note_write()
         self._index_workflow(user.user_id, stored)
-        self._journal_workflow(user.user_id, stored, "add")
         return stored, True
 
     def register_workflows_bulk(
@@ -1058,8 +974,8 @@ class RegistryService:
         persist: bool = True,
     ) -> tuple[list[WorkflowRecord], list[bool]]:
         """Bulk workflow registration — the :meth:`register_pes_bulk`
-        contract for workflows: one DAO ``executemany`` insert, one
-        index ``add_many``, one journal row, one shard persist, with
+        contract for workflows: one DAO ``executemany`` insert (which
+        journals one row), one index ``add_many``, one shard persist, with
         the §3.1 dedup applied against the registry *and* within the
         batch itself.
         """
@@ -1101,13 +1017,8 @@ class RegistryService:
                 vectors = [vec for _, vec in indexed]
                 for index in self._index_targets():
                     index.add_many(user.user_id, KIND_WORKFLOW, ids, vectors)
-                self._journal_delta(
-                    user.user_id,
-                    KIND_WORKFLOW,
-                    "add",
-                    ids,
-                    vectors,
-                    allow_compact=persist,
+                self._journaled(
+                    (user.user_id, KIND_WORKFLOW), len(ids), fold=persist
                 )
         if persist:
             self.persist_shards()
@@ -1139,29 +1050,19 @@ class RegistryService:
         self._note_write()
         if desc_changed:
             for owner in current.owners:
-                if current.desc_embedding is not None:
-                    for index in self._index_targets():
+                for index in self._index_targets():
+                    if current.desc_embedding is not None:
                         index.add(
                             owner,
                             KIND_WORKFLOW,
                             current.workflow_id,
                             current.desc_embedding,
                         )
-                    self._journal_delta(
-                        owner,
-                        KIND_WORKFLOW,
-                        "add",
-                        [current.workflow_id],
-                        [current.desc_embedding],
-                    )
-                else:
-                    for index in self._index_targets():
+                    else:
                         index.remove(
                             owner, KIND_WORKFLOW, current.workflow_id
                         )
-                    self._journal_delta(
-                        owner, KIND_WORKFLOW, "remove", [current.workflow_id]
-                    )
+                self._journaled((owner, KIND_WORKFLOW), 1)
         return current, False
 
     def _owned_workflow(self, user: UserRecord, workflow_id: int) -> WorkflowRecord:
@@ -1248,8 +1149,7 @@ class RegistryService:
         else:
             self.dao.delete_workflow(record.workflow_id)
         self._note_write()
-        self._unindex_workflow(user.user_id, record.workflow_id)
-        self._journal_workflow(user.user_id, record, "remove")
+        self._unindex_workflow(user.user_id, record)
 
     def remove_workflow_by_name(self, user: UserRecord, name: str) -> None:
         record = self.get_workflow_by_name(user, name)

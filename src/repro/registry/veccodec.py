@@ -1,8 +1,8 @@
 """Bit-exact codec for every float32 vector blob SQLite stores.
 
 Record rows (``pes.code_embedding`` / ``desc_embedding``,
-``workflows.desc_embedding``), journal rows (``index_deltas.vectors``)
-and base slabs (``index_shards.vectors``) all go through
+``workflows.desc_embedding``) and base slabs (``index_shards.vectors``)
+— the only two places a vector is stored — all go through
 :func:`encode_vectors` / :func:`decode_vectors`.  Hashed embeddings are
 mostly zeros (median 7 and 168 non-zeros of 2 048 on the e2e corpus), so
 a blob is written in whichever of two layouts is smaller; decoding always

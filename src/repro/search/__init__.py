@@ -52,9 +52,9 @@ Key properties:
 
 The index is maintained automatically by
 :class:`~repro.registry.service.RegistryService` (every PE/workflow
-add/remove updates the owner's shards — and journals the same rows to
-the DAO so a warm restart attaches without the O(corpus) rebuild; see
-*Persistence architecture* below) and served by
+add/remove updates the owner's shards — and the DAO journals the same
+ids in the write's own commit, so a warm restart attaches without the
+O(corpus) rebuild; see *Persistence architecture* below) and served by
 the HTTP layer's ``/registry/{user}/search`` endpoint and the ``repro
 search`` CLI command, with concurrent same-shard requests coalesced by
 :class:`~repro.search.serving.SearchBatcher` into one index pass (see
@@ -66,38 +66,64 @@ concurrent-serving and cold-start gains.
 Persistence architecture
 ========================
 
-Shards persist **incrementally** (storage schema v6).  Every registry
-mutation stamps the ``(user, kind)`` shards whose content it changed
-with the bumped mutation counter (the DAO's ``shard_stamps``), and the
-service appends the same row batches to an append-only delta journal
-(``index_deltas``) at the same counters — a write costs one small
-journal row, not a whole-snapshot export.
+Shards persist **incrementally** (storage schema v6, reshaped by v8).
+Every registry mutation stamps the ``(user, kind)`` shards whose content
+it changed with the bumped mutation counter (the DAO's
+``shard_stamps``) and, in the same transaction, appends each such
+shard's row to an append-only, ids-only delta journal
+(``index_deltas``): ``add`` for the ids that are in the shard after the
+write, ``remove`` for those that are not.  A write is therefore one
+small commit — no second transaction, no copy of a vector, not a
+whole-snapshot export.
 :meth:`~repro.registry.service.RegistryService.attach_index` replays
-each persisted base slab through its delta chain: a shard whose
-replayed chain tip equals its stamp loads straight into the index, so
-the warm path is O(delta) with zero record deserialization, while
-stale, torn, or corrupt shards rebuild individually from their own
-owner's records.  The invariants:
+each persisted base slab through its delta chain, reading the vector
+of every id whose last journaled op is ``add`` from its record row: a
+shard whose replayed chain tip equals its stamp loads straight into
+the index, so the warm path is O(delta), while stale, torn, or corrupt
+shards rebuild individually from their own owner's records.  The
+invariants:
 
-* **Freshness is strict equality** — chain tip == shard stamp.  A
-  foreign process's write bumps stamps the journal never saw, so its
-  shards (and only its shards) rebuild; one tenant's write never
-  invalidates another tenant's slab.
+* **Vectors live in record rows and base slabs only** — the journal
+  names ids; nothing stores a vector a third time.
+* **Stamp == tip by construction** — the DAO helper that stamps a
+  shard is the one that journals it, inside the mutation's commit.
+  There is no state "mutation committed, journal row not yet", and no
+  convention between two layers to keep (lint rule RPR003 rejects a
+  stamp or a journal row written anywhere else).
+* **Only a covered shard is journaled** — a mutation appends a shard's
+  journal row only if the shard was covered before it (stamp == chain
+  tip, kept beside the stamp in ``shard_stamps.tip``; a shard's first
+  stamp counts, the chain then starts from an empty base).  A shard
+  that is already stale — a writer that bypassed the DAO moved its
+  stamp, an old file crashed between mutation and append — is stamped
+  and nothing else: a row on top of the gap would make tip == stamp
+  again with the gap inside.  It stays stale until a base upsert
+  (the next persisting attach) rebuilds it.  Freshness is strict
+  equality, so such a shard, and only it, rebuilds; one tenant's write
+  never invalidates another tenant's slab.
 * **Chains are strictly increasing** — a delta at or below the current
   tip is a crash-mid-compaction artifact; replay discards exactly that
-  shard (never the whole snapshot), and the attach rebuilds it.
+  shard (never the whole snapshot), and the attach rebuilds it.  So
+  does a winning ``add`` whose record row is gone, has no vector of
+  that kind, or has one of another width.
 * **Compaction is bounded and crash-safe** — once the rows journaled
   since a shard's last fold reach ``max(64, rows in its base slab)``
-  the chain folds into the base at the same stamp, deleting only the
-  folded counters: a fold rewrites at most twice what the journal it
-  retires added, and a restart never replays a chain longer than the
-  base it lands on.  A crash at any point leaves tip <= stamp: stale
+  the service folds the chain into the base at the same stamp,
+  deleting only the folded counters: a fold rewrites at most twice
+  what the journal it retires added, and a restart never replays a
+  chain longer than the base it lands on.  The fold snapshots the live
+  index, so the service checks the rule only *after* it has applied
+  the mutation there.  A crash at any point leaves tip <= stamp: stale
   at worst, never wrongly fresh.
+* **``persist=False`` stops base writes and folds, not journaling** —
+  an attach without persistence (``repro stats --shards``) writes no
+  slab and folds nothing; the DAO journals every write regardless of
+  who makes it or whether an index is attached at all.
 * **Vectors are sparse at rest, dense in memory** — every vector blob
-  (record rows, journal rows, base slabs) goes through one bit-exact
-  codec (:mod:`repro.registry.veccodec`); decoding yields the dense
-  float32 rows the index ranks, so nothing here depends on which
-  layout a row was stored in.
+  (record rows, base slabs) goes through one bit-exact codec
+  (:mod:`repro.registry.veccodec`); decoding yields the dense float32
+  rows the index ranks, so nothing here depends on which layout a row
+  was stored in.
 * **Replay is bitwise** — a replayed slab is one C-contiguous float32
   matrix in ascending id order, identical to the live index's layout,
   so warm-started searches equal cold-rebuilt ones byte for byte.

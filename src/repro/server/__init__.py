@@ -52,12 +52,13 @@ Cold start: :meth:`~repro.registry.service.RegistryService.attach_index`
 replays each persisted base slab through its append-only delta journal
 and loads every shard whose replayed chain tip equals the per-shard
 mutation stamp the DAO keeps — O(delta) work, zero record
-deserialization.  Writes journal their row batches inline (folded back
-into the base slab once the chain has as many rows as the base), so a
-warm restart costs the replay of what actually changed; only shards
-that are stale (a write the journal never saw — e.g. a foreign
-process's), torn, or corrupt rebuild, each from its own owner's
-records.  One tenant's write never invalidates another tenant's slab.
+deserialization.  Every write carries its ids-only journal rows in its
+own commit (folded back into the base slab once the chain has as many
+rows as the base), so a warm restart costs the replay of what actually
+changed; only shards that are stale (a stamp the journal never saw — a
+writer that bypassed the DAO), torn, or corrupt rebuild, each from its
+own owner's records.  One tenant's write never invalidates another
+tenant's slab.
 
 Storage schema versions
 =======================
@@ -102,6 +103,25 @@ v7   No table changes: vector blobs (``pes`` / ``workflows`` embedding
      the fixed chain-length/bytes bounds.  **Not readable by older
      code**: a pre-v7 reader opening a v7 file fails on the first
      sparse blob.
+v8   A registry write is one commit.  ``index_deltas`` becomes an
+     ids-only changelog (``vectors`` / ``dim`` and the secondary
+     index ``idx_index_deltas_shard`` dropped) that the DAO appends
+     inside each mutation's own transaction, wherever it stamps a
+     shard — *stamp == journal tip* by construction, and the crash
+     state "mutation committed, journal row not yet" is gone.  Replay
+     reads the vector of each id whose last journaled op is ``add``
+     from its record row: a vector is stored in its record row and in
+     the base slab, nowhere else.  ``shard_stamps`` gains ``tip`` (the
+     shard's chain tip): a mutation journals a shard only if it was
+     covered (``tip`` = stamp) before the write, so a stale shard is
+     stamped but never journaled on top of its gap and stays stale
+     until a base upsert.  The migration is in place: the journal
+     keeps its membership, ``tip`` is seeded from each chain, content
+     that was never stamped is stamped stale.  **Older code cannot
+     read or write a v8 journal.**  Files *created* by v8 use 1 KB
+     pages (a WAL commit logs whole pages and these rows are small);
+     page size is fixed once a file has pages, so a migrated file
+     keeps its own — no ``VACUUM``, no option.
 ===  =================================================================
 
 Scatter/gather shard serving

@@ -4,8 +4,7 @@ Each rule gets at least one positive snippet (must fire) and one
 negative snippet (must stay silent), linted through the public
 :func:`repro.analysis.lint_source` entry point under a
 ``repro/...``-shaped virtual path so ``applies_to`` scoping is
-exercised too.  The RPR004 positive reconstructs the PR 8
-journal-before-mutation bug shape.
+exercised too.
 """
 
 from __future__ import annotations
@@ -223,60 +222,67 @@ class TestDaoStamps:
             rules_fired(src, "repro/registry/service.py", "RPR003") == set()
         )
 
-
-# ---------------------------------------------------------------------------
-# RPR004 — journal calls lexically follow the index mutation (PR 8 bug)
-# ---------------------------------------------------------------------------
-SERVICE_PATH = "repro/registry/service.py"
-
-
-class TestJournalOrder:
-    def test_pr8_bug_shape_journal_before_mutation_fires(self):
-        # the shipped PR 8 bug: journal first, then mutate the live
-        # index — an inline compaction triggered by the journal append
-        # folds an index snapshot that is missing this batch
+    def test_f_string_sql_is_still_a_write(self):
+        # a conditional SET clause makes the statement an f-string; its
+        # table name sits in the literal part
         src = """
-            class RegistryService:
-                def register_pe(self, user, record):
-                    self._journal_delta(user.user_id, record, "add")
-                    self.index.add(record.pe_id, record.vector)
+            class SqliteDAO:
+                def update_pe(self, record, renamed):
+                    self._conn.execute(
+                        f"UPDATE pes SET {'pe_name=?,' if renamed else ''}"
+                        " revision=? WHERE pe_id=?",
+                        (record.revision, record.pe_id),
+                    )
         """
-        assert rules_fired(src, SERVICE_PATH) == {"RPR004"}
+        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 2
 
-    def test_mutation_then_journal_is_fine(self):
+    def test_mutation_stamping_around_the_helper_fires(self):
+        # stamped, but by hand: no journal row rides along, so a fresh
+        # shard would load stale (and the reverse mistake, fresh-looking
+        # over a gap, is one refactor away)
         src = """
-            class RegistryService:
-                def register_pe(self, user, record):
-                    self.index.add(record.pe_id, record.vector)
-                    self._journal_delta(user.user_id, record, "add")
-        """
-        assert rules_fired(src, SERVICE_PATH, "RPR004") == set()
+            class SqliteDAO:
+                def delete_pe(self, pe_id):
+                    counter = self._bump_mutation()
+                    self._conn.execute("DELETE FROM pes WHERE id=?", (pe_id,))
+                    self._stamp_shards({}, counter)
+                    self._conn.execute(
+                        "INSERT OR REPLACE INTO shard_stamps VALUES (?, ?, ?)",
+                        (1, "desc", counter),
+                    )
 
-    def test_index_helper_counts_as_mutation(self):
-        src = """
-            class RegistryService:
-                def remove_pe(self, user, pe_id):
-                    self._unindex_pe(user.user_id, pe_id)
-                    self._journal_pe(user.user_id, pe_id, "remove")
+            class InMemoryDAO:
+                def delete_pe(self, pe_id):
+                    self._mutations += 1
+                    del self._pes[pe_id]
+                    self._stamp_shards({})
+                    self._shard_stamps[(1, "desc")] = self._mutations
         """
-        assert rules_fired(src, SERVICE_PATH, "RPR004") == set()
+        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 2
 
-    def test_journal_before_index_helper_fires(self):
+    def test_journal_row_outside_the_helper_fires(self):
         src = """
-            class RegistryService:
-                def remove_pe(self, user, pe_id):
-                    self._journal_pe(user.user_id, pe_id, "remove")
-                    self._unindex_pe(user.user_id, pe_id)
-        """
-        assert rules_fired(src, SERVICE_PATH, "RPR004") == {"RPR004"}
+            class SqliteDAO:
+                def _stamp_shards(self, changes, counter):
+                    self.append_index_delta(1, "desc", "add", [1], counter)
 
-    def test_journal_helpers_themselves_are_exempt(self):
-        src = """
-            class RegistryService:
-                def _journal_delta(self, user_id, record, op):
-                    self.journal.append((user_id, record, op))
+                def insert_pe(self, record):
+                    counter = self._bump_mutation()
+                    self._conn.execute("INSERT INTO pes VALUES (?)", (1,))
+                    self._stamp_shards({}, counter)
+                    self.append_index_delta(1, "desc", "add", [1], counter)
         """
-        assert rules_fired(src, SERVICE_PATH, "RPR004") == set()
+        assert findings_for(src, DAO_PATH, rule="RPR003") == [("RPR003", 6)]
+
+    def test_base_slab_writers_may_raise_stamps(self):
+        # not mutations: they write no pes/workflows row
+        src = """
+            class SqliteDAO:
+                def upsert_index_shards(self, shards, stamp):
+                    self._conn.execute("DELETE FROM index_deltas")
+                    self._conn.execute("UPDATE shard_stamps SET tip = ?", (1,))
+        """
+        assert rules_fired(src, DAO_PATH, "RPR003") == set()
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,12 @@ def test_source_tree_lints_clean():
 
 def test_rule_registry_is_complete():
     rules = all_rules()
-    # the six repo invariants plus the two dead-code passes
+    # the five repo invariants plus the two dead-code passes
     expected = {
-        "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
+        "RPR001", "RPR002", "RPR003", "RPR005", "RPR006",
         "RPR101", "RPR102",
     }
-    assert expected <= set(rules)
+    assert expected == set(rules)
     for name, rule in rules.items():
         assert rule.name == name
         assert rule.summary, f"{name} has no summary"

@@ -2,10 +2,12 @@
 
 Every failure mode a journaled registry can wake up to — a chain whose
 counters stopped increasing (crash mid-compaction), a truncated journal
-row (torn WAL page), a stamp the journal never saw (foreign-process
-writer on the same file) — must discard and rebuild exactly the
-affected shard.  The other tenants' slabs replay untouched, with zero
-full-corpus deserialization.  Both DAOs enforce the same contract.
+row (torn WAL page), a stamp the journal never saw (a raw-SQL writer on
+the same file) — must discard and rebuild exactly the affected shard.
+The other tenants' slabs replay untouched, with zero full-corpus
+deserialization.  A foreign writer that goes through a DAO is not a
+failure mode at all: the DAO journals inside the mutation's own
+transaction, whoever calls it.  Both DAOs enforce the same contract.
 """
 
 import numpy as np
@@ -15,6 +17,9 @@ from repro.registry.dao import InMemoryDAO, SqliteDAO
 from repro.registry.service import RegistryService
 from repro.search import KIND_CODE, KIND_DESC, VectorIndex
 from tests.registry.test_dao import make_pe
+from tests.registry.test_journal_in_transaction import (
+    assert_equals_brute_force,
+)
 
 DIM = 8
 
@@ -93,6 +98,20 @@ def reattach(dao_factory):
     return restarted, counted, index, mode
 
 
+def raise_stamp(dao, key):
+    """What a writer that bypasses the DAO leaves behind: the shard's
+    stamp moved, no journal row."""
+    if isinstance(dao, SqliteDAO):
+        dao._conn.execute(
+            "UPDATE shard_stamps SET mutation_counter = mutation_counter + 1"
+            " WHERE user_id = ? AND kind = ?",
+            key,
+        )
+        dao._conn.commit()
+    else:
+        dao._shard_stamps[key] += 1
+
+
 class TestTornChains:
     def test_non_increasing_chain_rebuilds_only_that_shard(
         self, dao_factory
@@ -104,12 +123,10 @@ class TestTornChains:
         service, alice, bob = build(dao_factory, rng)
         # an orphaned pre-compaction delta: counter below the chain tip
         service.dao.append_index_delta(
-            alice.user_id, KIND_DESC, "add",
-            np.array([1], dtype=np.int64),
-            unit(rng).reshape(1, -1),
-            counter=1,
+            alice.user_id, KIND_DESC, "add", [1], counter=1
         )
         if hasattr(service.dao, "close"):
+            service.dao._conn.commit()
             service.dao.close()
 
         fresh_dao = dao_factory()
@@ -131,13 +148,13 @@ class TestTornChains:
             assert index.contains(user.user_id, KIND_DESC, record.pe_id)
 
     def test_partial_journal_row_rebuilds_only_that_shard(self, tmp_path):
-        """A truncated delta blob (torn WAL page) poisons one chain."""
+        """A truncated ids blob (torn WAL page) poisons one chain."""
         rng = np.random.default_rng(32)
         path = tmp_path / "registry.db"
         factory = lambda: SqliteDAO(path)
         service, alice, bob = build(factory, rng)
         service.dao._conn.execute(
-            "UPDATE index_deltas SET vectors = X'0011'"
+            "UPDATE index_deltas SET ids = X'0011'"
             " WHERE user_id = ? AND kind = ?",
             (alice.user_id, KIND_CODE),
         )
@@ -182,20 +199,20 @@ class TestTornChains:
 
 
 class TestForeignWriters:
-    def test_unjournaled_writer_stales_only_its_shards(self, dao_factory):
+    def test_foreign_dao_writer_leaves_an_honest_chain(self, dao_factory):
         """A second service over the same store with *no* index attached
-        stamps shards without journaling — the cold start must treat
-        exactly those shards as stale."""
+        still journals — the DAO does, in the write's transaction — so
+        the cold start replays its rows like anyone else's."""
         rng = np.random.default_rng(34)
         service, alice, bob = build(dao_factory, rng)
-        foreign = RegistryService(dao_factory())  # no attach: no journal
+        foreign = RegistryService(dao_factory())  # no attach
         foreign_user = foreign.get_user("bob")
         foreign.add_pe(
             foreign_user,
             make_pe(
                 "Foreign",
                 code="Zm9yZWlnbg==",
-                description="landed behind the journal's back",
+                description="landed without an index in sight",
                 desc_embedding=unit(rng),
             ),
         )
@@ -204,27 +221,75 @@ class TestForeignWriters:
             foreign.dao.close()
 
         restarted, counted, index, mode = reattach(dao_factory)
-        assert mode == "partial"
+        assert mode == "fresh"
         assert counted.all_pes_calls == 0
-        assert counted.pes_owned_by_users == [bob.user_id]
+        assert counted.pes_owned_by_users == []
         user = restarted.get_user("bob")
         landed = restarted.get_pe_by_name(user, "Foreign")
         assert index.contains(user.user_id, KIND_DESC, landed.pe_id)
-        # alice's untouched slabs replayed bitwise from the journal
-        cold = RegistryService(dao_factory())
-        reference = VectorIndex()
-        cold._rebuild_full(reference)
-        got = index.export_shards()
-        want = reference.export_shards()
-        assert set(got) == set(want)
-        for key in want:
-            np.testing.assert_array_equal(got[key][0], want[key][0])
-            assert np.array_equal(got[key][1], want[key][1])
+        assert_equals_brute_force(index, dao_factory())
+
+    def test_raw_sql_writer_stales_only_its_shard_until_rebuilt(
+        self, dao_factory
+    ):
+        """Never wrongly fresh: a shard whose stamp moved without a
+        journal row has a gap in its chain.  Later DAO writes stamp it
+        but must not journal on top of the gap — tip == stamp again
+        with the gap inside would load as fresh — so it stays stale
+        until an attach rebuilds it, and is covered again after."""
+        rng = np.random.default_rng(39)
+        service, alice, bob = build(dao_factory, rng)
+        key = (bob.user_id, KIND_DESC)
+        raise_stamp(service.dao, key)
+        chain_before = service.dao.shard_chain_meta()[key]
+        for i in range(3):
+            service.add_pe(
+                bob,
+                make_pe(
+                    f"AfterGap{i}",
+                    code=f"gap:{i}".encode().hex(),
+                    description=f"written over a stale shard {i}",
+                    desc_embedding=unit(rng),
+                    code_embedding=unit(rng),
+                ),
+            )
+        assert service.dao.shard_chain_meta()[key] == chain_before
+        report = service.shard_persistence()
+        assert not report["perShard"][f"{bob.user_id}/{KIND_DESC}"]["fresh"]
+        # the same writes kept journaling the shard that had no gap
+        assert report["perShard"][f"{bob.user_id}/{KIND_CODE}"]["fresh"]
+        assert report["staleShards"] == 1
+        if hasattr(service.dao, "close"):
+            service.dao.close()
+
+        restarted, counted, index, mode = reattach(dao_factory)
+        assert mode == "partial"
+        assert counted.all_pes_calls == 0
+        assert counted.pes_owned_by_users == [bob.user_id]
+        assert_equals_brute_force(index, dao_factory())
+        # rebuilt at its stamp: covered, so the next write journals
+        user = restarted.get_user("bob")
+        restarted.add_pe(
+            user,
+            make_pe(
+                "Covered",
+                code="Y292ZXJlZA==",
+                description="first write after the rebuild",
+                desc_embedding=unit(rng),
+            ),
+        )
+        assert restarted.shard_persistence()["fresh"]
+        if hasattr(counted.inner, "close"):
+            counted.inner.close()
+        _again, counted, index, mode = reattach(dao_factory)
+        assert mode == "fresh"
+        assert counted.pes_owned_by_users == []
+        assert_equals_brute_force(index, dao_factory())
 
     def test_cross_process_wal_interleaving(self, tmp_path):
         """Writes from two live connections on one WAL file interleave;
-        the journaling service's shards stay fresh, the foreign
-        connection's stamps force a rebuild of its shards only."""
+        each commit carries its own journal rows at the counter it
+        bumped, so the file's chains stay honest for both."""
         rng = np.random.default_rng(35)
         path = tmp_path / "registry.db"
         factory = lambda: SqliteDAO(path)
@@ -250,22 +315,17 @@ class TestForeignWriters:
                     desc_embedding=unit(rng),
                 ),
             )
+        # the live index never saw the foreign rows, and the service
+        # knows: its tracked counter lags the file's, so it refuses to
+        # cite its slabs as truth
+        assert service.persist_shards() is False
         foreign.close()
         service.dao.close()
 
         restarted, counted, index, mode = reattach(factory)
-        assert mode == "partial"
+        assert mode == "fresh"
         assert counted.all_pes_calls == 0
-        # bob's shards carry the foreign stamps; alice's post-interleave
-        # journal rows ran at a lagged counter (the tracked counter never
-        # re-reads after a foreign write — a re-read would stamp shards
-        # that are missing the foreign rows as fresh), so her desc shard
-        # conservatively rebuilds too.  Both rebuilds are per-owner —
-        # the untouched code slabs replay and all_pes never runs.
-        assert sorted(counted.pes_owned_by_users) == [
-            alice.user_id,
-            bob.user_id,
-        ]
+        assert counted.pes_owned_by_users == []
         user = restarted.get_user("bob")
         for i in range(3):
             landed = restarted.get_pe_by_name(user, f"Foreign{i}")
@@ -274,6 +334,7 @@ class TestForeignWriters:
         for i in range(3):
             kept = restarted.get_pe_by_name(alice2, f"Interleaved{i}")
             assert index.contains(alice2.user_id, KIND_DESC, kept.pe_id)
+        assert_equals_brute_force(index, factory())
 
 
 def record_folds(service):

@@ -1,10 +1,11 @@
 """``_replay_shard`` against the per-record loop it replaced.
 
 The production replay resolves last-writer-wins over the concatenated
-(base, chain) ids with numpy; :func:`replay_reference` below is the
-dict-per-record implementation it replaced, kept as the reference: same
-output bytes (ascending ids, C-contiguous float32 rows) and the same
-``ValueError`` for every torn chain.
+(base, chain) ids with numpy and reads the vectors of the winning
+journaled adds from the record table in one fetch;
+:func:`replay_reference` below is the dict-per-record implementation,
+kept as the reference: same output bytes (ascending ids, C-contiguous
+float32 rows) and the same ``ValueError`` for every torn chain.
 """
 
 import numpy as np
@@ -12,10 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.registry.dao import _OP_ADD, _OP_REMOVE, _replay_shard
+from repro.registry.dao import (
+    _OP_ADD,
+    _OP_REMOVE,
+    _replay_shard,
+    _stack_vectors,
+)
+
+_FETCH = object()  # "this id's vector is in its record row"
 
 
-def replay_reference(base, deltas):
+def replay_reference(base, deltas, records):
     rows = {}
     dim = None
     tip = None
@@ -26,7 +34,7 @@ def replay_reference(base, deltas):
         dim = int(matrix.shape[1]) if matrix.shape[0] else None
         for row, rid in enumerate(ids.tolist()):
             rows[int(rid)] = matrix[row]
-    for counter, op, rids, vectors in deltas:
+    for counter, op, rids in deltas:
         if tip is not None and counter <= tip:
             raise ValueError("non-increasing delta chain")
         tip = counter
@@ -34,26 +42,28 @@ def replay_reference(base, deltas):
             for rid in rids.tolist():
                 rows.pop(int(rid), None)
         elif op == _OP_ADD:
-            if vectors is None or vectors.ndim != 2:
-                raise ValueError("add delta without vectors")
-            if rids.shape[0] != vectors.shape[0]:
-                raise ValueError("add delta shape mismatch")
-            if dim is not None and vectors.shape[1] != dim:
-                raise ValueError("delta dimension mismatch")
-            dim = int(vectors.shape[1])
-            for row, rid in enumerate(rids.tolist()):
-                rows[int(rid)] = vectors[row]
+            for rid in rids.tolist():
+                rows[int(rid)] = _FETCH
         else:
             raise ValueError(f"unknown delta op {op!r}")
     if tip is None:
         raise ValueError("empty shard chain")
+    ordered = sorted(rows)
+    widths = set() if dim is None else {dim}
+    for rid in ordered:
+        if rows[rid] is _FETCH:
+            if records.get(rid) is None:
+                raise ValueError("journaled add without a record vector")
+            rows[rid] = records[rid]
+            widths.add(rows[rid].shape[0])
+    if len(widths) > 1:
+        raise ValueError("delta dimension mismatch")
     if not rows:
         return (
             np.empty(0, dtype=np.int64),
             np.empty((0, dim or 0), dtype=np.float32),
             int(tip),
         )
-    ordered = sorted(rows)
     ids_out = np.asarray(ordered, dtype=np.int64)
     matrix_out = np.ascontiguousarray(
         np.stack([rows[rid] for rid in ordered]), dtype=np.float32
@@ -61,10 +71,16 @@ def replay_reference(base, deltas):
     return ids_out, matrix_out, int(tip)
 
 
-def outcome(replay, base, deltas):
+def production(base, deltas, records):
+    return _replay_shard(
+        base, deltas, lambda ids: _stack_vectors(ids, records)
+    )
+
+
+def outcome(replay, base, deltas, records):
     """What a replay produced, comparable across implementations."""
     try:
-        ids, matrix, tip = replay(base, deltas)
+        ids, matrix, tip = replay(base, deltas, records)
     except ValueError as exc:
         return ("error", str(exc))
     assert ids.dtype == np.int64
@@ -74,74 +90,107 @@ def outcome(replay, base, deltas):
 
 @st.composite
 def chains(draw):
-    """A base slab (or none) and a chain over a small id space, so ids
-    collide across base, adds and removes; occasionally torn."""
+    """A base slab (or none), a chain over a small id space, so ids
+    collide across base, adds and removes, and the record table the
+    adds point into; occasionally torn."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(1, 5))
     id_space = draw(st.integers(1, 12))
 
-    def batch(n, width=dim):
-        ids = rng.integers(0, id_space, size=n).astype(np.int64)
-        return ids, rng.standard_normal((n, width)).astype(np.float32)
+    def batch(n):
+        return rng.integers(0, id_space, size=n).astype(np.int64)
 
+    def vectors(n, width=dim):
+        return rng.standard_normal((n, width)).astype(np.float32)
+
+    records = {}
+    for rid in range(id_space):
+        fault = draw(st.sampled_from([None] * 20 + ["gone", "bare", "wide"]))
+        if fault == "bare":
+            records[rid] = None  # the row exists, without this vector
+        elif fault != "gone":
+            records[rid] = vectors(1, dim + 1 if fault == "wide" else dim)[0]
     base = None
     counter = 0
     if draw(st.booleans()):
         counter = draw(st.integers(1, 5))
         # duplicate and unsorted base ids are legal input: last row wins
-        base = (counter, *batch(draw(st.integers(0, 10))))
+        n = draw(st.integers(0, 10))
+        base = (counter, batch(n), vectors(n))
     deltas = []
     for _ in range(draw(st.integers(0, 12))):
-        fault = draw(st.sampled_from([None] * 27 + ["counter", "dim", "op"]))
+        fault = draw(st.sampled_from([None] * 27 + ["counter", "op"]))
         counter += 0 if fault == "counter" else draw(st.integers(1, 3))
-        n = draw(st.integers(0, 4))
-        if fault == "op":
-            deltas.append((counter, "upsert", *batch(n)))
-        elif draw(st.booleans()):
-            width = dim + 1 if fault == "dim" else dim
-            deltas.append((counter, _OP_ADD, *batch(n, width)))
-        else:
-            deltas.append((counter, _OP_REMOVE, batch(n)[0], None))
-    return base, deltas
+        op = draw(st.sampled_from([_OP_ADD, _OP_REMOVE]))
+        deltas.append(
+            (counter, "upsert" if fault == "op" else op,
+             batch(draw(st.integers(0, 4))))
+        )
+    return base, deltas, records
 
 
 @settings(max_examples=300, deadline=None)
 @given(chains())
 def test_vectorised_replay_equals_the_per_record_loop(chain):
-    base, deltas = chain
-    assert outcome(_replay_shard, base, deltas) == outcome(
-        replay_reference, base, deltas
-    )
+    assert outcome(production, *chain) == outcome(replay_reference, *chain)
+
+
+RECORDS = {
+    1: np.ones(2, np.float32),
+    2: None,
+    3: np.ones(3, np.float32),
+}
 
 
 @pytest.mark.parametrize(
     "deltas, message",
     [
-        ([(3, _OP_ADD, np.array([1]), np.ones((1, 2), np.float32))],
+        ([(3, _OP_ADD, np.array([1]))], "non-increasing delta chain"),
+        ([(4, _OP_ADD, np.array([1])), (4, _OP_REMOVE, np.array([1]))],
          "non-increasing delta chain"),
-        ([(4, _OP_ADD, np.array([1]), None)], "add delta without vectors"),
-        ([(4, _OP_ADD, np.array([1, 2]), np.ones((1, 2), np.float32))],
-         "add delta shape mismatch"),
-        ([(4, _OP_ADD, np.array([1]), np.ones((1, 3), np.float32))],
-         "delta dimension mismatch"),
-        ([(4, "upsert", np.array([1]), None)], "unknown delta op 'upsert'"),
+        ([(4, _OP_ADD, np.array([2]))],
+         "journaled add without a record vector"),
+        ([(4, _OP_ADD, np.array([9]))],
+         "journaled add without a record vector"),
+        ([(4, _OP_ADD, np.array([3]))], "delta dimension mismatch"),
+        ([(4, "upsert", np.array([1]))], "unknown delta op 'upsert'"),
     ],
 )
 def test_torn_chains_raise_the_same_errors(deltas, message):
     base = (3, np.array([7], dtype=np.int64), np.ones((1, 2), np.float32))
-    for replay in (_replay_shard, replay_reference):
+    for replay in (production, replay_reference):
         with pytest.raises(ValueError, match=message):
-            replay(base, deltas)
+            replay(base, deltas, RECORDS)
+
+
+def test_only_winning_adds_are_fetched():
+    """An add beaten by a later remove is never looked up: a deleted
+    record's old journal rows do not tear the chain."""
+    asked = []
+
+    def fetch(ids):
+        asked.extend(ids.tolist())
+        return _stack_vectors(ids, RECORDS)
+
+    base = (3, np.array([7], dtype=np.int64), np.ones((1, 2), np.float32))
+    deltas = [
+        (4, _OP_ADD, np.array([1, 9])),
+        (5, _OP_REMOVE, np.array([9])),
+        (6, _OP_ADD, np.array([1])),
+    ]
+    ids, matrix, tip = _replay_shard(base, deltas, fetch)
+    assert (ids.tolist(), matrix.shape, tip) == ([1, 7], (2, 2), 6)
+    assert asked == [1]
 
 
 def test_no_base_and_no_chain_is_an_empty_shard_chain():
-    for replay in (_replay_shard, replay_reference):
+    for replay in (production, replay_reference):
         with pytest.raises(ValueError, match="empty shard chain"):
-            replay(None, [])
+            replay(None, [], RECORDS)
 
 
 def test_chain_that_empties_the_shard_keeps_its_width():
     base = (1, np.array([5], dtype=np.int64), np.ones((1, 4), np.float32))
-    deltas = [(2, _OP_REMOVE, np.array([5], dtype=np.int64), None)]
-    ids, matrix, tip = _replay_shard(base, deltas)
+    deltas = [(2, _OP_REMOVE, np.array([5], dtype=np.int64))]
+    ids, matrix, tip = production(base, deltas, RECORDS)
     assert ids.shape == (0,) and matrix.shape == (0, 4) and tip == 2

@@ -62,13 +62,26 @@ def populate(dao, rng, n_pes=12, n_workflows=3):
     return service, alice, bob
 
 
+def attach_with_bases(service):
+    """Attach an index and write every shard's base slab: the DAO
+    journals each write itself, so a small registry has chains but no
+    base until a fold — these tests damage the bases."""
+    index = VectorIndex()
+    service.attach_index(index)
+    service.dao.save_index_shards(
+        index.snapshot(), service.dao.mutation_counter()
+    )
+    return index
+
+
 class TestSqliteColdStart:
     def test_warm_attach_skips_all_corpus_deserialization(self, tmp_path):
         rng = np.random.default_rng(11)
         path = tmp_path / "registry.db"
         service, alice, _ = populate(SqliteDAO(path), rng)
-        first = service.attach_index(VectorIndex())
-        assert first == "rebuilt"  # first boot pays the pass, persists
+        # the DAO journaled every write in the write's own transaction:
+        # even the first boot replays instead of paying the full pass
+        assert service.attach_index(VectorIndex()) == "fresh"
         service.dao.close()
 
         counted = CallCountingDAO(SqliteDAO(path))
@@ -163,20 +176,40 @@ class TestSqliteColdStart:
         user = restarted.get_user("alice")
         assert not index.contains(user.user_id, KIND_DESC, victim.pe_id)
 
-    def test_attach_without_persist_leaves_no_snapshot(self, tmp_path):
+    def test_attach_without_persist_writes_no_base(self, tmp_path):
+        """``persist=False`` stops base writes and folds, not
+        journaling: the journal alone carries the shards."""
         rng = np.random.default_rng(16)
         path = tmp_path / "registry.db"
-        service, _, _ = populate(SqliteDAO(path), rng)
-        assert service.attach_index(VectorIndex(), persist=False) == "rebuilt"
-        assert service.dao.index_shards_meta()["counter"] is None
+        service, alice, _ = populate(SqliteDAO(path), rng)
+        assert service.attach_index(VectorIndex(), persist=False) == "fresh"
+        for i in range(80):  # far past the fold floor
+            service.add_pe(
+                alice,
+                make_pe(
+                    f"More{i}",
+                    code=f"more:{i}".encode().hex(),
+                    desc_embedding=unit(rng),
+                ),
+            )
+        meta = service.dao.index_shards_meta()
+        assert (meta["counter"], meta["shards"]) == (None, 0)
+        assert service.shard_persistence()["journal"]["compactions"] == 0
         service.dao.close()
 
         restarted = RegistryService(SqliteDAO(path))
-        assert restarted.attach_index(VectorIndex(), persist=False) == "rebuilt"
+        index = VectorIndex()
+        assert restarted.attach_index(index, persist=False) == "fresh"
+        user = restarted.get_user("alice")
+        assert index.ids(user.user_id, KIND_DESC) == restarted.owned_pe_ids(user)
 
     def test_persist_skipped_when_registry_mutates_mid_export(self, tmp_path):
         rng = np.random.default_rng(17)
-        service, alice, _ = populate(SqliteDAO(tmp_path / "r.db"), rng)
+        # alice's chains are past the fold floor, so a persist has
+        # slabs to export
+        service, alice, _ = populate(
+            SqliteDAO(tmp_path / "r.db"), rng, n_pes=70
+        )
         index = VectorIndex()
         service.attach_index(index, persist=False)
 
@@ -226,7 +259,7 @@ class TestSqliteColdStart:
         rng = np.random.default_rng(24)
         path = tmp_path / "registry.db"
         service, _, _ = populate(SqliteDAO(path), rng)
-        service.attach_index(VectorIndex())
+        attach_with_bases(service)
         service.dao._conn.execute(
             "UPDATE index_shards SET vectors = X'00112233'"
         )
@@ -241,7 +274,7 @@ class TestSqliteColdStart:
         rng = np.random.default_rng(18)
         path = tmp_path / "registry.db"
         service, _, _ = populate(SqliteDAO(path), rng)
-        service.attach_index(VectorIndex())
+        attach_with_bases(service)
         # simulate a crash mid-save: code rows stamped past their shard
         service.dao._conn.execute(
             "UPDATE index_shards SET mutation_counter = mutation_counter + 1"
@@ -259,9 +292,9 @@ class TestSqliteColdStart:
         assert restarted.attach_index(VectorIndex()) == "partial"
         assert counted.all_pes_calls == 0
 
-    def test_schema_v1_file_migrates_and_rebuilds(self, tmp_path):
+    def test_schema_v1_file_migrates_and_journals(self, tmp_path):
         # a pre-v2 file has no slab tables; opening it must create them
-        # at version 2 and the first attach must rebuild + persist
+        # and, the file being empty, every shard is born journaled
         import sqlite3
 
         path = tmp_path / "old.db"
@@ -277,7 +310,7 @@ class TestSqliteColdStart:
         assert reopened.mutation_counter() == 0
         rng = np.random.default_rng(19)
         service, _, _ = populate(reopened, rng)
-        assert service.attach_index(VectorIndex()) == "rebuilt"
+        assert service.attach_index(VectorIndex()) == "fresh"
         assert service.shard_persistence()["fresh"]
 
 
@@ -310,7 +343,7 @@ class TestInMemoryCounter:
                 ),
             )
         index = VectorIndex()
-        assert service.attach_index(index) == "rebuilt"
+        assert service.attach_index(index) == "fresh"
         assert service.shard_persistence()["fresh"]
         # a second service over the same live DAO attaches fresh
         twin = RegistryService(dao)

@@ -182,7 +182,8 @@ def sparse_unit(rng):
 
 
 def rewrite_as_v6(path):
-    """Turn a registry file into what schema v6 wrote: every vector blob
+    """Give a registry file the blobs schema v6 wrote: every vector
+    (record rows, base slabs — the journal holds none since v8)
     headerless dense float32, ``user_version`` 6 — raw SQL only."""
     conn = sqlite3.connect(path)
     for table, key, columns in (
@@ -199,15 +200,14 @@ def rewrite_as_v6(path):
                     f"UPDATE {table} SET {column}=? WHERE {key}=?",
                     (decode_vectors(blob, 1).tobytes(), rid),
                 )
-    for table, key in (("index_shards", "rowid"), ("index_deltas", "delta_id")):
-        rows = conn.execute(
-            f"SELECT {key}, rows, dim, vectors FROM {table}"
-        ).fetchall()
-        for rid, n, dim, blob in rows:
-            conn.execute(
-                f"UPDATE {table} SET vectors=? WHERE {key}=?",
-                (decode_vectors(blob, n, dim).tobytes(), rid),
-            )
+    rows = conn.execute(
+        "SELECT rowid, rows, dim, vectors FROM index_shards"
+    ).fetchall()
+    for rid, n, dim, blob in rows:
+        conn.execute(
+            "UPDATE index_shards SET vectors=? WHERE rowid=?",
+            (decode_vectors(blob, n, dim).tobytes(), rid),
+        )
     conn.execute("PRAGMA user_version = 6")
     conn.commit()
     conn.close()
@@ -265,7 +265,7 @@ class TestLegacyFile:
         assert legacy["slabs"][f"{alice.user_id}/{KIND_DESC}"] == 20 * DIM * 4
 
         dao = SqliteDAO(path)
-        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 7
+        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 8
         # opening rewrote nothing
         assert blob_lengths(path) == legacy
         restarted = RegistryService(dao)
