@@ -26,14 +26,8 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 reproduced tables and figures.
 """
 
-from repro.dataflow import (
-    ConsumerPE,
-    GenericPE,
-    IterativePE,
-    ProducerPE,
-    WorkflowGraph,
-    run_workflow,
-)
+import importlib
+
 from repro.errors import ReproError
 
 __version__ = "1.0.0"
@@ -53,27 +47,32 @@ __all__ = [
     "__version__",
 ]
 
+#: public name -> defining subpackage, imported on first access (PEP 562)
+_LAZY = {
+    "GenericPE": "repro.dataflow",
+    "ProducerPE": "repro.dataflow",
+    "IterativePE": "repro.dataflow",
+    "ConsumerPE": "repro.dataflow",
+    "WorkflowGraph": "repro.dataflow",
+    "run_workflow": "repro.dataflow",
+    "LaminarClient": "repro.client",
+    "local_stack": "repro.client",
+    "LaminarServer": "repro.server",
+    "ExecutionEngine": "repro.engine",
+}
+
 
 def __getattr__(name: str):
-    """Lazily import the heavier framework layers.
+    """Import a layer when one of its names is first asked for.
 
-    Keeps ``import repro`` cheap for pure-dataflow users while still
-    exposing the serverless stack at the top level.
+    ``import repro`` itself loads nothing but the error types: a
+    registry/search server never pays for the dataflow stack (the
+    mappings, ``multiprocessing``, ``cloudpickle``), and a pure-dataflow
+    user never pays for the serverless one.
     """
-    if name == "LaminarClient":
-        from repro.client import LaminarClient
-
-        return LaminarClient
-    if name == "LaminarServer":
-        from repro.server import LaminarServer
-
-        return LaminarServer
-    if name == "ExecutionEngine":
-        from repro.engine import ExecutionEngine
-
-        return ExecutionEngine
-    if name == "local_stack":
-        from repro.client import local_stack
-
-        return local_stack
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

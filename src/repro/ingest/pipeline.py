@@ -27,6 +27,15 @@ exactly how far it got).  Shards persist once at the end — mid-ingest
 the live index serves every batch already, persistence only matters
 for the next cold start.
 
+What a record costs.  Preparing one (``build_pe_record``: a summary
+when the chunk has no docstring, a description embedding, a code
+embedding) is about 0.3 ms on the benchmark's chunks, two thirds of it
+the code embedding: tokenizing, four n-gram families and one
+scatter-add over ~250 hashed features (:mod:`repro.ml.vectorize`; it
+was 0.75 ms when every feature went through two Python frames).  A
+64-record batch then spends about 8 ms in ``register_pes_bulk``, 6 of
+them in the DAO's bulk insert.
+
 The job thread **yields the interpreter after every record it
 prepares** (``os.sched_yield()`` in :func:`_flush`).  Preparing a
 record is pure-Python work that holds the GIL, and the less time a
@@ -38,7 +47,11 @@ measurement confirms it: with the yield, fetch p95 beside the job fell
 about threefold and semantic p95 by a third at unchanged seeding time;
 without it (and with cheaper writes) the foreground ran up to twice as
 slow.  ``time.sleep(0)`` is not a substitute — timer slack makes it
-cost ~170 µs a call here, which the seeding time pays.
+cost ~170 µs a call here, which the seeding time pays.  The yield stays
+per record, and records are not featurized across the batch: a
+record's scatter-add is ~15 µs, so batching it buys nothing
+measurable, while longer GIL holds between yields are exactly what the
+foreground's tail pays for.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from repro.ml.vectorize import HashingVectorizer, IdfWeighter, l2_normalize
+from repro.ml.vectorize import FeatureRun, HashingVectorizer, l2_normalize
 
 Kind = Literal["auto", "code", "text"]
 
@@ -41,12 +41,17 @@ def looks_like_code(text: str) -> bool:
 class EmbeddingModel(ABC):
     """Base class for all embedders in the model zoo.
 
-    Subclasses implement the two featurization views; everything else —
-    hashing, optional IDF weighting ("fine-tuning"), normalization — is
-    shared.  ``fit`` is this reproduction's stand-in for model training:
-    it estimates feature document-frequencies on a corpus, which is the
-    dominant retrieval-relevant effect of contrastive fine-tuning for
-    bag-of-features models.
+    Subclasses implement the two featurization views as *runs* —
+    ``(prefix, weight, suffixes)``, the features ``prefix + s`` at one
+    weight, in order (:data:`~repro.ml.vectorize.FeatureRun`).  The runs
+    are the single definition of a model's features and their order:
+    :meth:`features` expands them for ``fit``, the cross-encoder and the
+    evaluation harness, and the vectorizer consumes them as they are.
+    Everything else — hashing, optional IDF weighting ("fine-tuning"),
+    normalization — is shared.  ``fit`` is this reproduction's stand-in
+    for model training: it estimates feature document-frequencies on a
+    corpus, which is the dominant retrieval-relevant effect of
+    contrastive fine-tuning for bag-of-features models.
     """
 
     #: canonical name (matches the paper's model identifier)
@@ -60,27 +65,37 @@ class EmbeddingModel(ABC):
 
     def __init__(self, dim: int = 2048) -> None:
         self.dim = dim
-        self._vectorizer = HashingVectorizer(dim=dim, salt=self.name)
-        self._idf = IdfWeighter()
+        self._vectorizer = HashingVectorizer(
+            dim=dim, salt=self.name, space=self.effective_dim
+        )
+        self._idf = self._vectorizer.idf
 
     # -- featurization ----------------------------------------------------
     @abstractmethod
-    def code_features(self, text: str) -> list[Feature]:
-        """Weighted features for a code fragment."""
+    def code_runs(self, text: str) -> list[FeatureRun]:
+        """Weighted feature runs for a code fragment."""
 
     @abstractmethod
-    def text_features(self, text: str) -> list[Feature]:
-        """Weighted features for a natural-language string."""
+    def text_runs(self, text: str) -> list[FeatureRun]:
+        """Weighted feature runs for a natural-language string."""
+
+    def runs(self, text: str, kind: Kind = "auto") -> list[FeatureRun]:
+        if kind == "code" or (kind == "auto" and looks_like_code(text)):
+            return self.code_runs(text)
+        return self.text_runs(text)
 
     def features(self, text: str, kind: Kind = "auto") -> list[Feature]:
-        if kind == "code" or (kind == "auto" and looks_like_code(text)):
-            return self.code_features(text)
-        return self.text_features(text)
+        """Every weighted feature of ``text``, in accumulation order."""
+        return [
+            (prefix + suffix, weight)
+            for prefix, weight, suffixes in self.runs(text, kind)
+            for suffix in suffixes
+        ]
 
     # -- fitting ("fine-tuning") -------------------------------------------
     def fit(self, corpus: Iterable[str], kind: Kind = "code") -> "EmbeddingModel":
         """Estimate IDF weights on a corpus; returns self for chaining."""
-        self._idf.fit(
+        self._vectorizer.fit(
             [feature for feature, _w in self.features(doc, kind)]
             for doc in corpus
         )
@@ -91,28 +106,11 @@ class EmbeddingModel(ABC):
         return self._idf.is_fitted
 
     # -- embedding ----------------------------------------------------------
-    def _vector(self, features: list[Feature]) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float32)
-        use_idf = self._idf.is_fitted
-        for feature, weight in features:
-            if use_idf:
-                weight *= self._idf.weight(feature)
-            index, sign = self._vectorizer_hash(feature)
-            vec[index] += sign * weight
-        return vec
-
-    def _vectorizer_hash(self, feature: str) -> tuple[int, float]:
-        from repro.ml.vectorize import _hash_feature
-
-        index, sign = _hash_feature(feature, self._vectorizer.salt)
-        space = self.effective_dim or self.dim
-        return index % space, sign
-
     def embed(self, texts: Sequence[str], kind: Kind = "auto") -> np.ndarray:
         """Embed a batch; rows are L2-normalized float32."""
         out = np.zeros((len(texts), self.dim), dtype=np.float32)
         for i, text in enumerate(texts):
-            out[i] = self._vector(self.features(text, kind))
+            out[i] = self._vectorizer.scatter(self.runs(text, kind))
         return l2_normalize(out)
 
     def embed_one(self, text: str, kind: Kind = "auto") -> np.ndarray:
@@ -123,9 +121,13 @@ class EmbeddingModel(ABC):
 
         The cross-request batching entry point used by the search
         micro-batcher: one call vectorizes a whole batch's distinct
-        queries.  Rows are computed independently (per-text featurize,
-        hash, row-wise normalize), so ``embed_many(texts)[i]`` is
-        bitwise identical to ``embed_one(texts[i])``.
+        queries.  Rows are computed independently — each text is
+        featurized into runs, accumulated by one scatter-add
+        (:meth:`~repro.ml.vectorize.HashingVectorizer.scatter`) and
+        normalized row-wise on the dense row — so ``embed_many(texts)[i]``
+        is bitwise identical to ``embed_one(texts[i])``.  What a batch
+        shares is the vectorizer's slot table: a feature any earlier
+        text (of any call) hashed is a dict hit.
         """
         return self.embed(list(texts), kind)
 

@@ -25,6 +25,7 @@ thenlper/gte-large           char-3-grams only
 from __future__ import annotations
 
 import re
+from itertools import groupby
 
 from repro.errors import ValidationError
 from repro.ml.ast_features import (
@@ -32,7 +33,7 @@ from repro.ml.ast_features import (
     docstring_of,
     structural_features,
 )
-from repro.ml.embedding import EmbeddingModel, Feature
+from repro.ml.embedding import EmbeddingModel
 from repro.ml.tokenize import (
     PYTHON_KEYWORDS,
     char_ngrams,
@@ -43,6 +44,7 @@ from repro.ml.tokenize import (
     tokenize_code,
     tokenize_text,
 )
+from repro.ml.vectorize import FeatureRun
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -57,22 +59,15 @@ class UnixCoderBase(EmbeddingModel):
 
     name = "unixcoder-base"
 
-    def code_features(self, text: str) -> list[Feature]:
-        feats: list[Feature] = [
-            (f"tok:{t}", 1.0) for t in tokenize_code(text)
-        ]
-        doc = docstring_of(text)
-        if doc:
-            feats.extend(
-                (f"tok:{w}", 1.0)
-                for w in tokenize_text(doc, synonyms=False, stemming=False)
-            )
-        return feats
-
-    def text_features(self, text: str) -> list[Feature]:
+    def code_runs(self, text: str) -> list[FeatureRun]:
         return [
-            (f"tok:{w}", 1.0)
-            for w in tokenize_text(text, synonyms=False, stemming=False)
+            ("tok:", 1.0, tokenize_code(text)),
+            *self.text_runs(docstring_of(text)),
+        ]
+
+    def text_runs(self, text: str) -> list[FeatureRun]:
+        return [
+            ("tok:", 1.0, tokenize_text(text, synonyms=False, stemming=False))
         ]
 
 
@@ -88,22 +83,18 @@ class UnixCoderCodeSearch(EmbeddingModel):
 
     name = "unixcoder-code-search"
 
-    def code_features(self, text: str) -> list[Feature]:
-        feats: list[Feature] = [
-            (f"sub:{stem(s)}", 1.0) for s in identifier_subtokens(text)
+    def code_runs(self, text: str) -> list[FeatureRun]:
+        return [
+            ("sub:", 1.0, [stem(s) for s in identifier_subtokens(text)]),
+            ("sub:", 1.5, tokenize_text(docstring_of(text))),
+            # UnixCoder sees the AST during pretraining: a moderate
+            # structural view keeps its code-code similarity sane under
+            # renaming
+            ("", 0.5, structural_features(text)),
         ]
-        doc = docstring_of(text)
-        if doc:
-            feats.extend(
-                (f"sub:{w}", 1.5) for w in tokenize_text(doc)
-            )
-        # UnixCoder sees the AST during pretraining: a moderate structural
-        # view keeps its code-code similarity sane under renaming
-        feats.extend((f, 0.5) for f in structural_features(text))
-        return feats
 
-    def text_features(self, text: str) -> list[Feature]:
-        return [(f"sub:{w}", 1.0) for w in tokenize_text(text)]
+    def text_runs(self, text: str) -> list[FeatureRun]:
+        return [("sub:", 1.0, tokenize_text(text))]
 
 
 class UnixCoderCloneDetection(EmbeddingModel):
@@ -133,26 +124,34 @@ class UnixCoderCloneDetection(EmbeddingModel):
         "shape:": 1.0,
     }
 
-    def code_features(self, text: str) -> list[Feature]:
-        feats: list[Feature] = []
-        for feature in structural_features(text):
-            for prefix, weight in self._FAMILY_WEIGHTS.items():
-                if feature.startswith(prefix):
-                    feats.append((feature, weight))
-                    break
-        feats.extend((f, 1.0) for f in dataflow_pairs(text))
+    @classmethod
+    def _family_weight(cls, feature: str) -> float | None:
+        for prefix, weight in cls._FAMILY_WEIGHTS.items():
+            if feature.startswith(prefix):
+                return weight
+        return None
+
+    def code_runs(self, text: str) -> list[FeatureRun]:
+        # the structural families interleave in tree order: one run per
+        # stretch of equal weight keeps that order
+        runs: list[FeatureRun] = [
+            ("", weight, list(stretch))
+            for weight, stretch in groupby(
+                structural_features(text), self._family_weight
+            )
+            if weight is not None
+        ]
+        runs.append(("", 1.0, dataflow_pairs(text)))
         # clone pairs teach the model that constants carry semantics even
         # when every identifier changes
-        feats.extend(
-            (f"lit:{m.group()}", 2.5) for m in self._LITERAL.finditer(text)
+        runs.append(("lit:", 2.5, self._LITERAL.findall(text)))
+        runs.append(
+            ("sub:", 0.2, [stem(s) for s in identifier_subtokens(text)])
         )
-        feats.extend(
-            (f"sub:{stem(s)}", 0.2) for s in identifier_subtokens(text)
-        )
-        return feats
+        return runs
 
-    def text_features(self, text: str) -> list[Feature]:
-        return [(f"sub:{w}", 1.0) for w in tokenize_text(text)]
+    def text_runs(self, text: str) -> list[FeatureRun]:
+        return [("sub:", 1.0, tokenize_text(text))]
 
 
 class ReACCRetriever(EmbeddingModel):
@@ -171,37 +170,35 @@ class ReACCRetriever(EmbeddingModel):
 
     @staticmethod
     def _slotted(tokens: list[str]) -> list[str]:
-        out = []
-        for token in tokens:
-            if token.startswith("<"):
-                out.append(token)
-            elif (token[0].isalpha() or token[0] == "_") and token not in PYTHON_KEYWORDS:
-                out.append("ID")
-            else:
-                out.append(token)
-        return out
-
-    def code_features(self, text: str) -> list[Feature]:
-        tokens = tokenize_code(text)
-        feats: list[Feature] = [
-            (f"raw2:{g}", 1.0) for g in token_ngrams(tokens, 2)
+        # "<str>"/"<num>" placeholders, operators and keywords stay
+        return [
+            "ID"
+            if (token[0].isalpha() or token[0] == "_")
+            and token not in PYTHON_KEYWORDS
+            else token
+            for token in tokens
         ]
-        feats.extend((f"raw3:{g}", 1.5) for g in token_ngrams(tokens, 3))
-        slotted = self._slotted(tokens)
-        feats.extend((f"slot3:{g}", 0.8) for g in token_ngrams(slotted, 3))
-        feats.extend((f"slot4:{g}", 0.5) for g in token_ngrams(slotted, 4))
-        # literal values survive renaming: a strong near-clone signal that
-        # a sequence retriever exploits (exact constants, format strings)
-        feats.extend(
-            (f"lit:{m.group()}", 0.3) for m in self._LITERAL.finditer(text)
-        )
-        return feats
 
-    def text_features(self, text: str) -> list[Feature]:
+    def code_runs(self, text: str) -> list[FeatureRun]:
+        tokens = tokenize_code(text)
+        slotted = self._slotted(tokens)
+        return [
+            ("raw2:", 1.0, token_ngrams(tokens, 2)),
+            ("raw3:", 1.5, token_ngrams(tokens, 3)),
+            ("slot3:", 0.8, token_ngrams(slotted, 3)),
+            ("slot4:", 0.5, token_ngrams(slotted, 4)),
+            # literal values survive renaming: a strong near-clone signal
+            # that a sequence retriever exploits (exact constants, format
+            # strings)
+            ("lit:", 0.3, self._LITERAL.findall(text)),
+        ]
+
+    def text_runs(self, text: str) -> list[FeatureRun]:
         words = tokenize_text(text)
-        feats: list[Feature] = [(f"sub:{w}", 1.0) for w in words]
-        feats.extend((f"raw2:{g}", 0.5) for g in token_ngrams(words, 2))
-        return feats
+        return [
+            ("sub:", 1.0, words),
+            ("raw2:", 0.5, token_ngrams(words, 2)),
+        ]
 
 
 class CodeBERTSim(EmbeddingModel):
@@ -226,23 +223,25 @@ class CodeBERTSim(EmbeddingModel):
     #: a dominant common direction shared by every input
     _CLS_BIAS = 2.0
 
-    def code_features(self, text: str) -> list[Feature]:
-        feats: list[Feature] = [("bias:cls", self._CLS_BIAS)]
-        for match in _WORD.finditer(text):
-            word = match.group().lower()
-            if word in PYTHON_KEYWORDS:
-                feats.append((f"w:{word}", 1.0))
-            else:
-                feats.append((f"wp:{word[:4]}", 1.0))
-        return feats
+    def code_runs(self, text: str) -> list[FeatureRun]:
+        words = map(str.lower, _WORD.findall(text))
+        return [
+            ("bias:", self._CLS_BIAS, ["cls"]),
+            (
+                "",
+                1.0,
+                [
+                    f"w:{word}" if word in PYTHON_KEYWORDS else f"wp:{word[:4]}"
+                    for word in words
+                ],
+            ),
+        ]
 
-    def text_features(self, text: str) -> list[Feature]:
-        feats: list[Feature] = [("bias:cls", self._CLS_BIAS)]
-        feats.extend(
-            (f"w:{w}", 1.0)
-            for w in tokenize_text(text, synonyms=False, stemming=False)
-        )
-        return feats
+    def text_runs(self, text: str) -> list[FeatureRun]:
+        return [
+            ("bias:", self._CLS_BIAS, ["cls"]),
+            ("w:", 1.0, tokenize_text(text, synonyms=False, stemming=False)),
+        ]
 
 
 class GraphCodeBERTSim(CodeBERTSim):
@@ -259,12 +258,10 @@ class GraphCodeBERTSim(CodeBERTSim):
     #: CodeBERT, though still far below the retrieval-tuned models
     effective_dim = 256
 
-    def code_features(self, text: str) -> list[Feature]:
-        feats = super().code_features(text)
+    def code_runs(self, text: str) -> list[FeatureRun]:
         # dataflow pretraining: a real, rename-invariant signal strong
         # enough to rise above the anisotropic common direction
-        feats.extend((f, 3.0) for f in dataflow_pairs(text))
-        return feats
+        return [*super().code_runs(text), ("", 3.0, dataflow_pairs(text))]
 
 
 class BGELargeSim(EmbeddingModel):
@@ -277,23 +274,30 @@ class BGELargeSim(EmbeddingModel):
 
     name = "bge-large-en"
 
-    def _features(self, text: str) -> list[Feature]:
+    def _runs(self, text: str) -> list[FeatureRun]:
         # BPE-style subword splitting falls out of large-scale text
         # pretraining: snake_case/camelCase identifiers split naturally;
         # character n-grams keep the (rename-invariant) operator skeleton
-        feats: list[Feature] = []
-        for match in _WORD.finditer(text):
-            for sub in split_subtokens(match.group()):
-                feats.append((f"w:{stem(sub)}", 1.0))
-        feats.extend((f"c4:{g}", 1.2) for g in char_ngrams(text.lower(), 4))
-        feats.extend((f"c5:{g}", 0.8) for g in char_ngrams(text.lower(), 5))
-        return feats
+        lowered = text.lower()
+        return [
+            (
+                "w:",
+                1.0,
+                [
+                    stem(sub)
+                    for word in _WORD.findall(text)
+                    for sub in split_subtokens(word)
+                ],
+            ),
+            ("c4:", 1.2, char_ngrams(lowered, 4)),
+            ("c5:", 0.8, char_ngrams(lowered, 5)),
+        ]
 
-    def code_features(self, text: str) -> list[Feature]:
-        return self._features(text)
+    def code_runs(self, text: str) -> list[FeatureRun]:
+        return self._runs(text)
 
-    def text_features(self, text: str) -> list[Feature]:
-        return self._features(text)
+    def text_runs(self, text: str) -> list[FeatureRun]:
+        return self._runs(text)
 
 
 class GTELargeSim(EmbeddingModel):
@@ -309,18 +313,18 @@ class GTELargeSim(EmbeddingModel):
     #: generic text encoders truncate long inputs to their context window
     _CONTEXT_CHARS = 384
 
-    def _features(self, text: str) -> list[Feature]:
+    def _runs(self, text: str) -> list[FeatureRun]:
         # prose view of code: the text is cleaned like natural language
         # (punctuation/operators stripped — precisely the tokens that
         # survive renaming), then reduced to character trigrams
         window = re.sub(r"[^a-z0-9 ]+", " ", text[: self._CONTEXT_CHARS].lower())
-        return [(f"c3:{g}", 1.0) for g in char_ngrams(window, 3)]
+        return [("c3:", 1.0, char_ngrams(window, 3))]
 
-    def code_features(self, text: str) -> list[Feature]:
-        return self._features(text)
+    def code_runs(self, text: str) -> list[FeatureRun]:
+        return self._runs(text)
 
-    def text_features(self, text: str) -> list[Feature]:
-        return self._features(text)
+    def text_runs(self, text: str) -> list[FeatureRun]:
+        return self._runs(text)
 
 
 #: canonical name -> class; includes the paper's exact identifiers

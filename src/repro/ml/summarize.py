@@ -105,52 +105,60 @@ def _name_phrase(name: str) -> str | None:
     return None
 
 
-def _called_idioms(tree: ast.AST) -> list[str]:
-    phrases: list[str] = []
+@dataclass
+class _Outline:
+    """What the summarizer needs from one breadth-first walk of the
+    tree: definitions and called names, each in walk order."""
+
+    classes: list[ast.ClassDef]
+    functions: list[ast.FunctionDef | ast.AsyncFunctionDef]
+    called: list[str]
+
+
+def _outline(tree: ast.AST) -> _Outline:
+    outline = _Outline([], [], [])
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
+        if isinstance(node, ast.ClassDef):
+            outline.classes.append(node)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            outline.functions.append(node)
+        elif isinstance(node, ast.Call):
             func = node.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr
-                if isinstance(func, ast.Attribute)
-                else None
-            )
-            if name and name in _CALL_IDIOMS:
-                phrase = _CALL_IDIOMS[name]
-                if phrase not in phrases:
-                    phrases.append(phrase)
+            if isinstance(func, ast.Name):
+                outline.called.append(func.id)
+            elif isinstance(func, ast.Attribute):
+                outline.called.append(func.attr)
+    return outline
+
+
+def _called_idioms(outline: _Outline) -> list[str]:
+    phrases: list[str] = []
+    for name in outline.called:
+        phrase = _CALL_IDIOMS.get(name)
+        if phrase and phrase not in phrases:
+            phrases.append(phrase)
     return phrases
 
 
-def _primary_definition(tree: ast.AST) -> ast.AST | None:
+def _primary_definition(tree: ast.AST, outline: _Outline) -> ast.AST:
     """The node to summarize: `_process` inside a PE class, else the
     first function, else the whole module."""
-    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
-    for cls in classes:
+    for cls in outline.classes:
         for item in cls.body:
             if isinstance(item, ast.FunctionDef) and item.name == "_process":
                 return item
-    functions = [
-        n
-        for n in ast.walk(tree)
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not n.name.startswith("__")
-    ]
-    if functions:
-        return functions[0]
+    for function in outline.functions:
+        if not function.name.startswith("__"):
+            return function
     return tree
 
 
-def _definition_name(tree: ast.AST, fallback: str | None) -> str | None:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            return node.name
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if not node.name.startswith("_"):
-                return node.name
+def _definition_name(outline: _Outline, fallback: str | None) -> str | None:
+    if outline.classes:
+        return outline.classes[0].name
+    for function in outline.functions:
+        if not function.name.startswith("_"):
+            return function.name
     return fallback
 
 
@@ -161,10 +169,11 @@ def summarize_code(source: str, name: str | None = None) -> CodeSummary:
     source is a fragment without its own definition.
     """
     tree = parse_lenient(source)
+    outline = _outline(tree) if tree is not None else None
 
     # 1. docstring of the main definition
-    if tree is not None:
-        target = _primary_definition(tree)
+    if outline is not None:
+        target = _primary_definition(tree, outline)
         doc = None
         if isinstance(
             target, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -184,13 +193,13 @@ def summarize_code(source: str, name: str | None = None) -> CodeSummary:
 
     # 3. template: name phrase + API idioms
     clauses: list[str] = []
-    entity = _definition_name(tree, name) if tree is not None else name
+    entity = _definition_name(outline, name) if outline is not None else name
     if entity:
         phrase = _name_phrase(entity)
         if phrase:
             clauses.append(phrase)
-    if tree is not None:
-        idioms = _called_idioms(tree)
+    if outline is not None:
+        idioms = _called_idioms(outline)
         clauses.extend(p for p in idioms[:2] if p not in clauses)
     if not clauses:
         if entity:

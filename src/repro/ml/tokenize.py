@@ -207,6 +207,5 @@ def char_ngrams(text: str, n: int = 3) -> list[str]:
 def token_ngrams(tokens: list[str], n: int = 2) -> list[str]:
     """Order-aware token n-grams (the sequence features ReACC-style
     retrieval depends on)."""
-    if len(tokens) < n:
-        return []
-    return ["␟".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+    # n staggered views zipped: one C-level join per n-gram, no slice
+    return list(map("␟".join, zip(*(tokens[i:] for i in range(n)))))

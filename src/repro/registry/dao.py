@@ -2165,14 +2165,17 @@ class SqliteDAO(RegistryDAO):
     # implicit delete skips the FTS delete trigger unless
     # recursive_triggers is on, which would corrupt the external-content
     # index
-    def _sync_pe_text(self, record: PERecord) -> None:
-        name_norm, desc_doc = _text_documents().fts_pe_document(
+    @staticmethod
+    def _pe_text(record: PERecord) -> tuple[str, str]:
+        return _text_documents().fts_pe_document(
             record.pe_name, record.description
         )
-        self._conn.execute("DELETE FROM pe_text WHERE pe_id=?", (record.pe_id,))
+
+    def _sync_pe_text(self, pe_id: int, text: tuple[str, str]) -> None:
+        self._conn.execute("DELETE FROM pe_text WHERE pe_id=?", (pe_id,))
         self._conn.execute(
             "INSERT INTO pe_text (pe_id, name_norm, desc_doc) VALUES (?, ?, ?)",
-            (record.pe_id, name_norm, desc_doc),
+            (pe_id, *text),
         )
 
     def _sync_wf_text(self, record: WorkflowRecord) -> None:
@@ -2247,7 +2250,12 @@ class SqliteDAO(RegistryDAO):
             json.dumps(sorted(record.owners)),
         )
 
+    # The PE writes encode their row (two vector blobs, two JSON
+    # columns) and its FTS document before taking the lock: neither
+    # needs the id, and inside the lock they would run under an open
+    # write transaction that every other DAO call waits behind.
     def insert_pe(self, record: PERecord) -> PERecord:
+        params, text = self._pe_params(record), self._pe_text(record)
         with self._lock, self._conn:
             counter = self._bump_mutation()
             record.revision = 1
@@ -2256,7 +2264,7 @@ class SqliteDAO(RegistryDAO):
                    pe_code, pe_source, pe_imports, code_embedding,
                    desc_embedding, owners, revision)
                    VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, 1)""",
-                self._pe_params(record),
+                params,
             )
             record.pe_id = int(cursor.lastrowid)
             self._stamp_shards(
@@ -2268,13 +2276,15 @@ class SqliteDAO(RegistryDAO):
                 counter,
             )
             self._sync_pe_owners(record.pe_id, record.owners)
-            self._sync_pe_text(record)
+            self._sync_pe_text(record.pe_id, text)
             return record
 
     def insert_pes(self, records: Sequence[PERecord]) -> list[PERecord]:
         """Bulk load: two ``executemany`` round trips for any batch size."""
         if not records:
             return []
+        params = [self._pe_params(r) for r in records]
+        texts = [self._pe_text(r) for r in records]
         with self._lock, self._conn:
             counter = self._bump_mutation()
             base = self._conn.execute(
@@ -2298,7 +2308,7 @@ class SqliteDAO(RegistryDAO):
                    description_origin, pe_code, pe_source, pe_imports,
                    code_embedding, desc_embedding, owners, revision)
                    VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 1)""",
-                [(r.pe_id, *self._pe_params(r)) for r in records],
+                [(r.pe_id, *p) for r, p in zip(records, params)],
             )
             self._conn.executemany(
                 "INSERT OR IGNORE INTO pe_owners (pe_id, user_id) VALUES (?, ?)",
@@ -2308,14 +2318,10 @@ class SqliteDAO(RegistryDAO):
                     for uid in r.owners
                 ],
             )
-            docs = _text_documents()
             self._conn.executemany(
                 "INSERT INTO pe_text (pe_id, name_norm, desc_doc)"
                 " VALUES (?, ?, ?)",
-                [
-                    (r.pe_id, *docs.fts_pe_document(r.pe_name, r.description))
-                    for r in records
-                ],
+                [(r.pe_id, *t) for r, t in zip(records, texts)],
             )
             return list(records)
 
@@ -2326,6 +2332,7 @@ class SqliteDAO(RegistryDAO):
         insert in three b-trees) are re-synced only when they differ
         from the committed row — an ownership grant touches no text, a
         revision touches no owners."""
+        (name, *rest), text = self._pe_params(record), self._pe_text(record)
         with self._lock, self._conn:
             counter = self._bump_mutation()
             old = self._pe_old_state(record.pe_id)
@@ -2334,7 +2341,6 @@ class SqliteDAO(RegistryDAO):
                     f"PE id {record.pe_id} not found", params={"peId": record.pe_id}
                 )
             renamed = old["pe_name"] != record.pe_name
-            name, *rest = self._pe_params(record)
             self._conn.execute(
                 f"""UPDATE pes SET {'pe_name=?,' if renamed else ''}
                    description=?, description_origin=?, pe_code=?,
@@ -2362,7 +2368,7 @@ class SqliteDAO(RegistryDAO):
             if old_owners != set(record.owners):
                 self._sync_pe_owners(record.pe_id, record.owners)
             if renamed or old["description"] != record.description:
-                self._sync_pe_text(record)
+                self._sync_pe_text(record.pe_id, text)
 
     def get_pe(self, pe_id: int) -> PERecord | None:
         with self._lock:

@@ -66,7 +66,22 @@ def encode_vectors(matrix: np.ndarray) -> bytes:
     if matrix.ndim != 2:
         raise ValueError("encode_vectors wants a 2-D matrix")
     rows, dim = matrix.shape
-    if rows and 0 < dim <= _MAX_SPARSE_DIM:
+    if rows == 1 and 0 < dim <= _MAX_SPARSE_DIM:
+        # one record's vector — every registry write encodes two, so
+        # this case skips the block machinery (same bytes)
+        row = matrix[0]
+        stored = np.flatnonzero(row.view(np.uint32))
+        if _TRAILER_SIZE + _COUNT.size + 6 * len(stored) < dim * 4:
+            sealed = b"".join(
+                (
+                    _COUNT.pack(len(stored)),
+                    row[stored].tobytes(),
+                    stored.astype(np.uint16).tobytes(),
+                    _SHAPE.pack(1, dim),
+                )
+            )
+            return sealed + _SEAL.pack(zlib.crc32(sealed), _SPARSE_TAG)
+    elif rows and 0 < dim <= _MAX_SPARSE_DIM:
         counts, values, columns = [], [], []
         size = _TRAILER_SIZE
         for start in range(0, rows, _ENCODE_BLOCK_ROWS):

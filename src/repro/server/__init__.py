@@ -60,6 +60,15 @@ writer that bypassed the DAO), torn, or corrupt rebuild, each from its
 own owner's records.  One tenant's write never invalidates another
 tenant's slab.
 
+Process start: ``repro serve`` imports what registry and search
+requests use — NumPy, SQLite, the models, the asyncio front end — and
+nothing of the workflow side.  ``LaminarServer.engines`` builds the
+engine pool (and imports :mod:`repro.engine`, hence the dataflow
+mappings, ``multiprocessing`` and ``cloudpickle``) when
+``/execution/{user}/run`` or an ``/engines`` route first asks for it,
+and ``import repro`` resolves its re-exports lazily; a registry-only
+deployment never loads them (``tests/server/test_startup_imports.py``).
+
 Storage schema versions
 =======================
 

@@ -11,8 +11,8 @@ import secrets
 import threading
 import traceback
 import urllib.parse
+from typing import TYPE_CHECKING
 
-from repro.engine import ExecutionEngine
 from repro.errors import MethodNotAllowedError, ReproError, error_envelope
 from repro.jobs import JobManager
 from repro.ml.bundle import ModelBundle
@@ -33,6 +33,9 @@ from repro.server.controllers import (
 from repro.server.v1 import V1Controller
 from repro.server.v1_write import V1WriteController
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine import EnginePool, ExecutionEngine
+
 
 class LaminarServer:
     """The coordinating element of the framework.
@@ -42,7 +45,8 @@ class LaminarServer:
     dao:
         Registry storage backend (defaults to in-memory).
     engine:
-        The Execution Engine serving ``/execution/{user}/run``.
+        The Execution Engine serving ``/execution/{user}/run`` (default:
+        an in-process engine, built with the pool on first use).
     models:
         The model bundle used for server-side summarization/embedding
         fallbacks and search.
@@ -97,8 +101,6 @@ class LaminarServer:
         job_retention_ttl: float | None = 3600.0,
         job_retention_cap: int | None = 500,
     ) -> None:
-        from repro.engine import EnginePool
-
         #: every registered index backend over one shared exact index;
         #: requests select by name (SearchRequest.backend), the exact
         #: entry is the reference the approximate engines re-rank from
@@ -153,15 +155,32 @@ class LaminarServer:
             retention_ttl=job_retention_ttl,
             retention_cap=job_retention_cap,
         )
-        #: named Execution Engines (§3.3/§8 future work: multiple engines
-        #: registered at one server); ``engine`` becomes the default
-        self.engines = EnginePool(engine)
+        self._default_engine = engine
+        self._engines: EnginePool | None = None
+        self._engines_lock = threading.Lock()
         self.models = models or ModelBundle.default()
         self.semantic = SemanticSearcher(self.models.code_search)
         self.code_search = CodeSearcher(self.models.completion)
         self._tokens: dict[str, str] = {}
         self.router = Router()
         self._install_routes()
+
+    @property
+    def engines(self) -> EnginePool:
+        """Named Execution Engines (§3.3/§8 future work: multiple engines
+        registered at one server); ``engine`` becomes the default.
+
+        Built on first use: ``repro.engine`` imports the dataflow stack
+        (the mappings, ``multiprocessing``, ``cloudpickle``), which no
+        registry or search request needs and every process start would
+        otherwise pay for.
+        """
+        with self._engines_lock:
+            if self._engines is None:
+                from repro.engine import EnginePool
+
+                self._engines = EnginePool(self._default_engine)
+            return self._engines
 
     # ------------------------------------------------------------------
     # Auth token management

@@ -15,11 +15,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.engine.engine import ExecutionRequest
 from repro.errors import AuthenticationError, ValidationError
 from repro.net.transport import Request, Response
 from repro.registry.entities import UserRecord
-from repro.serialization.imports import merge_requirements
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.app import LaminarServer
@@ -301,6 +299,11 @@ class ExecutionController(BaseController):
     """/execution/{user}/run (Table 3, Execution controller)."""
 
     def run(self, request: Request, params: dict[str, str]) -> Response:
+        # imported here, with the engine pool: the only route that needs
+        # the dataflow stack (see LaminarServer.engines)
+        from repro.engine.engine import ExecutionRequest
+        from repro.serialization.imports import merge_requirements
+
         user = self.authenticated_user(request, params)
         body = dict(request.body)
 

@@ -68,23 +68,31 @@ class TestTable7:
 
 class TestTable5:
     def test_small_config_shape(self):
-        # install_scale is deliberately high so the Laminar-vs-original
-        # ordering rests on structural overhead (auto-install, transport)
-        # rather than millisecond scheduling noise on small machines;
-        # the Simple-vs-Multi ordering is still wall-clock, so allow one
-        # retry on a loaded (or single-core) runner
-        for _attempt in range(2):
-            result = run_table5(
-                Table5Config(
-                    n_galaxies=16,
-                    votable_latency_s=0.006,
-                    nprocs=5,
-                    install_scale=0.01,
-                )
+        # structure only: the wall-clock orderings (original < local <
+        # remote, Multi < Simple) are reproduced at full scale under the
+        # `slow` marker by benchmarks/test_table5_latency.py — asserted
+        # here they made tier-1 depend on the runner's load
+        result = run_table5(
+            Table5Config(
+                n_galaxies=16,
+                votable_latency_s=0.006,
+                nprocs=5,
+                install_scale=0.01,
             )
-            if all(result["checks"].values()):
-                break
-        assert all(result["checks"].values()), result["checks"]
+        )
+        methods = [
+            "original dispel4py",
+            "Local Execution (with Laminar)",
+            "Remote Execution (with Laminar)",
+        ]
+        assert list(result["times"]) == methods
+        for times in result["times"].values():
+            assert set(times) == {"simple", "multi"}
+        assert [row[0] for row in result["rows"]] == methods
+        assert all(len(row) == 3 for row in result["rows"])
+        assert len(result["checks"]) == 4
+        assert all(isinstance(ok, bool) for ok in result["checks"].values())
+        assert "Simple" in result["table"] and "Multi" in result["table"]
 
     def test_times_positive_and_ordered(self):
         result = run_table5(

@@ -1,4 +1,4 @@
-"""Shared test PEs and workflow builders.
+"""Shared test PEs, workflow builders and a seeded source corpus.
 
 Defined in a real file (not interactively) so ``inspect.getsource`` works
 and registration-time source extraction / import analysis is exercised
@@ -6,6 +6,8 @@ for real.
 """
 
 from __future__ import annotations
+
+import random
 
 from repro.dataflow.core import ConsumerPE, GenericPE, IterativePE, ProducerPE
 from repro.dataflow.graph import WorkflowGraph
@@ -158,3 +160,38 @@ def build_diamond_graph(name: str = "diamond") -> WorkflowGraph:
     graph.connect(add, "output", collect, "input")
     graph.connect(even, "output", collect, "input")
     return graph
+
+
+def e2e_style_functions(count: int, seed: int = 1) -> list[tuple[str, str]]:
+    """``count`` seeded ``(source, docstring)`` pairs shaped like the
+    records the end-to-end benchmark ingests: a few lines over a fixed
+    pseudo-word vocabulary, every fourth without a docstring (the
+    server must summarize it).  Pinned digests depend on every
+    character here."""
+    rng = random.Random(seed)
+    vocab = [
+        onset + nucleus + coda
+        for onset in ("b", "dr", "gl", "k", "m", "pl", "t", "sk")
+        for nucleus in ("a", "e", "i", "o", "ai")
+        for coda in ("bo", "dak", "fin", "gor", "lum")
+    ]
+    functions = []
+    for index in range(count):
+        name, other, total, item = rng.choices(vocab, k=4)
+        doc = "" if index % 4 == 3 else (
+            " ".join(rng.choices(vocab, k=rng.randint(6, 10))).capitalize() + "."
+        )
+        lines = [f"def {name}_{other}_{index:06d}(items, limit={rng.randint(1, 999)}):"]
+        if doc:
+            lines.append(f'    """{doc}"""')
+        lines.append(f"    {total} = {index}")
+        for extra in rng.choices(vocab, k=rng.randint(0, 5)):
+            lines.append(f"    {extra} = {total} + {rng.randint(1, 99)}")
+        lines += [
+            f"    for {item} in items:",
+            f"        if {item} > limit:",
+            f"            {total} += {item} * {rng.randint(2, 9)}",
+            f"    return {total}",
+        ]
+        functions.append(("\n".join(lines), doc))
+    return functions

@@ -1,6 +1,9 @@
 """Tests for the CodeT5-substitute summarizer."""
 
+import hashlib
+
 from repro.ml.summarize import CodeT5Summarizer, summarize_code
+from tests.helpers import e2e_style_functions
 
 
 class TestDocstringPriority:
@@ -95,3 +98,13 @@ class TestWrapper:
         assert summarizer.name == "codet5-base-multi-sum"
         text = summarizer.summarize("def add(a, b):\n    return a + b\n")
         assert isinstance(text, str) and text
+
+
+def test_ingest_style_corpus_summaries_are_pinned():
+    """Byte-identical to the summarizer that walked the tree five times
+    (the digest was taken from it): every fourth function has no
+    docstring and exercises the template path."""
+    digest = hashlib.sha256()
+    for source, _doc in e2e_style_functions(200):
+        digest.update(summarize_code(source).text.encode())
+    assert digest.hexdigest()[:32] == "0433084de85c5ddbac03f6b20ba2c224"

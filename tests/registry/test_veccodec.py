@@ -97,6 +97,45 @@ class TestRoundTrip:
         assert decode_vectors(legacy[:64], 1).tobytes() == legacy[:64]
 
 
+def encode_through_blocks(matrix):
+    """The block path as it encoded every matrix before one-row
+    matrices got their own: the reference the short path must match
+    byte for byte (a record row written either way is the same row)."""
+    rows, dim = matrix.shape
+    stored = matrix.view(np.uint32) != 0
+    nnz = np.count_nonzero(stored, axis=1)
+    keep_dense = 6 * nnz >= 4 * dim
+    stored[keep_dense] = True
+    counts = np.where(keep_dense, dim, nnz).astype(np.uint32)
+    flat = np.flatnonzero(stored)
+    values = matrix.reshape(-1)[flat].tobytes()
+    columns = (flat[~np.repeat(keep_dense, counts)] % dim).astype(np.uint16)
+    sealed = b"".join(
+        (counts.tobytes(), values, columns.tobytes(),
+         struct.pack("=II", rows, dim))
+    )
+    if len(sealed) + 5 < matrix.nbytes:
+        return sealed + struct.pack("=IB", zlib.crc32(sealed), 1)
+    return matrix.tobytes()
+
+
+class TestOneRowPath:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(max_rows=1, max_dim=64))
+    def test_same_bytes_as_the_block_path(self, matrix):
+        if matrix.shape[0] == 1 and matrix.shape[1]:
+            assert encode_vectors(matrix) == encode_through_blocks(matrix)
+
+    def test_reference_is_the_block_path(self):
+        # two rows still go through the blocks: the reference agrees
+        # with the codec there, so it is the layout, not a lookalike
+        rng = np.random.default_rng(7)
+        for density in (0.0, 0.05, 0.5, 0.7, 1.0):
+            matrix = rng.random((2, 48), dtype=np.float32)
+            matrix[rng.random((2, 48)) >= density] = 0
+            assert encode_vectors(matrix) == encode_through_blocks(matrix)
+
+
 class TestCorruptInput:
     @settings(max_examples=150, deadline=None)
     @given(matrices())
