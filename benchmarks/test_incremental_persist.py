@@ -7,14 +7,15 @@ Three measurements for the v6 persistence plane, emitted as the
   against an N=5000-record SQLite registry, with a meter summing the
   payload bytes of every journal row (ids only since schema v8 — the
   DAO writes it inside the mutation's transaction) and compaction
-  fold.  The baseline is the pre-v6 whole-snapshot persist, which
-  re-exported every slab on each write; the bar is a >= 10x reduction.
+  fold (ids only since schema v9: 8 bytes a row).  The baseline is the
+  pre-v6 whole-snapshot persist, which re-exported every slab on each
+  write; the bar is a >= 10x reduction.
 * **Warm attach after scattered writes** — a writer that bypasses the
   DAO (raw SQL) moves two tenants' stamps behind the journal's back
   and rows land on those stale shards; the restart must replay every
   other slab from its delta chain (zero ``all_pes()`` calls, per-owner
-  loads for exactly the stale tenants) and still match the O(corpus)
-  rebuild bitwise.
+  row scans for exactly the stale tenants) and still match the
+  O(corpus) rebuild bitwise.
 * **Insert-time HNSW builds** — pure appends extend the small-world
   graph in place instead of rebuilding it; the extended graph must
   rank bitwise-identically to a from-scratch build over the grown
@@ -76,20 +77,20 @@ class _ByteMeter:
         attr = getattr(self.inner, name)
         if name == "upsert_index_shards":
             def wrapped(shards, stamp):
-                for ids, matrix in shards.values():
-                    self.upsert_bytes += ids.nbytes + matrix.nbytes
+                for ids in shards.values():
+                    self.upsert_bytes += ids.nbytes
                 return attr(shards, stamp)
             return wrapped
         return attr
 
 
 class _LoadCounter:
-    """DAO proxy counting full-corpus vs per-owner deserialization."""
+    """DAO proxy counting full-corpus loads vs per-owner row scans."""
 
     def __init__(self, inner):
         self.inner = inner
         self.all_pes_calls = 0
-        self.pes_owned_by_users: list[int] = []
+        self.rebuilt_users: list[int] = []
 
     def __getattr__(self, name):
         attr = getattr(self.inner, name)
@@ -98,9 +99,9 @@ class _LoadCounter:
                 self.all_pes_calls += 1
                 return attr(*a, **kw)
             return wrapped
-        if name == "pes_owned_by":
+        if name == "owned_vectors":
             def wrapped(user_id, *a, **kw):
-                self.pes_owned_by_users.append(int(user_id))
+                self.rebuilt_users.append(int(user_id))
                 return attr(user_id, *a, **kw)
             return wrapped
         return attr
@@ -192,7 +193,7 @@ def test_incremental_persist(tmp_path, record, out_dir):
     warm_seconds = time.perf_counter() - t0
     assert warm_mode == "partial"
     assert counted.all_pes_calls == 0  # zero full-corpus deserialization
-    assert sorted(set(counted.pes_owned_by_users)) == sorted(
+    assert sorted(counted.rebuilt_users) == sorted(
         user.user_id for user in stale_tenants
     )
     counted.inner.close()

@@ -18,9 +18,11 @@ the literal parts of f-strings) or mutates the in-memory
 ``self._pes``/``self._workflows`` stores; such a method must contain
 both a mutation bump (``_bump_mutation()`` call or
 ``self._mutations += …``) and a ``_stamp_shards(...)`` call, and must
-not itself write the stamp or journal state (``shard_stamps`` /
-``index_deltas`` SQL, the ``self._shard_stamps``/``_shard_tips``/
-``_shard_deltas`` stores).  ``append_index_delta``, the single
+not itself write the persisted membership state — stamps, journal or,
+since schema v9 made them ids-only membership too, base slabs
+(``shard_stamps`` / ``index_deltas`` / ``index_shards`` SQL, the
+``self._shard_stamps``/``_shard_tips``/``_shard_deltas``/
+``_base_shards`` stores).  ``append_index_delta``, the single
 journal-row writer, may be called from ``_stamp_shards`` only.
 """
 
@@ -46,16 +48,18 @@ _SQL_WRITE = re.compile(
 
 _MEMORY_STORES = {"self._pes", "self._workflows"}
 
-#: the stamp + journal state only ``_stamp_shards`` (and the base-slab
-#: writers, which are not mutations) may touch
+#: the persisted membership state (stamps, journal, ids-only base
+#: slabs) only ``_stamp_shards`` and the base-slab writers, which are
+#: not mutations, may touch
 _STAMP_SQL_WRITE = re.compile(
     r"(?i)\b(?:insert(?:\s+or\s+\w+)?\s+into|update|delete\s+from)\s+"
-    r"(shard_stamps|index_deltas)\b"
+    r"(shard_stamps|index_deltas|index_shards)\b"
 )
 _STAMP_STORES = {
     "self._shard_stamps",
     "self._shard_tips",
     "self._shard_deltas",
+    "self._base_shards",
 }
 
 _STAMP_HELPER = "_stamp_shards"

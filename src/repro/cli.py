@@ -281,17 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--shards", action="store_true",
         help="also build the vector index and report shard occupancy and "
-        "persistence freshness per shard: stamp, chain tip, base rows, and "
-        "the ids-only journal chain on top (deltas / rows / bytes at rest); "
-        "replays each fresh shard's base slab and journal, reading journaled "
-        "vectors from the record rows, and rebuilds stale ones from their "
-        "owner's records, like server startup — but writes nothing",
+        "persistence freshness per shard: stamp, chain tip, the base slab "
+        "(ids only: rows / bytes at rest) and the ids-only journal chain on "
+        "top (deltas / rows / bytes at rest); replays each fresh shard's "
+        "base slab and journal, reading every vector from the record rows, "
+        "and rebuilds stale ones from their owner's rows, like server "
+        "startup — but writes nothing",
     )
     stats.add_argument(
         "--persist", action="store_true",
-        help="with --shards: write base slabs for the shards the journal "
-        "does not cover and fold the chains that are due, so the next cold "
-        "start replays less",
+        help="with --shards: write base slabs (8 bytes of id a row, no "
+        "vectors) for the shards the journal does not cover and fold the "
+        "chains that are due, so the next cold start replays less",
     )
 
     lint = sub.add_parser(
@@ -855,14 +856,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
     read only the ownership index — no row fetches, no embedding
     unblobbing, no model or server construction — so the default mode
     stays cheap even against a huge registry.  ``--shards`` additionally
-    builds the vector index — from the persisted slab snapshot when it
-    is still fresh, else the O(corpus) rebuild server startup does — and
-    reports per-shard occupancy plus per-shard persistence freshness
-    (each slab's journaled chain tip vs its expected mutation stamp),
-    delta-chain lengths, and bytes written per journaled mutation.
-    ``--persist`` opts
-    in to writing the built slabs back so the next cold start loads
-    them directly.
+    builds the vector index the way server startup does — persisted
+    membership (base slab + journal) filled from the record rows, a
+    stale shard rebuilt from its owner's rows — and reports per-shard
+    occupancy plus per-shard persistence freshness (each shard's
+    journaled chain tip vs its expected mutation stamp), base-slab and
+    delta-chain sizes at rest (ids only — no vector is stored outside
+    its record row), and bytes written per journaled mutation.
+    ``--persist`` opts in to writing base slabs back so the next cold
+    start replays less.
     """
     from repro.registry.dao import InMemoryDAO, SqliteDAO
 
@@ -910,7 +912,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
                     f"  {name:<20} {shard_state:<6} "
                     f"stamp {str(shard['stamp']):>5}  "
                     f"tip {str(shard['tip']):>5}  "
-                    f"base {shard['baseRows']} row(s)  "
+                    f"base {shard['baseRows']} id(s) / "
+                    f"{8 * shard['baseRows']} B at rest  "
                     f"chain {shard['chainLen']} delta(s) / "
                     f"{shard['chainRows']} row(s) / "
                     f"{shard['chainBytes']} B at rest"

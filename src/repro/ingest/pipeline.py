@@ -27,6 +27,16 @@ exactly how far it got).  Shards persist once at the end — mid-ingest
 the live index serves every batch already, persistence only matters
 for the next cold start.
 
+The job then **checkpoints the store** (``RegistryDAO.checkpoint()``,
+on the job thread).  A bulk load leaves thousands of committed pages in
+SQLite's write-ahead log; left there, they are copied into the main
+file by whichever later commit trips the automatic threshold — a
+foreground request, which pays for the job's pages inside its own
+latency and, on the benchmark, inside the measured window (until base
+slabs went ids-only the job's closing slab commit was itself large
+enough to trip the threshold, by accident).  The pages are written
+either way; the job is the one that should write them.
+
 What a record costs.  Preparing one (``build_pe_record``: a summary
 when the chunk has no docstring, a description embedding, a code
 embedding) is about 0.3 ms on the benchmark's chunks, two thirds of it
@@ -139,6 +149,7 @@ def run_ingest(
         if inserted:
             with app.write_lock:
                 app.registry.persist_shards()
+            app.registry.dao.checkpoint()
         return {
             "inserted": inserted,
             "deduped": deduped,

@@ -39,6 +39,8 @@ import sqlite3
 import threading
 from abc import ABC, abstractmethod
 from collections import Counter
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -46,7 +48,7 @@ import numpy as np
 
 from repro.errors import NotFoundError
 from repro.registry.entities import PERecord, UserRecord, WorkflowRecord
-from repro.registry.veccodec import decode_vectors, encode_vectors
+from repro.registry.veccodec import decode_many, decode_vector, encode_vector
 
 #: status stored while a write's idempotency key is *claimed* but its
 #: outcome not yet recorded — the cross-process serialization marker.
@@ -264,16 +266,16 @@ class RegistryDAO(ABC):
         return 0
 
     def save_index_shards(
-        self,
-        shards: Mapping[tuple[int, str], tuple[np.ndarray, np.ndarray]],
-        counter: int,
+        self, shards: Mapping[tuple[int, str], np.ndarray], counter: int
     ) -> None:
-        """Persist ``{(user_id, kind): (ids, matrix)}`` slabs at ``counter``.
+        """Persist ``{(user_id, kind): ids}`` base slabs at ``counter``.
 
-        Wholesale truth assertion: replaces every base slab *and* every
-        journaled delta, and stamps each given shard at ``counter`` —
-        the caller vouches this is the complete index state at that
-        counter.  No-op by default.
+        A base slab is a shard's *membership* — the ids it held at its
+        stamp; the vectors stay in the record rows.  Wholesale truth
+        assertion: replaces every base slab *and* every journaled
+        delta, and stamps each given shard at ``counter`` — the caller
+        vouches this is the complete index membership at that counter.
+        No-op by default.
         """
 
     def shard_stamps(self) -> dict[tuple[int, str], int]:
@@ -295,11 +297,9 @@ class RegistryDAO(ABC):
         return {}
 
     def upsert_index_shards(
-        self,
-        shards: Mapping[tuple[int, str], tuple[np.ndarray, np.ndarray]],
-        stamp: int,
+        self, shards: Mapping[tuple[int, str], np.ndarray], stamp: int
     ) -> None:
-        """Upsert base slabs for just the given shards at ``stamp``.
+        """Upsert base slabs (ids) for just the given shards at ``stamp``.
 
         For each shard this (atomically, per shard) replaces the base
         slab row, deletes journaled deltas with counter ``<= stamp``
@@ -318,17 +318,49 @@ class RegistryDAO(ABC):
     ]:
         """Replayed per-shard slabs: ``({key: (ids, matrix, tip)}, discarded)``.
 
-        Each shard's base slab is replayed through its delta chain in
-        append order; the journal holds ids only, so the vector of
-        every id whose last journaled op is ``add`` is read from its
-        record row.  ``tip`` is the counter of the last event folded in
-        (the shard is fresh iff ``tip == shard_stamps()[key]``).  A
-        corrupt, truncated or torn shard (bad blob, non-monotonic chain,
-        delta at or below the base stamp, a winning ``add`` whose record
-        row is gone or has no vector of that kind) discards *only that
-        shard* and increments ``discarded`` — never the whole snapshot.
+        Base slab and journal hold ids only: the base is replayed as a
+        run of ``add``s followed by its delta chain in append order, and
+        the vector of every id whose last event is an ``add`` is read
+        from its record row — one ordered scan per (user, record table).
+        ``tip`` is the counter of the last event folded in (the shard
+        is fresh iff ``tip == shard_stamps()[key]``).  A corrupt,
+        truncated or torn shard (bad blob, non-monotonic chain, delta
+        at or below the base stamp, a winning id whose record row is
+        gone, not the user's, of another width or without a vector of
+        that kind) discards *only that shard* and increments
+        ``discarded`` — never the whole snapshot.
         """
         return {}, 0
+
+    def owned_vectors(
+        self, user_id: int, kinds: Iterable[str]
+    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """A user's shards rebuilt from the record rows: for each of
+        ``kinds`` the ``(ids, matrix)`` of the records ``user_id`` owns
+        that carry a vector of that kind — ascending int64 ids,
+        C-contiguous float32 rows, an empty shard ``(0,)`` / ``(0, 0)``.
+        The scan :meth:`load_index_shards` fills replayed shards from,
+        so a rebuilt shard and a replayed one are the same bytes.
+        Raises ``ValueError`` for a corrupt vector or mixed widths.
+        """
+        raise NotImplementedError
+
+    @contextmanager
+    def read_snapshot(self):
+        """Reads made inside this context see one state of the store:
+        no write of this or of another process lands between them
+        (attach reads stamps, base slabs, journal and record rows, and
+        a shard is only as fresh as the rows its ids are filled from).
+        Holds the DAO's lock; write nothing inside.  Backends without
+        snapshot reads give no such guarantee.
+        """
+        yield
+
+    def checkpoint(self) -> None:
+        """Move committed writes from the store's write-ahead log into
+        its main file now, rather than inside whichever later commit
+        trips the automatic threshold.  No-op for stores without one.
+        """
 
     def index_shards_meta(self) -> dict[str, int | None]:
         """Cheap snapshot metadata:
@@ -584,6 +616,9 @@ _KIND_SOURCE = {
     _KIND_WORKFLOW: ("workflows", "workflow_id", "desc_embedding"),
 }
 
+#: each record table's owner join table (indexed by user, then id)
+_OWNER_TABLE = {"pes": "pe_owners", "workflows": "workflow_owners"}
+
 #: delta-journal ops
 _OP_ADD = "add"
 _OP_REMOVE = "remove"
@@ -727,66 +762,95 @@ def _merge_changes(total: _Changes, changes: _Changes) -> None:
         total.setdefault(key, (op, []))[1].extend(ids)
 
 
-def _stack_vectors(
-    ids: np.ndarray, found: Mapping[int, np.ndarray | None]
-) -> np.ndarray:
-    """The ``(len(ids), dim)`` float32 matrix of ``ids``' record
-    vectors, in order.  A missing row, a row without a vector or a row
-    of another width means the journal names something the record
-    table does not hold — a torn chain, ``ValueError``."""
-    rows = []
-    for rid in ids.tolist():
-        vec = found.get(rid)
-        if vec is None:
-            raise ValueError("journaled add without a record vector")
-        rows.append(np.asarray(vec, dtype=np.float32).reshape(-1))
+def _stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """The C-contiguous float32 matrix of in-memory record vectors —
+    :func:`~repro.registry.veccodec.decode_many` for vectors that were
+    never encoded: same layout, same errors."""
+    if not rows:
+        return np.empty((0, 0), dtype=np.float32)
+    rows = [np.asarray(vec, dtype=np.float32).reshape(-1) for vec in rows]
     if len({row.shape[0] for row in rows}) != 1:
-        raise ValueError("delta dimension mismatch")
+        raise ValueError("record vector dimension mismatch")
     return np.stack(rows)
 
 
+def _pick_rows(scan_ids: np.ndarray, column: Sequence, ids: np.ndarray) -> list:
+    """``column``'s entries for ``ids``, where ``column`` runs beside
+    the ascending ``scan_ids`` of one user's owned records.  An id the
+    scan does not hold, or holds without a vector, means a shard names
+    something the record table cannot back — a torn shard,
+    ``ValueError``."""
+    at = np.searchsorted(scan_ids, ids)
+    at[at == scan_ids.shape[0]] = 0
+    if ids.shape[0] and (
+        not scan_ids.shape[0] or not np.array_equal(scan_ids[at], ids)
+    ):
+        raise ValueError("shard id without a record row")
+    picked = [column[row] for row in at.tolist()]
+    if any(entry is None for entry in picked):
+        raise ValueError("shard id without a record vector")
+    return picked
+
+
+def _owned_shards(
+    scan_owned, stack, user_id: int, kinds: Iterable[str]
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Both DAOs' :meth:`RegistryDAO.owned_vectors`: one
+    ``scan_owned(user_id, table, kinds) -> (ids, {kind: column})`` per
+    record table the kinds live in, and per kind the rows that carry a
+    vector, stacked by ``stack``."""
+    tables: dict[str, list[str]] = {}
+    for kind in sorted(set(kinds)):
+        if kind not in _KIND_SOURCE:
+            raise ValueError(f"unknown shard kind {kind!r}")
+        tables.setdefault(_KIND_SOURCE[kind][0], []).append(kind)
+    shards = {}
+    for table, table_kinds in tables.items():
+        scan_ids, columns = scan_owned(user_id, table, table_kinds)
+        for kind, column in columns.items():
+            held = [row for row, entry in enumerate(column) if entry is not None]
+            shards[kind] = (
+                scan_ids[held],
+                stack([column[row] for row in held]),
+            )
+    return shards
+
+
 def _replay_shard(
-    base: tuple[int, np.ndarray, np.ndarray] | None,
+    base: tuple[int, np.ndarray] | None,
     deltas: list[tuple[int, str, np.ndarray]],
     fetch,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fold a shard's delta chain into its base slab.
+    """Fold a shard's delta chain onto its base slab and fill it in.
 
-    ``base`` is ``(counter, ids, matrix)`` or ``None``; ``deltas`` are
-    ids-only ``(counter, op, ids)`` rows in journal append order;
-    ``fetch(ids)`` returns the ``(len(ids), dim)`` float32 matrix of
-    those records' current vectors (see :func:`_stack_vectors`) and is
-    asked only for ids whose *last* journaled op is ``add`` — a vector
-    lives in its record row and in the base slab, nowhere else.
-    Returns the replayed ``(ids, matrix, tip)`` with ascending int64
-    ids and a C-contiguous float32 matrix — byte-for-byte the layout a
-    live :class:`~repro.search.index.VectorIndex` shard holds, so
-    replayed slabs score bitwise-identically.
+    ``base`` is ``(counter, ids)`` or ``None`` and counts as a run of
+    ``add``s; ``deltas`` are ids-only ``(counter, op, ids)`` rows in
+    journal append order; ``fetch(ids)`` returns the ``(len(ids), dim)``
+    float32 matrix of those records' current vectors and is asked once,
+    for the ascending ids whose *last* event is an ``add`` — a vector
+    lives in its record row, nowhere else.  Returns the replayed
+    ``(ids, matrix, tip)`` with ascending int64 ids and a C-contiguous
+    float32 matrix — byte-for-byte the layout a live
+    :class:`~repro.search.index.VectorIndex` shard holds, so replayed
+    slabs score bitwise-identically.
 
     Raises ``ValueError`` on a torn chain: a delta stamped at or below
     the base (a crash left compaction half-applied), a non-increasing
-    chain (two writers raced the journal), an unknown op, a dimension
-    mismatch, or whatever ``fetch`` raises for a winning ``add`` whose
-    record row cannot supply the vector.  ``'remove'`` of an absent id
-    is tolerated — a rebuilt base may already reflect a delta appended
-    concurrently with the rebuild.
+    chain (two writers raced the journal), an unknown op, or whatever
+    ``fetch`` raises for a winning id whose record row cannot supply
+    the vector.  ``'remove'`` of an absent id is tolerated — a rebuilt
+    base may already reflect a delta appended concurrently with the
+    rebuild.
     """
-    dim: int | None = None
     tip: int | None = None
-    # every id event in replay order: the base slab's rows, then each
+    # every id event in replay order: the base slab's ids, then each
     # delta's; the last event of an id decides it
     id_parts: list[np.ndarray] = []
     part_is_add: list[bool] = []
-    base_matrix = None
     if base is not None:
-        tip, ids, matrix = base
-        if matrix.ndim != 2 or ids.shape[0] != matrix.shape[0]:
-            raise ValueError("base slab shape mismatch")
-        if matrix.shape[0]:
-            dim = int(matrix.shape[1])
-            id_parts.append(ids)
-            part_is_add.append(True)
-            base_matrix = matrix
+        tip, ids = base
+        id_parts.append(ids)
+        part_is_add.append(True)
     for counter, op, rids in deltas:
         if tip is not None and counter <= tip:
             # a delta at or below the base stamp means a crash left
@@ -800,46 +864,71 @@ def _replay_shard(
         part_is_add.append(op == _OP_ADD)
     if tip is None:
         raise ValueError("empty shard chain")
-    if id_parts:
-        event_ids = np.concatenate(id_parts).astype(np.int64, copy=False)
-        is_add = np.repeat(
-            np.asarray(part_is_add), [part.shape[0] for part in id_parts]
-        )
-        # stable sort: equal ids stay in replay order, so each run's
-        # last element is that id's deciding event
-        order = np.argsort(event_ids, kind="stable")
-        ordered = event_ids[order]
-        run_end = np.ones(ordered.shape[0], dtype=bool)
-        run_end[:-1] = ordered[1:] != ordered[:-1]
-        winners = order[run_end]
-        winners = winners[is_add[winners]]
-    else:
-        winners = np.empty(0, dtype=np.intp)
-    if not winners.shape[0]:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty((0, dim or 0), dtype=np.float32),
-            int(tip),
-        )
-    # the base slab's rows are the first events, so a winning event
-    # below its row count is that slab row (read only through the
-    # winners, never copied whole); every other winner is a journaled
-    # add, whose vector the record row holds
-    ids_out = event_ids[winners]
-    base_rows = 0 if base_matrix is None else base_matrix.shape[0]
-    from_base = winners < base_rows
-    fetched = None
-    if not from_base.all():
-        fetched = fetch(ids_out[~from_base])
-        if dim is not None and fetched.shape[1] != dim:
-            raise ValueError("delta dimension mismatch")
-        dim = int(fetched.shape[1])
-    matrix_out = np.empty((winners.shape[0], dim), dtype=np.float32)
-    if base_matrix is not None:
-        matrix_out[from_base] = base_matrix[winners[from_base]]
-    if fetched is not None:
-        matrix_out[~from_base] = fetched
-    return ids_out, matrix_out, int(tip)
+    event_ids = np.concatenate(id_parts).astype(np.int64, copy=False)
+    is_add = np.repeat(
+        np.asarray(part_is_add), [part.shape[0] for part in id_parts]
+    )
+    # stable sort: equal ids stay in replay order, so each run's last
+    # element is that id's deciding event
+    order = np.argsort(event_ids, kind="stable")
+    ordered = event_ids[order]
+    run_end = np.ones(ordered.shape[0], dtype=bool)
+    run_end[:-1] = ordered[1:] != ordered[:-1]
+    winners = order[run_end]
+    ids_out = event_ids[winners[is_add[winners]]]
+    if not ids_out.shape[0]:
+        return ids_out, np.empty((0, 0), dtype=np.float32), int(tip)
+    return ids_out, fetch(ids_out), int(tip)
+
+
+def _replay_shards(
+    bases: Mapping[tuple[int, str], tuple[int, np.ndarray]],
+    chains: Mapping[tuple[int, str], list[tuple[int, str, np.ndarray]]],
+    bad: set[tuple[int, str]],
+    scan_owned,
+    stack,
+) -> tuple[dict[tuple[int, str], tuple[np.ndarray, np.ndarray, int]], int]:
+    """Both DAOs' :meth:`RegistryDAO.load_index_shards` once the ids are
+    in hand: replay every shard (:func:`_replay_shard`) and fill it from
+    ``scan_owned(user_id, table, kinds) -> (ids, {kind: column})``, one
+    scan per (user, record table) however many of the user's kinds read
+    it, its picked entries stacked by ``stack``.  ``bad`` shards (rows
+    that did not even parse) and shards that raise are discarded one by
+    one."""
+    keys = sorted(set(bases) | set(chains) | bad)
+    kinds_of: dict[tuple[int, str], list[str]] = {}
+    for user_id, kind in keys:
+        if kind in _KIND_SOURCE:
+            kinds_of.setdefault(
+                (user_id, _KIND_SOURCE[kind][0]), []
+            ).append(kind)
+    # keys are sorted, so a user's kinds follow one another: holding the
+    # latest scan is holding every scan that will be asked for again
+    latest: list = [None, None]
+
+    def fetch(key: tuple[int, str], ids: np.ndarray) -> np.ndarray:
+        user_id, kind = key
+        if kind not in _KIND_SOURCE:
+            raise ValueError(f"unknown shard kind {kind!r}")
+        source = (user_id, _KIND_SOURCE[kind][0])
+        if latest[0] != source:
+            latest[:] = source, scan_owned(*source, kinds_of[source])
+        scan_ids, columns = latest[1]
+        return stack(_pick_rows(scan_ids, columns[kind], ids))
+
+    shards: dict[tuple[int, str], tuple] = {}
+    discarded = 0
+    for key in keys:
+        if key in bad:
+            discarded += 1
+            continue
+        try:
+            shards[key] = _replay_shard(
+                bases.get(key), chains.get(key, []), partial(fetch, key)
+            )
+        except ValueError:
+            discarded += 1
+    return shards, discarded
 
 
 class InMemoryDAO(RegistryDAO):
@@ -872,15 +961,13 @@ class InMemoryDAO(RegistryDAO):
         # shard-persistence bookkeeping (process-local: an in-memory
         # registry has no cold start, but tracking the counter keeps the
         # freshness protocol uniform and testable across backends).
-        # Per-shard: base slabs, append-only ids-only delta chains and
-        # expected stamps + chain tips mirror SqliteDAO's index_shards /
-        # index_deltas / shard_stamps tables exactly.
+        # Per-shard: ids-only base slabs, append-only ids-only delta
+        # chains and expected stamps + chain tips mirror SqliteDAO's
+        # index_shards / index_deltas / shard_stamps tables exactly.
         self._mutations = 0
         self._shard_stamps: dict[tuple[int, str], int] = {}
         self._shard_tips: dict[tuple[int, str], int | None] = {}
-        self._base_shards: dict[
-            tuple[int, str], tuple[int, np.ndarray, np.ndarray]
-        ] = {}
+        self._base_shards: dict[tuple[int, str], tuple[int, np.ndarray]] = {}
         self._shard_deltas: dict[
             tuple[int, str], list[tuple[int, str, np.ndarray]]
         ] = {}
@@ -1279,10 +1366,9 @@ class InMemoryDAO(RegistryDAO):
             self._base_shards = {
                 (int(user_id), str(kind)): (
                     counter,
-                    np.asarray(ids, dtype=np.int64).copy(),
-                    np.asarray(matrix, dtype=np.float32).copy(),
+                    np.array(ids, dtype=np.int64),
                 )
-                for (user_id, kind), (ids, matrix) in shards.items()
+                for (user_id, kind), ids in shards.items()
             }
             self._shard_deltas = {}
             # every chain is gone: only the shards given a base are
@@ -1301,12 +1387,11 @@ class InMemoryDAO(RegistryDAO):
     def upsert_index_shards(self, shards, stamp: int) -> None:
         with self._lock:
             stamp = int(stamp)
-            for (user_id, kind), (ids, matrix) in shards.items():
+            for (user_id, kind), ids in shards.items():
                 key = (int(user_id), str(kind))
                 self._base_shards[key] = (
                     stamp,
-                    np.asarray(ids, dtype=np.int64).copy(),
-                    np.asarray(matrix, dtype=np.float32).copy(),
+                    np.array(ids, dtype=np.int64),
                 )
                 chain = [
                     delta
@@ -1324,41 +1409,46 @@ class InMemoryDAO(RegistryDAO):
                     self._shard_tips.get(key) or 0, stamp
                 )
 
-    def _record_vectors(self, kind: str, ids: np.ndarray) -> np.ndarray:
-        """Replay's ``fetch``: the ``kind`` vectors of record ``ids``."""
-        if kind not in _KIND_SOURCE:
-            raise ValueError(f"unknown shard kind {kind!r}")
-        table, _, attr = _KIND_SOURCE[kind]
-        records = self._pes if table == "pes" else self._workflows
-        return _stack_vectors(
-            ids,
-            {
-                rid: getattr(records[rid], attr)
-                for rid in ids.tolist()
-                if rid in records
-            },
-        )
+    def _scan_owned(
+        self, user_id: int, table: str, kinds: Sequence[str]
+    ) -> tuple[np.ndarray, dict[str, list]]:
+        """The ascending ids of the ``table`` records ``user_id`` owns
+        and, beside them, each record's vector (or ``None``) per kind —
+        what :meth:`SqliteDAO._scan_owned` reads in one ordered scan."""
+        if table == "pes":
+            owned, records = self._owner_pes, self._pes
+        else:
+            owned, records = self._owner_workflows, self._workflows
+        ids = sorted(owned.get(user_id, ()))
+        return np.asarray(ids, dtype=np.int64), {
+            kind: [getattr(records[rid], _KIND_SOURCE[kind][2]) for rid in ids]
+            for kind in kinds
+        }
+
+    def owned_vectors(self, user_id, kinds):
+        with self._lock:
+            return _owned_shards(
+                self._scan_owned, _stack_rows, int(user_id), kinds
+            )
 
     def load_index_shards(self):
         with self._lock:
-            shards: dict[tuple[int, str], tuple] = {}
-            discarded = 0
-            for key in sorted(set(self._base_shards) | set(self._shard_deltas)):
-                try:
-                    shards[key] = _replay_shard(
-                        self._base_shards.get(key),
-                        self._shard_deltas.get(key, []),
-                        lambda ids, kind=key[1]: self._record_vectors(
-                            kind, ids
-                        ),
-                    )
-                except ValueError:
-                    discarded += 1
-            return shards, discarded
+            return _replay_shards(
+                self._base_shards,
+                self._shard_deltas,
+                set(),
+                self._scan_owned,
+                _stack_rows,
+            )
+
+    @contextmanager
+    def read_snapshot(self):
+        with self._lock:
+            yield
 
     def index_shards_meta(self) -> dict:
         with self._lock:
-            counters = {counter for counter, _, _ in self._base_shards.values()}
+            counters = {counter for counter, _ in self._base_shards.values()}
             deltas = sum(len(c) for c in self._shard_deltas.values())
             delta_bytes = sum(
                 d[2].nbytes
@@ -1368,9 +1458,7 @@ class InMemoryDAO(RegistryDAO):
             return {
                 "counter": counters.pop() if len(counters) == 1 else None,
                 "shards": len(self._base_shards),
-                "rows": sum(
-                    len(ids) for _, ids, _ in self._base_shards.values()
-                ),
+                "rows": sum(len(ids) for _, ids in self._base_shards.values()),
                 "deltas": deltas,
                 "deltaBytes": delta_bytes,
             }
@@ -1595,7 +1683,8 @@ CREATE TABLE IF NOT EXISTS workflow_pes (
 CREATE INDEX IF NOT EXISTS idx_workflow_pes_pe ON workflow_pes(pe_id, workflow_id);
 -- schema v2: registry metadata (the PE/workflow mutation counter) and
 -- persisted index slabs so a warm cold start skips the O(corpus)
--- rebuild; blob columns come last so the meta query never pages them in
+-- rebuild; schema v9: a slab is its shard's membership (ids) at its
+-- stamp, the vectors are read from the record rows
 CREATE TABLE IF NOT EXISTS registry_meta (
     key TEXT PRIMARY KEY,
     value INTEGER NOT NULL
@@ -1605,10 +1694,8 @@ CREATE TABLE IF NOT EXISTS index_shards (
     user_id INTEGER NOT NULL,
     kind TEXT NOT NULL,
     mutation_counter INTEGER NOT NULL,
-    dim INTEGER NOT NULL,
     rows INTEGER NOT NULL,
     ids BLOB NOT NULL,
-    vectors BLOB NOT NULL,
     PRIMARY KEY (user_id, kind)
 );
 -- schema v3: idempotency receipts for the v1 write surface (replaying
@@ -1750,8 +1837,11 @@ CREATE TABLE IF NOT EXISTS index_deltas (
 #: mutation's own transaction (``vectors``/``dim`` and the secondary
 #: index dropped; replay reads the vectors from the record rows) and
 #: added ``shard_stamps.tip`` — older code cannot write a v8 journal.
-#: Files created by v8 use 1 KB pages; a migrated file keeps its own
-_SCHEMA_VERSION = 8
+#: Files created since v8 use 1 KB pages; a migrated file keeps its own;
+#: v9 dropped ``index_shards.vectors``/``dim``: a base slab is ids only,
+#: as the journal has been since v8, so a vector is stored in one place,
+#: its record row — older code cannot read a v9 slab.
+_SCHEMA_VERSION = 9
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
 #: IN(...) lists well below that
@@ -1759,16 +1849,12 @@ _IN_CHUNK = 500
 
 
 def _blob(vec: np.ndarray | None) -> bytes | None:
-    if vec is None:
-        return None
-    return encode_vectors(np.asarray(vec, dtype=np.float32).reshape(1, -1))
+    return None if vec is None else encode_vector(vec)
 
 
 def _unblob(raw: bytes | None) -> np.ndarray | None:
     """One record's vector; a corrupt blob raises ``ValueError``."""
-    if raw is None:
-        return None
-    return decode_vectors(raw, 1)[0]
+    return None if raw is None else decode_vector(raw)
 
 
 def _chunked(ids: Sequence[int]) -> Iterable[Sequence[int]]:
@@ -1827,7 +1913,8 @@ class SqliteDAO(RegistryDAO):
         it is left unstamped and the first attach pays one full rebuild
         (which then seeds every stamp); v6 -> v7 only raises the version
         (see ``_SCHEMA_VERSION``); v7 -> v8 reshapes the journal in
-        place (:meth:`_migrate_journal`).
+        place (:meth:`_migrate_journal`); v8 -> v9 drops the base slabs'
+        vectors (:meth:`_migrate_slabs`).
         """
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         if version >= _SCHEMA_VERSION:
@@ -1921,6 +2008,7 @@ class SqliteDAO(RegistryDAO):
                     " FROM index_shards"
                 )
         self._migrate_journal()
+        self._migrate_slabs()
         self._conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
 
     def _migrate_journal(self) -> None:
@@ -1974,7 +2062,7 @@ class SqliteDAO(RegistryDAO):
         )
         counter = self.mutation_counter()
         for kind, (table, id_col, blob_col) in _KIND_SOURCE.items():
-            owners = "pe_owners" if table == "pes" else "workflow_owners"
+            owners = _OWNER_TABLE[table]
             self._conn.execute(
                 f"INSERT OR IGNORE INTO shard_stamps"
                 f" (user_id, kind, mutation_counter, tip)"
@@ -1983,6 +2071,21 @@ class SqliteDAO(RegistryDAO):
                 f" WHERE r.{blob_col} IS NOT NULL",
                 (kind, counter),
             )
+
+    def _migrate_slabs(self) -> None:
+        """v9: a base slab keeps its membership and loses its vectors —
+        nothing is decoded, replay fills old and new slabs alike from
+        the record rows.  The file does not shrink until its freed pages
+        are reused."""
+        columns = {
+            row["name"]
+            for row in self._conn.execute("PRAGMA table_info(index_shards)")
+        }
+        for column in ("vectors", "dim"):
+            if column in columns:
+                self._conn.execute(
+                    f"ALTER TABLE index_shards DROP COLUMN {column}"
+                )
 
     def _text_index_stale(self) -> bool:
         """Best-effort drift check: side-table row counts must match the
@@ -2896,38 +2999,27 @@ class SqliteDAO(RegistryDAO):
         return 0 if row is None else int(row["value"])
 
     @staticmethod
-    def _shard_payload_row(user_id, kind, counter, ids, matrix):
-        ids = np.asarray(ids, dtype=np.int64)
-        matrix = np.asarray(matrix, dtype=np.float32)
-        vectors = encode_vectors(matrix)  # raises unless 2-D
+    def _shard_payload_row(user_id, kind, counter, ids):
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         return (
-            int(user_id),
-            str(kind),
-            int(counter),
-            int(matrix.shape[1]),
-            int(ids.shape[0]),
+            int(user_id), str(kind), int(counter), int(ids.shape[0]),
             ids.tobytes(),
-            vectors,
         )
 
     def save_index_shards(
-        self,
-        shards: Mapping[tuple[int, str], tuple[np.ndarray, np.ndarray]],
-        counter: int,
+        self, shards: Mapping[tuple[int, str], np.ndarray], counter: int
     ) -> None:
         """Replace the slab snapshot wholesale, stamped at ``counter``.
 
-        Slabs are the stacked float32 rows and int64 ids exactly as
-        :meth:`~repro.search.index.VectorIndex.export_shards` emits them
-        — one row per table entry per (user, kind), so a fresh attach
-        reads them back with zero record deserialization.  Being a
-        truth assertion for the *whole* index, it also drops every
+        A slab is the ascending int64 ids of one (user, kind) shard, as
+        :meth:`~repro.search.index.VectorIndex.ids` lists them.  Being
+        a truth assertion for the *whole* index, it also drops every
         journaled delta and stamps each written shard; a stamped shard
         it was not given loses its chain and so its coverage.
         """
         payload = [
-            self._shard_payload_row(user_id, kind, counter, ids, matrix)
-            for (user_id, kind), (ids, matrix) in shards.items()
+            self._shard_payload_row(user_id, kind, counter, ids)
+            for (user_id, kind), ids in shards.items()
         ]
         with self._lock, self._conn:
             self._conn.execute("DELETE FROM index_shards")
@@ -2935,8 +3027,8 @@ class SqliteDAO(RegistryDAO):
             self._conn.execute("UPDATE shard_stamps SET tip = NULL")
             self._conn.executemany(
                 """INSERT INTO index_shards
-                   (user_id, kind, mutation_counter, dim, rows, ids, vectors)
-                   VALUES (?, ?, ?, ?, ?, ?, ?)""",
+                   (user_id, kind, mutation_counter, rows, ids)
+                   VALUES (?, ?, ?, ?, ?)""",
                 payload,
             )
             self._raise_stamps(payload, int(counter))
@@ -2969,28 +3061,26 @@ class SqliteDAO(RegistryDAO):
         }
 
     def upsert_index_shards(
-        self,
-        shards: Mapping[tuple[int, str], tuple[np.ndarray, np.ndarray]],
-        stamp: int,
+        self, shards: Mapping[tuple[int, str], np.ndarray], stamp: int
     ) -> None:
         """Per-shard base replace + compaction fold at ``stamp``.
 
-        Only the given shards are touched: each gets its base slab
-        replaced, its deltas with counter ``<= stamp`` dropped (folded
-        into the new base), and its expected stamp and chain tip raised
-        to at least ``stamp`` — a delta above the stamp (a racing
+        Only the given shards are touched: each gets its base slab (its
+        ids) replaced, its deltas with counter ``<= stamp`` dropped
+        (folded into the new base), and its expected stamp and chain tip
+        raised to at least ``stamp`` — a delta above the stamp (a racing
         writer's) survives on top of the new base.
         """
         stamp = int(stamp)
         payload = [
-            self._shard_payload_row(user_id, kind, stamp, ids, matrix)
-            for (user_id, kind), (ids, matrix) in shards.items()
+            self._shard_payload_row(user_id, kind, stamp, ids)
+            for (user_id, kind), ids in shards.items()
         ]
         with self._lock, self._conn:
             self._conn.executemany(
                 """INSERT OR REPLACE INTO index_shards
-                   (user_id, kind, mutation_counter, dim, rows, ids, vectors)
-                   VALUES (?, ?, ?, ?, ?, ?, ?)""",
+                   (user_id, kind, mutation_counter, rows, ids)
+                   VALUES (?, ?, ?, ?, ?)""",
                 payload,
             )
             self._conn.executemany(
@@ -3000,57 +3090,66 @@ class SqliteDAO(RegistryDAO):
             )
             self._raise_stamps(payload, stamp)
 
-    def _record_vectors(self, kind: str, ids: np.ndarray) -> np.ndarray:
-        """Replay's ``fetch``: the ``kind`` vectors of record ``ids``,
-        read from the record rows and decoded by the one codec."""
-        if kind not in _KIND_SOURCE:
-            raise ValueError(f"unknown shard kind {kind!r}")
-        table, id_col, blob_col = _KIND_SOURCE[kind]
-        found: dict[int, np.ndarray | None] = {}
-        for chunk in _chunked(ids.tolist()):
-            placeholders = ",".join("?" * len(chunk))
-            for row in self._conn.execute(
-                f"SELECT {id_col}, {blob_col} FROM {table}"
-                f" WHERE {id_col} IN ({placeholders})",
-                chunk,
-            ):
-                found[row[0]] = _unblob(row[1])
-        return _stack_vectors(ids, found)
+    def _scan_owned(
+        self, user_id: int, table: str, kinds: Sequence[str]
+    ) -> tuple[np.ndarray, dict[str, list]]:
+        """One ordered scan of the ``table`` records ``user_id`` owns:
+        their ascending ids and, beside them, each row's still-encoded
+        vector blob (or ``None``) per kind.  The owner index hands the
+        ids over in order, so nothing is sorted and no id list is bound
+        into the statement, whatever the shard's size."""
+        owners = _OWNER_TABLE[table]
+        id_col = _KIND_SOURCE[kinds[0]][1]
+        blobs = ", ".join(f"r.{_KIND_SOURCE[kind][2]}" for kind in kinds)
+        rows = self._conn.execute(
+            f"SELECT o.{id_col}, {blobs} FROM {owners} o"
+            f" JOIN {table} r ON r.{id_col} = o.{id_col}"
+            f" WHERE o.user_id = ? ORDER BY o.{id_col}",
+            (user_id,),
+        ).fetchall()
+        return np.asarray([row[0] for row in rows], dtype=np.int64), {
+            kind: [row[at] for row in rows]
+            for at, kind in enumerate(kinds, start=1)
+        }
+
+    def owned_vectors(self, user_id, kinds):
+        with self._lock:
+            return _owned_shards(
+                self._scan_owned, decode_many, int(user_id), kinds
+            )
 
     def load_index_shards(
         self,
     ) -> tuple[
         dict[tuple[int, str], tuple[np.ndarray, np.ndarray, int]], int
     ]:
-        """Replay each base slab through its delta chain, per shard.
+        """Replay each base slab through its delta chain, per shard, and
+        fill the surviving ids from the record rows.
 
-        A corrupt blob, torn row, non-monotonic chain or journaled
-        ``add`` the record table cannot back discards only that shard
-        (counted in ``discarded``) — never the whole snapshot.
+        A torn row, non-monotonic chain or id the record table cannot
+        back discards only that shard (counted in ``discarded``) —
+        never the whole snapshot.
         """
         with self._lock:
             base_rows = self._conn.execute(
-                "SELECT user_id, kind, mutation_counter, dim, rows, ids,"
-                " vectors FROM index_shards"
+                "SELECT user_id, kind, mutation_counter, rows, ids"
+                " FROM index_shards"
             ).fetchall()
             delta_rows = self._conn.execute(
                 "SELECT user_id, kind, op, mutation_counter, rows, ids"
                 " FROM index_deltas ORDER BY delta_id"
             ).fetchall()
             bases: dict[tuple[int, str], tuple] = {}
+            chains: dict[tuple[int, str], list] = {}
             bad: set[tuple[int, str]] = set()
             for row in base_rows:
                 key = (int(row["user_id"]), str(row["kind"]))
                 try:
-                    ids = self._decode_ids(row)
-                    matrix = decode_vectors(
-                        row["vectors"], int(row["rows"]), int(row["dim"])
+                    bases[key] = (
+                        int(row["mutation_counter"]), self._decode_ids(row)
                     )
                 except ValueError:
                     bad.add(key)
-                    continue
-                bases[key] = (int(row["mutation_counter"]), ids, matrix)
-            chains: dict[tuple[int, str], list] = {}
             for row in delta_rows:
                 key = (int(row["user_id"]), str(row["kind"]))
                 try:
@@ -3061,26 +3160,28 @@ class SqliteDAO(RegistryDAO):
                 chains.setdefault(key, []).append(
                     (int(row["mutation_counter"]), str(row["op"]), ids)
                 )
-            shards: dict[tuple[int, str], tuple] = {}
-            discarded = 0
-            for key in sorted(set(bases) | set(chains) | bad):
-                if key in bad:
-                    discarded += 1
-                    continue
-                try:
-                    # under the same lock hold as the journal read: the
-                    # record rows replay fetches are the ones that
-                    # journal describes
-                    shards[key] = _replay_shard(
-                        bases.get(key),
-                        chains.get(key, []),
-                        lambda ids, kind=key[1]: self._record_vectors(
-                            kind, ids
-                        ),
-                    )
-                except ValueError:
-                    discarded += 1
-        return shards, discarded
+            # under the same lock hold as the journal read: within this
+            # process the record rows read now are the ones that journal
+            # describes (across processes: RegistryDAO.read_snapshot)
+            return _replay_shards(
+                bases, chains, bad, self._scan_owned, decode_many
+            )
+
+    @contextmanager
+    def read_snapshot(self):
+        # WAL gives a read transaction one snapshot of the file from its
+        # first read on, whatever other connections commit meanwhile;
+        # the lock keeps this connection's other threads out of it
+        with self._lock:
+            self._conn.execute("BEGIN")
+            try:
+                yield
+            finally:
+                self._conn.execute("COMMIT")
+
+    def checkpoint(self) -> None:
+        with self._lock:
+            self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)").fetchall()
 
     @staticmethod
     def _decode_ids(row) -> np.ndarray:

@@ -104,17 +104,25 @@ class RegistryService:
         :func:`repro.search.backend.create_backend`) and populate it;
         returns ``"fresh"``, ``"partial"`` or ``"rebuilt"``.
 
-        Cold start is O(delta), per shard: every persisted base slab is
-        replayed through its delta journal chain, and a shard whose
-        replayed chain tip equals its expected mutation stamp
+        Cold start, per shard: every persisted base slab (the shard's
+        ids at its last fold) is replayed through its delta journal
+        chain and filled from the record rows — one ordered scan and one
+        batch decode per (user, record table), no record is hydrated —
+        and a shard whose replayed chain tip equals its expected
+        mutation stamp
         (:meth:`~repro.registry.dao.RegistryDAO.shard_stamps`) loads
-        straight into the index — zero record deserialization.  Only
-        shards that are stale (a write this journal never saw — e.g. a
-        foreign process's), torn or corrupt are rebuilt, each from its
-        *own* owner's records (``pes_owned_by``/``workflows_owned_by``,
-        never an ``all_pes()`` pass), and (with ``persist``) upserted
-        back so the next cold start takes the fast path.  One tenant's
-        write therefore never invalidates anyone else's slab.
+        straight into the index.  Only shards that are stale (a write
+        this journal never saw — e.g. a foreign process's), torn or
+        corrupt are rebuilt, each from its *own* owner's rows
+        (:meth:`~repro.registry.dao.RegistryDAO.owned_vectors`, the
+        same scan), and (with ``persist``) upserted back so the next
+        cold start finds them covered.  One tenant's write therefore
+        never invalidates anyone else's slab.
+
+        Stamps, slabs, journal and rows are read inside one
+        :meth:`~repro.registry.dao.RegistryDAO.read_snapshot`, so what
+        is loaded is the registry as of one mutation counter even
+        while another process writes.
 
         A registry with no per-shard stamps at all (pre-v6 file whose
         stamps could not be provably seeded, or an empty DAO) falls
@@ -128,14 +136,34 @@ class RegistryService:
 
         self.index = index
         self._persist = persist
-        counter = self.dao.mutation_counter()
+        rebuilt: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
+        with self.dao.read_snapshot():
+            counter = self.dao.mutation_counter()
+            stamps = self.dao.shard_stamps()
+            loaded, discarded = self.dao.load_index_shards()
+            chains = self.dao.shard_chain_meta()
+            fresh = {
+                key
+                for key, (_ids, _matrix, tip) in loaded.items()
+                if stamps.get(key) == tip
+            }
+            stale = (set(stamps) | set(loaded)) - fresh
+            # without stamps nothing loaded can be trusted or repaired
+            # shard by shard: the wholesale rebuild below takes over
+            stale_kinds: dict[int, list[str]] = {}
+            for user_id, kind in sorted(stale) if stamps else ():
+                if kind in (KIND_DESC, KIND_CODE, KIND_WORKFLOW):
+                    stale_kinds.setdefault(user_id, []).append(kind)
+            for user_id, kinds in stale_kinds.items():
+                for kind, shard in self.dao.owned_vectors(
+                    user_id, kinds
+                ).items():
+                    rebuilt[(user_id, kind)] = shard
         self._index_counter = counter
-        stamps = self.dao.shard_stamps()
-        loaded, discarded = self.dao.load_index_shards()
         self._attach_discarded = discarded
         self._chains = {
             key: [chain["rows"], chain["chainRows"]]
-            for key, chain in self.dao.shard_chain_meta().items()
+            for key, chain in chains.items()
         }
 
         if not stamps:
@@ -146,48 +174,10 @@ class RegistryService:
                 self._save_full_snapshot()
             return "rebuilt"
 
-        fresh = {
-            key
-            for key, (_ids, _matrix, tip) in loaded.items()
-            if stamps.get(key) == tip
-        }
         for key in sorted(fresh):
             ids, matrix, _tip = loaded[key]
             if ids.shape[0]:
                 index.add_many(key[0], key[1], ids, matrix)
-
-        stale = sorted((set(stamps) | set(loaded)) - fresh)
-        rebuilt: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-        pe_users = sorted(
-            {u for (u, kind) in stale if kind in (KIND_DESC, KIND_CODE)}
-        )
-        wf_users = sorted({u for (u, kind) in stale if kind == KIND_WORKFLOW})
-        stale_set = set(stale)
-        for user_id in pe_users:
-            want = {
-                kind
-                for kind in (KIND_DESC, KIND_CODE)
-                if (user_id, kind) in stale_set
-            }
-            rows: dict[str, list] = {kind: [] for kind in want}
-            for record in self.dao.pes_owned_by(user_id):
-                if KIND_DESC in want and record.desc_embedding is not None:
-                    rows[KIND_DESC].append(
-                        (record.pe_id, record.desc_embedding)
-                    )
-                if KIND_CODE in want and record.code_embedding is not None:
-                    rows[KIND_CODE].append(
-                        (record.pe_id, record.code_embedding)
-                    )
-            for kind in want:
-                rebuilt[(user_id, kind)] = self._stack_shard(rows[kind])
-        for user_id in wf_users:
-            rows = [
-                (record.workflow_id, record.desc_embedding)
-                for record in self.dao.workflows_owned_by(user_id)
-                if record.desc_embedding is not None
-            ]
-            rebuilt[(user_id, KIND_WORKFLOW)] = self._stack_shard(rows)
         for (user_id, kind), (ids, matrix) in rebuilt.items():
             if ids.shape[0]:
                 index.add_many(user_id, kind, ids, matrix)
@@ -195,7 +185,9 @@ class RegistryService:
             # stamped at the counter read above; upsert_index_shards
             # max-seeds stamps, so a racing foreign write (which stamps
             # higher) correctly leaves its shard stale
-            self._upsert_shards(rebuilt, counter)
+            self._upsert_shards(
+                {key: ids for key, (ids, _matrix) in rebuilt.items()}, counter
+            )
         if persist:
             consume = getattr(index, "consume_dirty", None)
             if consume is not None:
@@ -203,27 +195,6 @@ class RegistryService:
         if not stale:
             return "fresh"
         return "partial" if fresh else "rebuilt"
-
-    @staticmethod
-    def _stack_shard(
-        rows: list[tuple[int, np.ndarray]],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(ids, matrix)`` slab layout from ascending ``(id, vector)``
-        rows — the empty shard keeps an explicit (0, 0) matrix so its
-        stamp stays satisfiable once persisted."""
-        if not rows:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty((0, 0), dtype=np.float32),
-            )
-        ids = np.asarray([rid for rid, _ in rows], dtype=np.int64)
-        matrix = np.ascontiguousarray(
-            np.stack(
-                [np.asarray(vec, dtype=np.float32) for _, vec in rows]
-            ),
-            dtype=np.float32,
-        )
-        return ids, matrix
 
     def _rebuild_full(self, index: "IndexBackend") -> None:
         """Legacy O(corpus) rebuild: one pass over every record."""
@@ -272,12 +243,12 @@ class RegistryService:
 
         The DAO writes a mutation's journal rows itself, in the
         mutation's transaction; what is left here is the fold, which
-        snapshots the *live* index — so every call sits right after the
-        loop that applied that same mutation to it, never before.
+        lists the *live* index's ids — so every call sits right after
+        the loop that applied that same mutation to it, never before.
         ``fold`` is off for a bulk caller that will issue one
         ``persist_shards()`` when it finishes (the ingest pipeline):
-        every mid-stream fold re-exports the whole growing slab only for
-        the final persist to do it again.
+        every mid-stream fold rewrites the whole growing id list only
+        for the final persist to do it again.
         """
         if not self._persist or self.index is None:
             return
@@ -290,24 +261,33 @@ class RegistryService:
         return journaled >= max(_FOLD_FLOOR, base_rows)
 
     def _upsert_shards(
-        self,
-        shards: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]],
-        stamp: int,
+        self, shards: dict[tuple[int, str], np.ndarray], stamp: int
     ) -> None:
-        """Write base slabs at ``stamp`` (folding the chains below it)
-        and restart those shards' fold accounting from the new bases."""
+        """Write base slabs (``{key: ids}``) at ``stamp`` (folding the
+        chains below it) and restart those shards' fold accounting from
+        the new bases."""
         self.dao.upsert_index_shards(shards, stamp)
         self._rebase_chains(shards)
 
     def _rebase_chains(self, shards) -> None:
-        for key, (ids, _matrix) in shards.items():
+        for key, ids in shards.items():
             self._chains[key] = [int(ids.shape[0]), 0]
+
+    def _live_ids(self, keys) -> dict[tuple[int, str], np.ndarray]:
+        """What a base slab stores: the ids the live index holds in each
+        of ``keys`` (none for a shard that emptied out or never was, so
+        its stamp stays satisfiable once persisted).  The vectors stay
+        where they are — in the record rows."""
+        return {
+            key: np.asarray(self.index.ids(*key), dtype=np.int64)
+            for key in keys
+        }
 
     def _compact_shard(self, key: tuple[int, str]) -> bool:
         """Fold one shard's delta chain into its base slab.
 
         Guarded by the usual counter check (a foreign write makes the
-        live slab unciteable as truth); the upsert deletes the folded
+        live shard unciteable as truth); the upsert deletes the folded
         deltas and max-raises the stamp, so a post-check racing write
         still leaves the shard stale rather than wrongly fresh.
         """
@@ -316,9 +296,7 @@ class RegistryService:
         stamp = self._index_counter
         if self.dao.mutation_counter() != stamp:
             return False
-        shards = self.index.snapshot(keys={key})
-        if key not in shards:
-            shards[key] = self._stack_shard([])
+        shards = self._live_ids([key])
         if self.dao.mutation_counter() != stamp:
             return False
         self._upsert_shards(shards, stamp)
@@ -327,11 +305,15 @@ class RegistryService:
 
     def _save_full_snapshot(self) -> bool:
         """Wholesale snapshot save — the truth assertion used after a
-        full rebuild and for backends without dirty-shard tracking."""
+        full rebuild and for backends without dirty-shard tracking
+        (which offer ``snapshot()`` and nothing cheaper to list their
+        shards by; only the ids are kept)."""
         stamp = self._index_counter
         if self.dao.mutation_counter() != stamp:
             return False
-        shards = self.index.snapshot()
+        shards = {
+            key: ids for key, (ids, _matrix) in self.index.snapshot().items()
+        }
         if self.dao.mutation_counter() != stamp:
             return False
         self.dao.save_index_shards(shards, stamp)
@@ -382,11 +364,7 @@ class RegistryService:
             due = {key for key in dirty - uncovered if self._fold_due(key)}
             pending = uncovered | due
             if pending:
-                shards = self.index.snapshot(keys=pending)
-                for key in pending - set(shards):
-                    # the shard emptied out: persist the explicit empty
-                    # slab so its stamp stays satisfiable
-                    shards[key] = self._stack_shard([])
+                shards = self._live_ids(pending)
                 if self.dao.mutation_counter() != stamp:
                     return False
                 self._upsert_shards(shards, stamp)

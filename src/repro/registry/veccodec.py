@@ -1,27 +1,28 @@
 """Bit-exact codec for every float32 vector blob SQLite stores.
 
-Record rows (``pes.code_embedding`` / ``desc_embedding``,
-``workflows.desc_embedding``) and base slabs (``index_shards.vectors``)
-— the only two places a vector is stored — all go through
-:func:`encode_vectors` / :func:`decode_vectors`.  Hashed embeddings are
-mostly zeros (median 7 and 168 non-zeros of 2 048 on the e2e corpus), so
-a blob is written in whichever of two layouts is smaller; decoding always
-yields the dense float32 matrix, so nothing above the DAO can tell which
-layout a row was stored in.
+A vector lives in its record row (``pes.code_embedding`` /
+``desc_embedding``, ``workflows.desc_embedding``) and nowhere else, one
+vector to a blob: :func:`encode_vector` writes it, :func:`decode_vector`
+reads one back (top-k hydration) and :func:`decode_many` reads a whole
+shard's rows into one matrix (cold start).  Hashed embeddings are mostly
+zeros (median 7 and 168 non-zeros of 2 048 on the e2e corpus), so a blob
+is written in whichever of two layouts is smaller; decoding always
+yields dense float32, so nothing above the DAO can tell which layout a
+row was stored in.
 
-**Dense** — the rows' float32 bytes back to back, ``rows * dim * 4``
-bytes, no header.  This is the only layout schema v6 and older wrote, so
-legacy files decode through the same function with no rewrite pass.
+**Dense** — the vector's float32 bytes, ``dim * 4`` bytes, no header.
+This is the only layout schema v6 and older wrote, so legacy files
+decode through the same functions with no rewrite pass.
 
 **Sparse** — chosen only when strictly smaller than dense::
 
-    counts   uint32[rows]        stored values per row; == dim marks a
-                                 row kept dense (sparse would not be
-                                 smaller for it)
-    values   float32[sum(counts)]
-    columns  uint16[...]         one per value of a non-dense row,
-                                 ascending within the row
-    trailer  uint32 rows, uint32 dim, uint32 crc32(all before it),
+    count    uint32              stored values; == dim marks a vector
+                                 kept whole (never written for a single
+                                 vector — sparse would not be smaller —
+                                 but part of the layout, so decoded)
+    values   float32[count]
+    columns  uint16[count]       ascending; absent when count == dim
+    trailer  uint32 1, uint32 dim, uint32 crc32(all before it),
              uint8 1
 
 The float payload starts at a multiple of four bytes (an unaligned
@@ -29,8 +30,10 @@ The float payload starts at a multiple of four bytes (an unaligned
 and the 13-byte trailer makes every sparse blob's length odd, which is
 what tells it from a dense one — a record row carries no ``dim`` column
 to compare against.  Zero is decided on the ``uint32`` view, so ``-0.0``
-and NaN payloads survive: ``decode(encode(m)).tobytes() == m.tobytes()``
-for every float32 matrix.
+and NaN payloads survive: ``decode(encode(v)).tobytes() == v.tobytes()``
+for every float32 vector.  (The leading ``1`` of the trailer is the row
+count of the layout's multi-row form, which base slabs used until
+schema v9 dropped them; nothing at rest holds more than one row now.)
 
 Decoding validates everything it reads and raises ``ValueError`` on a
 truncated, inconsistent or out-of-range blob; the checksum extends that
@@ -43,35 +46,26 @@ from __future__ import annotations
 
 import struct
 import zlib
+from typing import Sequence
 
 import numpy as np
 
+_COUNT = struct.Struct("=I")
 _SHAPE = struct.Struct("=II")
 _SEAL = struct.Struct("=IB")  # crc32 of everything before it, layout tag
-_TRAILER_SIZE = _SHAPE.size + _SEAL.size
-_COUNT = struct.Struct("=I")
+_TRAILER = struct.Struct("=IIIB")  # _SHAPE then _SEAL, read in one call
 _SPARSE_TAG = 1
-#: columns are uint16: wider matrices are always stored dense
+#: columns are uint16: wider vectors are always stored dense
 _MAX_SPARSE_DIM = 0xFFFF
-#: a slab is encoded this many rows at a time, so the masks and index
-#: arrays it needs along the way stay a few MB whatever the slab's size
-#: (a fold encodes a whole shard under the write lock, and first-touch
-#: of slab-sized temporaries cost 10x the encoding itself)
-_ENCODE_BLOCK_ROWS = 256
 
 
-def encode_vectors(matrix: np.ndarray) -> bytes:
-    """The at-rest bytes of a 2-D float32 ``matrix``."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-    if matrix.ndim != 2:
-        raise ValueError("encode_vectors wants a 2-D matrix")
-    rows, dim = matrix.shape
-    if rows == 1 and 0 < dim <= _MAX_SPARSE_DIM:
-        # one record's vector — every registry write encodes two, so
-        # this case skips the block machinery (same bytes)
-        row = matrix[0]
+def encode_vector(vector: np.ndarray) -> bytes:
+    """The at-rest bytes of one float32 ``vector``."""
+    row = np.ascontiguousarray(vector, dtype=np.float32).reshape(-1)
+    dim = row.shape[0]
+    if 0 < dim <= _MAX_SPARSE_DIM:
         stored = np.flatnonzero(row.view(np.uint32))
-        if _TRAILER_SIZE + _COUNT.size + 6 * len(stored) < dim * 4:
+        if _TRAILER.size + _COUNT.size + 6 * len(stored) < dim * 4:
             sealed = b"".join(
                 (
                     _COUNT.pack(len(stored)),
@@ -81,101 +75,101 @@ def encode_vectors(matrix: np.ndarray) -> bytes:
                 )
             )
             return sealed + _SEAL.pack(zlib.crc32(sealed), _SPARSE_TAG)
-    elif rows and 0 < dim <= _MAX_SPARSE_DIM:
-        counts, values, columns = [], [], []
-        size = _TRAILER_SIZE
-        for start in range(0, rows, _ENCODE_BLOCK_ROWS):
-            block = matrix[start : start + _ENCODE_BLOCK_ROWS]
-            stored = block.view(np.uint32) != 0
-            nnz = np.count_nonzero(stored, axis=1)
-            keep_dense = 6 * nnz >= 4 * dim
-            any_dense = bool(keep_dense.any())
-            if any_dense:
-                stored[keep_dense] = True
-            block_counts = np.where(keep_dense, dim, nnz).astype(np.uint32)
-            # flat positions of the stored values, row-major
-            flat = np.flatnonzero(stored)
-            values.append(block.reshape(-1)[flat].tobytes())
-            if any_dense:
-                flat = flat[~np.repeat(keep_dense, block_counts)]
-            columns.append((flat % dim).astype(np.uint16).tobytes())
-            counts.append(block_counts.tobytes())
-            size += len(counts[-1]) + len(values[-1]) + len(columns[-1])
-        if size < rows * dim * 4:
-            sealed = b"".join(
-                (*counts, *values, *columns, _SHAPE.pack(rows, dim))
-            )
-            return sealed + _SEAL.pack(zlib.crc32(sealed), _SPARSE_TAG)
-    return matrix.tobytes()
+    return row.tobytes()
 
 
-def decode_vectors(
-    blob: bytes, rows: int, dim: int | None = None
-) -> np.ndarray:
-    """The ``(rows, dim)`` float32 matrix ``blob`` encodes — writable,
-    C-contiguous.  ``dim=None`` (a record row: nothing beside the blob
-    says how wide it is) takes the width from the blob itself.
-
-    Raises ``ValueError`` unless the blob is exactly one well-formed
-    encoding of a matrix of that shape.
-    """
-    size = len(blob)
-    if rows < 0 or (dim is not None and dim < 0):
-        raise ValueError("negative shape")
-    if size % 4 == 0:
-        if dim is None:
-            if not rows or size % (4 * rows):
-                raise ValueError("dense blob does not divide into rows")
-            dim = size // (4 * rows)
-        if size != rows * dim * 4:
-            raise ValueError("truncated blob")
-        return np.frombuffer(blob, dtype=np.float32).reshape(rows, dim).copy()
-    body = size - _TRAILER_SIZE
-    if body < 4 * rows:
+def _sparse_layout(blob: bytes) -> tuple[int, int]:
+    """``(dim, count)`` of a sparse blob, after checking its trailer,
+    checksum and length — everything but the column values."""
+    body = len(blob) - _TRAILER.size
+    if body < _COUNT.size:
         raise ValueError("truncated blob")
-    stored_rows, stored_dim = _SHAPE.unpack_from(blob, body)
-    crc, tag = _SEAL.unpack_from(blob, body + _SHAPE.size)
-    if (
-        tag != _SPARSE_TAG
-        or stored_rows != rows
-        or (dim is not None and stored_dim != dim)
-        or not 0 < stored_dim <= _MAX_SPARSE_DIM
-    ):
+    rows, dim, crc, tag = _TRAILER.unpack_from(blob, body)
+    if tag != _SPARSE_TAG or rows != 1 or not 0 < dim <= _MAX_SPARSE_DIM:
         raise ValueError("inconsistent sparse trailer")
-    dim = stored_dim
     if zlib.crc32(memoryview(blob)[: body + _SHAPE.size]) != crc:
         raise ValueError("sparse blob checksum mismatch")
-    if rows == 1:
-        # one record's vector — top-k hydration decodes two per hit, so
-        # this case reads its count as a plain int, not through array
-        # reductions
-        (n_values,) = _COUNT.unpack_from(blob)
-        n_columns = 0 if n_values == dim else n_values
-    else:
-        counts = np.frombuffer(blob, dtype=np.uint32, count=rows)
-        dense_rows = counts == dim
-        n_values = int(counts.sum(dtype=np.int64))
-        n_columns = n_values - dim * int(np.count_nonzero(dense_rows))
-    if body != 4 * rows + 4 * n_values + 2 * n_columns:
+    (count,) = _COUNT.unpack_from(blob)
+    if body != _COUNT.size + (4 if count == dim else 6) * count:
         raise ValueError("truncated blob")
+    return dim, count
+
+
+def decode_vector(blob: bytes) -> np.ndarray:
+    """The float32 vector ``blob`` encodes — writable, its width taken
+    from the blob itself (nothing beside a record row says how wide it
+    is).
+
+    Raises ``ValueError`` unless the blob is exactly one well-formed
+    encoding of one vector.
+    """
+    if len(blob) % 4 == 0:
+        return np.frombuffer(blob, dtype=np.float32).copy()
+    dim, count = _sparse_layout(blob)
     values = np.frombuffer(
-        blob, dtype=np.float32, count=n_values, offset=4 * rows
+        blob, dtype=np.float32, count=count, offset=_COUNT.size
     )
+    if count == dim:
+        return values.copy()
     columns = np.frombuffer(
-        blob, dtype=np.uint16, count=n_columns, offset=4 * rows + 4 * n_values
+        blob, dtype=np.uint16, count=count, offset=_COUNT.size + 4 * count
     )
-    out = np.zeros((rows, dim), dtype=np.float32)
+    out = np.zeros(dim, dtype=np.float32)
     try:
-        if rows == 1:
-            if n_values == dim:
-                out[0] = values
-            else:
-                out[0, columns] = values
-        else:
-            in_dense_row = np.repeat(dense_rows, counts)
-            row_of = np.repeat(np.arange(rows), counts)
-            out[row_of[~in_dense_row], columns] = values[~in_dense_row]
-            out[dense_rows] = values[in_dense_row].reshape(-1, dim)
+        out[columns] = values
     except IndexError:
         raise ValueError("column out of range") from None
+    return out
+
+
+def decode_many(blobs: Sequence[bytes]) -> np.ndarray:
+    """The ``(len(blobs), dim)`` float32 matrix whose row ``i`` is
+    ``decode_vector(blobs[i])`` — C-contiguous, writable, same bits.
+
+    Every blob is validated exactly as :func:`decode_vector` validates
+    it; what is batched is the numpy work: one zeroed slab and one
+    scatter for all sparse rows, instead of an array, two views and a
+    scatter per row (a cold start decodes every vector of the registry).
+    Raises ``ValueError`` for a malformed blob or one of another width;
+    no blobs decode to a ``(0, 0)`` matrix.
+    """
+    dim = None
+    whole_rows: list[int] = []
+    whole_parts: list[bytes] = []
+    sparse_rows: list[int] = []
+    counts: list[int] = []
+    value_parts: list[bytes] = []
+    column_parts: list[bytes] = []
+    for row, blob in enumerate(blobs):
+        if len(blob) % 4 == 0:
+            width = len(blob) // 4
+            whole_rows.append(row)
+            whole_parts.append(blob)
+        else:
+            width, count = _sparse_layout(blob)
+            values_end = _COUNT.size + 4 * count
+            if count == width:
+                whole_rows.append(row)
+                whole_parts.append(blob[_COUNT.size : values_end])
+            else:
+                sparse_rows.append(row)
+                counts.append(count)
+                value_parts.append(blob[_COUNT.size : values_end])
+                column_parts.append(blob[values_end : values_end + 2 * count])
+        if dim is None:
+            dim = width
+        elif width != dim:
+            raise ValueError("record vector dimension mismatch")
+    out = np.zeros((len(blobs), dim or 0), dtype=np.float32)
+    if whole_rows:
+        out[whole_rows] = np.frombuffer(
+            b"".join(whole_parts), dtype=np.float32
+        ).reshape(len(whole_rows), dim)
+    if sparse_rows:
+        columns = np.frombuffer(b"".join(column_parts), dtype=np.uint16)
+        if columns.shape[0] and int(columns.max()) >= dim:
+            raise ValueError("column out of range")
+        out[np.repeat(sparse_rows, counts), columns] = np.frombuffer(
+            b"".join(value_parts), dtype=np.float32
+        )
     return out

@@ -66,7 +66,8 @@ concurrent-serving and cold-start gains.
 Persistence architecture
 ========================
 
-Shards persist **incrementally** (storage schema v6, reshaped by v8).
+Shards persist **incrementally** (storage schema v6, reshaped by v8 and
+v9), and what persists is membership and freshness — never a vector.
 Every registry mutation stamps the ``(user, kind)`` shards whose content
 it changed with the bumped mutation counter (the DAO's
 ``shard_stamps``) and, in the same transaction, appends each such
@@ -76,15 +77,23 @@ write, ``remove`` for those that are not.  A write is therefore one
 small commit — no second transaction, no copy of a vector, not a
 whole-snapshot export.
 :meth:`~repro.registry.service.RegistryService.attach_index` replays
-each persisted base slab through its delta chain, reading the vector
-of every id whose last journaled op is ``add`` from its record row: a
-shard whose replayed chain tip equals its stamp loads straight into
-the index, so the warm path is O(delta), while stale, torn, or corrupt
-shards rebuild individually from their own owner's records.  The
-invariants:
+each persisted base slab — the shard's ids at its last fold, a run of
+``add``s — through its delta chain and reads the vector of every id
+whose last event is an ``add`` from its record row, in one ordered scan
+and one batch decode per (user, record table): a shard whose replayed
+chain tip equals its stamp loads straight into the index, while stale,
+torn, or corrupt shards rebuild individually through the same scan of
+their own owner's rows.  The invariants:
 
-* **Vectors live in record rows and base slabs only** — the journal
-  names ids; nothing stores a vector a third time.
+* **A vector lives in its record row, nowhere else** — base slabs and
+  the journal name ids; nothing stores a vector a second time, so a
+  fold writes 8 bytes a row and there is no copy to disagree with the
+  record.
+* **One state per attach** — stamps, slabs, journal and rows are read
+  in one read transaction
+  (:meth:`~repro.registry.dao.RegistryDAO.read_snapshot`): ids-only
+  persistence is only as fresh as the rows the ids are filled from, so
+  no other process's commit may land between the two reads.
 * **Stamp == tip by construction** — the DAO helper that stamps a
   shard is the one that journals it, inside the mutation's commit.
   There is no state "mutation committed, journal row not yet", and no
@@ -104,29 +113,31 @@ invariants:
 * **Chains are strictly increasing** — a delta at or below the current
   tip is a crash-mid-compaction artifact; replay discards exactly that
   shard (never the whole snapshot), and the attach rebuilds it.  So
-  does a winning ``add`` whose record row is gone, has no vector of
-  that kind, or has one of another width.
+  does a winning id — from the base slab or a journaled ``add`` alike —
+  whose record row is gone, is not the user's, has no vector of that
+  kind, or has one of another width.
 * **Compaction is bounded and crash-safe** — once the rows journaled
   since a shard's last fold reach ``max(64, rows in its base slab)``
   the service folds the chain into the base at the same stamp,
   deleting only the folded counters: a fold rewrites at most twice
   what the journal it retires added, and a restart never replays a
-  chain longer than the base it lands on.  The fold snapshots the live
-  index, so the service checks the rule only *after* it has applied
-  the mutation there.  A crash at any point leaves tip <= stamp: stale
+  chain longer than the base it lands on.  The fold lists the live
+  index's ids (no slab is copied, nothing is encoded), so the service
+  checks the rule only *after* it has applied the mutation there.  A crash at any point leaves tip <= stamp: stale
   at worst, never wrongly fresh.
 * **``persist=False`` stops base writes and folds, not journaling** —
   an attach without persistence (``repro stats --shards``) writes no
   slab and folds nothing; the DAO journals every write regardless of
   who makes it or whether an index is attached at all.
 * **Vectors are sparse at rest, dense in memory** — every vector blob
-  (record rows, base slabs) goes through one bit-exact codec
-  (:mod:`repro.registry.veccodec`); decoding yields the dense float32
-  rows the index ranks, so nothing here depends on which layout a row
-  was stored in.
-* **Replay is bitwise** — a replayed slab is one C-contiguous float32
-  matrix in ascending id order, identical to the live index's layout,
-  so warm-started searches equal cold-rebuilt ones byte for byte.
+  goes through one bit-exact codec (:mod:`repro.registry.veccodec`);
+  decoding yields the dense float32 rows the index ranks, so nothing
+  here depends on which layout a row was stored in.
+* **Replay is bitwise** — a replayed or rebuilt shard is one
+  C-contiguous float32 matrix in ascending id order, identical to the
+  live index's layout, so warm-started searches equal cold-rebuilt
+  ones byte for byte and persisted IVF/HNSW states (row indices into
+  that order) still apply.
 
 Approximate backends persist their trained state per shard at the same
 stamps (``ivf_states`` / ``hnsw_states``);

@@ -215,7 +215,7 @@ class _Shard:
         return self.size
 
     def live_ids(self) -> list[int]:
-        return [int(self.ids[r]) for r in range(self.size)]
+        return self.ids[: self.size].tolist()
 
     def scores(self, queries: np.ndarray) -> np.ndarray:
         """(nq, d) @ slab -> (nq, size)."""

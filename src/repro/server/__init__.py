@@ -49,16 +49,19 @@ scores candidates in Python — through the owner-joined ``LIKE``
 parity adapter that keeps its output byte-identical.
 
 Cold start: :meth:`~repro.registry.service.RegistryService.attach_index`
-replays each persisted base slab through its append-only delta journal
-and loads every shard whose replayed chain tip equals the per-shard
-mutation stamp the DAO keeps — O(delta) work, zero record
-deserialization.  Every write carries its ids-only journal rows in its
-own commit (folded back into the base slab once the chain has as many
-rows as the base), so a warm restart costs the replay of what actually
-changed; only shards that are stale (a stamp the journal never saw — a
-writer that bypassed the DAO), torn, or corrupt rebuild, each from its
-own owner's records.  One tenant's write never invalidates another
-tenant's slab.
+replays each persisted base slab (a shard's ids at its last fold)
+through its append-only delta journal, fills the surviving ids from
+the record rows — one ordered scan and one batch decode per (user,
+record table), no record hydrated — and loads every shard whose
+replayed chain tip equals the per-shard mutation stamp the DAO keeps,
+all inside one read transaction.  Every write carries its ids-only
+journal rows in its own commit (folded back into the base slab once the
+chain has as many rows as the base; a fold writes 8 bytes a row), so
+the persistence plane holds membership and freshness only: the
+registry's record rows are the one copy of every vector.  Only shards
+that are stale (a stamp the journal never saw — a writer that bypassed
+the DAO), torn, or corrupt rebuild, each from its own owner's rows.
+One tenant's write never invalidates another tenant's slab.
 
 Process start: ``repro serve`` imports what registry and search
 requests use — NumPy, SQLite, the models, the asyncio front end — and
@@ -131,6 +134,18 @@ v8   A registry write is one commit.  ``index_deltas`` becomes an
      pages (a WAL commit logs whole pages and these rows are small);
      page size is fixed once a file has pages, so a migrated file
      keeps its own — no ``VACUUM``, no option.
+v9   Base slabs go ids-only: ``index_shards`` loses ``vectors`` and
+     ``dim`` (``ALTER TABLE … DROP COLUMN``; membership kept, nothing
+     decoded), as the journal did in v8.  **A vector lives in its
+     record row, nowhere else.**  Replay treats a base slab as a run of
+     ``add``s and fills every winning id from the record rows in one
+     ordered scan per (user, record table); an id whose row is gone,
+     is not the user's, has no vector of that kind or is of another
+     width discards only that shard.  A fold rewrites 8 bytes a row
+     instead of a second copy of every vector, and the codec keeps
+     only its one-vector layout (plus a many-blob decode for the cold
+     start).  **Older code cannot read a v9 slab.**  The file does not
+     shrink on migration; the freed pages are reused by later writes.
 ===  =================================================================
 
 Scatter/gather shard serving

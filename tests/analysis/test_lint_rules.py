@@ -279,10 +279,33 @@ class TestDaoStamps:
         src = """
             class SqliteDAO:
                 def upsert_index_shards(self, shards, stamp):
+                    self._conn.execute("INSERT OR REPLACE INTO index_shards")
                     self._conn.execute("DELETE FROM index_deltas")
                     self._conn.execute("UPDATE shard_stamps SET tip = ?", (1,))
         """
         assert rules_fired(src, DAO_PATH, "RPR003") == set()
+
+    def test_mutation_writing_a_base_slab_fires(self):
+        # a slab is membership at a stamp, like the journal: a mutation
+        # editing it by hand has changed a shard around the helper
+        src = """
+            class SqliteDAO:
+                def delete_pe(self, pe_id):
+                    counter = self._bump_mutation()
+                    self._conn.execute("DELETE FROM pes WHERE id=?", (pe_id,))
+                    self._stamp_shards({}, counter)
+                    self._conn.execute(
+                        "UPDATE index_shards SET ids=? WHERE user_id=?", (b"", 1)
+                    )
+
+            class InMemoryDAO:
+                def delete_pe(self, pe_id):
+                    self._mutations += 1
+                    del self._pes[pe_id]
+                    self._stamp_shards({})
+                    del self._base_shards[(1, "desc")]
+        """
+        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 2
 
 
 # ---------------------------------------------------------------------------

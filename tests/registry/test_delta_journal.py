@@ -30,13 +30,14 @@ def unit(rng):
 
 
 class RecordingDAO:
-    """Transparent proxy recording per-owner and full-corpus loads."""
+    """Transparent proxy recording full-corpus loads and the users
+    whose shards were rebuilt from their record rows."""
 
     def __init__(self, inner):
         self.inner = inner
         self.all_pes_calls = 0
         self.all_workflows_calls = 0
-        self.pes_owned_by_users = []
+        self.rebuilt_users = []
 
     def __getattr__(self, name):
         attr = getattr(self.inner, name)
@@ -50,9 +51,9 @@ class RecordingDAO:
                 self.all_workflows_calls += 1
                 return attr(*a, **kw)
             return wrapped
-        if name == "pes_owned_by":
+        if name == "owned_vectors":
             def wrapped(user_id, *a, **kw):
-                self.pes_owned_by_users.append(int(user_id))
+                self.rebuilt_users.append(int(user_id))
                 return attr(user_id, *a, **kw)
             return wrapped
         return attr
@@ -141,7 +142,7 @@ class TestTornChains:
         restarted, counted, index, mode = reattach(dao_factory)
         assert mode == "partial"
         assert counted.all_pes_calls == 0
-        assert counted.pes_owned_by_users == [alice.user_id]
+        assert counted.rebuilt_users == [alice.user_id]
         # the rebuilt shard serves every record again
         user = restarted.get_user("alice")
         for record in restarted.user_pes(user):
@@ -169,7 +170,7 @@ class TestTornChains:
         restarted, counted, index, mode = reattach(factory)
         assert mode == "partial"
         assert counted.all_pes_calls == 0
-        assert counted.pes_owned_by_users == [alice.user_id]
+        assert counted.rebuilt_users == [alice.user_id]
         user = restarted.get_user("alice")
         for record in restarted.user_pes(user):
             assert index.contains(user.user_id, KIND_CODE, record.pe_id)
@@ -195,7 +196,7 @@ class TestTornChains:
         restarted, counted, index, mode = reattach(factory)
         assert mode == "partial"
         assert counted.all_pes_calls == 0
-        assert counted.pes_owned_by_users == [bob.user_id]
+        assert counted.rebuilt_users == [bob.user_id]
 
 
 class TestForeignWriters:
@@ -223,7 +224,7 @@ class TestForeignWriters:
         restarted, counted, index, mode = reattach(dao_factory)
         assert mode == "fresh"
         assert counted.all_pes_calls == 0
-        assert counted.pes_owned_by_users == []
+        assert counted.rebuilt_users == []
         user = restarted.get_user("bob")
         landed = restarted.get_pe_by_name(user, "Foreign")
         assert index.contains(user.user_id, KIND_DESC, landed.pe_id)
@@ -265,7 +266,7 @@ class TestForeignWriters:
         restarted, counted, index, mode = reattach(dao_factory)
         assert mode == "partial"
         assert counted.all_pes_calls == 0
-        assert counted.pes_owned_by_users == [bob.user_id]
+        assert counted.rebuilt_users == [bob.user_id]
         assert_equals_brute_force(index, dao_factory())
         # rebuilt at its stamp: covered, so the next write journals
         user = restarted.get_user("bob")
@@ -283,7 +284,7 @@ class TestForeignWriters:
             counted.inner.close()
         _again, counted, index, mode = reattach(dao_factory)
         assert mode == "fresh"
-        assert counted.pes_owned_by_users == []
+        assert counted.rebuilt_users == []
         assert_equals_brute_force(index, dao_factory())
 
     def test_cross_process_wal_interleaving(self, tmp_path):
@@ -325,7 +326,7 @@ class TestForeignWriters:
         restarted, counted, index, mode = reattach(factory)
         assert mode == "fresh"
         assert counted.all_pes_calls == 0
-        assert counted.pes_owned_by_users == []
+        assert counted.rebuilt_users == []
         user = restarted.get_user("bob")
         for i in range(3):
             landed = restarted.get_pe_by_name(user, f"Foreign{i}")
@@ -343,7 +344,7 @@ def record_folds(service):
     upsert = service.dao.upsert_index_shards
 
     def recording(shards, stamp):
-        written.extend(len(ids) for ids, _matrix in shards.values())
+        written.extend(len(ids) for ids in shards.values())
         return upsert(shards, stamp)
 
     service.dao.upsert_index_shards = recording
@@ -395,7 +396,7 @@ class TestCompaction:
         restarted, counted, index, mode = reattach(dao_factory)
         assert mode == "fresh"
         assert counted.all_pes_calls == 0
-        assert counted.pes_owned_by_users == []
+        assert counted.rebuilt_users == []
         user = restarted.get_user("alice")
         assert len(restarted.user_pes(user)) == n
         for record in restarted.user_pes(user):
@@ -480,4 +481,4 @@ class TestCompaction:
             service.dao.close()
         _restarted, counted, _index, mode = reattach(dao_factory)
         assert mode == "fresh"
-        assert counted.pes_owned_by_users == []
+        assert counted.rebuilt_users == []

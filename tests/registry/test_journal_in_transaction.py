@@ -1,18 +1,22 @@
-"""The ids-only journal written inside each mutation's transaction.
+"""The ids-only journal written inside each mutation's transaction,
+folded into ids-only base slabs.
 
 Since schema v8 the DAO appends a shard's journal row wherever it
-stamps the shard, in the same commit, and replay reads the vectors of
-journaled adds from the record rows.  Pinned here:
+stamps the shard, in the same commit; since v9 a base slab is ids only
+too, so replay reads every vector from the record rows.  Pinned here:
 
 * a model test (Hypothesis, both DAOs): after *every* step of a random
   write sequence the persisted state replays to exactly the live index,
   and every stamp equals its chain tip;
-* migration: a v7-shaped file (journal rows with vector blobs, the
-  secondary index, 4 KB pages, no ``tip``) opens in place and attaches
-  fresh; a shard v7 left stale stays stale; content nobody ever stamped
-  is seeded stale rather than mistaken for a shard born empty;
-* torn chains: a journaled add the record table cannot back discards
-  exactly its shard.
+* migration: a v7-shaped file (journal rows and base slabs with vector
+  blobs, the secondary index, 4 KB pages, no ``tip``) and a v8-shaped
+  one (vector-carrying slabs only) open in place and attach fresh; a
+  shard v7 left stale stays stale; content nobody ever stamped is
+  seeded stale rather than mistaken for a shard born empty;
+* torn shards: an id — journaled or in the base slab — that the record
+  table cannot back discards exactly its shard;
+* one read transaction: a writer in another process cannot land
+  between attach's journal read and its row scan.
 
 The covered-shard guard (a stale shard is never journaled) and the
 foreign-writer cases live in ``test_delta_journal.py``.
@@ -30,9 +34,9 @@ from hypothesis import strategies as st
 import repro.registry.service as service_module
 from repro.registry.dao import InMemoryDAO, SqliteDAO
 from repro.registry.service import RegistryService
-from repro.registry.veccodec import encode_vectors
 from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW, VectorIndex
 from tests.registry.test_dao import make_pe, make_wf
+from tests.registry.test_veccodec import encode_through_blocks, reshape_slabs
 
 DIM = 8
 SLOTS = 6  # record identities the sequences draw from
@@ -301,11 +305,11 @@ def populate(path, rng):
 
 def reshape_as_v7(path):
     """Turn the file into what schema v7 wrote, through raw SQL: journal
-    rows carry ``dim`` and a ``vectors`` blob (the codec's encoding of
-    the rows they added, empty for a remove), the journal has its
+    rows carry ``dim`` and a ``vectors`` blob (the rows they added,
+    empty for a remove) and so do the base slabs, the journal has its
     secondary index, stamps have no ``tip``, ``user_version`` is 7."""
     conn = sqlite3.connect(path)
-    conn.row_factory = sqlite3.Row
+    reshape_slabs(conn, encode_through_blocks)
     sources = {
         KIND_DESC: ("pes", "pe_id", "desc_embedding"),
         KIND_CODE: ("pes", "pe_id", "code_embedding"),
@@ -345,7 +349,7 @@ def reshape_as_v7(path):
             (
                 row["delta_id"], row["user_id"], row["kind"], row["op"],
                 row["mutation_counter"], matrix.shape[1], ids.shape[0],
-                row["ids"], encode_vectors(matrix),
+                row["ids"], matrix.tobytes(),
             ),
         )
     stamps = conn.execute(
@@ -360,6 +364,16 @@ def reshape_as_v7(path):
     )
     conn.executemany("INSERT INTO shard_stamps VALUES (?, ?, ?)", stamps)
     conn.execute("PRAGMA user_version = 7")
+    conn.commit()
+    conn.close()
+
+
+def reshape_as_v8(path):
+    """What schema v8 wrote: an ids-only journal already, but base slabs
+    that still hold a second copy of every vector."""
+    conn = sqlite3.connect(path)
+    reshape_slabs(conn, encode_through_blocks)
+    conn.execute("PRAGMA user_version = 8")
     conn.commit()
     conn.close()
 
@@ -384,18 +398,46 @@ class TestMigration:
         reshape_as_v7(path)
 
         dao = SqliteDAO(path)
-        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 8
+        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 9
         # an existing file keeps its pages
         assert dao._conn.execute("PRAGMA page_size").fetchone()[0] == 4096
         schema = schema_of(dao)
         assert "idx_index_deltas_shard" not in schema
         assert "index_deltas_v7" not in schema
-        assert "vectors" not in schema["index_deltas"]
-        assert "dim" not in schema["index_deltas"]
+        for table in ("index_deltas", "index_shards"):
+            assert "vectors" not in schema[table]
+            assert "dim" not in schema[table]
         # journal membership survived, in order
         chain = dao.shard_chain_meta()[(alice.user_id, KIND_DESC)]
         assert (chain["rows"], chain["chainLen"]) == (10, 3)
 
+        self.serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
+
+    def test_v8_file_drops_its_slab_vectors_and_attaches_fresh(
+        self, tmp_path
+    ):
+        rng = np.random.default_rng(86)
+        path = tmp_path / "registry.db"
+        alice, bob = populate(path, rng)
+        reshape_as_v8(path)
+        conn = sqlite3.connect(path)
+        slab_bytes = conn.execute(
+            "SELECT SUM(LENGTH(vectors)) FROM index_shards"
+        ).fetchone()[0]
+        conn.close()
+        assert slab_bytes >= 10 * DIM * 4
+
+        dao = SqliteDAO(path)
+        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 9
+        slab = schema_of(dao)["index_shards"]
+        assert "vectors" not in slab and "dim" not in slab
+        # slab membership survived
+        chain = dao.shard_chain_meta()[(alice.user_id, KIND_DESC)]
+        assert (chain["rows"], chain["chainLen"]) == (10, 3)
+        self.serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
+
+    @staticmethod
+    def serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng):
         service = RegistryService(dao)
         index = VectorIndex()
         assert service.attach_index(index) == "fresh"
@@ -471,7 +513,10 @@ class TestMigration:
         dao = SqliteDAO(path)
         index = VectorIndex()
         RegistryService(dao).attach_index(index)
-        dao.save_index_shards(index.snapshot(), dao.mutation_counter())
+        dao.save_index_shards(
+            {key: ids for key, (ids, _matrix) in index.snapshot().items()},
+            dao.mutation_counter(),
+        )
         dao._conn.executescript(
             "DELETE FROM shard_stamps; PRAGMA user_version = 5;"
         )
@@ -524,27 +569,35 @@ class TestMigration:
 
 
 # ---------------------------------------------------------------------------
-# (d) torn chains: a winning add the record table cannot back
+# (d) torn shards: a winning id the record table cannot back
 # ---------------------------------------------------------------------------
 class TestTornByRecordTable:
     @pytest.mark.parametrize(
-        "damage, rebuilds",
+        # "Tail" is journaled in alice's desc chain, past the base slab;
+        # "alicePE5" sits in the slab itself (and in her code chain)
+        "victim_name, victim_kinds",
+        [("Tail", {KIND_DESC}), ("alicePE5", {KIND_DESC, KIND_CODE})],
+    )
+    @pytest.mark.parametrize(
+        "damage, whole_row, rebuilds",
         [
-            ("DELETE FROM pes WHERE pe_id = :id", True),
-            ("UPDATE pes SET desc_embedding = NULL WHERE pe_id = :id", True),
+            ("DELETE FROM pes WHERE pe_id = :id", True, True),
+            ("UPDATE pes SET desc_embedding = NULL WHERE pe_id = :id",
+             False, True),
             # a row of another width cannot be stacked into a rebuild
             # either: that stays the error a corrupt record row is
             ("UPDATE pes SET desc_embedding = :narrow WHERE pe_id = :id",
-             False),
+             False, False),
         ],
     )
-    def test_discards_only_that_shard(self, tmp_path, damage, rebuilds):
+    def test_discards_only_that_shard(
+        self, tmp_path, damage, whole_row, rebuilds, victim_name, victim_kinds
+    ):
         rng = np.random.default_rng(84)
         path = tmp_path / "registry.db"
         alice, bob = populate(path, rng)
         dao = SqliteDAO(path)
-        # "Tail" is journaled in alice's desc chain, past the base slab
-        victim = dao.find_pe_by_name("Tail")[0]
+        victim = dao.find_pe_by_name(victim_name)[0]
         dao._conn.execute(
             damage,
             {
@@ -553,18 +606,103 @@ class TestTornByRecordTable:
             },
         )
         dao._conn.commit()
-        shards, discarded = dao.load_index_shards()
-        assert discarded == 1
-        assert (alice.user_id, KIND_DESC) not in shards
-        assert set(shards) == set(dao.shard_stamps()) - {
-            (alice.user_id, KIND_DESC)
+        torn = {
+            (alice.user_id, kind)
+            for kind in (victim_kinds if whole_row else {KIND_DESC})
         }
+        shards, discarded = dao.load_index_shards()
+        assert discarded == len(torn)
+        assert set(shards) == set(dao.shard_stamps()) - torn
         if rebuilds:
             service = RegistryService(dao)
             index = VectorIndex()
             assert service.attach_index(index) == "partial"
-            assert service.shard_persistence()["discardedShards"] == 1
+            assert service.shard_persistence()["discardedShards"] == len(torn)
             assert not index.contains(alice.user_id, KIND_DESC, victim.pe_id)
             assert_persisted_equals_live(dao, index)
             assert_equals_brute_force(index, dao)
+        else:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                RegistryService(dao).attach_index(VectorIndex())
         dao.close()
+
+    def test_slab_id_of_a_record_the_user_no_longer_owns(self, tmp_path):
+        """Membership is the owner table's to say: a slab id whose
+        ownership row is gone is not filled from a row that still
+        exists under someone else's name."""
+        rng = np.random.default_rng(87)
+        path = tmp_path / "registry.db"
+        alice, bob = populate(path, rng)
+        dao = SqliteDAO(path)
+        victim = dao.find_pe_by_name("alicePE5")[0]
+        dao._conn.execute(
+            "UPDATE pe_owners SET user_id = ? WHERE pe_id = ?",
+            (bob.user_id, victim.pe_id),
+        )
+        dao._conn.commit()
+        shards, discarded = dao.load_index_shards()
+        assert discarded == 2
+        assert set(shards) == set(dao.shard_stamps()) - {
+            (alice.user_id, KIND_DESC), (alice.user_id, KIND_CODE)
+        }
+        dao.close()
+
+
+# ---------------------------------------------------------------------------
+# (e) attach reads one state of the file
+# ---------------------------------------------------------------------------
+class TestOneReadTransaction:
+    @pytest.mark.parametrize("foreign_op", ["revise", "delete"])
+    def test_foreign_write_between_journal_read_and_row_scan(
+        self, tmp_path, foreign_op
+    ):
+        """Another process commits while attach is between reading the
+        journal and scanning the rows.  What loads must be the registry
+        as of the counter attach read — not old membership filled with
+        new vectors, which would claim freshness at a stamp it is not
+        the state of."""
+        rng = np.random.default_rng(88)
+        path = tmp_path / "registry.db"
+        alice, bob = populate(path, rng)
+        reference = VectorIndex()
+        before = RegistryService(SqliteDAO(path))
+        assert before.attach_index(reference, persist=False) == "fresh"
+        counter = before.dao.mutation_counter()
+        before.dao.close()
+
+        dao = SqliteDAO(path)
+        foreign = SqliteDAO(path)  # another process's connection
+        scan = dao._scan_owned
+        landed = []
+
+        def scan_after_foreign_write(user_id, table, kinds):
+            if not landed:
+                victim = foreign.find_pe_by_name("alicePE5")[0]
+                if foreign_op == "revise":
+                    victim.desc_embedding = unit(rng)
+                    victim.code_embedding = unit(rng)
+                    foreign.update_pe(victim)
+                else:
+                    foreign.delete_pe(victim.pe_id)
+                landed.append(victim.pe_id)
+            return scan(user_id, table, kinds)
+
+        dao._scan_owned = scan_after_foreign_write
+        service = RegistryService(dao)
+        index = VectorIndex()
+        assert service.attach_index(index) == "fresh"
+        assert landed and foreign.mutation_counter() == counter + 1
+        assert live_shards(index) == live_shards(reference)
+        # the index knows which counter it reflects: it will not vouch
+        # for the file as the foreign writer left it
+        assert service._index_counter == counter
+        assert service.persist_shards() is False
+        dao.close()
+
+        # the foreign write journaled itself; the next attach has it
+        again = RegistryService(foreign)
+        warm = VectorIndex()
+        assert again.attach_index(warm) == "fresh"
+        assert live_shards(warm) != live_shards(reference)
+        assert_equals_brute_force(warm, foreign)
+        foreign.close()

@@ -69,7 +69,8 @@ def attach_with_bases(service):
     index = VectorIndex()
     service.attach_index(index)
     service.dao.save_index_shards(
-        index.snapshot(), service.dao.mutation_counter()
+        {key: ids for key, (ids, _matrix) in index.snapshot().items()},
+        service.dao.mutation_counter(),
     )
     return index
 
@@ -213,7 +214,7 @@ class TestSqliteColdStart:
         index = VectorIndex()
         service.attach_index(index, persist=False)
 
-        real_export = index.export_shards
+        real_export = index.ids
 
         def mutating_export(*a, **kw):
             service.add_pe(
@@ -222,10 +223,10 @@ class TestSqliteColdStart:
             )
             return real_export(*a, **kw)
 
-        index.export_shards = mutating_export
+        index.ids = mutating_export
         assert service.persist_shards() is False
         assert service.dao.index_shards_meta()["counter"] is None
-        index.export_shards = real_export
+        index.ids = real_export
         assert service.persist_shards() is True
         assert service.shard_persistence()["fresh"]
 
@@ -253,15 +254,15 @@ class TestSqliteColdStart:
         assert service.persist_shards() is False
         assert service.dao.index_shards_meta()["counter"] is None
 
-    def test_corrupt_vector_blob_forces_rebuild(self, tmp_path):
-        """A truncated vectors blob must be ignored (rebuild), not crash
+    def test_corrupt_slab_blob_forces_rebuild(self, tmp_path):
+        """A truncated ids blob must be ignored (rebuild), not crash
         attach with a reshape error."""
         rng = np.random.default_rng(24)
         path = tmp_path / "registry.db"
         service, _, _ = populate(SqliteDAO(path), rng)
         attach_with_bases(service)
         service.dao._conn.execute(
-            "UPDATE index_shards SET vectors = X'00112233'"
+            "UPDATE index_shards SET ids = X'00112233'"
         )
         service.dao._conn.commit()
         shards, discarded = service.dao.load_index_shards()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
-from repro.registry.veccodec import decode_vectors, encode_vectors
+from repro.registry.veccodec import decode_many, decode_vector, encode_vector
 from repro.search import KIND_CODE, KIND_DESC, VectorIndex
 from tests.registry.test_dao import make_pe
 
@@ -25,9 +25,9 @@ SPECIALS = np.array(
 
 
 @st.composite
-def matrices(draw, max_rows=6, max_dim=40):
+def matrices(draw, max_rows=6, max_dim=40, min_rows=0):
     """float32 matrices as raw bit patterns, from all-zero to full."""
-    rows = draw(st.integers(0, max_rows))
+    rows = draw(st.integers(min_rows, max_rows))
     dim = draw(st.integers(0, max_dim))
     density = draw(st.sampled_from([0.0, 0.02, 0.2, 0.5, 0.7, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -42,65 +42,75 @@ def matrices(draw, max_rows=6, max_dim=40):
     return bits.view(np.float32)
 
 
+def vectors(max_dim=40):
+    return matrices(min_rows=1, max_rows=1, max_dim=max_dim).map(
+        lambda matrix: matrix[0]
+    )
+
+
 def is_sparse(blob):
     return len(blob) % 4 != 0
 
 
+def seal(body, dim, rows=1):
+    sealed = body + struct.pack("=II", rows, dim)
+    return sealed + struct.pack("=IB", zlib.crc32(sealed), 1)
+
+
+def kept_whole(vector):
+    """The layout's ``count == dim`` form of a vector: every value, no
+    columns.  The encoder never picks it for a single vector (dense is
+    smaller), but it is part of the layout, so both decoders read it."""
+    return seal(
+        struct.pack("=I", vector.shape[0]) + vector.tobytes(), vector.shape[0]
+    )
+
+
 class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
-    @given(matrices())
-    def test_decode_of_encode_is_the_same_bytes(self, matrix):
-        rows, dim = matrix.shape
-        blob = encode_vectors(matrix)
-        decoded = decode_vectors(blob, rows, dim)
-        assert decoded.tobytes() == matrix.tobytes()
-        assert decoded.shape == matrix.shape
+    @given(vectors())
+    def test_decode_of_encode_is_the_same_bytes(self, vector):
+        blob = encode_vector(vector)
+        decoded = decode_vector(blob)
+        assert decoded.tobytes() == vector.tobytes()
+        assert decoded.shape == vector.shape
         assert decoded.dtype == np.float32
         assert decoded.flags.c_contiguous and decoded.flags.writeable
         # never larger than dense; the sparse layout only when smaller
-        assert len(blob) <= matrix.nbytes
-        assert is_sparse(blob) == (len(blob) < matrix.nbytes)
-        if rows == 1:
-            # a record row: the width comes from the blob alone
-            assert decode_vectors(blob, 1).tobytes() == matrix.tobytes()
+        assert len(blob) <= vector.nbytes
+        assert is_sparse(blob) == (len(blob) < vector.nbytes)
 
     def test_typical_embedding_is_stored_sparse(self):
-        vec = np.zeros((1, 2048), dtype=np.float32)
-        vec[0, [3, 700, 2047]] = [0.5, -0.25, 1.0]
-        blob = encode_vectors(vec)
+        vec = np.zeros(2048, dtype=np.float32)
+        vec[[3, 700, 2047]] = [0.5, -0.25, 1.0]
+        blob = encode_vector(vec)
         assert len(blob) == 4 + 3 * 6 + 13
-        assert decode_vectors(blob, 1).tobytes() == vec.tobytes()
+        assert decode_vector(blob).tobytes() == vec.tobytes()
 
-    def test_dense_row_inside_a_sparse_matrix(self):
-        matrix = np.zeros((3, 32), dtype=np.float32)
-        matrix[1] = np.arange(1, 33)
-        matrix[2, 5] = -0.0
-        blob = encode_vectors(matrix)
-        assert is_sparse(blob)
-        assert decode_vectors(blob, 3, 32).tobytes() == matrix.tobytes()
+    def test_vector_kept_whole_inside_the_sparse_layout(self):
+        vec = np.arange(1, 33, dtype=np.float32)
+        assert decode_vector(kept_whole(vec)).tobytes() == vec.tobytes()
 
     def test_width_beyond_uint16_columns_falls_back_to_dense(self):
-        widest = np.zeros((2, 0xFFFF), dtype=np.float32)
-        assert is_sparse(encode_vectors(widest))
-        wider = np.zeros((2, 0x10000), dtype=np.float32)
-        wider[1, 0xFFFF] = 1.0
-        blob = encode_vectors(wider)
+        assert is_sparse(encode_vector(np.zeros(0xFFFF, dtype=np.float32)))
+        wider = np.zeros(0x10000, dtype=np.float32)
+        wider[0xFFFF] = 1.0
+        blob = encode_vector(wider)
         assert blob == wider.tobytes()
-        assert decode_vectors(blob, 2, 0x10000).tobytes() == wider.tobytes()
+        assert decode_vector(blob).tobytes() == wider.tobytes()
 
     def test_legacy_dense_blob_decodes_through_the_same_function(self):
-        matrix = np.zeros((4, 16), dtype=np.float32)
-        matrix[0, 1] = 2.0
-        legacy = matrix.tobytes()  # what schema v6 and older stored
-        assert legacy != encode_vectors(matrix)
-        assert decode_vectors(legacy, 4, 16).tobytes() == matrix.tobytes()
-        assert decode_vectors(legacy[:64], 1).tobytes() == legacy[:64]
+        vec = np.zeros(16, dtype=np.float32)
+        vec[1] = 2.0
+        legacy = vec.tobytes()  # what schema v6 and older stored
+        assert legacy != encode_vector(vec)
+        assert decode_vector(legacy).tobytes() == legacy
 
 
 def encode_through_blocks(matrix):
-    """The block path as it encoded every matrix before one-row
-    matrices got their own: the reference the short path must match
-    byte for byte (a record row written either way is the same row)."""
+    """The multi-row layout as base slabs stored it until schema v9:
+    the reference a vector's blob must match byte for byte (it is that
+    layout's one-row case, so legacy rows and new ones are one format)."""
     rows, dim = matrix.shape
     stored = matrix.view(np.uint32) != 0
     nnz = np.count_nonzero(stored, axis=1)
@@ -119,70 +129,173 @@ def encode_through_blocks(matrix):
     return matrix.tobytes()
 
 
-class TestOneRowPath:
+class TestOneRowLayout:
     @settings(max_examples=300, deadline=None)
-    @given(matrices(max_rows=1, max_dim=64))
-    def test_same_bytes_as_the_block_path(self, matrix):
-        if matrix.shape[0] == 1 and matrix.shape[1]:
-            assert encode_vectors(matrix) == encode_through_blocks(matrix)
+    @given(vectors(max_dim=64))
+    def test_same_bytes_as_the_block_layout(self, vector):
+        if vector.shape[0]:
+            assert encode_vector(vector) == encode_through_blocks(
+                vector.reshape(1, -1)
+            )
 
-    def test_reference_is_the_block_path(self):
-        # two rows still go through the blocks: the reference agrees
-        # with the codec there, so it is the layout, not a lookalike
-        rng = np.random.default_rng(7)
-        for density in (0.0, 0.05, 0.5, 0.7, 1.0):
-            matrix = rng.random((2, 48), dtype=np.float32)
-            matrix[rng.random((2, 48)) >= density] = 0
-            assert encode_vectors(matrix) == encode_through_blocks(matrix)
+    def test_a_multi_row_blob_is_not_a_vector(self):
+        """Nothing at rest holds one since v9; both decoders refuse it
+        rather than read its first count as a vector's."""
+        matrix = np.zeros((2, 48), dtype=np.float32)
+        matrix[0, 3] = matrix[1, 7] = 1.0
+        blob = encode_through_blocks(matrix)
+        assert is_sparse(blob)
+        with pytest.raises(ValueError, match="inconsistent sparse trailer"):
+            decode_vector(blob)
+        with pytest.raises(ValueError, match="inconsistent sparse trailer"):
+            decode_many([blob])
+
+
+def as_stored(matrix, whole):
+    """One blob per row, as record rows hold them: the codec's choice,
+    or — where ``whole`` says so — the headerless dense bytes a legacy
+    row holds, or the layout's kept-whole form."""
+    blobs = []
+    for row, form in zip(matrix, whole):
+        if form == "legacy" or not row.shape[0]:
+            blobs.append(row.tobytes())
+        elif form == "whole":
+            blobs.append(kept_whole(row))
+        else:
+            blobs.append(encode_vector(row))
+    return blobs
+
+
+row_forms = st.lists(
+    st.sampled_from(["codec", "codec", "codec", "legacy", "whole"]),
+    min_size=6, max_size=6,
+)
+
+
+class TestDecodeMany:
+    """Cold start decodes a shard's rows in one call; the per-row
+    decoder stays the reference: same bits, same refusals."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(), row_forms)
+    def test_same_bytes_as_decoding_row_by_row(self, matrix, forms):
+        blobs = as_stored(matrix, forms)
+        decoded = decode_many(blobs)
+        assert decoded.dtype == np.float32
+        assert decoded.flags.c_contiguous and decoded.flags.writeable
+        if not blobs:
+            assert decoded.shape == (0, 0)
+            return
+        reference = np.stack([decode_vector(blob) for blob in blobs])
+        assert decoded.shape == reference.shape == matrix.shape
+        assert decoded.tobytes() == reference.tobytes() == matrix.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrices(min_rows=1, max_rows=3, max_dim=24), row_forms)
+    def test_every_bit_flip_of_a_sparse_row_raises(self, matrix, forms):
+        blobs = as_stored(matrix, forms)
+        for row, blob in enumerate(blobs):
+            if not is_sparse(blob):
+                continue
+            for position in range(len(blob) * 8):
+                flipped = bytearray(blob)
+                flipped[position // 8] ^= 1 << (position % 8)
+                torn = [*blobs[:row], bytes(flipped), *blobs[row + 1:]]
+                with pytest.raises(ValueError):
+                    decode_many(torn)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(min_rows=1, max_rows=3), row_forms, st.data())
+    def test_truncated_row_raises_or_reads_as_a_narrower_one(
+        self, matrix, forms, data
+    ):
+        """Exactly :func:`decode_vector`'s verdict on the cut blob: an
+        error, or (the documented limit of headerless dense bytes) a
+        narrower vector — which then is of another width than its
+        neighbours unless it is the only row."""
+        blobs = as_stored(matrix, forms)
+        row = data.draw(st.integers(0, len(blobs) - 1))
+        if not blobs[row]:
+            return
+        cut = blobs[row][: data.draw(st.integers(0, len(blobs[row]) - 1))]
+        torn = [*blobs[:row], cut, *blobs[row + 1:]]
+        try:
+            narrower = decode_vector(cut)
+        except ValueError:
+            with pytest.raises(ValueError):
+                decode_many(torn)
+            return
+        if len(blobs) == 1:
+            assert decode_many(torn).tobytes() == narrower.tobytes()
+        else:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                decode_many(torn)
+
+    def test_row_of_another_width_raises(self):
+        narrow = np.ones(4, dtype=np.float32)
+        wide = np.zeros(64, dtype=np.float32)
+        wide[3] = 1.0
+        for blobs in (
+            [encode_vector(wide), encode_vector(narrow)],
+            [encode_vector(narrow), encode_vector(wide)],
+            [encode_vector(wide), kept_whole(narrow)],
+        ):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                decode_many(blobs)
+
+    def test_column_out_of_range_in_any_row_is_a_value_error(self):
+        good = np.zeros(8, dtype=np.float32)
+        good[2] = 1.0
+        bad = seal(
+            struct.pack("=I", 1)
+            + np.array([1.0], dtype=np.float32).tobytes()
+            + np.array([9], dtype=np.uint16).tobytes(),
+            8,
+        )
+        with pytest.raises(ValueError, match="column out of range"):
+            decode_many([encode_vector(good), bad, encode_vector(good)])
 
 
 class TestCorruptInput:
     @settings(max_examples=150, deadline=None)
-    @given(matrices())
-    def test_every_truncation_raises(self, matrix):
-        rows, dim = matrix.shape
-        blob = encode_vectors(matrix)
+    @given(vectors())
+    def test_every_truncation_raises_or_reads_as_narrower_dense(self, vector):
+        """(Nothing beside a record row says how wide it is, so a blob
+        cut to a multiple of four bytes is a narrower dense vector —
+        the documented limit.)"""
+        blob = encode_vector(vector)
         for cut in range(len(blob)):
-            with pytest.raises(ValueError):
-                decode_vectors(blob[:cut], rows, dim)
+            if cut % 4:
+                with pytest.raises(ValueError):
+                    decode_vector(blob[:cut])
+            else:
+                assert decode_vector(blob[:cut]).tobytes() == blob[:cut]
 
     @settings(max_examples=60, deadline=None)
-    @given(matrices(max_rows=4, max_dim=24), st.booleans())
-    def test_every_bit_flip_of_a_sparse_blob_raises(self, matrix, infer_dim):
-        """A flipped bit never decodes to a different matrix.  (Only the
+    @given(vectors(max_dim=24))
+    def test_every_bit_flip_of_a_sparse_blob_raises(self, vector):
+        """A flipped bit never decodes to a different vector.  (Only the
         sparse layout carries a checksum; a headerless dense blob — the
         legacy format — has no redundancy beyond its length.)"""
-        rows, dim = matrix.shape
-        blob = encode_vectors(matrix)
-        if not is_sparse(blob) or (infer_dim and rows != 1):
+        blob = encode_vector(vector)
+        if not is_sparse(blob):
             return
         for position in range(len(blob) * 8):
             flipped = bytearray(blob)
             flipped[position // 8] ^= 1 << (position % 8)
             with pytest.raises(ValueError):
-                decode_vectors(
-                    bytes(flipped), rows, None if infer_dim else dim
-                )
-
-    def test_wrong_declared_shape_raises(self):
-        matrix = np.zeros((3, 16), dtype=np.float32)
-        matrix[0, 0] = 1.0
-        for blob in (encode_vectors(matrix), matrix.tobytes()):
-            for rows, dim in ((2, 16), (3, 15), (3, 17), (-1, 16), (3, -1)):
-                with pytest.raises(ValueError):
-                    decode_vectors(blob, rows, dim)
+                decode_vector(bytes(flipped))
 
     def test_column_out_of_range_is_a_value_error(self):
         """A well-sealed blob whose column points past the row."""
-        sealed = (
+        blob = seal(
             np.array([1], dtype=np.uint32).tobytes()
             + np.array([1.0], dtype=np.float32).tobytes()
-            + np.array([9], dtype=np.uint16).tobytes()
-            + struct.pack("=II", 1, 8)
+            + np.array([9], dtype=np.uint16).tobytes(),
+            8,
         )
-        blob = sealed + struct.pack("=IB", zlib.crc32(sealed), 1)
         with pytest.raises(ValueError, match="column out of range"):
-            decode_vectors(blob, 1, 8)
+            decode_vector(blob)
 
     def test_corrupt_record_blob_surfaces_as_an_error_not_zeros(
         self, tmp_path
@@ -220,9 +333,58 @@ def sparse_unit(rng):
     return vec / np.linalg.norm(vec)
 
 
+def reshape_slabs(conn, encode):
+    """Give ``index_shards`` the shape it had up to schema v8, through
+    raw SQL: every base slab carries ``dim`` and a ``vectors`` blob —
+    ``encode`` of the matrix of its ids' record vectors, the second copy
+    of every vector that v9 dropped."""
+    conn.row_factory = sqlite3.Row
+    sources = {
+        KIND_DESC: ("pes", "pe_id", "desc_embedding"),
+        KIND_CODE: ("pes", "pe_id", "code_embedding"),
+        "wf-desc": ("workflows", "workflow_id", "desc_embedding"),
+    }
+    slabs = conn.execute("SELECT * FROM index_shards").fetchall()
+    conn.execute("DROP TABLE index_shards")
+    conn.execute(
+        """CREATE TABLE index_shards (
+            user_id INTEGER NOT NULL, kind TEXT NOT NULL,
+            mutation_counter INTEGER NOT NULL, dim INTEGER NOT NULL,
+            rows INTEGER NOT NULL, ids BLOB NOT NULL, vectors BLOB NOT NULL,
+            PRIMARY KEY (user_id, kind)
+        )"""
+    )
+    for slab in slabs:
+        table, key, column = sources[slab["kind"]]
+        blobs = [
+            conn.execute(
+                f"SELECT {column} FROM {table} WHERE {key}=?", (rid,)
+            ).fetchone()
+            for rid in np.frombuffer(slab["ids"], dtype=np.int64).tolist()
+        ]
+        vectors = [
+            None if blob is None or blob[0] is None else decode_vector(blob[0])
+            for blob in blobs
+        ]
+        width = max((v.shape[0] for v in vectors if v is not None), default=0)
+        # a record deleted since the fold left its old vector in the
+        # slab: any will do, nothing may read it
+        matrix = np.zeros((len(vectors), width), dtype=np.float32)
+        for row, vector in enumerate(vectors):
+            if vector is not None:
+                matrix[row] = vector
+        conn.execute(
+            "INSERT INTO index_shards VALUES (?, ?, ?, ?, ?, ?, ?)",
+            (
+                slab["user_id"], slab["kind"], slab["mutation_counter"],
+                matrix.shape[1], matrix.shape[0], slab["ids"], encode(matrix),
+            ),
+        )
+
+
 def rewrite_as_v6(path):
     """Give a registry file the blobs schema v6 wrote: every vector
-    (record rows, base slabs — the journal holds none since v8)
+    (record rows, and the base slabs that still held a copy of them)
     headerless dense float32, ``user_version`` 6 — raw SQL only."""
     conn = sqlite3.connect(path)
     for table, key, columns in (
@@ -237,16 +399,9 @@ def rewrite_as_v6(path):
             for rid, blob in rows:
                 conn.execute(
                     f"UPDATE {table} SET {column}=? WHERE {key}=?",
-                    (decode_vectors(blob, 1).tobytes(), rid),
+                    (decode_vector(blob).tobytes(), rid),
                 )
-    rows = conn.execute(
-        "SELECT rowid, rows, dim, vectors FROM index_shards"
-    ).fetchall()
-    for rid, n, dim, blob in rows:
-        conn.execute(
-            "UPDATE index_shards SET vectors=? WHERE rowid=?",
-            (decode_vectors(blob, n, dim).tobytes(), rid),
-        )
+    reshape_slabs(conn, lambda matrix: matrix.tobytes())
     conn.execute("PRAGMA user_version = 6")
     conn.commit()
     conn.close()
@@ -255,17 +410,17 @@ def rewrite_as_v6(path):
 def blob_lengths(path):
     conn = sqlite3.connect(path)
     try:
-        return {
-            "pes": dict(
-                conn.execute("SELECT pe_id, LENGTH(desc_embedding) FROM pes")
-            ),
-            "slabs": dict(
-                conn.execute(
-                    "SELECT user_id || '/' || kind, LENGTH(vectors)"
-                    " FROM index_shards"
-                )
-            ),
-        }
+        return dict(
+            conn.execute("SELECT pe_id, LENGTH(desc_embedding) FROM pes")
+        )
+    finally:
+        conn.close()
+
+
+def slab_columns(path):
+    conn = sqlite3.connect(path)
+    try:
+        return {row[1] for row in conn.execute("PRAGMA table_info(index_shards)")}
     finally:
         conn.close()
 
@@ -291,7 +446,7 @@ class TestLegacyFile:
                 ),
             )
         service.persist_shards()
-        # a base slab *and* a journal tail, both to be read back dense
+        # a base slab *and* a journal tail, both filled from dense rows
         service._compact_shard((alice.user_id, KIND_DESC))
         service.add_pe(
             alice,
@@ -300,13 +455,16 @@ class TestLegacyFile:
         service.dao.close()
         rewrite_as_v6(path)
         legacy = blob_lengths(path)
-        assert set(legacy["pes"].values()) == {DIM * 4}
-        assert legacy["slabs"][f"{alice.user_id}/{KIND_DESC}"] == 20 * DIM * 4
+        assert set(legacy.values()) == {DIM * 4}
+        assert {"dim", "vectors"} <= slab_columns(path)
 
         dao = SqliteDAO(path)
-        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 8
-        # opening rewrote nothing
+        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 9
+        # opening rewrote no record row; the slabs' copies are gone
         assert blob_lengths(path) == legacy
+        assert slab_columns(path) == {
+            "user_id", "kind", "mutation_counter", "rows", "ids"
+        }
         restarted = RegistryService(dao)
         warm = VectorIndex()
         assert restarted.attach_index(warm) == "fresh"
@@ -336,12 +494,11 @@ class TestLegacyFile:
         )
         restarted.revise_pe(user, target, revised)
         after = blob_lengths(path)
-        assert after["pes"][target.pe_id] < DIM * 4
-        untouched = {k: v for k, v in after["pes"].items() if k != target.pe_id}
+        assert after[target.pe_id] < DIM * 4
+        untouched = {k: v for k, v in after.items() if k != target.pe_id}
         assert untouched == {
-            k: v for k, v in legacy["pes"].items() if k != target.pe_id
+            k: v for k, v in legacy.items() if k != target.pe_id
         }
-        assert after["slabs"] == legacy["slabs"]  # until their next fold
         dao.close()
 
         again = RegistryService(SqliteDAO(path))
@@ -374,4 +531,4 @@ class TestLegacyFile:
         record.description = "after"  # metadata only, same vector
         dao.update_pe(record)
         assert dao.shard_stamps() == stamps
-        assert blob_lengths(path)["pes"][stored.pe_id] < DIM * 4
+        assert blob_lengths(path)[stored.pe_id] < DIM * 4

@@ -11,17 +11,30 @@ the bounds leave one frame of slack for another build's b-tree splits.
 
 New files get 1 KB pages; a file that already has pages keeps them
 (page size is fixed once a WAL file exists) and passes the same cases.
+
+Two more op classes are pinned the same way.  A **fold** writes a
+shard's ids and nothing else — 8 bytes a row, whatever the vectors
+weigh — in one commit.  An **attach** reads a registry in a number of
+statements that depends on how many (user, record table) pairs it
+holds, not on how many records.
 """
 
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.net.transport import Request
 from repro.registry.dao import SqliteDAO
+from repro.registry.service import RegistryService
+from repro.search import KIND_DESC, VectorIndex
 from repro.server import LaminarServer
-from tests.registry.test_journal_in_transaction import new_4k_file
+from tests.registry.test_dao import make_pe
+from tests.registry.test_journal_in_transaction import (
+    live_shards,
+    new_4k_file,
+)
 
 #: frames one op may log, per page size — measured 12/8/16/21 of 1 KB
 #: and 12/8/11/12 of 4 KB (the parent commit: 15/12/14/15 of 4 KB, in
@@ -79,20 +92,29 @@ def put(send, name, description):
     )
 
 
-def cost(dao, path, op):
-    """``(status, commits, frames)`` of one dispatched op."""
+def traced(dao, path, op):
+    """``(result, statements, frames)`` of one call."""
     statements = []
     dao._conn.set_trace_callback(statements.append)
     before, _ = wal_frames(path)
     try:
-        status = op().status
+        result = op()
     finally:
         dao._conn.set_trace_callback(None)
     after, _ = wal_frames(path)
-    commits = sum(
+    return result, statements, after - before
+
+
+def commits(statements):
+    return sum(
         1 for sql in statements if sql.lstrip().upper().startswith("COMMIT")
     )
-    return status, commits, after - before
+
+
+def cost(dao, path, op):
+    """``(status, commits, frames)`` of one dispatched op."""
+    response, statements, frames = traced(dao, path, op)
+    return response.status, commits(statements), frames
 
 
 def test_each_write_is_one_small_commit(registry):
@@ -117,9 +139,9 @@ def test_each_write_is_one_small_commit(registry):
         ("bulk", 201, lambda: send("POST", "/v1/registry/u/pes:bulk", bulk)),
     ]
     for name, expected, op in ops:
-        status, commits, frames = cost(dao, path, op)
+        status, committed, frames = cost(dao, path, op)
         assert status == expected, name
-        assert commits == 1, f"{name}: {commits} commits"
+        assert committed == 1, f"{name}: {committed} commits"
         assert 0 < frames <= bounds[name], f"{name}: {frames} frames"
     # no fold was due, so none of that wrote a base slab
     assert dao.index_shards_meta()["shards"] == 0
@@ -161,3 +183,119 @@ def test_an_update_writes_only_what_changed(registry):
     assert [pe_id for pe_id, _ in dao.text_topk_pes(99, "subtracts")] == [
         record.pe_id
     ]
+
+
+#: the e2e corpus' code-embedding shape: ~1 KB a vector at rest
+DIM, NNZ = 2048, 160
+FOLD_ROWS = 1200
+#: frames one fold of a FOLD_ROWS-row shard may log on 1 KB pages —
+#: measured 22: the new slab's 8 bytes a row on overflow pages (10),
+#: the 600-row slab it replaces freed (5), the folded journal rows
+#: deleted, stamps and root pages.  The parent commit, whose slab also
+#: held the vectors, logged 1 156 for the same fold
+FOLD_FRAME_BOUND = 23
+
+
+def sparse_unit(rng, dim=DIM, nnz=NNZ):
+    vec = np.zeros(dim, dtype=np.float32)
+    hot = rng.choice(dim, size=nnz, replace=False)
+    vec[hot] = rng.standard_normal(nnz).astype(np.float32)
+    return vec / np.linalg.norm(vec)
+
+
+def bulk_load(service, user, rng, start, count, code=False):
+    """``count`` records in batches of 64 that leave folding to the
+    caller, the way an ingest job loads them."""
+    for first in range(start, start + count, 64):
+        service.register_pes_bulk(
+            user,
+            [
+                make_pe(
+                    f"PE{i}",
+                    code=f"c:{i}".encode().hex(),
+                    description=f"element {i}",
+                    desc_embedding=sparse_unit(rng),
+                    code_embedding=sparse_unit(rng) if code else None,
+                )
+                for i in range(first, min(first + 64, start + count))
+            ],
+            persist=False,
+        )
+
+
+def test_a_fold_is_one_commit_of_ids(tmp_path):
+    rng = np.random.default_rng(91)
+    path = tmp_path / "registry.db"
+    dao = SqliteDAO(path)
+    dao._conn.execute("PRAGMA wal_autocheckpoint=0")
+    service = RegistryService(dao)
+    alice = service.register_user("alice", "pw")
+    service.attach_index(VectorIndex())
+    key = (alice.user_id, KIND_DESC)
+    # a first fold, so the measured one also replaces an old slab
+    bulk_load(service, alice, rng, 0, FOLD_ROWS // 2)
+    assert service.persist_shards()
+    bulk_load(service, alice, rng, FOLD_ROWS // 2, FOLD_ROWS // 2)
+    before = dao.shard_chain_meta()[key]
+    assert (before["rows"], before["chainRows"]) == (600, 600)
+
+    saved, statements, frames = traced(dao, path, service.persist_shards)
+    assert saved
+    after = dao.shard_chain_meta()[key]
+    assert (after["rows"], after["chainRows"]) == (FOLD_ROWS, 0)
+    assert commits(statements) == 1
+    assert 0 < frames <= FOLD_FRAME_BOUND, frames
+    # ids and nothing but ids
+    assert [
+        tuple(row)
+        for row in dao._conn.execute("SELECT LENGTH(ids) FROM index_shards")
+    ] == [(8 * FOLD_ROWS,)]
+    assert {
+        row[1] for row in dao._conn.execute("PRAGMA table_info(index_shards)")
+    } == {"user_id", "kind", "mutation_counter", "rows", "ids"}
+    dao.close()
+
+
+def attach_statements(path):
+    dao = SqliteDAO(path)
+    statements = []
+    dao._conn.set_trace_callback(statements.append)
+    index = VectorIndex()
+    mode = RegistryService(dao).attach_index(index, persist=False)
+    dao._conn.set_trace_callback(None)
+    dao.close()
+    return mode, statements, index
+
+
+def test_an_attach_reads_in_statements_per_shard_not_per_record(tmp_path):
+    rng = np.random.default_rng(92)
+    path = tmp_path / "registry.db"
+    service = RegistryService(SqliteDAO(path))
+    alice = service.register_user("alice", "pw")
+    bob = service.register_user("bob", "pw")
+    service.attach_index(VectorIndex())
+    bulk_load(service, alice, rng, 0, 40, code=True)
+    bulk_load(service, bob, rng, 40, 8)
+    service.dao.close()
+    mode, small, _index = attach_statements(path)
+    assert mode == "fresh"
+
+    service = RegistryService(SqliteDAO(path))
+    index = VectorIndex()
+    service.attach_index(index)
+    bulk_load(service, service.get_user("alice"), rng, 48, 1300, code=True)
+    assert service.persist_shards()
+    service.dao.close()
+    mode, large, warm = attach_statements(path)
+    assert mode == "fresh"
+    assert warm.size(alice.user_id, KIND_DESC) == 1340
+    assert live_shards(warm) == live_shards(index)
+
+    # one read transaction: counter, stamps, slabs, journal, one scan
+    # per (user, record table) — alice's two kinds share hers — and the
+    # two chain-statistics queries
+    assert len(large) == len(small) == 10, large
+    assert large[0] == "BEGIN" and large[-1] == "COMMIT"
+    scans = [sql for sql in large if "JOIN pes" in sql]
+    assert len(scans) == 2
+    assert not any(" IN (" in sql for sql in large)

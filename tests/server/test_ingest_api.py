@@ -18,6 +18,7 @@ import pytest
 from repro.ingest.chunker import chunk_file
 from repro.ingest.walker import iter_repo_files
 from repro.net.transport import Request
+from repro.registry.dao import SqliteDAO
 from repro.server import LaminarServer
 
 
@@ -157,6 +158,32 @@ class TestIngestHappyPath:
             "deduped": chunks,
             "registryVersion": job["result"]["registryVersion"],
         }
+
+    def test_job_checkpoints_the_store_it_loaded(
+        self, fast_bundle, repo_tree, tmp_path
+    ):
+        """The job's pages reach the main file on the job thread, not
+        inside whichever later commit trips the WAL's threshold."""
+        path = tmp_path / "registry.db"
+        dao = SqliteDAO(path)
+        server = LaminarServer(dao=dao, models=fast_bundle)
+        server.dispatch(
+            Request(
+                "POST", "/auth/register", {"userName": "zz46", "password": "pw"}
+            )
+        )
+        token = server.dispatch(
+            Request("POST", "/auth/login", {"userName": "zz46", "password": "pw"})
+        ).body["token"]
+        response = start_ingest(server, token, {"path": str(repo_tree)})
+        job = finished_job(server, token, response.body["jobId"])
+        assert job["state"] == "succeeded", job
+        pages = dao._conn.execute("PRAGMA page_count").fetchone()[0]
+        page_size = dao._conn.execute("PRAGMA page_size").fetchone()[0]
+        assert pages > 8
+        # nothing the job committed is left in the log alone
+        assert path.stat().st_size == pages * page_size
+        dao.close()
 
     def test_small_batches_land_the_same_corpus(self, server, token, repo_tree):
         _, _, chunks = expected_chunks(repo_tree)
