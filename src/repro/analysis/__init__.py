@@ -36,17 +36,18 @@ RPR002  No ``await``/blocking call while a ``with <lock>:`` block is
         held — critical sections are sized to stay microseconds-short
         (batcher PR 3, write core PR 5, scatter PR 6); a sleep inside
         one convoys every contender.  Runtime complement: lockwatch.
-RPR003  Every DAO method writing the ``pes``/``workflows`` tables bumps
-        the registry mutation counter *and* calls ``_stamp_shards`` —
-        the one helper that stamps the changed shards and appends their
-        journal rows in the mutation's transaction — and neither it nor
-        anyone else stamps or journals around that helper.  The
-        counter/stamp pair is the freshness authority for persisted
-        slabs, journals and IVF/HNSW state (PRs 3/8); an unstamped
-        write makes stale persistence load as fresh, a stamp without
-        its journal row a fresh shard load stale.  (RPR004, which kept
-        the service's journal calls after its index mutations, went
-        with those calls: the DAO journals now.)
+RPR003  Every DAO method whose SQL writes the ``pes``/``workflows``
+        tables bumps the registry mutation counter *and* calls
+        ``_stamp_shards`` — the one helper that stamps the changed
+        shards and appends their journal rows in the mutation's
+        transaction — and neither it nor anyone else stamps or
+        journals around that helper.  The counter/stamp pair is the
+        freshness authority for persisted slabs, journals and IVF/HNSW
+        state (PRs 3/8); an unstamped write makes stale persistence
+        load as fresh, a stamp without its journal row a fresh shard
+        load stale.  (RPR004, which kept the service's journal calls
+        after its index mutations, went with those calls: the DAO
+        journals now.)
 RPR005  No ``time.time()``/``random``/``uuid``/set-iteration in the
         bitwise-determinism surface (``repro/search/{index,scatter,
         fusion,serving}.py``) — batched == single-shot == brute-force

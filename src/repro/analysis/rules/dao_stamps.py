@@ -14,16 +14,13 @@ journals around it.
 
 Detection: a method "writes" when it executes SQL matching
 ``INSERT INTO/UPDATE/DELETE FROM pes|workflows`` (string literals and
-the literal parts of f-strings) or mutates the in-memory
-``self._pes``/``self._workflows`` stores; such a method must contain
-both a mutation bump (``_bump_mutation()`` call or
-``self._mutations += …``) and a ``_stamp_shards(...)`` call, and must
+the literal parts of f-strings); such a method must contain both a
+``_bump_mutation()`` call and a ``_stamp_shards(...)`` call, and must
 not itself write the persisted membership state — stamps, journal or,
 since schema v9 made them ids-only membership too, base slabs
-(``shard_stamps`` / ``index_deltas`` / ``index_shards`` SQL, the
-``self._shard_stamps``/``_shard_tips``/``_shard_deltas``/
-``_base_shards`` stores).  ``append_index_delta``, the single
-journal-row writer, may be called from ``_stamp_shards`` only.
+(``shard_stamps`` / ``index_deltas`` / ``index_shards`` SQL).
+``append_index_delta``, the single journal-row writer, may be called
+from ``_stamp_shards`` only.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from repro.analysis.lint import (
     Finding,
     LintModule,
     Rule,
-    dotted_name,
     register_rule,
 )
 from repro.analysis.rules.common import walk_scope
@@ -46,8 +42,6 @@ _SQL_WRITE = re.compile(
     r"(pes|workflows)\b"
 )
 
-_MEMORY_STORES = {"self._pes", "self._workflows"}
-
 #: the persisted membership state (stamps, journal, ids-only base
 #: slabs) only ``_stamp_shards`` and the base-slab writers, which are
 #: not mutations, may touch
@@ -55,12 +49,6 @@ _STAMP_SQL_WRITE = re.compile(
     r"(?i)\b(?:insert(?:\s+or\s+\w+)?\s+into|update|delete\s+from)\s+"
     r"(shard_stamps|index_deltas|index_shards)\b"
 )
-_STAMP_STORES = {
-    "self._shard_stamps",
-    "self._shard_tips",
-    "self._shard_deltas",
-    "self._base_shards",
-}
 
 _STAMP_HELPER = "_stamp_shards"
 _JOURNAL_WRITER = "append_index_delta"
@@ -84,45 +72,20 @@ def _sql_text(node: ast.Call) -> str | None:
     return None
 
 
-def _written(
-    fn: ast.FunctionDef, sql_write: re.Pattern, stores: set[str]
-) -> set[str]:
-    """Tables (SQL) and in-memory stores ``fn`` itself writes, out of
-    the given ones."""
+def _written(fn: ast.FunctionDef, sql_write: re.Pattern) -> set[str]:
+    """Tables, out of those ``sql_write`` names, whose SQL ``fn``
+    itself executes a write to."""
     tables: set[str] = set()
     for node in walk_scope(fn):
-        if isinstance(node, ast.Call) and isinstance(
-            node.func, ast.Attribute
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("execute", "executemany")
         ):
-            if node.func.attr in ("execute", "executemany"):
-                sql = _sql_text(node)
-                if sql:
-                    tables.update(sql_write.findall(sql))
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
-            targets = (
-                node.targets
-                if isinstance(node, (ast.Assign, ast.Delete))
-                else [node.target]
-            )
-            for target in targets:
-                if isinstance(target, ast.Subscript):
-                    store = dotted_name(target.value)
-                    if store in stores:
-                        tables.add(store.rsplit("._", 1)[-1])
+            sql = _sql_text(node)
+            if sql:
+                tables.update(sql_write.findall(sql))
     return tables
-
-
-def _has_bump(fn: ast.FunctionDef) -> bool:
-    for node in walk_scope(fn):
-        if isinstance(node, ast.Call) and isinstance(
-            node.func, ast.Attribute
-        ):
-            if node.func.attr == "_bump_mutation":
-                return True
-        if isinstance(node, ast.AugAssign):
-            if dotted_name(node.target) == "self._mutations":
-                return True
-    return False
 
 
 def _calls(fn: ast.FunctionDef, method: str) -> bool:
@@ -160,11 +123,11 @@ class DaoStampRule(Rule):
                         f"{cls.name}.{fn.name} writes a journal row outside"
                         f" {_STAMP_HELPER} (stamp and journal are one act)",
                     )
-                tables = _written(fn, _SQL_WRITE, _MEMORY_STORES)
+                tables = _written(fn, _SQL_WRITE)
                 if not tables:
                     continue
                 wrote = "/".join(sorted(tables))
-                if not _has_bump(fn):
+                if not _calls(fn, "_bump_mutation"):
                     yield self.finding(
                         module,
                         fn,
@@ -180,7 +143,7 @@ class DaoStampRule(Rule):
                         " stamping the changed shards"
                         " (_stamp_shards; v6 per-shard freshness)",
                     )
-                around = _written(fn, _STAMP_SQL_WRITE, _STAMP_STORES)
+                around = _written(fn, _STAMP_SQL_WRITE)
                 if around:
                     yield self.finding(
                         module,

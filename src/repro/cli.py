@@ -866,9 +866,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     ``--persist`` opts in to writing base slabs back so the next cold
     start replays less.
     """
-    from repro.registry.dao import InMemoryDAO, SqliteDAO
+    from repro.registry.dao import SqliteDAO
 
-    dao = SqliteDAO(args.db) if args.db else InMemoryDAO()
+    dao = SqliteDAO(args.db or ":memory:")
     users = dao.all_users()
     print(f"registry: {args.db or 'in-memory'}  ({len(users)} user(s))")
     for user in users:

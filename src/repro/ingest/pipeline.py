@@ -27,7 +27,7 @@ exactly how far it got).  Shards persist once at the end — mid-ingest
 the live index serves every batch already, persistence only matters
 for the next cold start.
 
-The job then **checkpoints the store** (``RegistryDAO.checkpoint()``,
+The job then **checkpoints the store** (``SqliteDAO.checkpoint()``,
 on the job thread).  A bulk load leaves thousands of committed pages in
 SQLite's write-ahead log; left there, they are copied into the main
 file by whichever later commit trips the automatic threshold — a

@@ -12,12 +12,12 @@ with the schema of Figure 4 / Table 2:
 plus the relationships: user<->PE and user<->workflow are one-way
 many-to-many ("owners"); PE<->workflow is two-way many-to-many.
 
-The paper hosts the registry on a remote MySQL web service; offline we
-provide two DAO backends with identical behaviour — in-memory (tests,
-local stacks) and SQLite (durable) — behind the same service layer that
-implements the paper's ownership/dedup rules (§3.1: re-registering an
-existing PE adds the user as an additional owner instead of duplicating
-the entry).
+The paper hosts the registry on a remote MySQL web service; offline one
+store stands in for it, :class:`~repro.registry.dao.SqliteDAO` — on a
+file for a durable registry, on ``":memory:"`` (its default) for tests
+and local stacks — behind the service layer that implements the paper's
+ownership/dedup rules (§3.1: re-registering an existing PE adds the
+user as an additional owner instead of duplicating the entry).
 
 O(k) serving-path primitives
 ============================
@@ -38,31 +38,29 @@ corpus:
   request order, used by ``RegistryService.resolve_pes`` /
   ``resolve_workflows`` to hydrate exactly the top-k search winners.
 * ``insert_pes`` / ``insert_workflows`` — bulk load (one
-  ``executemany`` batch per table in SQLite).
+  ``executemany`` batch per table).
 
 The owners migration
 ====================
 
-In :class:`~repro.registry.dao.SqliteDAO`, ownership and the
-PE<->workflow association are normalized into indexed join tables
-(``pe_owners``, ``workflow_owners``, ``workflow_pes``) so the scoped
-queries filter in SQL.  The legacy JSON ``owners`` / ``pe_ids`` columns
-remain the on-record storage format (old readers keep working); the
-join tables are derived data kept in sync on every write.  A file
-written before schema v1 (``PRAGMA user_version`` < 1) is backfilled
-from the JSON columns exactly once when opened.
+Ownership and the PE<->workflow association are normalized into
+indexed join tables (``pe_owners``, ``workflow_owners``,
+``workflow_pes``) so the scoped queries filter in SQL.  The legacy JSON
+``owners`` / ``pe_ids`` columns remain the on-record storage format
+(old readers keep working); the join tables are derived data kept in
+sync on every write.  A file written before schema v1 (``PRAGMA
+user_version`` < 1) is backfilled from the JSON columns exactly once
+when opened.
 """
 
 from repro.registry.entities import PERecord, UserRecord, WorkflowRecord
-from repro.registry.dao import InMemoryDAO, RegistryDAO, SqliteDAO
+from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
 
 __all__ = [
     "UserRecord",
     "PERecord",
     "WorkflowRecord",
-    "RegistryDAO",
-    "InMemoryDAO",
     "SqliteDAO",
     "RegistryService",
 ]

@@ -1,10 +1,12 @@
 """Data Access Object layer (paper §3.2.3).
 
-CRUD against the data store.  Two interchangeable backends:
-
-* :class:`InMemoryDAO` — dict-based, used by tests and ephemeral stacks.
-* :class:`SqliteDAO` — durable storage standing in for the paper's
-  remote MySQL web service; embeddings stored as float32 BLOBs.
+CRUD against the data store.  One store, :class:`SqliteDAO`: the
+durable stand-in for the paper's remote MySQL web service, with
+embeddings stored as vector BLOBs (:mod:`repro.registry.veccodec`).
+Ephemeral stacks — tests, ``LaminarServer()`` without a ``dao``,
+``repro stats`` without ``--db`` — open it on ``":memory:"`` (the
+default path), so every in-process stack runs the same schema, SQL and
+FTS5 ranking as a file on disk.
 
 The DAO layer knows nothing about ownership/dedup rules — that is the
 service layer's job — it only persists and retrieves records.  It does,
@@ -19,26 +21,20 @@ however, own the *access paths* that make ownership filtering cheap:
   hydration;
 * ``insert_pes`` / ``insert_workflows`` — batched bulk load.
 
-In :class:`SqliteDAO`, ownership lives in normalized ``pe_owners`` /
-``workflow_owners`` join tables (indexed by ``user_id``) and the
-PE<->workflow association in a ``workflow_pes`` link table, all migrated
-automatically from the legacy JSON columns the first time an old file is
-opened (tracked by ``PRAGMA user_version``).  The JSON ``owners`` /
-``pe_ids`` columns remain the storage format *on the record itself* so
-old readers keep working; the join tables are derived data kept in sync
-on every write.  :class:`InMemoryDAO` maintains the equivalent per-user
-id sets.
+Ownership lives in normalized ``pe_owners`` / ``workflow_owners`` join
+tables (indexed by ``user_id``) and the PE<->workflow association in a
+``workflow_pes`` link table, all migrated automatically from the legacy
+JSON columns the first time an old file is opened (tracked by ``PRAGMA
+user_version``).  The JSON ``owners`` / ``pe_ids`` columns remain the
+storage format *on the record itself* so old readers keep working; the
+join tables are derived data kept in sync on every write.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import re
 import sqlite3
 import threading
-from abc import ABC, abstractmethod
-from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -68,537 +64,10 @@ def _text_documents():
     return text_search
 
 
-#: replica of the FTS5 ``unicode61`` tokenizer over the (already
-#: lowercased) normalized documents: maximal runs of unicode
-#: alphanumerics.  ``\w`` minus underscore matches unicode61's
-#: token-character classes (L*, N*) for everything the normalizer
-#: emits; combining marks are out of scope either way because
-#: :func:`repro.search.text_search.normalize` lowercases composed text.
-_FTS_TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
-
-#: SQLite FTS5 ``bm25()`` constants — fixed in fts5_aux.c, not tunable
-_BM25_K1 = 1.2
-_BM25_B = 0.75
-
 #: score bonus when the stripped lowercase query occurs as a substring
 #: of the normalized name — the indexed analogue of the legacy scorer's
 #: dominant whole-query arm
 _NAME_SUBSTRING_BONUS = 2.0
-
-
-class RegistryDAO(ABC):
-    """Abstract CRUD interface over users, PEs and workflows."""
-
-    # -- users ------------------------------------------------------------
-    @abstractmethod
-    def insert_user(self, name: str, password_hash: str) -> UserRecord: ...
-
-    @abstractmethod
-    def get_user_by_name(self, name: str) -> UserRecord | None: ...
-
-    @abstractmethod
-    def all_users(self) -> list[UserRecord]: ...
-
-    # -- PEs ---------------------------------------------------------------
-    @abstractmethod
-    def insert_pe(self, record: PERecord) -> PERecord: ...
-
-    @abstractmethod
-    def update_pe(self, record: PERecord) -> None: ...
-
-    @abstractmethod
-    def get_pe(self, pe_id: int) -> PERecord | None: ...
-
-    @abstractmethod
-    def find_pe_by_name(self, name: str) -> list[PERecord]: ...
-
-    @abstractmethod
-    def all_pes(self) -> list[PERecord]: ...
-
-    @abstractmethod
-    def delete_pe(self, pe_id: int) -> None: ...
-
-    # -- PEs: owner-scoped / batched access paths -------------------------
-    def insert_pes(self, records: Sequence[PERecord]) -> list[PERecord]:
-        """Bulk insert; backends may batch.  Returns the stored records."""
-        return [self.insert_pe(record) for record in records]
-
-    def get_pes(self, pe_ids: Sequence[int]) -> list[PERecord]:
-        """Batched fetch, in the order of ``pe_ids``; missing ids skipped."""
-        records = []
-        for pe_id in pe_ids:
-            record = self.get_pe(pe_id)
-            if record is not None:
-                records.append(record)
-        return records
-
-    @abstractmethod
-    def pes_owned_by(self, user_id: int) -> list[PERecord]:
-        """All PEs owned by ``user_id``, ascending id — O(user's records)."""
-
-    @abstractmethod
-    def pe_ids_owned_by(self, user_id: int) -> list[int]:
-        """Ascending owned PE ids; never materializes rows or embeddings."""
-
-    # -- workflows -----------------------------------------------------------
-    @abstractmethod
-    def insert_workflow(self, record: WorkflowRecord) -> WorkflowRecord: ...
-
-    @abstractmethod
-    def update_workflow(self, record: WorkflowRecord) -> None: ...
-
-    @abstractmethod
-    def get_workflow(self, workflow_id: int) -> WorkflowRecord | None: ...
-
-    @abstractmethod
-    def find_workflow_by_entry_point(
-        self, entry_point: str
-    ) -> list[WorkflowRecord]: ...
-
-    @abstractmethod
-    def all_workflows(self) -> list[WorkflowRecord]: ...
-
-    @abstractmethod
-    def delete_workflow(self, workflow_id: int) -> None: ...
-
-    # -- workflows: owner-scoped / batched access paths -------------------
-    def insert_workflows(
-        self, records: Sequence[WorkflowRecord]
-    ) -> list[WorkflowRecord]:
-        """Bulk insert; backends may batch.  Returns the stored records."""
-        return [self.insert_workflow(record) for record in records]
-
-    def get_workflows(self, workflow_ids: Sequence[int]) -> list[WorkflowRecord]:
-        """Batched fetch, in the order of ``workflow_ids``; missing skipped."""
-        records = []
-        for workflow_id in workflow_ids:
-            record = self.get_workflow(workflow_id)
-            if record is not None:
-                records.append(record)
-        return records
-
-    @abstractmethod
-    def workflows_owned_by(self, user_id: int) -> list[WorkflowRecord]:
-        """All workflows owned by ``user_id``, ascending id."""
-
-    @abstractmethod
-    def workflow_ids_owned_by(self, user_id: int) -> list[int]:
-        """Ascending owned workflow ids; never materializes rows."""
-
-    # -- indexed text ranking (BM25 + substring arm) -----------------------
-    @abstractmethod
-    def text_topk_pes(
-        self, user_id: int, query: str, k: int | None = None
-    ) -> list[tuple[int, float]]:
-        """Top-k owned ``(pe_id, score)`` pairs by combined text relevance.
-
-        ``score`` is the BM25 goodness (``-bm25()`` over the normalized
-        name/description documents, SQLite's exact arithmetic on both
-        backends) plus :data:`_NAME_SUBSTRING_BONUS` when the stripped
-        lowercase query occurs as a substring of the normalized name.
-        Ordered by ``(-score, id)``; empty for blank queries; returns
-        ids only so the caller hydrates at most ``k`` records.
-        """
-
-    @abstractmethod
-    def text_topk_workflows(
-        self, user_id: int, query: str, k: int | None = None
-    ) -> list[tuple[int, float]]:
-        """Top-k owned ``(workflow_id, score)`` by combined text relevance.
-
-        Same scoring as :meth:`text_topk_pes` over the workflow
-        documents (entry point + workflow name arms, description).
-        """
-
-    # -- text-search candidate filtering ----------------------------------
-    def pes_owned_by_matching(
-        self, user_id: int, patterns: Sequence[str] | None
-    ) -> list[PERecord]:
-        """Owned PEs whose name or description contains any pattern.
-
-        A *candidate superset* for the text scorer: backends may return
-        extra rows (the scorer drops non-matches) but must never drop a
-        row the scorer would keep — every pattern is matched as a
-        case-insensitive substring of the raw stored text.  ``None``
-        means "cannot filter" and returns the full owned listing.
-        """
-        records = self.pes_owned_by(user_id)
-        if not patterns:  # None or empty: cannot filter
-            return records
-        needles = [pattern.lower() for pattern in patterns]
-        return [
-            record
-            for record in records
-            if any(
-                needle in record.pe_name.lower()
-                or needle in record.description.lower()
-                for needle in needles
-            )
-        ]
-
-    def workflows_owned_by_matching(
-        self, user_id: int, patterns: Sequence[str] | None
-    ) -> list[WorkflowRecord]:
-        """Owned workflows matching any pattern on name/entry/description."""
-        records = self.workflows_owned_by(user_id)
-        if not patterns:  # None or empty: cannot filter
-            return records
-        needles = [pattern.lower() for pattern in patterns]
-        return [
-            record
-            for record in records
-            if any(
-                needle in record.entry_point.lower()
-                or needle in record.workflow_name.lower()
-                or needle in record.description.lower()
-                for needle in needles
-            )
-        ]
-
-    # -- index-shard persistence ------------------------------------------
-    def mutation_counter(self) -> int:
-        """Monotonic counter bumped on every PE/workflow write.
-
-        Backends that do not track mutations return 0 forever, which
-        marks any persisted shard snapshot permanently stale — the safe
-        default (attach always rebuilds).
-        """
-        return 0
-
-    def save_index_shards(
-        self, shards: Mapping[tuple[int, str], np.ndarray], counter: int
-    ) -> None:
-        """Persist ``{(user_id, kind): ids}`` base slabs at ``counter``.
-
-        A base slab is a shard's *membership* — the ids it held at its
-        stamp; the vectors stay in the record rows.  Wholesale truth
-        assertion: replaces every base slab *and* every journaled
-        delta, and stamps each given shard at ``counter`` — the caller
-        vouches this is the complete index membership at that counter.
-        No-op by default.
-        """
-
-    def shard_stamps(self) -> dict[tuple[int, str], int]:
-        """Per-``(user_id, kind)`` expected mutation stamps.
-
-        Every registry mutation stamps the shards whose *content* it
-        changed (owner gained/lost, embedding bytes changed) with the
-        bumped mutation counter and, in the same transaction, appends
-        that shard's ids-only journal row — provided the shard was
-        *covered* before the write (its stamp equalled its chain tip; a
-        shard's first stamp counts, replay from an empty base is then
-        complete).  A stale shard is only stamped and stays stale until
-        a base upsert rebuilds it, so a journal row never lands on top
-        of a gap.  A persisted shard is fresh iff its replayed chain
-        tip equals this stamp.  Backends without stamp tracking return
-        ``{}`` — every persisted shard is then permanently stale
-        (attach rebuilds).
-        """
-        return {}
-
-    def upsert_index_shards(
-        self, shards: Mapping[tuple[int, str], np.ndarray], stamp: int
-    ) -> None:
-        """Upsert base slabs (ids) for just the given shards at ``stamp``.
-
-        For each shard this (atomically, per shard) replaces the base
-        slab row, deletes journaled deltas with counter ``<= stamp``
-        (they are folded into the new base — this is compaction), and
-        raises the shard's expected stamp and its chain tip to at least
-        ``stamp`` (seeding missing stamps, e.g. after a full rebuild of
-        a pre-v6 file) — a shard upserted at its stamp is covered again.
-        Untouched shards keep their rows — one tenant's flush never
-        rewrites another tenant's slab.  No-op by default.
-        """
-
-    def load_index_shards(
-        self,
-    ) -> tuple[
-        dict[tuple[int, str], tuple[np.ndarray, np.ndarray, int]], int
-    ]:
-        """Replayed per-shard slabs: ``({key: (ids, matrix, tip)}, discarded)``.
-
-        Base slab and journal hold ids only: the base is replayed as a
-        run of ``add``s followed by its delta chain in append order, and
-        the vector of every id whose last event is an ``add`` is read
-        from its record row — one ordered scan per (user, record table).
-        ``tip`` is the counter of the last event folded in (the shard
-        is fresh iff ``tip == shard_stamps()[key]``).  A corrupt,
-        truncated or torn shard (bad blob, non-monotonic chain, delta
-        at or below the base stamp, a winning id whose record row is
-        gone, not the user's, of another width or without a vector of
-        that kind) discards *only that shard* and increments
-        ``discarded`` — never the whole snapshot.
-        """
-        return {}, 0
-
-    def owned_vectors(
-        self, user_id: int, kinds: Iterable[str]
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """A user's shards rebuilt from the record rows: for each of
-        ``kinds`` the ``(ids, matrix)`` of the records ``user_id`` owns
-        that carry a vector of that kind — ascending int64 ids,
-        C-contiguous float32 rows, an empty shard ``(0,)`` / ``(0, 0)``.
-        The scan :meth:`load_index_shards` fills replayed shards from,
-        so a rebuilt shard and a replayed one are the same bytes.
-        Raises ``ValueError`` for a corrupt vector or mixed widths.
-        """
-        raise NotImplementedError
-
-    @contextmanager
-    def read_snapshot(self):
-        """Reads made inside this context see one state of the store:
-        no write of this or of another process lands between them
-        (attach reads stamps, base slabs, journal and record rows, and
-        a shard is only as fresh as the rows its ids are filled from).
-        Holds the DAO's lock; write nothing inside.  Backends without
-        snapshot reads give no such guarantee.
-        """
-        yield
-
-    def checkpoint(self) -> None:
-        """Move committed writes from the store's write-ahead log into
-        its main file now, rather than inside whichever later commit
-        trips the automatic threshold.  No-op for stores without one.
-        """
-
-    def index_shards_meta(self) -> dict[str, int | None]:
-        """Cheap snapshot metadata:
-        ``{counter, shards, rows, deltas, deltaBytes}``.
-
-        Never deserializes slab blobs; ``counter`` is the uniform base
-        stamp, or ``None`` when absent or (normal under per-shard
-        persistence) mixed.
-        """
-        return {
-            "counter": None,
-            "shards": 0,
-            "rows": 0,
-            "deltas": 0,
-            "deltaBytes": 0,
-        }
-
-    def shard_chain_meta(self) -> dict[tuple[int, str], dict[str, int]]:
-        """Per-shard chain statistics, no blob deserialization:
-        ``{key: {baseCounter, rows, chainLen, chainRows, chainBytes,
-        tip}}`` — ``rows`` counts the base slab, ``chainRows`` the ids
-        journaled on top of it, ``chainBytes`` their bytes at rest (ids
-        only — the journal stores no vectors)."""
-        return {}
-
-    # -- idempotency receipts (v1 write surface) ---------------------------
-    def get_write_receipt(
-        self, user_id: int, key: str
-    ) -> tuple[str, int, dict] | None:
-        """The stored ``(fingerprint, status, body)`` for an idempotency
-        key, or ``None``.
-
-        Backends that do not implement receipts return ``None`` forever
-        — idempotent replay then degrades to re-execution (safe for the
-        §3.1 dedup semantics, but replays are no longer byte-exact).
-        Both shipped DAOs implement storage.
-        """
-        return None
-
-    def save_write_receipt(
-        self,
-        user_id: int,
-        key: str,
-        fingerprint: str,
-        status: int,
-        body: dict,
-        created_at: float = 0.0,
-    ) -> None:
-        """Record one write's response under ``(user_id, key)``.
-
-        Receipts are *not* registry mutations: saving one must never
-        bump :meth:`mutation_counter` (a replay leaves the counter
-        untouched, which is the observable no-op guarantee).
-        """
-
-    def claim_write_receipt(
-        self, user_id: int, key: str, fingerprint: str, created_at: float = 0.0
-    ) -> bool:
-        """Atomically claim ``(user_id, key)`` for one writer.
-
-        Returns ``True`` if this caller won the claim (a
-        :data:`RECEIPT_PENDING` placeholder row now exists) and must
-        execute the write, ``False`` if another writer — possibly in
-        another *process* — holds or completed it.  Backends without
-        receipt storage return ``True`` (no serialization, the safe
-        single-process default).
-        """
-        return True
-
-    def finalize_write_receipt(
-        self,
-        user_id: int,
-        key: str,
-        fingerprint: str,
-        status: int,
-        body: dict,
-        created_at: float = 0.0,
-    ) -> None:
-        """Replace a pending claim with the write's recorded outcome."""
-        self.save_write_receipt(
-            user_id, key, fingerprint, status, body, created_at
-        )
-
-    def release_write_receipt(self, user_id: int, key: str) -> None:
-        """Drop a *pending* claim (the write failed), so the key is
-        retryable; a finalized receipt is never released."""
-
-    def prune_write_receipts(
-        self,
-        now: float,
-        ttl: float | None = None,
-        cap: int | None = None,
-    ) -> int:
-        """Bound idempotency storage; returns the number of rows dropped.
-
-        ``ttl`` drops finalized receipts with ``created_at <= now - ttl``
-        (replay works inside the window, re-executes outside it — the
-        documented idempotency contract is time-bounded, as every
-        production idempotency store's is); ``cap`` keeps only the
-        newest ``cap`` finalized receipts.  Pending claims are never
-        pruned — an in-flight writer still owns them.
-        """
-        return 0
-
-    # -- persisted IVF training state --------------------------------------
-    def save_ivf_states(
-        self,
-        states: Mapping[tuple[int, str], tuple[np.ndarray, list[np.ndarray]]],
-        stamps: Mapping[tuple[int, str], int] | int,
-    ) -> None:
-        """Upsert ``{(user_id, kind): (centroids, lists)}`` training state.
-
-        ``lists`` are row-index arrays into the (ascending-id ordered)
-        slab content at the shard's stamp — the pair is only meaningful
-        together.  ``stamps`` is either one uniform counter or a
-        per-shard mapping; rows for shards not in ``states`` are left in
-        place (they go stale by stamp, never torn).  No-op by default.
-        """
-
-    def load_ivf_states(
-        self,
-    ) -> tuple[
-        dict[tuple[int, str], int],
-        dict[tuple[int, str], tuple[np.ndarray, list[np.ndarray]]],
-    ]:
-        """The persisted per-shard ``(stamps, states)``; corrupt rows
-        are skipped individually.  ``({}, {})`` when nothing stored."""
-        return {}, {}
-
-    # -- persisted HNSW graph state ----------------------------------------
-    def save_hnsw_states(
-        self,
-        states: Mapping[tuple[int, str], tuple[np.ndarray, np.ndarray]],
-        stamps: Mapping[tuple[int, str], int] | int,
-    ) -> None:
-        """Upsert ``{(user_id, kind): (levels, neighbors)}`` graph state.
-
-        ``levels`` assigns one graph level per slab row and
-        ``neighbors`` is the level-0 adjacency (rows × m0 row indices,
-        ``-1``-padded); both refer to the slab content at the shard's
-        stamp.  Same per-shard upsert semantics as
-        :meth:`save_ivf_states`.  No-op by default.
-        """
-
-    def load_hnsw_states(
-        self,
-    ) -> tuple[
-        dict[tuple[int, str], int],
-        dict[tuple[int, str], tuple[np.ndarray, np.ndarray]],
-    ]:
-        """The persisted per-shard ``(stamps, states)``; corrupt rows
-        are skipped individually.  ``({}, {})`` when nothing stored."""
-        return {}, {}
-
-
-class _TextMirror:
-    """In-memory analogue of the SQLite FTS5 index for one record type.
-
-    A token→ids postings map (candidate discovery *and* document
-    frequencies) plus per-document term counts, scored with SQLite's
-    exact ``bm25()`` arithmetic — same constants, same clamped-idf
-    formula, same sorted-term summation order — so both DAOs rank
-    identically.
-    """
-
-    def __init__(self) -> None:
-        self._docs: dict[int, tuple[str, Counter, int]] = {}
-        self._postings: dict[str, set[int]] = {}
-        self._total_tokens = 0
-
-    def put(self, entity_id: int, name_norm: str, desc_doc: str) -> None:
-        self.drop(entity_id)
-        tokens = _FTS_TOKEN.findall(name_norm) + _FTS_TOKEN.findall(desc_doc)
-        term_counts = Counter(tokens)
-        self._docs[entity_id] = (name_norm, term_counts, len(tokens))
-        self._total_tokens += len(tokens)
-        for token in term_counts:
-            self._postings.setdefault(token, set()).add(entity_id)
-
-    def drop(self, entity_id: int) -> None:
-        doc = self._docs.pop(entity_id, None)
-        if doc is None:
-            return
-        _, term_counts, doc_len = doc
-        self._total_tokens -= doc_len
-        for token in term_counts:
-            bucket = self._postings.get(token)
-            if bucket is not None:
-                bucket.discard(entity_id)
-                if not bucket:
-                    del self._postings[token]
-
-    def topk(
-        self, owned_ids: Sequence[int], query: str, k: int | None
-    ) -> list[tuple[int, float]]:
-        needle = query.lower().strip()
-        if not needle:
-            return []
-        terms = _text_documents().match_terms(query)
-        nrow = len(self._docs)
-        avgdl = self._total_tokens / nrow if nrow else 0.0
-        # idf per term, over the *global* document set (FTS5 computes
-        # document frequencies on the whole table, not the owner join)
-        idf: dict[str, float] = {}
-        candidates: set[int] = set()
-        for term in terms:
-            hits = self._postings.get(term)
-            if not hits:
-                continue
-            nhit = len(hits)
-            value = math.log((0.5 + nrow - nhit) / (0.5 + nhit))
-            idf[term] = value if value > 0.0 else 1e-6
-            candidates.update(hits)
-        candidates.intersection_update(owned_ids)
-        scored: list[tuple[int, float]] = []
-        for entity_id in owned_ids:
-            doc = self._docs.get(entity_id)
-            if doc is None:
-                continue
-            name_norm, term_counts, doc_len = doc
-            score = 0.0
-            if entity_id in candidates:
-                norm = _BM25_K1 * (
-                    (1.0 - _BM25_B) + (_BM25_B * doc_len) / avgdl
-                )
-                for term in terms:
-                    freq = term_counts.get(term)
-                    if not freq or term not in idf:
-                        continue
-                    score += idf[term] * (
-                        (freq * (_BM25_K1 + 1.0)) / (freq + norm)
-                    )
-            if needle in name_norm:
-                score += _NAME_SUBSTRING_BONUS
-            if score > 0.0:
-                scored.append((entity_id, score))
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored if k is None else scored[:k]
 
 
 #: shard kinds, duplicated from repro.search.index (importing it here
@@ -626,8 +95,8 @@ _OP_REMOVE = "remove"
 
 def _embed_bytes(vec) -> bytes | None:
     """Canonical float32 bytes of an embedding (``None`` stays None) —
-    the byte-change test both DAOs use to decide whether a mutation
-    stamps a shard."""
+    the byte-change test that decides whether a mutation stamps a
+    shard."""
     if vec is None:
         return None
     return np.asarray(vec, dtype=np.float32).tobytes()
@@ -762,18 +231,6 @@ def _merge_changes(total: _Changes, changes: _Changes) -> None:
         total.setdefault(key, (op, []))[1].extend(ids)
 
 
-def _stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """The C-contiguous float32 matrix of in-memory record vectors —
-    :func:`~repro.registry.veccodec.decode_many` for vectors that were
-    never encoded: same layout, same errors."""
-    if not rows:
-        return np.empty((0, 0), dtype=np.float32)
-    rows = [np.asarray(vec, dtype=np.float32).reshape(-1) for vec in rows]
-    if len({row.shape[0] for row in rows}) != 1:
-        raise ValueError("record vector dimension mismatch")
-    return np.stack(rows)
-
-
 def _pick_rows(scan_ids: np.ndarray, column: Sequence, ids: np.ndarray) -> list:
     """``column``'s entries for ``ids``, where ``column`` runs beside
     the ascending ``scan_ids`` of one user's owned records.  An id the
@@ -790,30 +247,6 @@ def _pick_rows(scan_ids: np.ndarray, column: Sequence, ids: np.ndarray) -> list:
     if any(entry is None for entry in picked):
         raise ValueError("shard id without a record vector")
     return picked
-
-
-def _owned_shards(
-    scan_owned, stack, user_id: int, kinds: Iterable[str]
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Both DAOs' :meth:`RegistryDAO.owned_vectors`: one
-    ``scan_owned(user_id, table, kinds) -> (ids, {kind: column})`` per
-    record table the kinds live in, and per kind the rows that carry a
-    vector, stacked by ``stack``."""
-    tables: dict[str, list[str]] = {}
-    for kind in sorted(set(kinds)):
-        if kind not in _KIND_SOURCE:
-            raise ValueError(f"unknown shard kind {kind!r}")
-        tables.setdefault(_KIND_SOURCE[kind][0], []).append(kind)
-    shards = {}
-    for table, table_kinds in tables.items():
-        scan_ids, columns = scan_owned(user_id, table, table_kinds)
-        for kind, column in columns.items():
-            held = [row for row, entry in enumerate(column) if entry is not None]
-            shards[kind] = (
-                scan_ids[held],
-                stack([column[row] for row in held]),
-            )
-    return shards
 
 
 def _replay_shard(
@@ -879,751 +312,6 @@ def _replay_shard(
     if not ids_out.shape[0]:
         return ids_out, np.empty((0, 0), dtype=np.float32), int(tip)
     return ids_out, fetch(ids_out), int(tip)
-
-
-def _replay_shards(
-    bases: Mapping[tuple[int, str], tuple[int, np.ndarray]],
-    chains: Mapping[tuple[int, str], list[tuple[int, str, np.ndarray]]],
-    bad: set[tuple[int, str]],
-    scan_owned,
-    stack,
-) -> tuple[dict[tuple[int, str], tuple[np.ndarray, np.ndarray, int]], int]:
-    """Both DAOs' :meth:`RegistryDAO.load_index_shards` once the ids are
-    in hand: replay every shard (:func:`_replay_shard`) and fill it from
-    ``scan_owned(user_id, table, kinds) -> (ids, {kind: column})``, one
-    scan per (user, record table) however many of the user's kinds read
-    it, its picked entries stacked by ``stack``.  ``bad`` shards (rows
-    that did not even parse) and shards that raise are discarded one by
-    one."""
-    keys = sorted(set(bases) | set(chains) | bad)
-    kinds_of: dict[tuple[int, str], list[str]] = {}
-    for user_id, kind in keys:
-        if kind in _KIND_SOURCE:
-            kinds_of.setdefault(
-                (user_id, _KIND_SOURCE[kind][0]), []
-            ).append(kind)
-    # keys are sorted, so a user's kinds follow one another: holding the
-    # latest scan is holding every scan that will be asked for again
-    latest: list = [None, None]
-
-    def fetch(key: tuple[int, str], ids: np.ndarray) -> np.ndarray:
-        user_id, kind = key
-        if kind not in _KIND_SOURCE:
-            raise ValueError(f"unknown shard kind {kind!r}")
-        source = (user_id, _KIND_SOURCE[kind][0])
-        if latest[0] != source:
-            latest[:] = source, scan_owned(*source, kinds_of[source])
-        scan_ids, columns = latest[1]
-        return stack(_pick_rows(scan_ids, columns[kind], ids))
-
-    shards: dict[tuple[int, str], tuple] = {}
-    discarded = 0
-    for key in keys:
-        if key in bad:
-            discarded += 1
-            continue
-        try:
-            shards[key] = _replay_shard(
-                bases.get(key), chains.get(key, []), partial(fetch, key)
-            )
-        except ValueError:
-            discarded += 1
-    return shards, discarded
-
-
-class InMemoryDAO(RegistryDAO):
-    """Dict-backed DAO; thread-safe for the in-process server.
-
-    Ownership and the PE<->workflow association are mirrored into
-    per-user (and per-PE) id sets so owner-scoped listings and the
-    delete-time back-reference walk are O(result), not O(registry).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._users: dict[int, UserRecord] = {}
-        self._users_by_name: dict[str, UserRecord] = {}
-        self._pes: dict[int, PERecord] = {}
-        self._workflows: dict[int, WorkflowRecord] = {}
-        self._next_user = 1
-        self._next_pe = 1
-        self._next_workflow = 1
-        # owner index: user_id -> owned ids (kept in sync on every write)
-        self._owner_pes: dict[int, set[int]] = {}
-        self._owner_workflows: dict[int, set[int]] = {}
-        # last-indexed owner sets, so updates can diff against mutated
-        # record objects (the service mutates records in place)
-        self._pe_owner_snapshot: dict[int, frozenset[int]] = {}
-        self._wf_owner_snapshot: dict[int, frozenset[int]] = {}
-        # back-reference: pe_id -> workflows linking it
-        self._pe_backrefs: dict[int, set[int]] = {}
-        self._wf_link_snapshot: dict[int, frozenset[int]] = {}
-        # shard-persistence bookkeeping (process-local: an in-memory
-        # registry has no cold start, but tracking the counter keeps the
-        # freshness protocol uniform and testable across backends).
-        # Per-shard: ids-only base slabs, append-only ids-only delta
-        # chains and expected stamps + chain tips mirror SqliteDAO's
-        # index_shards / index_deltas / shard_stamps tables exactly.
-        self._mutations = 0
-        self._shard_stamps: dict[tuple[int, str], int] = {}
-        self._shard_tips: dict[tuple[int, str], int | None] = {}
-        self._base_shards: dict[tuple[int, str], tuple[int, np.ndarray]] = {}
-        self._shard_deltas: dict[
-            tuple[int, str], list[tuple[int, str, np.ndarray]]
-        ] = {}
-        # last-committed embedding bytes, so updates can diff against
-        # record objects the service mutates in place (same reason the
-        # owner snapshots above exist)
-        self._pe_embed_snapshot: dict[int, tuple[bytes | None, bytes | None]] = {}
-        self._wf_embed_snapshot: dict[int, bytes | None] = {}
-        self._saved_ivf: dict[tuple[int, str], tuple[int, tuple]] = {}
-        self._saved_hnsw: dict[tuple[int, str], tuple[int, tuple]] = {}
-        # text-search mirror of SqliteDAO's FTS5 tables, kept in sync
-        # at the same mutation points the triggers fire
-        self._pe_text = _TextMirror()
-        self._wf_text = _TextMirror()
-        # idempotency receipts:
-        # (user_id, key) -> (fingerprint, status, body, created_at)
-        self._receipts: dict[tuple[int, str], tuple[str, int, dict, float]] = {}
-
-    # -- text-index maintenance -------------------------------------------
-    def _index_pe_text(self, record: PERecord) -> None:
-        docs = _text_documents()
-        self._pe_text.put(
-            record.pe_id,
-            *docs.fts_pe_document(record.pe_name, record.description),
-        )
-
-    def _index_wf_text(self, record: WorkflowRecord) -> None:
-        docs = _text_documents()
-        self._wf_text.put(
-            record.workflow_id,
-            *docs.fts_workflow_document(
-                record.entry_point, record.workflow_name, record.description
-            ),
-        )
-
-    # -- index maintenance -------------------------------------------------
-    def _reindex_pe_owners(self, record: PERecord) -> None:
-        old = self._pe_owner_snapshot.get(record.pe_id, frozenset())
-        new = frozenset(record.owners)
-        for user_id in old - new:
-            self._owner_pes.get(user_id, set()).discard(record.pe_id)
-        for user_id in new - old:
-            self._owner_pes.setdefault(user_id, set()).add(record.pe_id)
-        self._pe_owner_snapshot[record.pe_id] = new
-
-    def _drop_pe_owners(self, pe_id: int) -> None:
-        for user_id in self._pe_owner_snapshot.pop(pe_id, frozenset()):
-            self._owner_pes.get(user_id, set()).discard(pe_id)
-
-    def _reindex_wf_owners(self, record: WorkflowRecord) -> None:
-        old = self._wf_owner_snapshot.get(record.workflow_id, frozenset())
-        new = frozenset(record.owners)
-        for user_id in old - new:
-            self._owner_workflows.get(user_id, set()).discard(record.workflow_id)
-        for user_id in new - old:
-            self._owner_workflows.setdefault(user_id, set()).add(
-                record.workflow_id
-            )
-        self._wf_owner_snapshot[record.workflow_id] = new
-
-    def _drop_wf_owners(self, workflow_id: int) -> None:
-        for user_id in self._wf_owner_snapshot.pop(workflow_id, frozenset()):
-            self._owner_workflows.get(user_id, set()).discard(workflow_id)
-
-    def _reindex_wf_links(self, record: WorkflowRecord) -> None:
-        old = self._wf_link_snapshot.get(record.workflow_id, frozenset())
-        new = frozenset(record.pe_ids)
-        for pe_id in old - new:
-            self._pe_backrefs.get(pe_id, set()).discard(record.workflow_id)
-        for pe_id in new - old:
-            self._pe_backrefs.setdefault(pe_id, set()).add(record.workflow_id)
-        self._wf_link_snapshot[record.workflow_id] = new
-
-    def _drop_wf_links(self, workflow_id: int) -> None:
-        for pe_id in self._wf_link_snapshot.pop(workflow_id, frozenset()):
-            self._pe_backrefs.get(pe_id, set()).discard(workflow_id)
-
-    # -- users ------------------------------------------------------------
-    def insert_user(self, name: str, password_hash: str) -> UserRecord:
-        with self._lock:
-            record = UserRecord(self._next_user, name, password_hash)
-            self._users[record.user_id] = record
-            self._users_by_name[name] = record
-            self._next_user += 1
-            return record
-
-    def get_user_by_name(self, name: str) -> UserRecord | None:
-        with self._lock:
-            return self._users_by_name.get(name)
-
-    def all_users(self) -> list[UserRecord]:
-        with self._lock:
-            return sorted(self._users.values(), key=lambda u: u.user_id)
-
-    # -- per-shard stamping ------------------------------------------------
-    def _stamp_shards(self, changes: _Changes) -> None:
-        """Stamp the shards a mutation changed with the bumped counter
-        and journal each one that was covered (caller holds the lock
-        and has already bumped) — the rule of
-        :meth:`RegistryDAO.shard_stamps`."""
-        for key, (op, ids) in sorted(changes.items()):
-            if key not in self._shard_stamps or (
-                self._shard_stamps[key] == self._shard_tips.get(key)
-            ):
-                self.append_index_delta(*key, op, ids, self._mutations)
-                self._shard_tips[key] = self._mutations
-            self._shard_stamps[key] = self._mutations
-
-    def append_index_delta(
-        self, user_id: int, kind: str, op: str, ids: list[int], counter: int
-    ) -> None:
-        """The single journal-row writer; only :meth:`_stamp_shards`
-        calls it."""
-        self._shard_deltas.setdefault((user_id, kind), []).append(
-            (counter, op, np.asarray(ids, dtype=np.int64))
-        )
-
-    def _snapshot_pe_embeds(self, record: PERecord) -> None:
-        self._pe_embed_snapshot[record.pe_id] = (
-            _embed_bytes(record.desc_embedding),
-            _embed_bytes(record.code_embedding),
-        )
-
-    def _pe_write_changes(
-        self, record: PERecord, *, inserted: bool
-    ) -> _Changes:
-        """Shards this PE write changes and their journal rows; diffs
-        against the owner and embedding snapshots (the service mutates
-        records in place)."""
-        new_desc = _embed_bytes(record.desc_embedding)
-        new_code = _embed_bytes(record.code_embedding)
-        if inserted:
-            old_owners: set[int] = set()
-            old_desc = old_code = None
-        else:
-            old_owners = set(
-                self._pe_owner_snapshot.get(record.pe_id, frozenset())
-            )
-            old_desc, old_code = self._pe_embed_snapshot.get(
-                record.pe_id, (None, None)
-            )
-        return _pe_changes(
-            record.pe_id, old_owners, set(record.owners),
-            old_desc, new_desc, old_code, new_code,
-        )
-
-    def _wf_write_changes(
-        self, record: WorkflowRecord, *, inserted: bool
-    ) -> _Changes:
-        new_desc = _embed_bytes(record.desc_embedding)
-        if inserted:
-            old_owners: set[int] = set()
-            old_desc = None
-        else:
-            old_owners = set(
-                self._wf_owner_snapshot.get(record.workflow_id, frozenset())
-            )
-            old_desc = self._wf_embed_snapshot.get(record.workflow_id)
-        return _wf_changes(
-            record.workflow_id, old_owners, set(record.owners),
-            old_desc, new_desc,
-        )
-
-    # -- PEs ---------------------------------------------------------------
-    def insert_pe(self, record: PERecord) -> PERecord:
-        with self._lock:
-            self._mutations += 1
-            record.pe_id = self._next_pe
-            record.revision = 1
-            self._next_pe += 1
-            self._pes[record.pe_id] = record
-            self._stamp_shards(self._pe_write_changes(record, inserted=True))
-            self._reindex_pe_owners(record)
-            self._snapshot_pe_embeds(record)
-            self._index_pe_text(record)
-            return record
-
-    def insert_pes(self, records: Sequence[PERecord]) -> list[PERecord]:
-        """Bulk load under one lock hold; one mutation-counter bump.
-
-        One bump per *batch* (matching :class:`SqliteDAO`'s single
-        transaction) keeps the service layer's index-freshness
-        accounting uniform across backends.
-        """
-        if not records:
-            return []
-        with self._lock:
-            self._mutations += 1
-            changes: _Changes = {}
-            for record in records:
-                record.pe_id = self._next_pe
-                record.revision = 1
-                self._next_pe += 1
-                self._pes[record.pe_id] = record
-                _merge_changes(
-                    changes, self._pe_write_changes(record, inserted=True)
-                )
-                self._reindex_pe_owners(record)
-                self._snapshot_pe_embeds(record)
-                self._index_pe_text(record)
-            self._stamp_shards(changes)
-            return list(records)
-
-    def update_pe(self, record: PERecord) -> None:
-        with self._lock:
-            self._mutations += 1
-            if record.pe_id not in self._pes:
-                raise NotFoundError(
-                    f"PE id {record.pe_id} not found", params={"peId": record.pe_id}
-                )
-            record.revision += 1
-            self._pes[record.pe_id] = record
-            self._stamp_shards(self._pe_write_changes(record, inserted=False))
-            self._reindex_pe_owners(record)
-            self._snapshot_pe_embeds(record)
-            self._index_pe_text(record)
-
-    def get_pe(self, pe_id: int) -> PERecord | None:
-        with self._lock:
-            return self._pes.get(pe_id)
-
-    def find_pe_by_name(self, name: str) -> list[PERecord]:
-        with self._lock:
-            return [pe for pe in self._pes.values() if pe.pe_name == name]
-
-    def all_pes(self) -> list[PERecord]:
-        with self._lock:
-            return sorted(self._pes.values(), key=lambda p: p.pe_id)
-
-    def pes_owned_by(self, user_id: int) -> list[PERecord]:
-        with self._lock:
-            return [
-                self._pes[pe_id]
-                for pe_id in sorted(self._owner_pes.get(user_id, ()))
-            ]
-
-    def pe_ids_owned_by(self, user_id: int) -> list[int]:
-        with self._lock:
-            return sorted(self._owner_pes.get(user_id, ()))
-
-    def delete_pe(self, pe_id: int) -> None:
-        with self._lock:
-            self._mutations += 1
-            if pe_id not in self._pes:
-                raise NotFoundError(f"PE id {pe_id} not found", params={"peId": pe_id})
-            old_owners = set(self._pe_owner_snapshot.get(pe_id, frozenset()))
-            old_desc, old_code = self._pe_embed_snapshot.pop(
-                pe_id, (None, None)
-            )
-            self._stamp_shards(
-                _pe_changes(
-                    pe_id, old_owners, set(), old_desc, None, old_code, None
-                )
-            )
-            del self._pes[pe_id]
-            self._drop_pe_owners(pe_id)
-            self._pe_text.drop(pe_id)
-            # back-reference walk: only the workflows that link this PE
-            for workflow_id in sorted(self._pe_backrefs.pop(pe_id, set())):
-                workflow = self._workflows[workflow_id]
-                if pe_id in workflow.pe_ids:
-                    workflow.pe_ids.remove(pe_id)
-                self._reindex_wf_links(workflow)
-
-    # -- workflows -----------------------------------------------------------
-    def insert_workflow(self, record: WorkflowRecord) -> WorkflowRecord:
-        with self._lock:
-            self._mutations += 1
-            record.workflow_id = self._next_workflow
-            record.revision = 1
-            self._next_workflow += 1
-            self._workflows[record.workflow_id] = record
-            self._stamp_shards(self._wf_write_changes(record, inserted=True))
-            self._reindex_wf_owners(record)
-            self._wf_embed_snapshot[record.workflow_id] = _embed_bytes(
-                record.desc_embedding
-            )
-            self._reindex_wf_links(record)
-            self._index_wf_text(record)
-            return record
-
-    def insert_workflows(
-        self, records: Sequence[WorkflowRecord]
-    ) -> list[WorkflowRecord]:
-        """Bulk load under one lock hold; one mutation-counter bump."""
-        if not records:
-            return []
-        with self._lock:
-            self._mutations += 1
-            changes: _Changes = {}
-            for record in records:
-                record.workflow_id = self._next_workflow
-                record.revision = 1
-                self._next_workflow += 1
-                self._workflows[record.workflow_id] = record
-                _merge_changes(
-                    changes, self._wf_write_changes(record, inserted=True)
-                )
-                self._reindex_wf_owners(record)
-                self._wf_embed_snapshot[record.workflow_id] = _embed_bytes(
-                    record.desc_embedding
-                )
-                self._reindex_wf_links(record)
-                self._index_wf_text(record)
-            self._stamp_shards(changes)
-            return list(records)
-
-    def update_workflow(self, record: WorkflowRecord) -> None:
-        with self._lock:
-            self._mutations += 1
-            if record.workflow_id not in self._workflows:
-                raise NotFoundError(
-                    f"workflow id {record.workflow_id} not found",
-                    params={"workflowId": record.workflow_id},
-                )
-            record.revision += 1
-            self._workflows[record.workflow_id] = record
-            self._stamp_shards(self._wf_write_changes(record, inserted=False))
-            self._reindex_wf_owners(record)
-            self._wf_embed_snapshot[record.workflow_id] = _embed_bytes(
-                record.desc_embedding
-            )
-            self._reindex_wf_links(record)
-            self._index_wf_text(record)
-
-    def get_workflow(self, workflow_id: int) -> WorkflowRecord | None:
-        with self._lock:
-            return self._workflows.get(workflow_id)
-
-    def find_workflow_by_entry_point(self, entry_point: str) -> list[WorkflowRecord]:
-        with self._lock:
-            return [
-                wf
-                for wf in self._workflows.values()
-                if wf.entry_point == entry_point
-            ]
-
-    def all_workflows(self) -> list[WorkflowRecord]:
-        with self._lock:
-            return sorted(self._workflows.values(), key=lambda w: w.workflow_id)
-
-    def workflows_owned_by(self, user_id: int) -> list[WorkflowRecord]:
-        with self._lock:
-            return [
-                self._workflows[workflow_id]
-                for workflow_id in sorted(self._owner_workflows.get(user_id, ()))
-            ]
-
-    def workflow_ids_owned_by(self, user_id: int) -> list[int]:
-        with self._lock:
-            return sorted(self._owner_workflows.get(user_id, ()))
-
-    # -- indexed text ranking ---------------------------------------------
-    def text_topk_pes(
-        self, user_id: int, query: str, k: int | None = None
-    ) -> list[tuple[int, float]]:
-        with self._lock:
-            owned = sorted(self._owner_pes.get(user_id, ()))
-            return self._pe_text.topk(owned, query, k)
-
-    def text_topk_workflows(
-        self, user_id: int, query: str, k: int | None = None
-    ) -> list[tuple[int, float]]:
-        with self._lock:
-            owned = sorted(self._owner_workflows.get(user_id, ()))
-            return self._wf_text.topk(owned, query, k)
-
-    def delete_workflow(self, workflow_id: int) -> None:
-        with self._lock:
-            self._mutations += 1
-            if workflow_id not in self._workflows:
-                raise NotFoundError(
-                    f"workflow id {workflow_id} not found",
-                    params={"workflowId": workflow_id},
-                )
-            old_owners = set(
-                self._wf_owner_snapshot.get(workflow_id, frozenset())
-            )
-            old_desc = self._wf_embed_snapshot.pop(workflow_id, None)
-            self._stamp_shards(
-                _wf_changes(workflow_id, old_owners, set(), old_desc, None)
-            )
-            del self._workflows[workflow_id]
-            self._drop_wf_owners(workflow_id)
-            self._drop_wf_links(workflow_id)
-            self._wf_text.drop(workflow_id)
-
-    # -- index-shard persistence ------------------------------------------
-    def mutation_counter(self) -> int:
-        with self._lock:
-            return self._mutations
-
-    def save_index_shards(self, shards, counter) -> None:
-        with self._lock:
-            counter = int(counter)
-            self._base_shards = {
-                (int(user_id), str(kind)): (
-                    counter,
-                    np.array(ids, dtype=np.int64),
-                )
-                for (user_id, kind), ids in shards.items()
-            }
-            self._shard_deltas = {}
-            # every chain is gone: only the shards given a base are
-            # covered again
-            self._shard_tips = {}
-            for key in self._base_shards:
-                self._shard_stamps[key] = max(
-                    self._shard_stamps.get(key, counter), counter
-                )
-                self._shard_tips[key] = counter
-
-    def shard_stamps(self) -> dict[tuple[int, str], int]:
-        with self._lock:
-            return dict(self._shard_stamps)
-
-    def upsert_index_shards(self, shards, stamp: int) -> None:
-        with self._lock:
-            stamp = int(stamp)
-            for (user_id, kind), ids in shards.items():
-                key = (int(user_id), str(kind))
-                self._base_shards[key] = (
-                    stamp,
-                    np.array(ids, dtype=np.int64),
-                )
-                chain = [
-                    delta
-                    for delta in self._shard_deltas.get(key, [])
-                    if delta[0] > stamp
-                ]
-                if chain:
-                    self._shard_deltas[key] = chain
-                else:
-                    self._shard_deltas.pop(key, None)
-                self._shard_stamps[key] = max(
-                    self._shard_stamps.get(key, stamp), stamp
-                )
-                self._shard_tips[key] = max(
-                    self._shard_tips.get(key) or 0, stamp
-                )
-
-    def _scan_owned(
-        self, user_id: int, table: str, kinds: Sequence[str]
-    ) -> tuple[np.ndarray, dict[str, list]]:
-        """The ascending ids of the ``table`` records ``user_id`` owns
-        and, beside them, each record's vector (or ``None``) per kind —
-        what :meth:`SqliteDAO._scan_owned` reads in one ordered scan."""
-        if table == "pes":
-            owned, records = self._owner_pes, self._pes
-        else:
-            owned, records = self._owner_workflows, self._workflows
-        ids = sorted(owned.get(user_id, ()))
-        return np.asarray(ids, dtype=np.int64), {
-            kind: [getattr(records[rid], _KIND_SOURCE[kind][2]) for rid in ids]
-            for kind in kinds
-        }
-
-    def owned_vectors(self, user_id, kinds):
-        with self._lock:
-            return _owned_shards(
-                self._scan_owned, _stack_rows, int(user_id), kinds
-            )
-
-    def load_index_shards(self):
-        with self._lock:
-            return _replay_shards(
-                self._base_shards,
-                self._shard_deltas,
-                set(),
-                self._scan_owned,
-                _stack_rows,
-            )
-
-    @contextmanager
-    def read_snapshot(self):
-        with self._lock:
-            yield
-
-    def index_shards_meta(self) -> dict:
-        with self._lock:
-            counters = {counter for counter, _ in self._base_shards.values()}
-            deltas = sum(len(c) for c in self._shard_deltas.values())
-            delta_bytes = sum(
-                d[2].nbytes
-                for chain in self._shard_deltas.values()
-                for d in chain
-            )
-            return {
-                "counter": counters.pop() if len(counters) == 1 else None,
-                "shards": len(self._base_shards),
-                "rows": sum(len(ids) for _, ids in self._base_shards.values()),
-                "deltas": deltas,
-                "deltaBytes": delta_bytes,
-            }
-
-    def shard_chain_meta(self) -> dict[tuple[int, str], dict[str, int]]:
-        with self._lock:
-            meta: dict[tuple[int, str], dict[str, int]] = {}
-            for key in set(self._base_shards) | set(self._shard_deltas):
-                base = self._base_shards.get(key)
-                chain = self._shard_deltas.get(key, [])
-                tip = chain[-1][0] if chain else (base[0] if base else None)
-                meta[key] = {
-                    "baseCounter": base[0] if base else None,
-                    "rows": len(base[1]) if base else 0,
-                    "chainLen": len(chain),
-                    "chainRows": sum(len(d[2]) for d in chain),
-                    "chainBytes": sum(d[2].nbytes for d in chain),
-                    "tip": tip,
-                }
-            return meta
-
-    # -- idempotency receipts ---------------------------------------------
-    def get_write_receipt(
-        self, user_id: int, key: str
-    ) -> tuple[str, int, dict] | None:
-        with self._lock:
-            receipt = self._receipts.get((int(user_id), str(key)))
-            if receipt is None:
-                return None
-            fingerprint, status, body, _created = receipt
-            return fingerprint, status, json.loads(json.dumps(body))
-
-    def save_write_receipt(
-        self,
-        user_id: int,
-        key: str,
-        fingerprint: str,
-        status: int,
-        body: dict,
-        created_at: float = 0.0,
-    ) -> None:
-        with self._lock:
-            # receipts are not registry mutations: no counter bump
-            self._receipts[(int(user_id), str(key))] = (
-                str(fingerprint),
-                int(status),
-                json.loads(json.dumps(body)),
-                float(created_at),
-            )
-
-    def claim_write_receipt(
-        self, user_id: int, key: str, fingerprint: str, created_at: float = 0.0
-    ) -> bool:
-        with self._lock:
-            slot = (int(user_id), str(key))
-            if slot in self._receipts:
-                return False
-            self._receipts[slot] = (
-                str(fingerprint),
-                RECEIPT_PENDING,
-                {},
-                float(created_at),
-            )
-            return True
-
-    def finalize_write_receipt(
-        self,
-        user_id: int,
-        key: str,
-        fingerprint: str,
-        status: int,
-        body: dict,
-        created_at: float = 0.0,
-    ) -> None:
-        self.save_write_receipt(
-            user_id, key, fingerprint, status, body, created_at
-        )
-
-    def release_write_receipt(self, user_id: int, key: str) -> None:
-        with self._lock:
-            slot = (int(user_id), str(key))
-            receipt = self._receipts.get(slot)
-            if receipt is not None and receipt[1] == RECEIPT_PENDING:
-                del self._receipts[slot]
-
-    def prune_write_receipts(
-        self,
-        now: float,
-        ttl: float | None = None,
-        cap: int | None = None,
-    ) -> int:
-        with self._lock:
-            doomed: set[tuple[int, str]] = set()
-            if ttl is not None:
-                cutoff = float(now) - float(ttl)
-                doomed.update(
-                    slot
-                    for slot, receipt in self._receipts.items()
-                    if receipt[1] != RECEIPT_PENDING and receipt[3] <= cutoff
-                )
-            if cap is not None:
-                survivors = sorted(
-                    (
-                        slot
-                        for slot, receipt in self._receipts.items()
-                        if receipt[1] != RECEIPT_PENDING
-                        and slot not in doomed
-                    ),
-                    key=lambda slot: (self._receipts[slot][3], slot),
-                )
-                overflow = len(survivors) - int(cap)
-                if overflow > 0:
-                    doomed.update(survivors[:overflow])
-            for slot in doomed:
-                del self._receipts[slot]
-            return len(doomed)
-
-    # -- persisted IVF training state -------------------------------------
-    def save_ivf_states(self, states, stamps) -> None:
-        with self._lock:
-            for (user_id, kind), (centroids, lists) in states.items():
-                key = (int(user_id), str(kind))
-                self._saved_ivf[key] = (
-                    _state_stamp(stamps, key),
-                    (
-                        np.asarray(centroids, dtype=np.float32).copy(),
-                        [
-                            np.asarray(members, dtype=np.int64).copy()
-                            for members in lists
-                        ],
-                    ),
-                )
-
-    def load_ivf_states(self):
-        with self._lock:
-            stamps = {key: stamp for key, (stamp, _) in self._saved_ivf.items()}
-            states = {
-                key: (centroids.copy(), [members.copy() for members in lists])
-                for key, (_, (centroids, lists)) in self._saved_ivf.items()
-            }
-            return stamps, states
-
-    # -- persisted HNSW graph state ---------------------------------------
-    def save_hnsw_states(self, states, stamps) -> None:
-        with self._lock:
-            for (user_id, kind), (levels, neighbors) in states.items():
-                key = (int(user_id), str(kind))
-                self._saved_hnsw[key] = (
-                    _state_stamp(stamps, key),
-                    (
-                        np.asarray(levels, dtype=np.int64).copy(),
-                        np.asarray(neighbors, dtype=np.int64).copy(),
-                    ),
-                )
-
-    def load_hnsw_states(self):
-        with self._lock:
-            stamps = {
-                key: stamp for key, (stamp, _) in self._saved_hnsw.items()
-            }
-            states = {
-                key: (levels.copy(), neighbors.copy())
-                for key, (_, (levels, neighbors)) in self._saved_hnsw.items()
-            }
-            return stamps, states
 
 
 _SCHEMA = """
@@ -1862,8 +550,11 @@ def _chunked(ids: Sequence[int]) -> Iterable[Sequence[int]]:
         yield ids[start : start + _IN_CHUNK]
 
 
-class SqliteDAO(RegistryDAO):
-    """SQLite-backed DAO (the durable stand-in for the web MySQL service).
+class SqliteDAO:
+    """The registry store (the durable stand-in for the web MySQL
+    service); thread-safe, one connection behind one lock.  ``path``
+    defaults to ``":memory:"`` — an ephemeral registry with the same
+    schema and behaviour as a file.
 
     Ownership and the PE<->workflow association are normalized into
     ``pe_owners`` / ``workflow_owners`` / ``workflow_pes`` (indexed join
@@ -2165,7 +856,7 @@ class SqliteDAO(RegistryDAO):
     def _stamp_shards(self, changes: _Changes, counter: int) -> None:
         """Stamp the shards a mutation changed and journal each one that
         was covered, inside the caller's transaction — the rule of
-        :meth:`RegistryDAO.shard_stamps`.  Stamp and journal row land in
+        :meth:`shard_stamps`.  Stamp and journal row land in
         one commit, so *stamp == journal tip* cannot be torn, and a
         stale shard (a raw-SQL writer raised its stamp, an old file
         crashed between mutation and append) never gets a row on top of
@@ -2223,6 +914,21 @@ class SqliteDAO(RegistryDAO):
             " desc_embedding FROM workflows WHERE workflow_id=?",
             (int(workflow_id),),
         ).fetchone()
+
+    def _last_issued_id(self, table: str) -> int:
+        """The highest id ``table`` has ever issued: AUTOINCREMENT's
+        high-water mark in ``sqlite_sequence``, which every insert
+        (explicit ids included) raises to at least ``MAX(id)`` and no
+        delete lowers.  A bulk insert numbers its rows past it, as a
+        single insert's AUTOINCREMENT does, so it never reuses a deleted
+        record's id (and with it that record's revision-derived ETag)."""
+        return int(
+            self._conn.execute(
+                "SELECT COALESCE(MAX(seq), 0) FROM sqlite_sequence"
+                " WHERE name = ?",
+                (table,),
+            ).fetchone()[0]
+        )
 
     @staticmethod
     def _old_owners(row: sqlite3.Row) -> set[int]:
@@ -2390,9 +1096,7 @@ class SqliteDAO(RegistryDAO):
         texts = [self._pe_text(r) for r in records]
         with self._lock, self._conn:
             counter = self._bump_mutation()
-            base = self._conn.execute(
-                "SELECT COALESCE(MAX(pe_id), 0) FROM pes"
-            ).fetchone()[0]
+            base = self._last_issued_id("pes")
             changes: _Changes = {}
             for offset, record in enumerate(records, start=1):
                 record.pe_id = base + offset
@@ -2481,6 +1185,7 @@ class SqliteDAO(RegistryDAO):
         return None if row is None else self._pe_from_row(row)
 
     def get_pes(self, pe_ids: Sequence[int]) -> list[PERecord]:
+        """Batched fetch, in the order of ``pe_ids``; missing ids skipped."""
         ids = [int(pe_id) for pe_id in pe_ids]
         by_id: dict[int, PERecord] = {}
         with self._lock:
@@ -2507,6 +1212,7 @@ class SqliteDAO(RegistryDAO):
         return [self._pe_from_row(r) for r in rows]
 
     def pes_owned_by(self, user_id: int) -> list[PERecord]:
+        """All PEs owned by ``user_id``, ascending id — O(user's records)."""
         with self._lock:
             rows = self._conn.execute(
                 """SELECT p.* FROM pes p
@@ -2517,6 +1223,7 @@ class SqliteDAO(RegistryDAO):
         return [self._pe_from_row(r) for r in rows]
 
     def pe_ids_owned_by(self, user_id: int) -> list[int]:
+        """Ascending owned PE ids; never materializes rows or embeddings."""
         with self._lock:
             rows = self._conn.execute(
                 "SELECT pe_id FROM pe_owners WHERE user_id = ? ORDER BY pe_id",
@@ -2602,6 +1309,15 @@ class SqliteDAO(RegistryDAO):
     def text_topk_pes(
         self, user_id: int, query: str, k: int | None = None
     ) -> list[tuple[int, float]]:
+        """Top-k owned ``(pe_id, score)`` pairs by combined text relevance.
+
+        ``score`` is the BM25 goodness (``-bm25()`` over the normalized
+        name/description documents) plus :data:`_NAME_SUBSTRING_BONUS`
+        when the stripped lowercase query occurs as a substring of the
+        normalized name.  Ordered by ``(-score, id)``; empty for blank
+        queries; returns ids only so the caller hydrates at most ``k``
+        records.
+        """
         return self._text_topk(
             user_id,
             query,
@@ -2615,6 +1331,11 @@ class SqliteDAO(RegistryDAO):
     def text_topk_workflows(
         self, user_id: int, query: str, k: int | None = None
     ) -> list[tuple[int, float]]:
+        """Top-k owned ``(workflow_id, score)`` by combined text relevance.
+
+        Same scoring as :meth:`text_topk_pes` over the workflow
+        documents (entry point + workflow name arms, description).
+        """
         return self._text_topk(
             user_id,
             query,
@@ -2766,9 +1487,7 @@ class SqliteDAO(RegistryDAO):
             return []
         with self._lock, self._conn:
             counter = self._bump_mutation()
-            base = self._conn.execute(
-                "SELECT COALESCE(MAX(workflow_id), 0) FROM workflows"
-            ).fetchone()[0]
+            base = self._last_issued_id("workflows")
             changes: _Changes = {}
             for offset, record in enumerate(records, start=1):
                 record.workflow_id = base + offset
@@ -2880,6 +1599,7 @@ class SqliteDAO(RegistryDAO):
         return None if row is None else self._wf_from_row(row)
 
     def get_workflows(self, workflow_ids: Sequence[int]) -> list[WorkflowRecord]:
+        """Batched fetch, in the order of ``workflow_ids``; missing skipped."""
         ids = [int(workflow_id) for workflow_id in workflow_ids]
         by_id: dict[int, WorkflowRecord] = {}
         with self._lock:
@@ -2910,6 +1630,7 @@ class SqliteDAO(RegistryDAO):
         return [self._wf_from_row(r) for r in rows]
 
     def workflows_owned_by(self, user_id: int) -> list[WorkflowRecord]:
+        """All workflows owned by ``user_id``, ascending id."""
         with self._lock:
             rows = self._conn.execute(
                 """SELECT w.* FROM workflows w
@@ -2920,6 +1641,7 @@ class SqliteDAO(RegistryDAO):
         return [self._wf_from_row(r) for r in rows]
 
     def workflow_ids_owned_by(self, user_id: int) -> list[int]:
+        """Ascending owned workflow ids; never materializes rows."""
         with self._lock:
             rows = self._conn.execute(
                 "SELECT workflow_id FROM workflow_owners WHERE user_id = ?"
@@ -2992,6 +1714,9 @@ class SqliteDAO(RegistryDAO):
 
     # -- index-shard persistence ------------------------------------------
     def mutation_counter(self) -> int:
+        """Monotonic counter bumped inside every PE/workflow write
+        transaction — the freshness authority for every persisted shard
+        and approximate-backend state."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT value FROM registry_meta WHERE key='mutation_counter'"
@@ -3015,7 +1740,9 @@ class SqliteDAO(RegistryDAO):
         :meth:`~repro.search.index.VectorIndex.ids` lists them.  Being
         a truth assertion for the *whole* index, it also drops every
         journaled delta and stamps each written shard; a stamped shard
-        it was not given loses its chain and so its coverage.
+        it was not given loses its chain and so its coverage — the
+        caller vouches this is the complete index membership at
+        ``counter``.
         """
         payload = [
             self._shard_payload_row(user_id, kind, counter, ids)
@@ -3049,6 +1776,19 @@ class SqliteDAO(RegistryDAO):
         )
 
     def shard_stamps(self) -> dict[tuple[int, str], int]:
+        """Per-``(user_id, kind)`` expected mutation stamps.
+
+        Every registry mutation stamps the shards whose *content* it
+        changed (owner gained/lost, embedding bytes changed) with the
+        bumped mutation counter and, in the same transaction, appends
+        that shard's ids-only journal row — provided the shard was
+        *covered* before the write (its stamp equalled its chain tip; a
+        shard's first stamp counts, replay from an empty base is then
+        complete).  A stale shard is only stamped and stays stale until
+        a base upsert rebuilds it, so a journal row never lands on top
+        of a gap.  A persisted shard is fresh iff its replayed chain
+        tip equals this stamp.
+        """
         with self._lock:
             rows = self._conn.execute(
                 "SELECT user_id, kind, mutation_counter FROM shard_stamps"
@@ -3068,8 +1808,12 @@ class SqliteDAO(RegistryDAO):
         Only the given shards are touched: each gets its base slab (its
         ids) replaced, its deltas with counter ``<= stamp`` dropped
         (folded into the new base), and its expected stamp and chain tip
-        raised to at least ``stamp`` — a delta above the stamp (a racing
-        writer's) survives on top of the new base.
+        raised to at least ``stamp`` (seeding missing stamps, e.g. after
+        a full rebuild of a pre-v6 file) — a shard upserted at its stamp
+        is covered again, and a delta above the stamp (a racing
+        writer's) survives on top of the new base.  Untouched shards
+        keep their rows: one tenant's flush never rewrites another
+        tenant's slab.
         """
         stamp = int(stamp)
         payload = [
@@ -3112,23 +1856,59 @@ class SqliteDAO(RegistryDAO):
             for at, kind in enumerate(kinds, start=1)
         }
 
-    def owned_vectors(self, user_id, kinds):
+    def owned_vectors(
+        self, user_id: int, kinds: Iterable[str]
+    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """A user's shards rebuilt from the record rows: for each of
+        ``kinds`` the ``(ids, matrix)`` of the records ``user_id`` owns
+        that carry a vector of that kind — ascending int64 ids,
+        C-contiguous float32 rows, an empty shard ``(0,)`` / ``(0, 0)``.
+        One :meth:`_scan_owned` per record table the kinds live in —
+        the scan :meth:`load_index_shards` fills replayed shards from,
+        so a rebuilt shard and a replayed one are the same bytes.
+        Raises ``ValueError`` for a corrupt vector or mixed widths.
+        """
+        tables: dict[str, list[str]] = {}
+        for kind in sorted(set(kinds)):
+            if kind not in _KIND_SOURCE:
+                raise ValueError(f"unknown shard kind {kind!r}")
+            tables.setdefault(_KIND_SOURCE[kind][0], []).append(kind)
+        shards = {}
         with self._lock:
-            return _owned_shards(
-                self._scan_owned, decode_many, int(user_id), kinds
-            )
+            for table, table_kinds in tables.items():
+                scan_ids, columns = self._scan_owned(
+                    int(user_id), table, table_kinds
+                )
+                for kind, column in columns.items():
+                    held = [
+                        row for row, entry in enumerate(column)
+                        if entry is not None
+                    ]
+                    shards[kind] = (
+                        scan_ids[held],
+                        decode_many([column[row] for row in held]),
+                    )
+        return shards
 
     def load_index_shards(
         self,
     ) -> tuple[
         dict[tuple[int, str], tuple[np.ndarray, np.ndarray, int]], int
     ]:
-        """Replay each base slab through its delta chain, per shard, and
-        fill the surviving ids from the record rows.
+        """Replayed per-shard slabs: ``({key: (ids, matrix, tip)}, discarded)``.
 
-        A torn row, non-monotonic chain or id the record table cannot
-        back discards only that shard (counted in ``discarded``) —
-        never the whole snapshot.
+        Base slab and journal hold ids only: the base is replayed as a
+        run of ``add``s followed by its delta chain in append order
+        (:func:`_replay_shard`), and the vector of every id whose last
+        event is an ``add`` is read from its record row — one ordered
+        :meth:`_scan_owned` per (user, record table), however many of
+        the user's kinds read it.  ``tip`` is the counter of the last
+        event folded in (the shard is fresh iff ``tip ==
+        shard_stamps()[key]``).  A corrupt, truncated or torn shard (bad
+        blob, non-monotonic chain, delta at or below the base stamp, a
+        winning id whose record row is gone, not the user's, of another
+        width or without a vector of that kind) discards *only that
+        shard* and increments ``discarded`` — never the whole snapshot.
         """
         with self._lock:
             base_rows = self._conn.execute(
@@ -3162,13 +1942,65 @@ class SqliteDAO(RegistryDAO):
                 )
             # under the same lock hold as the journal read: within this
             # process the record rows read now are the ones that journal
-            # describes (across processes: RegistryDAO.read_snapshot)
-            return _replay_shards(
-                bases, chains, bad, self._scan_owned, decode_many
-            )
+            # describes (across processes: read_snapshot)
+            return self._replay_shards(bases, chains, bad)
+
+    def _replay_shards(
+        self,
+        bases: Mapping[tuple[int, str], tuple[int, np.ndarray]],
+        chains: Mapping[tuple[int, str], list[tuple[int, str, np.ndarray]]],
+        bad: set[tuple[int, str]],
+    ) -> tuple[dict[tuple[int, str], tuple[np.ndarray, np.ndarray, int]], int]:
+        """:meth:`load_index_shards` once the ids are in hand: replay
+        every shard (:func:`_replay_shard`) and fill it from one
+        :meth:`_scan_owned` per (user, record table), however many of
+        the user's kinds read it.  ``bad`` shards (rows that did not even
+        parse) and shards that raise are discarded one by one.  Caller
+        holds the lock."""
+        keys = sorted(set(bases) | set(chains) | bad)
+        kinds_of: dict[tuple[int, str], list[str]] = {}
+        for user_id, kind in keys:
+            if kind in _KIND_SOURCE:
+                kinds_of.setdefault(
+                    (user_id, _KIND_SOURCE[kind][0]), []
+                ).append(kind)
+        # keys are sorted, so a user's kinds follow one another: holding
+        # the latest scan is holding every scan that will be asked for
+        # again
+        latest: list = [None, None]
+
+        def fetch(key: tuple[int, str], ids: np.ndarray) -> np.ndarray:
+            user_id, kind = key
+            if kind not in _KIND_SOURCE:
+                raise ValueError(f"unknown shard kind {kind!r}")
+            source = (user_id, _KIND_SOURCE[kind][0])
+            if latest[0] != source:
+                latest[:] = source, self._scan_owned(*source, kinds_of[source])
+            scan_ids, columns = latest[1]
+            return decode_many(_pick_rows(scan_ids, columns[kind], ids))
+
+        shards: dict[tuple[int, str], tuple] = {}
+        discarded = 0
+        for key in keys:
+            if key in bad:
+                discarded += 1
+                continue
+            try:
+                shards[key] = _replay_shard(
+                    bases.get(key), chains.get(key, []), partial(fetch, key)
+                )
+            except ValueError:
+                discarded += 1
+        return shards, discarded
 
     @contextmanager
     def read_snapshot(self):
+        """Reads made inside this context see one state of the store:
+        no write of this or of another process lands between them
+        (attach reads stamps, base slabs, journal and record rows, and
+        a shard is only as fresh as the rows its ids are filled from).
+        Holds the DAO's lock; write nothing inside.
+        """
         # WAL gives a read transaction one snapshot of the file from its
         # first read on, whatever other connections commit meanwhile;
         # the lock keeps this connection's other threads out of it
@@ -3180,6 +2012,10 @@ class SqliteDAO(RegistryDAO):
                 self._conn.execute("COMMIT")
 
     def checkpoint(self) -> None:
+        """Move committed writes from the write-ahead log into the main
+        file now (``PRAGMA wal_checkpoint(PASSIVE)``), rather than inside
+        whichever later commit trips the automatic threshold.  A no-op
+        on ``:memory:``."""
         with self._lock:
             self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)").fetchall()
 
@@ -3193,6 +2029,13 @@ class SqliteDAO(RegistryDAO):
         return np.frombuffer(ids_blob, dtype=np.int64).copy()
 
     def index_shards_meta(self) -> dict[str, int | None]:
+        """Cheap snapshot metadata:
+        ``{counter, shards, rows, deltas, deltaBytes}``.
+
+        Never deserializes slab blobs; ``counter`` is the uniform base
+        stamp, or ``None`` when absent or (normal under per-shard
+        persistence) mixed.
+        """
         with self._lock:
             rows = self._conn.execute(
                 "SELECT mutation_counter, rows FROM index_shards"
@@ -3211,6 +2054,11 @@ class SqliteDAO(RegistryDAO):
         }
 
     def shard_chain_meta(self) -> dict[tuple[int, str], dict[str, int]]:
+        """Per-shard chain statistics, no blob deserialization:
+        ``{key: {baseCounter, rows, chainLen, chainRows, chainBytes,
+        tip}}`` — ``rows`` counts the base slab, ``chainRows`` the ids
+        journaled on top of it, ``chainBytes`` their bytes at rest (ids
+        only — the journal stores no vectors)."""
         with self._lock:
             base_rows = self._conn.execute(
                 "SELECT user_id, kind, mutation_counter, rows"
@@ -3247,6 +2095,8 @@ class SqliteDAO(RegistryDAO):
     def get_write_receipt(
         self, user_id: int, key: str
     ) -> tuple[str, int, dict] | None:
+        """The stored ``(fingerprint, status, body)`` for an idempotency
+        key, or ``None``."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT fingerprint, status, body FROM write_receipts"
@@ -3266,9 +2116,13 @@ class SqliteDAO(RegistryDAO):
         body: dict,
         created_at: float = 0.0,
     ) -> None:
-        # deliberately NOT a registry mutation: no _bump_mutation(),
-        # so a replayed write leaves the counter (and any persisted
-        # shard snapshot's freshness) untouched
+        """Record one write's response under ``(user_id, key)``.
+
+        Receipts are *not* registry mutations: no ``_bump_mutation()``,
+        so a replayed write leaves the counter (and any persisted shard
+        snapshot's freshness) untouched — the observable no-op
+        guarantee.
+        """
         with self._lock, self._conn:
             self._conn.execute(
                 "INSERT OR REPLACE INTO write_receipts"
@@ -3287,9 +2141,13 @@ class SqliteDAO(RegistryDAO):
     def claim_write_receipt(
         self, user_id: int, key: str, fingerprint: str, created_at: float = 0.0
     ) -> bool:
-        """``INSERT OR IGNORE`` of a pending row — SQLite serializes the
-        insert across *processes* sharing the file, so exactly one
-        writer in a fleet wins the key; everyone else sees the row."""
+        """Atomically claim ``(user_id, key)`` for one writer: ``True``
+        if this caller won (a :data:`RECEIPT_PENDING` placeholder row now
+        exists) and must execute the write, ``False`` if another writer
+        holds or completed it.  ``INSERT OR IGNORE`` of the pending row —
+        SQLite serializes the insert across *processes* sharing the
+        file, so exactly one writer in a fleet wins the key; everyone
+        else sees the row."""
         with self._lock, self._conn:
             cursor = self._conn.execute(
                 "INSERT OR IGNORE INTO write_receipts"
@@ -3315,11 +2173,14 @@ class SqliteDAO(RegistryDAO):
         body: dict,
         created_at: float = 0.0,
     ) -> None:
+        """Replace a pending claim with the write's recorded outcome."""
         self.save_write_receipt(
             user_id, key, fingerprint, status, body, created_at
         )
 
     def release_write_receipt(self, user_id: int, key: str) -> None:
+        """Drop a *pending* claim (the write failed), so the key is
+        retryable; a finalized receipt is never released."""
         with self._lock, self._conn:
             self._conn.execute(
                 "DELETE FROM write_receipts WHERE user_id=? AND idem_key=?"
@@ -3333,6 +2194,15 @@ class SqliteDAO(RegistryDAO):
         ttl: float | None = None,
         cap: int | None = None,
     ) -> int:
+        """Bound idempotency storage; returns the number of rows dropped.
+
+        ``ttl`` drops finalized receipts with ``created_at <= now - ttl``
+        (replay works inside the window, re-executes outside it — the
+        idempotency contract is time-bounded, as every production
+        idempotency store's is); ``cap`` keeps only the newest ``cap``
+        finalized receipts.  Pending claims are never pruned — an
+        in-flight writer still owns them.
+        """
         dropped = 0
         with self._lock, self._conn:
             if ttl is not None:

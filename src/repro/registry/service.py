@@ -23,7 +23,7 @@ from repro.errors import (
     NotFoundError,
     ValidationError,
 )
-from repro.registry.dao import RegistryDAO, _embed_bytes
+from repro.registry.dao import SqliteDAO, _embed_bytes
 from repro.registry.entities import (
     PERecord,
     UserRecord,
@@ -45,7 +45,7 @@ _FOLD_FLOOR = 64
 
 
 class RegistryService:
-    """All registry business logic, backend-agnostic.
+    """All registry business logic over one :class:`SqliteDAO`.
 
     When constructed with a :class:`~repro.search.index.VectorIndex`,
     the service keeps the per-owner search shards synchronized with every
@@ -55,7 +55,7 @@ class RegistryService:
     """
 
     def __init__(
-        self, dao: RegistryDAO, index: "IndexBackend | None" = None
+        self, dao: SqliteDAO, index: "IndexBackend | None" = None
     ) -> None:
         self.dao = dao
         self.index = None
@@ -110,17 +110,17 @@ class RegistryService:
         batch decode per (user, record table), no record is hydrated —
         and a shard whose replayed chain tip equals its expected
         mutation stamp
-        (:meth:`~repro.registry.dao.RegistryDAO.shard_stamps`) loads
+        (:meth:`~repro.registry.dao.SqliteDAO.shard_stamps`) loads
         straight into the index.  Only shards that are stale (a write
         this journal never saw — e.g. a foreign process's), torn or
         corrupt are rebuilt, each from its *own* owner's rows
-        (:meth:`~repro.registry.dao.RegistryDAO.owned_vectors`, the
+        (:meth:`~repro.registry.dao.SqliteDAO.owned_vectors`, the
         same scan), and (with ``persist``) upserted back so the next
         cold start finds them covered.  One tenant's write therefore
         never invalidates anyone else's slab.
 
         Stamps, slabs, journal and rows are read inside one
-        :meth:`~repro.registry.dao.RegistryDAO.read_snapshot`, so what
+        :meth:`~repro.registry.dao.SqliteDAO.read_snapshot`, so what
         is loaded is the registry as of one mutation counter even
         while another process writes.
 
@@ -779,7 +779,7 @@ class RegistryService:
             created.append(True)
         if fresh:
             self.dao.insert_pes(fresh)
-            # both DAOs treat a bulk insert as ONE mutation event
+            # the DAO commits a bulk insert as ONE mutation event
             self._note_write()
             # the DAO journaled one row per kind for the whole batch;
             # with persist deferred to the caller, folding the chain is
@@ -848,7 +848,7 @@ class RegistryService:
 
         Serves only the legacy Table-3 parity adapter, whose contract
         is the byte-identical historical scorer output.  The SQL
-        ``LIKE`` filter (``RegistryDAO.pes_owned_by_matching``) is a
+        ``LIKE`` filter (``SqliteDAO.pes_owned_by_matching``) is a
         strict superset of the scorer's matches, so scoring the
         candidates yields exactly the historical results.  The v1
         ``queryType=text`` path ranks in the FTS5 index instead — see
@@ -866,7 +866,7 @@ class RegistryService:
         """Indexed BM25+substring text ranking — O(k) hydration.
 
         The DAO ranks owned PE ids inside its inverted index
-        (``RegistryDAO.text_topk_pes``); only the winners are
+        (``SqliteDAO.text_topk_pes``); only the winners are
         materialized, mirroring the semantic top-k serving shape.
         Returns ``(record, score)`` pairs in rank order; ids that
         vanished or changed hands since ranking are skipped.
@@ -983,7 +983,7 @@ class RegistryService:
             created.append(True)
         if fresh:
             self.dao.insert_workflows(fresh)
-            # both DAOs treat a bulk insert as ONE mutation event
+            # the DAO commits a bulk insert as ONE mutation event
             self._note_write()
             indexed = [
                 (r.workflow_id, r.desc_embedding)

@@ -91,7 +91,7 @@ their own owner's rows.  The invariants:
   record.
 * **One state per attach** — stamps, slabs, journal and rows are read
   in one read transaction
-  (:meth:`~repro.registry.dao.RegistryDAO.read_snapshot`): ids-only
+  (:meth:`~repro.registry.dao.SqliteDAO.read_snapshot`): ids-only
   persistence is only as fresh as the rows the ids are filled from, so
   no other process's commit may land between the two reads.
 * **Stamp == tip by construction** — the DAO helper that stamps a
@@ -176,12 +176,11 @@ Indexed text ranking and hybrid fusion
 ======================================
 
 ``queryType=text`` on the v1 API no longer scans owned records in
-Python: the DAOs maintain an inverted text index (SQLite FTS5 external
-content tables on one side, an in-memory postings mirror computing the
-same BM25 arithmetic on the other) and
-``RegistryService.text_topk_pes`` / ``text_topk_workflows`` return the
-owner-scoped BM25 top-k directly, so only the ``k`` winning records
-are hydrated.  The legacy Table-3 route keeps its historical
+Python: the DAO maintains an inverted text index (SQLite FTS5 external
+content tables kept in sync by triggers inside each mutation's
+transaction) and ``RegistryService.text_topk_pes`` /
+``text_topk_workflows`` return the owner-scoped BM25 top-k directly, so
+only the ``k`` winning records are hydrated.  The legacy Table-3 route keeps its historical
 byte-identical output through the ``candidate_patterns`` parity
 adapter in :mod:`repro.search.text_search`.
 

@@ -117,9 +117,9 @@ def candidate_patterns(query: str) -> list[str] | None:
     """Substring patterns whose LIKE union over-approximates the scorer.
 
     Only the **legacy Table-3 parity adapter** still consumes these
-    (``RegistryDAO.pes_owned_by_matching`` feeding the byte-identical
+    (``SqliteDAO.pes_owned_by_matching`` feeding the byte-identical
     legacy text route).  The v1 ``queryType=text`` path ranks directly
-    in the FTS5 index (``RegistryDAO.text_topk_pes``) and never builds
+    in the FTS5 index (``SqliteDAO.text_topk_pes``) and never builds
     patterns.  Kept because the legacy route's contract is the *exact*
     Python scorer output, which wants the exact candidate superset: a
     record can only score above zero in :func:`_match_score` if at

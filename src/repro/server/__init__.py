@@ -39,12 +39,11 @@ once per batch.  Any shard/owned-set disagreement (unindexed records,
 concurrent mutation) drops that batch to the exact brute-force scan —
 results are then still bitwise identical to the historical behaviour.
 Text queries (``queryType=text``) skip the vector index entirely and
-rank in the DAO's inverted text index (SQLite FTS5 / the in-memory
-postings mirror): an owner-joined BM25 top-k returns ``k`` ids and the
-service hydrates only those records.  Hybrid queries
-(``queryType=hybrid``) run the text and semantic legs to a fused depth
-and merge them with deterministic reciprocal-rank fusion
-(:mod:`repro.search.fusion`).  Only the legacy Table-3 route still
+rank in the DAO's inverted text index (SQLite FTS5): an owner-joined
+BM25 top-k returns ``k`` ids and the service hydrates only those
+records.  Hybrid queries (``queryType=hybrid``) run the text and
+semantic legs to a fused depth and merge them with deterministic
+reciprocal-rank fusion (:mod:`repro.search.fusion`).  Only the legacy Table-3 route still
 scores candidates in Python — through the owner-joined ``LIKE``
 parity adapter that keeps its output byte-identical.
 

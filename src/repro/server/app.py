@@ -17,7 +17,7 @@ from repro.errors import MethodNotAllowedError, ReproError, error_envelope
 from repro.jobs import JobManager
 from repro.ml.bundle import ModelBundle
 from repro.net.transport import Request, Response
-from repro.registry import InMemoryDAO, RegistryDAO, RegistryService
+from repro.registry import RegistryService, SqliteDAO
 from repro.search import CodeSearcher, SemanticSearcher
 from repro.search.backend import build_backends
 from repro.search.serving import SearchBatcher
@@ -43,7 +43,8 @@ class LaminarServer:
     Parameters
     ----------
     dao:
-        Registry storage backend (defaults to in-memory).
+        Registry store (defaults to ``SqliteDAO()``: an ephemeral
+        ``:memory:`` database).
     engine:
         The Execution Engine serving ``/execution/{user}/run`` (default:
         an in-process engine, built with the pool on first use).
@@ -87,7 +88,7 @@ class LaminarServer:
 
     def __init__(
         self,
-        dao: RegistryDAO | None = None,
+        dao: SqliteDAO | None = None,
         engine: ExecutionEngine | None = None,
         models: ModelBundle | None = None,
         search_batch_window: float = 0.003,
@@ -113,7 +114,9 @@ class LaminarServer:
         self.batcher = SearchBatcher(
             window=search_batch_window, max_batch=search_batch_max
         )
-        self.registry = RegistryService(dao or InMemoryDAO(), index=self.index)
+        self.registry = RegistryService(
+            SqliteDAO() if dao is None else dao, index=self.index
+        )
         #: approximate companion backends restore their persisted
         #: training state (centroids + inverted lists stamped at the
         #: slab snapshot's mutation counter) so a warm cold start skips

@@ -178,25 +178,6 @@ class TestDaoStamps:
         """
         assert rules_fired(src, DAO_PATH, "RPR003") == set()
 
-    def test_memory_store_write_needs_counter(self):
-        src = """
-            class InMemoryDAO:
-                def add_pe(self, record):
-                    self._pes[record.pe_id] = record
-        """
-        found = findings_for(src, DAO_PATH, rule="RPR003")
-        assert len(found) == 2
-
-    def test_memory_store_write_with_counter_and_stamp_is_fine(self):
-        src = """
-            class InMemoryDAO:
-                def add_pe(self, record):
-                    self._pes[record.pe_id] = record
-                    self._mutations += 1
-                    self._stamp_shards([record.pe_id])
-        """
-        assert rules_fired(src, DAO_PATH, "RPR003") == set()
-
     def test_reads_and_other_tables_are_fine(self):
         src = """
             class SqliteDAO:
@@ -250,15 +231,8 @@ class TestDaoStamps:
                         "INSERT OR REPLACE INTO shard_stamps VALUES (?, ?, ?)",
                         (1, "desc", counter),
                     )
-
-            class InMemoryDAO:
-                def delete_pe(self, pe_id):
-                    self._mutations += 1
-                    del self._pes[pe_id]
-                    self._stamp_shards({})
-                    self._shard_stamps[(1, "desc")] = self._mutations
         """
-        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 2
+        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 1
 
     def test_journal_row_outside_the_helper_fires(self):
         src = """
@@ -297,15 +271,8 @@ class TestDaoStamps:
                     self._conn.execute(
                         "UPDATE index_shards SET ids=? WHERE user_id=?", (b"", 1)
                     )
-
-            class InMemoryDAO:
-                def delete_pe(self, pe_id):
-                    self._mutations += 1
-                    del self._pes[pe_id]
-                    self._stamp_shards({})
-                    del self._base_shards[(1, "desc")]
         """
-        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 2
+        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 1
 
 
 # ---------------------------------------------------------------------------

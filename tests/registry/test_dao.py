@@ -1,17 +1,15 @@
-"""DAO tests, parametrized over both backends (in-memory and SQLite)."""
+"""DAO tests, on an in-memory database and on a file."""
 
 import numpy as np
 import pytest
 
 from repro.errors import NotFoundError
-from repro.registry.dao import InMemoryDAO, SqliteDAO
+from repro.registry.dao import SqliteDAO
 from repro.registry.entities import PERecord, WorkflowRecord
 
 
-@pytest.fixture(params=["memory", "sqlite", "sqlite-file"])
+@pytest.fixture(params=["sqlite", "sqlite-file"])
 def dao(request, tmp_path):
-    if request.param == "memory":
-        return InMemoryDAO()
     if request.param == "sqlite":
         return SqliteDAO(":memory:")
     return SqliteDAO(tmp_path / "registry.db")
@@ -229,6 +227,27 @@ class TestOwnerScopedQueries:
             r.workflow_id for r in stored
         ]
         assert dao.get_workflow(stored[1].workflow_id).pe_ids == [2]
+
+    def test_bulk_insert_pes_never_reuses_a_deleted_id(self, dao):
+        """A bulk insert numbers its rows past every id ever issued, as
+        a single insert's AUTOINCREMENT does — a reused id would repeat
+        the deleted record's ETag (``"pe-{id}-{revision}"``)."""
+        dao.insert_pe(make_pe("Old"))
+        newest = dao.insert_pe(make_pe("Newest", code="bmV3"))
+        dao.delete_pe(newest.pe_id)
+        [stored] = dao.insert_pes([make_pe("Bulk", code="YnVsaw==")])
+        assert stored.pe_id > newest.pe_id
+        after = dao.insert_pe(make_pe("After", code="YWZ0ZXI="))
+        assert after.pe_id > stored.pe_id
+
+    def test_bulk_insert_workflows_never_reuses_a_deleted_id(self, dao):
+        dao.insert_workflow(make_wf("old"))
+        newest = dao.insert_workflow(make_wf("newest", code="bmV3"))
+        dao.delete_workflow(newest.workflow_id)
+        [stored] = dao.insert_workflows([make_wf("bulk", code="YnVsaw==")])
+        assert stored.workflow_id > newest.workflow_id
+        after = dao.insert_workflow(make_wf("after", code="YWZ0ZXI="))
+        assert after.workflow_id > stored.workflow_id
 
     def test_bulk_insert_empty(self, dao):
         assert dao.insert_pes([]) == []

@@ -7,13 +7,13 @@ the same file) — must discard and rebuild exactly the affected shard.
 The other tenants' slabs replay untouched, with zero full-corpus
 deserialization.  A foreign writer that goes through a DAO is not a
 failure mode at all: the DAO journals inside the mutation's own
-transaction, whoever calls it.  Both DAOs enforce the same contract.
+transaction, whoever calls it.
 """
 
 import numpy as np
 import pytest
 
-from repro.registry.dao import InMemoryDAO, SqliteDAO
+from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
 from repro.search import KIND_CODE, KIND_DESC, VectorIndex
 from tests.registry.test_dao import make_pe
@@ -59,12 +59,9 @@ class RecordingDAO:
         return attr
 
 
-@pytest.fixture(params=["inmemory", "sqlite"])
+@pytest.fixture(params=["sqlite"])
 def dao_factory(request, tmp_path):
     """Reopenable DAO constructor: same backing store on every call."""
-    if request.param == "inmemory":
-        dao = InMemoryDAO()
-        return lambda: dao
     path = tmp_path / "registry.db"
     return lambda: SqliteDAO(path)
 
@@ -102,15 +99,12 @@ def reattach(dao_factory):
 def raise_stamp(dao, key):
     """What a writer that bypasses the DAO leaves behind: the shard's
     stamp moved, no journal row."""
-    if isinstance(dao, SqliteDAO):
-        dao._conn.execute(
-            "UPDATE shard_stamps SET mutation_counter = mutation_counter + 1"
-            " WHERE user_id = ? AND kind = ?",
-            key,
-        )
-        dao._conn.commit()
-    else:
-        dao._shard_stamps[key] += 1
+    dao._conn.execute(
+        "UPDATE shard_stamps SET mutation_counter = mutation_counter + 1"
+        " WHERE user_id = ? AND kind = ?",
+        key,
+    )
+    dao._conn.commit()
 
 
 class TestTornChains:
@@ -126,9 +120,8 @@ class TestTornChains:
         service.dao.append_index_delta(
             alice.user_id, KIND_DESC, "add", [1], counter=1
         )
-        if hasattr(service.dao, "close"):
-            service.dao._conn.commit()
-            service.dao.close()
+        service.dao._conn.commit()
+        service.dao.close()
 
         fresh_dao = dao_factory()
         shards, discarded = fresh_dao.load_index_shards()
@@ -136,8 +129,7 @@ class TestTornChains:
         assert (alice.user_id, KIND_DESC) not in shards
         assert (alice.user_id, KIND_CODE) in shards
         assert (bob.user_id, KIND_DESC) in shards
-        if hasattr(fresh_dao, "close"):
-            fresh_dao.close()
+        fresh_dao.close()
 
         restarted, counted, index, mode = reattach(dao_factory)
         assert mode == "partial"
@@ -217,9 +209,8 @@ class TestForeignWriters:
                 desc_embedding=unit(rng),
             ),
         )
-        if hasattr(service.dao, "close"):
-            service.dao.close()
-            foreign.dao.close()
+        service.dao.close()
+        foreign.dao.close()
 
         restarted, counted, index, mode = reattach(dao_factory)
         assert mode == "fresh"
@@ -260,8 +251,7 @@ class TestForeignWriters:
         # the same writes kept journaling the shard that had no gap
         assert report["perShard"][f"{bob.user_id}/{KIND_CODE}"]["fresh"]
         assert report["staleShards"] == 1
-        if hasattr(service.dao, "close"):
-            service.dao.close()
+        service.dao.close()
 
         restarted, counted, index, mode = reattach(dao_factory)
         assert mode == "partial"
@@ -280,8 +270,7 @@ class TestForeignWriters:
             ),
         )
         assert restarted.shard_persistence()["fresh"]
-        if hasattr(counted.inner, "close"):
-            counted.inner.close()
+        counted.inner.close()
         _again, counted, index, mode = reattach(dao_factory)
         assert mode == "fresh"
         assert counted.rebuilt_users == []
@@ -390,8 +379,7 @@ class TestCompaction:
         assert sum(folded) <= 2 * n + 64
         shard = report["perShard"][f"{alice.user_id}/{KIND_DESC}"]
         assert (shard["baseRows"], shard["chainRows"]) == (256, n - 256)
-        if hasattr(service.dao, "close"):
-            service.dao.close()
+        service.dao.close()
 
         restarted, counted, index, mode = reattach(dao_factory)
         assert mode == "fresh"
@@ -429,8 +417,7 @@ class TestCompaction:
         # 40 adds + 24 removes reach the floor on both of alice's shards
         assert folded == [16, 16]
         assert service.shard_persistence()["fresh"]
-        if hasattr(service.dao, "close"):
-            service.dao.close()
+        service.dao.close()
         restarted, counted, index, mode = reattach(dao_factory)
         assert mode == "fresh"
         user = restarted.get_user("alice")
@@ -477,8 +464,7 @@ class TestCompaction:
         # nothing is due any more: a second persist writes nothing
         assert service.persist_shards()
         assert folded == [160, 160]
-        if hasattr(service.dao, "close"):
-            service.dao.close()
+        service.dao.close()
         _restarted, counted, _index, mode = reattach(dao_factory)
         assert mode == "fresh"
         assert counted.rebuilt_users == []

@@ -1,12 +1,14 @@
-"""Inverted text index: cross-DAO BM25 parity and the v4→v5 backfill.
+"""Inverted text index: the pinned BM25 ranking and the v4→v5 backfill.
 
-``text_topk_pes`` / ``text_topk_workflows`` rank inside the DAO —
-SQLite FTS5 external-content tables on one side, the in-memory
-postings mirror on the other.  The mirror computes SQLite's exact
-``bm25()`` arithmetic (same constants, clamped idf, sorted-term
-summation), so both backends must agree on the ranked ids *and* the
-scores; everything above the DAO (service hydration, the v1 route,
-hybrid fusion) builds on that equivalence.
+``text_topk_pes`` / ``text_topk_workflows`` rank inside the DAO's
+SQLite FTS5 external-content tables.  :data:`GOLDEN_PES` /
+:data:`GOLDEN_WORKFLOWS` pin the ``(id, score)`` list of every query in
+:data:`QUERIES` over the :func:`fill` corpus — recorded from
+``SqliteDAO`` when an independent re-implementation of ``bm25()``
+still cross-checked it to 1e-9 — so any change to how text is stored
+or indexed (tokenizer, ``detail=``, side tables) must keep the same
+ids in the same BM25 order with the same scores.  Everything above the
+DAO (service hydration, the v1 route, hybrid fusion) builds on it.
 
 The second half exercises the schema v4→v5 migration: a database whose
 text side tables are missing (pre-v5 writer) must be backfilled on
@@ -17,7 +19,7 @@ import sqlite3
 
 import pytest
 
-from repro.registry.dao import _SCHEMA_VERSION, InMemoryDAO, SqliteDAO
+from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
 from repro.registry.service import RegistryService
 from tests.registry.test_dao import make_pe, make_wf
 
@@ -50,6 +52,48 @@ QUERIES = [
     "catalogue of tables",
 ]
 
+#: ``text_topk_pes(alice, query)`` over :func:`fill`'s corpus, in rank
+#: order: alice's PEs are ids 1-8 in ``CORPUS`` order
+GOLDEN_PES = {
+    "prime": [(1, 2.974545654956068), (7, 1.194148827807956)],
+    "isPrime": [(1, 3.7406356164621277)],
+    "is prime": [(1, 4.715181271418196), (7, 1.194148827807956)],
+    "prime numbers": [(1, 3.3653204570731505), (7, 1.194148827807956)],
+    "vo table": [(2, 6.251457711658923), (8, 1.5748191614480471)],
+    "table": [(2, 3.648553469007175), (8, 3.574819161448047)],
+    "reads": [(5, 1.6566932915378527), (2, 1.422442644081004)],
+    "ra dec": [(3, 6.491794852655884)],
+    "under_score": [(4, 4.491794852655884)],
+    "café": [(5, 4.615756224099637)],
+    "zzz-no-match": [],
+    "   ": [],
+    "catalogue of tables": [(8, 6.352726555072925)],
+}
+
+#: ``text_topk_workflows(alice, query)``, same corpus: workflow ids 1-8
+GOLDEN_WORKFLOWS = {
+    "prime": [(1, 3.6282921603875757), (7, 1.854543607463926)],
+    "isPrime": [(1, 2.0)],
+    "is prime": [(1, 5.866448549360408), (7, 1.854543607463926)],
+    "prime numbers": [(1, 3.8664485493604084), (7, 1.854543607463926)],
+    "vo table": [(2, 6.214255852438671), (8, 1.5422781944683492)],
+    "table": [(2, 3.569921716998029), (8, 3.5422781944683495)],
+    "reads": [(5, 1.4146199051550203), (2, 1.2527563641599286)],
+    "ra dec": [(3, 6.64919936057129)],
+    "under_score": [(4, 4.2202186023301795)],
+    "café": [(5, 4.6742926037424635)],
+    "zzz-no-match": [],
+    "   ": [],
+    "catalogue of tables": [(8, 6.154281704556816)],
+}
+
+
+def assert_ranking(got, golden):
+    """Same ids in the same order, every score within 1e-9."""
+    assert [i for i, _ in got] == [i for i, _ in golden]
+    for (_, score), (_, pinned) in zip(got, golden):
+        assert score == pytest.approx(pinned, rel=1e-9)
+
 
 def fill(dao):
     service = RegistryService(dao)
@@ -79,80 +123,57 @@ def fill(dao):
 
 
 @pytest.fixture()
-def pair(tmp_path):
-    """The same corpus through both DAOs (ids align: both count from 1)."""
-    mem_service, mem_alice, _ = fill(InMemoryDAO())
-    sql_service, sql_alice, _ = fill(SqliteDAO(tmp_path / "fts.db"))
-    assert mem_alice.user_id == sql_alice.user_id
-    return mem_service, sql_service, mem_alice
+def filled(tmp_path):
+    service, alice, _ = fill(SqliteDAO(tmp_path / "fts.db"))
+    return service.dao, alice
 
 
-class TestCrossDAOParity:
+class TestGoldenRanking:
     @pytest.mark.parametrize("query", QUERIES)
-    def test_pe_ranking_matches(self, pair, query):
-        mem, sql, alice = pair
-        got_mem = mem.dao.text_topk_pes(alice.user_id, query)
-        got_sql = sql.dao.text_topk_pes(alice.user_id, query)
-        assert [i for i, _ in got_mem] == [i for i, _ in got_sql]
-        for (_, s_mem), (_, s_sql) in zip(got_mem, got_sql):
-            assert s_mem == pytest.approx(s_sql, rel=1e-9)
+    def test_pe_ranking_is_pinned(self, filled, query):
+        dao, alice = filled
+        assert_ranking(
+            dao.text_topk_pes(alice.user_id, query), GOLDEN_PES[query]
+        )
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_workflow_ranking_matches(self, pair, query):
-        mem, sql, alice = pair
-        got_mem = mem.dao.text_topk_workflows(alice.user_id, query)
-        got_sql = sql.dao.text_topk_workflows(alice.user_id, query)
-        assert [i for i, _ in got_mem] == [i for i, _ in got_sql]
-        for (_, s_mem), (_, s_sql) in zip(got_mem, got_sql):
-            assert s_mem == pytest.approx(s_sql, rel=1e-9)
+    def test_workflow_ranking_is_pinned(self, filled, query):
+        dao, alice = filled
+        assert_ranking(
+            dao.text_topk_workflows(alice.user_id, query),
+            GOLDEN_WORKFLOWS[query],
+        )
 
     @pytest.mark.parametrize("query", ["prime", "table"])
-    def test_k_truncates_the_same_prefix(self, pair, query):
-        mem, sql, alice = pair
-        full = mem.dao.text_topk_pes(alice.user_id, query)
-        assert len(full) >= 2
-        for dao in (mem.dao, sql.dao):
-            got = dao.text_topk_pes(alice.user_id, query, k=1)
-            assert [i for i, _ in got] == [full[0][0]]
+    def test_k_truncates_the_same_prefix(self, filled, query):
+        dao, alice = filled
+        assert len(GOLDEN_PES[query]) >= 2
+        got = dao.text_topk_pes(alice.user_id, query, k=1)
+        assert [i for i, _ in got] == [GOLDEN_PES[query][0][0]]
 
-    def test_blank_query_is_empty(self, pair):
-        mem, sql, alice = pair
-        assert mem.dao.text_topk_pes(alice.user_id, "   ") == []
-        assert sql.dao.text_topk_pes(alice.user_id, "   ") == []
+    def test_owner_scoping(self, filled):
+        dao, alice = filled
+        ranked = dao.text_topk_pes(alice.user_id, "prime")
+        names = {pe.pe_name for pe in dao.get_pes([i for i, _ in ranked])}
+        assert "primeBob" not in names
+        assert names >= {"isPrime", "primality"}
 
-    def test_owner_scoping(self, pair):
-        mem, sql, alice = pair
-        for service in (mem, sql):
-            ranked = service.dao.text_topk_pes(alice.user_id, "prime")
-            names = {
-                pe.pe_name
-                for pe in service.dao.get_pes([i for i, _ in ranked])
-            }
-            assert "primeBob" not in names
-            assert names >= {"isPrime", "primality"}
-
-    def test_name_substring_bonus_outranks_description_hits(self, pair):
-        mem, sql, alice = pair
-        for service in (mem, sql):
-            ranked = service.dao.text_topk_pes(alice.user_id, "isprime")
-            by_id = {
-                pe.pe_id: pe.pe_name
-                for pe in service.dao.get_pes([i for i, _ in ranked])
-            }
-            assert by_id[ranked[0][0]] == "isPrime"
+    def test_name_substring_bonus_outranks_description_hits(self, filled):
+        dao, alice = filled
+        ranked = dao.text_topk_pes(alice.user_id, "isprime")
+        by_id = {
+            pe.pe_id: pe.pe_name
+            for pe in dao.get_pes([i for i, _ in ranked])
+        }
+        assert by_id[ranked[0][0]] == "isPrime"
 
 
 class TestMutationSync:
-    """The index tracks writes without any rebuild hook on either DAO."""
+    """The index tracks writes without any rebuild hook."""
 
-    @pytest.fixture(params=["memory", "sqlite"])
+    @pytest.fixture(params=["sqlite"])
     def service(self, request, tmp_path):
-        dao = (
-            InMemoryDAO()
-            if request.param == "memory"
-            else SqliteDAO(tmp_path / "mut.db")
-        )
-        return fill(dao)[0]
+        return fill(SqliteDAO(tmp_path / "mut.db"))[0]
 
     def test_removed_pe_leaves_the_ranking(self, service):
         alice = service.get_user("alice")
@@ -232,15 +253,17 @@ class TestSchemaV5Backfill:
         dao2 = SqliteDAO(path)
         assert dao2.text_topk_pes(alice.user_id, "prime") == expected
 
-    def test_backfilled_file_matches_inmemory_ranking(self, tmp_path):
+    def test_backfilled_file_matches_the_golden_ranking(self, tmp_path):
         path = tmp_path / "old2.db"
-        fill(SqliteDAO(path))[0].dao.close()
+        service, alice, _ = fill(SqliteDAO(path))
+        service.dao.close()
         self._scrub_to_v4(path)
         dao2 = SqliteDAO(path)
-        mem_service, mem_alice, _ = fill(InMemoryDAO())
-        for query in ("prime", "vo table", "catalogue of tables"):
-            got_sql = dao2.text_topk_pes(mem_alice.user_id, query)
-            got_mem = mem_service.dao.text_topk_pes(mem_alice.user_id, query)
-            assert [i for i, _ in got_sql] == [i for i, _ in got_mem]
-            for (_, s_sql), (_, s_mem) in zip(got_sql, got_mem):
-                assert s_sql == pytest.approx(s_mem, rel=1e-9)
+        for query in QUERIES:
+            assert_ranking(
+                dao2.text_topk_pes(alice.user_id, query), GOLDEN_PES[query]
+            )
+            assert_ranking(
+                dao2.text_topk_workflows(alice.user_id, query),
+                GOLDEN_WORKFLOWS[query],
+            )

@@ -15,7 +15,7 @@ rebuilds lazily).
 import numpy as np
 import pytest
 
-from repro.registry.dao import InMemoryDAO, SqliteDAO
+from repro.registry.dao import SqliteDAO
 from repro.registry.entities import PERecord
 from repro.registry.service import RegistryService
 from repro.search.backend import HNSWBackend, IVFFlatBackend
@@ -213,7 +213,7 @@ class TestStaleAndTorn:
 
 class TestInMemoryRoundTrip:
     def test_states_round_trip_through_inmemory_dao(self):
-        dao = InMemoryDAO()
+        dao = SqliteDAO()
         service = RegistryService(dao, index=VectorIndex())
         user = service.register_user("m", "p")
         populate(service, user, n=64)

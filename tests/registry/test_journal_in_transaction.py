@@ -5,7 +5,7 @@ Since schema v8 the DAO appends a shard's journal row wherever it
 stamps the shard, in the same commit; since v9 a base slab is ids only
 too, so replay reads every vector from the record rows.  Pinned here:
 
-* a model test (Hypothesis, both DAOs): after *every* step of a random
+* a model test (Hypothesis): after *every* step of a random
   write sequence the persisted state replays to exactly the live index,
   and every stamp equals its chain tip;
 * migration: a v7-shaped file (journal rows and base slabs with vector
@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.registry.service as service_module
-from repro.registry.dao import InMemoryDAO, SqliteDAO
+from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
 from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW, VectorIndex
 from tests.registry.test_dao import make_pe, make_wf
@@ -224,22 +224,18 @@ class Model:
                 service.remove_workflow_record(user, current)
 
 
-@pytest.mark.parametrize("backend", ["inmemory", "sqlite"])
+@pytest.mark.parametrize("backend", ["sqlite"])
 def test_persisted_state_equals_live_index_after_every_step(
     backend, monkeypatch
 ):
     # folds within reach of a 25-step sequence
     monkeypatch.setattr(service_module, "_FOLD_FLOOR", 4)
 
-    @settings(max_examples=60 if backend == "sqlite" else 120, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(steps, st.integers(0, 2**16))
     def run(sequence, seed):
         with tempfile.TemporaryDirectory() as scratch:
-            if backend == "sqlite":
-                open_dao = lambda: SqliteDAO(Path(scratch) / "registry.db")
-            else:
-                shared = InMemoryDAO()
-                open_dao = lambda: shared
+            open_dao = lambda: SqliteDAO(Path(scratch) / "registry.db")
             model = Model(open_dao, seed)
             try:
                 for step in sequence:

@@ -14,13 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.registry.dao import (
-    _OP_ADD,
-    _OP_REMOVE,
-    _pick_rows,
-    _replay_shard,
-    _stack_rows,
-)
+from repro.registry.dao import _OP_ADD, _OP_REMOVE, _pick_rows, _replay_shard
+from repro.registry.veccodec import decode_many, encode_vector
 
 
 def replay_reference(base, deltas, records):
@@ -65,14 +60,18 @@ def replay_reference(base, deltas, records):
 
 def fetch_from(records, asked=None):
     """Replay's ``fetch`` over a record table ``{id: vector | None}``,
-    through the helpers both DAOs fill their shards with."""
+    through the helpers the DAO fills its shards with: the vectors are
+    stored as encoded blobs, as in a record row."""
     scan_ids = np.asarray(sorted(records), dtype=np.int64)
-    column = [records[rid] for rid in sorted(records)]
+    column = [
+        None if records[rid] is None else encode_vector(records[rid])
+        for rid in sorted(records)
+    ]
 
     def fetch(ids):
         if asked is not None:
             asked.extend(ids.tolist())
-        return _stack_rows(_pick_rows(scan_ids, column, ids))
+        return decode_many(_pick_rows(scan_ids, column, ids))
 
     return fetch
 

@@ -8,13 +8,13 @@ from repro.errors import (
     NotFoundError,
     ValidationError,
 )
-from repro.registry import InMemoryDAO, RegistryService
+from repro.registry import RegistryService, SqliteDAO
 from tests.registry.test_dao import make_pe, make_wf
 
 
 @pytest.fixture()
 def service():
-    return RegistryService(InMemoryDAO())
+    return RegistryService(SqliteDAO())
 
 
 @pytest.fixture()

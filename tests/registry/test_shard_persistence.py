@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.registry.dao import InMemoryDAO, SqliteDAO
+from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
 from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW, VectorIndex
 from tests.registry.test_dao import make_pe, make_wf
@@ -317,7 +317,7 @@ class TestSqliteColdStart:
 
 class TestInMemoryCounter:
     def test_counter_tracks_every_write(self):
-        dao = InMemoryDAO()
+        dao = SqliteDAO()
         service = RegistryService(dao)
         alice = service.register_user("alice", "pw")
         assert dao.mutation_counter() == 0  # users don't stale shards
@@ -330,7 +330,7 @@ class TestInMemoryCounter:
         assert dao.mutation_counter() > after_add
 
     def test_snapshot_roundtrip_and_freshness(self):
-        dao = InMemoryDAO()
+        dao = SqliteDAO()
         service = RegistryService(dao)
         alice = service.register_user("alice", "pw")
         rng = np.random.default_rng(21)
@@ -351,7 +351,7 @@ class TestInMemoryCounter:
         assert twin.attach_index(VectorIndex()) == "fresh"
 
     def test_workflow_shards_roundtrip(self):
-        dao = InMemoryDAO()
+        dao = SqliteDAO()
         service = RegistryService(dao)
         alice = service.register_user("alice", "pw")
         rng = np.random.default_rng(22)

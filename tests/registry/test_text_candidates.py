@@ -10,7 +10,7 @@ final hits are exactly the historical full-scan results.
 import pytest
 
 from repro.net.transport import Request
-from repro.registry.dao import InMemoryDAO, SqliteDAO
+from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
 from repro.search.text_search import (
     candidate_patterns,
@@ -70,14 +70,9 @@ def fill(dao):
     return service, alice, bob
 
 
-@pytest.fixture(params=["memory", "sqlite"])
+@pytest.fixture(params=["sqlite"])
 def backend(request, tmp_path):
-    dao = (
-        InMemoryDAO()
-        if request.param == "memory"
-        else SqliteDAO(tmp_path / "text.db")
-    )
-    return fill(dao)
+    return fill(SqliteDAO(tmp_path / "text.db"))
 
 
 class TestCandidateSuperset:

@@ -13,16 +13,13 @@ import pytest
 from repro.registry.dao import (
     RECEIPT_PENDING,
     _SCHEMA_VERSION,
-    InMemoryDAO,
     SqliteDAO,
 )
 from repro.registry.entities import PERecord, WorkflowRecord
 
 
-@pytest.fixture(params=["memory", "sqlite"])
+@pytest.fixture(params=["sqlite"])
 def dao(request, tmp_path):
-    if request.param == "memory":
-        return InMemoryDAO()
     return SqliteDAO(tmp_path / "reg.db")
 
 

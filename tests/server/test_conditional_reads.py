@@ -4,6 +4,7 @@ the v1 single-record GET routes, in-process and over real HTTP."""
 import pytest
 
 from repro.net.transport import Request
+from repro.registry.dao import SqliteDAO
 from repro.server import LaminarServer
 
 
@@ -12,8 +13,7 @@ def server(fast_bundle):
     return LaminarServer(models=fast_bundle)
 
 
-@pytest.fixture()
-def token(server):
+def _login(server):
     server.dispatch(
         Request("POST", "/auth/register", {"userName": "zz46", "password": "pw"})
     )
@@ -21,6 +21,11 @@ def token(server):
         Request("POST", "/auth/login", {"userName": "zz46", "password": "pw"})
     )
     return response.body["token"]
+
+
+@pytest.fixture()
+def token(server):
+    return _login(server)
 
 
 def put_pe(server, token, name, code=None):
@@ -125,6 +130,33 @@ class TestIfNoneMatch:
         assert response.status == 200
         assert response.headers["ETag"] != stale
         assert response.body["item"]["revision"] > 1
+
+    def test_bulk_insert_after_delete_gets_a_new_etag(self, fast_bundle):
+        """A record bulk-inserted under a deleted record's name must not
+        inherit its id, or a client's cached validator for the old code
+        would be answered 304 for the new code."""
+        server = LaminarServer(dao=SqliteDAO(), models=fast_bundle)
+        token = _login(server)
+        put_pe(server, token, "alpha")
+        stale = get_pe(server, token, "alpha").headers["ETag"]
+        assert stale == '"pe-1-1"'
+        deleted = server.dispatch(
+            Request("DELETE", "/v1/registry/zz46/pes/alpha", token=token)
+        )
+        assert deleted.status == 200, deleted.body
+        bulk = server.dispatch(
+            Request(
+                "POST",
+                "/v1/registry/zz46/pes:bulk",
+                {"items": [{"peName": "alpha", "peCode": "def alpha(): 2"}]},
+                token=token,
+            )
+        )
+        assert bulk.status == 201, bulk.body
+        response = get_pe(server, token, "alpha", validator=stale)
+        assert response.status == 200
+        assert response.headers["ETag"] != stale
+        assert response.body["item"]["peCode"] == "def alpha(): 2"
 
     def test_validator_on_missing_record_is_still_404(self, server, token):
         response = get_pe(server, token, "ghost", validator="*")

@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 
 from repro.net.transport import Request
-from repro.registry.dao import InMemoryDAO
+from repro.registry.dao import SqliteDAO
 from repro.server import LaminarServer
 
 
@@ -53,7 +53,7 @@ class CountingDAO:
 
 @pytest.fixture()
 def setup(fast_bundle):
-    dao = CountingDAO(InMemoryDAO())
+    dao = CountingDAO(SqliteDAO())
     server = LaminarServer(dao=dao, models=fast_bundle)
     tokens = {}
     for user_name in ("alice", "bob"):

@@ -536,7 +536,7 @@ class TestBulkRegister:
         assert response.status == 201, response.body
         assert response.body["count"] == 20
         assert all(item["created"] for item in response.body["items"])
-        # one executemany transaction == ONE mutation event on both DAOs
+        # one executemany transaction == ONE mutation event
         assert server.registry.dao.mutation_counter() == counter + 1
         # ... and the slab snapshot was persisted fresh in the same call
         assert server.registry.shard_persistence()["fresh"] is True

@@ -248,3 +248,109 @@ class TestIngestAndJobs:
     def test_jobs_cancel_requires_an_id(self, capsys):
         assert main(["jobs", "--cancel"]) == 1
         assert "requires a job id" in capsys.readouterr().out
+
+
+class TestStats:
+    """``repro stats``: ownership counts from the id projections, and
+    with ``--shards`` the index a server start would attach."""
+
+    @staticmethod
+    def write_registry(path, models):
+        """Two tenants written through a server over the file:
+        alice 2 PEs + 1 workflow, bob 1 PE."""
+        from repro.net.transport import Request
+        from repro.registry.dao import SqliteDAO
+        from repro.server import LaminarServer
+
+        server = LaminarServer(dao=SqliteDAO(path), models=models)
+        writes = {
+            "alice": [("pes", "alpha"), ("pes", "beta"), ("workflows", "flow")],
+            "bob": [("pes", "gamma")],
+        }
+        for user, records in writes.items():
+            creds = {"userName": user, "password": "pw"}
+            server.dispatch(Request("POST", "/auth/register", creds))
+            token = server.dispatch(
+                Request("POST", "/auth/login", creds)
+            ).body["token"]
+            for kind, name in records:
+                code = "peCode" if kind == "pes" else "workflowCode"
+                response = server.dispatch(
+                    Request(
+                        "PUT",
+                        f"/v1/registry/{user}/{kind}/{name}",
+                        {code: f"def {name}(): pass"},
+                        token=token,
+                    )
+                )
+                assert response.status == 201, response.body
+        server.registry.dao.close()
+
+    @staticmethod
+    def persisted_state(path):
+        import sqlite3
+
+        conn = sqlite3.connect(path)
+        try:
+            counter = conn.execute(
+                "SELECT value FROM registry_meta WHERE key = 'mutation_counter'"
+            ).fetchone()
+            shards = conn.execute(
+                "SELECT * FROM index_shards ORDER BY user_id, kind"
+            ).fetchall()
+        finally:
+            conn.close()
+        return counter, shards
+
+    def test_without_db_reports_an_empty_in_memory_registry(self, capsys):
+        assert main(["stats"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == ["registry: in-memory  (0 user(s))"]
+
+    def test_counts_per_user(self, capsys, tmp_path, fast_bundle):
+        db = tmp_path / "reg.db"
+        self.write_registry(db, fast_bundle)
+        assert main(["stats", "--db", str(db)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"registry: {db}  (2 user(s))"
+        counts = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+        assert counts == {
+            "alice": ["2", "PE(s)", "1", "workflow(s)"],
+            "bob": ["1", "PE(s)", "0", "workflow(s)"],
+        }
+
+    def test_shards_attach_fresh(self, capsys, tmp_path, fast_bundle):
+        db = tmp_path / "reg.db"
+        self.write_registry(db, fast_bundle)
+        assert main(["stats", "--db", str(db), "--shards"]) == 0
+        out = capsys.readouterr().out
+        assert "index: 5 shard(s)  (attach: fresh)" in out
+        assert "persistence: fresh  (5 fresh / 0 stale shard(s)" in out
+
+    def test_only_persist_writes_to_the_file(
+        self, capsys, tmp_path, fast_bundle
+    ):
+        """A stale shard is rebuilt for the report, and written back
+        only with ``--persist``."""
+        import sqlite3
+
+        db = tmp_path / "reg.db"
+        self.write_registry(db, fast_bundle)
+        conn = sqlite3.connect(db)
+        conn.execute(
+            "UPDATE shard_stamps SET mutation_counter = mutation_counter + 1"
+            " WHERE user_id = 2 AND kind = 'desc'"
+        )
+        conn.commit()
+        conn.close()
+        before = self.persisted_state(db)
+        assert main(["stats", "--db", str(db), "--shards"]) == 0
+        out = capsys.readouterr().out
+        assert "(attach: partial)" in out and "persisted:" not in out
+        assert self.persisted_state(db) == before
+
+        assert main(["stats", "--db", str(db), "--shards", "--persist"]) == 0
+        assert "persisted: yes" in capsys.readouterr().out
+        counter, shards = self.persisted_state(db)
+        assert counter == before[0]
+        assert [(row[0], row[1]) for row in shards] == [(2, "desc")]
