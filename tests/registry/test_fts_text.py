@@ -122,9 +122,15 @@ def fill(dao):
     return service, alice, bob
 
 
-@pytest.fixture()
-def filled(tmp_path):
-    service, alice, _ = fill(SqliteDAO(tmp_path / "fts.db"))
+def open_store(param, path):
+    """``memory``: the ephemeral store every in-process stack runs on;
+    ``sqlite``: a registry file."""
+    return SqliteDAO(":memory:" if param == "memory" else path)
+
+
+@pytest.fixture(params=["memory", "sqlite"])
+def filled(request, tmp_path):
+    service, alice, _ = fill(open_store(request.param, tmp_path / "fts.db"))
     return service.dao, alice
 
 
@@ -171,9 +177,9 @@ class TestGoldenRanking:
 class TestMutationSync:
     """The index tracks writes without any rebuild hook."""
 
-    @pytest.fixture(params=["sqlite"])
+    @pytest.fixture(params=["memory", "sqlite"])
     def service(self, request, tmp_path):
-        return fill(SqliteDAO(tmp_path / "mut.db"))[0]
+        return fill(open_store(request.param, tmp_path / "mut.db"))[0]
 
     def test_removed_pe_leaves_the_ranking(self, service):
         alice = service.get_user("alice")

@@ -70,8 +70,11 @@ def fill(dao):
     return service, alice, bob
 
 
-@pytest.fixture(params=["sqlite"])
+@pytest.fixture(params=["memory", "sqlite"])
 def backend(request, tmp_path):
+    """``memory``: the ephemeral store in-process stacks run on."""
+    if request.param == "memory":
+        return fill(SqliteDAO(":memory:"))
     return fill(SqliteDAO(tmp_path / "text.db"))
 
 

@@ -211,8 +211,10 @@ class TestDecodeMany:
     ):
         """Exactly :func:`decode_vector`'s verdict on the cut blob: an
         error, or (the documented limit of headerless dense bytes) a
-        narrower vector — which then is of another width than its
-        neighbours unless it is the only row."""
+        dense vector — which then is of another width than its
+        neighbours unless it is the only row, or a kept-whole row cut to
+        exactly ``4 * dim`` bytes, which reads as a dense row as wide as
+        the others."""
         blobs = as_stored(matrix, forms)
         row = data.draw(st.integers(0, len(blobs) - 1))
         if not blobs[row]:
@@ -225,8 +227,9 @@ class TestDecodeMany:
             with pytest.raises(ValueError):
                 decode_many(torn)
             return
-        if len(blobs) == 1:
-            assert decode_many(torn).tobytes() == narrower.tobytes()
+        if len(blobs) == 1 or narrower.shape[0] == matrix.shape[1]:
+            reference = np.stack([decode_vector(blob) for blob in torn])
+            assert decode_many(torn).tobytes() == reference.tobytes()
         else:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 decode_many(torn)
@@ -242,6 +245,17 @@ class TestDecodeMany:
         ):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 decode_many(blobs)
+
+    def test_kept_whole_row_cut_to_its_width_reads_as_a_dense_row(self):
+        """The count and the first ``dim - 1`` values of a kept-whole
+        row are ``4 * dim`` bytes: nothing tells them from a dense row."""
+        matrix = np.zeros((3, 7), dtype=np.float32)
+        matrix[0] = 1.0
+        blobs = as_stored(matrix, ["codec", "codec", "whole"])
+        torn = [*blobs[:2], blobs[2][:28]]
+        reference = np.stack([decode_vector(blob) for blob in torn])
+        assert reference.shape == matrix.shape
+        assert decode_many(torn).tobytes() == reference.tobytes()
 
     def test_column_out_of_range_in_any_row_is_a_value_error(self):
         good = np.zeros(8, dtype=np.float32)

@@ -18,8 +18,11 @@ from repro.registry.dao import (
 from repro.registry.entities import PERecord, WorkflowRecord
 
 
-@pytest.fixture(params=["sqlite"])
+@pytest.fixture(params=["memory", "sqlite"])
 def dao(request, tmp_path):
+    """``memory``: the ephemeral store in-process stacks run on."""
+    if request.param == "memory":
+        return SqliteDAO(":memory:")
     return SqliteDAO(tmp_path / "reg.db")
 
 
