@@ -9,8 +9,8 @@ repo-specific rules (:mod:`repro.analysis.lint`,
 during the concurrency-heavy test suites.  Both are tier-1 gates:
 ``tests/analysis/test_self_lint.py`` lints the repo's own source on
 every run, and the lockwatch fixture fails any batcher/write-core/
-scatter/jobs test that exhibits a lock-order cycle or a blocking call
-under a lock.
+jobs test that exhibits a lock-order cycle or a blocking call under a
+lock.
 
 Run it yourself::
 
@@ -34,7 +34,7 @@ RPR001  No blocking calls (``time.sleep``, ``sqlite3``, sockets,
         blocking call on the loop stalls every open connection.
 RPR002  No ``await``/blocking call while a ``with <lock>:`` block is
         held — critical sections are sized to stay microseconds-short
-        (batcher PR 3, write core PR 5, scatter PR 6); a sleep inside
+        (batcher PR 3, write core PR 5); a sleep inside
         one convoys every contender.  Runtime complement: lockwatch.
 RPR003  Every DAO method whose SQL writes the ``pes``/``workflows``
         tables bumps the registry mutation counter *and* calls
@@ -49,10 +49,10 @@ RPR003  Every DAO method whose SQL writes the ``pes``/``workflows``
         after its index mutations, went with those calls: the DAO
         journals now.)
 RPR005  No ``time.time()``/``random``/``uuid``/set-iteration in the
-        bitwise-determinism surface (``repro/search/{index,scatter,
-        fusion,serving}.py``) — batched == single-shot == brute-force
-        == scattered is a load-bearing guarantee (PRs 1/6/7) that
-        entropy sources break silently.
+        bitwise-determinism surface (``repro/search/{index,fusion,
+        serving}.py``) — batched == single-shot == brute-force is a
+        load-bearing guarantee (PRs 1/7) that entropy sources break
+        silently.
 RPR006  Server error responses only through the documented constructors
         (:func:`repro.errors.error_envelope` at transport layers,
         raised :class:`~repro.errors.ReproError` everywhere else) —
@@ -80,7 +80,7 @@ cycle (AB/BA between any two threads, ever) fails the test with both
 stacks, and configured blocking calls (``time.sleep``) made while any
 lock is held fail it too.  Activation is the opt-in ``lockwatch``
 fixture in ``tests/conftest.py``, autouse for the batcher/write-core/
-scatter/jobs suites.
+jobs suites.
 
 Adding a rule is one module in ``repro/analysis/rules/`` registered
 with ``@register_rule`` — e.g. the multi-tenant arc's

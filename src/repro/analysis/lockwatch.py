@@ -25,9 +25,9 @@ active* is wrapped in an :class:`InstrumentedLock`:
   stacks*;
 * configured blocking calls (``time.sleep`` by default) are also
   patched: calling one while holding any instrumented lock records a
-  violation, unless the caller matches ``blocking_allow`` (used for
-  the write core's deliberate cross-process claim poll — see
-  ``repro/server/v1_write.py``).
+  violation, unless some frame of the calling stack, however deep,
+  matches ``blocking_allow`` (used for the write core's deliberate
+  cross-process claim poll — see ``repro/server/v1_write.py``).
 
 The wrapper implements the ``_release_save``/``_acquire_restore``/
 ``_is_owned`` protocol, so ``threading.Condition`` (and therefore
@@ -37,8 +37,8 @@ the lock: held-state is popped for the wait and restored after, so
 sleeping inside ``wait`` never false-positives.
 
 Activation is opt-in via the ``lockwatch`` fixture in
-``tests/conftest.py``, autouse-enabled for the batcher, write-core,
-scatter and jobs suites (the concurrency-heavy surfaces).  The fixture
+``tests/conftest.py``, autouse-enabled for the batcher, write-core and
+jobs suites (the concurrency-heavy surfaces).  The fixture
 fails the test at teardown if any violation was recorded.
 """
 
@@ -74,15 +74,24 @@ def _allocation_site() -> str:
     return "<unknown>"
 
 
-def _short_stack(limit: int = 8) -> list[str]:
-    frames = traceback.extract_stack(limit=limit + 4)[:-3]
-    return [
+#: frames a violation records: the innermost, nearest the offending call
+_RECORDED_FRAMES = 8
+
+
+def _short_stack(limit: int | None = _RECORDED_FRAMES) -> list[str]:
+    """``file:line in function`` for the innermost ``limit`` frames
+    outside ``threading``/this module (``None``: the whole stack)."""
+    frames = traceback.extract_stack(
+        limit=None if limit is None else limit + 4
+    )[:-3]
+    stack = [
         f"{f.filename.rsplit('/', 1)[-1]}:{f.lineno} in {f.name}"
         for f in frames
         if not f.filename.replace("\\", "/").endswith(
             ("/threading.py", "/lockwatch.py")
         )
-    ][-limit:]
+    ]
+    return stack if limit is None else stack[-limit:]
 
 
 class InstrumentedLock:
@@ -167,7 +176,8 @@ class LockWatch:
         installed); each records a violation when invoked with any
         instrumented lock held.  Default: ``time.sleep``.
     blocking_allow:
-        Caller filename substrings exempt from the blocking-call check
+        Substrings of a ``file:line in function`` frame; a blocking
+        call with any matching frame anywhere on its stack is exempt
         (documented deliberate cases only).
     """
 
@@ -265,7 +275,10 @@ class LockWatch:
         held = self._held()
         if not held:
             return
-        stack = _short_stack()
+        # the allowlist sees every frame (an exempt caller may sit any
+        # number of helpers above the call); the violation keeps the
+        # innermost few
+        stack = _short_stack(None)
         for allowed in self.blocking_allow:
             if any(allowed in frame for frame in stack):
                 return
@@ -274,7 +287,7 @@ class LockWatch:
                 "kind": "blocking-call-under-lock",
                 "call": name,
                 "held": sorted({lock.site for lock in held}),
-                "stack": stack,
+                "stack": stack[-_RECORDED_FRAMES:],
             }
         )
 

@@ -1,8 +1,8 @@
 """RPR005 — no nondeterminism sources in ranking/merge/fusion code paths.
 
-Invariant (PRs 1/6/7): search results are *bitwise* reproducible —
-batched == single-shot == brute-force, scatter/gather == single
-process, hybrid fusion stable across runs.  The parity tests pin the
+Invariant (PRs 1/7): search results are *bitwise* reproducible —
+batched == single-shot == brute-force, hybrid fusion stable across
+runs.  The parity tests pin the
 outputs; this rule pins the inputs by banning the classic entropy
 sources from the ranking modules: wall-clock reads, ``random``/
 ``numpy.random``, UUIDs, and direct iteration over sets (whose order
@@ -10,7 +10,7 @@ varies with insertion history and hash seeding).  ``time.monotonic``/
 ``time.sleep`` stay legal — they shape latency, never result order.
 
 Scope is the bitwise-determinism surface named in the architecture
-docs: ``repro/search/{index,scatter,fusion,serving}.py``.
+docs: ``repro/search/{index,fusion,serving}.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ _BANNED_PREFIXES = ("random.", "numpy.random.")
 
 _SURFACE = (
     "repro/search/index.py",
-    "repro/search/scatter.py",
     "repro/search/fusion.py",
     "repro/search/serving.py",
 )

@@ -1,10 +1,9 @@
 """RPR002 — no ``await``/blocking call while a lock is held.
 
-Invariant (PRs 3/5/6, batcher + write core + scatter): critical
-sections guard in-memory state transitions and are sized to stay
-microseconds-short — the batcher publishes flush results, the write
-core serializes receipt/CAS checks, the scatter backend bumps
-counters.  Sleeping or awaiting inside one turns every contending
+Invariant (PRs 3/5, batcher + write core): critical sections guard
+in-memory state transitions and are sized to stay microseconds-short —
+the batcher publishes flush results, the write core serializes
+receipt/CAS checks.  Sleeping or awaiting inside one turns every contending
 thread (or the whole event loop) into a convoy; the runtime complement
 is :mod:`repro.analysis.lockwatch`, which catches the dynamic cases
 static scoping cannot see.

@@ -52,12 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-fit", action="store_true",
         help="skip model IDF fitting (faster startup, weaker search)",
     )
-    serve.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="enable the scatter/gather 'scatter' search backend over N "
-        "in-process shard workers (each with its own index and lock); "
-        "0 disables it",
-    )
 
     demo = sub.add_parser("demo", help="run the IsPrime showcase")
     demo.add_argument("--input", type=int, default=10, help="iterations")
@@ -320,31 +314,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_server(db: str | None, fit: bool, shards: int = 0):
+def _build_server(db: str | None, fit: bool):
     from repro.ml.bundle import ModelBundle
     from repro.registry.dao import SqliteDAO
     from repro.server import LaminarServer
 
     dao = SqliteDAO(db) if db else None
-    return LaminarServer(
-        dao=dao,
-        models=ModelBundle.default(fit=fit),
-        scatter_shards=shards,
-    )
+    return LaminarServer(dao=dao, models=ModelBundle.default(fit=fit))
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.http import serve_http
 
-    server = _build_server(
-        args.db, fit=not args.no_fit, shards=getattr(args, "shards", 0)
-    )
+    server = _build_server(args.db, fit=not args.no_fit)
     handle = serve_http(server, host=args.host, port=args.port)
-    scatter = (
-        f"; scatter over {args.shards} shard workers" if args.shards else ""
-    )
     print(f"Laminar serving on {handle.url}  (registry: "
-          f"{args.db or 'in-memory'}{scatter}; Ctrl-C to stop)")
+          f"{args.db or 'in-memory'}; Ctrl-C to stop)")
     try:
         import time
 

@@ -70,11 +70,6 @@ class RegistryService:
         #: attach_approx_backend; their training state persists and
         #: restores alongside the slab snapshot
         self._companions: list = []
-        #: mirror backends (e.g. the scatter/gather fan-out) that keep
-        #: their *own* copies of every shard: every index mutation fans
-        #: out to them, so their results stay bitwise identical to the
-        #: authoritative exact index
-        self._mirrors: list = []
         #: write base slabs and fold chains (attach_index's ``persist``
         #: flag).  Journaling is not this service's to switch: the DAO
         #: appends each mutation's ids-only journal row inside the
@@ -522,44 +517,24 @@ class RegistryService:
             },
         }
 
-    def attach_mirror(self, backend) -> None:
-        """Adopt a mirror backend: bulk-load the current shards into it
-        and fan every future index mutation out to it.
-
-        Mirrors (the scatter/gather fan-out above all) hold their own
-        slab copies — possibly across worker processes — so the initial
-        load replays the authoritative index's snapshot verbatim
-        (bitwise: slabs are copied, never recomputed).
-        """
-        if backend in self._mirrors:
-            return
-        if self.index is not None:
-            for (user_id, kind), (ids, matrix) in self.index.snapshot().items():
-                backend.add_many(user_id, kind, ids, matrix)
-        self._mirrors.append(backend)
-
-    def _index_targets(self) -> list:
-        if self.index is None:
-            return []
-        return [self.index, *self._mirrors]
-
     def _index_pe(
         self, user_id: int, record: PERecord, *, journaled: bool = True
     ) -> None:
-        """Put a PE into ``user_id``'s shards of the live index and its
-        mirrors.  ``journaled`` says a DAO write put it there (and so
-        journaled it); re-indexing a record the caller already owned is
-        not one."""
+        """Put a PE into ``user_id``'s shards of the live index.
+        ``journaled`` says a DAO write put it there (and so journaled
+        it); re-indexing a record the caller already owned is not
+        one."""
         from repro.search.index import KIND_CODE, KIND_DESC
 
+        if self.index is None:
+            return
         for kind, vector in (
             (KIND_DESC, record.desc_embedding),
             (KIND_CODE, record.code_embedding),
         ):
             if vector is None:
                 continue
-            for index in self._index_targets():
-                index.add(user_id, kind, record.pe_id, vector)
+            self.index.add(user_id, kind, record.pe_id, vector)
             if journaled:
                 self._journaled((user_id, kind), 1)
 
@@ -568,12 +543,13 @@ class RegistryService:
         a ``remove`` for the kinds the record embeds."""
         from repro.search.index import KIND_CODE, KIND_DESC
 
+        if self.index is None:
+            return
         for kind, vector in (
             (KIND_DESC, record.desc_embedding),
             (KIND_CODE, record.code_embedding),
         ):
-            for index in self._index_targets():
-                index.remove(user_id, kind, record.pe_id)
+            self.index.remove(user_id, kind, record.pe_id)
             if vector is not None:
                 self._journaled((user_id, kind), 1)
 
@@ -582,20 +558,20 @@ class RegistryService:
     ) -> None:
         from repro.search.index import KIND_WORKFLOW
 
-        if record.desc_embedding is None:
+        if self.index is None or record.desc_embedding is None:
             return
-        for index in self._index_targets():
-            index.add(
-                user_id, KIND_WORKFLOW, record.workflow_id, record.desc_embedding
-            )
+        self.index.add(
+            user_id, KIND_WORKFLOW, record.workflow_id, record.desc_embedding
+        )
         if journaled:
             self._journaled((user_id, KIND_WORKFLOW), 1)
 
     def _unindex_workflow(self, user_id: int, record: WorkflowRecord) -> None:
         from repro.search.index import KIND_WORKFLOW
 
-        for index in self._index_targets():
-            index.remove(user_id, KIND_WORKFLOW, record.workflow_id)
+        if self.index is None:
+            return
+        self.index.remove(user_id, KIND_WORKFLOW, record.workflow_id)
         if record.desc_embedding is not None:
             self._journaled((user_id, KIND_WORKFLOW), 1)
 
@@ -726,13 +702,14 @@ class RegistryService:
         current.code_embedding = record.code_embedding
         self.dao.update_pe(current)
         self._note_write()
+        if self.index is None:
+            return current, False
         for kind, vec in changed.items():
             for owner in current.owners:
-                for index in self._index_targets():
-                    if vec is not None:
-                        index.add(owner, kind, current.pe_id, vec)
-                    else:
-                        index.remove(owner, kind, current.pe_id)
+                if vec is not None:
+                    self.index.add(owner, kind, current.pe_id, vec)
+                else:
+                    self.index.remove(owner, kind, current.pe_id)
                 self._journaled((owner, kind), 1)
         return current, False
 
@@ -790,10 +767,9 @@ class RegistryService:
             ):
                 ids = [rid for rid, vec in embedded if vec is not None]
                 vectors = [vec for _, vec in embedded if vec is not None]
-                if not ids:
+                if not ids or self.index is None:
                     continue
-                for index in self._index_targets():
-                    index.add_many(user.user_id, kind, ids, vectors)
+                self.index.add_many(user.user_id, kind, ids, vectors)
                 self._journaled((user.user_id, kind), len(ids), fold=persist)
         if persist:
             self.persist_shards()
@@ -990,11 +966,10 @@ class RegistryService:
                 for r in fresh
                 if r.desc_embedding is not None
             ]
-            if indexed:
+            if indexed and self.index is not None:
                 ids = [rid for rid, _ in indexed]
                 vectors = [vec for _, vec in indexed]
-                for index in self._index_targets():
-                    index.add_many(user.user_id, KIND_WORKFLOW, ids, vectors)
+                self.index.add_many(user.user_id, KIND_WORKFLOW, ids, vectors)
                 self._journaled(
                     (user.user_id, KIND_WORKFLOW), len(ids), fold=persist
                 )
@@ -1026,20 +1001,17 @@ class RegistryService:
         current.desc_embedding = record.desc_embedding
         self.dao.update_workflow(current)
         self._note_write()
-        if desc_changed:
+        if desc_changed and self.index is not None:
             for owner in current.owners:
-                for index in self._index_targets():
-                    if current.desc_embedding is not None:
-                        index.add(
-                            owner,
-                            KIND_WORKFLOW,
-                            current.workflow_id,
-                            current.desc_embedding,
-                        )
-                    else:
-                        index.remove(
-                            owner, KIND_WORKFLOW, current.workflow_id
-                        )
+                if current.desc_embedding is not None:
+                    self.index.add(
+                        owner,
+                        KIND_WORKFLOW,
+                        current.workflow_id,
+                        current.desc_embedding,
+                    )
+                else:
+                    self.index.remove(owner, KIND_WORKFLOW, current.workflow_id)
                 self._journaled((owner, KIND_WORKFLOW), 1)
         return current, False
 

@@ -24,15 +24,14 @@ API* from the *index implementation* behind it:
   queries beam-search it from the entry layer and exactly re-rank every
   visited row.  A second QPS point for corpora where IVF's cluster
   assumption is weak.
+* :class:`_ShardView` — what IVF and HNSW share: the delegation of
+  mutation, persistence and the query LRU to the base index, and the
+  membership-checked retrieval entry points around each engine's
+  per-shard ranking.
 * a **backend registry** — backends are selected by name (``"exact"``,
   ``"ivf"``, ``"hnsw"``); :func:`create_backend` / :func:`build_backends`
   construct them, and new engines plug in via :func:`register_backend`
-  without touching the serving layer.  The scatter/gather engine
-  (:mod:`repro.search.scatter`) implements this same protocol but is
-  wired *per server* (``LaminarServer(scatter_shards=N)`` mirrors it
-  from that server's registry service) rather than through the global
-  registry — a shard fleet only makes sense bound to the registry whose
-  mutations it mirrors.
+  without touching the serving layer.
 
 Safety properties shared by every backend:
 
@@ -98,10 +97,6 @@ class IndexBackend(Protocol):
 
     def remove(self, user: Hashable, kind: str, rid: int) -> bool: ...
 
-    def remove_everywhere(self, user: Hashable, rid: int) -> None: ...
-
-    def clear(self, user: Hashable | None = None) -> None: ...
-
     # -- retrieval ------------------------------------------------------
     def search_among(
         self,
@@ -137,6 +132,187 @@ class IndexBackend(Protocol):
     def cached_query_vector(
         self, key: Hashable, compute: Callable[[], np.ndarray]
     ) -> np.ndarray: ...
+
+
+def _check_ks(ks: Sequence[int | None]) -> None:
+    for k in ks:
+        if k is not None and k <= 0:
+            raise ValidationError(f"k must be positive, got {k}")
+
+
+class _ShardView:
+    """An approximate engine as a *view* over a base :class:`VectorIndex`.
+
+    Mutation, persistence and the query-embedding LRU delegate to the
+    base (one copy of every vector in the process); retrieval looks the
+    shard up under the base lock and hands it to the subclass's
+    :meth:`_topk`.  A subclass keeps its per-shard derived structure in
+    ``_states`` — valid while ``state.shard is shard and state.version
+    == shard.version`` — and lays out an exported state in
+    :meth:`_export_state`.
+    """
+
+    def __init__(self, base: VectorIndex | None) -> None:
+        self.base = base if base is not None else VectorIndex()
+        self._states: dict[tuple[Hashable, str], object] = {}
+        self._states_lock = threading.Lock()
+        self.approx_queries = 0
+        self.exact_queries = 0
+
+    # ------------------------------------------------------------------
+    # Mutation / persistence / query LRU: delegate to the base index
+    # ------------------------------------------------------------------
+    def add(self, user, kind, rid, vector) -> None:
+        self.base.add(user, kind, rid, vector)
+
+    def add_many(self, user, kind, rids, vectors) -> None:
+        self.base.add_many(user, kind, rids, vectors)
+
+    def remove(self, user, kind, rid) -> bool:
+        return self.base.remove(user, kind, rid)
+
+    def snapshot(self, user=None, keys=None):
+        return self.base.snapshot(user, keys)
+
+    def dirty_keys(self):
+        return self.base.dirty_keys()
+
+    def consume_dirty(self):
+        return self.base.consume_dirty()
+
+    def ids(self, user, kind):
+        return self.base.ids(user, kind)
+
+    @property
+    def query_cache(self):
+        return self.base.query_cache
+
+    def cached_query_vector(self, key, compute):
+        return self.base.cached_query_vector(key, compute)
+
+    # ------------------------------------------------------------------
+    # State persistence (cold starts skip the lazy rebuild)
+    # ------------------------------------------------------------------
+    def export_states(self) -> dict[tuple[Hashable, str], tuple]:
+        """Snapshot ``{(user, kind): state}`` (laid out by
+        :meth:`_export_state`) for every state still valid against its
+        live shard.
+
+        Stale states (any mutation since the build) are excluded — their
+        row indices would reference shifted slab positions.  Taken under
+        the base index lock so the validity check and the copy see one
+        consistent shard.
+        """
+        out: dict[tuple[Hashable, str], tuple] = {}
+        base = self.base
+        with base._lock:
+            with self._states_lock:
+                items = list(self._states.items())
+            for key, state in items:
+                shard = base._shards.get(key)
+                if (
+                    shard is None
+                    or state.shard is not shard
+                    or state.version != shard.version
+                ):
+                    continue
+                out[key] = self._export_state(state)
+        return out
+
+    def _export_state(self, state) -> tuple:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Retrieval
+    # ------------------------------------------------------------------
+    def _topk(
+        self,
+        key: tuple[Hashable, str],
+        shard: _Shard,
+        qvec: np.ndarray,
+        k: int | None,
+    ) -> tuple[list[int], np.ndarray]:
+        """Rank one query over ``shard`` (caller holds the base lock)."""
+        raise NotImplementedError
+
+    def search(
+        self,
+        user: Hashable,
+        kind: str,
+        query: np.ndarray,
+        k: int | None = None,
+    ) -> tuple[list[int], np.ndarray]:
+        _check_ks([k])
+        qvec = _as_vector(query)
+        base = self.base
+        with base._lock:
+            shard = base._shards.get((user, kind))
+            if shard is None or shard.size == 0:
+                return [], np.empty(0, dtype=np.float32)
+            return self._topk((user, kind), shard, qvec, k)
+
+    def search_among(
+        self,
+        user: Hashable,
+        kind: str,
+        rids: Sequence[int],
+        query: np.ndarray,
+        k: int | None = None,
+    ) -> tuple[list[int], np.ndarray] | None:
+        _check_ks([k])
+        qvec = _as_vector(query)
+        base = self.base
+        with base._lock:
+            shard = base._verified_shard(user, kind, rids)
+            if shard is None:
+                return None
+            if shard.size == 0:
+                return [], np.empty(0, dtype=np.float32)
+            return self._topk((user, kind), shard, qvec, k)
+
+    def search_among_many(
+        self,
+        user: Hashable,
+        kind: str,
+        rids: Sequence[int],
+        queries: Sequence[np.ndarray],
+        ks: Sequence[int | None],
+    ) -> list[tuple[list[int], np.ndarray]] | None:
+        _check_ks(ks)
+        if len(queries) != len(ks):
+            raise ValidationError(
+                f"got {len(queries)} queries for {len(ks)} k values"
+            )
+        qvecs = [_as_vector(query) for query in queries]
+        base = self.base
+        with base._lock:
+            shard = base._verified_shard(user, kind, rids)
+            if shard is None:
+                return None
+            if shard.size == 0:
+                empty = ([], np.empty(0, dtype=np.float32))
+                return [empty for _ in qvecs]
+            return self._rank_many((user, kind), shard, qvecs, ks)
+
+    def _rank_many(
+        self,
+        key: tuple[Hashable, str],
+        shard: _Shard,
+        qvecs: list[np.ndarray],
+        ks: Sequence[int | None],
+    ) -> list[tuple[list[int], np.ndarray]]:
+        """Rank a verified batch (caller holds the base lock), with the
+        exact batch path's duplicate-query coalescing."""
+        cache: dict[tuple[bytes, int | None], tuple] = {}
+        results = []
+        for qvec, k in zip(qvecs, ks):
+            cache_key = (qvec.tobytes(), k)
+            hit = cache.get(cache_key)
+            if hit is None:
+                hit = self._topk(key, shard, qvec, k)
+                cache[cache_key] = hit
+            results.append(hit)
+        return results
 
 
 class _IVFState:
@@ -200,14 +376,14 @@ def _train_ivf(shard: _Shard, nlist: int) -> _IVFState:
     return _IVFState(shard, shard.version, centroids, lists)
 
 
-class IVFFlatBackend:
+class IVFFlatBackend(_ShardView):
     """IVF-flat approximate retrieval over the exact index's shards.
 
-    A *view* over a base :class:`VectorIndex`: mutation, persistence and
-    the query-embedding LRU delegate to the base (one copy of every
-    vector in the process), while retrieval probes the ``nprobe``
-    nearest of ``nlist`` inverted lists and re-ranks only their members
-    with the exact full-precision dot product.
+    A :class:`_ShardView` over a base :class:`VectorIndex`: mutation,
+    persistence and the query-embedding LRU delegate to the base (one
+    copy of every vector in the process), while retrieval probes the
+    ``nprobe`` nearest of ``nlist`` inverted lists and re-ranks only
+    their members with the exact full-precision dot product.
 
     Guarantees:
 
@@ -237,7 +413,7 @@ class IVFFlatBackend:
         min_train_rows: int = _MIN_TRAIN_ROWS,
         retrain_fraction: float = 0.02,
     ) -> None:
-        self.base = base if base is not None else VectorIndex()
+        super().__init__(base)
         #: None -> sqrt(N) lists, the standard IVF sizing
         self.nlist = nlist
         #: None -> ceil(nlist / 8), a ~12% probe fraction
@@ -250,67 +426,8 @@ class IVFFlatBackend:
         #: O(N * nlist * D) k-means on every request.  0 retrains
         #: eagerly on any mutation.
         self.retrain_fraction = max(0.0, float(retrain_fraction))
-        self._states: dict[tuple[Hashable, str], _IVFState] = {}
-        self._states_lock = threading.Lock()
         # counters for benchmarks and `repro stats`
         self.trainings = 0
-        self.approx_queries = 0
-        self.exact_queries = 0
-
-    # ------------------------------------------------------------------
-    # Mutation / persistence / introspection: delegate to the base index
-    # ------------------------------------------------------------------
-    def add(self, user, kind, rid, vector) -> None:
-        self.base.add(user, kind, rid, vector)
-
-    def add_many(self, user, kind, rids, vectors) -> None:
-        self.base.add_many(user, kind, rids, vectors)
-
-    def remove(self, user, kind, rid) -> bool:
-        return self.base.remove(user, kind, rid)
-
-    def remove_everywhere(self, user, rid) -> None:
-        self.base.remove_everywhere(user, rid)
-
-    def clear(self, user=None) -> None:
-        self.base.clear(user)
-        with self._states_lock:
-            if user is None:
-                self._states.clear()
-            else:
-                for key in [k for k in self._states if k[0] == user]:
-                    del self._states[key]
-
-    def snapshot(self, user=None, keys=None):
-        return self.base.snapshot(user, keys)
-
-    def export_shards(self, user=None, keys=None):
-        return self.base.export_shards(user, keys)
-
-    def dirty_keys(self):
-        return self.base.dirty_keys()
-
-    def consume_dirty(self):
-        return self.base.consume_dirty()
-
-    def contains(self, user, kind, rid) -> bool:
-        return self.base.contains(user, kind, rid)
-
-    def missing_ids(self, user, kind, rids):
-        return self.base.missing_ids(user, kind, rids)
-
-    def size(self, user, kind) -> int:
-        return self.base.size(user, kind)
-
-    def ids(self, user, kind):
-        return self.base.ids(user, kind)
-
-    @property
-    def query_cache(self):
-        return self.base.query_cache
-
-    def cached_query_vector(self, key, compute):
-        return self.base.cached_query_vector(key, compute)
 
     def stats(self) -> dict:
         out = self.base.stats()
@@ -326,35 +443,14 @@ class IVFFlatBackend:
     # ------------------------------------------------------------------
     # Training-state persistence (cold starts skip the lazy k-means)
     # ------------------------------------------------------------------
-    def export_states(
-        self,
-    ) -> dict[tuple[Hashable, str], tuple[np.ndarray, list[np.ndarray]]]:
-        """Snapshot ``{(user, kind): (centroids, lists)}`` for every
-        trained clustering still valid against its live shard.
-
-        Stale states (any mutation since training) are excluded — the
-        member row indices would reference shifted slab positions.
-        Taken under the base index lock so the validity check and the
-        copy see one consistent shard.
-        """
-        out: dict[tuple[Hashable, str], tuple[np.ndarray, list[np.ndarray]]] = {}
-        base = self.base
-        with base._lock:
-            with self._states_lock:
-                items = list(self._states.items())
-            for key, state in items:
-                shard = base._shards.get(key)
-                if (
-                    shard is None
-                    or state.shard is not shard
-                    or state.version != shard.version
-                ):
-                    continue
-                out[key] = (
-                    state.centroids.copy(),
-                    [members.copy() for members in state.lists],
-                )
-        return out
+    def _export_state(
+        self, state: _IVFState
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """A trained clustering as ``(centroids, lists)``."""
+        return (
+            state.centroids.copy(),
+            [members.copy() for members in state.lists],
+        )
 
     def adopt_states(
         self,
@@ -454,7 +550,7 @@ class IVFFlatBackend:
             self.trainings += 1
         return state
 
-    def _ivf_topk(
+    def _topk(
         self,
         key: tuple[Hashable, str],
         shard: _Shard,
@@ -513,79 +609,6 @@ class IVFFlatBackend:
             [int(i) for i in shard.ids[winners]],
             sims[order].astype(np.float32, copy=False),
         )
-
-    def search(
-        self,
-        user: Hashable,
-        kind: str,
-        query: np.ndarray,
-        k: int | None = None,
-    ) -> tuple[list[int], np.ndarray]:
-        if k is not None and k <= 0:
-            raise ValidationError(f"k must be positive, got {k}")
-        qvec = _as_vector(query)
-        base = self.base
-        with base._lock:
-            shard = base._shards.get((user, kind))
-            if shard is None or shard.size == 0:
-                return [], np.empty(0, dtype=np.float32)
-            return self._ivf_topk((user, kind), shard, qvec, k)
-
-    def search_among(
-        self,
-        user: Hashable,
-        kind: str,
-        rids: Sequence[int],
-        query: np.ndarray,
-        k: int | None = None,
-    ) -> tuple[list[int], np.ndarray] | None:
-        if k is not None and k <= 0:
-            raise ValidationError(f"k must be positive, got {k}")
-        qvec = _as_vector(query)
-        base = self.base
-        with base._lock:
-            shard = base._verified_shard(user, kind, rids)
-            if shard is None:
-                return None
-            if shard.size == 0:
-                return [], np.empty(0, dtype=np.float32)
-            return self._ivf_topk((user, kind), shard, qvec, k)
-
-    def search_among_many(
-        self,
-        user: Hashable,
-        kind: str,
-        rids: Sequence[int],
-        queries: Sequence[np.ndarray],
-        ks: Sequence[int | None],
-    ) -> list[tuple[list[int], np.ndarray]] | None:
-        for k in ks:
-            if k is not None and k <= 0:
-                raise ValidationError(f"k must be positive, got {k}")
-        if len(queries) != len(ks):
-            raise ValidationError(
-                f"got {len(queries)} queries for {len(ks)} k values"
-            )
-        qvecs = [_as_vector(query) for query in queries]
-        base = self.base
-        with base._lock:
-            shard = base._verified_shard(user, kind, rids)
-            if shard is None:
-                return None
-            if shard.size == 0:
-                empty = ([], np.empty(0, dtype=np.float32))
-                return [empty for _ in qvecs]
-            # same duplicate-query coalescing as the exact batch path
-            cache: dict[tuple[bytes, int | None], tuple] = {}
-            results = []
-            for qvec, k in zip(qvecs, ks):
-                key = (qvec.tobytes(), k)
-                hit = cache.get(key)
-                if hit is None:
-                    hit = self._ivf_topk((user, kind), shard, qvec, k)
-                    cache[key] = hit
-                results.append(hit)
-            return results
 
 
 class _HNSWState:
@@ -751,10 +774,10 @@ def _extend_hnsw(
     return _HNSWState(shard, shard.version, levels, neighbors)
 
 
-class HNSWBackend:
+class HNSWBackend(_ShardView):
     """Graph-navigation approximate retrieval over the exact index's shards.
 
-    Like :class:`IVFFlatBackend`, a *view* over the base
+    Like :class:`IVFFlatBackend`, a :class:`_ShardView` over the base
     :class:`VectorIndex` — mutation, persistence and the query LRU
     delegate to it.  Retrieval navigates a lazily built small-world
     graph, flattened into the two dense steps that vectorize well:
@@ -794,7 +817,7 @@ class HNSWBackend:
         min_build_rows: int = _MIN_TRAIN_ROWS,
         rebuild_fraction: float = 0.02,
     ) -> None:
-        self.base = base if base is not None else VectorIndex()
+        super().__init__(base)
         if m < 2:
             raise ValidationError(f"m must be at least 2, got {m}")
         self.m = int(m)
@@ -807,69 +830,10 @@ class HNSWBackend:
         #: build is O(N) exact scans, so the stale-query deferral window
         #: scales with the shard size rather than the list count
         self.rebuild_fraction = max(0.0, float(rebuild_fraction))
-        self._states: dict[tuple[Hashable, str], _HNSWState] = {}
-        self._states_lock = threading.Lock()
         self.builds = 0
         #: insert-time incremental graph extensions (appends routed and
         #: linked into the existing graph instead of a whole-graph build)
         self.extends = 0
-        self.approx_queries = 0
-        self.exact_queries = 0
-
-    # ------------------------------------------------------------------
-    # Mutation / persistence / introspection: delegate to the base index
-    # ------------------------------------------------------------------
-    def add(self, user, kind, rid, vector) -> None:
-        self.base.add(user, kind, rid, vector)
-
-    def add_many(self, user, kind, rids, vectors) -> None:
-        self.base.add_many(user, kind, rids, vectors)
-
-    def remove(self, user, kind, rid) -> bool:
-        return self.base.remove(user, kind, rid)
-
-    def remove_everywhere(self, user, rid) -> None:
-        self.base.remove_everywhere(user, rid)
-
-    def clear(self, user=None) -> None:
-        self.base.clear(user)
-        with self._states_lock:
-            if user is None:
-                self._states.clear()
-            else:
-                for key in [k for k in self._states if k[0] == user]:
-                    del self._states[key]
-
-    def snapshot(self, user=None, keys=None):
-        return self.base.snapshot(user, keys)
-
-    def export_shards(self, user=None, keys=None):
-        return self.base.export_shards(user, keys)
-
-    def dirty_keys(self):
-        return self.base.dirty_keys()
-
-    def consume_dirty(self):
-        return self.base.consume_dirty()
-
-    def contains(self, user, kind, rid) -> bool:
-        return self.base.contains(user, kind, rid)
-
-    def missing_ids(self, user, kind, rids):
-        return self.base.missing_ids(user, kind, rids)
-
-    def size(self, user, kind) -> int:
-        return self.base.size(user, kind)
-
-    def ids(self, user, kind):
-        return self.base.ids(user, kind)
-
-    @property
-    def query_cache(self):
-        return self.base.query_cache
-
-    def cached_query_vector(self, key, compute):
-        return self.base.cached_query_vector(key, compute)
 
     def stats(self) -> dict:
         out = self.base.stats()
@@ -885,27 +849,11 @@ class HNSWBackend:
     # ------------------------------------------------------------------
     # Graph-state persistence (cold starts skip the O(N²) build)
     # ------------------------------------------------------------------
-    def export_states(
-        self,
-    ) -> dict[tuple[Hashable, str], tuple[np.ndarray, np.ndarray]]:
-        """Snapshot ``{(user, kind): (levels, neighbors)}`` for every
-        graph still valid against its live shard (see
-        :meth:`IVFFlatBackend.export_states` for the protocol)."""
-        out: dict[tuple[Hashable, str], tuple[np.ndarray, np.ndarray]] = {}
-        base = self.base
-        with base._lock:
-            with self._states_lock:
-                items = list(self._states.items())
-            for key, state in items:
-                shard = base._shards.get(key)
-                if (
-                    shard is None
-                    or state.shard is not shard
-                    or state.version != shard.version
-                ):
-                    continue
-                out[key] = (state.levels.copy(), state.neighbors.copy())
-        return out
+    def _export_state(
+        self, state: _HNSWState
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A built graph as ``(levels, neighbors)``."""
+        return (state.levels.copy(), state.neighbors.copy())
 
     def adopt_states(
         self,
@@ -1003,7 +951,7 @@ class HNSWBackend:
             return max(1, int(self.ef_search))
         return max(8, k)
 
-    def _hnsw_topk(
+    def _topk(
         self,
         key: tuple[Hashable, str],
         shard: _Shard,
@@ -1075,134 +1023,80 @@ class HNSWBackend:
             sims[order].astype(np.float32, copy=False),
         )
 
-    def search(
+    def _rank_many(
         self,
-        user: Hashable,
-        kind: str,
-        query: np.ndarray,
-        k: int | None = None,
-    ) -> tuple[list[int], np.ndarray]:
-        if k is not None and k <= 0:
-            raise ValidationError(f"k must be positive, got {k}")
-        qvec = _as_vector(query)
-        base = self.base
-        with base._lock:
-            shard = base._shards.get((user, kind))
-            if shard is None or shard.size == 0:
-                return [], np.empty(0, dtype=np.float32)
-            return self._hnsw_topk((user, kind), shard, qvec, k)
-
-    def search_among(
-        self,
-        user: Hashable,
-        kind: str,
-        rids: Sequence[int],
-        query: np.ndarray,
-        k: int | None = None,
-    ) -> tuple[list[int], np.ndarray] | None:
-        if k is not None and k <= 0:
-            raise ValidationError(f"k must be positive, got {k}")
-        qvec = _as_vector(query)
-        base = self.base
-        with base._lock:
-            shard = base._verified_shard(user, kind, rids)
-            if shard is None:
-                return None
-            if shard.size == 0:
-                return [], np.empty(0, dtype=np.float32)
-            return self._hnsw_topk((user, kind), shard, qvec, k)
-
-    def search_among_many(
-        self,
-        user: Hashable,
-        kind: str,
-        rids: Sequence[int],
-        queries: Sequence[np.ndarray],
+        key: tuple[Hashable, str],
+        shard: _Shard,
+        qvecs: list[np.ndarray],
         ks: Sequence[int | None],
-    ) -> list[tuple[list[int], np.ndarray]] | None:
-        for k in ks:
-            if k is not None and k <= 0:
-                raise ValidationError(f"k must be positive, got {k}")
-        if len(queries) != len(ks):
-            raise ValidationError(
-                f"got {len(queries)} queries for {len(ks)} k values"
-            )
-        qvecs = [_as_vector(query) for query in queries]
-        base = self.base
-        with base._lock:
-            shard = base._verified_shard(user, kind, rids)
-            if shard is None:
-                return None
-            if shard.size == 0:
-                empty = ([], np.empty(0, dtype=np.float32))
-                return [empty for _ in qvecs]
-            # batched routing scan: the dominant per-query cost is
-            # scoring the entry layer, so score it for all of the
-            # batch's distinct graph-eligible queries in one GEMM
-            state: _HNSWState | None = None
-            entry_sims_by_query: dict[bytes, np.ndarray] = {}
-            eligible = [
-                (qvec, k)
-                for qvec, k in zip(qvecs, ks)
-                if k is not None
-                and shard.size >= self.min_build_rows
-                and k < shard.size
-            ]
-            frontier_by_query: dict[tuple[bytes, int], np.ndarray] = {}
-            if eligible:
-                state = self._state_for((user, kind), shard)
-                if state is not None and state.entries.size > 0:
-                    distinct: dict[bytes, np.ndarray] = {}
-                    for qvec, k in eligible:
-                        distinct.setdefault(qvec.tobytes(), qvec)
-                    qmat = np.stack(list(distinct.values()))
-                    # row-major result: each query's entry sims land
-                    # contiguous for the routing partition below
-                    sims = qmat @ state.entry_matrix.T
+    ) -> list[tuple[list[int], np.ndarray]]:
+        # batched routing scan: the dominant per-query cost is
+        # scoring the entry layer, so score it for all of the
+        # batch's distinct graph-eligible queries in one GEMM
+        state: _HNSWState | None = None
+        entry_sims_by_query: dict[bytes, np.ndarray] = {}
+        eligible = [
+            (qvec, k)
+            for qvec, k in zip(qvecs, ks)
+            if k is not None
+            and shard.size >= self.min_build_rows
+            and k < shard.size
+        ]
+        frontier_by_query: dict[tuple[bytes, int], np.ndarray] = {}
+        if eligible:
+            state = self._state_for(key, shard)
+            if state is not None and state.entries.size > 0:
+                distinct: dict[bytes, np.ndarray] = {}
+                for qvec, k in eligible:
+                    distinct.setdefault(qvec.tobytes(), qvec)
+                qmat = np.stack(list(distinct.values()))
+                # row-major result: each query's entry sims land
+                # contiguous for the routing partition below
+                sims = qmat @ state.entry_matrix.T
+                for row, key_bytes in enumerate(distinct):
+                    entry_sims_by_query[key_bytes] = sims[row]
+                # batched routing: one axis-wise partition per
+                # distinct ef instead of one call per query
+                n_entries = state.entries.size
+                for ef in {self._effective_ef(k) for _, k in eligible}:
+                    if ef < n_entries:
+                        part = np.argpartition(
+                            -sims, ef - 1, axis=1
+                        )[:, :ef]
+                        picked = state.entries[part]
+                    else:
+                        picked = None
                     for row, key_bytes in enumerate(distinct):
-                        entry_sims_by_query[key_bytes] = sims[row]
-                    # batched routing: one axis-wise partition per
-                    # distinct ef instead of one call per query
-                    n_entries = state.entries.size
-                    for ef in {self._effective_ef(k) for _, k in eligible}:
-                        if ef < n_entries:
-                            part = np.argpartition(
-                                -sims, ef - 1, axis=1
-                            )[:, :ef]
-                            picked = state.entries[part]
-                        else:
-                            picked = None
-                        for row, key_bytes in enumerate(distinct):
-                            frontier_by_query[(key_bytes, ef)] = (
-                                state.entries
-                                if picked is None
-                                else picked[row]
-                            )
-            # same duplicate-query coalescing as the exact batch path
-            cache: dict[tuple[bytes, int | None], tuple] = {}
-            results = []
-            for qvec, k in zip(qvecs, ks):
-                cache_key = (qvec.tobytes(), k)
-                hit = cache.get(cache_key)
-                if hit is None:
-                    hit = self._hnsw_topk(
-                        (user, kind),
-                        shard,
-                        qvec,
-                        k,
-                        state=state,
-                        entry_sims=entry_sims_by_query.get(qvec.tobytes()),
-                        frontier=(
-                            None
-                            if k is None
-                            else frontier_by_query.get(
-                                (qvec.tobytes(), self._effective_ef(k))
-                            )
-                        ),
-                    )
-                    cache[cache_key] = hit
-                results.append(hit)
-            return results
+                        frontier_by_query[(key_bytes, ef)] = (
+                            state.entries
+                            if picked is None
+                            else picked[row]
+                        )
+        # same duplicate-query coalescing as the exact batch path
+        cache: dict[tuple[bytes, int | None], tuple] = {}
+        results = []
+        for qvec, k in zip(qvecs, ks):
+            cache_key = (qvec.tobytes(), k)
+            hit = cache.get(cache_key)
+            if hit is None:
+                hit = self._topk(
+                    key,
+                    shard,
+                    qvec,
+                    k,
+                    state=state,
+                    entry_sims=entry_sims_by_query.get(qvec.tobytes()),
+                    frontier=(
+                        None
+                        if k is None
+                        else frontier_by_query.get(
+                            (qvec.tobytes(), self._effective_ef(k))
+                        )
+                    ),
+                )
+                cache[cache_key] = hit
+            results.append(hit)
+        return results
 
 
 # ---------------------------------------------------------------------------

@@ -113,10 +113,6 @@ class EmbeddingLRU:
                 self._data.popitem(last=False)
         return vec
 
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
@@ -354,24 +350,6 @@ class VectorIndex:
                 self._dirty.add((user, kind))
             return removed
 
-    def remove_everywhere(self, user: Hashable, rid: int) -> None:
-        """Drop a record id from every shard of one user."""
-        with self._lock:
-            for (shard_user, kind), shard in self._shards.items():
-                if shard_user == user and shard.remove(int(rid)):
-                    self._dirty.add((shard_user, kind))
-
-    def clear(self, user: Hashable | None = None) -> None:
-        with self._lock:
-            if user is None:
-                self._dirty.update(self._shards)
-                self._shards.clear()
-            else:
-                for key in [k for k in self._shards if k[0] == user]:
-                    del self._shards[key]
-                    self._dirty.add(key)
-        self.query_cache.clear()
-
     # ------------------------------------------------------------------
     # Dirty tracking (the persistence layer's O(delta) contract)
     # ------------------------------------------------------------------
@@ -399,16 +377,6 @@ class VectorIndex:
         with self._lock:
             shard = self._shards.get((user, kind))
             return shard is not None and int(rid) in shard.row_of
-
-    def missing_ids(
-        self, user: Hashable, kind: str, rids: Sequence[int]
-    ) -> set[int]:
-        """The subset of ``rids`` without a live row, in one lock hold."""
-        with self._lock:
-            shard = self._shards.get((user, kind))
-            if shard is None:
-                return {int(rid) for rid in rids}
-            return {int(rid) for rid in rids if int(rid) not in shard.row_of}
 
     def size(self, user: Hashable, kind: str) -> int:
         with self._lock:

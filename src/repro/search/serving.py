@@ -26,12 +26,6 @@ materialized corpus, which is always exact and bitwise identical to the
 historical behaviour.  Ids that vanish between ranking and hydration
 are skipped — the result is then slightly under-filled rather than
 wrong.
-
-The same ``None`` -> fallback contract is what lets the scatter/gather
-backend (:mod:`repro.search.scatter`) degrade gracefully: a query whose
-shard worker is unreachable (or whose shard missed a write) reports "no
-answer" here and is served by the exact scan — fan-out can cost speed,
-never correctness.
 """
 
 from __future__ import annotations

@@ -147,40 +147,6 @@ v9   Base slabs go ids-only: ``index_shards`` loses ``vectors`` and
      shrink on migration; the freed pages are reused by later writes.
 ===  =================================================================
 
-Scatter/gather shard serving
-============================
-
-``LaminarServer(scatter_shards=N)`` (CLI: ``repro serve --shards N``)
-adds a ``scatter`` backend (:mod:`repro.search.scatter`) that spreads
-tenants across N shard workers; ``shard_transports=[...]`` appends
-workers living in *other processes* behind the
-:class:`~repro.server.shardnode.ShardNode` JSON protocol (mount one
-with :func:`repro.server.http.serve_http` or reach it in-process for
-tests).  The design commitments:
-
-* **Whole-slab placement.** Each (user, kind) slab lives entirely on
-  ``sha1(f"{user!r}/{kind}") % N`` — never row-partitioned, because
-  BLAS products over sub-slabs differ from the full-slab product in
-  the last ulp and would break bitwise reproducibility.  Fan-out
-  parallelism comes from different tenants resolving to different
-  workers, each with its own index and lock.
-* **Bitwise-identical gather.** Workers return (id, float32 score)
-  pairs — lossless through JSON — and the gather merge re-ranks with
-  the same descending-score / ascending-id order the single-process
-  index uses, so ``backend=scatter`` responses equal ``backend=exact``
-  byte for byte.
-* **Degrade, never fail.** An unreachable worker (bounded retry with
-  backoff, then a consecutive-failure circuit breaker) makes the
-  affected query return "no answer", which the serving path above
-  already treats as the exact brute-force fallback — the request
-  succeeds with correct results.  A *write* that cannot reach its
-  worker marks the shard dirty, and dirty shards stop serving until
-  resynced: fan-out can lose speed, never a write.
-* **Mirrored writes.** The registry service fans every index mutation
-  to the scatter backend (``attach_mirror``), bulk-loading existing
-  slabs at attach time, so the shard fleet tracks the registry with no
-  separate replication channel.
-
 Front end: :func:`repro.server.http.serve_http` runs an **asyncio
 server core** — one coroutine per connection on a background event
 loop, with the blocking dispatch hopping to a bounded thread pool that

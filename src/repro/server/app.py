@@ -61,16 +61,6 @@ class LaminarServer:
     backend_options:
         Per-backend construction options, keyed by backend name (e.g.
         ``{"ivf": {"nprobe": 16}}``); see :mod:`repro.search.backend`.
-    scatter_shards:
-        When positive, add a ``scatter`` backend fanning queries over
-        this many in-process shard workers (each with its own index and
-        lock — see :mod:`repro.search.scatter`), mirrored from the exact
-        index on every registry mutation.
-    shard_transports:
-        Transports to remote shard nodes (``repro.server.shardnode``);
-        each becomes a :class:`~repro.search.scatter.RemoteShardWorker`
-        appended after the in-process workers.  Implies the scatter
-        backend even when ``scatter_shards`` is 0.
     receipt_ttl:
         Seconds an idempotency receipt stays replayable; ``None`` (the
         default) keeps receipts forever.  Enforced opportunistically on
@@ -94,8 +84,6 @@ class LaminarServer:
         search_batch_window: float = 0.003,
         search_batch_max: int = 16,
         backend_options: dict[str, dict] | None = None,
-        scatter_shards: int = 0,
-        shard_transports: list | None = None,
         receipt_ttl: float | None = None,
         receipt_cap: int | None = None,
         job_workers: int = 2,
@@ -124,24 +112,6 @@ class LaminarServer:
         for backend in self.backends.values():
             if hasattr(backend, "adopt_states"):
                 self.registry.attach_approx_backend(backend)
-        #: scatter/gather serving: the backend is *per-server* (not in
-        #: the global registry — it only makes sense mirrored from this
-        #: server's registry service), selectable by name like any other
-        if scatter_shards > 0 or shard_transports:
-            from repro.search.scatter import (
-                LocalShardWorker,
-                RemoteShardWorker,
-                ScatterGatherBackend,
-            )
-
-            workers: list = [
-                LocalShardWorker(i) for i in range(max(0, int(scatter_shards)))
-            ]
-            for transport in shard_transports or []:
-                workers.append(RemoteShardWorker(len(workers), transport))
-            scatter = ScatterGatherBackend(workers)
-            self.registry.attach_mirror(scatter)
-            self.backends["scatter"] = scatter
         #: receipt GC knobs, applied by execute_write on keyed writes
         self.receipt_ttl = receipt_ttl
         self.receipt_cap = receipt_cap

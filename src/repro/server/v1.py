@@ -580,9 +580,8 @@ class V1Controller(BaseController):
     ) -> Response:
         """This server's index backends (harmless metadata, no auth).
 
-        Reflects ``app.backends`` — the globally registered set plus any
-        per-server additions (the scatter fan-out when shards are
-        configured) — with the exact reference backend listed first.
+        Reflects ``app.backends`` — every registered engine — with the
+        exact reference backend listed first.
         """
         names = sorted(self.app.backends, key=lambda n: (n != "exact", n))
         return Response(

@@ -343,7 +343,7 @@ class TestErrorEnvelope:
                     404, {"error": "NotFound", "code": 404, "message": "?"}
                 )
         """
-        assert rules_fired(src, "repro/server/shardnode.py") == {"RPR006"}
+        assert rules_fired(src, "repro/server/jobs_api.py") == {"RPR006"}
 
     def test_constructor_is_fine(self):
         src = """
@@ -353,7 +353,7 @@ class TestErrorEnvelope:
                 return Response(404, error_envelope("NotFound", 404, "?"))
         """
         assert (
-            rules_fired(src, "repro/server/shardnode.py", "RPR006") == set()
+            rules_fired(src, "repro/server/jobs_api.py", "RPR006") == set()
         )
 
     def test_unrelated_dict_is_fine(self):
@@ -362,7 +362,7 @@ class TestErrorEnvelope:
                 return Response(200, {"result": "ok", "count": 3})
         """
         assert (
-            rules_fired(src, "repro/server/shardnode.py", "RPR006") == set()
+            rules_fired(src, "repro/server/jobs_api.py", "RPR006") == set()
         )
 
     def test_outside_server_is_ignored(self):

@@ -159,6 +159,46 @@ class TestBlockingUnderLock:
             w.uninstall()
         assert w.violations == []
 
+    def test_allowlist_matches_a_frame_far_above_the_sleep(self):
+        # the allowlisted frame sits nine helper frames above the sleep
+        # — past the short stack a violation records
+        def descend(remaining):
+            if remaining:
+                return descend(remaining - 1)
+            time.sleep(0)
+
+        def allowlisted_caller():
+            with threading.Lock():
+                descend(9)
+
+        w = LockWatch(blocking_allow=(" in allowlisted_caller",))
+        w.install()
+        try:
+            allowlisted_caller()
+        finally:
+            w.uninstall()
+        assert w.violations == []
+
+    def test_deep_sleep_outside_the_allowlist_records_a_short_stack(self):
+        def descend(remaining):
+            if remaining:
+                return descend(remaining - 1)
+            time.sleep(0)
+
+        w = LockWatch(blocking_allow=(" in allowlisted_caller",))
+        w.install()
+        try:
+            with threading.Lock():
+                descend(20)
+        finally:
+            w.uninstall()
+        assert [v["kind"] for v in w.violations] == [
+            "blocking-call-under-lock"
+        ]
+        stack = w.violations[0]["stack"]
+        assert len(stack) == 8
+        assert all(" in descend" in frame for frame in stack)
+
 
 class TestConditionIntegration:
     def test_condition_wait_releases_held_state(self, watch):

@@ -9,12 +9,10 @@ from repro.client import LaminarClient, local_stack
 from repro.ml.bundle import ModelBundle
 
 #: suites that run under lock-order/blocking-call instrumentation —
-#: the concurrency-heavy surfaces (batcher, scatter, write core, jobs).
+#: the concurrency-heavy surfaces (batcher, write core, jobs).
 #: Matched against the test module's posix path.
 _LOCKWATCH_SUITES = (
     "tests/search/test_batcher",
-    "tests/search/test_scatter",
-    "tests/server/test_scatter_serving",
     "tests/server/test_v1_write_api",
     "tests/server/test_write_concurrency",
     "tests/jobs/test_manager",

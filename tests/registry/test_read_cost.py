@@ -1,0 +1,159 @@
+"""What one registry search costs the store: statements, rows, bytes, ids.
+
+The read twin of ``test_write_cost.py``.  Over the real search surface
+(``POST /v1/registry/{user}/search`` through ``LaminarServer.dispatch``)
+on a file database, each ``queryType`` is pinned at four exact counts:
+
+* **statements** — SQL the DAO runs on its connection
+  (``set_trace_callback``; the statements FTS5 runs inside a ``MATCH``,
+  traced with a ``--`` prefix, are SQLite's own plan and not counted);
+* **rows** — records hydrated (``PERecord``/``WorkflowRecord`` built
+  from a row);
+* **embedding bytes** — vector blobs decoded on the way
+  (``veccodec.decode_vector``), though no response carries a vector;
+* **ids** — owned ids projected for the membership check
+  (``pe_ids_owned_by`` plus ``workflow_ids_owned_by``, summed lengths).
+
+The counts are exact for these fixed inputs; no timing is involved.  A
+change to the read path moves them on purpose and re-pins them here.
+"""
+
+import pytest
+
+from repro.net.transport import Request
+from repro.registry import dao as dao_module
+from repro.registry.dao import SqliteDAO
+from repro.server import LaminarServer
+
+#: the searching tenant's records, and another tenant's the search
+#: must never touch
+PES, WORKFLOWS, OTHER_PES = 24, 6, 10
+K = 3
+
+#: queryType -> (statements, rows hydrated, embedding bytes, ids projected)
+READ_COST = {
+    # user lookup, two owned-id projections, two hydrations
+    "semantic": (5, 6, 333, 30),
+    # user lookup, two FTS rankings, two hydrations of the k winners
+    "text": (5, 6, 333, 0),
+    # both legs rank to depth max(2k, k + 50): 60 rows hydrated for 3 hits
+    "hybrid": (9, 60, 3852, 30),
+    # user lookup, one projection, one hydration
+    "code": (3, 3, 210, 24),
+}
+
+
+@pytest.fixture()
+def server(tmp_path, fast_bundle):
+    dao = SqliteDAO(tmp_path / "registry.db")
+    app = LaminarServer(dao=dao, models=fast_bundle)
+    tokens = {}
+    for user, pes, workflows in (("u", PES, WORKFLOWS), ("v", OTHER_PES, 0)):
+        app.dispatch(
+            Request(
+                "POST", "/auth/register", {"userName": user, "password": "pw"}
+            )
+        )
+        token = tokens[user] = app.dispatch(
+            Request("POST", "/auth/login", {"userName": user, "password": "pw"})
+        ).body["token"]
+        for i in range(pes):
+            reply = app.dispatch(
+                Request(
+                    "PUT",
+                    f"/v1/registry/{user}/pes/{user}pe{i}",
+                    {
+                        "peCode": f"def {user}pe{i}(x):\n    return x + {i}\n",
+                        "description": f"element {i} adds {i} to a stream",
+                    },
+                    token=token,
+                )
+            )
+            assert reply.status == 201, reply.body
+        for i in range(workflows):
+            reply = app.dispatch(
+                Request(
+                    "PUT",
+                    f"/v1/registry/{user}/workflows/{user}flow{i}",
+                    {
+                        "workflowCode": f"flow-{user}-{i}",
+                        "description": f"workflow {i} chains stream elements",
+                    },
+                    token=token,
+                )
+            )
+            assert reply.status == 201, reply.body
+    yield app, tokens["u"]
+    dao.close()
+
+
+def read_cost(app, token, monkeypatch, query_type):
+    """``(hits, (statements, rows, embedding bytes, ids))`` of one
+    dispatched search."""
+    dao = app.registry.dao
+    statements: list[str] = []
+    counts = {"rows": 0, "bytes": 0, "ids": 0}
+
+    def counting(fn, key, measure):
+        def wrapper(*args):
+            result = fn(*args)
+            counts[key] += measure(args, result)
+            return result
+
+        return wrapper
+
+    decode = dao_module.decode_vector
+    monkeypatch.setattr(
+        dao_module,
+        "decode_vector",
+        counting(decode, "bytes", lambda args, _r: len(args[0])),
+    )
+    for name in ("_pe_from_row", "_wf_from_row"):
+        monkeypatch.setattr(
+            SqliteDAO,
+            name,
+            staticmethod(counting(getattr(SqliteDAO, name), "rows",
+                                  lambda _a, _r: 1)),
+        )
+    for name in ("pe_ids_owned_by", "workflow_ids_owned_by"):
+        monkeypatch.setattr(
+            dao,
+            name,
+            counting(getattr(dao, name), "ids", lambda _a, r: len(r)),
+        )
+    dao._conn.set_trace_callback(statements.append)
+    try:
+        reply = app.dispatch(
+            Request(
+                "POST",
+                "/v1/registry/u/search",
+                {
+                    "query": "element adds to a stream",
+                    "kind": "pe" if query_type == "code" else "both",
+                    "queryType": query_type,
+                    "k": K,
+                },
+                token=token,
+            )
+        )
+    finally:
+        dao._conn.set_trace_callback(None)
+        monkeypatch.undo()
+    assert reply.status == 200, reply.body
+    return reply.body["hits"], (
+        sum(1 for sql in statements if not sql.startswith("--")),
+        counts["rows"],
+        counts["bytes"],
+        counts["ids"],
+    )
+
+
+@pytest.mark.parametrize("query_type", sorted(READ_COST))
+def test_search_read_cost_is_pinned(server, monkeypatch, query_type):
+    app, token = server
+    hits, cost = read_cost(app, token, monkeypatch, query_type)
+    assert len(hits) == K
+    assert cost == READ_COST[query_type], cost
+    # a repeat (query vector now cached) reads exactly the same
+    again, repeat = read_cost(app, token, monkeypatch, query_type)
+    assert again == hits and repeat == cost

@@ -69,9 +69,10 @@ class TestRegistry:
         assert backends["ivf"].base is backends["exact"]
         assert backends["hnsw"].base is backends["exact"]
         # a mutation through the exact index is visible to the wrapper
-        backends["exact"].add("u", KIND_DESC, 1, np.ones(4, np.float32))
-        assert backends["ivf"].size("u", KIND_DESC) == 1
-        assert backends["hnsw"].size("u", KIND_DESC) == 1
+        query = np.ones(4, np.float32)
+        backends["exact"].add("u", KIND_DESC, 1, query)
+        assert backends["ivf"].search("u", KIND_DESC, query)[0] == [1]
+        assert backends["hnsw"].search("u", KIND_DESC, query)[0] == [1]
 
     def test_all_satisfy_the_protocol(self):
         assert isinstance(VectorIndex(), IndexBackend)
@@ -238,15 +239,6 @@ class TestIVFMaintenance:
         ivf = IVFFlatBackend(base)
         with pytest.raises(ValidationError, match="k must be positive"):
             ivf.search_among("u", KIND_DESC, ids, rows[0], 0)
-
-    def test_clear_drops_ivf_state(self, populated):
-        base, ids, rows, _rng = populated
-        ivf = IVFFlatBackend(base, nlist=16, nprobe=2)
-        ivf.search_among("u", KIND_DESC, ids, rows[0], 5)
-        ivf.clear("u")
-        assert ivf.size("u", KIND_DESC) == 0
-        with ivf._states_lock:
-            assert not ivf._states
 
     def test_snapshot_delegates_to_base(self, populated):
         base, _ids, _rows, _rng = populated
@@ -470,15 +462,6 @@ class TestHNSWMaintenance:
     def test_invalid_m_rejected(self):
         with pytest.raises(ValidationError, match="m must be at least 2"):
             HNSWBackend(m=1)
-
-    def test_clear_drops_graph_state(self, populated):
-        base, ids, rows, _rng = populated
-        hnsw = HNSWBackend(base, m=8, ef_search=4)
-        hnsw.search_among("u", KIND_DESC, ids, rows[0], 5)
-        hnsw.clear("u")
-        assert hnsw.size("u", KIND_DESC) == 0
-        with hnsw._states_lock:
-            assert not hnsw._states
 
     def test_stats_surface_entry_count(self, populated):
         base, ids, rows, _rng = populated

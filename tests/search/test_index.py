@@ -50,16 +50,6 @@ class TestMutation:
         assert not index.remove("u", KIND_DESC, 99)
         assert not index.remove("nobody", KIND_DESC, 1)
 
-    def test_remove_everywhere(self, rng):
-        index = VectorIndex()
-        index.add("u", KIND_DESC, 5, unit(rng))
-        index.add("u", KIND_CODE, 5, unit(rng))
-        index.add("v", KIND_DESC, 5, unit(rng))
-        index.remove_everywhere("u", 5)
-        assert index.size("u", KIND_DESC) == 0
-        assert index.size("u", KIND_CODE) == 0
-        assert index.size("v", KIND_DESC) == 1
-
     def test_growth_beyond_initial_capacity(self, rng):
         index = VectorIndex()
         for rid in range(100):
@@ -75,14 +65,6 @@ class TestMutation:
             index.remove("u", KIND_DESC, rid)
         assert index.ids("u", KIND_DESC) == list(range(1, 200, 2))
         assert index.stats()["u/desc"]["live"] == 100
-
-    def test_clear_user(self, rng):
-        index = VectorIndex()
-        index.add("u", KIND_DESC, 1, unit(rng))
-        index.add("v", KIND_DESC, 2, unit(rng))
-        index.clear("u")
-        assert index.size("u", KIND_DESC) == 0
-        assert index.size("v", KIND_DESC) == 1
 
     def test_shards_isolated_per_user_and_kind(self, rng):
         index = VectorIndex()

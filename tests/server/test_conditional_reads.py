@@ -73,7 +73,7 @@ class TestSingleRecordGet:
         )
         assert response.status == 401
 
-    def test_workflow_get_mirrors_pe_get(self, server, token):
+    def test_workflow_get_matches_pe_get(self, server, token):
         server.dispatch(
             Request(
                 "PUT",

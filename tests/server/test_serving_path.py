@@ -17,6 +17,7 @@ import pytest
 
 from repro.net.transport import Request
 from repro.registry.dao import SqliteDAO
+from repro.search.index import KIND_DESC
 from repro.server import LaminarServer
 
 
@@ -229,3 +230,36 @@ class TestFallbackStaysExact:
         hits = search(server, tokens["alice"], k=9)
         assert {h["peName"] for h in hits} >= {"Ghost"}
         assert len(hits) == 9
+
+    def test_desynced_index_degrades_to_fallback_not_failure(self, setup):
+        """Requests degrade, never fail: an owned row the exact index
+        lost behind the service's back fails the membership check, and
+        the v1 search serves the same hits from the brute-force
+        fallback — counted once by the batcher."""
+        server, _dao, tokens = setup
+
+        def v1_search():
+            reply = server.dispatch(
+                Request(
+                    "POST",
+                    "/v1/registry/alice/search",
+                    {
+                        "query": "element",
+                        "kind": "pe",
+                        "queryType": "semantic",
+                        "backend": "exact",
+                        "k": 5,
+                    },
+                    token=tokens["alice"],
+                )
+            )
+            assert reply.status == 200, reply.body
+            return reply.body["hits"]
+
+        before = v1_search()
+        fallbacks = server.batcher.stats()["fallbacks"]
+        alice = server.registry.get_user("alice")
+        victim = before[0]["peId"]  # the top hit: losing it would show
+        assert server.index.remove(alice.user_id, KIND_DESC, victim)
+        assert v1_search() == before
+        assert server.batcher.stats()["fallbacks"] == fallbacks + 1

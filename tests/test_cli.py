@@ -25,6 +25,17 @@ class TestParser:
         )
         assert args.port == 9000 and args.db == "reg.db" and args.no_fit
 
+    def test_serve_has_no_shards_flag(self):
+        # serving is one process over one exact index: no shard fan-out
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--shards", "2"])
+        assert exc.value.code == 2
+
+    def test_stats_keeps_shards_flag(self):
+        # ``stats --shards`` reports index shard occupancy
+        args = build_parser().parse_args(["stats", "--shards"])
+        assert args.shards is True
+
     def test_search_defaults(self):
         args = build_parser().parse_args(["search", "prime numbers"])
         assert args.query == "prime numbers"
