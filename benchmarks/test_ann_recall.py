@@ -152,7 +152,7 @@ def test_ivf_recall_and_qps_vs_exact(record, out_dir):
 HNSW_M = 16  # entry-layer density ~1/16 of the corpus
 HNSW_M0 = 96  # base-layer degree: candidates per routed entry
 HNSW_EF = 4  # routed entries expanded per query
-BATCH = 32  # serving-path batch width (the SearchBatcher shape)
+BATCH = 32  # largest SearchBatcher flush: one per serve_http worker
 ROUNDS = 5  # interleaved best-of rounds (single-core QPS is noisy)
 
 
@@ -172,7 +172,7 @@ def test_hnsw_recall_and_batched_qps_vs_ivf(record, out_dir):
     """The graph backend must beat IVF on the production serving path.
 
     Both backends are measured through ``search_among_many`` at the
-    micro-batcher's batch width — the shape deployed traffic actually
+    batcher's widest flush — the shape deployed traffic actually
     takes — with the rounds interleaved in one process and the best of
     ``ROUNDS`` kept per backend (single-core QPS jitters ±30%, and
     best-of-N compares the backends' attainable throughput rather than

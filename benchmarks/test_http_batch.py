@@ -1,16 +1,17 @@
-"""Concurrent HTTP serving: micro-batched vs single-shot + cold start.
+"""Concurrent HTTP serving under group commit + cold start.
 
 Two measurements for the concurrent serving layer, emitted as the
 ``BENCH_http_batch.json`` trajectory point:
 
-* **Concurrent throughput** — T keep-alive client threads hammer
-  ``/registry/{user}/search`` on a real ``serve_http`` socket against an
-  N≈3000-record SQLite registry, once with the micro-batcher disabled
-  (window 0: every request flushes alone, the single-shot baseline) and
-  once enabled.  Batching amortizes the owned-id projection, the shard
-  membership check and the top-k hydration across each batch; results
-  must stay bitwise identical to the single-shot path *and* the
-  brute-force scan.
+* **Concurrent throughput and coalescing** — T keep-alive client
+  threads hammer ``/registry/{user}/search`` on a real ``serve_http``
+  socket against an N≈3000-record SQLite registry.  Searches that
+  arrive while a same-shard flush runs share the next one (group
+  commit), which amortizes the owned-id projection, the shard
+  membership check and the top-k hydration.  Gated on exact counts,
+  not timings: every response — sequential or coalesced — equals the
+  brute-force scan's, and at least half of all requests
+  ride a batch of two or more (``batchedRequests / requests``).
 * **Cold start** — attaching a ``VectorIndex`` to the same registry
   from the persisted slab snapshot (zero ``all_pes()`` calls) vs the
   O(corpus) rebuild.
@@ -87,12 +88,9 @@ class _AttachCounter:
         return attr
 
 
-def _serve(path, *, window: float, max_batch: int = 32):
+def _serve(path):
     server = LaminarServer(
-        dao=SqliteDAO(path),
-        models=ModelBundle.default(fit=False),
-        search_batch_window=window,
-        search_batch_max=max_batch,
+        dao=SqliteDAO(path), models=ModelBundle.default(fit=False)
     )
     token = server.issue_token("alice")
     handle = serve_http(server)
@@ -116,8 +114,9 @@ def _search_once(conn, token, query, k=K):
     return body["hits"]
 
 
-def _hammer(handle, token) -> tuple[float, float]:
-    """T threads x R keep-alive requests; returns (seconds, req/s)."""
+def _hammer(handle, token, expected) -> tuple[float, float]:
+    """T threads x R keep-alive requests, each checked against
+    ``expected[query]``; returns (seconds, req/s)."""
     barrier = threading.Barrier(THREADS + 1)
     errors: list[Exception] = []
 
@@ -127,12 +126,12 @@ def _hammer(handle, token) -> tuple[float, float]:
                 handle.host, handle.port, timeout=60
             )
             # connection + embedding warmup outside the timed region
-            _search_once(conn, token, QUERY_POOL[tid % len(QUERY_POOL)])
+            query = QUERY_POOL[tid % len(QUERY_POOL)]
+            assert _search_once(conn, token, query) == expected[query]
             barrier.wait()  # start line
             for i in range(REQUESTS_PER_THREAD):
-                _search_once(
-                    conn, token, QUERY_POOL[(tid + i) % len(QUERY_POOL)]
-                )
+                query = QUERY_POOL[(tid + i) % len(QUERY_POOL)]
+                assert _search_once(conn, token, query) == expected[query]
             barrier.wait()  # finish line
             conn.close()
         except Exception as exc:  # pragma: no cover - failure reporting
@@ -154,44 +153,36 @@ def _hammer(handle, token) -> tuple[float, float]:
     return elapsed, total / elapsed
 
 
-def _hammer_best(handle, token, rounds: int = 2) -> tuple[float, float]:
+def _hammer_best(
+    handle, token, expected, rounds: int = 2
+) -> tuple[float, float]:
     """Best-of-N rounds: damps load spikes from the shared machine."""
-    runs = [_hammer(handle, token) for _ in range(rounds)]
+    runs = [_hammer(handle, token, expected) for _ in range(rounds)]
     return min(runs, key=lambda r: r[0])
 
 
-def test_http_micro_batching_and_cold_start(tmp_path, record, out_dir):
+def test_http_group_commit_and_cold_start(tmp_path, record, out_dir):
     db = tmp_path / "bench.db"
     _build_registry(db)
 
-    # -- single-shot baseline (window 0: no coalescing) -----------------
-    server_s, handle_s, token_s = _serve(db, window=0.0)
-    conn = http.client.HTTPConnection(handle_s.host, handle_s.port, timeout=60)
-    single_hits = {q: _search_once(conn, token_s, q) for q in QUERY_POOL}
-    conn.close()
-    # brute-force reference over the fully materialized corpus
-    alice = server_s.registry.get_user("alice")
-    corpus = server_s.registry.user_pes(alice)
+    # -- concurrent serving through the group-commit batcher ------------
+    server, handle, token = _serve(db)
+    # brute-force reference over the fully materialized corpus; every
+    # served response below, sequential or coalesced, must equal it
+    alice = server.registry.get_user("alice")
+    corpus = server.registry.user_pes(alice)
+    expected = {
+        query: [h.to_json() for h in server.semantic.search(query, corpus, K)]
+        for query in QUERY_POOL
+    }
+    conn = http.client.HTTPConnection(handle.host, handle.port, timeout=60)
     for query in QUERY_POOL:
-        brute = server_s.semantic.search(query, corpus, k=K)
-        assert single_hits[query] == [h.to_json() for h in brute]
-    single_seconds, single_rps = _hammer_best(handle_s, token_s)
-    single_stats = server_s.batcher.stats()
-    handle_s.shutdown()
-
-    # -- micro-batched serving ------------------------------------------
-    server_b, handle_b, token_b = _serve(db, window=0.005)
-    conn = http.client.HTTPConnection(handle_b.host, handle_b.port, timeout=60)
-    batched_hits = {q: _search_once(conn, token_b, q) for q in QUERY_POOL}
+        assert _search_once(conn, token, query) == expected[query]
     conn.close()
-    # bitwise-identical: same ids, same (rounded-from-identical-float)
-    # scores as both the single-shot serving path and the brute force
-    assert batched_hits == single_hits
-    batched_seconds, batched_rps = _hammer_best(handle_b, token_b)
-    batched_stats = server_b.batcher.stats()
-    handle_b.shutdown()
-
-    throughput_x = batched_rps / single_rps
+    seconds, rps = _hammer_best(handle, token, expected)
+    stats = server.batcher.stats()
+    handle.shutdown()
+    coalesced_share = stats["batchedRequests"] / stats["requests"]
 
     # -- cold start: persisted slabs vs O(corpus) rebuild ---------------
     warm_dao = _AttachCounter(SqliteDAO(db))
@@ -228,16 +219,12 @@ def test_http_micro_batching_and_cold_start(tmp_path, record, out_dir):
             "threads": THREADS,
             "requests_per_thread": REQUESTS_PER_THREAD,
             "query_pool": len(QUERY_POOL),
-            "batch_window_s": 0.005,
         },
         "throughput": {
-            "single_shot_rps": round(single_rps, 1),
-            "batched_rps": round(batched_rps, 1),
-            "single_shot_seconds": round(single_seconds, 3),
-            "batched_seconds": round(batched_seconds, 3),
-            "speedup_x": round(throughput_x, 2),
-            "single_stats": single_stats,
-            "batched_stats": batched_stats,
+            "rps": round(rps, 1),
+            "seconds": round(seconds, 3),
+            "coalesced_share": round(coalesced_share, 3),
+            "stats": stats,
         },
         "cold_start": {
             "warm_attach_seconds": round(warm_seconds, 4),
@@ -256,11 +243,11 @@ def test_http_micro_batching_and_cold_start(tmp_path, record, out_dir):
             [
                 f"Concurrent HTTP search serving  (N={N_USER}, d={DIM}, "
                 f"k={K}, {THREADS} threads x {REQUESTS_PER_THREAD} reqs)",
-                f"{'single-shot (window=0)':<34}{single_rps:>9.1f} req/s",
-                f"{'micro-batched (window=5ms)':<34}{batched_rps:>9.1f} req/s"
-                f"   {throughput_x:.2f}x",
-                f"{'largest batch coalesced':<34}"
-                f"{batched_stats['largestBatch']:>9d}",
+                f"{'group commit':<34}{rps:>9.1f} req/s",
+                f"{'coalesced share':<34}{coalesced_share:>9.3f}"
+                f"   ({stats['batchedRequests']} of {stats['requests']})",
+                f"{'batches / largest batch':<34}{stats['batches']:>9d}"
+                f" / {stats['largestBatch']}",
                 "",
                 f"Cold-start attach  (same registry, persisted slabs)",
                 f"{'rebuild (no snapshot)':<34}{cold_seconds * 1000:>9.1f} ms",
@@ -269,5 +256,6 @@ def test_http_micro_batching_and_cold_start(tmp_path, record, out_dir):
             ]
         ),
     )
-    # the acceptance bar: >=2x concurrent throughput from micro-batching
-    assert throughput_x >= 2.0, payload["throughput"]
+    # the acceptance bar: at 12 threads at least half of all requests
+    # share a flush (an exact count, not a timing)
+    assert coalesced_share >= 0.5, payload["throughput"]

@@ -120,7 +120,7 @@ class EmbeddingModel(ABC):
         """Embed a batch of query texts in one call.
 
         The cross-request batching entry point used by the search
-        micro-batcher: one call vectorizes a whole batch's distinct
+        batcher: one call vectorizes a whole batch's distinct
         queries.  Rows are computed independently — each text is
         featurized into runs, accumulated by one scatter-add
         (:meth:`~repro.ml.vectorize.HashingVectorizer.scatter`) and

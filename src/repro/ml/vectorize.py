@@ -212,10 +212,30 @@ class _IdfMapping(Mapping[str, float]):
 
 
 def l2_normalize(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise L2 normalization; zero rows stay zero (never NaN)."""
+    """Row-wise L2 normalization; zero rows stay zero (never NaN).
+
+    A row whose norm is below ``sqrt(finfo.tiny)`` squared its entries
+    into the subnormal range, where the norm comes out short or 0; it
+    is divided by its largest magnitude first.  Every other row is
+    ``row / norm`` bit for bit.
+    """
     if matrix.ndim == 1:
-        norm = float(np.linalg.norm(matrix))
-        return matrix / norm if norm > 0 else matrix
+        norm = np.linalg.norm(matrix)
+        if norm < np.sqrt(np.finfo(norm.dtype).tiny):
+            peak = np.abs(matrix).max(initial=0)
+            if peak == 0:
+                return matrix
+            matrix = matrix / peak
+            norm = np.linalg.norm(matrix)
+        return matrix / float(norm)
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
+    small = norms < np.sqrt(np.finfo(norms.dtype).tiny)
+    if small.any():
+        tiny = small[:, 0]
+        matrix = matrix.copy()
+        peaks = np.abs(matrix[tiny]).max(axis=1, keepdims=True, initial=0)
+        peaks[peaks == 0.0] = 1.0
+        matrix[tiny] = matrix[tiny] / peaks
+        norms[tiny] = np.linalg.norm(matrix[tiny], axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
     return matrix / norms

@@ -24,14 +24,20 @@ by ``(user, kind)`` and a query costs one BLAS product plus an
 
 Quick tour::
 
-    from repro.search import KIND_DESC, SemanticSearcher, VectorIndex
+    from repro.search import (
+        KIND_DESC, SearchBatcher, SemanticSearcher, VectorIndex,
+    )
 
     index = VectorIndex()
     index.add(user_id, KIND_DESC, pe.pe_id, pe.desc_embedding)   # at register
     index.remove(user_id, KIND_DESC, pe.pe_id)                    # at remove
 
     searcher = SemanticSearcher(model)
-    hits = searcher.search(query, pes, k=10, index=index, user=user_id)
+    hits = searcher.search_topk(
+        query, index=index, user=user_id, k=10, batcher=SearchBatcher(),
+        owned_ids=lambda: owned_pe_ids, resolve=lambda ids: get_pes(ids),
+    )
+    reference = searcher.search(query, pes, k=10)  # brute force, same hits
 
 Key properties:
 
@@ -41,8 +47,8 @@ Key properties:
 * **Exact** — indexed and brute-force paths return identical ids and
   scores, including stable ascending-id tie-breaking for equal
   similarities (``tests/search/test_index_parity.py`` asserts this; the
-  searchers fall back to brute force when the candidate set does not
-  match the shard).  Live rows stay contiguous in id order precisely so
+  batcher falls back to brute force when the owned set does not match
+  the shard).  Live rows stay contiguous in id order precisely so
   the BLAS scoring call is bitwise identical to the brute-force matrix
   rebuild over the same id-ordered records.
 * **Thread-safe** — one reentrant lock per index; searches never observe
@@ -56,12 +62,13 @@ add/remove updates the owner's shards — and the DAO journals the same
 ids in the write's own commit, so a warm restart attaches without the
 O(corpus) rebuild; see *Persistence architecture* below) and served by
 the HTTP layer's ``/registry/{user}/search`` endpoint and the ``repro
-search`` CLI command, with concurrent same-shard requests coalesced by
-:class:`~repro.search.serving.SearchBatcher` into one index pass (see
-:mod:`repro.server` for the full request flow).
-``benchmarks/test_index_vs_scan.py`` records the speedup over the
-per-query matrix rebuild and ``benchmarks/test_http_batch.py`` the
-concurrent-serving and cold-start gains.
+search`` CLI command.  Every embedding search reaches the index through
+:class:`~repro.search.serving.SearchBatcher`, which batches by group
+commit: a search on an idle shard flushes at once, and the searches
+that queue behind a running flush share the next index pass — no
+window, no size cap (see :mod:`repro.server` for the full request
+flow).  ``benchmarks/test_http_batch.py`` records the coalescing share
+and bitwise parity under concurrent HTTP load.
 
 Persistence architecture
 ========================
@@ -213,7 +220,7 @@ from repro.search.index import (
     EmbeddingLRU,
     VectorIndex,
 )
-from repro.search.serving import SearchBatcher, serve_topk
+from repro.search.serving import SearchBatcher
 
 __all__ = [
     "IndexBackend",
@@ -226,7 +233,6 @@ __all__ = [
     "create_backend",
     "register_backend",
     "SearchBatcher",
-    "serve_topk",
     "TextMatch",
     "text_search_pes",
     "text_search_workflows",

@@ -1,7 +1,7 @@
 """Pluggable index backends behind one retrieval protocol.
 
-The serving layer (``serve_topk``, :class:`~repro.search.serving.SearchBatcher`,
-the controllers and the ``repro search`` CLI) used to construct
+The serving layer (:class:`~repro.search.serving.SearchBatcher`, the
+controllers and the ``repro search`` CLI) used to construct
 :class:`~repro.search.index.VectorIndex` directly, hard-wiring the exact
 BLAS scan as the only ranking engine.  This module separates the *query
 API* from the *index implementation* behind it:
@@ -129,10 +129,6 @@ class IndexBackend(Protocol):
 
     def stats(self) -> dict: ...
 
-    def cached_query_vector(
-        self, key: Hashable, compute: Callable[[], np.ndarray]
-    ) -> np.ndarray: ...
-
 
 def _check_ks(ks: Sequence[int | None]) -> None:
     for k in ks:
@@ -186,9 +182,6 @@ class _ShardView:
     @property
     def query_cache(self):
         return self.base.query_cache
-
-    def cached_query_vector(self, key, compute):
-        return self.base.cached_query_vector(key, compute)
 
     # ------------------------------------------------------------------
     # State persistence (cold starts skip the lazy rebuild)

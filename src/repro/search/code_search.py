@@ -7,9 +7,10 @@ the query against the retrieved code (the "completion" of ReACC's
 retrieve-then-reuse loop).
 
 Like :class:`~repro.search.semantic.SemanticSearcher`, the searcher
-serves from a pre-stacked :class:`~repro.search.index.VectorIndex` shard
-when one is supplied and falls back to the brute-force matrix rebuild
-otherwise; both paths rank ties by insertion order and agree exactly.
+serves through the :class:`~repro.search.serving.SearchBatcher`
+(:meth:`CodeSearcher.search_topk`), and :meth:`CodeSearcher.search`
+rebuilds the corpus matrix as the brute-force reference and fallback;
+both rank ties by insertion order and agree exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.ml.similarity import cosine_similarity_matrix
 from repro.registry.entities import PERecord
 from repro.search.backend import IndexBackend
 from repro.search.index import KIND_CODE
-from repro.search.serving import OwnedIds, SearchBatcher, serve_topk
+from repro.search.serving import OwnedIds, SearchBatcher
 
 
 @dataclass
@@ -67,21 +68,6 @@ class CodeSearcher:
         bitwise identical to per-query :meth:`embed_query`)."""
         return self.model.embed_many(code_queries, kind="code")
 
-    def _query_vector(
-        self,
-        code_query: str,
-        query_embedding: np.ndarray | None,
-        index: IndexBackend | None,
-    ) -> np.ndarray:
-        if query_embedding is not None:
-            return np.asarray(query_embedding, dtype=np.float32)
-        if index is not None:
-            return index.cached_query_vector(
-                (KIND_CODE, self.model.name, code_query),
-                lambda: self.embed_query(code_query),
-            )
-        return self.embed_query(code_query)
-
     def _hit(self, record: PERecord, code_query: str, score: float) -> CodeHit:
         continuation = (
             align_continuation(code_query, record.pe_source)
@@ -102,32 +88,20 @@ class CodeSearcher:
         pes: Sequence[PERecord],
         k: int | None = None,
         query_embedding: np.ndarray | None = None,
-        *,
-        index: IndexBackend | None = None,
-        user: Hashable | None = None,
     ) -> list[CodeHit]:
-        """Rank ``pes`` by code similarity to ``code_query``.
+        """Rank ``pes`` by code similarity to ``code_query`` (brute
+        force over the records).
 
         PEs lacking a stored code embedding are embedded once as a
-        fallback and the vector is cached back onto the record.  With
-        ``index``/``user`` the scoring runs against the pre-stacked
-        shard instead of rebuilding the corpus matrix per query.
+        fallback and the vector is cached back onto the record.
         """
         if not pes:
             return []
-        qvec = self._query_vector(code_query, query_embedding, index)
-        if index is not None and user is not None:
-            # read-only fast path (membership owned by the registry
-            # service); None -> brute force, which is always exact
-            result = index.search_among(
-                user, KIND_CODE, [record.pe_id for record in pes], qvec, k
-            )
-            if result is not None:
-                by_id = {record.pe_id: record for record in pes}
-                return [
-                    self._hit(by_id[rid], code_query, score)
-                    for rid, score in zip(*result)
-                ]
+        qvec = (
+            self.embed_query(code_query)
+            if query_embedding is None
+            else np.asarray(query_embedding, dtype=np.float32)
+        )
         matrix = np.zeros((len(pes), qvec.shape[0]), dtype=np.float32)
         for i, record in enumerate(pes):
             vec = record.code_embedding
@@ -149,29 +123,19 @@ class CodeSearcher:
         user: Hashable,
         owned_ids: OwnedIds,
         resolve: Callable[[list[int]], Sequence[PERecord]],
+        batcher: SearchBatcher,
         k: int | None = None,
         query_embedding: np.ndarray | None = None,
-        batcher: SearchBatcher | None = None,
     ) -> list[CodeHit]:
-        """Index-first serving path: materialize only the top-k records.
-
-        The shared :func:`~repro.search.serving.serve_topk` protocol
-        over the code shard — O(k) DAO work per request, with the exact
-        brute-force scan as fallback.  With a ``batcher`` the request
-        routes through the micro-batching dispatcher (bitwise-identical
-        results, one index pass per batch of concurrent searches).
-        """
-        dispatch = batcher.submit if batcher is not None else serve_topk
-        needs_embed = query_embedding is None
-        return dispatch(
+        """Serve ``code_query`` over the code shard through ``batcher``:
+        O(k) DAO work per request, with the exact brute-force
+        :meth:`search` as fallback."""
+        return batcher.submit(
             index=index,
             user=user,
             kind=KIND_CODE,
             owned_ids=owned_ids,
             k=k,
-            query_vector=lambda: self._query_vector(
-                code_query, query_embedding, index
-            ),
             resolve=resolve,
             rid_of=lambda record: record.pe_id,
             build_hit=lambda record, score: self._hit(
@@ -180,13 +144,8 @@ class CodeSearcher:
             fallback=lambda records, qvec: self.search(
                 code_query, records, k=k, query_embedding=qvec
             ),
-            # same LRU key _query_vector uses, so batch-embedded vectors
-            # serve later single-shot repeats of the same query
-            embed_key=(
-                (KIND_CODE, self.model.name, code_query)
-                if needs_embed
-                else None
-            ),
-            embed_text=code_query if needs_embed else None,
-            embed_many=self.embed_queries if needs_embed else None,
+            query_embedding=query_embedding,
+            embed_key=(KIND_CODE, self.model.name, code_query),
+            embed_text=code_query,
+            embed_many=self.embed_queries,
         )

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -73,27 +73,10 @@ class EmbeddingLRU:
         self.hits = 0
         self.misses = 0
 
-    def get_or_compute(
-        self, key: Hashable, compute: Callable[[], np.ndarray]
-    ) -> np.ndarray:
-        with self._lock:
-            cached = self._data.get(key)
-            if cached is not None:
-                self._data.move_to_end(key)
-                self.hits += 1
-                return cached
-            self.misses += 1
-        vector = np.asarray(compute(), dtype=np.float32)
-        with self._lock:
-            self._data[key] = vector
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-        return vector
-
     def get(self, key: Hashable) -> np.ndarray | None:
-        """Peek without computing (used by the batch embedder to split
-        a batch's queries into cache hits and one bulk embed call)."""
+        """The cached vector for ``key``, or None (the batcher embeds
+        every miss of a batch in one bulk call and stores them with
+        :meth:`put`)."""
         with self._lock:
             cached = self._data.get(key)
             if cached is not None:
@@ -528,7 +511,7 @@ class VectorIndex:
         queries: Sequence[np.ndarray],
         ks: Sequence[int | None],
     ) -> list[tuple[list[int], np.ndarray]] | None:
-        """Membership-checked search for a whole micro-batch of queries.
+        """Membership-checked search for a whole batch of queries.
 
         The batched counterpart of :meth:`search_among`: one candidate
         set (all queries come from the same (user, kind) serving key),
@@ -603,9 +586,3 @@ class VectorIndex:
                     )
                 )
             return out
-
-    def cached_query_vector(
-        self, key: Hashable, compute: Callable[[], np.ndarray]
-    ) -> np.ndarray:
-        """Embed-once helper: LRU-cached query vector for ``key``."""
-        return self.query_cache.get_or_compute(key, compute)

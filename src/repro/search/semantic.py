@@ -6,16 +6,14 @@ were computed once at registration (§3.1.1), never re-computed at query
 time.  Results are the ranked PEs with their similarity scores, exactly
 the Figure 7 table.
 
-Two execution paths serve every search:
-
-* **indexed** — when a :class:`~repro.search.index.VectorIndex` (and the
-  shard owner) is supplied, scoring runs against the pre-stacked shard
-  with ``argpartition`` top-k selection and an LRU-cached query vector;
-* **brute force** — without an index the corpus matrix is rebuilt from
-  the records, the historical behaviour kept as reference and fallback.
-
-Both paths rank ties by insertion order (stable sort) and return
-identical ids and scores.
+Served searches go through :meth:`SemanticSearcher.search_topk` /
+:meth:`~SemanticSearcher.search_workflows_topk`, which hand the query to
+the :class:`~repro.search.serving.SearchBatcher` (pre-stacked shard,
+``argpartition`` top-k, LRU-cached query vector, O(k) hydration).
+:meth:`~SemanticSearcher.search` / :meth:`~SemanticSearcher.search_workflows`
+rebuild the corpus matrix from the records: the brute-force reference
+and the batcher's fallback.  Both rank ties by insertion order (stable
+sort) and return identical ids and scores.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from repro.ml.similarity import cosine_similarity_matrix
 from repro.registry.entities import PERecord, WorkflowRecord
 from repro.search.backend import IndexBackend
 from repro.search.index import KIND_DESC, KIND_WORKFLOW
-from repro.search.serving import OwnedIds, SearchBatcher, serve_topk
+from repro.search.serving import OwnedIds, SearchBatcher
 
 
 @dataclass
@@ -73,18 +71,10 @@ class SemanticSearcher:
         return self.model.embed_many(queries, kind="text")
 
     def _query_vector(
-        self,
-        query: str,
-        query_embedding: np.ndarray | None,
-        index: IndexBackend | None,
+        self, query: str, query_embedding: np.ndarray | None
     ) -> np.ndarray:
         if query_embedding is not None:
             return np.asarray(query_embedding, dtype=np.float32)
-        if index is not None:
-            return index.cached_query_vector(
-                (KIND_DESC, self.model.name, query),
-                lambda: self.embed_query(query),
-            )
         return self.embed_query(query)
 
     def search(
@@ -93,42 +83,18 @@ class SemanticSearcher:
         pes: Sequence[PERecord],
         k: int | None = None,
         query_embedding: np.ndarray | None = None,
-        *,
-        index: IndexBackend | None = None,
-        user: Hashable | None = None,
     ) -> list[SemanticHit]:
-        """Rank ``pes`` by description similarity to ``query``.
+        """Rank ``pes`` by description similarity to ``query`` (brute
+        force over the records).
 
         ``query_embedding`` may be supplied by the caller (the Client
         computes it in the paper's architecture); PEs lacking a stored
         embedding are embedded once as a fallback and the vector is
-        cached back onto the record.  With ``index``/``user`` the scoring
-        runs against the pre-stacked shard instead of rebuilding the
-        corpus matrix.
+        cached back onto the record.
         """
         if not pes:
             return []
-        qvec = self._query_vector(query, query_embedding, index)
-        if index is not None and user is not None:
-            # read-only fast path: membership is owned by the registry
-            # service; a mismatched shard (subset query, unindexed
-            # records, concurrent mutation) returns None and the query
-            # serves brute force, which is always exact
-            result = index.search_among(
-                user, KIND_DESC, [record.pe_id for record in pes], qvec, k
-            )
-            if result is not None:
-                by_id = {record.pe_id: record for record in pes}
-                return [
-                    SemanticHit(
-                        pe_id=rid,
-                        pe_name=by_id[rid].pe_name,
-                        description=by_id[rid].description,
-                        description_origin=by_id[rid].description_origin,
-                        score=float(score),
-                    )
-                    for rid, score in zip(*result)
-                ]
+        qvec = self._query_vector(query, query_embedding)
         matrix = np.zeros((len(pes), qvec.shape[0]), dtype=np.float32)
         for i, record in enumerate(pes):
             vec = record.desc_embedding
@@ -159,31 +125,22 @@ class SemanticSearcher:
         user: Hashable,
         owned_ids: OwnedIds,
         resolve: Callable[[list[int]], Sequence[PERecord]],
+        batcher: SearchBatcher,
         k: int | None = None,
         query_embedding: np.ndarray | None = None,
-        batcher: SearchBatcher | None = None,
     ) -> list[SemanticHit]:
-        """Index-first serving path: materialize only the top-k records.
+        """Serve ``query`` over the description shard through ``batcher``.
 
-        The shared :func:`~repro.search.serving.serve_topk` protocol
-        over the description shard — per-request DAO work is O(k), not
-        O(corpus), with the exact brute-force scan as fallback.  With a
-        ``batcher`` the request routes through the micro-batching
-        dispatcher instead, which coalesces concurrent same-shard
-        searches into one index pass (bitwise-identical results) and
-        embeds each batch's distinct queries in one model call.
+        Per-request DAO work is O(k), not O(corpus), with the exact
+        brute-force :meth:`search` as fallback; concurrent same-shard
+        searches share one index pass and one embedding call.
         """
-        dispatch = batcher.submit if batcher is not None else serve_topk
-        needs_embed = query_embedding is None
-        return dispatch(
+        return batcher.submit(
             index=index,
             user=user,
             kind=KIND_DESC,
             owned_ids=owned_ids,
             k=k,
-            query_vector=lambda: self._query_vector(
-                query, query_embedding, index
-            ),
             resolve=resolve,
             rid_of=lambda record: record.pe_id,
             build_hit=lambda record, score: SemanticHit(
@@ -196,13 +153,10 @@ class SemanticSearcher:
             fallback=lambda records, qvec: self.search(
                 query, records, k=k, query_embedding=qvec
             ),
-            # same LRU key _query_vector uses, so batch-embedded vectors
-            # serve later single-shot repeats of the same query
-            embed_key=(
-                (KIND_DESC, self.model.name, query) if needs_embed else None
-            ),
-            embed_text=query if needs_embed else None,
-            embed_many=self.embed_queries if needs_embed else None,
+            query_embedding=query_embedding,
+            embed_key=(KIND_DESC, self.model.name, query),
+            embed_text=query,
+            embed_many=self.embed_queries,
         )
 
     def search_workflows_topk(
@@ -213,22 +167,17 @@ class SemanticSearcher:
         user: Hashable,
         owned_ids: OwnedIds,
         resolve: Callable[[list[int]], Sequence[WorkflowRecord]],
+        batcher: SearchBatcher,
         k: int | None = None,
         query_embedding: np.ndarray | None = None,
-        batcher: SearchBatcher | None = None,
     ) -> list["WorkflowSemanticHit"]:
-        """O(k)-materialization serving path for workflow search."""
-        dispatch = batcher.submit if batcher is not None else serve_topk
-        needs_embed = query_embedding is None
-        return dispatch(
+        """:meth:`search_topk` over the workflow-description shard."""
+        return batcher.submit(
             index=index,
             user=user,
             kind=KIND_WORKFLOW,
             owned_ids=owned_ids,
             k=k,
-            query_vector=lambda: self._query_vector(
-                query, query_embedding, index
-            ),
             resolve=resolve,
             rid_of=lambda record: record.workflow_id,
             build_hit=lambda record, score: WorkflowSemanticHit(
@@ -240,11 +189,11 @@ class SemanticSearcher:
             fallback=lambda records, qvec: self.search_workflows(
                 query, records, k=k, query_embedding=qvec
             ),
-            embed_key=(
-                (KIND_DESC, self.model.name, query) if needs_embed else None
-            ),
-            embed_text=query if needs_embed else None,
-            embed_many=self.embed_queries if needs_embed else None,
+            # the same LRU key as PE search: one vector per query text
+            query_embedding=query_embedding,
+            embed_key=(KIND_DESC, self.model.name, query),
+            embed_text=query,
+            embed_many=self.embed_queries,
         )
 
     def search_workflows(
@@ -253,11 +202,8 @@ class SemanticSearcher:
         workflows: Sequence[WorkflowRecord],
         k: int | None = None,
         query_embedding: np.ndarray | None = None,
-        *,
-        index: IndexBackend | None = None,
-        user: Hashable | None = None,
     ) -> list["WorkflowSemanticHit"]:
-        """Semantic search over *workflow* descriptions.
+        """Semantic search over *workflow* descriptions (brute force).
 
         Implements the paper's §8 future-work item ("enhance deep
         learning search for workflows") with the identical bi-encoder
@@ -266,26 +212,7 @@ class SemanticSearcher:
         """
         if not workflows:
             return []
-        qvec = self._query_vector(query, query_embedding, index)
-        if index is not None and user is not None:
-            result = index.search_among(
-                user,
-                KIND_WORKFLOW,
-                [record.workflow_id for record in workflows],
-                qvec,
-                k,
-            )
-            if result is not None:
-                by_id = {record.workflow_id: record for record in workflows}
-                return [
-                    WorkflowSemanticHit(
-                        workflow_id=rid,
-                        entry_point=by_id[rid].entry_point,
-                        description=by_id[rid].description,
-                        score=float(score),
-                    )
-                    for rid, score in zip(*result)
-                ]
+        qvec = self._query_vector(query, query_embedding)
         matrix = np.zeros((len(workflows), qvec.shape[0]), dtype=np.float32)
         for i, record in enumerate(workflows):
             vec = record.desc_embedding

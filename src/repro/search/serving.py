@@ -1,31 +1,35 @@
-"""The concurrent O(k) serving layer behind every ``search_topk``.
+"""The one dispatch path from an embedding search to the index.
 
-Two cooperating pieces implement the index-first request path used by
-the PE, workflow and code searchers:
+Every semantic, workflow and code search reaches its index backend
+through :meth:`SearchBatcher.submit`, which batches by **group commit**:
 
-* :func:`serve_topk` — the single-shot protocol: rank on the
-  pre-stacked shard, check membership against the caller's cheap
-  owned-id projection (``search_among`` verifies the shard holds
-  exactly those ids under one lock hold), and materialize only the
-  returned top-k records through ``resolve``.
-* :class:`SearchBatcher` — the micro-batching dispatcher: concurrent
-  requests for the same ``(user, kind)`` serving key are collected over
-  a short window (or until a size cap) and served as *one* index pass —
-  one owned-id projection, one membership verification, one lock hold
-  and one batched top-k hydration for the whole batch.  Every query is
-  still scored as its own ``(1, D)`` product inside that pass
-  (:meth:`~repro.search.index.VectorIndex.search_among_many`), so
-  batched results are bitwise identical to single-shot serving.  When a
-  request arrives alone, the batcher skips the window entirely and
-  degenerates into the single-shot path — sequential workloads pay no
-  batching latency.
+* a request whose ``(backend, user, kind)`` key has no flush running
+  flushes at once — a lone request is a batch of one and waits for
+  nothing;
+* requests that arrive while that flush runs queue up behind it;
+* when the flush ends, the oldest waiter wakes and leads one flush of
+  the whole queue — everything that queued up to the moment it takes
+  over, not only what had queued when the flush ended.
+
+Batch size therefore follows the load, with no timer and no size cap
+(the queue holds at most one request per dispatch thread), and no
+thread leads more than one flush.
+
+One flush is *one* index pass for its Q requests: one owned-id
+projection, one membership verification under one lock hold
+(:meth:`~repro.search.index.VectorIndex.search_among_many`), one
+``embed_many`` model call for the batch's distinct uncached query
+texts (the index's query LRU is read first and filled after), and one
+``resolve`` for the union of every query's top-k.  Every query is
+still scored as its own ``(1, D)`` product, so batched results are
+bitwise identical to :meth:`~repro.search.index.VectorIndex.search_among`
+and to the brute-force scan.
 
 Any shard / owned-set mismatch (records without stored embeddings,
 concurrent mutation) falls back to the brute-force scan over the fully
-materialized corpus, which is always exact and bitwise identical to the
-historical behaviour.  Ids that vanish between ranking and hydration
-are skipped — the result is then slightly under-filled rather than
-wrong.
+materialized corpus, which is always exact.  Ids that vanish between
+ranking and hydration are skipped — the result is then slightly
+under-filled rather than wrong.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from typing import Callable, Hashable, Sequence, TypeVar
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.search.backend import IndexBackend
 
 R = TypeVar("R")  # record type
@@ -52,55 +57,12 @@ def _materialize_owned(owned_ids: OwnedIds) -> list[int]:
     return [int(rid) for rid in ids]
 
 
-def serve_topk(
-    *,
-    index: IndexBackend,
-    user: Hashable,
-    kind: str,
-    owned_ids: OwnedIds,
-    k: int | None,
-    query_vector: Callable[[], np.ndarray],
-    resolve: Callable[[list[int]], Sequence[R]],
-    rid_of: Callable[[R], int],
-    build_hit: Callable[[R, float], H],
-    fallback: Callable[[Sequence[R], np.ndarray], list[H]],
-    embed_key: Hashable | None = None,
-    embed_text: str | None = None,
-    embed_many: EmbedMany | None = None,
-) -> list[H]:
-    """Serve one query with O(k) record materialization.
-
-    ``query_vector`` is called lazily (an empty owned set never embeds);
-    ``fallback(records, qvec)`` is the searcher's brute-force scan over
-    the full corpus, invoked only on a shard mismatch.  The ``embed_*``
-    parameters describe how to embed this query *as part of a batch* —
-    single-shot serving has no batch, so they are accepted (the
-    dispatch signature is shared with :meth:`SearchBatcher.submit`) but
-    unused.
-    """
-    owned = _materialize_owned(owned_ids)
-    if not owned:
-        return []
-    qvec = query_vector()
-    result = index.search_among(user, kind, owned, qvec, k)
-    if result is None:
-        return fallback(resolve(owned), qvec)
-    ids, scores = result
-    by_id = {rid_of(record): record for record in resolve(list(ids))}
-    return [
-        build_hit(by_id[rid], float(score))
-        for rid, score in zip(ids, scores)
-        if rid in by_id
-    ]
-
-
 class _BatchRequest:
-    """One enqueued search awaiting its share of a batch flush."""
+    """One submitted search awaiting its share of a flush."""
 
     __slots__ = (
         "owned_ids",
         "k",
-        "query_vector",
         "resolve",
         "rid_of",
         "build_hit",
@@ -111,102 +73,62 @@ class _BatchRequest:
         "qvec",
         "result",
         "error",
+        "leads",
+        "wake",
     )
 
     def __init__(
         self,
         owned_ids,
         k,
-        query_vector,
         resolve,
         rid_of,
         build_hit,
         fallback,
-        embed_key=None,
-        embed_text=None,
-        embed_many=None,
+        qvec,
+        embed_key,
+        embed_text,
+        embed_many,
     ) -> None:
         self.owned_ids = owned_ids
         self.k = k
-        self.query_vector = query_vector
         self.resolve = resolve
         self.rid_of = rid_of
         self.build_hit = build_hit
         self.fallback = fallback
-        #: LRU key + raw text + batched embedder for leader-side batch
-        #: embedding; None means "embed via the query_vector thunk"
+        #: the caller's query embedding, or None until the flush embeds
+        #: ``embed_text`` (LRU key ``embed_key``) through ``embed_many``
+        self.qvec = qvec
         self.embed_key = embed_key
         self.embed_text = embed_text
         self.embed_many = embed_many
-        self.qvec = None
         self.result = None
         self.error = None
-
-
-class _Batch:
-    """Requests accumulating for one (user, kind) serving key."""
-
-    __slots__ = ("requests", "closed", "full", "done")
-
-    def __init__(self) -> None:
-        self.requests: list[_BatchRequest] = []
-        self.closed = False
-        #: set by the follower that fills the batch to the size cap,
-        #: waking the leader before the window expires
-        self.full = threading.Event()
-        #: set by the leader once every request's result is populated
-        self.done = threading.Event()
+        #: set when the request is woken to lead the next flush
+        self.leads = False
+        #: set once the result is published or the lead is handed over
+        self.wake = threading.Event()
 
 
 class SearchBatcher:
-    """Micro-batches concurrent same-``(user, kind)`` search requests.
-
-    The first request for a key becomes the batch *leader*; while other
-    searches are in flight it waits up to ``window`` seconds (or until
-    ``max_batch`` requests have joined) and then serves the whole batch
-    in one index pass.  A request that arrives with no other search in
-    flight skips the window — the single-shot passthrough — so the
-    batcher never taxes sequential traffic.
-
-    Batched and single-shot serving return bitwise-identical results:
-    the flush scores every query with the same ``(1, D)`` product the
-    single-shot ``search_among`` uses (see
-    :meth:`~repro.search.index.VectorIndex.search_among_many`), and any
-    shard mismatch falls back to the exact brute-force scan per query.
+    """Group-commit dispatcher for embedding searches (see module doc).
 
     What one flush amortizes across its Q requests:
 
     * the owned-id projection (one DAO query instead of Q);
     * the shard membership verification and lock acquisition;
+    * query embedding — one ``embed_many`` call for the distinct texts
+      the query LRU does not hold;
     * top-k hydration — the union of all winners is materialized in a
       single batched ``resolve`` call instead of Q round trips.
-
-    The coalescing window **adapts to the observed queue depth**:
-    sustained deep flushes (the window keeps filling half the size cap
-    or more) double the effective window up to 4x the configured base —
-    deeper batches amortize more per pass; a sustained run of
-    single-request flushes collapses it to 0 (pure passthrough), and
-    the first concurrent arrival after a collapse restores the base
-    window.  ``stats()["effectiveWindow"]`` surfaces the current value.
     """
 
-    #: consecutive deep flushes before the window widens
-    _DEEP_STREAK = 3
-    #: consecutive single-request flushes before it collapses to 0
-    _SPARSE_STREAK = 8
-    #: widening cap, as a multiple of the configured base window
-    _MAX_WIDEN = 4
-
-    def __init__(self, window: float = 0.003, max_batch: int = 16) -> None:
-        self.window = float(window)
-        self.max_batch = max(1, int(max_batch))
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._pending: dict[tuple[Hashable, str], _Batch] = {}
-        self._inflight = 0
-        # adaptive-window state (guarded by _lock)
-        self._effective_window = self.window
-        self._deep_streak = 0
-        self._sparse_streak = 0
+        #: keys with a flush running -> the requests queued behind it
+        self._queues: dict[
+            tuple[int, Hashable, str], list[_BatchRequest]
+        ] = {}
         # counters for `repro stats` and the benchmarks
         self.requests_total = 0
         self.batches_total = 0
@@ -215,8 +137,6 @@ class SearchBatcher:
         self.fallbacks = 0
         self.batch_embeds = 0
         self.batch_embedded_queries = 0
-        self.window_widenings = 0
-        self.window_collapses = 0
 
     # ------------------------------------------------------------------
     def submit(
@@ -227,42 +147,46 @@ class SearchBatcher:
         kind: str,
         owned_ids: OwnedIds,
         k: int | None,
-        query_vector: Callable[[], np.ndarray],
         resolve: Callable[[list[int]], Sequence[R]],
         rid_of: Callable[[R], int],
         build_hit: Callable[[R, float], H],
         fallback: Callable[[Sequence[R], np.ndarray], list[H]],
+        query_embedding: np.ndarray | None = None,
         embed_key: Hashable | None = None,
         embed_text: str | None = None,
         embed_many: EmbedMany | None = None,
     ) -> list[H]:
-        """Serve one query through the batch dispatcher (blocking).
+        """Serve one query (blocking) and return its hits.
 
-        Same callback protocol as :func:`serve_topk`; the call returns
-        this request's hits once its batch has flushed.  Exceptions
+        The query is the caller's ``query_embedding`` when given;
+        otherwise the flush embeds ``embed_text`` — the index's query
+        LRU under ``embed_key`` first, then one ``embed_many`` call for
+        the batch's distinct uncached texts.  An empty owned set returns
+        ``[]`` without embedding.  ``resolve(ids)`` hydrates records,
+        and ``fallback(records, qvec)`` is the brute-force scan over the
+        whole owned corpus, used only on a shard mismatch.  Exceptions
         raised by the callbacks re-raise in the submitting thread.
-
-        When ``embed_key``/``embed_text``/``embed_many`` are supplied,
-        the flush embeds the batch's distinct un-cached query texts in
-        ONE ``embed_many`` model call (cross-request embedding batching)
-        instead of one serial ``query_vector`` call per request; the
-        vectors land in the index's query LRU under ``embed_key``, so
-        repeats still skip the embedder entirely.
         """
         if k is not None and k <= 0:
             # reject before joining a batch: one request's bad k must
             # never poison the flush its batchmates ride in
-            from repro.errors import ValidationError
-
             raise ValidationError(f"k must be positive, got {k}")
+        spec = (embed_key, embed_text, embed_many)
+        if query_embedding is None and None in spec:
+            raise ValueError(
+                "a search needs query_embedding or a complete "
+                "(embed_key, embed_text, embed_many) spec"
+            )
         request = _BatchRequest(
             owned_ids,
             k,
-            query_vector,
             resolve,
             rid_of,
             build_hit,
             fallback,
+            None
+            if query_embedding is None
+            else np.asarray(query_embedding, dtype=np.float32),
             embed_key,
             embed_text,
             embed_many,
@@ -271,87 +195,79 @@ class SearchBatcher:
         # flush: the leader's index serves the whole batch
         key = (id(index), user, kind)
         with self._lock:
-            self._inflight += 1
             self.requests_total += 1
-            batch = self._pending.get(key)
-            is_leader = batch is None or batch.closed
-            if is_leader:
-                batch = _Batch()
-                self._pending[key] = batch
-            batch.requests.append(request)
-            if len(batch.requests) >= self.max_batch:
-                batch.closed = True
-                if self._pending.get(key) is batch:
-                    del self._pending[key]
-                batch.full.set()
-            # only worth waiting when another search is in flight; a
-            # collapsed (passthrough) window un-collapses on the first
-            # concurrent arrival, so a traffic burst after a quiet spell
-            # starts coalescing again immediately
-            if self._inflight > 1 and self._effective_window == 0.0:
-                self._effective_window = self.window
-            wait = self._effective_window if self._inflight > 1 else 0.0
-        try:
-            if not is_leader:
-                batch.done.wait()
+            queue = self._queues.get(key)
+            if queue is None:
+                self._queues[key] = []
             else:
-                if wait > 0.0 and not batch.full.is_set():
-                    batch.full.wait(wait)
+                queue.append(request)
+        if queue is None:
+            self._lead(index, user, kind, key, [request])
+        else:
+            request.wake.wait()
+            if request.leads:
                 with self._lock:
-                    batch.closed = True
-                    if self._pending.get(key) is batch:
-                        del self._pending[key]
-                try:
-                    self._flush(index, user, kind, batch)
-                finally:
-                    batch.done.set()
-        finally:
-            with self._lock:
-                self._inflight -= 1
+                    batch = self._queues[key]
+                    self._queues[key] = []
+                self._lead(index, user, kind, key, batch)
         if request.error is not None:
             raise request.error
         return request.result
+
+    # ------------------------------------------------------------------
+    def _lead(
+        self,
+        index: IndexBackend,
+        user: Hashable,
+        kind: str,
+        key: tuple[int, Hashable, str],
+        batch: list[_BatchRequest],
+    ) -> None:
+        """Flush ``batch``, publish it, and hand the lead to the oldest
+        request queued meanwhile (the key stays busy until it takes the
+        queue, so later arrivals join the same batch)."""
+        try:
+            self._flush(index, user, kind, batch)
+        except Exception as exc:  # fail this batch, never the queue
+            for request in batch:
+                if request.result is None and request.error is None:
+                    request.error = exc
+        finally:
+            with self._lock:
+                queue = self._queues[key]
+                if queue:
+                    queue[0].leads = True
+                else:
+                    del self._queues[key]
+            if queue:
+                queue[0].wake.set()
+            for request in batch:
+                request.wake.set()
 
     # ------------------------------------------------------------------
     def _resolve_query_vectors(
         self, index: IndexBackend, requests: list[_BatchRequest]
     ) -> list[_BatchRequest]:
         """Populate ``request.qvec`` for the whole batch; returns the
-        successfully embedded requests (failures carry their error).
+        requests that have one (embedding failures carry their error).
 
-        Requests that shipped an ``embed_many`` spec are resolved
-        batch-first: the query LRU is consulted per key, then every
-        distinct un-cached text is embedded in ONE model call per
-        embedder, and the fresh vectors are written back to the LRU.
-        The per-text computation inside ``embed_many`` is identical to
-        the single-text ``embed_one`` path (row-independent hashing and
-        normalization), so batch-embedded results stay bitwise equal to
-        serial embedding.  Requests without a spec (caller-supplied
-        embeddings, custom thunks) fall back to their ``query_vector``.
+        The query LRU is consulted per key, then every distinct uncached
+        text is embedded in ONE model call per embedder, and the fresh
+        vectors are written back to the LRU.  ``embed_many`` is
+        row-independent, so batch-embedded vectors are bitwise equal to
+        embedding each text alone.
         """
         cache = getattr(index, "query_cache", None)
         live: list[_BatchRequest] = []
-        direct: list[_BatchRequest] = []
         grouped: dict[
             Hashable, tuple[EmbedMany, dict[Hashable, list[_BatchRequest]]]
         ] = {}
         for request in requests:
-            if (
-                request.embed_many is None
-                or request.embed_text is None
-                or request.embed_key is None
-            ):
-                # an incomplete embed spec (no distinct cache key) must
-                # not share a batch slot: grouping keyless requests
-                # would serve them all the first request's vector
-                direct.append(request)
+            if request.qvec is None and cache is not None:
+                request.qvec = cache.get(request.embed_key)
+            if request.qvec is not None:
+                live.append(request)
                 continue
-            if cache is not None:
-                hit = cache.get(request.embed_key)
-                if hit is not None:
-                    request.qvec = hit
-                    live.append(request)
-                    continue
             fn = request.embed_many
             # searchers pass a bound method (searcher.embed_queries),
             # and Python mints a NEW bound-method object per attribute
@@ -389,33 +305,28 @@ class SearchBatcher:
                 for request in by_key[key]:
                     request.qvec = vec
                     live.append(request)
-        for request in direct:
-            try:
-                request.qvec = request.query_vector()
-                live.append(request)
-            except Exception as exc:
-                request.error = exc
         return live
 
     # ------------------------------------------------------------------
     def _flush(
-        self, index: IndexBackend, user: Hashable, kind: str, batch: _Batch
+        self,
+        index: IndexBackend,
+        user: Hashable,
+        kind: str,
+        requests: list[_BatchRequest],
     ) -> None:
-        """Serve every request of ``batch`` in one index pass."""
-        requests = batch.requests
+        """Serve every request of one batch in one index pass.
+
+        A failure that is not one request's own (the owned-id fetch,
+        ranking, hydration) propagates and fails the whole batch.
+        """
         with self._lock:
             self.batches_total += 1
             self.largest_batch = max(self.largest_batch, len(requests))
             if len(requests) > 1:
                 self.batched_requests += len(requests)
-            self._adapt_window(len(requests))
         lead = requests[0]
-        try:
-            owned = _materialize_owned(lead.owned_ids)
-        except Exception as exc:  # DAO failure — fail the whole batch
-            for request in requests:
-                request.error = exc
-            return
+        owned = _materialize_owned(lead.owned_ids)
         if not owned:
             for request in requests:
                 request.result = []
@@ -423,29 +334,19 @@ class SearchBatcher:
         live = self._resolve_query_vectors(index, requests)
         if not live:
             return
-        try:
-            results = index.search_among_many(
-                user,
-                kind,
-                owned,
-                [request.qvec for request in live],
-                [request.k for request in live],
-            )
-        except Exception as exc:  # defensive: fail the batch, not None
-            for request in live:
-                request.error = exc
-            return
+        results = index.search_among_many(
+            user,
+            kind,
+            owned,
+            [request.qvec for request in live],
+            [request.k for request in live],
+        )
         if results is None:
             # shard/owned-set mismatch: materialize the corpus once and
             # serve every query with its exact brute-force fallback
             with self._lock:
                 self.fallbacks += 1
-            try:
-                records = lead.resolve(owned)
-            except Exception as exc:
-                for request in live:
-                    request.error = exc
-                return
+            records = lead.resolve(owned)
             for request in live:
                 try:
                     request.result = request.fallback(records, request.qvec)
@@ -460,14 +361,7 @@ class SearchBatcher:
                 if rid not in seen:
                     seen.add(rid)
                     union.append(rid)
-        try:
-            by_id = {
-                lead.rid_of(record): record for record in lead.resolve(union)
-            }
-        except Exception as exc:
-            for request in live:
-                request.error = exc
-            return
+        by_id = {lead.rid_of(record): record for record in lead.resolve(union)}
         for request, (ids, scores) in zip(live, results):
             try:
                 request.result = [
@@ -479,52 +373,10 @@ class SearchBatcher:
                 request.error = exc
 
     # ------------------------------------------------------------------
-    def _adapt_window(self, flushed: int) -> None:
-        """Adjust the effective window from one flush's batch size.
-
-        Caller holds ``self._lock``.  Deep flushes (>= half the size
-        cap) signal sustained queue depth: after ``_DEEP_STREAK`` in a
-        row the window doubles, capped at ``_MAX_WIDEN`` x the base.
-        Single-request flushes signal sparse traffic: after
-        ``_SPARSE_STREAK`` in a row the window collapses to 0 and every
-        lone request skips the wait entirely (``submit`` restores the
-        base window on the next concurrent arrival).  In-between sizes
-        reset both streaks — the current window is evidently adequate.
-        """
-        if flushed >= max(2, self.max_batch // 2):
-            self._deep_streak += 1
-            self._sparse_streak = 0
-            if self._deep_streak >= self._DEEP_STREAK:
-                self._deep_streak = 0
-                widened = min(
-                    self._MAX_WIDEN * self.window,
-                    (self._effective_window * 2) or self.window,
-                )
-                if widened > self._effective_window:
-                    self._effective_window = widened
-                    self.window_widenings += 1
-        elif flushed == 1:
-            self._sparse_streak += 1
-            self._deep_streak = 0
-            if self._sparse_streak >= self._SPARSE_STREAK:
-                self._sparse_streak = 0
-                if self._effective_window > 0.0:
-                    self._effective_window = 0.0
-                    self.window_collapses += 1
-        else:
-            self._deep_streak = 0
-            self._sparse_streak = 0
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict[str, int | float]:
+    def stats(self) -> dict[str, int]:
         """Dispatcher counters (requests, batches, coalescing, fallbacks)."""
         with self._lock:
             return {
-                "window": self.window,
-                "effectiveWindow": self._effective_window,
-                "windowWidenings": self.window_widenings,
-                "windowCollapses": self.window_collapses,
-                "maxBatch": self.max_batch,
                 "requests": self.requests_total,
                 "batches": self.batches_total,
                 "batchedRequests": self.batched_requests,

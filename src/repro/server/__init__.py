@@ -21,9 +21,9 @@ scaling with the *result*, not the corpus::
                   │  parse queryType/k, authenticate
                   ▼
             SearchBatcher.submit          (repro.search.serving)
-                  │  coalesce concurrent same-(user, kind) requests
-                  │  over a short window; lone requests pass straight
-                  │  through with no added latency
+                  │  group commit per (backend, user, kind): an idle
+                  │  shard flushes at once; requests arriving while a
+                  │  flush runs share the next one — no window
                   ▼
             VectorIndex.search_among_many (repro.search.index)
                   │  one lock hold + one membership check per batch;
@@ -149,8 +149,9 @@ v9   Base slabs go ids-only: ``index_shards`` loses ``vectors`` and
 
 Front end: :func:`repro.server.http.serve_http` runs an **asyncio
 server core** — one coroutine per connection on a background event
-loop, with the blocking dispatch hopping to a bounded thread pool that
-feeds the ``SearchBatcher`` coalescing window.  Thousands of idle
+loop, with the blocking dispatch hopping to a bounded thread pool whose
+concurrent searches queue behind each other's ``SearchBatcher`` flushes
+(the pool bounds that queue).  Thousands of idle
 keep-alive connections cost one task each (not one OS thread), client
 disconnects are counted instead of raising, and response bytes are
 identical to the previous thread-per-connection front end.
@@ -246,7 +247,7 @@ The ``queryType`` × ``backend`` matrix:
                vector shard is touched.  ``kind=pe`` preserves the
                historical quirk of serving through semantic search.
 ``semantic``   description embeddings ranked by the selected
-               ``backend`` through the micro-batcher.
+               ``backend`` through the group-commit batcher.
 ``code``       code embeddings, PEs only, same backend plumbing.
 ``hybrid``     BM25 text leg (above) + semantic leg (ranked by the
                selected ``backend``), fused with deterministic RRF;
@@ -261,7 +262,7 @@ exact scan bitwise when the shard is small, ``k`` is unbounded or
 ``nprobe >= nlist``); ``"hnsw"`` the small-world graph engine (entry
 layer routes, precomputed exact ``m0``-NN adjacency expands, every
 candidate exactly scored — same degenerate-to-exact safety net).  All
-serve through the same micro-batcher, membership checks and
+serve through the same batcher, membership checks and
 brute-force fallback — an approximate backend can lose recall, never
 correctness or tenant isolation.
 

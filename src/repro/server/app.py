@@ -40,6 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class LaminarServer:
     """The coordinating element of the framework.
 
+    Every embedding search reaches its index through ``self.batcher``
+    (:class:`~repro.search.serving.SearchBatcher`), which batches by
+    group commit: a search on an idle shard flushes at once, and the
+    searches that arrive while a flush runs share the next one.  There
+    is no batch window to tune.
+
     Parameters
     ----------
     dao:
@@ -51,13 +57,6 @@ class LaminarServer:
     models:
         The model bundle used for server-side summarization/embedding
         fallbacks and search.
-    search_batch_window:
-        How long (seconds) a search request leading a micro-batch waits
-        for concurrent same-shard requests to join before flushing; 0
-        disables coalescing (every request flushes alone).  Lone
-        requests never wait regardless.
-    search_batch_max:
-        Size cap per micro-batch; a full batch flushes immediately.
     backend_options:
         Per-backend construction options, keyed by backend name (e.g.
         ``{"ivf": {"nprobe": 16}}``); see :mod:`repro.search.backend`.
@@ -81,8 +80,6 @@ class LaminarServer:
         dao: SqliteDAO | None = None,
         engine: ExecutionEngine | None = None,
         models: ModelBundle | None = None,
-        search_batch_window: float = 0.003,
-        search_batch_max: int = 16,
         backend_options: dict[str, dict] | None = None,
         receipt_ttl: float | None = None,
         receipt_cap: int | None = None,
@@ -97,11 +94,9 @@ class LaminarServer:
         #: per-(user, kind) embedding shards serving /registry/{user}/search;
         #: maintained by the registry service on every PE/workflow mutation
         self.index = self.backends["exact"]
-        #: micro-batching dispatcher: concurrent same-shard searches are
-        #: coalesced into one index pass (bitwise-identical results)
-        self.batcher = SearchBatcher(
-            window=search_batch_window, max_batch=search_batch_max
-        )
+        #: group-commit dispatcher: searches that queue behind a running
+        #: same-shard flush share the next index pass (bitwise-identical)
+        self.batcher = SearchBatcher()
         self.registry = RegistryService(
             SqliteDAO() if dao is None else dao, index=self.index
         )

@@ -10,10 +10,10 @@ a real socket and a client connect to it over HTTP:
   previous thread-per-connection ``ThreadingHTTPServer``, so thousands
   of idle keep-alive sockets cost one task each instead of one OS
   thread each.  Dispatch itself is synchronous (SQLite, BLAS), so each
-  parsed request hops to a bounded thread pool — that pool is what
-  feeds concurrent searches into the server's
-  :class:`~repro.search.serving.SearchBatcher` coalescing window, same
-  as the threaded front end did.
+  parsed request hops to a bounded thread pool — concurrent searches
+  from that pool queue behind each other's
+  :class:`~repro.search.serving.SearchBatcher` flushes (group commit),
+  so the pool size bounds every batch.
 * :class:`HttpTransport` — a :class:`~repro.net.transport.Transport`
   speaking the same JSON protocol over ``urllib``.  It forwards *all*
   request metadata headers (``Idempotency-Key`` included — previously
@@ -117,8 +117,8 @@ class _AsyncHttpCore:
     """Per-connection HTTP/1.1 state machine feeding ``laminar.dispatch``.
 
     Parsing happens on the event loop; the blocking dispatch (SQLite,
-    BLAS scoring) runs in ``executor`` so many in-flight requests land
-    inside the same ``SearchBatcher`` window.
+    BLAS scoring) runs in ``executor``, so searches in flight together
+    share ``SearchBatcher`` flushes.
     """
 
     def __init__(

@@ -71,7 +71,7 @@ def execute_search(
 ) -> tuple[str, list[dict]]:
     """Run one registry search; returns ``(search_kind, hits_json)``.
 
-    The embedding branches route through the micro-batching dispatcher
+    The embedding branches route through the group-commit batcher
     against the backend ``req.backend`` names: rank on the shard, check
     membership against the lazily fetched owned-id projection, and
     materialize only the top-k union through the DAO (a shard mismatch

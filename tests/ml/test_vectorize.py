@@ -98,3 +98,41 @@ class TestNormalize:
     def test_1d_zero_vector(self):
         vec = l2_normalize(np.zeros(4, dtype=np.float32))
         assert not np.isnan(vec).any()
+
+    # entries whose float32 squares are subnormal: the plain norm of
+    # such a row is 1.6 % short
+    TINY = 1.0061857e-22
+
+    def test_1d_tiny_vector_is_unit(self):
+        vec = l2_normalize(np.full(8, self.TINY, dtype=np.float32))
+        assert vec.dtype == np.float32
+        np.testing.assert_allclose(np.linalg.norm(vec), 1.0, rtol=1e-6)
+
+    def test_tiny_rows_are_unit(self):
+        matrix = np.full((4, 8), self.TINY, dtype=np.float32)
+        normalized = l2_normalize(matrix)
+        np.testing.assert_allclose(
+            np.linalg.norm(normalized, axis=1), 1.0, rtol=1e-6
+        )
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4)])
+    def test_row_whose_squares_underflow_to_zero(self, shape):
+        # 1e-24 squared is below float32's smallest subnormal: the
+        # plain norm is 0 and the row would come back unnormalized
+        raw = np.array([1e-24, 0.0, -1e-24, 0.0], dtype=np.float32)
+        normalized = l2_normalize(raw.reshape(shape)).reshape(-1)
+        half = np.float32(np.sqrt(0.5))
+        np.testing.assert_allclose(normalized, [half, 0, -half, 0], rtol=1e-6)
+
+    def test_normal_row_beside_tiny_row_is_bitwise_plain(self):
+        matrix = np.array(
+            [[0.3, -0.4, 0.5, 0.1], [self.TINY, 0.0, self.TINY, 0.0]],
+            dtype=np.float32,
+        )
+        normalized = l2_normalize(matrix)
+        plain = matrix[0] / np.linalg.norm(matrix, axis=1, keepdims=True)[0]
+        assert normalized[0].tobytes() == plain.tobytes()
+        np.testing.assert_allclose(
+            np.linalg.norm(normalized[1]), 1.0, rtol=1e-6
+        )
+        assert matrix[1, 0] == np.float32(self.TINY)  # input untouched

@@ -274,15 +274,8 @@ class TestShardView:
     def test_query_cache_is_shared(self, name):
         view = create_backend(name)
         assert view.query_cache is view.base.query_cache
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return _vectors(1, seed=6)[0]
-
-        first = view.cached_query_vector("q", compute)
-        second = view.base.cached_query_vector("q", compute)
-        assert len(calls) == 1
+        first = view.query_cache.put("q", _vectors(1, seed=6)[0])
+        second = view.base.query_cache.get("q")
         assert first.tobytes() == second.tobytes()
 
     @pytest.mark.parametrize("name", VIEWS)

@@ -17,6 +17,12 @@ from repro.search import (
     build_backends,
     create_backend,
 )
+from tests.search.test_batcher import (
+    ArrivalWatch,
+    Park,
+    Submitter,
+    queue_behind,
+)
 
 
 def clustered_rows(rng, n, dim=32, centers=8, noise=0.15):
@@ -268,7 +274,7 @@ class TestIVFBatchServing:
         base, ids, rows, rng = populated
         ivf = IVFFlatBackend(base, nlist=16, nprobe=4)
         records = {rid: {"id": rid} for rid in ids}
-        batcher = SearchBatcher(window=0.05, max_batch=8)
+        batcher = SearchBatcher()
 
         def serve(qvec):
             return batcher.submit(
@@ -277,7 +283,7 @@ class TestIVFBatchServing:
                 kind=KIND_DESC,
                 owned_ids=lambda: sorted(records),
                 k=5,
-                query_vector=lambda: qvec,
+                query_embedding=qvec,
                 resolve=lambda wanted: [
                     records[rid] for rid in wanted if rid in records
                 ],
@@ -567,23 +573,18 @@ class TestEmbedMany:
             vec[rid % 8] = 1.0
             index.add("u", KIND_DESC, rid, vec)
         records = {rid: {"id": rid} for rid in rids}
-        # window far longer than the test: the leader is released by the
-        # size cap (the fourth arrival), never by the clock
-        batcher = SearchBatcher(window=60.0, max_batch=4)
-        texts = ["alpha", "beta", "alpha", "gamma"]
-        results = [None] * len(texts)
+        batcher = SearchBatcher()
+        watch = ArrivalWatch(batcher)
+        park = Park(lambda ids: [records[r] for r in ids if r in records])
 
-        def submit(user, owned_ids, text, embed_many):
+        def submit(text, embed_many):
             return batcher.submit(
                 index=index,
-                user=user,
+                user="u",
                 kind=KIND_DESC,
-                owned_ids=owned_ids,
+                owned_ids=lambda: sorted(records),
                 k=3,
-                query_vector=lambda: embed_many([text])[0],
-                resolve=lambda wanted: [
-                    records[rid] for rid in wanted if rid in records
-                ],
+                resolve=park,
                 rid_of=lambda r: r["id"],
                 build_hit=lambda r, s: (r["id"], s),
                 fallback=lambda recs, q: [],
@@ -592,56 +593,33 @@ class TestEmbedMany:
                 embed_many=embed_many,
             )
 
-        # A leader only waits for company while another search is in
-        # flight, so park one on a different shard key inside its flush:
-        # the first of the four then waits instead of flushing alone,
-        # and every schedule ends in one flush of all four.
-        parked, release = threading.Event(), threading.Event()
-
-        def park():
-            parked.set()
-            release.wait(30)
-            return []
-
-        blocker = threading.Thread(
-            target=submit,
-            args=("parked", park, "unused", embedder.embed_queries),
+        # park a running flush, queue four requests behind it (a fresh
+        # bound method each, as production passes), then release: they
+        # ride one flush
+        first = Submitter(lambda: submit("first", embedder.embed_queries))
+        first.start()
+        assert park.entered[1].wait(30)
+        texts = ["alpha", "beta", "alpha", "gamma"]
+        queued = queue_behind(
+            watch,
+            [
+                lambda text=text: submit(text, embedder.embed_queries)
+                for text in texts
+            ],
         )
-        blocker.start()
-        assert parked.wait(30)
-
-        def worker(i):
-            # a fresh bound method per request, as production passes
-            results[i] = submit(
-                "u", lambda: sorted(records), texts[i],
-                embedder.embed_queries,
-            )
-
-        threads = [
-            threading.Thread(target=worker, args=(i,))
-            for i in range(len(texts))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30)
-        release.set()
-        blocker.join(30)
-        assert not blocker.is_alive()
-        assert not any(t.is_alive() for t in threads)
-        assert all(result is not None for result in results)
-        # one flush carried all four requests and embedded its three
-        # distinct texts in ONE model call (the duplicate coalesces
-        # through the shared embed_key)
-        assert len(embedder.calls) == 1
-        assert sorted(embedder.calls[0]) == ["alpha", "beta", "gamma"]
+        park.release[1].set()
+        assert first.outcome() is not None
+        assert all(thread.outcome() is not None for thread in queued)
+        # the four embedded their three distinct texts in ONE model call
+        # (the duplicate coalesces through the shared embed_key)
+        assert embedder.calls == [["first"], ["alpha", "beta", "gamma"]]
         stats = batcher.stats()
         assert stats["batchedRequests"] == 4
         assert stats["batchEmbeds"] == 1
 
     def test_production_searcher_batches_distinct_queries(self, fast_bundle):
-        """End-to-end: concurrent searches through a real searcher hit
-        the model once per flush, not once per request."""
+        """End-to-end: searches queued behind a running flush reach the
+        model in one call through a real searcher."""
         from repro.search import SemanticSearcher
 
         calls = []
@@ -662,44 +640,43 @@ class TestEmbedMany:
                 "pe_id": rid, "pe_name": f"r{rid}", "description": desc,
                 "description_origin": "user", "desc_embedding": vec,
             })()
-        batcher = SearchBatcher(window=0.25, max_batch=4)
+        batcher = SearchBatcher()
+        watch = ArrivalWatch(batcher)
+        park = Park(lambda ids: [records[r] for r in ids if r in records])
+
+        def search(query):
+            return searcher.search_topk(
+                query,
+                index=index,
+                user="u",
+                owned_ids=lambda: sorted(records),
+                resolve=park,
+                batcher=batcher,
+                k=3,
+            )
+
         queries = ["find alpha", "find beta", "find gamma", "find delta"]
-        results = [None] * len(queries)
-        barrier = threading.Barrier(len(queries))
         patched = type(fast_bundle.code_search)
         patched.embed_many = counting_embed_many
         try:
-            def worker(i):
-                barrier.wait()
-                results[i] = searcher.search_topk(
-                    queries[i],
-                    index=index,
-                    user="u",
-                    owned_ids=lambda: sorted(records),
-                    resolve=lambda ids: [
-                        records[r] for r in ids if r in records
-                    ],
-                    k=3,
-                    batcher=batcher,
-                )
-
-            threads = [
-                threading.Thread(target=worker, args=(i,))
-                for i in range(len(queries))
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            first = Submitter(lambda: search("find first"))
+            first.start()
+            assert park.entered[1].wait(30)
+            queued = queue_behind(
+                watch, [lambda q=q: search(q) for q in queries]
+            )
+            park.release[1].set()
+            first.outcome()
+            results = [thread.outcome() for thread in queued]
         finally:
             patched.embed_many = original
-        assert all(r is not None for r in results)
-        stats = batcher.stats()
-        if stats["batchedRequests"] > 0:
-            # at least one flush embedded multiple distinct queries in
-            # one model call — the satellite's whole point
-            assert stats["batchEmbeds"] > 0
-            assert any(len(call) > 1 for call in calls)
+        assert calls == [["find first"], queries]
+        assert batcher.stats()["batchEmbeds"] == 1
+        for query, hits in zip(queries, results):
+            want = searcher.search(query, list(records.values()), k=3)
+            assert [(h.pe_id, h.score) for h in hits] == [
+                (h.pe_id, h.score) for h in want
+            ]
 
     def test_batch_embed_populates_query_lru(self):
         seen = []
@@ -710,14 +687,13 @@ class TestEmbedMany:
 
         index = VectorIndex()
         index.add("u", KIND_DESC, 1, np.ones(4, np.float32))
-        batcher = SearchBatcher(window=0.0)
+        batcher = SearchBatcher()
         kwargs = dict(
             index=index,
             user="u",
             kind=KIND_DESC,
             owned_ids=lambda: [1],
             k=1,
-            query_vector=lambda: embed_many(["q"])[0],
             resolve=lambda wanted: [{"id": 1}],
             rid_of=lambda r: r["id"],
             build_hit=lambda r, s: (r["id"], s),
@@ -731,46 +707,36 @@ class TestEmbedMany:
         batcher.submit(**kwargs)  # LRU hit: no second embed
         assert seen == ["q"]
 
-    def test_missing_embed_key_falls_back_to_direct_embedding(self):
-        """An embed spec without a cache key must not share a batch
-        slot — each request embeds through its own thunk instead."""
-        calls = []
-
-        def embed_many(texts):
-            calls.append(list(texts))
-            return np.ones((len(texts), 4), dtype=np.float32)
-
+    @pytest.mark.parametrize(
+        "missing", ["embed_key", "embed_text", "embed_many"]
+    )
+    def test_incomplete_embed_spec_is_rejected(self, missing):
+        """Without a query embedding a request must say how to embed
+        its text: keyless specs would share one batch slot and serve
+        every request the first one's vector."""
         index = VectorIndex()
         index.add("u", KIND_DESC, 1, np.ones(4, np.float32))
-        batcher = SearchBatcher(window=0.0)
-        own_vectors = []
-
-        def make_qv(tag):
-            def qv():
-                vec = np.full(4, float(tag), dtype=np.float32)
-                own_vectors.append(tag)
-                return vec
-
-            return qv
-
-        for tag in (1, 2):
+        batcher = SearchBatcher()
+        spec = dict(
+            embed_key=("t", "q"),
+            embed_text="q",
+            embed_many=lambda texts: np.ones((len(texts), 4), np.float32),
+        )
+        spec[missing] = None
+        with pytest.raises(ValueError, match="embed"):
             batcher.submit(
                 index=index,
                 user="u",
                 kind=KIND_DESC,
                 owned_ids=lambda: [1],
                 k=1,
-                query_vector=make_qv(tag),
                 resolve=lambda wanted: [{"id": 1}],
                 rid_of=lambda r: r["id"],
                 build_hit=lambda r, s: (r["id"], s),
                 fallback=lambda recs, q: [],
-                embed_key=None,  # incomplete spec
-                embed_text=f"text{tag}",
-                embed_many=embed_many,
+                **spec,
             )
-        assert calls == []  # batch embedder never invoked
-        assert own_vectors == [1, 2]  # each request used its own thunk
+        assert batcher.stats()["requests"] == 0
 
     def test_embed_failure_propagates_to_submitter(self):
         def embed_many(texts):
@@ -778,7 +744,7 @@ class TestEmbedMany:
 
         index = VectorIndex()
         index.add("u", KIND_DESC, 1, np.ones(4, np.float32))
-        batcher = SearchBatcher(window=0.0)
+        batcher = SearchBatcher()
         with pytest.raises(RuntimeError, match="model down"):
             batcher.submit(
                 index=index,
@@ -786,7 +752,6 @@ class TestEmbedMany:
                 kind=KIND_DESC,
                 owned_ids=lambda: [1],
                 k=1,
-                query_vector=lambda: np.ones(4, np.float32),
                 resolve=lambda wanted: [{"id": 1}],
                 rid_of=lambda r: r["id"],
                 build_hit=lambda r, s: (r["id"], s),

@@ -1,12 +1,24 @@
-"""SearchBatcher: coalescing, bitwise parity and fallback behaviour."""
+"""SearchBatcher: group-commit coalescing, bitwise parity and fallback.
 
+Coalescing is tested without clocks: a running flush is parked inside
+``resolve`` on an :class:`threading.Event`, the requests that must queue
+behind it are counted in through the batcher's own lock
+(:class:`ArrivalWatch`), and only then is the flush released.  Every
+schedule therefore produces the same batches.
+"""
+
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.errors import NotFoundError, ValidationError
-from repro.search import KIND_DESC, SearchBatcher, VectorIndex, serve_topk
+from repro.search import KIND_DESC, SearchBatcher, VectorIndex
+
+#: generous bound on every wait: reached only when the code under test
+#: deadlocks, never on a correct run
+TIMEOUT = 30
 
 
 class Corpus:
@@ -30,10 +42,106 @@ class Corpus:
         return [self.records[rid] for rid in ids if rid in self.records]
 
     def brute_force(self, records, qvec, k=None):
-        sims = np.stack([r["vec"] for r in records]) @ qvec
+        """The searchers' reference scan: ``(1, D) @ (D, N)`` over the
+        id-ordered records, stable sort."""
+        matrix = np.stack([r["vec"] for r in records])
+        sims = (qvec[np.newaxis, :] @ matrix.T)[0]
         order = np.argsort(-sims, kind="stable")
         hits = [(records[i]["id"], float(sims[i])) for i in order]
         return hits if k is None else hits[:k]
+
+    def reference(self, qvec, k=None):
+        """Brute force over every owned record, touching no counter."""
+        return self.brute_force(
+            [self.records[rid] for rid in sorted(self.records)], qvec, k
+        )
+
+
+class ArrivalWatch:
+    """Lets a test wait, without polling, until ``n`` submits arrived.
+
+    A submit counts itself and joins its key's queue in one critical
+    section of ``batcher._lock``; this wrapper takes that lock's place
+    and notifies on every release.
+    """
+
+    def __init__(self, batcher):
+        self.batcher = batcher
+        self._inner = batcher._lock
+        self._released = threading.Condition()
+        batcher._lock = self
+
+    def __enter__(self):
+        self._inner.acquire()
+
+    def __exit__(self, *exc_info):
+        self._inner.release()
+        with self._released:
+            self._released.notify_all()
+
+    def wait_for_requests(self, n):
+        with self._released:
+            assert self._released.wait_for(
+                lambda: self.batcher.requests_total >= n, TIMEOUT
+            )
+
+
+class Park:
+    """Wraps a callback; the calls numbered in ``at`` (1-based) block
+    inside it until released, holding their flush mid-run."""
+
+    def __init__(self, fn, at=(1,), error=None):
+        self.fn = fn
+        self.error = error
+        self.threads = []
+        self.entered = {n: threading.Event() for n in at}
+        self.release = {n: threading.Event() for n in at}
+
+    def __call__(self, *args):
+        self.threads.append(threading.current_thread())
+        n = len(self.threads)
+        if n in self.entered:
+            self.entered[n].set()
+            assert self.release[n].wait(TIMEOUT)
+            if self.error is not None:
+                raise self.error
+        return self.fn(*args)
+
+
+class Submitter(threading.Thread):
+    """Runs one blocking call on its own thread, keeping its outcome."""
+
+    def __init__(self, call):
+        super().__init__(daemon=True)
+        self.call = call
+        self.result = None
+        self.error = None
+
+    def run(self):
+        try:
+            self.result = self.call()
+        except Exception as exc:
+            self.error = exc
+
+    def outcome(self):
+        self.join(TIMEOUT)
+        assert not self.is_alive()
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+def queue_behind(watch, calls):
+    """Start ``calls`` one at a time, each only after the previous one
+    has queued, so the oldest waiter is ``calls[0]``."""
+    threads = []
+    for call in calls:
+        arrived = watch.batcher.requests_total + 1
+        thread = Submitter(call)
+        thread.start()
+        watch.wait_for_requests(arrived)
+        threads.append(thread)
+    return threads
 
 
 def unit(rng, dim=16):
@@ -53,16 +161,17 @@ def stack():
 
 
 def protocol_kwargs(index, corpus, qvec, k, kind=KIND_DESC):
-    """The serve_topk/submit callback set, k-truncating fallback included
-    (the real searchers apply k inside their brute-force fallback)."""
+    """The submit callback set, k-truncating fallback included (the real
+    searchers apply k inside their brute-force fallback).  ``resolve``
+    and ``owned_ids`` are looked up per call, so a test may wrap them."""
     return dict(
         index=index,
         user=corpus.user,
         kind=kind,
-        owned_ids=corpus.owned_ids,
+        owned_ids=lambda: corpus.owned_ids(),
         k=k,
-        query_vector=lambda: qvec,
-        resolve=corpus.resolve,
+        query_embedding=qvec,
+        resolve=lambda ids: corpus.resolve(ids),
         rid_of=lambda r: r["id"],
         build_hit=lambda r, s: (r["id"], s),
         fallback=lambda records, q: corpus.brute_force(records, q, k),
@@ -73,21 +182,17 @@ def submit(batcher, index, corpus, qvec, k=5, kind=KIND_DESC):
     return batcher.submit(**protocol_kwargs(index, corpus, qvec, k, kind))
 
 
-def single_shot(index, corpus, qvec, k=5):
-    return serve_topk(**protocol_kwargs(index, corpus, qvec, k))
-
-
 class TestSingleRequest:
-    def test_passthrough_matches_serve_topk_bitwise(self, stack):
+    def test_lone_submit_matches_brute_force_bitwise(self, stack):
         index, corpus, rng = stack
-        batcher = SearchBatcher(window=0.5)  # window must not be paid
-        qvec = unit(rng)
-        assert submit(batcher, index, corpus, qvec) == single_shot(
-            index, corpus, qvec
-        )
+        batcher = SearchBatcher()
+        for k in (1, 5, None):
+            qvec = unit(rng)
+            assert submit(batcher, index, corpus, qvec, k) == corpus.reference(
+                qvec, k
+            )
         stats = batcher.stats()
-        assert stats["requests"] == 1
-        assert stats["batches"] == 1
+        assert stats["requests"] == stats["batches"] == 3
         assert stats["batchedRequests"] == 0
 
     def test_empty_owned_set_returns_empty_without_embedding(self, stack):
@@ -95,11 +200,11 @@ class TestSingleRequest:
         empty = Corpus("u", {})
         batcher = SearchBatcher()
 
-        def boom():
+        def boom(texts):
             raise AssertionError("embedded despite empty owned set")
 
         kwargs = protocol_kwargs(index, empty, None, 3)
-        kwargs["query_vector"] = boom
+        kwargs.update(embed_key="q", embed_text="q", embed_many=boom)
         assert batcher.submit(**kwargs) == []
 
     def test_callback_error_reraises_in_submitter(self, stack):
@@ -114,97 +219,207 @@ class TestSingleRequest:
         with pytest.raises(NotFoundError):
             batcher.submit(**kwargs)
 
+    def test_bad_k_rejected_before_queueing(self, stack):
+        index, corpus, rng = stack
+        batcher = SearchBatcher()
+        with pytest.raises(ValidationError):
+            submit(batcher, index, corpus, unit(rng), k=0)
+        assert batcher.stats()["requests"] == 0
+
 
 class TestCoalescing:
-    def run_concurrent(self, batcher, index, corpus, qvecs, k=5):
-        results = [None] * len(qvecs)
-        errors = []
-        barrier = threading.Barrier(len(qvecs))
+    N = 6
 
-        def worker(i):
-            try:
-                barrier.wait()
-                results[i] = submit(batcher, index, corpus, qvecs[i], k=k)
-            except Exception as exc:  # pragma: no cover - failure reporting
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,))
-            for i in range(len(qvecs))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        return results
+    def park_and_queue(self, index, corpus, rng):
+        """One submit's flush parked in ``resolve`` while N more queue
+        behind it; returns the batcher, the N + 1 queries and results."""
+        batcher = SearchBatcher()
+        watch = ArrivalWatch(batcher)
+        park = Park(corpus.resolve)
+        corpus.resolve = park
+        qvecs = [unit(rng) for _ in range(self.N + 1)]
+        first = Submitter(lambda: submit(batcher, index, corpus, qvecs[0]))
+        first.start()
+        assert park.entered[1].wait(TIMEOUT)
+        queued = queue_behind(
+            watch,
+            [
+                lambda q=q: submit(batcher, index, corpus, q)
+                for q in qvecs[1:]
+            ],
+        )
+        park.release[1].set()
+        results = [first.outcome()] + [t.outcome() for t in queued]
+        return batcher, qvecs, results
 
     def test_concurrent_submits_coalesce_and_match_single_shot(self, stack):
+        """N submits queued behind a running flush ride exactly one more
+        flush, and every result equals its lone-submit (and brute-force)
+        result."""
         index, corpus, rng = stack
-        batcher = SearchBatcher(window=0.05, max_batch=16)
-        qvecs = [unit(rng) for _ in range(8)]
-        # scheduling may fully serialize a round; parity must hold every
-        # round, coalescing must be observed within a few
-        for _ in range(12):
-            results = self.run_concurrent(batcher, index, corpus, qvecs)
-            for qvec, got in zip(qvecs, results):
-                assert got == single_shot(index, corpus, qvec)
-            if batcher.stats()["batchedRequests"] > 0:
-                break
-        assert batcher.stats()["batchedRequests"] > 0
+        batcher, qvecs, results = self.park_and_queue(index, corpus, rng)
+        stats = batcher.stats()
+        assert stats["requests"] == self.N + 1
+        assert stats["batches"] == 2
+        assert stats["batchedRequests"] == stats["largestBatch"] == self.N
+        lone = SearchBatcher()
+        for qvec, got in zip(qvecs, results):
+            assert got == corpus.reference(qvec, 5)
+            assert got == submit(lone, index, corpus, qvec)
 
     def test_batch_amortizes_owned_and_resolve_calls(self, stack):
-        index, corpus, rng = stack
-        batcher = SearchBatcher(window=0.2, max_batch=8)
-        qvecs = [unit(rng) for _ in range(8)]
-        before_owned, before_resolve = corpus.owned_calls, corpus.resolve_calls
-        self.run_concurrent(batcher, index, corpus, qvecs)
-        stats = batcher.stats()
         # each flush costs exactly one owned-id fetch and one hydration
-        # round trip, however many requests it coalesced
-        assert corpus.owned_calls - before_owned == stats["batches"]
-        assert corpus.resolve_calls - before_resolve == stats["batches"]
-
-    def test_max_batch_caps_one_flush(self, stack):
+        # round trip, however many requests it carries
         index, corpus, rng = stack
-        batcher = SearchBatcher(window=1.0, max_batch=2)
-        qvecs = [unit(rng) for _ in range(6)]
-        results = self.run_concurrent(batcher, index, corpus, qvecs)
-        assert all(result is not None for result in results)
-        assert batcher.stats()["largestBatch"] <= 2
+        self.park_and_queue(index, corpus, rng)
+        assert corpus.owned_calls == corpus.resolve_calls == 2
+
+    def test_each_thread_leads_at_most_one_flush(self, stack):
+        """The leader of a flush hands the queue that formed meanwhile
+        to its oldest waiter instead of flushing it itself."""
+        index, corpus, rng = stack
+        batcher = SearchBatcher()
+        watch = ArrivalWatch(batcher)
+        park = Park(corpus.resolve, at=(1, 2))
+        corpus.resolve = park
+
+        def call():
+            qvec = unit(rng)
+            return lambda: (qvec, submit(batcher, index, corpus, qvec))
+
+        first = Submitter(call())
+        first.start()
+        assert park.entered[1].wait(TIMEOUT)
+        second = queue_behind(watch, [call() for _ in range(3)])
+        park.release[1].set()
+        assert park.entered[2].wait(TIMEOUT)
+        third = queue_behind(watch, [call() for _ in range(2)])
+        park.release[2].set()
+        for thread in [first] + second + third:
+            qvec, got = thread.outcome()
+            assert got == corpus.reference(qvec, 5)
+        assert park.threads == [first, second[0], third[0]]
+        assert batcher.stats()["batches"] == 3
+
+    def test_distinct_embedded_queries_share_one_model_call(self, stack):
+        index, corpus, rng = stack
+        batcher = SearchBatcher()
+        watch = ArrivalWatch(batcher)
+        park = Park(corpus.resolve)
+        corpus.resolve = park
+        texts = [f"query {i}" for i in range(self.N)]
+        rows = {text: unit(rng) for text in texts}
+        calls = []
+
+        def embed_many(batch):
+            calls.append(list(batch))
+            return np.stack([rows[text] for text in batch])
+
+        def by_text(text):
+            kwargs = protocol_kwargs(index, corpus, None, 5)
+            kwargs.update(
+                embed_key=("t", text), embed_text=text, embed_many=embed_many
+            )
+            return lambda: batcher.submit(**kwargs)
+
+        first = Submitter(lambda: submit(batcher, index, corpus, unit(rng)))
+        first.start()
+        assert park.entered[1].wait(TIMEOUT)
+        queued = queue_behind(watch, [by_text(text) for text in texts])
+        park.release[1].set()
+        first.outcome()
+        for text, thread in zip(texts, queued):
+            assert thread.outcome() == corpus.reference(rows[text], 5)
+        assert calls == [texts]
+        stats = batcher.stats()
+        assert stats["batchEmbeds"] == 1
+        assert stats["batchEmbeddedQueries"] == self.N
+
+    def test_failed_flush_fails_only_its_requests(self, stack):
+        index, corpus, rng = stack
+        batcher = SearchBatcher()
+        watch = ArrivalWatch(batcher)
+        park = Park(corpus.resolve, error=NotFoundError("gone"))
+        corpus.resolve = park
+        first = Submitter(lambda: submit(batcher, index, corpus, unit(rng)))
+        first.start()
+        assert park.entered[1].wait(TIMEOUT)
+        qvecs = [unit(rng) for _ in range(3)]
+        queued = queue_behind(
+            watch,
+            [lambda q=q: submit(batcher, index, corpus, q) for q in qvecs],
+        )
+        park.release[1].set()
+        with pytest.raises(NotFoundError):
+            first.outcome()
+        for qvec, thread in zip(qvecs, queued):
+            assert thread.outcome() == corpus.reference(qvec, 5)
+        assert batcher.stats()["batches"] == 2
 
     def test_distinct_kinds_never_share_a_batch(self, stack):
+        """Another key's running flush never delays a lone submit: the
+        other kind (no shard, so it falls back brute force) is served
+        while the KIND_DESC flush is parked."""
         index, corpus, rng = stack
-        # the other kind has no shard: its request must fall back
-        # brute-force without disturbing the KIND_DESC batch
-        batcher = SearchBatcher(window=0.05)
-        outcome = {}
-        barrier = threading.Barrier(2)
+        batcher = SearchBatcher()
+        park = Park(corpus.resolve)
+        corpus.resolve = park
         qvec = unit(rng)
+        desc = Submitter(lambda: submit(batcher, index, corpus, qvec))
+        desc.start()
+        assert park.entered[1].wait(TIMEOUT)
+        other = submit(batcher, index, corpus, qvec, kind="other-kind")
+        assert other == corpus.reference(qvec, 5)
+        park.release[1].set()
+        assert desc.outcome() == corpus.reference(qvec, 5)
+        stats = batcher.stats()
+        assert stats["batches"] == 2
+        assert stats["batchedRequests"] == 0
+        assert stats["fallbacks"] == 1
 
-        def desc_worker():
-            barrier.wait()
-            outcome["desc"] = submit(batcher, index, corpus, qvec)
 
-        def other_worker():
-            barrier.wait()
-            outcome["other"] = submit(
-                batcher, index, corpus, qvec, kind="other-kind"
-            )
+class TestStress:
+    THREADS = 12  # more than this host's cores
+    PER_THREAD = 15
 
-        threads = [
-            threading.Thread(target=desc_worker),
-            threading.Thread(target=other_worker),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert outcome["desc"] == single_shot(index, corpus, qvec)
-        assert outcome["other"] == corpus.brute_force(
-            corpus.resolve(corpus.owned_ids()), qvec, 5
-        )
-        assert batcher.stats()["fallbacks"] == 1
+    def test_every_request_served_once_under_preemption(self, stack):
+        """Many threads over two keys with a tiny switch interval: each
+        submit returns its own brute-force result, the request counter
+        adds up, and no key is left busy (a lost hand-over would hang
+        its waiters or leave the key queued)."""
+        index, corpus, rng = stack
+        batcher = SearchBatcher()
+        qvecs = [unit(rng) for _ in range(8)]
+        # "other-kind" has no shard: its flushes take the fallback path
+        kinds = [KIND_DESC, "other-kind"]
+
+        def work(tid):
+            out = []
+            for i in range(self.PER_THREAD):
+                qvec = qvecs[(tid + i) % len(qvecs)]
+                kind = kinds[(tid + i) % len(kinds)]
+                out.append(
+                    (qvec, submit(batcher, index, corpus, qvec, kind=kind))
+                )
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                Submitter(lambda tid=tid: work(tid))
+                for tid in range(self.THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            outcomes = [thread.outcome() for thread in threads]
+        finally:
+            sys.setswitchinterval(interval)
+        for out in outcomes:
+            for qvec, got in out:
+                assert got == corpus.reference(qvec, 5)
+        assert batcher.stats()["requests"] == self.THREADS * self.PER_THREAD
+        assert batcher._queues == {}
 
 
 class TestFallback:
@@ -215,9 +430,7 @@ class TestFallback:
         batcher = SearchBatcher()
         qvec = unit(rng)
         got = submit(batcher, index, corpus, qvec, k=None)
-        assert got == corpus.brute_force(
-            corpus.resolve(corpus.owned_ids()), qvec
-        )
+        assert got == corpus.reference(qvec)
         assert batcher.stats()["fallbacks"] == 1
 
 
@@ -249,96 +462,3 @@ class TestSearchAmongMany:
             index.search_among_many(
                 "u", KIND_DESC, corpus.owned_ids(), [unit(rng)], [0]
             )
-
-
-class TestAdaptiveWindow:
-    """The coalescing window tracks observed queue depth (deep flushes
-    widen it, sparse runs collapse it; in-between sizes hold steady)."""
-
-    def make(self):
-        return SearchBatcher(window=0.004, max_batch=16)
-
-    def test_deep_streak_widens_up_to_the_cap(self):
-        batcher = self.make()
-        deep = batcher.max_batch  # >= max_batch // 2 counts as deep
-        for _ in range(batcher._DEEP_STREAK):
-            with batcher._lock:
-                batcher._adapt_window(deep)
-        assert batcher.stats()["effectiveWindow"] == 2 * batcher.window
-        assert batcher.stats()["windowWidenings"] == 1
-        # keep the pressure on: the window doubles again, then pins at
-        # the _MAX_WIDEN cap no matter how long the streak runs
-        for _ in range(6 * batcher._DEEP_STREAK):
-            with batcher._lock:
-                batcher._adapt_window(deep)
-        stats = batcher.stats()
-        assert stats["effectiveWindow"] == batcher._MAX_WIDEN * batcher.window
-        assert stats["windowWidenings"] == 2
-
-    def test_sparse_streak_collapses_to_passthrough(self):
-        batcher = self.make()
-        for _ in range(batcher._SPARSE_STREAK - 1):
-            with batcher._lock:
-                batcher._adapt_window(1)
-        assert batcher.stats()["effectiveWindow"] == batcher.window
-        with batcher._lock:
-            batcher._adapt_window(1)
-        stats = batcher.stats()
-        assert stats["effectiveWindow"] == 0.0
-        assert stats["windowCollapses"] == 1
-
-    def test_intermediate_sizes_reset_both_streaks(self):
-        batcher = self.make()
-        mid = max(2, batcher.max_batch // 2) - 1  # neither deep nor lone
-        for _ in range(50):
-            with batcher._lock:
-                batcher._adapt_window(1)
-                batcher._adapt_window(mid)
-        stats = batcher.stats()
-        assert stats["effectiveWindow"] == batcher.window
-        assert stats["windowWidenings"] == 0
-        assert stats["windowCollapses"] == 0
-
-    def test_concurrent_arrival_restores_base_window(self, stack):
-        index, corpus, rng = stack
-        batcher = self.make()
-        # drive the window to a collapse with lone submits
-        for _ in range(batcher._SPARSE_STREAK):
-            submit(batcher, index, corpus, unit(rng))
-        assert batcher.stats()["effectiveWindow"] == 0.0
-        # a second arrival while one request is in flight restores the
-        # base window.  Deterministic overlap: gate the first request's
-        # flush inside owned_ids until the overlapping submit lands.
-        first_in_flush = threading.Event()
-        release = threading.Event()
-        original = corpus.owned_ids
-        state = {"gated": True}
-
-        def gated_owned_ids():
-            if state["gated"]:
-                state["gated"] = False
-                first_in_flush.set()
-                assert release.wait(5)
-            return original()
-
-        corpus.owned_ids = gated_owned_ids
-        results = []
-        thread = threading.Thread(
-            target=lambda: results.append(
-                submit(batcher, index, corpus, unit(rng))
-            )
-        )
-        thread.start()
-        assert first_in_flush.wait(5)
-        try:
-            results.append(submit(batcher, index, corpus, unit(rng)))
-        finally:
-            release.set()
-            thread.join()
-        assert len(results) == 2 and all(results)
-        assert batcher.stats()["effectiveWindow"] == batcher.window
-
-    def test_stats_surface_window_state(self):
-        stats = self.make().stats()
-        for key in ("effectiveWindow", "windowWidenings", "windowCollapses"):
-            assert key in stats

@@ -240,37 +240,30 @@ class TestSearchAmong:
 class TestQueryCache:
     def test_lru_hit_skips_compute(self):
         cache = EmbeddingLRU(maxsize=2)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return np.ones(4, dtype=np.float32)
-
-        cache.get_or_compute("a", compute)
-        cache.get_or_compute("a", compute)
-        assert len(calls) == 1
+        assert cache.get("a") is None  # miss: the caller embeds
+        cache.put("a", np.ones(4, dtype=np.float32))
+        np.testing.assert_array_equal(cache.get("a"), np.ones(4))
         assert cache.hits == 1 and cache.misses == 1
 
     def test_lru_evicts_oldest(self):
         cache = EmbeddingLRU(maxsize=2)
-        make = lambda: np.zeros(2, dtype=np.float32)
-        cache.get_or_compute("a", make)
-        cache.get_or_compute("b", make)
-        cache.get_or_compute("a", make)  # refresh a
-        cache.get_or_compute("c", make)  # evicts b
+        zero = np.zeros(2, dtype=np.float32)
+        cache.put("a", zero)
+        cache.put("b", zero)
+        assert cache.get("a") is not None  # refresh a
+        cache.put("c", zero)  # evicts b
         assert len(cache) == 2
         misses = cache.misses
-        cache.get_or_compute("b", make)
+        assert cache.get("b") is None
         assert cache.misses == misses + 1
+        assert cache.get("a") is not None and cache.get("c") is not None
 
     def test_bad_maxsize_rejected(self):
         with pytest.raises(ValidationError):
             EmbeddingLRU(maxsize=0)
 
-    def test_index_cached_query_vector(self):
+    def test_index_query_cache_round_trip(self):
         index = VectorIndex()
-        vec = index.cached_query_vector("key", lambda: np.ones(3, dtype=np.float32))
-        again = index.cached_query_vector(
-            "key", lambda: pytest.fail("must not recompute")
-        )
-        np.testing.assert_array_equal(vec, again)
+        vec = index.query_cache.put("key", np.ones(3, dtype=np.float64))
+        assert vec.dtype == np.float32
+        assert index.query_cache.get("key") is vec

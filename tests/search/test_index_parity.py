@@ -18,6 +18,7 @@ from repro.search import (
     KIND_CODE,
     KIND_DESC,
     CodeSearcher,
+    SearchBatcher,
     SemanticSearcher,
     VectorIndex,
 )
@@ -194,8 +195,23 @@ def index_pes(records, user=1):
     return index
 
 
+def served(search_topk, query, records, index, k=None, user=1):
+    """Serve ``query`` the way the server does: through a batcher, with
+    ``records`` as the caller's owned set (id-ordered)."""
+    by_id = {record.pe_id: record for record in records}
+    return search_topk(
+        query,
+        index=index,
+        user=user,
+        owned_ids=lambda: [record.pe_id for record in records],
+        resolve=lambda ids: [by_id[rid] for rid in ids if rid in by_id],
+        batcher=SearchBatcher(),
+        k=k,
+    )
+
+
 class TestSearcherParity:
-    """The full searchers agree between indexed and brute-force paths."""
+    """The served (indexed) path agrees with the brute-force searchers."""
 
     @pytest.fixture(scope="class")
     def semantic(self):
@@ -211,8 +227,12 @@ class TestSearcherParity:
         records = make_pes(rng, 20, semantic.model)
         index = index_pes(records)
         brute = semantic.search("processing element variant 3", records, k=k)
-        indexed = semantic.search(
-            "processing element variant 3", records, k=k, index=index, user=1
+        indexed = served(
+            semantic.search_topk,
+            "processing element variant 3",
+            records,
+            index,
+            k,
         )
         assert [h.pe_id for h in indexed] == [h.pe_id for h in brute]
         for a, b in zip(indexed, brute):
@@ -224,7 +244,7 @@ class TestSearcherParity:
         records = make_pes(rng, 15, code.model)
         index = index_pes(records)
         brute = code.search("class PE3:", records, k=k)
-        indexed = code.search("class PE3:", records, k=k, index=index, user=1)
+        indexed = served(code.search_topk, "class PE3:", records, index, k)
         assert [h.pe_id for h in indexed] == [h.pe_id for h in brute]
         for a, b in zip(indexed, brute):
             assert a.score == pytest.approx(b.score, abs=1e-6)
@@ -239,7 +259,7 @@ class TestSearcherParity:
         records = make_pes(rng, 6, semantic.model)
         records[2].desc_embedding = None
         index = index_pes(records)  # indexes only the 5 embedded records
-        hits = semantic.search("variant", records, index=index, user=1)
+        hits = served(semantic.search_topk, "variant", records, index)
         assert len(hits) == 6
         assert records[2].desc_embedding is not None
         assert not index.contains(1, KIND_DESC, records[2].pe_id)
@@ -261,8 +281,12 @@ class TestSearcherParity:
         index = index_pes(records)
         subset = records[::2]
         brute = semantic.search("processing element variant 1", subset, k=k)
-        indexed = semantic.search(
-            "processing element variant 1", subset, k=k, index=index, user=1
+        indexed = served(
+            semantic.search_topk,
+            "processing element variant 1",
+            subset,
+            index,
+            k,
         )
         assert [h.pe_id for h in indexed] == [h.pe_id for h in brute]
         if k is not None:
@@ -275,6 +299,7 @@ class TestSearcherParity:
         records = make_pes(rng, 6, semantic.model)
         index = index_pes(records)
         index.remove(1, KIND_DESC, records[3].pe_id)  # concurrent removal
-        semantic.search("variant", records, index=index, user=1)  # stale list
+        # the caller's owned list is stale: it still names the record
+        served(semantic.search_topk, "variant", records, index)
         assert not index.contains(1, KIND_DESC, records[3].pe_id)
         assert index.size(1, KIND_DESC) == 5

@@ -17,6 +17,12 @@ import pytest
 from repro.server import LaminarServer
 from repro.server.http import serve_http
 from tests.registry.test_dao import make_pe
+from tests.search.test_batcher import (
+    ArrivalWatch,
+    Park,
+    Submitter,
+    queue_behind,
+)
 
 N_ALICE = 40
 SEARCH_THREADS = 6
@@ -25,9 +31,7 @@ ROUNDS = 12
 
 @pytest.fixture()
 def stack(fast_bundle):
-    server = LaminarServer(
-        models=fast_bundle, search_batch_window=0.002, search_batch_max=8
-    )
+    server = LaminarServer(models=fast_bundle)
     # embeddings must come from the server's own models so the stored
     # rows match the query embedder's dimensionality
     embed = server.semantic.embed_description
@@ -69,8 +73,7 @@ class TestConcurrentSearchAgainstMutatingRegistry:
         server, handle, tokens, alice, bob = stack
         query = "alice element"
         k = 5
-        # the reference: single-shot in-process serving (itself verified
-        # bitwise-identical to brute force by the serving-path tests)
+        # the reference: the brute-force scan over exactly her records
         reference = server.semantic.search(
             query, server.registry.user_pes(alice), k=k
         )
@@ -170,50 +173,52 @@ class TestConcurrentSearchAgainstMutatingRegistry:
         assert all(h["peName"].startswith("BobStatic") for h in body["hits"])
 
     def test_batcher_coalesced_requests(self, stack):
-        """Under parallel load the dispatcher actually forms
-        multi-request batches.  Coalescing is scheduling-dependent, so
-        this uses a generous window and retries a few rounds rather
-        than trusting one pass on a loaded machine."""
+        """Searches that arrive over HTTP while a flush runs ride the
+        next flush together.  Deterministic: the first search's flush is
+        parked inside the DAO hydration until every other search has
+        queued behind it."""
         server, handle, tokens, alice, bob = stack
-        server.batcher.window = 0.05  # widen for determinism
-        errors = []
+        watch = ArrivalWatch(server.batcher)
+        park = Park(server.registry.resolve_pes)
+        server.registry.resolve_pes = park
+        conns = [
+            http.client.HTTPConnection(handle.host, handle.port, timeout=30)
+            for _ in range(SEARCH_THREADS)
+        ]
 
-        def worker(i):
-            try:
-                conn = http.client.HTTPConnection(
-                    handle.host, handle.port, timeout=10
-                )
-                barrier.wait()
-                for r in range(6):
-                    status, body = http_request(
-                        conn,
-                        "GET",
-                        f"/registry/alice/search/alice%20element%20{i}"
-                        "/type/pe",
-                        {"queryType": "semantic", "k": 3},
-                        tokens["alice"],
-                    )
-                    assert status == 200
-                conn.close()
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
+        def search(i):
+            query = f"alice element {i}"
+            status, body = http_request(
+                conns[i],
+                "GET",
+                f"/registry/alice/search/alice%20element%20{i}/type/pe",
+                {"queryType": "semantic", "k": 3},
+                tokens["alice"],
+            )
+            conns[i].close()
+            return query, status, body
 
-        for _ in range(5):
-            barrier = threading.Barrier(SEARCH_THREADS)
-            threads = [
-                threading.Thread(target=worker, args=(i,))
-                for i in range(SEARCH_THREADS)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errors
-            if server.batcher.stats()["batchedRequests"] > 0:
-                break
+        first = Submitter(lambda: search(0))
+        first.start()
+        assert park.entered[1].wait(30)
+        queued = queue_behind(
+            watch,
+            [lambda i=i: search(i) for i in range(1, SEARCH_THREADS)],
+        )
+        park.release[1].set()
+        pes = server.registry.user_pes(alice)
+        for thread in [first] + queued:
+            query, status, body = thread.outcome()
+            assert status == 200
+            # batched == brute force over exactly alice's records
+            want = server.semantic.search(query, pes, k=3)
+            assert body["hits"] == [h.to_json() for h in want]
         stats = server.batcher.stats()
-        assert stats["requests"] >= SEARCH_THREADS * 6
-        assert stats["batchedRequests"] > 0
+        assert stats["requests"] == SEARCH_THREADS
+        assert stats["batches"] == 2
+        assert stats["batchedRequests"] == SEARCH_THREADS - 1
+        assert stats["batchEmbeds"] == 1
+        assert stats["batchEmbeddedQueries"] == SEARCH_THREADS - 1
 
 
 class TestHttp11Satellites:
