@@ -23,6 +23,10 @@ shipped (m, m0, ef) configuration plus batched serving-path QPS against
 IVF (best-of interleaved rounds), gating recall >= 0.95 and HNSW QPS >=
 IVF QPS.
 
+The third records, ungated, what a restart costs each engine: the first
+query on a freshly attached index trains the lists or builds the graph,
+since neither is persisted.
+
 Emits ``BENCH_ann_recall.json``.
 """
 
@@ -249,3 +253,91 @@ def test_hnsw_recall_and_batched_qps_vs_ivf(record, out_dir):
     assert ratio >= 1.0, (
         f"hnsw batched QPS {hnsw_qps:,.0f} below ivf {ivf_qps:,.0f}"
     )
+
+
+# --- first query after a restart -------------------------------------------
+
+RESTARTS = 3  # fresh attaches per engine
+
+
+def test_first_query_after_attach(out_dir, tmp_path):
+    """What a restart costs an approximate engine: nothing is restored,
+    so the first query on a freshly attached index trains the shard's
+    IVF lists or builds its HNSW graph before it ranks.
+
+    Each of ``RESTARTS`` rounds attaches a new index to the registry
+    file (as a restarted server does) and times that engine's first
+    query, then a second one over the built structure.  No gate: the
+    numbers record the trade.  Training is deterministic, so every
+    round's first answer must be the same.
+    """
+    from repro.registry.dao import SqliteDAO
+    from repro.registry.entities import PERecord
+    from repro.registry.service import RegistryService
+    from repro.search import create_backend
+
+    rng = np.random.default_rng(2026)
+    corpus = _clustered_rows(rng, N)
+    query = _queries(rng, corpus)[0]
+    path = tmp_path / "registry.db"
+    dao = SqliteDAO(path)
+    user = RegistryService(dao).register_user("ann", "pw")
+    dao.insert_pes(
+        [
+            PERecord(
+                pe_id=0,
+                pe_name=f"PE{i}",
+                description=f"element {i}",
+                pe_code=f"{i}".encode("ascii").hex(),
+                desc_embedding=corpus[i],
+                owners={user.user_id},
+            )
+            for i in range(N)
+        ]
+    )
+    options = {
+        "ivf": {"nlist": NLIST, "nprobe": NPROBE},
+        "hnsw": {"m": HNSW_M, "m0": HNSW_M0, "ef_search": HNSW_EF},
+    }
+    results: dict[str, dict] = {}
+    for name, opts in options.items():
+        attach_ms, first_ms, second_ms, answers = [], [], [], set()
+        for _ in range(RESTARTS):
+            index = VectorIndex()
+            start = time.perf_counter()
+            mode = RegistryService(dao).attach_index(index, persist=False)
+            attach_ms.append((time.perf_counter() - start) * 1e3)
+            assert mode in ("fresh", "rebuilt")
+            backend = create_backend(name, index, **opts)
+            start = time.perf_counter()
+            ids, _scores = backend.search(user.user_id, KIND_DESC, query, K)
+            first_ms.append((time.perf_counter() - start) * 1e3)
+            start = time.perf_counter()
+            backend.search(user.user_id, KIND_DESC, query, K)
+            second_ms.append((time.perf_counter() - start) * 1e3)
+            answers.add(tuple(ids))
+            assert backend.approx_queries == 2
+        assert len(answers) == 1  # deterministic rebuild
+        results[name] = {
+            "attach_ms": [round(v, 1) for v in attach_ms],
+            "first_query_ms": [round(v, 1) for v in first_ms],
+            "second_query_ms": [round(v, 2) for v in second_ms],
+        }
+    dao.close()
+
+    lines = [
+        "ANN first query after a fresh attach (nothing restored; "
+        f"N={N}, d={DIM}, {RESTARTS} attaches per engine)",
+    ]
+    for name, row in results.items():
+        lines.append(
+            f"  {name:4}  attach ms {row['attach_ms']}  first query ms "
+            f"{row['first_query_ms']}  second query ms {row['second_query_ms']}"
+        )
+    print("\n" + "\n".join(lines) + "\n")
+    path = out_dir / "BENCH_ann_recall.json"
+    payload = json.loads(path.read_text()) if path.exists() else {
+        "benchmark": "ann_recall"
+    }
+    payload["first_query_after_attach"] = {"restarts": RESTARTS, **results}
+    path.write_text(json.dumps(payload, indent=2) + "\n")

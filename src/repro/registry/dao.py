@@ -102,14 +102,6 @@ def _embed_bytes(vec) -> bytes | None:
     return np.asarray(vec, dtype=np.float32).tobytes()
 
 
-def _state_stamp(stamps: Mapping | int, key: tuple[int, str]) -> int:
-    """One approx-state stamp: per-shard mapping lookup, or a uniform
-    counter applied to every shard."""
-    if isinstance(stamps, Mapping):
-        return int(stamps[key])
-    return int(stamps)
-
-
 def _pe_stamp_keys(
     old_owners: set[int],
     new_owners: set[int],
@@ -388,10 +380,7 @@ CREATE TABLE IF NOT EXISTS index_shards (
 );
 -- schema v3: idempotency receipts for the v1 write surface (replaying
 -- a stored (user, key) returns the recorded response verbatim; a
--- fingerprint mismatch is a 409) and persisted IVF training state
--- (trained centroids + inverted lists stamped with the same mutation
--- counter as the slab snapshot, so approximate cold starts skip the
--- lazy k-means retrain)
+-- fingerprint mismatch is a 409)
 -- schema v4 adds created_at: receipts are claimed (INSERT OR IGNORE of
 -- a pending row — the cross-process write-serialization point) and
 -- garbage-collected by TTL/cap, both keyed on this stamp
@@ -404,19 +393,7 @@ CREATE TABLE IF NOT EXISTS write_receipts (
     created_at REAL NOT NULL DEFAULT 0,
     PRIMARY KEY (user_id, idem_key)
 ) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS ivf_states (
-    user_id INTEGER NOT NULL,
-    kind TEXT NOT NULL,
-    mutation_counter INTEGER NOT NULL,
-    dim INTEGER NOT NULL,
-    nlist INTEGER NOT NULL,
-    rows INTEGER NOT NULL,
-    centroids BLOB NOT NULL,
-    list_sizes BLOB NOT NULL,
-    members BLOB NOT NULL,
-    PRIMARY KEY (user_id, kind)
-);
--- schema v5: indexed text ranking + HNSW graph persistence.  pe_text /
+-- schema v5: indexed text ranking.  pe_text /
 -- wf_text hold the normalized match documents (name_norm doubles as
 -- the whole-query substring arm and the FTS name document); the
 -- external-content FTS5 tables index them, kept in sync by triggers
@@ -471,16 +448,6 @@ CREATE TRIGGER IF NOT EXISTS wf_text_au AFTER UPDATE ON wf_text BEGIN
     INSERT INTO wf_fts(rowid, name_norm, desc_doc)
     VALUES (new.workflow_id, new.name_norm, new.desc_doc);
 END;
-CREATE TABLE IF NOT EXISTS hnsw_states (
-    user_id INTEGER NOT NULL,
-    kind TEXT NOT NULL,
-    mutation_counter INTEGER NOT NULL,
-    rows INTEGER NOT NULL,
-    m0 INTEGER NOT NULL,
-    levels BLOB NOT NULL,
-    neighbors BLOB NOT NULL,
-    PRIMARY KEY (user_id, kind)
-);
 -- schema v6: per-shard freshness stamps + the append-only delta journal
 -- schema v8: the journal is an ids-only changelog (no vectors, no
 -- secondary index: every reader scans it whole in delta_id order) and
@@ -508,11 +475,11 @@ CREATE TABLE IF NOT EXISTS index_deltas (
 #: v1 introduced the normalized join tables (files at version 0 are
 #: backfilled from the JSON columns on open); v2 added the mutation
 #: counter and the persisted index-shard slabs; v3 added per-record
-#: revisions (conditional writes), idempotency receipts and persisted
-#: IVF training state; v4 added ``write_receipts.created_at`` for
-#: receipt claiming and TTL/cap garbage collection; v5 added the
+#: revisions (conditional writes), idempotency receipts and a table of
+#: persisted IVF training state; v4 added ``write_receipts.created_at``
+#: for receipt claiming and TTL/cap garbage collection; v5 added the
 #: FTS5 text side tables (one-time backfill from the record tables)
-#: and persisted HNSW graph state; v6 added per-shard freshness
+#: and a table of persisted HNSW graphs; v6 added per-shard freshness
 #: stamps (``shard_stamps``, maintained inside every mutation
 #: transaction) and the append-only ``index_deltas`` journal, with
 #: ``index_shards`` rows now stamped independently per shard; v7
@@ -528,8 +495,10 @@ CREATE TABLE IF NOT EXISTS index_deltas (
 #: Files created since v8 use 1 KB pages; a migrated file keeps its own;
 #: v9 dropped ``index_shards.vectors``/``dim``: a base slab is ids only,
 #: as the journal has been since v8, so a vector is stored in one place,
-#: its record row — older code cannot read a v9 slab.
-_SCHEMA_VERSION = 9
+#: its record row — older code cannot read a v9 slab; v10 dropped the
+#: IVF and HNSW state tables: approximate engines keep no durable state
+#: and rebuild each shard's lists or graph on its first ANN query.
+_SCHEMA_VERSION = 10
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
 #: IN(...) lists well below that
@@ -591,8 +560,8 @@ class SqliteDAO:
         script) with the mutation counter seeded at 0 — the empty
         ``index_shards`` table simply means the first attach rebuilds
         and persists; v2 -> v3 adds the ``revision`` columns (existing
-        rows start at revision 1) plus the ``write_receipts`` /
-        ``ivf_states`` tables from the schema script; v3 -> v4 adds the
+        rows start at revision 1) plus the ``write_receipts`` table
+        from the schema script; v3 -> v4 adds the
         ``created_at`` receipt column (existing receipts stamp 0 — the
         epoch — so a TTL sweep retires them first, the conservative
         choice for rows of unknown age); v4 -> v5 backfills the FTS5
@@ -605,7 +574,8 @@ class SqliteDAO:
         (which then seeds every stamp); v6 -> v7 only raises the version
         (see ``_SCHEMA_VERSION``); v7 -> v8 reshapes the journal in
         place (:meth:`_migrate_journal`); v8 -> v9 drops the base slabs'
-        vectors (:meth:`_migrate_slabs`).
+        vectors (:meth:`_migrate_slabs`); v9 -> v10 only drops the IVF
+        and HNSW state tables (approximate engines rebuild in memory).
         """
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         if version >= _SCHEMA_VERSION:
@@ -698,8 +668,12 @@ class SqliteDAO:
                     " SELECT user_id, kind, mutation_counter"
                     " FROM index_shards"
                 )
-        self._migrate_journal()
-        self._migrate_slabs()
+        if version < 9:
+            self._migrate_journal()
+            self._migrate_slabs()
+        # v10: approximate engines keep no durable state
+        for engine in ("ivf", "hnsw"):
+            self._conn.execute(f"DROP TABLE IF EXISTS {engine}_states")
         self._conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
 
     def _migrate_journal(self) -> None:
@@ -1715,8 +1689,8 @@ class SqliteDAO:
     # -- index-shard persistence ------------------------------------------
     def mutation_counter(self) -> int:
         """Monotonic counter bumped inside every PE/workflow write
-        transaction — the freshness authority for every persisted shard
-        and approximate-backend state."""
+        transaction — the freshness authority for every persisted
+        shard."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT value FROM registry_meta WHERE key='mutation_counter'"
@@ -2229,159 +2203,3 @@ class SqliteDAO:
                     )
                     dropped += cursor.rowcount
         return dropped
-
-    # -- persisted IVF training state -------------------------------------
-    def save_ivf_states(
-        self,
-        states: Mapping[tuple[int, str], tuple[np.ndarray, list[np.ndarray]]],
-        stamps: Mapping[tuple[int, str], int] | int,
-    ) -> None:
-        """Upsert per-shard IVF training state at its shard's stamp.
-
-        Per (user, kind): the float32 centroid matrix, plus the
-        inverted lists flattened to one int64 member vector with an
-        int64 per-list size vector — the row indices refer to the slab
-        content at the *same* stamp.  Shards not in ``states`` keep
-        their rows (stale by stamp, never torn).
-        """
-        payload = []
-        for (user_id, kind), (centroids, lists) in states.items():
-            centroids = np.asarray(centroids, dtype=np.float32)
-            sizes = np.asarray([len(members) for members in lists], dtype=np.int64)
-            members = (
-                np.concatenate(
-                    [np.asarray(m, dtype=np.int64) for m in lists]
-                )
-                if lists
-                else np.empty(0, dtype=np.int64)
-            )
-            payload.append(
-                (
-                    int(user_id),
-                    str(kind),
-                    _state_stamp(stamps, (int(user_id), str(kind))),
-                    int(centroids.shape[1]) if centroids.ndim == 2 else 0,
-                    int(centroids.shape[0]),
-                    int(members.shape[0]),
-                    centroids.tobytes(),
-                    sizes.tobytes(),
-                    members.tobytes(),
-                )
-            )
-        with self._lock, self._conn:
-            self._conn.executemany(
-                """INSERT OR REPLACE INTO ivf_states
-                   (user_id, kind, mutation_counter, dim, nlist, rows,
-                    centroids, list_sizes, members)
-                   VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)""",
-                payload,
-            )
-
-    def load_ivf_states(
-        self,
-    ) -> tuple[
-        dict[tuple[int, str], int],
-        dict[tuple[int, str], tuple[np.ndarray, list[np.ndarray]]],
-    ]:
-        """Per-shard ``(stamps, states)``; a truncated or inconsistent
-        row is skipped individually (that shard simply retrains)."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT user_id, kind, mutation_counter, dim, nlist, rows,"
-                " centroids, list_sizes, members FROM ivf_states"
-            ).fetchall()
-        stamps: dict[tuple[int, str], int] = {}
-        states: dict[tuple[int, str], tuple[np.ndarray, list[np.ndarray]]] = {}
-        for row in rows:
-            key = (int(row["user_id"]), str(row["kind"]))
-            try:
-                centroids = (
-                    np.frombuffer(row["centroids"], dtype=np.float32)
-                    .reshape(row["nlist"], row["dim"])
-                    .copy()
-                )
-                sizes = np.frombuffer(row["list_sizes"], dtype=np.int64)
-                members = np.frombuffer(row["members"], dtype=np.int64)
-            except ValueError:
-                continue  # truncated/corrupt row — this shard retrains
-            if sizes.shape[0] != row["nlist"] or int(sizes.sum()) != int(
-                members.shape[0]
-            ) or int(members.shape[0]) != row["rows"]:
-                continue  # torn row — this shard retrains
-            lists, start = [], 0
-            for size in sizes:
-                lists.append(members[start : start + int(size)].copy())
-                start += int(size)
-            stamps[key] = int(row["mutation_counter"])
-            states[key] = (centroids, lists)
-        return stamps, states
-
-    # -- persisted HNSW graph state ----------------------------------------
-    def save_hnsw_states(
-        self,
-        states: Mapping[tuple[int, str], tuple[np.ndarray, np.ndarray]],
-        stamps: Mapping[tuple[int, str], int] | int,
-    ) -> None:
-        """Upsert per-shard HNSW graph state at its shard's stamp.
-
-        Per (user, kind): the int64 level assignment (one entry per
-        slab row) and the flattened int64 level-0 adjacency (rows × m0,
-        ``-1``-padded); row indices refer to the slab content at the
-        *same* stamp.  Same upsert semantics as
-        :meth:`save_ivf_states`.
-        """
-        payload = []
-        for (user_id, kind), (levels, neighbors) in states.items():
-            levels = np.asarray(levels, dtype=np.int64)
-            neighbors = np.asarray(neighbors, dtype=np.int64)
-            payload.append(
-                (
-                    int(user_id),
-                    str(kind),
-                    _state_stamp(stamps, (int(user_id), str(kind))),
-                    int(levels.shape[0]),
-                    int(neighbors.shape[1]) if neighbors.ndim == 2 else 0,
-                    levels.tobytes(),
-                    neighbors.tobytes(),
-                )
-            )
-        with self._lock, self._conn:
-            self._conn.executemany(
-                """INSERT OR REPLACE INTO hnsw_states
-                   (user_id, kind, mutation_counter, rows, m0, levels,
-                    neighbors)
-                   VALUES (?, ?, ?, ?, ?, ?, ?)""",
-                payload,
-            )
-
-    def load_hnsw_states(
-        self,
-    ) -> tuple[
-        dict[tuple[int, str], int],
-        dict[tuple[int, str], tuple[np.ndarray, np.ndarray]],
-    ]:
-        """Per-shard ``(stamps, states)``; a truncated or inconsistent
-        row is skipped individually (that shard simply rebuilds)."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT user_id, kind, mutation_counter, rows, m0, levels,"
-                " neighbors FROM hnsw_states"
-            ).fetchall()
-        stamps: dict[tuple[int, str], int] = {}
-        states: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-        for row in rows:
-            key = (int(row["user_id"]), str(row["kind"]))
-            try:
-                levels = np.frombuffer(row["levels"], dtype=np.int64).copy()
-                neighbors = (
-                    np.frombuffer(row["neighbors"], dtype=np.int64)
-                    .reshape(row["rows"], row["m0"])
-                    .copy()
-                )
-            except ValueError:
-                continue  # truncated/corrupt row — this shard rebuilds
-            if levels.shape[0] != row["rows"]:
-                continue  # torn row — this shard rebuilds
-            stamps[key] = int(row["mutation_counter"])
-            states[key] = (levels, neighbors)
-        return stamps, states

@@ -66,10 +66,6 @@ class RegistryService:
         #: fresh).  Lost-update races on the += only under-count,
         #: which skips a persist — the safe direction.
         self._index_counter = 0
-        #: approximate companion backends (e.g. IVF) registered via
-        #: attach_approx_backend; their training state persists and
-        #: restores alongside the slab snapshot
-        self._companions: list = []
         #: write base slabs and fold chains (attach_index's ``persist``
         #: flag).  Journaling is not this service's to switch: the DAO
         #: appends each mutation's ids-only journal row inside the
@@ -95,7 +91,7 @@ class RegistryService:
     def attach_index(
         self, index: "IndexBackend", *, persist: bool = True
     ) -> str:
-        """Adopt ``index`` (any registered backend — select by name via
+        """Adopt ``index`` (any backend — select by name via
         :func:`repro.search.backend.create_backend`) and populate it;
         returns ``"fresh"``, ``"partial"`` or ``"rebuilt"``.
 
@@ -317,7 +313,6 @@ class RegistryService:
         consume = getattr(self.index, "consume_dirty", None)
         if consume is not None:
             consume()
-        self.persist_approx_states()
         return True
 
     def persist_shards(self) -> bool:
@@ -365,96 +360,6 @@ class RegistryService:
                 self._upsert_shards(shards, stamp)
                 self._compactions += len(due)
         self.index.consume_dirty()
-        self.persist_approx_states()
-        return True
-
-    @staticmethod
-    def _state_store(backend) -> str:
-        """Which DAO store a companion's state lives in (``"ivf"`` or
-        ``"hnsw"``); backends declare it via a ``state_store``
-        attribute, defaulting to the historical IVF store."""
-        return str(getattr(backend, "state_store", "ivf"))
-
-    def _load_states(self, store: str):
-        if store == "hnsw":
-            return self.dao.load_hnsw_states()
-        return self.dao.load_ivf_states()
-
-    def _save_states(self, store: str, states: dict, stamp: int) -> None:
-        if store == "hnsw":
-            self.dao.save_hnsw_states(states, stamp)
-        else:
-            self.dao.save_ivf_states(states, stamp)
-
-    def attach_approx_backend(self, backend) -> str:
-        """Adopt an approximate companion backend (the IVF or HNSW
-        engine) and restore its persisted training state, per shard.
-
-        A stored per-(user, kind) state (centroids + inverted lists, or
-        graph levels + adjacency) is only meaningful against the slab
-        contents at the stamp it carries, so it is adopted iff its
-        stamp equals the shard's *current* expected stamp
-        (``shard_stamps``) — the live shard then holds exactly those
-        rows (fresh load and rebuild both leave ascending-id order,
-        which is the layout stored row indices refer to).  One stale
-        shard no longer discards every other shard's state.  Mismatched
-        shards rebuild lazily, which is always correct.  Returns
-        ``"restored"``, ``"stale"`` or ``"untrained"``.
-        """
-        if backend not in self._companions:
-            self._companions.append(backend)
-        stored_stamps, states = self._load_states(self._state_store(backend))
-        if not states:
-            return "untrained"
-        if self.index is None:
-            return "stale"
-        shard_stamps = self.dao.shard_stamps()
-        fresh = {
-            key: state
-            for key, state in states.items()
-            if key in shard_stamps
-            and stored_stamps.get(key) == shard_stamps[key]
-        }
-        if not fresh:
-            return "stale"
-        adopted = backend.adopt_states(fresh)
-        return "restored" if adopted else "untrained"
-
-    def persist_approx_states(self) -> bool:
-        """Save companion backends' trained state next to the slabs.
-
-        Same freshness protocol as :meth:`persist_shards`: exports are
-        skipped whenever the DAO's counter disagrees with the tracked
-        one before or after (state must never claim freshness it does
-        not have).  Each shard's state is stamped with that *shard's*
-        expected stamp — its slab content is unchanged since then, and
-        attach compares per shard — and the save is a per-shard upsert,
-        so IVF and HNSW companions persist side by side and untouched
-        shards keep their rows.  Stale trained shards are excluded by
-        the export itself.  Returns whether any snapshot was written.
-        """
-        if self.index is None or not self._companions:
-            return False
-        stamp = self._index_counter
-        if self.dao.mutation_counter() != stamp:
-            return False
-        by_store: dict[str, dict] = {}
-        for backend in self._companions:
-            exported = backend.export_states()
-            if exported:
-                by_store.setdefault(self._state_store(backend), {}).update(
-                    exported
-                )
-        if not by_store:
-            return False
-        shard_stamps = self.dao.shard_stamps()
-        if self.dao.mutation_counter() != stamp:
-            return False
-        for store, states in by_store.items():
-            per_key = {
-                key: shard_stamps.get(key, stamp) for key in states
-            }
-            self._save_states(store, states, per_key)
         return True
 
     def shard_persistence(self) -> dict:

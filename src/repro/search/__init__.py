@@ -143,21 +143,23 @@ their own owner's rows.  The invariants:
 * **Replay is bitwise** — a replayed or rebuilt shard is one
   C-contiguous float32 matrix in ascending id order, identical to the
   live index's layout, so warm-started searches equal cold-rebuilt
-  ones byte for byte and persisted IVF/HNSW states (row indices into
-  that order) still apply.
+  ones byte for byte.
 
-Approximate backends persist their trained state per shard at the same
-stamps (``ivf_states`` / ``hnsw_states``);
-``attach_approx_backend`` adopts exactly the states whose stored stamp
-matches the live shard's, and ``HNSWBackend`` extends its graph in
-place on pure appends — new rows route and link into the existing
-adjacency, provably identical to a full rebuild for untied
-similarities — instead of rebuilding per mutation.
-``benchmarks/test_incremental_persist.py`` records the
+Approximate backends keep no durable state.  IVF lists and HNSW graphs
+are derived from the exact index's shards, deterministically, on the
+first approximate query that needs them — after a restart exactly as
+after ``retrain_fraction`` writes — so a restarted server trains each
+shard once, on its first ANN query, and serves the hits the process
+before it served.  ``HNSWBackend`` extends its graph in place on pure
+appends — new rows route and link into the existing adjacency,
+provably identical to a full rebuild for untied similarities — instead
+of rebuilding per mutation.  ``benchmarks/test_ann_recall.py`` records
+each engine's first-query time on a freshly attached index, and
+``benchmarks/test_incremental_persist.py`` the
 bytes-written-per-mutation and warm-attach gains.
 
-Pluggable backends
-==================
+Index backends
+==============
 
 :mod:`repro.search.backend` separates the query API from the ranking
 engine behind it: the :class:`~repro.search.backend.IndexBackend`
@@ -167,8 +169,8 @@ exact reference implementation, and
 :class:`~repro.search.backend.IVFFlatBackend` (name ``"ivf"``) is the
 first approximate engine — IVF-flat lists over the *same* shards,
 probing ``nprobe`` clusters and re-ranking candidates with the exact
-dot product.  Engines are selected **by name** via
-:func:`~repro.search.backend.create_backend` /
+dot product.  The three engines sit in a fixed table and are selected
+**by name** via :func:`~repro.search.backend.create_backend` /
 :func:`~repro.search.backend.build_backends` (the v1 API exposes the
 choice per request as ``SearchRequest.backend``), and
 ``benchmarks/test_ann_recall.py`` tracks the recall-vs-QPS trade.
@@ -210,7 +212,6 @@ from repro.search.backend import (
     backend_names,
     build_backends,
     create_backend,
-    register_backend,
 )
 from repro.search.fusion import RRF_K, rrf_fuse
 from repro.search.index import (
@@ -231,7 +232,6 @@ __all__ = [
     "backend_names",
     "build_backends",
     "create_backend",
-    "register_backend",
     "SearchBatcher",
     "TextMatch",
     "text_search_pes",

@@ -1,4 +1,4 @@
-"""Pluggable index backends behind one retrieval protocol.
+"""Index backends behind one retrieval protocol.
 
 The serving layer (:class:`~repro.search.serving.SearchBatcher`, the
 controllers and the ``repro search`` CLI) used to construct
@@ -27,11 +27,13 @@ API* from the *index implementation* behind it:
 * :class:`_ShardView` — what IVF and HNSW share: the delegation of
   mutation, persistence and the query LRU to the base index, and the
   membership-checked retrieval entry points around each engine's
-  per-shard ranking.
-* a **backend registry** — backends are selected by name (``"exact"``,
-  ``"ivf"``, ``"hnsw"``); :func:`create_backend` / :func:`build_backends`
-  construct them, and new engines plug in via :func:`register_backend`
-  without touching the serving layer.
+  per-shard ranking.  A view keeps nothing durable: its lists or graph
+  are derived from the base shard on the first query that needs them
+  (after a restart too) and rebuilt lazily after writes.
+* a fixed **backend table** — the three engines are selected by name
+  (``"exact"``, ``"ivf"``, ``"hnsw"``); :func:`create_backend` /
+  :func:`build_backends` construct them, so the serving layer never
+  names an engine class.
 
 Safety properties shared by every backend:
 
@@ -144,8 +146,7 @@ class _ShardView:
     shard up under the base lock and hands it to the subclass's
     :meth:`_topk`.  A subclass keeps its per-shard derived structure in
     ``_states`` — valid while ``state.shard is shard and state.version
-    == shard.version`` — and lays out an exported state in
-    :meth:`_export_state`.
+    == shard.version`` — in memory only.
     """
 
     def __init__(self, base: VectorIndex | None) -> None:
@@ -182,38 +183,6 @@ class _ShardView:
     @property
     def query_cache(self):
         return self.base.query_cache
-
-    # ------------------------------------------------------------------
-    # State persistence (cold starts skip the lazy rebuild)
-    # ------------------------------------------------------------------
-    def export_states(self) -> dict[tuple[Hashable, str], tuple]:
-        """Snapshot ``{(user, kind): state}`` (laid out by
-        :meth:`_export_state`) for every state still valid against its
-        live shard.
-
-        Stale states (any mutation since the build) are excluded — their
-        row indices would reference shifted slab positions.  Taken under
-        the base index lock so the validity check and the copy see one
-        consistent shard.
-        """
-        out: dict[tuple[Hashable, str], tuple] = {}
-        base = self.base
-        with base._lock:
-            with self._states_lock:
-                items = list(self._states.items())
-            for key, state in items:
-                shard = base._shards.get(key)
-                if (
-                    shard is None
-                    or state.shard is not shard
-                    or state.version != shard.version
-                ):
-                    continue
-                out[key] = self._export_state(state)
-        return out
-
-    def _export_state(self, state) -> tuple:
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Retrieval
@@ -434,59 +403,6 @@ class IVFFlatBackend(_ShardView):
         return out
 
     # ------------------------------------------------------------------
-    # Training-state persistence (cold starts skip the lazy k-means)
-    # ------------------------------------------------------------------
-    def _export_state(
-        self, state: _IVFState
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """A trained clustering as ``(centroids, lists)``."""
-        return (
-            state.centroids.copy(),
-            [members.copy() for members in state.lists],
-        )
-
-    def adopt_states(
-        self,
-        states: dict[tuple[Hashable, str], tuple[np.ndarray, list[np.ndarray]]],
-    ) -> int:
-        """Install pre-trained clusterings for the *current* shards.
-
-        The caller (``RegistryService.attach_approx_backend``) vouches
-        that the states were trained on exactly the slab contents now
-        in the shards (same mutation counter as the loaded snapshot);
-        this method still sanity-checks shape — member rows must cover
-        the live slab exactly and centroid width must match — and skips
-        anything inconsistent (the shard then retrains lazily, which is
-        always correct).  Returns the number of shards adopted.
-        """
-        adopted = 0
-        base = self.base
-        with base._lock:
-            for key, (centroids, lists) in states.items():
-                shard = base._shards.get(key)
-                if shard is None:
-                    continue
-                centroids = np.asarray(centroids, dtype=np.float32)
-                lists = [np.asarray(members, dtype=np.int64) for members in lists]
-                total = sum(int(members.shape[0]) for members in lists)
-                if (
-                    centroids.ndim != 2
-                    or centroids.shape[1] != shard.dim
-                    or total != shard.size
-                    or any(
-                        members.size > 0
-                        and (members.min() < 0 or members.max() >= shard.size)
-                        for members in lists
-                    )
-                ):
-                    continue
-                state = _IVFState(shard, shard.version, centroids, lists)
-                with self._states_lock:
-                    self._states[key] = state
-                adopted += 1
-        return adopted
-
-    # ------------------------------------------------------------------
     # Retrieval
     # ------------------------------------------------------------------
     def _effective_nlist(self, size: int) -> int:
@@ -611,9 +527,10 @@ class _HNSWState:
     the shard's mutation version.  ``levels`` assigns each slab row its
     entry layer (rows with ``level >= 1`` form the global entry set);
     ``neighbors`` is the base-layer adjacency — each row's exact
-    ``m0``-nearest slab rows, ``-1``-padded.  Only those two arrays are
-    persisted; the rest are query-time accelerators derived on
-    construction:
+    ``m0``-nearest slab rows, ``-1``-padded.  Those two arrays are the
+    graph (both deterministic functions of the slab, so a restarted
+    process rebuilds the same one); the rest are query-time
+    accelerators derived on construction:
 
     * ``entries`` / ``entry_matrix`` — the entry rows and a contiguous
       copy of their vectors, so the routing scan is one dense product
@@ -796,10 +713,6 @@ class HNSWBackend(_ShardView):
     #: truncated ranking is NOT a prefix of the k=None ranking
     prefix_stable_topk = False
 
-    #: persisted graph state lives in the DAO's HNSW store, not the IVF
-    #: one (see RegistryService.persist_approx_states)
-    state_store = "hnsw"
-
     def __init__(
         self,
         base: VectorIndex | None = None,
@@ -838,55 +751,6 @@ class HNSWBackend(_ShardView):
         for name, info in out.items():
             info["hnswEntries"] = built.get(name, 0)
         return out
-
-    # ------------------------------------------------------------------
-    # Graph-state persistence (cold starts skip the O(N²) build)
-    # ------------------------------------------------------------------
-    def _export_state(
-        self, state: _HNSWState
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """A built graph as ``(levels, neighbors)``."""
-        return (state.levels.copy(), state.neighbors.copy())
-
-    def adopt_states(
-        self,
-        states: dict[tuple[Hashable, str], tuple[np.ndarray, np.ndarray]],
-    ) -> int:
-        """Install pre-built graphs for the *current* shards.
-
-        Freshness is vouched by the caller (same protocol as IVF); shape
-        is still sanity-checked — levels must cover the slab exactly and
-        neighbor rows must reference live slab positions — and anything
-        inconsistent is skipped (that shard rebuilds lazily).  Returns
-        the number of shards adopted.
-        """
-        adopted = 0
-        base = self.base
-        with base._lock:
-            for key, (levels, neighbors) in states.items():
-                shard = base._shards.get(key)
-                if shard is None:
-                    continue
-                levels = np.asarray(levels, dtype=np.int64).reshape(-1)
-                neighbors = np.asarray(neighbors, dtype=np.int64)
-                if (
-                    levels.shape[0] != shard.size
-                    or neighbors.ndim != 2
-                    or neighbors.shape[0] != shard.size
-                    or (
-                        neighbors.size > 0
-                        and (
-                            neighbors.min() < -1
-                            or neighbors.max() >= shard.size
-                        )
-                    )
-                ):
-                    continue
-                state = _HNSWState(shard, shard.version, levels, neighbors)
-                with self._states_lock:
-                    self._states[key] = state
-                adopted += 1
-        return adopted
 
     # ------------------------------------------------------------------
     # Retrieval
@@ -1093,30 +957,30 @@ class HNSWBackend(_ShardView):
 
 
 # ---------------------------------------------------------------------------
-# Backend registry: engines are selected by name, never constructed
+# Backend table: engines are selected by name, never constructed
 # directly by the serving layer
 # ---------------------------------------------------------------------------
 
-#: name -> factory(base: VectorIndex | None, **options) -> IndexBackend.
-#: The ``base`` argument is the process's exact index; wrapping backends
-#: share its slabs, standalone backends may ignore it.
-_BACKENDS: dict[str, Callable[..., IndexBackend]] = {}
+
+def _exact_factory(
+    base: VectorIndex | None = None, **options
+) -> VectorIndex:
+    return base if base is not None else VectorIndex(**options)
 
 
-def register_backend(
-    name: str, factory: Callable[..., IndexBackend]
-) -> None:
-    """Register a ranking engine under ``name`` (overwrites)."""
-    _BACKENDS[str(name)] = factory
+#: name -> factory(base: VectorIndex | None, **options) -> IndexBackend,
+#: ``"exact"`` (the reference) first.  ``base`` is the process's exact
+#: index; the approximate views serve from its shards.
+_BACKENDS: dict[str, Callable[..., IndexBackend]] = {
+    "exact": _exact_factory,
+    "hnsw": HNSWBackend,
+    "ivf": IVFFlatBackend,
+}
 
 
 def backend_names() -> list[str]:
-    """Registered backend names, ``"exact"`` first (the reference)."""
-    names = sorted(_BACKENDS)
-    if "exact" in names:
-        names.remove("exact")
-        names.insert(0, "exact")
-    return names
+    """Backend names, ``"exact"`` first (the reference)."""
+    return list(_BACKENDS)
 
 
 def create_backend(
@@ -1141,7 +1005,7 @@ def build_backends(
     base: VectorIndex | None = None,
     options: dict[str, dict] | None = None,
 ) -> dict[str, IndexBackend]:
-    """One instance of every registered backend over a shared exact index.
+    """One instance of every backend over a shared exact index.
 
     The ``"exact"`` entry *is* the base index (so registry-service
     mutations through it are visible to every wrapping backend);
@@ -1168,18 +1032,3 @@ def build_backends(
             exact if name == "exact" else create_backend(name, exact, **kwargs)
         )
     return backends
-
-
-def _exact_factory(
-    base: VectorIndex | None = None, **options
-) -> VectorIndex:
-    return base if base is not None else VectorIndex(**options)
-
-
-register_backend("exact", _exact_factory)
-register_backend(
-    "ivf", lambda base=None, **options: IVFFlatBackend(base, **options)
-)
-register_backend(
-    "hnsw", lambda base=None, **options: HNSWBackend(base, **options)
-)

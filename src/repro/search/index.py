@@ -22,7 +22,9 @@ from the query path:
 * top-k retrieval uses ``np.argpartition`` (O(N) selection) instead of a
   full O(N log N) sort, while reproducing the brute-force scan's stable
   tie-break (equal scores rank by insertion order) *exactly*;
-* multi-query batches score as one ``(Q, D) @ (D, N)`` product;
+* a multi-query batch (``search_among_many``) is verified once and
+  scores each query as its own ``(1, D)`` product, bitwise equal to a
+  single search;
 * a small LRU cache keeps recently embedded query vectors, so repeated
   queries skip the embedder entirely.
 
@@ -558,31 +560,3 @@ class VectorIndex:
                     cache[key] = hit
                 results.append(hit)
             return results
-
-    def search_batch(
-        self,
-        user: Hashable,
-        kind: str,
-        queries: np.ndarray | Sequence[np.ndarray],
-        k: int | None = None,
-    ) -> list[tuple[list[int], np.ndarray]]:
-        """Top-k per query for a whole batch, scored as one matrix product."""
-        if k is not None and k <= 0:
-            raise ValidationError(f"k must be positive, got {k}")
-        matrix = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        with self._lock:
-            shard = self._shards.get((user, kind))
-            if shard is None or shard.live_count == 0:
-                empty = (list(), np.empty(0, dtype=np.float32))
-                return [empty for _ in range(matrix.shape[0])]
-            sims = shard.scores(matrix)
-            out = []
-            for row_sims in sims:
-                rows = shard.topk_rows(row_sims, k)
-                out.append(
-                    (
-                        [int(i) for i in shard.ids[rows]],
-                        row_sims[rows].astype(np.float32, copy=False),
-                    )
-                )
-            return out

@@ -60,7 +60,9 @@ the persistence plane holds membership and freshness only: the
 registry's record rows are the one copy of every vector.  Only shards
 that are stale (a stamp the journal never saw — a writer that bypassed
 the DAO), torn, or corrupt rebuild, each from its own owner's rows.
-One tenant's write never invalidates another tenant's slab.
+One tenant's write never invalidates another tenant's slab.  The
+approximate engines (``ivf``, ``hnsw``) restore nothing: each shard's
+lists or graph are trained on its first ANN query after start.
 
 Process start: ``repro serve`` imports what registry and search
 requests use — NumPy, SQLite, the models, the asyncio front end — and
@@ -86,11 +88,12 @@ v1   Normalized ownership/association join tables (``pe_owners``,
 v2   Slab snapshot persistence: ``index_shards`` plus
      ``registry_meta`` (the global mutation counter).
 v3   Typed write envelope: per-record ``revision`` columns and the
-     ``write_receipts`` / ``ivf_states`` tables.
+     ``write_receipts`` table (plus a table of IVF training state,
+     dropped in v10).
 v4   ``created_at`` on receipts (TTL sweeps; pre-v4 rows stamp 0, the
      epoch, so an age sweep retires them first).
-v5   FTS5 text side tables backfilled from the record tables, and
-     ``hnsw_states`` for the HNSW graph snapshot.
+v5   FTS5 text side tables backfilled from the record tables (plus a
+     table of HNSW graphs, dropped in v10).
 v6   Incremental persistence: per-shard ``shard_stamps`` and the
      append-only ``index_deltas`` journal.  A shard is fresh iff its
      replayed chain tip *equals* its stamp; chains must be strictly
@@ -98,8 +101,7 @@ v6   Incremental persistence: per-shard ``shard_stamps`` and the
      and discards only that shard); compaction folds a chain into its
      base slab at the same stamp and deletes exactly the folded
      counters, so a crash anywhere leaves tip <= stamp — stale at
-     worst, never wrongly fresh.  ``ivf_states`` / ``hnsw_states``
-     rows carry the same per-shard stamps.  A pre-v6 snapshot seeds
+     worst, never wrongly fresh.  A pre-v6 snapshot seeds
      the stamps only when provably current (uniform counter equal to
      the live mutation counter); otherwise the first attach pays one
      full rebuild, which then stamps every shard.
@@ -145,6 +147,12 @@ v9   Base slabs go ids-only: ``index_shards`` loses ``vectors`` and
      only its one-vector layout (plus a many-blob decode for the cold
      start).  **Older code cannot read a v9 slab.**  The file does not
      shrink on migration; the freed pages are reused by later writes.
+v10  The IVF and HNSW state tables are dropped, rows and all; that is
+     the migration's only step.  Approximate engines keep no durable
+     state: after a restart each shard's lists or graph are rebuilt
+     in memory on its first ANN query, deterministically, so results
+     equal those before the restart.  ``shard_stamps`` now vouches for
+     base slabs and the journal only.
 ===  =================================================================
 
 Front end: :func:`repro.server.http.serve_http` runs an **asyncio

@@ -87,9 +87,11 @@ class LaminarServer:
         job_retention_ttl: float | None = 3600.0,
         job_retention_cap: int | None = 500,
     ) -> None:
-        #: every registered index backend over one shared exact index;
-        #: requests select by name (SearchRequest.backend), the exact
-        #: entry is the reference the approximate engines re-rank from
+        #: every index backend over one shared exact index; requests
+        #: select by name (SearchRequest.backend), the exact entry is the
+        #: reference the approximate engines re-rank from.  Those keep
+        #: no durable state: a shard's lists or graph build on its first
+        #: ANN query after start
         self.backends = build_backends(options=backend_options)
         #: per-(user, kind) embedding shards serving /registry/{user}/search;
         #: maintained by the registry service on every PE/workflow mutation
@@ -100,13 +102,6 @@ class LaminarServer:
         self.registry = RegistryService(
             SqliteDAO() if dao is None else dao, index=self.index
         )
-        #: approximate companion backends restore their persisted
-        #: training state (centroids + inverted lists stamped at the
-        #: slab snapshot's mutation counter) so a warm cold start skips
-        #: the lazy k-means retrain entirely
-        for backend in self.backends.values():
-            if hasattr(backend, "adopt_states"):
-                self.registry.attach_approx_backend(backend)
         #: receipt GC knobs, applied by execute_write on keyed writes
         self.receipt_ttl = receipt_ttl
         self.receipt_cap = receipt_cap

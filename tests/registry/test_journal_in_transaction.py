@@ -9,8 +9,10 @@ too, so replay reads every vector from the record rows.  Pinned here:
   write sequence the persisted state replays to exactly the live index,
   and every stamp equals its chain tip;
 * migration: a v7-shaped file (journal rows and base slabs with vector
-  blobs, the secondary index, 4 KB pages, no ``tip``) and a v8-shaped
-  one (vector-carrying slabs only) open in place and attach fresh; a
+  blobs, the secondary index, 4 KB pages, no ``tip``), a v8-shaped
+  one (vector-carrying slabs only) and a v9-shaped one (IVF/HNSW state
+  tables, which v10 drops and nothing else) open in place and attach
+  fresh; a
   shard v7 left stale stays stale; content nobody ever stamped is
   seeded stale rather than mistaken for a shard born empty;
 * torn shards: an id — journaled or in the base slab — that the record
@@ -374,6 +376,69 @@ def reshape_as_v8(path):
     conn.close()
 
 
+#: the approximate engines' state tables as schema v9 declared them
+V9_STATE_TABLES = ("ivf_states", "hnsw_states")
+
+
+def reshape_as_v9(path, user):
+    """What schema v9 wrote: this schema plus the IVF and HNSW state
+    tables, each holding one row for ``user``'s description shard at
+    that shard's stamp."""
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """CREATE TABLE ivf_states (
+            user_id INTEGER NOT NULL, kind TEXT NOT NULL,
+            mutation_counter INTEGER NOT NULL, dim INTEGER NOT NULL,
+            nlist INTEGER NOT NULL, rows INTEGER NOT NULL,
+            centroids BLOB NOT NULL, list_sizes BLOB NOT NULL,
+            members BLOB NOT NULL, PRIMARY KEY (user_id, kind)
+        );
+        CREATE TABLE hnsw_states (
+            user_id INTEGER NOT NULL, kind TEXT NOT NULL,
+            mutation_counter INTEGER NOT NULL, rows INTEGER NOT NULL,
+            m0 INTEGER NOT NULL, levels BLOB NOT NULL,
+            neighbors BLOB NOT NULL, PRIMARY KEY (user_id, kind)
+        );"""
+    )
+    stamp, rows = conn.execute(
+        "SELECT s.mutation_counter, b.rows FROM shard_stamps s"
+        " JOIN index_shards b USING (user_id, kind)"
+        " WHERE s.user_id = ? AND s.kind = ?",
+        (user.user_id, KIND_DESC),
+    ).fetchone()
+    members = np.arange(rows, dtype=np.int64)
+    conn.execute(
+        "INSERT INTO ivf_states VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        (
+            user.user_id, KIND_DESC, stamp, DIM, 1, rows,
+            np.ones((1, DIM), np.float32).tobytes(),
+            np.array([rows], np.int64).tobytes(), members.tobytes(),
+        ),
+    )
+    conn.execute(
+        "INSERT INTO hnsw_states VALUES (?, ?, ?, ?, ?, ?, ?)",
+        (
+            user.user_id, KIND_DESC, stamp, rows, 2,
+            np.zeros(rows, np.int64).tobytes(),
+            np.full((rows, 2), -1, np.int64).tobytes(),
+        ),
+    )
+    conn.execute("PRAGMA user_version = 9")
+    conn.commit()
+    conn.close()
+
+
+def dump_without(path, tables):
+    """Every schema entry and row of the file, except ``tables``'."""
+    conn = sqlite3.connect(path)
+    lines = [
+        line for line in conn.iterdump()
+        if not any(table in line for table in tables)
+    ]
+    conn.close()
+    return lines
+
+
 def schema_of(dao):
     return {
         row[0]: row[1]
@@ -394,7 +459,7 @@ class TestMigration:
         reshape_as_v7(path)
 
         dao = SqliteDAO(path)
-        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 9
+        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 10
         # an existing file keeps its pages
         assert dao._conn.execute("PRAGMA page_size").fetchone()[0] == 4096
         schema = schema_of(dao)
@@ -424,12 +489,68 @@ class TestMigration:
         assert slab_bytes >= 10 * DIM * 4
 
         dao = SqliteDAO(path)
-        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 9
+        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 10
         slab = schema_of(dao)["index_shards"]
         assert "vectors" not in slab and "dim" not in slab
         # slab membership survived
         chain = dao.shard_chain_meta()[(alice.user_id, KIND_DESC)]
         assert (chain["rows"], chain["chainLen"]) == (10, 3)
+        self.serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
+
+    def test_v9_file_drops_its_ann_state_tables_and_attaches_fresh(
+        self, tmp_path
+    ):
+        rng = np.random.default_rng(87)
+        path = tmp_path / "registry.db"
+        alice, bob = populate(path, rng)
+        reshape_as_v9(path, alice)
+        conn = sqlite3.connect(path)
+        for table in V9_STATE_TABLES:
+            count = conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
+            assert count[0] == 1
+        conn.close()
+
+        dao = SqliteDAO(path)
+        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 10
+        assert not set(V9_STATE_TABLES) & set(schema_of(dao))
+        self.serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
+        # nothing brought them back
+        dao = SqliteDAO(path)
+        assert not set(V9_STATE_TABLES) & set(schema_of(dao))
+        dao.close()
+
+    def test_v9_to_v10_changes_nothing_but_the_state_tables(self, tmp_path):
+        rng = np.random.default_rng(88)
+        path = tmp_path / "registry.db"
+        alice, _bob = populate(path, rng)
+        reshape_as_v9(path, alice)
+        before = dump_without(path, V9_STATE_TABLES)
+        assert len(before) < len(dump_without(path, ()))
+        SqliteDAO(path).close()
+        assert dump_without(path, ()) == before
+
+    @pytest.mark.parametrize(
+        # the migration's drops commit one by one: a crash can leave a
+        # v9 file with one table or none
+        "dropped", [V9_STATE_TABLES[:1], V9_STATE_TABLES],
+        ids=["one-dropped", "both-dropped"],
+    )
+    def test_v9_migration_cut_short_completes_on_the_next_open(
+        self, tmp_path, dropped
+    ):
+        rng = np.random.default_rng(89)
+        path = tmp_path / "registry.db"
+        alice, _bob = populate(path, rng)
+        reshape_as_v9(path, alice)
+        conn = sqlite3.connect(path)
+        for table in dropped:
+            conn.execute(f"DROP TABLE {table}")
+        conn.commit()
+        conn.close()
+
+        dao = SqliteDAO(path)
+        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 10
+        assert not set(V9_STATE_TABLES) & set(schema_of(dao))
         self.serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
 
     @staticmethod

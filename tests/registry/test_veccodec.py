@@ -473,7 +473,7 @@ class TestLegacyFile:
         assert {"dim", "vectors"} <= slab_columns(path)
 
         dao = SqliteDAO(path)
-        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 9
+        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 10
         # opening rewrote no record row; the slabs' copies are gone
         assert blob_lengths(path) == legacy
         assert slab_columns(path) == {

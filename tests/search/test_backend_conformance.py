@@ -1,4 +1,4 @@
-"""Conformance suite every registered backend passes.
+"""Conformance suite every backend passes.
 
 Each case runs on the exact index and on both approximate views (IVF,
 HNSW) built through the backend registry.  Shards here hold 23 rows —
@@ -8,7 +8,7 @@ mismatch, so callers fall back to brute force), route mutations to the
 one copy of the vectors, and stay consistent under concurrent readers.
 The ``TestShardView`` cases pin what the two views share through
 ``_ShardView``: writes, persistence, dirty tracking and the query LRU
-all live in the base index.
+all live in the base index; a view's own state is in memory only.
 """
 
 import threading
@@ -291,13 +291,13 @@ class TestShardView:
             assert info == base_stats[shard]
 
     @pytest.mark.parametrize("name", VIEWS)
-    def test_small_shards_export_no_state(self, name):
+    def test_small_shards_build_no_state(self, name):
         view = create_backend(name)
         _populate([view], users=(1,))
         rids = list(range(1, ROWS + 1))
         view.search_among(1, KIND_DESC, rids, _vectors(1)[0], 3)
         assert view.exact_queries == 1 and view.approx_queries == 0
-        assert view.export_states() == {}
+        assert view._states == {}
 
     @pytest.mark.parametrize("name", VIEWS)
     def test_unknown_shard(self, name):

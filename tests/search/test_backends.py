@@ -1,4 +1,5 @@
-"""IndexBackend protocol, backend registry and the IVF-flat engine."""
+"""IndexBackend protocol, the backend table, the IVF-flat and HNSW
+engines, and what a restart does to them (nothing is restored)."""
 
 import threading
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.net.transport import Request
+from repro.registry.dao import SqliteDAO
 from repro.search import (
     KIND_DESC,
     HNSWBackend,
@@ -17,6 +20,7 @@ from repro.search import (
     build_backends,
     create_backend,
 )
+from repro.server import LaminarServer
 from tests.search.test_batcher import (
     ArrivalWatch,
     Park,
@@ -55,16 +59,21 @@ class TestRegistry:
         assert "ivf" in names
         assert "hnsw" in names
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValidationError, match="unknown index backend"):
-            create_backend("annoy-when")
+    # names match the fixed table exactly: no case folding, no aliases
+    @pytest.mark.parametrize("name", ["annoy-when", "IVF", "", "register"])
+    def test_unknown_backend_rejected(self, name):
+        with pytest.raises(
+            ValidationError, match="unknown index backend"
+        ) as caught:
+            create_backend(name)
+        assert caught.value.details == "registered backends: exact, hnsw, ivf"
 
     def test_create_by_name(self):
         exact = create_backend("exact")
         assert isinstance(exact, VectorIndex)
         ivf = create_backend("ivf", exact, nprobe=2)
         assert isinstance(ivf, IVFFlatBackend)
-        assert ivf.base is exact
+        assert ivf.base is exact and ivf.nprobe == 2
         hnsw = create_backend("hnsw", exact, m=4)
         assert isinstance(hnsw, HNSWBackend)
         assert hnsw.base is exact and hnsw.m == 4
@@ -85,11 +94,18 @@ class TestRegistry:
         assert isinstance(IVFFlatBackend(), IndexBackend)
         assert isinstance(HNSWBackend(), IndexBackend)
 
-    def test_state_store_routing_attribute(self):
-        # the service persists graph state next to (not inside) the IVF
-        # store — keyed off this attribute
-        assert HNSWBackend().state_store == "hnsw"
-        assert getattr(IVFFlatBackend(), "state_store", "ivf") == "ivf"
+    def test_the_backend_table_is_fixed(self):
+        import repro.search as search
+
+        assert backend_names() == ["exact", "hnsw", "ivf"]
+        assert "register_backend" not in search.__all__
+        assert not hasattr(search, "register_backend")
+
+    @pytest.mark.parametrize("name", ["exact", "hnsw", "ivf"])
+    def test_without_a_base_each_backend_owns_a_fresh_index(self, name):
+        one, two = create_backend(name), create_backend(name)
+        one.add("u", KIND_DESC, 1, np.ones(4, np.float32))
+        assert two.search("u", KIND_DESC, np.ones(4, np.float32))[0] == []
 
 
 class TestIVFParity:
@@ -152,6 +168,26 @@ class TestIVFParity:
             ivf_ids, _ = ivf.search_among("u", KIND_DESC, ids, q, 10)
             hits += len(set(exact_ids) & set(ivf_ids))
         assert hits / (10 * trials) >= 0.9
+
+    def test_deterministic_across_instances(self, populated):
+        """Same shard, same options -> identical lists and results (the
+        k-means seeds from evenly spaced rows, no RNG), which is what
+        lets a restarted process retrain instead of restoring."""
+        base, ids, rows, _rng = populated
+        a = IVFFlatBackend(base, nlist=16, nprobe=2)
+        b = IVFFlatBackend(base, nlist=16, nprobe=2)
+        for i in range(5):
+            q = rows[i * 31] / np.linalg.norm(rows[i * 31])
+            got_a = a.search_among("u", KIND_DESC, ids, q, 10)
+            got_b = b.search_among("u", KIND_DESC, ids, q, 10)
+            assert got_a[0] == got_b[0]
+            assert np.array_equal(got_a[1], got_b[1])
+        state_a, state_b = a._states[("u", KIND_DESC)], b._states[("u", KIND_DESC)]
+        assert state_a.centroids.tobytes() == state_b.centroids.tobytes()
+        assert [m.tolist() for m in state_a.lists] == [
+            m.tolist() for m in state_b.lists
+        ]
+        assert a.approx_queries == b.approx_queries == 5
 
 
 class TestIVFMaintenance:
@@ -477,43 +513,158 @@ class TestHNSWMaintenance:
         assert 0 < info["hnswEntries"] < 400
 
 
-class TestHNSWStateRoundTrip:
-    def test_export_adopt_round_trip(self, populated):
-        base, ids, rows, _rng = populated
-        hnsw = HNSWBackend(base, m=8, m0=16, ef_search=4)
-        hnsw.search_among("u", KIND_DESC, ids, rows[0], 5)
-        assert hnsw.builds == 1
-        states = hnsw.export_states()
-        assert ("u", KIND_DESC) in states
-        fresh = HNSWBackend(base, m=8, m0=16, ef_search=4)
-        assert fresh.adopt_states(states) == 1
-        got = fresh.search_among("u", KIND_DESC, ids, rows[0], 5)
-        want = hnsw.search_among("u", KIND_DESC, ids, rows[0], 5)
-        assert got[0] == want[0] and np.array_equal(got[1], want[1])
-        assert fresh.builds == 0  # the adopted graph served directly
+#: small enough that 40 PEs train real lists / build a real graph
+RESTART_OPTIONS = {
+    "ivf": {"nlist": 4, "nprobe": 1, "min_train_rows": 8},
+    "hnsw": {"m": 4, "m0": 8, "min_build_rows": 8},
+}
+#: each engine's count of lists trained / graphs built
+BUILDS = {"ivf": "trainings", "hnsw": "builds"}
+ENGINES = ["ivf", "hnsw"]
 
-    def test_adopt_rejects_malformed_state(self, populated):
-        base, ids, rows, _rng = populated
-        hnsw = HNSWBackend(base, m=8, m0=16, ef_search=4)
-        hnsw.search_among("u", KIND_DESC, ids, rows[0], 5)
-        (levels, neighbors), = hnsw.export_states().values()
-        fresh = HNSWBackend(base, m=8, m0=16)
-        bad_rows = neighbors.copy()
-        bad_rows[0, 0] = 400  # out of range for the 400-row slab
-        assert (
-            fresh.adopt_states({("u", KIND_DESC): (levels[:-1], neighbors)})
-            == 0
-        )
-        assert (
-            fresh.adopt_states({("u", KIND_DESC): (levels, bad_rows)}) == 0
-        )
 
-    def test_stale_export_omitted_after_mutation(self, populated):
-        base, ids, rows, _rng = populated
-        hnsw = HNSWBackend(base, m=8, ef_search=4)
-        hnsw.search_among("u", KIND_DESC, ids, rows[0], 5)
-        base.add("u", KIND_DESC, 999, np.ones(32, np.float32))
-        assert hnsw.export_states() == {}
+def _serve(path, fast_bundle):
+    return LaminarServer(
+        dao=SqliteDAO(path), models=fast_bundle, backend_options=RESTART_OPTIONS
+    )
+
+
+def _login(server, user="s", register=False):
+    credentials = {"userName": user, "password": "p"}
+    if register:
+        server.dispatch(Request("POST", "/auth/register", credentials))
+    return server.dispatch(Request("POST", "/auth/login", credentials)).body[
+        "token"
+    ]
+
+
+def _bulk(server, token, user, count):
+    items = [
+        {"peName": f"{user}{i}", "peCode": f"def {user}{i}(): return {i}",
+         "description": f"restart element {i}"}
+        for i in range(count)
+    ]
+    reply = server.dispatch(
+        Request(
+            "POST", f"/v1/registry/{user}/pes:bulk", {"items": items},
+            token=token,
+        )
+    )
+    assert reply.status == 201
+
+
+def _search(server, token, engine, query_type="semantic"):
+    body = {
+        "query": "restart element 7", "queryType": query_type,
+        "kind": "pe", "k": 3, "backend": engine,
+    }
+    reply = server.dispatch(
+        Request("POST", "/v1/registry/s/search", body, token=token)
+    )
+    assert reply.status == 200
+    assert reply.body["hits"]
+    return reply.body["hits"]
+
+
+def _layout(state):
+    """The bytes of a trained IVF state or a built HNSW graph."""
+    if hasattr(state, "centroids"):
+        return [state.centroids.tobytes()] + [
+            members.tobytes() for members in state.lists
+        ]
+    return [state.levels.tobytes(), state.neighbors.tobytes()]
+
+
+@pytest.fixture()
+def served_file(tmp_path, fast_bundle):
+    """A file registry a server wrote and then shut down.
+
+    User ``s`` holds 40 PEs, and both engines served one search over
+    their descriptions; then user ``t`` bulk-registered (a write that
+    leaves ``s``'s shards untouched and flushes the index).  Returns the
+    path, each engine's hits and each engine's state as it stood.
+    """
+    path = tmp_path / "server.db"
+    server = _serve(path, fast_bundle)
+    token = _login(server, register=True)
+    _bulk(server, token, "s", 40)
+    hits = {engine: _search(server, token, engine) for engine in ENGINES}
+    states = {
+        engine: _layout(next(iter(server.backends[engine]._states.values())))
+        for engine in ENGINES
+    }
+    _bulk(server, _login(server, "t", register=True), "t", 3)
+    server.registry.dao.close()
+    return path, hits, states
+
+
+class TestRestart:
+    """Approximate engines keep no durable state: a restarted server
+    restores nothing, rebuilds a shard's lists or graph on that shard's
+    first ANN query, and — training being deterministic — serves the
+    hits the server before it served."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_restarted_server_serves_the_same_hits(
+        self, engine, served_file, fast_bundle
+    ):
+        path, hits, _states = served_file
+        restarted = _serve(path, fast_bundle)
+        assert _search(restarted, _login(restarted), engine) == hits[engine]
+        backend = restarted.backends[engine]
+        assert getattr(backend, BUILDS[engine]) == 1
+        assert backend.approx_queries == 1
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_start_builds_nothing(self, engine, served_file, fast_bundle):
+        server = _serve(served_file[0], fast_bundle)
+        backend = server.backends[engine]
+        assert getattr(backend, BUILDS[engine]) == 0
+        assert backend._states == {}
+        assert server.registry.dao.shard_stamps()  # the exact index did load
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_each_shard_builds_on_its_own_first_query(
+        self, engine, served_file, fast_bundle
+    ):
+        server = _serve(served_file[0], fast_bundle)
+        token = _login(server)
+        backend = server.backends[engine]
+        _search(server, token, engine)  # the PE description shard
+        assert getattr(backend, BUILDS[engine]) == 1
+        _search(server, token, engine, query_type="code")  # the code shard
+        assert getattr(backend, BUILDS[engine]) == 2
+        _search(server, token, engine)
+        _search(server, token, engine, query_type="code")
+        assert getattr(backend, BUILDS[engine]) == 2
+        user_id = server.registry.get_user("s").user_id
+        assert set(backend._states) == {(user_id, "desc"), (user_id, "code")}
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_rebuilt_state_equals_the_state_before_restart(
+        self, engine, served_file, fast_bundle
+    ):
+        path, _hits, states = served_file
+        server = _serve(path, fast_bundle)
+        _search(server, _login(server), engine)
+        (state,) = server.backends[engine]._states.values()
+        assert _layout(state) == states[engine]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_ann_search_and_persist_write_nothing(
+        self, engine, served_file, fast_bundle
+    ):
+        server = _serve(served_file[0], fast_bundle)
+        conn = server.registry.dao._conn
+        tables = conn.execute("SELECT name FROM sqlite_master").fetchall()
+        changes = conn.total_changes
+        _search(server, _login(server), engine)
+        assert getattr(server.backends[engine], BUILDS[engine]) == 1
+        assert server.registry.persist_shards() is True
+        assert conn.total_changes == changes
+        assert conn.execute("SELECT name FROM sqlite_master").fetchall() == (
+            tables
+        )
 
 
 class TestHNSWBatchServing:

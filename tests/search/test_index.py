@@ -168,22 +168,6 @@ class TestSearch:
         _, scores = index.search("u", KIND_DESC, unit(rng), k=10)
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
 
-    def test_batch_matches_single_queries(self, rng):
-        index = VectorIndex()
-        for rid in range(40):
-            index.add("u", KIND_DESC, rid, unit(rng))
-        queries = np.stack([unit(rng) for _ in range(5)])
-        batched = index.search_batch("u", KIND_DESC, queries, k=7)
-        for q, (ids, scores) in zip(queries, batched):
-            solo_ids, solo_scores = index.search("u", KIND_DESC, q, k=7)
-            assert ids == solo_ids
-            np.testing.assert_allclose(scores, solo_scores, atol=1e-6)
-
-    def test_batch_on_empty_index(self, rng):
-        index = VectorIndex()
-        out = index.search_batch("u", KIND_DESC, np.stack([unit(rng)] * 3), k=2)
-        assert [ids for ids, _ in out] == [[], [], []]
-
 
 class TestSearchAmong:
     """The membership-verified fast path the searchers use."""
@@ -228,6 +212,17 @@ class TestSearchAmong:
     def test_missing_shard_returns_none(self, rng):
         index = VectorIndex()
         assert index.search_among("u", KIND_DESC, [1], unit(rng)) is None
+
+    def test_batch_on_a_missing_shard_returns_none(self, rng):
+        # even for an empty candidate list: the caller's brute force over
+        # its (empty) owned set is the answer, not a page per query
+        index = VectorIndex()
+        queries = [unit(rng)] * 3
+        for rids in ([], [1]):
+            assert (
+                index.search_among_many("u", KIND_DESC, rids, queries, [2] * 3)
+                is None
+            )
 
     def test_stale_after_remove_returns_none(self, rng):
         index, _ = self._index(rng)

@@ -103,14 +103,25 @@ class TestConcurrentHammer:
                 step += 1
 
         def query():
-            queries = np.stack([vector_for(5000 + i) for i in range(4)])
+            queries = [vector_for(5000 + i) for i in range(4)]
             while not stop.is_set():
                 try:
-                    for ids, scores in index.search_batch(
-                        USER, KIND_DESC, queries, k=5
-                    ):
+                    # the churn may move the shard between the snapshot
+                    # and the batch: then the batch must refuse (None),
+                    # never rank a shard other than the one verified
+                    rids = index.ids(USER, KIND_DESC)
+                    batch = index.search_among_many(
+                        USER, KIND_DESC, rids, queries, [5] * len(queries)
+                    )
+                    for qvec, (ids, scores) in zip(queries, batch or []):
                         if len(ids) != len(scores):
                             errors.append("ragged batch result")
+                        if not set(ids) <= set(rids):
+                            errors.append(f"unverified ids {ids}")
+                        for got_id, got_score in zip(ids, scores):
+                            expected = float(vector_for(got_id) @ qvec)
+                            if abs(expected - float(got_score)) > 1e-5:
+                                errors.append(f"torn row for id {got_id}")
                 except Exception as exc:
                     errors.append(f"{type(exc).__name__}: {exc}")
                     return
