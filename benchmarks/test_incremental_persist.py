@@ -1,6 +1,6 @@
 """Incremental shard persistence: journal bytes, O(delta) warm attach.
 
-Three measurements for the v6 persistence plane, emitted as the
+Two measurements for the v6 persistence plane, emitted as the
 ``BENCH_incremental_persist.json`` trajectory point:
 
 * **Bytes written per mutation** — K scattered single-record writes
@@ -16,10 +16,6 @@ Three measurements for the v6 persistence plane, emitted as the
   other slab from its delta chain (zero ``all_pes()`` calls, per-owner
   row scans for exactly the stale tenants) and still match the
   O(corpus) rebuild bitwise.
-* **Insert-time HNSW builds** — pure appends extend the small-world
-  graph in place instead of rebuilding it; the extended graph must
-  rank bitwise-identically to a from-scratch build over the grown
-  shard.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import numpy as np
 from repro.registry.dao import SqliteDAO
 from repro.registry.entities import PERecord
 from repro.registry.service import RegistryService
-from repro.search import KIND_DESC, HNSWBackend, VectorIndex
+from repro.search import VectorIndex
 
 TENANTS = 10
 PER_TENANT = 500  # N = 5000 records across the tenants
@@ -41,12 +37,6 @@ K_ADDS = 700  # scattered journaled writes (round-robin over tenants)
 K_REMOVES = 60
 FOREIGN_TENANTS = 2
 FOREIGN_ROWS = 5  # rows landing on each stale tenant's shards
-
-HNSW_N = 3000
-HNSW_DIM = 64
-HNSW_APPENDS = 32
-HNSW_QUERIES = 8
-HNSW_K = 10
 
 
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -163,7 +153,7 @@ def test_incremental_persist(tmp_path, record, out_dir):
     # whole-snapshot write per mutation
     snapshot_bytes = sum(
         ids.nbytes + matrix.nbytes
-        for ids, matrix in service.index.snapshot().values()
+        for ids, matrix in service.index.export_shards().values()
     )
     improvement_x = snapshot_bytes / incremental_per_mut
 
@@ -213,47 +203,6 @@ def test_incremental_persist(tmp_path, record, out_dir):
         assert np.array_equal(got[key][1], want[key][1])
     cold.dao.close()
 
-    # -- insert-time HNSW: extend in place vs rebuild per append ---------
-    hindex = VectorIndex()
-    hindex.add_many(
-        "u", KIND_DESC, list(range(HNSW_N)), _unit_rows(rng, HNSW_N, HNSW_DIM)
-    )
-    queries = _unit_rows(rng, HNSW_QUERIES, HNSW_DIM)
-    extended = HNSWBackend(hindex, rebuild_fraction=0.0)
-    ids_all = list(range(HNSW_N))
-    t0 = time.perf_counter()
-    extended.search_among("u", KIND_DESC, ids_all, queries[0], HNSW_K)
-    build_seconds = time.perf_counter() - t0
-    assert extended.builds == 1
-    tail = _unit_rows(rng, HNSW_APPENDS, HNSW_DIM)
-    t0 = time.perf_counter()
-    for j in range(HNSW_APPENDS):
-        extended.add("u", KIND_DESC, HNSW_N + j, tail[j])
-        ids_all.append(HNSW_N + j)
-        extended.search_among(
-            "u", KIND_DESC, ids_all, queries[j % HNSW_QUERIES], HNSW_K
-        )
-    extend_seconds = time.perf_counter() - t0
-    assert extended.builds == 1  # never rebuilt
-    assert extended.extends == HNSW_APPENDS
-
-    rebuilt = HNSWBackend(hindex, rebuild_fraction=0.0)
-    t0 = time.perf_counter()
-    rebuilt.search_among("u", KIND_DESC, ids_all, queries[0], HNSW_K)
-    rebuild_seconds = time.perf_counter() - t0
-    assert rebuilt.builds == 1
-    for q in queries:
-        got_ids, got_scores = extended.search_among(
-            "u", KIND_DESC, ids_all, q, HNSW_K
-        )
-        want_ids, want_scores = rebuilt.search_among(
-            "u", KIND_DESC, ids_all, q, HNSW_K
-        )
-        assert got_ids == want_ids
-        assert np.array_equal(got_scores, want_scores)
-    # the old world rebuilt the graph once per insert
-    hnsw_x = (HNSW_APPENDS * rebuild_seconds) / extend_seconds
-
     payload = {
         "benchmark": "incremental_persist",
         "config": {
@@ -283,16 +232,6 @@ def test_incremental_persist(tmp_path, record, out_dir):
             "rebuilt_tenants": len(stale_tenants),
             "bitwise_identical": True,
         },
-        "hnsw_insert": {
-            "shard_rows": HNSW_N,
-            "dim": HNSW_DIM,
-            "appends": HNSW_APPENDS,
-            "build_seconds": round(build_seconds, 4),
-            "extend_total_seconds": round(extend_seconds, 4),
-            "rebuild_each_seconds": round(rebuild_seconds, 4),
-            "speedup_x": round(hnsw_x, 1),
-            "bitwise_identical_to_rebuild": True,
-        },
     }
     (out_dir / "BENCH_incremental_persist.json").write_text(
         json.dumps(payload, indent=2) + "\n"
@@ -315,13 +254,6 @@ def test_incremental_persist(tmp_path, record, out_dir):
                 f"{'delta replay + per-owner rebuild':<34}"
                 f"{warm_seconds * 1000:>9.1f} ms"
                 f"   {attach_x:.1f}x, 0 all_pes() calls",
-                "",
-                f"HNSW insert-time builds  (shard={HNSW_N}, "
-                f"{HNSW_APPENDS} appends)",
-                f"{'rebuild per insert':<34}"
-                f"{HNSW_APPENDS * rebuild_seconds * 1000:>9.1f} ms",
-                f"{'extend in place':<34}{extend_seconds * 1000:>9.1f} ms"
-                f"   {hnsw_x:.1f}x, bitwise = rebuild",
             ]
         ),
     )

@@ -42,9 +42,9 @@ RPR003  Every DAO method whose SQL writes the ``pes``/``workflows``
         shards and appends their journal rows in the mutation's
         transaction — and neither it nor anyone else stamps or
         journals around that helper.  The counter/stamp pair is the
-        freshness authority for persisted slabs and journals (since
-        schema v10 IVF/HNSW state is not persisted); an
-        unstamped write makes stale persistence
+        freshness authority for persisted slabs and journals, the
+        only persisted index state; an unstamped write makes stale
+        persistence
         load as fresh, a stamp without its journal row a fresh shard
         load stale.  (RPR004, which kept the service's journal calls
         after its index mutations, went with those calls: the DAO

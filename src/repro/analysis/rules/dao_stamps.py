@@ -3,8 +3,8 @@ stamps + journals the changed shards through the one helper.
 
 Invariant (PRs 3/8, ``repro/registry/dao.py``): the registry mutation
 counter is the freshness authority for every persisted artifact (index
-slabs and delta journals — since schema v10 the approximate engines
-persist nothing), and since schema v6
+slabs and delta journals, the only index state on disk), and since
+schema v6
 each mutation must *also* stamp exactly the ``(user, kind)`` shards it
 changed — an unbumped or unstamped write makes a stale slab load as
 fresh on the next attach, silently serving deleted or missing rows.

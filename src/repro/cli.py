@@ -86,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-k", "--k", dest="k", type=int, default=None, help="max results"
     )
     search.add_argument(
-        "--backend", default="exact",
-        help="index backend name (see `repro endpoints` /v1/backends; "
-        "'exact' is the reference, 'ivf' the approximate IVF-flat "
-        "engine, 'hnsw' the graph-navigation engine)",
-    )
-    search.add_argument(
         "--limit", type=int, default=None,
         help="page size over the ranked hits (v1 cursor pagination)",
     )
@@ -391,10 +385,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     loads the vector index from the stored embeddings at startup and the
     query is served from the per-user shards, exactly like ``serve``.
     The request travels through ``POST /v1/registry/{user}/search`` —
-    backend selection (``--backend``), top-k (``--k``) and cursor
-    pagination (``--limit``/``--cursor``) are v1 envelope fields, and
-    ``--json`` prints the :class:`~repro.server.schema.SearchResponse`
-    envelope verbatim for scripting.
+    top-k (``--k``) and cursor pagination (``--limit``/``--cursor``)
+    are v1 envelope fields, and ``--json`` prints the
+    :class:`~repro.server.schema.SearchResponse` envelope verbatim for
+    scripting.
     """
     import json as _json
 
@@ -426,7 +420,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         "query": args.query,
         "kind": args.search_type,
         "queryType": args.query_type,
-        "backend": args.backend,
     }
     if args.k is not None:
         body["k"] = args.k
@@ -865,12 +858,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
     if args.shards:
         from repro.registry.service import RegistryService
-        from repro.search.backend import create_backend
+        from repro.search.index import VectorIndex
 
         service = RegistryService(dao)
-        # reporting must not write to the registry unless asked to;
-        # backends are selected by name, never constructed directly
-        mode = service.attach_index(create_backend("exact"), persist=False)
+        # reporting must not write to the registry unless asked to
+        mode = service.attach_index(VectorIndex(), persist=False)
         shards = service.index.stats()
         print(f"index: {len(shards)} shard(s)  (attach: {mode})")
         for key, info in sorted(shards.items()):

@@ -1,8 +1,8 @@
 """Background jobs — the server's asynchronous work plane.
 
 The serving stack answers searches in milliseconds, but some work units
-are minutes long: ingesting a whole repository, re-training an ANN
-backend, executing a registered workflow.  Running those inline would
+are minutes long: ingesting a whole repository, executing a registered
+workflow.  Running those inline would
 hold an HTTP connection (and, worse, tempt callers into holding the
 write lock) for the duration.  This package gives the server one
 general mechanism instead — *A Prototype of Serverless Lucene* draws

@@ -496,8 +496,8 @@ CREATE TABLE IF NOT EXISTS index_deltas (
 #: v9 dropped ``index_shards.vectors``/``dim``: a base slab is ids only,
 #: as the journal has been since v8, so a vector is stored in one place,
 #: its record row — older code cannot read a v9 slab; v10 dropped the
-#: IVF and HNSW state tables: approximate engines keep no durable state
-#: and rebuild each shard's lists or graph on its first ANN query.
+#: IVF and HNSW state tables of the approximate engines, since deleted
+#: (the exact index is the only ranking engine).
 _SCHEMA_VERSION = 10
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
@@ -575,7 +575,7 @@ class SqliteDAO:
         (see ``_SCHEMA_VERSION``); v7 -> v8 reshapes the journal in
         place (:meth:`_migrate_journal`); v8 -> v9 drops the base slabs'
         vectors (:meth:`_migrate_slabs`); v9 -> v10 only drops the IVF
-        and HNSW state tables (approximate engines rebuild in memory).
+        and HNSW state tables (those engines are gone).
         """
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         if version >= _SCHEMA_VERSION:
@@ -671,7 +671,7 @@ class SqliteDAO:
         if version < 9:
             self._migrate_journal()
             self._migrate_slabs()
-        # v10: approximate engines keep no durable state
+        # v10: drop the deleted approximate engines' state tables
         for engine in ("ivf", "hnsw"):
             self._conn.execute(f"DROP TABLE IF EXISTS {engine}_states")
         self._conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")

@@ -32,7 +32,7 @@ from repro.registry.entities import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.search.backend import IndexBackend
+    from repro.search.index import VectorIndex
 
 #: a shard's journal is folded into its base slab once the rows
 #: journaled since the last fold reach ``max(_FOLD_FLOOR, base rows)``:
@@ -55,7 +55,7 @@ class RegistryService:
     """
 
     def __init__(
-        self, dao: SqliteDAO, index: "IndexBackend | None" = None
+        self, dao: SqliteDAO, index: "VectorIndex | None" = None
     ) -> None:
         self.dao = dao
         self.index = None
@@ -89,11 +89,10 @@ class RegistryService:
     # Search-index maintenance
     # ------------------------------------------------------------------
     def attach_index(
-        self, index: "IndexBackend", *, persist: bool = True
+        self, index: "VectorIndex", *, persist: bool = True
     ) -> str:
-        """Adopt ``index`` (any backend — select by name via
-        :func:`repro.search.backend.create_backend`) and populate it;
-        returns ``"fresh"``, ``"partial"`` or ``"rebuilt"``.
+        """Adopt ``index`` and populate it; returns ``"fresh"``,
+        ``"partial"`` or ``"rebuilt"``.
 
         Cold start, per shard: every persisted base slab (the shard's
         ids at its last fold) is replayed through its delta journal
@@ -180,14 +179,12 @@ class RegistryService:
                 {key: ids for key, (ids, _matrix) in rebuilt.items()}, counter
             )
         if persist:
-            consume = getattr(index, "consume_dirty", None)
-            if consume is not None:
-                consume()
+            index.consume_dirty()
         if not stale:
             return "fresh"
         return "partial" if fresh else "rebuilt"
 
-    def _rebuild_full(self, index: "IndexBackend") -> None:
+    def _rebuild_full(self, index: "VectorIndex") -> None:
         """Legacy O(corpus) rebuild: one pass over every record."""
         from repro.search.index import KIND_CODE, KIND_DESC, KIND_WORKFLOW
 
@@ -282,7 +279,7 @@ class RegistryService:
         deltas and max-raises the stamp, so a post-check racing write
         still leaves the shard stale rather than wrongly fresh.
         """
-        if self.index is None or not hasattr(self.index, "consume_dirty"):
+        if self.index is None:
             return False
         stamp = self._index_counter
         if self.dao.mutation_counter() != stamp:
@@ -296,23 +293,20 @@ class RegistryService:
 
     def _save_full_snapshot(self) -> bool:
         """Wholesale snapshot save — the truth assertion used after a
-        full rebuild and for backends without dirty-shard tracking
-        (which offer ``snapshot()`` and nothing cheaper to list their
-        shards by; only the ids are kept)."""
+        full rebuild (only the ids are kept)."""
         stamp = self._index_counter
         if self.dao.mutation_counter() != stamp:
             return False
         shards = {
-            key: ids for key, (ids, _matrix) in self.index.snapshot().items()
+            key: ids
+            for key, (ids, _matrix) in self.index.export_shards().items()
         }
         if self.dao.mutation_counter() != stamp:
             return False
         self.dao.save_index_shards(shards, stamp)
         self._chains.clear()  # the wholesale save dropped every journal
         self._rebase_chains(shards)
-        consume = getattr(self.index, "consume_dirty", None)
-        if consume is not None:
-            consume()
+        self.index.consume_dirty()
         return True
 
     def persist_shards(self) -> bool:
@@ -325,19 +319,15 @@ class RegistryService:
         unfolded, and this call at the end of the job folds it, off the
         request path, so a restart replays a bounded chain.  Shards the
         journal does not cover (stale: stamped by a writer that could
-        not journal them) are upserted individually; backends
-        without dirty-shard tracking fall back to the wholesale
-        snapshot.  The export is stamped with the counter the index is
-        *known* to reflect — never a fresh counter read, which could
-        cover a foreign process's write this index never saw — and
-        skipped when the DAO's counter disagrees before or after the
-        export.  Returns whether the persisted state is consistent at
-        that stamp.
+        not journal them) are upserted individually.  The export is
+        stamped with the counter the index is *known* to reflect —
+        never a fresh counter read, which could cover a foreign
+        process's write this index never saw — and skipped when the
+        DAO's counter disagrees before or after the export.  Returns
+        whether the persisted state is consistent at that stamp.
         """
         if self.index is None:
             return False
-        if getattr(self.index, "dirty_keys", None) is None:
-            return self._save_full_snapshot()
         stamp = self._index_counter
         if self.dao.mutation_counter() != stamp:
             return False

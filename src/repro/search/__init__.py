@@ -41,7 +41,8 @@ Quick tour::
 
 Key properties:
 
-* **Incremental** — ``add``/``remove``/``update`` are keyed by record id;
+* **Incremental** — ``add``/``remove`` are keyed by record id (``add``
+  of a present id updates it in place);
   insertion and removal shift at most the row tail, so registry
   mutations never trigger a rebuild.
 * **Exact** — indexed and brute-force paths return identical ids and
@@ -145,41 +146,15 @@ their own owner's rows.  The invariants:
   live index's layout, so warm-started searches equal cold-rebuilt
   ones byte for byte.
 
-Approximate backends keep no durable state.  IVF lists and HNSW graphs
-are derived from the exact index's shards, deterministically, on the
-first approximate query that needs them — after a restart exactly as
-after ``retrain_fraction`` writes — so a restarted server trains each
-shard once, on its first ANN query, and serves the hits the process
-before it served.  ``HNSWBackend`` extends its graph in place on pure
-appends — new rows route and link into the existing adjacency,
-provably identical to a full rebuild for untied similarities — instead
-of rebuilding per mutation.  ``benchmarks/test_ann_recall.py`` records
-each engine's first-query time on a freshly attached index, and
-``benchmarks/test_incremental_persist.py`` the
+``benchmarks/test_incremental_persist.py`` records the
 bytes-written-per-mutation and warm-attach gains.
 
-Index backends
-==============
+One ranking engine
+==================
 
-:mod:`repro.search.backend` separates the query API from the ranking
-engine behind it: the :class:`~repro.search.backend.IndexBackend`
-protocol (``add_many``/``remove``/``search_among_many``/``snapshot`` …)
-is what the serving layer programs against, ``VectorIndex`` is the
-exact reference implementation, and
-:class:`~repro.search.backend.IVFFlatBackend` (name ``"ivf"``) is the
-first approximate engine — IVF-flat lists over the *same* shards,
-probing ``nprobe`` clusters and re-ranking candidates with the exact
-dot product.  The three engines sit in a fixed table and are selected
-**by name** via :func:`~repro.search.backend.create_backend` /
-:func:`~repro.search.backend.build_backends` (the v1 API exposes the
-choice per request as ``SearchRequest.backend``), and
-``benchmarks/test_ann_recall.py`` tracks the recall-vs-QPS trade.
-:class:`~repro.search.backend.HNSWBackend` (name ``"hnsw"``) is the
-second approximate engine — a deterministically built small-world
-graph over the same shards: an entry layer (a hashed ~1/m row sample)
-routes each query, the entries' precomputed exact ``m0``-NN adjacency
-expands it, and every candidate is scored with a true dot product, so
-results stay a subset of the exact ranking in the exact order.
+``VectorIndex`` is the only ranking engine: every search is the exact
+scan, and ``SearchRequest.backend`` accepts ``"exact"`` alone (see the
+``VectorIndex`` docstring for why there is no approximate engine).
 
 Indexed text ranking and hybrid fusion
 ======================================
@@ -205,14 +180,6 @@ hybrid pages are bitwise stable across repeats.
 from repro.search.text_search import TextMatch, text_search_pes, text_search_workflows
 from repro.search.semantic import SemanticHit, SemanticSearcher, WorkflowSemanticHit
 from repro.search.code_search import CodeHit, CodeSearcher
-from repro.search.backend import (
-    HNSWBackend,
-    IVFFlatBackend,
-    IndexBackend,
-    backend_names,
-    build_backends,
-    create_backend,
-)
 from repro.search.fusion import RRF_K, rrf_fuse
 from repro.search.index import (
     KIND_CODE,
@@ -224,14 +191,8 @@ from repro.search.index import (
 from repro.search.serving import SearchBatcher
 
 __all__ = [
-    "IndexBackend",
-    "HNSWBackend",
-    "IVFFlatBackend",
     "RRF_K",
     "rrf_fuse",
-    "backend_names",
-    "build_backends",
-    "create_backend",
     "SearchBatcher",
     "TextMatch",
     "text_search_pes",

@@ -25,8 +25,7 @@ from repro.ml.embedding import EmbeddingModel
 from repro.ml.models import ReACCRetriever
 from repro.ml.similarity import cosine_similarity_matrix
 from repro.registry.entities import PERecord
-from repro.search.backend import IndexBackend
-from repro.search.index import KIND_CODE
+from repro.search.index import KIND_CODE, VectorIndex
 from repro.search.serving import OwnedIds, SearchBatcher
 
 
@@ -119,7 +118,7 @@ class CodeSearcher:
         self,
         code_query: str,
         *,
-        index: IndexBackend,
+        index: VectorIndex,
         user: Hashable,
         owned_ids: OwnedIds,
         resolve: Callable[[list[int]], Sequence[PERecord]],

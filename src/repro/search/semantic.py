@@ -27,8 +27,7 @@ from repro.ml.embedding import EmbeddingModel
 from repro.ml.models import UnixCoderCodeSearch
 from repro.ml.similarity import cosine_similarity_matrix
 from repro.registry.entities import PERecord, WorkflowRecord
-from repro.search.backend import IndexBackend
-from repro.search.index import KIND_DESC, KIND_WORKFLOW
+from repro.search.index import KIND_DESC, KIND_WORKFLOW, VectorIndex
 from repro.search.serving import OwnedIds, SearchBatcher
 
 
@@ -121,7 +120,7 @@ class SemanticSearcher:
         self,
         query: str,
         *,
-        index: IndexBackend,
+        index: VectorIndex,
         user: Hashable,
         owned_ids: OwnedIds,
         resolve: Callable[[list[int]], Sequence[PERecord]],
@@ -163,7 +162,7 @@ class SemanticSearcher:
         self,
         query: str,
         *,
-        index: IndexBackend,
+        index: VectorIndex,
         user: Hashable,
         owned_ids: OwnedIds,
         resolve: Callable[[list[int]], Sequence[WorkflowRecord]],

@@ -1,9 +1,9 @@
 """The one dispatch path from an embedding search to the index.
 
-Every semantic, workflow and code search reaches its index backend
-through :meth:`SearchBatcher.submit`, which batches by **group commit**:
+Every semantic, workflow and code search reaches its index through
+:meth:`SearchBatcher.submit`, which batches by **group commit**:
 
-* a request whose ``(backend, user, kind)`` key has no flush running
+* a request whose ``(user, kind)`` key has no flush running
   flushes at once — a lone request is a batch of one and waits for
   nothing;
 * requests that arrive while that flush runs queue up behind it;
@@ -40,7 +40,7 @@ from typing import Callable, Hashable, Sequence, TypeVar
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.search.backend import IndexBackend
+from repro.search.index import VectorIndex
 
 R = TypeVar("R")  # record type
 H = TypeVar("H")  # hit type
@@ -126,9 +126,7 @@ class SearchBatcher:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         #: keys with a flush running -> the requests queued behind it
-        self._queues: dict[
-            tuple[int, Hashable, str], list[_BatchRequest]
-        ] = {}
+        self._queues: dict[tuple[Hashable, str], list[_BatchRequest]] = {}
         # counters for `repro stats` and the benchmarks
         self.requests_total = 0
         self.batches_total = 0
@@ -142,7 +140,7 @@ class SearchBatcher:
     def submit(
         self,
         *,
-        index: IndexBackend,
+        index: VectorIndex,
         user: Hashable,
         kind: str,
         owned_ids: OwnedIds,
@@ -191,9 +189,7 @@ class SearchBatcher:
             embed_text,
             embed_many,
         )
-        # different backends over the same shards must never share a
-        # flush: the leader's index serves the whole batch
-        key = (id(index), user, kind)
+        key = (user, kind)
         with self._lock:
             self.requests_total += 1
             queue = self._queues.get(key)
@@ -217,10 +213,10 @@ class SearchBatcher:
     # ------------------------------------------------------------------
     def _lead(
         self,
-        index: IndexBackend,
+        index: VectorIndex,
         user: Hashable,
         kind: str,
-        key: tuple[int, Hashable, str],
+        key: tuple[Hashable, str],
         batch: list[_BatchRequest],
     ) -> None:
         """Flush ``batch``, publish it, and hand the lead to the oldest
@@ -246,7 +242,7 @@ class SearchBatcher:
 
     # ------------------------------------------------------------------
     def _resolve_query_vectors(
-        self, index: IndexBackend, requests: list[_BatchRequest]
+        self, index: VectorIndex, requests: list[_BatchRequest]
     ) -> list[_BatchRequest]:
         """Populate ``request.qvec`` for the whole batch; returns the
         requests that have one (embedding failures carry their error).
@@ -257,13 +253,13 @@ class SearchBatcher:
         row-independent, so batch-embedded vectors are bitwise equal to
         embedding each text alone.
         """
-        cache = getattr(index, "query_cache", None)
+        cache = index.query_cache
         live: list[_BatchRequest] = []
         grouped: dict[
             Hashable, tuple[EmbedMany, dict[Hashable, list[_BatchRequest]]]
         ] = {}
         for request in requests:
-            if request.qvec is None and cache is not None:
+            if request.qvec is None:
                 request.qvec = cache.get(request.embed_key)
             if request.qvec is not None:
                 live.append(request)
@@ -301,7 +297,7 @@ class SearchBatcher:
                     self.batch_embeds += 1
                     self.batch_embedded_queries += len(texts)
             for key, row in zip(keys, matrix):
-                vec = cache.put(key, row) if cache is not None else row
+                vec = cache.put(key, row)
                 for request in by_key[key]:
                     request.qvec = vec
                     live.append(request)
@@ -310,7 +306,7 @@ class SearchBatcher:
     # ------------------------------------------------------------------
     def _flush(
         self,
-        index: IndexBackend,
+        index: VectorIndex,
         user: Hashable,
         kind: str,
         requests: list[_BatchRequest],

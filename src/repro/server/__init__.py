@@ -21,7 +21,7 @@ scaling with the *result*, not the corpus::
                   │  parse queryType/k, authenticate
                   ▼
             SearchBatcher.submit          (repro.search.serving)
-                  │  group commit per (backend, user, kind): an idle
+                  │  group commit per (user, kind): an idle
                   │  shard flushes at once; requests arriving while a
                   │  flush runs share the next one — no window
                   ▼
@@ -60,9 +60,7 @@ the persistence plane holds membership and freshness only: the
 registry's record rows are the one copy of every vector.  Only shards
 that are stale (a stamp the journal never saw — a writer that bypassed
 the DAO), torn, or corrupt rebuild, each from its own owner's rows.
-One tenant's write never invalidates another tenant's slab.  The
-approximate engines (``ivf``, ``hnsw``) restore nothing: each shard's
-lists or graph are trained on its first ANN query after start.
+One tenant's write never invalidates another tenant's slab.
 
 Process start: ``repro serve`` imports what registry and search
 requests use — NumPy, SQLite, the models, the asyncio front end — and
@@ -148,11 +146,9 @@ v9   Base slabs go ids-only: ``index_shards`` loses ``vectors`` and
      start).  **Older code cannot read a v9 slab.**  The file does not
      shrink on migration; the freed pages are reused by later writes.
 v10  The IVF and HNSW state tables are dropped, rows and all; that is
-     the migration's only step.  Approximate engines keep no durable
-     state: after a restart each shard's lists or graph are rebuilt
-     in memory on its first ANN query, deterministically, so results
-     equal those before the restart.  ``shard_stamps`` now vouches for
-     base slabs and the journal only.
+     the migration's only step (the approximate engines that used them
+     are gone).  ``shard_stamps`` now vouches for base slabs and the
+     journal only.
 ===  =================================================================
 
 Front end: :func:`repro.server.http.serve_http` runs an **asyncio
@@ -233,7 +229,7 @@ fresh precondition straight back to a conditional update.
     {"query":  <required str>,
      "kind":   "both",        # pe | workflow | both
      "queryType": "text",     # text | semantic | code | hybrid
-     "backend": "exact",      # any name from GET /v1/backends
+     "backend": "exact",      # the only engine (GET /v1/backends)
      "k": null,               # top-k cap at ranking time
      "limit": null,           # page size over the ranked hits
      "cursor": null,          # resume token from a previous page
@@ -245,34 +241,26 @@ and returns the ``SearchResponse`` envelope::
      "backend": …, "searchKind": "text"|"semantic"|"code"|"hybrid",
      "k": …, "count": N, "hits": [...], "nextCursor": …}
 
-The ``queryType`` × ``backend`` matrix:
+Ranking path per ``queryType``:
 
 =============  ======================================================
 ``queryType``  ranking path
 =============  ======================================================
 ``text``       BM25 top-k in the DAO's inverted text index (FTS5 /
-               postings mirror); ``backend`` is irrelevant — no
-               vector shard is touched.  ``kind=pe`` preserves the
-               historical quirk of serving through semantic search.
-``semantic``   description embeddings ranked by the selected
-               ``backend`` through the group-commit batcher.
-``code``       code embeddings, PEs only, same backend plumbing.
-``hybrid``     BM25 text leg (above) + semantic leg (ranked by the
-               selected ``backend``), fused with deterministic RRF;
-               hits carry the fused score plus per-leg ranks/scores.
+               postings mirror); no vector shard is touched.
+               ``kind=pe`` preserves the historical quirk of serving
+               through semantic search.
+``semantic``   description embeddings ranked by the exact
+               ``VectorIndex`` through the group-commit batcher.
+``code``       code embeddings, PEs only, same index plumbing.
+``hybrid``     BM25 text leg (above) + semantic leg (exact index),
+               fused with deterministic RRF; hits carry the fused
+               score plus per-leg ranks/scores.
 =============  ======================================================
 
-``backend`` selects the ranking engine by name behind the
-:class:`~repro.search.backend.IndexBackend` protocol: ``"exact"`` is
-the reference BLAS scan; ``"ivf"`` the IVF-flat approximate engine
-(probe ``nprobe`` inverted lists, exact re-rank; degenerates to the
-exact scan bitwise when the shard is small, ``k`` is unbounded or
-``nprobe >= nlist``); ``"hnsw"`` the small-world graph engine (entry
-layer routes, precomputed exact ``m0``-NN adjacency expands, every
-candidate exactly scored — same degenerate-to-exact safety net).  All
-serve through the same batcher, membership checks and
-brute-force fallback — an approximate backend can lose recall, never
-correctness or tenant isolation.
+``backend`` stays on the wire for compatibility and accepts only
+``"exact"`` (any other name is a 400): the exact BLAS scan is the one
+ranking engine.
 
 **Writes** complete the versioned surface.  ``PUT`` registers under the
 path name (the PE name / the workflow entry point) with true *upsert*

@@ -18,8 +18,7 @@ from repro.jobs import JobManager
 from repro.ml.bundle import ModelBundle
 from repro.net.transport import Request, Response
 from repro.registry import RegistryService, SqliteDAO
-from repro.search import CodeSearcher, SemanticSearcher
-from repro.search.backend import build_backends
+from repro.search import CodeSearcher, SemanticSearcher, VectorIndex
 from repro.search.serving import SearchBatcher
 from repro.server.api import Router
 from repro.server.controllers import (
@@ -57,9 +56,6 @@ class LaminarServer:
     models:
         The model bundle used for server-side summarization/embedding
         fallbacks and search.
-    backend_options:
-        Per-backend construction options, keyed by backend name (e.g.
-        ``{"ivf": {"nprobe": 16}}``); see :mod:`repro.search.backend`.
     receipt_ttl:
         Seconds an idempotency receipt stays replayable; ``None`` (the
         default) keeps receipts forever.  Enforced opportunistically on
@@ -80,22 +76,15 @@ class LaminarServer:
         dao: SqliteDAO | None = None,
         engine: ExecutionEngine | None = None,
         models: ModelBundle | None = None,
-        backend_options: dict[str, dict] | None = None,
         receipt_ttl: float | None = None,
         receipt_cap: int | None = None,
         job_workers: int = 2,
         job_retention_ttl: float | None = 3600.0,
         job_retention_cap: int | None = 500,
     ) -> None:
-        #: every index backend over one shared exact index; requests
-        #: select by name (SearchRequest.backend), the exact entry is the
-        #: reference the approximate engines re-rank from.  Those keep
-        #: no durable state: a shard's lists or graph build on its first
-        #: ANN query after start
-        self.backends = build_backends(options=backend_options)
         #: per-(user, kind) embedding shards serving /registry/{user}/search;
         #: maintained by the registry service on every PE/workflow mutation
-        self.index = self.backends["exact"]
+        self.index = VectorIndex()
         #: group-commit dispatcher: searches that queue behind a running
         #: same-shard flush share the next index pass (bitwise-identical)
         self.batcher = SearchBatcher()
@@ -222,8 +211,8 @@ class LaminarServer:
         add("DELETE", "/engines/{user}/remove/{name}", engines.remove)
 
         # v1 controller — the versioned surface: typed envelopes, cursor
-        # pagination on every listing, backend selection by name (the
-        # legacy table above stays as thin adapters over the same core)
+        # pagination on every listing (the legacy table above stays as
+        # thin adapters over the same core)
         v1 = V1Controller(self)
         add("GET", "/v1/users", v1.list_users)
         add("GET", "/v1/backends", v1.list_backends)

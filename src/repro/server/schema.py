@@ -45,6 +45,8 @@ MAX_LIMIT = 1000
 #: search-parameter enums (shared with the legacy adapter)
 SEARCH_KINDS = ("pe", "workflow", "both")
 QUERY_TYPES = ("text", "semantic", "code", "hybrid")
+#: ranking engines a search may name (``GET /v1/backends``)
+BACKENDS = ("exact",)
 
 #: write-surface bounds
 MAX_BULK_ITEMS = 1000
@@ -157,7 +159,7 @@ class SearchRequest:
     query: str
     kind: str = "both"  # pe | workflow | both
     query_type: str = "text"  # text | semantic | code (paper default: text)
-    backend: str = "exact"  # index backend name (see repro.search.backend)
+    backend: str = "exact"  # ranking engine; "exact" is the only one
     k: int | None = None  # top-k cap applied at ranking time
     limit: int | None = None  # page size over the ranked hits
     cursor: str | None = None  # resume token from a previous page
@@ -176,15 +178,8 @@ class SearchRequest:
     )
 
     @classmethod
-    def from_json(
-        cls, body: dict[str, Any] | None, *, backends: Sequence[str]
-    ) -> "SearchRequest":
-        """Parse + validate a wire body; raises 400 on any malformation.
-
-        ``backends`` is the server's registered backend-name set — the
-        envelope is the single place request-side backend names are
-        checked.
-        """
+    def from_json(cls, body: dict[str, Any] | None) -> "SearchRequest":
+        """Parse + validate a wire body; raises 400 on any malformation."""
         body = body or {}
         if not isinstance(body, dict):
             raise ValidationError(
@@ -201,11 +196,11 @@ class SearchRequest:
         kind = _parse_enum(body, "kind", SEARCH_KINDS, "both")
         query_type = _parse_enum(body, "queryType", QUERY_TYPES, "text")
         backend = body.get("backend", "exact")
-        if not isinstance(backend, str) or backend not in backends:
+        if not isinstance(backend, str) or backend not in BACKENDS:
             raise ValidationError(
                 f"unknown index backend {backend!r}",
                 params={"backend": backend},
-                details=f"registered backends: {', '.join(backends)}",
+                details=f"registered backends: {', '.join(BACKENDS)}",
             )
         k = body.get("k")
         if k is not None:

@@ -1,11 +1,11 @@
-"""The versioned ``/v1/`` API surface (typed envelopes, cursors, backends).
+"""The versioned ``/v1/`` API surface (typed envelopes, cursors).
 
 Two pieces live here:
 
 * :func:`execute_search` — the single search core behind **both** API
   generations.  It receives an already validated
   :class:`~repro.server.schema.SearchRequest` and runs the paper's
-  text/semantic/code branches over the request's chosen index backend.
+  text/semantic/code branches over the exact index.
   The legacy Table-3 route (``GET /registry/{user}/search/...``) is a
   thin adapter that builds a ``SearchRequest`` (always
   ``backend="exact"``) and re-shapes the result into the historical
@@ -47,6 +47,7 @@ from repro.search.text_search import (
 )
 from repro.server.controllers import BaseController
 from repro.server.schema import (
+    BACKENDS,
     DEFAULT_LIMIT,
     Page,
     SearchRequest,
@@ -72,7 +73,7 @@ def execute_search(
     """Run one registry search; returns ``(search_kind, hits_json)``.
 
     The embedding branches route through the group-commit batcher
-    against the backend ``req.backend`` names: rank on the shard, check
+    against the exact index: rank on the shard, check
     membership against the lazily fetched owned-id projection, and
     materialize only the top-k union through the DAO (a shard mismatch
     falls back to the exact brute-force scan).  ``queryType=text`` ranks
@@ -86,7 +87,7 @@ def execute_search(
     ranking for the historical LIKE-superset + Python-scorer pipeline,
     keeping the legacy route's responses byte-identical to the seed.
     """
-    index = app.backends[req.backend]
+    index = app.index
     registry = app.registry
     batcher = app.batcher
     k = req.k
@@ -235,7 +236,7 @@ def _hybrid_hits(
     hybrid is new surface and fuses what it says it fuses).
     """
     registry = app.registry
-    index = app.backends[req.backend]
+    index = app.index
     batcher = app.batcher
     k = req.k
     query = req.query
@@ -477,9 +478,7 @@ class V1Controller(BaseController):
     # ------------------------------------------------------------------
     def search(self, request: Request, params: dict[str, str]) -> Response:
         user = self.authenticated_user(request, params)
-        req = SearchRequest.from_json(
-            request.body, backends=tuple(self.app.backends)
-        )
+        req = SearchRequest.from_json(request.body)
         if req.query_embedding is not None:
             # dimension check completes the edge validation (the schema
             # cannot know the serving model's width)
@@ -522,26 +521,15 @@ class V1Controller(BaseController):
                 else 0
             )
         ranking_req = req
-        if (
-            paged
-            and req.k is None
-            and req.query_type != "hybrid"
-            and getattr(
-                self.app.backends[req.backend], "prefix_stable_topk", False
-            )
-        ):
+        if paged and req.k is None and req.query_type != "hybrid":
             # unbounded k would rank AND hydrate the whole corpus per
             # page; this page only ever shows hits[offset:offset+limit],
-            # so cap the ranking there.  Only backends declaring
-            # prefix-stable truncation qualify: for them top-(offset+
-            # limit) is a prefix of the full ranking, so every page
-            # slices one consistent ordering.  Approximate backends
-            # (whose candidate set depends on k) rank unbounded instead
-            # — their k=None path degenerates to the exact full
-            # ordering, keeping pages consistent at O(corpus) cost.
-            # Hybrid is excluded for the same reason: its RRF leg depth
-            # derives from k, so a capped ranking is not a prefix of the
-            # uncapped one.
+            # so cap the ranking there.  The exact top-(offset+limit) is
+            # a prefix of the full ranking (stable descending order,
+            # ascending-id tie-break), so every page slices one
+            # consistent ordering.  Hybrid is excluded: its RRF leg
+            # depth derives from k, so a capped ranking is not a prefix
+            # of the uncapped one.
             ranking_req = replace(req, k=offset + limit)
         search_kind, hits = execute_search(self.app, user, ranking_req)
         next_cursor = None
@@ -578,17 +566,13 @@ class V1Controller(BaseController):
     def list_backends(
         self, request: Request, params: dict[str, str]
     ) -> Response:
-        """This server's index backends (harmless metadata, no auth).
-
-        Reflects ``app.backends`` — every registered engine — with the
-        exact reference backend listed first.
-        """
-        names = sorted(self.app.backends, key=lambda n: (n != "exact", n))
+        """The ranking engines a search may name (harmless metadata, no
+        auth): ``exact`` alone."""
         return Response(
             200,
             {
                 "apiVersion": "v1",
-                "backends": names,
+                "backends": list(BACKENDS),
                 "default": "exact",
             },
         )

@@ -631,7 +631,7 @@ class TestMigration:
         index = VectorIndex()
         RegistryService(dao).attach_index(index)
         dao.save_index_shards(
-            {key: ids for key, (ids, _matrix) in index.snapshot().items()},
+            {key: ids for key, (ids, _matrix) in index.export_shards().items()},
             dao.mutation_counter(),
         )
         dao._conn.executescript(

@@ -69,7 +69,7 @@ def attach_with_bases(service):
     index = VectorIndex()
     service.attach_index(index)
     service.dao.save_index_shards(
-        {key: ids for key, (ids, _matrix) in index.snapshot().items()},
+        {key: ids for key, (ids, _matrix) in index.export_shards().items()},
         service.dao.mutation_counter(),
     )
     return index

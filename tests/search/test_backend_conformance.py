@@ -1,14 +1,18 @@
-"""Conformance suite every backend passes.
+"""Conformance of the exact index against a brute-force scan.
 
-Each case runs on the exact index and on both approximate views (IVF,
-HNSW) built through the backend registry.  Shards here hold 23 rows —
-below the views' training threshold — so every backend must serve the
-exact ranking bitwise, keep the membership contract (``None`` on any
-mismatch, so callers fall back to brute force), route mutations to the
-one copy of the vectors, and stay consistent under concurrent readers.
-The ``TestShardView`` cases pin what the two views share through
-``_ShardView``: writes, persistence, dirty tracking and the query LRU
-all live in the base index; a view's own state is in memory only.
+Every case feeds identical 23-row slabs into one :class:`VectorIndex`
+and checks what the serving layer relies on: the ranking equals a
+plain descending-score, ascending-id scan for every ``k``; the batched
+and unverified entry points answer bitwise like ``search_among``; the
+membership contract returns ``None`` on any mismatch (so callers fall
+back to brute force); and concurrent readers see the serial answers.
+
+Each case runs once per *layout*: the same final slabs reached through
+every write path the registry uses — the bulk attach fast path, one
+``add`` per row, out-of-order ids (mid-inserts), churn (removals,
+re-inserts and in-place updates) and a persisted slab re-imported from
+``export_shards``.  All of them must leave the shard contiguous and
+id-ordered, so every layout answers bitwise alike.
 """
 
 import threading
@@ -17,15 +21,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.search import VectorIndex, create_backend
+from repro.search import VectorIndex
 from repro.search.index import KIND_CODE, KIND_DESC, KIND_WORKFLOW
 
 DIM = 16
 KINDS = (KIND_DESC, KIND_CODE, KIND_WORKFLOW)
 USERS = (1, 2, 3, 7)
 ROWS = 23
-BACKENDS = ("exact", "ivf", "hnsw")
-VIEWS = ("ivf", "hnsw")
+RIDS = list(range(1, ROWS + 1))
 
 
 def _vectors(n, seed=0):
@@ -33,28 +36,65 @@ def _vectors(n, seed=0):
     return rng.standard_normal((n, DIM)).astype(np.float32)
 
 
-def _populate(targets, users=USERS, per_shard=ROWS):
-    """Feed identical (user, kind) slabs into every index-like target;
-    returns ``{(user, kind): rows}`` for brute-force references."""
+def _bulk(index, user, kind, rows):
+    index.add_many(user, kind, RIDS, rows)
+
+
+def _one_by_one(index, user, kind, rows):
+    for rid, row in zip(RIDS, rows):
+        index.add(user, kind, rid, row)
+
+
+def _shuffled(index, user, kind, rows):
+    # out-of-order ids miss the bulk fast path: rows mid-insert
+    order = np.random.default_rng(len(rows)).permutation(len(rows))
+    index.add_many(user, kind, [RIDS[i] for i in order], rows[order])
+
+
+def _churned(index, user, kind, rows):
+    index.add_many(user, kind, RIDS, -rows)  # wrong rows, fixed below
+    for decoy in (40, 50):
+        index.add(user, kind, decoy, rows[0])
+    for rid in (5, 12, 17):
+        assert index.remove(user, kind, rid)
+    for rid, row in zip(RIDS, rows):  # updates in place or re-inserts
+        index.add(user, kind, rid, row)
+    for decoy in (40, 50):
+        assert index.remove(user, kind, decoy)
+
+
+def _restored(index, user, kind, rows):
+    source = VectorIndex()
+    source.add_many(user, kind, RIDS, rows)
+    ((ids, matrix),) = source.export_shards().values()
+    index.add_many(user, kind, ids, matrix)
+
+
+LAYOUTS = {
+    "bulk": _bulk,
+    "one-by-one": _one_by_one,
+    "shuffled": _shuffled,
+    "churned": _churned,
+    "restored": _restored,
+}
+
+
+@pytest.fixture(params=list(LAYOUTS))
+def populated(request):
+    """An index holding one slab per (user, kind), written through one
+    layout; returns it with ``{(user, kind): rows}`` for brute-force
+    references."""
+    write = LAYOUTS[request.param]
+    index = VectorIndex()
     slabs = {}
     seed = 0
-    for user in users:
+    for user in USERS:
         for kind in KINDS:
             seed += 1
-            rows = _vectors(per_shard, seed=seed)
-            rids = list(range(1, per_shard + 1))
-            for target in targets:
-                target.add_many(user, kind, rids, rows)
+            rows = _vectors(ROWS, seed=seed)
+            write(index, user, kind, rows)
             slabs[(user, kind)] = rows
-    return slabs
-
-
-def _pair(name):
-    """(reference VectorIndex, backend under test) fed identical slabs."""
-    reference = VectorIndex()
-    backend = create_backend(name)
-    slabs = _populate([reference, backend])
-    return reference, backend, slabs
+    return index, slabs
 
 
 def _brute_ids(rows, rids, query, k):
@@ -72,142 +112,153 @@ def _assert_same(got, want):
 
 class TestExactParity:
     @pytest.mark.parametrize("k", [1, 5, ROWS, None])
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_search_among_bitwise_identical(self, name, k):
-        reference, backend, slabs = _pair(name)
-        rids = list(range(1, ROWS + 1))
+    def test_search_among_matches_brute_force(self, populated, k):
+        index, slabs = populated
         for (user, kind), rows in slabs.items():
             query = _vectors(1, seed=1000 + user)[0]
-            want = reference.search_among(user, kind, rids, query, k)
-            got = backend.search_among(user, kind, rids, query, k)
-            _assert_same(got, want)
-            assert got[0] == _brute_ids(rows, rids, query, k)
+            got = index.search_among(user, kind, RIDS, query, k)
+            assert got[0] == _brute_ids(rows, RIDS, query, k)
             np.testing.assert_allclose(
                 got[1], np.sort(rows @ query)[::-1][: len(got[0])], rtol=1e-6
             )
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_search_among_many_bitwise_identical(self, name):
-        reference, backend, _slabs = _pair(name)
-        rids = list(range(1, ROWS + 1))
+    def test_search_among_many_bitwise_identical(self, populated):
+        index, _slabs = populated
         queries = [_vectors(1, seed=2000 + i)[0] for i in range(4)]
         queries.append(queries[0])  # a duplicate coalesces, same answer
         ks = [1, 5, None, ROWS, 1]
         for user in USERS:
-            want = reference.search_among_many(
-                user, KIND_DESC, rids, queries, ks
-            )
-            got = backend.search_among_many(user, KIND_DESC, rids, queries, ks)
-            assert len(got) == len(want) == len(queries)
-            for got_one, want_one in zip(got, want):
-                _assert_same(got_one, want_one)
+            got = index.search_among_many(user, KIND_DESC, RIDS, queries, ks)
+            assert len(got) == len(queries)
+            for got_one, query, k in zip(got, queries, ks):
+                _assert_same(
+                    got_one, index.search_among(user, KIND_DESC, RIDS, query, k)
+                )
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_unverified_search_matches_search_among(self, name):
-        _reference, backend, _slabs = _pair(name)
-        rids = list(range(1, ROWS + 1))
+    def test_unverified_search_matches_search_among(self, populated):
+        index, _slabs = populated
         query = _vectors(1, seed=3)[0]
         for kind in KINDS:
             _assert_same(
-                backend.search(1, kind, query, 7),
-                backend.search_among(1, kind, rids, query, 7),
+                index.search(1, kind, query, 7),
+                index.search_among(1, kind, RIDS, query, 7),
             )
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_tie_break_is_ascending_id(self, name):
-        backend = create_backend(name)
+    def test_tie_break_is_ascending_id(self):
+        index = VectorIndex()
         top = np.zeros(DIM, dtype=np.float32)
         top[0] = 2.0
         tied = np.zeros(DIM, dtype=np.float32)
         tied[0] = 1.0
         # equal scores must rank by ascending id whatever the add order
         for rid, vec in ((9, tied), (5, tied), (7, top), (2, tied)):
-            backend.add("u", KIND_DESC, rid, vec)
+            index.add("u", KIND_DESC, rid, vec)
         query = np.zeros(DIM, dtype=np.float32)
         query[0] = 1.0
-        ids, scores = backend.search_among("u", KIND_DESC, [2, 5, 7, 9], query)
+        ids, scores = index.search_among("u", KIND_DESC, [2, 5, 7, 9], query)
         assert ids == [7, 2, 5, 9]
         assert scores.tolist() == [2.0, 1.0, 1.0, 1.0]
-        ids, _ = backend.search_among("u", KIND_DESC, [2, 5, 7, 9], query, 2)
+        ids, _ = index.search_among("u", KIND_DESC, [2, 5, 7, 9], query, 2)
         assert ids == [7, 2]
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_ties_at_the_kth_score_rank_by_ascending_id(self, k):
+        # scores 3, 2, 2, 2, 1, 1, 1, 0 over ids added newest first: the
+        # partial selection must pull in every row tied with the k-th
+        # score, so each cut keeps the lowest ids of the tied run
+        levels = {8: 0.0, 1: 3.0, 6: 2.0, 3: 2.0, 4: 2.0, 7: 1.0, 2: 1.0, 5: 1.0}
+        index = VectorIndex()
+        for rid in sorted(levels, reverse=True):
+            vec = np.zeros(DIM, dtype=np.float32)
+            vec[0] = levels[rid]
+            index.add("u", KIND_DESC, rid, vec)
+        query = np.zeros(DIM, dtype=np.float32)
+        query[0] = 1.0
+        full = [1, 3, 4, 6, 2, 5, 7, 8]
+        ids, scores = index.search_among("u", KIND_DESC, sorted(levels), query, k)
+        assert ids == full[:k]
+        assert scores.tolist() == [levels[rid] for rid in full[:k]]
+
+    def test_layout_exports_the_slabs_verbatim(self, populated):
+        index, slabs = populated
+        exported = index.export_shards()
+        assert set(exported) == set(slabs)
+        for key, (ids, matrix) in exported.items():
+            assert ids.tolist() == RIDS
+            assert matrix.tobytes() == slabs[key].tobytes()
 
 
 class TestMembership:
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_membership_mismatch_returns_none(self, name):
-        _reference, backend, _slabs = _pair(name)
+    def test_membership_mismatch_returns_none(self, populated):
+        index, _slabs = populated
         query = _vectors(1, seed=5)[0]
-        rids = list(range(1, ROWS + 1))
-        assert backend.search_among(1, KIND_DESC, rids[:-1], query, 3) is None
-        assert backend.search_among(1, KIND_DESC, rids + [999], query, 3) is None
+        assert index.search_among(1, KIND_DESC, RIDS[:-1], query, 3) is None
+        assert index.search_among(1, KIND_DESC, RIDS + [999], query, 3) is None
         assert (
-            backend.search_among(1, KIND_DESC, rids[:-1] + [999], query, 3)
+            index.search_among(1, KIND_DESC, RIDS[:-1] + [999], query, 3)
             is None
         )
-        assert backend.search_among(99, KIND_DESC, rids, query, 3) is None
+        assert index.search_among(99, KIND_DESC, RIDS, query, 3) is None
         assert (
-            backend.search_among_many(1, KIND_DESC, [1, 2], [query], [3])
-            is None
+            index.search_among_many(1, KIND_DESC, [1, 2], [query], [3]) is None
         )
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_mutations_route_and_parity_survives_removals(self, name):
-        reference, backend, _slabs = _pair(name)
+    def test_parity_survives_removals(self, populated):
+        index, slabs = populated
         user = USERS[0]
         for rid in (3, 11, 20):
-            assert reference.remove(user, KIND_DESC, rid)
-            assert backend.remove(user, KIND_DESC, rid)
-        assert not backend.remove(user, KIND_DESC, 3)  # already gone
+            assert index.remove(user, KIND_DESC, rid)
+        assert not index.remove(user, KIND_DESC, 3)  # already gone
         extra = _vectors(1, seed=77)[0]
-        reference.add(user, KIND_DESC, 99, extra)
-        backend.add(user, KIND_DESC, 99, extra)
-        rids = [r for r in range(1, ROWS + 1) if r not in (3, 11, 20)] + [99]
+        index.add(user, KIND_DESC, 99, extra)
+        keep = [r for r in RIDS if r not in (3, 11, 20)]
+        rids = keep + [99]
+        slab = slabs[(user, KIND_DESC)]
+        rows = np.vstack([slab[r - 1] for r in keep] + [extra])
         query = _vectors(1, seed=6)[0]
-        _assert_same(
-            backend.search_among(user, KIND_DESC, rids, query, 7),
-            reference.search_among(user, KIND_DESC, rids, query, 7),
-        )
+        got = index.search_among(user, KIND_DESC, rids, query, 7)
+        assert got[0] == _brute_ids(rows, rids, query, 7)
         # the stale candidate list (still naming a removed id) must not
         # serve: the caller falls back instead of resurrecting id 3
-        stale = list(range(1, ROWS + 1))
-        assert backend.search_among(user, KIND_DESC, stale, query, 7) is None
+        assert index.search_among(user, KIND_DESC, RIDS, query, 7) is None
         # other kinds of the same user are untouched by the removals
-        full = list(range(1, ROWS + 1))
-        assert backend.search_among(user, KIND_CODE, full, query, 7) is not None
+        assert index.search_among(user, KIND_CODE, RIDS, query, 7) is not None
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_emptied_shard_serves_empty_not_none(self, name):
-        _reference, backend, _slabs = _pair(name)
-        for rid in range(1, ROWS + 1):
-            assert backend.remove(2, KIND_WORKFLOW, rid)
+    def test_emptied_shard_serves_empty_not_none(self, populated):
+        index, _slabs = populated
+        for rid in RIDS:
+            assert index.remove(2, KIND_WORKFLOW, rid)
         query = _vectors(1, seed=8)[0]
-        ids, scores = backend.search_among(2, KIND_WORKFLOW, [], query, 5)
+        ids, scores = index.search_among(2, KIND_WORKFLOW, [], query, 5)
         assert ids == [] and scores.size == 0
-        batch = backend.search_among_many(
+        batch = index.search_among_many(
             2, KIND_WORKFLOW, [], [query, query], [1, None]
         )
         assert [ids for ids, _ in batch] == [[], []]
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_concurrent_queries_across_tenants(self, name):
-        reference, backend, _slabs = _pair(name)
-        rids = list(range(1, ROWS + 1))
+    def test_concurrent_queries_across_tenants(self, populated):
+        index, _slabs = populated
+        jobs = [(user, 3000 + n) for n, user in enumerate(USERS * 5)]
+        serial = {
+            (user, seed, kind): index.search_among(
+                user, kind, RIDS, _vectors(1, seed=seed)[0], 5
+            )
+            for user, seed in jobs
+            for kind in KINDS
+        }
         failures = []
 
         def worker(user, seed):
             query = _vectors(1, seed=seed)[0]
             for kind in KINDS:
-                want = reference.search_among(user, kind, rids, query, 5)
-                got = backend.search_among(user, kind, rids, query, 5)
+                want = serial[(user, seed, kind)]
+                got = index.search_among(user, kind, RIDS, query, 5)
                 if got is None or got[0] != want[0] or (
                     got[1].tobytes() != want[1].tobytes()
                 ):
                     failures.append((user, kind))
 
-        threads = [
-            threading.Thread(target=worker, args=(user, 3000 + n))
-            for n, user in enumerate(USERS * 5)
-        ]
+        threads = [threading.Thread(target=worker, args=job) for job in jobs]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -215,96 +266,12 @@ class TestMembership:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_batch_length_and_k_validated(self, name):
-        _reference, backend, _slabs = _pair(name)
-        rids = list(range(1, ROWS + 1))
+    def test_batch_length_and_k_validated(self, populated):
+        index, _slabs = populated
         query = _vectors(1, seed=9)[0]
         with pytest.raises(ValidationError, match="queries"):
-            backend.search_among_many(1, KIND_DESC, rids, [query], [1, 2])
+            index.search_among_many(1, KIND_DESC, RIDS, [query], [1, 2])
         with pytest.raises(ValidationError, match="k must be positive"):
-            backend.search_among_many(1, KIND_DESC, rids, [query], [0])
+            index.search_among_many(1, KIND_DESC, RIDS, [query], [0])
         with pytest.raises(ValidationError, match="k must be positive"):
-            backend.search_among(1, KIND_DESC, rids, query, -1)
-
-
-class TestShardView:
-    @pytest.mark.parametrize("name", VIEWS)
-    def test_writes_land_in_the_base(self, name):
-        view = create_backend(name)
-        base = view.base
-        view.add("u", KIND_DESC, 4, _vectors(1, seed=1)[0])
-        view.add_many("u", KIND_DESC, [1, 2], _vectors(2, seed=2))
-        assert base.ids("u", KIND_DESC) == [1, 2, 4]
-        assert view.ids("u", KIND_DESC) == [1, 2, 4]
-        assert view.remove("u", KIND_DESC, 2) is True
-        assert view.remove("u", KIND_DESC, 2) is False
-        assert base.ids("u", KIND_DESC) == [1, 4]
-        # and the other way round: a base write is what the view serves
-        base.add("u", KIND_DESC, 9, _vectors(1, seed=3)[0])
-        assert view.search_among("u", KIND_DESC, [1, 4, 9], _vectors(1)[0])
-
-    @pytest.mark.parametrize("name", VIEWS)
-    def test_snapshot_is_the_base_snapshot(self, name):
-        view = create_backend(name)
-        _populate([view], users=(1, 2), per_shard=4)
-        for kwargs in ({}, {"user": 2}, {"keys": {(1, KIND_CODE)}}):
-            got = view.snapshot(**kwargs)
-            want = view.base.snapshot(**kwargs)
-            assert set(got) == set(want)
-            for key, (ids, matrix) in want.items():
-                assert got[key][0].tolist() == ids.tolist()
-                assert got[key][1].tobytes() == matrix.tobytes()
-        assert set(view.snapshot(user=2)) == {(2, kind) for kind in KINDS}
-        assert set(view.snapshot(keys={(1, KIND_CODE)})) == {(1, KIND_CODE)}
-
-    @pytest.mark.parametrize("name", VIEWS)
-    def test_dirty_tracking_is_shared(self, name):
-        view = create_backend(name)
-        view.add("u", KIND_DESC, 1, _vectors(1)[0])
-        view.base.add("v", KIND_CODE, 1, _vectors(1)[0])
-        want = {("u", KIND_DESC), ("v", KIND_CODE)}
-        assert view.dirty_keys() == want == view.base.dirty_keys()
-        assert view.consume_dirty() == want
-        assert view.base.dirty_keys() == set()
-        view.remove("u", KIND_DESC, 1)
-        assert view.base.consume_dirty() == {("u", KIND_DESC)}
-
-    @pytest.mark.parametrize("name", VIEWS)
-    def test_query_cache_is_shared(self, name):
-        view = create_backend(name)
-        assert view.query_cache is view.base.query_cache
-        first = view.query_cache.put("q", _vectors(1, seed=6)[0])
-        second = view.base.query_cache.get("q")
-        assert first.tobytes() == second.tobytes()
-
-    @pytest.mark.parametrize("name", VIEWS)
-    def test_stats_extend_the_base_stats(self, name):
-        view = create_backend(name)
-        _populate([view], users=(1,), per_shard=4)
-        extra = {"ivf": "ivfLists", "hnsw": "hnswEntries"}[name]
-        stats = view.stats()
-        base_stats = view.base.stats()
-        assert set(stats) == set(base_stats)
-        for shard, info in stats.items():
-            assert info.pop(extra) == 0  # small shards never build
-            assert info == base_stats[shard]
-
-    @pytest.mark.parametrize("name", VIEWS)
-    def test_small_shards_build_no_state(self, name):
-        view = create_backend(name)
-        _populate([view], users=(1,))
-        rids = list(range(1, ROWS + 1))
-        view.search_among(1, KIND_DESC, rids, _vectors(1)[0], 3)
-        assert view.exact_queries == 1 and view.approx_queries == 0
-        assert view._states == {}
-
-    @pytest.mark.parametrize("name", VIEWS)
-    def test_unknown_shard(self, name):
-        view = create_backend(name)
-        query = _vectors(1)[0]
-        ids, scores = view.search("nobody", KIND_DESC, query, 3)
-        assert ids == [] and scores.size == 0
-        assert view.search_among("nobody", KIND_DESC, [1], query, 3) is None
-        assert view.ids("nobody", KIND_DESC) == []
-        assert view.snapshot() == {}
+            index.search_among(1, KIND_DESC, RIDS, query, -1)

@@ -462,3 +462,228 @@ class TestSearchAmongMany:
             index.search_among_many(
                 "u", KIND_DESC, corpus.owned_ids(), [unit(rng)], [0]
             )
+
+
+class TestEmbedMany:
+    def test_embed_many_bitwise_equals_embed_one(self, fast_bundle):
+        model = fast_bundle.code_search
+        texts = ["find prime numbers", "sort a list", "find prime numbers"]
+        batch = model.embed_many(texts, kind="text")
+        for i, text in enumerate(texts):
+            assert np.array_equal(batch[i], model.embed_one(text, kind="text"))
+
+    def test_batcher_embeds_distinct_queries_in_one_call(self):
+        """The flush leader makes ONE embed_many call for a batch.
+
+        Mirrors the production call shape: every request passes a
+        *fresh bound method* (Python mints a new bound-method object
+        per attribute access, exactly like ``searcher.embed_queries``),
+        so this also guards the (function, instance) grouping key.
+        """
+
+        class Embedder:
+            def __init__(self):
+                self.calls = []
+
+            def embed_queries(self, texts):
+                self.calls.append(list(texts))
+                out = np.zeros((len(texts), 8), dtype=np.float32)
+                for i, text in enumerate(texts):
+                    out[i, hash(text) % 8] = 1.0
+                return out
+
+        embedder = Embedder()
+        index = VectorIndex()
+        rids = list(range(1, 6))
+        for rid in rids:
+            vec = np.zeros(8, dtype=np.float32)
+            vec[rid % 8] = 1.0
+            index.add("u", KIND_DESC, rid, vec)
+        records = {rid: {"id": rid} for rid in rids}
+        batcher = SearchBatcher()
+        watch = ArrivalWatch(batcher)
+        park = Park(lambda ids: [records[r] for r in ids if r in records])
+
+        def submit(text, embed_many):
+            return batcher.submit(
+                index=index,
+                user="u",
+                kind=KIND_DESC,
+                owned_ids=lambda: sorted(records),
+                k=3,
+                resolve=park,
+                rid_of=lambda r: r["id"],
+                build_hit=lambda r, s: (r["id"], s),
+                fallback=lambda recs, q: [],
+                embed_key=("t", text),
+                embed_text=text,
+                embed_many=embed_many,
+            )
+
+        # park a running flush, queue four requests behind it (a fresh
+        # bound method each, as production passes), then release: they
+        # ride one flush
+        first = Submitter(lambda: submit("first", embedder.embed_queries))
+        first.start()
+        assert park.entered[1].wait(30)
+        texts = ["alpha", "beta", "alpha", "gamma"]
+        queued = queue_behind(
+            watch,
+            [
+                lambda text=text: submit(text, embedder.embed_queries)
+                for text in texts
+            ],
+        )
+        park.release[1].set()
+        assert first.outcome() is not None
+        assert all(thread.outcome() is not None for thread in queued)
+        # the four embedded their three distinct texts in ONE model call
+        # (the duplicate coalesces through the shared embed_key)
+        assert embedder.calls == [["first"], ["alpha", "beta", "gamma"]]
+        stats = batcher.stats()
+        assert stats["batchedRequests"] == 4
+        assert stats["batchEmbeds"] == 1
+
+    def test_production_searcher_batches_distinct_queries(self, fast_bundle):
+        """End-to-end: searches queued behind a running flush reach the
+        model in one call through a real searcher."""
+        from repro.search import SemanticSearcher
+
+        calls = []
+        searcher = SemanticSearcher(fast_bundle.code_search)
+        original = type(fast_bundle.code_search).embed_many
+
+        def counting_embed_many(model_self, texts, kind="auto"):
+            calls.append(list(texts))
+            return original(model_self, texts, kind)
+
+        index = VectorIndex()
+        records = {}
+        for rid in range(1, 9):
+            desc = f"record about topic {rid}"
+            vec = searcher.embed_description(desc)
+            index.add("u", KIND_DESC, rid, vec)
+            records[rid] = type("R", (), {
+                "pe_id": rid, "pe_name": f"r{rid}", "description": desc,
+                "description_origin": "user", "desc_embedding": vec,
+            })()
+        batcher = SearchBatcher()
+        watch = ArrivalWatch(batcher)
+        park = Park(lambda ids: [records[r] for r in ids if r in records])
+
+        def search(query):
+            return searcher.search_topk(
+                query,
+                index=index,
+                user="u",
+                owned_ids=lambda: sorted(records),
+                resolve=park,
+                batcher=batcher,
+                k=3,
+            )
+
+        queries = ["find alpha", "find beta", "find gamma", "find delta"]
+        patched = type(fast_bundle.code_search)
+        patched.embed_many = counting_embed_many
+        try:
+            first = Submitter(lambda: search("find first"))
+            first.start()
+            assert park.entered[1].wait(30)
+            queued = queue_behind(
+                watch, [lambda q=q: search(q) for q in queries]
+            )
+            park.release[1].set()
+            first.outcome()
+            results = [thread.outcome() for thread in queued]
+        finally:
+            patched.embed_many = original
+        assert calls == [["find first"], queries]
+        assert batcher.stats()["batchEmbeds"] == 1
+        for query, hits in zip(queries, results):
+            want = searcher.search(query, list(records.values()), k=3)
+            assert [(h.pe_id, h.score) for h in hits] == [
+                (h.pe_id, h.score) for h in want
+            ]
+
+    def test_batch_embed_populates_query_lru(self):
+        seen = []
+
+        def embed_many(texts):
+            seen.extend(texts)
+            return np.ones((len(texts), 4), dtype=np.float32)
+
+        index = VectorIndex()
+        index.add("u", KIND_DESC, 1, np.ones(4, np.float32))
+        batcher = SearchBatcher()
+        kwargs = dict(
+            index=index,
+            user="u",
+            kind=KIND_DESC,
+            owned_ids=lambda: [1],
+            k=1,
+            resolve=lambda wanted: [{"id": 1}],
+            rid_of=lambda r: r["id"],
+            build_hit=lambda r, s: (r["id"], s),
+            fallback=lambda recs, q: [],
+            embed_key=("t", "q"),
+            embed_text="q",
+            embed_many=embed_many,
+        )
+        batcher.submit(**kwargs)
+        assert seen == ["q"]
+        batcher.submit(**kwargs)  # LRU hit: no second embed
+        assert seen == ["q"]
+
+    @pytest.mark.parametrize(
+        "missing", ["embed_key", "embed_text", "embed_many"]
+    )
+    def test_incomplete_embed_spec_is_rejected(self, missing):
+        """Without a query embedding a request must say how to embed
+        its text: keyless specs would share one batch slot and serve
+        every request the first one's vector."""
+        index = VectorIndex()
+        index.add("u", KIND_DESC, 1, np.ones(4, np.float32))
+        batcher = SearchBatcher()
+        spec = dict(
+            embed_key=("t", "q"),
+            embed_text="q",
+            embed_many=lambda texts: np.ones((len(texts), 4), np.float32),
+        )
+        spec[missing] = None
+        with pytest.raises(ValueError, match="embed"):
+            batcher.submit(
+                index=index,
+                user="u",
+                kind=KIND_DESC,
+                owned_ids=lambda: [1],
+                k=1,
+                resolve=lambda wanted: [{"id": 1}],
+                rid_of=lambda r: r["id"],
+                build_hit=lambda r, s: (r["id"], s),
+                fallback=lambda recs, q: [],
+                **spec,
+            )
+        assert batcher.stats()["requests"] == 0
+
+    def test_embed_failure_propagates_to_submitter(self):
+        def embed_many(texts):
+            raise RuntimeError("model down")
+
+        index = VectorIndex()
+        index.add("u", KIND_DESC, 1, np.ones(4, np.float32))
+        batcher = SearchBatcher()
+        with pytest.raises(RuntimeError, match="model down"):
+            batcher.submit(
+                index=index,
+                user="u",
+                kind=KIND_DESC,
+                owned_ids=lambda: [1],
+                k=1,
+                resolve=lambda wanted: [{"id": 1}],
+                rid_of=lambda r: r["id"],
+                build_hit=lambda r, s: (r["id"], s),
+                fallback=lambda recs, q: [],
+                embed_key=("t", "q"),
+                embed_text="q",
+                embed_many=embed_many,
+            )

@@ -168,6 +168,36 @@ class TestSearch:
         _, scores = index.search("u", KIND_DESC, unit(rng), k=10)
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
 
+    def test_removed_id_never_returned(self, rng):
+        index = VectorIndex()
+        vectors = [unit(rng) for _ in range(30)]
+        for rid, vec in enumerate(vectors):
+            index.add("u", KIND_DESC, rid, vec)
+        index.remove("u", KIND_DESC, 12)
+        live = [rid for rid in range(30) if rid != 12]
+        query = vectors[12]  # the removed row would rank first
+        for k in (1, 5, None):
+            answers = [
+                index.search("u", KIND_DESC, query, k),
+                index.search_among("u", KIND_DESC, live, query, k),
+                *index.search_among_many("u", KIND_DESC, live, [query], [k]),
+            ]
+            for ids, _scores in answers:
+                assert 12 not in ids
+                assert len(ids) == (29 if k is None else k)
+
+    def test_indexes_fed_alike_answer_bitwise(self, rng):
+        vectors = np.stack([unit(rng) for _ in range(40)])
+        first, second = VectorIndex(), VectorIndex()
+        first.add_many("u", KIND_DESC, range(40), vectors)
+        second.add_many("u", KIND_DESC, range(40), vectors)
+        for _ in range(5):
+            query = unit(rng)
+            got = first.search("u", KIND_DESC, query, 7)
+            want = second.search("u", KIND_DESC, query, 7)
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+
 
 class TestSearchAmong:
     """The membership-verified fast path the searchers use."""
@@ -230,6 +260,45 @@ class TestSearchAmong:
         # caller's snapshot still lists id 3 -> must fall back, never
         # resurrect or silently drop the removed record
         assert index.search_among("u", KIND_DESC, list(range(10)), unit(rng)) is None
+
+
+class TestDirtyTrackingAndExport:
+    def test_mutations_mark_their_shards_dirty(self, rng):
+        index = VectorIndex()
+        index.add("u", KIND_DESC, 1, unit(rng))
+        pair = np.stack([unit(rng), unit(rng)])
+        index.add_many("v", KIND_CODE, [1, 2], pair)
+        want = {("u", KIND_DESC), ("v", KIND_CODE)}
+        assert index.dirty_keys() == want
+        assert index.consume_dirty() == want
+        assert index.dirty_keys() == set()
+        assert not index.remove("u", KIND_DESC, 99)  # a miss marks nothing
+        assert index.dirty_keys() == set()
+        assert index.remove("u", KIND_DESC, 1)
+        assert index.consume_dirty() == {("u", KIND_DESC)}
+
+    def test_export_shards_filters_by_user_and_keys(self, rng):
+        index = VectorIndex()
+        rows = {}
+        for user in (1, 2):
+            for kind in (KIND_DESC, KIND_CODE):
+                three, one = unit(rng), unit(rng)
+                index.add_many(user, kind, [3, 1], np.stack([three, one]))
+                rows[(user, kind)] = np.stack([one, three])
+        index.add("gone", KIND_DESC, 1, unit(rng))
+        index.remove("gone", KIND_DESC, 1)
+        everything = index.export_shards()
+        assert set(everything) == set(rows)  # the emptied shard is omitted
+        for key, (ids, matrix) in everything.items():
+            assert ids.tolist() == [1, 3]  # ascending id, rows verbatim
+            assert matrix.tobytes() == rows[key].tobytes()
+        assert set(index.export_shards(user=2)) == {
+            (2, KIND_DESC),
+            (2, KIND_CODE),
+        }
+        assert set(index.export_shards(keys={(1, KIND_CODE)})) == {
+            (1, KIND_CODE)
+        }
 
 
 class TestQueryCache:

@@ -237,3 +237,133 @@ class TestBulkLoadFromDao:
         ).body["token"]
         hits = search(second, token2, "adds numbers")
         assert [h["peId"] for h in hits] == [pe_id]
+
+
+QUERY_TYPES = ("text", "semantic", "code", "hybrid")
+SEARCH_KINDS = ("pe", "workflow", "both")
+
+
+def _file_server(path, fast_bundle):
+    from repro.registry.dao import SqliteDAO
+
+    return LaminarServer(dao=SqliteDAO(path), models=fast_bundle)
+
+
+def _login(server, user="rs", register=False):
+    credentials = {"userName": user, "password": "pw"}
+    if register:
+        server.dispatch(Request("POST", "/auth/register", credentials))
+    return server.dispatch(Request("POST", "/auth/login", credentials)).body[
+        "token"
+    ]
+
+
+def _v1_search(server, token, query_type, kind, k=4):
+    body = {
+        "query": "restart element 7 sums numbers",
+        "queryType": query_type,
+        "kind": kind,
+        "k": k,
+    }
+    reply = server.dispatch(
+        Request("POST", "/v1/registry/rs/search", body, token=token)
+    )
+    assert reply.status == 200, reply.body
+    assert reply.body["hits"]
+    return reply.body["hits"]
+
+
+def _register(server, token, user, pes, workflows):
+    items = [
+        {
+            "peName": f"{user}{i}",
+            "peCode": f"def {user}{i}(a, b): return a + b * {i}",
+            "description": f"restart element {i} sums numbers",
+        }
+        for i in range(pes)
+    ]
+    reply = server.dispatch(
+        Request(
+            "POST", f"/v1/registry/{user}/pes:bulk", {"items": items},
+            token=token,
+        )
+    )
+    assert reply.status == 201, reply.body
+    for i in range(workflows):
+        reply = server.dispatch(
+            Request(
+                "POST",
+                f"/registry/{user}/workflow/add",
+                {
+                    "entryPoint": f"{user}Flow{i}",
+                    "workflowCode": f"def {user}Flow{i}(): return {i}",
+                    "description": f"restart workflow {i} sums numbers",
+                },
+                token=token,
+            )
+        )
+        assert reply.status == 201, reply.body
+
+
+@pytest.fixture()
+def served_file(tmp_path, fast_bundle):
+    """A file registry a server wrote, searched and then shut down.
+
+    User ``rs`` holds 30 PEs and 6 workflows and was searched with every
+    ``(queryType, kind)``; then user ``rt`` registered (a write that
+    leaves ``rs``'s shards untouched).  Returns the path, every search's
+    hits and the index's slabs as they stood.
+    """
+    path = tmp_path / "server.db"
+    server = _file_server(path, fast_bundle)
+    token = _login(server, register=True)
+    _register(server, token, "rs", 30, 6)
+    hits = {
+        (query_type, kind): _v1_search(server, token, query_type, kind)
+        for query_type in QUERY_TYPES
+        for kind in SEARCH_KINDS
+    }
+    _register(server, _login(server, "rt", register=True), "rt", 3, 1)
+    slabs = server.index.export_shards()
+    server.registry.dao.close()
+    return path, hits, slabs
+
+
+class TestServerRestart:
+    """A restarted server over the same file serves what the server
+    before it served: the exact index reloads the persisted slabs
+    bitwise, so every ranking is unchanged."""
+
+    @pytest.mark.parametrize("kind", SEARCH_KINDS)
+    @pytest.mark.parametrize("query_type", QUERY_TYPES)
+    def test_restarted_server_serves_the_same_hits(
+        self, served_file, fast_bundle, query_type, kind
+    ):
+        path, hits, _slabs = served_file
+        restarted = _file_server(path, fast_bundle)
+        got = _v1_search(restarted, _login(restarted), query_type, kind)
+        assert got == hits[(query_type, kind)]
+
+    def test_restarted_index_holds_the_slabs_bitwise(
+        self, served_file, fast_bundle
+    ):
+        path, _hits, slabs = served_file
+        restarted = _file_server(path, fast_bundle)
+        reloaded = restarted.index.export_shards()
+        assert set(reloaded) == set(slabs)
+        for key, (ids, matrix) in slabs.items():
+            assert reloaded[key][0].tolist() == ids.tolist()
+            assert reloaded[key][1].tobytes() == matrix.tobytes()
+        assert restarted.index.dirty_keys() == set()
+
+    @pytest.mark.parametrize("query_type", QUERY_TYPES)
+    def test_search_and_persist_write_nothing(
+        self, served_file, fast_bundle, query_type
+    ):
+        server = _file_server(served_file[0], fast_bundle)
+        conn = server.registry.dao._conn
+        token = _login(server)  # a login writes its session first
+        changes = conn.total_changes
+        _v1_search(server, token, query_type, "both", k=None)
+        assert server.registry.persist_shards() is True
+        assert conn.total_changes == changes

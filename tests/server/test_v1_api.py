@@ -1,4 +1,4 @@
-"""The versioned /v1 surface: envelopes, cursors, legacy parity, backends."""
+"""The versioned /v1 surface: envelopes, cursors, legacy parity."""
 
 import threading
 
@@ -142,6 +142,47 @@ class TestEnvelopeValidation:
             Request("POST", "/v1/registry/zz46/search", body, token=token)
         )
         assert response.status == 400, (patch, response.body)
+
+    @pytest.mark.parametrize("engine", ["ivf", "hnsw"])
+    def test_deleted_engines_are_400(self, server, token, engine):
+        body = {"query": "x", "queryType": "semantic", "backend": engine}
+        response = server.dispatch(
+            Request("POST", "/v1/registry/zz46/search", body, token=token)
+        )
+        assert response.status == 400, response.body
+        assert response.body["details"] == "registered backends: exact"
+
+    @pytest.mark.parametrize(
+        "value",
+        ["EXACT", "Exact", " exact", "exact ", "", "brute-force",
+         None, 1, True, ["exact"], {"name": "exact"}],
+    )
+    def test_backend_must_be_the_string_exact(self, server, token, value):
+        body = {"query": "x", "queryType": "semantic", "backend": value}
+        response = server.dispatch(
+            Request("POST", "/v1/registry/zz46/search", body, token=token)
+        )
+        assert response.status == 400, response.body
+        assert response.body["message"] == f"unknown index backend {value!r}"
+        assert response.body["details"] == "registered backends: exact"
+
+    @pytest.mark.parametrize("query_type", ["text", "semantic", "code", "hybrid"])
+    def test_explicit_exact_answers_like_the_default(
+        self, server, token, query_type
+    ):
+        for i in range(6):
+            add_pe(server, token, f"pe{i}", f"a prime checking element {i}")
+        add_workflow(server, token, "wf0", "a prime checking workflow")
+        body = {"query": "prime checking", "queryType": query_type, "k": 5}
+        replies = [
+            server.dispatch(
+                Request("POST", "/v1/registry/zz46/search", patch, token=token)
+            )
+            for patch in (body, {**body, "backend": "exact"})
+        ]
+        assert [reply.status for reply in replies] == [200, 200]
+        assert replies[0].body["hits"]
+        assert replies[0].body == replies[1].body
 
     def test_listing_unknown_field_is_400(self, server, token):
         response = server.dispatch(
@@ -414,22 +455,19 @@ class TestSearchEnvelope:
         }
         assert len(ids) == 10  # disjoint pages
 
-    @pytest.mark.parametrize("backend", ["exact", "ivf"])
     def test_paged_unbounded_search_terminates_and_covers_topk(
-        self, server, token, backend
+        self, server, token
     ):
         """k=None + limit walks the whole ranking page by page with no
-        skips or duplicates, for the exact backend (ranking capped at
-        offset+limit per page — prefix-stable) and the approximate one
-        (ranked unbounded so every page slices one consistent
-        ordering)."""
+        skips or duplicates (ranking capped at offset+limit per page —
+        the exact top-k is a prefix of the full ranking)."""
         expected = {
             add_pe(server, token, f"walk{i}", f"walkable record {i}")
             for i in range(11)
         }
         seen, cursor, pages = [], None, 0
         body = {"query": "walkable", "queryType": "semantic", "kind": "pe",
-                "limit": 4, "backend": backend}
+                "limit": 4}
         while True:
             payload = dict(body)
             if cursor:
@@ -463,7 +501,6 @@ class TestSearchEnvelope:
         for patch in (
             {"query": "other words"},
             {"queryType": "code"},
-            {"backend": "ivf"},
             {"k": 4},
         ):
             response = server.dispatch(
@@ -487,39 +524,14 @@ class TestSearchEnvelope:
         )
         assert second.status == 200
 
-    def test_backend_selection_ivf_vs_exact(self, server, token):
-        for i in range(30):
-            add_pe(server, token, f"pe{i}", f"description variant {i}")
-        base = {"query": "description variant 7", "queryType": "semantic",
-                "kind": "pe", "k": 5}
-        exact = server.dispatch(
-            Request(
-                "POST",
-                "/v1/registry/zz46/search",
-                {**base, "backend": "exact"},
-                token=token,
-            )
-        )
-        ivf = server.dispatch(
-            Request(
-                "POST",
-                "/v1/registry/zz46/search",
-                {**base, "backend": "ivf"},
-                token=token,
-            )
-        )
-        assert exact.status == 200 and ivf.status == 200
-        assert exact.body["backend"] == "exact"
-        assert ivf.body["backend"] == "ivf"
-        # 30 rows is far below the IVF training floor: both serve the
-        # exact scan, so the hits agree exactly
-        assert exact.body["hits"] == ivf.body["hits"]
-
     def test_backends_discovery_endpoint(self, server):
         response = server.dispatch(Request("GET", "/v1/backends", {}))
         assert response.status == 200
-        assert response.body["backends"] == ["exact", "hnsw", "ivf"]
-        assert response.body["default"] == "exact"
+        assert response.body == {
+            "apiVersion": "v1",
+            "backends": ["exact"],
+            "default": "exact",
+        }
 
 
 class TestLegacyParity:

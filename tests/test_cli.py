@@ -50,6 +50,14 @@ class TestParser:
         assert args.query_type == "code" and args.search_type == "pe"
         assert args.k == 3 and args.no_fit
 
+    def test_search_has_no_backend_flag(self):
+        # the exact index is the only ranking engine: nothing to select
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["search", "prime", "--backend", "exact"]
+            )
+        assert exc.value.code == 2
+
     def test_register_options(self):
         args = build_parser().parse_args(
             ["register", "adder", "--code", "def adder(): pass",
