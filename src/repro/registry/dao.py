@@ -65,8 +65,8 @@ def _text_documents():
 
 
 #: score bonus when the stripped lowercase query occurs as a substring
-#: of the normalized name — the indexed analogue of the legacy scorer's
-#: dominant whole-query arm
+#: of the normalized name — the indexed analogue of the reference
+#: scorer's dominant whole-query arm (``text_search._match_score``)
 _NAME_SUBSTRING_BONUS = 2.0
 
 
@@ -1205,12 +1205,6 @@ class SqliteDAO:
             ).fetchall()
         return [row["pe_id"] for row in rows]
 
-    #: OR-chain chunk size for the legacy candidate filter — wide
-    #: pattern sets run as multiple fixed-size queries unioned by id,
-    #: so one statement never approaches SQLite's host-parameter limit
-    #: (there is no pattern-count cap or full-listing fallback anymore)
-    _LIKE_CHUNK = 32
-
     @staticmethod
     def _like(pattern: str) -> str:
         """``%pattern%`` with LIKE metacharacters escaped (ESCAPE '\\')."""
@@ -1319,48 +1313,6 @@ class SqliteDAO:
             owners="workflow_owners",
             id_col="workflow_id",
         )
-
-    def pes_owned_by_matching(
-        self, user_id: int, patterns: Sequence[str] | None
-    ) -> list[PERecord]:
-        """Owner-joined SQL candidate filter for the *legacy* text route.
-
-        Only the byte-identical Table-3 parity adapter still calls this
-        — the v1 text path ranks inside the FTS index via
-        :meth:`text_topk_pes` and never builds patterns.  It survives
-        because the legacy contract is the exact Python-scorer output,
-        which wants the exact candidate superset from
-        :func:`repro.search.text_search.candidate_patterns` (every
-        scorer match contains at least one pattern as a substring).
-        The escaped case-insensitive LIKE OR-chain runs in fixed-size
-        chunks with the chunk results unioned by id, then hydrates once
-        ascending.
-        """
-        if not patterns:  # None or empty: cannot filter
-            return self.pes_owned_by(user_id)
-        ids: set[int] = set()
-        with self._lock:
-            for start in range(0, len(patterns), self._LIKE_CHUNK):
-                chunk = patterns[start : start + self._LIKE_CHUNK]
-                clause = " OR ".join(
-                    [
-                        "p.pe_name LIKE ? ESCAPE '\\'"
-                        " OR p.description LIKE ? ESCAPE '\\'"
-                    ]
-                    * len(chunk)
-                )
-                params: list = [int(user_id)]
-                for pattern in chunk:
-                    like = self._like(pattern)
-                    params.extend((like, like))
-                rows = self._conn.execute(
-                    f"""SELECT p.pe_id FROM pes p
-                        JOIN pe_owners o ON o.pe_id = p.pe_id
-                        WHERE o.user_id = ? AND ({clause})""",
-                    params,
-                ).fetchall()
-                ids.update(row["pe_id"] for row in rows)
-        return self.get_pes(sorted(ids))
 
     def delete_pe(self, pe_id: int) -> None:
         with self._lock, self._conn:
@@ -1623,39 +1575,6 @@ class SqliteDAO:
                 (int(user_id),),
             ).fetchall()
         return [row["workflow_id"] for row in rows]
-
-    def workflows_owned_by_matching(
-        self, user_id: int, patterns: Sequence[str] | None
-    ) -> list[WorkflowRecord]:
-        """Legacy-route candidate filter over entry/name/description;
-        chunked like :meth:`pes_owned_by_matching`."""
-        if not patterns:  # None or empty: cannot filter
-            return self.workflows_owned_by(user_id)
-        ids: set[int] = set()
-        with self._lock:
-            for start in range(0, len(patterns), self._LIKE_CHUNK):
-                chunk = patterns[start : start + self._LIKE_CHUNK]
-                clause = " OR ".join(
-                    [
-                        "w.entry_point LIKE ? ESCAPE '\\'"
-                        " OR w.workflow_name LIKE ? ESCAPE '\\'"
-                        " OR w.description LIKE ? ESCAPE '\\'"
-                    ]
-                    * len(chunk)
-                )
-                params: list = [int(user_id)]
-                for pattern in chunk:
-                    like = self._like(pattern)
-                    params.extend((like, like, like))
-                rows = self._conn.execute(
-                    f"""SELECT w.workflow_id FROM workflows w
-                        JOIN workflow_owners o
-                          ON o.workflow_id = w.workflow_id
-                        WHERE o.user_id = ? AND ({clause})""",
-                    params,
-                ).fetchall()
-                ids.update(row["workflow_id"] for row in rows)
-        return self.get_workflows(sorted(ids))
 
     def delete_workflow(self, workflow_id: int) -> None:
         with self._lock, self._conn:

@@ -714,23 +714,6 @@ class RegistryService:
             if user.user_id in record.owners
         ]
 
-    def text_candidate_pes(self, user: UserRecord, query: str) -> list[PERecord]:
-        """Candidate PEs for the **legacy** Python text scorer.
-
-        Serves only the legacy Table-3 parity adapter, whose contract
-        is the byte-identical historical scorer output.  The SQL
-        ``LIKE`` filter (``SqliteDAO.pes_owned_by_matching``) is a
-        strict superset of the scorer's matches, so scoring the
-        candidates yields exactly the historical results.  The v1
-        ``queryType=text`` path ranks in the FTS5 index instead — see
-        :meth:`text_topk_pes`.
-        """
-        from repro.search.text_search import candidate_patterns
-
-        return self.dao.pes_owned_by_matching(
-            user.user_id, candidate_patterns(query)
-        )
-
     def text_topk_pes(
         self, user: UserRecord, query: str, k: int | None = None
     ) -> list[tuple[PERecord, float]]:
@@ -951,18 +934,6 @@ class RegistryService:
             for record in self.dao.get_workflows(workflow_ids)
             if user.user_id in record.owners
         ]
-
-    def text_candidate_workflows(
-        self, user: UserRecord, query: str
-    ) -> list[WorkflowRecord]:
-        """Candidate workflows for the **legacy** Python text scorer
-        (legacy Table-3 parity adapter only; see
-        :meth:`text_candidate_pes`)."""
-        from repro.search.text_search import candidate_patterns
-
-        return self.dao.workflows_owned_by_matching(
-            user.user_id, candidate_patterns(query)
-        )
 
     def text_topk_workflows(
         self, user: UserRecord, query: str, k: int | None = None

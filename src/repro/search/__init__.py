@@ -159,14 +159,16 @@ scan, and ``SearchRequest.backend`` accepts ``"exact"`` alone (see the
 Indexed text ranking and hybrid fusion
 ======================================
 
-``queryType=text`` on the v1 API no longer scans owned records in
-Python: the DAO maintains an inverted text index (SQLite FTS5 external
-content tables kept in sync by triggers inside each mutation's
-transaction) and ``RegistryService.text_topk_pes`` /
-``text_topk_workflows`` return the owner-scoped BM25 top-k directly, so
-only the ``k`` winning records are hydrated.  The legacy Table-3 route keeps its historical
-byte-identical output through the ``candidate_patterns`` parity
-adapter in :mod:`repro.search.text_search`.
+``queryType=text`` never scans owned records in Python: the DAO
+maintains an inverted text index (SQLite FTS5 external content tables
+kept in sync by triggers inside each mutation's transaction) and
+``RegistryService.text_topk_pes`` / ``text_topk_workflows`` return the
+owner-scoped BM25 top-k directly, so only the ``k`` winning records
+are hydrated.  It is the only text ranker: the legacy Table-3 route and
+v1 serve the same hits.  :func:`text_search_pes` /
+:func:`text_search_workflows` remain as the brute-force reference whose
+match sets the indexed ranking must equal
+(``tests/registry/test_text_candidates.py``).
 
 ``queryType=hybrid`` fuses that BM25 text ranking with the semantic
 ranking via reciprocal-rank fusion

@@ -5,18 +5,24 @@ with support for partial matching: querying ``prime`` finds the
 registered ``isPrime`` workflow (Figure 6).  Query and stored text are
 normalized in a preprocessing step (lowercasing, splitting identifiers)
 exactly as footnote 14 describes.
+
+Searches are served by the DAO's FTS5/BM25 index
+(``SqliteDAO.text_topk_pes``/``text_topk_workflows``) on both API
+generations; this module builds that index's documents and query terms
+and labels each hit's ``matchedOn``.  :func:`text_search_pes` and
+:func:`text_search_workflows` are the brute-force reference scorer over
+a full listing — no route calls them; tests pin the indexed path's
+match sets to theirs, as ``SemanticSearcher.search`` is the reference
+for the vector index.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.ml.tokenize import split_subtokens, tokenize_text
 from repro.registry.entities import PERecord, WorkflowRecord
-
-_ALNUM_RUN = re.compile(r"[a-z0-9]+")
 
 
 @dataclass
@@ -83,7 +89,7 @@ def match_terms(query: str) -> list[str]:
 
     Exactly the words :func:`_match_score` tests for per-word hits
     (pure ASCII ``[a-z]+``, no synonyms/stemming), so a term-level FTS5
-    match agrees with the legacy scorer's word-hit conditions.
+    match agrees with the reference scorer's word-hit conditions.
     """
     return sorted(
         {w for w in tokenize_text(query, synonyms=False, stemming=False) if w}
@@ -93,9 +99,12 @@ def match_terms(query: str) -> list[str]:
 def pe_match_label(query: str, record: PERecord) -> str:
     """``matchedOn`` label for an FTS-ranked PE hit.
 
-    Falls back to ``name+description`` for the rare hits the indexed
-    path finds but the legacy scorer would miss (punctuation-embedded
-    camelCase, where unicode61 runs differ from subtoken splits).
+    Falls back to ``name+description`` if the reference scorer does not
+    match a hit the index found.  The parity suite
+    (``tests/registry/test_text_candidates.py``, punctuation-embedded
+    camelCase such as ``a+bCd`` included, where unicode61 token runs
+    could differ from subtoken splits) finds no such hit, so the
+    fallback only keeps the label total.
     """
     return (
         _match_score(query, record.pe_name, record.description)[1]
@@ -111,40 +120,6 @@ def workflow_match_label(query: str, record: WorkflowRecord) -> str:
         if score > best:
             best, label = score, matched
     return label or "name+description"
-
-
-def candidate_patterns(query: str) -> list[str] | None:
-    """Substring patterns whose LIKE union over-approximates the scorer.
-
-    Only the **legacy Table-3 parity adapter** still consumes these
-    (``SqliteDAO.pes_owned_by_matching`` feeding the byte-identical
-    legacy text route).  The v1 ``queryType=text`` path ranks directly
-    in the FTS5 index (``SqliteDAO.text_topk_pes``) and never builds
-    patterns.  Kept because the legacy route's contract is the *exact*
-    Python scorer output, which wants the exact candidate superset: a
-    record can only score above zero in :func:`_match_score` if at
-    least one of these patterns occurs as a case-insensitive substring
-    of its raw name or description.  That holds because every token
-    :func:`normalize` produces (the raw lowercase words and all
-    identifier subtokens) is a contiguous lowercase substring of the
-    stored text, and every scorer condition — whole-query containment,
-    per-word name hits, per-word description hits — requires one of the
-    query's words or alphanumeric runs to land inside such a token.
-    Patterns are pure ASCII (both tokenizers are), matching SQLite's
-    ASCII-only case folding for ``LIKE``.
-
-    Returns ``None`` when the query yields no usable pattern (e.g. pure
-    punctuation); the caller must then scan the full owned listing.
-    """
-    patterns = {
-        word
-        for word in tokenize_text(query, synonyms=False, stemming=False)
-        if word
-    }
-    patterns.update(_ALNUM_RUN.findall(query.lower()))
-    if not patterns:
-        return None
-    return sorted(patterns)
 
 
 def _match_score(query: str, name: str, description: str) -> tuple[float, str]:
@@ -178,7 +153,10 @@ def _match_score(query: str, name: str, description: str) -> tuple[float, str]:
 def text_search_workflows(
     query: str, workflows: Sequence[WorkflowRecord]
 ) -> list[TextMatch]:
-    """Rank workflows by partial text match on names/descriptions."""
+    """Brute-force reference: rank ``workflows`` by partial text match
+    on names/descriptions (best of the entry-point and workflow-name
+    arms).  No route serves it; tests compare the FTS ranking's match
+    set with it."""
     hits: list[TextMatch] = []
     for record in workflows:
         best = 0.0
@@ -203,7 +181,9 @@ def text_search_workflows(
 
 
 def text_search_pes(query: str, pes: Sequence[PERecord]) -> list[TextMatch]:
-    """Rank PEs by partial text match on names/descriptions."""
+    """Brute-force reference: rank ``pes`` by partial text match on
+    names/descriptions.  No route serves it; tests compare the FTS
+    ranking's match set with it."""
     hits: list[TextMatch] = []
     for record in pes:
         score, matched_on = _match_score(query, record.pe_name, record.description)

@@ -43,9 +43,9 @@ rank in the DAO's inverted text index (SQLite FTS5): an owner-joined
 BM25 top-k returns ``k`` ids and the service hydrates only those
 records.  Hybrid queries (``queryType=hybrid``) run the text and
 semantic legs to a fused depth and merge them with deterministic
-reciprocal-rank fusion (:mod:`repro.search.fusion`).  Only the legacy Table-3 route still
-scores candidates in Python — through the owner-joined ``LIKE``
-parity adapter that keeps its output byte-identical.
+reciprocal-rank fusion (:mod:`repro.search.fusion`).  The legacy
+Table-3 route ranks text through the same FTS5 index, so no search
+scores candidates in Python.
 
 Cold start: :meth:`~repro.registry.service.RegistryService.attach_index`
 replays each persisted base slab (a shard's ids at its last fold)
@@ -163,9 +163,11 @@ identical to the previous thread-per-connection front end.
 API reference — the versioned v1 surface
 ========================================
 
-The legacy Table-3 routes remain installed verbatim (thin adapters over
-the shared search core, byte-identical responses).  New clients should
-use the ``/v1/`` table, which validates once at the edge
+The legacy Table-3 routes remain installed (thin adapters over the
+shared cores).  The legacy search route keeps its ``{"searchKind",
+"hits"}`` body and its error messages, and its hits equal v1's field
+for field (text ranked by BM25).  New clients should use the
+``/v1/`` table, which validates once at the edge
 (:mod:`repro.server.schema`): **unknown fields are rejected with 400**,
 every default is explicit, and all listings cursor-paginate.
 

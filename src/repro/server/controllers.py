@@ -387,14 +387,20 @@ class RegistryController(BaseController):
     def search(self, request: Request, params: dict[str, str]) -> Response:
         """Legacy Table-3 search — a thin adapter over the v1 core.
 
-        Parameter parsing, validation order, error envelopes and the
-        response body shape are kept byte-identical to the historical
-        handler; the actual ranking runs through the same
-        :func:`~repro.server.v1.execute_search` decision tree the
-        versioned endpoint uses, pinned to the exact backend.
+        Only the parameter parsing is its own: the ``{type}`` path
+        segment and a lenient ``queryType`` (``text``, ``semantic`` or
+        ``code``, case-insensitive, with this route's historical error
+        messages).  ``k`` and ``queryEmbedding`` pass the same checks as
+        on v1, and the ranking runs through the same
+        :func:`~repro.server.v1.execute_search` decision tree, so the
+        hits equal the versioned endpoint's field for field.
         """
-        from repro.server.schema import SearchRequest
-        from repro.server.v1 import execute_search
+        from repro.server.schema import (
+            SearchRequest,
+            parse_embedding_field,
+            parse_k,
+        )
+        from repro.server.v1 import check_embedding_width, execute_search
 
         user = self.authenticated_user(request, params)
         search = params["search"]
@@ -407,9 +413,6 @@ class RegistryController(BaseController):
             )
         body = request.body or {}
         query_type = str(body.get("queryType", "text")).lower()
-        k = body.get("k")
-        k = int(k) if k is not None else None
-        query_embedding = body.get("queryEmbedding")
         if query_type not in ("text", "semantic", "code"):
             raise ValidationError(
                 f"unknown query type {query_type!r}",
@@ -421,12 +424,9 @@ class RegistryController(BaseController):
             kind=search_type,
             query_type=query_type,
             backend="exact",
-            k=k,
-            query_embedding=query_embedding,
+            k=parse_k(body),
+            query_embedding=parse_embedding_field(body, "queryEmbedding"),
         )
-        # legacy_text pins the historical LIKE+Python-scorer text
-        # pipeline — this route's contract is byte-identical output
-        search_kind, hits = execute_search(
-            self.app, user, req, legacy_text=True
-        )
+        check_embedding_width(self.app, req)
+        search_kind, hits = execute_search(self.app, user, req)
         return Response(200, {"searchKind": search_kind, "hits": hits})

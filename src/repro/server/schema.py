@@ -135,6 +135,16 @@ def parse_limit(value: Any) -> int:
     return int(value)
 
 
+def parse_k(body: dict[str, Any]) -> int | None:
+    """A search's ``k``: ``None`` (unbounded) or a positive integer."""
+    k = body.get("k")
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k <= 0):
+        raise ValidationError(
+            f"k must be a positive integer, got {k!r}", params={"k": k}
+        )
+    return k
+
+
 def _parse_enum(body: dict, key: str, choices: Sequence[str], default: str) -> str:
     value = body.get(key, default)
     if not isinstance(value, str) or value.lower() not in choices:
@@ -202,13 +212,7 @@ class SearchRequest:
                 params={"backend": backend},
                 details=f"registered backends: {', '.join(BACKENDS)}",
             )
-        k = body.get("k")
-        if k is not None:
-            if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
-                raise ValidationError(
-                    f"k must be a positive integer, got {k!r}",
-                    params={"k": k},
-                )
+        k = parse_k(body)
         limit = body.get("limit")
         if limit is not None:
             limit = parse_limit(limit)

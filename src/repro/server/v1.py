@@ -9,8 +9,8 @@ Two pieces live here:
   The legacy Table-3 route (``GET /registry/{user}/search/...``) is a
   thin adapter that builds a ``SearchRequest`` (always
   ``backend="exact"``) and re-shapes the result into the historical
-  ``{"searchKind", "hits"}`` body — byte-identical to the seed
-  behaviour.
+  ``{"searchKind", "hits"}`` body; its hits equal v1's field for
+  field, text included (one BM25 ranker serves both).
 * :class:`V1Controller` — handlers for the ``/v1/`` route table:
   cursor-paginated listings (users, PEs, workflows, a workflow's PEs)
   and the unified ``POST /v1/registry/{user}/search`` accepting
@@ -38,7 +38,6 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.net.transport import Request, Response
 from repro.registry.entities import UserRecord
-from repro.search import text_search_pes, text_search_workflows
 from repro.search.fusion import rrf_fuse
 from repro.search.text_search import (
     TextMatch,
@@ -67,8 +66,6 @@ def execute_search(
     app: "LaminarServer",
     user: UserRecord,
     req: SearchRequest,
-    *,
-    legacy_text: bool = False,
 ) -> tuple[str, list[dict]]:
     """Run one registry search; returns ``(search_kind, hits_json)``.
 
@@ -82,10 +79,6 @@ def execute_search(
     semantic one.  Both API generations share this decision tree —
     including the historical quirk that ``queryType=text`` over
     ``kind=pe`` serves *semantic* ranking.
-
-    ``legacy_text=True`` (the Table-3 adapter) swaps the indexed text
-    ranking for the historical LIKE-superset + Python-scorer pipeline,
-    keeping the legacy route's responses byte-identical to the seed.
     """
     index = app.index
     registry = app.registry
@@ -161,29 +154,32 @@ def execute_search(
             batcher=batcher,
         )
         return "semantic", [h.to_json() for h in hits]
-    if legacy_text:
-        # Table-3 parity adapter: LIKE-superset candidates scored by the
-        # historical Python scorer, byte-identical to the seed
-        if req.kind == "workflow":
-            matches = text_search_workflows(
-                query, registry.text_candidate_workflows(user, query)
-            )
-            return "text", [m.to_json() for m in matches]
-        # both: plain text match across the whole registry (Figure 6)
-        matches = text_search_pes(
-            query, registry.text_candidate_pes(user, query)
-        ) + text_search_workflows(
-            query, registry.text_candidate_workflows(user, query)
-        )
-        matches.sort(key=lambda m: (-m.score, m.kind, m.entity_id))
-        return "text", [m.to_json() for m in matches]
-    # v1 indexed text: ranked inside the DAO's inverted index
+    # indexed text: ranked inside the DAO's inverted index
     # (BM25 + whole-query name-substring bonus), O(k) hydration
     matches = _indexed_text_matches(registry, user, req.kind, query, k)
     matches.sort(key=lambda m: (-m.score, m.kind, m.entity_id))
     if k is not None:
         matches = matches[:k]
     return "text", [m.to_json() for m in matches]
+
+
+def check_embedding_width(app: "LaminarServer", req: SearchRequest) -> None:
+    """400 unless ``req.query_embedding`` (if any) is as wide as the
+    model that ranks ``req.query_type`` — the edge check the schema
+    cannot make, since it does not know the serving model's width."""
+    if req.query_embedding is None:
+        return
+    model = (
+        app.code_search.model
+        if req.query_type == "code"
+        else app.semantic.model
+    )
+    if len(req.query_embedding) != model.dim:
+        raise ValidationError(
+            f"queryEmbedding must have {model.dim} dimensions, "
+            f"got {len(req.query_embedding)}",
+            params={"queryEmbeddingDim": len(req.query_embedding)},
+        )
 
 
 def _indexed_text_matches(
@@ -479,20 +475,7 @@ class V1Controller(BaseController):
     def search(self, request: Request, params: dict[str, str]) -> Response:
         user = self.authenticated_user(request, params)
         req = SearchRequest.from_json(request.body)
-        if req.query_embedding is not None:
-            # dimension check completes the edge validation (the schema
-            # cannot know the serving model's width)
-            model = (
-                self.app.code_search.model
-                if req.query_type == "code"
-                else self.app.semantic.model
-            )
-            if len(req.query_embedding) != model.dim:
-                raise ValidationError(
-                    f"queryEmbedding must have {model.dim} dimensions, "
-                    f"got {len(req.query_embedding)}",
-                    params={"queryEmbeddingDim": len(req.query_embedding)},
-                )
+        check_embedding_width(self.app, req)
         paged = req.limit is not None or req.cursor is not None
         scope = limit = offset = None
         if paged:

@@ -2,7 +2,10 @@
 
 The read twin of ``test_write_cost.py``.  Over the real search surface
 (``POST /v1/registry/{user}/search`` through ``LaminarServer.dispatch``)
-on a file database, each ``queryType`` is pinned at four exact counts:
+on a file database, each ``queryType`` is pinned at four exact counts,
+and so is the legacy Table-3 text route
+(``GET /registry/{user}/search/{q}/type/both``), which must cost what
+v1 text costs:
 
 * **statements** — SQL the DAO runs on its connection
   (``set_trace_callback``; the statements FTS5 runs inside a ``MATCH``,
@@ -29,6 +32,7 @@ from repro.server import LaminarServer
 #: must never touch
 PES, WORKFLOWS, OTHER_PES = 24, 6, 10
 K = 3
+QUERY = "element adds to a stream"
 
 #: queryType -> (statements, rows hydrated, embedding bytes, ids projected)
 READ_COST = {
@@ -36,6 +40,8 @@ READ_COST = {
     "semantic": (5, 6, 333, 30),
     # user lookup, two FTS rankings, two hydrations of the k winners
     "text": (5, 6, 333, 0),
+    # the Table-3 route: the same ranking core, so the same reads
+    "table3-text": (5, 6, 333, 0),
     # both legs rank to depth max(2k, k + 50): 60 rows hydrated for 3 hits
     "hybrid": (9, 60, 3852, 30),
     # user lookup, one projection, one hydration
@@ -87,6 +93,28 @@ def server(tmp_path, fast_bundle):
     dao.close()
 
 
+def search_request(token, query_type):
+    """The dispatched search for one :data:`READ_COST` key."""
+    if query_type == "table3-text":
+        return Request(
+            "GET",
+            f"/registry/u/search/{QUERY}/type/both",
+            {"queryType": "text", "k": K},
+            token=token,
+        )
+    return Request(
+        "POST",
+        "/v1/registry/u/search",
+        {
+            "query": QUERY,
+            "kind": "pe" if query_type == "code" else "both",
+            "queryType": query_type,
+            "k": K,
+        },
+        token=token,
+    )
+
+
 def read_cost(app, token, monkeypatch, query_type):
     """``(hits, (statements, rows, embedding bytes, ids))`` of one
     dispatched search."""
@@ -123,19 +151,7 @@ def read_cost(app, token, monkeypatch, query_type):
         )
     dao._conn.set_trace_callback(statements.append)
     try:
-        reply = app.dispatch(
-            Request(
-                "POST",
-                "/v1/registry/u/search",
-                {
-                    "query": "element adds to a stream",
-                    "kind": "pe" if query_type == "code" else "both",
-                    "queryType": query_type,
-                    "k": K,
-                },
-                token=token,
-            )
-        )
+        reply = app.dispatch(search_request(token, query_type))
     finally:
         dao._conn.set_trace_callback(None)
         monkeypatch.undo()

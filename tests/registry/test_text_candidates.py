@@ -1,10 +1,17 @@
-"""SQL-side text-search candidate filtering: parity and scoping.
+"""Text search match sets: the BM25 index against the reference scorer.
 
-The DAO's ``*_owned_by_matching`` queries must return a *superset* of
-every record the Python scorer would match — extra candidates are fine
-(the scorer drops them), missing ones are a correctness bug — while
-never crossing tenant boundaries.  The endpoint-level tests assert the
-final hits are exactly the historical full-scan results.
+Both API generations rank ``queryType=text`` in the DAO's FTS5 index
+(``RegistryService.text_topk_pes`` / ``text_topk_workflows``).  The
+brute-force scorer in :mod:`repro.search.text_search`
+(``text_search_pes`` / ``text_search_workflows`` over the full owned
+listing) is the reference: for every query here the index must match
+exactly the records the reference matches, with the same ``matchedOn``
+label, and never another tenant's.  Scores and order differ by design
+(BM25 plus a name-substring bonus against the reference's flat
+2.0/1.25/0.5 arms); the ranking itself is pinned in
+``test_fts_text.py``.  The endpoint cases check the legacy Table-3
+route's merged hit list: the reference's matches, by descending score,
+cut at ``k``.
 """
 
 import pytest
@@ -13,15 +20,19 @@ from repro.net.transport import Request
 from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
 from repro.search.text_search import (
-    candidate_patterns,
+    pe_match_label,
     text_search_pes,
     text_search_workflows,
+    workflow_match_label,
 )
 from repro.server import LaminarServer
 from tests.registry.test_dao import make_pe, make_wf
+from tests.server.test_v1_api import seed_prime_registry
 
 #: names/descriptions exercising camelCase, snake_case, hyphens, LIKE
-#: metacharacters, unicode and lookalike cross-matches
+#: metacharacters, unicode, punctuation inside camelCase names (where
+#: FTS5's unicode61 token runs and the subtoken splitter could part
+#: ways) and lookalike cross-matches
 CORPUS = [
     ("isPrime", "checks whether numbers are prime"),
     ("VoTableReader", "reads a vo-table from disk"),
@@ -30,6 +41,9 @@ CORPUS = [
     ("CaféReader", "reads café menus"),
     ("Plain", "nothing remarkable"),
     ("primality", "prime-adjacent naming"),
+    ("foo:barBaz", "colon inside a camelCase name"),
+    ("a+bCd", "plus inside a camelCase name"),
+    ("naïveBayes", "a classifier"),
 ]
 
 QUERIES = [
@@ -46,7 +60,16 @@ QUERIES = [
     "%",
     "   ",
     "e is p",  # substring only of the *normalized* expansion
+    "///",  # no scorer word: the name-substring arm alone
+    "bar baz",
+    "foo:bar",
+    "b cd",
+    "naive bayes",
+    "camelcase name",
 ]
+
+#: a query of 100 distinct words, none of which occurs in the corpus
+WIDE = " ".join(f"word{i}" for i in range(100))
 
 
 def fill(dao):
@@ -62,7 +85,7 @@ def fill(dao):
             f"{name}Flow", code=f"w{i}".encode().hex(), description=description
         )
         service.add_workflow(alice, wf)
-    # bob's records must never appear in alice's candidates
+    # bob's records must never appear in alice's results
     service.add_pe(
         bob, make_pe("primeBob", code="Ym9i".encode().hex(),
                      description="bob's prime element")
@@ -78,77 +101,119 @@ def backend(request, tmp_path):
     return fill(SqliteDAO(tmp_path / "text.db"))
 
 
-class TestCandidateSuperset:
+def indexed_pes(service, user, query):
+    """``{pe_id: matchedOn}`` of the BM25 path."""
+    return {
+        record.pe_id: pe_match_label(query, record)
+        for record, _score in service.text_topk_pes(user, query)
+    }
+
+
+def reference_pes(service, user, query):
+    """``{pe_id: matchedOn}`` of the reference scorer over the full
+    owned listing."""
+    return {
+        m.entity_id: m.matched_on
+        for m in text_search_pes(query, service.dao.pes_owned_by(user.user_id))
+    }
+
+
+def indexed_workflows(service, user, query):
+    return {
+        record.workflow_id: workflow_match_label(query, record)
+        for record, _score in service.text_topk_workflows(user, query)
+    }
+
+
+def reference_workflows(service, user, query):
+    return {
+        m.entity_id: m.matched_on
+        for m in text_search_workflows(
+            query, service.dao.workflows_owned_by(user.user_id)
+        )
+    }
+
+
+class TestMatchSetParity:
     @pytest.mark.parametrize("query", QUERIES)
-    def test_pe_candidates_cover_all_scorer_matches(self, backend, query):
+    def test_pe_matches_equal_reference(self, backend, query):
         service, alice, _ = backend
-        full = service.dao.pes_owned_by(alice.user_id)
-        expected = text_search_pes(query, full)
-        candidates = service.text_candidate_pes(alice, query)
-        got = text_search_pes(query, candidates)
-        assert [m.to_json() for m in got] == [m.to_json() for m in expected]
+        assert indexed_pes(service, alice, query) == reference_pes(
+            service, alice, query
+        )
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_workflow_candidates_cover_all_scorer_matches(self, backend, query):
+    def test_workflow_matches_equal_reference(self, backend, query):
         service, alice, _ = backend
-        full = service.dao.workflows_owned_by(alice.user_id)
-        expected = text_search_workflows(query, full)
-        candidates = service.text_candidate_workflows(alice, query)
-        got = text_search_workflows(query, candidates)
-        assert [m.to_json() for m in got] == [m.to_json() for m in expected]
+        assert indexed_workflows(service, alice, query) == reference_workflows(
+            service, alice, query
+        )
 
-    def test_candidates_stay_owner_scoped(self, backend):
+    def test_corpus_is_not_degenerate(self, backend):
+        """The parity cases compare real matches: most queries hit
+        something, the punctuation-in-camelCase names included."""
+        service, alice, _ = backend
+        hit = [q for q in QUERIES if reference_pes(service, alice, q)]
+        assert len(hit) >= len(QUERIES) - 3
+        names = {
+            record.pe_name
+            for query in ("bar baz", "b cd", "naive bayes")
+            for record, _score in service.text_topk_pes(alice, query)
+        }
+        assert names == {"foo:barBaz", "a+bCd", "naïveBayes"}
+
+    def test_matches_stay_owner_scoped(self, backend):
         service, alice, bob = backend
-        for query in ("prime", "bob"):
+        for query in ("prime", "bob", "primeBob"):
             names = {
-                pe.pe_name for pe in service.text_candidate_pes(alice, query)
+                record.pe_name
+                for record, _score in service.text_topk_pes(alice, query)
             }
             assert "primeBob" not in names
+        # the DAO ranking itself is owner-joined, not just filtered on
+        # hydration
+        bob_ids = set(service.dao.pe_ids_owned_by(bob.user_id))
+        for query in ("prime", "bob"):
+            ranked = service.dao.text_topk_pes(alice.user_id, query)
+            assert not bob_ids & {pe_id for pe_id, _score in ranked}
+        # the record is indexed: its owner finds it
+        assert [
+            record.pe_name for record, _score in service.text_topk_pes(bob, "prime")
+        ] == ["primeBob"]
 
-    def test_filter_reduces_materialization(self, backend):
+
+class TestWideQueries:
+    """Queries of many distinct words run on the BM25 path (one OR'd
+    ``MATCH``) and still filter: no cap, no fallback to the listing."""
+
+    def test_wide_query_without_a_real_word_matches_nothing(self, backend):
         service, alice, _ = backend
-        candidates = service.text_candidate_pes(alice, "prime")
-        assert len(candidates) < len(service.dao.pes_owned_by(alice.user_id))
-        assert {pe.pe_name for pe in candidates} >= {"isPrime", "primality"}
+        assert service.text_topk_pes(alice, WIDE) == []
+        assert service.text_topk_workflows(alice, WIDE) == []
 
-    def test_unfilterable_query_falls_back_to_full_listing(self, backend):
+    def test_wide_query_keeps_the_real_word(self, backend):
         service, alice, _ = backend
-        assert candidate_patterns("///") is None
-        full = service.dao.pes_owned_by(alice.user_id)
-        got = service.text_candidate_pes(alice, "///")
-        assert [pe.pe_id for pe in got] == [pe.pe_id for pe in full]
-
-
-class TestPatternCap:
-    """The 64-pattern LIKE cap is gone: oversized pattern sets now
-    filter through chunked OR groups (``SqliteDAO._LIKE_CHUNK``)
-    instead of silently degrading to the full owned listing."""
-
-    def test_oversized_pattern_set_still_filters(self, backend):
-        service, alice, _ = backend
-        query = " ".join(f"word{i}" for i in range(100))
-        patterns = candidate_patterns(query)
-        assert patterns is not None and len(patterns) > 64
-        got = service.dao.pes_owned_by_matching(alice.user_id, patterns)
-        # none of the junk tokens occur in the corpus: the chunked
-        # filter must prove that, not hand back everything
-        assert got == []
-
-    def test_oversized_pattern_set_keeps_matches(self, backend):
-        service, alice, _ = backend
-        query = " ".join(f"word{i}" for i in range(100)) + " prime"
-        patterns = candidate_patterns(query)
-        assert patterns is not None and len(patterns) > 64
-        got = service.dao.pes_owned_by_matching(alice.user_id, patterns)
-        names = {pe.pe_name for pe in got}
-        # the one real token must survive whichever chunk it lands in
-        assert names >= {"isPrime", "primality"}
-        assert len(got) < len(service.dao.pes_owned_by(alice.user_id))
+        query = WIDE + " prime"
+        got = indexed_pes(service, alice, query)
+        assert got == reference_pes(service, alice, query)
+        names = {
+            record.pe_name
+            for record, _score in service.text_topk_pes(alice, query)
+        }
+        assert names == {"isPrime", "primality"}
 
 
 class TestEndpointParity:
-    @pytest.fixture()
-    def server(self, fast_bundle):
+    """The Table-3 text route over two registries: ``CORPUS`` and the
+    "prime" tenant that ``test_v1_api.py::TestLegacyParity`` searches.
+    Unbounded, it returns the reference scorer's matches in descending
+    score order; with ``k`` it returns the first ``k`` of those.  That
+    the route equals v1 is pinned by
+    ``test_v1_api.py::TestLegacyParity::test_legacy_route_equals_v1_exact``.
+    """
+
+    @pytest.fixture(params=["corpus", "prime-seed"])
+    def server(self, request, fast_bundle):
         server = LaminarServer(models=fast_bundle)
         for user in ("alice", "bob"):
             server.dispatch(
@@ -166,6 +231,9 @@ class TestEndpointParity:
             )
         ).body["token"]
         alice = server.registry.get_user("alice")
+        if request.param == "prime-seed":
+            seed_prime_registry(server, token, user="alice")
+            return server, alice, token
         for i, (name, description) in enumerate(CORPUS):
             server.registry.add_pe(
                 alice,
@@ -184,24 +252,35 @@ class TestEndpointParity:
         return server, alice, token
 
     @pytest.mark.parametrize("search_type", ["workflow", "both"])
-    @pytest.mark.parametrize("query", ["prime", "vo table", "nothing"])
-    def test_text_endpoint_matches_full_scan(self, server, search_type, query):
+    @pytest.mark.parametrize("query", ["prime", "vo table", "nothing", "bar baz"])
+    def test_text_route_serves_reference_matches_by_score(
+        self, server, search_type, query
+    ):
         app, alice, token = server
-        response = app.dispatch(
-            Request(
-                "GET",
-                f"/registry/alice/search/{query}/type/{search_type}",
-                {"queryType": "text"},
-                token=token,
+
+        def search(**bounded):
+            response = app.dispatch(
+                Request(
+                    "GET",
+                    f"/registry/alice/search/{query}/type/{search_type}",
+                    {"queryType": "text", **bounded},
+                    token=token,
+                )
             )
-        )
-        assert response.status == 200
-        expected = []
+            assert response.status == 200, response.body
+            assert response.body["searchKind"] == "text"
+            return response.body["hits"]
+
+        hits = search()
+        expected = text_search_workflows(query, app.registry.user_workflows(alice))
         if search_type == "both":
             expected += text_search_pes(query, app.registry.user_pes(alice))
-        expected += text_search_workflows(
-            query, app.registry.user_workflows(alice)
-        )
-        if search_type == "both":
-            expected.sort(key=lambda m: (-m.score, m.kind, m.entity_id))
-        assert response.body["hits"] == [m.to_json() for m in expected]
+        assert {(h["kind"], h["id"], h["matchedOn"]) for h in hits} == {
+            (m.kind, m.entity_id, m.matched_on) for m in expected
+        }
+        assert len(hits) == len(expected)
+        if query == "prime":
+            assert hits
+        scores = [h["score"] for h in hits]
+        assert scores == sorted(scores, reverse=True)
+        assert search(k=2) == hits[:2]

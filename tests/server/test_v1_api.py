@@ -534,34 +534,43 @@ class TestSearchEnvelope:
         }
 
 
-class TestLegacyParity:
-    """The Table-3 adapter must behave byte-identically to the seed."""
+def seed_prime_registry(server, token, user="zz46"):
+    """Eight PEs and eight workflows that all mention "prime"."""
+    for i in range(8):
+        add_pe(server, token, f"pe{i}", f"a prime checking element {i}", user)
+        add_workflow(server, token, f"wf{i}", f"a prime workflow {i}", user)
 
-    def seed_registry(self, server, token):
-        for i in range(8):
-            add_pe(server, token, f"pe{i}", f"a prime checking element {i}")
-            add_workflow(server, token, f"wf{i}", f"a prime workflow {i}")
+
+class TestLegacyParity:
+    """The Table-3 adapter serves v1's hits in its historical body
+    shape, with its own error messages for ``type``/``queryType``."""
 
     @pytest.mark.parametrize(
         "query_type,kind",
         [
             # (text, pe) serves semantic ranking on both generations
-            # (the historical quirk); (text, workflow/both) diverge by
-            # design now — see test_v1_text_is_bm25_legacy_unchanged
+            # (the historical quirk); (text, workflow/both) rank in the
+            # DAO's BM25 index on both
             ("text", "pe"),
+            ("text", "workflow"),
+            ("text", "both"),
             ("semantic", "pe"),
             ("semantic", "workflow"),
             ("semantic", "both"),
             ("code", "pe"),
         ],
     )
-    def test_legacy_route_equals_v1_exact(self, server, token, query_type, kind):
-        self.seed_registry(server, token)
+    @pytest.mark.parametrize("k", [5, None])
+    def test_legacy_route_equals_v1_exact(
+        self, server, token, query_type, kind, k
+    ):
+        seed_prime_registry(server, token)
+        bounded = {} if k is None else {"k": k}
         legacy = server.dispatch(
             Request(
                 "GET",
                 f"/registry/zz46/search/prime/type/{kind}",
-                {"queryType": query_type, "k": 5},
+                {"queryType": query_type, **bounded},
                 token=token,
             )
         )
@@ -573,8 +582,8 @@ class TestLegacyParity:
                     "query": "prime",
                     "queryType": query_type,
                     "kind": kind,
-                    "k": 5,
                     "backend": "exact",
+                    **bounded,
                 },
                 token=token,
             )
@@ -586,55 +595,52 @@ class TestLegacyParity:
         assert legacy.body["searchKind"] == v1.body["searchKind"]
         assert set(legacy.body) == {"searchKind", "hits"}
 
-    @pytest.mark.parametrize("kind", ["workflow", "both"])
-    def test_v1_text_is_bm25_legacy_unchanged(self, server, token, kind):
-        """The two text surfaces now rank differently on purpose: the
-        legacy route stays byte-identical to the historical Python
-        scorer (through the LIKE parity adapter) while v1 serves the
-        DAO's BM25 ranking — same matched records, indexed scores."""
-        from repro.search.text_search import (
-            text_search_pes,
-            text_search_workflows,
-        )
-
-        self.seed_registry(server, token)
-        user = server.registry.get_user("zz46")
-        expected = []
-        if kind == "both":
-            expected += text_search_pes(
-                "prime", server.registry.user_pes(user)
-            )
-        expected += text_search_workflows(
-            "prime", server.registry.user_workflows(user)
-        )
-        if kind == "both":
-            expected.sort(key=lambda m: (-m.score, m.kind, m.entity_id))
-        legacy = server.dispatch(
+    @pytest.mark.parametrize(
+        "kind,body",
+        [
+            ("workflow", {"k": "abc"}),
+            ("workflow", {"k": "5"}),
+            ("both", {"k": 1.9}),
+            ("both", {"k": True}),
+            ("workflow", {"k": 0}),
+            ("both", {"k": -1}),
+            ("pe", {"queryType": "semantic", "queryEmbedding": [1.0, 2.0]}),
+            ("pe", {"queryType": "code", "queryEmbedding": [1.0, 2.0]}),
+            ("pe", {"queryType": "semantic", "queryEmbedding": "abc"}),
+            ("pe", {"queryType": "semantic", "queryEmbedding": []}),
+            ("pe", {"queryType": "semantic", "queryEmbedding": [1.0, True]}),
+        ],
+        ids=[
+            "k-letters",
+            "k-digit-string",
+            "k-float",
+            "k-bool",
+            "k-zero",
+            "k-negative",
+            "embedding-2-wide-semantic",
+            "embedding-2-wide-code",
+            "embedding-string",
+            "embedding-empty",
+            "embedding-bool-item",
+        ],
+    )
+    def test_legacy_malformed_k_or_embedding_is_400(
+        self, server, token, kind, body
+    ):
+        """``k`` and ``queryEmbedding`` pass v1's checks on this route
+        too: a malformed value is a 400 (never a 500), and no ``k`` is
+        coerced or ignored."""
+        seed_prime_registry(server, token)
+        response = server.dispatch(
             Request(
                 "GET",
                 f"/registry/zz46/search/prime/type/{kind}",
-                {"queryType": "text"},
+                body,
                 token=token,
             )
         )
-        assert legacy.status == 200
-        assert legacy.body["hits"] == [m.to_json() for m in expected]
-
-        v1 = server.dispatch(
-            Request(
-                "POST",
-                "/v1/registry/zz46/search",
-                {"query": "prime", "queryType": "text", "kind": kind},
-                token=token,
-            )
-        )
-        assert v1.status == 200
-        # same match set, BM25 order/scores
-        legacy_keys = {(h["kind"], h["id"]) for h in legacy.body["hits"]}
-        v1_keys = {(h["kind"], h["id"]) for h in v1.body["hits"]}
-        assert v1_keys == legacy_keys
-        scores = [h["score"] for h in v1.body["hits"]]
-        assert scores == sorted(scores, reverse=True)
+        assert response.status == 400, (body, response.body)
+        assert response.body["error"] == "ValidationError"
 
     def test_legacy_error_envelopes_unchanged(self, server, token):
         bad_type = server.dispatch(
