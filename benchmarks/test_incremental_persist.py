@@ -136,7 +136,12 @@ def test_incremental_persist(tmp_path, record, out_dir):
         user = users[i % TENANTS]
         vecs = _unit_rows(rng, 2, DIM)
         added.append(
-            (user, service.add_pe(user, _record_for(user, "W", i, vecs[0], vecs[1])))
+            (
+                user,
+                service.register_pe(
+                    user, _record_for(user, "W", i, vecs[0], vecs[1])
+                )[0],
+            )
         )
     for user, rec in added[:: len(added) // K_REMOVES][:K_REMOVES]:
         service.remove_pe_record(user, rec)

@@ -5,9 +5,8 @@ PE instances pull work items from Redis lists with blocking pops and push
 produced items to their destinations' lists.  No Redis server is
 available offline, so this subpackage implements the closest synthetic
 equivalent: a dedicated *broker process* (so the data structure really is
-external shared state, like a Redis server) speaking a Redis-like command
-subset — ``RPUSH``/``LPUSH``/``BLPOP``/``LLEN``/``SET``/``GET``/``INCR``/
-``HSET``/``HGET``/``DEL``/``PING`` — over IPC queues.
+external shared state, like a Redis server) speaking the Redis commands
+the mapping calls — ``RPUSH``/``BLPOP``/``PING`` — over IPC queues.
 
 Blocking-pop semantics (including FIFO wake-up of parked waiters and
 timeouts) match Redis' ``BLPOP``, which is the behaviour the mapping's

@@ -2,11 +2,12 @@
 
 The broker runs in its own OS process and serves requests arriving on a
 single request queue, replying on per-client response queues.  Supported
-commands mirror the Redis subset dispel4py's redis mapping relies on.
+commands are the Redis subset the redis mapping calls: ``RPUSH``,
+``BLPOP`` and ``PING``, plus ``SHUTDOWN`` to stop the broker.
 
 ``BLPOP`` is implemented with a parked-waiter table: when the requested
 list is empty the client is parked (FIFO per key, like Redis) and woken
-by the next ``RPUSH``/``LPUSH`` to that key or when its timeout expires.
+by the next ``RPUSH`` to that key or when its timeout expires.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ _SWEEP_INTERVAL = 0.05
 def _broker_main(request_q: Any, response_qs: dict[int, Any]) -> None:
     """Broker event loop (module-level for spawn-safety)."""
     lists: dict[str, deque] = defaultdict(deque)
-    hashes: dict[str, dict[str, Any]] = defaultdict(dict)
-    strings: dict[str, Any] = {}
     # key -> FIFO of (client_id, deadline or None)
     waiters: dict[str, deque] = defaultdict(deque)
 
@@ -80,12 +79,6 @@ def _broker_main(request_q: Any, response_qs: dict[int, Any]) -> None:
                 lists[key].extend(values)
                 wake_waiters(key)
                 reply(client_id, len(lists[key]))
-            elif op == "LPUSH":
-                key, values = args
-                for value in values:
-                    lists[key].appendleft(value)
-                wake_waiters(key)
-                reply(client_id, len(lists[key]))
             elif op == "BLPOP":
                 key, timeout = args
                 if lists[key]:
@@ -95,48 +88,6 @@ def _broker_main(request_q: Any, response_qs: dict[int, Any]) -> None:
                         None if timeout is None else time.monotonic() + timeout
                     )
                     waiters[key].append((client_id, deadline))
-            elif op == "LPOP":
-                key = args[0]
-                reply(client_id, lists[key].popleft() if lists[key] else None)
-            elif op == "LLEN":
-                reply(client_id, len(lists[args[0]]))
-            elif op == "LRANGE":
-                key, start, stop = args
-                items = list(lists[key])
-                stop_index = len(items) if stop == -1 else stop + 1
-                reply(client_id, items[start:stop_index])
-            elif op == "SET":
-                key, value = args
-                strings[key] = value
-                reply(client_id, True)
-            elif op == "GET":
-                reply(client_id, strings.get(args[0]))
-            elif op == "INCR":
-                key = args[0]
-                strings[key] = int(strings.get(key, 0)) + 1
-                reply(client_id, strings[key])
-            elif op == "HSET":
-                key, field, value = args
-                hashes[key][field] = value
-                reply(client_id, True)
-            elif op == "HGET":
-                key, field = args
-                reply(client_id, hashes[key].get(field))
-            elif op == "HGETALL":
-                reply(client_id, dict(hashes[args[0]]))
-            elif op == "DEL":
-                key = args[0]
-                removed = int(
-                    (lists.pop(key, None) is not None)
-                    or (strings.pop(key, None) is not None)
-                    or (hashes.pop(key, None) is not None)
-                )
-                reply(client_id, removed)
-            elif op == "KEYS":
-                reply(
-                    client_id,
-                    sorted(set(lists) | set(strings) | set(hashes)),
-                )
             else:
                 reply_error(client_id, f"unknown command {op!r}")
         except Exception as exc:  # pragma: no cover - defensive

@@ -52,9 +52,6 @@ class BrokerClient:
     def rpush(self, key: str, *values: Any) -> int:
         return self._call("RPUSH", (key, list(values)))
 
-    def lpush(self, key: str, *values: Any) -> int:
-        return self._call("LPUSH", (key, list(values)))
-
     def blpop(self, key: str, timeout: float | None = None) -> tuple[str, Any] | None:
         """Blocking left pop; returns ``(key, value)`` or ``None`` on timeout.
 
@@ -63,42 +60,6 @@ class BrokerClient:
         """
         client_wait = None if timeout is None else timeout + 10.0
         return self._call("BLPOP", (key, timeout), timeout=client_wait)
-
-    def lpop(self, key: str) -> Any:
-        return self._call("LPOP", (key,))
-
-    def llen(self, key: str) -> int:
-        return self._call("LLEN", (key,))
-
-    def lrange(self, key: str, start: int, stop: int) -> list[Any]:
-        return self._call("LRANGE", (key, start, stop))
-
-    # -- strings / counters ----------------------------------------------
-    def set(self, key: str, value: Any) -> bool:
-        return self._call("SET", (key, value))
-
-    def get(self, key: str) -> Any:
-        return self._call("GET", (key,))
-
-    def incr(self, key: str) -> int:
-        return self._call("INCR", (key,))
-
-    # -- hashes ------------------------------------------------------------
-    def hset(self, key: str, field: str, value: Any) -> bool:
-        return self._call("HSET", (key, field, value))
-
-    def hget(self, key: str, field: str) -> Any:
-        return self._call("HGET", (key, field))
-
-    def hgetall(self, key: str) -> dict[str, Any]:
-        return self._call("HGETALL", (key,))
-
-    # -- keys ----------------------------------------------------------------
-    def delete(self, key: str) -> int:
-        return self._call("DEL", (key,))
-
-    def keys(self) -> list[str]:
-        return self._call("KEYS")
 
     def __repr__(self) -> str:
         return f"<BrokerClient id={self.client_id}>"

@@ -50,9 +50,6 @@ class MappingResult:
     def add_result(self, pe_name: str, port: str, value: Any) -> None:
         self.results.setdefault(f"{pe_name}.{port}", []).append(value)
 
-    def total_consumed(self) -> int:
-        return int(sum(c["consumed"] for c in self.counters.values()))
-
     def __repr__(self) -> str:
         return (
             f"<MappingResult {self.mapping} nprocs={self.nprocs} "

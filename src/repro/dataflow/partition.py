@@ -169,9 +169,6 @@ class ConcreteWorkflow:
     def total_instances(self) -> int:
         return len(self.instances)
 
-    def pe_of(self, gid: int) -> ProcessingElement:
-        return self.pes[self.instances[gid].pe_index]
-
     def make_instance(self, gid: int) -> ProcessingElement:
         """Create an independent PE object for instance ``gid``."""
         info = self.instances[gid]

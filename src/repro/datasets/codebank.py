@@ -1505,7 +1505,3 @@ PROBLEM_INDEX: dict[str, CodeProblem] = {p.key: p for p in PROBLEMS}
 def all_canonical_sources() -> list[str]:
     """Every variant of every problem — the fitting/"pretraining" corpus."""
     return [variant for problem in PROBLEMS for variant in problem.variants]
-
-
-def problems_with_tag(tag: str) -> list[CodeProblem]:
-    return [p for p in PROBLEMS if tag in p.tags]

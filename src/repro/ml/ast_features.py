@@ -200,15 +200,3 @@ def docstring_of(source: str) -> str:
             if doc:
                 return doc
     return ""
-
-
-def function_names(source: str) -> list[str]:
-    """Names of defined functions/classes (entry-point identifiers)."""
-    tree = parse_lenient(source)
-    if tree is None:
-        return []
-    return [
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]

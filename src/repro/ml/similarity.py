@@ -47,16 +47,3 @@ def cosine_topk(
         part = np.argpartition(-sims, k - 1)[:k]
         order = part[np.argsort(-sims[part])]
     return order, sims[order]
-
-
-def rank_of(query: np.ndarray, corpus: np.ndarray, target_index: int) -> int:
-    """1-based rank of ``target_index`` when ranking corpus by similarity.
-
-    Ties are resolved pessimistically (equal scores ahead of the target
-    count against it), making metrics conservative and deterministic.
-    """
-    sims = cosine_similarity_matrix(query, corpus)[0]
-    target_score = sims[target_index]
-    ahead = int(np.sum(sims > target_score))
-    ties_before = int(np.sum(sims[:target_index] == target_score))
-    return ahead + ties_before + 1

@@ -188,29 +188,6 @@ class IdfWeighter:
         df = self._df.get(feature, 0)
         return math.log(1.0 + self._n_docs / (1.0 + df))
 
-    def as_mapping(self) -> "_IdfMapping":
-        return _IdfMapping(self)
-
-
-class _IdfMapping(Mapping[str, float]):
-    """Lazy mapping view so vectorizers can treat IDF like a dict."""
-
-    def __init__(self, weighter: IdfWeighter) -> None:
-        self._weighter = weighter
-
-    def __getitem__(self, feature: str) -> float:
-        return self._weighter.weight(feature)
-
-    def get(self, feature: str, default: float = 1.0) -> float:  # type: ignore[override]
-        return self._weighter.weight(feature)
-
-    def __iter__(self):
-        return iter(self._weighter._df)
-
-    def __len__(self) -> int:
-        return len(self._weighter._df)
-
-
 def l2_normalize(matrix: np.ndarray) -> np.ndarray:
     """Row-wise L2 normalization; zero rows stay zero (never NaN).
 

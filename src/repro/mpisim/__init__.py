@@ -4,8 +4,8 @@ The paper's dispel4py supports an MPI mapping executed with ``mpiexec`` on
 an HPC cluster.  That hardware/middleware is not available offline, so
 this subpackage provides the closest synthetic equivalent: an mpi4py-like
 :class:`Communicator` (lowercase, pickle-based ``send``/``recv``/``bcast``/
-``scatter``/``gather``/``barrier`` — the exact API subset dispel4py's MPI
-mapping uses) implemented over ``multiprocessing`` queues, plus a
+``gather``/``barrier`` — the exact API subset the MPI mapping uses)
+implemented over ``multiprocessing`` queues, plus a
 :func:`mpi_run` launcher standing in for ``mpiexec -n``.
 
 Each rank is a real OS process, so the parallel execution structure —

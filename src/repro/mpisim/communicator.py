@@ -1,9 +1,10 @@
 """An mpi4py-like communicator over multiprocessing queues.
 
-Implements the "communication of generic Python objects" API of mpi4py
-(all-lowercase method names, objects pickled under the hood): ``send``,
-``recv``, ``isend``/``irecv``, and the collectives ``bcast``, ``scatter``,
-``gather``, ``allgather``, ``reduce``, ``allreduce``, ``barrier``.
+Implements the part of mpi4py's "communication of generic Python
+objects" API (all-lowercase method names, objects pickled under the
+hood) that the MPI mapping calls: ``send``, ``recv`` and the collectives
+``bcast``, ``gather`` and ``barrier``, plus the ``rank``/``size``
+properties.
 
 Message matching follows MPI semantics: ``recv`` can select by source
 rank and tag, with :data:`ANY_SOURCE`/:data:`ANY_TAG` wildcards; messages
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import queue as queue_mod
 import time
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import MappingError
 
@@ -25,30 +26,6 @@ ANY_TAG = -1
 
 #: tag space reserved for collective operations (user tags must be >= 0)
 _COLLECTIVE_TAG_BASE = -1000
-
-
-class Request:
-    """Handle for a non-blocking operation (mpi4py ``Request`` analogue)."""
-
-    def __init__(self, fetch: Callable[[], Any]) -> None:
-        self._fetch = fetch
-        self._done = False
-        self._value: Any = None
-
-    def test(self) -> tuple[bool, Any]:
-        if not self._done:
-            try:
-                self._value = self._fetch()
-                self._done = True
-            except queue_mod.Empty:
-                return False, None
-        return True, self._value
-
-    def wait(self) -> Any:
-        if not self._done:
-            self._value = self._fetch()
-            self._done = True
-        return self._value
 
 
 class Communicator:
@@ -74,13 +51,7 @@ class Communicator:
         #: the same program order, so these tags agree across the world.
         self._collective_seq = 0
 
-    # -- mpi4py-style accessors ----------------------------------------
-    def Get_rank(self) -> int:
-        return self._rank
-
-    def Get_size(self) -> int:
-        return self._size
-
+    # -- accessors -------------------------------------------------------
     @property
     def rank(self) -> int:
         return self._rank
@@ -97,10 +68,6 @@ class Communicator:
         if tag < 0 and tag > _COLLECTIVE_TAG_BASE:
             raise MappingError(f"negative tags are reserved, got {tag}")
         self._inboxes[dest].put((self._rank, tag, obj))
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        self.send(obj, dest, tag)
-        return Request(lambda: None)
 
     def _match(self, source: int, tag: int) -> Any | None:
         for i, (src, t, obj) in enumerate(self._buffer):
@@ -143,22 +110,6 @@ class Communicator:
             except queue_mod.Empty:
                 continue
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        return Request(lambda: self.recv(source, tag))
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking: is a matching message already available?"""
-        while True:
-            try:
-                self._buffer.append(self._inboxes[self._rank].get_nowait())
-            except queue_mod.Empty:
-                break
-        hit = self._match(source, tag)
-        if hit is None:
-            return False
-        self._buffer.insert(0, hit)
-        return True
-
     # -- collectives -----------------------------------------------------
     def _next_collective_tag(self) -> int:
         self._collective_seq += 1
@@ -176,20 +127,6 @@ class Communicator:
             return obj
         return self.recv(source=root, tag=ctag)
 
-    def scatter(self, seq: Any, root: int = 0) -> Any:
-        ctag = self._next_collective_tag()
-        if self._rank == root:
-            if seq is None or len(seq) != self._size:
-                raise MappingError(
-                    "scatter expects a sequence of comm.size elements at root",
-                    params={"size": self._size},
-                )
-            for dest in range(self._size):
-                if dest != root:
-                    self._csend(seq[dest], dest, ctag)
-            return seq[root]
-        return self.recv(source=root, tag=ctag)
-
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         ctag = self._next_collective_tag()
         if self._rank == root:
@@ -201,25 +138,6 @@ class Communicator:
             return out
         self._csend(obj, root, ctag)
         return None
-
-    def allgather(self, obj: Any) -> list[Any]:
-        gathered = self.gather(obj, root=0)
-        return self.bcast(gathered, root=0)
-
-    def reduce(
-        self, obj: Any, op: Callable[[Any, Any], Any], root: int = 0
-    ) -> Any | None:
-        gathered = self.gather(obj, root=root)
-        if gathered is None:
-            return None
-        acc = gathered[0]
-        for item in gathered[1:]:
-            acc = op(acc, item)
-        return acc
-
-    def allreduce(self, obj: Any, op: Callable[[Any, Any], Any]) -> Any:
-        reduced = self.reduce(obj, op, root=0)
-        return self.bcast(reduced, root=0)
 
     def barrier(self) -> None:
         """All ranks block until every rank has arrived."""

@@ -382,8 +382,8 @@ CREATE TABLE IF NOT EXISTS index_shards (
 -- a stored (user, key) returns the recorded response verbatim; a
 -- fingerprint mismatch is a 409)
 -- schema v4 adds created_at: receipts are claimed (INSERT OR IGNORE of
--- a pending row — the cross-process write-serialization point) and
--- garbage-collected by TTL/cap, both keyed on this stamp
+-- a pending row — the cross-process write-serialization point); the
+-- stamp is written but nothing prunes by it (receipts are unbounded)
 CREATE TABLE IF NOT EXISTS write_receipts (
     user_id INTEGER NOT NULL,
     idem_key TEXT NOT NULL,
@@ -477,7 +477,8 @@ CREATE TABLE IF NOT EXISTS index_deltas (
 #: counter and the persisted index-shard slabs; v3 added per-record
 #: revisions (conditional writes), idempotency receipts and a table of
 #: persisted IVF training state; v4 added ``write_receipts.created_at``
-#: for receipt claiming and TTL/cap garbage collection; v5 added the
+#: for receipt claiming (it also fed a TTL/cap receipt pruning that has
+#: since been deleted; the column stays); v5 added the
 #: FTS5 text side tables (one-time backfill from the record tables)
 #: and a table of persisted HNSW graphs; v6 added per-shard freshness
 #: stamps (``shard_stamps``, maintained inside every mutation
@@ -562,9 +563,8 @@ class SqliteDAO:
         and persists; v2 -> v3 adds the ``revision`` columns (existing
         rows start at revision 1) plus the ``write_receipts`` table
         from the schema script; v3 -> v4 adds the
-        ``created_at`` receipt column (existing receipts stamp 0 — the
-        epoch — so a TTL sweep retires them first, the conservative
-        choice for rows of unknown age); v4 -> v5 backfills the FTS5
+        ``created_at`` receipt column (existing receipts stamp 0, the
+        epoch, for rows of unknown age); v4 -> v5 backfills the FTS5
         text side tables from the record tables (afterwards the
         mutation-path triggers keep them in sync); v5 -> v6 seeds the
         per-shard ``shard_stamps`` from a pre-v6 snapshot *only* when
@@ -2080,45 +2080,3 @@ class SqliteDAO:
                 " AND status=?",
                 (int(user_id), str(key), RECEIPT_PENDING),
             )
-
-    def prune_write_receipts(
-        self,
-        now: float,
-        ttl: float | None = None,
-        cap: int | None = None,
-    ) -> int:
-        """Bound idempotency storage; returns the number of rows dropped.
-
-        ``ttl`` drops finalized receipts with ``created_at <= now - ttl``
-        (replay works inside the window, re-executes outside it — the
-        idempotency contract is time-bounded, as every production
-        idempotency store's is); ``cap`` keeps only the newest ``cap``
-        finalized receipts.  Pending claims are never pruned — an
-        in-flight writer still owns them.
-        """
-        dropped = 0
-        with self._lock, self._conn:
-            if ttl is not None:
-                cursor = self._conn.execute(
-                    "DELETE FROM write_receipts WHERE status != ?"
-                    " AND created_at <= ?",
-                    (RECEIPT_PENDING, float(now) - float(ttl)),
-                )
-                dropped += cursor.rowcount
-            if cap is not None:
-                total = self._conn.execute(
-                    "SELECT COUNT(*) FROM write_receipts WHERE status != ?",
-                    (RECEIPT_PENDING,),
-                ).fetchone()[0]
-                overflow = int(total) - int(cap)
-                if overflow > 0:
-                    cursor = self._conn.execute(
-                        "DELETE FROM write_receipts WHERE (user_id, idem_key)"
-                        " IN (SELECT user_id, idem_key FROM write_receipts"
-                        "     WHERE status != ?"
-                        "     ORDER BY created_at ASC, user_id ASC,"
-                        "     idem_key ASC LIMIT ?)",
-                        (RECEIPT_PENDING, overflow),
-                    )
-                    dropped += cursor.rowcount
-        return dropped

@@ -1,9 +1,9 @@
 """Registry entities — the Model layer (paper §3.2.4, Table 2, Figure 4).
 
 Object-oriented representations of system data.  Embeddings are float32
-NumPy vectors in memory; ``to_json``/``from_json`` convert them to plain
-lists for the JSON wire format and the DAO layer converts them to bytes
-for SQLite storage.
+NumPy vectors in memory; ``to_json`` converts them to plain lists for
+the JSON wire format and the DAO layer converts them to bytes for SQLite
+storage.
 """
 
 from __future__ import annotations
@@ -24,12 +24,6 @@ def _embedding_to_json(vec: np.ndarray | None) -> list[float] | None:
     if vec is None:
         return None
     return [float(x) for x in np.asarray(vec, dtype=np.float32)]
-
-
-def _embedding_from_json(data: Any) -> np.ndarray | None:
-    if data is None:
-        return None
-    return np.asarray(data, dtype=np.float32)
 
 
 @dataclass
@@ -78,7 +72,7 @@ class PERecord:
 
     def identity_key(self) -> str:
         """Dedup identity (§3.1): same class name + same code payload."""
-        digest = hashlib.sha256(self.pe_code.encode("ascii")).hexdigest()[:16]
+        digest = hashlib.sha256(self.pe_code.encode("utf-8")).hexdigest()[:16]
         return f"{self.pe_name}:{digest}"
 
     def to_json(self, *, include_embeddings: bool = False) -> dict[str, Any]:
@@ -96,22 +90,6 @@ class PERecord:
             body["codeEmbedding"] = _embedding_to_json(self.code_embedding)
             body["descEmbedding"] = _embedding_to_json(self.desc_embedding)
         return body
-
-    @classmethod
-    def from_json(cls, body: dict[str, Any]) -> "PERecord":
-        return cls(
-            pe_id=int(body.get("peId", 0)),
-            pe_name=str(body["peName"]),
-            description=str(body.get("description", "")),
-            pe_code=str(body.get("peCode", "")),
-            pe_source=str(body.get("peSource", "")),
-            pe_imports=list(body.get("peImports", [])),
-            code_embedding=_embedding_from_json(body.get("codeEmbedding")),
-            desc_embedding=_embedding_from_json(body.get("descEmbedding")),
-            description_origin=str(body.get("descriptionOrigin", "user")),
-            owners=set(body.get("owners", [])),
-        )
-
 
 @dataclass
 class WorkflowRecord:
@@ -136,7 +114,7 @@ class WorkflowRecord:
     revision: int = 1
 
     def identity_key(self) -> str:
-        digest = hashlib.sha256(self.workflow_code.encode("ascii")).hexdigest()[:16]
+        digest = hashlib.sha256(self.workflow_code.encode("utf-8")).hexdigest()[:16]
         return f"{self.entry_point}:{digest}"
 
     def to_json(self, *, include_embeddings: bool = False) -> dict[str, Any]:
@@ -153,17 +131,3 @@ class WorkflowRecord:
         if include_embeddings:
             body["descEmbedding"] = _embedding_to_json(self.desc_embedding)
         return body
-
-    @classmethod
-    def from_json(cls, body: dict[str, Any]) -> "WorkflowRecord":
-        return cls(
-            workflow_id=int(body.get("workflowId", 0)),
-            workflow_name=str(body["workflowName"]),
-            entry_point=str(body.get("entryPoint", body["workflowName"])),
-            description=str(body.get("description", "")),
-            workflow_code=str(body.get("workflowCode", "")),
-            workflow_source=str(body.get("workflowSource", "")),
-            pe_ids=list(body.get("peIds", [])),
-            desc_embedding=_embedding_from_json(body.get("descEmbedding")),
-            owners=set(body.get("owners", [])),
-        )

@@ -504,10 +504,6 @@ class RegistryService:
     # ------------------------------------------------------------------
     # PEs
     # ------------------------------------------------------------------
-    def add_pe(self, user: UserRecord, record: PERecord) -> PERecord:
-        """Register a PE, applying the §3.1 dedup-by-identity rule."""
-        return self.register_pe(user, record)[0]
-
     def _dedup_pe_hit(
         self, user: UserRecord, record: PERecord
     ) -> PERecord | None:
@@ -533,8 +529,8 @@ class RegistryService:
 
         ``created`` is False when the §3.1 identity rule resolved the
         registration onto an existing record (ownership granted, or the
-        caller already owned it) — the v1 write envelope surfaces the
-        distinction while ``add_pe`` keeps the historical signature.
+        caller already owned it); the v1 write envelope surfaces the
+        distinction.
         """
         hit = self._dedup_pe_hit(user, record)
         if hit is not None:
@@ -735,10 +731,6 @@ class RegistryService:
             (by_id[i], score) for i, score in ranked if i in by_id
         ]
 
-    def remove_pe(self, user: UserRecord, pe_id: int) -> None:
-        """Dissociate the user; delete the PE once ownerless."""
-        self.remove_pe_record(user, self._owned_pe(user, pe_id))
-
     def remove_pe_record(self, user: UserRecord, record: PERecord) -> None:
         """Remove an already-fetched owned record (no re-fetch).
 
@@ -754,18 +746,9 @@ class RegistryService:
         self._note_write()
         self._unindex_pe(user.user_id, record)
 
-    def remove_pe_by_name(self, user: UserRecord, name: str) -> None:
-        record = self.get_pe_by_name(user, name)
-        self.remove_pe(user, record.pe_id)
-
     # ------------------------------------------------------------------
     # Workflows
     # ------------------------------------------------------------------
-    def add_workflow(
-        self, user: UserRecord, record: WorkflowRecord
-    ) -> WorkflowRecord:
-        return self.register_workflow(user, record)[0]
-
     def _dedup_workflow_hit(
         self, user: UserRecord, record: WorkflowRecord
     ) -> WorkflowRecord | None:
@@ -950,11 +933,6 @@ class RegistryService:
             (by_id[i], score) for i, score in ranked if i in by_id
         ]
 
-    def remove_workflow(self, user: UserRecord, workflow_id: int) -> None:
-        self.remove_workflow_record(
-            user, self._owned_workflow(user, workflow_id)
-        )
-
     def remove_workflow_record(
         self, user: UserRecord, record: WorkflowRecord
     ) -> None:
@@ -966,10 +944,6 @@ class RegistryService:
             self.dao.delete_workflow(record.workflow_id)
         self._note_write()
         self._unindex_workflow(user.user_id, record)
-
-    def remove_workflow_by_name(self, user: UserRecord, name: str) -> None:
-        record = self.get_workflow_by_name(user, name)
-        self.remove_workflow(user, record.workflow_id)
 
     # ------------------------------------------------------------------
     # Associations

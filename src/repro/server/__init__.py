@@ -88,8 +88,8 @@ v2   Slab snapshot persistence: ``index_shards`` plus
 v3   Typed write envelope: per-record ``revision`` columns and the
      ``write_receipts`` table (plus a table of IVF training state,
      dropped in v10).
-v4   ``created_at`` on receipts (TTL sweeps; pre-v4 rows stamp 0, the
-     epoch, so an age sweep retires them first).
+v4   ``created_at`` on receipts (pre-v4 rows stamp 0, the epoch; it fed
+     TTL sweeps, since deleted: receipts are kept forever).
 v5   FTS5 text side tables backfilled from the record tables (plus a
      table of HNSW graphs, dropped in v10).
 v6   Incremental persistence: per-shard ``shard_stamps`` and the

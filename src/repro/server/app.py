@@ -56,19 +56,6 @@ class LaminarServer:
     models:
         The model bundle used for server-side summarization/embedding
         fallbacks and search.
-    receipt_ttl:
-        Seconds an idempotency receipt stays replayable; ``None`` (the
-        default) keeps receipts forever.  Enforced opportunistically on
-        keyed writes (no background sweeper).
-    receipt_cap:
-        Maximum finalized receipts retained (oldest dropped first);
-        ``None`` means unbounded.
-    job_workers:
-        Background-job concurrency (ingests, future workflow runs); the
-        pool is bounded so heavy jobs cannot starve the serving path.
-    job_retention_ttl / job_retention_cap:
-        How long / how many *terminal* job records stay readable on the
-        ``/v1/jobs`` routes (live jobs are never pruned).
     """
 
     def __init__(
@@ -76,11 +63,6 @@ class LaminarServer:
         dao: SqliteDAO | None = None,
         engine: ExecutionEngine | None = None,
         models: ModelBundle | None = None,
-        receipt_ttl: float | None = None,
-        receipt_cap: int | None = None,
-        job_workers: int = 2,
-        job_retention_ttl: float | None = 3600.0,
-        job_retention_cap: int | None = 500,
     ) -> None:
         #: per-(user, kind) embedding shards serving /registry/{user}/search;
         #: maintained by the registry service on every PE/workflow mutation
@@ -91,9 +73,6 @@ class LaminarServer:
         self.registry = RegistryService(
             SqliteDAO() if dao is None else dao, index=self.index
         )
-        #: receipt GC knobs, applied by execute_write on keyed writes
-        self.receipt_ttl = receipt_ttl
-        self.receipt_cap = receipt_cap
         #: serializes every API write (v1 routes AND the legacy
         #: adapters) through repro.server.v1_write.execute_write, making
         #: idempotency-receipt checks and ifVersion CAS races atomic;
@@ -101,12 +80,10 @@ class LaminarServer:
         self.write_lock = threading.RLock()
         #: the background-job plane (repro.jobs): ingest requests (and
         #: any future long-running work, e.g. workflow runs) submit
-        #: here and stream progress through the /v1/jobs routes
-        self.jobs = JobManager(
-            workers=job_workers,
-            retention_ttl=job_retention_ttl,
-            retention_cap=job_retention_cap,
-        )
+        #: here and stream progress through the /v1/jobs routes (a
+        #: bounded worker pool; terminal jobs are retained for a bounded
+        #: time and count — JobManager's defaults)
+        self.jobs = JobManager()
         self._default_engine = engine
         self._engines: EnginePool | None = None
         self._engines_lock = threading.Lock()
@@ -146,9 +123,6 @@ class LaminarServer:
         if token is None:
             return None
         return self._tokens.get(token)
-
-    def revoke_token(self, token: str) -> None:
-        self._tokens.pop(token, None)
 
     # ------------------------------------------------------------------
     # Routing — the endpoint table of paper Table 3, verbatim

@@ -540,10 +540,9 @@ def execute_write(
        retryable (errors are retryable by design: a 412/409/404 must
        re-evaluate on the next attempt, not replay).
 
-    Keyed writes also drive receipt garbage collection: when the app
-    sets ``receipt_ttl``/``receipt_cap``, each keyed write prunes
-    expired/overflow receipts, so idempotency storage stays bounded
-    without a background sweeper.
+    Receipts are never pruned: a key replays for the life of the
+    registry file (the ``created_at`` stamp is kept but nothing reads
+    it).
     """
     registry = app.registry
     with app.write_lock:
@@ -583,10 +582,6 @@ def execute_write(
             outcome.body,
             time.time(),
         )
-        if app.receipt_ttl is not None or app.receipt_cap is not None:
-            dao.prune_write_receipts(
-                time.time(), ttl=app.receipt_ttl, cap=app.receipt_cap
-            )
         return outcome
 
 

@@ -26,22 +26,6 @@ class TestLists:
         assert client.blpop("queue", timeout=1.0) == ("queue", "b")
         assert client.blpop("queue", timeout=1.0) == ("queue", "c")
 
-    def test_lpush_prepends(self, broker):
-        client = broker.client(0)
-        client.rpush("queue", "middle")
-        client.lpush("queue", "front")
-        assert client.lpop("queue") == "front"
-
-    def test_llen_and_lrange(self, broker):
-        client = broker.client(0)
-        client.rpush("queue", 1, 2, 3)
-        assert client.llen("queue") == 3
-        assert client.lrange("queue", 0, -1) == [1, 2, 3]
-        assert client.lrange("queue", 1, 1) == [2]
-
-    def test_lpop_empty_returns_none(self, broker):
-        assert broker.client(0).lpop("missing") is None
-
     def test_blpop_timeout_returns_none(self, broker):
         client = broker.client(0)
         t0 = time.monotonic()
@@ -70,35 +54,51 @@ class TestLists:
         assert client.blpop("objects", timeout=1.0)[1] == payload
 
 
-class TestStringsAndHashes:
-    def test_set_get(self, broker):
-        client = broker.client(0)
-        client.set("key", 42)
-        assert client.get("key") == 42
-        assert client.get("missing") is None
+class TestParkedWaiters:
+    """Blocking pops are parked in the broker; the raw request queue is
+    used so several waiters can be parked from one thread, in order."""
 
-    def test_incr(self, broker):
-        client = broker.client(0)
-        assert client.incr("counter") == 1
-        assert client.incr("counter") == 2
+    def _park(self, broker, client_id, key, timeout):
+        broker.request_q.put((client_id, "BLPOP", (key, timeout)))
 
-    def test_hset_hget_hgetall(self, broker):
-        client = broker.client(0)
-        client.hset("hash", "a", 1)
-        client.hset("hash", "b", 2)
-        assert client.hget("hash", "a") == 1
-        assert client.hget("hash", "missing") is None
-        assert client.hgetall("hash") == {"a": 1, "b": 2}
+    def _reply(self, broker, client_id):
+        return broker.response_qs[client_id].get(timeout=5.0)
 
-    def test_delete_and_keys(self, broker):
+    def test_rpush_returns_the_list_length(self, broker):
         client = broker.client(0)
-        client.set("s", 1)
-        client.rpush("l", 1)
-        client.hset("h", "f", 1)
-        assert sorted(client.keys()) == ["h", "l", "s"]
-        assert client.delete("s") == 1
-        assert client.delete("s") == 0
-        assert client.get("s") is None
+        assert client.rpush("queue", "a") == 1
+        assert client.rpush("queue", "b", "c") == 3
+
+    def test_keys_are_independent(self, broker):
+        client = broker.client(0)
+        client.rpush("left", "l")
+        client.rpush("right", "r")
+        assert client.blpop("right", timeout=1.0) == ("right", "r")
+        assert client.blpop("left", timeout=1.0) == ("left", "l")
+
+    def test_waiter_without_timeout_is_woken_by_push(self, broker):
+        self._park(broker, 0, "queue", None)
+        # the parked waiter takes the value, so the list stays empty
+        assert broker.client(1).rpush("queue", "v") == 0
+        assert self._reply(broker, 0) == ("ok", ("queue", "v"))
+
+    def test_waiters_on_one_key_are_served_first_come(self, broker):
+        self._park(broker, 0, "queue", 5.0)
+        self._park(broker, 1, "queue", 5.0)
+        broker.client(2).rpush("queue", "first", "second")
+        assert self._reply(broker, 0) == ("ok", ("queue", "first"))
+        assert self._reply(broker, 1) == ("ok", ("queue", "second"))
+
+    def test_push_skips_an_expired_waiter(self, broker):
+        self._park(broker, 0, "queue", 0.0)
+        assert broker.client(1).rpush("queue", "kept") == 1
+        assert self._reply(broker, 0) == ("ok", None)
+        assert broker.client(1).blpop("queue", timeout=1.0) == ("queue", "kept")
+
+    def test_shutdown_releases_parked_waiters(self, broker):
+        self._park(broker, 0, "queue", None)
+        broker.shutdown()
+        assert self._reply(broker, 0) == ("ok", None)
 
 
 class TestProtocol:

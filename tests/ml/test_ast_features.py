@@ -7,7 +7,6 @@ from repro.ml.ast_features import (
     ast_sequence,
     dataflow_pairs,
     docstring_of,
-    function_names,
     parse_lenient,
     structural_features,
 )
@@ -110,10 +109,3 @@ class TestDocAndNames:
 
     def test_docstring_missing(self):
         assert docstring_of("def f():\n    return 1\n") == ""
-
-    def test_function_names(self):
-        assert function_names(SAMPLE) == ["is_prime"]
-
-    def test_class_names_included(self):
-        names = function_names("class Foo:\n    def bar(self):\n        pass\n")
-        assert "Foo" in names and "bar" in names

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import ValidationError
-from repro.ml.similarity import cosine_similarity_matrix, cosine_topk, rank_of
+from repro.ml.similarity import cosine_similarity_matrix, cosine_topk
 from repro.ml.vectorize import l2_normalize
 
 
@@ -75,16 +75,3 @@ class TestTopK:
         sims = corpus @ query
         expected = np.argsort(-sims)[:10]
         np.testing.assert_array_equal(indices, expected)
-
-
-class TestRankOf:
-    def test_self_rank_is_one(self):
-        corpus = _unit(10, 16, seed=4)
-        assert rank_of(corpus[3], corpus, 3) == 1
-
-    def test_pessimistic_tie_breaking(self):
-        base = _unit(1, 16, seed=5)[0]
-        corpus = np.stack([base, base, _unit(1, 16, seed=6)[0]])
-        # identical vectors at 0 and 1: target index 1 ranks AFTER index 0
-        assert rank_of(base, corpus, 1) == 2
-        assert rank_of(base, corpus, 0) == 1

@@ -66,12 +66,6 @@ class TestIdfWeighter:
         idf = IdfWeighter().fit([["a"], ["a", "b"]])
         assert idf.weight("never-seen") >= idf.weight("b") >= idf.weight("a")
 
-    def test_mapping_view(self):
-        idf = IdfWeighter().fit([["a", "b"], ["a"]])
-        mapping = idf.as_mapping()
-        assert mapping.get("a") == pytest.approx(idf.weight("a"))
-        assert len(mapping) == 2
-
     def test_is_fitted_flag(self):
         idf = IdfWeighter()
         assert not idf.is_fitted

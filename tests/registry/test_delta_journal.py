@@ -74,7 +74,7 @@ def build(dao_factory, rng, n=6):
     service.attach_index(VectorIndex())
     for user in (alice, bob):
         for i in range(n):
-            service.add_pe(
+            service.register_pe(
                 user,
                 make_pe(
                     f"{user.user_name}PE{i}",
@@ -200,7 +200,7 @@ class TestForeignWriters:
         service, alice, bob = build(dao_factory, rng)
         foreign = RegistryService(dao_factory())  # no attach
         foreign_user = foreign.get_user("bob")
-        foreign.add_pe(
+        foreign.register_pe(
             foreign_user,
             make_pe(
                 "Foreign",
@@ -235,7 +235,7 @@ class TestForeignWriters:
         raise_stamp(service.dao, key)
         chain_before = service.dao.shard_chain_meta()[key]
         for i in range(3):
-            service.add_pe(
+            service.register_pe(
                 bob,
                 make_pe(
                     f"AfterGap{i}",
@@ -260,7 +260,7 @@ class TestForeignWriters:
         assert_equals_brute_force(index, dao_factory())
         # rebuilt at its stamp: covered, so the next write journals
         user = restarted.get_user("bob")
-        restarted.add_pe(
+        restarted.register_pe(
             user,
             make_pe(
                 "Covered",
@@ -296,7 +296,7 @@ class TestForeignWriters:
                 )
             )
             # the journaling service keeps writing between foreign commits
-            service.add_pe(
+            service.register_pe(
                 alice,
                 make_pe(
                     f"Interleaved{i}",
@@ -359,7 +359,7 @@ class TestCompaction:
         folded = record_folds(service)
         n = 300
         for i in range(n):
-            service.add_pe(
+            service.register_pe(
                 alice,
                 make_pe(
                     f"PE{i}",
@@ -393,7 +393,7 @@ class TestCompaction:
         # folds where the first one would have
         folded = record_folds(restarted)
         for i in range(n, 512):
-            restarted.add_pe(
+            restarted.register_pe(
                 user,
                 make_pe(
                     f"PE{i}",
@@ -412,7 +412,7 @@ class TestCompaction:
         service, alice, _bob = build(dao_factory, rng, n=40)
         folded = record_folds(service)
         for i in range(30):
-            service.remove_pe_by_name(alice, f"alicePE{i}")
+            service.remove_pe_record(alice, service.get_pe_by_name(alice, f"alicePE{i}"))
             assert_chains_bounded(service)
         # 40 adds + 24 removes reach the floor on both of alice's shards
         assert folded == [16, 16]

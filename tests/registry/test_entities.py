@@ -60,15 +60,6 @@ class TestPERecord:
         assert isinstance(body["descEmbedding"], list)
         assert body["codeEmbedding"] is None
 
-    def test_from_json_round_trip(self):
-        vec = np.array([1.0, 0.0, -1.0], dtype=np.float32)
-        original = self._record(code_embedding=vec)
-        body = original.to_json(include_embeddings=True)
-        restored = PERecord.from_json(body)
-        assert restored.pe_name == original.pe_name
-        assert restored.owners == original.owners
-        np.testing.assert_allclose(restored.code_embedding, vec)
-
     def test_identity_key_depends_on_code(self):
         a = self._record()
         b = self._record()
@@ -77,6 +68,21 @@ class TestPERecord:
             pe_id=9, pe_name="IsPrime", description="", pe_code="ZGlmZg=="
         )
         assert c.identity_key() != a.identity_key()
+
+    def test_identity_key_of_ascii_code_is_pinned(self):
+        # identities are never stored, but an ASCII payload's digest is
+        # the same as it was when the key hashed ASCII bytes
+        record = PERecord(
+            pe_id=9, pe_name="IsPrime", description="", pe_code="ZGlmZg=="
+        )
+        assert record.identity_key() == "IsPrime:81ff6372e7e712dc"
+
+    def test_identity_key_accepts_non_ascii_code(self):
+        a, b = self._record(), self._record()
+        a.pe_code = "def café():\n    return '—'\n"
+        b.pe_code = "def cafe():\n    return '-'\n"
+        assert a.identity_key().startswith("IsPrime:")
+        assert a.identity_key() != b.identity_key()
 
 
 class TestWorkflowRecord:
@@ -91,15 +97,27 @@ class TestWorkflowRecord:
             owners={1},
         )
 
-    def test_json_round_trip(self):
+    def test_table2_properties_in_json(self):
         body = self._record().to_json()
-        restored = WorkflowRecord.from_json(body)
-        assert restored.entry_point == "isPrime"
-        assert restored.pe_ids == [1, 2, 3]
-        assert restored.owners == {1}
+        assert body["workflowId"] == 2
+        assert body["entryPoint"] == "isPrime"
+        assert body["peIds"] == [1, 2, 3]
+        assert body["owners"] == [1]
+        assert "descEmbedding" not in body
+
+    def test_embedding_as_float_list(self):
+        record = self._record()
+        record.desc_embedding = np.array([0.5, 0.25], dtype=np.float32)
+        body = record.to_json(include_embeddings=True)
+        assert body["descEmbedding"] == [0.5, 0.25]
 
     def test_identity_key_uses_entry_point_and_code(self):
         a, b = self._record(), self._record()
         assert a.identity_key() == b.identity_key()
         b.workflow_code = "b3RoZXI="
         assert a.identity_key() != b.identity_key()
+
+    def test_identity_key_accepts_non_ascii_code(self):
+        record = self._record()
+        record.workflow_code = "def flow():\n    return 'naïve'\n"
+        assert record.identity_key().startswith("isPrime:")

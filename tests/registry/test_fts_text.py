@@ -100,11 +100,11 @@ def fill(dao):
     alice = service.register_user("alice", "pw")
     bob = service.register_user("bob", "pw")
     for i, (name, description) in enumerate(CORPUS):
-        service.add_pe(
+        service.register_pe(
             alice,
             make_pe(name, code=f"a{i}".encode().hex(), description=description),
         )
-        service.add_workflow(
+        service.register_workflow(
             alice,
             make_wf(
                 f"{name}Flow", code=f"w{i}".encode().hex(),
@@ -112,7 +112,7 @@ def fill(dao):
             ),
         )
     # bob's records share the global df statistics but never his ids
-    service.add_pe(
+    service.register_pe(
         bob,
         make_pe(
             "primeBob", code="Ym9i".encode().hex(),
@@ -190,7 +190,7 @@ class TestMutationSync:
             for pe in service.dao.get_pes([i for i, _ in ranked])
             if pe.pe_name == "isPrime"
         )
-        service.remove_pe(alice, target.pe_id)
+        service.remove_pe_record(alice, service.get_pe_by_id(alice, target.pe_id))
         after = service.dao.text_topk_pes(alice.user_id, "prime")
         assert target.pe_id not in {i for i, _ in after}
         assert after  # primality still matches
@@ -200,13 +200,13 @@ class TestMutationSync:
         before = {
             i for i, _ in service.dao.text_topk_pes(alice.user_id, "prime")
         }
-        record = service.add_pe(
+        record = service.register_pe(
             alice,
             make_pe(
                 "latePrime", code="bGF0ZQ==".encode().hex(),
                 description="a late prime arrival",
             ),
-        )
+        )[0]
         after = {
             i for i, _ in service.dao.text_topk_pes(alice.user_id, "prime")
         }

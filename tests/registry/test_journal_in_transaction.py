@@ -143,7 +143,7 @@ class Model:
         service, user = self.service, self.users[who]
         if op == "register":
             # a second user registering the identity is a grant
-            service.add_pe(user, self.pe(slot, choice))
+            service.register_pe(user, self.pe(slot, choice))
         elif op in ("revise_text", "revise_embedding", "drop_embedding"):
             current = self.owned(user, slot)
             if current is None:
@@ -203,7 +203,7 @@ class Model:
         elif op == "workflow":
             wf = make_wf(f"wf{slot}", code=f"wf:{slot}".encode().hex())
             wf.desc_embedding = unit(self.rng) if choice else None
-            service.add_workflow(user, wf)
+            service.register_workflow(user, wf)
         elif op == "revise_workflow":
             current = self.owned_workflow(user, slot)
             if current is None:
@@ -271,7 +271,7 @@ def populate(path, rng):
     service.attach_index(VectorIndex())
     for user, count in ((alice, 10), (bob, 4)):
         for i in range(count):
-            service.add_pe(
+            service.register_pe(
                 user,
                 make_pe(
                     f"{user.user_name}PE{i}",
@@ -282,9 +282,9 @@ def populate(path, rng):
                 ),
             )
     assert service._compact_shard((alice.user_id, KIND_DESC))
-    tail = service.add_pe(
+    tail = service.register_pe(
         alice, make_pe("Tail", code="dGFpbA==", desc_embedding=unit(rng))
-    )
+    )[0]
     service.revise_pe(
         alice,
         tail,
@@ -293,10 +293,10 @@ def populate(path, rng):
             desc_embedding=unit(rng),
         ),
     )
-    service.remove_pe_by_name(alice, "alicePE3")
+    service.remove_pe_record(alice, service.get_pe_by_name(alice, "alicePE3"))
     wf = make_wf("flow", code="Zmxvdw==")
     wf.desc_embedding = unit(rng)
-    service.add_workflow(bob, wf)
+    service.register_workflow(bob, wf)
     service.dao.close()
     return alice, bob
 
@@ -571,7 +571,7 @@ class TestMigration:
         assert ids == [records[row].pe_id for row in order]
         assert np.array_equal(scores, sims[order])
 
-        service.add_pe(
+        service.register_pe(
             user, make_pe("Late", code="bGF0ZQ==", desc_embedding=unit(rng))
         )
         assert_persisted_equals_live(dao, index)
@@ -604,7 +604,7 @@ class TestMigration:
         user = service.get_user("bob")
         key = (bob.user_id, KIND_CODE)
         before = service.dao.shard_chain_meta()[key]
-        service.add_pe(
+        service.register_pe(
             user,
             make_pe(
                 "OverTheGap", code="Z2Fw",
@@ -643,7 +643,7 @@ class TestMigration:
         warm = VectorIndex()
         assert service.attach_index(warm) == "fresh"
         assert live_shards(warm) == live_shards(index)
-        service.add_pe(
+        service.register_pe(
             service.get_user("alice"),
             make_pe("Next", code="bmV4dA==", desc_embedding=unit(rng)),
         )
@@ -672,7 +672,7 @@ class TestMigration:
             (bob.user_id, KIND_WORKFLOW),
         }
         service = RegistryService(dao)
-        service.add_pe(
+        service.register_pe(
             service.get_user("alice"),
             make_pe("First", code="Zmlyc3Q=", desc_embedding=unit(rng)),
         )

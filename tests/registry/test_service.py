@@ -58,28 +58,28 @@ class TestAuth:
 class TestPEOwnership:
     def test_add_and_get(self, service, users):
         alice, _ = users
-        stored = service.add_pe(alice, make_pe("Prod"))
+        stored = service.register_pe(alice, make_pe("Prod"))[0]
         assert service.get_pe_by_id(alice, stored.pe_id).pe_name == "Prod"
         assert service.get_pe_by_name(alice, "Prod").pe_id == stored.pe_id
 
     def test_reregistration_adds_owner_not_duplicate(self, service, users):
         """The §3.1 rule: same identity -> additional owner."""
         alice, bob = users
-        first = service.add_pe(alice, make_pe("Shared", code="c2FtZQ=="))
-        second = service.add_pe(bob, make_pe("Shared", code="c2FtZQ=="))
+        first = service.register_pe(alice, make_pe("Shared", code="c2FtZQ=="))[0]
+        second = service.register_pe(bob, make_pe("Shared", code="c2FtZQ=="))[0]
         assert first.pe_id == second.pe_id
         assert second.owners == {alice.user_id, bob.user_id}
         assert len(service.dao.all_pes()) == 1
 
     def test_same_name_different_code_is_new_entry(self, service, users):
         alice, _ = users
-        first = service.add_pe(alice, make_pe("X", code="YWFh"))
-        second = service.add_pe(alice, make_pe("X", code="YmJi"))
+        first = service.register_pe(alice, make_pe("X", code="YWFh"))[0]
+        second = service.register_pe(alice, make_pe("X", code="YmJi"))[0]
         assert first.pe_id != second.pe_id
 
     def test_privacy_other_users_pes_invisible(self, service, users):
         alice, bob = users
-        stored = service.add_pe(alice, make_pe("Private"))
+        stored = service.register_pe(alice, make_pe("Private"))[0]
         with pytest.raises(NotFoundError):
             service.get_pe_by_id(bob, stored.pe_id)
         with pytest.raises(NotFoundError):
@@ -88,17 +88,17 @@ class TestPEOwnership:
 
     def test_remove_dissociates_until_ownerless(self, service, users):
         alice, bob = users
-        service.add_pe(alice, make_pe("Shared", code="c2FtZQ=="))
-        stored = service.add_pe(bob, make_pe("Shared", code="c2FtZQ=="))
-        service.remove_pe(alice, stored.pe_id)
+        service.register_pe(alice, make_pe("Shared", code="c2FtZQ=="))
+        stored = service.register_pe(bob, make_pe("Shared", code="c2FtZQ=="))[0]
+        service.remove_pe_record(alice, service.get_pe_by_id(alice, stored.pe_id))
         assert service.dao.get_pe(stored.pe_id) is not None  # bob still owns
-        service.remove_pe(bob, stored.pe_id)
+        service.remove_pe_record(bob, service.get_pe_by_id(bob, stored.pe_id))
         assert service.dao.get_pe(stored.pe_id) is None  # gone
 
     def test_remove_by_name(self, service, users):
         alice, _ = users
-        service.add_pe(alice, make_pe("Gone"))
-        service.remove_pe_by_name(alice, "Gone")
+        service.register_pe(alice, make_pe("Gone"))
+        service.remove_pe_record(alice, service.get_pe_by_name(alice, "Gone"))
         with pytest.raises(NotFoundError):
             service.get_pe_by_name(alice, "Gone")
 
@@ -106,67 +106,69 @@ class TestPEOwnership:
 class TestWorkflowOwnership:
     def test_add_and_get(self, service, users):
         alice, _ = users
-        stored = service.add_workflow(alice, make_wf("isPrime"))
+        stored = service.register_workflow(alice, make_wf("isPrime"))[0]
         assert service.get_workflow_by_name(alice, "isPrime").workflow_id == stored.workflow_id
 
     def test_dedup_by_identity(self, service, users):
         alice, bob = users
-        first = service.add_workflow(alice, make_wf("wf", code="c2FtZQ=="))
-        second = service.add_workflow(bob, make_wf("wf", code="c2FtZQ=="))
+        first = service.register_workflow(alice, make_wf("wf", code="c2FtZQ=="))[0]
+        second = service.register_workflow(bob, make_wf("wf", code="c2FtZQ=="))[0]
         assert first.workflow_id == second.workflow_id
         assert second.owners == {alice.user_id, bob.user_id}
 
     def test_privacy(self, service, users):
         alice, bob = users
-        stored = service.add_workflow(alice, make_wf("secret"))
+        stored = service.register_workflow(alice, make_wf("secret"))[0]
         with pytest.raises(NotFoundError):
             service.get_workflow_by_id(bob, stored.workflow_id)
 
     def test_remove_until_ownerless(self, service, users):
         alice, bob = users
-        service.add_workflow(alice, make_wf("wf", code="c2FtZQ=="))
-        stored = service.add_workflow(bob, make_wf("wf", code="c2FtZQ=="))
-        service.remove_workflow_by_name(alice, "wf")
+        service.register_workflow(alice, make_wf("wf", code="c2FtZQ=="))
+        stored = service.register_workflow(bob, make_wf("wf", code="c2FtZQ=="))[0]
+        service.remove_workflow_record(alice, service.get_workflow_by_name(alice, "wf"))
         assert service.dao.get_workflow(stored.workflow_id) is not None
-        service.remove_workflow(bob, stored.workflow_id)
+        service.remove_workflow_record(
+            bob, service.get_workflow_by_id(bob, stored.workflow_id)
+        )
         assert service.dao.get_workflow(stored.workflow_id) is None
 
 
 class TestAssociations:
     def test_link_pe_to_workflow(self, service, users):
         alice, _ = users
-        pe = service.add_pe(alice, make_pe("P"))
-        wf = service.add_workflow(alice, make_wf("W"))
+        pe = service.register_pe(alice, make_pe("P"))[0]
+        wf = service.register_workflow(alice, make_wf("W"))[0]
         service.link_pe_to_workflow(alice, wf.workflow_id, pe.pe_id)
         pes = service.workflow_pes(alice, wf.workflow_id)
         assert [p.pe_name for p in pes] == ["P"]
 
     def test_link_is_idempotent(self, service, users):
         alice, _ = users
-        pe = service.add_pe(alice, make_pe("P"))
-        wf = service.add_workflow(alice, make_wf("W"))
+        pe = service.register_pe(alice, make_pe("P"))[0]
+        wf = service.register_workflow(alice, make_wf("W"))[0]
         service.link_pe_to_workflow(alice, wf.workflow_id, pe.pe_id)
         linked = service.link_pe_to_workflow(alice, wf.workflow_id, pe.pe_id)
         assert linked.pe_ids == [pe.pe_id]
 
     def test_link_requires_owned_pe(self, service, users):
         alice, bob = users
-        pe = service.add_pe(bob, make_pe("BobsPE"))
-        wf = service.add_workflow(alice, make_wf("W"))
+        pe = service.register_pe(bob, make_pe("BobsPE"))[0]
+        wf = service.register_workflow(alice, make_wf("W"))[0]
         with pytest.raises(NotFoundError):
             service.link_pe_to_workflow(alice, wf.workflow_id, pe.pe_id)
 
     def test_workflow_pes_by_name(self, service, users):
         alice, _ = users
-        pe = service.add_pe(alice, make_pe("P"))
-        service.add_workflow(alice, make_wf("W", pe_ids=[pe.pe_id]))
+        pe = service.register_pe(alice, make_pe("P"))[0]
+        service.register_workflow(alice, make_wf("W", pe_ids=[pe.pe_id]))
         assert [p.pe_id for p in service.workflow_pes_by_name(alice, "W")] == [pe.pe_id]
 
     def test_many_to_many_pe_in_two_workflows(self, service, users):
         alice, _ = users
-        pe = service.add_pe(alice, make_pe("Shared"))
-        wf1 = service.add_workflow(alice, make_wf("W1", code="YQ=="))
-        wf2 = service.add_workflow(alice, make_wf("W2", code="Yg=="))
+        pe = service.register_pe(alice, make_pe("Shared"))[0]
+        wf1 = service.register_workflow(alice, make_wf("W1", code="YQ=="))[0]
+        wf2 = service.register_workflow(alice, make_wf("W2", code="Yg=="))[0]
         service.link_pe_to_workflow(alice, wf1.workflow_id, pe.pe_id)
         service.link_pe_to_workflow(alice, wf2.workflow_id, pe.pe_id)
         assert service.workflow_pes(alice, wf1.workflow_id)[0].pe_id == pe.pe_id

@@ -44,7 +44,7 @@ def populate(dao, rng, n_pes=12, n_workflows=3):
     bob = service.register_user("bob", "pw")
     for user, count in ((alice, n_pes), (bob, 4)):
         for i in range(count):
-            service.add_pe(
+            service.register_pe(
                 user,
                 make_pe(
                     f"{user.user_name}PE{i}",
@@ -58,7 +58,7 @@ def populate(dao, rng, n_pes=12, n_workflows=3):
         # make_wf does not plumb embeddings through; set them directly
         wf = make_wf(f"aliceFlow{i}", code=f"wf:{i}".encode().hex())
         wf.desc_embedding = unit(rng)
-        service.add_workflow(alice, wf)
+        service.register_workflow(alice, wf)
     return service, alice, bob
 
 
@@ -144,7 +144,7 @@ class TestSqliteColdStart:
         # a post-persist write appends its rows to the delta journal
         # inline, so the persisted state tracks the live index without
         # a re-export — and the next cold start replays it
-        service.add_pe(
+        service.register_pe(
             alice, make_pe("Late", code="bGF0ZQ==", desc_embedding=unit(rng))
         )
         report = service.shard_persistence()
@@ -167,7 +167,7 @@ class TestSqliteColdStart:
         service, alice, _ = populate(SqliteDAO(path), rng)
         service.attach_index(VectorIndex())
         victim = service.user_pes(alice)[0]
-        service.remove_pe(alice, victim.pe_id)
+        service.remove_pe_record(alice, service.get_pe_by_id(alice, victim.pe_id))
         assert service.shard_persistence()["fresh"]
         service.dao.close()
 
@@ -185,7 +185,7 @@ class TestSqliteColdStart:
         service, alice, _ = populate(SqliteDAO(path), rng)
         assert service.attach_index(VectorIndex(), persist=False) == "fresh"
         for i in range(80):  # far past the fold floor
-            service.add_pe(
+            service.register_pe(
                 alice,
                 make_pe(
                     f"More{i}",
@@ -217,7 +217,7 @@ class TestSqliteColdStart:
         real_export = index.ids
 
         def mutating_export(*a, **kw):
-            service.add_pe(
+            service.register_pe(
                 alice,
                 make_pe("Race", code="cmFjZQ==", desc_embedding=unit(rng)),
             )
@@ -323,10 +323,10 @@ class TestInMemoryCounter:
         assert dao.mutation_counter() == 0  # users don't stale shards
         rng = np.random.default_rng(20)
         record = make_pe("A", desc_embedding=unit(rng))
-        service.add_pe(alice, record)
+        service.register_pe(alice, record)
         after_add = dao.mutation_counter()
         assert after_add > 0
-        service.remove_pe(alice, record.pe_id)
+        service.remove_pe_record(alice, service.get_pe_by_id(alice, record.pe_id))
         assert dao.mutation_counter() > after_add
 
     def test_snapshot_roundtrip_and_freshness(self):
@@ -335,7 +335,7 @@ class TestInMemoryCounter:
         alice = service.register_user("alice", "pw")
         rng = np.random.default_rng(21)
         for i in range(5):
-            service.add_pe(
+            service.register_pe(
                 alice,
                 make_pe(
                     f"PE{i}",
@@ -357,7 +357,7 @@ class TestInMemoryCounter:
         rng = np.random.default_rng(22)
         wf = make_wf("flow")
         wf.desc_embedding = unit(rng)
-        service.add_workflow(alice, wf)
+        service.register_workflow(alice, wf)
         service.attach_index(VectorIndex())
         twin = RegistryService(dao)
         index = VectorIndex()

@@ -77,16 +77,16 @@ def fill(dao):
     alice = service.register_user("alice", "pw")
     bob = service.register_user("bob", "pw")
     for i, (name, description) in enumerate(CORPUS):
-        service.add_pe(
+        service.register_pe(
             alice,
             make_pe(name, code=f"a{i}".encode().hex(), description=description),
         )
         wf = make_wf(
             f"{name}Flow", code=f"w{i}".encode().hex(), description=description
         )
-        service.add_workflow(alice, wf)
+        service.register_workflow(alice, wf)
     # bob's records must never appear in alice's results
-    service.add_pe(
+    service.register_pe(
         bob, make_pe("primeBob", code="Ym9i".encode().hex(),
                      description="bob's prime element")
     )
@@ -235,13 +235,13 @@ class TestEndpointParity:
             seed_prime_registry(server, token, user="alice")
             return server, alice, token
         for i, (name, description) in enumerate(CORPUS):
-            server.registry.add_pe(
+            server.registry.register_pe(
                 alice,
                 make_pe(
                     name, code=f"a{i}".encode().hex(), description=description
                 ),
             )
-            server.registry.add_workflow(
+            server.registry.register_workflow(
                 alice,
                 make_wf(
                     f"{name}Flow",

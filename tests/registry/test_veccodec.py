@@ -449,7 +449,7 @@ class TestLegacyFile:
         alice = service.register_user("alice", "pw")
         service.attach_index(VectorIndex())
         for i in range(20):
-            service.add_pe(
+            service.register_pe(
                 alice,
                 make_pe(
                     f"PE{i}",
@@ -462,7 +462,7 @@ class TestLegacyFile:
         service.persist_shards()
         # a base slab *and* a journal tail, both filled from dense rows
         service._compact_shard((alice.user_id, KIND_DESC))
-        service.add_pe(
+        service.register_pe(
             alice,
             make_pe("Tail", code="dGFpbA==", desc_embedding=sparse_unit(rng)),
         )
@@ -529,13 +529,13 @@ class TestLegacyFile:
         service = RegistryService(SqliteDAO(path))
         alice = service.register_user("alice", "pw")
         service.attach_index(VectorIndex())
-        stored = service.add_pe(
+        stored = service.register_pe(
             alice,
             make_pe(
                 "P", code="cA==", description="before",
                 desc_embedding=sparse_unit(rng),
             ),
-        )
+        )[0]
         service.dao.close()
         rewrite_as_v6(path)
 

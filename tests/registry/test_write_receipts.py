@@ -134,54 +134,33 @@ class TestReceiptClaims:
         assert dao.claim_write_receipt(2, "k", "fp", 10.0) is True
 
 
-class TestReceiptPruning:
-    def _finalized(self, dao, key, created_at, user=1):
-        dao.save_write_receipt(user, key, f"fp-{key}", 201, {"k": key}, created_at)
+class TestReceiptLifetime:
+    """Receipts are kept for good: nothing ages or evicts them."""
 
-    def test_ttl_expires_old_receipts(self, dao):
-        self._finalized(dao, "old", created_at=100.0)
-        self._finalized(dao, "new", created_at=180.0)
-        removed = dao.prune_write_receipts(200.0, ttl=50.0)
-        assert removed == 1
-        assert dao.get_write_receipt(1, "old") is None
-        assert dao.get_write_receipt(1, "new") is not None
+    def test_receipts_are_kept_without_bound(self, dao):
+        for n in range(200):
+            dao.save_write_receipt(1, f"k{n}", f"fp{n}", 201, {"n": n}, float(n))
+        assert all(
+            dao.get_write_receipt(1, f"k{n}") == (f"fp{n}", 201, {"n": n})
+            for n in range(200)
+        )
 
-    def test_receipt_inside_window_survives(self, dao):
-        self._finalized(dao, "fresh", created_at=199.0)
-        assert dao.prune_write_receipts(200.0, ttl=50.0) == 0
-        assert dao.get_write_receipt(1, "fresh") is not None
+    def test_finalized_key_cannot_be_claimed_again(self, dao):
+        dao.claim_write_receipt(1, "k", "fp", 10.0)
+        dao.finalize_write_receipt(1, "k", "fp", 201, {"peId": 4}, 11.0)
+        assert dao.claim_write_receipt(1, "k", "fp", 1_000_000.0) is False
+        assert dao.get_write_receipt(1, "k") == ("fp", 201, {"peId": 4})
 
-    def test_cap_keeps_the_newest(self, dao):
-        for n in range(5):
-            self._finalized(dao, f"k{n}", created_at=float(n))
-        removed = dao.prune_write_receipts(100.0, cap=2)
-        assert removed == 3
-        assert dao.get_write_receipt(1, "k0") is None
-        assert dao.get_write_receipt(1, "k2") is None
-        assert dao.get_write_receipt(1, "k3") is not None
-        assert dao.get_write_receipt(1, "k4") is not None
+    def test_save_replaces_the_receipt_under_its_key(self, dao):
+        dao.save_write_receipt(1, "k", "fp1", 201, {"v": 1}, 1.0)
+        dao.save_write_receipt(1, "k", "fp2", 200, {"v": 2}, 2.0)
+        assert dao.get_write_receipt(1, "k") == ("fp2", 200, {"v": 2})
 
-    def test_pending_claims_are_never_pruned(self, dao):
+    def test_pending_claim_survives_later_receipts(self, dao):
         dao.claim_write_receipt(1, "inflight", "fp", 0.0)
-        self._finalized(dao, "done", created_at=0.0)
-        dao.prune_write_receipts(1_000_000.0, ttl=1.0, cap=0)
-        # the finalized receipt is gone, the in-flight claim survives
-        assert dao.get_write_receipt(1, "done") is None
+        for n in range(10):
+            dao.save_write_receipt(1, f"k{n}", "fp", 201, {}, 1_000_000.0 + n)
         assert dao.get_write_receipt(1, "inflight")[1] == RECEIPT_PENDING
-
-    def test_no_limits_means_no_pruning(self, dao):
-        self._finalized(dao, "ancient", created_at=0.0)
-        assert dao.prune_write_receipts(1_000_000.0) == 0
-        assert dao.get_write_receipt(1, "ancient") is not None
-
-    def test_pre_v4_receipts_expire_first(self, dao):
-        # receipts saved without a timestamp (migrated rows) stamp 0 —
-        # the epoch — so any TTL retires them ahead of stamped ones
-        dao.save_write_receipt(1, "legacy", "fp", 200, {"old": True})
-        self._finalized(dao, "stamped", created_at=500.0)
-        dao.prune_write_receipts(501.0, ttl=100.0)
-        assert dao.get_write_receipt(1, "legacy") is None
-        assert dao.get_write_receipt(1, "stamped") is not None
 
 
 class TestMigrationToV3:

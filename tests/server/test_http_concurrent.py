@@ -43,7 +43,7 @@ def stack(fast_bundle):
     alice = server.registry.get_user("alice")
     bob = server.registry.get_user("bob")
     for i in range(N_ALICE):
-        server.registry.add_pe(
+        server.registry.register_pe(
             alice,
             make_pe(
                 f"AlicePE{i}",
@@ -96,9 +96,12 @@ class TestConcurrentSearchAgainstMutatingRegistry:
                             f"bob element {i}"
                         ),
                     )
-                    server.registry.add_pe(bob, record)
+                    server.registry.register_pe(bob, record)
                     if i % 2:
-                        server.registry.remove_pe(bob, record.pe_id)
+                        registry = server.registry
+                        registry.remove_pe_record(
+                            bob, registry.get_pe_by_id(bob, record.pe_id)
+                        )
                     i += 1
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
@@ -148,7 +151,7 @@ class TestConcurrentSearchAgainstMutatingRegistry:
     def test_bob_searches_see_only_bob_records(self, stack):
         server, handle, tokens, alice, bob = stack
         for i in range(4):
-            server.registry.add_pe(
+            server.registry.register_pe(
                 bob,
                 make_pe(
                     f"BobStatic{i}",

@@ -9,7 +9,6 @@ file model two fleet processes faithfully.
 """
 
 import threading
-import time
 
 from repro.net.transport import Request
 from repro.registry.dao import SqliteDAO
@@ -126,42 +125,6 @@ class TestReceiptLifecycleAtAppLevel:
                 token=token,
             )
         )
-
-    def test_replay_inside_ttl_window(self, fast_bundle):
-        server = LaminarServer(models=fast_bundle, receipt_ttl=60.0)
-        token = _login(server)
-        first = self._put(server, token, "ttl-key")
-        replay = self._put(server, token, "ttl-key")
-        assert "Idempotent-Replay" not in first.headers
-        assert replay.headers.get("Idempotent-Replay") == "true"
-        assert replay.body == first.body
-
-    def test_expired_receipt_re_executes(self, fast_bundle):
-        server = LaminarServer(models=fast_bundle, receipt_ttl=0.05)
-        token = _login(server)
-        self._put(server, token, "short-key")
-        time.sleep(0.1)
-        # any keyed write sweeps; the expired receipt is collected...
-        self._put(server, token, "other-key", name="other")
-        # ...so the original key re-executes instead of replaying: a
-        # replay would return the stored 201/created body verbatim, but
-        # a fresh execution sees the PE already present (200, not created)
-        retry = self._put(server, token, "short-key")
-        assert "Idempotent-Replay" not in retry.headers
-        assert retry.status == 200
-        assert retry.body["items"][0]["created"] is False
-
-    def test_cap_evicts_oldest_receipt(self, fast_bundle):
-        server = LaminarServer(models=fast_bundle, receipt_cap=1)
-        token = _login(server)
-        self._put(server, token, "cap-1", name="one")
-        time.sleep(0.01)  # distinct created_at stamps
-        self._put(server, token, "cap-2", name="two")
-        # cap=1 kept only the newest receipt: cap-1 re-executes...
-        retry_old = self._put(server, token, "cap-1", name="one")
-        assert "Idempotent-Replay" not in retry_old.headers
-        # ...while cap-2 (now possibly evicted by the cap-1 rewrite's
-        # sweep) is NOT asserted — only the eviction order is contractual
 
     def test_no_knobs_keeps_receipts_forever(self, fast_bundle):
         server = LaminarServer(models=fast_bundle)
