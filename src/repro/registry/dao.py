@@ -6,7 +6,8 @@ embeddings stored as vector BLOBs (:mod:`repro.registry.veccodec`).
 Ephemeral stacks — tests, ``LaminarServer()`` without a ``dao``,
 ``repro stats`` without ``--db`` — open it on ``":memory:"`` (the
 default path), so every in-process stack runs the same schema, SQL and
-FTS5 ranking as a file on disk.
+FTS5 ranking as a file on disk.  On either, the FTS5 text index is a
+cache in memory, filled from the stored text documents at open.
 
 The DAO layer knows nothing about ownership/dedup rules — that is the
 service layer's job — it only persists and retrieves records.  It does,
@@ -393,13 +394,10 @@ CREATE TABLE IF NOT EXISTS write_receipts (
     created_at REAL NOT NULL DEFAULT 0,
     PRIMARY KEY (user_id, idem_key)
 ) WITHOUT ROWID;
--- schema v5: indexed text ranking.  pe_text /
--- wf_text hold the normalized match documents (name_norm doubles as
--- the whole-query substring arm and the FTS name document); the
--- external-content FTS5 tables index them, kept in sync by triggers
--- that fire inside the same DAO mutation transactions.  unicode61
--- with remove_diacritics 0 so documents match the Python-lowercased
--- text byte-for-byte (queries are pure-ASCII scorer words).
+-- schema v5: the normalized text match documents (name_norm doubles
+-- as the whole-query substring arm and the FTS name document).  Since
+-- v11 they are the durable half of text ranking only: the FTS5 index
+-- over them is a cache in memory (_TEXT_INDEX_SCHEMA), not a table here
 CREATE TABLE IF NOT EXISTS pe_text (
     pe_id INTEGER PRIMARY KEY,
     name_norm TEXT NOT NULL,
@@ -410,44 +408,6 @@ CREATE TABLE IF NOT EXISTS wf_text (
     name_norm TEXT NOT NULL,
     desc_doc TEXT NOT NULL
 );
-CREATE VIRTUAL TABLE IF NOT EXISTS pe_fts USING fts5(
-    name_norm, desc_doc,
-    content='pe_text', content_rowid='pe_id',
-    tokenize='unicode61 remove_diacritics 0'
-);
-CREATE VIRTUAL TABLE IF NOT EXISTS wf_fts USING fts5(
-    name_norm, desc_doc,
-    content='wf_text', content_rowid='workflow_id',
-    tokenize='unicode61 remove_diacritics 0'
-);
-CREATE TRIGGER IF NOT EXISTS pe_text_ai AFTER INSERT ON pe_text BEGIN
-    INSERT INTO pe_fts(rowid, name_norm, desc_doc)
-    VALUES (new.pe_id, new.name_norm, new.desc_doc);
-END;
-CREATE TRIGGER IF NOT EXISTS pe_text_ad AFTER DELETE ON pe_text BEGIN
-    INSERT INTO pe_fts(pe_fts, rowid, name_norm, desc_doc)
-    VALUES ('delete', old.pe_id, old.name_norm, old.desc_doc);
-END;
-CREATE TRIGGER IF NOT EXISTS pe_text_au AFTER UPDATE ON pe_text BEGIN
-    INSERT INTO pe_fts(pe_fts, rowid, name_norm, desc_doc)
-    VALUES ('delete', old.pe_id, old.name_norm, old.desc_doc);
-    INSERT INTO pe_fts(rowid, name_norm, desc_doc)
-    VALUES (new.pe_id, new.name_norm, new.desc_doc);
-END;
-CREATE TRIGGER IF NOT EXISTS wf_text_ai AFTER INSERT ON wf_text BEGIN
-    INSERT INTO wf_fts(rowid, name_norm, desc_doc)
-    VALUES (new.workflow_id, new.name_norm, new.desc_doc);
-END;
-CREATE TRIGGER IF NOT EXISTS wf_text_ad AFTER DELETE ON wf_text BEGIN
-    INSERT INTO wf_fts(wf_fts, rowid, name_norm, desc_doc)
-    VALUES ('delete', old.workflow_id, old.name_norm, old.desc_doc);
-END;
-CREATE TRIGGER IF NOT EXISTS wf_text_au AFTER UPDATE ON wf_text BEGIN
-    INSERT INTO wf_fts(wf_fts, rowid, name_norm, desc_doc)
-    VALUES ('delete', old.workflow_id, old.name_norm, old.desc_doc);
-    INSERT INTO wf_fts(rowid, name_norm, desc_doc)
-    VALUES (new.workflow_id, new.name_norm, new.desc_doc);
-END;
 -- schema v6: per-shard freshness stamps + the append-only delta journal
 -- schema v8: the journal is an ids-only changelog (no vectors, no
 -- secondary index: every reader scans it whole in delta_id order) and
@@ -471,6 +431,65 @@ CREATE TABLE IF NOT EXISTS index_deltas (
     ids BLOB NOT NULL
 );
 """
+
+#: the attached in-memory database that holds the text index
+_TEXT_DB = "text_index"
+
+#: the text index: contentless FTS5 tables over the pe_text / wf_text
+#: documents in a database attached as ':memory:', filled from them at
+#: open and kept in step by TEMP triggers that fire inside each
+#: mutation's own transaction (so a rollback undoes both).  A write logs
+#: no FTS5 segment page; BM25 depends only on which documents are
+#: indexed, not on how segments are laid out, so the scores are the
+#: on-disk index's.  A trigger body may only name its target unqualified
+#: — found here because ``main`` holds no table of that name (v11).
+#: unicode61 with remove_diacritics 0 so documents match the
+#: Python-lowercased text byte-for-byte (queries are pure-ASCII scorer
+#: words).
+_TEXT_INDEX_SCHEMA = f"""
+CREATE VIRTUAL TABLE {_TEXT_DB}.pe_fts USING fts5(
+    name_norm, desc_doc, content='',
+    tokenize='unicode61 remove_diacritics 0'
+);
+CREATE VIRTUAL TABLE {_TEXT_DB}.wf_fts USING fts5(
+    name_norm, desc_doc, content='',
+    tokenize='unicode61 remove_diacritics 0'
+);
+CREATE TEMP TRIGGER pe_text_ai AFTER INSERT ON main.pe_text BEGIN
+    INSERT INTO pe_fts(rowid, name_norm, desc_doc)
+    VALUES (new.pe_id, new.name_norm, new.desc_doc);
+END;
+CREATE TEMP TRIGGER pe_text_ad AFTER DELETE ON main.pe_text BEGIN
+    INSERT INTO pe_fts(pe_fts, rowid, name_norm, desc_doc)
+    VALUES ('delete', old.pe_id, old.name_norm, old.desc_doc);
+END;
+CREATE TEMP TRIGGER pe_text_au AFTER UPDATE ON main.pe_text BEGIN
+    INSERT INTO pe_fts(pe_fts, rowid, name_norm, desc_doc)
+    VALUES ('delete', old.pe_id, old.name_norm, old.desc_doc);
+    INSERT INTO pe_fts(rowid, name_norm, desc_doc)
+    VALUES (new.pe_id, new.name_norm, new.desc_doc);
+END;
+CREATE TEMP TRIGGER wf_text_ai AFTER INSERT ON main.wf_text BEGIN
+    INSERT INTO wf_fts(rowid, name_norm, desc_doc)
+    VALUES (new.workflow_id, new.name_norm, new.desc_doc);
+END;
+CREATE TEMP TRIGGER wf_text_ad AFTER DELETE ON main.wf_text BEGIN
+    INSERT INTO wf_fts(wf_fts, rowid, name_norm, desc_doc)
+    VALUES ('delete', old.workflow_id, old.name_norm, old.desc_doc);
+END;
+CREATE TEMP TRIGGER wf_text_au AFTER UPDATE ON main.wf_text BEGIN
+    INSERT INTO wf_fts(wf_fts, rowid, name_norm, desc_doc)
+    VALUES ('delete', old.workflow_id, old.name_norm, old.desc_doc);
+    INSERT INTO wf_fts(rowid, name_norm, desc_doc)
+    VALUES (new.workflow_id, new.name_norm, new.desc_doc);
+END;
+"""
+
+#: each text index table: (FTS table, side table, id column)
+_TEXT_TABLES = (
+    ("pe_fts", "pe_text", "pe_id"),
+    ("wf_fts", "wf_text", "workflow_id"),
+)
 
 #: v1 introduced the normalized join tables (files at version 0 are
 #: backfilled from the JSON columns on open); v2 added the mutation
@@ -498,8 +517,13 @@ CREATE TABLE IF NOT EXISTS index_deltas (
 #: as the journal has been since v8, so a vector is stored in one place,
 #: its record row — older code cannot read a v9 slab; v10 dropped the
 #: IVF and HNSW state tables of the approximate engines, since deleted
-#: (the exact index is the only ranking engine).
-_SCHEMA_VERSION = 10
+#: (the exact index is the only ranking engine); v11 dropped the on-disk
+#: FTS5 tables ``pe_fts``/``wf_fts`` and their six sync triggers: the
+#: text index is now rebuilt in memory from ``pe_text``/``wf_text`` at
+#: open (:data:`_TEXT_INDEX_SCHEMA`), so a write logs no FTS5 page —
+#: older code cannot use a v11 file (it would rank text in an empty
+#: index of its own making).
+_SCHEMA_VERSION = 11
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
 #: IN(...) lists well below that
@@ -552,6 +576,13 @@ class SqliteDAO:
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(_SCHEMA)
             self._migrate()
+        # the text index: filled here, kept in step by this connection's
+        # triggers, refilled when another connection has committed
+        # (:meth:`_text_topk`).  ATTACH cannot run inside a transaction
+        self._conn.execute(f"ATTACH DATABASE ':memory:' AS {_TEXT_DB}")
+        self._conn.executescript(_TEXT_INDEX_SCHEMA)
+        with self._lock, self._conn:
+            self._fill_text_index()
 
     def _migrate(self) -> None:
         """Step the on-disk schema up to ``_SCHEMA_VERSION`` once.
@@ -575,7 +606,9 @@ class SqliteDAO:
         (see ``_SCHEMA_VERSION``); v7 -> v8 reshapes the journal in
         place (:meth:`_migrate_journal`); v8 -> v9 drops the base slabs'
         vectors (:meth:`_migrate_slabs`); v9 -> v10 only drops the IVF
-        and HNSW state tables (those engines are gone).
+        and HNSW state tables (those engines are gone); v10 -> v11 drops
+        the on-disk FTS5 tables and their triggers (the text index is
+        filled in memory at open).
         """
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         if version >= _SCHEMA_VERSION:
@@ -585,6 +618,14 @@ class SqliteDAO:
             if self._text_index_stale():
                 self._backfill_text_index()
             return
+        # v11: the FTS5 index moves to memory.  First, so no backfill
+        # below feeds the on-disk index it replaces, and so no ``main``
+        # table shadows the memory one the TEMP triggers write
+        for _fts, side, _id_col in _TEXT_TABLES:
+            for event in ("ai", "ad", "au"):
+                self._conn.execute(f"DROP TRIGGER IF EXISTS {side}_{event}")
+        for fts, _side, _id_col in _TEXT_TABLES:
+            self._conn.execute(f"DROP TABLE IF EXISTS {fts}")
         if version < 1:
             for row in self._conn.execute("SELECT pe_id, owners FROM pes"):
                 self._conn.executemany(
@@ -765,15 +806,8 @@ class SqliteDAO:
         return False
 
     def _backfill_text_index(self) -> None:
-        """(Re)build the text side tables and the FTS index from the
-        record tables.
-
-        The DELETEs fire the FTS delete triggers for whatever documents
-        the side tables currently hold; the trailing ``'rebuild'``
-        commands then reset the FTS indexes from the content tables
-        regardless, which also covers index/content divergence the
-        row-count check cannot see.
-        """
+        """(Re)build the text side tables from the record tables (the
+        memory index is filled from them afterwards, at open)."""
         docs = _text_documents()
         self._conn.execute("DELETE FROM pe_text")
         self._conn.execute("DELETE FROM wf_text")
@@ -806,8 +840,29 @@ class SqliteDAO:
                 for row in wf_rows
             ],
         )
-        self._conn.execute("INSERT INTO pe_fts(pe_fts) VALUES('rebuild')")
-        self._conn.execute("INSERT INTO wf_fts(wf_fts) VALUES('rebuild')")
+
+    def _fill_text_index(self) -> None:
+        """Empty the memory text index and index every side-table
+        document again, one ``INSERT … SELECT`` per table; then note the
+        ``data_version`` of the file those documents were read at.
+
+        Begins a transaction the caller ends (``with self._conn``,
+        holding the lock): the version and the documents come from one
+        snapshot of the file, so a commit landing meanwhile leaves the
+        index at the version it records, never ahead of or behind it.
+        """
+        self._conn.execute("BEGIN")
+        for fts, side, id_col in _TEXT_TABLES:
+            self._conn.execute(
+                f"INSERT INTO {fts}({fts}) VALUES('delete-all')"
+            )
+            self._conn.execute(
+                f"INSERT INTO {fts}(rowid, name_norm, desc_doc)"
+                f" SELECT {id_col}, name_norm, desc_doc FROM main.{side}"
+            )
+        self._text_version = self._conn.execute(
+            "PRAGMA main.data_version"
+        ).fetchone()[0]
 
     def close(self) -> None:
         self._conn.close()
@@ -943,11 +998,10 @@ class SqliteDAO:
             [(workflow_id, int(pe_id)) for pe_id in pe_ids],
         )
 
-    # -- text side tables (FTS5 content) -----------------------------------
+    # -- text side tables (the FTS5 index's documents) --------------------
     # explicit DELETE + INSERT rather than INSERT OR REPLACE: REPLACE's
     # implicit delete skips the FTS delete trigger unless
-    # recursive_triggers is on, which would corrupt the external-content
-    # index
+    # recursive_triggers is on, which would leave a stale posting behind
     @staticmethod
     def _pe_text(record: PERecord) -> tuple[str, str]:
         return _text_documents().fts_pe_document(
@@ -1226,9 +1280,17 @@ class SqliteDAO:
         id_col: str,
     ) -> list[tuple[int, float]]:
         """One owner-joined SQL query: BM25 goodness (``-bm25()``) from
-        the FTS index plus the whole-query substring bonus on
+        the memory FTS index plus the whole-query substring bonus on
         ``name_norm``, ranked ``(-score, id)`` and LIMITed to ``k`` —
-        no record rows are ever materialized here."""
+        no record rows are ever materialized here.
+
+        The same statement reads the file's ``data_version`` (one row
+        even when nothing matches).  It changes only when another
+        connection commits, and this connection's own writes reach the
+        index through its triggers, so a version other than the one of
+        the last fill means the index may be stale: refill, then rank
+        again inside the refill's snapshot.
+        """
         needle = query.lower().strip()
         if not needle:
             return []
@@ -1240,7 +1302,7 @@ class SqliteDAO:
             limit = " LIMIT :k"
         if terms:
             params["match"] = " OR ".join(f'"{term}"' for term in terms)
-            sql = f"""
+            ranked = f"""
                 SELECT {id_col} AS entity_id, score FROM (
                     SELECT o.{id_col} AS {id_col},
                            COALESCE(f.goodness, 0.0)
@@ -1261,7 +1323,7 @@ class SqliteDAO:
         else:
             # no scorer words (digits/punctuation query): substring arm
             # only, every hit carries the flat bonus, ids break the tie
-            sql = f"""
+            ranked = f"""
                 SELECT o.{id_col} AS entity_id,
                        {_NAME_SUBSTRING_BONUS} AS score
                 FROM {owners} o
@@ -1270,9 +1332,22 @@ class SqliteDAO:
                   AND t.name_norm LIKE :like ESCAPE '\\'
                 ORDER BY o.{id_col} ASC{limit}
             """
+        sql = f"""
+            SELECT v.data_version AS version, r.entity_id, r.score
+            FROM pragma_data_version AS v LEFT JOIN ({ranked}) AS r
+            ORDER BY r.score DESC, r.entity_id ASC
+        """
         with self._lock:
             rows = self._conn.execute(sql, params).fetchall()
-        return [(int(row["entity_id"]), float(row["score"])) for row in rows]
+            if rows[0]["version"] != self._text_version:
+                with self._conn:
+                    self._fill_text_index()
+                    rows = self._conn.execute(sql, params).fetchall()
+        return [
+            (int(row["entity_id"]), float(row["score"]))
+            for row in rows
+            if row["entity_id"] is not None
+        ]
 
     def text_topk_pes(
         self, user_id: int, query: str, k: int | None = None

@@ -160,8 +160,11 @@ Indexed text ranking and hybrid fusion
 ======================================
 
 ``queryType=text`` never scans owned records in Python: the DAO
-maintains an inverted text index (SQLite FTS5 external content tables
-kept in sync by triggers inside each mutation's transaction) and
+maintains an inverted text index — contentless SQLite FTS5 tables in an
+attached in-memory database, filled at open from the normalized text
+documents the file keeps (``pe_text`` / ``wf_text``), kept in sync by
+triggers inside each mutation's transaction and refilled before a
+ranking when another connection has committed — and
 ``RegistryService.text_topk_pes`` / ``text_topk_workflows`` return the
 owner-scoped BM25 top-k directly, so only the ``k`` winning records
 are hydrated.  It is the only text ranker: the legacy Table-3 route and

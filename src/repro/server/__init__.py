@@ -39,7 +39,8 @@ once per batch.  Any shard/owned-set disagreement (unindexed records,
 concurrent mutation) drops that batch to the exact brute-force scan —
 results are then still bitwise identical to the historical behaviour.
 Text queries (``queryType=text``) skip the vector index entirely and
-rank in the DAO's inverted text index (SQLite FTS5): an owner-joined
+rank in the DAO's inverted text index (SQLite FTS5, held in memory and
+filled from the durable text documents at open): an owner-joined
 BM25 top-k returns ``k`` ids and the service hydrates only those
 records.  Hybrid queries (``queryType=hybrid``) run the text and
 semantic legs to a fused depth and merge them with deterministic
@@ -149,6 +150,15 @@ v10  The IVF and HNSW state tables are dropped, rows and all; that is
      the migration's only step (the approximate engines that used them
      are gone).  ``shard_stamps`` now vouches for base slabs and the
      journal only.
+v11  The FTS5 tables ``pe_fts`` / ``wf_fts`` and their six sync
+     triggers leave the file.  The text index is a cache: contentless
+     FTS5 tables in an attached ``':memory:'`` database, filled from
+     ``pe_text`` / ``wf_text`` at open, kept in step by TEMP triggers
+     inside each mutation's transaction and refilled before a ranking
+     when another connection has committed (``PRAGMA data_version``).
+     BM25 scores are unchanged; a write logs no FTS5 page (a 1 KB-page
+     ``PUT``: 12 frames -> 9).  **Older code cannot use a v11 file**
+     (it would rank in an empty on-disk index of its own making).
 ===  =================================================================
 
 Front end: :func:`repro.server.http.serve_http` runs an **asyncio
@@ -248,8 +258,9 @@ Ranking path per ``queryType``:
 =============  ======================================================
 ``queryType``  ranking path
 =============  ======================================================
-``text``       BM25 top-k in the DAO's inverted text index (FTS5 /
-               postings mirror); no vector shard is touched.
+``text``       BM25 top-k in the DAO's inverted text index (FTS5 in
+               memory over the on-disk text documents); no vector
+               shard is touched.
                ``kind=pe`` preserves the historical quirk of serving
                through semantic search.
 ``semantic``   description embeddings ranked by the exact

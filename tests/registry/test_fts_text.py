@@ -1,7 +1,11 @@
-"""Inverted text index: the pinned BM25 ranking and the v4→v5 backfill.
+"""Inverted text index: the pinned BM25 ranking, its freshness across
+connections and the v4→v5 and v10→v11 migrations.
 
 ``text_topk_pes`` / ``text_topk_workflows`` rank inside the DAO's
-SQLite FTS5 external-content tables.  :data:`GOLDEN_PES` /
+contentless SQLite FTS5 tables, held in an attached in-memory database
+and filled from the on-disk ``pe_text`` / ``wf_text`` documents at open
+(schema v11; before, external-content tables in the file).
+:data:`GOLDEN_PES` /
 :data:`GOLDEN_WORKFLOWS` pin the ``(id, score)`` list of every query in
 :data:`QUERIES` over the :func:`fill` corpus — recorded from
 ``SqliteDAO`` when an independent re-implementation of ``bm25()``
@@ -10,17 +14,24 @@ or indexed (tokenizer, ``detail=``, side tables) must keep the same
 ids in the same BM25 order with the same scores.  Everything above the
 DAO (service hydration, the v1 route, hybrid fusion) builds on it.
 
-The second half exercises the schema v4→v5 migration: a database whose
-text side tables are missing (pre-v5 writer) must be backfilled on
-open and rank identically to a natively-v5 registry.
+The index is a cache of the file, so :class:`TestFreshness` holds it
+to "every ranking equals a freshly opened DAO's", exactly, whichever
+connection or process wrote last.  The rest exercises the migrations:
+a database whose text side tables are missing (pre-v5 writer) must be
+backfilled on open and rank identically to a natively-v5 registry, and
+a v10 file loses its on-disk FTS5 tables and ranks as before.
 """
 
 import sqlite3
+import sys
+import threading
 
 import pytest
 
+from repro.net.transport import Request
 from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
 from repro.registry.service import RegistryService
+from repro.server import LaminarServer
 from tests.registry.test_dao import make_pe, make_wf
 
 #: exercises multi-token queries, repeated terms, camelCase splits,
@@ -217,8 +228,6 @@ class TestSchemaV5Backfill:
     def _scrub_to_v4(self, path):
         """Emulate a pre-v5 file: no side tables populated, version 4."""
         conn = sqlite3.connect(path)
-        # the AFTER DELETE triggers cascade the FTS5 'delete' commands,
-        # exactly the state a pre-v5 writer leaves behind
         conn.execute("DELETE FROM pe_text")
         conn.execute("DELETE FROM wf_text")
         conn.execute("PRAGMA user_version = 4")
@@ -273,3 +282,416 @@ class TestSchemaV5Backfill:
                 dao2.text_topk_workflows(alice.user_id, query),
                 GOLDEN_WORKFLOWS[query],
             )
+
+
+# ---------------------------------------------------------------------------
+# the index is a cache: every connection ranks what a fresh open ranks
+# ---------------------------------------------------------------------------
+def rankings(dao, user_id):
+    """Every :data:`QUERIES` ranking of both record tables, unrounded."""
+    return {
+        (kind, query): rank(user_id, query)
+        for kind, rank in (
+            ("pe", dao.text_topk_pes),
+            ("workflow", dao.text_topk_workflows),
+        )
+        for query in QUERIES
+    }
+
+
+def fresh_rankings(path, user_id):
+    """:func:`rankings` of a DAO opened on ``path`` just for this."""
+    dao = SqliteDAO(path)
+    try:
+        return rankings(dao, user_id)
+    finally:
+        dao.close()
+
+
+def insert(service, alice):
+    service.register_pe(
+        alice,
+        make_pe("latePrime", code="bGF0ZQ==", description="a late prime"),
+    )
+    service.register_workflow(
+        alice,
+        make_wf("latePrimeFlow", code="d2xhdGU=", description="a late prime"),
+    )
+
+
+def revise(service, alice):
+    pe = service.get_pe_by_name(alice, "isPrime")
+    service.revise_pe(
+        alice,
+        pe,
+        make_pe("isPrime", code=pe.pe_code, description="now scans tables"),
+    )
+    wf = service.get_workflow_by_name(alice, "isPrimeFlow")
+    service.revise_workflow(
+        alice,
+        wf,
+        make_wf(
+            "isPrimeFlow", code=wf.workflow_code,
+            description="now scans tables",
+        ),
+    )
+
+
+def rename(service, alice):
+    pe = service.get_pe_by_name(alice, "VoTableReader")
+    pe.pe_name = "VoTableDiskReader"
+    service.dao.update_pe(pe)
+    wf = service.get_workflow_by_name(alice, "VoTableReaderFlow")
+    service.revise_workflow(
+        alice,
+        wf,
+        make_wf(
+            "VoTableReaderFlow", code=wf.workflow_code,
+            workflow_name="vo table disk reader", description=wf.description,
+        ),
+    )
+
+
+def delete(service, alice):
+    service.remove_pe_record(alice, service.get_pe_by_name(alice, "primality"))
+    service.remove_workflow_record(
+        alice, service.get_workflow_by_name(alice, "primalityFlow")
+    )
+
+
+def bulk(service, alice):
+    service.register_pes_bulk(
+        alice,
+        [
+            make_pe(
+                f"bulkPrime{i}", code=f"b{i}".encode().hex(),
+                description=f"prime table number {i}",
+            )
+            for i in range(3)
+        ],
+    )
+    service.register_workflows_bulk(
+        alice,
+        [
+            make_wf(
+                f"bulkPrimeFlow{i}", code=f"bw{i}".encode().hex(),
+                description=f"prime table number {i}",
+            )
+            for i in range(3)
+        ],
+    )
+
+
+#: one write of each kind, each moving at least one ranking
+WRITES = [insert, revise, rename, delete, bulk]
+
+
+class TestFreshness:
+    @pytest.fixture()
+    def shared(self, tmp_path):
+        """A filled registry file, a writer service and a second DAO
+        opened on the same file (filled at open, before any write)."""
+        path = tmp_path / "shared.db"
+        writer, alice, _ = fill(SqliteDAO(path))
+        reader = SqliteDAO(path)
+        yield path, writer, alice, reader
+        reader.close()
+        writer.dao.close()
+
+    def test_a_second_connection_ranks_what_a_fresh_open_ranks(
+        self, shared
+    ):
+        path, writer, alice, reader = shared
+        before = rankings(reader, alice.user_id)
+        for write in WRITES:
+            write(writer, alice)
+            got = rankings(reader, alice.user_id)
+            assert got == fresh_rankings(path, alice.user_id), write.__name__
+            assert got != before, f"{write.__name__} moved no ranking"
+            before = got
+
+    def test_a_reader_that_never_refills_goes_stale(self, shared, monkeypatch):
+        """The mutant the test above must catch: the reader's index is
+        filled at open and never again."""
+        path, writer, alice, reader = shared
+        monkeypatch.setattr(reader, "_fill_text_index", lambda: None)
+        for write in WRITES:
+            write(writer, alice)
+            assert rankings(reader, alice.user_id) != fresh_rankings(
+                path, alice.user_id
+            ), write.__name__
+
+    def test_its_own_write_after_a_foreign_one_still_refills(self, shared):
+        """The reader's own commit carries its own document into its
+        index, but it also observes the writer's commit it did not
+        index: its next ranking must still refill."""
+        path, writer, alice, reader = shared
+        insert(writer, alice)
+        RegistryService(reader).register_pe(
+            alice,
+            make_pe("ownPrime", code="b3du", description="its own prime"),
+        )
+        got = rankings(reader, alice.user_id)
+        assert got == fresh_rankings(path, alice.user_id)
+        assert got == rankings(writer.dao, alice.user_id)
+
+    def test_a_concurrent_reader_never_ranks_behind_a_seen_commit(
+        self, shared
+    ):
+        """A writer thread inserts matching PEs one commit at a time and
+        publishes each count once committed; a reader thread on the
+        other connection ranks meanwhile and must find at least every
+        insert published before its ranking began."""
+        path, writer, alice, reader = shared
+        inserts, committed, behind = 40, [0], []
+
+        def write():
+            for i in range(inserts):
+                writer.register_pe(
+                    alice,
+                    make_pe(
+                        f"stress{i}", code=f"s{i}".encode().hex(),
+                        description="stress element",
+                    ),
+                )
+                committed[0] = i + 1
+
+        def read():
+            while committed[0] < inserts:
+                seen = committed[0]
+                found = len(reader.text_topk_pes(alice.user_id, "stress"))
+                if found < seen:
+                    behind.append((found, seen))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=f) for f in (write, read)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert committed[0] == inserts and behind == []
+        assert rankings(reader, alice.user_id) == fresh_rankings(
+            path, alice.user_id
+        )
+
+    def test_close_and_reopen_ranks_exactly_as_before(self, tmp_path):
+        path = tmp_path / "reopen.db"
+        service, alice, _ = fill(SqliteDAO(path))
+        filled = rankings(service.dao, alice.user_id)
+        for write in WRITES:
+            write(service, alice)
+        # an index kept in step write by write (deletes included) ranks
+        # exactly what one filled from the documents ranks
+        written = rankings(service.dao, alice.user_id)
+        service.dao.close()
+        assert fresh_rankings(path, alice.user_id) == written
+        assert written != filled
+
+    def test_two_servers_serve_what_a_fresh_server_serves(
+        self, tmp_path, fast_bundle
+    ):
+        path = tmp_path / "servers.db"
+        credentials = {"userName": "u", "password": "pw"}
+
+        def serve():
+            server = LaminarServer(dao=SqliteDAO(path), models=fast_bundle)
+            token = server.dispatch(
+                Request("POST", "/auth/login", credentials)
+            ).body["token"]
+            return server, token
+
+        def text_hits(server, token):
+            reply = server.dispatch(
+                Request(
+                    "POST",
+                    "/v1/registry/u/search",
+                    {
+                        "query": "prime table",
+                        "queryType": "text",
+                        "kind": "both",
+                        "k": 20,
+                    },
+                    token=token,
+                )
+            )
+            assert reply.status == 200, reply.body
+            return reply.body["hits"]
+
+        def fresh_hits():
+            server, token = serve()
+            try:
+                return text_hits(server, token)
+            finally:
+                server.registry.dao.close()
+
+        first = LaminarServer(dao=SqliteDAO(path), models=fast_bundle)
+        first.dispatch(Request("POST", "/auth/register", credentials))
+        token = first.dispatch(
+            Request("POST", "/auth/login", credentials)
+        ).body["token"]
+
+        def send(method, route, body=None):
+            reply = first.dispatch(
+                Request(method, f"/v1/registry/u/{route}", body or {},
+                        token=token)
+            )
+            assert reply.status in (200, 201), reply.body
+            return reply
+
+        def put(name, description):
+            return send(
+                "PUT", f"pes/{name}",
+                {
+                    "peCode": f"def {name}(x): return x",
+                    "description": description,
+                },
+            )
+
+        put("seedPrime", "a prime element")
+        put("seedTable", "reads a table")
+        second, token2 = serve()
+        before = text_hits(second, token2)
+        writes = [
+            lambda: put("newPrime", "another prime table"),
+            lambda: put("seedPrime", "no longer about anything"),
+            lambda: send("DELETE", "pes/seedTable"),
+            lambda: send(
+                "POST", "pes:bulk",
+                {
+                    "items": [
+                        {
+                            "peName": f"bulk{i}",
+                            "peCode": f"def bulk{i}(x): return x * {i}",
+                            "description": f"prime table {i}",
+                        }
+                        for i in range(3)
+                    ]
+                },
+            ),
+        ]
+        for write in writes:
+            write()
+            got = text_hits(second, token2)
+            assert got == fresh_hits()
+            assert got != before
+            before = got
+        second.registry.dao.close()
+        first.registry.dao.close()
+
+
+# ---------------------------------------------------------------------------
+# v10 -> v11: the on-disk FTS5 tables go, the rankings stay
+# ---------------------------------------------------------------------------
+#: what schema v10 kept on disk beside the side tables: external-content
+#: FTS5 tables over them and the triggers that kept those in step
+V10_TEXT_INDEX = """
+CREATE VIRTUAL TABLE pe_fts USING fts5(
+    name_norm, desc_doc, content='pe_text', content_rowid='pe_id',
+    tokenize='unicode61 remove_diacritics 0'
+);
+CREATE VIRTUAL TABLE wf_fts USING fts5(
+    name_norm, desc_doc, content='wf_text', content_rowid='workflow_id',
+    tokenize='unicode61 remove_diacritics 0'
+);
+CREATE TRIGGER pe_text_ai AFTER INSERT ON pe_text BEGIN
+    INSERT INTO pe_fts(rowid, name_norm, desc_doc)
+    VALUES (new.pe_id, new.name_norm, new.desc_doc);
+END;
+CREATE TRIGGER pe_text_ad AFTER DELETE ON pe_text BEGIN
+    INSERT INTO pe_fts(pe_fts, rowid, name_norm, desc_doc)
+    VALUES ('delete', old.pe_id, old.name_norm, old.desc_doc);
+END;
+CREATE TRIGGER pe_text_au AFTER UPDATE ON pe_text BEGIN
+    INSERT INTO pe_fts(pe_fts, rowid, name_norm, desc_doc)
+    VALUES ('delete', old.pe_id, old.name_norm, old.desc_doc);
+    INSERT INTO pe_fts(rowid, name_norm, desc_doc)
+    VALUES (new.pe_id, new.name_norm, new.desc_doc);
+END;
+CREATE TRIGGER wf_text_ai AFTER INSERT ON wf_text BEGIN
+    INSERT INTO wf_fts(rowid, name_norm, desc_doc)
+    VALUES (new.workflow_id, new.name_norm, new.desc_doc);
+END;
+CREATE TRIGGER wf_text_ad AFTER DELETE ON wf_text BEGIN
+    INSERT INTO wf_fts(wf_fts, rowid, name_norm, desc_doc)
+    VALUES ('delete', old.workflow_id, old.name_norm, old.desc_doc);
+END;
+CREATE TRIGGER wf_text_au AFTER UPDATE ON wf_text BEGIN
+    INSERT INTO wf_fts(wf_fts, rowid, name_norm, desc_doc)
+    VALUES ('delete', old.workflow_id, old.name_norm, old.desc_doc);
+    INSERT INTO wf_fts(rowid, name_norm, desc_doc)
+    VALUES (new.workflow_id, new.name_norm, new.desc_doc);
+END;
+INSERT INTO pe_fts(pe_fts) VALUES ('rebuild');
+INSERT INTO wf_fts(wf_fts) VALUES ('rebuild');
+PRAGMA user_version = 10;
+"""
+
+V10_TRIGGERS = {
+    f"{side}_{event}"
+    for side in ("pe_text", "wf_text")
+    for event in ("ai", "ad", "au")
+}
+
+
+def text_index_on_disk(conn):
+    """Names of the file's FTS5 tables (shadow tables included) and
+    text sync triggers."""
+    return [
+        name
+        for name, sql in conn.execute("SELECT name, sql FROM sqlite_schema")
+        if "_fts" in name
+        or name in V10_TRIGGERS
+        or "fts5" in (sql or "").lower()
+    ]
+
+
+class TestSchemaV11Migration:
+    def test_a_new_file_keeps_no_text_index(self, tmp_path):
+        dao = SqliteDAO(tmp_path / "new.db")
+        assert text_index_on_disk(dao._conn) == []
+        dao.close()
+
+    def test_v10_file_drops_its_fts_tables_and_ranks_as_before(
+        self, tmp_path
+    ):
+        path = tmp_path / "v10.db"
+        service, alice, _ = fill(SqliteDAO(path))
+        expected = rankings(service.dao, alice.user_id)
+        service.dao.close()
+        conn = sqlite3.connect(path)
+        conn.executescript(V10_TEXT_INDEX)
+        assert set(text_index_on_disk(conn)) >= V10_TRIGGERS | {
+            "pe_fts", "wf_fts", "pe_fts_data", "wf_fts_docsize",
+        }
+        # the v10 index holds every document (9 PEs: bob's too)
+        assert conn.execute(
+            "SELECT COUNT(*) FROM pe_fts_docsize"
+        ).fetchone() == (9,)
+        conn.close()
+
+        dao = SqliteDAO(path)
+        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
+        assert version == _SCHEMA_VERSION
+        assert text_index_on_disk(dao._conn) == []
+        assert rankings(dao, alice.user_id) == expected
+        for query in QUERIES:
+            assert_ranking(
+                dao.text_topk_pes(alice.user_id, query), GOLDEN_PES[query]
+            )
+
+        # a write after the migration reaches the index, and a reopen
+        # ranks what the writer ranked
+        service = RegistryService(dao)
+        late = service.register_pe(
+            alice,
+            make_pe("latePrime", code="bGF0ZQ==", description="a late prime"),
+        )[0]
+        written = rankings(dao, alice.user_id)
+        assert late.pe_id in {i for i, _ in written[("pe", "prime")]}
+        dao.close()
+        assert fresh_rankings(path, alice.user_id) == written

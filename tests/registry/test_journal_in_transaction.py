@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.registry.service as service_module
-from repro.registry.dao import SqliteDAO
+from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
 from repro.registry.service import RegistryService
 from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW, VectorIndex
 from tests.registry.test_dao import make_pe, make_wf
@@ -459,7 +459,8 @@ class TestMigration:
         reshape_as_v7(path)
 
         dao = SqliteDAO(path)
-        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 10
+        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
+        assert version == _SCHEMA_VERSION
         # an existing file keeps its pages
         assert dao._conn.execute("PRAGMA page_size").fetchone()[0] == 4096
         schema = schema_of(dao)
@@ -489,7 +490,8 @@ class TestMigration:
         assert slab_bytes >= 10 * DIM * 4
 
         dao = SqliteDAO(path)
-        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 10
+        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
+        assert version == _SCHEMA_VERSION
         slab = schema_of(dao)["index_shards"]
         assert "vectors" not in slab and "dim" not in slab
         # slab membership survived
@@ -511,7 +513,8 @@ class TestMigration:
         conn.close()
 
         dao = SqliteDAO(path)
-        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 10
+        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
+        assert version == _SCHEMA_VERSION
         assert not set(V9_STATE_TABLES) & set(schema_of(dao))
         self.serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
         # nothing brought them back
@@ -549,7 +552,8 @@ class TestMigration:
         conn.close()
 
         dao = SqliteDAO(path)
-        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 10
+        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
+        assert version == _SCHEMA_VERSION
         assert not set(V9_STATE_TABLES) & set(schema_of(dao))
         self.serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
 

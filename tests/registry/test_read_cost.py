@@ -8,8 +8,10 @@ and so is the legacy Table-3 text route
 v1 text costs:
 
 * **statements** — SQL the DAO runs on its connection
-  (``set_trace_callback``; the statements FTS5 runs inside a ``MATCH``,
-  traced with a ``--`` prefix, are SQLite's own plan and not counted);
+  (``set_trace_callback``; the statements FTS5 runs inside a ``MATCH``
+  and the ``PRAGMA data_version`` behind the ``pragma_data_version``
+  table a text ranking reads for its freshness check, traced with a
+  ``--`` prefix, are SQLite's own plan and not counted);
 * **rows** — records hydrated (``PERecord``/``WorkflowRecord`` built
   from a row);
 * **embedding bytes** — vector blobs decoded on the way

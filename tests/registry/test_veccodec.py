@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.registry.dao import SqliteDAO
+from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
 from repro.registry.service import RegistryService
 from repro.registry.veccodec import decode_many, decode_vector, encode_vector
 from repro.search import KIND_CODE, KIND_DESC, VectorIndex
@@ -473,7 +473,8 @@ class TestLegacyFile:
         assert {"dim", "vectors"} <= slab_columns(path)
 
         dao = SqliteDAO(path)
-        assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 10
+        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
+        assert version == _SCHEMA_VERSION
         # opening rewrote no record row; the slabs' copies are gone
         assert blob_lengths(path) == legacy
         assert slab_columns(path) == {

@@ -36,22 +36,35 @@ from tests.registry.test_journal_in_transaction import (
     new_4k_file,
 )
 
-#: frames one op may log, per page size — measured 12/8/16/21 of 1 KB
-#: and 12/8/11/12 of 4 KB (the parent commit: 15/12/14/15 of 4 KB, in
-#: 3/2/3/3 commits)
+#: frames one op may log, per page size — measured 9/5/10/16 of 1 KB
+#: and 9/5/8/9 of 4 KB since the FTS5 index moved to memory (schema
+#: v11; with it on disk: 12/8/16/21 and 12/8/11/12; before the journal
+#: rode in the mutation's transaction: 15/12/14/15 of 4 KB, in 3/2/3/3
+#: commits)
 FRAME_BOUNDS = {
-    1024: {"put": 13, "revise": 9, "delete": 17, "bulk": 22},
-    4096: {"put": 13, "revise": 9, "delete": 12, "bulk": 13},
+    1024: {"put": 10, "revise": 6, "delete": 11, "bulk": 17},
+    4096: {"put": 10, "revise": 6, "delete": 9, "bulk": 10},
 }
 
 
 def wal_frames(path):
     """``(frames logged so far, page size)`` from the ``-wal`` file:
     a 32-byte header (page size big-endian at offset 8), then frames of
-    a 24-byte header plus one page each."""
+    a 24-byte header (page number big-endian at offset 0) plus one page
+    each."""
     raw = Path(f"{path}-wal").read_bytes()
     page = struct.unpack(">I", raw[8:12])[0]
     return (len(raw) - 32) // (24 + page), page
+
+
+def wal_pages(path, first):
+    """The page numbers of the ``-wal`` file's frames from ``first`` on."""
+    raw = Path(f"{path}-wal").read_bytes()
+    _count, page = wal_frames(path)
+    return {
+        struct.unpack(">I", raw[at : at + 4])[0]
+        for at in range(32 + first * (24 + page), len(raw), 24 + page)
+    }
 
 
 @pytest.fixture(params=[1024, 4096])
@@ -145,6 +158,24 @@ def test_each_write_is_one_small_commit(registry):
         assert 0 < frames <= bounds[name], f"{name}: {frames} frames"
     # no fold was due, so none of that wrote a base slab
     assert dao.index_shards_meta()["shards"] == 0
+
+
+def test_a_put_writes_no_text_index_page(registry):
+    """The text index lives in memory: the pages a PUT logs belong to
+    the record, its owners, its text document and the counter, stamps
+    and journal rows — none to an FTS5 table (``dbstat`` maps each
+    logged page to its b-tree)."""
+    send, dao, path, _page_size = registry
+    first, _ = wal_frames(path)
+    assert put(send, "fresh", "a new element that adds").status == 201
+    pages = wal_pages(path, first)
+    owner = dict(
+        dao._conn.execute("SELECT pageno, name FROM dbstat").fetchall()
+    )
+    written = {owner.get(page, "(free)") for page in pages}
+    assert "pe_text" in written and "pes" in written, written
+    assert not any("_fts" in name for name in written), written
+    assert not any("_fts" in name for name in owner.values())
 
 
 def test_an_update_writes_only_what_changed(registry):
