@@ -33,6 +33,8 @@ import argparse
 import sys
 from typing import Sequence
 
+from repro.errors import RegistryError
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -309,6 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_server(db: str | None, fit: bool):
+    """An in-process server over the registry file ``db`` (in-memory
+    without one).  A file at a schema version this code does not open
+    raises :class:`~repro.errors.RegistryError`; every command prints
+    its message and exits 1."""
     from repro.ml.bundle import ModelBundle
     from repro.registry.dao import SqliteDAO
     from repro.server import LaminarServer
@@ -320,7 +326,11 @@ def _build_server(db: str | None, fit: bool):
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.http import serve_http
 
-    server = _build_server(args.db, fit=not args.no_fit)
+    try:
+        server = _build_server(args.db, fit=not args.no_fit)
+    except RegistryError as exc:  # a --db file this code does not open
+        print(exc.message)
+        return 1
     handle = serve_http(server, host=args.host, port=args.port)
     print(f"Laminar serving on {handle.url}  (registry: "
           f"{args.db or 'in-memory'}; Ctrl-C to stop)")
@@ -396,7 +406,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     from repro.errors import NotFoundError
     from repro.net.transport import Request
 
-    server = _build_server(args.db, fit=not args.no_fit)
+    try:
+        server = _build_server(args.db, fit=not args.no_fit)
+    except RegistryError as exc:
+        print(exc.message)
+        return 1
     try:
         server.registry.get_user(args.user)
     except NotFoundError:
@@ -540,7 +554,11 @@ def cmd_register(args: argparse.Namespace) -> int:
     elif not code:
         print("either --code or --code-file is required")
         return 1
-    server = _build_server(args.db, fit=not args.no_fit)
+    try:
+        server = _build_server(args.db, fit=not args.no_fit)
+    except RegistryError as exc:
+        print(exc.message)
+        return 1
     token, error = _login_for_write(server, args.user, args.password)
     if error:
         print(error)
@@ -578,7 +596,11 @@ def cmd_delete(args: argparse.Namespace) -> int:
     from repro.net.transport import Request
     from repro.server.api import quote_segment
 
-    server = _build_server(args.db, fit=not args.no_fit)
+    try:
+        server = _build_server(args.db, fit=not args.no_fit)
+    except RegistryError as exc:
+        print(exc.message)
+        return 1
     token, error = _login_for_write(server, args.user, args.password)
     if error:
         print(error)
@@ -627,7 +649,10 @@ def _connect_for_write(args: argparse.Namespace, *, fit: bool = False):
                 f"login failed: {login.body.get('message', login.body)}"
             )
         return dispatch, login.body["token"], None
-    server = _build_server(args.db, fit=fit)
+    try:
+        server = _build_server(args.db, fit=fit)
+    except RegistryError as exc:
+        return None, None, exc.message
     token, error = _login_for_write(server, args.user, args.password)
     if error:
         return None, None, error
@@ -846,7 +871,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """
     from repro.registry.dao import SqliteDAO
 
-    dao = SqliteDAO(args.db or ":memory:")
+    try:
+        dao = SqliteDAO(args.db or ":memory:")
+    except RegistryError as exc:
+        print(exc.message)
+        return 1
     users = dao.all_users()
     print(f"registry: {args.db or 'in-memory'}  ({len(users)} user(s))")
     for user in users:

@@ -39,18 +39,6 @@ corpus:
   ``resolve_workflows`` to hydrate exactly the top-k search winners.
 * ``insert_pes`` / ``insert_workflows`` — bulk load (one
   ``executemany`` batch per table).
-
-The owners migration
-====================
-
-Ownership and the PE<->workflow association are normalized into
-indexed join tables (``pe_owners``, ``workflow_owners``,
-``workflow_pes``) so the scoped queries filter in SQL.  The legacy JSON
-``owners`` / ``pe_ids`` columns remain the on-record storage format
-(old readers keep working); the join tables are derived data kept in
-sync on every write.  A file written before schema v1 (``PRAGMA
-user_version`` < 1) is backfilled from the JSON columns exactly once
-when opened.
 """
 
 from repro.registry.entities import PERecord, UserRecord, WorkflowRecord

@@ -24,11 +24,22 @@ however, own the *access paths* that make ownership filtering cheap:
 
 Ownership lives in normalized ``pe_owners`` / ``workflow_owners`` join
 tables (indexed by ``user_id``) and the PE<->workflow association in a
-``workflow_pes`` link table, all migrated automatically from the legacy
-JSON columns the first time an old file is opened (tracked by ``PRAGMA
-user_version``).  The JSON ``owners`` / ``pe_ids`` columns remain the
-storage format *on the record itself* so old readers keep working; the
-join tables are derived data kept in sync on every write.
+``workflow_pes`` link table.  The record rows carry the same facts as
+JSON ``owners`` / ``pe_ids`` columns, which hydration reads; every write
+keeps both in step.
+
+Do the JSON columns earn their place?  Measured by building a record's
+``owners`` / ``pe_ids`` from the join tables at hydration instead (one
+correlated subquery a column in the hydrating statement, the columns
+written as ``'[]'``): ``test_read_cost.py``'s ``READ_COST`` stays
+statement for statement and row for row what it is (semantic 5/6, text
+5/6, hybrid 9/60, code 3/3), ``test_write_cost.py``'s frames stay
+9/5/10/16 (PUT/revise/DELETE/bulk of 16, 1 KB pages) and 9/5/8/9 (4 KB)
+— a record row spans pages whether or not it holds a few bytes of JSON
+— and ``get_pes`` of 60 ids takes ~10 % longer (~480 -> ~540 us on a
+2-CPU Linux host).  ``workflow_pes`` is a set ordered by ``pe_id``;
+``pe_ids`` is the list as registered.  No frame is saved, so the
+columns stay; dropping them would need its own schema step.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import NotFoundError
+from repro.errors import NotFoundError, RegistryError
 from repro.registry.entities import PERecord, UserRecord, WorkflowRecord
 from repro.registry.veccodec import decode_many, decode_vector, encode_vector
 
@@ -308,12 +319,12 @@ def _replay_shard(
 
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS users (
+CREATE TABLE users (
     user_id INTEGER PRIMARY KEY AUTOINCREMENT,
     user_name TEXT UNIQUE NOT NULL,
     password_hash TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS pes (
+CREATE TABLE pes (
     pe_id INTEGER PRIMARY KEY AUTOINCREMENT,
     pe_name TEXT NOT NULL,
     description TEXT NOT NULL DEFAULT '',
@@ -326,7 +337,7 @@ CREATE TABLE IF NOT EXISTS pes (
     owners TEXT NOT NULL DEFAULT '[]',
     revision INTEGER NOT NULL DEFAULT 1
 );
-CREATE TABLE IF NOT EXISTS workflows (
+CREATE TABLE workflows (
     workflow_id INTEGER PRIMARY KEY AUTOINCREMENT,
     workflow_name TEXT NOT NULL,
     entry_point TEXT NOT NULL,
@@ -338,40 +349,40 @@ CREATE TABLE IF NOT EXISTS workflows (
     owners TEXT NOT NULL DEFAULT '[]',
     revision INTEGER NOT NULL DEFAULT 1
 );
-CREATE INDEX IF NOT EXISTS idx_pes_name ON pes(pe_name);
-CREATE INDEX IF NOT EXISTS idx_wf_entry ON workflows(entry_point);
--- normalized ownership + association (schema v1): ownership filtering
--- happens in SQL against these, the JSON columns stay as the on-record
--- storage format for backward compatibility
-CREATE TABLE IF NOT EXISTS pe_owners (
+CREATE INDEX idx_pes_name ON pes(pe_name);
+CREATE INDEX idx_wf_entry ON workflows(entry_point);
+-- normalized ownership + association: ownership filtering happens in
+-- SQL against these; the JSON columns on the record rows hold the same
+-- facts (see the module docstring for why both stay)
+CREATE TABLE pe_owners (
     pe_id INTEGER NOT NULL,
     user_id INTEGER NOT NULL,
     PRIMARY KEY (pe_id, user_id)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS idx_pe_owners_user ON pe_owners(user_id, pe_id);
-CREATE TABLE IF NOT EXISTS workflow_owners (
+CREATE INDEX idx_pe_owners_user ON pe_owners(user_id, pe_id);
+CREATE TABLE workflow_owners (
     workflow_id INTEGER NOT NULL,
     user_id INTEGER NOT NULL,
     PRIMARY KEY (workflow_id, user_id)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS idx_workflow_owners_user
+CREATE INDEX idx_workflow_owners_user
     ON workflow_owners(user_id, workflow_id);
-CREATE TABLE IF NOT EXISTS workflow_pes (
+CREATE TABLE workflow_pes (
     workflow_id INTEGER NOT NULL,
     pe_id INTEGER NOT NULL,
     PRIMARY KEY (workflow_id, pe_id)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS idx_workflow_pes_pe ON workflow_pes(pe_id, workflow_id);
--- schema v2: registry metadata (the PE/workflow mutation counter) and
--- persisted index slabs so a warm cold start skips the O(corpus)
--- rebuild; schema v9: a slab is its shard's membership (ids) at its
--- stamp, the vectors are read from the record rows
-CREATE TABLE IF NOT EXISTS registry_meta (
+CREATE INDEX idx_workflow_pes_pe ON workflow_pes(pe_id, workflow_id);
+-- registry metadata (the PE/workflow mutation counter) and persisted
+-- index slabs so a warm cold start skips the O(corpus) rebuild: a slab
+-- is its shard's membership (ids) at its stamp, the vectors are read
+-- from the record rows
+CREATE TABLE registry_meta (
     key TEXT PRIMARY KEY,
     value INTEGER NOT NULL
 ) WITHOUT ROWID;
-INSERT OR IGNORE INTO registry_meta (key, value) VALUES ('mutation_counter', 0);
-CREATE TABLE IF NOT EXISTS index_shards (
+INSERT INTO registry_meta (key, value) VALUES ('mutation_counter', 0);
+CREATE TABLE index_shards (
     user_id INTEGER NOT NULL,
     kind TEXT NOT NULL,
     mutation_counter INTEGER NOT NULL,
@@ -379,13 +390,13 @@ CREATE TABLE IF NOT EXISTS index_shards (
     ids BLOB NOT NULL,
     PRIMARY KEY (user_id, kind)
 );
--- schema v3: idempotency receipts for the v1 write surface (replaying
--- a stored (user, key) returns the recorded response verbatim; a
--- fingerprint mismatch is a 409)
--- schema v4 adds created_at: receipts are claimed (INSERT OR IGNORE of
--- a pending row — the cross-process write-serialization point); the
--- stamp is written but nothing prunes by it (receipts are unbounded)
-CREATE TABLE IF NOT EXISTS write_receipts (
+-- idempotency receipts for the v1 write surface (replaying a stored
+-- (user, key) returns the recorded response verbatim; a fingerprint
+-- mismatch is a 409).  Receipts are claimed (INSERT OR IGNORE of a
+-- pending row — the cross-process write-serialization point);
+-- created_at is written but nothing prunes by it (receipts are
+-- unbounded)
+CREATE TABLE write_receipts (
     user_id INTEGER NOT NULL,
     idem_key TEXT NOT NULL,
     fingerprint TEXT NOT NULL,
@@ -394,34 +405,34 @@ CREATE TABLE IF NOT EXISTS write_receipts (
     created_at REAL NOT NULL DEFAULT 0,
     PRIMARY KEY (user_id, idem_key)
 ) WITHOUT ROWID;
--- schema v5: the normalized text match documents (name_norm doubles
--- as the whole-query substring arm and the FTS name document).  Since
--- v11 they are the durable half of text ranking only: the FTS5 index
--- over them is a cache in memory (_TEXT_INDEX_SCHEMA), not a table here
-CREATE TABLE IF NOT EXISTS pe_text (
+-- the normalized text match documents (name_norm doubles as the
+-- whole-query substring arm and the FTS name document): the durable
+-- half of text ranking only — the FTS5 index over them is a cache in
+-- memory (_TEXT_INDEX_SCHEMA), not a table here
+CREATE TABLE pe_text (
     pe_id INTEGER PRIMARY KEY,
     name_norm TEXT NOT NULL,
     desc_doc TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS wf_text (
+CREATE TABLE wf_text (
     workflow_id INTEGER PRIMARY KEY,
     name_norm TEXT NOT NULL,
     desc_doc TEXT NOT NULL
 );
--- schema v6: per-shard freshness stamps + the append-only delta journal
--- schema v8: the journal is an ids-only changelog (no vectors, no
--- secondary index: every reader scans it whole in delta_id order) and
--- each stamp row carries its shard's chain tip beside it, so the one
--- row a mutation rewrites anyway also says whether to journal (tip =
--- stamp: covered; NULL or lower: stale until a base upsert)
-CREATE TABLE IF NOT EXISTS shard_stamps (
+-- per-shard freshness stamps + the append-only delta journal.  The
+-- journal is an ids-only changelog (no vectors, no secondary index:
+-- every reader scans it whole in delta_id order) and each stamp row
+-- carries its shard's chain tip beside it, so the one row a mutation
+-- rewrites anyway also says whether to journal (tip = stamp: covered;
+-- NULL or lower: stale until a base upsert)
+CREATE TABLE shard_stamps (
     user_id INTEGER NOT NULL,
     kind TEXT NOT NULL,
     mutation_counter INTEGER NOT NULL,
     tip INTEGER,
     PRIMARY KEY (user_id, kind)
 ) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS index_deltas (
+CREATE TABLE index_deltas (
     delta_id INTEGER PRIMARY KEY,
     user_id INTEGER NOT NULL,
     kind TEXT NOT NULL,
@@ -491,38 +502,15 @@ _TEXT_TABLES = (
     ("wf_fts", "wf_text", "workflow_id"),
 )
 
-#: v1 introduced the normalized join tables (files at version 0 are
-#: backfilled from the JSON columns on open); v2 added the mutation
-#: counter and the persisted index-shard slabs; v3 added per-record
-#: revisions (conditional writes), idempotency receipts and a table of
-#: persisted IVF training state; v4 added ``write_receipts.created_at``
-#: for receipt claiming (it also fed a TTL/cap receipt pruning that has
-#: since been deleted; the column stays); v5 added the
-#: FTS5 text side tables (one-time backfill from the record tables)
-#: and a table of persisted HNSW graphs; v6 added per-shard freshness
-#: stamps (``shard_stamps``, maintained inside every mutation
-#: transaction) and the append-only ``index_deltas`` journal, with
-#: ``index_shards`` rows now stamped independently per shard; v7
-#: changed no table — it marks that vector blobs (record rows, journal
-#: rows, base slabs) may be in :mod:`~repro.registry.veccodec`'s sparse
-#: layout.  Dense blobs written by v6 and older decode through the same
-#: codec (no rewrite on open: a row re-encodes when next written, a slab
-#: at its next fold), but code older than v7 cannot read a v7 file; v8
-#: made ``index_deltas`` an ids-only changelog written inside each
-#: mutation's own transaction (``vectors``/``dim`` and the secondary
-#: index dropped; replay reads the vectors from the record rows) and
-#: added ``shard_stamps.tip`` — older code cannot write a v8 journal.
-#: Files created since v8 use 1 KB pages; a migrated file keeps its own;
-#: v9 dropped ``index_shards.vectors``/``dim``: a base slab is ids only,
-#: as the journal has been since v8, so a vector is stored in one place,
-#: its record row — older code cannot read a v9 slab; v10 dropped the
-#: IVF and HNSW state tables of the approximate engines, since deleted
-#: (the exact index is the only ranking engine); v11 dropped the on-disk
-#: FTS5 tables ``pe_fts``/``wf_fts`` and their six sync triggers: the
-#: text index is now rebuilt in memory from ``pe_text``/``wf_text`` at
+#: the on-disk format (``PRAGMA user_version``) :data:`_SCHEMA` creates.
+#: A v10 file takes one step to it (:meth:`SqliteDAO._step_from_v10`);
+#: any other version is refused.  Since v11 the file holds no FTS5 table:
+#: the text index is filled in memory from ``pe_text``/``wf_text`` at
 #: open (:data:`_TEXT_INDEX_SCHEMA`), so a write logs no FTS5 page —
 #: older code cannot use a v11 file (it would rank text in an empty
-#: index of its own making).
+#: index of its own making).  Vector blobs may still be dense float32
+#: (v6 and older wrote them so, and no migration rewrote them): they
+#: decode through the same codec and re-encode when next written.
 _SCHEMA_VERSION = 11
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
@@ -544,6 +532,24 @@ def _chunked(ids: Sequence[int]) -> Iterable[Sequence[int]]:
         yield ids[start : start + _IN_CHUNK]
 
 
+def _refusal(path: str | Path, version: int) -> RegistryError:
+    """Why a file at schema ``version`` is not opened: only a new file,
+    a v10 file (one step) and a current one are."""
+    if version > _SCHEMA_VERSION:
+        advice = "it was written by newer code; open it with that code"
+    else:
+        advice = (
+            "open it once with an older checkout of this repository, one"
+            " that still steps such files up, to migrate it"
+        )
+    return RegistryError(
+        f"registry file {path} is at schema v{version}; this code opens"
+        f" v{_SCHEMA_VERSION - 1} and v{_SCHEMA_VERSION} files only — "
+        + advice,
+        params={"path": str(path), "userVersion": version},
+    )
+
+
 class SqliteDAO:
     """The registry store (the durable stand-in for the web MySQL
     service); thread-safe, one connection behind one lock.  ``path``
@@ -553,29 +559,48 @@ class SqliteDAO:
     Ownership and the PE<->workflow association are normalized into
     ``pe_owners`` / ``workflow_owners`` / ``workflow_pes`` (indexed join
     tables) so owner-scoped queries filter in SQL instead of
-    deserializing the whole registry.  Files created before schema v1
-    are migrated automatically on open (one backfill pass over the JSON
-    columns, tracked by ``PRAGMA user_version``).
+    deserializing the whole registry.
+
+    Opening reads ``PRAGMA user_version`` before anything writes.  A new
+    file (version 0, no schema) is created by :data:`_SCHEMA` in one
+    transaction and stamped :data:`_SCHEMA_VERSION`; a file one version
+    behind takes :meth:`_step_from_v10`; a current file runs no DDL on
+    ``main``.  Any other version raises :class:`~repro.errors.RegistryError`
+    naming it, and the file is left as it was.
     """
 
     def __init__(self, path: str | Path = ":memory:") -> None:
         self._conn = sqlite3.connect(str(path), check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
         self._lock = threading.RLock()
-        with self._lock, self._conn:
-            # a WAL commit logs whole pages and the rows this registry
-            # commits are tens of bytes (stamps, owners, counter,
-            # journal) to ~2.5 KB (a record): 1 KB pages log a quarter
-            # of what 4 KB ones do for the same touch.  Takes effect on
-            # a file without pages only; an existing file keeps its own
-            self._conn.execute("PRAGMA page_size=1024")
-            # WAL lets readers proceed during writes; NORMAL fsyncs once
-            # per checkpoint instead of per transaction (both no-ops for
-            # :memory: databases)
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.executescript(_SCHEMA)
-            self._migrate()
+        # read before anything writes: a refused file's bytes stay as
+        # they were
+        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+        new = version == 0 and not self._conn.execute(
+            "SELECT 1 FROM main.sqlite_schema LIMIT 1"
+        ).fetchone()
+        if not new and version not in (_SCHEMA_VERSION - 1, _SCHEMA_VERSION):
+            self._conn.close()
+            raise _refusal(path, version)
+        # a WAL commit logs whole pages and the rows this registry
+        # commits are tens of bytes (stamps, owners, counter, journal) to
+        # ~2.5 KB (a record): 1 KB pages log a quarter of what 4 KB ones
+        # do for the same touch.  Takes effect on a file without pages
+        # only; an existing file keeps its own
+        self._conn.execute("PRAGMA page_size=1024")
+        # WAL lets readers proceed during writes; NORMAL fsyncs once per
+        # checkpoint instead of per transaction (both no-ops for
+        # :memory: databases)
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        if new:
+            # one transaction: a crash leaves an empty file, not a
+            # half-made one that the next open refuses.  Two connections
+            # creating one file at the same moment are not supported:
+            # the later one's first CREATE TABLE fails
+            self._stamped(_SCHEMA)
+        elif version < _SCHEMA_VERSION:
+            self._step_from_v10()
         # the text index: filled here, kept in step by this connection's
         # triggers, refilled when another connection has committed
         # (:meth:`_text_topk`).  ATTACH cannot run inside a transaction
@@ -584,261 +609,28 @@ class SqliteDAO:
         with self._lock, self._conn:
             self._fill_text_index()
 
-    def _migrate(self) -> None:
-        """Step the on-disk schema up to ``_SCHEMA_VERSION`` once.
-
-        v0 -> v1 backfills the join tables from the legacy JSON columns;
-        v1 -> v2 only needs the new tables (created by the schema
-        script) with the mutation counter seeded at 0 — the empty
-        ``index_shards`` table simply means the first attach rebuilds
-        and persists; v2 -> v3 adds the ``revision`` columns (existing
-        rows start at revision 1) plus the ``write_receipts`` table
-        from the schema script; v3 -> v4 adds the
-        ``created_at`` receipt column (existing receipts stamp 0, the
-        epoch, for rows of unknown age); v4 -> v5 backfills the FTS5
-        text side tables from the record tables (afterwards the
-        mutation-path triggers keep them in sync); v5 -> v6 seeds the
-        per-shard ``shard_stamps`` from a pre-v6 snapshot *only* when
-        that snapshot's uniform counter equals the current mutation
-        counter — a stale pre-v6 snapshot must not be stamped fresh, so
-        it is left unstamped and the first attach pays one full rebuild
-        (which then seeds every stamp); v6 -> v7 only raises the version
-        (see ``_SCHEMA_VERSION``); v7 -> v8 reshapes the journal in
-        place (:meth:`_migrate_journal`); v8 -> v9 drops the base slabs'
-        vectors (:meth:`_migrate_slabs`); v9 -> v10 only drops the IVF
-        and HNSW state tables (those engines are gone); v10 -> v11 drops
-        the on-disk FTS5 tables and their triggers (the text index is
-        filled in memory at open).
-        """
-        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-        if version >= _SCHEMA_VERSION:
-            # row-count drift means a pre-v5 writer touched the file
-            # after the side tables were created (it bumps neither the
-            # side tables nor user_version) — re-backfill defensively
-            if self._text_index_stale():
-                self._backfill_text_index()
-            return
-        # v11: the FTS5 index moves to memory.  First, so no backfill
-        # below feeds the on-disk index it replaces, and so no ``main``
-        # table shadows the memory one the TEMP triggers write
-        for _fts, side, _id_col in _TEXT_TABLES:
-            for event in ("ai", "ad", "au"):
-                self._conn.execute(f"DROP TRIGGER IF EXISTS {side}_{event}")
-        for fts, _side, _id_col in _TEXT_TABLES:
-            self._conn.execute(f"DROP TABLE IF EXISTS {fts}")
-        if version < 1:
-            for row in self._conn.execute("SELECT pe_id, owners FROM pes"):
-                self._conn.executemany(
-                    "INSERT OR IGNORE INTO pe_owners (pe_id, user_id)"
-                    " VALUES (?, ?)",
-                    [
-                        (row["pe_id"], int(uid))
-                        for uid in json.loads(row["owners"])
-                    ],
-                )
-            for row in self._conn.execute(
-                "SELECT workflow_id, owners, pe_ids FROM workflows"
-            ):
-                self._conn.executemany(
-                    "INSERT OR IGNORE INTO workflow_owners (workflow_id,"
-                    " user_id) VALUES (?, ?)",
-                    [
-                        (row["workflow_id"], int(uid))
-                        for uid in json.loads(row["owners"])
-                    ],
-                )
-                self._conn.executemany(
-                    "INSERT OR IGNORE INTO workflow_pes (workflow_id, pe_id)"
-                    " VALUES (?, ?)",
-                    [
-                        (row["workflow_id"], int(pe_id))
-                        for pe_id in json.loads(row["pe_ids"])
-                    ],
-                )
-        # v3 revision columns: files created before v3 lack them (the
-        # schema script only shapes *new* tables); a fresh database
-        # already carries them, so probe instead of trusting the version
-        for table in ("pes", "workflows"):
-            columns = {
-                row["name"]
-                for row in self._conn.execute(f"PRAGMA table_info({table})")
-            }
-            if "revision" not in columns:
-                self._conn.execute(
-                    f"ALTER TABLE {table} ADD COLUMN revision INTEGER"
-                    " NOT NULL DEFAULT 1"
-                )
-        # v4 created_at: same probe-don't-trust pattern as the revision
-        # columns above
-        receipt_columns = {
-            row["name"]
-            for row in self._conn.execute("PRAGMA table_info(write_receipts)")
-        }
-        if "created_at" not in receipt_columns:
-            self._conn.execute(
-                "ALTER TABLE write_receipts ADD COLUMN created_at REAL"
-                " NOT NULL DEFAULT 0"
-            )
-        # v5 text side tables: one-time backfill from the record tables
-        if version < 5 or self._text_index_stale():
-            self._backfill_text_index()
-        # v6 per-shard stamps: trust a pre-v6 snapshot only when it is
-        # provably current (uniform stamp == the live mutation counter);
-        # anything else stays unstamped and rebuilds once on attach
-        if not self._conn.execute(
-            "SELECT 1 FROM shard_stamps LIMIT 1"
-        ).fetchone():
-            counters = [
-                int(row["mutation_counter"])
-                for row in self._conn.execute(
-                    "SELECT DISTINCT mutation_counter FROM index_shards"
-                )
-            ]
-            current = self._conn.execute(
-                "SELECT value FROM registry_meta WHERE key ="
-                " 'mutation_counter'"
-            ).fetchone()
-            if (
-                current is not None
-                and len(counters) == 1
-                and counters[0] == int(current[0])
-            ):
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO shard_stamps"
-                    " (user_id, kind, mutation_counter)"
-                    " SELECT user_id, kind, mutation_counter"
-                    " FROM index_shards"
-                )
-        if version < 9:
-            self._migrate_journal()
-            self._migrate_slabs()
-        # v10: drop the deleted approximate engines' state tables
-        for engine in ("ivf", "hnsw"):
-            self._conn.execute(f"DROP TABLE IF EXISTS {engine}_states")
-        self._conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
-
-    def _migrate_journal(self) -> None:
-        """v8, in one transaction: the journal keeps its membership and
-        loses its vectors, every stamp learns its chain tip.
-
-        Base slabs and chains are unchanged — replay reads a journaled
-        ``add``'s vector from the record row for old and new journal
-        rows alike, so there is no second decoder.  A shard whose chain
-        tip is below its stamp (a crash between mutation and append, a
-        ``persist=False`` era) is seeded stale and stays stale until
-        rebuilt; a shard that holds records but was never stamped (a
-        pre-v6 file nobody attached) gets a stale stamp too, so that
-        from here on "no stamp row" can only mean "no content" — the
-        one case in which a first journal row is a complete chain.
-        """
-        if not self._conn.in_transaction:
-            self._conn.execute("BEGIN")
-        columns = {
-            row["name"]
-            for row in self._conn.execute("PRAGMA table_info(index_deltas)")
-        }
-        if "vectors" in columns:
-            self._conn.execute("DROP INDEX IF EXISTS idx_index_deltas_shard")
-            self._conn.execute(
-                "ALTER TABLE index_deltas RENAME TO index_deltas_v7"
-            )
-            self._conn.execute(
-                "CREATE TABLE index_deltas (delta_id INTEGER PRIMARY KEY,"
-                " user_id INTEGER NOT NULL, kind TEXT NOT NULL,"
-                " op TEXT NOT NULL, mutation_counter INTEGER NOT NULL,"
-                " rows INTEGER NOT NULL, ids BLOB NOT NULL)"
-            )
-            self._conn.execute(
-                "INSERT INTO index_deltas SELECT delta_id, user_id, kind,"
-                " op, mutation_counter, rows, ids FROM index_deltas_v7"
-            )
-            self._conn.execute("DROP TABLE index_deltas_v7")
-        columns = {
-            row["name"]
-            for row in self._conn.execute("PRAGMA table_info(shard_stamps)")
-        }
-        if "tip" not in columns:
-            self._conn.execute("ALTER TABLE shard_stamps ADD COLUMN tip INTEGER")
-        self._conn.executemany(
-            "UPDATE shard_stamps SET tip=? WHERE user_id=? AND kind=?",
-            [
-                (chain["tip"], user_id, kind)
-                for (user_id, kind), chain in self.shard_chain_meta().items()
-            ],
+    def _stamped(self, script: str) -> None:
+        """Run ``script`` and stamp the file :data:`_SCHEMA_VERSION`, in
+        one transaction."""
+        self._conn.executescript(
+            f"BEGIN;{script}PRAGMA user_version = {_SCHEMA_VERSION};COMMIT;"
         )
-        counter = self.mutation_counter()
-        for kind, (table, id_col, blob_col) in _KIND_SOURCE.items():
-            owners = _OWNER_TABLE[table]
-            self._conn.execute(
-                f"INSERT OR IGNORE INTO shard_stamps"
-                f" (user_id, kind, mutation_counter, tip)"
-                f" SELECT DISTINCT o.user_id, ?, ?, NULL FROM {owners} o"
-                f" JOIN {table} r ON r.{id_col} = o.{id_col}"
-                f" WHERE r.{blob_col} IS NOT NULL",
-                (kind, counter),
+
+    def _step_from_v10(self) -> None:
+        """v10 -> v11: the FTS5 tables and their six sync triggers leave
+        the file; the text index is filled in memory at open instead.
+        ``IF EXISTS``: a v10 -> v11 step of older code, cut short, may
+        have dropped some of them already (its drops committed one by
+        one)."""
+        self._stamped(
+            "".join(
+                f"DROP TRIGGER IF EXISTS {side}_{event};"
+                for _fts, side, _id_col in _TEXT_TABLES
+                for event in ("ai", "ad", "au")
             )
-
-    def _migrate_slabs(self) -> None:
-        """v9: a base slab keeps its membership and loses its vectors —
-        nothing is decoded, replay fills old and new slabs alike from
-        the record rows.  The file does not shrink until its freed pages
-        are reused."""
-        columns = {
-            row["name"]
-            for row in self._conn.execute("PRAGMA table_info(index_shards)")
-        }
-        for column in ("vectors", "dim"):
-            if column in columns:
-                self._conn.execute(
-                    f"ALTER TABLE index_shards DROP COLUMN {column}"
-                )
-
-    def _text_index_stale(self) -> bool:
-        """Best-effort drift check: side-table row counts must match the
-        record tables (content drift at equal counts is undetectable
-        without hashing every document — accepted, since only a pre-v5
-        writer can cause drift at all)."""
-        for table, side in (("pes", "pe_text"), ("workflows", "wf_text")):
-            rows = self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-            docs = self._conn.execute(f"SELECT COUNT(*) FROM {side}").fetchone()[0]
-            if rows != docs:
-                return True
-        return False
-
-    def _backfill_text_index(self) -> None:
-        """(Re)build the text side tables from the record tables (the
-        memory index is filled from them afterwards, at open)."""
-        docs = _text_documents()
-        self._conn.execute("DELETE FROM pe_text")
-        self._conn.execute("DELETE FROM wf_text")
-        pe_rows = self._conn.execute(
-            "SELECT pe_id, pe_name, description FROM pes"
-        ).fetchall()
-        self._conn.executemany(
-            "INSERT INTO pe_text (pe_id, name_norm, desc_doc) VALUES (?, ?, ?)",
-            [
-                (row["pe_id"], *docs.fts_pe_document(row["pe_name"], row["description"]))
-                for row in pe_rows
-            ],
-        )
-        wf_rows = self._conn.execute(
-            "SELECT workflow_id, entry_point, workflow_name, description"
-            " FROM workflows"
-        ).fetchall()
-        self._conn.executemany(
-            "INSERT INTO wf_text (workflow_id, name_norm, desc_doc)"
-            " VALUES (?, ?, ?)",
-            [
-                (
-                    row["workflow_id"],
-                    *docs.fts_workflow_document(
-                        row["entry_point"],
-                        row["workflow_name"],
-                        row["description"],
-                    ),
-                )
-                for row in wf_rows
-            ],
+            + "".join(
+                f"DROP TABLE IF EXISTS {fts};" for fts, _side, _id in _TEXT_TABLES
+            )
         )
 
     def _fill_text_index(self) -> None:
@@ -1777,11 +1569,11 @@ class SqliteDAO:
         ids) replaced, its deltas with counter ``<= stamp`` dropped
         (folded into the new base), and its expected stamp and chain tip
         raised to at least ``stamp`` (seeding missing stamps, e.g. after
-        a full rebuild of a pre-v6 file) — a shard upserted at its stamp
-        is covered again, and a delta above the stamp (a racing
-        writer's) survives on top of the new base.  Untouched shards
-        keep their rows: one tenant's flush never rewrites another
-        tenant's slab.
+        the wholesale rebuild of a registry without any) — a shard
+        upserted at its stamp is covered again, and a delta above the
+        stamp (a racing writer's) survives on top of the new base.
+        Untouched shards keep their rows: one tenant's flush never
+        rewrites another tenant's slab.
         """
         stamp = int(stamp)
         payload = [

@@ -114,9 +114,9 @@ class RegistryService:
         is loaded is the registry as of one mutation counter even
         while another process writes.
 
-        A registry with no per-shard stamps at all (pre-v6 file whose
-        stamps could not be provably seeded, or an empty DAO) falls
-        back to the legacy full O(corpus) rebuild.
+        A registry with no per-shard stamps at all (one that no
+        embedded record has been written to) falls back to the full
+        O(corpus) rebuild.
 
         ``persist`` also arms chain folding (see :meth:`_journaled`);
         without it this service writes no base slab and folds nothing —
@@ -157,8 +157,8 @@ class RegistryService:
         }
 
         if not stamps:
-            # pre-v6 rows without provable stamps (or an empty DAO):
-            # rebuild wholesale — persisting re-seeds per-shard stamps
+            # no stamps (nothing embedded written yet): rebuild
+            # wholesale — persisting re-seeds per-shard stamps
             self._rebuild_full(index)
             if persist:
                 self._save_full_snapshot()

@@ -75,91 +75,64 @@ deployment never loads them (``tests/server/test_startup_imports.py``).
 Storage schema versions
 =======================
 
-The SQLite DAO steps older files up on open (``PRAGMA user_version``;
-see ``SqliteDAO._migrate``):
+The SQLite DAO reads ``PRAGMA user_version`` before anything writes
+(``SqliteDAO.__init__``):
 
-===  =================================================================
-v    Added
-===  =================================================================
-v1   Normalized ownership/association join tables (``pe_owners``,
-     ``workflow_owners``, ``workflow_pes``), backfilled from the
-     legacy JSON columns.
-v2   Slab snapshot persistence: ``index_shards`` plus
-     ``registry_meta`` (the global mutation counter).
-v3   Typed write envelope: per-record ``revision`` columns and the
-     ``write_receipts`` table (plus a table of IVF training state,
-     dropped in v10).
-v4   ``created_at`` on receipts (pre-v4 rows stamp 0, the epoch; it fed
-     TTL sweeps, since deleted: receipts are kept forever).
-v5   FTS5 text side tables backfilled from the record tables (plus a
-     table of HNSW graphs, dropped in v10).
-v6   Incremental persistence: per-shard ``shard_stamps`` and the
-     append-only ``index_deltas`` journal.  A shard is fresh iff its
-     replayed chain tip *equals* its stamp; chains must be strictly
-     counter-increasing (a non-increasing chain is a crash artifact
-     and discards only that shard); compaction folds a chain into its
-     base slab at the same stamp and deletes exactly the folded
-     counters, so a crash anywhere leaves tip <= stamp — stale at
-     worst, never wrongly fresh.  A pre-v6 snapshot seeds
-     the stamps only when provably current (uniform counter equal to
-     the live mutation counter); otherwise the first attach pays one
-     full rebuild, which then stamps every shard.
-v7   No table changes: vector blobs (``pes`` / ``workflows`` embedding
-     columns, ``index_deltas.vectors``, ``index_shards.vectors``) may
-     be in the sparse layout of :mod:`repro.registry.veccodec` —
-     (count, uint16 columns, float32 values) per row where that is
-     smaller than dense, checksummed.  Dense blobs from v6 and older
-     decode through the same codec with no rewrite on open (a record
-     re-encodes when next written, a slab at its next fold).  The fold
-     rule is ``max(64, base rows)`` journaled rows per shard, replacing
-     the fixed chain-length/bytes bounds.  **Not readable by older
-     code**: a pre-v7 reader opening a v7 file fails on the first
-     sparse blob.
-v8   A registry write is one commit.  ``index_deltas`` becomes an
-     ids-only changelog (``vectors`` / ``dim`` and the secondary
-     index ``idx_index_deltas_shard`` dropped) that the DAO appends
-     inside each mutation's own transaction, wherever it stamps a
-     shard — *stamp == journal tip* by construction, and the crash
-     state "mutation committed, journal row not yet" is gone.  Replay
-     reads the vector of each id whose last journaled op is ``add``
-     from its record row: a vector is stored in its record row and in
-     the base slab, nowhere else.  ``shard_stamps`` gains ``tip`` (the
-     shard's chain tip): a mutation journals a shard only if it was
-     covered (``tip`` = stamp) before the write, so a stale shard is
-     stamped but never journaled on top of its gap and stays stale
-     until a base upsert.  The migration is in place: the journal
-     keeps its membership, ``tip`` is seeded from each chain, content
-     that was never stamped is stamped stale.  **Older code cannot
-     read or write a v8 journal.**  Files *created* by v8 use 1 KB
-     pages (a WAL commit logs whole pages and these rows are small);
-     page size is fixed once a file has pages, so a migrated file
-     keeps its own — no ``VACUUM``, no option.
-v9   Base slabs go ids-only: ``index_shards`` loses ``vectors`` and
-     ``dim`` (``ALTER TABLE … DROP COLUMN``; membership kept, nothing
-     decoded), as the journal did in v8.  **A vector lives in its
-     record row, nowhere else.**  Replay treats a base slab as a run of
-     ``add``s and fills every winning id from the record rows in one
-     ordered scan per (user, record table); an id whose row is gone,
-     is not the user's, has no vector of that kind or is of another
-     width discards only that shard.  A fold rewrites 8 bytes a row
-     instead of a second copy of every vector, and the codec keeps
-     only its one-vector layout (plus a many-blob decode for the cold
-     start).  **Older code cannot read a v9 slab.**  The file does not
-     shrink on migration; the freed pages are reused by later writes.
-v10  The IVF and HNSW state tables are dropped, rows and all; that is
-     the migration's only step (the approximate engines that used them
-     are gone).  ``shard_stamps`` now vouches for base slabs and the
-     journal only.
-v11  The FTS5 tables ``pe_fts`` / ``wf_fts`` and their six sync
-     triggers leave the file.  The text index is a cache: contentless
-     FTS5 tables in an attached ``':memory:'`` database, filled from
-     ``pe_text`` / ``wf_text`` at open, kept in step by TEMP triggers
-     inside each mutation's transaction and refilled before a ranking
-     when another connection has committed (``PRAGMA data_version``).
-     BM25 scores are unchanged; a write logs no FTS5 page (a 1 KB-page
-     ``PUT``: 12 frames -> 9).  **Older code cannot use a v11 file**
-     (it would rank in an empty on-disk index of its own making).
-===  =================================================================
+=========  ============================================================
+version    On open
+=========  ============================================================
+new file   Version 0 and no schema (``":memory:"`` too): the schema is
+           created in one transaction and stamped v11.
+v11        Current: no DDL on the file.  It holds no FTS5 table; the
+           text index is a cache — contentless FTS5 tables in an
+           attached ``':memory:'`` database, filled from ``pe_text`` /
+           ``wf_text`` at open, kept in step by TEMP triggers inside
+           each mutation's transaction and refilled before a ranking
+           when another connection has committed (``PRAGMA
+           data_version``).  **Older code cannot use a v11 file** (it
+           would rank in an empty on-disk index of its own making).
+v10        Accepted: one step drops the on-disk FTS5 tables ``pe_fts`` /
+           ``wf_fts`` and their six sync triggers and stamps v11.  BM25
+           scores are unchanged.
+other      Refused, older or newer, with a ``RegistryError`` naming the
+           version; the file is left as it was.  An older file steps up
+           when opened once with an older checkout of this repository
+           (the git history is the migration tool); a newer one belongs
+           to newer code.
+=========  ============================================================
+
+What a v11 file holds, and the rules the DAO keeps on it:
+
+* **A vector lives in its record row, nowhere else** (the ``pes`` /
+  ``workflows`` embedding columns), in the sparse layout of
+  :mod:`repro.registry.veccodec` — (count, uint16 columns, float32
+  values) where that is smaller than dense, checksummed.  Dense blobs
+  that code of v6 and older wrote may survive in a migrated file; they
+  decode through the same codec and re-encode when next written.
+* Base slabs (``index_shards``) and the journal (``index_deltas``) hold
+  ids only.  The DAO appends a shard's journal row inside each
+  mutation's own transaction, wherever it stamps the shard — *stamp ==
+  journal tip* by construction.  ``shard_stamps`` carries each shard's
+  stamp and chain tip: a mutation journals a shard only if it was
+  covered (``tip`` = stamp) before the write, so a stale shard is
+  stamped but never journaled on top of its gap and stays stale until
+  a base upsert.
+* A shard is fresh iff its replayed chain tip *equals* its stamp.
+  Chains must be strictly counter-increasing (a non-increasing chain is
+  a crash artifact and discards only that shard); compaction folds a
+  chain into its base slab at the same stamp and deletes exactly the
+  folded counters, so a crash anywhere leaves tip <= stamp — stale at
+  worst, never wrongly fresh.  A shard folds at ``max(64, base rows)``
+  journaled rows, rewriting 8 bytes a row.
+* Replay treats a base slab as a run of ``add`` events and fills every
+  winning id from the record rows in one ordered scan per (user, record
+  table); an id whose row is gone, is not the user's, has no vector of
+  that kind or is of another width discards only that shard.
+* Files created by this code use 1 KB pages (a WAL commit logs whole
+  pages and these rows are small); page size is fixed once a file has
+  pages, so an older file keeps its own — no ``VACUUM``, no option.
+* Idempotency receipts (``write_receipts``) are kept forever:
+  ``created_at`` is written, nothing prunes by it.
 
 Front end: :func:`repro.server.http.serve_http` runs an **asyncio
 server core** — one coroutine per connection on a background event

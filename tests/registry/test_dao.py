@@ -1,5 +1,7 @@
 """DAO tests, on an in-memory database and on a file."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,73 @@ class TestOwnerScopedQueries:
     def test_bulk_insert_empty(self, dao):
         assert dao.insert_pes([]) == []
         assert dao.insert_workflows([]) == []
+
+
+def json_column_pairs(dao, table, key, column):
+    """``(record id, member)`` for every member of a JSON list column."""
+    return sorted(
+        (row[0], member)
+        for row in dao._conn.execute(f"SELECT {key}, {column} FROM {table}")
+        for member in json.loads(row[1])
+    )
+
+
+def join_table_pairs(dao, table):
+    rows = dao._conn.execute(f"SELECT * FROM {table}")
+    return sorted(tuple(row) for row in rows)
+
+
+class TestJoinTablesMirrorJsonColumns:
+    """A record row keeps its owners (and a workflow its PEs) twice: as
+    a JSON list, read at hydration, and in a join table, read by the
+    owner-scoped queries and the delete back-reference.  Every write
+    keeps the two equal."""
+
+    def test_pe_owners(self, dao):
+        a = dao.insert_pe(make_pe("A", owners={1}))
+        b = dao.insert_pe(make_pe("B", code="Yg==", owners={1, 2}))
+        dao.insert_pes(
+            [
+                make_pe(f"Bulk{i}", code=f"Yw=={i}", owners={i, 3})
+                for i in range(3)
+            ]
+        )
+        a.owners = {2, 4}
+        dao.update_pe(a)
+        b.owners = set()
+        dao.update_pe(b)
+        dao.delete_pe(dao.pe_ids_owned_by(3)[0])
+        pairs = json_column_pairs(dao, "pes", "pe_id", "owners")
+        assert (a.pe_id, 4) in pairs and len(pairs) == 6
+        assert join_table_pairs(dao, "pe_owners") == pairs
+
+    def test_workflow_owners_and_pes(self, dao):
+        p1, p2, p3 = (
+            dao.insert_pe(make_pe(f"P{i}", code=f"cA=={i}")) for i in range(3)
+        )
+        w = dao.insert_workflow(
+            make_wf("w", owners={1}, pe_ids=[p1.pe_id, p2.pe_id])
+        )
+        dao.insert_workflows(
+            [
+                make_wf("x", code="eA==", owners={1, 2}, pe_ids=[p2.pe_id]),
+                make_wf("y", code="eQ==", owners={2}, pe_ids=[p3.pe_id]),
+            ]
+        )
+        w.owners = {3}
+        w.pe_ids = [p3.pe_id, p1.pe_id]
+        dao.update_workflow(w)
+        dao.delete_pe(p1.pe_id)
+        dao.delete_workflow(dao.workflow_ids_owned_by(2)[-1])
+        owners = json_column_pairs(dao, "workflows", "workflow_id", "owners")
+        pes = json_column_pairs(dao, "workflows", "workflow_id", "pe_ids")
+        assert owners == [(w.workflow_id, 3), (w.workflow_id + 1, 1),
+                          (w.workflow_id + 1, 2)]
+        assert pes == [
+            (w.workflow_id, p3.pe_id), (w.workflow_id + 1, p2.pe_id)
+        ]
+        assert join_table_pairs(dao, "workflow_owners") == owners
+        assert join_table_pairs(dao, "workflow_pes") == pes
 
 
 class TestSqliteDeleteBackref:

@@ -1,5 +1,5 @@
 """Inverted text index: the pinned BM25 ranking, its freshness across
-connections and the v4→v5 and v10→v11 migrations.
+connections and the v10→v11 step.
 
 ``text_topk_pes`` / ``text_topk_workflows`` rank inside the DAO's
 contentless SQLite FTS5 tables, held in an attached in-memory database
@@ -16,23 +16,29 @@ DAO (service hydration, the v1 route, hybrid fusion) builds on it.
 
 The index is a cache of the file, so :class:`TestFreshness` holds it
 to "every ranking equals a freshly opened DAO's", exactly, whichever
-connection or process wrote last.  The rest exercises the migrations:
-a database whose text side tables are missing (pre-v5 writer) must be
-backfilled on open and rank identically to a natively-v5 registry, and
-a v10 file loses its on-disk FTS5 tables and ranks as before.
+connection or process wrote last.  The rest exercises the one schema
+step there is: a v10 file loses its on-disk FTS5 tables and nothing
+else, and ranks — text and vectors — as before.
 """
 
 import sqlite3
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.net.transport import Request
 from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
 from repro.registry.service import RegistryService
+from repro.search import VectorIndex
 from repro.server import LaminarServer
 from tests.registry.test_dao import make_pe, make_wf
+from tests.registry.test_journal_in_transaction import (
+    live_shards,
+    populate,
+    serves_fresh_takes_a_write_and_reopens_fresh,
+)
 
 #: exercises multi-token queries, repeated terms, camelCase splits,
 #: unicode, name-substring bonuses and blank/no-match degenerates
@@ -222,66 +228,6 @@ class TestMutationSync:
             i for i, _ in service.dao.text_topk_pes(alice.user_id, "prime")
         }
         assert after == before | {record.pe_id}
-
-
-class TestSchemaV5Backfill:
-    def _scrub_to_v4(self, path):
-        """Emulate a pre-v5 file: no side tables populated, version 4."""
-        conn = sqlite3.connect(path)
-        conn.execute("DELETE FROM pe_text")
-        conn.execute("DELETE FROM wf_text")
-        conn.execute("PRAGMA user_version = 4")
-        conn.commit()
-        conn.close()
-
-    def test_v4_file_backfills_on_open(self, tmp_path):
-        path = tmp_path / "old.db"
-        service, alice, _ = fill(SqliteDAO(path))
-        expected_pes = service.dao.text_topk_pes(alice.user_id, "prime")
-        expected_wfs = service.dao.text_topk_workflows(alice.user_id, "table")
-        assert expected_pes and expected_wfs
-        service.dao.close()
-        self._scrub_to_v4(path)
-
-        dao2 = SqliteDAO(path)
-        version = dao2._conn.execute("PRAGMA user_version").fetchone()[0]
-        assert version == _SCHEMA_VERSION
-        assert (
-            dao2.text_topk_pes(alice.user_id, "prime") == expected_pes
-        )
-        assert (
-            dao2.text_topk_workflows(alice.user_id, "table") == expected_wfs
-        )
-
-    def test_v5_file_with_drifted_side_tables_rebackfills(self, tmp_path):
-        """A pre-v5 writer touching a v5 file bumps neither the side
-        tables nor user_version; the row-count probe catches it."""
-        path = tmp_path / "drift.db"
-        service, alice, _ = fill(SqliteDAO(path))
-        expected = service.dao.text_topk_pes(alice.user_id, "prime")
-        service.dao.close()
-        conn = sqlite3.connect(path)
-        conn.execute("DELETE FROM pe_text")  # drift, version stays 5
-        conn.commit()
-        conn.close()
-
-        dao2 = SqliteDAO(path)
-        assert dao2.text_topk_pes(alice.user_id, "prime") == expected
-
-    def test_backfilled_file_matches_the_golden_ranking(self, tmp_path):
-        path = tmp_path / "old2.db"
-        service, alice, _ = fill(SqliteDAO(path))
-        service.dao.close()
-        self._scrub_to_v4(path)
-        dao2 = SqliteDAO(path)
-        for query in QUERIES:
-            assert_ranking(
-                dao2.text_topk_pes(alice.user_id, query), GOLDEN_PES[query]
-            )
-            assert_ranking(
-                dao2.text_topk_workflows(alice.user_id, query),
-                GOLDEN_WORKFLOWS[query],
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +584,14 @@ V10_TRIGGERS = {
 }
 
 
+def as_v10(path):
+    """Give a current file what schema v10 kept beside it, through raw
+    SQL: :data:`V10_TEXT_INDEX`, ``user_version`` 10."""
+    conn = sqlite3.connect(path)
+    conn.executescript(V10_TEXT_INDEX)
+    conn.close()
+
+
 def text_index_on_disk(conn):
     """Names of the file's FTS5 tables (shadow tables included) and
     text sync triggers."""
@@ -688,6 +642,95 @@ class TestSchemaV11Migration:
         # ranks what the writer ranked
         service = RegistryService(dao)
         late = service.register_pe(
+            alice,
+            make_pe("latePrime", code="bGF0ZQ==", description="a late prime"),
+        )[0]
+        written = rankings(dao, alice.user_id)
+        assert late.pe_id in {i for i, _ in written[("pe", "prime")]}
+        dao.close()
+        assert fresh_rankings(path, alice.user_id) == written
+
+    def test_v10_file_with_receipts_and_stamps_serves_as_before(
+        self, tmp_path
+    ):
+        """A v10 file holding what a served registry keeps — two
+        tenants' records, base slabs, journal chains, stamps and an
+        idempotency receipt — loses its FTS5 tables and nothing else:
+        it ranks text and vectors bitwise as before, takes a write and
+        reopens fresh."""
+        rng = np.random.default_rng(90)
+        path = tmp_path / "v10.db"
+        alice, _bob = populate(path, rng)
+        dao = SqliteDAO(path)
+        receipt = ("fp", 201, {"peId": 1})
+        dao.save_write_receipt(alice.user_id, "k1", *receipt, 5.0)
+        index = VectorIndex()
+        assert RegistryService(dao).attach_index(index, persist=False) == (
+            "fresh"
+        )
+
+        def state(dao):
+            return (
+                dao.shard_stamps(),
+                dao.shard_chain_meta(),
+                dao.mutation_counter(),
+                [
+                    dao.text_topk_pes(alice.user_id, query)
+                    for query in ("element", "alice", "revised", "tail")
+                ],
+            )
+
+        before = state(dao)
+        dao.close()
+        as_v10(path)
+
+        dao = SqliteDAO(path)
+        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
+        assert version == _SCHEMA_VERSION
+        assert text_index_on_disk(dao._conn) == []
+        assert state(dao) == before
+        assert dao.get_write_receipt(alice.user_id, "k1") == receipt
+        warm = VectorIndex()
+        assert RegistryService(dao).attach_index(warm, persist=False) == (
+            "fresh"
+        )
+        assert live_shards(warm) == live_shards(index)
+        serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
+
+    @pytest.mark.parametrize(
+        # an older checkout's v10 -> v11 step committed its drops one by
+        # one: a crash can leave a v10 file with part of its text index
+        "dropped",
+        [
+            ("pe_text_ai", "pe_text_ad", "pe_text_au"),
+            tuple(sorted(V10_TRIGGERS)),
+            tuple(sorted(V10_TRIGGERS)) + ("pe_fts",),
+        ],
+        ids=["some-triggers", "all-triggers", "triggers-and-one-table"],
+    )
+    def test_v10_step_cut_short_completes_on_the_next_open(
+        self, tmp_path, dropped
+    ):
+        path = tmp_path / "v10.db"
+        service, alice, _ = fill(SqliteDAO(path))
+        expected = rankings(service.dao, alice.user_id)
+        service.dao.close()
+        as_v10(path)
+        conn = sqlite3.connect(path)
+        for name in dropped:
+            kind = "TRIGGER" if name in V10_TRIGGERS else "TABLE"
+            conn.execute(f"DROP {kind} {name}")
+        conn.commit()
+        assert conn.execute("PRAGMA user_version").fetchone() == (10,)
+        assert not set(dropped) & set(text_index_on_disk(conn))
+        conn.close()
+
+        dao = SqliteDAO(path)
+        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
+        assert version == _SCHEMA_VERSION
+        assert text_index_on_disk(dao._conn) == []
+        assert rankings(dao, alice.user_id) == expected
+        late = RegistryService(dao).register_pe(
             alice,
             make_pe("latePrime", code="bGF0ZQ==", description="a late prime"),
         )[0]

@@ -8,13 +8,6 @@ too, so replay reads every vector from the record rows.  Pinned here:
 * a model test (Hypothesis): after *every* step of a random
   write sequence the persisted state replays to exactly the live index,
   and every stamp equals its chain tip;
-* migration: a v7-shaped file (journal rows and base slabs with vector
-  blobs, the secondary index, 4 KB pages, no ``tip``), a v8-shaped
-  one (vector-carrying slabs only) and a v9-shaped one (IVF/HNSW state
-  tables, which v10 drops and nothing else) open in place and attach
-  fresh; a
-  shard v7 left stale stays stale; content nobody ever stamped is
-  seeded stale rather than mistaken for a shard born empty;
 * torn shards: an id — journaled or in the base slab — that the record
   table cannot back discards exactly its shard;
 * one read transaction: a writer in another process cannot land
@@ -34,11 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.registry.service as service_module
-from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
+from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
 from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW, VectorIndex
 from tests.registry.test_dao import make_pe, make_wf
-from tests.registry.test_veccodec import encode_through_blocks, reshape_slabs
 
 DIM = 8
 SLOTS = 6  # record identities the sequences draw from
@@ -252,7 +244,7 @@ def test_persisted_state_equals_live_index_after_every_step(
 
 
 # ---------------------------------------------------------------------------
-# (c) migration: a v7-shaped file, built through raw SQL
+# (c) a populated file: every journal shape, two tenants
 # ---------------------------------------------------------------------------
 def new_4k_file(path):
     """A file that had 4 KB pages before this code first opened it."""
@@ -264,7 +256,7 @@ def new_4k_file(path):
 
 def populate(path, rng):
     """Two tenants with a base slab, a chain tail, a revise, a remove
-    and a workflow — every journal shape v7 could hold."""
+    and a workflow — every journal shape."""
     service = RegistryService(SqliteDAO(path))
     alice = service.register_user("alice", "pw")
     bob = service.register_user("bob", "pw")
@@ -301,392 +293,37 @@ def populate(path, rng):
     return alice, bob
 
 
-def reshape_as_v7(path):
-    """Turn the file into what schema v7 wrote, through raw SQL: journal
-    rows carry ``dim`` and a ``vectors`` blob (the rows they added,
-    empty for a remove) and so do the base slabs, the journal has its
-    secondary index, stamps have no ``tip``, ``user_version`` is 7."""
-    conn = sqlite3.connect(path)
-    reshape_slabs(conn, encode_through_blocks)
-    sources = {
-        KIND_DESC: ("pes", "pe_id", "desc_embedding"),
-        KIND_CODE: ("pes", "pe_id", "code_embedding"),
-        KIND_WORKFLOW: ("workflows", "workflow_id", "desc_embedding"),
-    }
-    rows = conn.execute("SELECT * FROM index_deltas ORDER BY delta_id").fetchall()
-    conn.execute("DROP TABLE index_deltas")
-    conn.execute(
-        """CREATE TABLE index_deltas (
-            delta_id INTEGER PRIMARY KEY, user_id INTEGER NOT NULL,
-            kind TEXT NOT NULL, op TEXT NOT NULL,
-            mutation_counter INTEGER NOT NULL, dim INTEGER NOT NULL,
-            rows INTEGER NOT NULL, ids BLOB NOT NULL, vectors BLOB NOT NULL
-        )"""
-    )
-    conn.execute(
-        "CREATE INDEX idx_index_deltas_shard"
-        " ON index_deltas (user_id, kind, delta_id)"
-    )
-    for row in rows:
-        ids = np.frombuffer(row["ids"], dtype=np.int64)
-        matrix = np.zeros((ids.shape[0], 0), dtype=np.float32)
-        if row["op"] == "add":
-            # v7 stored the vectors the write carried; a record revised
-            # or deleted since would have carried others — any will do,
-            # the migration must not read them
-            table, key, column = sources[row["kind"]]
-            matrix = np.zeros((ids.shape[0], DIM), dtype=np.float32)
-            for at, rid in enumerate(ids.tolist()):
-                blob = conn.execute(
-                    f"SELECT {column} FROM {table} WHERE {key}=?", (rid,)
-                ).fetchone()
-                if blob is not None and blob[0] is not None:
-                    matrix[at] = np.frombuffer(blob[0][: DIM * 4], np.float32)
-        conn.execute(
-            "INSERT INTO index_deltas VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                row["delta_id"], row["user_id"], row["kind"], row["op"],
-                row["mutation_counter"], matrix.shape[1], ids.shape[0],
-                row["ids"], matrix.tobytes(),
-            ),
-        )
-    stamps = conn.execute(
-        "SELECT user_id, kind, mutation_counter FROM shard_stamps"
-    ).fetchall()
-    conn.execute("DROP TABLE shard_stamps")
-    conn.execute(
-        """CREATE TABLE shard_stamps (
-            user_id INTEGER NOT NULL, kind TEXT NOT NULL,
-            mutation_counter INTEGER NOT NULL, PRIMARY KEY (user_id, kind)
-        ) WITHOUT ROWID"""
-    )
-    conn.executemany("INSERT INTO shard_stamps VALUES (?, ?, ?)", stamps)
-    conn.execute("PRAGMA user_version = 7")
-    conn.commit()
-    conn.close()
-
-
-def reshape_as_v8(path):
-    """What schema v8 wrote: an ids-only journal already, but base slabs
-    that still hold a second copy of every vector."""
-    conn = sqlite3.connect(path)
-    reshape_slabs(conn, encode_through_blocks)
-    conn.execute("PRAGMA user_version = 8")
-    conn.commit()
-    conn.close()
-
-
-#: the approximate engines' state tables as schema v9 declared them
-V9_STATE_TABLES = ("ivf_states", "hnsw_states")
-
-
-def reshape_as_v9(path, user):
-    """What schema v9 wrote: this schema plus the IVF and HNSW state
-    tables, each holding one row for ``user``'s description shard at
-    that shard's stamp."""
-    conn = sqlite3.connect(path)
-    conn.executescript(
-        """CREATE TABLE ivf_states (
-            user_id INTEGER NOT NULL, kind TEXT NOT NULL,
-            mutation_counter INTEGER NOT NULL, dim INTEGER NOT NULL,
-            nlist INTEGER NOT NULL, rows INTEGER NOT NULL,
-            centroids BLOB NOT NULL, list_sizes BLOB NOT NULL,
-            members BLOB NOT NULL, PRIMARY KEY (user_id, kind)
-        );
-        CREATE TABLE hnsw_states (
-            user_id INTEGER NOT NULL, kind TEXT NOT NULL,
-            mutation_counter INTEGER NOT NULL, rows INTEGER NOT NULL,
-            m0 INTEGER NOT NULL, levels BLOB NOT NULL,
-            neighbors BLOB NOT NULL, PRIMARY KEY (user_id, kind)
-        );"""
-    )
-    stamp, rows = conn.execute(
-        "SELECT s.mutation_counter, b.rows FROM shard_stamps s"
-        " JOIN index_shards b USING (user_id, kind)"
-        " WHERE s.user_id = ? AND s.kind = ?",
-        (user.user_id, KIND_DESC),
-    ).fetchone()
-    members = np.arange(rows, dtype=np.int64)
-    conn.execute(
-        "INSERT INTO ivf_states VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-        (
-            user.user_id, KIND_DESC, stamp, DIM, 1, rows,
-            np.ones((1, DIM), np.float32).tobytes(),
-            np.array([rows], np.int64).tobytes(), members.tobytes(),
-        ),
-    )
-    conn.execute(
-        "INSERT INTO hnsw_states VALUES (?, ?, ?, ?, ?, ?, ?)",
-        (
-            user.user_id, KIND_DESC, stamp, rows, 2,
-            np.zeros(rows, np.int64).tobytes(),
-            np.full((rows, 2), -1, np.int64).tobytes(),
-        ),
-    )
-    conn.execute("PRAGMA user_version = 9")
-    conn.commit()
-    conn.close()
-
-
-def dump_without(path, tables):
-    """Every schema entry and row of the file, except ``tables``'."""
-    conn = sqlite3.connect(path)
-    lines = [
-        line for line in conn.iterdump()
-        if not any(table in line for table in tables)
+def serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng):
+    """``dao`` (over ``path``, a :func:`populate`'d file) attaches
+    fresh and ranks bitwise as brute force does; a write journals, and
+    the file reopens fresh to the same index bytes.  Closes ``dao``."""
+    service = RegistryService(dao)
+    index = VectorIndex()
+    assert service.attach_index(index) == "fresh"
+    assert_persisted_equals_live(dao, index)
+    assert_equals_brute_force(index, dao)
+    user = service.get_user("alice")
+    records = [
+        r for r in service.user_pes(user) if r.desc_embedding is not None
     ]
-    conn.close()
-    return lines
+    query = unit(rng)
+    sims = np.stack([r.desc_embedding for r in records]) @ query
+    order = np.argsort(-sims, kind="stable")[:5]
+    ids, scores = index.search(user.user_id, KIND_DESC, query, 5)
+    assert ids == [records[row].pe_id for row in order]
+    assert np.array_equal(scores, sims[order])
 
-
-def schema_of(dao):
-    return {
-        row[0]: row[1]
-        for row in dao._conn.execute(
-            "SELECT name, sql FROM sqlite_master WHERE sql IS NOT NULL"
-        )
-    }
-
-
-class TestMigration:
-    def test_v7_file_opens_fresh_takes_a_write_and_reopens_fresh(
-        self, tmp_path
-    ):
-        rng = np.random.default_rng(81)
-        path = tmp_path / "registry.db"
-        new_4k_file(path)
-        alice, bob = populate(path, rng)
-        reshape_as_v7(path)
-
-        dao = SqliteDAO(path)
-        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
-        assert version == _SCHEMA_VERSION
-        # an existing file keeps its pages
-        assert dao._conn.execute("PRAGMA page_size").fetchone()[0] == 4096
-        schema = schema_of(dao)
-        assert "idx_index_deltas_shard" not in schema
-        assert "index_deltas_v7" not in schema
-        for table in ("index_deltas", "index_shards"):
-            assert "vectors" not in schema[table]
-            assert "dim" not in schema[table]
-        # journal membership survived, in order
-        chain = dao.shard_chain_meta()[(alice.user_id, KIND_DESC)]
-        assert (chain["rows"], chain["chainLen"]) == (10, 3)
-
-        self.serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
-
-    def test_v8_file_drops_its_slab_vectors_and_attaches_fresh(
-        self, tmp_path
-    ):
-        rng = np.random.default_rng(86)
-        path = tmp_path / "registry.db"
-        alice, bob = populate(path, rng)
-        reshape_as_v8(path)
-        conn = sqlite3.connect(path)
-        slab_bytes = conn.execute(
-            "SELECT SUM(LENGTH(vectors)) FROM index_shards"
-        ).fetchone()[0]
-        conn.close()
-        assert slab_bytes >= 10 * DIM * 4
-
-        dao = SqliteDAO(path)
-        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
-        assert version == _SCHEMA_VERSION
-        slab = schema_of(dao)["index_shards"]
-        assert "vectors" not in slab and "dim" not in slab
-        # slab membership survived
-        chain = dao.shard_chain_meta()[(alice.user_id, KIND_DESC)]
-        assert (chain["rows"], chain["chainLen"]) == (10, 3)
-        self.serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
-
-    def test_v9_file_drops_its_ann_state_tables_and_attaches_fresh(
-        self, tmp_path
-    ):
-        rng = np.random.default_rng(87)
-        path = tmp_path / "registry.db"
-        alice, bob = populate(path, rng)
-        reshape_as_v9(path, alice)
-        conn = sqlite3.connect(path)
-        for table in V9_STATE_TABLES:
-            count = conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
-            assert count[0] == 1
-        conn.close()
-
-        dao = SqliteDAO(path)
-        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
-        assert version == _SCHEMA_VERSION
-        assert not set(V9_STATE_TABLES) & set(schema_of(dao))
-        self.serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
-        # nothing brought them back
-        dao = SqliteDAO(path)
-        assert not set(V9_STATE_TABLES) & set(schema_of(dao))
-        dao.close()
-
-    def test_v9_to_v10_changes_nothing_but_the_state_tables(self, tmp_path):
-        rng = np.random.default_rng(88)
-        path = tmp_path / "registry.db"
-        alice, _bob = populate(path, rng)
-        reshape_as_v9(path, alice)
-        before = dump_without(path, V9_STATE_TABLES)
-        assert len(before) < len(dump_without(path, ()))
-        SqliteDAO(path).close()
-        assert dump_without(path, ()) == before
-
-    @pytest.mark.parametrize(
-        # the migration's drops commit one by one: a crash can leave a
-        # v9 file with one table or none
-        "dropped", [V9_STATE_TABLES[:1], V9_STATE_TABLES],
-        ids=["one-dropped", "both-dropped"],
+    service.register_pe(
+        user, make_pe("Late", code="bGF0ZQ==", desc_embedding=unit(rng))
     )
-    def test_v9_migration_cut_short_completes_on_the_next_open(
-        self, tmp_path, dropped
-    ):
-        rng = np.random.default_rng(89)
-        path = tmp_path / "registry.db"
-        alice, _bob = populate(path, rng)
-        reshape_as_v9(path, alice)
-        conn = sqlite3.connect(path)
-        for table in dropped:
-            conn.execute(f"DROP TABLE {table}")
-        conn.commit()
-        conn.close()
+    assert_persisted_equals_live(dao, index)
+    dao.close()
 
-        dao = SqliteDAO(path)
-        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
-        assert version == _SCHEMA_VERSION
-        assert not set(V9_STATE_TABLES) & set(schema_of(dao))
-        self.serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
-
-    @staticmethod
-    def serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng):
-        service = RegistryService(dao)
-        index = VectorIndex()
-        assert service.attach_index(index) == "fresh"
-        assert_persisted_equals_live(dao, index)
-        assert_equals_brute_force(index, dao)
-        user = service.get_user("alice")
-        records = [
-            r for r in service.user_pes(user) if r.desc_embedding is not None
-        ]
-        query = unit(rng)
-        sims = np.stack([r.desc_embedding for r in records]) @ query
-        order = np.argsort(-sims, kind="stable")[:5]
-        ids, scores = index.search(user.user_id, KIND_DESC, query, 5)
-        assert ids == [records[row].pe_id for row in order]
-        assert np.array_equal(scores, sims[order])
-
-        service.register_pe(
-            user, make_pe("Late", code="bGF0ZQ==", desc_embedding=unit(rng))
-        )
-        assert_persisted_equals_live(dao, index)
-        dao.close()
-
-        again = RegistryService(SqliteDAO(path))
-        warm = VectorIndex()
-        assert again.attach_index(warm) == "fresh"
-        assert live_shards(warm) == live_shards(index)
-        again.dao.close()
-
-    def test_shard_v7_left_stale_is_seeded_stale(self, tmp_path):
-        """A v7 crash between mutation and journal append left the stamp
-        above the chain tip: the migrated ``tip`` keeps that gap, later
-        writes do not paper over it, the next attach rebuilds it."""
-        rng = np.random.default_rng(82)
-        path = tmp_path / "registry.db"
-        alice, bob = populate(path, rng)
-        reshape_as_v7(path)
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "UPDATE shard_stamps SET mutation_counter = mutation_counter + 1"
-            " WHERE user_id = ? AND kind = ?",
-            (bob.user_id, KIND_CODE),
-        )
-        conn.commit()
-        conn.close()
-
-        service = RegistryService(SqliteDAO(path))
-        user = service.get_user("bob")
-        key = (bob.user_id, KIND_CODE)
-        before = service.dao.shard_chain_meta()[key]
-        service.register_pe(
-            user,
-            make_pe(
-                "OverTheGap", code="Z2Fw",
-                desc_embedding=unit(rng), code_embedding=unit(rng),
-            ),
-        )
-        assert service.dao.shard_chain_meta()[key] == before
-        index = VectorIndex()
-        assert service.attach_index(index) == "partial"
-        assert_persisted_equals_live(service.dao, index)
-        assert_equals_brute_force(index, service.dao)
-        service.dao.close()
-
-    def test_provably_current_pre_v6_snapshot_is_seeded_covered(
-        self, tmp_path
-    ):
-        """A pre-v6 file whose uniform snapshot counter equals the live
-        mutation counter has its stamps seeded from the snapshot; they
-        must come out covered (tip == stamp), not merely stamped."""
-        rng = np.random.default_rng(85)
-        path = tmp_path / "registry.db"
-        alice, bob = populate(path, rng)
-        dao = SqliteDAO(path)
-        index = VectorIndex()
-        RegistryService(dao).attach_index(index)
-        dao.save_index_shards(
-            {key: ids for key, (ids, _matrix) in index.export_shards().items()},
-            dao.mutation_counter(),
-        )
-        dao._conn.executescript(
-            "DELETE FROM shard_stamps; PRAGMA user_version = 5;"
-        )
-        dao.close()
-
-        service = RegistryService(SqliteDAO(path))
-        warm = VectorIndex()
-        assert service.attach_index(warm) == "fresh"
-        assert live_shards(warm) == live_shards(index)
-        service.register_pe(
-            service.get_user("alice"),
-            make_pe("Next", code="bmV4dA==", desc_embedding=unit(rng)),
-        )
-        assert_persisted_equals_live(service.dao, warm)
-        service.dao.close()
-
-    def test_content_nobody_stamped_is_not_a_shard_born_empty(self, tmp_path):
-        """A pre-v6 file nobody attached holds records without stamp
-        rows.  "No stamp row" must mean "no content" before a first
-        journal row may count as a complete chain — so the migration
-        stamps such shards stale."""
-        rng = np.random.default_rng(83)
-        path = tmp_path / "registry.db"
-        alice, bob = populate(path, rng)
-        conn = sqlite3.connect(path)
-        conn.executescript(
-            "DELETE FROM shard_stamps; DELETE FROM index_shards;"
-            "DELETE FROM index_deltas; PRAGMA user_version = 5;"
-        )
-        conn.close()
-
-        dao = SqliteDAO(path)
-        assert set(dao.shard_stamps()) == {
-            (alice.user_id, KIND_DESC), (alice.user_id, KIND_CODE),
-            (bob.user_id, KIND_DESC), (bob.user_id, KIND_CODE),
-            (bob.user_id, KIND_WORKFLOW),
-        }
-        service = RegistryService(dao)
-        service.register_pe(
-            service.get_user("alice"),
-            make_pe("First", code="Zmlyc3Q=", desc_embedding=unit(rng)),
-        )
-        # not journaled as if the shard had been empty before it
-        assert dao.index_shards_meta()["deltas"] == 0
-        index = VectorIndex()
-        assert service.attach_index(index) == "rebuilt"
-        assert_persisted_equals_live(dao, index)
-        assert_equals_brute_force(index, dao)
-        dao.close()
+    again = RegistryService(SqliteDAO(path))
+    warm = VectorIndex()
+    assert again.attach_index(warm) == "fresh"
+    assert live_shards(warm) == live_shards(index)
+    again.dao.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,192 @@
+"""Opening a registry file: three cases, everything else refused.
+
+``SqliteDAO`` reads ``PRAGMA user_version`` before anything writes.  A
+new file (version 0, no schema) is created in one transaction and
+stamped current; a v10 file takes one step (its on-disk FTS5 tables and
+their triggers go); a current file runs no DDL on ``main``.  Pinned here:
+
+* **open cost** — the top-level SQL statements of each case, counted
+  from the moment the connection exists under ``test_read_cost.py``'s
+  rule (``set_trace_callback``; lines SQLite prefixes with ``--`` are
+  its own plan and not counted).  Before the open path had three cases
+  a new file ran 73 statements and a reopen 43 (an ``IF NOT EXISTS``
+  script and four ``COUNT(*)`` drift scans on every open);
+* **refusal** — a file at any other version, older or newer, raises a
+  ``RegistryError`` naming that version and is left byte for byte as
+  it was: no table re-created, nothing stamped;
+* **format** — a new file's schema rows, page size and counter.
+"""
+
+import hashlib
+import sqlite3
+
+import pytest
+
+from repro.errors import RegistryError
+from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
+from tests.registry.test_fts_text import as_v10, fill
+
+#: top-level statements of one open: a new file (``:memory:`` too), a
+#: reopen of a current file, a v10 file's one step (FTS5 reads its
+#: config before dropping a table: two of them per table, traced
+#: without the ``--``)
+OPEN_COST = {"new": 43, "reopen": 20, "v10": 35}
+
+#: what a new file's ``main.sqlite_schema`` holds: (type, name)
+NEW_FILE_SCHEMA = {
+    ("table", "users"),
+    ("table", "sqlite_sequence"),
+    ("table", "pes"),
+    ("table", "workflows"),
+    ("index", "idx_pes_name"),
+    ("index", "idx_wf_entry"),
+    ("table", "pe_owners"),
+    ("index", "idx_pe_owners_user"),
+    ("table", "workflow_owners"),
+    ("index", "idx_workflow_owners_user"),
+    ("table", "workflow_pes"),
+    ("index", "idx_workflow_pes_pe"),
+    ("table", "registry_meta"),
+    ("table", "index_shards"),
+    ("index", "sqlite_autoindex_index_shards_1"),
+    ("table", "write_receipts"),
+    ("table", "pe_text"),
+    ("table", "wf_text"),
+    ("table", "shard_stamps"),
+    ("table", "index_deltas"),
+    ("index", "sqlite_autoindex_users_1"),
+}
+
+
+def open_traced(monkeypatch, path):
+    """``(dao, statements)``: a DAO opened on ``path`` and the SQL its
+    connection ran while opening, ``--`` lines left out."""
+    statements: list[str] = []
+    connect = sqlite3.connect
+
+    def traced_connect(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", traced_connect)
+    try:
+        dao = SqliteDAO(path)
+    finally:
+        monkeypatch.undo()
+    dao._conn.set_trace_callback(None)
+    return dao, [sql for sql in statements if not sql.startswith("--")]
+
+
+def user_version(path):
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("PRAGMA user_version").fetchone()[0]
+    finally:
+        conn.close()
+
+
+def digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def schema_names(path):
+    conn = sqlite3.connect(path)
+    try:
+        return {
+            name for (name,) in conn.execute("SELECT name FROM sqlite_schema")
+        }
+    finally:
+        conn.close()
+
+
+class TestOpenCost:
+    @pytest.mark.parametrize("where", ["file", "memory"])
+    def test_new_store(self, monkeypatch, tmp_path, where):
+        path = tmp_path / "new.db" if where == "file" else ":memory:"
+        dao, statements = open_traced(monkeypatch, path)
+        dao.close()
+        assert len(statements) == OPEN_COST["new"], statements
+
+    def test_reopen_runs_no_ddl_on_main_and_no_scan(
+        self, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "registry.db"
+        fill(SqliteDAO(path))[0].dao.close()
+        dao, statements = open_traced(monkeypatch, path)
+        dao.close()
+        assert len(statements) == OPEN_COST["reopen"], statements
+        for sql in statements:
+            upper = " ".join(sql.upper().split())
+            assert "COUNT(" not in upper
+            # the text index's tables and triggers are built in memory
+            # (the attached database, TEMP triggers); main gets nothing
+            if upper.startswith(("CREATE", "DROP", "ALTER")):
+                assert upper.startswith(
+                    ("CREATE VIRTUAL TABLE TEXT_INDEX.", "CREATE TEMP TRIGGER")
+                ), sql
+
+    def test_v10_step_then_a_reopen(self, monkeypatch, tmp_path):
+        path = tmp_path / "v10.db"
+        fill(SqliteDAO(path))[0].dao.close()
+        as_v10(path)
+        dao, statements = open_traced(monkeypatch, path)
+        dao.close()
+        assert len(statements) == OPEN_COST["v10"], statements
+        assert user_version(path) == _SCHEMA_VERSION
+        # the step is taken once
+        dao, statements = open_traced(monkeypatch, path)
+        dao.close()
+        assert len(statements) == OPEN_COST["reopen"], statements
+
+
+class TestNewFileFormat:
+    def test_schema_page_size_counter_and_version(self, tmp_path):
+        path = tmp_path / "new.db"
+        SqliteDAO(path).close()
+        conn = sqlite3.connect(path)
+        try:
+            rows = conn.execute(
+                "SELECT type, name FROM main.sqlite_schema"
+            ).fetchall()
+            assert len(rows) == len(NEW_FILE_SCHEMA)
+            assert set(rows) == NEW_FILE_SCHEMA
+            assert conn.execute("PRAGMA page_size").fetchone() == (1024,)
+            assert conn.execute(
+                "SELECT key, value FROM registry_meta"
+            ).fetchall() == [("mutation_counter", 0)]
+        finally:
+            conn.close()
+        assert user_version(path) == _SCHEMA_VERSION
+
+
+class TestRefused:
+    @pytest.mark.parametrize(
+        "version",
+        # newer code's file; a file from before the v10 -> v11 step; a
+        # file with a schema but no stamp (not written by this DAO)
+        [_SCHEMA_VERSION + 1, 9, 0],
+    )
+    def test_file_at_another_version_is_refused_untouched(
+        self, tmp_path, version
+    ):
+        path = tmp_path / "registry.db"
+        fill(SqliteDAO(path))[0].dao.close()
+        conn = sqlite3.connect(path)
+        # a table the open path would create if it ran its schema script
+        conn.execute("DROP TABLE index_shards")
+        conn.execute(f"PRAGMA user_version = {version}")
+        conn.commit()
+        conn.close()
+        before = digest(path)
+
+        with pytest.raises(RegistryError, match=f"schema v{version};") as err:
+            SqliteDAO(path)
+        assert err.value.params["userVersion"] == version
+        if version > _SCHEMA_VERSION:
+            assert "newer code" in err.value.message
+        else:
+            assert "older checkout" in err.value.message
+        assert digest(path) == before
+        assert "index_shards" not in schema_names(path)
+        assert user_version(path) == version

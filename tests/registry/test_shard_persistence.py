@@ -293,27 +293,6 @@ class TestSqliteColdStart:
         assert restarted.attach_index(VectorIndex()) == "partial"
         assert counted.all_pes_calls == 0
 
-    def test_schema_v1_file_migrates_and_journals(self, tmp_path):
-        # a pre-v2 file has no slab tables; opening it must create them
-        # and, the file being empty, every shard is born journaled
-        import sqlite3
-
-        path = tmp_path / "old.db"
-        dao = SqliteDAO(path)
-        dao.close()
-        conn = sqlite3.connect(path)
-        conn.executescript(
-            "DROP TABLE index_shards; DROP TABLE registry_meta;"
-            "PRAGMA user_version = 1;"
-        )
-        conn.close()
-        reopened = SqliteDAO(path)
-        assert reopened.mutation_counter() == 0
-        rng = np.random.default_rng(19)
-        service, _, _ = populate(reopened, rng)
-        assert service.attach_index(VectorIndex()) == "fresh"
-        assert service.shard_persistence()["fresh"]
-
 
 class TestInMemoryCounter:
     def test_counter_tracks_every_write(self):

@@ -347,59 +347,12 @@ def sparse_unit(rng):
     return vec / np.linalg.norm(vec)
 
 
-def reshape_slabs(conn, encode):
-    """Give ``index_shards`` the shape it had up to schema v8, through
-    raw SQL: every base slab carries ``dim`` and a ``vectors`` blob —
-    ``encode`` of the matrix of its ids' record vectors, the second copy
-    of every vector that v9 dropped."""
-    conn.row_factory = sqlite3.Row
-    sources = {
-        KIND_DESC: ("pes", "pe_id", "desc_embedding"),
-        KIND_CODE: ("pes", "pe_id", "code_embedding"),
-        "wf-desc": ("workflows", "workflow_id", "desc_embedding"),
-    }
-    slabs = conn.execute("SELECT * FROM index_shards").fetchall()
-    conn.execute("DROP TABLE index_shards")
-    conn.execute(
-        """CREATE TABLE index_shards (
-            user_id INTEGER NOT NULL, kind TEXT NOT NULL,
-            mutation_counter INTEGER NOT NULL, dim INTEGER NOT NULL,
-            rows INTEGER NOT NULL, ids BLOB NOT NULL, vectors BLOB NOT NULL,
-            PRIMARY KEY (user_id, kind)
-        )"""
-    )
-    for slab in slabs:
-        table, key, column = sources[slab["kind"]]
-        blobs = [
-            conn.execute(
-                f"SELECT {column} FROM {table} WHERE {key}=?", (rid,)
-            ).fetchone()
-            for rid in np.frombuffer(slab["ids"], dtype=np.int64).tolist()
-        ]
-        vectors = [
-            None if blob is None or blob[0] is None else decode_vector(blob[0])
-            for blob in blobs
-        ]
-        width = max((v.shape[0] for v in vectors if v is not None), default=0)
-        # a record deleted since the fold left its old vector in the
-        # slab: any will do, nothing may read it
-        matrix = np.zeros((len(vectors), width), dtype=np.float32)
-        for row, vector in enumerate(vectors):
-            if vector is not None:
-                matrix[row] = vector
-        conn.execute(
-            "INSERT INTO index_shards VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                slab["user_id"], slab["kind"], slab["mutation_counter"],
-                matrix.shape[1], matrix.shape[0], slab["ids"], encode(matrix),
-            ),
-        )
-
-
-def rewrite_as_v6(path):
-    """Give a registry file the blobs schema v6 wrote: every vector
-    (record rows, and the base slabs that still held a copy of them)
-    headerless dense float32, ``user_version`` 6 — raw SQL only."""
+def write_dense_rows(path):
+    """Give every vector in a registry file's record rows the headerless
+    dense float32 blob schema v6 and older wrote, through raw SQL — the
+    bytes a long-migrated file may still hold.  ``user_version``, the
+    stamps, slabs and journal stay as they are: the vectors do not
+    change, only their encoding."""
     conn = sqlite3.connect(path)
     for table, key, columns in (
         ("pes", "pe_id", ("desc_embedding", "code_embedding")),
@@ -415,8 +368,6 @@ def rewrite_as_v6(path):
                     f"UPDATE {table} SET {column}=? WHERE {key}=?",
                     (decode_vector(blob).tobytes(), rid),
                 )
-    reshape_slabs(conn, lambda matrix: matrix.tobytes())
-    conn.execute("PRAGMA user_version = 6")
     conn.commit()
     conn.close()
 
@@ -431,16 +382,8 @@ def blob_lengths(path):
         conn.close()
 
 
-def slab_columns(path):
-    conn = sqlite3.connect(path)
-    try:
-        return {row[1] for row in conn.execute("PRAGMA table_info(index_shards)")}
-    finally:
-        conn.close()
-
-
 class TestLegacyFile:
-    def test_v6_file_opens_fresh_serves_bitwise_and_reencodes_lazily(
+    def test_dense_rows_serve_bitwise_and_reencode_only_when_written(
         self, tmp_path
     ):
         rng = np.random.default_rng(71)
@@ -467,22 +410,18 @@ class TestLegacyFile:
             make_pe("Tail", code="dGFpbA==", desc_embedding=sparse_unit(rng)),
         )
         service.dao.close()
-        rewrite_as_v6(path)
+        write_dense_rows(path)
         legacy = blob_lengths(path)
         assert set(legacy.values()) == {DIM * 4}
-        assert {"dim", "vectors"} <= slab_columns(path)
 
         dao = SqliteDAO(path)
         version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
         assert version == _SCHEMA_VERSION
-        # opening rewrote no record row; the slabs' copies are gone
-        assert blob_lengths(path) == legacy
-        assert slab_columns(path) == {
-            "user_id", "kind", "mutation_counter", "rows", "ids"
-        }
         restarted = RegistryService(dao)
         warm = VectorIndex()
         assert restarted.attach_index(warm) == "fresh"
+        # neither opening nor attaching rewrote a record row
+        assert blob_lengths(path) == legacy
 
         user = restarted.get_user("alice")
         records = restarted.user_pes(user)
@@ -538,7 +477,8 @@ class TestLegacyFile:
             ),
         )[0]
         service.dao.close()
-        rewrite_as_v6(path)
+        write_dense_rows(path)
+        assert blob_lengths(path)[stored.pe_id] == DIM * 4
 
         dao = SqliteDAO(path)
         stamps = dao.shard_stamps()

@@ -1,20 +1,13 @@
 """DAO-level contracts behind the v1 write surface.
 
-Per-record revisions (schema v3), idempotency receipts (stored verbatim,
-never bumping the mutation counter) and the v3 migration of files
-written by earlier schema generations.
+Per-record revisions and idempotency receipts (stored verbatim, never
+bumping the mutation counter).
 """
-
-import sqlite3
 
 import numpy as np
 import pytest
 
-from repro.registry.dao import (
-    RECEIPT_PENDING,
-    _SCHEMA_VERSION,
-    SqliteDAO,
-)
+from repro.registry.dao import RECEIPT_PENDING, SqliteDAO
 from repro.registry.entities import PERecord, WorkflowRecord
 
 
@@ -161,100 +154,3 @@ class TestReceiptLifetime:
         for n in range(10):
             dao.save_write_receipt(1, f"k{n}", "fp", 201, {}, 1_000_000.0 + n)
         assert dao.get_write_receipt(1, "inflight")[1] == RECEIPT_PENDING
-
-
-class TestMigrationToV3:
-    """Files written at schema v2 gain revisions + the new tables."""
-
-    @pytest.fixture()
-    def v2_file(self, tmp_path):
-        """A registry written by the v2-era code: join tables and the
-        mutation counter exist, but no revision columns and none of the
-        v3 tables."""
-        path = tmp_path / "v2.db"
-        conn = sqlite3.connect(path)
-        conn.executescript(
-            """
-            CREATE TABLE users (
-                user_id INTEGER PRIMARY KEY AUTOINCREMENT,
-                user_name TEXT UNIQUE NOT NULL,
-                password_hash TEXT NOT NULL
-            );
-            CREATE TABLE pes (
-                pe_id INTEGER PRIMARY KEY AUTOINCREMENT,
-                pe_name TEXT NOT NULL,
-                description TEXT NOT NULL DEFAULT '',
-                description_origin TEXT NOT NULL DEFAULT 'user',
-                pe_code TEXT NOT NULL,
-                pe_source TEXT NOT NULL DEFAULT '',
-                pe_imports TEXT NOT NULL DEFAULT '[]',
-                code_embedding BLOB,
-                desc_embedding BLOB,
-                owners TEXT NOT NULL DEFAULT '[]'
-            );
-            CREATE TABLE workflows (
-                workflow_id INTEGER PRIMARY KEY AUTOINCREMENT,
-                workflow_name TEXT NOT NULL,
-                entry_point TEXT NOT NULL,
-                description TEXT NOT NULL DEFAULT '',
-                workflow_code TEXT NOT NULL,
-                workflow_source TEXT NOT NULL DEFAULT '',
-                pe_ids TEXT NOT NULL DEFAULT '[]',
-                desc_embedding BLOB,
-                owners TEXT NOT NULL DEFAULT '[]'
-            );
-            CREATE TABLE pe_owners (
-                pe_id INTEGER NOT NULL,
-                user_id INTEGER NOT NULL,
-                PRIMARY KEY (pe_id, user_id)
-            ) WITHOUT ROWID;
-            CREATE TABLE workflow_owners (
-                workflow_id INTEGER NOT NULL,
-                user_id INTEGER NOT NULL,
-                PRIMARY KEY (workflow_id, user_id)
-            ) WITHOUT ROWID;
-            CREATE TABLE workflow_pes (
-                workflow_id INTEGER NOT NULL,
-                pe_id INTEGER NOT NULL,
-                PRIMARY KEY (workflow_id, pe_id)
-            ) WITHOUT ROWID;
-            CREATE TABLE registry_meta (
-                key TEXT PRIMARY KEY,
-                value INTEGER NOT NULL
-            ) WITHOUT ROWID;
-            INSERT INTO registry_meta VALUES ('mutation_counter', 4);
-            """
-        )
-        conn.execute(
-            "INSERT INTO pes (pe_name, pe_code, owners) VALUES"
-            " ('old', 'eA==', '[1]')"
-        )
-        conn.execute("INSERT INTO pe_owners VALUES (1, 1)")
-        conn.execute("PRAGMA user_version = 2")
-        conn.commit()
-        conn.close()
-        return path
-
-    def test_v2_file_steps_up_and_keeps_data(self, v2_file):
-        dao = SqliteDAO(v2_file)
-        record = dao.get_pe(1)
-        assert record is not None and record.pe_name == "old"
-        assert record.revision == 1  # existing rows backfill at 1
-        assert dao.mutation_counter() == 4  # counter survives
-        record.description = "touched"
-        dao.update_pe(record)
-        assert dao.get_pe(1).revision == 2
-        # the v3 receipts table exists and works; the IVF state table v3
-        # also added is gone since v10
-        dao.save_write_receipt(1, "k", "fp", 200, {"ok": True})
-        assert dao.get_write_receipt(1, "k")[2] == {"ok": True}
-        assert not dao._conn.execute(
-            "SELECT 1 FROM sqlite_master WHERE name = 'ivf_states'"
-        ).fetchone()
-        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
-        assert version == _SCHEMA_VERSION
-
-    def test_migration_is_idempotent_across_reopens(self, v2_file):
-        SqliteDAO(v2_file).close()
-        dao = SqliteDAO(v2_file)  # second open: no duplicate-column error
-        assert dao.get_pe(1).revision == 1

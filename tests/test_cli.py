@@ -373,3 +373,54 @@ class TestStats:
         counter, shards = self.persisted_state(db)
         assert counter == before[0]
         assert [(row[0], row[1]) for row in shards] == [(2, "desc")]
+
+
+class TestRefusedRegistryFile:
+    """A ``--db`` file at a schema version this code does not open ends
+    the command with the refusal message and exit status 1 — no
+    traceback, nothing served, the file untouched."""
+
+    @pytest.fixture()
+    def newer_file(self, tmp_path):
+        import sqlite3
+
+        from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
+
+        db = tmp_path / "reg.db"
+        SqliteDAO(db).close()
+        conn = sqlite3.connect(db)
+        conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION + 1}")
+        conn.commit()
+        conn.close()
+        return db, _SCHEMA_VERSION + 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--port", "0", "--no-fit"],
+            ["stats"],
+            ["stats", "--shards"],
+            ["search", "q", "--no-fit"],
+            ["register", "adder", "--code", "def adder(): pass", "--no-fit"],
+            ["delete", "adder", "--no-fit"],
+            ["jobs"],
+        ],
+        ids=["serve", "stats", "stats-shards", "search", "register", "delete",
+             "jobs"],
+    )
+    def test_prints_the_refusal_and_exits_1(
+        self, capsys, monkeypatch, newer_file, argv
+    ):
+        import repro.server.http as http
+
+        def serve_http(*_args, **_kwargs):
+            pytest.fail("served a refused registry file")
+
+        monkeypatch.setattr(http, "serve_http", serve_http)
+        db, version = newer_file
+        before = db.read_bytes()
+        assert main([*argv, "--db", str(db)]) == 1
+        out = capsys.readouterr().out
+        assert f"is at schema v{version};" in out
+        assert "Traceback" not in out
+        assert db.read_bytes() == before
