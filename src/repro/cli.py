@@ -30,6 +30,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -323,6 +324,16 @@ def _build_server(db: str | None, fit: bool):
     return LaminarServer(dao=dao, models=ModelBundle.default(fit=fit))
 
 
+def _missing_registry(db: str | None) -> bool:
+    """Whether a read-only command's ``--db`` names no file — said on
+    stdout — which opening it would leave behind as a new, empty
+    registry."""
+    if db is None or db == ":memory:" or os.path.exists(db):
+        return False
+    print(f"no registry file at {db}")
+    return True
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.http import serve_http
 
@@ -406,6 +417,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     from repro.errors import NotFoundError
     from repro.net.transport import Request
 
+    if _missing_registry(args.db):
+        return 1
     try:
         server = _build_server(args.db, fit=not args.no_fit)
     except RegistryError as exc:
@@ -871,6 +884,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """
     from repro.registry.dao import SqliteDAO
 
+    if _missing_registry(args.db):
+        return 1
     try:
         dao = SqliteDAO(args.db or ":memory:")
     except RegistryError as exc:

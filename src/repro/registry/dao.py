@@ -503,15 +503,15 @@ _TEXT_TABLES = (
 )
 
 #: the on-disk format (``PRAGMA user_version``) :data:`_SCHEMA` creates.
-#: A v10 file takes one step to it (:meth:`SqliteDAO._step_from_v10`);
-#: any other version is refused.  Since v11 the file holds no FTS5 table:
-#: the text index is filled in memory from ``pe_text``/``wf_text`` at
-#: open (:data:`_TEXT_INDEX_SCHEMA`), so a write logs no FTS5 page —
-#: older code cannot use a v11 file (it would rank text in an empty
-#: index of its own making).  Vector blobs may still be dense float32
-#: (v6 and older wrote them so, and no migration rewrote them): they
-#: decode through the same codec and re-encode when next written.
-_SCHEMA_VERSION = 11
+#: A v11 file takes one step to it (:meth:`SqliteDAO._step_from_v11`);
+#: any other version is refused.  v12 added the value-table vector
+#: layout (:mod:`repro.registry.veccodec`, tag 2), which older code
+#: cannot decode; v11 moved the text index into memory, filled from
+#: ``pe_text``/``wf_text`` at open (:data:`_TEXT_INDEX_SCHEMA`), so a
+#: write logs no FTS5 page.  Vector blobs may still be dense float32 (v6
+#: and older wrote them so) or sparse (v7 to v11): every layout decodes
+#: through the same codec, and a row re-encodes when next written.
+_SCHEMA_VERSION = 12
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
 #: IN(...) lists well below that
@@ -534,7 +534,7 @@ def _chunked(ids: Sequence[int]) -> Iterable[Sequence[int]]:
 
 def _refusal(path: str | Path, version: int) -> RegistryError:
     """Why a file at schema ``version`` is not opened: only a new file,
-    a v10 file (one step) and a current one are."""
+    a v11 file (one step) and a current one are."""
     if version > _SCHEMA_VERSION:
         advice = "it was written by newer code; open it with that code"
     else:
@@ -564,7 +564,7 @@ class SqliteDAO:
     Opening reads ``PRAGMA user_version`` before anything writes.  A new
     file (version 0, no schema) is created by :data:`_SCHEMA` in one
     transaction and stamped :data:`_SCHEMA_VERSION`; a file one version
-    behind takes :meth:`_step_from_v10`; a current file runs no DDL on
+    behind takes :meth:`_step_from_v11`; a current file runs no DDL on
     ``main``.  Any other version raises :class:`~repro.errors.RegistryError`
     naming it, and the file is left as it was.
     """
@@ -600,7 +600,7 @@ class SqliteDAO:
             # the later one's first CREATE TABLE fails
             self._stamped(_SCHEMA)
         elif version < _SCHEMA_VERSION:
-            self._step_from_v10()
+            self._step_from_v11()
         # the text index: filled here, kept in step by this connection's
         # triggers, refilled when another connection has committed
         # (:meth:`_text_topk`).  ATTACH cannot run inside a transaction
@@ -616,22 +616,12 @@ class SqliteDAO:
             f"BEGIN;{script}PRAGMA user_version = {_SCHEMA_VERSION};COMMIT;"
         )
 
-    def _step_from_v10(self) -> None:
-        """v10 -> v11: the FTS5 tables and their six sync triggers leave
-        the file; the text index is filled in memory at open instead.
-        ``IF EXISTS``: a v10 -> v11 step of older code, cut short, may
-        have dropped some of them already (its drops committed one by
-        one)."""
-        self._stamped(
-            "".join(
-                f"DROP TRIGGER IF EXISTS {side}_{event};"
-                for _fts, side, _id_col in _TEXT_TABLES
-                for event in ("ai", "ad", "au")
-            )
-            + "".join(
-                f"DROP TABLE IF EXISTS {fts};" for fts, _side, _id in _TEXT_TABLES
-            )
-        )
+    def _step_from_v11(self) -> None:
+        """v11 -> v12: the value-table vector layout is new, nothing on
+        the file changes — no DDL, and no row is rewritten (a row
+        re-encodes when next written).  The stamp keeps older code, which
+        cannot decode a value-table blob, off the file."""
+        self._stamped("")
 
     def _fill_text_index(self) -> None:
         """Empty the memory text index and index every side-table

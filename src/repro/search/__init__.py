@@ -137,10 +137,12 @@ their own owner's rows.  The invariants:
   an attach without persistence (``repro stats --shards``) writes no
   slab and folds nothing; the DAO journals every write regardless of
   who makes it or whether an index is attached at all.
-* **Vectors are sparse at rest, dense in memory** — every vector blob
-  goes through one bit-exact codec (:mod:`repro.registry.veccodec`);
-  decoding yields the dense float32 rows the index ranks, so nothing
-  here depends on which layout a row was stored in.
+* **Vectors are compact at rest, dense in memory** — every vector blob
+  goes through one bit-exact codec (:mod:`repro.registry.veccodec`),
+  which stores it sparse, as a value table (each distinct value once,
+  a byte code per non-zero) or dense, whichever is smallest; decoding
+  yields the dense float32 rows the index ranks, so nothing here
+  depends on which layout a row was stored in.
 * **Replay is bitwise** — a replayed or rebuilt shard is one
   C-contiguous float32 matrix in ascending id order, identical to the
   live index's layout, so warm-started searches equal cold-rebuilt

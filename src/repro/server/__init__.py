@@ -82,33 +82,38 @@ The SQLite DAO reads ``PRAGMA user_version`` before anything writes
 version    On open
 =========  ============================================================
 new file   Version 0 and no schema (``":memory:"`` too): the schema is
-           created in one transaction and stamped v11.
-v11        Current: no DDL on the file.  It holds no FTS5 table; the
-           text index is a cache — contentless FTS5 tables in an
-           attached ``':memory:'`` database, filled from ``pe_text`` /
-           ``wf_text`` at open, kept in step by TEMP triggers inside
-           each mutation's transaction and refilled before a ranking
-           when another connection has committed (``PRAGMA
-           data_version``).  **Older code cannot use a v11 file** (it
-           would rank in an empty on-disk index of its own making).
-v10        Accepted: one step drops the on-disk FTS5 tables ``pe_fts`` /
-           ``wf_fts`` and their six sync triggers and stamps v11.  BM25
-           scores are unchanged.
-other      Refused, older or newer, with a ``RegistryError`` naming the
-           version; the file is left as it was.  An older file steps up
-           when opened once with an older checkout of this repository
-           (the git history is the migration tool); a newer one belongs
-           to newer code.
+           created in one transaction and stamped v12.
+v12        Current: no DDL on the file.  Its vector blobs may be in the
+           value-table layout (:mod:`repro.registry.veccodec`, tag 2),
+           which **older code cannot decode**.  It holds no FTS5 table
+           (since v11): the text index is a cache — contentless FTS5
+           tables in an attached ``':memory:'`` database, filled from
+           ``pe_text`` / ``wf_text`` at open, kept in step by TEMP
+           triggers inside each mutation's transaction and refilled
+           before a ranking when another connection has committed
+           (``PRAGMA data_version``).
+v11        Accepted: one step stamps v12 — no DDL, and no row is
+           rewritten; a row takes the value-table layout when next
+           written, if that is its smallest.
+other      Refused, older (v10 included) or newer, with a
+           ``RegistryError`` naming the version; the file is left as it
+           was.  An older file steps up when opened once with an older
+           checkout of this repository (the git history is the
+           migration tool); a newer one belongs to newer code.
 =========  ============================================================
 
-What a v11 file holds, and the rules the DAO keeps on it:
+What a v12 file holds, and the rules the DAO keeps on it:
 
 * **A vector lives in its record row, nowhere else** (the ``pes`` /
-  ``workflows`` embedding columns), in the sparse layout of
-  :mod:`repro.registry.veccodec` — (count, uint16 columns, float32
-  values) where that is smaller than dense, checksummed.  Dense blobs
-  that code of v6 and older wrote may survive in a migrated file; they
-  decode through the same codec and re-encode when next written.
+  ``workflows`` embedding columns), in whichever layout of
+  :mod:`repro.registry.veccodec` is smallest, checksummed: sparse
+  (count, float32 values, uint16 columns) or the value table (each
+  distinct float32 once, then a byte code and a byte column step per
+  stored value — an unfitted code embedding, 2 048 wide with ~200
+  non-zeros, takes ~520 bytes instead of ~1 220).  Dense blobs that
+  code of v6 and older wrote, and sparse ones of v7 to v11, may survive
+  in a stepped file; they decode through the same codec and re-encode
+  when next written.
 * Base slabs (``index_shards``) and the journal (``index_deltas``) hold
   ids only.  The DAO appends a shard's journal row inside each
   mutation's own transaction, wherever it stamps the shard — *stamp ==

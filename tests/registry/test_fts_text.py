@@ -1,5 +1,5 @@
 """Inverted text index: the pinned BM25 ranking, its freshness across
-connections and the v10→v11 step.
+connections, and what opening an older file does to it.
 
 ``text_topk_pes`` / ``text_topk_workflows`` rank inside the DAO's
 contentless SQLite FTS5 tables, held in an attached in-memory database
@@ -16,11 +16,13 @@ DAO (service hydration, the v1 route, hybrid fusion) builds on it.
 
 The index is a cache of the file, so :class:`TestFreshness` holds it
 to "every ranking equals a freshly opened DAO's", exactly, whichever
-connection or process wrote last.  The rest exercises the one schema
-step there is: a v10 file loses its on-disk FTS5 tables and nothing
-else, and ranks — text and vectors — as before.
+connection or process wrote last.  The rest covers older files: a v10
+file (on-disk FTS5 tables) is refused and left as it was, and a v11
+file takes the one schema step there is — a new stamp, no DDL — and
+ranks, text and vectors, as before.
 """
 
+import hashlib
 import sqlite3
 import sys
 import threading
@@ -28,6 +30,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.errors import RegistryError
 from repro.net.transport import Request
 from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
 from repro.registry.service import RegistryService
@@ -531,7 +534,7 @@ class TestFreshness:
 
 
 # ---------------------------------------------------------------------------
-# v10 -> v11: the on-disk FTS5 tables go, the rankings stay
+# older files: v10 is refused untouched, v11 steps to the current version
 # ---------------------------------------------------------------------------
 #: what schema v10 kept on disk beside the side tables: external-content
 #: FTS5 tables over them and the triggers that kept those in step
@@ -604,62 +607,108 @@ def text_index_on_disk(conn):
     ]
 
 
-class TestSchemaV11Migration:
+def as_v11(path):
+    """Stamp a current file 11, through raw SQL: a v11 file holds what a
+    v12 file holds (v12 only added a vector layout older code cannot
+    decode, and a file written as v11 has no blob in it)."""
+    conn = sqlite3.connect(path)
+    conn.execute("PRAGMA user_version = 11")
+    conn.commit()
+    conn.close()
+
+
+def digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def record_rows(path):
+    """Every record row, byte for byte."""
+    conn = sqlite3.connect(path)
+    try:
+        return [
+            conn.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
+            for table in ("pes", "workflows", "pe_text", "wf_text")
+        ]
+    finally:
+        conn.close()
+
+
+def open_traced(monkeypatch, path):
+    """``(dao, statements)``: a DAO opened on ``path`` and the SQL its
+    connection ran while opening, ``--`` lines (SQLite's own) left out."""
+    statements: list[str] = []
+    connect = sqlite3.connect
+
+    def traced_connect(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", traced_connect)
+    try:
+        dao = SqliteDAO(path)
+    finally:
+        monkeypatch.undo()
+    dao._conn.set_trace_callback(None)
+    return dao, [sql for sql in statements if not sql.startswith("--")]
+
+
+def main_ddl(statements):
+    """The statements that change the schema of ``main`` — the text
+    index's tables and triggers are built in memory (the attached
+    database, TEMP triggers) and are not among them."""
+    return [
+        sql
+        for sql in statements
+        if (upper := " ".join(sql.upper().split())).startswith(
+            ("CREATE", "DROP", "ALTER")
+        )
+        and not upper.startswith(
+            ("CREATE VIRTUAL TABLE TEXT_INDEX.", "CREATE TEMP TRIGGER")
+        )
+    ]
+
+
+class TestOlderFiles:
     def test_a_new_file_keeps_no_text_index(self, tmp_path):
         dao = SqliteDAO(tmp_path / "new.db")
         assert text_index_on_disk(dao._conn) == []
         dao.close()
 
-    def test_v10_file_drops_its_fts_tables_and_ranks_as_before(
-        self, tmp_path
-    ):
+    def test_v10_file_is_refused_untouched(self, tmp_path):
         path = tmp_path / "v10.db"
         service, alice, _ = fill(SqliteDAO(path))
-        expected = rankings(service.dao, alice.user_id)
         service.dao.close()
+        as_v10(path)
+        before = digest(path)
+
+        with pytest.raises(RegistryError, match="schema v10;") as err:
+            SqliteDAO(path)
+        assert "older checkout" in err.value.message
+        assert digest(path) == before
         conn = sqlite3.connect(path)
-        conn.executescript(V10_TEXT_INDEX)
-        assert set(text_index_on_disk(conn)) >= V10_TRIGGERS | {
-            "pe_fts", "wf_fts", "pe_fts_data", "wf_fts_docsize",
-        }
-        # the v10 index holds every document (9 PEs: bob's too)
-        assert conn.execute(
-            "SELECT COUNT(*) FROM pe_fts_docsize"
-        ).fetchone() == (9,)
-        conn.close()
+        try:
+            assert conn.execute("PRAGMA user_version").fetchone() == (10,)
+            # its text index is still on disk, still whole
+            assert set(text_index_on_disk(conn)) >= V10_TRIGGERS | {
+                "pe_fts", "wf_fts", "pe_fts_data", "wf_fts_docsize",
+            }
+            assert conn.execute(
+                "SELECT COUNT(*) FROM pe_fts_docsize"
+            ).fetchone() == (9,)
+        finally:
+            conn.close()
 
-        dao = SqliteDAO(path)
-        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
-        assert version == _SCHEMA_VERSION
-        assert text_index_on_disk(dao._conn) == []
-        assert rankings(dao, alice.user_id) == expected
-        for query in QUERIES:
-            assert_ranking(
-                dao.text_topk_pes(alice.user_id, query), GOLDEN_PES[query]
-            )
-
-        # a write after the migration reaches the index, and a reopen
-        # ranks what the writer ranked
-        service = RegistryService(dao)
-        late = service.register_pe(
-            alice,
-            make_pe("latePrime", code="bGF0ZQ==", description="a late prime"),
-        )[0]
-        written = rankings(dao, alice.user_id)
-        assert late.pe_id in {i for i, _ in written[("pe", "prime")]}
-        dao.close()
-        assert fresh_rankings(path, alice.user_id) == written
-
-    def test_v10_file_with_receipts_and_stamps_serves_as_before(
-        self, tmp_path
+    def test_v11_file_with_receipts_and_stamps_serves_as_before(
+        self, monkeypatch, tmp_path
     ):
-        """A v10 file holding what a served registry keeps — two
+        """A v11 file holding what a served registry keeps — two
         tenants' records, base slabs, journal chains, stamps and an
-        idempotency receipt — loses its FTS5 tables and nothing else:
-        it ranks text and vectors bitwise as before, takes a write and
-        reopens fresh."""
+        idempotency receipt — takes one step that runs no DDL and
+        rewrites no row: it ranks text and vectors bitwise as before,
+        takes a write and reopens fresh."""
         rng = np.random.default_rng(90)
-        path = tmp_path / "v10.db"
+        path = tmp_path / "v11.db"
         alice, _bob = populate(path, rng)
         dao = SqliteDAO(path)
         receipt = ("fp", 201, {"peId": 1})
@@ -682,12 +731,14 @@ class TestSchemaV11Migration:
 
         before = state(dao)
         dao.close()
-        as_v10(path)
+        as_v11(path)
+        rows = record_rows(path)
 
-        dao = SqliteDAO(path)
+        dao, statements = open_traced(monkeypatch, path)
+        assert main_ddl(statements) == []
         version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
-        assert version == _SCHEMA_VERSION
-        assert text_index_on_disk(dao._conn) == []
+        assert version == _SCHEMA_VERSION == 12
+        assert record_rows(path) == rows
         assert state(dao) == before
         assert dao.get_write_receipt(alice.user_id, "k1") == receipt
         warm = VectorIndex()
@@ -699,7 +750,8 @@ class TestSchemaV11Migration:
 
     @pytest.mark.parametrize(
         # an older checkout's v10 -> v11 step committed its drops one by
-        # one: a crash can leave a v10 file with part of its text index
+        # one: a crash can leave a v10 file with part of its text index.
+        # Whatever it holds, this code leaves it alone
         "dropped",
         [
             ("pe_text_ai", "pe_text_ad", "pe_text_au"),
@@ -708,12 +760,9 @@ class TestSchemaV11Migration:
         ],
         ids=["some-triggers", "all-triggers", "triggers-and-one-table"],
     )
-    def test_v10_step_cut_short_completes_on_the_next_open(
-        self, tmp_path, dropped
-    ):
+    def test_v10_step_cut_short_is_refused_untouched(self, tmp_path, dropped):
         path = tmp_path / "v10.db"
-        service, alice, _ = fill(SqliteDAO(path))
-        expected = rankings(service.dao, alice.user_id)
+        service, _alice, _ = fill(SqliteDAO(path))
         service.dao.close()
         as_v10(path)
         conn = sqlite3.connect(path)
@@ -721,20 +770,17 @@ class TestSchemaV11Migration:
             kind = "TRIGGER" if name in V10_TRIGGERS else "TABLE"
             conn.execute(f"DROP {kind} {name}")
         conn.commit()
-        assert conn.execute("PRAGMA user_version").fetchone() == (10,)
-        assert not set(dropped) & set(text_index_on_disk(conn))
+        left = set(text_index_on_disk(conn))
+        assert not set(dropped) & left
         conn.close()
+        before = digest(path)
 
-        dao = SqliteDAO(path)
-        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
-        assert version == _SCHEMA_VERSION
-        assert text_index_on_disk(dao._conn) == []
-        assert rankings(dao, alice.user_id) == expected
-        late = RegistryService(dao).register_pe(
-            alice,
-            make_pe("latePrime", code="bGF0ZQ==", description="a late prime"),
-        )[0]
-        written = rankings(dao, alice.user_id)
-        assert late.pe_id in {i for i, _ in written[("pe", "prime")]}
-        dao.close()
-        assert fresh_rankings(path, alice.user_id) == written
+        with pytest.raises(RegistryError, match="schema v10;"):
+            SqliteDAO(path)
+        assert digest(path) == before
+        conn = sqlite3.connect(path)
+        try:
+            assert conn.execute("PRAGMA user_version").fetchone() == (10,)
+            assert set(text_index_on_disk(conn)) == left
+        finally:
+            conn.close()

@@ -2,8 +2,8 @@
 
 ``SqliteDAO`` reads ``PRAGMA user_version`` before anything writes.  A
 new file (version 0, no schema) is created in one transaction and
-stamped current; a v10 file takes one step (its on-disk FTS5 tables and
-their triggers go); a current file runs no DDL on ``main``.  Pinned here:
+stamped current; a v11 file takes one step (a new stamp: no DDL, no row
+rewritten); a current file runs no DDL on ``main``.  Pinned here:
 
 * **open cost** — the top-level SQL statements of each case, counted
   from the moment the connection exists under ``test_read_cost.py``'s
@@ -11,26 +11,31 @@ their triggers go); a current file runs no DDL on ``main``.  Pinned here:
   its own plan and not counted).  Before the open path had three cases
   a new file ran 73 statements and a reopen 43 (an ``IF NOT EXISTS``
   script and four ``COUNT(*)`` drift scans on every open);
-* **refusal** — a file at any other version, older or newer, raises a
-  ``RegistryError`` naming that version and is left byte for byte as
-  it was: no table re-created, nothing stamped;
+* **refusal** — a file at any other version, older (v10 included, since
+  v12) or newer, raises a ``RegistryError`` naming that version and is
+  left byte for byte as it was: no table re-created, nothing stamped;
 * **format** — a new file's schema rows, page size and counter.
 """
 
-import hashlib
 import sqlite3
 
 import pytest
 
 from repro.errors import RegistryError
 from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
-from tests.registry.test_fts_text import as_v10, fill
+from tests.registry.test_fts_text import (
+    as_v11,
+    digest,
+    fill,
+    main_ddl,
+    open_traced,
+)
 
 #: top-level statements of one open: a new file (``:memory:`` too), a
-#: reopen of a current file, a v10 file's one step (FTS5 reads its
-#: config before dropping a table: two of them per table, traced
-#: without the ``--``)
-OPEN_COST = {"new": 43, "reopen": 20, "v10": 35}
+#: reopen of a current file, a v11 file's one step (the reopen's, plus
+#: ``BEGIN``, the stamp and ``COMMIT``; the v10 step this replaced ran
+#: 35)
+OPEN_COST = {"new": 43, "reopen": 20, "v11": 23}
 
 #: what a new file's ``main.sqlite_schema`` holds: (type, name)
 NEW_FILE_SCHEMA = {
@@ -58,36 +63,12 @@ NEW_FILE_SCHEMA = {
 }
 
 
-def open_traced(monkeypatch, path):
-    """``(dao, statements)``: a DAO opened on ``path`` and the SQL its
-    connection ran while opening, ``--`` lines left out."""
-    statements: list[str] = []
-    connect = sqlite3.connect
-
-    def traced_connect(*args, **kwargs):
-        conn = connect(*args, **kwargs)
-        conn.set_trace_callback(statements.append)
-        return conn
-
-    monkeypatch.setattr(sqlite3, "connect", traced_connect)
-    try:
-        dao = SqliteDAO(path)
-    finally:
-        monkeypatch.undo()
-    dao._conn.set_trace_callback(None)
-    return dao, [sql for sql in statements if not sql.startswith("--")]
-
-
 def user_version(path):
     conn = sqlite3.connect(path)
     try:
         return conn.execute("PRAGMA user_version").fetchone()[0]
     finally:
         conn.close()
-
-
-def digest(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def schema_names(path):
@@ -116,23 +97,17 @@ class TestOpenCost:
         dao, statements = open_traced(monkeypatch, path)
         dao.close()
         assert len(statements) == OPEN_COST["reopen"], statements
-        for sql in statements:
-            upper = " ".join(sql.upper().split())
-            assert "COUNT(" not in upper
-            # the text index's tables and triggers are built in memory
-            # (the attached database, TEMP triggers); main gets nothing
-            if upper.startswith(("CREATE", "DROP", "ALTER")):
-                assert upper.startswith(
-                    ("CREATE VIRTUAL TABLE TEXT_INDEX.", "CREATE TEMP TRIGGER")
-                ), sql
+        assert not any("COUNT(" in sql.upper() for sql in statements)
+        assert main_ddl(statements) == []
 
-    def test_v10_step_then_a_reopen(self, monkeypatch, tmp_path):
-        path = tmp_path / "v10.db"
+    def test_v11_step_then_a_reopen(self, monkeypatch, tmp_path):
+        path = tmp_path / "v11.db"
         fill(SqliteDAO(path))[0].dao.close()
-        as_v10(path)
+        as_v11(path)
         dao, statements = open_traced(monkeypatch, path)
         dao.close()
-        assert len(statements) == OPEN_COST["v10"], statements
+        assert len(statements) == OPEN_COST["v11"], statements
+        assert main_ddl(statements) == []
         assert user_version(path) == _SCHEMA_VERSION
         # the step is taken once
         dao, statements = open_traced(monkeypatch, path)
@@ -163,9 +138,11 @@ class TestNewFileFormat:
 class TestRefused:
     @pytest.mark.parametrize(
         "version",
-        # newer code's file; a file from before the v10 -> v11 step; a
-        # file with a schema but no stamp (not written by this DAO)
-        [_SCHEMA_VERSION + 1, 9, 0],
+        # newer code's file; a file from before the v11 -> v12 step that
+        # older code steps to v11 (since v12 this code refuses it); an
+        # older one still; a file with a schema but no stamp (not
+        # written by this DAO)
+        [_SCHEMA_VERSION + 1, 10, 9, 0],
     )
     def test_file_at_another_version_is_refused_untouched(
         self, tmp_path, version

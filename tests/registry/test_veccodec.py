@@ -1,4 +1,8 @@
-"""The at-rest vector codec: bit-exact, validated, legacy-compatible."""
+"""The at-rest vector codec: bit-exact, validated, legacy-compatible.
+
+Three layouts — dense, sparse (tag 1) and the value table (tag 2) — and
+the encoder writes the strictly smallest; every decoder reads all three.
+"""
 
 import sqlite3
 import struct
@@ -48,13 +52,66 @@ def vectors(max_dim=40):
     )
 
 
-def is_sparse(blob):
+@st.composite
+def palette_matrices(draw, max_rows=6, max_dim=40, min_rows=0):
+    """float32 matrices whose non-zeros take a few distinct bit patterns
+    (special ones among them) — the value table's home ground — with
+    now and then a row of many distinct values or none."""
+    rows = draw(st.integers(min_rows, max_rows))
+    dim = draw(st.integers(0, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = rng.integers(1, 2**32, size=draw(st.integers(1, 8)),
+                           dtype=np.uint32)
+    palette[rng.random(palette.shape[0]) < 0.3] = rng.choice(SPECIALS)
+    bits = rng.choice(palette, size=(rows, dim))
+    bits[rng.random((rows, dim)) >= draw(st.sampled_from([0.1, 0.3, 0.6]))] = 0
+    if rows >= 2:
+        bits[draw(st.integers(0, rows - 1))] = 0
+        many = draw(st.integers(0, rows - 1))
+        bits[many] = rng.integers(1, 2**32, size=dim, dtype=np.uint32)
+    return bits.view(np.float32)
+
+
+def palette_vectors(max_dim=40):
+    return palette_matrices(min_rows=1, max_rows=1, max_dim=max_dim).map(
+        lambda matrix: matrix[0]
+    )
+
+
+def any_matrices(**sizes):
+    return st.one_of(matrices(**sizes), palette_matrices(**sizes))
+
+
+def is_headed(blob):
+    """A sparse or value-table blob: a dense one's length is a multiple
+    of four, a headed one's never is."""
     return len(blob) % 4 != 0
 
 
-def seal(body, dim, rows=1):
+def tag(blob):
+    """1 sparse, 2 value table, 0 dense."""
+    return blob[-1] if is_headed(blob) else 0
+
+
+def seal(body, dim, rows=1, layout=1):
     sealed = body + struct.pack("=II", rows, dim)
-    return sealed + struct.pack("=IB", zlib.crc32(sealed), 1)
+    return sealed + struct.pack("=IB", zlib.crc32(sealed), layout)
+
+
+def table_blob(vector):
+    """The value-table layout written out by hand, the reference the
+    encoder's table blobs must equal byte for byte: count, nvals, the
+    distinct bit patterns ascending, then a (code, column step) byte
+    pair per stored value in column order, sealed with tag 2."""
+    bits = vector.view(np.uint32)
+    columns = [c for c in range(bits.shape[0]) if bits[c]]
+    table = sorted({int(bits[c]) for c in columns})
+    body = struct.pack(f"=II{len(table)}I", len(columns), len(table), *table)
+    previous = 0
+    for column in columns:
+        body += bytes([table.index(int(bits[column])), column - previous])
+        previous = column
+    return seal(body, bits.shape[0], layout=2)
 
 
 def kept_whole(vector):
@@ -68,7 +125,7 @@ def kept_whole(vector):
 
 class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
-    @given(vectors())
+    @given(st.one_of(vectors(), palette_vectors()))
     def test_decode_of_encode_is_the_same_bytes(self, vector):
         blob = encode_vector(vector)
         decoded = decode_vector(blob)
@@ -76,9 +133,9 @@ class TestRoundTrip:
         assert decoded.shape == vector.shape
         assert decoded.dtype == np.float32
         assert decoded.flags.c_contiguous and decoded.flags.writeable
-        # never larger than dense; the sparse layout only when smaller
+        # never larger than dense; a headed layout only when smaller
         assert len(blob) <= vector.nbytes
-        assert is_sparse(blob) == (len(blob) < vector.nbytes)
+        assert is_headed(blob) == (len(blob) < vector.nbytes)
 
     def test_typical_embedding_is_stored_sparse(self):
         vec = np.zeros(2048, dtype=np.float32)
@@ -92,7 +149,7 @@ class TestRoundTrip:
         assert decode_vector(kept_whole(vec)).tobytes() == vec.tobytes()
 
     def test_width_beyond_uint16_columns_falls_back_to_dense(self):
-        assert is_sparse(encode_vector(np.zeros(0xFFFF, dtype=np.float32)))
+        assert is_headed(encode_vector(np.zeros(0xFFFF, dtype=np.float32)))
         wider = np.zeros(0x10000, dtype=np.float32)
         wider[0xFFFF] = 1.0
         blob = encode_vector(wider)
@@ -105,6 +162,171 @@ class TestRoundTrip:
         legacy = vec.tobytes()  # what schema v6 and older stored
         assert legacy != encode_vector(vec)
         assert decode_vector(legacy).tobytes() == legacy
+
+
+def spread(rng, dim, count, distinct):
+    """A ``dim``-wide vector of ``count`` non-zeros using exactly
+    ``distinct`` bit patterns (``distinct`` may be a palette)."""
+    palette = (
+        distinct
+        if isinstance(distinct, np.ndarray)
+        else rng.choice(2**31 - 1, size=distinct, replace=False).astype(
+            np.uint32
+        ) + 1
+    )
+    bits = np.zeros(dim, dtype=np.uint32)
+    values = palette[np.arange(count) % palette.shape[0]]
+    bits[np.sort(rng.choice(dim, size=count, replace=False))] = (
+        rng.permutation(values)
+    )
+    return bits.view(np.float32)
+
+
+class TestValueTable:
+    """The third layout: distinct bit patterns once, a byte code and a
+    byte column step per stored value."""
+
+    @pytest.mark.parametrize(
+        "dim, count, distinct, layout",
+        [
+            # -0.0, NaN payloads, infinities, a denormal
+            (2048, 300, SPECIALS, 2),
+            (2048, 200, 1, 2),
+            (2048, 700, 256, 2),
+            # one value too many for a byte code: stays sparse
+            (2048, 700, 257, 1),
+            # a width that is not a multiple of 8
+            (1001, 150, 10, 2),
+        ],
+        ids=["specials", "one-value", "256-values", "257-values", "dim-1001"],
+    )
+    def test_round_trip_is_bitwise(self, dim, count, distinct, layout):
+        rng = np.random.default_rng(dim + count)
+        vector = spread(rng, dim, count, distinct)
+        blob = encode_vector(vector)
+        assert tag(blob) == layout
+        if layout == 2:
+            assert blob == table_blob(vector)
+        assert decode_vector(blob).tobytes() == vector.tobytes()
+        pair = np.stack([vector, vector])
+        assert decode_many([blob, blob]).tobytes() == pair.tobytes()
+
+    def test_the_all_zero_vector(self):
+        """Stored sparse (17 bytes); its table form, never written, still
+        decodes."""
+        vector = np.zeros(300, dtype=np.float32)
+        assert tag(encode_vector(vector)) == 1
+        blob = table_blob(vector)
+        assert len(blob) == 21
+        assert decode_vector(blob).tobytes() == vector.tobytes()
+        assert decode_many([blob]).tobytes() == vector.tobytes()
+
+    @pytest.mark.parametrize(
+        "columns, layout",
+        [
+            ([256, 300, 301, 302], 1),  # the first column is its step
+            ([0, 256, 257, 258], 1),
+            ([0, 255, 256, 257], 2),  # steps 0, 255, 1, 1: a byte each
+        ],
+    )
+    def test_a_column_step_beyond_a_byte_stays_sparse(self, columns, layout):
+        vector = np.zeros(512, dtype=np.float32)
+        vector[columns] = 0.5
+        blob = encode_vector(vector)
+        assert tag(blob) == layout
+        assert decode_vector(blob).tobytes() == vector.tobytes()
+
+    def test_benchmark_shaped_code_vector(self):
+        """200 non-zeros of 2 048, 24 distinct: 517 bytes instead of the
+        sparse layout's 1 217."""
+        rng = np.random.default_rng(5)
+        vector = spread(rng, 2048, 200, 24)
+        assert len(encode_vector(vector)) == 8 + 4 * 24 + 2 * 200 + 13 == 517
+        assert len(encode_through_blocks(vector.reshape(1, -1))) == 1217
+
+    @settings(max_examples=200, deadline=None)
+    @given(palette_vectors(max_dim=80))
+    def test_a_table_blob_length_is_never_a_multiple_of_four(self, vector):
+        blob = encode_vector(vector)
+        if tag(blob) == 2:
+            assert len(blob) % 2 == 1
+            assert blob == table_blob(vector)
+
+    def small_table_blob(self):
+        rng = np.random.default_rng(6)
+        vector = spread(rng, 40, 12, 2)
+        blob = encode_vector(vector)
+        assert tag(blob) == 2
+        return vector, blob
+
+    def test_every_bit_flip_raises(self):
+        _vector, blob = self.small_table_blob()
+        for position in range(len(blob) * 8):
+            flipped = bytearray(blob)
+            flipped[position // 8] ^= 1 << (position % 8)
+            with pytest.raises(ValueError):
+                decode_vector(bytes(flipped))
+            with pytest.raises(ValueError):
+                decode_many([blob, bytes(flipped)])
+
+    def test_every_truncation_raises_or_reads_as_narrower_dense(self):
+        _vector, blob = self.small_table_blob()
+        for cut in range(len(blob)):
+            if cut % 4:
+                with pytest.raises(ValueError):
+                    decode_vector(blob[:cut])
+                with pytest.raises(ValueError):
+                    decode_many([blob[:cut]])
+            else:
+                assert decode_vector(blob[:cut]).tobytes() == blob[:cut]
+
+    @pytest.mark.parametrize(
+        "body, dim, message",
+        [
+            # count 1, nvals 1: code 1 of a one-value table
+            (struct.pack("=III", 1, 1, 7) + bytes([1, 0]), 8, "out of range"),
+            # a step that lands past the last column
+            (struct.pack("=III", 2, 1, 7) + bytes([0, 3, 0, 5]), 8,
+             "out of range"),
+            # 257 values: more than a byte code can name
+            (struct.pack("=II", 0, 257) + bytes(4 * 257), 8,
+             "inconsistent value table"),
+            # a pair short
+            (struct.pack("=III", 2, 1, 7) + bytes([0, 1]), 8, "truncated"),
+        ],
+        ids=["code", "column", "nvals", "length"],
+    )
+    def test_a_well_sealed_but_inconsistent_blob_is_a_value_error(
+        self, body, dim, message
+    ):
+        blob = seal(body, dim, layout=2)
+        good = table_blob(spread(np.random.default_rng(7), dim, 4, 1))
+        with pytest.raises(ValueError, match=message):
+            decode_vector(blob)
+        for rows in ([blob], [good, blob], [blob, good]):
+            with pytest.raises(ValueError, match=message):
+                decode_many(rows)
+
+    def test_decode_many_over_all_three_layouts_equals_row_by_row(self):
+        rng = np.random.default_rng(8)
+        rows = [
+            spread(rng, 64, 20, 3),  # value table
+            spread(rng, 64, 6, 6),  # sparse
+            spread(rng, 64, 60, 60),  # dense
+            np.zeros(64, dtype=np.float32),  # sparse, empty
+            spread(rng, 64, 30, SPECIALS),  # value table
+        ]
+        blobs = [encode_vector(row) for row in rows]
+        assert [tag(blob) for blob in blobs] == [2, 1, 0, 1, 2]
+        # and the forms a record row may still hold from older code
+        blobs += [rows[0].tobytes(), kept_whole(rows[4])]
+        matrix = np.stack(rows + [rows[0], rows[4]])
+        reference = np.stack([decode_vector(blob) for blob in blobs])
+        assert reference.tobytes() == matrix.tobytes()
+        for order in (range(len(blobs)), reversed(range(len(blobs)))):
+            order = list(order)
+            decoded = decode_many([blobs[i] for i in order])
+            assert decoded.tobytes() == matrix[order].tobytes()
 
 
 def encode_through_blocks(matrix):
@@ -131,12 +353,18 @@ def encode_through_blocks(matrix):
 
 class TestOneRowLayout:
     @settings(max_examples=300, deadline=None)
-    @given(vectors(max_dim=64))
+    @given(st.one_of(vectors(max_dim=64), palette_vectors(max_dim=64)))
     def test_same_bytes_as_the_block_layout(self, vector):
+        """Wherever the value table is not strictly smaller, a vector's
+        blob is the block layout's, byte for byte; where it is, the
+        table blob is strictly smaller than that."""
         if vector.shape[0]:
-            assert encode_vector(vector) == encode_through_blocks(
-                vector.reshape(1, -1)
-            )
+            blob = encode_vector(vector)
+            block = encode_through_blocks(vector.reshape(1, -1))
+            if tag(blob) == 2:
+                assert len(blob) < len(block)
+            else:
+                assert blob == block
 
     def test_a_multi_row_blob_is_not_a_vector(self):
         """Nothing at rest holds one since v9; both decoders refuse it
@@ -144,7 +372,7 @@ class TestOneRowLayout:
         matrix = np.zeros((2, 48), dtype=np.float32)
         matrix[0, 3] = matrix[1, 7] = 1.0
         blob = encode_through_blocks(matrix)
-        assert is_sparse(blob)
+        assert is_headed(blob)
         with pytest.raises(ValueError, match="inconsistent sparse trailer"):
             decode_vector(blob)
         with pytest.raises(ValueError, match="inconsistent sparse trailer"):
@@ -177,7 +405,7 @@ class TestDecodeMany:
     decoder stays the reference: same bits, same refusals."""
 
     @settings(max_examples=300, deadline=None)
-    @given(matrices(), row_forms)
+    @given(any_matrices(), row_forms)
     def test_same_bytes_as_decoding_row_by_row(self, matrix, forms):
         blobs = as_stored(matrix, forms)
         decoded = decode_many(blobs)
@@ -191,11 +419,11 @@ class TestDecodeMany:
         assert decoded.tobytes() == reference.tobytes() == matrix.tobytes()
 
     @settings(max_examples=40, deadline=None)
-    @given(matrices(min_rows=1, max_rows=3, max_dim=24), row_forms)
+    @given(any_matrices(min_rows=1, max_rows=3, max_dim=24), row_forms)
     def test_every_bit_flip_of_a_sparse_row_raises(self, matrix, forms):
         blobs = as_stored(matrix, forms)
         for row, blob in enumerate(blobs):
-            if not is_sparse(blob):
+            if not is_headed(blob):
                 continue
             for position in range(len(blob) * 8):
                 flipped = bytearray(blob)
@@ -205,7 +433,7 @@ class TestDecodeMany:
                     decode_many(torn)
 
     @settings(max_examples=100, deadline=None)
-    @given(matrices(min_rows=1, max_rows=3), row_forms, st.data())
+    @given(any_matrices(min_rows=1, max_rows=3), row_forms, st.data())
     def test_truncated_row_raises_or_reads_as_a_narrower_one(
         self, matrix, forms, data
     ):
@@ -272,7 +500,7 @@ class TestDecodeMany:
 
 class TestCorruptInput:
     @settings(max_examples=150, deadline=None)
-    @given(vectors())
+    @given(st.one_of(vectors(), palette_vectors()))
     def test_every_truncation_raises_or_reads_as_narrower_dense(self, vector):
         """(Nothing beside a record row says how wide it is, so a blob
         cut to a multiple of four bytes is a narrower dense vector —
@@ -286,13 +514,13 @@ class TestCorruptInput:
                 assert decode_vector(blob[:cut]).tobytes() == blob[:cut]
 
     @settings(max_examples=60, deadline=None)
-    @given(vectors(max_dim=24))
+    @given(st.one_of(vectors(max_dim=24), palette_vectors(max_dim=24)))
     def test_every_bit_flip_of_a_sparse_blob_raises(self, vector):
         """A flipped bit never decodes to a different vector.  (Only the
         sparse layout carries a checksum; a headerless dense blob — the
         legacy format — has no redundancy beyond its length.)"""
         blob = encode_vector(vector)
-        if not is_sparse(blob):
+        if not is_headed(blob):
             return
         for position in range(len(blob) * 8):
             flipped = bytearray(blob)
@@ -321,7 +549,7 @@ class TestCorruptInput:
         stored = dao._conn.execute(
             "SELECT desc_embedding FROM pes WHERE pe_id=?", (record.pe_id,)
         ).fetchone()[0]
-        assert is_sparse(stored)
+        assert is_headed(stored)
         torn = bytearray(stored)
         torn[5] ^= 0x10  # one bit of the stored value
         for damaged in (stored[:-1], bytes(torn)):
@@ -347,12 +575,23 @@ def sparse_unit(rng):
     return vec / np.linalg.norm(vec)
 
 
-def write_dense_rows(path):
-    """Give every vector in a registry file's record rows the headerless
-    dense float32 blob schema v6 and older wrote, through raw SQL — the
-    bytes a long-migrated file may still hold.  ``user_version``, the
-    stamps, slabs and journal stay as they are: the vectors do not
-    change, only their encoding."""
+def palette_unit(rng):
+    """A hashed-code-embedding-like vector: a few term counts over one
+    norm, so its non-zeros take a few distinct values (the value table
+    wins)."""
+    vec = np.zeros(DIM, dtype=np.float32)
+    hot = rng.choice(DIM, size=int(rng.integers(12, 24)), replace=False)
+    vec[hot] = rng.integers(1, 4, size=hot.size) * rng.choice([-1, 1], hot.size)
+    return vec / np.linalg.norm(vec)
+
+
+def write_dense_rows(path, encode=lambda vec: vec.tobytes(), ids=None):
+    """Give every vector in a registry file's record rows (those of
+    ``ids`` only, when given) the blob ``encode`` makes of it — by
+    default the headerless dense float32 blob schema v6 and older wrote
+    — through raw SQL: the bytes a long-migrated file may still hold.
+    ``user_version``, the stamps, slabs and journal stay as they are:
+    the vectors do not change, only their encoding."""
     conn = sqlite3.connect(path)
     for table, key, columns in (
         ("pes", "pe_id", ("desc_embedding", "code_embedding")),
@@ -364,12 +603,29 @@ def write_dense_rows(path):
                 f" WHERE {column} IS NOT NULL"
             ).fetchall()
             for rid, blob in rows:
-                conn.execute(
-                    f"UPDATE {table} SET {column}=? WHERE {key}=?",
-                    (decode_vector(blob).tobytes(), rid),
-                )
+                if ids is None or rid in ids:
+                    conn.execute(
+                        f"UPDATE {table} SET {column}=? WHERE {key}=?",
+                        (encode(decode_vector(blob)), rid),
+                    )
     conn.commit()
     conn.close()
+
+
+def sparse_blob(vec):
+    """The tag-1 blob code of schema v7 to v11 wrote for ``vec``."""
+    return encode_through_blocks(vec.reshape(1, -1))
+
+
+def blob_tags(path, column):
+    conn = sqlite3.connect(path)
+    try:
+        return {
+            pe_id: tag(blob)
+            for pe_id, blob in conn.execute(f"SELECT pe_id, {column} FROM pes")
+        }
+    finally:
+        conn.close()
 
 
 def blob_lengths(path):
@@ -487,3 +743,65 @@ class TestLegacyFile:
         dao.update_pe(record)
         assert dao.shard_stamps() == stamps
         assert blob_lengths(path)[stored.pe_id] < DIM * 4
+
+    def test_dense_sparse_and_table_rows_serve_bitwise(self, tmp_path):
+        """A file whose record rows hold all three layouts — dense from
+        v6 and older, tag-1 sparse from v7 to v11, value tables since
+        v12 — attaches fresh and ranks both vector kinds bitwise as
+        brute force does; a metadata-only revise of an older row stores
+        it in the smallest layout and stamps nothing."""
+        rng = np.random.default_rng(73)
+        path = tmp_path / "registry.db"
+        service = RegistryService(SqliteDAO(path))
+        alice = service.register_user("alice", "pw")
+        service.attach_index(VectorIndex())
+        for i in range(24):
+            service.register_pe(
+                alice,
+                make_pe(
+                    f"PE{i}",
+                    code=f"c:{i}".encode().hex(),
+                    description=f"element {i}",
+                    desc_embedding=sparse_unit(rng),
+                    code_embedding=palette_unit(rng),
+                ),
+            )
+        ids = sorted(blob_tags(path, "code_embedding"))
+        service.dao.close()
+        write_dense_rows(path, ids=set(ids[:8]))
+        write_dense_rows(path, encode=sparse_blob, ids=set(ids[8:16]))
+        tags = blob_tags(path, "code_embedding")
+        assert [tags[i] for i in ids] == [0] * 8 + [1] * 8 + [2] * 8
+        assert set(blob_tags(path, "desc_embedding").values()) == {0, 1}
+        before = blob_lengths(path), blob_tags(path, "code_embedding")
+
+        dao = SqliteDAO(path)
+        restarted = RegistryService(dao)
+        warm = VectorIndex()
+        assert restarted.attach_index(warm) == "fresh"
+        # neither opening nor attaching rewrote a record row
+        assert (blob_lengths(path), blob_tags(path, "code_embedding")) == before
+        user = restarted.get_user("alice")
+        records = restarted.user_pes(user)
+        for kind, attr in (
+            (KIND_DESC, "desc_embedding"), (KIND_CODE, "code_embedding")
+        ):
+            vectors = np.stack([getattr(r, attr) for r in records])
+            for query in (sparse_unit(rng), palette_unit(rng)):
+                sims = vectors @ query
+                order = np.argsort(-sims, kind="stable")[:5]
+                got, scores = warm.search(user.user_id, kind, query, 5)
+                assert got == [records[row].pe_id for row in order]
+                assert np.array_equal(scores, sims[order])
+
+        stamps = dao.shard_stamps()
+        for target in (ids[0], ids[8]):
+            record = dao.get_pe(target)
+            record.description = "same vectors, new words"
+            dao.update_pe(record)
+            assert blob_tags(path, "code_embedding")[target] == 2
+        assert dao.shard_stamps() == stamps
+        dao.close()
+        again = RegistryService(SqliteDAO(path))
+        assert again.attach_index(VectorIndex()) == "fresh"
+        again.dao.close()

@@ -12,6 +12,10 @@ the bounds leave one frame of slack for another build's b-tree splits.
 New files get 1 KB pages; a file that already has pages keeps them
 (page size is fixed once a WAL file exists) and passes the same cases.
 
+A **benchmark-shaped PUT** — a record of the e2e corpus, whose code
+vector is stored as a value table — is pinned at its exact frames and
+at the ``pes`` overflow pages its row takes (``dbstat``).
+
 Two more op classes are pinned the same way.  A **fold** writes a
 shard's ids and nothing else — 8 bytes a row, whatever the vectors
 weigh — in one commit.  An **attach** reads a registry in a number of
@@ -214,6 +218,64 @@ def test_an_update_writes_only_what_changed(registry):
     assert [pe_id for pe_id, _ in dao.text_topk_pes(99, "subtracts")] == [
         record.pe_id
     ]
+
+
+#: a record of the e2e corpus (``benchmarks/e2e/corpus.py`` generates
+#: it): 356 bytes of code, sent as its code and its source, described
+#: by its docstring.  Its unfitted code embedding has 199 non-zeros of
+#: 2 048 taking 27 distinct values, 527 bytes as a value table (1 211 in
+#: the sparse layout)
+BENCH_NAME = "pofin_bogor_000330"
+BENCH_DOC = "Glefin lubo bogor bolum nibo degor badak kaidak bidak brabo."
+BENCH_CODE = f"""def pofin_bogor_000330(items, limit=944):
+    \"\"\"{BENCH_DOC}\"\"\"
+    faifin = 330
+    bogor = faifin + 72
+    mubo = faifin + 46
+    bailum = faifin + 88
+    lilum = faifin + 62
+    brugor = faifin + 92
+    for braifin in items:
+        if braifin > limit:
+            faifin += braifin * 5
+    return faifin"""
+#: (WAL frames, new ``pes`` overflow pages) of that record's PUT, per
+#: page size.  With its code vector in the sparse layout (schema v11)
+#: the same PUT logged (12, 2) on 1 KB pages — the 2 104-byte row needed
+#: two overflow pages, the 1 420-byte one needs one — and (9, 0) on 4 KB
+#: pages, where either row fits its leaf
+BENCH_PUT_COST = {1024: (11, 1), 4096: (9, 0)}
+
+
+def pes_overflow_pages(dao):
+    return dao._conn.execute(
+        "SELECT COUNT(*) FROM dbstat WHERE name = 'pes'"
+        " AND pagetype = 'overflow'"
+    ).fetchone()[0]
+
+
+def test_a_benchmark_shaped_put(registry):
+    send, dao, path, page_size = registry
+    first, _ = wal_frames(path)
+    overflow = pes_overflow_pages(dao)
+    response = send(
+        "PUT",
+        f"/v1/registry/u/pes/{BENCH_NAME}",
+        {"peCode": BENCH_CODE, "peSource": BENCH_CODE, "description": BENCH_DOC},
+    )
+    assert response.status == 201
+    cost = (wal_frames(path)[0] - first, pes_overflow_pages(dao) - overflow)
+
+    record = dao.find_pe_by_name(BENCH_NAME)[0]
+    assert len(BENCH_CODE) == 356
+    bits = record.code_embedding.view(np.uint32)
+    assert np.count_nonzero(bits) == 199
+    assert len(np.unique(bits[bits != 0])) == 27
+    (blob,) = dao._conn.execute(
+        "SELECT code_embedding FROM pes WHERE pe_id = ?", (record.pe_id,)
+    ).fetchone()
+    assert (len(blob), blob[-1]) == (527, 2)
+    assert cost == BENCH_PUT_COST[page_size]
 
 
 #: the e2e corpus' code-embedding shape: ~1 KB a vector at rest

@@ -424,3 +424,76 @@ class TestRefusedRegistryFile:
         assert f"is at schema v{version};" in out
         assert "Traceback" not in out
         assert db.read_bytes() == before
+
+
+class TestMissingRegistryFile:
+    """The read-only commands, ``stats`` and ``search``, given a ``--db``
+    path that names no file, say so and exit 1 — they never leave a new
+    registry behind.  The commands that write (``register``, ``ingest``)
+    and ``serve`` create the file, as before."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats"],
+            ["stats", "--shards"],
+            ["search", "q", "--no-fit"],
+            ["search", "q", "--no-fit", "--user", "ghost", "--json"],
+        ],
+        ids=["stats", "stats-shards", "search", "search-json"],
+    )
+    def test_read_only_command_creates_nothing(self, capsys, tmp_path, argv):
+        db = tmp_path / "no" / "such.db"
+        db.parent.mkdir()
+        assert main([*argv, "--db", str(db)]) == 1
+        out = capsys.readouterr().out
+        assert out.strip() == f"no registry file at {db}"
+        assert list(db.parent.iterdir()) == []
+
+    def test_an_existing_empty_registry_is_still_read(self, capsys, tmp_path):
+        from repro.registry.dao import SqliteDAO
+
+        db = tmp_path / "reg.db"
+        SqliteDAO(db).close()
+        assert main(["stats", "--db", str(db)]) == 0
+        assert "(0 user(s))" in capsys.readouterr().out
+
+    def test_register_creates_the_file(self, capsys, tmp_path):
+        db = tmp_path / "new.db"
+        argv = ["register", "adder", "--code", "def adder(): pass",
+                "--db", str(db), "--no-fit"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert db.exists()
+        assert main(["stats", "--db", str(db)]) == 0
+        assert "(1 user(s))" in capsys.readouterr().out
+
+    def test_serve_creates_the_file(self, capsys, monkeypatch, tmp_path):
+        import time
+
+        import repro.server.http as http
+
+        class Handle:
+            url = "http://127.0.0.1:0"
+
+            def shutdown(self):
+                pass
+
+        def interrupt(_seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(http, "serve_http", lambda *_a, **_k: Handle())
+        monkeypatch.setattr(time, "sleep", interrupt)
+        db = tmp_path / "new.db"
+        assert main(["serve", "--port", "0", "--no-fit", "--db", str(db)]) == 0
+        assert "shutting down" in capsys.readouterr().out
+        assert db.exists()
+
+    def test_ingest_creates_the_file(self, capsys, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "mod.py").write_text("def one():\n    return 1\n")
+        db = tmp_path / "new.db"
+        assert main(["ingest", str(tree), "--db", str(db), "--no-fit"]) == 0
+        capsys.readouterr()
+        assert db.exists()
