@@ -4,14 +4,20 @@ stamps + journals the changed shards through the one helper.
 Invariant (PRs 3/8, ``repro/registry/dao.py``): the registry mutation
 counter is the freshness authority for every persisted artifact (index
 slabs and delta journals, the only index state on disk), and since
-schema v6
-each mutation must *also* stamp exactly the ``(user, kind)`` shards it
+schema v6 each mutation must *also* stamp exactly the ``(user, kind)`` shards it
 changed — an unbumped or unstamped write makes a stale slab load as
 fresh on the next attach, silently serving deleted or missing rows.
 Since schema v8 the stamp and the shard's journal row are one act:
 ``_stamp_shards`` writes both in the mutation's transaction, so *stamp
 == journal tip* holds by construction — as long as nothing stamps or
 journals around it.
+
+Where the counter lives: since schema v13 it is a row of
+``shard_stamps`` itself, ``(0, 'mutations')`` — user 0 is no user, its
+rows are the registry-wide counters, the record tables' id high-water
+marks beside it — so one page holds it and the stamps a write moves.
+Its writers are helpers too (``_bump_mutation``, ``_issue_ids``), not
+the mutating method.
 
 Detection: a method "writes" when it executes SQL matching
 ``INSERT INTO/UPDATE/DELETE FROM pes|workflows`` (string literals and

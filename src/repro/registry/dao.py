@@ -23,18 +23,21 @@ however, own the *access paths* that make ownership filtering cheap:
 * ``insert_pes`` / ``insert_workflows`` — batched bulk load.
 
 Ownership lives in normalized ``pe_owners`` / ``workflow_owners`` join
-tables (indexed by ``user_id``) and the PE<->workflow association in a
-``workflow_pes`` link table.  The record rows carry the same facts as
-JSON ``owners`` / ``pe_ids`` columns, which hydration reads; every write
-keeps both in step.
+tables keyed ``(user_id, id)`` — every owner-scoped read filters by
+user and walks the primary key, and a write deletes a record's old
+owners by that key, so no second index is kept — and the PE<->workflow
+association in a ``workflow_pes`` link table.  The record rows carry
+the same facts as JSON ``owners`` / ``pe_ids`` columns, which hydration
+reads; every write keeps both in step.
 
 Do the JSON columns earn their place?  Measured by building a record's
 ``owners`` / ``pe_ids`` from the join tables at hydration instead (one
 correlated subquery a column in the hydrating statement, the columns
 written as ``'[]'``): ``test_read_cost.py``'s ``READ_COST`` stays
 statement for statement and row for row what it is (semantic 5/6, text
-5/6, hybrid 9/60, code 3/3), ``test_write_cost.py``'s frames stay
-9/5/10/16 (PUT/revise/DELETE/bulk of 16, 1 KB pages) and 9/5/8/9 (4 KB)
+5/6, hybrid 9/60, code 3/3), ``test_write_cost.py``'s frames stay what
+they were at schema v12, 9/5/10/16 (PUT/revise/DELETE/bulk of 16, 1 KB
+pages) and 9/5/8/9 (4 KB)
 — a record row spans pages whether or not it holds a few bytes of JSON
 — and ``get_pes`` of 60 ids takes ~10 % longer (~480 -> ~540 us on a
 2-CPU Linux host).  ``workflow_pes`` is a set ordered by ``pe_id``;
@@ -97,7 +100,7 @@ _KIND_SOURCE = {
     _KIND_WORKFLOW: ("workflows", "workflow_id", "desc_embedding"),
 }
 
-#: each record table's owner join table (indexed by user, then id)
+#: each record table's owner join table (keyed by user, then id)
 _OWNER_TABLE = {"pes": "pe_owners", "workflows": "workflow_owners"}
 
 #: delta-journal ops
@@ -318,14 +321,18 @@ def _replay_shard(
     return ids_out, fetch(ids_out), int(tip)
 
 
-_SCHEMA = """
-CREATE TABLE users (
-    user_id INTEGER PRIMARY KEY AUTOINCREMENT,
-    user_name TEXT UNIQUE NOT NULL,
-    password_hash TEXT NOT NULL
-);
-CREATE TABLE pes (
-    pe_id INTEGER PRIMARY KEY AUTOINCREMENT,
+#: the tables schema v13 reshaped, each name followed by ``{new}``: the
+#: record tables number their own ids (:meth:`SqliteDAO._issue_ids`, no
+#: AUTOINCREMENT) and the owner tables — normalized ownership, which
+#: owner-scoped reads filter by in SQL; the record rows' JSON columns
+#: hold the same facts (the module docstring says why both stay) — are
+#: keyed by user, the order every such read filters in, so no second
+#: index is kept beside them.  :data:`_SCHEMA` creates them as they are
+#: named; :data:`_STEP_FROM_V12` creates them under ``_v13`` names,
+#: copies into them and renames them
+_RESHAPED = """
+CREATE TABLE pes{new} (
+    pe_id INTEGER PRIMARY KEY,
     pe_name TEXT NOT NULL,
     description TEXT NOT NULL DEFAULT '',
     description_origin TEXT NOT NULL DEFAULT 'user',
@@ -337,8 +344,8 @@ CREATE TABLE pes (
     owners TEXT NOT NULL DEFAULT '[]',
     revision INTEGER NOT NULL DEFAULT 1
 );
-CREATE TABLE workflows (
-    workflow_id INTEGER PRIMARY KEY AUTOINCREMENT,
+CREATE TABLE workflows{new} (
+    workflow_id INTEGER PRIMARY KEY,
     workflow_name TEXT NOT NULL,
     entry_point TEXT NOT NULL,
     description TEXT NOT NULL DEFAULT '',
@@ -349,39 +356,52 @@ CREATE TABLE workflows (
     owners TEXT NOT NULL DEFAULT '[]',
     revision INTEGER NOT NULL DEFAULT 1
 );
+CREATE TABLE pe_owners{new} (
+    user_id INTEGER NOT NULL,
+    pe_id INTEGER NOT NULL,
+    PRIMARY KEY (user_id, pe_id)
+) WITHOUT ROWID;
+CREATE TABLE workflow_owners{new} (
+    user_id INTEGER NOT NULL,
+    workflow_id INTEGER NOT NULL,
+    PRIMARY KEY (user_id, workflow_id)
+) WITHOUT ROWID;
+"""
+
+_RECORD_INDEXES = """
 CREATE INDEX idx_pes_name ON pes(pe_name);
 CREATE INDEX idx_wf_entry ON workflows(entry_point);
--- normalized ownership + association: ownership filtering happens in
--- SQL against these; the JSON columns on the record rows hold the same
--- facts (see the module docstring for why both stay)
-CREATE TABLE pe_owners (
-    pe_id INTEGER NOT NULL,
-    user_id INTEGER NOT NULL,
-    PRIMARY KEY (pe_id, user_id)
-) WITHOUT ROWID;
-CREATE INDEX idx_pe_owners_user ON pe_owners(user_id, pe_id);
-CREATE TABLE workflow_owners (
-    workflow_id INTEGER NOT NULL,
-    user_id INTEGER NOT NULL,
-    PRIMARY KEY (workflow_id, user_id)
-) WITHOUT ROWID;
-CREATE INDEX idx_workflow_owners_user
-    ON workflow_owners(user_id, workflow_id);
+"""
+
+#: the registry-wide counters are rows of ``shard_stamps`` under this
+#: user id, which no user has (user ids start at 1): the mutation
+#: counter under :data:`_MUTATIONS`, and under each record table's name
+#: the highest id it has issued.  Every write rewrites the counter and
+#: the stamps of the shards it changed, so keeping them in one b-tree
+#: keeps them on one page
+_REGISTRY_USER = 0
+_MUTATIONS = "mutations"
+
+_SCHEMA = (
+    """
+CREATE TABLE users (
+    user_id INTEGER PRIMARY KEY AUTOINCREMENT,
+    user_name TEXT UNIQUE NOT NULL,
+    password_hash TEXT NOT NULL
+);
+"""
+    + _RESHAPED.format(new="")
+    + _RECORD_INDEXES
+    + """
 CREATE TABLE workflow_pes (
     workflow_id INTEGER NOT NULL,
     pe_id INTEGER NOT NULL,
     PRIMARY KEY (workflow_id, pe_id)
 ) WITHOUT ROWID;
 CREATE INDEX idx_workflow_pes_pe ON workflow_pes(pe_id, workflow_id);
--- registry metadata (the PE/workflow mutation counter) and persisted
--- index slabs so a warm cold start skips the O(corpus) rebuild: a slab
--- is its shard's membership (ids) at its stamp, the vectors are read
--- from the record rows
-CREATE TABLE registry_meta (
-    key TEXT PRIMARY KEY,
-    value INTEGER NOT NULL
-) WITHOUT ROWID;
-INSERT INTO registry_meta (key, value) VALUES ('mutation_counter', 0);
+-- persisted index slabs so a warm cold start skips the O(corpus)
+-- rebuild: a slab is its shard's membership (ids) at its stamp, the
+-- vectors are read from the record rows
 CREATE TABLE index_shards (
     user_id INTEGER NOT NULL,
     kind TEXT NOT NULL,
@@ -424,7 +444,8 @@ CREATE TABLE wf_text (
 -- every reader scans it whole in delta_id order) and each stamp row
 -- carries its shard's chain tip beside it, so the one row a mutation
 -- rewrites anyway also says whether to journal (tip = stamp: covered;
--- NULL or lower: stale until a base upsert)
+-- NULL or lower: stale until a base upsert).  The rows of user 0 are
+-- the registry-wide counters (_REGISTRY_USER), not shards
 CREATE TABLE shard_stamps (
     user_id INTEGER NOT NULL,
     kind TEXT NOT NULL,
@@ -441,7 +462,10 @@ CREATE TABLE index_deltas (
     rows INTEGER NOT NULL,
     ids BLOB NOT NULL
 );
+INSERT INTO shard_stamps (user_id, kind, mutation_counter)
+VALUES (0, 'mutations', 0), (0, 'pes', 0), (0, 'workflows', 0);
 """
+)
 
 #: the attached in-memory database that holds the text index
 _TEXT_DB = "text_index"
@@ -503,15 +527,63 @@ _TEXT_TABLES = (
 )
 
 #: the on-disk format (``PRAGMA user_version``) :data:`_SCHEMA` creates.
-#: A v11 file takes one step to it (:meth:`SqliteDAO._step_from_v11`);
-#: any other version is refused.  v12 added the value-table vector
-#: layout (:mod:`repro.registry.veccodec`, tag 2), which older code
-#: cannot decode; v11 moved the text index into memory, filled from
-#: ``pe_text``/``wf_text`` at open (:data:`_TEXT_INDEX_SCHEMA`), so a
-#: write logs no FTS5 page.  Vector blobs may still be dense float32 (v6
-#: and older wrote them so) or sparse (v7 to v11): every layout decodes
-#: through the same codec, and a row re-encodes when next written.
-_SCHEMA_VERSION = 12
+#: A v12 file takes one step to it (:data:`_STEP_FROM_V12`); any other
+#: version is refused.  v13 keyed the owner tables by user, moved the
+#: mutation counter and the id high-water marks into ``shard_stamps``
+#: (:data:`_REGISTRY_USER`) and dropped ``registry_meta`` and the record
+#: tables' AUTOINCREMENT, so a write logs no page of an owner index, of
+#: ``registry_meta`` or of ``sqlite_sequence``; v12 added the
+#: value-table vector layout (:mod:`repro.registry.veccodec`, tag 2),
+#: which older code cannot decode; v11 moved the text index into memory,
+#: filled from ``pe_text``/``wf_text`` at open (:data:`_TEXT_INDEX_SCHEMA`),
+#: so a write logs no FTS5 page.  Vector blobs may still be dense float32
+#: (v6 and older wrote them so) or sparse (v7 to v11): every layout
+#: decodes through the same codec, and a row re-encodes when next
+#: written.
+_SCHEMA_VERSION = 13
+
+#: v12 -> v13, run in one transaction with the stamp.  The record and
+#: owner tables are rebuilt by SQLite's documented way to change a
+#: table's definition (create the new table, copy, drop the old one,
+#: rename the new one, re-create the indexes), not by editing
+#: ``sqlite_schema``; the owner indexes go with the old tables.  The
+#: counter rows are seeded before their sources go: the mutation counter
+#: from ``registry_meta``, each high-water mark from AUTOINCREMENT's
+#: ``sqlite_sequence`` row or the table's highest id, whichever is
+#: larger — a deleted record's id is never issued again
+_STEP_FROM_V12 = (
+    _RESHAPED.format(new="_v13")
+    + """
+INSERT INTO pes_v13 SELECT * FROM pes;
+INSERT INTO workflows_v13 SELECT * FROM workflows;
+INSERT INTO pe_owners_v13 (user_id, pe_id)
+    SELECT user_id, pe_id FROM pe_owners;
+INSERT INTO workflow_owners_v13 (user_id, workflow_id)
+    SELECT user_id, workflow_id FROM workflow_owners;
+INSERT INTO shard_stamps (user_id, kind, mutation_counter)
+SELECT 0, 'mutations', COALESCE(
+    (SELECT value FROM registry_meta WHERE key = 'mutation_counter'), 0)
+UNION ALL
+SELECT 0, 'pes', MAX(
+    COALESCE((SELECT seq FROM sqlite_sequence WHERE name = 'pes'), 0),
+    COALESCE((SELECT MAX(pe_id) FROM pes), 0))
+UNION ALL
+SELECT 0, 'workflows', MAX(
+    COALESCE((SELECT seq FROM sqlite_sequence WHERE name = 'workflows'), 0),
+    COALESCE((SELECT MAX(workflow_id) FROM workflows), 0));
+DELETE FROM sqlite_sequence WHERE name IN ('pes', 'workflows');
+DROP TABLE registry_meta;
+DROP TABLE pes;
+DROP TABLE workflows;
+DROP TABLE pe_owners;
+DROP TABLE workflow_owners;
+ALTER TABLE pes_v13 RENAME TO pes;
+ALTER TABLE workflows_v13 RENAME TO workflows;
+ALTER TABLE pe_owners_v13 RENAME TO pe_owners;
+ALTER TABLE workflow_owners_v13 RENAME TO workflow_owners;
+"""
+    + _RECORD_INDEXES
+)
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
 #: IN(...) lists well below that
@@ -534,7 +606,7 @@ def _chunked(ids: Sequence[int]) -> Iterable[Sequence[int]]:
 
 def _refusal(path: str | Path, version: int) -> RegistryError:
     """Why a file at schema ``version`` is not opened: only a new file,
-    a v11 file (one step) and a current one are."""
+    a v12 file (one step) and a current one are."""
     if version > _SCHEMA_VERSION:
         advice = "it was written by newer code; open it with that code"
     else:
@@ -557,14 +629,14 @@ class SqliteDAO:
     schema and behaviour as a file.
 
     Ownership and the PE<->workflow association are normalized into
-    ``pe_owners`` / ``workflow_owners`` / ``workflow_pes`` (indexed join
-    tables) so owner-scoped queries filter in SQL instead of
+    ``pe_owners`` / ``workflow_owners`` (keyed by user) and
+    ``workflow_pes`` so owner-scoped queries filter in SQL instead of
     deserializing the whole registry.
 
     Opening reads ``PRAGMA user_version`` before anything writes.  A new
     file (version 0, no schema) is created by :data:`_SCHEMA` in one
     transaction and stamped :data:`_SCHEMA_VERSION`; a file one version
-    behind takes :meth:`_step_from_v11`; a current file runs no DDL on
+    behind takes :meth:`_step_from_v12`; a current file runs no DDL on
     ``main``.  Any other version raises :class:`~repro.errors.RegistryError`
     naming it, and the file is left as it was.
     """
@@ -600,7 +672,7 @@ class SqliteDAO:
             # the later one's first CREATE TABLE fails
             self._stamped(_SCHEMA)
         elif version < _SCHEMA_VERSION:
-            self._step_from_v11()
+            self._step_from_v12()
         # the text index: filled here, kept in step by this connection's
         # triggers, refilled when another connection has committed
         # (:meth:`_text_topk`).  ATTACH cannot run inside a transaction
@@ -616,12 +688,10 @@ class SqliteDAO:
             f"BEGIN;{script}PRAGMA user_version = {_SCHEMA_VERSION};COMMIT;"
         )
 
-    def _step_from_v11(self) -> None:
-        """v11 -> v12: the value-table vector layout is new, nothing on
-        the file changes — no DDL, and no row is rewritten (a row
-        re-encodes when next written).  The stamp keeps older code, which
-        cannot decode a value-table blob, off the file."""
-        self._stamped("")
+    def _step_from_v12(self) -> None:
+        """v12 -> v13 (:data:`_STEP_FROM_V12`): a crash leaves the v12
+        file as it was, and a v12 checkout cannot open the result."""
+        self._stamped(_STEP_FROM_V12)
 
     def _fill_text_index(self) -> None:
         """Empty the memory text index and index every side-table
@@ -652,16 +722,30 @@ class SqliteDAO:
     def _bump_mutation(self) -> int:
         """Advance the registry mutation counter (inside the caller's
         transaction) and return the bumped value — the stamp the
-        caller's :meth:`_stamp_shards` marks changed shards with."""
-        self._conn.execute(
-            "UPDATE registry_meta SET value = value + 1"
-            " WHERE key = 'mutation_counter'"
-        )
+        caller's :meth:`_stamp_shards` marks changed shards with.  The
+        counter is the ``shard_stamps`` row ``(0, 'mutations')``
+        (:data:`_REGISTRY_USER`), beside the stamps the same commit
+        rewrites."""
+        return self._advance(_MUTATIONS, 1)
+
+    def _issue_ids(self, table: str, count: int) -> int:
+        """The first of ``count`` new ids of record table ``table``,
+        inside the caller's write transaction: its high-water row
+        ``(0, table)`` in ``shard_stamps`` is raised past them.  No
+        delete lowers it, so no id is issued twice — a reused id would
+        repeat a deleted record's ETag (``"pe-{id}-{revision}"``)."""
+        return self._advance(table, count) - count + 1
+
+    def _advance(self, name: str, by: int) -> int:
+        """Raise the registry-wide counter row ``name`` by ``by`` and
+        return its new value."""
         return int(
             self._conn.execute(
-                "SELECT value FROM registry_meta WHERE key ="
-                " 'mutation_counter'"
-            ).fetchone()[0]
+                "UPDATE shard_stamps SET mutation_counter = mutation_counter"
+                " + ? WHERE user_id = ? AND kind = ?"
+                " RETURNING mutation_counter",
+                (by, _REGISTRY_USER, name),
+            ).fetchall()[0][0]
         )
 
     def _stamp_shards(self, changes: _Changes, counter: int) -> None:
@@ -726,21 +810,6 @@ class SqliteDAO:
             (int(workflow_id),),
         ).fetchone()
 
-    def _last_issued_id(self, table: str) -> int:
-        """The highest id ``table`` has ever issued: AUTOINCREMENT's
-        high-water mark in ``sqlite_sequence``, which every insert
-        (explicit ids included) raises to at least ``MAX(id)`` and no
-        delete lowers.  A bulk insert numbers its rows past it, as a
-        single insert's AUTOINCREMENT does, so it never reuses a deleted
-        record's id (and with it that record's revision-derived ETag)."""
-        return int(
-            self._conn.execute(
-                "SELECT COALESCE(MAX(seq), 0) FROM sqlite_sequence"
-                " WHERE name = ?",
-                (table,),
-            ).fetchone()[0]
-        )
-
     @staticmethod
     def _old_owners(row: sqlite3.Row) -> set[int]:
         return {int(uid) for uid in json.loads(row["owners"])}
@@ -753,21 +822,27 @@ class SqliteDAO:
         return _embed_bytes(_unblob(row[column]))
 
     # -- join-table sync ---------------------------------------------------
-    def _sync_pe_owners(self, pe_id: int, owners: Iterable[int]) -> None:
-        self._conn.execute("DELETE FROM pe_owners WHERE pe_id=?", (pe_id,))
+    def _sync_owners(
+        self,
+        table: str,
+        id_col: str,
+        record_id: int,
+        old: Iterable[int],
+        new: Iterable[int],
+    ) -> None:
+        """Move a record's rows in owner table ``table`` from the
+        ``old`` owners (the committed row's) to the ``new``: each row is
+        keyed ``(user_id, id)``, so only the owners that changed are
+        touched."""
+        old, new = set(old), {int(uid) for uid in new}
         self._conn.executemany(
-            "INSERT OR IGNORE INTO pe_owners (pe_id, user_id) VALUES (?, ?)",
-            [(pe_id, int(uid)) for uid in owners],
-        )
-
-    def _sync_wf_owners(self, workflow_id: int, owners: Iterable[int]) -> None:
-        self._conn.execute(
-            "DELETE FROM workflow_owners WHERE workflow_id=?", (workflow_id,)
+            f"DELETE FROM {table} WHERE user_id=? AND {id_col}=?",
+            [(uid, record_id) for uid in sorted(old - new)],
         )
         self._conn.executemany(
-            "INSERT OR IGNORE INTO workflow_owners (workflow_id, user_id)"
+            f"INSERT OR IGNORE INTO {table} (user_id, {id_col})"
             " VALUES (?, ?)",
-            [(workflow_id, int(uid)) for uid in owners],
+            [(uid, record_id) for uid in sorted(new - old)],
         )
 
     def _sync_wf_links(self, workflow_id: int, pe_ids: Iterable[int]) -> None:
@@ -869,47 +944,28 @@ class SqliteDAO:
             json.dumps(sorted(record.owners)),
         )
 
-    # The PE writes encode their row (two vector blobs, two JSON
-    # columns) and its FTS document before taking the lock: neither
-    # needs the id, and inside the lock they would run under an open
-    # write transaction that every other DAO call waits behind.
+    # The PE writes encode their rows (two vector blobs, two JSON
+    # columns) and FTS documents before taking the lock: neither needs
+    # the id, and inside the lock they would run under an open write
+    # transaction that every other DAO call waits behind.
     def insert_pe(self, record: PERecord) -> PERecord:
-        params, text = self._pe_params(record), self._pe_text(record)
-        with self._lock, self._conn:
-            counter = self._bump_mutation()
-            record.revision = 1
-            cursor = self._conn.execute(
-                """INSERT INTO pes (pe_name, description, description_origin,
-                   pe_code, pe_source, pe_imports, code_embedding,
-                   desc_embedding, owners, revision)
-                   VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, 1)""",
-                params,
-            )
-            record.pe_id = int(cursor.lastrowid)
-            self._stamp_shards(
-                _pe_changes(
-                    record.pe_id, set(), set(record.owners),
-                    None, _embed_bytes(record.desc_embedding),
-                    None, _embed_bytes(record.code_embedding),
-                ),
-                counter,
-            )
-            self._sync_pe_owners(record.pe_id, record.owners)
-            self._sync_pe_text(record.pe_id, text)
-            return record
+        """One record is a batch of one (:meth:`insert_pes`)."""
+        return self.insert_pes([record])[0]
 
     def insert_pes(self, records: Sequence[PERecord]) -> list[PERecord]:
-        """Bulk load: two ``executemany`` round trips for any batch size."""
+        """Bulk load: one counter bump, ids numbered from one
+        high-water raise (:meth:`_issue_ids`), three ``executemany``
+        round trips for any batch size."""
         if not records:
             return []
         params = [self._pe_params(r) for r in records]
         texts = [self._pe_text(r) for r in records]
         with self._lock, self._conn:
             counter = self._bump_mutation()
-            base = self._last_issued_id("pes")
+            first = self._issue_ids("pes", len(records))
             changes: _Changes = {}
-            for offset, record in enumerate(records, start=1):
-                record.pe_id = base + offset
+            for pe_id, record in enumerate(records, start=first):
+                record.pe_id = pe_id
                 record.revision = 1
                 _merge_changes(
                     changes,
@@ -928,9 +984,9 @@ class SqliteDAO:
                 [(r.pe_id, *p) for r, p in zip(records, params)],
             )
             self._conn.executemany(
-                "INSERT OR IGNORE INTO pe_owners (pe_id, user_id) VALUES (?, ?)",
+                "INSERT OR IGNORE INTO pe_owners (user_id, pe_id) VALUES (?, ?)",
                 [
-                    (r.pe_id, int(uid))
+                    (int(uid), r.pe_id)
                     for r in records
                     for uid in r.owners
                 ],
@@ -982,8 +1038,9 @@ class SqliteDAO:
                 ),
                 counter,
             )
-            if old_owners != set(record.owners):
-                self._sync_pe_owners(record.pe_id, record.owners)
+            self._sync_owners(
+                "pe_owners", "pe_id", record.pe_id, old_owners, record.owners
+            )
             if renamed or old["description"] != record.description:
                 self._sync_pe_text(record.pe_id, text)
 
@@ -1186,7 +1243,9 @@ class SqliteDAO:
                 counter,
             )
             self._conn.execute("DELETE FROM pes WHERE pe_id=?", (pe_id,))
-            self._conn.execute("DELETE FROM pe_owners WHERE pe_id=?", (pe_id,))
+            self._sync_owners(
+                "pe_owners", "pe_id", pe_id, self._old_owners(old), ()
+            )
             self._conn.execute("DELETE FROM pe_text WHERE pe_id=?", (pe_id,))
             # back-reference from the link table: touch only the
             # workflows that actually reference this PE, not all rows
@@ -1239,41 +1298,22 @@ class SqliteDAO:
         )
 
     def insert_workflow(self, record: WorkflowRecord) -> WorkflowRecord:
-        with self._lock, self._conn:
-            counter = self._bump_mutation()
-            record.revision = 1
-            cursor = self._conn.execute(
-                """INSERT INTO workflows (workflow_name, entry_point,
-                   description, workflow_code, workflow_source, pe_ids,
-                   desc_embedding, owners, revision)
-                   VALUES (?, ?, ?, ?, ?, ?, ?, ?, 1)""",
-                self._wf_params(record),
-            )
-            record.workflow_id = int(cursor.lastrowid)
-            self._stamp_shards(
-                _wf_changes(
-                    record.workflow_id, set(), set(record.owners),
-                    None, _embed_bytes(record.desc_embedding),
-                ),
-                counter,
-            )
-            self._sync_wf_owners(record.workflow_id, record.owners)
-            self._sync_wf_links(record.workflow_id, record.pe_ids)
-            self._sync_wf_text(record)
-            return record
+        """One record is a batch of one (:meth:`insert_workflows`)."""
+        return self.insert_workflows([record])[0]
 
     def insert_workflows(
         self, records: Sequence[WorkflowRecord]
     ) -> list[WorkflowRecord]:
-        """Bulk load: three ``executemany`` round trips for any batch size."""
+        """Bulk load (see :meth:`insert_pes`): four ``executemany``
+        round trips for any batch size."""
         if not records:
             return []
         with self._lock, self._conn:
             counter = self._bump_mutation()
-            base = self._last_issued_id("workflows")
+            first = self._issue_ids("workflows", len(records))
             changes: _Changes = {}
-            for offset, record in enumerate(records, start=1):
-                record.workflow_id = base + offset
+            for workflow_id, record in enumerate(records, start=first):
+                record.workflow_id = workflow_id
                 record.revision = 1
                 _merge_changes(
                     changes,
@@ -1291,10 +1331,10 @@ class SqliteDAO:
                 [(r.workflow_id, *self._wf_params(r)) for r in records],
             )
             self._conn.executemany(
-                "INSERT OR IGNORE INTO workflow_owners (workflow_id, user_id)"
+                "INSERT OR IGNORE INTO workflow_owners (user_id, workflow_id)"
                 " VALUES (?, ?)",
                 [
-                    (r.workflow_id, int(uid))
+                    (int(uid), r.workflow_id)
                     for r in records
                     for uid in r.owners
                 ],
@@ -1363,8 +1403,10 @@ class SqliteDAO:
                 ),
                 counter,
             )
-            if old_owners != set(record.owners):
-                self._sync_wf_owners(record.workflow_id, record.owners)
+            self._sync_owners(
+                "workflow_owners", "workflow_id", record.workflow_id,
+                old_owners, record.owners,
+            )
             if set(json.loads(old["pe_ids"])) != set(record.pe_ids):
                 self._sync_wf_links(record.workflow_id, record.pe_ids)
             if (
@@ -1452,8 +1494,9 @@ class SqliteDAO:
             self._conn.execute(
                 "DELETE FROM workflows WHERE workflow_id=?", (workflow_id,)
             )
-            self._conn.execute(
-                "DELETE FROM workflow_owners WHERE workflow_id=?", (workflow_id,)
+            self._sync_owners(
+                "workflow_owners", "workflow_id", workflow_id,
+                self._old_owners(old), (),
             )
             self._conn.execute(
                 "DELETE FROM workflow_pes WHERE workflow_id=?", (workflow_id,)
@@ -1469,9 +1512,11 @@ class SqliteDAO:
         shard."""
         with self._lock:
             row = self._conn.execute(
-                "SELECT value FROM registry_meta WHERE key='mutation_counter'"
+                "SELECT mutation_counter FROM shard_stamps"
+                " WHERE user_id = ? AND kind = ?",
+                (_REGISTRY_USER, _MUTATIONS),
             ).fetchone()
-        return 0 if row is None else int(row["value"])
+        return 0 if row is None else int(row["mutation_counter"])
 
     @staticmethod
     def _shard_payload_row(user_id, kind, counter, ids):
@@ -1537,11 +1582,14 @@ class SqliteDAO:
         complete).  A stale shard is only stamped and stays stale until
         a base upsert rebuilds it, so a journal row never lands on top
         of a gap.  A persisted shard is fresh iff its replayed chain
-        tip equals this stamp.
+        tip equals this stamp.  The rows of user 0 are the registry-wide
+        counters (:data:`_REGISTRY_USER`), not shards, and are left out.
         """
         with self._lock:
             rows = self._conn.execute(
                 "SELECT user_id, kind, mutation_counter FROM shard_stamps"
+                " WHERE user_id != ?",
+                (_REGISTRY_USER,),
             ).fetchall()
         return {
             (int(row["user_id"]), str(row["kind"])): int(
@@ -1589,9 +1637,9 @@ class SqliteDAO:
     ) -> tuple[np.ndarray, dict[str, list]]:
         """One ordered scan of the ``table`` records ``user_id`` owns:
         their ascending ids and, beside them, each row's still-encoded
-        vector blob (or ``None``) per kind.  The owner index hands the
-        ids over in order, so nothing is sorted and no id list is bound
-        into the statement, whatever the shard's size."""
+        vector blob (or ``None``) per kind.  The owner table's key hands
+        the ids over in order, so nothing is sorted and no id list is
+        bound into the statement, whatever the shard's size."""
         owners = _OWNER_TABLE[table]
         id_col = _KIND_SOURCE[kinds[0]][1]
         blobs = ", ".join(f"r.{_KIND_SOURCE[kind][2]}" for kind in kinds)

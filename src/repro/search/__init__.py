@@ -78,7 +78,9 @@ Shards persist **incrementally** (storage schema v6, reshaped by v8 and
 v9), and what persists is membership and freshness — never a vector.
 Every registry mutation stamps the ``(user, kind)`` shards whose content
 it changed with the bumped mutation counter (the DAO's
-``shard_stamps``) and, in the same transaction, appends each such
+``shard_stamps``, which since schema v13 also holds the counter itself
+and the id high-water marks as user 0's rows, so a write rewrites one
+page of them) and, in the same transaction, appends each such
 shard's row to an append-only, ids-only delta journal
 (``index_deltas``): ``add`` for the ids that are in the shard after the
 write, ``remove`` for those that are not.  A write is therefore one

@@ -82,27 +82,34 @@ The SQLite DAO reads ``PRAGMA user_version`` before anything writes
 version    On open
 =========  ============================================================
 new file   Version 0 and no schema (``":memory:"`` too): the schema is
-           created in one transaction and stamped v12.
-v12        Current: no DDL on the file.  Its vector blobs may be in the
-           value-table layout (:mod:`repro.registry.veccodec`, tag 2),
-           which **older code cannot decode**.  It holds no FTS5 table
+           created in one transaction and stamped v13.
+v13        Current: no DDL on the file.  The owner tables are keyed
+           ``(user_id, id)`` with no second index, and the mutation
+           counter and each record table's id high-water mark are rows
+           of ``shard_stamps`` under user 0, beside the shard stamps;
+           the record tables have no AUTOINCREMENT (the DAO issues
+           ids).  Its vector blobs may be in the value-table layout
+           (:mod:`repro.registry.veccodec`, tag 2, since v12), which
+           **older code cannot decode**.  It holds no FTS5 table
            (since v11): the text index is a cache — contentless FTS5
            tables in an attached ``':memory:'`` database, filled from
            ``pe_text`` / ``wf_text`` at open, kept in step by TEMP
            triggers inside each mutation's transaction and refilled
            before a ranking when another connection has committed
            (``PRAGMA data_version``).
-v11        Accepted: one step stamps v12 — no DDL, and no row is
-           rewritten; a row takes the value-table layout when next
-           written, if that is its smallest.
-other      Refused, older (v10 included) or newer, with a
+v12        Accepted: one step, in one transaction with the stamp,
+           rebuilds the record and owner tables (create, copy, drop,
+           rename) and seeds the counter rows from ``registry_meta``
+           and from AUTOINCREMENT's ``sqlite_sequence`` (or the highest
+           id, if larger), then drops both sources.
+other      Refused, older (v11 and v10 included) or newer, with a
            ``RegistryError`` naming the version; the file is left as it
            was.  An older file steps up when opened once with an older
            checkout of this repository (the git history is the
            migration tool); a newer one belongs to newer code.
 =========  ============================================================
 
-What a v12 file holds, and the rules the DAO keeps on it:
+What a v13 file holds, and the rules the DAO keeps on it:
 
 * **A vector lives in its record row, nowhere else** (the ``pes`` /
   ``workflows`` embedding columns), in whichever layout of
@@ -136,6 +143,12 @@ What a v12 file holds, and the rules the DAO keeps on it:
 * Files created by this code use 1 KB pages (a WAL commit logs whole
   pages and these rows are small); page size is fixed once a file has
   pages, so an older file keeps its own — no ``VACUUM``, no option.
+* One write rewrites one page of counters: the mutation counter
+  (``shard_stamps`` row ``(0, 'mutations')``), a new record's id
+  high-water mark (``(0, 'pes')`` / ``(0, 'workflows')``, raised in the
+  write's transaction; no delete lowers it, so an id and its ETags are
+  never issued twice) and the stamps of the shards it changed share
+  the ``shard_stamps`` b-tree.  ``shard_stamps()`` leaves user 0 out.
 * Idempotency receipts (``write_receipts``) are kept forever:
   ``created_at`` is written, nothing prunes by it.
 

@@ -1,6 +1,9 @@
 """DAO tests, on an in-memory database and on a file."""
 
 import json
+import sqlite3
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -231,9 +234,10 @@ class TestOwnerScopedQueries:
         assert dao.get_workflow(stored[1].workflow_id).pe_ids == [2]
 
     def test_bulk_insert_pes_never_reuses_a_deleted_id(self, dao):
-        """A bulk insert numbers its rows past every id ever issued, as
-        a single insert's AUTOINCREMENT does — a reused id would repeat
-        the deleted record's ETag (``"pe-{id}-{revision}"``)."""
+        """A bulk insert numbers its rows past every id ever issued —
+        past the table's high-water mark, which single inserts raise
+        too — a reused id would repeat the deleted record's ETag
+        (``"pe-{id}-{revision}"``)."""
         dao.insert_pe(make_pe("Old"))
         newest = dao.insert_pe(make_pe("Newest", code="bmV3"))
         dao.delete_pe(newest.pe_id)
@@ -256,6 +260,156 @@ class TestOwnerScopedQueries:
         assert dao.insert_workflows([]) == []
 
 
+def issued(dao, kind, name):
+    """Insert one record of ``kind`` through the single-record path;
+    its issued id."""
+    if kind == "pe":
+        return dao.insert_pe(make_pe(name, code=name)).pe_id
+    return dao.insert_workflow(make_wf(name, code=name)).workflow_id
+
+
+def issued_bulk(dao, kind, names):
+    if kind == "pe":
+        return [
+            r.pe_id
+            for r in dao.insert_pes([make_pe(n, code=n) for n in names])
+        ]
+    return [
+        r.workflow_id
+        for r in dao.insert_workflows([make_wf(n, code=n) for n in names])
+    ]
+
+
+def delete(dao, kind, record_id):
+    if kind == "pe":
+        dao.delete_pe(record_id)
+    else:
+        dao.delete_workflow(record_id)
+
+
+@pytest.mark.parametrize("kind", ["pe", "workflow"])
+class TestIdsAreNeverReused:
+    """The DAO issues record ids from a high-water mark per record table
+    (a row of ``shard_stamps``, raised inside the write transaction)
+    that no delete lowers: an id names one record for the life of the
+    file, and with it that record's ETags."""
+
+    def test_a_single_insert_after_deleting_the_highest_id(self, dao, kind):
+        issued(dao, kind, "a")
+        highest = issued(dao, kind, "b")
+        delete(dao, kind, highest)
+        assert issued(dao, kind, "c") == highest + 1
+
+    def test_bulk_and_single_inserts_share_one_sequence(self, dao, kind):
+        first = issued(dao, kind, "a")
+        bulk = issued_bulk(dao, kind, ["b", "c", "d"])
+        assert bulk == [first + 1, first + 2, first + 3]
+        delete(dao, kind, bulk[-1])
+        single = issued(dao, kind, "e")
+        assert single == bulk[-1] + 1
+        delete(dao, kind, single)
+        assert issued_bulk(dao, kind, ["f", "g"]) == [single + 1, single + 2]
+
+    def test_across_a_reopen(self, tmp_path, kind):
+        path = tmp_path / "registry.db"
+        dao = SqliteDAO(path)
+        issued_bulk(dao, kind, ["a", "b"])
+        highest = issued(dao, kind, "c")
+        delete(dao, kind, highest)
+        dao.close()
+        dao = SqliteDAO(path)
+        assert issued(dao, kind, "d") == highest + 1
+        dao.close()
+
+    def test_two_daos_on_one_file_never_collide(self, tmp_path, kind):
+        path = tmp_path / "registry.db"
+        daos = [SqliteDAO(path), SqliteDAO(path)]
+        ids = []
+        for i in range(6):
+            writer = daos[i % 2]
+            if i % 3 == 2:
+                ids.extend(issued_bulk(writer, kind, [f"b{i}", f"c{i}"]))
+            else:
+                ids.append(issued(writer, kind, f"a{i}"))
+            if i == 3:
+                delete(daos[0], kind, ids[-1])
+        assert ids == sorted(set(ids)), ids
+        assert ids == list(range(1, len(ids) + 1))
+        for dao in daos:
+            dao.close()
+
+    def test_concurrent_writers_on_one_file_issue_distinct_ids(
+        self, tmp_path, kind
+    ):
+        """Four threads, each with its own connection to one file, insert
+        singles and bulks at once: every id is issued exactly once, and
+        together they are 1..N — the high-water row is raised inside
+        each write transaction, which SQLite serializes."""
+        path = tmp_path / "registry.db"
+        SqliteDAO(path).close()
+        daos = [SqliteDAO(path) for _ in range(4)]
+        ids: list[list[int]] = [[] for _ in daos]
+
+        def write(at):
+            for i in range(5):
+                if i % 2:
+                    ids[at].extend(
+                        issued_bulk(daos[at], kind, [f"b{at}.{i}", f"c{at}.{i}"])
+                    )
+                else:
+                    ids[at].append(issued(daos[at], kind, f"a{at}.{i}"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=write, args=(at,))
+                for at in range(len(daos))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            for dao in daos:
+                dao.close()
+        every = [record_id for own in ids for record_id in own]
+        assert sorted(every) == list(range(1, 4 * 7 + 1))
+        # each writer saw its own ids rise
+        assert all(own == sorted(own) for own in ids)
+
+    def test_a_v12_high_water_mark_survives_the_step(self, tmp_path, kind):
+        """A v12 file whose last record was deleted keeps, in
+        ``sqlite_sequence``, a high-water mark above ``MAX(id)``; the
+        step carries it, so the deleted id stays issued."""
+        # imported here: that module imports this one's record makers
+        from tests.registry.test_step_from_v12 import as_v12
+
+        path = tmp_path / "registry.db"
+        dao = SqliteDAO(path)
+        issued(dao, kind, "a")
+        highest = issued(dao, kind, "b")
+        delete(dao, kind, highest)
+        dao.close()
+        as_v12(path)
+        table, id_col = (
+            ("pes", "pe_id") if kind == "pe" else ("workflows", "workflow_id")
+        )
+        conn = sqlite3.connect(path)
+        assert conn.execute(
+            "SELECT seq FROM sqlite_sequence WHERE name = ?", (table,)
+        ).fetchone() == (highest,)
+        assert conn.execute(
+            f"SELECT MAX({id_col}) FROM {table}"
+        ).fetchone() == (highest - 1,)
+        conn.close()
+        dao = SqliteDAO(path)
+        assert issued(dao, kind, "c") == highest + 1
+        dao.close()
+
+
 def json_column_pairs(dao, table, key, column):
     """``(record id, member)`` for every member of a JSON list column."""
     return sorted(
@@ -265,8 +419,10 @@ def json_column_pairs(dao, table, key, column):
     )
 
 
-def join_table_pairs(dao, table):
-    rows = dao._conn.execute(f"SELECT * FROM {table}")
+def join_table_pairs(dao, table, key, member):
+    """``(record id, member)`` for every row of a join table, whatever
+    its column order (the owner tables are keyed by user first)."""
+    rows = dao._conn.execute(f"SELECT {key}, {member} FROM {table}")
     return sorted(tuple(row) for row in rows)
 
 
@@ -292,7 +448,7 @@ class TestJoinTablesMirrorJsonColumns:
         dao.delete_pe(dao.pe_ids_owned_by(3)[0])
         pairs = json_column_pairs(dao, "pes", "pe_id", "owners")
         assert (a.pe_id, 4) in pairs and len(pairs) == 6
-        assert join_table_pairs(dao, "pe_owners") == pairs
+        assert join_table_pairs(dao, "pe_owners", "pe_id", "user_id") == pairs
 
     def test_workflow_owners_and_pes(self, dao):
         p1, p2, p3 = (
@@ -319,8 +475,10 @@ class TestJoinTablesMirrorJsonColumns:
         assert pes == [
             (w.workflow_id, p3.pe_id), (w.workflow_id + 1, p2.pe_id)
         ]
-        assert join_table_pairs(dao, "workflow_owners") == owners
-        assert join_table_pairs(dao, "workflow_pes") == pes
+        assert join_table_pairs(
+            dao, "workflow_owners", "workflow_id", "user_id"
+        ) == owners
+        assert join_table_pairs(dao, "workflow_pes", "workflow_id", "pe_id") == pes
 
 
 class TestSqliteDeleteBackref:

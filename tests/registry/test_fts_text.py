@@ -17,9 +17,8 @@ DAO (service hydration, the v1 route, hybrid fusion) builds on it.
 The index is a cache of the file, so :class:`TestFreshness` holds it
 to "every ranking equals a freshly opened DAO's", exactly, whichever
 connection or process wrote last.  The rest covers older files: a v10
-file (on-disk FTS5 tables) is refused and left as it was, and a v11
-file takes the one schema step there is — a new stamp, no DDL — and
-ranks, text and vectors, as before.
+file (on-disk FTS5 tables) is refused and left as it was.  The one
+schema step there is, from v12, is ``test_step_from_v12.py``'s.
 """
 
 import hashlib
@@ -27,21 +26,14 @@ import sqlite3
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 from repro.errors import RegistryError
 from repro.net.transport import Request
-from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
+from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
-from repro.search import VectorIndex
 from repro.server import LaminarServer
 from tests.registry.test_dao import make_pe, make_wf
-from tests.registry.test_journal_in_transaction import (
-    live_shards,
-    populate,
-    serves_fresh_takes_a_write_and_reopens_fresh,
-)
 
 #: exercises multi-token queries, repeated terms, camelCase splits,
 #: unicode, name-substring bonuses and blank/no-match degenerates
@@ -607,30 +599,8 @@ def text_index_on_disk(conn):
     ]
 
 
-def as_v11(path):
-    """Stamp a current file 11, through raw SQL: a v11 file holds what a
-    v12 file holds (v12 only added a vector layout older code cannot
-    decode, and a file written as v11 has no blob in it)."""
-    conn = sqlite3.connect(path)
-    conn.execute("PRAGMA user_version = 11")
-    conn.commit()
-    conn.close()
-
-
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def record_rows(path):
-    """Every record row, byte for byte."""
-    conn = sqlite3.connect(path)
-    try:
-        return [
-            conn.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
-            for table in ("pes", "workflows", "pe_text", "wf_text")
-        ]
-    finally:
-        conn.close()
 
 
 def open_traced(monkeypatch, path):
@@ -698,55 +668,6 @@ class TestOlderFiles:
             ).fetchone() == (9,)
         finally:
             conn.close()
-
-    def test_v11_file_with_receipts_and_stamps_serves_as_before(
-        self, monkeypatch, tmp_path
-    ):
-        """A v11 file holding what a served registry keeps — two
-        tenants' records, base slabs, journal chains, stamps and an
-        idempotency receipt — takes one step that runs no DDL and
-        rewrites no row: it ranks text and vectors bitwise as before,
-        takes a write and reopens fresh."""
-        rng = np.random.default_rng(90)
-        path = tmp_path / "v11.db"
-        alice, _bob = populate(path, rng)
-        dao = SqliteDAO(path)
-        receipt = ("fp", 201, {"peId": 1})
-        dao.save_write_receipt(alice.user_id, "k1", *receipt, 5.0)
-        index = VectorIndex()
-        assert RegistryService(dao).attach_index(index, persist=False) == (
-            "fresh"
-        )
-
-        def state(dao):
-            return (
-                dao.shard_stamps(),
-                dao.shard_chain_meta(),
-                dao.mutation_counter(),
-                [
-                    dao.text_topk_pes(alice.user_id, query)
-                    for query in ("element", "alice", "revised", "tail")
-                ],
-            )
-
-        before = state(dao)
-        dao.close()
-        as_v11(path)
-        rows = record_rows(path)
-
-        dao, statements = open_traced(monkeypatch, path)
-        assert main_ddl(statements) == []
-        version = dao._conn.execute("PRAGMA user_version").fetchone()[0]
-        assert version == _SCHEMA_VERSION == 12
-        assert record_rows(path) == rows
-        assert state(dao) == before
-        assert dao.get_write_receipt(alice.user_id, "k1") == receipt
-        warm = VectorIndex()
-        assert RegistryService(dao).attach_index(warm, persist=False) == (
-            "fresh"
-        )
-        assert live_shards(warm) == live_shards(index)
-        serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng)
 
     @pytest.mark.parametrize(
         # an older checkout's v10 -> v11 step committed its drops one by

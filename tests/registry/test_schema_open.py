@@ -2,8 +2,10 @@
 
 ``SqliteDAO`` reads ``PRAGMA user_version`` before anything writes.  A
 new file (version 0, no schema) is created in one transaction and
-stamped current; a v11 file takes one step (a new stamp: no DDL, no row
-rewritten); a current file runs no DDL on ``main``.  Pinned here:
+stamped current; a v12 file takes one step in one transaction (the
+record and owner tables rebuilt, the counters moved into
+``shard_stamps``; ``test_step_from_v12.py`` checks what it carries); a
+current file runs no DDL on ``main``.  Pinned here:
 
 * **open cost** — the top-level SQL statements of each case, counted
   from the moment the connection exists under ``test_read_cost.py``'s
@@ -11,8 +13,8 @@ rewritten); a current file runs no DDL on ``main``.  Pinned here:
   its own plan and not counted).  Before the open path had three cases
   a new file ran 73 statements and a reopen 43 (an ``IF NOT EXISTS``
   script and four ``COUNT(*)`` drift scans on every open);
-* **refusal** — a file at any other version, older (v10 included, since
-  v12) or newer, raises a ``RegistryError`` naming that version and is
+* **refusal** — a file at any other version, older (v11 included, since
+  v13; v10 since v12) or newer, raises a ``RegistryError`` naming that version and is
   left byte for byte as it was: no table re-created, nothing stamped;
 * **format** — a new file's schema rows, page size and counter.
 """
@@ -24,34 +26,37 @@ import pytest
 from repro.errors import RegistryError
 from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
 from tests.registry.test_fts_text import (
-    as_v11,
     digest,
     fill,
     main_ddl,
     open_traced,
 )
+from tests.registry.test_step_from_v12 import as_v12
 
-#: top-level statements of one open: a new file (``:memory:`` too), a
-#: reopen of a current file, a v11 file's one step (the reopen's, plus
-#: ``BEGIN``, the stamp and ``COMMIT``; the v10 step this replaced ran
-#: 35)
-OPEN_COST = {"new": 43, "reopen": 20, "v11": 23}
+#: top-level statements of one open: a new file (``:memory:`` too; 43
+#: before v13 dropped ``registry_meta`` and the owner indexes), a
+#: reopen of a current file, a v12 file's one step (the reopen's, plus
+#: ``BEGIN``, the step's 21 statements, the stamp and ``COMMIT``; the
+#: v11 step it replaced, a stamp alone, ran 23)
+OPEN_COST = {"new": 40, "reopen": 20, "v12": 44}
+
+#: the statements of the v12 step that change ``main``'s schema: four
+#: tables created, five dropped, four renamed, two indexes re-created
+V12_STEP_DDL = 15
 
 #: what a new file's ``main.sqlite_schema`` holds: (type, name)
 NEW_FILE_SCHEMA = {
     ("table", "users"),
+    # AUTOINCREMENT's, for users alone since v13
     ("table", "sqlite_sequence"),
     ("table", "pes"),
     ("table", "workflows"),
     ("index", "idx_pes_name"),
     ("index", "idx_wf_entry"),
     ("table", "pe_owners"),
-    ("index", "idx_pe_owners_user"),
     ("table", "workflow_owners"),
-    ("index", "idx_workflow_owners_user"),
     ("table", "workflow_pes"),
     ("index", "idx_workflow_pes_pe"),
-    ("table", "registry_meta"),
     ("table", "index_shards"),
     ("index", "sqlite_autoindex_index_shards_1"),
     ("table", "write_receipts"),
@@ -100,15 +105,16 @@ class TestOpenCost:
         assert not any("COUNT(" in sql.upper() for sql in statements)
         assert main_ddl(statements) == []
 
-    def test_v11_step_then_a_reopen(self, monkeypatch, tmp_path):
-        path = tmp_path / "v11.db"
+    def test_v12_step_then_a_reopen(self, monkeypatch, tmp_path):
+        path = tmp_path / "v12.db"
         fill(SqliteDAO(path))[0].dao.close()
-        as_v11(path)
+        as_v12(path)
         dao, statements = open_traced(monkeypatch, path)
         dao.close()
-        assert len(statements) == OPEN_COST["v11"], statements
-        assert main_ddl(statements) == []
+        assert len(statements) == OPEN_COST["v12"], statements
+        assert len(main_ddl(statements)) == V12_STEP_DDL, statements
         assert user_version(path) == _SCHEMA_VERSION
+        assert schema_names(path) == {name for _, name in NEW_FILE_SCHEMA}
         # the step is taken once
         dao, statements = open_traced(monkeypatch, path)
         dao.close()
@@ -127,9 +133,16 @@ class TestNewFileFormat:
             assert len(rows) == len(NEW_FILE_SCHEMA)
             assert set(rows) == NEW_FILE_SCHEMA
             assert conn.execute("PRAGMA page_size").fetchone() == (1024,)
+            # the registry-wide counters, user 0's rows: the mutation
+            # counter and each record table's id high-water mark
             assert conn.execute(
-                "SELECT key, value FROM registry_meta"
-            ).fetchall() == [("mutation_counter", 0)]
+                "SELECT user_id, kind, mutation_counter, tip"
+                " FROM shard_stamps"
+            ).fetchall() == [
+                (0, "mutations", 0, None),
+                (0, "pes", 0, None),
+                (0, "workflows", 0, None),
+            ]
         finally:
             conn.close()
         assert user_version(path) == _SCHEMA_VERSION
@@ -138,11 +151,11 @@ class TestNewFileFormat:
 class TestRefused:
     @pytest.mark.parametrize(
         "version",
-        # newer code's file; a file from before the v11 -> v12 step that
-        # older code steps to v11 (since v12 this code refuses it); an
-        # older one still; a file with a schema but no stamp (not
-        # written by this DAO)
-        [_SCHEMA_VERSION + 1, 10, 9, 0],
+        # newer code's file; a file from before the v12 -> v13 step
+        # (v11, which older code steps to v12: refused since v13); one
+        # from before v11 (refused since v12); an older one still; a
+        # file with a schema but no stamp (not written by this DAO)
+        [_SCHEMA_VERSION + 1, 11, 10, 9, 0],
     )
     def test_file_at_another_version_is_refused_untouched(
         self, tmp_path, version

@@ -24,6 +24,7 @@ holds, not on how many records.
 """
 
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +41,15 @@ from tests.registry.test_journal_in_transaction import (
     new_4k_file,
 )
 
-#: frames one op may log, per page size — measured 9/5/10/16 of 1 KB
-#: and 9/5/8/9 of 4 KB since the FTS5 index moved to memory (schema
-#: v11; with it on disk: 12/8/16/21 and 12/8/11/12; before the journal
-#: rode in the mutation's transaction: 15/12/14/15 of 4 KB, in 3/2/3/3
-#: commits)
+#: frames one op may log, per page size — measured 6/4/8/13 of 1 KB
+#: and 6/4/6/6 of 4 KB since the counter, the id high-water marks and
+#: the stamps share one b-tree and the owner tables lost their second
+#: index (schema v13; v11 and v12: 9/5/10/16 and 9/5/8/9; with the FTS5
+#: index on disk: 12/8/16/21 and 12/8/11/12; before the journal rode in
+#: the mutation's transaction: 15/12/14/15 of 4 KB, in 3/2/3/3 commits)
 FRAME_BOUNDS = {
-    1024: {"put": 10, "revise": 6, "delete": 11, "bulk": 17},
-    4096: {"put": 10, "revise": 6, "delete": 9, "bulk": 10},
+    1024: {"put": 7, "revise": 5, "delete": 9, "bulk": 14},
+    4096: {"put": 7, "revise": 5, "delete": 7, "bulk": 7},
 }
 
 
@@ -182,6 +184,49 @@ def test_a_put_writes_no_text_index_page(registry):
     assert not any("_fts" in name for name in owner.values())
 
 
+#: every b-tree a PUT or a bulk of new PEs may log a page of (page 1,
+#: ``sqlite_schema``, when the file grows)
+PUT_BTREES = {
+    "pes", "idx_pes_name", "pe_owners", "pe_text", "shard_stamps",
+    "index_deltas", "sqlite_schema",
+}
+
+
+def test_a_write_logs_one_page_of_counters(registry):
+    """The mutation counter, the id high-water mark and the stamps a
+    write moves are rows of ``shard_stamps`` (schema v13): a PUT and a
+    bulk each log exactly one page of it, and none of ``registry_meta``,
+    ``sqlite_sequence`` or an owner index, which v12 logged each time."""
+    send, dao, path, _page_size = registry
+    bulk = {
+        "items": [
+            {"peName": f"bulk{i}", "peCode": f"def bulk{i}(): pass"}
+            for i in range(16)
+        ]
+    }
+    for op in (
+        lambda: put(send, "fresh", "a new element that adds"),
+        lambda: send("POST", "/v1/registry/u/pes:bulk", bulk),
+    ):
+        first, _ = wal_frames(path)
+        assert op().status == 201
+        owner = dict(
+            dao._conn.execute("SELECT pageno, name FROM dbstat").fetchall()
+        )
+        written = Counter(
+            owner.get(page, "(free)") for page in wal_pages(path, first)
+        )
+        assert written["shard_stamps"] == 1, written
+        assert set(written) <= PUT_BTREES, written
+        assert not {
+            "registry_meta", "sqlite_sequence", "idx_pe_owners_user",
+        } & set(written)
+    assert dao._conn.execute(
+        "SELECT name FROM sqlite_schema WHERE type = 'index'"
+        " AND tbl_name IN ('pe_owners', 'workflow_owners')"
+    ).fetchall() == []
+
+
 def test_an_update_writes_only_what_changed(registry):
     """A revision that keeps name and description leaves the FTS
     document alone; one that keeps the owners leaves the join rows
@@ -240,11 +285,13 @@ BENCH_CODE = f"""def pofin_bogor_000330(items, limit=944):
             faifin += braifin * 5
     return faifin"""
 #: (WAL frames, new ``pes`` overflow pages) of that record's PUT, per
-#: page size.  With its code vector in the sparse layout (schema v11)
-#: the same PUT logged (12, 2) on 1 KB pages — the 2 104-byte row needed
-#: two overflow pages, the 1 420-byte one needs one — and (9, 0) on 4 KB
+#: page size.  Schema v12 logged (11, 1) and (9, 0): three pages more,
+#: those of ``registry_meta``, ``sqlite_sequence`` and the owner index.
+#: With its code vector in the sparse layout (schema v11) the same PUT
+#: logged (12, 2) on 1 KB pages — the 2 104-byte row needed two
+#: overflow pages, the 1 420-byte one needs one — and (9, 0) on 4 KB
 #: pages, where either row fits its leaf
-BENCH_PUT_COST = {1024: (11, 1), 4096: (9, 0)}
+BENCH_PUT_COST = {1024: (8, 1), 4096: (6, 0)}
 
 
 def pes_overflow_pages(dao):

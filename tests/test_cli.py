@@ -312,7 +312,8 @@ class TestStats:
         conn = sqlite3.connect(path)
         try:
             counter = conn.execute(
-                "SELECT value FROM registry_meta WHERE key = 'mutation_counter'"
+                "SELECT mutation_counter FROM shard_stamps"
+                " WHERE user_id = 0 AND kind = 'mutations'"
             ).fetchone()
             shards = conn.execute(
                 "SELECT * FROM index_shards ORDER BY user_id, kind"
