@@ -206,8 +206,7 @@ REASONS: list[tuple[str, tuple[str, ...]]] = [
         "References the tests compare the served path against",
         (
             "search/text_search.py:text_search_*",
-            "search/semantic.py:SemanticSearcher.search_workflows",
-            "search/code_search.py:CodeSearcher.search",
+            "search/serving.py:exact_scan",
             "ml/vectorize.py:HashingVectorizer.transform_one",
         ),
     ),

@@ -30,7 +30,7 @@ from repro.ml.bundle import ModelBundle
 from repro.registry.dao import SqliteDAO
 from repro.registry.entities import PERecord
 from repro.registry.service import RegistryService
-from repro.search import VectorIndex
+from repro.search import KIND_DESC, SemanticHit, VectorIndex, exact_scan
 from repro.server import LaminarServer
 from repro.server.http import serve_http
 
@@ -171,8 +171,18 @@ def test_http_group_commit_and_cold_start(tmp_path, record, out_dir):
     # served response below, sequential or coalesced, must equal it
     alice = server.registry.get_user("alice")
     corpus = server.registry.user_pes(alice)
+    semantic = server.semantic
     expected = {
-        query: [h.to_json() for h in server.semantic.search(query, corpus, K)]
+        query: [
+            SemanticHit.of(record, score).to_json()
+            for record, score in exact_scan(
+                KIND_DESC,
+                corpus,
+                semantic.embed_query(query),
+                K,
+                semantic.embed_queries,
+            )
+        ]
         for query in QUERY_POOL
     }
     conn = http.client.HTTPConnection(handle.host, handle.port, timeout=60)

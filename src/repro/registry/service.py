@@ -698,7 +698,7 @@ class RegistryService:
     def resolve_pes(self, user: UserRecord, pe_ids: list[int]) -> list[PERecord]:
         """Batch-hydrate ``pe_ids`` in order, dropping non-owned records.
 
-        The top-k serving path: the searcher ranks on the index shard
+        The top-k serving path: the batcher ranks on the index shard
         and materializes only the winners through this call.  Ids that
         vanished or changed hands since ranking are silently skipped —
         the caller's result is then slightly under-filled rather than

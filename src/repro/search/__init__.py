@@ -25,7 +25,8 @@ by ``(user, kind)`` and a query costs one BLAS product plus an
 Quick tour::
 
     from repro.search import (
-        KIND_DESC, SearchBatcher, SemanticSearcher, VectorIndex,
+        KIND_DESC, SearchBatcher, SemanticHit, SemanticSearcher,
+        VectorIndex, exact_scan,
     )
 
     index = VectorIndex()
@@ -33,11 +34,17 @@ Quick tour::
     index.remove(user_id, KIND_DESC, pe.pe_id)                    # at remove
 
     searcher = SemanticSearcher(model)
-    hits = searcher.search_topk(
-        query, index=index, user=user_id, k=10, batcher=SearchBatcher(),
+    ranked = SearchBatcher().submit(          # [(record, score), ...]
+        index=index, user=user_id, kind=KIND_DESC, k=10,
         owned_ids=lambda: owned_pe_ids, resolve=lambda ids: get_pes(ids),
+        embed_many=searcher.embed_queries, embed_key=query, embed_text=query,
     )
-    reference = searcher.search(query, pes, k=10)  # brute force, same hits
+    hits = [SemanticHit.of(record, score) for record, score in ranked]
+    # brute force over the records, the same pairs
+    reference = exact_scan(
+        KIND_DESC, pes, searcher.embed_query(query), 10,
+        searcher.embed_queries,
+    )
 
 Key properties:
 
@@ -45,10 +52,11 @@ Key properties:
   of a present id updates it in place);
   insertion and removal shift at most the row tail, so registry
   mutations never trigger a rebuild.
-* **Exact** — indexed and brute-force paths return identical ids and
-  scores, including stable ascending-id tie-breaking for equal
-  similarities (``tests/search/test_index_parity.py`` asserts this; the
-  batcher falls back to brute force when the owned set does not match
+* **Exact** — the indexed path and the brute-force :func:`exact_scan`
+  return identical ids and scores, including stable ascending-id
+  tie-breaking for equal similarities
+  (``tests/search/test_index_parity.py`` asserts this; the batcher
+  falls back to :func:`exact_scan` when the owned set does not match
   the shard).  Live rows stay contiguous in id order precisely so
   the BLAS scoring call is bitwise identical to the brute-force matrix
   rebuild over the same id-ordered records.
@@ -197,12 +205,13 @@ from repro.search.index import (
     EmbeddingLRU,
     VectorIndex,
 )
-from repro.search.serving import SearchBatcher
+from repro.search.serving import SearchBatcher, exact_scan
 
 __all__ = [
     "RRF_K",
     "rrf_fuse",
     "SearchBatcher",
+    "exact_scan",
     "TextMatch",
     "text_search_pes",
     "text_search_workflows",

@@ -6,27 +6,25 @@ Each hit also carries a suggested *continuation* extracted by aligning
 the query against the retrieved code (the "completion" of ReACC's
 retrieve-then-reuse loop).
 
-Like :class:`~repro.search.semantic.SemanticSearcher`, the searcher
-serves through the :class:`~repro.search.serving.SearchBatcher`
-(:meth:`CodeSearcher.search_topk`), and :meth:`CodeSearcher.search`
-rebuilds the corpus matrix as the brute-force reference and fallback;
-both rank ties by insertion order and agree exactly.
+Like :class:`~repro.search.semantic.SemanticSearcher`,
+:class:`CodeSearcher` holds only the model and its embedders: the
+``KIND_CODE`` shard ranks through the one embedding-search path of
+:mod:`repro.search.serving` (the batcher, with
+:func:`~repro.search.serving.exact_scan` as reference and fallback),
+and :meth:`CodeHit.of` renders a ranked ``(record, score)`` pair,
+continuation included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from repro.ml.completion import align_continuation
 from repro.ml.embedding import EmbeddingModel
 from repro.ml.models import ReACCRetriever
-from repro.ml.similarity import cosine_similarity_matrix
 from repro.registry.entities import PERecord
-from repro.search.index import KIND_CODE, VectorIndex
-from repro.search.serving import OwnedIds, SearchBatcher
 
 
 @dataclass
@@ -39,6 +37,21 @@ class CodeHit:
     score: float
     continuation: str
 
+    @classmethod
+    def of(cls, record: PERecord, score: float, code_query: str) -> "CodeHit":
+        continuation = (
+            align_continuation(code_query, record.pe_source)
+            if record.pe_source
+            else ""
+        )
+        return cls(
+            pe_id=record.pe_id,
+            pe_name=record.pe_name,
+            description=record.description,
+            score=float(score),
+            continuation=continuation,
+        )
+
     def to_json(self) -> dict:
         return {
             "peId": self.pe_id,
@@ -50,7 +63,7 @@ class CodeHit:
 
 
 class CodeSearcher:
-    """Bi-encoder code search against stored code embeddings."""
+    """The bi-encoder that embeds code queries and PE sources."""
 
     def __init__(self, model: EmbeddingModel | None = None) -> None:
         self.model = model or ReACCRetriever()
@@ -66,85 +79,3 @@ class CodeSearcher:
         """Batch-embed code queries in one model call (row-independent,
         bitwise identical to per-query :meth:`embed_query`)."""
         return self.model.embed_many(code_queries, kind="code")
-
-    def _hit(self, record: PERecord, code_query: str, score: float) -> CodeHit:
-        continuation = (
-            align_continuation(code_query, record.pe_source)
-            if record.pe_source
-            else ""
-        )
-        return CodeHit(
-            pe_id=record.pe_id,
-            pe_name=record.pe_name,
-            description=record.description,
-            score=float(score),
-            continuation=continuation,
-        )
-
-    def search(
-        self,
-        code_query: str,
-        pes: Sequence[PERecord],
-        k: int | None = None,
-        query_embedding: np.ndarray | None = None,
-    ) -> list[CodeHit]:
-        """Rank ``pes`` by code similarity to ``code_query`` (brute
-        force over the records).
-
-        PEs lacking a stored code embedding are embedded once as a
-        fallback and the vector is cached back onto the record.
-        """
-        if not pes:
-            return []
-        qvec = (
-            self.embed_query(code_query)
-            if query_embedding is None
-            else np.asarray(query_embedding, dtype=np.float32)
-        )
-        matrix = np.zeros((len(pes), qvec.shape[0]), dtype=np.float32)
-        for i, record in enumerate(pes):
-            vec = record.code_embedding
-            if vec is None:
-                vec = self.embed_code(record.pe_source or record.pe_name)
-                record.code_embedding = vec
-            matrix[i] = vec
-        sims = cosine_similarity_matrix(qvec, matrix)[0]
-        order = np.argsort(-sims, kind="stable")
-        if k is not None:
-            order = order[:k]
-        return [self._hit(pes[i], code_query, sims[i]) for i in order]
-
-    def search_topk(
-        self,
-        code_query: str,
-        *,
-        index: VectorIndex,
-        user: Hashable,
-        owned_ids: OwnedIds,
-        resolve: Callable[[list[int]], Sequence[PERecord]],
-        batcher: SearchBatcher,
-        k: int | None = None,
-        query_embedding: np.ndarray | None = None,
-    ) -> list[CodeHit]:
-        """Serve ``code_query`` over the code shard through ``batcher``:
-        O(k) DAO work per request, with the exact brute-force
-        :meth:`search` as fallback."""
-        return batcher.submit(
-            index=index,
-            user=user,
-            kind=KIND_CODE,
-            owned_ids=owned_ids,
-            k=k,
-            resolve=resolve,
-            rid_of=lambda record: record.pe_id,
-            build_hit=lambda record, score: self._hit(
-                record, code_query, score
-            ),
-            fallback=lambda records, qvec: self.search(
-                code_query, records, k=k, query_embedding=qvec
-            ),
-            query_embedding=query_embedding,
-            embed_key=(KIND_CODE, self.model.name, code_query),
-            embed_text=code_query,
-            embed_many=self.embed_queries,
-        )

@@ -1,9 +1,9 @@
 """Incremental vector index for registry search (the hot path of §4.2–4.3).
 
-The brute-force searchers rebuild an ``(N, D)`` similarity matrix from
-Python records on *every* query — a Python-level loop over the corpus
-followed by a full ``argsort``.  :class:`VectorIndex` removes that cost
-from the query path:
+The brute-force scan (:func:`repro.search.serving.exact_scan`) rebuilds
+an ``(N, D)`` similarity matrix from Python records on *every* query —
+a Python-level loop over the corpus followed by a full ``argsort``.
+:class:`VectorIndex` removes that cost from the query path:
 
 * embeddings live in pre-stacked float32 **shards**, one per
   ``(user, kind)`` pair (``desc`` / ``code`` for PEs, ``wf-desc`` for
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Sequence
+from typing import Any, Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +48,34 @@ from repro.errors import ValidationError
 KIND_DESC = "desc"
 KIND_CODE = "code"
 KIND_WORKFLOW = "wf-desc"
+
+
+class KindSpec(NamedTuple):
+    """How a shard kind reads its records."""
+
+    #: the record attribute holding the id the shard is keyed by
+    id_field: str
+    #: the record attribute holding the stored vector (None if absent)
+    vector_field: str
+    #: the text that embeds a record with no stored vector
+    text: Callable[[Any], str]
+
+
+#: shard kind -> how its records are read (the exact scan and the
+#: batcher's hydration, :mod:`repro.search.serving`)
+KIND_SPECS: dict[str, KindSpec] = {
+    KIND_DESC: KindSpec(
+        "pe_id", "desc_embedding", lambda r: r.description or r.pe_name
+    ),
+    KIND_CODE: KindSpec(
+        "pe_id", "code_embedding", lambda r: r.pe_source or r.pe_name
+    ),
+    KIND_WORKFLOW: KindSpec(
+        "workflow_id",
+        "desc_embedding",
+        lambda r: r.description or r.entry_point,
+    ),
+}
 
 #: initial shard capacity (rows)
 _INITIAL_CAPACITY = 8

@@ -23,10 +23,16 @@ texts (the index's query LRU is read first and filled after), and one
 ``resolve`` for the union of every query's top-k.  Every query is
 still scored as its own ``(1, D)`` product, so batched results are
 bitwise identical to :meth:`~repro.search.index.VectorIndex.search_among`
-and to the brute-force scan.
+and to :func:`exact_scan`.
+
+A request gets back ``(record, score)`` pairs, best first; the caller
+renders them.  A batch is one ``(user, kind)``: the kind says how its
+records read (:data:`~repro.search.index.KIND_SPECS`: id, stored
+vector, text that embeds a record without one), and its one embedder
+embeds the batch's queries and, in the fallback, vector-less records.
 
 Any shard / owned-set mismatch (records without stored embeddings,
-concurrent mutation) falls back to the brute-force scan over the fully
+concurrent mutation) falls back to :func:`exact_scan` over the fully
 materialized corpus, which is always exact.  Ids that vanish between
 ranking and hydration are skipped — the result is then slightly
 under-filled rather than wrong.
@@ -40,10 +46,10 @@ from typing import Callable, Hashable, Sequence, TypeVar
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.search.index import VectorIndex
+from repro.ml.similarity import cosine_similarity_matrix
+from repro.search.index import KIND_SPECS, VectorIndex
 
 R = TypeVar("R")  # record type
-H = TypeVar("H")  # hit type
 
 #: owned ids may be given materialized or as a lazy projection thunk
 OwnedIds = Sequence[int] | Callable[[], Sequence[int]]
@@ -57,6 +63,43 @@ def _materialize_owned(owned_ids: OwnedIds) -> list[int]:
     return [int(rid) for rid in ids]
 
 
+def exact_scan(
+    kind: str,
+    records: Sequence[R],
+    qvec: np.ndarray,
+    k: int | None,
+    embed_many: EmbedMany,
+) -> list[tuple[R, float]]:
+    """Rank ``records`` of shard ``kind`` by cosine to ``qvec``: the
+    brute-force reference the served path equals, and its fallback.
+
+    The corpus matrix is rebuilt from the records in the order given
+    (ascending id from every caller) and sorted stably, so equal scores
+    rank by ascending id.  Records with no stored vector are embedded
+    from their kind's text in one ``embed_many`` call (row-independent,
+    bitwise equal to embedding each alone), and each vector is written
+    back onto its record.
+    """
+    if not records:
+        return []
+    spec = KIND_SPECS[kind]
+    missing = [r for r in records if getattr(r, spec.vector_field) is None]
+    if missing:
+        rows = np.asarray(
+            embed_many([spec.text(r) for r in missing]), dtype=np.float32
+        )
+        for record, row in zip(missing, rows):
+            setattr(record, spec.vector_field, row)
+    matrix = np.zeros((len(records), qvec.shape[0]), dtype=np.float32)
+    for i, record in enumerate(records):
+        matrix[i] = getattr(record, spec.vector_field)
+    sims = cosine_similarity_matrix(qvec, matrix)[0]
+    order = np.argsort(-sims, kind="stable")
+    if k is not None:
+        order = order[:k]
+    return [(records[i], float(sims[i])) for i in order]
+
+
 class _BatchRequest:
     """One submitted search awaiting its share of a flush."""
 
@@ -64,12 +107,9 @@ class _BatchRequest:
         "owned_ids",
         "k",
         "resolve",
-        "rid_of",
-        "build_hit",
-        "fallback",
+        "embed_many",
         "embed_key",
         "embed_text",
-        "embed_many",
         "qvec",
         "result",
         "error",
@@ -78,30 +118,19 @@ class _BatchRequest:
     )
 
     def __init__(
-        self,
-        owned_ids,
-        k,
-        resolve,
-        rid_of,
-        build_hit,
-        fallback,
-        qvec,
-        embed_key,
-        embed_text,
-        embed_many,
+        self, owned_ids, k, resolve, embed_many, qvec, embed_key, embed_text
     ) -> None:
         self.owned_ids = owned_ids
         self.k = k
         self.resolve = resolve
-        self.rid_of = rid_of
-        self.build_hit = build_hit
-        self.fallback = fallback
+        #: embeds query texts and, in the fallback scan, vector-less
+        #: records
+        self.embed_many = embed_many
         #: the caller's query embedding, or None until the flush embeds
-        #: ``embed_text`` (LRU key ``embed_key``) through ``embed_many``
+        #: ``embed_text`` (LRU key ``embed_key``)
         self.qvec = qvec
         self.embed_key = embed_key
         self.embed_text = embed_text
-        self.embed_many = embed_many
         self.result = None
         self.error = None
         #: set when the request is woken to lead the next flush
@@ -146,24 +175,24 @@ class SearchBatcher:
         owned_ids: OwnedIds,
         k: int | None,
         resolve: Callable[[list[int]], Sequence[R]],
-        rid_of: Callable[[R], int],
-        build_hit: Callable[[R, float], H],
-        fallback: Callable[[Sequence[R], np.ndarray], list[H]],
+        embed_many: EmbedMany,
         query_embedding: np.ndarray | None = None,
         embed_key: Hashable | None = None,
         embed_text: str | None = None,
-        embed_many: EmbedMany | None = None,
-    ) -> list[H]:
-        """Serve one query (blocking) and return its hits.
+    ) -> list[tuple[R, float]]:
+        """Serve one query (blocking): ``(record, score)`` pairs, best
+        first, ties by ascending id.
 
-        The query is the caller's ``query_embedding`` when given;
-        otherwise the flush embeds ``embed_text`` — the index's query
-        LRU under ``embed_key`` first, then one ``embed_many`` call for
-        the batch's distinct uncached texts.  An empty owned set returns
-        ``[]`` without embedding.  ``resolve(ids)`` hydrates records,
-        and ``fallback(records, qvec)`` is the brute-force scan over the
-        whole owned corpus, used only on a shard mismatch.  Exceptions
-        raised by the callbacks re-raise in the submitting thread.
+        ``kind`` names the shard and how its records read
+        (:data:`~repro.search.index.KIND_SPECS`).  The query is the
+        caller's ``query_embedding`` when given; otherwise the flush
+        embeds ``embed_text`` — the index's query LRU under
+        ``embed_key`` first, then one ``embed_many`` call for the
+        batch's distinct uncached texts.  An empty owned set returns
+        ``[]`` without embedding.  ``resolve(ids)`` hydrates records;
+        on a shard mismatch the flush resolves the whole owned set and
+        ranks it with :func:`exact_scan`.  Exceptions raised by the
+        callbacks re-raise in the submitting thread.
         """
         if k is not None and k <= 0:
             # reject before joining a batch: one request's bad k must
@@ -179,15 +208,12 @@ class SearchBatcher:
             owned_ids,
             k,
             resolve,
-            rid_of,
-            build_hit,
-            fallback,
+            embed_many,
             None
             if query_embedding is None
             else np.asarray(query_embedding, dtype=np.float32),
             embed_key,
             embed_text,
-            embed_many,
         )
         key = (user, kind)
         with self._lock:
@@ -248,59 +274,48 @@ class SearchBatcher:
         requests that have one (embedding failures carry their error).
 
         The query LRU is consulted per key, then every distinct uncached
-        text is embedded in ONE model call per embedder, and the fresh
-        vectors are written back to the LRU.  ``embed_many`` is
-        row-independent, so batch-embedded vectors are bitwise equal to
-        embedding each text alone.
+        text is embedded in ONE model call — a batch is one kind, so
+        one embedder — and the fresh vectors are written back to the
+        LRU.  ``embed_many`` is row-independent, so batch-embedded
+        vectors are bitwise equal to embedding each text alone.
         """
         cache = index.query_cache
         live: list[_BatchRequest] = []
-        grouped: dict[
-            Hashable, tuple[EmbedMany, dict[Hashable, list[_BatchRequest]]]
-        ] = {}
+        by_key: dict[Hashable, list[_BatchRequest]] = {}
         for request in requests:
             if request.qvec is None:
                 request.qvec = cache.get(request.embed_key)
-            if request.qvec is not None:
+            if request.qvec is None:
+                by_key.setdefault(request.embed_key, []).append(request)
+            else:
                 live.append(request)
-                continue
-            fn = request.embed_many
-            # searchers pass a bound method (searcher.embed_queries),
-            # and Python mints a NEW bound-method object per attribute
-            # access — grouping by id(fn) would make every group a
-            # singleton and defeat the batching entirely.  Group by the
-            # underlying (function, instance) pair instead, so every
-            # request from the same embedder shares one model call.
-            group_key = (
-                id(getattr(fn, "__func__", fn)),
-                id(getattr(fn, "__self__", None)),
+        if not by_key:
+            return live
+        keys = list(by_key)
+        texts = [by_key[key][0].embed_text for key in keys]
+        try:
+            matrix = np.asarray(
+                by_key[keys[0]][0].embed_many(texts), dtype=np.float32
             )
-            _, by_key = grouped.setdefault(group_key, (fn, {}))
-            by_key.setdefault(request.embed_key, []).append(request)
-        for fn, by_key in grouped.values():
-            keys = list(by_key)
-            texts = [by_key[key][0].embed_text for key in keys]
-            try:
-                matrix = np.asarray(fn(texts), dtype=np.float32)
-                if matrix.shape[0] != len(texts):
-                    raise ValueError(
-                        f"embed_many returned {matrix.shape[0]} rows for "
-                        f"{len(texts)} texts"
-                    )
-            except Exception as exc:
-                for key in keys:
-                    for request in by_key[key]:
-                        request.error = exc
-                continue
-            if len(texts) > 1:
-                with self._lock:
-                    self.batch_embeds += 1
-                    self.batch_embedded_queries += len(texts)
-            for key, row in zip(keys, matrix):
-                vec = cache.put(key, row)
-                for request in by_key[key]:
-                    request.qvec = vec
-                    live.append(request)
+            if matrix.shape[0] != len(texts):
+                raise ValueError(
+                    f"embed_many returned {matrix.shape[0]} rows for "
+                    f"{len(texts)} texts"
+                )
+        except Exception as exc:
+            for waiting in by_key.values():
+                for request in waiting:
+                    request.error = exc
+            return live
+        if len(texts) > 1:
+            with self._lock:
+                self.batch_embeds += 1
+                self.batch_embedded_queries += len(texts)
+        for key, row in zip(keys, matrix):
+            vec = cache.put(key, row)
+            for request in by_key[key]:
+                request.qvec = vec
+                live.append(request)
         return live
 
     # ------------------------------------------------------------------
@@ -339,13 +354,15 @@ class SearchBatcher:
         )
         if results is None:
             # shard/owned-set mismatch: materialize the corpus once and
-            # serve every query with its exact brute-force fallback
+            # serve every query with the exact scan
             with self._lock:
                 self.fallbacks += 1
             records = lead.resolve(owned)
             for request in live:
                 try:
-                    request.result = request.fallback(records, request.qvec)
+                    request.result = exact_scan(
+                        kind, records, request.qvec, request.k, lead.embed_many
+                    )
                 except Exception as exc:
                     request.error = exc
             return
@@ -357,16 +374,17 @@ class SearchBatcher:
                 if rid not in seen:
                     seen.add(rid)
                     union.append(rid)
-        by_id = {lead.rid_of(record): record for record in lead.resolve(union)}
+        id_field = KIND_SPECS[kind].id_field
+        by_id = {
+            getattr(record, id_field): record
+            for record in lead.resolve(union)
+        }
         for request, (ids, scores) in zip(live, results):
-            try:
-                request.result = [
-                    request.build_hit(by_id[rid], float(score))
-                    for rid, score in zip(ids, scores)
-                    if rid in by_id
-                ]
-            except Exception as exc:
-                request.error = exc
+            request.result = [
+                (by_id[rid], float(score))
+                for rid, score in zip(ids, scores)
+                if rid in by_id
+            ]
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:

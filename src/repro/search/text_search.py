@@ -12,8 +12,8 @@ generations; this module builds that index's documents and query terms
 and labels each hit's ``matchedOn``.  :func:`text_search_pes` and
 :func:`text_search_workflows` are the brute-force reference scorer over
 a full listing — no route calls them; tests pin the indexed path's
-match sets to theirs, as ``SemanticSearcher.search`` is the reference
-for the vector index.
+match sets to theirs, as :func:`~repro.search.serving.exact_scan` is
+the reference for the vector index.
 """
 
 from __future__ import annotations

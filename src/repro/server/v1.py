@@ -5,7 +5,11 @@ Two pieces live here:
 * :func:`execute_search` — the single search core behind **both** API
   generations.  It receives an already validated
   :class:`~repro.server.schema.SearchRequest` and runs the paper's
-  text/semantic/code branches over the exact index.
+  text/semantic/code branches over the exact index.  Every embedding
+  branch ranks through one helper per ``(user, kind)`` shard
+  (:func:`_embedding_search`, ``(record, score)`` pairs from the
+  batcher) and renders hits only once ranked; ``kind=both`` merges PE
+  and workflow rows on the raw score.
   The legacy Table-3 route (``GET /registry/{user}/search/...``) is a
   thin adapter that builds a ``SearchRequest`` (always
   ``backend="exact"``) and re-shapes the result into the historical
@@ -31,14 +35,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.net.transport import Request, Response
 from repro.registry.entities import UserRecord
+from repro.search.code_search import CodeHit
 from repro.search.fusion import rrf_fuse
+from repro.search.index import KIND_CODE, KIND_DESC, KIND_WORKFLOW
+from repro.search.semantic import SemanticHit, WorkflowSemanticHit
 from repro.search.text_search import (
     TextMatch,
     pe_match_label,
@@ -69,20 +76,18 @@ def execute_search(
 ) -> tuple[str, list[dict]]:
     """Run one registry search; returns ``(search_kind, hits_json)``.
 
-    The embedding branches route through the group-commit batcher
-    against the exact index: rank on the shard, check
-    membership against the lazily fetched owned-id projection, and
-    materialize only the top-k union through the DAO (a shard mismatch
-    falls back to the exact brute-force scan).  ``queryType=text`` ranks
-    in the DAO's FTS5/BM25 inverted index and hydrates only the top-k
-    winners; ``queryType=hybrid`` RRF-fuses that ranking with the
-    semantic one.  Both API generations share this decision tree —
-    including the historical quirk that ``queryType=text`` over
-    ``kind=pe`` serves *semantic* ranking.
+    The embedding branches rank one shard per ``(user, kind)`` through
+    :func:`_embedding_search` (the group-commit batcher over the exact
+    index: rank on the shard, check membership against the lazily
+    fetched owned-id projection, and materialize only the top-k union
+    through the DAO; a shard mismatch falls back to the exact scan),
+    and render hits only once ranked.  ``queryType=text`` ranks in the
+    DAO's FTS5/BM25 inverted index and hydrates only the top-k winners;
+    ``queryType=hybrid`` RRF-fuses that ranking with the semantic one.
+    Both API generations share this decision tree — including the
+    historical quirk that ``queryType=text`` over ``kind=pe`` serves
+    *semantic* ranking.
     """
-    index = app.index
-    registry = app.registry
-    batcher = app.batcher
     k = req.k
     query = req.query
     query_embedding = req.query_embedding
@@ -90,77 +95,98 @@ def execute_search(
         query_embedding = np.asarray(query_embedding, dtype=np.float32)
 
     if req.query_type == "code":
-        hits = app.code_search.search_topk(
-            query,
-            index=index,
-            user=user.user_id,
-            owned_ids=lambda: registry.owned_pe_ids(user),
-            resolve=lambda ids: registry.resolve_pes(user, ids),
-            k=k,
-            query_embedding=query_embedding,
-            batcher=batcher,
+        ranked = _embedding_search(
+            app, user, KIND_CODE, query, k, query_embedding
         )
-        return "code", [h.to_json() for h in hits]
-    if req.query_type == "semantic":
-        # §8 extension: explicit semantic search over PEs and/or
-        # workflows (query_type='text' keeps the paper's behaviour)
-        hits: list = []
-        if req.kind in ("pe", "both"):
-            hits.extend(
-                h.to_json()
-                for h in app.semantic.search_topk(
-                    query,
-                    index=index,
-                    user=user.user_id,
-                    owned_ids=lambda: registry.owned_pe_ids(user),
-                    resolve=lambda ids: registry.resolve_pes(user, ids),
-                    k=k,
-                    query_embedding=query_embedding,
-                    batcher=batcher,
-                )
-            )
-        if req.kind in ("workflow", "both"):
-            hits.extend(
-                h.to_json()
-                for h in app.semantic.search_workflows_topk(
-                    query,
-                    index=index,
-                    user=user.user_id,
-                    owned_ids=lambda: registry.owned_workflow_ids(user),
-                    resolve=lambda ids: registry.resolve_workflows(user, ids),
-                    k=k,
-                    query_embedding=query_embedding,
-                    batcher=batcher,
-                )
-            )
-        hits.sort(key=lambda h: -h["score"])
-        if k is not None:
-            hits = hits[:k]
-        return "semantic", hits
+        return "code", [
+            CodeHit.of(record, score, query).to_json()
+            for record, score in ranked
+        ]
     if req.query_type == "hybrid":
         return "hybrid", _hybrid_hits(app, user, req, query_embedding)
-    # query_type == "text" (validated upstream)
-    if req.kind == "pe":
-        # historical quirk: text search over kind=pe serves *semantic*
+    if req.query_type == "semantic" or req.kind == "pe":
+        # semantic is the §8 extension over PEs and/or workflows; text
+        # over kind=pe is the historical quirk that serves *semantic*
         # ranking (identical on both API generations)
-        hits = app.semantic.search_topk(
-            query,
-            index=index,
-            user=user.user_id,
-            owned_ids=lambda: registry.owned_pe_ids(user),
-            resolve=lambda ids: registry.resolve_pes(user, ids),
-            k=k,
-            query_embedding=query_embedding,
-            batcher=batcher,
-        )
-        return "semantic", [h.to_json() for h in hits]
+        rows = _semantic_rows(app, user, req.kind, query, k, query_embedding)
+        return "semantic", [
+            (SemanticHit if kind == "pe" else WorkflowSemanticHit)
+            .of(record, score)
+            .to_json()
+            for score, kind, _rid, record in rows
+        ]
     # indexed text: ranked inside the DAO's inverted index
     # (BM25 + whole-query name-substring bonus), O(k) hydration
-    matches = _indexed_text_matches(registry, user, req.kind, query, k)
+    matches = _indexed_text_matches(app.registry, user, req.kind, query, k)
     matches.sort(key=lambda m: (-m.score, m.kind, m.entity_id))
     if k is not None:
         matches = matches[:k]
     return "text", [m.to_json() for m in matches]
+
+
+def _embedding_search(
+    app: "LaminarServer",
+    user: UserRecord,
+    kind: str,
+    query: str,
+    k: int | None,
+    query_embedding: np.ndarray | None,
+) -> list[tuple[Any, float]]:
+    """``(record, score)`` pairs, best first, of one search over
+    ``user``'s ``kind`` shard through the group-commit batcher."""
+    registry = app.registry
+    searcher = app.code_search if kind == KIND_CODE else app.semantic
+    if kind == KIND_WORKFLOW:
+        owned, resolve = registry.owned_workflow_ids, registry.resolve_workflows
+    else:
+        owned, resolve = registry.owned_pe_ids, registry.resolve_pes
+    return app.batcher.submit(
+        index=app.index,
+        user=user.user_id,
+        kind=kind,
+        owned_ids=lambda: owned(user),
+        k=k,
+        resolve=lambda ids: resolve(user, ids),
+        embed_many=searcher.embed_queries,
+        query_embedding=query_embedding,
+        # PE and workflow descriptions share one query vector per text
+        embed_key=(
+            KIND_CODE if kind == KIND_CODE else KIND_DESC,
+            searcher.model.name,
+            query,
+        ),
+        embed_text=query,
+    )
+
+
+def _semantic_rows(
+    app: "LaminarServer",
+    user: UserRecord,
+    kind: str,
+    query: str,
+    k: int | None,
+    query_embedding: np.ndarray | None,
+) -> list[tuple[float, str, int, Any]]:
+    """Semantic ``(score, kind, id, record)`` rows over ``kind`` (pe,
+    workflow or both), merged on the raw score with ties by kind then
+    id, and cut to ``k``."""
+    rows: list[tuple[float, str, int, Any]] = []
+    if kind in ("pe", "both"):
+        rows.extend(
+            (score, "pe", record.pe_id, record)
+            for record, score in _embedding_search(
+                app, user, KIND_DESC, query, k, query_embedding
+            )
+        )
+    if kind in ("workflow", "both"):
+        rows.extend(
+            (score, "workflow", record.workflow_id, record)
+            for record, score in _embedding_search(
+                app, user, KIND_WORKFLOW, query, k, query_embedding
+            )
+        )
+    rows.sort(key=lambda row: (-row[0], row[1], row[2]))
+    return rows if k is None else rows[:k]
 
 
 def check_embedding_width(app: "LaminarServer", req: SearchRequest) -> None:
@@ -232,8 +258,6 @@ def _hybrid_hits(
     hybrid is new surface and fuses what it says it fuses).
     """
     registry = app.registry
-    index = app.index
-    batcher = app.batcher
     k = req.k
     query = req.query
     depth = None if k is None else max(2 * k, k + 50)
@@ -242,39 +266,7 @@ def _hybrid_hits(
     text_matches.sort(key=lambda m: (-m.score, m.kind, m.entity_id))
     if depth is not None:
         text_matches = text_matches[:depth]
-
-    sem_rows: list[tuple[float, str, int, object]] = []
-    if req.kind in ("pe", "both"):
-        sem_rows.extend(
-            (float(h.score), "pe", h.pe_id, h)
-            for h in app.semantic.search_topk(
-                query,
-                index=index,
-                user=user.user_id,
-                owned_ids=lambda: registry.owned_pe_ids(user),
-                resolve=lambda ids: registry.resolve_pes(user, ids),
-                k=depth,
-                query_embedding=query_embedding,
-                batcher=batcher,
-            )
-        )
-    if req.kind in ("workflow", "both"):
-        sem_rows.extend(
-            (float(h.score), "workflow", h.workflow_id, h)
-            for h in app.semantic.search_workflows_topk(
-                query,
-                index=index,
-                user=user.user_id,
-                owned_ids=lambda: registry.owned_workflow_ids(user),
-                resolve=lambda ids: registry.resolve_workflows(user, ids),
-                k=depth,
-                query_embedding=query_embedding,
-                batcher=batcher,
-            )
-        )
-    sem_rows.sort(key=lambda row: (-row[0], row[1], row[2]))
-    if depth is not None:
-        sem_rows = sem_rows[:depth]
+    sem_rows = _semantic_rows(app, user, req.kind, query, depth, query_embedding)
 
     by_key: dict[tuple[str, int], dict] = {}
     text_leg: list[tuple[str, int]] = []
@@ -283,10 +275,10 @@ def _hybrid_hits(
         text_leg.append(key)
         by_key.setdefault(key, {})["text"] = m
     semantic_leg: list[tuple[str, int]] = []
-    for score, kind_, rid, hit in sem_rows:
+    for score, kind_, rid, record in sem_rows:
         key = (kind_, rid)
         semantic_leg.append(key)
-        by_key.setdefault(key, {})["semantic"] = hit
+        by_key.setdefault(key, {})["semantic"] = (score, record)
 
     fused = rrf_fuse([text_leg, semantic_leg])
     if k is not None:
@@ -298,10 +290,10 @@ def _hybrid_hits(
         sem_hit = by_key[key].get("semantic")
         if text_hit is not None:
             name, description = text_hit.name, text_hit.description
-        elif kind_ == "pe":
-            name, description = sem_hit.pe_name, sem_hit.description
         else:
-            name, description = sem_hit.entry_point, sem_hit.description
+            record = sem_hit[1]
+            name = record.pe_name if kind_ == "pe" else record.entry_point
+            description = record.description
         hits.append(
             {
                 "kind": kind_,
@@ -315,9 +307,7 @@ def _hybrid_hits(
                     round(text_hit.score, 4) if text_hit is not None else None
                 ),
                 "semanticScore": (
-                    round(float(sem_hit.score), 4)
-                    if sem_hit is not None
-                    else None
+                    round(sem_hit[0], 4) if sem_hit is not None else None
                 ),
             }
         )

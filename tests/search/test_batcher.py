@@ -9,16 +9,31 @@ schedule therefore produces the same batches.
 
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.errors import NotFoundError, ValidationError
-from repro.search import KIND_DESC, SearchBatcher, VectorIndex
+from repro.search import KIND_CODE, KIND_DESC, SearchBatcher, VectorIndex
 
 #: generous bound on every wait: reached only when the code under test
 #: deadlocks, never on a correct run
 TIMEOUT = 30
+
+
+def record(rid, vec=None):
+    """A PE-shaped record: one vector serves its desc and code shards."""
+    return SimpleNamespace(pe_id=rid, desc_embedding=vec, code_embedding=vec)
+
+
+def pairs(ranked):
+    """``(id, score)`` of the batcher's ``(record, score)`` pairs."""
+    return [(r.pe_id, score) for r, score in ranked]
+
+
+def no_embedding(texts):
+    raise AssertionError(f"unexpected embed of {texts}")
 
 
 class Corpus:
@@ -27,7 +42,7 @@ class Corpus:
     def __init__(self, user, vectors):
         self.user = user
         self.records = {
-            rid: {"id": rid, "vec": np.asarray(vec, dtype=np.float32)}
+            rid: record(rid, np.asarray(vec, dtype=np.float32))
             for rid, vec in vectors.items()
         }
         self.resolve_calls = 0
@@ -42,12 +57,12 @@ class Corpus:
         return [self.records[rid] for rid in ids if rid in self.records]
 
     def brute_force(self, records, qvec, k=None):
-        """The searchers' reference scan: ``(1, D) @ (D, N)`` over the
-        id-ordered records, stable sort."""
-        matrix = np.stack([r["vec"] for r in records])
+        """The reference scan: ``(1, D) @ (D, N)`` over the id-ordered
+        records, stable sort."""
+        matrix = np.stack([r.desc_embedding for r in records])
         sims = (qvec[np.newaxis, :] @ matrix.T)[0]
         order = np.argsort(-sims, kind="stable")
-        hits = [(records[i]["id"], float(sims[i])) for i in order]
+        hits = [(records[i].pe_id, float(sims[i])) for i in order]
         return hits if k is None else hits[:k]
 
     def reference(self, qvec, k=None):
@@ -161,9 +176,8 @@ def stack():
 
 
 def protocol_kwargs(index, corpus, qvec, k, kind=KIND_DESC):
-    """The submit callback set, k-truncating fallback included (the real
-    searchers apply k inside their brute-force fallback).  ``resolve``
-    and ``owned_ids`` are looked up per call, so a test may wrap them."""
+    """The submit arguments.  ``resolve`` and ``owned_ids`` are looked
+    up per call, so a test may wrap them."""
     return dict(
         index=index,
         user=corpus.user,
@@ -172,14 +186,15 @@ def protocol_kwargs(index, corpus, qvec, k, kind=KIND_DESC):
         k=k,
         query_embedding=qvec,
         resolve=lambda ids: corpus.resolve(ids),
-        rid_of=lambda r: r["id"],
-        build_hit=lambda r, s: (r["id"], s),
-        fallback=lambda records, q: corpus.brute_force(records, q, k),
+        embed_many=no_embedding,
     )
 
 
 def submit(batcher, index, corpus, qvec, k=5, kind=KIND_DESC):
-    return batcher.submit(**protocol_kwargs(index, corpus, qvec, k, kind))
+    """``(id, score)`` pairs of one submit."""
+    return pairs(
+        batcher.submit(**protocol_kwargs(index, corpus, qvec, k, kind))
+    )
 
 
 class TestSingleRequest:
@@ -320,7 +335,7 @@ class TestCoalescing:
             kwargs.update(
                 embed_key=("t", text), embed_text=text, embed_many=embed_many
             )
-            return lambda: batcher.submit(**kwargs)
+            return lambda: pairs(batcher.submit(**kwargs))
 
         first = Submitter(lambda: submit(batcher, index, corpus, unit(rng)))
         first.start()
@@ -358,8 +373,8 @@ class TestCoalescing:
 
     def test_distinct_kinds_never_share_a_batch(self, stack):
         """Another key's running flush never delays a lone submit: the
-        other kind (no shard, so it falls back brute force) is served
-        while the KIND_DESC flush is parked."""
+        other kind (no code shard, so it falls back to the exact scan)
+        is served while the KIND_DESC flush is parked."""
         index, corpus, rng = stack
         batcher = SearchBatcher()
         park = Park(corpus.resolve)
@@ -368,7 +383,7 @@ class TestCoalescing:
         desc = Submitter(lambda: submit(batcher, index, corpus, qvec))
         desc.start()
         assert park.entered[1].wait(TIMEOUT)
-        other = submit(batcher, index, corpus, qvec, kind="other-kind")
+        other = submit(batcher, index, corpus, qvec, kind=KIND_CODE)
         assert other == corpus.reference(qvec, 5)
         park.release[1].set()
         assert desc.outcome() == corpus.reference(qvec, 5)
@@ -390,8 +405,8 @@ class TestStress:
         index, corpus, rng = stack
         batcher = SearchBatcher()
         qvecs = [unit(rng) for _ in range(8)]
-        # "other-kind" has no shard: its flushes take the fallback path
-        kinds = [KIND_DESC, "other-kind"]
+        # the code shard is absent: its flushes take the fallback path
+        kinds = [KIND_DESC, KIND_CODE]
 
         def work(tid):
             out = []
@@ -426,7 +441,7 @@ class TestFallback:
     def test_shard_mismatch_falls_back_brute_force(self, stack):
         index, corpus, rng = stack
         # grow the owned set past the shard: membership check must fail
-        corpus.records[99] = {"id": 99, "vec": unit(rng)}
+        corpus.records[99] = record(99, unit(rng))
         batcher = SearchBatcher()
         qvec = unit(rng)
         got = submit(batcher, index, corpus, qvec, k=None)
@@ -477,8 +492,8 @@ class TestEmbedMany:
 
         Mirrors the production call shape: every request passes a
         *fresh bound method* (Python mints a new bound-method object
-        per attribute access, exactly like ``searcher.embed_queries``),
-        so this also guards the (function, instance) grouping key.
+        per attribute access, exactly like ``searcher.embed_queries``);
+        a batch is one kind, so one embedder serves all of them.
         """
 
         class Embedder:
@@ -499,7 +514,7 @@ class TestEmbedMany:
             vec = np.zeros(8, dtype=np.float32)
             vec[rid % 8] = 1.0
             index.add("u", KIND_DESC, rid, vec)
-        records = {rid: {"id": rid} for rid in rids}
+        records = {rid: record(rid) for rid in rids}
         batcher = SearchBatcher()
         watch = ArrivalWatch(batcher)
         park = Park(lambda ids: [records[r] for r in ids if r in records])
@@ -512,9 +527,6 @@ class TestEmbedMany:
                 owned_ids=lambda: sorted(records),
                 k=3,
                 resolve=park,
-                rid_of=lambda r: r["id"],
-                build_hit=lambda r, s: (r["id"], s),
-                fallback=lambda recs, q: [],
                 embed_key=("t", text),
                 embed_text=text,
                 embed_many=embed_many,
@@ -547,7 +559,7 @@ class TestEmbedMany:
     def test_production_searcher_batches_distinct_queries(self, fast_bundle):
         """End-to-end: searches queued behind a running flush reach the
         model in one call through a real searcher."""
-        from repro.search import SemanticSearcher
+        from repro.search import SemanticSearcher, exact_scan
 
         calls = []
         searcher = SemanticSearcher(fast_bundle.code_search)
@@ -572,14 +584,16 @@ class TestEmbedMany:
         park = Park(lambda ids: [records[r] for r in ids if r in records])
 
         def search(query):
-            return searcher.search_topk(
-                query,
+            return batcher.submit(
                 index=index,
                 user="u",
+                kind=KIND_DESC,
                 owned_ids=lambda: sorted(records),
-                resolve=park,
-                batcher=batcher,
                 k=3,
+                resolve=park,
+                embed_many=searcher.embed_queries,
+                embed_key=(KIND_DESC, searcher.model.name, query),
+                embed_text=query,
             )
 
         queries = ["find alpha", "find beta", "find gamma", "find delta"]
@@ -599,11 +613,15 @@ class TestEmbedMany:
             patched.embed_many = original
         assert calls == [["find first"], queries]
         assert batcher.stats()["batchEmbeds"] == 1
-        for query, hits in zip(queries, results):
-            want = searcher.search(query, list(records.values()), k=3)
-            assert [(h.pe_id, h.score) for h in hits] == [
-                (h.pe_id, h.score) for h in want
-            ]
+        for query, ranked in zip(queries, results):
+            want = exact_scan(
+                KIND_DESC,
+                list(records.values()),
+                searcher.embed_query(query),
+                3,
+                searcher.embed_queries,
+            )
+            assert pairs(ranked) == pairs(want)
 
     def test_batch_embed_populates_query_lru(self):
         seen = []
@@ -621,10 +639,7 @@ class TestEmbedMany:
             kind=KIND_DESC,
             owned_ids=lambda: [1],
             k=1,
-            resolve=lambda wanted: [{"id": 1}],
-            rid_of=lambda r: r["id"],
-            build_hit=lambda r, s: (r["id"], s),
-            fallback=lambda recs, q: [],
+            resolve=lambda wanted: [record(1)],
             embed_key=("t", "q"),
             embed_text="q",
             embed_many=embed_many,
@@ -657,10 +672,7 @@ class TestEmbedMany:
                 kind=KIND_DESC,
                 owned_ids=lambda: [1],
                 k=1,
-                resolve=lambda wanted: [{"id": 1}],
-                rid_of=lambda r: r["id"],
-                build_hit=lambda r, s: (r["id"], s),
-                fallback=lambda recs, q: [],
+                resolve=lambda wanted: [record(1)],
                 **spec,
             )
         assert batcher.stats()["requests"] == 0
@@ -679,10 +691,7 @@ class TestEmbedMany:
                 kind=KIND_DESC,
                 owned_ids=lambda: [1],
                 k=1,
-                resolve=lambda wanted: [{"id": 1}],
-                rid_of=lambda r: r["id"],
-                build_hit=lambda r, s: (r["id"], s),
-                fallback=lambda recs, q: [],
+                resolve=lambda wanted: [record(1)],
                 embed_key=("t", "q"),
                 embed_text="q",
                 embed_many=embed_many,

@@ -17,10 +17,12 @@ from repro.registry.entities import PERecord
 from repro.search import (
     KIND_CODE,
     KIND_DESC,
+    CodeHit,
     CodeSearcher,
     SearchBatcher,
     SemanticSearcher,
     VectorIndex,
+    exact_scan,
 )
 
 DIM = 24
@@ -195,23 +197,38 @@ def index_pes(records, user=1):
     return index
 
 
-def served(search_topk, query, records, index, k=None, user=1):
+def served(searcher, kind, query, records, index, k=None, user=1):
     """Serve ``query`` the way the server does: through a batcher, with
     ``records`` as the caller's owned set (id-ordered)."""
     by_id = {record.pe_id: record for record in records}
-    return search_topk(
-        query,
+    return SearchBatcher().submit(
         index=index,
         user=user,
+        kind=kind,
         owned_ids=lambda: [record.pe_id for record in records],
-        resolve=lambda ids: [by_id[rid] for rid in ids if rid in by_id],
-        batcher=SearchBatcher(),
         k=k,
+        resolve=lambda ids: [by_id[rid] for rid in ids if rid in by_id],
+        embed_many=searcher.embed_queries,
+        embed_key=(kind, searcher.model.name, query),
+        embed_text=query,
     )
 
 
+def brute(searcher, kind, query, records, k=None):
+    """The exact scan over ``records``."""
+    return exact_scan(
+        kind, records, searcher.embed_query(query), k, searcher.embed_queries
+    )
+
+
+def assert_same_ranking(indexed, brute_force):
+    assert [r.pe_id for r, _ in indexed] == [r.pe_id for r, _ in brute_force]
+    for (_, a), (_, b) in zip(indexed, brute_force):
+        assert a == pytest.approx(b, abs=1e-6)
+
+
 class TestSearcherParity:
-    """The served (indexed) path agrees with the brute-force searchers."""
+    """The served (indexed) path agrees with the exact scan."""
 
     @pytest.fixture(scope="class")
     def semantic(self):
@@ -226,29 +243,26 @@ class TestSearcherParity:
         rng = np.random.default_rng(3)
         records = make_pes(rng, 20, semantic.model)
         index = index_pes(records)
-        brute = semantic.search("processing element variant 3", records, k=k)
-        indexed = served(
-            semantic.search_topk,
-            "processing element variant 3",
-            records,
-            index,
-            k,
+        query = "processing element variant 3"
+        assert_same_ranking(
+            served(semantic, KIND_DESC, query, records, index, k),
+            brute(semantic, KIND_DESC, query, records, k),
         )
-        assert [h.pe_id for h in indexed] == [h.pe_id for h in brute]
-        for a, b in zip(indexed, brute):
-            assert a.score == pytest.approx(b.score, abs=1e-6)
 
     @pytest.mark.parametrize("k", [1, 5, None])
     def test_code_search_parity(self, code, k):
         rng = np.random.default_rng(4)
         records = make_pes(rng, 15, code.model)
         index = index_pes(records)
-        brute = code.search("class PE3:", records, k=k)
-        indexed = served(code.search_topk, "class PE3:", records, index, k)
-        assert [h.pe_id for h in indexed] == [h.pe_id for h in brute]
-        for a, b in zip(indexed, brute):
-            assert a.score == pytest.approx(b.score, abs=1e-6)
-            assert a.continuation == b.continuation
+        query = "class PE3:"
+        indexed = served(code, KIND_CODE, query, records, index, k)
+        brute_force = brute(code, KIND_CODE, query, records, k)
+        assert_same_ranking(indexed, brute_force)
+        for (a, a_score), (b, b_score) in zip(indexed, brute_force):
+            assert (
+                CodeHit.of(a, a_score, query).continuation
+                == CodeHit.of(b, b_score, query).continuation
+            )
 
     def test_missing_embedding_falls_back_and_caches_on_record(self, semantic):
         """An unindexed record makes the candidate set disagree with the
@@ -259,7 +273,7 @@ class TestSearcherParity:
         records = make_pes(rng, 6, semantic.model)
         records[2].desc_embedding = None
         index = index_pes(records)  # indexes only the 5 embedded records
-        hits = served(semantic.search_topk, "variant", records, index)
+        hits = served(semantic, KIND_DESC, "variant", records, index)
         assert len(hits) == 6
         assert records[2].desc_embedding is not None
         assert not index.contains(1, KIND_DESC, records[2].pe_id)
@@ -268,7 +282,7 @@ class TestSearcherParity:
         rng = np.random.default_rng(6)
         records = make_pes(rng, 6, semantic.model)
         records[1].desc_embedding = None
-        semantic.search("variant", records)
+        brute(semantic, KIND_DESC, "variant", records)
         assert records[1].desc_embedding is not None
 
     @pytest.mark.parametrize("k", [3, None])
@@ -280,15 +294,12 @@ class TestSearcherParity:
         records = make_pes(rng, 12, semantic.model)
         index = index_pes(records)
         subset = records[::2]
-        brute = semantic.search("processing element variant 1", subset, k=k)
-        indexed = served(
-            semantic.search_topk,
-            "processing element variant 1",
-            subset,
-            index,
-            k,
-        )
-        assert [h.pe_id for h in indexed] == [h.pe_id for h in brute]
+        query = "processing element variant 1"
+        indexed = served(semantic, KIND_DESC, query, subset, index, k)
+        brute_force = brute(semantic, KIND_DESC, query, subset, k)
+        assert [r.pe_id for r, _ in indexed] == [
+            r.pe_id for r, _ in brute_force
+        ]
         if k is not None:
             assert len(indexed) == min(k, len(subset))
 
@@ -300,6 +311,6 @@ class TestSearcherParity:
         index = index_pes(records)
         index.remove(1, KIND_DESC, records[3].pe_id)  # concurrent removal
         # the caller's owned list is stale: it still names the record
-        served(semantic.search_topk, "variant", records, index)
+        served(semantic, KIND_DESC, "variant", records, index)
         assert not index.contains(1, KIND_DESC, records[3].pe_id)
         assert index.size(1, KIND_DESC) == 5

@@ -6,12 +6,23 @@ import pytest
 from repro.ml.models import ReACCRetriever, UnixCoderCodeSearch
 from repro.registry.entities import PERecord, WorkflowRecord
 from repro.search import (
+    KIND_CODE,
+    KIND_DESC,
+    CodeHit,
     CodeSearcher,
     SemanticSearcher,
+    exact_scan,
     text_search_pes,
     text_search_workflows,
 )
 from repro.search.text_search import normalize
+
+
+def scan(searcher, kind, query, records, k=None):
+    """The exact scan of ``records`` for ``query`` (``(record, score)``)."""
+    return exact_scan(
+        kind, records, searcher.embed_query(query), k, searcher.embed_queries
+    )
 
 
 def wf(wid, entry, description=""):
@@ -97,37 +108,44 @@ class TestSemanticSearch:
         return records
 
     def test_figure_7_ranking(self, semantic):
-        hits = semantic.search(
-            "A PE that checks if a number is prime", self._pes(semantic)
+        hits = scan(
+            semantic,
+            KIND_DESC,
+            "A PE that checks if a number is prime",
+            self._pes(semantic),
         )
-        assert hits[0].pe_id == 2
-        assert hits[0].score > hits[-1].score
+        assert hits[0][0].pe_id == 2
+        assert hits[0][1] > hits[-1][1]
 
     def test_stored_embeddings_used(self, semantic):
         records = self._pes(semantic)
-        # poison one stored embedding: the searcher must honour it
+        # poison one stored embedding: the scan must honour it
         records[1].desc_embedding = np.zeros_like(records[1].desc_embedding)
-        hits = semantic.search("checks if a number is prime", records)
-        assert hits[0].pe_id != 2
+        hits = scan(semantic, KIND_DESC, "checks if a number is prime", records)
+        assert hits[0][0].pe_id != 2
 
     def test_missing_embedding_recomputed(self, semantic):
         records = self._pes(semantic)
         records[1].desc_embedding = None
-        hits = semantic.search("checks if a number is prime", records)
-        assert hits[0].pe_id == 2
+        hits = scan(semantic, KIND_DESC, "checks if a number is prime", records)
+        assert hits[0][0].pe_id == 2
 
     def test_k_truncates(self, semantic):
-        hits = semantic.search("numbers", self._pes(semantic), k=2)
+        hits = scan(semantic, KIND_DESC, "numbers", self._pes(semantic), k=2)
         assert len(hits) == 2
 
     def test_empty_registry(self, semantic):
-        assert semantic.search("anything", []) == []
+        assert scan(semantic, KIND_DESC, "anything", []) == []
 
     def test_client_supplied_query_embedding(self, semantic):
+        """The scan ranks by the vector it is given, whatever text the
+        request carried."""
         records = self._pes(semantic)
         qvec = semantic.embed_query("checks if a number is prime")
-        hits = semantic.search("ignored text", records, query_embedding=qvec)
-        assert hits[0].pe_id == 2
+        hits = exact_scan(
+            KIND_DESC, records, qvec, None, semantic.embed_queries
+        )
+        assert hits[0][0].pe_id == 2
 
 
 @pytest.fixture(scope="module")
@@ -158,21 +176,28 @@ class TestCodeSearch:
         return records
 
     def test_figure_8_ranking(self, code_searcher):
-        hits = code_searcher.search(
-            "random.randint(1, 1000)", self._pes(code_searcher)
+        hits = scan(
+            code_searcher,
+            KIND_CODE,
+            "random.randint(1, 1000)",
+            self._pes(code_searcher),
         )
-        assert hits[0].pe_id == 1
+        assert hits[0][0].pe_id == 1
 
     def test_continuation_present(self, code_searcher):
-        hits = code_searcher.search(
-            "random.randint(1, 1000)", self._pes(code_searcher), k=1
+        query = "random.randint(1, 1000)"
+        [(record, score)] = scan(
+            code_searcher, KIND_CODE, query, self._pes(code_searcher), k=1
         )
-        assert hits[0].continuation  # non-empty suffix
+        # non-empty suffix
+        assert CodeHit.of(record, score, query).continuation
 
     def test_empty_registry(self, code_searcher):
-        assert code_searcher.search("x", []) == []
+        assert scan(code_searcher, KIND_CODE, "x", []) == []
 
     def test_json_shape(self, code_searcher):
-        [hit] = code_searcher.search("num", self._pes(code_searcher), k=1)
-        body = hit.to_json()
+        [(record, score)] = scan(
+            code_searcher, KIND_CODE, "num", self._pes(code_searcher), k=1
+        )
+        body = CodeHit.of(record, score, "num").to_json()
         assert {"peId", "peName", "score", "continuation"} <= set(body)

@@ -4,7 +4,12 @@ import pytest
 
 from repro.ml.models import UnixCoderCodeSearch
 from repro.registry.entities import WorkflowRecord
-from repro.search import SemanticSearcher
+from repro.search import (
+    KIND_WORKFLOW,
+    SemanticSearcher,
+    WorkflowSemanticHit,
+    exact_scan,
+)
 from repro.workflows.isprime import build_isprime_graph
 from tests.helpers import build_pipeline_graph
 
@@ -27,33 +32,43 @@ def wf(wid, entry, description, searcher=None):
     return record
 
 
+def scan(searcher, query, workflows):
+    """The exact scan of the workflow shard kind (``(record, score)``)."""
+    return exact_scan(
+        KIND_WORKFLOW,
+        workflows,
+        searcher.embed_query(query),
+        None,
+        searcher.embed_queries,
+    )
+
+
 class TestSearcher:
     def test_ranks_by_description_similarity(self, searcher):
         workflows = [
             wf(1, "isPrime", "prints random prime numbers", searcher),
             wf(2, "astro", "computes the internal extinction of galaxies", searcher),
         ]
-        hits = searcher.search_workflows(
-            "a workflow about galaxy dust extinction", workflows
-        )
-        assert hits[0].workflow_id == 2
+        hits = scan(searcher, "a workflow about galaxy dust extinction", workflows)
+        assert hits[0][0].workflow_id == 2
 
     def test_missing_embedding_recomputed(self, searcher):
         workflows = [
             wf(1, "isPrime", "prints random prime numbers"),
             wf(2, "astro", "computes the internal extinction of galaxies"),
         ]
-        hits = searcher.search_workflows("prime numbers", workflows)
-        assert hits[0].workflow_id == 1
+        hits = scan(searcher, "prime numbers", workflows)
+        assert hits[0][0].workflow_id == 1
+        assert all(w.desc_embedding is not None for w in workflows)
 
     def test_empty_list(self, searcher):
-        assert searcher.search_workflows("anything", []) == []
+        assert scan(searcher, "anything", []) == []
 
     def test_json_shape(self, searcher):
-        [hit] = searcher.search_workflows(
-            "primes", [wf(1, "isPrime", "prints primes", searcher)]
+        [(record, score)] = scan(
+            searcher, "primes", [wf(1, "isPrime", "prints primes", searcher)]
         )
-        body = hit.to_json()
+        body = WorkflowSemanticHit.of(record, score).to_json()
         assert {"workflowId", "entryPoint", "description", "score"} <= set(body)
 
 

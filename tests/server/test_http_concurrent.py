@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.search import KIND_DESC, SemanticHit, exact_scan
 from repro.server import LaminarServer
 from repro.server.http import serve_http
 from tests.registry.test_dao import make_pe
@@ -58,6 +59,15 @@ def stack(fast_bundle):
     handle.shutdown()
 
 
+def brute_force_json(server, query, pes, k):
+    """The exact scan over exactly ``pes``, rendered as the route does."""
+    semantic = server.semantic
+    ranked = exact_scan(
+        KIND_DESC, pes, semantic.embed_query(query), k, semantic.embed_queries
+    )
+    return [SemanticHit.of(record, score).to_json() for record, score in ranked]
+
+
 def http_request(conn, method, path, body, token):
     payload = json.dumps(body).encode()
     headers = {"Content-Type": "application/json"}
@@ -74,10 +84,9 @@ class TestConcurrentSearchAgainstMutatingRegistry:
         query = "alice element"
         k = 5
         # the reference: the brute-force scan over exactly her records
-        reference = server.semantic.search(
-            query, server.registry.user_pes(alice), k=k
+        expected = brute_force_json(
+            server, query, server.registry.user_pes(alice), k
         )
-        expected = [h.to_json() for h in reference]
         alice_names = {f"AlicePE{i}" for i in range(N_ALICE)}
 
         stop = threading.Event()
@@ -214,8 +223,7 @@ class TestConcurrentSearchAgainstMutatingRegistry:
             query, status, body = thread.outcome()
             assert status == 200
             # batched == brute force over exactly alice's records
-            want = server.semantic.search(query, pes, k=3)
-            assert body["hits"] == [h.to_json() for h in want]
+            assert body["hits"] == brute_force_json(server, query, pes, 3)
         stats = server.batcher.stats()
         assert stats["requests"] == SEARCH_THREADS
         assert stats["batches"] == 2

@@ -11,14 +11,17 @@ listing endpoints:
   filter-everything-in-Python behaviour.
 """
 
+import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.net.transport import Request
 from repro.registry.dao import SqliteDAO
-from repro.search.index import KIND_DESC
+from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW, exact_scan
 from repro.server import LaminarServer
+from tests.registry.test_dao import make_pe, make_wf
 
 
 class CountingDAO:
@@ -165,13 +168,15 @@ class TestSearchMaterializesAtMostK:
         server, dao, tokens = setup
         alice = server.registry.get_user("alice")
         hits = search(server, tokens["alice"], k=4)
-        brute = server.semantic.search(
-            "element", server.registry.user_pes(alice), k=4
+        brute = exact_scan(
+            KIND_DESC,
+            server.registry.user_pes(alice),
+            server.semantic.embed_query("element"),
+            4,
+            server.semantic.embed_queries,
         )
-        assert [h["peId"] for h in hits] == [h.pe_id for h in brute]
-        assert [h["score"] for h in hits] == [
-            round(float(h.score), 4) for h in brute
-        ]
+        assert [h["peId"] for h in hits] == [r.pe_id for r, _ in brute]
+        assert [h["score"] for h in hits] == [round(s, 4) for _, s in brute]
 
 
 class TestListingsAreOwnerScoped:
@@ -222,8 +227,6 @@ class TestFallbackStaysExact:
         returns every record."""
         server, dao, tokens = setup
         alice = server.registry.get_user("alice")
-        from tests.registry.test_dao import make_pe
-
         record = make_pe("Ghost", code="Z2hvc3Q=", owners={alice.user_id})
         server.registry.dao.insert_pe(record)  # bypass service: no indexing
         dao.reset()
@@ -263,3 +266,134 @@ class TestFallbackStaysExact:
         assert server.index.remove(alice.user_id, KIND_DESC, victim)
         assert v1_search() == before
         assert server.batcher.stats()["fallbacks"] == fallbacks + 1
+
+    #: v1 search body -> the shard kinds its embedding flushes rank
+    CALL_SHAPES = {
+        "semantic-pe": ({"queryType": "semantic", "kind": "pe"}, (KIND_DESC,)),
+        "semantic-workflow": (
+            {"queryType": "semantic", "kind": "workflow"},
+            (KIND_WORKFLOW,),
+        ),
+        "semantic-both": (
+            {"queryType": "semantic", "kind": "both"},
+            (KIND_DESC, KIND_WORKFLOW),
+        ),
+        "text-pe": ({"queryType": "text", "kind": "pe"}, (KIND_DESC,)),
+        "code": ({"queryType": "code", "kind": "pe"}, (KIND_CODE,)),
+        "hybrid": (
+            {"queryType": "hybrid", "kind": "both"},
+            (KIND_DESC, KIND_WORKFLOW),
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", list(CALL_SHAPES))
+    def test_every_embedding_call_shape_degrades_to_an_equal_answer(
+        self, setup, shape
+    ):
+        """Every search that ranks an embedding shard — semantic over
+        each kind, text over ``kind=pe``, code, and hybrid's semantic
+        leg — answers byte for byte the same once the user's shards are
+        emptied behind the service's back: each flush fails its
+        membership check and serves the exact scan, counted once."""
+        server, _dao, tokens = setup
+        alice = server.registry.get_user("alice")
+        for i in range(3):
+            record = make_wf(f"aliceFlow{i}", description=f"element flow {i}")
+            record.desc_embedding = server.semantic.embed_description(
+                record.description
+            )
+            server.registry.register_workflow(alice, record)
+        body, kinds = self.CALL_SHAPES[shape]
+
+        def v1_search():
+            reply = server.dispatch(
+                Request(
+                    "POST",
+                    "/v1/registry/alice/search",
+                    {"query": "element", "k": 5, **body},
+                    token=tokens["alice"],
+                )
+            )
+            assert reply.status == 200, reply.body
+            assert reply.body["hits"]
+            return json.dumps(reply.body)
+
+        before = v1_search()
+        stats = server.batcher.stats()
+        for kind in kinds:
+            for rid in server.index.ids(alice.user_id, kind):
+                assert server.index.remove(alice.user_id, kind, rid)
+        assert v1_search() == before
+        after = server.batcher.stats()
+        assert after["batches"] - stats["batches"] == len(kinds)
+        assert after["fallbacks"] - stats["fallbacks"] == len(kinds)
+
+
+class TestBothKindsMergeOnRawScores:
+    """``kind=both`` merges its PE and workflow hits on the raw cosine,
+    not on the 4-dp score the JSON shows."""
+
+    @pytest.mark.parametrize("route", ["v1", "table3"])
+    def test_cross_kind_near_tie_ranks_the_higher_raw_score(
+        self, fast_bundle, route
+    ):
+        """A PE at cosine 0.81236 and a workflow at 0.81239 both show
+        0.8124: ``k=1`` returns the workflow, the hit hybrid's semantic
+        leg ranks first."""
+        server = LaminarServer(models=fast_bundle)
+        server.registry.register_user("u", "pw")
+        token = server.issue_token("u")
+        user = server.registry.get_user("u")
+        dim = server.semantic.model.dim
+
+        def at_cosine(cosine, axis):
+            vec = np.zeros(dim, dtype=np.float32)
+            vec[0] = cosine
+            vec[axis] = np.sqrt(1.0 - cosine * cosine)
+            return vec
+
+        server.registry.register_pe(
+            user, make_pe("Near", desc_embedding=at_cosine(0.81236, 1))
+        )
+        workflow = make_wf("nearer", description="nearer")
+        workflow.desc_embedding = at_cosine(0.81239, 2)
+        stored, _ = server.registry.register_workflow(user, workflow)
+        query = [1.0] + [0.0] * (dim - 1)
+        fields = {"queryType": "semantic", "k": 1, "queryEmbedding": query}
+        if route == "v1":
+            request = Request(
+                "POST",
+                "/v1/registry/u/search",
+                {"query": "near", "kind": "both", **fields},
+                token=token,
+            )
+        else:
+            request = Request(
+                "GET", "/registry/u/search/near/type/both", fields, token=token
+            )
+        reply = server.dispatch(request)
+        assert reply.status == 200, reply.body
+        assert reply.body["hits"] == [
+            {
+                "workflowId": stored.workflow_id,
+                "entryPoint": "nearer",
+                "description": "nearer",
+                "score": 0.8124,
+            }
+        ]
+        hybrid = server.dispatch(
+            Request(
+                "POST",
+                "/v1/registry/u/search",
+                {
+                    "query": "near",
+                    "kind": "both",
+                    "queryType": "hybrid",
+                    "queryEmbedding": query,
+                },
+                token=token,
+            )
+        )
+        assert hybrid.status == 200, hybrid.body
+        [leader] = [h for h in hybrid.body["hits"] if h["semanticRank"] == 1]
+        assert (leader["kind"], leader["id"]) == ("workflow", stored.workflow_id)
