@@ -594,10 +594,12 @@ def drive_routes(url: str) -> None:
          {"Idempotency-Key": "t1"}, name="Triple")
     call("PUT", "/v1/registry/{user}/pes/{name}", put,
          {"Idempotency-Key": "t1"}, name="Triple")
-    for revision in (1, 2):  # create, then revise
+    # create, revise (new description), supersede (new code)
+    for code, description in ((1, "a flow"), (1, "a revised flow"),
+                              (2, "a revised flow")):
         call("PUT", "/v1/registry/{user}/workflows/{name}",
-             {"workflowCode": f"def flow():\n    return {revision}\n",
-              "description": "a flow"}, name="flow")
+             {"workflowCode": f"def flow():\n    return {code}\n",
+              "description": description}, name="flow")
     call("POST", "/v1/registry/{user}/pes:bulk", {"items": [
         {"peName": f"Bulk{i}", "peCode": f"def b{i}():\n    return {i}\n",
          "description": f"constant {i}"} for i in range(3)]})

@@ -178,7 +178,7 @@ def _flush(
                 name=chunk.name,
                 code=chunk.code,
                 description=chunk.docstring,
-                origin="user" if chunk.docstring else "auto",
+                description_origin="user" if chunk.docstring else "auto",
                 source=chunk.source_text(),
                 imports=list(chunk.imports),
             )

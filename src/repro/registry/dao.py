@@ -58,7 +58,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import NotFoundError, RegistryError
-from repro.registry.entities import PERecord, UserRecord, WorkflowRecord
+from repro.registry.entities import (
+    RECORD_KINDS,
+    SHARD_KINDS,
+    PERecord,
+    UserRecord,
+    WorkflowRecord,
+)
 from repro.registry.veccodec import decode_many, decode_vector, encode_vector
 
 #: status stored while a write's idempotency key is *claimed* but its
@@ -85,23 +91,12 @@ def _text_documents():
 _NAME_SUBSTRING_BONUS = 2.0
 
 
-#: shard kinds, duplicated from repro.search.index (importing it here
-#: would be circular — the index imports nothing from the DAO, but the
-#: search package's __init__ pulls in modules that need DAO types)
-_KIND_DESC = "desc"
-_KIND_CODE = "code"
-_KIND_WORKFLOW = "wf-desc"
-
-#: where each shard kind's vectors live: (table, id column, embedding
-#: column) — the column is also the record attribute's name
-_KIND_SOURCE = {
-    _KIND_DESC: ("pes", "pe_id", "desc_embedding"),
-    _KIND_CODE: ("pes", "pe_id", "code_embedding"),
-    _KIND_WORKFLOW: ("workflows", "workflow_id", "desc_embedding"),
+#: each record class's table and its owner join table (keyed by user,
+#: then id)
+_TABLES = {
+    PERecord: ("pes", "pe_owners"),
+    WorkflowRecord: ("workflows", "workflow_owners"),
 }
-
-#: each record table's owner join table (keyed by user, then id)
-_OWNER_TABLE = {"pes": "pe_owners", "workflows": "workflow_owners"}
 
 #: delta-journal ops
 _OP_ADD = "add"
@@ -117,117 +112,52 @@ def _embed_bytes(vec) -> bytes | None:
     return np.asarray(vec, dtype=np.float32).tobytes()
 
 
-def _pe_stamp_keys(
-    old_owners: set[int],
-    new_owners: set[int],
-    old_desc: bytes | None,
-    new_desc: bytes | None,
-    old_code: bytes | None,
-    new_code: bytes | None,
-) -> set[tuple[int, str]]:
-    """The (user_id, kind) shards whose *content* a PE write changes.
-
-    A shard changes when its owner gains or loses the record
-    (membership) or when the embedding bytes themselves change (then
-    every owner's shard changes).  Pure metadata updates — description
-    text, imports, workflow pe_ids — stamp nothing, so they never stale
-    a persisted slab.
-    """
-    keys: set[tuple[int, str]] = set()
-    for kind, old_b, new_b in (
-        (_KIND_DESC, old_desc, new_desc),
-        (_KIND_CODE, old_code, new_code),
-    ):
-        if old_b != new_b:
-            for user_id in old_owners | new_owners:
-                keys.add((user_id, kind))
-        elif new_b is not None:
-            for user_id in old_owners ^ new_owners:
-                keys.add((user_id, kind))
-    return keys
-
-
-def _wf_stamp_keys(
-    old_owners: set[int],
-    new_owners: set[int],
-    old_desc: bytes | None,
-    new_desc: bytes | None,
-) -> set[tuple[int, str]]:
-    """Workflow analogue of :func:`_pe_stamp_keys` (one kind)."""
-    keys: set[tuple[int, str]] = set()
-    if old_desc != new_desc:
-        for user_id in old_owners | new_owners:
-            keys.add((user_id, _KIND_WORKFLOW))
-    elif new_desc is not None:
-        for user_id in old_owners ^ new_owners:
-            keys.add((user_id, _KIND_WORKFLOW))
-    return keys
-
-
 #: what one mutation does to the shards it stamps — each one's journal
 #: row: ``{(user_id, kind): (op, ids)}``
 _Changes = dict[tuple[int, str], tuple[str, list[int]]]
 
 
 def _shard_changes(
-    keys: Iterable[tuple[int, str]],
+    record_type: type,
     record_id: int,
-    owners: Iterable[int],
-    embedded: Mapping[str, bool],
+    old_owners: set[int],
+    old: Mapping[str, bytes | None],
+    new: PERecord | WorkflowRecord | None,
 ) -> _Changes:
-    """The journal row of every shard a single-record write stamps:
-    ``{key: (op, [record_id])}``.
+    """The shards one record write changes, each with its journal row:
+    ``{(user_id, kind): (op, [record_id])}``.
 
-    One rule for stamp and journal: a stamped ``(user, kind)`` gets
-    ``add`` when the record is in that shard after the write (the user
-    owns it and it carries a vector of that kind — ``embedded``),
-    ``remove`` when it is not.
+    ``old`` maps the record's shard kinds to the committed row's vector
+    bytes (:meth:`SqliteDAO._old_vectors`; empty for an insert) and
+    ``new`` is the record as written (``None`` for a delete).  A shard
+    changes when its owner gains or loses the record (membership) or
+    when the vector bytes themselves change (then every owner's shard
+    changes).  Pure metadata updates — description text, imports,
+    workflow pe_ids — stamp nothing, so they never stale a persisted
+    slab.  One rule for stamp and journal: a changed shard gets ``add``
+    when the record is in it after the write (the user owns it and it
+    carries a vector of that kind), ``remove`` when it is not.
     """
-    owners = set(owners)
-    return {
-        (user_id, kind): (
-            _OP_ADD if user_id in owners and embedded[kind] else _OP_REMOVE,
-            [int(record_id)],
+    new_owners = set() if new is None else set(new.owners)
+    changes: _Changes = {}
+    for kind in RECORD_KINDS[record_type].shards:
+        old_b = old.get(kind)
+        new_b = None if new is None else _embed_bytes(
+            getattr(new, SHARD_KINDS[kind].vector_field)
         )
-        for user_id, kind in keys
-    }
-
-
-def _pe_changes(
-    pe_id: int,
-    old_owners: set[int],
-    new_owners: set[int],
-    old_desc: bytes | None,
-    new_desc: bytes | None,
-    old_code: bytes | None,
-    new_code: bytes | None,
-) -> _Changes:
-    """Stamped shards and journal rows of one PE write (a delete passes
-    no new owners and no new bytes)."""
-    return _shard_changes(
-        _pe_stamp_keys(
-            old_owners, new_owners, old_desc, new_desc, old_code, new_code
-        ),
-        pe_id,
-        new_owners,
-        {_KIND_DESC: new_desc is not None, _KIND_CODE: new_code is not None},
-    )
-
-
-def _wf_changes(
-    workflow_id: int,
-    old_owners: set[int],
-    new_owners: set[int],
-    old_desc: bytes | None,
-    new_desc: bytes | None,
-) -> _Changes:
-    """Workflow analogue of :func:`_pe_changes` (one kind)."""
-    return _shard_changes(
-        _wf_stamp_keys(old_owners, new_owners, old_desc, new_desc),
-        workflow_id,
-        new_owners,
-        {_KIND_WORKFLOW: new_desc is not None},
-    )
+        if old_b != new_b:
+            users = old_owners | new_owners
+        elif new_b is not None:
+            users = old_owners ^ new_owners
+        else:
+            continue
+        for user_id in users:
+            embedded = user_id in new_owners and new_b is not None
+            changes[(user_id, kind)] = (
+                _OP_ADD if embedded else _OP_REMOVE,
+                [int(record_id)],
+            )
+    return changes
 
 
 def _merge_changes(total: _Changes, changes: _Changes) -> None:
@@ -815,11 +745,17 @@ class SqliteDAO:
         return {int(uid) for uid in json.loads(row["owners"])}
 
     @staticmethod
-    def _old_embed(row: sqlite3.Row, column: str) -> bytes | None:
-        """Canonical dense bytes (:func:`_embed_bytes`) of a stored
-        vector, not its stored encoding: a legacy dense row and its
-        sparse re-encoding are the same vector."""
-        return _embed_bytes(_unblob(row[column]))
+    def _old_vectors(
+        row: sqlite3.Row, record_type: type
+    ) -> dict[str, bytes | None]:
+        """Each shard kind of ``record_type`` -> the canonical dense
+        bytes (:func:`_embed_bytes`) of the committed row's vector, not
+        its stored encoding: a legacy dense row and its sparse
+        re-encoding are the same vector."""
+        return {
+            kind: _embed_bytes(_unblob(row[SHARD_KINDS[kind].vector_field]))
+            for kind in RECORD_KINDS[record_type].shards
+        }
 
     # -- join-table sync ---------------------------------------------------
     def _sync_owners(
@@ -968,12 +904,7 @@ class SqliteDAO:
                 record.pe_id = pe_id
                 record.revision = 1
                 _merge_changes(
-                    changes,
-                    _pe_changes(
-                        record.pe_id, set(), set(record.owners),
-                        None, _embed_bytes(record.desc_embedding),
-                        None, _embed_bytes(record.code_embedding),
-                    ),
+                    changes, _shard_changes(PERecord, pe_id, set(), {}, record)
                 )
             self._stamp_shards(changes, counter)
             self._conn.executemany(
@@ -1029,12 +960,9 @@ class SqliteDAO:
             record.revision += 1
             old_owners = self._old_owners(old)
             self._stamp_shards(
-                _pe_changes(
-                    record.pe_id, old_owners, set(record.owners),
-                    self._old_embed(old, "desc_embedding"),
-                    _embed_bytes(record.desc_embedding),
-                    self._old_embed(old, "code_embedding"),
-                    _embed_bytes(record.code_embedding),
+                _shard_changes(
+                    PERecord, record.pe_id, old_owners,
+                    self._old_vectors(old, PERecord), record,
                 ),
                 counter,
             )
@@ -1235,10 +1163,9 @@ class SqliteDAO:
             if old is None:
                 raise NotFoundError(f"PE id {pe_id} not found", params={"peId": pe_id})
             self._stamp_shards(
-                _pe_changes(
-                    pe_id, self._old_owners(old), set(),
-                    self._old_embed(old, "desc_embedding"), None,
-                    self._old_embed(old, "code_embedding"), None,
+                _shard_changes(
+                    PERecord, pe_id, self._old_owners(old),
+                    self._old_vectors(old, PERecord), None,
                 ),
                 counter,
             )
@@ -1248,7 +1175,8 @@ class SqliteDAO:
             )
             self._conn.execute("DELETE FROM pe_text WHERE pe_id=?", (pe_id,))
             # back-reference from the link table: touch only the
-            # workflows that actually reference this PE, not all rows
+            # workflows that actually reference this PE, not all rows;
+            # each one changed, so its revision (its ETag) moves on
             backrefs = self._conn.execute(
                 "SELECT workflow_id FROM workflow_pes WHERE pe_id=?", (pe_id,)
             ).fetchall()
@@ -1263,7 +1191,8 @@ class SqliteDAO:
                 if pe_id in pe_ids:
                     pe_ids.remove(pe_id)
                     self._conn.execute(
-                        "UPDATE workflows SET pe_ids=? WHERE workflow_id=?",
+                        "UPDATE workflows SET pe_ids=?, revision=revision+1"
+                        " WHERE workflow_id=?",
                         (json.dumps(pe_ids), backref["workflow_id"]),
                     )
             self._conn.execute("DELETE FROM workflow_pes WHERE pe_id=?", (pe_id,))
@@ -1317,10 +1246,7 @@ class SqliteDAO:
                 record.revision = 1
                 _merge_changes(
                     changes,
-                    _wf_changes(
-                        record.workflow_id, set(), set(record.owners),
-                        None, _embed_bytes(record.desc_embedding),
-                    ),
+                    _shard_changes(WorkflowRecord, workflow_id, set(), {}, record),
                 )
             self._stamp_shards(changes, counter)
             self._conn.executemany(
@@ -1396,10 +1322,9 @@ class SqliteDAO:
             record.revision += 1
             old_owners = self._old_owners(old)
             self._stamp_shards(
-                _wf_changes(
-                    record.workflow_id, old_owners, set(record.owners),
-                    self._old_embed(old, "desc_embedding"),
-                    _embed_bytes(record.desc_embedding),
+                _shard_changes(
+                    WorkflowRecord, record.workflow_id, old_owners,
+                    self._old_vectors(old, WorkflowRecord), record,
                 ),
                 counter,
             )
@@ -1485,9 +1410,9 @@ class SqliteDAO:
                     params={"workflowId": workflow_id},
                 )
             self._stamp_shards(
-                _wf_changes(
-                    workflow_id, self._old_owners(old), set(),
-                    self._old_embed(old, "desc_embedding"), None,
+                _shard_changes(
+                    WorkflowRecord, workflow_id, self._old_owners(old),
+                    self._old_vectors(old, WorkflowRecord), None,
                 ),
                 counter,
             )
@@ -1633,16 +1558,19 @@ class SqliteDAO:
             self._raise_stamps(payload, stamp)
 
     def _scan_owned(
-        self, user_id: int, table: str, kinds: Sequence[str]
+        self, user_id: int, record_type: type, kinds: Sequence[str]
     ) -> tuple[np.ndarray, dict[str, list]]:
-        """One ordered scan of the ``table`` records ``user_id`` owns:
-        their ascending ids and, beside them, each row's still-encoded
-        vector blob (or ``None``) per kind.  The owner table's key hands
-        the ids over in order, so nothing is sorted and no id list is
-        bound into the statement, whatever the shard's size."""
-        owners = _OWNER_TABLE[table]
-        id_col = _KIND_SOURCE[kinds[0]][1]
-        blobs = ", ".join(f"r.{_KIND_SOURCE[kind][2]}" for kind in kinds)
+        """One ordered scan of the ``record_type`` records ``user_id``
+        owns: their ascending ids and, beside them, each row's
+        still-encoded vector blob (or ``None``) per kind.  The owner
+        table's key hands the ids over in order, so nothing is sorted
+        and no id list is bound into the statement, whatever the
+        shard's size."""
+        table, owners = _TABLES[record_type]
+        id_col = RECORD_KINDS[record_type].id_field
+        blobs = ", ".join(
+            f"r.{SHARD_KINDS[kind].vector_field}" for kind in kinds
+        )
         rows = self._conn.execute(
             f"SELECT o.{id_col}, {blobs} FROM {owners} o"
             f" JOIN {table} r ON r.{id_col} = o.{id_col}"
@@ -1666,16 +1594,16 @@ class SqliteDAO:
         so a rebuilt shard and a replayed one are the same bytes.
         Raises ``ValueError`` for a corrupt vector or mixed widths.
         """
-        tables: dict[str, list[str]] = {}
+        tables: dict[type, list[str]] = {}
         for kind in sorted(set(kinds)):
-            if kind not in _KIND_SOURCE:
+            if kind not in SHARD_KINDS:
                 raise ValueError(f"unknown shard kind {kind!r}")
-            tables.setdefault(_KIND_SOURCE[kind][0], []).append(kind)
+            tables.setdefault(SHARD_KINDS[kind].record_type, []).append(kind)
         shards = {}
         with self._lock:
-            for table, table_kinds in tables.items():
+            for record_type, table_kinds in tables.items():
                 scan_ids, columns = self._scan_owned(
-                    int(user_id), table, table_kinds
+                    int(user_id), record_type, table_kinds
                 )
                 for kind, column in columns.items():
                     held = [
@@ -1756,11 +1684,11 @@ class SqliteDAO:
         parse) and shards that raise are discarded one by one.  Caller
         holds the lock."""
         keys = sorted(set(bases) | set(chains) | bad)
-        kinds_of: dict[tuple[int, str], list[str]] = {}
+        kinds_of: dict[tuple[int, type], list[str]] = {}
         for user_id, kind in keys:
-            if kind in _KIND_SOURCE:
+            if kind in SHARD_KINDS:
                 kinds_of.setdefault(
-                    (user_id, _KIND_SOURCE[kind][0]), []
+                    (user_id, SHARD_KINDS[kind].record_type), []
                 ).append(kind)
         # keys are sorted, so a user's kinds follow one another: holding
         # the latest scan is holding every scan that will be asked for
@@ -1769,9 +1697,9 @@ class SqliteDAO:
 
         def fetch(key: tuple[int, str], ids: np.ndarray) -> np.ndarray:
             user_id, kind = key
-            if kind not in _KIND_SOURCE:
+            if kind not in SHARD_KINDS:
                 raise ValueError(f"unknown shard kind {kind!r}")
-            source = (user_id, _KIND_SOURCE[kind][0])
+            source = (user_id, SHARD_KINDS[kind].record_type)
             if latest[0] != source:
                 latest[:] = source, self._scan_owned(*source, kinds_of[source])
             scan_ids, columns = latest[1]

@@ -4,13 +4,19 @@ Object-oriented representations of system data.  Embeddings are float32
 NumPy vectors in memory; ``to_json`` converts them to plain lists for
 the JSON wire format and the DAO layer converts them to bytes for SQLite
 storage.
+
+The two record kinds follow the same §3.1 rules, so every layer that
+writes them reads one table of what differs: :data:`SHARD_KINDS` (the
+search shards a record's vectors live in) and :data:`RECORD_KINDS` (per
+record class).  This module imports nothing else from ``repro``, so any
+layer may read it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -131,3 +137,76 @@ class WorkflowRecord:
         if include_embeddings:
             body["descEmbedding"] = _embedding_to_json(self.desc_embedding)
         return body
+
+
+#: shard kinds: the per-owner search shards a record's vectors live in
+KIND_DESC = "desc"
+KIND_CODE = "code"
+KIND_WORKFLOW = "wf-desc"
+
+
+class ShardKind(NamedTuple):
+    """How a shard kind reads its records."""
+
+    record_type: type
+    #: the record attribute holding the id the shard is keyed by
+    id_field: str
+    #: the record attribute (and DAO column) holding the stored vector
+    vector_field: str
+    #: the text that embeds a record with no stored vector
+    text: Callable[[Any], str]
+
+
+SHARD_KINDS: dict[str, ShardKind] = {
+    KIND_DESC: ShardKind(
+        PERecord, "pe_id", "desc_embedding", lambda r: r.description or r.pe_name
+    ),
+    KIND_CODE: ShardKind(
+        PERecord, "pe_id", "code_embedding", lambda r: r.pe_source or r.pe_name
+    ),
+    KIND_WORKFLOW: ShardKind(
+        WorkflowRecord,
+        "workflow_id",
+        "desc_embedding",
+        lambda r: r.description or r.entry_point,
+    ),
+}
+
+
+class RecordKind(NamedTuple):
+    """What a write needs to know about one record class."""
+
+    #: the wire kind (``WriteResponse.kind``, the v1 routes)
+    kind: str
+    #: its shard kinds, in the order a write visits them
+    shards: tuple[str, ...]
+    #: the name a user binds, retrieves and dedups by
+    name_field: str
+    #: what a same-identity PUT may change in place besides the vectors:
+    #: a revision copies these, and equal ones (and equal vector bytes)
+    #: make the PUT a no-op
+    metadata: tuple[str, ...]
+
+    @property
+    def id_field(self) -> str:
+        return SHARD_KINDS[self.shards[0]].id_field
+
+    @property
+    def vector_fields(self) -> tuple[str, ...]:
+        return tuple(SHARD_KINDS[kind].vector_field for kind in self.shards)
+
+
+RECORD_KINDS: dict[type, RecordKind] = {
+    PERecord: RecordKind(
+        "pe",
+        (KIND_DESC, KIND_CODE),
+        "pe_name",
+        ("description", "description_origin", "pe_source", "pe_imports"),
+    ),
+    WorkflowRecord: RecordKind(
+        "workflow",
+        (KIND_WORKFLOW,),
+        "entry_point",
+        ("workflow_name", "description", "workflow_source", "pe_ids"),
+    ),
+}

@@ -25,6 +25,8 @@ from repro.errors import (
 )
 from repro.registry.dao import SqliteDAO, _embed_bytes
 from repro.registry.entities import (
+    RECORD_KINDS,
+    SHARD_KINDS,
     PERecord,
     UserRecord,
     WorkflowRecord,
@@ -42,6 +44,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: from folding on every write.  Rows, not bytes: replay costs one
 #: last-writer-wins slot per journaled id whatever its encoded size.
 _FOLD_FLOOR = 64
+
+Record = PERecord | WorkflowRecord
+
+#: each record kind's DAO methods, by name: looked up on the DAO when
+#: called, so a wrapper installed on ``SqliteDAO`` after import is the
+#: one entered
+_DAO_METHODS = {
+    PERecord: {
+        "find": "find_pe_by_name",
+        "insert": "insert_pe",
+        "insert_many": "insert_pes",
+        "update": "update_pe",
+        "delete": "delete_pe",
+    },
+    WorkflowRecord: {
+        "find": "find_workflow_by_entry_point",
+        "insert": "insert_workflow",
+        "insert_many": "insert_workflows",
+        "update": "update_workflow",
+        "delete": "delete_workflow",
+    },
+}
 
 
 class RegistryService:
@@ -122,8 +146,6 @@ class RegistryService:
         without it this service writes no base slab and folds nothing —
         the DAO journals every write regardless.
         """
-        from repro.search.index import KIND_CODE, KIND_DESC, KIND_WORKFLOW
-
         self.index = index
         self._persist = persist
         rebuilt: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
@@ -142,7 +164,7 @@ class RegistryService:
             # shard by shard: the wholesale rebuild below takes over
             stale_kinds: dict[int, list[str]] = {}
             for user_id, kind in sorted(stale) if stamps else ():
-                if kind in (KIND_DESC, KIND_CODE, KIND_WORKFLOW):
+                if kind in SHARD_KINDS:
                     stale_kinds.setdefault(user_id, []).append(kind)
             for user_id, kinds in stale_kinds.items():
                 for kind, shard in self.dao.owned_vectors(
@@ -186,34 +208,20 @@ class RegistryService:
 
     def _rebuild_full(self, index: "VectorIndex") -> None:
         """Legacy O(corpus) rebuild: one pass over every record."""
-        from repro.search.index import KIND_CODE, KIND_DESC, KIND_WORKFLOW
-
         shards: dict[tuple[int, str], tuple[list[int], list]] = {}
-
-        def accumulate(user_id: int, kind: str, rid: int, vector) -> None:
-            ids, vectors = shards.setdefault((user_id, kind), ([], []))
-            ids.append(rid)
-            vectors.append(vector)
-
-        for record in self.dao.all_pes():
-            for user_id in record.owners:
-                if record.desc_embedding is not None:
-                    accumulate(
-                        user_id, KIND_DESC, record.pe_id, record.desc_embedding
-                    )
-                if record.code_embedding is not None:
-                    accumulate(
-                        user_id, KIND_CODE, record.pe_id, record.code_embedding
-                    )
-        for record in self.dao.all_workflows():
-            for user_id in record.owners:
-                if record.desc_embedding is not None:
-                    accumulate(
-                        user_id,
-                        KIND_WORKFLOW,
-                        record.workflow_id,
-                        record.desc_embedding,
-                    )
+        for records in (self.dao.all_pes(), self.dao.all_workflows()):
+            for record in records:
+                for user_id in record.owners:
+                    for kind in RECORD_KINDS[type(record)].shards:
+                        spec = SHARD_KINDS[kind]
+                        vector = getattr(record, spec.vector_field)
+                        if vector is None:
+                            continue
+                        ids, vectors = shards.setdefault(
+                            (user_id, kind), ([], [])
+                        )
+                        ids.append(getattr(record, spec.id_field))
+                        vectors.append(vector)
         for (user_id, kind), (ids, vectors) in shards.items():
             index.add_many(user_id, kind, ids, vectors)
 
@@ -412,63 +420,35 @@ class RegistryService:
             },
         }
 
-    def _index_pe(
-        self, user_id: int, record: PERecord, *, journaled: bool = True
+    def _index(
+        self, user_id: int, record: Record, *, journaled: bool = True
     ) -> None:
-        """Put a PE into ``user_id``'s shards of the live index.
-        ``journaled`` says a DAO write put it there (and so journaled
-        it); re-indexing a record the caller already owned is not
-        one."""
-        from repro.search.index import KIND_CODE, KIND_DESC
-
+        """Put a record into ``user_id``'s shards of the live index, one
+        per shard kind it carries a vector of.  ``journaled`` says a DAO
+        write put it there (and so journaled it); re-indexing a record
+        the caller already owned is not one."""
         if self.index is None:
             return
-        for kind, vector in (
-            (KIND_DESC, record.desc_embedding),
-            (KIND_CODE, record.code_embedding),
-        ):
+        for kind in RECORD_KINDS[type(record)].shards:
+            spec = SHARD_KINDS[kind]
+            vector = getattr(record, spec.vector_field)
             if vector is None:
                 continue
-            self.index.add(user_id, kind, record.pe_id, vector)
+            self.index.add(user_id, kind, getattr(record, spec.id_field), vector)
             if journaled:
                 self._journaled((user_id, kind), 1)
 
-    def _unindex_pe(self, user_id: int, record: PERecord) -> None:
-        """Drop a PE from both of ``user_id``'s shards; the DAO journaled
-        a ``remove`` for the kinds the record embeds."""
-        from repro.search.index import KIND_CODE, KIND_DESC
-
+    def _unindex(self, user_id: int, record: Record) -> None:
+        """Drop a record from every one of ``user_id``'s shards of its
+        kind; the DAO journaled a ``remove`` for the kinds the record
+        embeds."""
         if self.index is None:
             return
-        for kind, vector in (
-            (KIND_DESC, record.desc_embedding),
-            (KIND_CODE, record.code_embedding),
-        ):
-            self.index.remove(user_id, kind, record.pe_id)
-            if vector is not None:
+        for kind in RECORD_KINDS[type(record)].shards:
+            spec = SHARD_KINDS[kind]
+            self.index.remove(user_id, kind, getattr(record, spec.id_field))
+            if getattr(record, spec.vector_field) is not None:
                 self._journaled((user_id, kind), 1)
-
-    def _index_workflow(
-        self, user_id: int, record: WorkflowRecord, *, journaled: bool = True
-    ) -> None:
-        from repro.search.index import KIND_WORKFLOW
-
-        if self.index is None or record.desc_embedding is None:
-            return
-        self.index.add(
-            user_id, KIND_WORKFLOW, record.workflow_id, record.desc_embedding
-        )
-        if journaled:
-            self._journaled((user_id, KIND_WORKFLOW), 1)
-
-    def _unindex_workflow(self, user_id: int, record: WorkflowRecord) -> None:
-        from repro.search.index import KIND_WORKFLOW
-
-        if self.index is None:
-            return
-        self.index.remove(user_id, KIND_WORKFLOW, record.workflow_id)
-        if record.desc_embedding is not None:
-            self._journaled((user_id, KIND_WORKFLOW), 1)
 
     # ------------------------------------------------------------------
     # Users / auth
@@ -502,29 +482,88 @@ class RegistryService:
         return self.dao.all_users()
 
     # ------------------------------------------------------------------
-    # PEs
+    # Record writes: PEs and workflows follow the same §3.1 rules, so
+    # each operation has one body, reading what differs by kind from
+    # RECORD_KINDS.  The per-kind names are the entry points; the v1
+    # write core looks them up by kind (``register_{kind}``,
+    # ``register_{kind}s_bulk``, ``upsert_{kind}``, ``revise_{kind}``,
+    # ``remove_{kind}_record``).
     # ------------------------------------------------------------------
-    def _dedup_pe_hit(
+    def register_pe(
         self, user: UserRecord, record: PERecord
-    ) -> PERecord | None:
+    ) -> tuple[PERecord, bool]:
+        return self._register(user, record)
+
+    def register_workflow(
+        self, user: UserRecord, record: WorkflowRecord
+    ) -> tuple[WorkflowRecord, bool]:
+        return self._register(user, record)
+
+    def register_pes_bulk(
+        self, user: UserRecord, records: list[PERecord], *, persist: bool = True
+    ) -> tuple[list[PERecord], list[bool]]:
+        return self._register_bulk(user, records, persist=persist)
+
+    def register_workflows_bulk(
+        self,
+        user: UserRecord,
+        records: list[WorkflowRecord],
+        *,
+        persist: bool = True,
+    ) -> tuple[list[WorkflowRecord], list[bool]]:
+        return self._register_bulk(user, records, persist=persist)
+
+    def upsert_pe(
+        self, user: UserRecord, current: PERecord, record: PERecord
+    ) -> tuple[PERecord, bool]:
+        return self._upsert(user, current, record)
+
+    def upsert_workflow(
+        self, user: UserRecord, current: WorkflowRecord, record: WorkflowRecord
+    ) -> tuple[WorkflowRecord, bool]:
+        return self._upsert(user, current, record)
+
+    def revise_pe(
+        self, user: UserRecord, current: PERecord, record: PERecord
+    ) -> tuple[PERecord, bool]:
+        return self._revise(current, record)
+
+    def revise_workflow(
+        self, user: UserRecord, current: WorkflowRecord, record: WorkflowRecord
+    ) -> tuple[WorkflowRecord, bool]:
+        return self._revise(current, record)
+
+    def remove_pe_record(self, user: UserRecord, record: PERecord) -> None:
+        self._remove(user, record)
+
+    def remove_workflow_record(
+        self, user: UserRecord, record: WorkflowRecord
+    ) -> None:
+        self._remove(user, record)
+
+    def _dao_method(self, record: Record, name: str):
+        """The DAO's ``name`` method (:data:`_DAO_METHODS`) for
+        ``record``'s kind."""
+        return getattr(self.dao, _DAO_METHODS[type(record)][name])
+
+    def _dedup_hit(self, user: UserRecord, record: Record) -> Record | None:
         """The §3.1 dedup resolution: an identity match grants the
         caller ownership (and indexes the record for them); ``None``
         means the registration is genuinely new."""
         identity = record.identity_key()
-        for existing in self.dao.find_pe_by_name(record.pe_name):
+        name = getattr(record, RECORD_KINDS[type(record)].name_field)
+        for existing in self._dao_method(record, "find")(name):
             if existing.identity_key() == identity:
                 granted = user.user_id not in existing.owners
                 if granted:
                     existing.owners.add(user.user_id)
-                    self.dao.update_pe(existing)
+                    self._dao_method(existing, "update")(existing)
                     self._note_write()
-                self._index_pe(user.user_id, existing, journaled=granted)
+                self._index(user.user_id, existing, journaled=granted)
                 return existing
         return None
 
-    def register_pe(
-        self, user: UserRecord, record: PERecord
-    ) -> tuple[PERecord, bool]:
+    def _register(self, user: UserRecord, record: Record) -> tuple[Record, bool]:
         """Dedup-or-insert; returns ``(stored, created)``.
 
         ``created`` is False when the §3.1 identity rule resolved the
@@ -532,96 +571,30 @@ class RegistryService:
         caller already owned it); the v1 write envelope surfaces the
         distinction.
         """
-        hit = self._dedup_pe_hit(user, record)
+        hit = self._dedup_hit(user, record)
         if hit is not None:
             return hit, False
         record.owners = {user.user_id}
-        stored = self.dao.insert_pe(record)
+        stored = self._dao_method(record, "insert")(record)
         self._note_write()
-        self._index_pe(user.user_id, stored)
+        self._index(user.user_id, stored)
         return stored, True
 
-    def upsert_pe(
-        self, user: UserRecord, current: PERecord, record: PERecord
-    ) -> tuple[PERecord, bool]:
-        """Replace the user's name binding: ``record`` supersedes
-        ``current`` (same name, different identity).
-
-        The new content resolves through the §3.1 dedup first (joining
-        an existing identical record or inserting), then the caller's
-        stake in the old record is released — dissociation when other
-        owners remain (a PUT never rewrites another tenant's record),
-        deletion when the caller was the sole owner.  After this, the
-        user's by-name lookups, deletes and conditional writes all
-        resolve to the record now holding the PUT content.
-        """
-        stored, created = self.register_pe(user, record)
-        self.remove_pe_record(user, current)
-        return stored, created
-
-    def revise_pe(
-        self, user: UserRecord, current: PERecord, record: PERecord
-    ) -> tuple[PERecord, bool]:
-        """In-place metadata revision: same identity (name + code),
-        changed description/source/imports/embeddings.
-
-        The record id stays stable and the revision bumps.  Identical
-        identity means there is exactly ONE record (the §3.1 invariant),
-        so every owner sees the revision — shared identity is shared
-        metadata by construction; a caller wanting private metadata
-        must change the code payload (which forks via upsert).
-
-        Only kinds whose embedding *bytes* actually changed touch the
-        index (matching the DAO's stamping and journaling rule); an
-        embedding revised away entirely also drops the stale row from
-        every owner's live shard.
-        """
-        from repro.search.index import KIND_CODE, KIND_DESC
-
-        changed: dict[str, np.ndarray | None] = {}
-        for kind, old_vec, new_vec in (
-            (KIND_DESC, current.desc_embedding, record.desc_embedding),
-            (KIND_CODE, current.code_embedding, record.code_embedding),
-        ):
-            if _embed_bytes(old_vec) != _embed_bytes(new_vec):
-                changed[kind] = new_vec
-        current.description = record.description
-        current.description_origin = record.description_origin
-        current.pe_source = record.pe_source
-        current.pe_imports = list(record.pe_imports)
-        current.desc_embedding = record.desc_embedding
-        current.code_embedding = record.code_embedding
-        self.dao.update_pe(current)
-        self._note_write()
-        if self.index is None:
-            return current, False
-        for kind, vec in changed.items():
-            for owner in current.owners:
-                if vec is not None:
-                    self.index.add(owner, kind, current.pe_id, vec)
-                else:
-                    self.index.remove(owner, kind, current.pe_id)
-                self._journaled((owner, kind), 1)
-        return current, False
-
-    def register_pes_bulk(
-        self, user: UserRecord, records: list[PERecord], *, persist: bool = True
-    ) -> tuple[list[PERecord], list[bool]]:
+    def _register_bulk(
+        self, user: UserRecord, records: list[Record], *, persist: bool
+    ) -> tuple[list[Record], list[bool]]:
         """Bulk registration: one DAO ``executemany`` insert, one index
         ``add_many`` per shard kind, one shard persist.
 
         Applies the same §3.1 dedup-by-identity rule as
-        :meth:`register_pe` — against the registry *and* within the
-        batch itself (two identical items resolve to one record).
-        Returns the stored records in item order plus per-item
-        ``created`` flags.
+        :meth:`_register` — against the registry *and* within the batch
+        itself (two identical items resolve to one record).  Returns the
+        stored records in item order plus per-item ``created`` flags.
         """
-        from repro.search.index import KIND_CODE, KIND_DESC
-
-        stored: list[PERecord] = []
+        stored: list[Record] = []
         created: list[bool] = []
-        fresh: list[PERecord] = []
-        by_identity: dict[str, PERecord] = {}
+        fresh: list[Record] = []
+        by_identity: dict[str, Record] = {}
         for record in records:
             identity = record.identity_key()
             batch_hit = by_identity.get(identity)
@@ -634,7 +607,7 @@ class RegistryService:
                 stored.append(batch_hit)
                 created.append(False)
                 continue
-            hit = self._dedup_pe_hit(user, record)
+            hit = self._dedup_hit(user, record)
             if hit is not None:
                 by_identity[identity] = hit
                 stored.append(hit)
@@ -646,16 +619,18 @@ class RegistryService:
             stored.append(record)
             created.append(True)
         if fresh:
-            self.dao.insert_pes(fresh)
+            self._dao_method(fresh[0], "insert_many")(fresh)
             # the DAO commits a bulk insert as ONE mutation event
             self._note_write()
             # the DAO journaled one row per kind for the whole batch;
             # with persist deferred to the caller, folding the chain is
             # deferred with it
-            for kind, embedded in (
-                (KIND_DESC, [(r.pe_id, r.desc_embedding) for r in fresh]),
-                (KIND_CODE, [(r.pe_id, r.code_embedding) for r in fresh]),
-            ):
+            for kind in RECORD_KINDS[type(fresh[0])].shards:
+                spec = SHARD_KINDS[kind]
+                embedded = [
+                    (getattr(r, spec.id_field), getattr(r, spec.vector_field))
+                    for r in fresh
+                ]
                 ids = [rid for rid, vec in embedded if vec is not None]
                 vectors = [vec for _, vec in embedded if vec is not None]
                 if not ids or self.index is None:
@@ -666,6 +641,83 @@ class RegistryService:
             self.persist_shards()
         return stored, created
 
+    def _upsert(
+        self, user: UserRecord, current: Record, record: Record
+    ) -> tuple[Record, bool]:
+        """Replace the user's name binding: ``record`` supersedes
+        ``current`` (same name, different identity).
+
+        The new content resolves through the §3.1 dedup first (joining
+        an existing identical record or inserting), then the caller's
+        stake in the old record is released — dissociation when other
+        owners remain (a PUT never rewrites another tenant's record),
+        deletion when the caller was the sole owner.  After this, the
+        user's by-name lookups, deletes and conditional writes all
+        resolve to the record now holding the PUT content.
+        """
+        kind = RECORD_KINDS[type(record)].kind
+        stored, created = getattr(self, f"register_{kind}")(user, record)
+        getattr(self, f"remove_{kind}_record")(user, current)
+        return stored, created
+
+    def _revise(self, current: Record, record: Record) -> tuple[Record, bool]:
+        """In-place metadata revision: same identity (name + code),
+        changed metadata or vectors (``RECORD_KINDS``' ``metadata`` and
+        the kind's vector fields).
+
+        The record id stays stable and the revision bumps.  Identical
+        identity means there is exactly ONE record (the §3.1 invariant),
+        so every owner sees the revision — shared identity is shared
+        metadata by construction; a caller wanting private metadata
+        must change the code payload (which forks via upsert).
+
+        Only kinds whose embedding *bytes* actually changed touch the
+        index (matching the DAO's stamping and journaling rule); an
+        embedding revised away entirely also drops the stale row from
+        every owner's live shard.
+        """
+        record_kind = RECORD_KINDS[type(record)]
+        changed: dict[str, np.ndarray | None] = {}
+        for kind in record_kind.shards:
+            field = SHARD_KINDS[kind].vector_field
+            new_vec = getattr(record, field)
+            if _embed_bytes(getattr(current, field)) != _embed_bytes(new_vec):
+                changed[kind] = new_vec
+        for name in (*record_kind.metadata, *record_kind.vector_fields):
+            setattr(current, name, getattr(record, name))
+        self._dao_method(current, "update")(current)
+        self._note_write()
+        if self.index is None:
+            return current, False
+        record_id = getattr(current, record_kind.id_field)
+        for kind, vec in changed.items():
+            for owner in current.owners:
+                if vec is not None:
+                    self.index.add(owner, kind, record_id, vec)
+                else:
+                    self.index.remove(owner, kind, record_id)
+                self._journaled((owner, kind), 1)
+        return current, False
+
+    def _remove(self, user: UserRecord, record: Record) -> None:
+        """Remove an already-fetched owned record (no re-fetch).
+
+        The write core resolves the target once for its revision check;
+        re-reading it here would unblob the embeddings a second time
+        inside the write lock.
+        """
+        record.owners.discard(user.user_id)
+        if record.owners:
+            self._dao_method(record, "update")(record)
+        else:
+            record_id = getattr(record, RECORD_KINDS[type(record)].id_field)
+            self._dao_method(record, "delete")(record_id)
+        self._note_write()
+        self._unindex(user.user_id, record)
+
+    # ------------------------------------------------------------------
+    # PE reads
+    # ------------------------------------------------------------------
     def _owned_pe(self, user: UserRecord, pe_id: int) -> PERecord:
         record = self.dao.get_pe(pe_id)
         if record is None or user.user_id not in record.owners:
@@ -731,151 +783,10 @@ class RegistryService:
             (by_id[i], score) for i, score in ranked if i in by_id
         ]
 
-    def remove_pe_record(self, user: UserRecord, record: PERecord) -> None:
-        """Remove an already-fetched owned record (no re-fetch).
-
-        The write core resolves the target once for its revision check;
-        re-reading it here would unblob the embeddings a second time
-        inside the write lock.
-        """
-        record.owners.discard(user.user_id)
-        if record.owners:
-            self.dao.update_pe(record)
-        else:
-            self.dao.delete_pe(record.pe_id)
-        self._note_write()
-        self._unindex_pe(user.user_id, record)
 
     # ------------------------------------------------------------------
-    # Workflows
+    # Workflow reads
     # ------------------------------------------------------------------
-    def _dedup_workflow_hit(
-        self, user: UserRecord, record: WorkflowRecord
-    ) -> WorkflowRecord | None:
-        """The §3.1 dedup resolution for workflows (see
-        :meth:`_dedup_pe_hit`): an identity match grants the caller
-        ownership; ``None`` means the registration is genuinely new."""
-        for existing in self.dao.find_workflow_by_entry_point(record.entry_point):
-            if existing.identity_key() == record.identity_key():
-                granted = user.user_id not in existing.owners
-                if granted:
-                    existing.owners.add(user.user_id)
-                    self.dao.update_workflow(existing)
-                    self._note_write()
-                self._index_workflow(
-                    user.user_id, existing, journaled=granted
-                )
-                return existing
-        return None
-
-    def register_workflow(
-        self, user: UserRecord, record: WorkflowRecord
-    ) -> tuple[WorkflowRecord, bool]:
-        """Dedup-or-insert; returns ``(stored, created)`` (see register_pe)."""
-        hit = self._dedup_workflow_hit(user, record)
-        if hit is not None:
-            return hit, False
-        record.owners = {user.user_id}
-        stored = self.dao.insert_workflow(record)
-        self._note_write()
-        self._index_workflow(user.user_id, stored)
-        return stored, True
-
-    def register_workflows_bulk(
-        self,
-        user: UserRecord,
-        records: list[WorkflowRecord],
-        *,
-        persist: bool = True,
-    ) -> tuple[list[WorkflowRecord], list[bool]]:
-        """Bulk workflow registration — the :meth:`register_pes_bulk`
-        contract for workflows: one DAO ``executemany`` insert (which
-        journals one row), one index ``add_many``, one shard persist, with
-        the §3.1 dedup applied against the registry *and* within the
-        batch itself.
-        """
-        from repro.search.index import KIND_WORKFLOW
-
-        stored: list[WorkflowRecord] = []
-        created: list[bool] = []
-        fresh: list[WorkflowRecord] = []
-        by_identity: dict[str, WorkflowRecord] = {}
-        for record in records:
-            identity = record.identity_key()
-            batch_hit = by_identity.get(identity)
-            if batch_hit is not None:
-                stored.append(batch_hit)
-                created.append(False)
-                continue
-            hit = self._dedup_workflow_hit(user, record)
-            if hit is not None:
-                by_identity[identity] = hit
-                stored.append(hit)
-                created.append(False)
-                continue
-            record.owners = {user.user_id}
-            fresh.append(record)
-            by_identity[identity] = record
-            stored.append(record)
-            created.append(True)
-        if fresh:
-            self.dao.insert_workflows(fresh)
-            # the DAO commits a bulk insert as ONE mutation event
-            self._note_write()
-            indexed = [
-                (r.workflow_id, r.desc_embedding)
-                for r in fresh
-                if r.desc_embedding is not None
-            ]
-            if indexed and self.index is not None:
-                ids = [rid for rid, _ in indexed]
-                vectors = [vec for _, vec in indexed]
-                self.index.add_many(user.user_id, KIND_WORKFLOW, ids, vectors)
-                self._journaled(
-                    (user.user_id, KIND_WORKFLOW), len(ids), fold=persist
-                )
-        if persist:
-            self.persist_shards()
-        return stored, created
-
-    def upsert_workflow(
-        self, user: UserRecord, current: WorkflowRecord, record: WorkflowRecord
-    ) -> tuple[WorkflowRecord, bool]:
-        """Replace the user's entry-point binding (see :meth:`upsert_pe`)."""
-        stored, created = self.register_workflow(user, record)
-        self.remove_workflow_record(user, current)
-        return stored, created
-
-    def revise_workflow(
-        self, user: UserRecord, current: WorkflowRecord, record: WorkflowRecord
-    ) -> tuple[WorkflowRecord, bool]:
-        """In-place metadata revision (see :meth:`revise_pe`)."""
-        from repro.search.index import KIND_WORKFLOW
-
-        desc_changed = _embed_bytes(current.desc_embedding) != _embed_bytes(
-            record.desc_embedding
-        )
-        current.workflow_name = record.workflow_name
-        current.description = record.description
-        current.workflow_source = record.workflow_source
-        current.pe_ids = list(record.pe_ids)
-        current.desc_embedding = record.desc_embedding
-        self.dao.update_workflow(current)
-        self._note_write()
-        if desc_changed and self.index is not None:
-            for owner in current.owners:
-                if current.desc_embedding is not None:
-                    self.index.add(
-                        owner,
-                        KIND_WORKFLOW,
-                        current.workflow_id,
-                        current.desc_embedding,
-                    )
-                else:
-                    self.index.remove(owner, KIND_WORKFLOW, current.workflow_id)
-                self._journaled((owner, KIND_WORKFLOW), 1)
-        return current, False
-
     def _owned_workflow(self, user: UserRecord, workflow_id: int) -> WorkflowRecord:
         record = self.dao.get_workflow(workflow_id)
         if record is None or user.user_id not in record.owners:
@@ -933,17 +844,6 @@ class RegistryService:
             (by_id[i], score) for i, score in ranked if i in by_id
         ]
 
-    def remove_workflow_record(
-        self, user: UserRecord, record: WorkflowRecord
-    ) -> None:
-        """Remove an already-fetched owned record (no re-fetch)."""
-        record.owners.discard(user.user_id)
-        if record.owners:
-            self.dao.update_workflow(record)
-        else:
-            self.dao.delete_workflow(record.workflow_id)
-        self._note_write()
-        self._unindex_workflow(user.user_id, record)
 
     # ------------------------------------------------------------------
     # Associations
@@ -963,13 +863,11 @@ class RegistryService:
     def workflow_pes(
         self, user: UserRecord, workflow_id: int
     ) -> list[PERecord]:
+        """The workflow's PEs the caller owns, in link order (duplicates
+        kept): a workflow may name PEs its owner does not own, and the
+        privacy rule holds for them too."""
         workflow = self._owned_workflow(user, workflow_id)
-        records = []
-        for pe_id in workflow.pe_ids:
-            record = self.dao.get_pe(pe_id)
-            if record is not None:
-                records.append(record)
-        return records
+        return self.resolve_pes(user, workflow.pe_ids)
 
     def workflow_pes_by_name(self, user: UserRecord, name: str) -> list[PERecord]:
         workflow = self.get_workflow_by_name(user, name)

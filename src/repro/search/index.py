@@ -38,44 +38,19 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, NamedTuple, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from repro.errors import ValidationError
 
-#: shard kinds used by the registry wiring
-KIND_DESC = "desc"
-KIND_CODE = "code"
-KIND_WORKFLOW = "wf-desc"
-
-
-class KindSpec(NamedTuple):
-    """How a shard kind reads its records."""
-
-    #: the record attribute holding the id the shard is keyed by
-    id_field: str
-    #: the record attribute holding the stored vector (None if absent)
-    vector_field: str
-    #: the text that embeds a record with no stored vector
-    text: Callable[[Any], str]
-
-
-#: shard kind -> how its records are read (the exact scan and the
-#: batcher's hydration, :mod:`repro.search.serving`)
-KIND_SPECS: dict[str, KindSpec] = {
-    KIND_DESC: KindSpec(
-        "pe_id", "desc_embedding", lambda r: r.description or r.pe_name
-    ),
-    KIND_CODE: KindSpec(
-        "pe_id", "code_embedding", lambda r: r.pe_source or r.pe_name
-    ),
-    KIND_WORKFLOW: KindSpec(
-        "workflow_id",
-        "desc_embedding",
-        lambda r: r.description or r.entry_point,
-    ),
-}
+# the shard kinds, re-exported: how each reads its records is
+# repro.registry.entities.SHARD_KINDS
+from repro.registry.entities import (  # lint: disable=RPR101 — re-exported
+    KIND_CODE,
+    KIND_DESC,
+    KIND_WORKFLOW,
+)
 
 #: initial shard capacity (rows)
 _INITIAL_CAPACITY = 8

@@ -27,7 +27,7 @@ and to :func:`exact_scan`.
 
 A request gets back ``(record, score)`` pairs, best first; the caller
 renders them.  A batch is one ``(user, kind)``: the kind says how its
-records read (:data:`~repro.search.index.KIND_SPECS`: id, stored
+records read (:data:`~repro.registry.entities.SHARD_KINDS`: id, stored
 vector, text that embeds a record without one), and its one embedder
 embeds the batch's queries and, in the fallback, vector-less records.
 
@@ -47,7 +47,8 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.ml.similarity import cosine_similarity_matrix
-from repro.search.index import KIND_SPECS, VectorIndex
+from repro.registry.entities import SHARD_KINDS
+from repro.search.index import VectorIndex
 
 R = TypeVar("R")  # record type
 
@@ -82,7 +83,7 @@ def exact_scan(
     """
     if not records:
         return []
-    spec = KIND_SPECS[kind]
+    spec = SHARD_KINDS[kind]
     missing = [r for r in records if getattr(r, spec.vector_field) is None]
     if missing:
         rows = np.asarray(
@@ -184,7 +185,7 @@ class SearchBatcher:
         first, ties by ascending id.
 
         ``kind`` names the shard and how its records read
-        (:data:`~repro.search.index.KIND_SPECS`).  The query is the
+        (:data:`~repro.registry.entities.SHARD_KINDS`).  The query is the
         caller's ``query_embedding`` when given; otherwise the flush
         embeds ``embed_text`` — the index's query LRU under
         ``embed_key`` first, then one ``embed_many`` call for the
@@ -374,7 +375,7 @@ class SearchBatcher:
                 if rid not in seen:
                     seen.add(rid)
                     union.append(rid)
-        id_field = KIND_SPECS[kind].id_field
+        id_field = SHARD_KINDS[kind].id_field
         by_id = {
             getattr(record, id_field): record
             for record in lead.resolve(union)

@@ -268,18 +268,25 @@ ranking engine.
 
 **Writes** complete the versioned surface.  ``PUT`` registers under the
 path name (the PE name / the workflow entry point) with true *upsert*
-semantics: identical content is the §3.1 dedup no-op, while changed
-content supersedes the caller's binding — the new content registers
+semantics: identical content is the §3.1 dedup no-op, changed metadata
+with the same code revises the record in place, while changed code
+supersedes the caller's binding — the new content registers
 (dedup-or-insert) and the caller's stake in the old record is released
 (other tenants' view of a shared record is never rewritten).  The
 legacy add routes keep the historical register-only behaviour.
 ``DELETE`` removes by the same key, and ``POST …/pes:bulk`` /
 ``POST …/workflows:bulk`` land a batch with one DAO ``executemany``
 transaction, one index ``add_many`` per shard kind and one shard
-persist.  All write routes — and the
+persist.  ``PUT``, bulk and ``DELETE`` are one handler each for both
+record kinds (``V1WriteController.put``/``bulk``/``delete``, the kind
+bound per route); both bulk routes parse one envelope,
+``BulkRegisterRequest``, with that kind's ``PUT`` envelope per item.
+All write routes — and the
 legacy Table-3 register/remove routes, which are thin byte-identical
 adapters — share one serialized core
-(:func:`repro.server.v1_write.execute_write`).
+(:func:`repro.server.v1_write.execute_write`), and below it one
+service body per operation (``RegistryService._register``,
+``_register_bulk``, ``_upsert``, ``_revise``, ``_remove``).
 Every write returns the ``WriteResponse`` envelope::
 
     {"apiVersion": "v1", "op": "register"|"delete"|"bulk-register",
@@ -297,7 +304,8 @@ different request is a 409.  Only successful responses are recorded —
 errors stay retryable.
 
 *Conditional writes*: ``ifVersion`` pins the target record's
-``revision`` (0 = create-only; every update bumps it) — or, for bulk,
+``revision`` (0 = create-only; every update bumps it, and deleting a
+PE bumps each workflow that linked it) — or, for bulk,
 the registry mutation counter — and a mismatch is a 412 with the
 registry untouched.
 

@@ -11,6 +11,7 @@ import secrets
 import threading
 import traceback
 import urllib.parse
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.errors import MethodNotAllowedError, ReproError, error_envelope
@@ -203,20 +204,17 @@ class LaminarServer:
         # conditional writes; the legacy register/remove routes above
         # are thin adapters over the same execute_write core
         writes = V1WriteController(self)
-        add("PUT", "/v1/registry/{user}/pes/{name}", writes.put_pe)
-        add("PUT", "/v1/registry/{user}/workflows/{name}", writes.put_workflow)
-        add("POST", "/v1/registry/{user}/pes:bulk", writes.bulk_pes)
-        add(
-            "POST",
-            "/v1/registry/{user}/workflows:bulk",
-            writes.bulk_workflows,
-        )
-        add("DELETE", "/v1/registry/{user}/pes/{name}", writes.delete_pe)
-        add(
-            "DELETE",
-            "/v1/registry/{user}/workflows/{name}",
-            writes.delete_workflow,
-        )
+        for method, tail, handler in (
+            ("PUT", "/{name}", writes.put),
+            ("POST", ":bulk", writes.bulk),
+            ("DELETE", "/{name}", writes.delete),
+        ):
+            for kind in ("pe", "workflow"):
+                add(
+                    method,
+                    f"/v1/registry/{{user}}/{kind}s{tail}",
+                    partial(handler, kind),
+                )
 
         # background jobs + repository ingestion (repro.jobs /
         # repro.ingest): ingest answers 202 with a job id, progress and

@@ -133,7 +133,7 @@ class PEController(BaseController):
             name=str(body["peName"]),
             code=str(body["peCode"]),
             description=str(body.get("description") or ""),
-            origin=str(body.get("descriptionOrigin", "user")),
+            description_origin=str(body.get("descriptionOrigin", "user")),
             source=str(body.get("peSource", "")),
             imports=list(body.get("peImports", [])),
             desc_embedding=self._embedding(body, "descEmbedding"),

@@ -540,15 +540,19 @@ class RegisterWorkflowRequest:
 
 @dataclass
 class BulkRegisterRequest:
-    """The validated body of ``POST /v1/registry/{user}/pes:bulk``.
+    """The validated body of ``POST /v1/registry/{user}/pes:bulk`` and
+    ``POST /v1/registry/{user}/workflows:bulk``.
 
-    ``items`` are complete PE registrations (``peName`` required per
-    item; ``ifVersion``/``idempotencyKey`` are request-level only).
-    ``ifVersion`` here pins the *registry mutation counter* — the batch
-    is all-or-nothing against a known registry state.
+    ``items`` are complete registrations of one kind, each parsed by
+    ``item`` — that kind's PUT envelope, :class:`RegisterPERequest` or
+    :class:`RegisterWorkflowRequest` — with its name field (``peName``,
+    ``entryPoint``) required per item; ``ifVersion``/``idempotencyKey``
+    are request-level only.  ``ifVersion`` here pins the *registry
+    mutation counter* — the batch is all-or-nothing against a known
+    registry state.
     """
 
-    items: list[RegisterPERequest]
+    items: list
     if_version: int | None = None
     idempotency_key: str | None = None
 
@@ -556,7 +560,7 @@ class BulkRegisterRequest:
 
     @classmethod
     def from_json(
-        cls, body: dict[str, Any] | None
+        cls, body: dict[str, Any] | None, *, item: type
     ) -> "BulkRegisterRequest":
         body = body or {}
         if not isinstance(body, dict):
@@ -578,75 +582,16 @@ class BulkRegisterRequest:
                 params={"items": len(items)},
             )
         parsed = []
-        for position, item in enumerate(items):
-            if not isinstance(item, dict):
+        for position, entry in enumerate(items):
+            if not isinstance(entry, dict):
                 raise ValidationError(
                     f"items[{position}] must be a JSON object, got "
-                    f"{type(item).__name__}",
+                    f"{type(entry).__name__}",
                     params={"position": position},
                 )
             parsed.append(
-                RegisterPERequest.from_json(
-                    item, where=f"items[{position}]", allow_meta=False
-                )
-            )
-        return cls(
-            items=parsed,
-            if_version=parse_if_version(body),
-            idempotency_key=parse_idempotency_key(body),
-        )
-
-
-@dataclass
-class BulkRegisterWorkflowsRequest:
-    """The validated body of ``POST /v1/registry/{user}/workflows:bulk``.
-
-    Mirrors :class:`BulkRegisterRequest`: ``items`` are complete
-    workflow registrations (``entryPoint`` required per item;
-    ``ifVersion``/``idempotencyKey`` are request-level only) and
-    ``ifVersion`` pins the registry mutation counter.
-    """
-
-    items: list[RegisterWorkflowRequest]
-    if_version: int | None = None
-    idempotency_key: str | None = None
-
-    FIELDS = ("items", "ifVersion", "idempotencyKey")
-
-    @classmethod
-    def from_json(
-        cls, body: dict[str, Any] | None
-    ) -> "BulkRegisterWorkflowsRequest":
-        body = body or {}
-        if not isinstance(body, dict):
-            raise ValidationError(
-                f"bulk register request must be a JSON object, got "
-                f"{type(body).__name__}"
-            )
-        reject_unknown_fields(body, cls.FIELDS, where="bulk register request")
-        items = body.get("items")
-        if not isinstance(items, list) or not items:
-            raise ValidationError(
-                "items is required and must be a non-empty array",
-                params={"items": type(items).__name__},
-            )
-        if len(items) > MAX_BULK_ITEMS:
-            raise ValidationError(
-                f"items must contain at most {MAX_BULK_ITEMS} entries, "
-                f"got {len(items)}",
-                params={"items": len(items)},
-            )
-        parsed = []
-        for position, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise ValidationError(
-                    f"items[{position}] must be a JSON object, got "
-                    f"{type(item).__name__}",
-                    params={"position": position},
-                )
-            parsed.append(
-                RegisterWorkflowRequest.from_json(
-                    item, where=f"items[{position}]", allow_meta=False
+                item.from_json(
+                    entry, where=f"items[{position}]", allow_meta=False
                 )
             )
         return cls(

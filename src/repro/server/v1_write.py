@@ -26,9 +26,15 @@ What the core adds over the legacy path:
 * **Bulk registration** — ``POST /v1/registry/{user}/pes:bulk`` and
   ``POST /v1/registry/{user}/workflows:bulk`` land any number of
   records with one DAO ``executemany`` transaction, one index
-  ``add_many`` per shard kind and one shard persist (see
-  ``RegistryService.register_pes_bulk`` /
-  ``register_workflows_bulk``).
+  ``add_many`` per shard kind and one shard persist (the service's
+  shared bulk body, entered as ``register_{kind}s_bulk``).
+
+Nothing here branches on the record kind: ``PUT``, bulk and
+``DELETE`` each have one handler with the kind bound per route
+(:mod:`repro.server.app`), the record's name field and metadata come
+from :data:`~repro.registry.entities.RECORD_KINDS`, and the service's
+per-kind entries (``register_pe``, ``revise_workflow``, ...) are looked
+up by kind when called.
 
 All writes serialize on ``LaminarServer.write_lock``: the
 receipt-check → conditional-check → service-write → receipt-store
@@ -40,6 +46,7 @@ write, and ``ifVersion`` races resolve to exactly one winner.  Reads
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -55,12 +62,16 @@ from repro.errors import (
     ValidationError,
 )
 from repro.net.transport import Request, Response
-from repro.registry.dao import RECEIPT_PENDING
-from repro.registry.entities import PERecord, UserRecord, WorkflowRecord
+from repro.registry.dao import RECEIPT_PENDING, _embed_bytes
+from repro.registry.entities import (
+    RECORD_KINDS,
+    PERecord,
+    UserRecord,
+    WorkflowRecord,
+)
 from repro.server.controllers import BaseController
 from repro.server.schema import (
     BulkRegisterRequest,
-    BulkRegisterWorkflowsRequest,
     DeleteRequest,
     RegisterPERequest,
     RegisterWorkflowRequest,
@@ -81,7 +92,7 @@ def build_pe_record(
     name: str,
     code: str,
     description: str = "",
-    origin: str = "user",
+    description_origin: str = "user",
     source: str = "",
     imports: list[str] | None = None,
     desc_embedding: Any = None,
@@ -97,7 +108,7 @@ def build_pe_record(
     """
     if not description:
         description = app.models.summarizer.summarize(source or name, name=name)
-        origin = "auto"
+        description_origin = "auto"
     if desc_embedding is None:
         desc_embedding = app.semantic.embed_description(description)
     else:
@@ -110,7 +121,7 @@ def build_pe_record(
         pe_id=0,
         pe_name=name,
         description=description,
-        description_origin=origin,
+        description_origin=description_origin,
         pe_code=code,
         pe_source=source,
         pe_imports=list(imports or []),
@@ -147,6 +158,28 @@ def build_workflow_record(
         pe_ids=[int(pe_id) for pe_id in (pe_ids or [])],
         desc_embedding=desc_embedding,
     )
+
+
+#: the PUT envelope of each wire kind (a bulk item parses with it too)
+_REQUESTS = {"pe": RegisterPERequest, "workflow": RegisterWorkflowRequest}
+
+
+def _build_record(
+    app: "LaminarServer", kind: str, req: Any
+) -> PERecord | WorkflowRecord:
+    """The record a parsed PUT envelope or bulk item describes.
+
+    The envelope's fields, less the request-level ``ifVersion`` and
+    ``idempotencyKey``, are the keyword arguments of
+    ``build_{kind}_record``, which is looked up when called: a wrapper
+    installed on this module after import is the one entered.
+    """
+    fields = {
+        f.name: getattr(req, f.name)
+        for f in dataclasses.fields(req)
+        if f.name not in ("if_version", "idempotency_key")
+    }
+    return globals()[f"build_{kind}_record"](app, **fields)
 
 
 def write_fingerprint(
@@ -244,9 +277,7 @@ class WriteOutcome:
 def _current_by_name(registry, user: UserRecord, kind: str, name: str):
     """The caller's record under ``name``, or ``None`` (no 404 here)."""
     try:
-        if kind == "pe":
-            return registry.get_pe_by_name(user, name)
-        return registry.get_workflow_by_name(user, name)
+        return getattr(registry, f"get_{kind}_by_name")(user, name)
     except NotFoundError:
         return None
 
@@ -269,35 +300,20 @@ def _check_revision(
     )
 
 
-def _embedding_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    return a.shape == b.shape and bool(np.array_equal(a, b))
-
-
-def _metadata_equal(kind: str, a, b) -> bool:
+def _metadata_equal(a, b) -> bool:
     """Whether two same-identity records carry identical metadata.
 
     Identity (name + code digest) already matched; this decides whether
-    a PUT is a pure no-op or an in-place metadata revision.
+    a PUT is a pure no-op or an in-place metadata revision.  Vectors
+    compare by their float32 bytes, the rule by which the DAO decides
+    that a write changed a shard.
     """
-    if kind == "pe":
-        return (
-            a.description == b.description
-            and a.description_origin == b.description_origin
-            and a.pe_source == b.pe_source
-            and list(a.pe_imports) == list(b.pe_imports)
-            and _embedding_equal(a.desc_embedding, b.desc_embedding)
-            and _embedding_equal(a.code_embedding, b.code_embedding)
-        )
-    return (
-        a.workflow_name == b.workflow_name
-        and a.description == b.description
-        and a.workflow_source == b.workflow_source
-        and list(a.pe_ids) == list(b.pe_ids)
-        and _embedding_equal(a.desc_embedding, b.desc_embedding)
+    record_kind = RECORD_KINDS[type(a)]
+    return all(
+        getattr(a, name) == getattr(b, name) for name in record_kind.metadata
+    ) and all(
+        _embed_bytes(getattr(a, name)) == _embed_bytes(getattr(b, name))
+        for name in record_kind.vector_fields
     )
 
 
@@ -306,7 +322,7 @@ def _register_single(
 ) -> WriteOutcome:
     registry = app.registry
     record = cmd.record
-    name = record.pe_name if cmd.kind == "pe" else record.entry_point
+    name = getattr(record, RECORD_KINDS[type(record)].name_field)
     # the by-name lookup is only needed for conditional or upsert
     # semantics — the unconditional legacy path must not pay a second
     # name scan on every registration
@@ -322,26 +338,20 @@ def _register_single(
     # v1 PUT semantics against an existing binding: changed identity
     # (code) supersedes the record, changed metadata revises it in
     # place, identical content is the §3.1 dedup no-op
-    supersede = revise = False
+    write = None
     if cmd.upsert and current is not None:
         if current.identity_key() != record.identity_key():
-            supersede = True
-        elif not _metadata_equal(cmd.kind, current, record):
-            revise = True
-    if cmd.kind == "pe":
-        if supersede:
-            stored, created = registry.upsert_pe(user, current, record)
-        elif revise:
-            stored, created = registry.revise_pe(user, current, record)
-        else:
-            stored, created = registry.register_pe(user, record)
+            write = "upsert"
+        elif not _metadata_equal(current, record):
+            write = "revise"
+    if write is None:
+        stored, created = getattr(registry, f"register_{cmd.kind}")(
+            user, record
+        )
     else:
-        if supersede:
-            stored, created = registry.upsert_workflow(user, current, record)
-        elif revise:
-            stored, created = registry.revise_workflow(user, current, record)
-        else:
-            stored, created = registry.register_workflow(user, record)
+        stored, created = getattr(registry, f"{write}_{cmd.kind}")(
+            user, current, record
+        )
     item = {**stored.to_json(), "revision": stored.revision}
     item["created"] = created
     status = 201 if created else 200
@@ -375,12 +385,9 @@ def _register_bulk(
 ) -> WriteOutcome:
     registry = app.registry
     _check_bulk_version(registry, cmd.if_version)
-    if cmd.kind == "pe":
-        stored, created = registry.register_pes_bulk(user, list(cmd.records))
-    else:
-        stored, created = registry.register_workflows_bulk(
-            user, list(cmd.records)
-        )
+    stored, created = getattr(registry, f"register_{cmd.kind}s_bulk")(
+        user, list(cmd.records)
+    )
     items = [
         {**record.to_json(), "revision": record.revision, "created": was_created}
         for record, was_created in zip(stored, created)
@@ -401,24 +408,17 @@ def _delete(
     app: "LaminarServer", user: UserRecord, cmd: WriteCommand
 ) -> WriteOutcome:
     registry = app.registry
-    if cmd.kind == "pe":
-        if cmd.target_name is not None:
-            record = registry.get_pe_by_name(user, cmd.target_name)
-        else:
-            record = registry.get_pe_by_id(user, cmd.target_id)
-        name = record.pe_name
-        _check_revision(cmd.if_version, record.revision, kind="pe", name=name)
-        registry.remove_pe_record(user, record)
-    else:
-        if cmd.target_name is not None:
-            record = registry.get_workflow_by_name(user, cmd.target_name)
-        else:
-            record = registry.get_workflow_by_id(user, cmd.target_id)
-        name = record.entry_point
-        _check_revision(
-            cmd.if_version, record.revision, kind="workflow", name=name
+    if cmd.target_name is not None:
+        record = getattr(registry, f"get_{cmd.kind}_by_name")(
+            user, cmd.target_name
         )
-        registry.remove_workflow_record(user, record)
+    else:
+        record = getattr(registry, f"get_{cmd.kind}_by_id")(
+            user, cmd.target_id
+        )
+    name = getattr(record, RECORD_KINDS[type(record)].name_field)
+    _check_revision(cmd.if_version, record.revision, kind=cmd.kind, name=name)
+    getattr(registry, f"remove_{cmd.kind}_record")(user, record)
     body = WriteResponse(
         op="delete",
         kind=cmd.kind,
@@ -589,33 +589,23 @@ def execute_write(
 # The /v1/ write controller
 # ---------------------------------------------------------------------------
 class V1WriteController(BaseController):
-    """Handlers behind the ``/v1/`` write route table."""
+    """Handlers behind the ``/v1/`` write route table; each route binds
+    its ``kind`` (``pe`` or ``workflow``) in :mod:`repro.server.app`."""
 
-    def put_pe(self, request: Request, params: dict[str, str]) -> Response:
+    def put(self, kind: str, request: Request, params: dict[str, str]) -> Response:
         user = self.authenticated_user(request, params)
-        req = RegisterPERequest.from_json(request.body, name=params["name"])
+        req = _REQUESTS[kind].from_json(request.body, name=params["name"])
         key = _effective_idempotency_key(request, req.idempotency_key)
         fingerprint = _fingerprint_if_keyed(
-            key, "register", "pe", params["name"], request
+            key, "register", kind, params["name"], request
         )
         replay = _try_replay(self.app, user, key, fingerprint)
         if replay is not None:
             return replay.response()
-        record = build_pe_record(
-            self.app,
-            name=req.name,
-            code=req.code,
-            description=req.description,
-            origin=req.description_origin,
-            source=req.source,
-            imports=req.imports,
-            desc_embedding=req.desc_embedding,
-            code_embedding=req.code_embedding,
-        )
         cmd = WriteCommand(
             action="register",
-            kind="pe",
-            record=record,
+            kind=kind,
+            record=_build_record(self.app, kind, req),
             if_version=req.if_version,
             idempotency_key=key,
             fingerprint=fingerprint,
@@ -623,45 +613,12 @@ class V1WriteController(BaseController):
         )
         return execute_write(self.app, user, cmd).response()
 
-    def put_workflow(self, request: Request, params: dict[str, str]) -> Response:
+    def bulk(self, kind: str, request: Request, params: dict[str, str]) -> Response:
         user = self.authenticated_user(request, params)
-        req = RegisterWorkflowRequest.from_json(
-            request.body, name=params["name"]
-        )
+        req = BulkRegisterRequest.from_json(request.body, item=_REQUESTS[kind])
         key = _effective_idempotency_key(request, req.idempotency_key)
         fingerprint = _fingerprint_if_keyed(
-            key, "register", "workflow", params["name"], request
-        )
-        replay = _try_replay(self.app, user, key, fingerprint)
-        if replay is not None:
-            return replay.response()
-        record = build_workflow_record(
-            self.app,
-            entry_point=req.entry_point,
-            code=req.code,
-            workflow_name=req.workflow_name,
-            description=req.description,
-            source=req.source,
-            pe_ids=req.pe_ids,
-            desc_embedding=req.desc_embedding,
-        )
-        cmd = WriteCommand(
-            action="register",
-            kind="workflow",
-            record=record,
-            if_version=req.if_version,
-            idempotency_key=key,
-            fingerprint=fingerprint,
-            upsert=True,
-        )
-        return execute_write(self.app, user, cmd).response()
-
-    def bulk_pes(self, request: Request, params: dict[str, str]) -> Response:
-        user = self.authenticated_user(request, params)
-        req = BulkRegisterRequest.from_json(request.body)
-        key = _effective_idempotency_key(request, req.idempotency_key)
-        fingerprint = _fingerprint_if_keyed(
-            key, "bulk-register", "pe", "pes:bulk", request
+            key, "bulk-register", kind, f"{kind}s:bulk", request
         )
         # the fast paths matter most here: neither a replay nor a
         # stale-CAS batch may pay the per-item summarize/embed model
@@ -671,98 +628,30 @@ class V1WriteController(BaseController):
         if replay is not None:
             return replay.response()
         _check_bulk_version(self.app.registry, req.if_version)
-        records = [
-            build_pe_record(
-                self.app,
-                name=item.name,
-                code=item.code,
-                description=item.description,
-                origin=item.description_origin,
-                source=item.source,
-                imports=item.imports,
-                desc_embedding=item.desc_embedding,
-                code_embedding=item.code_embedding,
-            )
-            for item in req.items
-        ]
         cmd = WriteCommand(
             action="bulk-register",
-            kind="pe",
-            records=records,
+            kind=kind,
+            records=[_build_record(self.app, kind, item) for item in req.items],
             if_version=req.if_version,
             idempotency_key=key,
             fingerprint=fingerprint,
         )
         return execute_write(self.app, user, cmd).response()
 
-    def bulk_workflows(
-        self, request: Request, params: dict[str, str]
-    ) -> Response:
-        user = self.authenticated_user(request, params)
-        req = BulkRegisterWorkflowsRequest.from_json(request.body)
-        key = _effective_idempotency_key(request, req.idempotency_key)
-        fingerprint = _fingerprint_if_keyed(
-            key, "bulk-register", "workflow", "workflows:bulk", request
-        )
-        # same fast-path ordering as bulk_pes: replay and stale-CAS
-        # checks run before any per-item embed work
-        replay = _try_replay(self.app, user, key, fingerprint)
-        if replay is not None:
-            return replay.response()
-        _check_bulk_version(self.app.registry, req.if_version)
-        records = [
-            build_workflow_record(
-                self.app,
-                entry_point=item.entry_point,
-                code=item.code,
-                workflow_name=item.workflow_name,
-                description=item.description,
-                source=item.source,
-                pe_ids=item.pe_ids,
-                desc_embedding=item.desc_embedding,
-            )
-            for item in req.items
-        ]
-        cmd = WriteCommand(
-            action="bulk-register",
-            kind="workflow",
-            records=records,
-            if_version=req.if_version,
-            idempotency_key=key,
-            fingerprint=fingerprint,
-        )
-        return execute_write(self.app, user, cmd).response()
-
-    def delete_pe(self, request: Request, params: dict[str, str]) -> Response:
-        user = self.authenticated_user(request, params)
-        req = DeleteRequest.from_json(request.body)
-        key = _effective_idempotency_key(request, req.idempotency_key)
-        cmd = WriteCommand(
-            action="delete",
-            kind="pe",
-            target_name=params["name"],
-            if_version=req.if_version,
-            idempotency_key=key,
-            fingerprint=_fingerprint_if_keyed(
-                key, "delete", "pe", params["name"], request
-            ),
-        )
-        return execute_write(self.app, user, cmd).response()
-
-    def delete_workflow(
-        self, request: Request, params: dict[str, str]
+    def delete(
+        self, kind: str, request: Request, params: dict[str, str]
     ) -> Response:
         user = self.authenticated_user(request, params)
         req = DeleteRequest.from_json(request.body)
         key = _effective_idempotency_key(request, req.idempotency_key)
         cmd = WriteCommand(
             action="delete",
-            kind="workflow",
+            kind=kind,
             target_name=params["name"],
             if_version=req.if_version,
             idempotency_key=key,
             fingerprint=_fingerprint_if_keyed(
-                key, "delete", "workflow", params["name"], request
+                key, "delete", kind, params["name"], request
             ),
         )
         return execute_write(self.app, user, cmd).response()

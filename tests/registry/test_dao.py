@@ -516,9 +516,15 @@ class TestSqliteDeleteBackref:
         untouched = dao.insert_workflow(
             make_wf("untouched", code="Yg==", pe_ids=[keep.pe_id])
         )
+        assert linked.revision == untouched.revision == 1
         dao.delete_pe(pe.pe_id)
-        assert dao.get_workflow(linked.workflow_id).pe_ids == [keep.pe_id]
-        assert dao.get_workflow(untouched.workflow_id).pe_ids == [keep.pe_id]
+        after = dao.get_workflow(linked.workflow_id)
+        assert after.pe_ids == [keep.pe_id]
+        # the unlink changed the workflow, so its revision moves on
+        assert after.revision == 2
+        still = dao.get_workflow(untouched.workflow_id)
+        assert still.pe_ids == [keep.pe_id]
+        assert still.revision == 1
 
 
 class TestSqlitePersistence:

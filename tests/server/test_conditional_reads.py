@@ -162,6 +162,45 @@ class TestIfNoneMatch:
         response = get_pe(server, token, "ghost", validator="*")
         assert response.status == 404
 
+    def test_deleting_a_linked_pe_is_a_new_workflow_etag(self, server, token):
+        """Deleting a PE unlinks it from the workflows that list it; a
+        validator cached before that must not be answered 304."""
+        pe_id = put_pe(server, token, "alpha").body["items"][0]["peId"]
+        put = server.dispatch(
+            Request(
+                "PUT",
+                "/v1/registry/zz46/workflows/wfA",
+                {"workflowCode": "graph = g()", "peIds": [pe_id]},
+                token=token,
+            )
+        )
+        assert put.status == 201, put.body
+
+        def get_workflow(validator=None):
+            headers = {} if validator is None else {"If-None-Match": validator}
+            return server.dispatch(
+                Request(
+                    "GET",
+                    "/v1/registry/zz46/workflows/wfA",
+                    token=token,
+                    headers=headers,
+                )
+            )
+
+        before = get_workflow()
+        stale = before.headers["ETag"]
+        assert before.body["item"]["peIds"] == [pe_id]
+        assert get_workflow(stale).status == 304
+        deleted = server.dispatch(
+            Request("DELETE", "/v1/registry/zz46/pes/alpha", token=token)
+        )
+        assert deleted.status == 200, deleted.body
+        response = get_workflow(stale)
+        assert response.status == 200
+        assert response.headers["ETag"] != stale
+        assert response.body["item"]["peIds"] == []
+        assert response.body["item"]["revision"] == 2
+
 
 class TestOverRealHttp:
     def test_304_round_trip_with_empty_body(self, fast_bundle):

@@ -384,6 +384,52 @@ class TestListingPagination:
         ).body
         assert [item["peId"] for item in rest["items"]] == sorted(pe_ids)[3:]
 
+    @pytest.mark.parametrize(
+        "route",
+        [
+            "/v1/registry/bob/workflows/{id}/pes",
+            "/registry/bob/workflow/pes/id/{id}",
+            "/registry/bob/workflow/pes/name/flow",
+        ],
+    )
+    def test_workflow_pes_lists_only_the_callers_pes(
+        self, server, token, route
+    ):
+        """A workflow may name PEs its owner does not own; listing its
+        PEs must not hand those records over (the privacy rule)."""
+        alices = add_pe(server, token, "secret", "alice's private pe")
+        server.dispatch(
+            Request("POST", "/auth/register", {"userName": "bob", "password": "pw"})
+        )
+        bob = server.dispatch(
+            Request("POST", "/auth/login", {"userName": "bob", "password": "pw"})
+        ).body["token"]
+        own = add_pe(server, bob, "mine", "bob's pe", user="bob")
+        put = server.dispatch(
+            Request(
+                "PUT",
+                "/v1/registry/bob/workflows/flow",
+                {"workflowCode": "graph = g()", "peIds": [own, alices, own]},
+                token=bob,
+            )
+        )
+        assert put.status == 201, put.body
+        wf_id = put.body["items"][0]["workflowId"]
+        assert server.dispatch(
+            Request("GET", f"/registry/bob/pe/id/{alices}", token=bob)
+        ).status == 404
+        response = server.dispatch(
+            Request("GET", route.format(id=wf_id), {}, token=bob)
+        )
+        assert response.status == 200, response.body
+        listed = response.body.get("items", response.body.get("pes"))
+        assert alices not in [item["peId"] for item in listed]
+        assert "alice's private pe" not in str(response.body)
+        # v1 lists each owned PE once; the legacy routes keep link order
+        # and duplicates
+        expected = [own] if route.startswith("/v1/") else [own, own]
+        assert [item["peId"] for item in listed] == expected
+
     def test_listing_items_carry_revision(self, server, token):
         """PE/workflow listing items expose the conditional-write
         counter, so a reader can feed ``ifVersion`` straight back."""
