@@ -20,14 +20,22 @@ Its writers are helpers too (``_bump_mutation``, ``_issue_ids``), not
 the mutating method.
 
 Detection: a method "writes" when it executes SQL matching
-``INSERT INTO/UPDATE/DELETE FROM pes|workflows`` (string literals and
-the literal parts of f-strings); such a method must contain both a
+``INSERT INTO/UPDATE/DELETE FROM pes|workflows`` — string literals and
+f-strings, where a storage row's record-table placeholder
+(``{store.table}``) counts as a record table and its owner or text
+table (``{store.owners}``, ``{store.text}``) does not, so the SQL must
+sit inline at the ``execute`` call.  Such a method must contain both a
 ``_bump_mutation()`` call and a ``_stamp_shards(...)`` call, and must
 not itself write the persisted membership state — stamps, journal or,
 since schema v9 made them ids-only membership too, base slabs
 (``shard_stamps`` / ``index_deltas`` / ``index_shards`` SQL).
 ``append_index_delta``, the single journal-row writer, may be called
 from ``_stamp_shards`` only.
+
+Hooks: a method a storage row names in a hook slot (``link=``,
+``relink=``, ``unlink=``, a string) runs inside the write that calls it,
+so its own record writes need no bump or stamp; instead a method that
+runs hooks (``_hook(...)``) or calls one by name counts as writing.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from repro.analysis.rules.common import walk_scope
 
 _SQL_WRITE = re.compile(
     r"(?i)\b(?:insert(?:\s+or\s+\w+)?\s+into|update|delete\s+from)\s+"
-    r"(pes|workflows)\b"
+    r"(pes\b|workflows\b|\{[^{}]*\.table\})"
 )
 
 #: the persisted membership state (stamps, journal, ids-only base
@@ -59,24 +67,40 @@ _STAMP_SQL_WRITE = re.compile(
 
 _STAMP_HELPER = "_stamp_shards"
 _JOURNAL_WRITER = "append_index_delta"
+_HOOK_RUNNER = "_hook"
+_HOOK_SLOTS = frozenset({"link", "relink", "unlink"})
 
 
 def _sql_text(node: ast.Call) -> str | None:
-    """The SQL a call executes: a string literal, or the literal parts
-    of an f-string (a conditional ``SET`` clause still names its table
-    outside the braces)."""
+    """The SQL a call executes: a string literal, or an f-string with
+    each placeholder kept as its source in braces (``{store.table}``;
+    a conditional ``SET`` clause still names its table outside them)."""
     if not node.args:
         return None
     first = node.args[0]
     if isinstance(first, ast.Constant) and isinstance(first.value, str):
         return first.value
     if isinstance(first, ast.JoinedStr):
-        return " ".join(
+        return "".join(
             part.value
+            if isinstance(part, ast.Constant)
+            else "{" + ast.unparse(part.value) + "}"
             for part in first.values
-            if isinstance(part, ast.Constant) and isinstance(part.value, str)
         )
     return None
+
+
+def _hooks(tree: ast.AST) -> set[str]:
+    """The methods the module's storage rows name in a hook slot."""
+    return {
+        keyword.value.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg in _HOOK_SLOTS
+        and isinstance(keyword.value, ast.Constant)
+        and isinstance(keyword.value.value, str)
+    }
 
 
 def _written(fn: ast.FunctionDef, sql_write: re.Pattern) -> set[str]:
@@ -117,6 +141,7 @@ class DaoStampRule(Rule):
         return module.posix.endswith("repro/registry/dao.py")
 
     def check(self, module: LintModule) -> Iterable[Finding]:
+        hooks = _hooks(module.tree)
         for cls in ast.walk(module.tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -131,10 +156,16 @@ class DaoStampRule(Rule):
                         f" {_STAMP_HELPER} (stamp and journal are one act)",
                     )
                 tables = _written(fn, _SQL_WRITE)
+                # a hook's writes are checked where it runs
+                hook = fn.name in hooks
+                if not hook and any(
+                    _calls(fn, name) for name in {_HOOK_RUNNER, *hooks}
+                ):
+                    tables.add("its hooks' tables")
                 if not tables:
                     continue
                 wrote = "/".join(sorted(tables))
-                if not _calls(fn, "_bump_mutation"):
+                if not hook and not _calls(fn, "_bump_mutation"):
                     yield self.finding(
                         module,
                         fn,
@@ -142,7 +173,7 @@ class DaoStampRule(Rule):
                         " bumping the registry mutation counter"
                         " (persisted slabs would load stale-as-fresh)",
                     )
-                if not _calls(fn, _STAMP_HELPER):
+                if not hook and not _calls(fn, _STAMP_HELPER):
                     yield self.finding(
                         module,
                         fn,

@@ -22,6 +22,17 @@ however, own the *access paths* that make ownership filtering cheap:
   hydration;
 * ``insert_pes`` / ``insert_workflows`` — batched bulk load.
 
+Both record kinds are stored under one set of rules, so each record
+operation — insert, update, delete, get, get-many, find by name, all,
+owned, owned ids, text top-k — is one body driven by the kind's storage
+row (:data:`_STORAGE`): record, owner, text-side and FTS tables, the
+columns with a codec each, the text-document builder, the not-found
+label.  The id, name and vector fields come from
+:data:`~repro.registry.entities.RECORD_KINDS`.  The per-kind names
+(``get_pes``, ``update_workflow``, ...) are one-line entries into those
+bodies; what only workflows have — the ``workflow_pes`` link rows and a
+deleted PE's back-reference — stays in named hooks.
+
 Ownership lives in normalized ``pe_owners`` / ``workflow_owners`` join
 tables keyed ``(user_id, id)`` — every owner-scoped read filters by
 user and walks the primary key, and a write deletes a record's old
@@ -47,13 +58,15 @@ columns stay; dropping them would need its own schema step.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sqlite3
 import threading
 from contextlib import contextmanager
 from functools import partial
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -90,13 +103,6 @@ def _text_documents():
 #: scorer's dominant whole-query arm (``text_search._match_score``)
 _NAME_SUBSTRING_BONUS = 2.0
 
-
-#: each record class's table and its owner join table (keyed by user,
-#: then id)
-_TABLES = {
-    PERecord: ("pes", "pe_owners"),
-    WorkflowRecord: ("workflows", "workflow_owners"),
-}
 
 #: delta-journal ops
 _OP_ADD = "add"
@@ -450,12 +456,6 @@ CREATE TEMP TRIGGER wf_text_au AFTER UPDATE ON main.wf_text BEGIN
 END;
 """
 
-#: each text index table: (FTS table, side table, id column)
-_TEXT_TABLES = (
-    ("pe_fts", "pe_text", "pe_id"),
-    ("wf_fts", "wf_text", "workflow_id"),
-)
-
 #: the on-disk format (``PRAGMA user_version``) :data:`_SCHEMA` creates.
 #: A v12 file takes one step to it (:data:`_STEP_FROM_V12`); any other
 #: version is refused.  v13 keyed the owner tables by user, moved the
@@ -534,6 +534,151 @@ def _chunked(ids: Sequence[int]) -> Iterable[Sequence[int]]:
         yield ids[start : start + _IN_CHUNK]
 
 
+#: how a record column is stored: ``(encode, decode)``, or ``_PLAIN``
+#: for a value SQLite holds as the record does
+_Codec = tuple[Callable[[Any], Any], Callable[[Any], Any]] | None
+_PLAIN: _Codec = None
+_JSON: _Codec = (json.dumps, json.loads)
+_VECTOR: _Codec = (_blob, _unblob)
+#: owners: a set in the record, a sorted JSON list in the row
+_OWNERS: _Codec = (
+    lambda owners: json.dumps(sorted(owners)),
+    lambda raw: set(json.loads(raw)),
+)
+
+
+@dataclasses.dataclass
+class _Storage:
+    """How :class:`SqliteDAO` stores one record class: the storage facts
+    :data:`~repro.registry.entities.RECORD_KINDS` leaves out.  The id,
+    name and vector fields are read from there, so each DAO operation
+    is one body driven by a row of :data:`_STORAGE`."""
+
+    record_type: type
+    #: the record table and its owner join table (keyed by user, then id)
+    table: str
+    owners: str
+    #: the side table of FTS documents and the memory FTS5 table over it
+    text: str
+    fts: str
+    #: the record table's columns between the id and ``revision``, in
+    #: table order, each named as its record attribute
+    columns: tuple[tuple[str, _Codec], ...]
+    #: the ``text_search`` builder of the FTS documents and the record
+    #: fields it reads, in its argument order: an update that changes
+    #: none of them leaves the text rows alone
+    document: str
+    sources: tuple[str, ...]
+    #: :class:`~repro.errors.NotFoundError`'s record label and params key
+    label: str
+    param: str
+    #: the static method that builds a record from a row, looked up on
+    #: the DAO when called
+    hydrate: str
+    #: the workflow-only parts, by DAO method (:meth:`SqliteDAO._hook`):
+    #: after an insert (``link(records)``), after an update
+    #: (``relink(record, old)``, where ``old`` holds the committed
+    #: ``links`` field) and after a delete (``unlink(record_id)``), each
+    #: inside the write that runs it
+    links: str | None = None
+    link: str | None = None
+    relink: str | None = None
+    unlink: str | None = None
+
+    def __post_init__(self) -> None:
+        kind = RECORD_KINDS[self.record_type]
+        self.id, self.name = kind.id_field, kind.name_field
+        self.column_names = tuple(column for column, _ in self.columns)
+        self.column_list = ", ".join(self.column_names)
+        # one mark for the id and each column
+        self.marks = ", ".join("?" * (1 + len(self.columns)))
+        # the committed row as a mutation reads it: what decides
+        # whether the name, the text or the links are rewritten, then
+        # the owners and vectors that decide which shards it stamps
+        kept = {self.name, *self.sources, self.links}
+        self.old_columns = ", ".join(
+            [c for c in self.column_names if c in kept]
+            + ["owners", *kind.vector_fields]
+        )
+        # a row's values in the record's field order, so a record is
+        # built positionally: every field of a record is a column
+        fields = [field.name for field in dataclasses.fields(self.record_type)]
+        codecs = dict(self.columns)
+        self._row_values = itemgetter(*fields)
+        self._decoders = [
+            (at, codecs[name][1])
+            for at, name in enumerate(fields)
+            if codecs.get(name)
+        ]
+        self._document_fields = attrgetter(*self.sources)
+
+    def record(self, row: sqlite3.Row) -> PERecord | WorkflowRecord:
+        values = list(self._row_values(row))
+        for at, decode in self._decoders:
+            values[at] = decode(values[at])
+        return self.record_type(*values)
+
+    def params(self, record: PERecord | WorkflowRecord) -> tuple:
+        """The record's column values as stored, in :attr:`columns`
+        order."""
+        return tuple(
+            getattr(record, column) if codec is None
+            else codec[0](getattr(record, column))
+            for column, codec in self.columns
+        )
+
+    def documents(self, record: PERecord | WorkflowRecord) -> tuple[str, str]:
+        """The record's ``(name_norm, desc_doc)`` FTS documents."""
+        build = getattr(_text_documents(), self.document)
+        return build(*self._document_fields(record))
+
+
+_PES = _Storage(
+    PERecord, "pes", "pe_owners", "pe_text", "pe_fts",
+    columns=(
+        ("pe_name", _PLAIN),
+        ("description", _PLAIN),
+        ("description_origin", _PLAIN),
+        ("pe_code", _PLAIN),
+        ("pe_source", _PLAIN),
+        ("pe_imports", _JSON),
+        ("code_embedding", _VECTOR),
+        ("desc_embedding", _VECTOR),
+        ("owners", _OWNERS),
+    ),
+    document="fts_pe_document",
+    sources=("pe_name", "description"),
+    label="PE",
+    param="peId",
+    hydrate="_pe_from_row",
+    unlink="_unlink_pe",
+)
+_WORKFLOWS = _Storage(
+    WorkflowRecord, "workflows", "workflow_owners", "wf_text", "wf_fts",
+    columns=(
+        ("workflow_name", _PLAIN),
+        ("entry_point", _PLAIN),
+        ("description", _PLAIN),
+        ("workflow_code", _PLAIN),
+        ("workflow_source", _PLAIN),
+        ("pe_ids", _JSON),
+        ("desc_embedding", _VECTOR),
+        ("owners", _OWNERS),
+    ),
+    document="fts_workflow_document",
+    sources=("entry_point", "workflow_name", "description"),
+    label="workflow",
+    param="workflowId",
+    hydrate="_wf_from_row",
+    links="pe_ids",
+    link="_link_workflows",
+    relink="_relink_workflow",
+    unlink="_unlink_workflow",
+)
+#: each record class's storage row
+_STORAGE = {PERecord: _PES, WorkflowRecord: _WORKFLOWS}
+
+
 def _refusal(path: str | Path, version: int) -> RegistryError:
     """Why a file at schema ``version`` is not opened: only a new file,
     a v12 file (one step) and a current one are."""
@@ -561,7 +706,9 @@ class SqliteDAO:
     Ownership and the PE<->workflow association are normalized into
     ``pe_owners`` / ``workflow_owners`` (keyed by user) and
     ``workflow_pes`` so owner-scoped queries filter in SQL instead of
-    deserializing the whole registry.
+    deserializing the whole registry.  Every record operation runs one
+    body for both kinds, given the kind's storage row (:class:`_Storage`);
+    the ``*_pe*`` / ``*_workflow*`` methods only pick the row.
 
     Opening reads ``PRAGMA user_version`` before anything writes.  A new
     file (version 0, no schema) is created by :data:`_SCHEMA` in one
@@ -634,13 +781,14 @@ class SqliteDAO:
         index at the version it records, never ahead of or behind it.
         """
         self._conn.execute("BEGIN")
-        for fts, side, id_col in _TEXT_TABLES:
+        for store in _STORAGE.values():
             self._conn.execute(
-                f"INSERT INTO {fts}({fts}) VALUES('delete-all')"
+                f"INSERT INTO {store.fts}({store.fts}) VALUES('delete-all')"
             )
             self._conn.execute(
-                f"INSERT INTO {fts}(rowid, name_norm, desc_doc)"
-                f" SELECT {id_col}, name_norm, desc_doc FROM main.{side}"
+                f"INSERT INTO {store.fts}(rowid, name_norm, desc_doc)"
+                f" SELECT {store.id}, name_norm, desc_doc"
+                f" FROM main.{store.text}"
             )
         self._text_version = self._conn.execute(
             "PRAGMA main.data_version"
@@ -723,22 +871,23 @@ class SqliteDAO:
             ),
         )
 
-    def _pe_old_state(self, pe_id: int) -> sqlite3.Row | None:
-        """The committed row of a PE, as far as a mutation needs it: to
-        decide which shards it stamps (owners, embeddings) and which
-        derived rows an update can leave alone (name, description)."""
-        return self._conn.execute(
-            "SELECT pe_name, description, owners, desc_embedding,"
-            " code_embedding FROM pes WHERE pe_id=?",
-            (int(pe_id),),
+    def _old_state(self, store: _Storage, record_id: int) -> sqlite3.Row:
+        """The committed row of a record, as far as a mutation needs it
+        (:attr:`_Storage.old_columns`): to decide which shards it stamps
+        (owners, vectors) and which derived rows an update can leave
+        alone (name, text, links).  ``NotFoundError`` when there is
+        none."""
+        row = self._conn.execute(
+            f"SELECT {store.old_columns} FROM {store.table}"
+            f" WHERE {store.id}=?",
+            (int(record_id),),
         ).fetchone()
-
-    def _wf_old_state(self, workflow_id: int) -> sqlite3.Row | None:
-        return self._conn.execute(
-            "SELECT workflow_name, entry_point, description, pe_ids, owners,"
-            " desc_embedding FROM workflows WHERE workflow_id=?",
-            (int(workflow_id),),
-        ).fetchone()
+        if row is None:
+            raise NotFoundError(
+                f"{store.label} id {record_id} not found",
+                params={store.param: record_id},
+            )
+        return row
 
     @staticmethod
     def _old_owners(row: sqlite3.Row) -> set[int]:
@@ -760,65 +909,91 @@ class SqliteDAO:
     # -- join-table sync ---------------------------------------------------
     def _sync_owners(
         self,
-        table: str,
-        id_col: str,
+        store: _Storage,
         record_id: int,
         old: Iterable[int],
         new: Iterable[int],
     ) -> None:
-        """Move a record's rows in owner table ``table`` from the
-        ``old`` owners (the committed row's) to the ``new``: each row is
-        keyed ``(user_id, id)``, so only the owners that changed are
-        touched."""
+        """Move a record's owner rows from the ``old`` owners (the
+        committed row's) to the ``new``: each row is keyed ``(user_id,
+        id)``, so only the owners that changed are touched."""
         old, new = set(old), {int(uid) for uid in new}
         self._conn.executemany(
-            f"DELETE FROM {table} WHERE user_id=? AND {id_col}=?",
+            f"DELETE FROM {store.owners} WHERE user_id=? AND {store.id}=?",
             [(uid, record_id) for uid in sorted(old - new)],
         )
         self._conn.executemany(
-            f"INSERT OR IGNORE INTO {table} (user_id, {id_col})"
+            f"INSERT OR IGNORE INTO {store.owners} (user_id, {store.id})"
             " VALUES (?, ?)",
             [(uid, record_id) for uid in sorted(new - old)],
         )
 
-    def _sync_wf_links(self, workflow_id: int, pe_ids: Iterable[int]) -> None:
-        self._conn.execute(
-            "DELETE FROM workflow_pes WHERE workflow_id=?", (workflow_id,)
-        )
+    def _hook(self, name: str | None, *args) -> None:
+        """Run the storage row's workflow-only hook ``name``, a method
+        of this DAO (none when the row names none), inside the caller's
+        write."""
+        if name is not None:
+            getattr(self, name)(*args)
+
+    def _link_workflows(self, records: Sequence[WorkflowRecord]) -> None:
         self._conn.executemany(
             "INSERT OR IGNORE INTO workflow_pes (workflow_id, pe_id)"
             " VALUES (?, ?)",
-            [(workflow_id, int(pe_id)) for pe_id in pe_ids],
+            [(r.workflow_id, int(pe_id)) for r in records for pe_id in r.pe_ids],
         )
+
+    def _relink_workflow(self, record: WorkflowRecord, old: sqlite3.Row) -> None:
+        if set(json.loads(old["pe_ids"])) != set(record.pe_ids):
+            self._conn.execute(
+                "DELETE FROM workflow_pes WHERE workflow_id=?",
+                (record.workflow_id,),
+            )
+            self._link_workflows([record])
+
+    def _unlink_workflow(self, workflow_id: int) -> None:
+        self._conn.execute(
+            "DELETE FROM workflow_pes WHERE workflow_id=?", (workflow_id,)
+        )
+
+    def _unlink_pe(self, pe_id: int) -> None:
+        """Drop a deleted PE from the workflows that list it, every
+        occurrence (``pe_ids`` may repeat an id): only the workflows the
+        link table names are read, and each one changed, so its
+        revision (its ETag) moves on, once."""
+        backrefs = self._conn.execute(
+            "SELECT workflow_id FROM workflow_pes WHERE pe_id=?", (pe_id,)
+        ).fetchall()
+        for backref in backrefs:
+            row = self._conn.execute(
+                "SELECT pe_ids FROM workflows WHERE workflow_id=?",
+                (backref["workflow_id"],),
+            ).fetchone()
+            if row is None:
+                continue
+            pe_ids = json.loads(row["pe_ids"])
+            kept = [linked for linked in pe_ids if linked != pe_id]
+            if len(kept) != len(pe_ids):
+                self._conn.execute(
+                    "UPDATE workflows SET pe_ids=?, revision=revision+1"
+                    " WHERE workflow_id=?",
+                    (json.dumps(kept), backref["workflow_id"]),
+                )
+        self._conn.execute("DELETE FROM workflow_pes WHERE pe_id=?", (pe_id,))
 
     # -- text side tables (the FTS5 index's documents) --------------------
     # explicit DELETE + INSERT rather than INSERT OR REPLACE: REPLACE's
     # implicit delete skips the FTS delete trigger unless
     # recursive_triggers is on, which would leave a stale posting behind
-    @staticmethod
-    def _pe_text(record: PERecord) -> tuple[str, str]:
-        return _text_documents().fts_pe_document(
-            record.pe_name, record.description
-        )
-
-    def _sync_pe_text(self, pe_id: int, text: tuple[str, str]) -> None:
-        self._conn.execute("DELETE FROM pe_text WHERE pe_id=?", (pe_id,))
+    def _sync_text(
+        self, store: _Storage, record_id: int, text: tuple[str, str]
+    ) -> None:
         self._conn.execute(
-            "INSERT INTO pe_text (pe_id, name_norm, desc_doc) VALUES (?, ?, ?)",
-            (pe_id, *text),
-        )
-
-    def _sync_wf_text(self, record: WorkflowRecord) -> None:
-        name_norm, desc_doc = _text_documents().fts_workflow_document(
-            record.entry_point, record.workflow_name, record.description
+            f"DELETE FROM {store.text} WHERE {store.id}=?", (record_id,)
         )
         self._conn.execute(
-            "DELETE FROM wf_text WHERE workflow_id=?", (record.workflow_id,)
-        )
-        self._conn.execute(
-            "INSERT INTO wf_text (workflow_id, name_norm, desc_doc)"
+            f"INSERT INTO {store.text} ({store.id}, name_norm, desc_doc)"
             " VALUES (?, ?, ?)",
-            (record.workflow_id, name_norm, desc_doc),
+            (record_id, *text),
         )
 
     # -- users ------------------------------------------------------------
@@ -849,182 +1024,188 @@ class SqliteDAO:
             for r in rows
         ]
 
-    # -- PEs ---------------------------------------------------------------
-    @staticmethod
-    def _pe_from_row(row: sqlite3.Row) -> PERecord:
-        return PERecord(
-            pe_id=row["pe_id"],
-            pe_name=row["pe_name"],
-            description=row["description"],
-            description_origin=row["description_origin"],
-            pe_code=row["pe_code"],
-            pe_source=row["pe_source"],
-            pe_imports=json.loads(row["pe_imports"]),
-            code_embedding=_unblob(row["code_embedding"]),
-            desc_embedding=_unblob(row["desc_embedding"]),
-            owners=set(json.loads(row["owners"])),
-            revision=int(row["revision"]),
-        )
-
-    @staticmethod
-    def _pe_params(record: PERecord) -> tuple:
-        return (
-            record.pe_name,
-            record.description,
-            record.description_origin,
-            record.pe_code,
-            record.pe_source,
-            json.dumps(record.pe_imports),
-            _blob(record.code_embedding),
-            _blob(record.desc_embedding),
-            json.dumps(sorted(record.owners)),
-        )
-
-    # The PE writes encode their rows (two vector blobs, two JSON
-    # columns) and FTS documents before taking the lock: neither needs
-    # the id, and inside the lock they would run under an open write
-    # transaction that every other DAO call waits behind.
-    def insert_pe(self, record: PERecord) -> PERecord:
-        """One record is a batch of one (:meth:`insert_pes`)."""
-        return self.insert_pes([record])[0]
-
-    def insert_pes(self, records: Sequence[PERecord]) -> list[PERecord]:
+    # -- records: one body per operation, driven by a storage row ---------
+    # The writes encode their rows (vector blobs, JSON columns) and FTS
+    # documents before taking the lock: neither needs the id, and inside
+    # the lock they would run under an open write transaction that every
+    # other DAO call waits behind.
+    def _insert_many(
+        self, store: _Storage, records: Sequence[PERecord | WorkflowRecord]
+    ) -> list:
         """Bulk load: one counter bump, ids numbered from one
-        high-water raise (:meth:`_issue_ids`), three ``executemany``
-        round trips for any batch size."""
+        high-water raise (:meth:`_issue_ids`), one ``executemany`` round
+        trip per table for any batch size."""
         if not records:
             return []
-        params = [self._pe_params(r) for r in records]
-        texts = [self._pe_text(r) for r in records]
+        params = [store.params(r) for r in records]
+        texts = [store.documents(r) for r in records]
         with self._lock, self._conn:
             counter = self._bump_mutation()
-            first = self._issue_ids("pes", len(records))
+            first = self._issue_ids(store.table, len(records))
             changes: _Changes = {}
-            for pe_id, record in enumerate(records, start=first):
-                record.pe_id = pe_id
+            for record_id, record in enumerate(records, start=first):
+                setattr(record, store.id, record_id)
                 record.revision = 1
                 _merge_changes(
-                    changes, _shard_changes(PERecord, pe_id, set(), {}, record)
+                    changes,
+                    _shard_changes(
+                        store.record_type, record_id, set(), {}, record
+                    ),
                 )
             self._stamp_shards(changes, counter)
             self._conn.executemany(
-                """INSERT INTO pes (pe_id, pe_name, description,
-                   description_origin, pe_code, pe_source, pe_imports,
-                   code_embedding, desc_embedding, owners, revision)
-                   VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 1)""",
-                [(r.pe_id, *p) for r, p in zip(records, params)],
+                f"INSERT INTO {store.table} ({store.id}, {store.column_list},"
+                f" revision) VALUES ({store.marks}, 1)",
+                [(at, *p) for at, p in enumerate(params, start=first)],
             )
             self._conn.executemany(
-                "INSERT OR IGNORE INTO pe_owners (user_id, pe_id) VALUES (?, ?)",
+                f"INSERT OR IGNORE INTO {store.owners} (user_id, {store.id})"
+                " VALUES (?, ?)",
                 [
-                    (int(uid), r.pe_id)
-                    for r in records
+                    (int(uid), at)
+                    for at, r in enumerate(records, start=first)
                     for uid in r.owners
                 ],
             )
+            self._hook(store.link, records)
             self._conn.executemany(
-                "INSERT INTO pe_text (pe_id, name_norm, desc_doc)"
+                f"INSERT INTO {store.text} ({store.id}, name_norm, desc_doc)"
                 " VALUES (?, ?, ?)",
-                [(r.pe_id, *t) for r, t in zip(records, texts)],
+                [(at, *t) for at, t in enumerate(texts, start=first)],
             )
             return list(records)
 
-    def update_pe(self, record: PERecord) -> None:
+    def _update(self, store: _Storage, record: PERecord | WorkflowRecord) -> None:
         """Write only what changed: SQLite rewrites the index entry of
-        every column named in ``SET``, so an unchanged ``pe_name`` stays
-        out of it; the owner join rows and the FTS document (a delete +
-        insert in three b-trees) are re-synced only when they differ
-        from the committed row — an ownership grant touches no text, a
-        revision touches no owners."""
-        (name, *rest), text = self._pe_params(record), self._pe_text(record)
+        every column named in ``SET``, so an unchanged name
+        (``pe_name``, ``entry_point``) stays out of it; the owner join
+        rows, the links and the FTS document (a delete + insert in three
+        b-trees) are re-synced only when they differ from the committed
+        row — an ownership grant touches no text, a revision touches no
+        owners."""
+        params, text = store.params(record), store.documents(record)
+        record_id = getattr(record, store.id)
         with self._lock, self._conn:
             counter = self._bump_mutation()
-            old = self._pe_old_state(record.pe_id)
-            if old is None:
-                raise NotFoundError(
-                    f"PE id {record.pe_id} not found", params={"peId": record.pe_id}
-                )
-            renamed = old["pe_name"] != record.pe_name
+            old = self._old_state(store, record_id)
+            renamed = old[store.name] != getattr(record, store.name)
+            written = [
+                (column, value)
+                for column, value in zip(store.column_names, params)
+                if renamed or column != store.name
+            ]
+            assignments = "".join(f"{column}=?, " for column, _ in written)
             self._conn.execute(
-                f"""UPDATE pes SET {'pe_name=?,' if renamed else ''}
-                   description=?, description_origin=?, pe_code=?,
-                   pe_source=?, pe_imports=?, code_embedding=?,
-                   desc_embedding=?, owners=?, revision=? WHERE pe_id=?""",
+                f"UPDATE {store.table} SET {assignments}revision=?"
+                f" WHERE {store.id}=?",
                 (
-                    *([name] if renamed else []),
-                    *rest,
+                    *(value for _, value in written),
                     record.revision + 1,
-                    record.pe_id,
+                    record_id,
                 ),
             )
             record.revision += 1
             old_owners = self._old_owners(old)
             self._stamp_shards(
                 _shard_changes(
-                    PERecord, record.pe_id, old_owners,
-                    self._old_vectors(old, PERecord), record,
+                    store.record_type, record_id, old_owners,
+                    self._old_vectors(old, store.record_type), record,
                 ),
                 counter,
             )
-            self._sync_owners(
-                "pe_owners", "pe_id", record.pe_id, old_owners, record.owners
+            self._sync_owners(store, record_id, old_owners, record.owners)
+            self._hook(store.relink, record, old)
+            if any(old[f] != getattr(record, f) for f in store.sources):
+                self._sync_text(store, record_id, text)
+
+    def _delete(self, store: _Storage, record_id: int) -> None:
+        with self._lock, self._conn:
+            counter = self._bump_mutation()
+            old = self._old_state(store, record_id)
+            old_owners = self._old_owners(old)
+            self._stamp_shards(
+                _shard_changes(
+                    store.record_type, record_id, old_owners,
+                    self._old_vectors(old, store.record_type), None,
+                ),
+                counter,
             )
-            if renamed or old["description"] != record.description:
-                self._sync_pe_text(record.pe_id, text)
+            self._conn.execute(
+                f"DELETE FROM {store.table} WHERE {store.id}=?", (record_id,)
+            )
+            self._sync_owners(store, record_id, old_owners, ())
+            self._hook(store.unlink, record_id)
+            self._conn.execute(
+                f"DELETE FROM {store.text} WHERE {store.id}=?", (record_id,)
+            )
 
-    def get_pe(self, pe_id: int) -> PERecord | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM pes WHERE pe_id = ?", (pe_id,)
-            ).fetchone()
-        return None if row is None else self._pe_from_row(row)
-
-    def get_pes(self, pe_ids: Sequence[int]) -> list[PERecord]:
-        """Batched fetch, in the order of ``pe_ids``; missing ids skipped."""
-        ids = [int(pe_id) for pe_id in pe_ids]
-        by_id: dict[int, PERecord] = {}
+    def _get_many(self, store: _Storage, record_ids: Sequence[int]) -> list:
+        """Batched fetch, in the order of ``record_ids``; missing ids
+        skipped."""
+        ids = [int(record_id) for record_id in record_ids]
+        hydrate = getattr(self, store.hydrate)
+        by_id = {}
         with self._lock:
             for chunk in _chunked(ids):
                 placeholders = ",".join("?" * len(chunk))
                 rows = self._conn.execute(
-                    f"SELECT * FROM pes WHERE pe_id IN ({placeholders})",
+                    f"SELECT * FROM {store.table} WHERE {store.id}"
+                    f" IN ({placeholders})",
                     tuple(chunk),
                 ).fetchall()
                 for row in rows:
-                    by_id[row["pe_id"]] = self._pe_from_row(row)
-        return [by_id[pe_id] for pe_id in ids if pe_id in by_id]
+                    by_id[row[store.id]] = hydrate(row)
+        return [by_id[record_id] for record_id in ids if record_id in by_id]
 
-    def find_pe_by_name(self, name: str) -> list[PERecord]:
+    def _select(self, store: _Storage, sql: str, params: tuple = ()) -> list:
+        """The records a ``SELECT`` of whole record rows returns."""
+        with self._lock:
+            rows = self._conn.execute(sql, params).fetchall()
+        hydrate = getattr(self, store.hydrate)
+        return [hydrate(row) for row in rows]
+
+    def _get(self, store: _Storage, record_id: int):
+        records = self._select(
+            store,
+            f"SELECT * FROM {store.table} WHERE {store.id} = ?",
+            (record_id,),
+        )
+        return records[0] if records else None
+
+    def _find(self, store: _Storage, name: str) -> list:
+        return self._select(
+            store,
+            f"SELECT * FROM {store.table} WHERE {store.name} = ?"
+            f" ORDER BY {store.id}",
+            (name,),
+        )
+
+    def _all(self, store: _Storage) -> list:
+        return self._select(
+            store, f"SELECT * FROM {store.table} ORDER BY {store.id}"
+        )
+
+    def _owned(self, store: _Storage, user_id: int) -> list:
+        """All records owned by ``user_id``, ascending id —
+        O(user's records)."""
+        r = store.table[0]  # the record table's alias: its initial
+        return self._select(
+            store,
+            f"SELECT {r}.* FROM {store.table} {r}"
+            f" JOIN {store.owners} o ON o.{store.id} = {r}.{store.id}"
+            f" WHERE o.user_id = ? ORDER BY {r}.{store.id}",
+            (int(user_id),),
+        )
+
+    def _owned_ids(self, store: _Storage, user_id: int) -> list[int]:
+        """Ascending owned ids; never materializes rows or vectors."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT * FROM pes WHERE pe_name = ? ORDER BY pe_id", (name,)
-            ).fetchall()
-        return [self._pe_from_row(r) for r in rows]
-
-    def all_pes(self) -> list[PERecord]:
-        with self._lock:
-            rows = self._conn.execute("SELECT * FROM pes ORDER BY pe_id").fetchall()
-        return [self._pe_from_row(r) for r in rows]
-
-    def pes_owned_by(self, user_id: int) -> list[PERecord]:
-        """All PEs owned by ``user_id``, ascending id — O(user's records)."""
-        with self._lock:
-            rows = self._conn.execute(
-                """SELECT p.* FROM pes p
-                   JOIN pe_owners o ON o.pe_id = p.pe_id
-                   WHERE o.user_id = ? ORDER BY p.pe_id""",
+                f"SELECT {store.id} FROM {store.owners} WHERE user_id = ?"
+                f" ORDER BY {store.id}",
                 (int(user_id),),
             ).fetchall()
-        return [self._pe_from_row(r) for r in rows]
-
-    def pe_ids_owned_by(self, user_id: int) -> list[int]:
-        """Ascending owned PE ids; never materializes rows or embeddings."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT pe_id FROM pe_owners WHERE user_id = ? ORDER BY pe_id",
-                (int(user_id),),
-            ).fetchall()
-        return [row["pe_id"] for row in rows]
+        return [row[0] for row in rows]
 
     @staticmethod
     def _like(pattern: str) -> str:
@@ -1036,20 +1217,16 @@ class SqliteDAO:
 
     # -- indexed text ranking (FTS5/BM25 + substring arm) ------------------
     def _text_topk(
-        self,
-        user_id: int,
-        query: str,
-        k: int | None,
-        *,
-        fts: str,
-        side: str,
-        owners: str,
-        id_col: str,
+        self, store: _Storage, user_id: int, query: str, k: int | None
     ) -> list[tuple[int, float]]:
-        """One owner-joined SQL query: BM25 goodness (``-bm25()``) from
-        the memory FTS index plus the whole-query substring bonus on
-        ``name_norm``, ranked ``(-score, id)`` and LIMITed to ``k`` —
-        no record rows are ever materialized here.
+        """Top-k owned ``(id, score)`` pairs by combined text relevance,
+        from one owner-joined SQL query: ``score`` is the BM25 goodness
+        (``-bm25()`` over the normalized name/description documents in
+        the memory FTS index) plus :data:`_NAME_SUBSTRING_BONUS` when
+        the stripped lowercase query occurs as a substring of
+        ``name_norm``.  Ranked ``(-score, id)`` and LIMITed to ``k``;
+        empty for blank queries; ids only, so the caller hydrates at
+        most ``k`` records.
 
         The same statement reads the file's ``data_version`` (one row
         even when nothing matches).  It changes only when another
@@ -1062,6 +1239,7 @@ class SqliteDAO:
         if not needle:
             return []
         terms = _text_documents().match_terms(query)
+        fts, side, owners, id_col = store.fts, store.text, store.owners, store.id
         params: dict = {"uid": int(user_id), "like": self._like(needle)}
         limit = ""
         if k is not None:
@@ -1116,319 +1294,88 @@ class SqliteDAO:
             if row["entity_id"] is not None
         ]
 
+    # -- the per-kind names: tests, the service's _DAO_METHODS and the
+    # benchmark's tracer call these, so each is a plain method (a
+    # wrapper installed on the class after import is the one entered)
+    @staticmethod
+    def _pe_from_row(row: sqlite3.Row) -> PERecord:
+        return _PES.record(row)
+
+    @staticmethod
+    def _wf_from_row(row: sqlite3.Row) -> WorkflowRecord:
+        return _WORKFLOWS.record(row)
+
+    def insert_pe(self, record: PERecord) -> PERecord:
+        return self.insert_pes([record])[0]
+
+    def insert_pes(self, records: Sequence[PERecord]) -> list[PERecord]:
+        return self._insert_many(_PES, records)
+
+    def update_pe(self, record: PERecord) -> None:
+        self._update(_PES, record)
+
+    def delete_pe(self, pe_id: int) -> None:
+        self._delete(_PES, pe_id)
+
+    def get_pe(self, pe_id: int) -> PERecord | None:
+        return self._get(_PES, pe_id)
+
+    def get_pes(self, pe_ids: Sequence[int]) -> list[PERecord]:
+        return self._get_many(_PES, pe_ids)
+
+    def find_pe_by_name(self, name: str) -> list[PERecord]:
+        return self._find(_PES, name)
+
+    def all_pes(self) -> list[PERecord]:
+        return self._all(_PES)
+
+    def pes_owned_by(self, user_id: int) -> list[PERecord]:
+        return self._owned(_PES, user_id)
+
+    def pe_ids_owned_by(self, user_id: int) -> list[int]:
+        return self._owned_ids(_PES, user_id)
+
     def text_topk_pes(
         self, user_id: int, query: str, k: int | None = None
     ) -> list[tuple[int, float]]:
-        """Top-k owned ``(pe_id, score)`` pairs by combined text relevance.
-
-        ``score`` is the BM25 goodness (``-bm25()`` over the normalized
-        name/description documents) plus :data:`_NAME_SUBSTRING_BONUS`
-        when the stripped lowercase query occurs as a substring of the
-        normalized name.  Ordered by ``(-score, id)``; empty for blank
-        queries; returns ids only so the caller hydrates at most ``k``
-        records.
-        """
-        return self._text_topk(
-            user_id,
-            query,
-            k,
-            fts="pe_fts",
-            side="pe_text",
-            owners="pe_owners",
-            id_col="pe_id",
-        )
-
-    def text_topk_workflows(
-        self, user_id: int, query: str, k: int | None = None
-    ) -> list[tuple[int, float]]:
-        """Top-k owned ``(workflow_id, score)`` by combined text relevance.
-
-        Same scoring as :meth:`text_topk_pes` over the workflow
-        documents (entry point + workflow name arms, description).
-        """
-        return self._text_topk(
-            user_id,
-            query,
-            k,
-            fts="wf_fts",
-            side="wf_text",
-            owners="workflow_owners",
-            id_col="workflow_id",
-        )
-
-    def delete_pe(self, pe_id: int) -> None:
-        with self._lock, self._conn:
-            counter = self._bump_mutation()
-            old = self._pe_old_state(pe_id)
-            if old is None:
-                raise NotFoundError(f"PE id {pe_id} not found", params={"peId": pe_id})
-            self._stamp_shards(
-                _shard_changes(
-                    PERecord, pe_id, self._old_owners(old),
-                    self._old_vectors(old, PERecord), None,
-                ),
-                counter,
-            )
-            self._conn.execute("DELETE FROM pes WHERE pe_id=?", (pe_id,))
-            self._sync_owners(
-                "pe_owners", "pe_id", pe_id, self._old_owners(old), ()
-            )
-            self._conn.execute("DELETE FROM pe_text WHERE pe_id=?", (pe_id,))
-            # back-reference from the link table: touch only the
-            # workflows that actually reference this PE, not all rows;
-            # each one changed, so its revision (its ETag) moves on
-            backrefs = self._conn.execute(
-                "SELECT workflow_id FROM workflow_pes WHERE pe_id=?", (pe_id,)
-            ).fetchall()
-            for backref in backrefs:
-                row = self._conn.execute(
-                    "SELECT pe_ids FROM workflows WHERE workflow_id=?",
-                    (backref["workflow_id"],),
-                ).fetchone()
-                if row is None:
-                    continue
-                pe_ids = json.loads(row["pe_ids"])
-                if pe_id in pe_ids:
-                    pe_ids.remove(pe_id)
-                    self._conn.execute(
-                        "UPDATE workflows SET pe_ids=?, revision=revision+1"
-                        " WHERE workflow_id=?",
-                        (json.dumps(pe_ids), backref["workflow_id"]),
-                    )
-            self._conn.execute("DELETE FROM workflow_pes WHERE pe_id=?", (pe_id,))
-
-    # -- workflows -----------------------------------------------------------
-    @staticmethod
-    def _wf_from_row(row: sqlite3.Row) -> WorkflowRecord:
-        return WorkflowRecord(
-            workflow_id=row["workflow_id"],
-            workflow_name=row["workflow_name"],
-            entry_point=row["entry_point"],
-            description=row["description"],
-            workflow_code=row["workflow_code"],
-            workflow_source=row["workflow_source"],
-            pe_ids=json.loads(row["pe_ids"]),
-            desc_embedding=_unblob(row["desc_embedding"]),
-            owners=set(json.loads(row["owners"])),
-            revision=int(row["revision"]),
-        )
-
-    @staticmethod
-    def _wf_params(record: WorkflowRecord) -> tuple:
-        return (
-            record.workflow_name,
-            record.entry_point,
-            record.description,
-            record.workflow_code,
-            record.workflow_source,
-            json.dumps(record.pe_ids),
-            _blob(record.desc_embedding),
-            json.dumps(sorted(record.owners)),
-        )
+        return self._text_topk(_PES, user_id, query, k)
 
     def insert_workflow(self, record: WorkflowRecord) -> WorkflowRecord:
-        """One record is a batch of one (:meth:`insert_workflows`)."""
         return self.insert_workflows([record])[0]
 
     def insert_workflows(
         self, records: Sequence[WorkflowRecord]
     ) -> list[WorkflowRecord]:
-        """Bulk load (see :meth:`insert_pes`): four ``executemany``
-        round trips for any batch size."""
-        if not records:
-            return []
-        with self._lock, self._conn:
-            counter = self._bump_mutation()
-            first = self._issue_ids("workflows", len(records))
-            changes: _Changes = {}
-            for workflow_id, record in enumerate(records, start=first):
-                record.workflow_id = workflow_id
-                record.revision = 1
-                _merge_changes(
-                    changes,
-                    _shard_changes(WorkflowRecord, workflow_id, set(), {}, record),
-                )
-            self._stamp_shards(changes, counter)
-            self._conn.executemany(
-                """INSERT INTO workflows (workflow_id, workflow_name,
-                   entry_point, description, workflow_code, workflow_source,
-                   pe_ids, desc_embedding, owners, revision)
-                   VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, 1)""",
-                [(r.workflow_id, *self._wf_params(r)) for r in records],
-            )
-            self._conn.executemany(
-                "INSERT OR IGNORE INTO workflow_owners (user_id, workflow_id)"
-                " VALUES (?, ?)",
-                [
-                    (int(uid), r.workflow_id)
-                    for r in records
-                    for uid in r.owners
-                ],
-            )
-            self._conn.executemany(
-                "INSERT OR IGNORE INTO workflow_pes (workflow_id, pe_id)"
-                " VALUES (?, ?)",
-                [
-                    (r.workflow_id, int(pe_id))
-                    for r in records
-                    for pe_id in r.pe_ids
-                ],
-            )
-            docs = _text_documents()
-            self._conn.executemany(
-                "INSERT INTO wf_text (workflow_id, name_norm, desc_doc)"
-                " VALUES (?, ?, ?)",
-                [
-                    (
-                        r.workflow_id,
-                        *docs.fts_workflow_document(
-                            r.entry_point, r.workflow_name, r.description
-                        ),
-                    )
-                    for r in records
-                ],
-            )
-            return list(records)
+        return self._insert_many(_WORKFLOWS, records)
 
     def update_workflow(self, record: WorkflowRecord) -> None:
-        """Write only what changed (see :meth:`update_pe`): the indexed
-        ``entry_point`` stays out of ``SET`` when unchanged, and the
-        owner, link and FTS rows are re-synced only when they differ
-        from the committed row."""
-        with self._lock, self._conn:
-            counter = self._bump_mutation()
-            old = self._wf_old_state(record.workflow_id)
-            if old is None:
-                raise NotFoundError(
-                    f"workflow id {record.workflow_id} not found",
-                    params={"workflowId": record.workflow_id},
-                )
-            moved = old["entry_point"] != record.entry_point
-            name, entry_point, *rest = self._wf_params(record)
-            self._conn.execute(
-                f"""UPDATE workflows SET workflow_name=?,
-                   {'entry_point=?,' if moved else ''} description=?,
-                   workflow_code=?, workflow_source=?, pe_ids=?,
-                   desc_embedding=?, owners=?, revision=?
-                   WHERE workflow_id=?""",
-                (
-                    name,
-                    *([entry_point] if moved else []),
-                    *rest,
-                    record.revision + 1,
-                    record.workflow_id,
-                ),
-            )
-            record.revision += 1
-            old_owners = self._old_owners(old)
-            self._stamp_shards(
-                _shard_changes(
-                    WorkflowRecord, record.workflow_id, old_owners,
-                    self._old_vectors(old, WorkflowRecord), record,
-                ),
-                counter,
-            )
-            self._sync_owners(
-                "workflow_owners", "workflow_id", record.workflow_id,
-                old_owners, record.owners,
-            )
-            if set(json.loads(old["pe_ids"])) != set(record.pe_ids):
-                self._sync_wf_links(record.workflow_id, record.pe_ids)
-            if (
-                moved
-                or old["workflow_name"] != record.workflow_name
-                or old["description"] != record.description
-            ):
-                self._sync_wf_text(record)
-
-    def get_workflow(self, workflow_id: int) -> WorkflowRecord | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM workflows WHERE workflow_id = ?", (workflow_id,)
-            ).fetchone()
-        return None if row is None else self._wf_from_row(row)
-
-    def get_workflows(self, workflow_ids: Sequence[int]) -> list[WorkflowRecord]:
-        """Batched fetch, in the order of ``workflow_ids``; missing skipped."""
-        ids = [int(workflow_id) for workflow_id in workflow_ids]
-        by_id: dict[int, WorkflowRecord] = {}
-        with self._lock:
-            for chunk in _chunked(ids):
-                placeholders = ",".join("?" * len(chunk))
-                rows = self._conn.execute(
-                    f"SELECT * FROM workflows WHERE workflow_id"
-                    f" IN ({placeholders})",
-                    tuple(chunk),
-                ).fetchall()
-                for row in rows:
-                    by_id[row["workflow_id"]] = self._wf_from_row(row)
-        return [by_id[wf_id] for wf_id in ids if wf_id in by_id]
-
-    def find_workflow_by_entry_point(self, entry_point: str) -> list[WorkflowRecord]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT * FROM workflows WHERE entry_point = ? ORDER BY workflow_id",
-                (entry_point,),
-            ).fetchall()
-        return [self._wf_from_row(r) for r in rows]
-
-    def all_workflows(self) -> list[WorkflowRecord]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT * FROM workflows ORDER BY workflow_id"
-            ).fetchall()
-        return [self._wf_from_row(r) for r in rows]
-
-    def workflows_owned_by(self, user_id: int) -> list[WorkflowRecord]:
-        """All workflows owned by ``user_id``, ascending id."""
-        with self._lock:
-            rows = self._conn.execute(
-                """SELECT w.* FROM workflows w
-                   JOIN workflow_owners o ON o.workflow_id = w.workflow_id
-                   WHERE o.user_id = ? ORDER BY w.workflow_id""",
-                (int(user_id),),
-            ).fetchall()
-        return [self._wf_from_row(r) for r in rows]
-
-    def workflow_ids_owned_by(self, user_id: int) -> list[int]:
-        """Ascending owned workflow ids; never materializes rows."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT workflow_id FROM workflow_owners WHERE user_id = ?"
-                " ORDER BY workflow_id",
-                (int(user_id),),
-            ).fetchall()
-        return [row["workflow_id"] for row in rows]
+        self._update(_WORKFLOWS, record)
 
     def delete_workflow(self, workflow_id: int) -> None:
-        with self._lock, self._conn:
-            counter = self._bump_mutation()
-            old = self._wf_old_state(workflow_id)
-            if old is None:
-                raise NotFoundError(
-                    f"workflow id {workflow_id} not found",
-                    params={"workflowId": workflow_id},
-                )
-            self._stamp_shards(
-                _shard_changes(
-                    WorkflowRecord, workflow_id, self._old_owners(old),
-                    self._old_vectors(old, WorkflowRecord), None,
-                ),
-                counter,
-            )
-            self._conn.execute(
-                "DELETE FROM workflows WHERE workflow_id=?", (workflow_id,)
-            )
-            self._sync_owners(
-                "workflow_owners", "workflow_id", workflow_id,
-                self._old_owners(old), (),
-            )
-            self._conn.execute(
-                "DELETE FROM workflow_pes WHERE workflow_id=?", (workflow_id,)
-            )
-            self._conn.execute(
-                "DELETE FROM wf_text WHERE workflow_id=?", (workflow_id,)
-            )
+        self._delete(_WORKFLOWS, workflow_id)
+
+    def get_workflow(self, workflow_id: int) -> WorkflowRecord | None:
+        return self._get(_WORKFLOWS, workflow_id)
+
+    def get_workflows(self, workflow_ids: Sequence[int]) -> list[WorkflowRecord]:
+        return self._get_many(_WORKFLOWS, workflow_ids)
+
+    def find_workflow_by_entry_point(self, entry_point: str) -> list[WorkflowRecord]:
+        return self._find(_WORKFLOWS, entry_point)
+
+    def all_workflows(self) -> list[WorkflowRecord]:
+        return self._all(_WORKFLOWS)
+
+    def workflows_owned_by(self, user_id: int) -> list[WorkflowRecord]:
+        return self._owned(_WORKFLOWS, user_id)
+
+    def workflow_ids_owned_by(self, user_id: int) -> list[int]:
+        return self._owned_ids(_WORKFLOWS, user_id)
+
+    def text_topk_workflows(
+        self, user_id: int, query: str, k: int | None = None
+    ) -> list[tuple[int, float]]:
+        return self._text_topk(_WORKFLOWS, user_id, query, k)
 
     # -- index-shard persistence ------------------------------------------
     def mutation_counter(self) -> int:
@@ -1566,8 +1513,8 @@ class SqliteDAO:
         table's key hands the ids over in order, so nothing is sorted
         and no id list is bound into the statement, whatever the
         shard's size."""
-        table, owners = _TABLES[record_type]
-        id_col = RECORD_KINDS[record_type].id_field
+        store = _STORAGE[record_type]
+        table, owners, id_col = store.table, store.owners, store.id
         blobs = ", ".join(
             f"r.{SHARD_KINDS[kind].vector_field}" for kind in kinds
         )

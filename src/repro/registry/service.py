@@ -49,7 +49,8 @@ Record = PERecord | WorkflowRecord
 
 #: each record kind's DAO methods, by name: looked up on the DAO when
 #: called, so a wrapper installed on ``SqliteDAO`` after import is the
-#: one entered
+#: one entered.  Each is a one-line entry into the DAO's one body for
+#: that operation (``SqliteDAO._insert_many``, ``_update``, ...)
 _DAO_METHODS = {
     PERecord: {
         "find": "find_pe_by_name",

@@ -217,6 +217,62 @@ class TestDaoStamps:
         """
         assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 2
 
+    def test_formatted_record_table_write_fires(self):
+        # one body for every record kind names its table through the
+        # storage row: the placeholder is a record table
+        src = """
+            class SqliteDAO:
+                def _delete(self, store, record_id):
+                    self._conn.execute(
+                        f"DELETE FROM {store.table} WHERE {store.id}=?",
+                        (record_id,),
+                    )
+        """
+        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 2
+
+    def test_formatted_owner_and_text_table_writes_are_fine(self):
+        src = """
+            class SqliteDAO:
+                def _sync(self, store, record_id, text):
+                    self._conn.execute(
+                        f"DELETE FROM {store.owners} WHERE {store.id}=?",
+                        (record_id,),
+                    )
+                    self._conn.execute(
+                        f"INSERT INTO {store.text} ({store.id}, doc)"
+                        " VALUES (?, ?)",
+                        (record_id, text),
+                    )
+        """
+        assert rules_fired(src, DAO_PATH, "RPR003") == set()
+
+    def test_a_hook_write_is_checked_where_the_hook_runs(self):
+        # a storage row's hook writes inside the body that runs it: the
+        # hook is fine, a runner that neither bumps nor stamps is not
+        src = """
+            ROW = Storage(unlink="_unlink_pe")
+
+            class SqliteDAO:
+                def _unlink_pe(self, pe_id):
+                    self._conn.execute(
+                        "UPDATE workflows SET pe_ids=? WHERE workflow_id=?",
+                        ("[]", 1),
+                    )
+
+                def _delete(self, store, record_id):
+                    counter = self._bump_mutation()
+                    self._stamp_shards({}, counter)
+                    self._hook(store.unlink, record_id)
+
+                def _sloppy_delete(self, store, record_id):
+                    self._hook(store.unlink, record_id)
+
+                def _direct(self, pe_id):
+                    self._unlink_pe(pe_id)
+        """
+        found = findings_for(src, DAO_PATH, rule="RPR003")
+        assert [line for _rule, line in found] == [16, 16, 19, 19]
+
     def test_mutation_stamping_around_the_helper_fires(self):
         # stamped, but by hand: no journal row rides along, so a fresh
         # shard would load stale (and the reverse mistake, fresh-looking

@@ -227,42 +227,69 @@ def test_a_write_logs_one_page_of_counters(registry):
     ).fetchall() == []
 
 
-def test_an_update_writes_only_what_changed(registry):
+#: per record kind: (its name column as an update's ``SET`` names it,
+#: text side table, owner table, the other tables an update may touch,
+#: the source field a revision changes)
+UPDATE_TABLES = {
+    "pe": ("pe_name=", "pe_text", "pe_owners", (), "pe_source"),
+    "workflow": (
+        "entry_point=", "wf_text", "workflow_owners", ("workflow_pes",),
+        "workflow_source",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UPDATE_TABLES))
+def test_an_update_writes_only_what_changed(registry, kind):
     """A revision that keeps name and description leaves the FTS
     document alone; one that keeps the owners leaves the join rows
-    alone — the statement trace shows neither table touched."""
+    alone; one that keeps a workflow's PE list leaves its link rows
+    alone — the statement trace shows none of them touched."""
     send, dao, path, _page_size = registry
-    record = dao.find_pe_by_name("seed3")[0]
+    name, text, owners, links, source = UPDATE_TABLES[kind]
+    if kind == "pe":
+        record = dao.find_pe_by_name("seed3")[0]
+    else:
+        assert send(
+            "PUT",
+            "/v1/registry/u/workflows/flow3",
+            {
+                "workflowCode": "graph = g()",
+                "description": "a flow that adds",
+                "peIds": [1, 2],
+            },
+        ).status == 201
+        record = dao.find_workflow_by_entry_point("flow3")[0]
+    record_id = getattr(record, f"{kind}_id")
+    update = getattr(dao, f"update_{kind}")
     statements = []
-    dao._conn.set_trace_callback(statements.append)
-    record.pe_source = "# annotated\n" + record.pe_source
-    dao.update_pe(record)
-    dao._conn.set_trace_callback(None)
-    touched = " ".join(statements)
-    assert "pe_text" not in touched and "pe_owners" not in touched
-    assert "pe_name=" not in touched  # idx_pes_name entry left alone
-    assert dao.get_pe(record.pe_id).pe_source.startswith("# annotated")
 
-    # an ownership grant re-syncs the join rows, still not the text
-    statements.clear()
-    dao._conn.set_trace_callback(statements.append)
+    def traced_update():
+        statements.clear()
+        dao._conn.set_trace_callback(statements.append)
+        update(record)
+        dao._conn.set_trace_callback(None)
+        return " ".join(statements)
+
+    setattr(record, source, "# annotated\n" + getattr(record, source))
+    touched = traced_update()
+    assert not [t for t in (text, owners, *links) if t in touched], touched
+    assert name not in touched  # the name index entry left alone
+    stored = getattr(dao, f"get_{kind}")(record_id)
+    assert getattr(stored, source).startswith("# annotated")
+
+    # an ownership grant re-syncs the join rows, nothing else
     record.owners.add(99)
-    dao.update_pe(record)
-    dao._conn.set_trace_callback(None)
-    touched = " ".join(statements)
-    assert "pe_owners" in touched and "pe_text" not in touched
-    assert dao.pe_ids_owned_by(99) == [record.pe_id]
+    touched = traced_update()
+    assert owners in touched
+    assert not [t for t in (text, *links) if t in touched], touched
+    assert getattr(dao, f"{kind}_ids_owned_by")(99) == [record_id]
 
     # a new description does re-index the text
-    statements.clear()
-    dao._conn.set_trace_callback(statements.append)
     record.description = "now it subtracts"
-    dao.update_pe(record)
-    dao._conn.set_trace_callback(None)
-    assert "pe_text" in " ".join(statements)
-    assert [pe_id for pe_id, _ in dao.text_topk_pes(99, "subtracts")] == [
-        record.pe_id
-    ]
+    assert text in traced_update()
+    ranked = getattr(dao, f"text_topk_{kind}s")(99, "subtracts")
+    assert [ranked_id for ranked_id, _ in ranked] == [record_id]
 
 
 #: a record of the e2e corpus (``benchmarks/e2e/corpus.py`` generates

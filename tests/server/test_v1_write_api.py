@@ -737,6 +737,36 @@ class TestLegacyAdapterParity:
         assert no_code.body["message"] == "peCode is required"
 
 
+class TestDeleteBackReferences:
+    def test_a_deleted_pe_leaves_every_workflow_listing(self, server, token):
+        # peIds may repeat an id: deleting the PE drops every occurrence
+        # and moves the workflow's revision on once
+        assert put_pe(server, token, "a").body["items"][0]["peId"] == 1
+        assert put_pe(server, token, "b").body["items"][0]["peId"] == 2
+        response = server.dispatch(
+            Request(
+                "PUT",
+                "/v1/registry/zz46/workflows/w",
+                {"workflowCode": "graph = g()", "peIds": [1, 2, 1]},
+                token=token,
+            )
+        )
+        assert response.status == 201, response.body
+        workflow_id = response.body["items"][0]["workflowId"]
+        response = server.dispatch(
+            Request("DELETE", "/v1/registry/zz46/pes/a", {}, token=token)
+        )
+        assert response.status == 200, response.body
+        item = server.dispatch(
+            Request("GET", "/v1/registry/zz46/workflows/w", token=token)
+        ).body["item"]
+        assert (item["peIds"], item["revision"]) == ([2], 2)
+        rows = server.registry.dao._conn.execute(
+            "SELECT workflow_id, pe_id FROM workflow_pes"
+        ).fetchall()
+        assert [tuple(row) for row in rows] == [(workflow_id, 2)]
+
+
 class TestMethodNotAllowed:
     @pytest.mark.parametrize(
         "method,path,expected_allow",

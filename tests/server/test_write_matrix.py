@@ -269,3 +269,58 @@ def test_pe_writes_enter_every_traced_write_name(monkeypatch, fast_bundle):
         )
         assert response.status < 300, response.body
     assert entered == {path for _module, path in pinned}
+
+
+#: the e2e benchmark's DAO read spans
+READ_SPANS = (
+    "registry.dao.get",
+    "registry.dao.text_topk",
+    "registry.dao.ids_owned",
+)
+
+
+def test_searches_enter_every_traced_dao_read_name(monkeypatch, fast_bundle):
+    """The search path reaches the per-kind DAO read methods by looking
+    them up when called: each pinned name is entered after a wrapper is
+    installed on ``SqliteDAO`` post-import, as the benchmark's tracer
+    installs its spans."""
+    from benchmarks.e2e.trace import TARGETS
+
+    entered: set[str] = set()
+    pinned = {
+        path for span, _module, path in TARGETS if span in READ_SPANS
+    }
+    assert pinned and all(path.startswith("SqliteDAO.") for path in pinned)
+    for path in pinned:
+        attr = path.split(".")[1]
+        raw = SqliteDAO.__dict__[attr]
+
+        def wrapper(*args, _path=path, _raw=raw, **kwargs):
+            entered.add(_path)
+            return _raw(*args, **kwargs)
+
+        monkeypatch.setattr(SqliteDAO, attr, wrapper)
+
+    server = LaminarServer(models=fast_bundle)
+    credentials = {"userName": "u", "password": "pw"}
+    server.dispatch(Request("POST", "/auth/register", credentials))
+    token = server.dispatch(Request("POST", "/auth/login", credentials)).body["token"]
+    for method, path, body in (
+        ("PUT", "/pes/adder", {"peCode": "def adder(x): return x + 1",
+                               "description": "adds one to a stream"}),
+        ("PUT", "/workflows/flow", {"workflowCode": "graph = g()",
+                                    "description": "a stream that adds"}),
+        ("GET", "/pes/adder", {}),
+    ) + tuple(
+        ("POST", "/search", {"query": "adds stream", "kind": kind,
+                             "queryType": query_type, "k": 2})
+        for kind, query_type in (
+            ("both", "semantic"), ("both", "text"), ("both", "hybrid"),
+            ("pe", "code"),
+        )
+    ):
+        response = server.dispatch(
+            Request(method, f"/v1/registry/u{path}", body, token=token)
+        )
+        assert response.status < 300, response.body
+    assert entered == pinned
