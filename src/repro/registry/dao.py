@@ -2,7 +2,8 @@
 
 CRUD against the data store.  One store, :class:`SqliteDAO`: the
 durable stand-in for the paper's remote MySQL web service, with
-embeddings stored as vector BLOBs (:mod:`repro.registry.veccodec`).
+embeddings stored as vector BLOBs (:mod:`repro.registry.veccodec`) and
+each record's code and source deflated (:mod:`repro.registry.textcodec`).
 Ephemeral stacks — tests, ``LaminarServer()`` without a ``dao``,
 ``repro stats`` without ``--db`` — open it on ``":memory:"`` (the
 default path), so every in-process stack runs the same schema, SQL and
@@ -78,6 +79,7 @@ from repro.registry.entities import (
     UserRecord,
     WorkflowRecord,
 )
+from repro.registry.textcodec import decode_texts, encode_texts
 from repro.registry.veccodec import decode_many, decode_vector, encode_vector
 
 #: status stored while a write's idempotency key is *claimed* but its
@@ -257,17 +259,29 @@ def _replay_shard(
     return ids_out, fetch(ids_out), int(tip)
 
 
-#: the tables schema v13 reshaped, each name followed by ``{new}``: the
-#: record tables number their own ids (:meth:`SqliteDAO._issue_ids`, no
-#: AUTOINCREMENT) and the owner tables — normalized ownership, which
-#: owner-scoped reads filter by in SQL; the record rows' JSON columns
-#: hold the same facts (the module docstring says why both stay) — are
-#: keyed by user, the order every such read filters in, so no second
-#: index is kept beside them.  :data:`_SCHEMA` creates them as they are
-#: named; :data:`_STEP_FROM_V12` creates them under ``_v13`` names,
-#: copies into them and renames them
-_RESHAPED = """
-CREATE TABLE pes{new} (
+#: the registry-wide counters are rows of ``shard_stamps`` under this
+#: user id, which no user has (user ids start at 1): the mutation
+#: counter under :data:`_MUTATIONS`, and under each record table's name
+#: the highest id it has issued.  Every write rewrites the counter and
+#: the stamps of the shards it changed, so keeping them in one b-tree
+#: keeps them on one page
+_REGISTRY_USER = 0
+_MUTATIONS = "mutations"
+
+_SCHEMA = """
+CREATE TABLE users (
+    user_id INTEGER PRIMARY KEY AUTOINCREMENT,
+    user_name TEXT UNIQUE NOT NULL,
+    password_hash TEXT NOT NULL
+);
+-- the record tables number their own ids (SqliteDAO._issue_ids, no
+-- AUTOINCREMENT) and hold each code and source as TEXT or as a
+-- deflated BLOB (repro.registry.textcodec, since v14).  The owner
+-- tables (normalized ownership, which owner-scoped reads filter by in
+-- SQL; the record rows' JSON columns hold the same facts, and the
+-- module docstring says why both stay) are keyed by user, the order
+-- every such read filters in, so no second index is kept beside them
+CREATE TABLE pes (
     pe_id INTEGER PRIMARY KEY,
     pe_name TEXT NOT NULL,
     description TEXT NOT NULL DEFAULT '',
@@ -280,7 +294,7 @@ CREATE TABLE pes{new} (
     owners TEXT NOT NULL DEFAULT '[]',
     revision INTEGER NOT NULL DEFAULT 1
 );
-CREATE TABLE workflows{new} (
+CREATE TABLE workflows (
     workflow_id INTEGER PRIMARY KEY,
     workflow_name TEXT NOT NULL,
     entry_point TEXT NOT NULL,
@@ -292,43 +306,18 @@ CREATE TABLE workflows{new} (
     owners TEXT NOT NULL DEFAULT '[]',
     revision INTEGER NOT NULL DEFAULT 1
 );
-CREATE TABLE pe_owners{new} (
+CREATE TABLE pe_owners (
     user_id INTEGER NOT NULL,
     pe_id INTEGER NOT NULL,
     PRIMARY KEY (user_id, pe_id)
 ) WITHOUT ROWID;
-CREATE TABLE workflow_owners{new} (
+CREATE TABLE workflow_owners (
     user_id INTEGER NOT NULL,
     workflow_id INTEGER NOT NULL,
     PRIMARY KEY (user_id, workflow_id)
 ) WITHOUT ROWID;
-"""
-
-_RECORD_INDEXES = """
 CREATE INDEX idx_pes_name ON pes(pe_name);
 CREATE INDEX idx_wf_entry ON workflows(entry_point);
-"""
-
-#: the registry-wide counters are rows of ``shard_stamps`` under this
-#: user id, which no user has (user ids start at 1): the mutation
-#: counter under :data:`_MUTATIONS`, and under each record table's name
-#: the highest id it has issued.  Every write rewrites the counter and
-#: the stamps of the shards it changed, so keeping them in one b-tree
-#: keeps them on one page
-_REGISTRY_USER = 0
-_MUTATIONS = "mutations"
-
-_SCHEMA = (
-    """
-CREATE TABLE users (
-    user_id INTEGER PRIMARY KEY AUTOINCREMENT,
-    user_name TEXT UNIQUE NOT NULL,
-    password_hash TEXT NOT NULL
-);
-"""
-    + _RESHAPED.format(new="")
-    + _RECORD_INDEXES
-    + """
 CREATE TABLE workflow_pes (
     workflow_id INTEGER NOT NULL,
     pe_id INTEGER NOT NULL,
@@ -401,7 +390,6 @@ CREATE TABLE index_deltas (
 INSERT INTO shard_stamps (user_id, kind, mutation_counter)
 VALUES (0, 'mutations', 0), (0, 'pes', 0), (0, 'workflows', 0);
 """
-)
 
 #: the attached in-memory database that holds the text index
 _TEXT_DB = "text_index"
@@ -457,63 +445,24 @@ END;
 """
 
 #: the on-disk format (``PRAGMA user_version``) :data:`_SCHEMA` creates.
-#: A v12 file takes one step to it (:data:`_STEP_FROM_V12`); any other
-#: version is refused.  v13 keyed the owner tables by user, moved the
-#: mutation counter and the id high-water marks into ``shard_stamps``
-#: (:data:`_REGISTRY_USER`) and dropped ``registry_meta`` and the record
-#: tables' AUTOINCREMENT, so a write logs no page of an owner index, of
-#: ``registry_meta`` or of ``sqlite_sequence``; v12 added the
-#: value-table vector layout (:mod:`repro.registry.veccodec`, tag 2),
-#: which older code cannot decode; v11 moved the text index into memory,
-#: filled from ``pe_text``/``wf_text`` at open (:data:`_TEXT_INDEX_SCHEMA`),
-#: so a write logs no FTS5 page.  Vector blobs may still be dense float32
-#: (v6 and older wrote them so) or sparse (v7 to v11): every layout
-#: decodes through the same codec, and a row re-encodes when next
-#: written.
-_SCHEMA_VERSION = 13
-
-#: v12 -> v13, run in one transaction with the stamp.  The record and
-#: owner tables are rebuilt by SQLite's documented way to change a
-#: table's definition (create the new table, copy, drop the old one,
-#: rename the new one, re-create the indexes), not by editing
-#: ``sqlite_schema``; the owner indexes go with the old tables.  The
-#: counter rows are seeded before their sources go: the mutation counter
-#: from ``registry_meta``, each high-water mark from AUTOINCREMENT's
-#: ``sqlite_sequence`` row or the table's highest id, whichever is
-#: larger — a deleted record's id is never issued again
-_STEP_FROM_V12 = (
-    _RESHAPED.format(new="_v13")
-    + """
-INSERT INTO pes_v13 SELECT * FROM pes;
-INSERT INTO workflows_v13 SELECT * FROM workflows;
-INSERT INTO pe_owners_v13 (user_id, pe_id)
-    SELECT user_id, pe_id FROM pe_owners;
-INSERT INTO workflow_owners_v13 (user_id, workflow_id)
-    SELECT user_id, workflow_id FROM workflow_owners;
-INSERT INTO shard_stamps (user_id, kind, mutation_counter)
-SELECT 0, 'mutations', COALESCE(
-    (SELECT value FROM registry_meta WHERE key = 'mutation_counter'), 0)
-UNION ALL
-SELECT 0, 'pes', MAX(
-    COALESCE((SELECT seq FROM sqlite_sequence WHERE name = 'pes'), 0),
-    COALESCE((SELECT MAX(pe_id) FROM pes), 0))
-UNION ALL
-SELECT 0, 'workflows', MAX(
-    COALESCE((SELECT seq FROM sqlite_sequence WHERE name = 'workflows'), 0),
-    COALESCE((SELECT MAX(workflow_id) FROM workflows), 0));
-DELETE FROM sqlite_sequence WHERE name IN ('pes', 'workflows');
-DROP TABLE registry_meta;
-DROP TABLE pes;
-DROP TABLE workflows;
-DROP TABLE pe_owners;
-DROP TABLE workflow_owners;
-ALTER TABLE pes_v13 RENAME TO pes;
-ALTER TABLE workflows_v13 RENAME TO workflows;
-ALTER TABLE pe_owners_v13 RENAME TO pe_owners;
-ALTER TABLE workflow_owners_v13 RENAME TO workflow_owners;
-"""
-    + _RECORD_INDEXES
-)
+#: A v13 file takes one step to it (:meth:`SqliteDAO._step_from_v13`);
+#: any other version is refused.  v14 stores a record's code and source
+#: deflated (:mod:`repro.registry.textcodec`), blobs that older code
+#: would hand back as ``bytes``; its TEXT values read as themselves, so
+#: the step is the stamp alone.  v13 keyed the owner tables by user,
+#: moved the mutation counter and the id high-water marks into
+#: ``shard_stamps`` (:data:`_REGISTRY_USER`) and dropped
+#: ``registry_meta`` and the record tables' AUTOINCREMENT, so a write
+#: logs no page of an owner index, of ``registry_meta`` or of
+#: ``sqlite_sequence``; v12 added the value-table vector layout
+#: (:mod:`repro.registry.veccodec`, tag 2), which older code cannot
+#: decode; v11 moved the text index into memory, filled from
+#: ``pe_text``/``wf_text`` at open (:data:`_TEXT_INDEX_SCHEMA`), so a
+#: write logs no FTS5 page.  Vector blobs may still be dense float32 (v6
+#: and older wrote them so) or sparse (v7 to v11), and code and source
+#: plain TEXT (v13): every layout decodes through the same codecs, and a
+#: row re-encodes when its record is next written.
+_SCHEMA_VERSION = 14
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
 #: IN(...) lists well below that
@@ -564,6 +513,10 @@ class _Storage:
     #: the record table's columns between the id and ``revision``, in
     #: table order, each named as its record attribute
     columns: tuple[tuple[str, _Codec], ...]
+    #: the (code, source) pair among them, stored through
+    #: :mod:`repro.registry.textcodec`: the source deflated against
+    #: the code, so each is ``_PLAIN`` in :attr:`columns`
+    texts: tuple[str, str]
     #: the ``text_search`` builder of the FTS documents and the record
     #: fields it reads, in its argument order: an update that changes
     #: none of them leaves the text rows alone
@@ -611,21 +564,34 @@ class _Storage:
             if codecs.get(name)
         ]
         self._document_fields = attrgetter(*self.sources)
+        self._text_fields = [fields.index(name) for name in self.texts]
+        self._text_columns = [
+            self.column_names.index(name) for name in self.texts
+        ]
 
     def record(self, row: sqlite3.Row) -> PERecord | WorkflowRecord:
         values = list(self._row_values(row))
         for at, decode in self._decoders:
             values[at] = decode(values[at])
+        code, source = self._text_fields
+        values[code], values[source] = decode_texts(
+            values[code], values[source]
+        )
         return self.record_type(*values)
 
     def params(self, record: PERecord | WorkflowRecord) -> tuple:
         """The record's column values as stored, in :attr:`columns`
         order."""
-        return tuple(
+        values = [
             getattr(record, column) if codec is None
             else codec[0](getattr(record, column))
             for column, codec in self.columns
+        ]
+        code, source = self._text_columns
+        values[code], values[source] = encode_texts(
+            values[code], values[source]
         )
+        return tuple(values)
 
     def documents(self, record: PERecord | WorkflowRecord) -> tuple[str, str]:
         """The record's ``(name_norm, desc_doc)`` FTS documents."""
@@ -646,6 +612,7 @@ _PES = _Storage(
         ("desc_embedding", _VECTOR),
         ("owners", _OWNERS),
     ),
+    texts=("pe_code", "pe_source"),
     document="fts_pe_document",
     sources=("pe_name", "description"),
     label="PE",
@@ -665,6 +632,7 @@ _WORKFLOWS = _Storage(
         ("desc_embedding", _VECTOR),
         ("owners", _OWNERS),
     ),
+    texts=("workflow_code", "workflow_source"),
     document="fts_workflow_document",
     sources=("entry_point", "workflow_name", "description"),
     label="workflow",
@@ -681,7 +649,7 @@ _STORAGE = {PERecord: _PES, WorkflowRecord: _WORKFLOWS}
 
 def _refusal(path: str | Path, version: int) -> RegistryError:
     """Why a file at schema ``version`` is not opened: only a new file,
-    a v12 file (one step) and a current one are."""
+    a v13 file (one step) and a current one are."""
     if version > _SCHEMA_VERSION:
         advice = "it was written by newer code; open it with that code"
     else:
@@ -713,7 +681,7 @@ class SqliteDAO:
     Opening reads ``PRAGMA user_version`` before anything writes.  A new
     file (version 0, no schema) is created by :data:`_SCHEMA` in one
     transaction and stamped :data:`_SCHEMA_VERSION`; a file one version
-    behind takes :meth:`_step_from_v12`; a current file runs no DDL on
+    behind takes :meth:`_step_from_v13`; a current file runs no DDL on
     ``main``.  Any other version raises :class:`~repro.errors.RegistryError`
     naming it, and the file is left as it was.
     """
@@ -733,9 +701,19 @@ class SqliteDAO:
             raise _refusal(path, version)
         # a WAL commit logs whole pages and the rows this registry
         # commits are tens of bytes (stamps, owners, counter, journal) to
-        # ~2.5 KB (a record): 1 KB pages log a quarter of what 4 KB ones
-        # do for the same touch.  Takes effect on a file without pages
-        # only; an existing file keeps its own
+        # ~780 (a benchmark PE: value-table code vector, deflated code
+        # and source — a leaf to itself, no overflow page): 1 KB pages
+        # log a quarter of what 4 KB ones do for the same touch.  Two
+        # alternatives were measured on the e2e runs (seed 1, 2-CPU
+        # Linux host) and not taken.  512-byte pages write 23 % fewer
+        # bytes on mixed_rw (16.81 -> 12.90 MB), but a row spans pages
+        # again, and read_static's DAO reads 7x the bytes
+        # (registry.dao.io_read_mb 55.9 -> 392.6 MB).  Keeping the FTS
+        # documents in the memory database, beside the index over them,
+        # wrote ~11.5 % fewer bytes on all three workloads in a
+        # prototype, but every open rebuilds them from the records
+        # (25 -> 316 ms at 7 000 rows).  Takes effect on a file without
+        # pages only; an existing file keeps its own
         self._conn.execute("PRAGMA page_size=1024")
         # WAL lets readers proceed during writes; NORMAL fsyncs once per
         # checkpoint instead of per transaction (both no-ops for
@@ -749,7 +727,7 @@ class SqliteDAO:
             # the later one's first CREATE TABLE fails
             self._stamped(_SCHEMA)
         elif version < _SCHEMA_VERSION:
-            self._step_from_v12()
+            self._step_from_v13()
         # the text index: filled here, kept in step by this connection's
         # triggers, refilled when another connection has committed
         # (:meth:`_text_topk`).  ATTACH cannot run inside a transaction
@@ -765,10 +743,13 @@ class SqliteDAO:
             f"BEGIN;{script}PRAGMA user_version = {_SCHEMA_VERSION};COMMIT;"
         )
 
-    def _step_from_v12(self) -> None:
-        """v12 -> v13 (:data:`_STEP_FROM_V12`): a crash leaves the v12
-        file as it was, and a v12 checkout cannot open the result."""
-        self._stamped(_STEP_FROM_V12)
+    def _step_from_v13(self) -> None:
+        """v13 -> v14: the stamp alone.  v13's TEXT code and source read
+        as themselves (:func:`~repro.registry.textcodec.decode_texts`)
+        and are deflated when their record is next written; the stamp
+        keeps a v13 checkout, which would hand the blobs back as
+        ``bytes``, from opening the file."""
+        self._stamped("")
 
     def _fill_text_index(self) -> None:
         """Empty the memory text index and index every side-table

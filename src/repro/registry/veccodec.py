@@ -46,7 +46,10 @@ eligible.  Measured on 1 200
 records of the e2e corpus, bulk-loaded through the server with
 unfitted models on 1 KB pages: the median code vector takes 443 bytes
 instead of 1 043 sparse, and a ``pes`` row 1.23 pages instead of 1.92
-(0.40 leaf + 0.82 overflow instead of 0.85 + 1.06).  The e2e runs write
+(0.40 leaf + 0.82 overflow instead of 0.85 + 1.06); since schema v14
+deflates its code and source (:mod:`repro.registry.textcodec`) the row
+fits one leaf, 1.01 pages (1.00 leaf, no overflow; ~780 bytes instead
+of ~1 130).  The e2e runs write
 25 % fewer bytes on ``ingest_live`` (seed 1: 45.86 -> 34.39 MB), 15 %
 on ``mixed_rw`` (25.56 -> 21.69) and 8 % on ``read_static`` (2.96 ->
 2.73).  A fitted server (``repro serve`` without ``--no-fit``) weighs

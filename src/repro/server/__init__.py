@@ -82,11 +82,16 @@ The SQLite DAO reads ``PRAGMA user_version`` before anything writes
 version    On open
 =========  ============================================================
 new file   Version 0 and no schema (``":memory:"`` too): the schema is
-           created in one transaction and stamped v13.
-v13        Current: no DDL on the file.  The owner tables are keyed
-           ``(user_id, id)`` with no second index, and the mutation
-           counter and each record table's id high-water mark are rows
-           of ``shard_stamps`` under user 0, beside the shard stamps;
+           created in one transaction and stamped v14.
+v14        Current: no DDL on the file.  A record's code and source
+           are stored deflated, the source against its code as a
+           preset dictionary (:mod:`repro.registry.textcodec`), as
+           BLOBs that **older code would hand back as bytes** — or as
+           TEXT where deflating would not be shorter.  The owner
+           tables are keyed ``(user_id, id)`` with no second index
+           (since v13), and the mutation counter and each record
+           table's id high-water mark are rows of ``shard_stamps``
+           under user 0, beside the shard stamps;
            the record tables have no AUTOINCREMENT (the DAO issues
            ids).  Its vector blobs may be in the value-table layout
            (:mod:`repro.registry.veccodec`, tag 2, since v12), which
@@ -97,19 +102,17 @@ v13        Current: no DDL on the file.  The owner tables are keyed
            triggers inside each mutation's transaction and refilled
            before a ranking when another connection has committed
            (``PRAGMA data_version``).
-v12        Accepted: one step, in one transaction with the stamp,
-           rebuilds the record and owner tables (create, copy, drop,
-           rename) and seeds the counter rows from ``registry_meta``
-           and from AUTOINCREMENT's ``sqlite_sequence`` (or the highest
-           id, if larger), then drops both sources.
-other      Refused, older (v11 and v10 included) or newer, with a
+v13        Accepted: one step, the stamp alone in one transaction.
+           Its TEXT code and source read as themselves and are
+           deflated when their record is next written.
+other      Refused, older (v12 and v11 included) or newer, with a
            ``RegistryError`` naming the version; the file is left as it
            was.  An older file steps up when opened once with an older
            checkout of this repository (the git history is the
            migration tool); a newer one belongs to newer code.
 =========  ============================================================
 
-What a v13 file holds, and the rules the DAO keeps on it:
+What a v14 file holds, and the rules the DAO keeps on it:
 
 * **A vector lives in its record row, nowhere else** (the ``pes`` /
   ``workflows`` embedding columns), in whichever layout of

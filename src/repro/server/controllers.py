@@ -18,6 +18,7 @@ import numpy as np
 from repro.errors import AuthenticationError, ValidationError
 from repro.net.transport import Request, Response
 from repro.registry.entities import UserRecord
+from repro.server.schema import parse_credentials
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.app import LaminarServer
@@ -73,16 +74,14 @@ class UserController(BaseController):
     """/auth endpoints (Table 3, User controller)."""
 
     def register(self, request: Request, params: dict[str, str]) -> Response:
-        body = request.body
         user = self.app.registry.register_user(
-            str(body.get("userName", "")), str(body.get("password", ""))
+            *parse_credentials(request.body)
         )
         return Response(201, user.to_json())
 
     def login(self, request: Request, params: dict[str, str]) -> Response:
-        body = request.body
         user = self.app.registry.authenticate(
-            str(body.get("userName", "")), str(body.get("password", ""))
+            *parse_credentials(request.body)
         )
         token = self.app.issue_token(user.user_name)
         return Response(

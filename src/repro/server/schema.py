@@ -203,6 +203,7 @@ class SearchRequest:
                 "query is required and must be a non-empty string",
                 params={"query": query},
             )
+        _check_text("query", query)
         kind = _parse_enum(body, "kind", SEARCH_KINDS, "both")
         query_type = _parse_enum(body, "queryType", QUERY_TYPES, "text")
         backend = body.get("backend", "exact")
@@ -343,6 +344,21 @@ def parse_idempotency_key(body: dict[str, Any]) -> str | None:
     return value
 
 
+def _check_text(key: str, value: str) -> str:
+    """``value``, if UTF-8 can encode it.  ``json.loads`` accepts a lone
+    surrogate (``"\\ud800"``), which neither SQLite nor the text codec
+    can store: such a string is a 400 naming its field, not a 500."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise ValidationError(
+            f"{key} is not valid Unicode text: a lone surrogate at"
+            f" offset {err.start}",
+            params={"field": key, "offset": err.start},
+        ) from None
+    return value
+
+
 def _parse_required_str(body: dict[str, Any], key: str, *, where: str) -> str:
     value = body.get(key)
     if not isinstance(value, str) or not value.strip():
@@ -350,7 +366,7 @@ def _parse_required_str(body: dict[str, Any], key: str, *, where: str) -> str:
             f"{key} is required and must be a non-empty string in {where}",
             params={key: value},
         )
-    return value
+    return _check_text(key, value)
 
 
 def _parse_optional_str(body: dict[str, Any], key: str, default: str = "") -> str:
@@ -360,7 +376,16 @@ def _parse_optional_str(body: dict[str, Any], key: str, default: str = "") -> st
             f"{key} must be a string, got {type(value).__name__}",
             params={key: value},
         )
-    return value
+    return _check_text(key, value)
+
+
+def parse_credentials(body: dict[str, Any]) -> tuple[str, str]:
+    """The ``(userName, password)`` of an ``/auth`` body, each as its
+    string form (a missing one is empty)."""
+    return (
+        _check_text("userName", str(body.get("userName", ""))),
+        _check_text("password", str(body.get("password", ""))),
+    )
 
 
 def _check_path_name(body: dict[str, Any], key: str, name: str) -> None:

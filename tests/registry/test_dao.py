@@ -1,7 +1,6 @@
 """DAO tests, on an in-memory database and on a file."""
 
 import json
-import sqlite3
 import sys
 import threading
 
@@ -379,35 +378,6 @@ class TestIdsAreNeverReused:
         assert sorted(every) == list(range(1, 4 * 7 + 1))
         # each writer saw its own ids rise
         assert all(own == sorted(own) for own in ids)
-
-    def test_a_v12_high_water_mark_survives_the_step(self, tmp_path, kind):
-        """A v12 file whose last record was deleted keeps, in
-        ``sqlite_sequence``, a high-water mark above ``MAX(id)``; the
-        step carries it, so the deleted id stays issued."""
-        # imported here: that module imports this one's record makers
-        from tests.registry.test_step_from_v12 import as_v12
-
-        path = tmp_path / "registry.db"
-        dao = SqliteDAO(path)
-        issued(dao, kind, "a")
-        highest = issued(dao, kind, "b")
-        delete(dao, kind, highest)
-        dao.close()
-        as_v12(path)
-        table, id_col = (
-            ("pes", "pe_id") if kind == "pe" else ("workflows", "workflow_id")
-        )
-        conn = sqlite3.connect(path)
-        assert conn.execute(
-            "SELECT seq FROM sqlite_sequence WHERE name = ?", (table,)
-        ).fetchone() == (highest,)
-        assert conn.execute(
-            f"SELECT MAX({id_col}) FROM {table}"
-        ).fetchone() == (highest - 1,)
-        conn.close()
-        dao = SqliteDAO(path)
-        assert issued(dao, kind, "c") == highest + 1
-        dao.close()
 
 
 def json_column_pairs(dao, table, key, column):

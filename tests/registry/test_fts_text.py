@@ -18,7 +18,7 @@ The index is a cache of the file, so :class:`TestFreshness` holds it
 to "every ranking equals a freshly opened DAO's", exactly, whichever
 connection or process wrote last.  The rest covers older files: a v10
 file (on-disk FTS5 tables) is refused and left as it was.  The one
-schema step there is, from v12, is ``test_step_from_v12.py``'s.
+schema step there is, from v13, is ``test_step_from_v13.py``'s.
 """
 
 import hashlib

@@ -2,10 +2,10 @@
 
 ``SqliteDAO`` reads ``PRAGMA user_version`` before anything writes.  A
 new file (version 0, no schema) is created in one transaction and
-stamped current; a v12 file takes one step in one transaction (the
-record and owner tables rebuilt, the counters moved into
-``shard_stamps``; ``test_step_from_v12.py`` checks what it carries); a
-current file runs no DDL on ``main``.  Pinned here:
+stamped current; a v13 file takes one step, the stamp alone in one
+transaction (its TEXT code and source read as themselves;
+``test_step_from_v13.py`` checks that it serves as before); a current
+file runs no DDL on ``main``.  Pinned here:
 
 * **open cost** — the top-level SQL statements of each case, counted
   from the moment the connection exists under ``test_read_cost.py``'s
@@ -13,8 +13,8 @@ current file runs no DDL on ``main``.  Pinned here:
   its own plan and not counted).  Before the open path had three cases
   a new file ran 73 statements and a reopen 43 (an ``IF NOT EXISTS``
   script and four ``COUNT(*)`` drift scans on every open);
-* **refusal** — a file at any other version, older (v11 included, since
-  v13; v10 since v12) or newer, raises a ``RegistryError`` naming that version and is
+* **refusal** — a file at any other version, older (v12 included, since
+  v14; v11 since v13) or newer, raises a ``RegistryError`` naming that version and is
   left byte for byte as it was: no table re-created, nothing stamped;
 * **format** — a new file's schema rows, page size and counter.
 """
@@ -31,18 +31,14 @@ from tests.registry.test_fts_text import (
     main_ddl,
     open_traced,
 )
-from tests.registry.test_step_from_v12 import as_v12
+from tests.registry.test_step_from_v13 import as_v13
 
 #: top-level statements of one open: a new file (``:memory:`` too; 43
 #: before v13 dropped ``registry_meta`` and the owner indexes), a
-#: reopen of a current file, a v12 file's one step (the reopen's, plus
-#: ``BEGIN``, the step's 21 statements, the stamp and ``COMMIT``; the
-#: v11 step it replaced, a stamp alone, ran 23)
-OPEN_COST = {"new": 40, "reopen": 20, "v12": 44}
-
-#: the statements of the v12 step that change ``main``'s schema: four
-#: tables created, five dropped, four renamed, two indexes re-created
-V12_STEP_DDL = 15
+#: reopen of a current file, a v13 file's one step (the reopen's, plus
+#: ``BEGIN``, the stamp and ``COMMIT``; the v12 step it replaced, which
+#: rebuilt the record and owner tables, ran 44)
+OPEN_COST = {"new": 40, "reopen": 20, "v13": 23}
 
 #: what a new file's ``main.sqlite_schema`` holds: (type, name)
 NEW_FILE_SCHEMA = {
@@ -105,14 +101,14 @@ class TestOpenCost:
         assert not any("COUNT(" in sql.upper() for sql in statements)
         assert main_ddl(statements) == []
 
-    def test_v12_step_then_a_reopen(self, monkeypatch, tmp_path):
-        path = tmp_path / "v12.db"
+    def test_v13_step_then_a_reopen(self, monkeypatch, tmp_path):
+        path = tmp_path / "v13.db"
         fill(SqliteDAO(path))[0].dao.close()
-        as_v12(path)
+        as_v13(path)
         dao, statements = open_traced(monkeypatch, path)
         dao.close()
-        assert len(statements) == OPEN_COST["v12"], statements
-        assert len(main_ddl(statements)) == V12_STEP_DDL, statements
+        assert len(statements) == OPEN_COST["v13"], statements
+        assert main_ddl(statements) == [], statements
         assert user_version(path) == _SCHEMA_VERSION
         assert schema_names(path) == {name for _, name in NEW_FILE_SCHEMA}
         # the step is taken once
@@ -151,11 +147,11 @@ class TestNewFileFormat:
 class TestRefused:
     @pytest.mark.parametrize(
         "version",
-        # newer code's file; a file from before the v12 -> v13 step
-        # (v11, which older code steps to v12: refused since v13); one
-        # from before v11 (refused since v12); an older one still; a
+        # newer code's file; a file from before the v13 -> v14 step
+        # (v12, which older code steps to v13: refused since v14); one
+        # from before that (v11, refused since v13); older ones still; a
         # file with a schema but no stamp (not written by this DAO)
-        [_SCHEMA_VERSION + 1, 11, 10, 9, 0],
+        [_SCHEMA_VERSION + 1, 12, 11, 10, 9, 0],
     )
     def test_file_at_another_version_is_refused_untouched(
         self, tmp_path, version

@@ -13,8 +13,10 @@ New files get 1 KB pages; a file that already has pages keeps them
 (page size is fixed once a WAL file exists) and passes the same cases.
 
 A **benchmark-shaped PUT** — a record of the e2e corpus, whose code
-vector is stored as a value table — is pinned at its exact frames and
-at the ``pes`` overflow pages its row takes (``dbstat``).
+vector is stored as a value table and whose code and source are stored
+deflated — is pinned at its exact frames and at the ``pes`` overflow
+pages its row takes (``dbstat``: none), and so is its description-only
+revise.
 
 Two more op classes are pinned the same way.  A **fold** writes a
 shard's ids and nothing else — 8 bytes a row, whatever the vectors
@@ -312,13 +314,22 @@ BENCH_CODE = f"""def pofin_bogor_000330(items, limit=944):
             faifin += braifin * 5
     return faifin"""
 #: (WAL frames, new ``pes`` overflow pages) of that record's PUT, per
-#: page size.  Schema v12 logged (11, 1) and (9, 0): three pages more,
+#: page size.  Its code and source are stored deflated (schema v14), so
+#: on 1 KB pages the row fits its leaf: schema v13 logged (8, 1).  The
+#: frame count stays, since the row now fills most of a leaf: the two
+#: ``pes`` pages logged are b-tree pages where v13's were a leaf and an
+#: overflow page.  Schema v12 logged (11, 1) and (9, 0): three pages more,
 #: those of ``registry_meta``, ``sqlite_sequence`` and the owner index.
 #: With its code vector in the sparse layout (schema v11) the same PUT
 #: logged (12, 2) on 1 KB pages — the 2 104-byte row needed two
 #: overflow pages, the 1 420-byte one needs one — and (9, 0) on 4 KB
 #: pages, where either row fits its leaf
-BENCH_PUT_COST = {1024: (8, 1), 4096: (6, 0)}
+BENCH_PUT_COST = {1024: (8, 0), 4096: (6, 0)}
+#: WAL frames of that record's description-only revise, per page size:
+#: the row is rewritten in its leaf.  Schema v13 logged 7 on 1 KB pages,
+#: freeing the row's overflow page and allocating a new one (the
+#: freelist and header pages with it), and 4 on 4 KB pages
+BENCH_REVISE_FRAMES = {1024: 4, 4096: 4}
 
 
 def pes_overflow_pages(dao):
@@ -349,7 +360,27 @@ def test_a_benchmark_shaped_put(registry):
         "SELECT code_embedding FROM pes WHERE pe_id = ?", (record.pe_id,)
     ).fetchone()
     assert (len(blob), blob[-1]) == (527, 2)
+    # its code deflated, its source (the same text) a reference to it
+    assert tuple(dao._conn.execute(
+        "SELECT LENGTH(pe_code), typeof(pe_code), LENGTH(pe_source),"
+        " typeof(pe_source) FROM pes WHERE pe_id = ?", (record.pe_id,)
+    ).fetchone()) == (186, "blob", 18, "blob")
     assert cost == BENCH_PUT_COST[page_size]
+
+    # a description-only revise rewrites the row in its own leaf
+    first, _ = wal_frames(path)
+    response = send(
+        "PUT",
+        f"/v1/registry/u/pes/{BENCH_NAME}",
+        {
+            "peCode": BENCH_CODE,
+            "peSource": BENCH_CODE,
+            "description": "Described once again.",
+        },
+    )
+    assert response.status == 200
+    revise = (wal_frames(path)[0] - first, pes_overflow_pages(dao) - overflow)
+    assert revise == (BENCH_REVISE_FRAMES[page_size], 0)
 
 
 #: the e2e corpus' code-embedding shape: ~1 KB a vector at rest

@@ -2,8 +2,12 @@
 
 A record's dedup identity hashes its code payload; the payload is text
 and may hold any Unicode character (an accented identifier, an em dash
-in a docstring), so it is hashed as UTF-8.
+in a docstring), so it is hashed as UTF-8.  A string UTF-8 cannot
+encode — a lone surrogate, which ``json.loads`` accepts — is a 400
+naming its field on every route that parses one.
 """
+
+import json
 
 import pytest
 
@@ -36,6 +40,42 @@ def _put(server, token, name="cafe", code=CODE):
             token=token,
         )
     )
+
+
+#: a lone surrogate, as ``json.loads`` hands it over
+LONE = json.loads('"def f(): \\ud800"')
+
+#: (field, method, path, body): each route's envelope with ``LONE`` in
+#: one string field
+LONE_SURROGATES = [
+    ("peCode", "PUT", "/v1/registry/u/pes/p", {"peCode": LONE}),
+    ("peSource", "PUT", "/v1/registry/u/pes/p",
+     {"peCode": CODE, "peSource": LONE}),
+    ("description", "PUT", "/v1/registry/u/pes/p",
+     {"peCode": CODE, "description": LONE}),
+    ("peCode", "POST", "/v1/registry/u/pes:bulk",
+     {"items": [{"peName": "p", "peCode": LONE}]}),
+    ("query", "POST", "/v1/registry/u/search",
+     {"query": LONE, "queryType": "text"}),
+    ("userName", "POST", "/auth/register",
+     {"userName": LONE, "password": "pw"}),
+]
+
+
+@pytest.mark.parametrize(
+    "field, method, path, body",
+    LONE_SURROGATES,
+    ids=[f"{path.split('/')[-1]}-{field}" for field, _, path, _ in LONE_SURROGATES],
+)
+def test_a_lone_surrogate_is_a_400_naming_its_field(
+    server, token, field, method, path, body
+):
+    response = server.dispatch(Request(method, path, body, token=token))
+    assert response.status == 400, response.body
+    assert response.body["error"] == "ValidationError"
+    assert response.body["message"].startswith(f"{field} is not valid")
+    assert server.registry.dao.find_pe_by_name("p") == []
+    assert [user.user_name for user in server.registry.all_users()] == ["u"]
 
 
 class TestWriteRoutes:
