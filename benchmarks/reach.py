@@ -215,8 +215,8 @@ REASONS: list[tuple[str, tuple[str, ...]]] = [
         (
             "registry/dao.py:SqliteDAO.owned_vectors",
             "registry/dao.py:SqliteDAO.release_write_receipt",
-            # no scenario opens a v13 file or one the DAO refuses
-            "registry/dao.py:SqliteDAO._step_from_v13",
+            # no scenario opens a v14 file or one the DAO refuses
+            "registry/dao.py:SqliteDAO._step_from_v14",
             "registry/dao.py:_refusal",
             "server/schema.py:decode_cursor.<locals>.bad",
             "server/api.py:Router.allowed_methods",

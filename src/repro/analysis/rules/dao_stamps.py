@@ -22,13 +22,14 @@ the mutating method.
 Detection: a method "writes" when it executes SQL matching
 ``INSERT INTO/UPDATE/DELETE FROM pes|workflows`` — string literals and
 f-strings, where a storage row's record-table placeholder
-(``{store.table}``) counts as a record table and its owner or text
-table (``{store.owners}``, ``{store.text}``) does not, so the SQL must
-sit inline at the ``execute`` call.  Such a method must contain both a
-``_bump_mutation()`` call and a ``_stamp_shards(...)`` call, and must
-not itself write the persisted membership state — stamps, journal or,
-since schema v9 made them ids-only membership too, base slabs
-(``shard_stamps`` / ``index_deltas`` / ``index_shards`` SQL).
+(``{store.table}``) counts as a record table and its owner table and
+memory text tables (``{store.owners}``, ``{store.docs}``,
+``{store.fts}``) do not, so the SQL must sit inline at the ``execute``
+call.  Such a method must contain both a ``_bump_mutation()`` call and
+a ``_stamp_shards(...)`` call, and must not itself write the persisted
+membership state — stamps, journal or, since schema v9 made them
+ids-only membership too, base slabs (``shard_stamps`` /
+``index_deltas`` / ``index_shards`` SQL).
 ``append_index_delta``, the single journal-row writer, may be called
 from ``_stamp_shards`` only.
 

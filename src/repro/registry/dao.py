@@ -7,8 +7,10 @@ each record's code and source deflated (:mod:`repro.registry.textcodec`).
 Ephemeral stacks — tests, ``LaminarServer()`` without a ``dao``,
 ``repro stats`` without ``--db`` — open it on ``":memory:"`` (the
 default path), so every in-process stack runs the same schema, SQL and
-FTS5 ranking as a file on disk.  On either, the FTS5 text index is a
-cache in memory, filled from the stored text documents at open.
+FTS5 ranking as a file on disk.  On either, text ranking reads only a
+cache in memory: each record's FTS documents and the FTS5 index over
+them, derived from the record rows (schema v15 keeps no document on
+disk).
 
 The DAO layer knows nothing about ownership/dedup rules — that is the
 service layer's job — it only persists and retrieves records.  It does,
@@ -26,9 +28,9 @@ however, own the *access paths* that make ownership filtering cheap:
 Both record kinds are stored under one set of rules, so each record
 operation — insert, update, delete, get, get-many, find by name, all,
 owned, owned ids, text top-k — is one body driven by the kind's storage
-row (:data:`_STORAGE`): record, owner, text-side and FTS tables, the
-columns with a codec each, the text-document builder, the not-found
-label.  The id, name and vector fields come from
+row (:data:`_STORAGE`): record and owner tables, the memory document
+and FTS tables, the columns with a codec each, the text-document
+builder, the not-found label.  The id, name and vector fields come from
 :data:`~repro.registry.entities.RECORD_KINDS`.  The per-kind names
 (``get_pes``, ``update_workflow``, ...) are one-line entries into those
 bodies; what only workflows have — the ``workflow_pes`` link rows and a
@@ -350,20 +352,6 @@ CREATE TABLE write_receipts (
     created_at REAL NOT NULL DEFAULT 0,
     PRIMARY KEY (user_id, idem_key)
 ) WITHOUT ROWID;
--- the normalized text match documents (name_norm doubles as the
--- whole-query substring arm and the FTS name document): the durable
--- half of text ranking only — the FTS5 index over them is a cache in
--- memory (_TEXT_INDEX_SCHEMA), not a table here
-CREATE TABLE pe_text (
-    pe_id INTEGER PRIMARY KEY,
-    name_norm TEXT NOT NULL,
-    desc_doc TEXT NOT NULL
-);
-CREATE TABLE wf_text (
-    workflow_id INTEGER PRIMARY KEY,
-    name_norm TEXT NOT NULL,
-    desc_doc TEXT NOT NULL
-);
 -- per-shard freshness stamps + the append-only delta journal.  The
 -- journal is an ids-only changelog (no vectors, no secondary index:
 -- every reader scans it whole in delta_id order) and each stamp row
@@ -394,18 +382,36 @@ VALUES (0, 'mutations', 0), (0, 'pes', 0), (0, 'workflows', 0);
 #: the attached in-memory database that holds the text index
 _TEXT_DB = "text_index"
 
-#: the text index: contentless FTS5 tables over the pe_text / wf_text
-#: documents in a database attached as ':memory:', filled from them at
-#: open and kept in step by TEMP triggers that fire inside each
-#: mutation's own transaction (so a rollback undoes both).  A write logs
-#: no FTS5 segment page; BM25 depends only on which documents are
-#: indexed, not on how segments are laid out, so the scores are the
-#: on-disk index's.  A trigger body may only name its target unqualified
-#: — found here because ``main`` holds no table of that name (v11).
+#: the text index, the only home of the FTS documents: per record kind
+#: a table of each record's normalized ``(name_norm, desc_doc)``
+#: documents (:meth:`_Storage.documents`; ``name_norm`` doubles as the
+#: whole-query substring arm) and a contentless FTS5 table over them, in
+#: a database attached as ':memory:'.  The documents are a pure function
+#: of the record row, so the file keeps none (v15): the first text
+#: ranking derives them from the records
+#: (:meth:`SqliteDAO._fill_text_index`), and the record writes keep them
+#: in step inside their own transaction (:meth:`SqliteDAO._index_text`,
+#: :meth:`SqliteDAO._unindex_text`), so a rollback undoes both.  A write
+#: logs no page of either.  BM25 depends only on which documents are
+#: indexed, not on how segments are laid out, so the scores are an
+#: on-disk index's.  A contentful FTS5 table would hold the documents
+#: itself, but the ranking joins every owned record's ``name_norm``, and
+#: an FTS5 rowid lookup per record ranked ~1.8x slower than this plain
+#: table (22 against 12 ms at 7 000 records, 2-CPU Linux host).
 #: unicode61 with remove_diacritics 0 so documents match the
 #: Python-lowercased text byte-for-byte (queries are pure-ASCII scorer
 #: words).
 _TEXT_INDEX_SCHEMA = f"""
+CREATE TABLE {_TEXT_DB}.pe_docs (
+    pe_id INTEGER PRIMARY KEY,
+    name_norm TEXT NOT NULL,
+    desc_doc TEXT NOT NULL
+);
+CREATE TABLE {_TEXT_DB}.wf_docs (
+    workflow_id INTEGER PRIMARY KEY,
+    name_norm TEXT NOT NULL,
+    desc_doc TEXT NOT NULL
+);
 CREATE VIRTUAL TABLE {_TEXT_DB}.pe_fts USING fts5(
     name_norm, desc_doc, content='',
     tokenize='unicode61 remove_diacritics 0'
@@ -414,55 +420,28 @@ CREATE VIRTUAL TABLE {_TEXT_DB}.wf_fts USING fts5(
     name_norm, desc_doc, content='',
     tokenize='unicode61 remove_diacritics 0'
 );
-CREATE TEMP TRIGGER pe_text_ai AFTER INSERT ON main.pe_text BEGIN
-    INSERT INTO pe_fts(rowid, name_norm, desc_doc)
-    VALUES (new.pe_id, new.name_norm, new.desc_doc);
-END;
-CREATE TEMP TRIGGER pe_text_ad AFTER DELETE ON main.pe_text BEGIN
-    INSERT INTO pe_fts(pe_fts, rowid, name_norm, desc_doc)
-    VALUES ('delete', old.pe_id, old.name_norm, old.desc_doc);
-END;
-CREATE TEMP TRIGGER pe_text_au AFTER UPDATE ON main.pe_text BEGIN
-    INSERT INTO pe_fts(pe_fts, rowid, name_norm, desc_doc)
-    VALUES ('delete', old.pe_id, old.name_norm, old.desc_doc);
-    INSERT INTO pe_fts(rowid, name_norm, desc_doc)
-    VALUES (new.pe_id, new.name_norm, new.desc_doc);
-END;
-CREATE TEMP TRIGGER wf_text_ai AFTER INSERT ON main.wf_text BEGIN
-    INSERT INTO wf_fts(rowid, name_norm, desc_doc)
-    VALUES (new.workflow_id, new.name_norm, new.desc_doc);
-END;
-CREATE TEMP TRIGGER wf_text_ad AFTER DELETE ON main.wf_text BEGIN
-    INSERT INTO wf_fts(wf_fts, rowid, name_norm, desc_doc)
-    VALUES ('delete', old.workflow_id, old.name_norm, old.desc_doc);
-END;
-CREATE TEMP TRIGGER wf_text_au AFTER UPDATE ON main.wf_text BEGIN
-    INSERT INTO wf_fts(wf_fts, rowid, name_norm, desc_doc)
-    VALUES ('delete', old.workflow_id, old.name_norm, old.desc_doc);
-    INSERT INTO wf_fts(rowid, name_norm, desc_doc)
-    VALUES (new.workflow_id, new.name_norm, new.desc_doc);
-END;
 """
 
 #: the on-disk format (``PRAGMA user_version``) :data:`_SCHEMA` creates.
-#: A v13 file takes one step to it (:meth:`SqliteDAO._step_from_v13`);
-#: any other version is refused.  v14 stores a record's code and source
-#: deflated (:mod:`repro.registry.textcodec`), blobs that older code
-#: would hand back as ``bytes``; its TEXT values read as themselves, so
-#: the step is the stamp alone.  v13 keyed the owner tables by user,
-#: moved the mutation counter and the id high-water marks into
-#: ``shard_stamps`` (:data:`_REGISTRY_USER`) and dropped
-#: ``registry_meta`` and the record tables' AUTOINCREMENT, so a write
-#: logs no page of an owner index, of ``registry_meta`` or of
-#: ``sqlite_sequence``; v12 added the value-table vector layout
-#: (:mod:`repro.registry.veccodec`, tag 2), which older code cannot
-#: decode; v11 moved the text index into memory, filled from
-#: ``pe_text``/``wf_text`` at open (:data:`_TEXT_INDEX_SCHEMA`), so a
-#: write logs no FTS5 page.  Vector blobs may still be dense float32 (v6
-#: and older wrote them so) or sparse (v7 to v11), and code and source
-#: plain TEXT (v13): every layout decodes through the same codecs, and a
-#: row re-encodes when its record is next written.
-_SCHEMA_VERSION = 14
+#: A v14 file takes one step to it (:meth:`SqliteDAO._step_from_v14`);
+#: any other version is refused.  v15 dropped the ``pe_text``/``wf_text``
+#: document tables: the documents live only in memory, derived from the
+#: record rows (:data:`_TEXT_INDEX_SCHEMA`), so a write logs no page of
+#: a text table.  v14 began storing a record's code and source deflated
+#: (:mod:`repro.registry.textcodec`), blobs that older code would hand
+#: back as ``bytes``.  v13 keyed the owner tables by user, moved the
+#: mutation counter and the id high-water marks into ``shard_stamps``
+#: (:data:`_REGISTRY_USER`) and dropped ``registry_meta`` and the record
+#: tables' AUTOINCREMENT, so a write logs no page of an owner index, of
+#: ``registry_meta`` or of ``sqlite_sequence``; v12 added the
+#: value-table vector layout (:mod:`repro.registry.veccodec`, tag 2),
+#: which older code cannot decode; v11 moved the FTS5 index into memory,
+#: so a write logs no FTS5 page.  Vector blobs may still be dense
+#: float32 (v6 and older wrote them so) or sparse (v7 to v11), and code
+#: and source plain TEXT (v13 wrote them so): every layout decodes
+#: through the same codecs, and a row re-encodes when its record is next
+#: written.
+_SCHEMA_VERSION = 15
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
 #: IN(...) lists well below that
@@ -507,8 +486,9 @@ class _Storage:
     #: the record table and its owner join table (keyed by user, then id)
     table: str
     owners: str
-    #: the side table of FTS documents and the memory FTS5 table over it
-    text: str
+    #: the memory tables of the record's FTS documents and the FTS5
+    #: index over them (:data:`_TEXT_INDEX_SCHEMA`)
+    docs: str
     fts: str
     #: the record table's columns between the id and ``revision``, in
     #: table order, each named as its record attribute
@@ -518,8 +498,9 @@ class _Storage:
     #: the code, so each is ``_PLAIN`` in :attr:`columns`
     texts: tuple[str, str]
     #: the ``text_search`` builder of the FTS documents and the record
-    #: fields it reads, in its argument order: an update that changes
-    #: none of them leaves the text rows alone
+    #: fields it reads, in its argument order (each a column of
+    #: :attr:`table`): an update that changes none of them leaves the
+    #: documents alone
     document: str
     sources: tuple[str, ...]
     #: :class:`~repro.errors.NotFoundError`'s record label and params key
@@ -593,14 +574,19 @@ class _Storage:
         )
         return tuple(values)
 
+    @property
+    def build(self) -> Callable[..., tuple[str, str]]:
+        """The ``(name_norm, desc_doc)`` FTS documents of a record whose
+        :attr:`sources` fields hold the arguments."""
+        return getattr(_text_documents(), self.document)
+
     def documents(self, record: PERecord | WorkflowRecord) -> tuple[str, str]:
         """The record's ``(name_norm, desc_doc)`` FTS documents."""
-        build = getattr(_text_documents(), self.document)
-        return build(*self._document_fields(record))
+        return self.build(*self._document_fields(record))
 
 
 _PES = _Storage(
-    PERecord, "pes", "pe_owners", "pe_text", "pe_fts",
+    PERecord, "pes", "pe_owners", "pe_docs", "pe_fts",
     columns=(
         ("pe_name", _PLAIN),
         ("description", _PLAIN),
@@ -621,7 +607,7 @@ _PES = _Storage(
     unlink="_unlink_pe",
 )
 _WORKFLOWS = _Storage(
-    WorkflowRecord, "workflows", "workflow_owners", "wf_text", "wf_fts",
+    WorkflowRecord, "workflows", "workflow_owners", "wf_docs", "wf_fts",
     columns=(
         ("workflow_name", _PLAIN),
         ("entry_point", _PLAIN),
@@ -649,7 +635,7 @@ _STORAGE = {PERecord: _PES, WorkflowRecord: _WORKFLOWS}
 
 def _refusal(path: str | Path, version: int) -> RegistryError:
     """Why a file at schema ``version`` is not opened: only a new file,
-    a v13 file (one step) and a current one are."""
+    a v14 file (one step) and a current one are."""
     if version > _SCHEMA_VERSION:
         advice = "it was written by newer code; open it with that code"
     else:
@@ -681,9 +667,11 @@ class SqliteDAO:
     Opening reads ``PRAGMA user_version`` before anything writes.  A new
     file (version 0, no schema) is created by :data:`_SCHEMA` in one
     transaction and stamped :data:`_SCHEMA_VERSION`; a file one version
-    behind takes :meth:`_step_from_v13`; a current file runs no DDL on
+    behind takes :meth:`_step_from_v14`; a current file runs no DDL on
     ``main``.  Any other version raises :class:`~repro.errors.RegistryError`
-    naming it, and the file is left as it was.
+    naming it, and the file is left as it was.  Opening fills no text
+    index: the first text ranking does (:meth:`_text_topk`), except on a
+    new store, whose empty index is complete as created.
     """
 
     def __init__(self, path: str | Path = ":memory:") -> None:
@@ -708,68 +696,85 @@ class SqliteDAO:
         # Linux host) and not taken.  512-byte pages write 23 % fewer
         # bytes on mixed_rw (16.81 -> 12.90 MB), but a row spans pages
         # again, and read_static's DAO reads 7x the bytes
-        # (registry.dao.io_read_mb 55.9 -> 392.6 MB).  Keeping the FTS
-        # documents in the memory database, beside the index over them,
-        # wrote ~11.5 % fewer bytes on all three workloads in a
-        # prototype, but every open rebuilds them from the records
-        # (25 -> 316 ms at 7 000 rows).  Takes effect on a file without
-        # pages only; an existing file keeps its own
+        # (registry.dao.io_read_mb 55.9 -> 392.6 MB).  Takes effect on
+        # a file without pages only; an existing file keeps its own
         self._conn.execute("PRAGMA page_size=1024")
         # WAL lets readers proceed during writes; NORMAL fsyncs once per
         # checkpoint instead of per transaction (both no-ops for
         # :memory: databases)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
+        # the file's ``data_version`` the text index was last filled at:
+        # none yet, so the first text ranking fills it — but a new
+        # store's empty index is complete as created
+        self._text_version: int | None = None
         if new:
             # one transaction: a crash leaves an empty file, not a
             # half-made one that the next open refuses.  Two connections
             # creating one file at the same moment are not supported:
             # the later one's first CREATE TABLE fails
-            self._stamped(_SCHEMA)
+            self._text_version = self._stamped(_SCHEMA)
         elif version < _SCHEMA_VERSION:
-            self._step_from_v13()
-        # the text index: filled here, kept in step by this connection's
-        # triggers, refilled when another connection has committed
-        # (:meth:`_text_topk`).  ATTACH cannot run inside a transaction
+            self._step_from_v14()
+        # the text index, kept in step by this connection's record
+        # writes and filled by a text ranking that finds it behind the
+        # file (:meth:`_text_topk`).  ATTACH cannot run inside a
+        # transaction
         self._conn.execute(f"ATTACH DATABASE ':memory:' AS {_TEXT_DB}")
         self._conn.executescript(_TEXT_INDEX_SCHEMA)
-        with self._lock, self._conn:
-            self._fill_text_index()
 
-    def _stamped(self, script: str) -> None:
+    def _stamped(self, script: str) -> int:
         """Run ``script`` and stamp the file :data:`_SCHEMA_VERSION`, in
-        one transaction."""
+        one transaction; return the file's ``data_version`` read inside
+        it, which only another connection's later commit moves."""
         self._conn.executescript(
-            f"BEGIN;{script}PRAGMA user_version = {_SCHEMA_VERSION};COMMIT;"
+            f"BEGIN;{script}PRAGMA user_version = {_SCHEMA_VERSION};"
         )
+        try:
+            return self._conn.execute("PRAGMA main.data_version").fetchone()[0]
+        finally:
+            self._conn.execute("COMMIT")
 
-    def _step_from_v13(self) -> None:
-        """v13 -> v14: the stamp alone.  v13's TEXT code and source read
-        as themselves (:func:`~repro.registry.textcodec.decode_texts`)
-        and are deflated when their record is next written; the stamp
-        keeps a v13 checkout, which would hand the blobs back as
-        ``bytes``, from opening the file."""
-        self._stamped("")
+    def _step_from_v14(self) -> None:
+        """v14 -> v15: drop the ``pe_text``/``wf_text`` document tables
+        and stamp, in one transaction.  Their documents are a pure
+        function of the record rows, which the first text ranking derives
+        them from again (:meth:`_fill_text_index`); the stamp keeps a
+        v14 checkout, which would read the missing tables, from opening
+        the file."""
+        self._stamped("DROP TABLE pe_text;DROP TABLE wf_text;")
 
     def _fill_text_index(self) -> None:
-        """Empty the memory text index and index every side-table
-        document again, one ``INSERT … SELECT`` per table; then note the
-        ``data_version`` of the file those documents were read at.
+        """Empty the memory text index and derive every record's
+        documents again from the record rows (id and
+        :attr:`_Storage.sources`, through :attr:`_Storage.build`), one
+        ``INSERT … SELECT`` into each FTS5 table; then note the
+        ``data_version`` of the file those rows were read at.
 
         Begins a transaction the caller ends (``with self._conn``,
-        holding the lock): the version and the documents come from one
+        holding the lock): the version and the rows come from one
         snapshot of the file, so a commit landing meanwhile leaves the
         index at the version it records, never ahead of or behind it.
         """
         self._conn.execute("BEGIN")
         for store in _STORAGE.values():
+            self._conn.execute(f"DELETE FROM {store.docs}")
             self._conn.execute(
                 f"INSERT INTO {store.fts}({store.fts}) VALUES('delete-all')"
             )
+            rows = self._conn.execute(
+                f"SELECT {store.id}, {', '.join(store.sources)}"
+                f" FROM main.{store.table}"
+            ).fetchall()
+            build = store.build
+            self._conn.executemany(
+                f"INSERT INTO {store.docs} ({store.id}, name_norm, desc_doc)"
+                " VALUES (?, ?, ?)",
+                [(row[0], *build(*row[1:])) for row in rows],
+            )
             self._conn.execute(
                 f"INSERT INTO {store.fts}(rowid, name_norm, desc_doc)"
-                f" SELECT {store.id}, name_norm, desc_doc"
-                f" FROM main.{store.text}"
+                f" SELECT {store.id}, name_norm, desc_doc FROM {store.docs}"
             )
         self._text_version = self._conn.execute(
             "PRAGMA main.data_version"
@@ -961,20 +966,37 @@ class SqliteDAO:
                 )
         self._conn.execute("DELETE FROM workflow_pes WHERE pe_id=?", (pe_id,))
 
-    # -- text side tables (the FTS5 index's documents) --------------------
-    # explicit DELETE + INSERT rather than INSERT OR REPLACE: REPLACE's
-    # implicit delete skips the FTS delete trigger unless
-    # recursive_triggers is on, which would leave a stale posting behind
-    def _sync_text(
-        self, store: _Storage, record_id: int, text: tuple[str, str]
+    # -- the memory text index, inside the caller's write ----------------
+    def _index_text(
+        self, store: _Storage, documents: Sequence[tuple[int, str, str]]
     ) -> None:
+        """Index records' ``(id, name_norm, desc_doc)`` documents: a
+        row of the document table and a row of the FTS5 index each."""
+        self._conn.executemany(
+            f"INSERT INTO {store.docs} ({store.id}, name_norm, desc_doc)"
+            " VALUES (?, ?, ?)",
+            documents,
+        )
+        self._conn.executemany(
+            f"INSERT INTO {store.fts} (rowid, name_norm, desc_doc)"
+            " VALUES (?, ?, ?)",
+            documents,
+        )
+
+    def _unindex_text(self, store: _Storage, record_id: int) -> None:
+        """Take a record's documents out of the index.  A contentless
+        FTS5 table deletes a row only when told the documents it
+        indexed, which the document table holds; a record it does not
+        hold (not written since an unfilled index's open) is left
+        alone."""
         self._conn.execute(
-            f"DELETE FROM {store.text} WHERE {store.id}=?", (record_id,)
+            f"INSERT INTO {store.fts}({store.fts}, rowid, name_norm,"
+            f" desc_doc) SELECT 'delete', {store.id}, name_norm, desc_doc"
+            f" FROM {store.docs} WHERE {store.id}=?",
+            (record_id,),
         )
         self._conn.execute(
-            f"INSERT INTO {store.text} ({store.id}, name_norm, desc_doc)"
-            " VALUES (?, ?, ?)",
-            (record_id, *text),
+            f"DELETE FROM {store.docs} WHERE {store.id}=?", (record_id,)
         )
 
     # -- users ------------------------------------------------------------
@@ -1049,10 +1071,8 @@ class SqliteDAO:
                 ],
             )
             self._hook(store.link, records)
-            self._conn.executemany(
-                f"INSERT INTO {store.text} ({store.id}, name_norm, desc_doc)"
-                " VALUES (?, ?, ?)",
-                [(at, *t) for at, t in enumerate(texts, start=first)],
+            self._index_text(
+                store, [(at, *t) for at, t in enumerate(texts, start=first)]
             )
             return list(records)
 
@@ -1097,7 +1117,8 @@ class SqliteDAO:
             self._sync_owners(store, record_id, old_owners, record.owners)
             self._hook(store.relink, record, old)
             if any(old[f] != getattr(record, f) for f in store.sources):
-                self._sync_text(store, record_id, text)
+                self._unindex_text(store, record_id)
+                self._index_text(store, [(record_id, *text)])
 
     def _delete(self, store: _Storage, record_id: int) -> None:
         with self._lock, self._conn:
@@ -1116,9 +1137,7 @@ class SqliteDAO:
             )
             self._sync_owners(store, record_id, old_owners, ())
             self._hook(store.unlink, record_id)
-            self._conn.execute(
-                f"DELETE FROM {store.text} WHERE {store.id}=?", (record_id,)
-            )
+            self._unindex_text(store, record_id)
 
     def _get_many(self, store: _Storage, record_ids: Sequence[int]) -> list:
         """Batched fetch, in the order of ``record_ids``; missing ids
@@ -1212,15 +1231,16 @@ class SqliteDAO:
         The same statement reads the file's ``data_version`` (one row
         even when nothing matches).  It changes only when another
         connection commits, and this connection's own writes reach the
-        index through its triggers, so a version other than the one of
-        the last fill means the index may be stale: refill, then rank
-        again inside the refill's snapshot.
+        index inside their own transactions, so a version other than the
+        one of the last fill — or no fill yet, the first ranking after
+        open — means the index may be behind: fill it, then rank again
+        inside the fill's snapshot.
         """
         needle = query.lower().strip()
         if not needle:
             return []
         terms = _text_documents().match_terms(query)
-        fts, side, owners, id_col = store.fts, store.text, store.owners, store.id
+        fts, side, owners, id_col = store.fts, store.docs, store.owners, store.id
         params: dict = {"uid": int(user_id), "like": self._like(needle)}
         limit = ""
         if k is not None:

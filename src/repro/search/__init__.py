@@ -173,10 +173,13 @@ Indexed text ranking and hybrid fusion
 
 ``queryType=text`` never scans owned records in Python: the DAO
 maintains an inverted text index — contentless SQLite FTS5 tables in an
-attached in-memory database, filled at open from the normalized text
-documents the file keeps (``pe_text`` / ``wf_text``), kept in sync by
-triggers inside each mutation's transaction and refilled before a
-ranking when another connection has committed — and
+attached in-memory database, beside the normalized text documents they
+index, which the file does not keep (schema v15): the first ranking
+after open derives them from the record rows
+(:func:`~repro.search.text_search.fts_pe_document` /
+:func:`~repro.search.text_search.fts_workflow_document`), each mutation
+rewrites its record's inside its own transaction, and a ranking fills
+them again when another connection has committed — and
 ``RegistryService.text_topk_pes`` / ``text_topk_workflows`` return the
 owner-scoped BM25 top-k directly, so only the ``k`` winning records
 are hydrated.  It is the only text ranker: the legacy Table-3 route and

@@ -61,7 +61,7 @@ def normalize(text: str) -> str:
 
 
 def fts_pe_document(name: str, description: str) -> tuple[str, str]:
-    """``(name_norm, desc_doc)`` columns for the PE text side table.
+    """``(name_norm, desc_doc)``: a PE's documents in the text index.
 
     ``name_norm`` is the :func:`normalize` view of the name — it doubles
     as the whole-query substring arm (LIKE / ``in``) and as the FTS5
@@ -73,7 +73,8 @@ def fts_pe_document(name: str, description: str) -> tuple[str, str]:
 def fts_workflow_document(
     entry_point: str, workflow_name: str, description: str
 ) -> tuple[str, str]:
-    """``(name_norm, desc_doc)`` columns for the workflow side table.
+    """``(name_norm, desc_doc)``: a workflow's documents in the text
+    index.
 
     The two name arms are joined with a newline: ``\\n`` is a tokenizer
     separator (so BM25 sees both arms' tokens) and cannot occur inside

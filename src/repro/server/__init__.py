@@ -82,8 +82,17 @@ The SQLite DAO reads ``PRAGMA user_version`` before anything writes
 version    On open
 =========  ============================================================
 new file   Version 0 and no schema (``":memory:"`` too): the schema is
-           created in one transaction and stamped v14.
-v14        Current: no DDL on the file.  A record's code and source
+           created in one transaction and stamped v15.
+v15        Current: no DDL on the file.  It holds no text document
+           and no FTS5 table: the text index is a cache — per record
+           kind a table of each record's normalized name and
+           description documents and a contentless FTS5 table over
+           them, in an attached ``':memory:'`` database.  The first
+           text ranking after open derives the documents from the
+           record rows, each mutation rewrites its record's inside its
+           own transaction, and a ranking fills the index again when
+           another connection has committed (``PRAGMA data_version``).
+           A record's code and source
            are stored deflated, the source against its code as a
            preset dictionary (:mod:`repro.registry.textcodec`), as
            BLOBs that **older code would hand back as bytes** — or as
@@ -95,24 +104,20 @@ v14        Current: no DDL on the file.  A record's code and source
            the record tables have no AUTOINCREMENT (the DAO issues
            ids).  Its vector blobs may be in the value-table layout
            (:mod:`repro.registry.veccodec`, tag 2, since v12), which
-           **older code cannot decode**.  It holds no FTS5 table
-           (since v11): the text index is a cache — contentless FTS5
-           tables in an attached ``':memory:'`` database, filled from
-           ``pe_text`` / ``wf_text`` at open, kept in step by TEMP
-           triggers inside each mutation's transaction and refilled
-           before a ranking when another connection has committed
-           (``PRAGMA data_version``).
-v13        Accepted: one step, the stamp alone in one transaction.
-           Its TEXT code and source read as themselves and are
-           deflated when their record is next written.
-other      Refused, older (v12 and v11 included) or newer, with a
+           **older code cannot decode**.
+v14        Accepted: one step, in one transaction — drop the
+           ``pe_text`` / ``wf_text`` document tables (the documents
+           are derived again from the records) and stamp.  v14 kept
+           the documents on disk and filled the memory FTS5 index
+           from them at open, so each write logged a page of them.
+other      Refused, older (v13 and v12 included) or newer, with a
            ``RegistryError`` naming the version; the file is left as it
            was.  An older file steps up when opened once with an older
            checkout of this repository (the git history is the
            migration tool); a newer one belongs to newer code.
 =========  ============================================================
 
-What a v14 file holds, and the rules the DAO keeps on it:
+What a v15 file holds, and the rules the DAO keeps on it:
 
 * **A vector lives in its record row, nowhere else** (the ``pes`` /
   ``workflows`` embedding columns), in whichever layout of

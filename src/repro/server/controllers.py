@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import AuthenticationError, ValidationError
 from repro.net.transport import Request, Response
 from repro.registry.entities import UserRecord
-from repro.server.schema import parse_credentials
+from repro.server.schema import legacy_text, parse_credentials
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.app import LaminarServer
@@ -129,11 +129,13 @@ class PEController(BaseController):
             raise ValidationError("peCode is required", params={"pe": body.get("peName")})
         record = build_pe_record(
             self.app,
-            name=str(body["peName"]),
-            code=str(body["peCode"]),
-            description=str(body.get("description") or ""),
-            description_origin=str(body.get("descriptionOrigin", "user")),
-            source=str(body.get("peSource", "")),
+            name=legacy_text("peName", body["peName"]),
+            code=legacy_text("peCode", body["peCode"]),
+            description=legacy_text("description", body.get("description") or ""),
+            description_origin=legacy_text(
+                "descriptionOrigin", body.get("descriptionOrigin", "user")
+            ),
+            source=legacy_text("peSource", body.get("peSource", "")),
             imports=list(body.get("peImports", [])),
             desc_embedding=self._embedding(body, "descEmbedding"),
             code_embedding=self._embedding(body, "codeEmbedding"),
@@ -210,11 +212,13 @@ class WorkflowController(BaseController):
             desc_embedding = np.asarray(desc_embedding, dtype=np.float32)
         record = build_workflow_record(
             self.app,
-            entry_point=str(body["entryPoint"]),
-            code=str(body["workflowCode"]),
-            workflow_name=str(body.get("workflowName", body["entryPoint"])),
-            description=str(body.get("description") or ""),
-            source=str(body.get("workflowSource", "")),
+            entry_point=legacy_text("entryPoint", body["entryPoint"]),
+            code=legacy_text("workflowCode", body["workflowCode"]),
+            workflow_name=legacy_text(
+                "workflowName", body.get("workflowName", body["entryPoint"])
+            ),
+            description=legacy_text("description", body.get("description") or ""),
+            source=legacy_text("workflowSource", body.get("workflowSource", "")),
             pe_ids=[int(x) for x in body.get("peIds", [])],
             desc_embedding=desc_embedding,
         )

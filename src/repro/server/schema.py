@@ -359,6 +359,13 @@ def _check_text(key: str, value: str) -> str:
     return value
 
 
+def legacy_text(key: str, value: Any) -> str:
+    """A legacy Table-3 body field in the string form its handler stores
+    (``str(value)``), through :func:`_check_text`: those routes read
+    their fields one by one, not through a parser here."""
+    return _check_text(key, str(value))
+
+
 def _parse_required_str(body: dict[str, Any], key: str, *, where: str) -> str:
     value = body.get(key)
     if not isinstance(value, str) or not value.strip():

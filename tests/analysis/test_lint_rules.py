@@ -239,7 +239,7 @@ class TestDaoStamps:
                         (record_id,),
                     )
                     self._conn.execute(
-                        f"INSERT INTO {store.text} ({store.id}, doc)"
+                        f"INSERT INTO {store.docs} ({store.id}, doc)"
                         " VALUES (?, ?)",
                         (record_id, text),
                     )

@@ -3,8 +3,10 @@ connections, and what opening an older file does to it.
 
 ``text_topk_pes`` / ``text_topk_workflows`` rank inside the DAO's
 contentless SQLite FTS5 tables, held in an attached in-memory database
-and filled from the on-disk ``pe_text`` / ``wf_text`` documents at open
-(schema v11; before, external-content tables in the file).
+beside the documents they index.  Since schema v15 the file keeps no
+document: the first text ranking after open derives them from the
+record rows (v11 to v14 kept them in ``pe_text`` / ``wf_text``; before
+v11 the FTS5 tables were in the file too).
 :data:`GOLDEN_PES` /
 :data:`GOLDEN_WORKFLOWS` pin the ``(id, score)`` list of every query in
 :data:`QUERIES` over the :func:`fill` corpus — recorded from
@@ -16,9 +18,12 @@ DAO (service hydration, the v1 route, hybrid fusion) builds on it.
 
 The index is a cache of the file, so :class:`TestFreshness` holds it
 to "every ranking equals a freshly opened DAO's", exactly, whichever
-connection or process wrote last.  The rest covers older files: a v10
-file (on-disk FTS5 tables) is refused and left as it was.  The one
-schema step there is, from v13, is ``test_step_from_v13.py``'s.
+connection or process wrote last, and :func:`assert_text_cache_current`
+— which the write matrix and the journal model run after every write —
+to "the documents are the builders run over the stored rows".  The rest
+covers older files: a v10 file (on-disk FTS5 tables) is refused and
+left as it was.  The one schema step there is, from v14, is
+``test_step_from_v14.py``'s.
 """
 
 import hashlib
@@ -32,6 +37,12 @@ from repro.errors import RegistryError
 from repro.net.transport import Request
 from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
+from repro.search.text_search import (
+    fts_pe_document,
+    fts_workflow_document,
+    text_search_pes,
+    text_search_workflows,
+)
 from repro.server import LaminarServer
 from tests.registry.test_dao import make_pe, make_wf
 
@@ -331,7 +342,8 @@ class TestFreshness:
     @pytest.fixture()
     def shared(self, tmp_path):
         """A filled registry file, a writer service and a second DAO
-        opened on the same file (filled at open, before any write)."""
+        opened on the same file before any write (its first ranking
+        fills its index)."""
         path = tmp_path / "shared.db"
         writer, alice, _ = fill(SqliteDAO(path))
         reader = SqliteDAO(path)
@@ -353,8 +365,9 @@ class TestFreshness:
 
     def test_a_reader_that_never_refills_goes_stale(self, shared, monkeypatch):
         """The mutant the test above must catch: the reader's index is
-        filled at open and never again."""
+        filled by its first ranking and never again."""
         path, writer, alice, reader = shared
+        rankings(reader, alice.user_id)
         monkeypatch.setattr(reader, "_fill_text_index", lambda: None)
         for write in WRITES:
             write(writer, alice)
@@ -526,10 +539,103 @@ class TestFreshness:
 
 
 # ---------------------------------------------------------------------------
-# older files: v10 is refused untouched, v11 steps to the current version
+# the memory documents are the builders run over the stored rows
 # ---------------------------------------------------------------------------
-#: what schema v10 kept on disk beside the side tables: external-content
-#: FTS5 tables over them and the triggers that kept those in step
+#: per record table: its id and the columns the text-document builder
+#: reads, in its argument order, and the builder
+DOCUMENT_SOURCES = {
+    "pes": ("pe_id", "pe_name, description", fts_pe_document),
+    "workflows": (
+        "workflow_id", "entry_point, workflow_name, description",
+        fts_workflow_document,
+    ),
+}
+
+#: queries over the record names and descriptions the write matrix and
+#: the journal model write
+CACHE_QUERIES = ["element", "described again", "flow", "csv file", "p1", "x"]
+
+
+def built_documents(conn, table):
+    """``{id: (name_norm, desc_doc)}``: the builder run over every
+    stored row of ``table``."""
+    key, columns, build = DOCUMENT_SOURCES[table]
+    return {
+        row[0]: build(*row[1:])
+        for row in conn.execute(f"SELECT {key}, {columns} FROM main.{table}")
+    }
+
+
+def assert_text_cache_current(dao, queries=CACHE_QUERIES):
+    """Rank once per user and query — a first ranking fills an unfilled
+    index, a later one finds it current, since every write here went
+    through ``dao`` — then check the cache: each memory document table
+    holds exactly the builders run over the stored rows, its FTS5 index
+    holds the same ids, and every ranking's match set is the reference
+    scorer's over the user's records."""
+    for user in dao.all_users():
+        for query in queries:
+            for rank, owned, reference in (
+                (dao.text_topk_pes, dao.pes_owned_by, text_search_pes),
+                (
+                    dao.text_topk_workflows, dao.workflows_owned_by,
+                    text_search_workflows,
+                ),
+            ):
+                assert {i for i, _ in rank(user.user_id, query)} == {
+                    hit.entity_id
+                    for hit in reference(query, owned(user.user_id))
+                }, (user.user_name, query, rank.__name__)
+    for table, docs, fts in (
+        ("pes", "pe_docs", "pe_fts"), ("workflows", "wf_docs", "wf_fts"),
+    ):
+        stored = {
+            row[0]: (row[1], row[2])
+            for row in dao._conn.execute(f"SELECT * FROM text_index.{docs}")
+        }
+        assert stored == built_documents(dao._conn, table), table
+        assert {
+            row[0]
+            for row in dao._conn.execute(f"SELECT rowid FROM text_index.{fts}")
+        } == set(stored), table
+
+
+# ---------------------------------------------------------------------------
+# older files: v10 is refused untouched
+# ---------------------------------------------------------------------------
+#: the document tables schemas v10 to v14 kept on disk, as they made them
+TEXT_TABLES = """
+CREATE TABLE pe_text (
+    pe_id INTEGER PRIMARY KEY,
+    name_norm TEXT NOT NULL,
+    desc_doc TEXT NOT NULL
+);
+CREATE TABLE wf_text (
+    workflow_id INTEGER PRIMARY KEY,
+    name_norm TEXT NOT NULL,
+    desc_doc TEXT NOT NULL
+);
+"""
+
+
+def add_text_tables(conn):
+    """Give the file open on ``conn`` the document tables of schemas
+    v10 to v14, each row the builder run over a stored record, through
+    raw SQL (:data:`TEXT_TABLES`); the caller commits."""
+    documents = {
+        table: built_documents(conn, table) for table in DOCUMENT_SOURCES
+    }
+    conn.executescript(TEXT_TABLES)
+    for table, side in (("pes", "pe_text"), ("workflows", "wf_text")):
+        conn.executemany(
+            f"INSERT INTO {side} VALUES (?, ?, ?)",
+            [(key, *doc) for key, doc in documents[table].items()],
+        )
+
+
+#: what schema v10 kept on disk beside the document tables:
+#: external-content FTS5 tables over them and the triggers that kept
+#: those in step
 V10_TEXT_INDEX = """
 CREATE VIRTUAL TABLE pe_fts USING fts5(
     name_norm, desc_doc, content='pe_text', content_rowid='pe_id',
@@ -581,8 +687,10 @@ V10_TRIGGERS = {
 
 def as_v10(path):
     """Give a current file what schema v10 kept beside it, through raw
-    SQL: :data:`V10_TEXT_INDEX`, ``user_version`` 10."""
+    SQL: the document tables (:func:`add_text_tables`),
+    :data:`V10_TEXT_INDEX`, ``user_version`` 10."""
     conn = sqlite3.connect(path)
+    add_text_tables(conn)
     conn.executescript(V10_TEXT_INDEX)
     conn.close()
 
@@ -625,8 +733,8 @@ def open_traced(monkeypatch, path):
 
 def main_ddl(statements):
     """The statements that change the schema of ``main`` — the text
-    index's tables and triggers are built in memory (the attached
-    database, TEMP triggers) and are not among them."""
+    index's tables are built in memory (the attached database) and are
+    not among them."""
     return [
         sql
         for sql in statements
@@ -634,7 +742,7 @@ def main_ddl(statements):
             ("CREATE", "DROP", "ALTER")
         )
         and not upper.startswith(
-            ("CREATE VIRTUAL TABLE TEXT_INDEX.", "CREATE TEMP TRIGGER")
+            ("CREATE VIRTUAL TABLE TEXT_INDEX.", "CREATE TABLE TEXT_INDEX.")
         )
     ]
 

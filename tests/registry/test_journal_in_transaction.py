@@ -7,7 +7,9 @@ too, so replay reads every vector from the record rows.  Pinned here:
 
 * a model test (Hypothesis): after *every* step of a random
   write sequence the persisted state replays to exactly the live index,
-  and every stamp equals its chain tip;
+  every stamp equals its chain tip, and the memory text documents are
+  the builders run over the stored rows
+  (``test_fts_text.assert_text_cache_current``);
 * torn shards: an id — journaled or in the base slab — that the record
   table cannot back discards exactly its shard;
 * one read transaction: a writer in another process cannot land
@@ -31,6 +33,7 @@ from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
 from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW, VectorIndex
 from tests.registry.test_dao import make_pe, make_wf
+from tests.registry.test_fts_text import assert_text_cache_current
 
 DIM = 8
 SLOTS = 6  # record identities the sequences draw from
@@ -235,6 +238,7 @@ def test_persisted_state_equals_live_index_after_every_step(
                 for step in sequence:
                     model.step(*step)
                     assert_persisted_equals_live(model.dao, model.index)
+                    assert_text_cache_current(model.dao)
                 assert_equals_brute_force(model.index, model.dao)
             finally:
                 if hasattr(model.dao, "close"):

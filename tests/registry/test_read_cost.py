@@ -21,6 +21,10 @@ v1 text costs:
 
 The counts are exact for these fixed inputs; no timing is involved.  A
 change to the read path moves them on purpose and re-pins them here.
+They are taken on a warm text index — the server wrote every record, so
+its index is in step; the first text search after a reopen also fills
+the index from the record rows, and is pinned apart
+(:data:`FIRST_TEXT_COST`).
 """
 
 import pytest
@@ -175,3 +179,40 @@ def test_search_read_cost_is_pinned(server, monkeypatch, query_type):
     # a repeat (query vector now cached) reads exactly the same
     again, repeat = read_cost(app, token, monkeypatch, query_type)
     assert again == hits and repeat == cost
+
+
+#: the first text search after open — a server on a freshly opened DAO
+#: over the same file: ``READ_COST["text"]`` plus the fill of the memory
+#: text index — ``BEGIN``; per record table, empty the document table
+#: and the FTS5 index, read the rows' ids and document sources, index
+#: the documents (four statements) and insert the derived documents
+#: (one traced ``executemany`` step per record, every tenant's); the
+#: ``data_version`` read; ``COMMIT`` — and the ranking run again inside
+#: the fill's snapshot.  Before schema v15 the open filled the index
+#: instead, from the stored documents
+FIRST_TEXT_COST = (
+    READ_COST["text"][0] + 1 + 2 * 4 + (PES + OTHER_PES + WORKFLOWS) + 3,
+    *READ_COST["text"][1:],
+)
+
+
+def test_the_first_text_search_after_open_fills_the_index(
+    server, monkeypatch, tmp_path, fast_bundle
+):
+    app, token = server
+    warm, _cost = read_cost(app, token, monkeypatch, "text")
+    reopened = LaminarServer(
+        dao=SqliteDAO(tmp_path / "registry.db"), models=fast_bundle
+    )
+    try:
+        token = reopened.dispatch(
+            Request("POST", "/auth/login", {"userName": "u", "password": "pw"})
+        ).body["token"]
+        hits, cost = read_cost(reopened, token, monkeypatch, "text")
+        assert hits == warm
+        assert cost == FIRST_TEXT_COST, cost
+        # the index is warm from then on
+        again, repeat = read_cost(reopened, token, monkeypatch, "text")
+        assert again == hits and repeat == READ_COST["text"]
+    finally:
+        reopened.registry.dao.close()

@@ -2,10 +2,12 @@
 
 ``SqliteDAO`` reads ``PRAGMA user_version`` before anything writes.  A
 new file (version 0, no schema) is created in one transaction and
-stamped current; a v13 file takes one step, the stamp alone in one
-transaction (its TEXT code and source read as themselves;
-``test_step_from_v13.py`` checks that it serves as before); a current
-file runs no DDL on ``main``.  Pinned here:
+stamped current; a v14 file takes one step, dropping its text document
+tables and stamping in one transaction (``test_step_from_v14.py``
+checks that it serves as before); a current file runs no DDL on
+``main``.  None of them fills the text index, which the first text
+ranking does (``test_read_cost.py`` pins what that costs).  Pinned
+here:
 
 * **open cost** — the top-level SQL statements of each case, counted
   from the moment the connection exists under ``test_read_cost.py``'s
@@ -13,9 +15,10 @@ file runs no DDL on ``main``.  Pinned here:
   its own plan and not counted).  Before the open path had three cases
   a new file ran 73 statements and a reopen 43 (an ``IF NOT EXISTS``
   script and four ``COUNT(*)`` drift scans on every open);
-* **refusal** — a file at any other version, older (v12 included, since
-  v14; v11 since v13) or newer, raises a ``RegistryError`` naming that version and is
-  left byte for byte as it was: no table re-created, nothing stamped;
+* **refusal** — a file at any other version, older (v13 included, since
+  v15; v12 since v14) or newer, raises a ``RegistryError`` naming that
+  version and is left byte for byte as it was: no table re-created,
+  nothing stamped;
 * **format** — a new file's schema rows, page size and counter.
 """
 
@@ -31,14 +34,18 @@ from tests.registry.test_fts_text import (
     main_ddl,
     open_traced,
 )
-from tests.registry.test_step_from_v13 import as_v13
+from tests.registry.test_step_from_v14 import as_v14
 
-#: top-level statements of one open: a new file (``:memory:`` too; 43
-#: before v13 dropped ``registry_meta`` and the owner indexes), a
-#: reopen of a current file, a v13 file's one step (the reopen's, plus
-#: ``BEGIN``, the stamp and ``COMMIT``; the v12 step it replaced, which
-#: rebuilt the record and owner tables, ran 44)
-OPEN_COST = {"new": 40, "reopen": 20, "v13": 23}
+#: top-level statements of one open: a new file (``:memory:`` too), a
+#: reopen of a current file, a v14 file's one step (the reopen's, plus
+#: ``BEGIN``, two ``DROP TABLE``, the stamp, the ``data_version`` read
+#: every stamping transaction makes and ``COMMIT``).  Schema v14
+#: ran 40, 20 and 23 (its v13 step was the stamp alone): no document
+#: table on disk and no TEMP trigger to create (eight statements), no
+#: fill at open (seven), two memory document tables and, on a new store,
+#: the ``data_version`` its empty index is complete at.  43 new before
+#: v13 dropped ``registry_meta`` and the owner indexes
+OPEN_COST = {"new": 28, "reopen": 9, "v14": 15}
 
 #: what a new file's ``main.sqlite_schema`` holds: (type, name)
 NEW_FILE_SCHEMA = {
@@ -56,8 +63,6 @@ NEW_FILE_SCHEMA = {
     ("table", "index_shards"),
     ("index", "sqlite_autoindex_index_shards_1"),
     ("table", "write_receipts"),
-    ("table", "pe_text"),
-    ("table", "wf_text"),
     ("table", "shard_stamps"),
     ("table", "index_deltas"),
     ("index", "sqlite_autoindex_users_1"),
@@ -101,14 +106,14 @@ class TestOpenCost:
         assert not any("COUNT(" in sql.upper() for sql in statements)
         assert main_ddl(statements) == []
 
-    def test_v13_step_then_a_reopen(self, monkeypatch, tmp_path):
-        path = tmp_path / "v13.db"
+    def test_v14_step_then_a_reopen(self, monkeypatch, tmp_path):
+        path = tmp_path / "v14.db"
         fill(SqliteDAO(path))[0].dao.close()
-        as_v13(path)
+        as_v14(path)
         dao, statements = open_traced(monkeypatch, path)
         dao.close()
-        assert len(statements) == OPEN_COST["v13"], statements
-        assert main_ddl(statements) == [], statements
+        assert len(statements) == OPEN_COST["v14"], statements
+        assert len(main_ddl(statements)) == 2, statements
         assert user_version(path) == _SCHEMA_VERSION
         assert schema_names(path) == {name for _, name in NEW_FILE_SCHEMA}
         # the step is taken once
@@ -147,11 +152,12 @@ class TestNewFileFormat:
 class TestRefused:
     @pytest.mark.parametrize(
         "version",
-        # newer code's file; a file from before the v13 -> v14 step
-        # (v12, which older code steps to v13: refused since v14); one
-        # from before that (v11, refused since v13); older ones still; a
-        # file with a schema but no stamp (not written by this DAO)
-        [_SCHEMA_VERSION + 1, 12, 11, 10, 9, 0],
+        # newer code's file; a file from before the v14 -> v15 step
+        # (v13, which older code steps to v14: refused since v15); ones
+        # from before that (v12 refused since v14, v11 since v13); older
+        # ones still; a file with a schema but no stamp (not written by
+        # this DAO)
+        [_SCHEMA_VERSION + 1, 13, 12, 11, 10, 9, 0],
     )
     def test_file_at_another_version_is_refused_untouched(
         self, tmp_path, version

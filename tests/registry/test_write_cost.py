@@ -43,15 +43,17 @@ from tests.registry.test_journal_in_transaction import (
     new_4k_file,
 )
 
-#: frames one op may log, per page size — measured 6/4/8/13 of 1 KB
-#: and 6/4/6/6 of 4 KB since the counter, the id high-water marks and
-#: the stamps share one b-tree and the owner tables lost their second
-#: index (schema v13; v11 and v12: 9/5/10/16 and 9/5/8/9; with the FTS5
+#: frames one op may log, per page size — measured 5/3/7/10 of 1 KB
+#: and 5/3/5/5 of 4 KB since the FTS documents live in memory only
+#: (schema v15; v13 and v14, which logged a page of ``pe_text`` each
+#: time: 6/4/8/13 and 6/4/6/6; v11 and v12, before the counter, the id
+#: high-water marks and the stamps shared one b-tree and the owner
+#: tables lost their second index: 9/5/10/16 and 9/5/8/9; with the FTS5
 #: index on disk: 12/8/16/21 and 12/8/11/12; before the journal rode in
 #: the mutation's transaction: 15/12/14/15 of 4 KB, in 3/2/3/3 commits)
 FRAME_BOUNDS = {
-    1024: {"put": 7, "revise": 5, "delete": 9, "bulk": 14},
-    4096: {"put": 7, "revise": 5, "delete": 7, "bulk": 7},
+    1024: {"put": 6, "revise": 4, "delete": 8, "bulk": 11},
+    4096: {"put": 6, "revise": 4, "delete": 6, "bulk": 6},
 }
 
 
@@ -169,10 +171,10 @@ def test_each_write_is_one_small_commit(registry):
 
 
 def test_a_put_writes_no_text_index_page(registry):
-    """The text index lives in memory: the pages a PUT logs belong to
-    the record, its owners, its text document and the counter, stamps
-    and journal rows — none to an FTS5 table (``dbstat`` maps each
-    logged page to its b-tree)."""
+    """The text index and its documents live in memory: the pages a PUT
+    logs belong to the record, its owners and the counter, stamps and
+    journal rows — none to a text table, FTS5 or document (``dbstat``
+    maps each logged page to its b-tree), and the file holds none."""
     send, dao, path, _page_size = registry
     first, _ = wal_frames(path)
     assert put(send, "fresh", "a new element that adds").status == 201
@@ -181,16 +183,19 @@ def test_a_put_writes_no_text_index_page(registry):
         dao._conn.execute("SELECT pageno, name FROM dbstat").fetchall()
     )
     written = {owner.get(page, "(free)") for page in pages}
-    assert "pe_text" in written and "pes" in written, written
-    assert not any("_fts" in name for name in written), written
-    assert not any("_fts" in name for name in owner.values())
+    assert "pes" in written, written
+    assert written <= PUT_BTREES, written
+    assert not any("_fts" in name or "_text" in name or "_docs" in name
+                   for name in owner.values()), set(owner.values())
+    # and the PE is indexed all the same
+    assert dao.text_topk_pes(dao.get_user_by_name("u").user_id, "fresh")
 
 
 #: every b-tree a PUT or a bulk of new PEs may log a page of (page 1,
-#: ``sqlite_schema``, when the file grows)
+#: ``sqlite_schema``, when the file grows) — no text table since v15
 PUT_BTREES = {
-    "pes", "idx_pes_name", "pe_owners", "pe_text", "shard_stamps",
-    "index_deltas", "sqlite_schema",
+    "pes", "idx_pes_name", "pe_owners", "shard_stamps", "index_deltas",
+    "sqlite_schema",
 }
 
 
@@ -230,12 +235,12 @@ def test_a_write_logs_one_page_of_counters(registry):
 
 
 #: per record kind: (its name column as an update's ``SET`` names it,
-#: text side table, owner table, the other tables an update may touch,
-#: the source field a revision changes)
+#: memory document table, owner table, the other tables an update may
+#: touch, the source field a revision changes)
 UPDATE_TABLES = {
-    "pe": ("pe_name=", "pe_text", "pe_owners", (), "pe_source"),
+    "pe": ("pe_name=", "pe_docs", "pe_owners", (), "pe_source"),
     "workflow": (
-        "entry_point=", "wf_text", "workflow_owners", ("workflow_pes",),
+        "entry_point=", "wf_docs", "workflow_owners", ("workflow_pes",),
         "workflow_source",
     ),
 }
@@ -244,9 +249,11 @@ UPDATE_TABLES = {
 @pytest.mark.parametrize("kind", sorted(UPDATE_TABLES))
 def test_an_update_writes_only_what_changed(registry, kind):
     """A revision that keeps name and description leaves the FTS
-    document alone; one that keeps the owners leaves the join rows
+    documents alone; one that keeps the owners leaves the join rows
     alone; one that keeps a workflow's PE list leaves its link rows
-    alone — the statement trace shows none of them touched."""
+    alone — the statement trace shows none of them touched.  One that
+    changes the description re-syncs the memory documents and logs a
+    page of the record and one of the counter, none of text."""
     send, dao, path, _page_size = registry
     name, text, owners, links, source = UPDATE_TABLES[kind]
     if kind == "pe":
@@ -287,9 +294,16 @@ def test_an_update_writes_only_what_changed(registry, kind):
     assert not [t for t in (text, *links) if t in touched], touched
     assert getattr(dao, f"{kind}_ids_owned_by")(99) == [record_id]
 
-    # a new description does re-index the text
+    # a new description does re-index the text, in memory
     record.description = "now it subtracts"
+    first, _ = wal_frames(path)
     assert text in traced_update()
+    owner = dict(
+        dao._conn.execute("SELECT pageno, name FROM dbstat").fetchall()
+    )
+    assert {owner[page] for page in wal_pages(path, first)} == {
+        f"{kind}s", "shard_stamps",
+    }
     ranked = getattr(dao, f"text_topk_{kind}s")(99, "subtracts")
     assert [ranked_id for ranked_id, _ in ranked] == [record_id]
 
@@ -314,9 +328,10 @@ BENCH_CODE = f"""def pofin_bogor_000330(items, limit=944):
             faifin += braifin * 5
     return faifin"""
 #: (WAL frames, new ``pes`` overflow pages) of that record's PUT, per
-#: page size.  Its code and source are stored deflated (schema v14), so
+#: page size.  Schema v15 logs no ``pe_text`` page: v14 logged (8, 0)
+#: and (6, 0).  Its code and source are stored deflated (schema v14), so
 #: on 1 KB pages the row fits its leaf: schema v13 logged (8, 1).  The
-#: frame count stays, since the row now fills most of a leaf: the two
+#: frame count stayed, since the row now fills most of a leaf: the two
 #: ``pes`` pages logged are b-tree pages where v13's were a leaf and an
 #: overflow page.  Schema v12 logged (11, 1) and (9, 0): three pages more,
 #: those of ``registry_meta``, ``sqlite_sequence`` and the owner index.
@@ -324,12 +339,13 @@ BENCH_CODE = f"""def pofin_bogor_000330(items, limit=944):
 #: logged (12, 2) on 1 KB pages — the 2 104-byte row needed two
 #: overflow pages, the 1 420-byte one needs one — and (9, 0) on 4 KB
 #: pages, where either row fits its leaf
-BENCH_PUT_COST = {1024: (8, 0), 4096: (6, 0)}
+BENCH_PUT_COST = {1024: (7, 0), 4096: (5, 0)}
 #: WAL frames of that record's description-only revise, per page size:
-#: the row is rewritten in its leaf.  Schema v13 logged 7 on 1 KB pages,
-#: freeing the row's overflow page and allocating a new one (the
-#: freelist and header pages with it), and 4 on 4 KB pages
-BENCH_REVISE_FRAMES = {1024: 4, 4096: 4}
+#: the row is rewritten in its leaf, and no ``pe_text`` page is logged
+#: (schema v14 logged 4 on either page size).  Schema v13 logged 7 on
+#: 1 KB pages, freeing the row's overflow page and allocating a new one
+#: (the freelist and header pages with it), and 4 on 4 KB pages
+BENCH_REVISE_FRAMES = {1024: 3, 4096: 3}
 
 
 def pes_overflow_pages(dao):

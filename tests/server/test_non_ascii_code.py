@@ -59,6 +59,19 @@ LONE_SURROGATES = [
      {"query": LONE, "queryType": "text"}),
     ("userName", "POST", "/auth/register",
      {"userName": LONE, "password": "pw"}),
+    # the Table-3 registration routes read their fields one by one
+    ("peName", "POST", "/registry/u/pe/add", {"peName": LONE, "peCode": CODE}),
+    ("peCode", "POST", "/registry/u/pe/add", {"peName": "p", "peCode": LONE}),
+    ("peSource", "POST", "/registry/u/pe/add",
+     {"peName": "p", "peCode": CODE, "peSource": LONE}),
+    ("description", "POST", "/registry/u/pe/add",
+     {"peName": "p", "peCode": CODE, "description": LONE}),
+    ("entryPoint", "POST", "/registry/u/workflow/add",
+     {"entryPoint": LONE, "workflowCode": CODE}),
+    ("workflowCode", "POST", "/registry/u/workflow/add",
+     {"entryPoint": "p", "workflowCode": LONE}),
+    ("workflowSource", "POST", "/registry/u/workflow/add",
+     {"entryPoint": "p", "workflowCode": CODE, "workflowSource": LONE}),
 ]
 
 
@@ -75,6 +88,7 @@ def test_a_lone_surrogate_is_a_400_naming_its_field(
     assert response.body["error"] == "ValidationError"
     assert response.body["message"].startswith(f"{field} is not valid")
     assert server.registry.dao.find_pe_by_name("p") == []
+    assert server.registry.dao.all_workflows() == []
     assert [user.user_name for user in server.registry.all_users()] == ["u"]
 
 

@@ -9,7 +9,9 @@ the status, the ``created`` flags, the revisions and how far the
 registry mutation counter moved; after each one every live search shard
 must equal, id for id and byte for byte, the shards a second connection
 attaches from the file and the shards a brute-force rebuild from the
-record rows produces.
+record rows produces, and the memory text documents must be the
+builders run over the stored rows
+(``test_fts_text.assert_text_cache_current``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
 from repro.search import VectorIndex
 from repro.server import LaminarServer
+from tests.registry.test_fts_text import assert_text_cache_current
 
 KINDS = {
     "pe": {"route": "pes", "name": "peName", "code": "peCode"},
@@ -80,7 +83,9 @@ class Matrix:
         body = {**self.body(code, description), **extra}
         return self.call("PUT", user, f"/{name}", body, headers)
 
-    def assert_shards_agree(self) -> None:
+    def assert_caches_agree(self) -> None:
+        """The search shards and the text documents, against the file."""
+        assert_text_cache_current(self.server.registry.dao)
         live = shard_bytes(self.server.index)
         reopened_dao = SqliteDAO(self.path)
         try:
@@ -121,7 +126,7 @@ def test_write_route_matrix(matrix):
     assert (item["created"], item["revision"]) == (True, 1)
     assert response.body["registryVersion"] == m.counter
     first_id = item[f"{m.kind}Id"]
-    m.assert_shards_agree()
+    m.assert_caches_agree()
 
     # PUT identical: the §3.1 dedup resolves onto the caller's record
     response, moved = m.put("alice", "x", "code-x-1", "first flow")
@@ -129,7 +134,7 @@ def test_write_route_matrix(matrix):
     [item] = items(response)
     assert (item["created"], item["revision"]) == (False, 1)
     assert item[f"{m.kind}Id"] == first_id
-    m.assert_shards_agree()
+    m.assert_caches_agree()
 
     # PUT changed metadata: revised in place, same id, revision bumps
     response, moved = m.put("alice", "x", "code-x-1", "parse a csv file")
@@ -138,7 +143,7 @@ def test_write_route_matrix(matrix):
     assert (item["created"], item["revision"]) == (False, 2)
     assert item[f"{m.kind}Id"] == first_id
     assert item["description"] == "parse a csv file"
-    m.assert_shards_agree()
+    m.assert_caches_agree()
 
     # PUT changed code: a new record supersedes the sole-owned old one
     # (one insert, one delete)
@@ -148,7 +153,7 @@ def test_write_route_matrix(matrix):
     assert (item["created"], item["revision"]) == (True, 1)
     current_id = item[f"{m.kind}Id"]
     assert current_id != first_id
-    m.assert_shards_agree()
+    m.assert_caches_agree()
 
     # bulk by bob: y twice (an in-batch duplicate) and alice's x as it
     # stands (a registry hit: bob is granted ownership) — one insert
@@ -173,16 +178,16 @@ def test_write_route_matrix(matrix):
     assert items(response)[1][f"{m.kind}Id"] == y_id
     assert items(response)[2][f"{m.kind}Id"] == current_id
     assert items(response)[2]["owners"] == [1, 2]
-    m.assert_shards_agree()
+    m.assert_caches_agree()
 
     # DELETE: alice dissociates from x (bob still owns it), bob deletes y
     response, moved = m.call("DELETE", "alice", "/x")
     assert (response.status, moved) == (200, 1), response.body
     assert response.body["removed"] is True
-    m.assert_shards_agree()
+    m.assert_caches_agree()
     response, moved = m.call("DELETE", "bob", "/y")
     assert (response.status, moved) == (200, 1), response.body
-    m.assert_shards_agree()
+    m.assert_caches_agree()
     response, moved = m.call("DELETE", "bob", "/y")
     assert (response.status, moved) == (404, 0), response.body
 
@@ -194,7 +199,7 @@ def test_write_route_matrix(matrix):
     assert (again.status, moved) == (201, 0)
     assert again.body == first.body
     assert again.headers.get("Idempotent-Replay") == "true"
-    m.assert_shards_agree()
+    m.assert_caches_agree()
 
     # ifVersion mismatch: 412 and the registry is untouched
     response, moved = m.put("alice", "z", "code-z", "unzip files", ifVersion=5)
@@ -206,7 +211,7 @@ def test_write_route_matrix(matrix):
         {"items": [m.item("w", "code-w", "w")], "ifVersion": 0},
     )
     assert (response.status, moved) == (412, 0), response.body
-    m.assert_shards_agree()
+    m.assert_caches_agree()
 
 
 #: the e2e benchmark's write spans (benchmarks/e2e/trace.py), whose
