@@ -127,26 +127,23 @@ def tokenize_code(source: str) -> list[str]:
     return tokens
 
 
+#: one subtoken: a capital run before a capitalized word, an optionally
+#: capitalized lowercase run, or a capital run
+_SUBTOKEN = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+")
+
+
 @lru_cache(maxsize=65536)
 def split_subtokens(identifier: str) -> tuple[str, ...]:
     """Split an identifier into lowercase subtokens.
 
     Handles snake_case, camelCase, PascalCase, ALLCAPS runs and digit
     boundaries: ``getVoTable`` -> ``('get', 'vo', 'table')``,
-    ``read_ra_dec2`` -> ``('read', 'ra', 'dec')``.
+    ``read_ra_dec2`` -> ``('read', 'ra', 'dec')``.  One scan of the whole
+    identifier: ``_`` and digits belong to no subtoken, so they end one
+    as the end of a ``_``-separated chunk would, and the lookahead past
+    a capital run sees no capital there either.
     """
-    parts: list[str] = []
-    for chunk in identifier.split("_"):
-        if not chunk:
-            continue
-        # split camelCase / PascalCase / ALLCAPSWord boundaries
-        for piece in re.findall(
-            r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+", chunk
-        ):
-            if piece.isdigit():
-                continue
-            parts.append(piece.lower())
-    return tuple(parts)
+    return tuple(map(str.lower, _SUBTOKEN.findall(identifier)))
 
 
 def stem(word: str) -> str:

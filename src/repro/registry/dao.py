@@ -708,6 +708,10 @@ class SqliteDAO:
         # none yet, so the first text ranking fills it — but a new
         # store's empty index is complete as created
         self._text_version: int | None = None
+        # how many times this connection's writes changed the text
+        # index: a fill whose documents were derived outside the lock
+        # swaps them in only if none has since (:meth:`_fill_text_index`)
+        self._text_writes = 0
         if new:
             # one transaction: a crash leaves an empty file, not a
             # half-made one that the next open refuses.  Two connections
@@ -744,41 +748,67 @@ class SqliteDAO:
         the file."""
         self._stamped("DROP TABLE pe_text;DROP TABLE wf_text;")
 
-    def _fill_text_index(self) -> None:
-        """Empty the memory text index and derive every record's
-        documents again from the record rows (id and
-        :attr:`_Storage.sources`, through :attr:`_Storage.build`), one
-        ``INSERT … SELECT`` into each FTS5 table; then note the
-        ``data_version`` of the file those rows were read at.
+    def _text_rows(self) -> tuple[int, list[tuple[_Storage, list]]]:
+        """Every record's id and :attr:`_Storage.sources` fields, per
+        record kind, and the file's ``data_version`` they were read at:
+        one snapshot, inside the caller's transaction."""
+        rows = [
+            (store, self._conn.execute(
+                f"SELECT {store.id}, {', '.join(store.sources)}"
+                f" FROM main.{store.table}"
+            ).fetchall())
+            for store in _STORAGE.values()
+        ]
+        version = self._conn.execute("PRAGMA main.data_version").fetchone()[0]
+        return version, rows
+
+    @staticmethod
+    def _derived_documents(
+        rows: list[tuple[_Storage, list]]
+    ) -> list[tuple[_Storage, list[tuple[int, str, str]]]]:
+        """Each record's ``(id, name_norm, desc_doc)`` documents, built
+        from its :meth:`_text_rows` row through :attr:`_Storage.build`."""
+        documents = []
+        for store, kind_rows in rows:
+            build = store.build
+            documents.append(
+                (store, [(row[0], *build(*row[1:])) for row in kind_rows])
+            )
+        return documents
+
+    def _fill_text_index(
+        self,
+        version: int,
+        writes: int,
+        documents: list[tuple[_Storage, list[tuple[int, str, str]]]],
+    ) -> None:
+        """Empty the memory text index and index ``documents``, derived
+        from the record rows of the file at ``data_version`` ``version``
+        while :attr:`_text_writes` was ``writes``; then note the version.
 
         Begins a transaction the caller ends (``with self._conn``,
-        holding the lock): the version and the rows come from one
-        snapshot of the file, so a commit landing meanwhile leaves the
-        index at the version it records, never ahead of or behind it.
+        holding the lock).  An index another ranking filled at the
+        file's current version meanwhile is left as it is.  If the file
+        or this connection's text index moved since those rows were read,
+        the documents are derived again here, from rows read inside this
+        transaction: the version and the rows come from one snapshot of
+        the file, so a commit landing meanwhile leaves the index at the
+        version it records, never ahead of or behind it.
         """
         self._conn.execute("BEGIN")
-        for store in _STORAGE.values():
+        current = self._conn.execute("PRAGMA main.data_version").fetchone()[0]
+        if current == self._text_version:
+            return
+        if (current, self._text_writes) != (version, writes):
+            version, rows = self._text_rows()
+            documents = self._derived_documents(rows)
+        for store, store_documents in documents:
             self._conn.execute(f"DELETE FROM {store.docs}")
             self._conn.execute(
                 f"INSERT INTO {store.fts}({store.fts}) VALUES('delete-all')"
             )
-            rows = self._conn.execute(
-                f"SELECT {store.id}, {', '.join(store.sources)}"
-                f" FROM main.{store.table}"
-            ).fetchall()
-            build = store.build
-            self._conn.executemany(
-                f"INSERT INTO {store.docs} ({store.id}, name_norm, desc_doc)"
-                " VALUES (?, ?, ?)",
-                [(row[0], *build(*row[1:])) for row in rows],
-            )
-            self._conn.execute(
-                f"INSERT INTO {store.fts}(rowid, name_norm, desc_doc)"
-                f" SELECT {store.id}, name_norm, desc_doc FROM {store.docs}"
-            )
-        self._text_version = self._conn.execute(
-            "PRAGMA main.data_version"
-        ).fetchone()[0]
+            self._index_text(store, store_documents)
+        self._text_version = version
 
     def close(self) -> None:
         self._conn.close()
@@ -972,6 +1002,7 @@ class SqliteDAO:
     ) -> None:
         """Index records' ``(id, name_norm, desc_doc)`` documents: a
         row of the document table and a row of the FTS5 index each."""
+        self._text_writes += 1
         self._conn.executemany(
             f"INSERT INTO {store.docs} ({store.id}, name_norm, desc_doc)"
             " VALUES (?, ?, ?)",
@@ -989,6 +1020,7 @@ class SqliteDAO:
         indexed, which the document table holds; a record it does not
         hold (not written since an unfilled index's open) is left
         alone."""
+        self._text_writes += 1
         self._conn.execute(
             f"INSERT INTO {store.fts}({store.fts}, rowid, name_norm,"
             f" desc_doc) SELECT 'delete', {store.id}, name_norm, desc_doc"
@@ -1234,7 +1266,10 @@ class SqliteDAO:
         index inside their own transactions, so a version other than the
         one of the last fill — or no fill yet, the first ranking after
         open — means the index may be behind: fill it, then rank again
-        inside the fill's snapshot.
+        inside the fill's snapshot.  The lock is held to read the rows
+        and to swap their documents in (:meth:`_fill_text_index`), not
+        while they are derived, so the connection's other calls wait
+        only for the SQL part of a fill.
         """
         needle = query.lower().strip()
         if not needle:
@@ -1285,10 +1320,18 @@ class SqliteDAO:
         """
         with self._lock:
             rows = self._conn.execute(sql, params).fetchall()
-            if rows[0]["version"] != self._text_version:
+            stale = rows[0]["version"] != self._text_version
+            if stale:
                 with self._conn:
-                    self._fill_text_index()
-                    rows = self._conn.execute(sql, params).fetchall()
+                    self._conn.execute("BEGIN")
+                    version, sources = self._text_rows()
+                writes = self._text_writes
+        if stale:
+            # derived without the lock: the bulk of a fill
+            documents = self._derived_documents(sources)
+            with self._lock, self._conn:
+                self._fill_text_index(version, writes, documents)
+                rows = self._conn.execute(sql, params).fetchall()
         return [
             (int(row["entity_id"]), float(row["score"]))
             for row in rows

@@ -40,7 +40,7 @@ concurrent mutation) drops that batch to the exact brute-force scan —
 results are then still bitwise identical to the historical behaviour.
 Text queries (``queryType=text``) skip the vector index entirely and
 rank in the DAO's inverted text index (SQLite FTS5, held in memory and
-filled from the durable text documents at open): an owner-joined
+derived from the record rows by the first text ranking): an owner-joined
 BM25 top-k returns ``k`` ids and the service hydrates only those
 records.  Hybrid queries (``queryType=hybrid``) run the text and
 semantic legs to a fused depth and merge them with deterministic

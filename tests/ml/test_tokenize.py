@@ -1,5 +1,7 @@
 """Tests for code/NL tokenizers, including totality properties."""
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,6 +74,31 @@ class TestSubtokens:
         for sub in split_subtokens(identifier):
             assert sub.islower()
             assert sub.isalpha()
+
+
+def chunked_subtokens(identifier):
+    """The reference split: each ``_``-separated chunk on its own, its
+    capital/lowercase/digit runs found, the digit runs dropped."""
+    return tuple(
+        piece.lower()
+        for chunk in identifier.split("_")
+        for piece in re.findall(
+            r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+", chunk
+        )
+        if not piece.isdigit()
+    )
+
+
+class TestSubtokenScan:
+    @given(st.text(alphabet="aBzZ_09é٣ .-", max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_one_scan_splits_as_the_chunks_do(self, identifier):
+        assert split_subtokens(identifier) == chunked_subtokens(identifier)
+
+    @given(st.text(max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_on_any_text(self, identifier):
+        assert split_subtokens(identifier) == chunked_subtokens(identifier)
 
 
 class TestTextTokenizer:

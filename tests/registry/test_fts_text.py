@@ -368,7 +368,7 @@ class TestFreshness:
         filled by its first ranking and never again."""
         path, writer, alice, reader = shared
         rankings(reader, alice.user_id)
-        monkeypatch.setattr(reader, "_fill_text_index", lambda: None)
+        monkeypatch.setattr(reader, "_fill_text_index", lambda *args: None)
         for write in WRITES:
             write(writer, alice)
             assert rankings(reader, alice.user_id) != fresh_rankings(
@@ -388,6 +388,60 @@ class TestFreshness:
         got = rankings(reader, alice.user_id)
         assert got == fresh_rankings(path, alice.user_id)
         assert got == rankings(writer.dao, alice.user_id)
+
+    @staticmethod
+    def derive(dao):
+        """The first half of a fill (:meth:`SqliteDAO._text_topk`): the
+        rows read in one snapshot and their documents derived."""
+        with dao._conn:
+            dao._conn.execute("BEGIN")
+            version, rows = dao._text_rows()
+        return version, dao._text_writes, dao._derived_documents(rows)
+
+    @staticmethod
+    def swap(dao, derived):
+        """The second half: the derived documents swapped in."""
+        with dao._lock, dao._conn:
+            dao._fill_text_index(*derived)
+
+    def test_a_fill_derived_before_a_foreign_commit_derives_again(
+        self, shared
+    ):
+        path, writer, alice, reader = shared
+        derived = self.derive(reader)
+        insert(writer, alice)
+        self.swap(reader, derived)
+        # filled at the file's version now, so no ranking fills again
+        assert reader._text_version == reader._conn.execute(
+            "PRAGMA main.data_version"
+        ).fetchone()[0]
+        assert rankings(reader, alice.user_id) == fresh_rankings(
+            path, alice.user_id
+        )
+
+    def test_a_fill_derived_before_its_own_write_derives_again(self, shared):
+        """Its own commit moves no ``data_version``: documents derived
+        before it would hide the record it wrote for good."""
+        path, writer, alice, reader = shared
+        derived = self.derive(reader)
+        RegistryService(reader).register_pe(
+            alice,
+            make_pe("ownPrime", code="b3du", description="its own prime"),
+        )
+        self.swap(reader, derived)
+        assert rankings(reader, alice.user_id) == fresh_rankings(
+            path, alice.user_id
+        )
+        assert_text_cache_current(reader)
+
+    def test_a_fill_another_ranking_finished_is_kept(self, shared):
+        path, writer, alice, reader = shared
+        derived = self.derive(reader)
+        filled = rankings(reader, alice.user_id)
+        writes = reader._text_writes
+        self.swap(reader, derived)
+        assert reader._text_writes == writes
+        assert rankings(reader, alice.user_id) == filled
 
     def test_a_concurrent_reader_never_ranks_behind_a_seen_commit(
         self, shared

@@ -183,15 +183,18 @@ def test_search_read_cost_is_pinned(server, monkeypatch, query_type):
 
 #: the first text search after open — a server on a freshly opened DAO
 #: over the same file: ``READ_COST["text"]`` plus the fill of the memory
-#: text index — ``BEGIN``; per record table, empty the document table
-#: and the FTS5 index, read the rows' ids and document sources, index
-#: the documents (four statements) and insert the derived documents
-#: (one traced ``executemany`` step per record, every tenant's); the
-#: ``data_version`` read; ``COMMIT`` — and the ranking run again inside
-#: the fill's snapshot.  Before schema v15 the open filled the index
-#: instead, from the stored documents
+#: text index.  Under the lock, one read transaction: ``BEGIN``, each
+#: record table's ids and document sources, the ``data_version`` read,
+#: ``COMMIT`` (five statements).  The documents are derived without the
+#: lock; then, under it: ``BEGIN`` and the ``data_version`` read again
+#: (two); per record table, empty the document table and the FTS5 index
+#: (two each) and index the documents, two traced ``executemany`` steps
+#: per record, every tenant's; ``COMMIT`` — and the ranking run again
+#: inside the fill's snapshot.  Before schema v15 the open filled the
+#: index instead, from the stored documents
 FIRST_TEXT_COST = (
-    READ_COST["text"][0] + 1 + 2 * 4 + (PES + OTHER_PES + WORKFLOWS) + 3,
+    READ_COST["text"][0] + 5 + 2 + 2 * 2
+    + 2 * (PES + OTHER_PES + WORKFLOWS) + 1 + 1,
     *READ_COST["text"][1:],
 )
 

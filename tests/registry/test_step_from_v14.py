@@ -7,11 +7,15 @@ rows by the first text ranking after open.  A v14 file held them in
 ``pe_text`` / ``wf_text``; the step drops both tables and stamps, in
 one transaction.  A v14 file is made here from a served v15 registry by
 :func:`as_v14`: the two tables, each row the builder run over a stored
-record, ``user_version`` 14.  Opening it runs those two drops and no
-other DDL on ``main``; every record ``GET``, every listing and every
-search — text, hybrid and the legacy Table-3 text route among them —
-answers byte for byte what it answered before.  A v13 file is refused
-and left as it was.
+record, every code and source value written back as the text it
+decodes to — a v13 file stepped to v14 kept its TEXT values, which the
+codec (:mod:`repro.registry.textcodec`) reads as themselves — and
+``user_version`` 14.  Opening it runs those two drops and no other DDL
+on ``main``; every record ``GET``, every listing and every search —
+text, hybrid and the legacy Table-3 text route among them — answers
+byte for byte what it answered before.  Reading re-encodes nothing:
+only a record that is written again is stored deflated.  A v13 file is
+refused and left as it was.
 """
 
 import json
@@ -48,20 +52,6 @@ def as_v14(path):
     conn = sqlite3.connect(path)
     try:
         add_text_tables(conn)
-        conn.execute("PRAGMA user_version = 14")
-        conn.commit()
-    finally:
-        conn.close()
-
-
-def as_v13(path):
-    """Rewrite the current registry file at ``path`` as a v13 file: the
-    v14 document tables, every code and source value written back as
-    the text it decodes to, ``user_version`` 13.  ``path`` must not be
-    open."""
-    as_v14(path)
-    conn = sqlite3.connect(path)
-    try:
         for table, (key, code, source) in TEXT_COLUMNS.items():
             rows = conn.execute(
                 f"SELECT {key}, {code}, {source} FROM {table}"
@@ -70,8 +60,36 @@ def as_v13(path):
                 f"UPDATE {table} SET {code} = ?, {source} = ? WHERE {key} = ?",
                 [(*decode_texts(c, s), at) for at, c, s in rows],
             )
+        conn.execute("PRAGMA user_version = 14")
+        conn.commit()
+    finally:
+        conn.close()
+
+
+def as_v13(path):
+    """Rewrite the current registry file at ``path`` as a v13 file:
+    :func:`as_v14`'s file stamped ``user_version`` 13.  ``path`` must
+    not be open."""
+    as_v14(path)
+    conn = sqlite3.connect(path)
+    try:
         conn.execute("PRAGMA user_version = 13")
         conn.commit()
+    finally:
+        conn.close()
+
+
+def stored_types(path):
+    """``{(table, id): (code type, source type)}`` as SQLite holds them."""
+    conn = sqlite3.connect(path)
+    try:
+        return {
+            (table, at): (c, s)
+            for table, (key, code, source) in TEXT_COLUMNS.items()
+            for at, c, s in conn.execute(
+                f"SELECT {key}, typeof({code}), typeof({source}) FROM {table}"
+            )
+        }
     finally:
         conn.close()
 
@@ -226,12 +244,19 @@ def test_a_v14_file_steps_to_v15_and_serves_as_before(
 ):
     path = tmp_path / "registry.db"
     fill(path, fast_bundle)
+    # every code and source the fill sent is stored deflated
+    assert set(stored_types(path).values()) == {("blob", "blob")}
     before = replies(path, fast_bundle)
     # the searches found something to serve
     assert sum('"hits": []' not in reply for reply in before) > len(SEARCHES)
+    # a record's code and source come back as sent
+    item = json.loads(before[0])["item"]
+    assert (item["peCode"], item["peSource"]) == code_of("alicePE0")
 
     as_v14(path)
     assert {"pe_text", "wf_text"} <= schema_names(path)
+    types = stored_types(path)
+    assert set(types.values()) == {("text", "text")}
     dao, statements = open_traced(monkeypatch, path)
     assert [sql.rstrip(";") for sql in main_ddl(statements)] == [
         "DROP TABLE pe_text", "DROP TABLE wf_text",
@@ -245,6 +270,21 @@ def test_a_v14_file_steps_to_v15_and_serves_as_before(
     assert not {"pe_text", "wf_text"} & schema_names(path)
 
     assert replies(path, fast_bundle) == before
+    # reading wrote nothing back
+    assert stored_types(path) == types
+
+    # a written record is re-encoded, and only that one
+    server, tokens = serve(path, fast_bundle)
+    reply = put(
+        server, tokens["alice"], "alice", "pes", "alicePE6",
+        "element 6 now subtracts from a stream",
+    )
+    assert reply.status == 200, reply.body
+    revised = json.loads(before[6])["item"]["peId"]
+    server.registry.dao.close()
+    assert stored_types(path) == {
+        **types, ("pes", revised): ("blob", "blob"),
+    }
 
 
 def test_the_dropped_documents_are_the_derived_ones(tmp_path, fast_bundle):

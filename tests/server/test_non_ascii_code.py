@@ -66,10 +66,16 @@ LONE_SURROGATES = [
      {"peName": "p", "peCode": CODE, "peSource": LONE}),
     ("description", "POST", "/registry/u/pe/add",
      {"peName": "p", "peCode": CODE, "description": LONE}),
+    ("descriptionOrigin", "POST", "/registry/u/pe/add",
+     {"peName": "p", "peCode": CODE, "descriptionOrigin": LONE}),
     ("entryPoint", "POST", "/registry/u/workflow/add",
      {"entryPoint": LONE, "workflowCode": CODE}),
     ("workflowCode", "POST", "/registry/u/workflow/add",
      {"entryPoint": "p", "workflowCode": LONE}),
+    ("workflowName", "POST", "/registry/u/workflow/add",
+     {"entryPoint": "p", "workflowCode": CODE, "workflowName": LONE}),
+    ("description", "POST", "/registry/u/workflow/add",
+     {"entryPoint": "p", "workflowCode": CODE, "description": LONE}),
     ("workflowSource", "POST", "/registry/u/workflow/add",
      {"entryPoint": "p", "workflowCode": CODE, "workflowSource": LONE}),
 ]
