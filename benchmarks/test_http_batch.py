@@ -170,7 +170,7 @@ def test_http_group_commit_and_cold_start(tmp_path, record, out_dir):
     # brute-force reference over the fully materialized corpus; every
     # served response below, sequential or coalesced, must equal it
     alice = server.registry.get_user("alice")
-    corpus = server.registry.user_pes(alice)
+    corpus = server.registry.owned_records(alice, PERecord)
     semantic = server.semantic
     expected = {
         query: [

@@ -27,18 +27,21 @@ exposes access paths whose cost scales with the *result*, not the
 corpus:
 
 * ``pes_owned_by(user_id)`` / ``workflows_owned_by(user_id)`` —
-  owner-scoped listings, O(user's rows).  ``RegistryService.user_pes``
-  / ``user_workflows`` delegate here instead of filtering
+  owner-scoped listings, O(user's rows).
+  ``RegistryService.owned_records`` delegates here instead of filtering
   ``all_pes()`` in Python.
 * ``pe_ids_owned_by(user_id)`` / ``workflow_ids_owned_by(user_id)`` —
   id-only projections that never materialize rows or unblob embedding
   BLOBs; the search serving path uses them for shard-membership checks
-  (``RegistryService.owned_pe_ids`` / ``owned_workflow_ids``).
+  (``RegistryService.owned_ids``).
 * ``get_pes(ids)`` / ``get_workflows(ids)`` — id-batched fetch in
-  request order, used by ``RegistryService.resolve_pes`` /
-  ``resolve_workflows`` to hydrate exactly the top-k search winners.
+  request order, used by ``RegistryService.resolve`` to hydrate exactly
+  the top-k search winners.
 * ``insert_pes`` / ``insert_workflows`` — bulk load (one
   ``executemany`` batch per table).
+
+Each service read takes the record class; the search path enters two of
+them by per-kind name (``owned_{kind}_ids``, ``resolve_{kind}s``).
 """
 
 from repro.registry.entities import PERecord, UserRecord, WorkflowRecord

@@ -29,8 +29,8 @@ Both record kinds are stored under one set of rules, so each record
 operation — insert, update, delete, get, get-many, find by name, all,
 owned, owned ids, text top-k — is one body driven by the kind's storage
 row (:data:`_STORAGE`): record and owner tables, the memory document
-and FTS tables, the columns with a codec each, the text-document
-builder, the not-found label.  The id, name and vector fields come from
+and FTS tables, the columns with a codec each.  The id, name, vector
+and text-matched fields and the not-found label come from
 :data:`~repro.registry.entities.RECORD_KINDS`.  The per-kind names
 (``get_pes``, ``update_workflow``, ...) are one-line entries into those
 bodies; what only workflows have — the ``workflow_pes`` link rows and a
@@ -497,15 +497,6 @@ class _Storage:
     #: :mod:`repro.registry.textcodec`: the source deflated against
     #: the code, so each is ``_PLAIN`` in :attr:`columns`
     texts: tuple[str, str]
-    #: the ``text_search`` builder of the FTS documents and the record
-    #: fields it reads, in its argument order (each a column of
-    #: :attr:`table`): an update that changes none of them leaves the
-    #: documents alone
-    document: str
-    sources: tuple[str, ...]
-    #: :class:`~repro.errors.NotFoundError`'s record label and params key
-    label: str
-    param: str
     #: the static method that builds a record from a row, looked up on
     #: the DAO when called
     hydrate: str
@@ -522,6 +513,11 @@ class _Storage:
     def __post_init__(self) -> None:
         kind = RECORD_KINDS[self.record_type]
         self.id, self.name = kind.id_field, kind.name_field
+        # the record fields the FTS documents are built from, in
+        # ``fts_document``'s argument order (each a column of the
+        # table): an update that changes none of them leaves the
+        # documents alone
+        self.sources = (*kind.text_names, "description")
         self.column_names = tuple(column for column, _ in self.columns)
         self.column_list = ", ".join(self.column_names)
         # one mark for the id and each column
@@ -574,15 +570,9 @@ class _Storage:
         )
         return tuple(values)
 
-    @property
-    def build(self) -> Callable[..., tuple[str, str]]:
-        """The ``(name_norm, desc_doc)`` FTS documents of a record whose
-        :attr:`sources` fields hold the arguments."""
-        return getattr(_text_documents(), self.document)
-
     def documents(self, record: PERecord | WorkflowRecord) -> tuple[str, str]:
         """The record's ``(name_norm, desc_doc)`` FTS documents."""
-        return self.build(*self._document_fields(record))
+        return _text_documents().fts_document(*self._document_fields(record))
 
 
 _PES = _Storage(
@@ -599,10 +589,6 @@ _PES = _Storage(
         ("owners", _OWNERS),
     ),
     texts=("pe_code", "pe_source"),
-    document="fts_pe_document",
-    sources=("pe_name", "description"),
-    label="PE",
-    param="peId",
     hydrate="_pe_from_row",
     unlink="_unlink_pe",
 )
@@ -619,10 +605,6 @@ _WORKFLOWS = _Storage(
         ("owners", _OWNERS),
     ),
     texts=("workflow_code", "workflow_source"),
-    document="fts_workflow_document",
-    sources=("entry_point", "workflow_name", "description"),
-    label="workflow",
-    param="workflowId",
     hydrate="_wf_from_row",
     links="pe_ids",
     link="_link_workflows",
@@ -767,10 +749,10 @@ class SqliteDAO:
         rows: list[tuple[_Storage, list]]
     ) -> list[tuple[_Storage, list[tuple[int, str, str]]]]:
         """Each record's ``(id, name_norm, desc_doc)`` documents, built
-        from its :meth:`_text_rows` row through :attr:`_Storage.build`."""
+        from its :meth:`_text_rows` row by ``text_search.fts_document``."""
+        build = _text_documents().fts_document
         documents = []
         for store, kind_rows in rows:
-            build = store.build
             documents.append(
                 (store, [(row[0], *build(*row[1:])) for row in kind_rows])
             )
@@ -899,9 +881,10 @@ class SqliteDAO:
             (int(record_id),),
         ).fetchone()
         if row is None:
+            kind = RECORD_KINDS[store.record_type]
             raise NotFoundError(
-                f"{store.label} id {record_id} not found",
-                params={store.param: record_id},
+                f"{kind.label} id {record_id} not found",
+                params={kind.id_param: record_id},
             )
         return row
 

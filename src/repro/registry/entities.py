@@ -6,9 +6,10 @@ the JSON wire format and the DAO layer converts them to bytes for SQLite
 storage.
 
 The two record kinds follow the same §3.1 rules, so every layer that
-writes them reads one table of what differs: :data:`SHARD_KINDS` (the
-search shards a record's vectors live in) and :data:`RECORD_KINDS` (per
-record class).  This module imports nothing else from ``repro``, so any
+reads or writes them reads one table of what differs: :data:`SHARD_KINDS`
+(the search shards a record's vectors live in) and :data:`RECORD_KINDS`
+(per record class; :data:`RECORD_CLASSES` maps a wire kind back to its
+class).  This module imports nothing else from ``repro``, so any
 layer may read it.
 """
 
@@ -174,14 +175,24 @@ SHARD_KINDS: dict[str, ShardKind] = {
 
 
 class RecordKind(NamedTuple):
-    """What a write needs to know about one record class."""
+    """What a read or a write needs to know about one record class."""
 
     #: the wire kind (``WriteResponse.kind``, the v1 routes)
     kind: str
-    #: its shard kinds, in the order a write visits them
+    #: its listings' body key and cursor scope, its v1 path segment
+    plural: str
+    #: how a message names the kind (``PE id 3 not found ...``)
+    label: str
+    #: the params keys a 404 by id and by name carries
+    id_param: str
+    name_param: str
+    #: its shard kinds, in the order a write visits them; the first is
+    #: the description shard semantic search ranks
     shards: tuple[str, ...]
     #: the name a user binds, retrieves and dedups by
     name_field: str
+    #: the names text search matches, one arm each (the best labels a hit)
+    text_names: tuple[str, ...]
     #: what a same-identity PUT may change in place besides the vectors:
     #: a revision copies these, and equal ones (and equal vector bytes)
     #: make the PUT a no-op
@@ -199,14 +210,27 @@ class RecordKind(NamedTuple):
 RECORD_KINDS: dict[type, RecordKind] = {
     PERecord: RecordKind(
         "pe",
+        "pes",
+        "PE",
+        "peId",
+        "peName",
         (KIND_DESC, KIND_CODE),
         "pe_name",
+        ("pe_name",),
         ("description", "description_origin", "pe_source", "pe_imports"),
     ),
     WorkflowRecord: RecordKind(
         "workflow",
+        "workflows",
+        "workflow",
+        "workflowId",
+        "entryPoint",
         (KIND_WORKFLOW,),
         "entry_point",
+        ("entry_point", "workflow_name"),
         ("workflow_name", "description", "workflow_source", "pe_ids"),
     ),
 }
+
+#: the record class of each wire kind
+RECORD_CLASSES: dict[str, type] = {spec.kind: cls for cls, spec in RECORD_KINDS.items()}

@@ -50,7 +50,7 @@ Record = PERecord | WorkflowRecord
 #: each record kind's DAO methods, by name: looked up on the DAO when
 #: called, so a wrapper installed on ``SqliteDAO`` after import is the
 #: one entered.  Each is a one-line entry into the DAO's one body for
-#: that operation (``SqliteDAO._insert_many``, ``_update``, ...)
+#: that operation (``SqliteDAO._insert_many``, ``_get``, ...)
 _DAO_METHODS = {
     PERecord: {
         "find": "find_pe_by_name",
@@ -58,6 +58,11 @@ _DAO_METHODS = {
         "insert_many": "insert_pes",
         "update": "update_pe",
         "delete": "delete_pe",
+        "get": "get_pe",
+        "get_many": "get_pes",
+        "owned": "pes_owned_by",
+        "owned_ids": "pe_ids_owned_by",
+        "text_topk": "text_topk_pes",
     },
     WorkflowRecord: {
         "find": "find_workflow_by_entry_point",
@@ -65,6 +70,11 @@ _DAO_METHODS = {
         "insert_many": "insert_workflows",
         "update": "update_workflow",
         "delete": "delete_workflow",
+        "get": "get_workflow",
+        "get_many": "get_workflows",
+        "owned": "workflows_owned_by",
+        "owned_ids": "workflow_ids_owned_by",
+        "text_topk": "text_topk_workflows",
     },
 }
 
@@ -542,10 +552,10 @@ class RegistryService:
     ) -> None:
         self._remove(user, record)
 
-    def _dao_method(self, record: Record, name: str):
+    def _dao_method(self, record_type: type, name: str):
         """The DAO's ``name`` method (:data:`_DAO_METHODS`) for
-        ``record``'s kind."""
-        return getattr(self.dao, _DAO_METHODS[type(record)][name])
+        ``record_type``."""
+        return getattr(self.dao, _DAO_METHODS[record_type][name])
 
     def _dedup_hit(self, user: UserRecord, record: Record) -> Record | None:
         """The §3.1 dedup resolution: an identity match grants the
@@ -553,12 +563,12 @@ class RegistryService:
         means the registration is genuinely new."""
         identity = record.identity_key()
         name = getattr(record, RECORD_KINDS[type(record)].name_field)
-        for existing in self._dao_method(record, "find")(name):
+        for existing in self._dao_method(type(record), "find")(name):
             if existing.identity_key() == identity:
                 granted = user.user_id not in existing.owners
                 if granted:
                     existing.owners.add(user.user_id)
-                    self._dao_method(existing, "update")(existing)
+                    self._dao_method(type(existing), "update")(existing)
                     self._note_write()
                 self._index(user.user_id, existing, journaled=granted)
                 return existing
@@ -576,7 +586,7 @@ class RegistryService:
         if hit is not None:
             return hit, False
         record.owners = {user.user_id}
-        stored = self._dao_method(record, "insert")(record)
+        stored = self._dao_method(type(record), "insert")(record)
         self._note_write()
         self._index(user.user_id, stored)
         return stored, True
@@ -620,7 +630,7 @@ class RegistryService:
             stored.append(record)
             created.append(True)
         if fresh:
-            self._dao_method(fresh[0], "insert_many")(fresh)
+            self._dao_method(type(fresh[0]), "insert_many")(fresh)
             # the DAO commits a bulk insert as ONE mutation event
             self._note_write()
             # the DAO journaled one row per kind for the whole batch;
@@ -686,7 +696,7 @@ class RegistryService:
                 changed[kind] = new_vec
         for name in (*record_kind.metadata, *record_kind.vector_fields):
             setattr(current, name, getattr(record, name))
-        self._dao_method(current, "update")(current)
+        self._dao_method(type(current), "update")(current)
         self._note_write()
         if self.index is None:
             return current, False
@@ -709,47 +719,60 @@ class RegistryService:
         """
         record.owners.discard(user.user_id)
         if record.owners:
-            self._dao_method(record, "update")(record)
+            self._dao_method(type(record), "update")(record)
         else:
             record_id = getattr(record, RECORD_KINDS[type(record)].id_field)
-            self._dao_method(record, "delete")(record_id)
+            self._dao_method(type(record), "delete")(record_id)
         self._note_write()
         self._unindex(user.user_id, record)
 
     # ------------------------------------------------------------------
-    # PE reads
+    # Record reads: one body per operation, keyed by record class and
+    # reading what differs by kind from RECORD_KINDS.  The search
+    # serving path looks its two entries up by kind
+    # (``owned_{kind}_ids``, ``resolve_{kind}s``).
     # ------------------------------------------------------------------
-    def _owned_pe(self, user: UserRecord, pe_id: int) -> PERecord:
-        record = self.dao.get_pe(pe_id)
+    def get_by_id(
+        self, user: UserRecord, record_type: type, record_id: int
+    ) -> Record:
+        """The caller's ``record_type`` record ``record_id``; 404 when
+        it is absent or not theirs."""
+        record = self._dao_method(record_type, "get")(record_id)
         if record is None or user.user_id not in record.owners:
+            spec = RECORD_KINDS[record_type]
             raise NotFoundError(
-                f"PE id {pe_id} not found for user {user.user_name!r}",
-                params={"peId": pe_id, "user": user.user_name},
+                f"{spec.label} id {record_id} not found for user "
+                f"{user.user_name!r}",
+                params={spec.id_param: record_id, "user": user.user_name},
             )
         return record
 
-    def get_pe_by_id(self, user: UserRecord, pe_id: int) -> PERecord:
-        return self._owned_pe(user, pe_id)
-
-    def get_pe_by_name(self, user: UserRecord, name: str) -> PERecord:
-        for record in self.dao.find_pe_by_name(name):
+    def get_by_name(
+        self, user: UserRecord, record_type: type, name: str
+    ) -> Record:
+        """The caller's ``record_type`` record bound to ``name``; 404
+        when they hold none."""
+        for record in self._dao_method(record_type, "find")(name):
             if user.user_id in record.owners:
                 return record
+        spec = RECORD_KINDS[record_type]
         raise NotFoundError(
-            f"PE {name!r} not found for user {user.user_name!r}",
-            params={"peName": name, "user": user.user_name},
+            f"{spec.label} {name!r} not found for user {user.user_name!r}",
+            params={spec.name_param: name, "user": user.user_name},
         )
 
-    def user_pes(self, user: UserRecord) -> list[PERecord]:
-        """The user's PEs, ascending id — owner-scoped at the DAO."""
-        return self.dao.pes_owned_by(user.user_id)
+    def owned_records(self, user: UserRecord, record_type: type) -> list:
+        """The user's records, ascending id — owner-scoped at the DAO."""
+        return self._dao_method(record_type, "owned")(user.user_id)
 
-    def owned_pe_ids(self, user: UserRecord) -> list[int]:
-        """Ascending owned PE ids; no row materialization at all."""
-        return self.dao.pe_ids_owned_by(user.user_id)
+    def owned_ids(self, user: UserRecord, record_type: type) -> list[int]:
+        """Ascending owned ids; no row materialization at all."""
+        return self._dao_method(record_type, "owned_ids")(user.user_id)
 
-    def resolve_pes(self, user: UserRecord, pe_ids: list[int]) -> list[PERecord]:
-        """Batch-hydrate ``pe_ids`` in order, dropping non-owned records.
+    def resolve(
+        self, user: UserRecord, record_type: type, ids: list[int]
+    ) -> list:
+        """Batch-hydrate ``ids`` in order, dropping non-owned records.
 
         The top-k serving path: the batcher ranks on the index shard
         and materializes only the winners through this call.  Ids that
@@ -759,92 +782,41 @@ class RegistryService:
         """
         return [
             record
-            for record in self.dao.get_pes(pe_ids)
+            for record in self._dao_method(record_type, "get_many")(ids)
             if user.user_id in record.owners
         ]
 
-    def text_topk_pes(
-        self, user: UserRecord, query: str, k: int | None = None
-    ) -> list[tuple[PERecord, float]]:
-        """Indexed BM25+substring text ranking — O(k) hydration.
-
-        The DAO ranks owned PE ids inside its inverted index
-        (``SqliteDAO.text_topk_pes``); only the winners are
-        materialized, mirroring the semantic top-k serving shape.
-        Returns ``(record, score)`` pairs in rank order; ids that
-        vanished or changed hands since ranking are skipped.
-        """
-        ranked = self.dao.text_topk_pes(user.user_id, query, k)
-        by_id = {
-            record.pe_id: record
-            for record in self.dao.get_pes([i for i, _ in ranked])
-            if user.user_id in record.owners
-        }
-        return [
-            (by_id[i], score) for i, score in ranked if i in by_id
-        ]
-
-
-    # ------------------------------------------------------------------
-    # Workflow reads
-    # ------------------------------------------------------------------
-    def _owned_workflow(self, user: UserRecord, workflow_id: int) -> WorkflowRecord:
-        record = self.dao.get_workflow(workflow_id)
-        if record is None or user.user_id not in record.owners:
-            raise NotFoundError(
-                f"workflow id {workflow_id} not found for user "
-                f"{user.user_name!r}",
-                params={"workflowId": workflow_id, "user": user.user_name},
-            )
-        return record
-
-    def get_workflow_by_id(
-        self, user: UserRecord, workflow_id: int
-    ) -> WorkflowRecord:
-        return self._owned_workflow(user, workflow_id)
-
-    def get_workflow_by_name(self, user: UserRecord, name: str) -> WorkflowRecord:
-        for record in self.dao.find_workflow_by_entry_point(name):
-            if user.user_id in record.owners:
-                return record
-        raise NotFoundError(
-            f"workflow {name!r} not found for user {user.user_name!r}",
-            params={"entryPoint": name, "user": user.user_name},
+    def text_topk(
+        self, user: UserRecord, record_type: type, query: str, k: int | None = None
+    ) -> list[tuple[Record, float]]:
+        """Indexed BM25+substring text ranking — O(k) hydration: the DAO
+        ranks owned ids inside its inverted index and only the winners
+        are materialized, as on the semantic top-k path.  ``(record,
+        score)`` pairs in rank order; ids that vanished or changed hands
+        since ranking are skipped."""
+        ranked = self._dao_method(record_type, "text_topk")(
+            user.user_id, query, k
         )
+        id_field = RECORD_KINDS[record_type].id_field
+        by_id = {
+            getattr(record, id_field): record
+            for record in self.resolve(user, record_type, [i for i, _ in ranked])
+        }
+        return [(by_id[i], score) for i, score in ranked if i in by_id]
 
-    def user_workflows(self, user: UserRecord) -> list[WorkflowRecord]:
-        """The user's workflows, ascending id — owner-scoped at the DAO."""
-        return self.dao.workflows_owned_by(user.user_id)
+    def owned_pe_ids(self, user: UserRecord) -> list[int]:
+        return self.owned_ids(user, PERecord)
 
     def owned_workflow_ids(self, user: UserRecord) -> list[int]:
-        """Ascending owned workflow ids; no row materialization at all."""
-        return self.dao.workflow_ids_owned_by(user.user_id)
+        return self.owned_ids(user, WorkflowRecord)
+
+    def resolve_pes(self, user: UserRecord, ids: list[int]) -> list[PERecord]:
+        return self.resolve(user, PERecord, ids)
 
     def resolve_workflows(
-        self, user: UserRecord, workflow_ids: list[int]
+        self, user: UserRecord, ids: list[int]
     ) -> list[WorkflowRecord]:
-        """Batch-hydrate ``workflow_ids`` in order, dropping non-owned."""
-        return [
-            record
-            for record in self.dao.get_workflows(workflow_ids)
-            if user.user_id in record.owners
-        ]
-
-    def text_topk_workflows(
-        self, user: UserRecord, query: str, k: int | None = None
-    ) -> list[tuple[WorkflowRecord, float]]:
-        """Indexed BM25+substring workflow ranking (see
-        :meth:`text_topk_pes`)."""
-        ranked = self.dao.text_topk_workflows(user.user_id, query, k)
-        by_id = {
-            record.workflow_id: record
-            for record in self.dao.get_workflows([i for i, _ in ranked])
-            if user.user_id in record.owners
-        }
-        return [
-            (by_id[i], score) for i, score in ranked if i in by_id
-        ]
-
+        return self.resolve(user, WorkflowRecord, ids)
 
     # ------------------------------------------------------------------
     # Associations
@@ -853,8 +825,8 @@ class RegistryService:
         self, user: UserRecord, workflow_id: int, pe_id: int
     ) -> WorkflowRecord:
         """PUT /registry/{user}/workflow/{workflowId}/pe/{peId}."""
-        workflow = self._owned_workflow(user, workflow_id)
-        self._owned_pe(user, pe_id)
+        workflow = self.get_by_id(user, WorkflowRecord, workflow_id)
+        self.get_by_id(user, PERecord, pe_id)
         if pe_id not in workflow.pe_ids:
             workflow.pe_ids.append(pe_id)
             self.dao.update_workflow(workflow)
@@ -867,9 +839,9 @@ class RegistryService:
         """The workflow's PEs the caller owns, in link order (duplicates
         kept): a workflow may name PEs its owner does not own, and the
         privacy rule holds for them too."""
-        workflow = self._owned_workflow(user, workflow_id)
+        workflow = self.get_by_id(user, WorkflowRecord, workflow_id)
         return self.resolve_pes(user, workflow.pe_ids)
 
     def workflow_pes_by_name(self, user: UserRecord, name: str) -> list[PERecord]:
-        workflow = self.get_workflow_by_name(user, name)
+        workflow = self.get_by_name(user, WorkflowRecord, name)
         return self.workflow_pes(user, workflow.workflow_id)

@@ -176,17 +176,15 @@ maintains an inverted text index — contentless SQLite FTS5 tables in an
 attached in-memory database, beside the normalized text documents they
 index, which the file does not keep (schema v15): the first ranking
 after open derives them from the record rows
-(:func:`~repro.search.text_search.fts_pe_document` /
-:func:`~repro.search.text_search.fts_workflow_document`), each mutation
+(:func:`~repro.search.text_search.fts_document`), each mutation
 rewrites its record's inside its own transaction, and a ranking fills
 them again when another connection has committed — and
-``RegistryService.text_topk_pes`` / ``text_topk_workflows`` return the
-owner-scoped BM25 top-k directly, so only the ``k`` winning records
-are hydrated.  It is the only text ranker: the legacy Table-3 route and
-v1 serve the same hits.  :func:`text_search_pes` /
-:func:`text_search_workflows` remain as the brute-force reference whose
-match sets the indexed ranking must equal
-(``tests/registry/test_text_candidates.py``).
+``RegistryService.text_topk`` (one body for either record kind)
+returns the owner-scoped BM25 top-k directly, so only the ``k``
+winning records are hydrated.  It is the only text ranker: the legacy
+Table-3 route and v1 serve the same hits.  :func:`text_search_records` remains
+as the brute-force reference whose match sets the indexed ranking must
+equal (``tests/registry/test_text_candidates.py``).
 
 ``queryType=hybrid`` fuses that BM25 text ranking with the semantic
 ranking via reciprocal-rank fusion
@@ -197,7 +195,7 @@ key — the fused ordering is a pure function of the leg orders, so
 hybrid pages are bitwise stable across repeats.
 """
 
-from repro.search.text_search import TextMatch, text_search_pes, text_search_workflows
+from repro.search.text_search import TextMatch, text_search_records
 from repro.search.semantic import SemanticHit, SemanticSearcher, WorkflowSemanticHit
 from repro.search.code_search import CodeHit, CodeSearcher
 from repro.search.fusion import RRF_K, rrf_fuse
@@ -216,8 +214,7 @@ __all__ = [
     "SearchBatcher",
     "exact_scan",
     "TextMatch",
-    "text_search_pes",
-    "text_search_workflows",
+    "text_search_records",
     "SemanticHit",
     "WorkflowSemanticHit",
     "SemanticSearcher",

@@ -9,11 +9,12 @@ exactly as footnote 14 describes.
 Searches are served by the DAO's FTS5/BM25 index
 (``SqliteDAO.text_topk_pes``/``text_topk_workflows``) on both API
 generations; this module builds that index's documents and query terms
-and labels each hit's ``matchedOn``.  :func:`text_search_pes` and
-:func:`text_search_workflows` are the brute-force reference scorer over
-a full listing — no route calls them; tests pin the indexed path's
-match sets to theirs, as :func:`~repro.search.serving.exact_scan` is
-the reference for the vector index.
+and labels each hit's ``matchedOn``, for either record kind from the
+names ``RECORD_KINDS`` lists.  :func:`text_search_records` is the brute-force
+reference scorer over a full listing — no route calls it; tests pin
+the indexed path's match sets to its, as
+:func:`~repro.search.serving.exact_scan` is the reference for the
+vector index.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.ml.tokenize import split_subtokens, tokenize_text
-from repro.registry.entities import PERecord, WorkflowRecord
+from repro.registry.entities import RECORD_KINDS, PERecord, WorkflowRecord
 
 
 @dataclass
@@ -35,6 +36,20 @@ class TextMatch:
     description: str
     matched_on: str  # "name" | "description" | "name+description"
     score: float
+
+    @classmethod
+    def of(
+        cls, record: PERecord | WorkflowRecord, matched_on: str, score: float
+    ) -> "TextMatch":
+        spec = RECORD_KINDS[type(record)]
+        return cls(
+            kind=spec.kind,
+            entity_id=getattr(record, spec.id_field),
+            name=getattr(record, spec.name_field),
+            description=record.description,
+            matched_on=matched_on,
+            score=score,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -60,29 +75,20 @@ def normalize(text: str) -> str:
     return " ".join([raw, *words])
 
 
-def fts_pe_document(name: str, description: str) -> tuple[str, str]:
-    """``(name_norm, desc_doc)``: a PE's documents in the text index.
+def fts_document(*texts: str) -> tuple[str, str]:
+    """``(name_norm, desc_doc)``: a record's documents in the text
+    index, from its name arms (``RECORD_KINDS``' ``text_names``: a PE's
+    name; a workflow's entry point, then its name) and its description.
 
-    ``name_norm`` is the :func:`normalize` view of the name — it doubles
-    as the whole-query substring arm (LIKE / ``in``) and as the FTS5
-    name document; ``desc_doc`` is the normalized description.
+    ``name_norm`` joins the :func:`normalize` view of each arm with a
+    newline — it doubles as the whole-query substring arm (LIKE / ``in``)
+    and as the FTS5 name document.  ``\n`` is a tokenizer separator (so
+    BM25 sees every arm's tokens) and cannot occur inside a stripped
+    query needle, so the substring arm never matches across an arm
+    boundary.  ``desc_doc`` is the normalized description.
     """
-    return normalize(name), normalize(description or "")
-
-
-def fts_workflow_document(
-    entry_point: str, workflow_name: str, description: str
-) -> tuple[str, str]:
-    """``(name_norm, desc_doc)``: a workflow's documents in the text
-    index.
-
-    The two name arms are joined with a newline: ``\\n`` is a tokenizer
-    separator (so BM25 sees both arms' tokens) and cannot occur inside
-    a stripped query needle, so the substring arm never matches across
-    the arm boundary.
-    """
-    name_norm = normalize(entry_point) + "\n" + normalize(workflow_name)
-    return name_norm, normalize(description or "")
+    *names, description = texts
+    return "\n".join(map(normalize, names)), normalize(description or "")
 
 
 def match_terms(query: str) -> list[str]:
@@ -97,8 +103,8 @@ def match_terms(query: str) -> list[str]:
     )
 
 
-def pe_match_label(query: str, record: PERecord) -> str:
-    """``matchedOn`` label for an FTS-ranked PE hit.
+def match_label(query: str, record: PERecord | WorkflowRecord) -> str:
+    """``matchedOn`` label for an FTS-ranked hit (its best name arm).
 
     Falls back to ``name+description`` if the reference scorer does not
     match a hit the index found.  The parity suite
@@ -107,20 +113,21 @@ def pe_match_label(query: str, record: PERecord) -> str:
     could differ from subtoken splits) finds no such hit, so the
     fallback only keeps the label total.
     """
-    return (
-        _match_score(query, record.pe_name, record.description)[1]
-        or "name+description"
-    )
+    return _best_match(query, record)[1] or "name+description"
 
 
-def workflow_match_label(query: str, record: WorkflowRecord) -> str:
-    """``matchedOn`` label for an FTS-ranked workflow hit (best arm)."""
+def _best_match(
+    query: str, record: PERecord | WorkflowRecord
+) -> tuple[float, str]:
+    """The reference score and label of ``record``'s best name arm."""
     best, label = 0.0, ""
-    for name in (record.entry_point, record.workflow_name):
-        score, matched = _match_score(query, name, record.description)
+    for name in RECORD_KINDS[type(record)].text_names:
+        score, matched = _match_score(
+            query, getattr(record, name), record.description
+        )
         if score > best:
             best, label = score, matched
-    return label or "name+description"
+    return best, label
 
 
 def _match_score(query: str, name: str, description: str) -> tuple[float, str]:
@@ -151,53 +158,17 @@ def _match_score(query: str, name: str, description: str) -> tuple[float, str]:
     return score, "+".join(matched) if matched else ""
 
 
-def text_search_workflows(
-    query: str, workflows: Sequence[WorkflowRecord]
+def text_search_records(
+    query: str, records: Sequence[PERecord | WorkflowRecord]
 ) -> list[TextMatch]:
-    """Brute-force reference: rank ``workflows`` by partial text match
-    on names/descriptions (best of the entry-point and workflow-name
-    arms).  No route serves it; tests compare the FTS ranking's match
-    set with it."""
+    """Brute-force reference: rank ``records`` by partial text match on
+    their names and descriptions (a workflow's best name arm).  No
+    route serves it; tests compare the FTS ranking's match set with
+    it."""
     hits: list[TextMatch] = []
-    for record in workflows:
-        best = 0.0
-        matched_on = ""
-        for name in (record.entry_point, record.workflow_name):
-            score, matched = _match_score(query, name, record.description)
-            if score > best:
-                best, matched_on = score, matched
-        if best > 0:
-            hits.append(
-                TextMatch(
-                    kind="workflow",
-                    entity_id=record.workflow_id,
-                    name=record.entry_point,
-                    description=record.description,
-                    matched_on=matched_on,
-                    score=best,
-                )
-            )
-    hits.sort(key=lambda h: (-h.score, h.entity_id))
-    return hits
-
-
-def text_search_pes(query: str, pes: Sequence[PERecord]) -> list[TextMatch]:
-    """Brute-force reference: rank ``pes`` by partial text match on
-    names/descriptions.  No route serves it; tests compare the FTS
-    ranking's match set with it."""
-    hits: list[TextMatch] = []
-    for record in pes:
-        score, matched_on = _match_score(query, record.pe_name, record.description)
+    for record in records:
+        score, matched_on = _best_match(query, record)
         if score > 0:
-            hits.append(
-                TextMatch(
-                    kind="pe",
-                    entity_id=record.pe_id,
-                    name=record.pe_name,
-                    description=record.description,
-                    matched_on=matched_on,
-                    score=score,
-                )
-            )
+            hits.append(TextMatch.of(record, matched_on, score))
     hits.sort(key=lambda h: (-h.score, h.entity_id))
     return hits

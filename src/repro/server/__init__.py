@@ -30,7 +30,7 @@ scaling with the *result*, not the corpus::
                   │  every query scored as its own (1, D) product, so
                   │  batched == single-shot bitwise
                   ▼
-            RegistryService.resolve_pes / resolve_workflows
+            RegistryService.resolve_{kind}s
                      one batched DAO fetch hydrates the union of all
                      top-k winners; ownership re-checked per record
 
@@ -287,14 +287,19 @@ legacy add routes keep the historical register-only behaviour.
 transaction, one index ``add_many`` per shard kind and one shard
 persist.  ``PUT``, bulk and ``DELETE`` are one handler each for both
 record kinds (``V1WriteController.put``/``bulk``/``delete``, the kind
-bound per route); both bulk routes parse one envelope,
-``BulkRegisterRequest``, with that kind's ``PUT`` envelope per item.
+bound per route), as are the listing and the conditional ``GET``
+(``V1Controller.list_records``/``get_record``) and each Table-3 route
+shape but ``add`` (``RecordController``); both bulk routes parse one
+envelope, ``BulkRegisterRequest``, with that kind's ``PUT`` envelope
+per item.
 All write routes — and the
 legacy Table-3 register/remove routes, which are thin byte-identical
 adapters — share one serialized core
 (:func:`repro.server.v1_write.execute_write`), and below it one
 service body per operation (``RegistryService._register``,
-``_register_bulk``, ``_upsert``, ``_revise``, ``_remove``).
+``_register_bulk``, ``_upsert``, ``_revise``, ``_remove``; the reads
+``get_by_id``, ``get_by_name``, ``owned_records``, ``owned_ids``,
+``resolve`` and ``text_topk`` take the record class).
 Every write returns the ``WriteResponse`` envelope::
 
     {"apiVersion": "v1", "op": "register"|"delete"|"bulk-register",

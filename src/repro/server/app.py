@@ -138,7 +138,7 @@ class LaminarServer:
 
         # PE controller
         add("POST", "/registry/{user}/pe/add", pes.add)
-        add("GET", "/registry/{user}/pe/all", pes.all_pes)
+        add("GET", "/registry/{user}/pe/all", pes.all_records)
         add("GET", "/registry/{user}/pe/id/{id}", pes.by_id)
         add("GET", "/registry/{user}/pe/name/{name}", pes.by_name)
         add("DELETE", "/registry/{user}/pe/remove/id/{id}", pes.remove_by_id)
@@ -146,7 +146,7 @@ class LaminarServer:
 
         # Workflow controller
         add("POST", "/registry/{user}/workflow/add", workflows.add)
-        add("GET", "/registry/{user}/workflow/all", workflows.all_workflows)
+        add("GET", "/registry/{user}/workflow/all", workflows.all_records)
         add("GET", "/registry/{user}/workflow/id/{id}", workflows.by_id)
         add("GET", "/registry/{user}/workflow/name/{name}", workflows.by_name)
         add("GET", "/registry/{user}/workflow/pes/id/{id}", workflows.pes_by_id)
@@ -191,14 +191,18 @@ class LaminarServer:
         v1 = V1Controller(self)
         add("GET", "/v1/users", v1.list_users)
         add("GET", "/v1/backends", v1.list_backends)
-        add("GET", "/v1/registry/{user}/pes", v1.list_pes)
-        add("GET", "/v1/registry/{user}/workflows", v1.list_workflows)
+        for kind in ("pe", "workflow"):
+            add("GET", f"/v1/registry/{{user}}/{kind}s", partial(v1.list_records, kind))
         add("GET", "/v1/registry/{user}/workflows/{id}/pes", v1.workflow_pes)
         add("POST", "/v1/registry/{user}/search", v1.search)
         # conditional single-record reads: revision-based ETags with an
         # If-None-Match 304 short-circuit
-        add("GET", "/v1/registry/{user}/pes/{name}", v1.get_pe)
-        add("GET", "/v1/registry/{user}/workflows/{name}", v1.get_workflow)
+        for kind in ("pe", "workflow"):
+            add(
+                "GET",
+                f"/v1/registry/{{user}}/{kind}s/{{name}}",
+                partial(v1.get_record, kind),
+            )
 
         # v1 write surface — typed envelopes with idempotency keys and
         # conditional writes; the legacy register/remove routes above

@@ -11,14 +11,24 @@ The endpoint set matches Table 3 of the paper exactly; see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import AuthenticationError, ValidationError
 from repro.net.transport import Request, Response
-from repro.registry.entities import UserRecord
-from repro.server.schema import legacy_text, parse_credentials
+from repro.registry.entities import (
+    RECORD_KINDS,
+    PERecord,
+    UserRecord,
+    WorkflowRecord,
+)
+from repro.server.schema import (
+    legacy_text,
+    parse_credentials,
+    parse_embedding_field,
+    parse_int,
+    parse_pe_ids,
+    parse_pe_imports,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.app import LaminarServer
@@ -61,13 +71,13 @@ class BaseController:
 
     @staticmethod
     def int_param(params: dict[str, str], key: str) -> int:
-        try:
-            return int(params[key])
-        except (KeyError, ValueError):
+        value = parse_int(params.get(key))
+        if not isinstance(value, int):
             raise ValidationError(
                 f"path parameter {key!r} must be an integer",
                 params={key: params.get(key)},
-            ) from None
+            )
+        return value
 
 
 class UserController(BaseController):
@@ -94,15 +104,57 @@ class UserController(BaseController):
         return Response(200, {"users": users})
 
 
-class PEController(BaseController):
+class RecordController(BaseController):
+    """The Table-3 routes a PE and a workflow share: one handler per
+    route shape, reading what differs by kind from ``RECORD_KINDS``."""
+
+    #: the record class a subclass serves
+    record_type: type
+
+    def all_records(self, request: Request, params: dict[str, str]) -> Response:
+        user = self.authenticated_user(request, params)
+        records = self.app.registry.owned_records(user, self.record_type)
+        return Response(
+            200,
+            {RECORD_KINDS[self.record_type].plural: [r.to_json() for r in records]},
+        )
+
+    def by_id(self, request: Request, params: dict[str, str]) -> Response:
+        user = self.authenticated_user(request, params)
+        record = self.app.registry.get_by_id(
+            user, self.record_type, self.int_param(params, "id")
+        )
+        return Response(200, record.to_json())
+
+    def by_name(self, request: Request, params: dict[str, str]) -> Response:
+        user = self.authenticated_user(request, params)
+        record = self.app.registry.get_by_name(
+            user, self.record_type, params["name"]
+        )
+        return Response(200, record.to_json())
+
+    def remove_by_id(self, request: Request, params: dict[str, str]) -> Response:
+        user = self.authenticated_user(request, params)
+        return self._remove(user, target_id=self.int_param(params, "id"))
+
+    def remove_by_name(self, request: Request, params: dict[str, str]) -> Response:
+        user = self.authenticated_user(request, params)
+        return self._remove(user, target_name=params["name"])
+
+    def _remove(self, user: UserRecord, **target) -> Response:
+        from repro.server.v1_write import WriteCommand, execute_write
+
+        kind = RECORD_KINDS[self.record_type].kind
+        execute_write(
+            self.app, user, WriteCommand(action="delete", kind=kind, **target)
+        )
+        return Response(200, {"removed": True})
+
+
+class PEController(RecordController):
     """/registry/{user}/pe endpoints (Table 3, PE controller)."""
 
-    @staticmethod
-    def _embedding(body: dict[str, Any], key: str) -> np.ndarray | None:
-        data = body.get(key)
-        if data is None:
-            return None
-        return np.asarray(data, dtype=np.float32)
+    record_type = PERecord
 
     def add(self, request: Request, params: dict[str, str]) -> Response:
         """Legacy Table-3 PE registration — a thin adapter over the v1
@@ -113,7 +165,9 @@ class PEController(BaseController):
         byte-identical to the historical handler; the actual write runs
         through the same serialized
         :func:`~repro.server.v1_write.execute_write` path the versioned
-        endpoints use.
+        endpoints use.  The optional fields pass the v1 envelope's
+        checks (``peImports``, the embeddings), so a malformed one is a
+        400 naming it.
         """
         from repro.server.v1_write import (
             WriteCommand,
@@ -136,57 +190,20 @@ class PEController(BaseController):
                 "descriptionOrigin", body.get("descriptionOrigin", "user")
             ),
             source=legacy_text("peSource", body.get("peSource", "")),
-            imports=list(body.get("peImports", [])),
-            desc_embedding=self._embedding(body, "descEmbedding"),
-            code_embedding=self._embedding(body, "codeEmbedding"),
+            imports=parse_pe_imports(body),
+            desc_embedding=parse_embedding_field(body, "descEmbedding"),
+            code_embedding=parse_embedding_field(body, "codeEmbedding"),
         )
         outcome = execute_write(
             self.app, user, WriteCommand(action="register", kind="pe", record=record)
         )
         return Response(201, outcome.records[0].to_json())
 
-    def all_pes(self, request: Request, params: dict[str, str]) -> Response:
-        user = self.authenticated_user(request, params)
-        records = [pe.to_json() for pe in self.app.registry.user_pes(user)]
-        return Response(200, {"pes": records})
 
-    def by_id(self, request: Request, params: dict[str, str]) -> Response:
-        user = self.authenticated_user(request, params)
-        record = self.app.registry.get_pe_by_id(user, self.int_param(params, "id"))
-        return Response(200, record.to_json())
-
-    def by_name(self, request: Request, params: dict[str, str]) -> Response:
-        user = self.authenticated_user(request, params)
-        record = self.app.registry.get_pe_by_name(user, params["name"])
-        return Response(200, record.to_json())
-
-    def remove_by_id(self, request: Request, params: dict[str, str]) -> Response:
-        from repro.server.v1_write import WriteCommand, execute_write
-
-        user = self.authenticated_user(request, params)
-        execute_write(
-            self.app,
-            user,
-            WriteCommand(
-                action="delete", kind="pe", target_id=self.int_param(params, "id")
-            ),
-        )
-        return Response(200, {"removed": True})
-
-    def remove_by_name(self, request: Request, params: dict[str, str]) -> Response:
-        from repro.server.v1_write import WriteCommand, execute_write
-
-        user = self.authenticated_user(request, params)
-        execute_write(
-            self.app,
-            user,
-            WriteCommand(action="delete", kind="pe", target_name=params["name"]),
-        )
-        return Response(200, {"removed": True})
-
-
-class WorkflowController(BaseController):
+class WorkflowController(RecordController):
     """/registry/{user}/workflow endpoints (Table 3, Workflow controller)."""
+
+    record_type = WorkflowRecord
 
     def add(self, request: Request, params: dict[str, str]) -> Response:
         """Legacy Table-3 workflow registration — thin adapter over the
@@ -207,9 +224,6 @@ class WorkflowController(BaseController):
             raise ValidationError(
                 "workflowCode is required", params={"workflow": body.get("entryPoint")}
             )
-        desc_embedding = body.get("descEmbedding")
-        if desc_embedding is not None:
-            desc_embedding = np.asarray(desc_embedding, dtype=np.float32)
         record = build_workflow_record(
             self.app,
             entry_point=legacy_text("entryPoint", body["entryPoint"]),
@@ -219,8 +233,8 @@ class WorkflowController(BaseController):
             ),
             description=legacy_text("description", body.get("description") or ""),
             source=legacy_text("workflowSource", body.get("workflowSource", "")),
-            pe_ids=[int(x) for x in body.get("peIds", [])],
-            desc_embedding=desc_embedding,
+            pe_ids=parse_pe_ids(body),
+            desc_embedding=parse_embedding_field(body, "descEmbedding"),
         )
         outcome = execute_write(
             self.app,
@@ -228,23 +242,6 @@ class WorkflowController(BaseController):
             WriteCommand(action="register", kind="workflow", record=record),
         )
         return Response(201, outcome.records[0].to_json())
-
-    def all_workflows(self, request: Request, params: dict[str, str]) -> Response:
-        user = self.authenticated_user(request, params)
-        records = [wf.to_json() for wf in self.app.registry.user_workflows(user)]
-        return Response(200, {"workflows": records})
-
-    def by_id(self, request: Request, params: dict[str, str]) -> Response:
-        user = self.authenticated_user(request, params)
-        record = self.app.registry.get_workflow_by_id(
-            user, self.int_param(params, "id")
-        )
-        return Response(200, record.to_json())
-
-    def by_name(self, request: Request, params: dict[str, str]) -> Response:
-        user = self.authenticated_user(request, params)
-        record = self.app.registry.get_workflow_by_name(user, params["name"])
-        return Response(200, record.to_json())
 
     def pes_by_id(self, request: Request, params: dict[str, str]) -> Response:
         user = self.authenticated_user(request, params)
@@ -255,34 +252,6 @@ class WorkflowController(BaseController):
         user = self.authenticated_user(request, params)
         records = self.app.registry.workflow_pes_by_name(user, params["name"])
         return Response(200, {"pes": [pe.to_json() for pe in records]})
-
-    def remove_by_id(self, request: Request, params: dict[str, str]) -> Response:
-        from repro.server.v1_write import WriteCommand, execute_write
-
-        user = self.authenticated_user(request, params)
-        execute_write(
-            self.app,
-            user,
-            WriteCommand(
-                action="delete",
-                kind="workflow",
-                target_id=self.int_param(params, "id"),
-            ),
-        )
-        return Response(200, {"removed": True})
-
-    def remove_by_name(self, request: Request, params: dict[str, str]) -> Response:
-        from repro.server.v1_write import WriteCommand, execute_write
-
-        user = self.authenticated_user(request, params)
-        execute_write(
-            self.app,
-            user,
-            WriteCommand(
-                action="delete", kind="workflow", target_name=params["name"]
-            ),
-        )
-        return Response(200, {"removed": True})
 
     def link_pe(self, request: Request, params: dict[str, str]) -> Response:
         user = self.authenticated_user(request, params)
@@ -313,11 +282,19 @@ class ExecutionController(BaseController):
         # resolve a registry reference into a shipped payload
         ref = body.pop("workflowRef", None)
         if ref is not None:
-            if "id" in ref:
-                record = self.app.registry.get_workflow_by_id(user, int(ref["id"]))
-            elif "name" in ref:
-                record = self.app.registry.get_workflow_by_name(
-                    user, str(ref["name"])
+            if isinstance(ref, dict) and "id" in ref:
+                record_id = parse_int(ref["id"])
+                if isinstance(record_id, bool) or not isinstance(record_id, int):
+                    raise ValidationError(
+                        f"workflowRef id must be an integer, got {ref['id']!r}",
+                        params={"workflowRef": ref},
+                    )
+                record = self.app.registry.get_by_id(
+                    user, WorkflowRecord, record_id
+                )
+            elif isinstance(ref, dict) and "name" in ref:
+                record = self.app.registry.get_by_name(
+                    user, WorkflowRecord, str(ref["name"])
                 )
             else:
                 raise ValidationError(
@@ -380,10 +357,11 @@ class RegistryController(BaseController):
         return Response(
             200,
             {
-                "pes": [pe.to_json() for pe in self.app.registry.user_pes(user)],
-                "workflows": [
-                    wf.to_json() for wf in self.app.registry.user_workflows(user)
-                ],
+                spec.plural: [
+                    record.to_json()
+                    for record in self.app.registry.owned_records(user, record_type)
+                ]
+                for record_type, spec in RECORD_KINDS.items()
             },
         )
 

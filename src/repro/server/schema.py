@@ -113,6 +113,27 @@ def reject_unknown_fields(
         )
 
 
+def parse_int(value: Any) -> Any:
+    """``value`` as an ``int`` when it is a string of at most 18 ASCII
+    digits (every one fits SQLite's 64-bit integers); any other value
+    unchanged, for the caller's own check.
+
+    The one place text becomes a number: a path segment or URL query
+    string carries every value as text.  ``str.isdigit`` alone would
+    take ``"²"`` (which ``int`` refuses) and ``"٣"`` (which ``int``
+    reads as 3), and ``int`` alone takes ``"+1"``, ``" 1"`` and
+    ``"1_0"``.
+    """
+    if (
+        isinstance(value, str)
+        and value.isascii()
+        and value.isdigit()
+        and len(value) <= 18
+    ):
+        return int(value)
+    return value
+
+
 def parse_limit(value: Any) -> int:
     """Validate a listing/search page size (defaults handled by caller).
 
@@ -120,8 +141,7 @@ def parse_limit(value: Any) -> int:
     parameters from the URL query string (``?limit=5``), where every
     value arrives as text.
     """
-    if isinstance(value, str) and value.isdigit():
-        value = int(value)
+    value = parse_int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(
             f"limit must be an integer, got {value!r}",
@@ -307,6 +327,41 @@ def parse_embedding_field(body: dict[str, Any], key: str) -> list | None:
     return list(value)
 
 
+def check_embedding_dim(key: str, value: list | None, dim: int) -> None:
+    """400 unless the client vector ``value`` (if any) has ``dim``
+    entries: the width of the model that ranks its shard."""
+    if value is not None and len(value) != dim:
+        raise ValidationError(
+            f"{key} must have {dim} dimensions, got {len(value)}",
+            params={f"{key}Dim": len(value)},
+        )
+
+
+def parse_pe_imports(body: dict[str, Any]) -> list[str]:
+    """``peImports``: an array of strings (empty when absent)."""
+    imports = body.get("peImports", [])
+    if not isinstance(imports, list) or not all(
+        isinstance(item, str) for item in imports
+    ):
+        raise ValidationError(
+            "peImports must be an array of strings",
+            params={"peImports": imports},
+        )
+    return list(imports)
+
+
+def parse_pe_ids(body: dict[str, Any]) -> list[int]:
+    """``peIds``: an array of integers (empty when absent)."""
+    pe_ids = body.get("peIds", [])
+    if not isinstance(pe_ids, list) or not all(
+        isinstance(item, int) and not isinstance(item, bool) for item in pe_ids
+    ):
+        raise ValidationError(
+            "peIds must be an array of integers", params={"peIds": pe_ids}
+        )
+    return list(pe_ids)
+
+
 def parse_if_version(body: dict[str, Any]) -> int | None:
     """``ifVersion``: a non-negative integer or absent.
 
@@ -316,8 +371,7 @@ def parse_if_version(body: dict[str, Any]) -> int | None:
     value = body.get("ifVersion")
     if value is None:
         return None
-    if isinstance(value, str) and value.isdigit():
-        value = int(value)  # CLI/query-string friendliness, like limit
+    value = parse_int(value)  # CLI/query-string friendliness, like limit
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValidationError(
             f"ifVersion must be a non-negative integer, got {value!r}",
@@ -465,14 +519,7 @@ class RegisterPERequest:
         else:
             _check_path_name(body, "peName", name)
         code = _parse_required_str(body, "peCode", where=where)
-        imports = body.get("peImports", [])
-        if not isinstance(imports, list) or not all(
-            isinstance(item, str) for item in imports
-        ):
-            raise ValidationError(
-                "peImports must be an array of strings",
-                params={"peImports": imports},
-            )
+        imports = parse_pe_imports(body)
         return cls(
             name=name,
             code=code,
@@ -481,7 +528,7 @@ class RegisterPERequest:
                 body, "descriptionOrigin", "user"
             ),
             source=_parse_optional_str(body, "peSource"),
-            imports=list(imports),
+            imports=imports,
             desc_embedding=parse_embedding_field(body, "descEmbedding"),
             code_embedding=parse_embedding_field(body, "codeEmbedding"),
             if_version=parse_if_version(body) if allow_meta else None,
@@ -547,21 +594,14 @@ class RegisterWorkflowRequest:
         else:
             _check_path_name(body, "entryPoint", name)
         code = _parse_required_str(body, "workflowCode", where=where)
-        pe_ids = body.get("peIds", [])
-        if not isinstance(pe_ids, list) or not all(
-            isinstance(item, int) and not isinstance(item, bool)
-            for item in pe_ids
-        ):
-            raise ValidationError(
-                "peIds must be an array of integers", params={"peIds": pe_ids}
-            )
+        pe_ids = parse_pe_ids(body)
         return cls(
             entry_point=name,
             code=code,
             workflow_name=_parse_optional_str(body, "workflowName", name),
             description=_parse_optional_str(body, "description"),
             source=_parse_optional_str(body, "workflowSource"),
-            pe_ids=[int(item) for item in pe_ids],
+            pe_ids=pe_ids,
             desc_embedding=parse_embedding_field(body, "descEmbedding"),
             if_version=parse_if_version(body) if allow_meta else None,
             idempotency_key=(
@@ -644,9 +684,7 @@ MIN_CHUNK_LINES, MAX_CHUNK_LINES = 10, 2000
 def _parse_bounded_int(
     body: dict[str, Any], key: str, default: int, low: int, high: int
 ) -> int:
-    value = body.get(key, default)
-    if isinstance(value, str) and value.isdigit():
-        value = int(value)
+    value = parse_int(body.get(key, default))
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(
             f"{key} must be an integer, got {value!r}", params={key: value}

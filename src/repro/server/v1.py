@@ -41,16 +41,18 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.net.transport import Request, Response
-from repro.registry.entities import UserRecord
+from repro.registry.entities import (
+    RECORD_CLASSES,
+    RECORD_KINDS,
+    SHARD_KINDS,
+    RecordKind,
+    UserRecord,
+)
 from repro.search.code_search import CodeHit
 from repro.search.fusion import rrf_fuse
-from repro.search.index import KIND_CODE, KIND_DESC, KIND_WORKFLOW
+from repro.search.index import KIND_CODE, KIND_DESC
 from repro.search.semantic import SemanticHit, WorkflowSemanticHit
-from repro.search.text_search import (
-    TextMatch,
-    pe_match_label,
-    workflow_match_label,
-)
+from repro.search.text_search import TextMatch, match_label
 from repro.server.controllers import BaseController
 from repro.server.schema import (
     BACKENDS,
@@ -58,6 +60,7 @@ from repro.server.schema import (
     Page,
     SearchRequest,
     SearchResponse,
+    check_embedding_dim,
     decode_cursor,
     encode_cursor,
     paginate_ids,
@@ -136,10 +139,10 @@ def _embedding_search(
     ``user``'s ``kind`` shard through the group-commit batcher."""
     registry = app.registry
     searcher = app.code_search if kind == KIND_CODE else app.semantic
-    if kind == KIND_WORKFLOW:
-        owned, resolve = registry.owned_workflow_ids, registry.resolve_workflows
-    else:
-        owned, resolve = registry.owned_pe_ids, registry.resolve_pes
+    # the service's per-kind entries, looked up when called
+    record_kind = RECORD_KINDS[SHARD_KINDS[kind].record_type].kind
+    owned = getattr(registry, f"owned_{record_kind}_ids")
+    resolve = getattr(registry, f"resolve_{record_kind}s")
     return app.batcher.submit(
         index=app.index,
         user=user.user_id,
@@ -159,6 +162,16 @@ def _embedding_search(
     )
 
 
+def _record_kinds(kind: str) -> list[tuple[type, RecordKind]]:
+    """The record classes a search over ``kind`` (``pe``, ``workflow``
+    or ``both``) visits, PEs first."""
+    return [
+        (record_type, spec)
+        for record_type, spec in RECORD_KINDS.items()
+        if kind in (spec.kind, "both")
+    ]
+
+
 def _semantic_rows(
     app: "LaminarServer",
     user: UserRecord,
@@ -168,23 +181,16 @@ def _semantic_rows(
     query_embedding: np.ndarray | None,
 ) -> list[tuple[float, str, int, Any]]:
     """Semantic ``(score, kind, id, record)`` rows over ``kind`` (pe,
-    workflow or both), merged on the raw score with ties by kind then
-    id, and cut to ``k``."""
-    rows: list[tuple[float, str, int, Any]] = []
-    if kind in ("pe", "both"):
-        rows.extend(
-            (score, "pe", record.pe_id, record)
-            for record, score in _embedding_search(
-                app, user, KIND_DESC, query, k, query_embedding
-            )
+    workflow or both), each record kind ranked on its description
+    shard, merged on the raw score with ties by kind then id, and cut
+    to ``k``."""
+    rows = [
+        (score, spec.kind, getattr(record, spec.id_field), record)
+        for _record_type, spec in _record_kinds(kind)
+        for record, score in _embedding_search(
+            app, user, spec.shards[0], query, k, query_embedding
         )
-    if kind in ("workflow", "both"):
-        rows.extend(
-            (score, "workflow", record.workflow_id, record)
-            for record, score in _embedding_search(
-                app, user, KIND_WORKFLOW, query, k, query_embedding
-            )
-        )
+    ]
     rows.sort(key=lambda row: (-row[0], row[1], row[2]))
     return rows if k is None else rows[:k]
 
@@ -193,19 +199,12 @@ def check_embedding_width(app: "LaminarServer", req: SearchRequest) -> None:
     """400 unless ``req.query_embedding`` (if any) is as wide as the
     model that ranks ``req.query_type`` — the edge check the schema
     cannot make, since it does not know the serving model's width."""
-    if req.query_embedding is None:
-        return
     model = (
         app.code_search.model
         if req.query_type == "code"
         else app.semantic.model
     )
-    if len(req.query_embedding) != model.dim:
-        raise ValidationError(
-            f"queryEmbedding must have {model.dim} dimensions, "
-            f"got {len(req.query_embedding)}",
-            params={"queryEmbeddingDim": len(req.query_embedding)},
-        )
+    check_embedding_dim("queryEmbedding", req.query_embedding, model.dim)
 
 
 def _indexed_text_matches(
@@ -213,32 +212,11 @@ def _indexed_text_matches(
 ) -> list[TextMatch]:
     """FTS-ranked :class:`TextMatch` rows for ``kind`` (already scored
     by the DAO; ``matchedOn`` labels recomputed from the records)."""
-    matches: list[TextMatch] = []
-    if kind in ("pe", "both"):
-        matches.extend(
-            TextMatch(
-                kind="pe",
-                entity_id=record.pe_id,
-                name=record.pe_name,
-                description=record.description,
-                matched_on=pe_match_label(query, record),
-                score=score,
-            )
-            for record, score in registry.text_topk_pes(user, query, k)
-        )
-    if kind in ("workflow", "both"):
-        matches.extend(
-            TextMatch(
-                kind="workflow",
-                entity_id=record.workflow_id,
-                name=record.entry_point,
-                description=record.description,
-                matched_on=workflow_match_label(query, record),
-                score=score,
-            )
-            for record, score in registry.text_topk_workflows(user, query, k)
-        )
-    return matches
+    return [
+        TextMatch.of(record, match_label(query, record), score)
+        for record_type, _spec in _record_kinds(kind)
+        for record, score in registry.text_topk(user, record_type, query, k)
+    ]
 
 
 def _hybrid_hits(
@@ -292,7 +270,7 @@ def _hybrid_hits(
             name, description = text_hit.name, text_hit.description
         else:
             record = sem_hit[1]
-            name = record.pe_name if kind_ == "pe" else record.entry_point
+            name = getattr(record, RECORD_KINDS[type(record)].name_field)
             description = record.description
         hits.append(
             {
@@ -351,37 +329,22 @@ class V1Controller(BaseController):
         items = [by_id[user_id].to_json() for user_id in page_ids]
         return Response(200, Page(items, limit, next_cursor).to_json())
 
-    def list_pes(self, request: Request, params: dict[str, str]) -> Response:
+    def list_records(
+        self, kind: str, request: Request, params: dict[str, str]
+    ) -> Response:
         user = self.authenticated_user(request, params)
         limit, cursor = self._page_params(request)
+        registry = self.app.registry
         page_ids, next_cursor = paginate_ids(
-            self.app.registry.owned_pe_ids(user),
-            scope=f"pes:{user.user_id}",
+            getattr(registry, f"owned_{kind}_ids")(user),
+            scope=f"{RECORD_KINDS[RECORD_CLASSES[kind]].plural}:{user.user_id}",
             limit=limit,
             cursor=cursor,
         )
         # O(page) hydration: only this page's rows are materialized;
         # `revision` rides along so clients can poll for changes cheaply
         # (conditional reads — the legacy wire shapes stay untouched)
-        records = self.app.registry.resolve_pes(user, page_ids)
-        items = [
-            {**record.to_json(), "revision": record.revision}
-            for record in records
-        ]
-        return Response(200, Page(items, limit, next_cursor).to_json())
-
-    def list_workflows(
-        self, request: Request, params: dict[str, str]
-    ) -> Response:
-        user = self.authenticated_user(request, params)
-        limit, cursor = self._page_params(request)
-        page_ids, next_cursor = paginate_ids(
-            self.app.registry.owned_workflow_ids(user),
-            scope=f"workflows:{user.user_id}",
-            limit=limit,
-            cursor=cursor,
-        )
-        records = self.app.registry.resolve_workflows(user, page_ids)
+        records = getattr(registry, f"resolve_{kind}s")(user, page_ids)
         items = [
             {**record.to_json(), "revision": record.revision}
             for record in records
@@ -412,26 +375,17 @@ class V1Controller(BaseController):
                 return Response(304, {}, {"ETag": etag})
         return Response(200, body, {"ETag": etag})
 
-    def get_pe(self, request: Request, params: dict[str, str]) -> Response:
-        user = self.authenticated_user(request, params)
-        record = self.app.registry.get_pe_by_name(user, params["name"])
-        etag = f'"pe-{record.pe_id}-{record.revision}"'
-        body = {
-            "apiVersion": "v1",
-            "kind": "pe",
-            "item": {**record.to_json(), "revision": record.revision},
-        }
-        return self._conditional(request, etag, body)
-
-    def get_workflow(
-        self, request: Request, params: dict[str, str]
+    def get_record(
+        self, kind: str, request: Request, params: dict[str, str]
     ) -> Response:
         user = self.authenticated_user(request, params)
-        record = self.app.registry.get_workflow_by_name(user, params["name"])
-        etag = f'"workflow-{record.workflow_id}-{record.revision}"'
+        record_type = RECORD_CLASSES[kind]
+        record = self.app.registry.get_by_name(user, record_type, params["name"])
+        record_id = getattr(record, RECORD_KINDS[record_type].id_field)
+        etag = f'"{kind}-{record_id}-{record.revision}"'
         body = {
             "apiVersion": "v1",
-            "kind": "workflow",
+            "kind": kind,
             "item": {**record.to_json(), "revision": record.revision},
         }
         return self._conditional(request, etag, body)

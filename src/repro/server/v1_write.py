@@ -64,6 +64,7 @@ from repro.errors import (
 from repro.net.transport import Request, Response
 from repro.registry.dao import RECEIPT_PENDING, _embed_bytes
 from repro.registry.entities import (
+    RECORD_CLASSES,
     RECORD_KINDS,
     PERecord,
     UserRecord,
@@ -76,6 +77,7 @@ from repro.server.schema import (
     RegisterPERequest,
     RegisterWorkflowRequest,
     WriteResponse,
+    check_embedding_dim,
     parse_idempotency_key,
 )
 
@@ -105,7 +107,13 @@ def build_pe_record(
     description embedding is computed from the final description, and a
     missing code embedding from the source text (falling back to the
     name) so the code shard always has a row for every registered PE.
+    A client vector must be as wide as the model that ranks its shard,
+    checked before any model work or DAO write.
     """
+    check_embedding_dim("descEmbedding", desc_embedding, app.semantic.model.dim)
+    check_embedding_dim(
+        "codeEmbedding", code_embedding, app.code_search.model.dim
+    )
     if not description:
         description = app.models.summarizer.summarize(source or name, name=name)
         description_origin = "auto"
@@ -141,7 +149,9 @@ def build_workflow_record(
     pe_ids: list[int] | None = None,
     desc_embedding: Any = None,
 ) -> WorkflowRecord:
-    """Assemble a workflow record (legacy-identical embedding fallback)."""
+    """Assemble a workflow record (legacy-identical embedding fallback;
+    a client vector's width checked as in :func:`build_pe_record`)."""
+    check_embedding_dim("descEmbedding", desc_embedding, app.semantic.model.dim)
     if desc_embedding is None:
         desc_embedding = app.semantic.embed_description(
             description or entry_point
@@ -277,7 +287,7 @@ class WriteOutcome:
 def _current_by_name(registry, user: UserRecord, kind: str, name: str):
     """The caller's record under ``name``, or ``None`` (no 404 here)."""
     try:
-        return getattr(registry, f"get_{kind}_by_name")(user, name)
+        return registry.get_by_name(user, RECORD_CLASSES[kind], name)
     except NotFoundError:
         return None
 
@@ -408,14 +418,11 @@ def _delete(
     app: "LaminarServer", user: UserRecord, cmd: WriteCommand
 ) -> WriteOutcome:
     registry = app.registry
+    record_type = RECORD_CLASSES[cmd.kind]
     if cmd.target_name is not None:
-        record = getattr(registry, f"get_{cmd.kind}_by_name")(
-            user, cmd.target_name
-        )
+        record = registry.get_by_name(user, record_type, cmd.target_name)
     else:
-        record = getattr(registry, f"get_{cmd.kind}_by_id")(
-            user, cmd.target_id
-        )
+        record = registry.get_by_id(user, record_type, cmd.target_id)
     name = getattr(record, RECORD_KINDS[type(record)].name_field)
     _check_revision(cmd.if_version, record.revision, kind=cmd.kind, name=name)
     getattr(registry, f"remove_{cmd.kind}_record")(user, record)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.registry.dao import SqliteDAO
+from repro.registry.entities import PERecord
 from repro.registry.service import RegistryService
 from repro.search import KIND_CODE, KIND_DESC, VectorIndex
 from tests.registry.test_dao import make_pe
@@ -137,7 +138,7 @@ class TestTornChains:
         assert counted.rebuilt_users == [alice.user_id]
         # the rebuilt shard serves every record again
         user = restarted.get_user("alice")
-        for record in restarted.user_pes(user):
+        for record in restarted.owned_records(user, PERecord):
             assert index.contains(user.user_id, KIND_DESC, record.pe_id)
 
     def test_partial_journal_row_rebuilds_only_that_shard(self, tmp_path):
@@ -164,7 +165,7 @@ class TestTornChains:
         assert counted.all_pes_calls == 0
         assert counted.rebuilt_users == [alice.user_id]
         user = restarted.get_user("alice")
-        for record in restarted.user_pes(user):
+        for record in restarted.owned_records(user, PERecord):
             assert index.contains(user.user_id, KIND_CODE, record.pe_id)
 
     def test_stamp_past_chain_tip_rebuilds_only_that_shard(self, tmp_path):
@@ -217,7 +218,7 @@ class TestForeignWriters:
         assert counted.all_pes_calls == 0
         assert counted.rebuilt_users == []
         user = restarted.get_user("bob")
-        landed = restarted.get_pe_by_name(user, "Foreign")
+        landed = restarted.get_by_name(user, PERecord, "Foreign")
         assert index.contains(user.user_id, KIND_DESC, landed.pe_id)
         assert_equals_brute_force(index, dao_factory())
 
@@ -318,11 +319,11 @@ class TestForeignWriters:
         assert counted.rebuilt_users == []
         user = restarted.get_user("bob")
         for i in range(3):
-            landed = restarted.get_pe_by_name(user, f"Foreign{i}")
+            landed = restarted.get_by_name(user, PERecord, f"Foreign{i}")
             assert index.contains(user.user_id, KIND_DESC, landed.pe_id)
         alice2 = restarted.get_user("alice")
         for i in range(3):
-            kept = restarted.get_pe_by_name(alice2, f"Interleaved{i}")
+            kept = restarted.get_by_name(alice2, PERecord, f"Interleaved{i}")
             assert index.contains(alice2.user_id, KIND_DESC, kept.pe_id)
         assert_equals_brute_force(index, factory())
 
@@ -386,8 +387,8 @@ class TestCompaction:
         assert counted.all_pes_calls == 0
         assert counted.rebuilt_users == []
         user = restarted.get_user("alice")
-        assert len(restarted.user_pes(user)) == n
-        for record in restarted.user_pes(user):
+        assert len(restarted.owned_records(user, PERecord)) == n
+        for record in restarted.owned_records(user, PERecord):
             assert index.contains(user.user_id, KIND_DESC, record.pe_id)
         # the accounting is seeded from the file: the restarted service
         # folds where the first one would have
@@ -412,7 +413,7 @@ class TestCompaction:
         service, alice, _bob = build(dao_factory, rng, n=40)
         folded = record_folds(service)
         for i in range(30):
-            service.remove_pe_record(alice, service.get_pe_by_name(alice, f"alicePE{i}"))
+            service.remove_pe_record(alice, service.get_by_name(alice, PERecord, f"alicePE{i}"))
             assert_chains_bounded(service)
         # 40 adds + 24 removes reach the floor on both of alice's shards
         assert folded == [16, 16]
@@ -422,7 +423,7 @@ class TestCompaction:
         assert mode == "fresh"
         user = restarted.get_user("alice")
         assert index.ids(user.user_id, KIND_DESC) == [
-            record.pe_id for record in restarted.user_pes(user)
+            record.pe_id for record in restarted.owned_records(user, PERecord)
         ]
 
     def test_persist_shards_folds_the_chain_a_deferred_bulk_left(

@@ -36,13 +36,9 @@ import pytest
 from repro.errors import RegistryError
 from repro.net.transport import Request
 from repro.registry.dao import SqliteDAO
+from repro.registry.entities import PERecord, WorkflowRecord
 from repro.registry.service import RegistryService
-from repro.search.text_search import (
-    fts_pe_document,
-    fts_workflow_document,
-    text_search_pes,
-    text_search_workflows,
-)
+from repro.search.text_search import fts_document, text_search_records
 from repro.server import LaminarServer
 from tests.registry.test_dao import make_pe, make_wf
 
@@ -213,7 +209,7 @@ class TestMutationSync:
             for pe in service.dao.get_pes([i for i, _ in ranked])
             if pe.pe_name == "isPrime"
         )
-        service.remove_pe_record(alice, service.get_pe_by_id(alice, target.pe_id))
+        service.remove_pe_record(alice, service.get_by_id(alice, PERecord, target.pe_id))
         after = service.dao.text_topk_pes(alice.user_id, "prime")
         assert target.pe_id not in {i for i, _ in after}
         assert after  # primality still matches
@@ -272,13 +268,13 @@ def insert(service, alice):
 
 
 def revise(service, alice):
-    pe = service.get_pe_by_name(alice, "isPrime")
+    pe = service.get_by_name(alice, PERecord, "isPrime")
     service.revise_pe(
         alice,
         pe,
         make_pe("isPrime", code=pe.pe_code, description="now scans tables"),
     )
-    wf = service.get_workflow_by_name(alice, "isPrimeFlow")
+    wf = service.get_by_name(alice, WorkflowRecord, "isPrimeFlow")
     service.revise_workflow(
         alice,
         wf,
@@ -290,10 +286,10 @@ def revise(service, alice):
 
 
 def rename(service, alice):
-    pe = service.get_pe_by_name(alice, "VoTableReader")
+    pe = service.get_by_name(alice, PERecord, "VoTableReader")
     pe.pe_name = "VoTableDiskReader"
     service.dao.update_pe(pe)
-    wf = service.get_workflow_by_name(alice, "VoTableReaderFlow")
+    wf = service.get_by_name(alice, WorkflowRecord, "VoTableReaderFlow")
     service.revise_workflow(
         alice,
         wf,
@@ -305,9 +301,9 @@ def rename(service, alice):
 
 
 def delete(service, alice):
-    service.remove_pe_record(alice, service.get_pe_by_name(alice, "primality"))
+    service.remove_pe_record(alice, service.get_by_name(alice, PERecord, "primality"))
     service.remove_workflow_record(
-        alice, service.get_workflow_by_name(alice, "primalityFlow")
+        alice, service.get_by_name(alice, WorkflowRecord, "primalityFlow")
     )
 
 
@@ -596,13 +592,10 @@ class TestFreshness:
 # the memory documents are the builders run over the stored rows
 # ---------------------------------------------------------------------------
 #: per record table: its id and the columns the text-document builder
-#: reads, in its argument order, and the builder
+#: reads, in its argument order
 DOCUMENT_SOURCES = {
-    "pes": ("pe_id", "pe_name, description", fts_pe_document),
-    "workflows": (
-        "workflow_id", "entry_point, workflow_name, description",
-        fts_workflow_document,
-    ),
+    "pes": ("pe_id", "pe_name, description"),
+    "workflows": ("workflow_id", "entry_point, workflow_name, description"),
 }
 
 #: queries over the record names and descriptions the write matrix and
@@ -613,9 +606,9 @@ CACHE_QUERIES = ["element", "described again", "flow", "csv file", "p1", "x"]
 def built_documents(conn, table):
     """``{id: (name_norm, desc_doc)}``: the builder run over every
     stored row of ``table``."""
-    key, columns, build = DOCUMENT_SOURCES[table]
+    key, columns = DOCUMENT_SOURCES[table]
     return {
-        row[0]: build(*row[1:])
+        row[0]: fts_document(*row[1:])
         for row in conn.execute(f"SELECT {key}, {columns} FROM main.{table}")
     }
 
@@ -629,16 +622,13 @@ def assert_text_cache_current(dao, queries=CACHE_QUERIES):
     scorer's over the user's records."""
     for user in dao.all_users():
         for query in queries:
-            for rank, owned, reference in (
-                (dao.text_topk_pes, dao.pes_owned_by, text_search_pes),
-                (
-                    dao.text_topk_workflows, dao.workflows_owned_by,
-                    text_search_workflows,
-                ),
+            for rank, owned in (
+                (dao.text_topk_pes, dao.pes_owned_by),
+                (dao.text_topk_workflows, dao.workflows_owned_by),
             ):
                 assert {i for i, _ in rank(user.user_id, query)} == {
                     hit.entity_id
-                    for hit in reference(query, owned(user.user_id))
+                    for hit in text_search_records(query, owned(user.user_id))
                 }, (user.user_name, query, rank.__name__)
     for table, docs, fts in (
         ("pes", "pe_docs", "pe_fts"), ("workflows", "wf_docs", "wf_fts"),

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 import repro.registry.service as service_module
 from repro.registry.dao import SqliteDAO
+from repro.registry.entities import PERecord
 from repro.registry.service import RegistryService
 from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW, VectorIndex
 from tests.registry.test_dao import make_pe, make_wf
@@ -289,7 +290,7 @@ def populate(path, rng):
             desc_embedding=unit(rng),
         ),
     )
-    service.remove_pe_record(alice, service.get_pe_by_name(alice, "alicePE3"))
+    service.remove_pe_record(alice, service.get_by_name(alice, PERecord, "alicePE3"))
     wf = make_wf("flow", code="Zmxvdw==")
     wf.desc_embedding = unit(rng)
     service.register_workflow(bob, wf)
@@ -308,7 +309,7 @@ def serves_fresh_takes_a_write_and_reopens_fresh(dao, path, rng):
     assert_equals_brute_force(index, dao)
     user = service.get_user("alice")
     records = [
-        r for r in service.user_pes(user) if r.desc_embedding is not None
+        r for r in service.owned_records(user, PERecord) if r.desc_embedding is not None
     ]
     query = unit(rng)
     sims = np.stack([r.desc_embedding for r in records]) @ query

@@ -9,6 +9,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.registry import RegistryService, SqliteDAO
+from repro.registry.entities import PERecord, WorkflowRecord
 from tests.registry.test_dao import make_pe, make_wf
 
 
@@ -59,8 +60,8 @@ class TestPEOwnership:
     def test_add_and_get(self, service, users):
         alice, _ = users
         stored = service.register_pe(alice, make_pe("Prod"))[0]
-        assert service.get_pe_by_id(alice, stored.pe_id).pe_name == "Prod"
-        assert service.get_pe_by_name(alice, "Prod").pe_id == stored.pe_id
+        assert service.get_by_id(alice, PERecord, stored.pe_id).pe_name == "Prod"
+        assert service.get_by_name(alice, PERecord, "Prod").pe_id == stored.pe_id
 
     def test_reregistration_adds_owner_not_duplicate(self, service, users):
         """The §3.1 rule: same identity -> additional owner."""
@@ -81,33 +82,33 @@ class TestPEOwnership:
         alice, bob = users
         stored = service.register_pe(alice, make_pe("Private"))[0]
         with pytest.raises(NotFoundError):
-            service.get_pe_by_id(bob, stored.pe_id)
+            service.get_by_id(bob, PERecord, stored.pe_id)
         with pytest.raises(NotFoundError):
-            service.get_pe_by_name(bob, "Private")
-        assert service.user_pes(bob) == []
+            service.get_by_name(bob, PERecord, "Private")
+        assert service.owned_records(bob, PERecord) == []
 
     def test_remove_dissociates_until_ownerless(self, service, users):
         alice, bob = users
         service.register_pe(alice, make_pe("Shared", code="c2FtZQ=="))
         stored = service.register_pe(bob, make_pe("Shared", code="c2FtZQ=="))[0]
-        service.remove_pe_record(alice, service.get_pe_by_id(alice, stored.pe_id))
+        service.remove_pe_record(alice, service.get_by_id(alice, PERecord, stored.pe_id))
         assert service.dao.get_pe(stored.pe_id) is not None  # bob still owns
-        service.remove_pe_record(bob, service.get_pe_by_id(bob, stored.pe_id))
+        service.remove_pe_record(bob, service.get_by_id(bob, PERecord, stored.pe_id))
         assert service.dao.get_pe(stored.pe_id) is None  # gone
 
     def test_remove_by_name(self, service, users):
         alice, _ = users
         service.register_pe(alice, make_pe("Gone"))
-        service.remove_pe_record(alice, service.get_pe_by_name(alice, "Gone"))
+        service.remove_pe_record(alice, service.get_by_name(alice, PERecord, "Gone"))
         with pytest.raises(NotFoundError):
-            service.get_pe_by_name(alice, "Gone")
+            service.get_by_name(alice, PERecord, "Gone")
 
 
 class TestWorkflowOwnership:
     def test_add_and_get(self, service, users):
         alice, _ = users
         stored = service.register_workflow(alice, make_wf("isPrime"))[0]
-        assert service.get_workflow_by_name(alice, "isPrime").workflow_id == stored.workflow_id
+        assert service.get_by_name(alice, WorkflowRecord, "isPrime").workflow_id == stored.workflow_id
 
     def test_dedup_by_identity(self, service, users):
         alice, bob = users
@@ -120,16 +121,16 @@ class TestWorkflowOwnership:
         alice, bob = users
         stored = service.register_workflow(alice, make_wf("secret"))[0]
         with pytest.raises(NotFoundError):
-            service.get_workflow_by_id(bob, stored.workflow_id)
+            service.get_by_id(bob, WorkflowRecord, stored.workflow_id)
 
     def test_remove_until_ownerless(self, service, users):
         alice, bob = users
         service.register_workflow(alice, make_wf("wf", code="c2FtZQ=="))
         stored = service.register_workflow(bob, make_wf("wf", code="c2FtZQ=="))[0]
-        service.remove_workflow_record(alice, service.get_workflow_by_name(alice, "wf"))
+        service.remove_workflow_record(alice, service.get_by_name(alice, WorkflowRecord, "wf"))
         assert service.dao.get_workflow(stored.workflow_id) is not None
         service.remove_workflow_record(
-            bob, service.get_workflow_by_id(bob, stored.workflow_id)
+            bob, service.get_by_id(bob, WorkflowRecord, stored.workflow_id)
         )
         assert service.dao.get_workflow(stored.workflow_id) is None
 

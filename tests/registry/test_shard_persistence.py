@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.registry.dao import SqliteDAO
+from repro.registry.entities import PERecord
 from repro.registry.service import RegistryService
 from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW, VectorIndex
 from tests.registry.test_dao import make_pe, make_wf
@@ -158,7 +159,7 @@ class TestSqliteColdStart:
         assert restarted.attach_index(index) == "fresh"
         assert counted.all_pes_calls == 0
         user = restarted.get_user("alice")
-        late = restarted.get_pe_by_name(user, "Late")
+        late = restarted.get_by_name(user, PERecord, "Late")
         assert index.contains(user.user_id, KIND_DESC, late.pe_id)
 
     def test_journaled_remove_replays_on_attach(self, tmp_path):
@@ -166,8 +167,8 @@ class TestSqliteColdStart:
         path = tmp_path / "registry.db"
         service, alice, _ = populate(SqliteDAO(path), rng)
         service.attach_index(VectorIndex())
-        victim = service.user_pes(alice)[0]
-        service.remove_pe_record(alice, service.get_pe_by_id(alice, victim.pe_id))
+        victim = service.owned_records(alice, PERecord)[0]
+        service.remove_pe_record(alice, service.get_by_id(alice, PERecord, victim.pe_id))
         assert service.shard_persistence()["fresh"]
         service.dao.close()
 
@@ -305,7 +306,7 @@ class TestInMemoryCounter:
         service.register_pe(alice, record)
         after_add = dao.mutation_counter()
         assert after_add > 0
-        service.remove_pe_record(alice, service.get_pe_by_id(alice, record.pe_id))
+        service.remove_pe_record(alice, service.get_by_id(alice, PERecord, record.pe_id))
         assert dao.mutation_counter() > after_add
 
     def test_snapshot_roundtrip_and_freshness(self):

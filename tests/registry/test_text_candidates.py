@@ -1,9 +1,8 @@
 """Text search match sets: the BM25 index against the reference scorer.
 
 Both API generations rank ``queryType=text`` in the DAO's FTS5 index
-(``RegistryService.text_topk_pes`` / ``text_topk_workflows``).  The
-brute-force scorer in :mod:`repro.search.text_search`
-(``text_search_pes`` / ``text_search_workflows`` over the full owned
+(``RegistryService.text_topk``).  The brute-force scorer in
+:mod:`repro.search.text_search` (``text_search_records`` over the full owned
 listing) is the reference: for every query here the index must match
 exactly the records the reference matches, with the same ``matchedOn``
 label, and never another tenant's.  Scores and order differ by design
@@ -18,12 +17,11 @@ import pytest
 
 from repro.net.transport import Request
 from repro.registry.dao import SqliteDAO
+from repro.registry.entities import PERecord, WorkflowRecord
 from repro.registry.service import RegistryService
 from repro.search.text_search import (
-    pe_match_label,
-    text_search_pes,
-    text_search_workflows,
-    workflow_match_label,
+    match_label,
+    text_search_records,
 )
 from repro.server import LaminarServer
 from tests.registry.test_dao import make_pe, make_wf
@@ -104,8 +102,8 @@ def backend(request, tmp_path):
 def indexed_pes(service, user, query):
     """``{pe_id: matchedOn}`` of the BM25 path."""
     return {
-        record.pe_id: pe_match_label(query, record)
-        for record, _score in service.text_topk_pes(user, query)
+        record.pe_id: match_label(query, record)
+        for record, _score in service.text_topk(user, PERecord, query)
     }
 
 
@@ -114,21 +112,21 @@ def reference_pes(service, user, query):
     owned listing."""
     return {
         m.entity_id: m.matched_on
-        for m in text_search_pes(query, service.dao.pes_owned_by(user.user_id))
+        for m in text_search_records(query, service.dao.pes_owned_by(user.user_id))
     }
 
 
 def indexed_workflows(service, user, query):
     return {
-        record.workflow_id: workflow_match_label(query, record)
-        for record, _score in service.text_topk_workflows(user, query)
+        record.workflow_id: match_label(query, record)
+        for record, _score in service.text_topk(user, WorkflowRecord, query)
     }
 
 
 def reference_workflows(service, user, query):
     return {
         m.entity_id: m.matched_on
-        for m in text_search_workflows(
+        for m in text_search_records(
             query, service.dao.workflows_owned_by(user.user_id)
         )
     }
@@ -158,7 +156,7 @@ class TestMatchSetParity:
         names = {
             record.pe_name
             for query in ("bar baz", "b cd", "naive bayes")
-            for record, _score in service.text_topk_pes(alice, query)
+            for record, _score in service.text_topk(alice, PERecord, query)
         }
         assert names == {"foo:barBaz", "a+bCd", "naïveBayes"}
 
@@ -167,7 +165,7 @@ class TestMatchSetParity:
         for query in ("prime", "bob", "primeBob"):
             names = {
                 record.pe_name
-                for record, _score in service.text_topk_pes(alice, query)
+                for record, _score in service.text_topk(alice, PERecord, query)
             }
             assert "primeBob" not in names
         # the DAO ranking itself is owner-joined, not just filtered on
@@ -178,7 +176,7 @@ class TestMatchSetParity:
             assert not bob_ids & {pe_id for pe_id, _score in ranked}
         # the record is indexed: its owner finds it
         assert [
-            record.pe_name for record, _score in service.text_topk_pes(bob, "prime")
+            record.pe_name for record, _score in service.text_topk(bob, PERecord, "prime")
         ] == ["primeBob"]
 
 
@@ -188,8 +186,8 @@ class TestWideQueries:
 
     def test_wide_query_without_a_real_word_matches_nothing(self, backend):
         service, alice, _ = backend
-        assert service.text_topk_pes(alice, WIDE) == []
-        assert service.text_topk_workflows(alice, WIDE) == []
+        assert service.text_topk(alice, PERecord, WIDE) == []
+        assert service.text_topk(alice, WorkflowRecord, WIDE) == []
 
     def test_wide_query_keeps_the_real_word(self, backend):
         service, alice, _ = backend
@@ -198,7 +196,7 @@ class TestWideQueries:
         assert got == reference_pes(service, alice, query)
         names = {
             record.pe_name
-            for record, _score in service.text_topk_pes(alice, query)
+            for record, _score in service.text_topk(alice, PERecord, query)
         }
         assert names == {"isPrime", "primality"}
 
@@ -272,9 +270,9 @@ class TestEndpointParity:
             return response.body["hits"]
 
         hits = search()
-        expected = text_search_workflows(query, app.registry.user_workflows(alice))
+        expected = text_search_records(query, app.registry.owned_records(alice, WorkflowRecord))
         if search_type == "both":
-            expected += text_search_pes(query, app.registry.user_pes(alice))
+            expected += text_search_records(query, app.registry.owned_records(alice, PERecord))
         assert {(h["kind"], h["id"], h["matchedOn"]) for h in hits} == {
             (m.kind, m.entity_id, m.matched_on) for m in expected
         }

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
+from repro.registry.entities import PERecord
 from repro.registry.service import RegistryService
 from repro.registry.veccodec import decode_many, decode_vector, encode_vector
 from repro.search import KIND_CODE, KIND_DESC, VectorIndex
@@ -680,7 +681,7 @@ class TestLegacyFile:
         assert blob_lengths(path) == legacy
 
         user = restarted.get_user("alice")
-        records = restarted.user_pes(user)
+        records = restarted.owned_records(user, PERecord)
         for kind, attr in (
             (KIND_DESC, "desc_embedding"), (KIND_CODE, "code_embedding")
         ):
@@ -782,7 +783,7 @@ class TestLegacyFile:
         # neither opening nor attaching rewrote a record row
         assert (blob_lengths(path), blob_tags(path, "code_embedding")) == before
         user = restarted.get_user("alice")
-        records = restarted.user_pes(user)
+        records = restarted.owned_records(user, PERecord)
         for kind, attr in (
             (KIND_DESC, "desc_embedding"), (KIND_CODE, "code_embedding")
         ):

@@ -12,8 +12,7 @@ from repro.search import (
     CodeSearcher,
     SemanticSearcher,
     exact_scan,
-    text_search_pes,
-    text_search_workflows,
+    text_search_records,
 )
 from repro.search.text_search import normalize
 
@@ -52,25 +51,25 @@ class TestTextSearch:
             wf(1, "wordcount", "counts words"),
             wf(2, "isPrime", "Workflow that prints random prime numbers"),
         ]
-        hits = text_search_workflows("prime", workflows)
+        hits = text_search_records("prime", workflows)
         assert hits and hits[0].entity_id == 2
         assert "name" in hits[0].matched_on
 
     def test_description_only_match(self):
-        hits = text_search_workflows(
+        hits = text_search_records(
             "galaxies", [wf(1, "astro", "computes extinction of galaxies")]
         )
         assert hits and hits[0].matched_on == "description"
 
     def test_no_match_empty(self):
-        assert text_search_workflows("nothing", [wf(1, "abc", "xyz")]) == []
+        assert text_search_records("nothing", [wf(1, "abc", "xyz")]) == []
 
     def test_case_insensitive(self):
-        hits = text_search_workflows("ISPRIME", [wf(1, "isPrime")])
+        hits = text_search_records("ISPRIME", [wf(1, "isPrime")])
         assert hits
 
     def test_pe_search(self):
-        hits = text_search_pes(
+        hits = text_search_records(
             "producer", [pe(1, "NumberProducer", "makes numbers"), pe(2, "Sink")]
         )
         assert [h.entity_id for h in hits] == [1]
@@ -79,14 +78,14 @@ class TestTextSearch:
         assert "prime" in normalize("isPrime").split()
 
     def test_ranking_prefers_name_hits(self):
-        hits = text_search_pes(
+        hits = text_search_records(
             "filter",
             [pe(1, "Widget", "a filter of things"), pe(2, "FilterColumns", "")],
         )
         assert hits[0].entity_id == 2
 
     def test_hit_json_shape(self):
-        [hit] = text_search_workflows("prime", [wf(2, "isPrime")])
+        [hit] = text_search_records("prime", [wf(2, "isPrime")])
         body = hit.to_json()
         assert body["kind"] == "workflow" and body["id"] == 2
 

@@ -1,9 +1,13 @@
-"""Tests for the path router and URL encoding."""
+"""Tests for the path router and URL encoding, and the bytes the
+Table-3 read routes serve for both record kinds."""
+
+import json
 
 import pytest
 
 from repro.errors import NotFoundError
-from repro.net.transport import Response
+from repro.net.transport import Request, Response
+from repro.server import LaminarServer
 from repro.server.api import Router, quote_segment
 
 
@@ -138,3 +142,176 @@ class TestEncoding:
         path = f"/registry/zz46/search/{quote_segment(query)}/type/pe"
         _, params = router.resolve("GET", path)
         assert params["search"] == query
+
+
+# ---------------------------------------------------------------------------
+# Table-3 read routes: the served bytes, pinned for both record kinds
+# ---------------------------------------------------------------------------
+def login(server, name):
+    creds = {"userName": name, "password": "pw"}
+    server.dispatch(Request("POST", "/auth/register", creds))
+    return server.dispatch(Request("POST", "/auth/login", creds)).body["token"]
+
+
+def seed_read_registry(server):
+    """Three PEs and two workflows for ``zz46`` (the third PE's
+    description auto-summarized), one of each for ``other``; returns
+    ``zz46``'s token."""
+    token, other = login(server, "zz46"), login(server, "other")
+    for name, description in (
+        ("isPrime", "checks whether a number is prime"),
+        ("AddTen", "adds ten to a number"),
+        ("primeSieve", ""),
+    ):
+        server.dispatch(Request(
+            "POST", "/registry/zz46/pe/add",
+            {"peName": name, "peCode": f"def {name}(): pass",
+             "description": description},
+            token=token,
+        ))
+    for entry, description, pe_ids in (
+        ("primeFlow", "a prime number workflow", [1, 2]),
+        ("tenFlow", "adds ten", [2]),
+    ):
+        server.dispatch(Request(
+            "POST", "/registry/zz46/workflow/add",
+            {"entryPoint": entry, "workflowCode": f"graph = {entry}()",
+             "description": description, "peIds": pe_ids},
+            token=token,
+        ))
+    server.dispatch(Request(
+        "POST", "/registry/other/pe/add",
+        {"peName": "otherPrime", "peCode": "def otherPrime(): pass",
+         "description": "another prime"},
+        token=other,
+    ))
+    server.dispatch(Request(
+        "POST", "/registry/other/workflow/add",
+        {"entryPoint": "otherFlow", "workflowCode": "graph = otherFlow()",
+         "description": "another prime flow"},
+        token=other,
+    ))
+    return token
+
+
+def assert_served(response, status, body, headers=None):
+    """``response`` is exactly ``status``, ``body`` (key order too) and
+    ``headers``."""
+    assert (
+        response.status, json.dumps(response.body), response.headers or {}
+    ) == (status, json.dumps(body), headers or {})
+
+
+IS_PRIME = {
+    "peId": 1, "peName": "isPrime",
+    "description": "checks whether a number is prime",
+    "descriptionOrigin": "user", "peCode": "def isPrime(): pass",
+    "peSource": "", "peImports": [], "owners": [1],
+}
+ADD_TEN = {
+    "peId": 2, "peName": "AddTen", "description": "adds ten to a number",
+    "descriptionOrigin": "user", "peCode": "def AddTen(): pass",
+    "peSource": "", "peImports": [], "owners": [1],
+}
+PRIME_SIEVE = {
+    "peId": 3, "peName": "primeSieve",
+    "description": "A PE that processes prime sieve data.",
+    "descriptionOrigin": "auto", "peCode": "def primeSieve(): pass",
+    "peSource": "", "peImports": [], "owners": [1],
+}
+PRIME_FLOW = {
+    "workflowId": 1, "workflowName": "primeFlow", "entryPoint": "primeFlow",
+    "description": "a prime number workflow",
+    "workflowCode": "graph = primeFlow()", "workflowSource": "",
+    "peIds": [1, 2], "owners": [1],
+}
+TEN_FLOW = {
+    "workflowId": 2, "workflowName": "tenFlow", "entryPoint": "tenFlow",
+    "description": "adds ten", "workflowCode": "graph = tenFlow()",
+    "workflowSource": "", "peIds": [2], "owners": [1],
+}
+
+
+def not_found(message, **params):
+    return {
+        "error": "NotFoundError", "code": 404, "message": message,
+        "params": {key: repr(value) for key, value in params.items()},
+    }
+
+
+BAD_ID = {
+    "error": "ValidationError", "code": 400,
+    "message": "path parameter 'id' must be an integer",
+    "params": {"id": "'abc'"},
+}
+
+#: (method, path) -> (status, body) of every Table-3 read route, and the
+#: removes' misses, for both kinds: hits, foreign records, misses, bad ids
+TABLE3_READS = {
+    ("GET", "/registry/zz46/pe/all"): (
+        200, {"pes": [IS_PRIME, ADD_TEN, PRIME_SIEVE]}),
+    ("GET", "/registry/zz46/workflow/all"): (
+        200, {"workflows": [PRIME_FLOW, TEN_FLOW]}),
+    ("GET", "/registry/zz46/all"): (
+        200, {"pes": [IS_PRIME, ADD_TEN, PRIME_SIEVE],
+              "workflows": [PRIME_FLOW, TEN_FLOW]}),
+    ("GET", "/registry/zz46/pe/id/1"): (200, IS_PRIME),
+    ("GET", "/registry/zz46/pe/name/primeSieve"): (200, PRIME_SIEVE),
+    ("GET", "/registry/zz46/workflow/id/1"): (200, PRIME_FLOW),
+    ("GET", "/registry/zz46/workflow/name/tenFlow"): (200, TEN_FLOW),
+    ("GET", "/registry/zz46/workflow/pes/id/1"): (
+        200, {"pes": [IS_PRIME, ADD_TEN]}),
+    ("GET", "/registry/zz46/workflow/pes/name/tenFlow"): (
+        200, {"pes": [ADD_TEN]}),
+    ("GET", "/registry/zz46/pe/id/4"): (404, not_found(
+        "PE id 4 not found for user 'zz46'", peId=4, user="zz46")),
+    ("GET", "/registry/zz46/pe/id/999"): (404, not_found(
+        "PE id 999 not found for user 'zz46'", peId=999, user="zz46")),
+    ("GET", "/registry/zz46/pe/name/otherPrime"): (404, not_found(
+        "PE 'otherPrime' not found for user 'zz46'",
+        peName="otherPrime", user="zz46")),
+    ("GET", "/registry/zz46/pe/id/abc"): (400, BAD_ID),
+    ("GET", "/registry/zz46/workflow/id/3"): (404, not_found(
+        "workflow id 3 not found for user 'zz46'", workflowId=3, user="zz46")),
+    ("GET", "/registry/zz46/workflow/name/ghost"): (404, not_found(
+        "workflow 'ghost' not found for user 'zz46'",
+        entryPoint="ghost", user="zz46")),
+    ("GET", "/registry/zz46/workflow/id/abc"): (400, BAD_ID),
+    ("GET", "/registry/zz46/workflow/pes/name/otherFlow"): (404, not_found(
+        "workflow 'otherFlow' not found for user 'zz46'",
+        entryPoint="otherFlow", user="zz46")),
+    ("DELETE", "/registry/zz46/pe/remove/id/999"): (404, not_found(
+        "PE id 999 not found for user 'zz46'", peId=999, user="zz46")),
+    ("DELETE", "/registry/zz46/pe/remove/name/ghost"): (404, not_found(
+        "PE 'ghost' not found for user 'zz46'", peName="ghost", user="zz46")),
+    ("DELETE", "/registry/zz46/workflow/remove/id/3"): (404, not_found(
+        "workflow id 3 not found for user 'zz46'", workflowId=3, user="zz46")),
+    ("DELETE", "/registry/zz46/workflow/remove/name/ghost"): (404, not_found(
+        "workflow 'ghost' not found for user 'zz46'",
+        entryPoint="ghost", user="zz46")),
+    ("DELETE", "/registry/zz46/pe/remove/id/abc"): (400, BAD_ID),
+}
+
+
+class TestTable3ReadBytes:
+    @pytest.fixture(scope="class")
+    def seeded(self, fast_bundle):
+        server = LaminarServer(models=fast_bundle)
+        return server, seed_read_registry(server)
+
+    @pytest.mark.parametrize(
+        "method,path", sorted(TABLE3_READS), ids=lambda value: value
+    )
+    def test_read_route_bytes(self, seeded, method, path):
+        server, token = seeded
+        response = server.dispatch(Request(method, path, token=token))
+        assert_served(response, *TABLE3_READS[(method, path)])
+
+    @pytest.mark.parametrize("kind", ["pe", "workflow"])
+    def test_reads_without_a_token_are_401(self, seeded, kind):
+        server, _token = seeded
+        for tail in ("all", "id/1", "name/x", "id/abc"):
+            response = server.dispatch(
+                Request("GET", f"/registry/zz46/{kind}/{tail}")
+            )
+            assert response.status == 401, (tail, response.body)

@@ -6,6 +6,13 @@ import pytest
 from repro.net.transport import Request
 from repro.registry.dao import SqliteDAO
 from repro.server import LaminarServer
+from tests.server.test_api import (
+    IS_PRIME,
+    PRIME_FLOW,
+    assert_served,
+    not_found,
+    seed_read_registry,
+)
 
 
 @pytest.fixture()
@@ -200,6 +207,63 @@ class TestIfNoneMatch:
         assert response.headers["ETag"] != stale
         assert response.body["item"]["peIds"] == []
         assert response.body["item"]["revision"] == 2
+
+
+#: per kind: the v1 path, a record's name and its stored item, a PUT
+#: body that revises it, and the params key of a by-name miss
+CONDITIONAL_KINDS = {
+    "pe": ("pes", "isPrime", IS_PRIME,
+           {"peCode": "def isPrime(): pass", "description": "revised"},
+           "peName", "PE"),
+    "workflow": ("workflows", "primeFlow", PRIME_FLOW,
+                 {"workflowCode": "graph = primeFlow()",
+                  "description": "revised", "peIds": [1, 2]},
+                 "entryPoint", "workflow"),
+}
+
+
+class TestConditionalBytes:
+    """The v1 single-record GET of either kind, byte for byte: the
+    envelope, the ETag, each validator form's 304, the 404."""
+
+    @pytest.mark.parametrize("kind", sorted(CONDITIONAL_KINDS))
+    def test_etag_304_and_404_bytes(self, fast_bundle, kind):
+        plural, name, item, revise, param, label = CONDITIONAL_KINDS[kind]
+        server = LaminarServer(models=fast_bundle)
+        token = seed_read_registry(server)
+
+        def get(record, validator=None):
+            headers = {} if validator is None else {"If-None-Match": validator}
+            return server.dispatch(Request(
+                "GET", f"/v1/registry/zz46/{plural}/{record}",
+                token=token, headers=headers,
+            ))
+
+        etag = f'"{kind}-1-1"'
+        body = {
+            "apiVersion": "v1", "kind": kind,
+            "item": {**item, "revision": 1},
+        }
+        assert_served(get(name), 200, body, {"ETag": etag})
+        for validator in (etag, f"W/{etag}", f'"x", {etag}', "*"):
+            assert_served(get(name, validator), 304, {}, {"ETag": etag})
+        assert_served(get(name, f'"{kind}-1-2"'), 200, body, {"ETag": etag})
+        missing = not_found(
+            f"{label} 'ghost' not found for user 'zz46'",
+            **{param: "ghost", "user": "zz46"},
+        )
+        assert_served(get("ghost"), 404, missing)
+        assert_served(get("ghost", "*"), 404, missing)
+
+        put = server.dispatch(Request(
+            "PUT", f"/v1/registry/zz46/{plural}/{name}", revise, token=token
+        ))
+        assert put.status == 200, put.body
+        revised = {
+            "apiVersion": "v1", "kind": kind,
+            "item": {**item, "description": "revised", "revision": 2},
+        }
+        assert_served(get(name, etag), 200, revised, {"ETag": f'"{kind}-1-2"'})
 
 
 class TestOverRealHttp:

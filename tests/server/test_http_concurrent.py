@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.registry.entities import PERecord
 from repro.search import KIND_DESC, SemanticHit, exact_scan
 from repro.server import LaminarServer
 from repro.server.http import serve_http
@@ -85,7 +86,7 @@ class TestConcurrentSearchAgainstMutatingRegistry:
         k = 5
         # the reference: the brute-force scan over exactly her records
         expected = brute_force_json(
-            server, query, server.registry.user_pes(alice), k
+            server, query, server.registry.owned_records(alice, PERecord), k
         )
         alice_names = {f"AlicePE{i}" for i in range(N_ALICE)}
 
@@ -109,7 +110,7 @@ class TestConcurrentSearchAgainstMutatingRegistry:
                     if i % 2:
                         registry = server.registry
                         registry.remove_pe_record(
-                            bob, registry.get_pe_by_id(bob, record.pe_id)
+                            bob, registry.get_by_id(bob, PERecord, record.pe_id)
                         )
                     i += 1
             except Exception as exc:  # pragma: no cover
@@ -218,7 +219,7 @@ class TestConcurrentSearchAgainstMutatingRegistry:
             [lambda i=i: search(i) for i in range(1, SEARCH_THREADS)],
         )
         park.release[1].set()
-        pes = server.registry.user_pes(alice)
+        pes = server.registry.owned_records(alice, PERecord)
         for thread in [first] + queued:
             query, status, body = thread.outcome()
             assert status == 200

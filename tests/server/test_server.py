@@ -179,13 +179,78 @@ class TestErrorEnvelopes:
         def boom(*a, **k):
             raise RuntimeError("kaboom")
 
-        monkeypatch.setattr(server.registry, "user_pes", boom)
+        monkeypatch.setattr(server.registry, "owned_records", boom)
         response = server.dispatch(
             Request("GET", "/registry/zz46/pe/all", token=token)
         )
         assert response.status == 500
         assert response.body["error"] == "InternalError"
         assert "kaboom" in response.body["message"]
+
+
+#: legacy write bodies whose optional field is malformed, and the field
+#: the 400 names: each was a 500 or a silent coercion before the legacy
+#: routes passed these fields through the v1 envelope's checks
+MALFORMED_LEGACY_FIELDS = [
+    ("/registry/zz46/pe/add", {"peImports": 5}, "peImports"),
+    ("/registry/zz46/pe/add", {"peImports": "numpy"}, "peImports"),
+    ("/registry/zz46/pe/add", {"peImports": [1]}, "peImports"),
+    ("/registry/zz46/pe/add", {"descEmbedding": "abc"}, "descEmbedding"),
+    ("/registry/zz46/pe/add", {"codeEmbedding": [True]}, "codeEmbedding"),
+    ("/registry/zz46/workflow/add", {"peIds": ["abc"]}, "peIds"),
+    ("/registry/zz46/workflow/add", {"peIds": 7}, "peIds"),
+    ("/registry/zz46/workflow/add", {"peIds": [1.9]}, "peIds"),
+    ("/registry/zz46/workflow/add", {"peIds": [True]}, "peIds"),
+    ("/registry/zz46/workflow/add", {"descEmbedding": [[1]]}, "descEmbedding"),
+    ("/execution/zz46/run", {"workflowRef": {"id": "x"}}, "workflowRef"),
+    ("/execution/zz46/run", {"workflowRef": {"id": 1.5}}, "workflowRef"),
+    ("/execution/zz46/run", {"workflowRef": 5}, "workflowRef"),
+    ("/execution/zz46/run", {"workflowRef": "id"}, "workflowRef"),
+]
+
+
+class TestLegacyOptionalFields:
+    @pytest.mark.parametrize(
+        "path,patch,field",
+        MALFORMED_LEGACY_FIELDS,
+        ids=[
+            f"{path.split('/', 3)[-1]}-{field}-{i}"
+            for i, (path, _, field) in enumerate(MALFORMED_LEGACY_FIELDS)
+        ],
+    )
+    def test_malformed_optional_field_is_a_400_naming_it(
+        self, server, token, path, patch, field
+    ):
+        body = (
+            {"peName": "P", "peCode": "def p(): pass"}
+            if path.endswith("pe/add")
+            else {"entryPoint": "w", "workflowCode": "graph = w()"}
+            if path.endswith("workflow/add")
+            else {}
+        )
+        response = server.dispatch(
+            Request("POST", path, {**body, **patch}, token=token)
+        )
+        assert response.status == 400, response.body
+        assert response.body["error"] == "ValidationError"
+        assert field in response.body["message"]
+        dao = server.registry.dao
+        assert dao.all_pes() == [] and dao.all_workflows() == []
+
+    def test_well_formed_optional_fields_store_as_given(self, server, token):
+        pe = server.dispatch(Request(
+            "POST", "/registry/zz46/pe/add",
+            {"peName": "P", "peCode": "def p(): pass", "peImports": ["numpy"]},
+            token=token,
+        ))
+        assert pe.status == 201 and pe.body["peImports"] == ["numpy"]
+        flow = server.dispatch(Request(
+            "POST", "/registry/zz46/workflow/add",
+            {"entryPoint": "w", "workflowCode": "graph = w()",
+             "peIds": [pe.body["peId"]]},
+            token=token,
+        ))
+        assert flow.status == 201 and flow.body["peIds"] == [pe.body["peId"]]
 
 
 class TestPEEndpoints:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.net.transport import Request
 from repro.registry.dao import SqliteDAO
+from repro.registry.entities import PERecord, WorkflowRecord
 from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW, exact_scan
 from repro.server import LaminarServer
 from tests.registry.test_dao import make_pe, make_wf
@@ -170,7 +171,7 @@ class TestSearchMaterializesAtMostK:
         hits = search(server, tokens["alice"], k=4)
         brute = exact_scan(
             KIND_DESC,
-            server.registry.user_pes(alice),
+            server.registry.owned_records(alice, PERecord),
             server.semantic.embed_query("element"),
             4,
             server.semantic.embed_queries,
@@ -204,13 +205,13 @@ class TestListingsAreOwnerScoped:
     def test_listing_parity_with_seed_behaviour(self, setup):
         server, dao, tokens = setup
         alice = server.registry.get_user("alice")
-        scoped = server.registry.user_pes(alice)
+        scoped = server.registry.owned_records(alice, PERecord)
         legacy = [
             r for r in server.registry.dao.all_pes()
             if alice.user_id in r.owners
         ]
         assert [r.to_json() for r in scoped] == [r.to_json() for r in legacy]
-        wf_scoped = server.registry.user_workflows(alice)
+        wf_scoped = server.registry.owned_records(alice, WorkflowRecord)
         wf_legacy = [
             r for r in server.registry.dao.all_workflows()
             if alice.user_id in r.owners

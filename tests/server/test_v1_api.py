@@ -6,7 +6,17 @@ import pytest
 
 from repro.net.transport import Request
 from repro.server import LaminarServer
+from repro.server.api import quote_segment
 from repro.server.schema import decode_cursor, encode_cursor
+from tests.server.test_api import (
+    ADD_TEN,
+    IS_PRIME,
+    PRIME_FLOW,
+    PRIME_SIEVE,
+    TEN_FLOW,
+    assert_served,
+    seed_read_registry,
+)
 
 
 @pytest.fixture()
@@ -183,6 +193,46 @@ class TestEnvelopeValidation:
         assert [reply.status for reply in replies] == [200, 200]
         assert replies[0].body["hits"]
         assert replies[0].body == replies[1].body
+
+    @pytest.mark.parametrize(
+        "method,path,body,field",
+        [
+            ("GET", "/v1/registry/zz46/pes?limit=²", None, "limit"),
+            ("GET", "/v1/registry/zz46/workflows?limit=٣", None, "limit"),
+            ("GET", "/v1/registry/zz46/pes?limit=%2B2", None, "limit"),
+            ("POST", "/v1/registry/zz46/search", {"query": "x", "limit": "²"},
+             "limit"),
+            ("DELETE", "/v1/registry/zz46/pes/pe0", {"ifVersion": "²"},
+             "ifVersion"),
+            ("PUT", "/v1/registry/zz46/pes/pe0",
+             {"peCode": "def pe0(): pass", "ifVersion": "¹"}, "ifVersion"),
+            ("POST", "/v1/registry/zz46/ingest",
+             {"path": ".", "batchSize": "²"}, "batchSize"),
+            ("GET", "/registry/zz46/pe/id/1_0", None, "'id'"),
+            ("GET", "/registry/zz46/pe/id/+1", None, "'id'"),
+            ("GET", "/registry/zz46/workflow/id/%201", None, "'id'"),
+            ("GET", "/registry/zz46/workflow/pes/id/١", None, "'id'"),
+            ("DELETE", "/registry/zz46/pe/remove/id/1_0", None, "'id'"),
+            ("GET", "/v1/registry/zz46/workflows/1_0/pes", None, "'id'"),
+            # wider than SQLite's integers, or than int() will convert
+            ("GET", "/registry/zz46/pe/id/" + "9" * 19, None, "'id'"),
+            ("GET", "/v1/registry/zz46/pes?limit=" + "9" * 5000, None, "limit"),
+        ],
+        ids=lambda value: value[:40] if isinstance(value, str) else None,
+    )
+    def test_only_ascii_digits_parse_as_an_integer(
+        self, server, token, method, path, body, field
+    ):
+        """One parser turns text into an integer: ASCII digits only.
+        ``str.isdigit`` takes ``"²"`` (a 500 once ``int`` refused it)
+        and ``"٣"``; ``int`` alone takes ``"1_0"``, ``"+1"`` and
+        ``" 1"``, and more digits than SQLite stores or ``int`` converts
+        were a 500 — each a 400 naming the field."""
+        add_pe(server, token, "pe0", "a prime checking element")
+        add_workflow(server, token, "wf0", "a prime checking workflow")
+        response = server.dispatch(Request(method, path, body, token=token))
+        assert response.status == 400, response.body
+        assert field in response.body["message"]
 
     def test_listing_unknown_field_is_400(self, server, token):
         response = server.dispatch(
@@ -720,6 +770,155 @@ class TestLegacyParity:
         )
         assert response.status == 200
         assert [pe["peId"] for pe in response.body["pes"]] == ids
+
+
+#: ``query="prime number"``, ``k=3`` over :func:`seed_read_registry`:
+#: per (kind, queryType) the ``searchKind`` and each hit's values in
+#: key order (``HIT_KEYS``)
+_P1, _P2, _P3 = (r["description"] for r in (IS_PRIME, ADD_TEN, PRIME_SIEVE))
+_W1, _W2 = PRIME_FLOW["description"], TEN_FLOW["description"]
+_PE_SEMANTIC = [
+    (1, "isPrime", _P1, "user", 0.5),
+    (2, "AddTen", _P2, "user", 0.3162),
+    (3, "primeSieve", _P3, "auto", 0.2673),
+]
+_CODE = [(1, "isPrime", _P1, 0.0, ""), (2, "AddTen", _P2, 0.0, ""),
+         (3, "primeSieve", _P3, 0.0, "")]
+SEARCH_PINS = {
+    ("pe", "text"): ("semantic", _PE_SEMANTIC),
+    ("pe", "semantic"): ("semantic", _PE_SEMANTIC),
+    ("pe", "code"): ("code", _CODE),
+    ("pe", "hybrid"): ("hybrid", [
+        ("pe", 1, "isPrime", _P1, 0.032787, 1, 1, 0.0, 0.5),
+        ("pe", 2, "AddTen", _P2, 0.032002, 3, 2, 0.0, 0.3162),
+        ("pe", 3, "primeSieve", _P3, 0.032002, 2, 3, 0.0, 0.2673),
+    ]),
+    ("workflow", "text"): ("text", [
+        ("workflow", 1, "primeFlow", _W1, "name+description", 0.6709),
+    ]),
+    ("workflow", "semantic"): ("semantic", [
+        (1, "primeFlow", _W1, 0.7071), (2, "tenFlow", _W2, 0.0),
+    ]),
+    ("workflow", "code"): ("code", _CODE),
+    ("workflow", "hybrid"): ("hybrid", [
+        ("workflow", 1, "primeFlow", _W1, 0.032787, 1, 1, 0.6709, 0.7071),
+        ("workflow", 2, "tenFlow", _W2, 0.016129, None, 2, None, 0.0),
+    ]),
+    ("both", "text"): ("text", [
+        ("workflow", 1, "primeFlow", _W1, "name+description", 0.6709),
+        ("pe", 1, "isPrime", _P1, "name+description", 0.0),
+        ("pe", 3, "primeSieve", _P3, "name+description", 0.0),
+    ]),
+    ("both", "semantic"): ("semantic", [
+        (1, "primeFlow", _W1, 0.7071), _PE_SEMANTIC[0], _PE_SEMANTIC[1],
+    ]),
+    ("both", "code"): ("code", _CODE),
+    ("both", "hybrid"): ("hybrid", [
+        ("workflow", 1, "primeFlow", _W1, 0.032787, 1, 1, 0.6709, 0.7071),
+        ("pe", 1, "isPrime", _P1, 0.032258, 2, 2, 0.0, 0.5),
+        ("pe", 2, "AddTen", _P2, 0.031498, 4, 3, 0.0, 0.3162),
+    ]),
+}
+#: each hit shape's keys, in wire order (a semantic hit's by its kind)
+HIT_KEYS = {
+    "text": ("kind", "id", "name", "description", "matchedOn", "score"),
+    "code": ("peId", "peName", "description", "score", "continuation"),
+    "hybrid": ("kind", "id", "name", "description", "score", "textRank",
+               "semanticRank", "textScore", "semanticScore"),
+    "peId": ("peId", "peName", "description", "descriptionOrigin", "score"),
+    "workflowId": ("workflowId", "entryPoint", "description", "score"),
+}
+
+#: per v1 listing, walked one item a page: each page's ids and cursor
+LISTING_PAGES = {
+    "pes": [
+        ([1], "v1.eyJzIjoicGVzOjEiLCJhIjoxfQ=="),
+        ([2], "v1.eyJzIjoicGVzOjEiLCJhIjoyfQ=="),
+        ([3], None),
+    ],
+    "workflows": [
+        ([1], "v1.eyJzIjoid29ya2Zsb3dzOjEiLCJhIjoxfQ=="),
+        ([2], None),
+    ],
+}
+LISTED = {"pes": [IS_PRIME, ADD_TEN, PRIME_SIEVE],
+          "workflows": [PRIME_FLOW, TEN_FLOW]}
+
+
+class TestReadBytes:
+    """The v1 read routes of both kinds, and the search of both API
+    generations, byte for byte over one seeded registry."""
+
+    @pytest.fixture(scope="class")
+    def seeded(self, fast_bundle):
+        server = LaminarServer(models=fast_bundle)
+        return server, seed_read_registry(server)
+
+    @pytest.mark.parametrize("plural", sorted(LISTING_PAGES))
+    def test_listing_pages(self, seeded, plural):
+        server, token = seeded
+        items = {
+            record.get("peId", record.get("workflowId")): record
+            for record in LISTED[plural]
+        }
+        cursor = None
+        for ids, next_cursor in LISTING_PAGES[plural]:
+            body = {"limit": 1} if cursor is None else {"limit": 1, "cursor": cursor}
+            response = server.dispatch(Request(
+                "GET", f"/v1/registry/zz46/{plural}", body, token=token
+            ))
+            assert_served(response, 200, {
+                "apiVersion": "v1", "count": len(ids), "limit": 1,
+                "items": [{**items[i], "revision": 1} for i in ids],
+                "nextCursor": next_cursor,
+            })
+            cursor = next_cursor
+        whole = server.dispatch(Request(
+            "GET", f"/v1/registry/zz46/{plural}", token=token
+        ))
+        assert_served(whole, 200, {
+            "apiVersion": "v1", "count": len(items), "limit": 100,
+            "items": [{**record, "revision": 1} for record in LISTED[plural]],
+            "nextCursor": None,
+        })
+        other = "workflows" if plural == "pes" else "pes"
+        minted = LISTING_PAGES[plural][0][1]
+        crossed = server.dispatch(Request(
+            "GET", f"/v1/registry/zz46/{other}", {"cursor": minted}, token=token
+        ))
+        assert_served(crossed, 400, {
+            "error": "ValidationError", "code": 400, "message": "invalid cursor",
+            "params": {"cursor": repr(minted)},
+            "details": f"cursor was minted by '{plural}:1', not '{other}:1'",
+        })
+
+    @pytest.mark.parametrize("kind,query_type", sorted(SEARCH_PINS))
+    def test_search_bytes_on_both_generations(self, seeded, kind, query_type):
+        server, token = seeded
+        search_kind, rows = SEARCH_PINS[(kind, query_type)]
+        response = server.dispatch(Request(
+            "POST", "/v1/registry/zz46/search",
+            {"query": "prime number", "kind": kind, "queryType": query_type,
+             "k": 3},
+            token=token,
+        ))
+        assert response.status == 200, response.body
+        hits = response.body["hits"]
+        assert response.body["searchKind"] == search_kind
+        assert [tuple(hit.values()) for hit in hits] == rows
+        assert [tuple(hit) for hit in hits] == [
+            HIT_KEYS[next(iter(hit)) if search_kind == "semantic" else search_kind]
+            for hit in hits
+        ]
+        if query_type == "hybrid":
+            return  # no Table-3 spelling
+        legacy = server.dispatch(Request(
+            "GET",
+            f"/registry/zz46/search/{quote_segment('prime number')}/type/{kind}",
+            {"queryType": query_type, "k": 3},
+            token=token,
+        ))
+        assert_served(legacy, 200, {"searchKind": search_kind, "hits": hits})
 
 
 class TestConcurrentPagination:

@@ -598,6 +598,100 @@ class TestBulkRegister:
         assert server.registry.dao.mutation_counter() == counter
 
 
+#: one write per route that takes a client vector, per vector field:
+#: (method, path, body) with a two-wide vector in ``field``
+_WIDE = [2.0, 1.0]
+WRONG_WIDTH_WRITES = {
+    "put-pe-code": ("PUT", "/v1/registry/zz46/pes/wide", {
+        "peCode": "def wide(): pass", "codeEmbedding": _WIDE}),
+    "put-pe-desc": ("PUT", "/v1/registry/zz46/pes/wide", {
+        "peCode": "def wide(): pass", "descEmbedding": _WIDE}),
+    "put-workflow-desc": ("PUT", "/v1/registry/zz46/workflows/wide", {
+        "workflowCode": "graph = wide()", "descEmbedding": _WIDE}),
+    "bulk-pe-code": ("POST", "/v1/registry/zz46/pes:bulk", {"items": [
+        {"peName": "ok", "peCode": "def ok(): pass"},
+        {"peName": "wide", "peCode": "def wide(): pass",
+         "codeEmbedding": _WIDE}]}),
+    "bulk-pe-desc": ("POST", "/v1/registry/zz46/pes:bulk", {"items": [
+        {"peName": "wide", "peCode": "def wide(): pass",
+         "descEmbedding": _WIDE}]}),
+    "bulk-workflow-desc": ("POST", "/v1/registry/zz46/workflows:bulk", {
+        "items": [{"entryPoint": "wide", "workflowCode": "graph = wide()",
+                   "descEmbedding": _WIDE}]}),
+    "legacy-pe-code": ("POST", "/registry/zz46/pe/add", {
+        "peName": "wide", "peCode": "def wide(): pass",
+        "codeEmbedding": _WIDE}),
+    "legacy-pe-desc": ("POST", "/registry/zz46/pe/add", {
+        "peName": "wide", "peCode": "def wide(): pass",
+        "descEmbedding": _WIDE}),
+    "legacy-workflow-desc": ("POST", "/registry/zz46/workflow/add", {
+        "entryPoint": "wide", "workflowCode": "graph = wide()",
+        "descEmbedding": _WIDE}),
+}
+
+
+class TestClientVectorWidth:
+    """A client vector as wide as the model that ranks its shard, or a
+    400 naming the field before anything is stored: a vector of
+    another width would poison the tenant's shard (every later write a
+    400, code search a 500) and, on a file, every later open."""
+
+    @pytest.mark.parametrize("shard_exists", [False, True])
+    @pytest.mark.parametrize("case", sorted(WRONG_WIDTH_WRITES))
+    def test_wrong_width_is_a_400_and_stores_nothing(
+        self, fast_bundle, tmp_path, case, shard_exists
+    ):
+        from repro.registry.dao import SqliteDAO
+
+        path = tmp_path / "wide.db"
+        server = LaminarServer(SqliteDAO(path), models=fast_bundle)
+        creds = {"userName": "zz46", "password": "pw"}
+        server.dispatch(Request("POST", "/auth/register", creds))
+        token = server.dispatch(
+            Request("POST", "/auth/login", creds)
+        ).body["token"]
+        if shard_exists:
+            assert put_pe(server, token, "first").status == 201
+            first_flow = server.dispatch(Request(
+                "PUT", "/v1/registry/zz46/workflows/firstFlow",
+                {"workflowCode": "graph = first()"}, token=token,
+            ))
+            assert first_flow.status == 201
+        dao = server.registry.dao
+        before = (len(dao.all_pes()), len(dao.all_workflows()))
+        counter = dao.mutation_counter()
+
+        method, path_, body = WRONG_WIDTH_WRITES[case]
+        response = server.dispatch(Request(method, path_, body, token=token))
+        field = "codeEmbedding" if case.endswith("-code") else "descEmbedding"
+        assert response.status == 400, response.body
+        assert response.body["message"] == (
+            f"{field} must have 2048 dimensions, got 2"
+        )
+        assert (len(dao.all_pes()), len(dao.all_workflows())) == before
+        assert dao.mutation_counter() == counter
+
+        assert put_pe(server, token, "next").status == 201
+        for query_type in ("semantic", "code", "hybrid", "text"):
+            search = server.dispatch(Request(
+                "POST", "/v1/registry/zz46/search",
+                {"query": "next", "queryType": query_type}, token=token,
+            ))
+            assert search.status == 200, (query_type, search.body)
+        dao.close()
+
+        reopened = LaminarServer(SqliteDAO(path), models=fast_bundle)
+        token = reopened.dispatch(
+            Request("POST", "/auth/login", creds)
+        ).body["token"]
+        search = reopened.dispatch(Request(
+            "POST", "/v1/registry/zz46/search",
+            {"query": "next", "queryType": "code"}, token=token,
+        ))
+        assert search.status == 200, search.body
+        reopened.registry.dao.close()
+
+
 class TestLegacyAdapterParity:
     """The Table-3 write routes must stay byte-identical to the seed."""
 
