@@ -213,10 +213,9 @@ REASONS: list[tuple[str, tuple[str, ...]]] = [
     (
         "Fault and fallback paths no green run takes",
         (
-            "registry/dao.py:SqliteDAO.owned_vectors",
             "registry/dao.py:SqliteDAO.release_write_receipt",
-            # no scenario opens a v14 file or one the DAO refuses
-            "registry/dao.py:SqliteDAO._step_from_v14",
+            # no scenario opens a v15 file or one the DAO refuses
+            "registry/dao.py:SqliteDAO._step_from_v15",
             "registry/dao.py:_refusal",
             "server/schema.py:decode_cursor.<locals>.bad",
             "server/api.py:Router.allowed_methods",
@@ -231,6 +230,10 @@ REASONS: list[tuple[str, tuple[str, ...]]] = [
         (
             "search/index.py:VectorIndex.search_among",
             "registry/service.py:RegistryService.upsert_pe",
+            # no-op stubs of the index journal schema v16 dropped
+            "registry/dao.py:SqliteDAO.append_index_delta",
+            "registry/dao.py:SqliteDAO.upsert_index_shards",
+            "registry/service.py:RegistryService.persist_shards",
         ),
     ),
     (
@@ -415,10 +418,6 @@ def cli_scenarios(runner: Runner) -> None:
     runner.repro("cli search (no --db)", "search", "number", "--no-fit")
     runner.repro("cli stats", "stats", "--db", db)
     runner.repro("cli stats --shards", "stats", "--db", db, "--shards")
-    runner.repro(
-        "cli stats --shards --persist", "stats", "--db", db, "--shards",
-        "--persist",
-    )
     runner.repro(
         "cli ingest src/repro/ml (in-process)", "ingest",
         str(PACKAGE / "ml"), "--db", str(work / "ingest.db"), "--no-fit",

@@ -1,16 +1,15 @@
 """Bulk vs one-at-a-time registration throughput (the v1 write surface).
 
 ``POST /v1/registry/{user}/pes:bulk`` lands a batch with one DAO
-``executemany`` transaction, one index ``add_many`` per shard kind and
-ONE shard persist, where the one-at-a-time path pays a SQLite
-transaction + incremental index add per record and would re-export the
-slabs per call if it persisted as eagerly.  This benchmark measures
-that amortization end to end through ``LaminarServer.dispatch`` against
-a real SQLite file, with client-supplied embeddings so both paths
-skip the model and the difference is pure DAO/index/persist work.
+``executemany`` transaction and one index ``add_many`` per shard kind,
+where the one-at-a-time path pays a SQLite transaction + incremental
+index add per record.  This benchmark measures that amortization end to
+end through ``LaminarServer.dispatch`` against a real SQLite file, with
+client-supplied embeddings so both paths skip the model and the
+difference is pure DAO/index work.
 
 Gate: bulk registration >= 2x the one-at-a-time throughput at N >= 300,
-with both paths leaving a fresh persisted slab snapshot.
+with both paths storing the same registry.
 
 Emits ``BENCH_bulk_register.json``.
 """
@@ -72,9 +71,7 @@ def fresh_server(tmp_path, bundle, name: str):
 def test_bulk_register_throughput(tmp_path, record, out_dir):
     items = make_items(np.random.default_rng(42))
 
-    # one-at-a-time: N PUTs, then one explicit persist (the eager-persist
-    # alternative would re-export the slabs N times; this is the *kind*
-    # single-record baseline)
+    # one-at-a-time: N PUTs
     single_server, token = fresh_server(tmp_path, ModelBundle.default(fit=False), "single.db")
     start = time.perf_counter()
     for item in items:
@@ -88,11 +85,9 @@ def test_bulk_register_throughput(tmp_path, record, out_dir):
             )
         )
         assert response.status == 201, response.body
-    assert single_server.registry.persist_shards() is True
     single_seconds = time.perf_counter() - start
-    assert single_server.registry.shard_persistence()["fresh"] is True
 
-    # bulk: one request, one executemany, one add_many per kind, one persist
+    # bulk: one request, one executemany, one add_many per kind
     bulk_server, token = fresh_server(tmp_path, ModelBundle.default(fit=False), "bulk.db")
     start = time.perf_counter()
     response = bulk_server.dispatch(
@@ -104,8 +99,6 @@ def test_bulk_register_throughput(tmp_path, record, out_dir):
     assert response.status == 201, response.body
     assert response.body["count"] == N
     assert all(item["created"] for item in response.body["items"])
-    # the bulk endpoint persisted inside the same call
-    assert bulk_server.registry.shard_persistence()["fresh"] is True
 
     # both paths must store identical registries (same names, same count)
     assert (

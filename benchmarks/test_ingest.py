@@ -172,7 +172,6 @@ def test_ingest_throughput_and_live_search(tmp_path, bundle, record, out_dir):
                 )
             )
             assert put.status == 201, put.body
-        assert put_server.registry.persist_shards() is True
         single_seconds = time.perf_counter() - start
     single_rps = len(chunks) / single_seconds
 

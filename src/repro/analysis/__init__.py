@@ -38,17 +38,9 @@ RPR002  No ``await``/blocking call while a ``with <lock>:`` block is
         one convoys every contender.  Runtime complement: lockwatch.
 RPR003  Every DAO method whose SQL writes the ``pes``/``workflows``
         tables bumps the registry mutation counter *and* calls
-        ``_stamp_shards`` — the one helper that stamps the changed
-        shards and appends their journal rows in the mutation's
-        transaction — and neither it nor anyone else stamps or
-        journals around that helper.  The counter/stamp pair is the
-        freshness authority for persisted slabs and journals, the
-        only persisted index state; an unstamped write makes stale
-        persistence
-        load as fresh, a stamp without its journal row a fresh shard
-        load stale.  (RPR004, which kept the service's journal calls
-        after its index mutations, went with those calls: the DAO
-        journals now.)
+        ``_stamp_shards``, which stamps the shards it changed in the
+        mutation's transaction: an unbumped or unstamped write leaves
+        the registry's and the shard's version behind the rows.
 RPR005  No ``time.time()``/``random``/``uuid``/set-iteration in the
         bitwise-determinism surface (``repro/search/{index,fusion,
         serving}.py``) — batched == single-shot == brute-force is a

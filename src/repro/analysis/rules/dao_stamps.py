@@ -1,16 +1,13 @@
-"""RPR003 — every DAO write to pes/workflows bumps the counter and
-stamps + journals the changed shards through the one helper.
+"""RPR003 — every DAO write to pes/workflows bumps the mutation counter
+and stamps the shards it changed.
 
-Invariant (PRs 3/8, ``repro/registry/dao.py``): the registry mutation
-counter is the freshness authority for every persisted artifact (index
-slabs and delta journals, the only index state on disk), and since
-schema v6 each mutation must *also* stamp exactly the ``(user, kind)`` shards it
-changed — an unbumped or unstamped write makes a stale slab load as
-fresh on the next attach, silently serving deleted or missing rows.
-Since schema v8 the stamp and the shard's journal row are one act:
-``_stamp_shards`` writes both in the mutation's transaction, so *stamp
-== journal tip* holds by construction — as long as nothing stamps or
-journals around it.
+Invariant (``repro/registry/dao.py``): the registry mutation counter
+versions the whole registry (a write reply's ``registryVersion``, a
+bulk write's ``ifVersion``), and each mutation stamps exactly the
+``(user, kind)`` shards it changed with the bumped counter
+(``_stamp_shards``, in the mutation's transaction), so a shard's stamp
+says when its membership or vectors last moved.  An unbumped or
+unstamped write leaves a reader of either version behind the rows.
 
 Where the counter lives: since schema v13 it is a row of
 ``shard_stamps`` itself, ``(0, 'mutations')`` — user 0 is no user, its
@@ -26,12 +23,7 @@ f-strings, where a storage row's record-table placeholder
 memory text tables (``{store.owners}``, ``{store.docs}``,
 ``{store.fts}``) do not, so the SQL must sit inline at the ``execute``
 call.  Such a method must contain both a ``_bump_mutation()`` call and
-a ``_stamp_shards(...)`` call, and must not itself write the persisted
-membership state — stamps, journal or, since schema v9 made them
-ids-only membership too, base slabs (``shard_stamps`` /
-``index_deltas`` / ``index_shards`` SQL).
-``append_index_delta``, the single journal-row writer, may be called
-from ``_stamp_shards`` only.
+a ``_stamp_shards(...)`` call.
 
 Hooks: a method a storage row names in a hook slot (``link=``,
 ``relink=``, ``unlink=``, a string) runs inside the write that calls it,
@@ -58,16 +50,7 @@ _SQL_WRITE = re.compile(
     r"(pes\b|workflows\b|\{[^{}]*\.table\})"
 )
 
-#: the persisted membership state (stamps, journal, ids-only base
-#: slabs) only ``_stamp_shards`` and the base-slab writers, which are
-#: not mutations, may touch
-_STAMP_SQL_WRITE = re.compile(
-    r"(?i)\b(?:insert(?:\s+or\s+\w+)?\s+into|update|delete\s+from)\s+"
-    r"(shard_stamps|index_deltas|index_shards)\b"
-)
-
 _STAMP_HELPER = "_stamp_shards"
-_JOURNAL_WRITER = "append_index_delta"
 _HOOK_RUNNER = "_hook"
 _HOOK_SLOTS = frozenset({"link", "relink", "unlink"})
 
@@ -104,9 +87,8 @@ def _hooks(tree: ast.AST) -> set[str]:
     }
 
 
-def _written(fn: ast.FunctionDef, sql_write: re.Pattern) -> set[str]:
-    """Tables, out of those ``sql_write`` names, whose SQL ``fn``
-    itself executes a write to."""
+def _written(fn: ast.FunctionDef) -> set[str]:
+    """Record tables whose SQL ``fn`` itself executes a write to."""
     tables: set[str] = set()
     for node in walk_scope(fn):
         if (
@@ -116,7 +98,7 @@ def _written(fn: ast.FunctionDef, sql_write: re.Pattern) -> set[str]:
         ):
             sql = _sql_text(node)
             if sql:
-                tables.update(sql_write.findall(sql))
+                tables.update(_SQL_WRITE.findall(sql))
     return tables
 
 
@@ -134,8 +116,7 @@ class DaoStampRule(Rule):
     name = "RPR003"
     summary = (
         "DAO methods writing pes/workflows must bump the mutation"
-        " counter and stamp + journal the changed shards through"
-        " _stamp_shards alone"
+        " counter and stamp the changed shards (_stamp_shards)"
     )
 
     def applies_to(self, module: LintModule) -> bool:
@@ -149,14 +130,7 @@ class DaoStampRule(Rule):
             for fn in cls.body:
                 if not isinstance(fn, ast.FunctionDef):
                     continue
-                if fn.name != _STAMP_HELPER and _calls(fn, _JOURNAL_WRITER):
-                    yield self.finding(
-                        module,
-                        fn,
-                        f"{cls.name}.{fn.name} writes a journal row outside"
-                        f" {_STAMP_HELPER} (stamp and journal are one act)",
-                    )
-                tables = _written(fn, _SQL_WRITE)
+                tables = _written(fn)
                 # a hook's writes are checked where it runs
                 hook = fn.name in hooks
                 if not hook and any(
@@ -171,23 +145,12 @@ class DaoStampRule(Rule):
                         module,
                         fn,
                         f"{cls.name}.{fn.name} writes {wrote} without"
-                        " bumping the registry mutation counter"
-                        " (persisted slabs would load stale-as-fresh)",
+                        " bumping the registry mutation counter",
                     )
                 if not hook and not _calls(fn, _STAMP_HELPER):
                     yield self.finding(
                         module,
                         fn,
                         f"{cls.name}.{fn.name} writes {wrote} without"
-                        " stamping the changed shards"
-                        " (_stamp_shards; v6 per-shard freshness)",
-                    )
-                around = _written(fn, _STAMP_SQL_WRITE)
-                if around:
-                    yield self.finding(
-                        module,
-                        fn,
-                        f"{cls.name}.{fn.name} writes"
-                        f" {'/'.join(sorted(around))} itself: a mutation"
-                        f" stamps and journals only through {_STAMP_HELPER}",
+                        f" stamping the changed shards ({_STAMP_HELPER})",
                     )

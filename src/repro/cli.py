@@ -271,19 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--shards", action="store_true",
-        help="also build the vector index and report shard occupancy and "
-        "persistence freshness per shard: stamp, chain tip, the base slab "
-        "(ids only: rows / bytes at rest) and the ids-only journal chain on "
-        "top (deltas / rows / bytes at rest); replays each fresh shard's "
-        "base slab and journal, reading every vector from the record rows, "
-        "and rebuilds stale ones from their owner's rows, like server "
-        "startup — but writes nothing",
-    )
-    stats.add_argument(
-        "--persist", action="store_true",
-        help="with --shards: write base slabs (8 bytes of id a row, no "
-        "vectors) for the shards the journal does not cover and fold the "
-        "chains that are due, so the next cold start replays less",
+        help="also build the vector index from the record rows, like "
+        "server startup, and report each shard's occupancy and stamp (the "
+        "mutation counter of the last write that changed it); writes "
+        "nothing",
     )
 
     lint = sub.add_parser(
@@ -872,15 +863,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     read only the ownership index — no row fetches, no embedding
     unblobbing, no model or server construction — so the default mode
     stays cheap even against a huge registry.  ``--shards`` additionally
-    builds the vector index the way server startup does — persisted
-    membership (base slab + journal) filled from the record rows, a
-    stale shard rebuilt from its owner's rows — and reports per-shard
-    occupancy plus per-shard persistence freshness (each shard's
-    journaled chain tip vs its expected mutation stamp), base-slab and
-    delta-chain sizes at rest (ids only — no vector is stored outside
-    its record row), and bytes written per journaled mutation.
-    ``--persist`` opts in to writing base slabs back so the next cold
-    start replays less.
+    builds the vector index the way server startup does — one scan of
+    each user's record rows — and reports per-shard occupancy and stamp.
     """
     from repro.registry.dao import SqliteDAO
 
@@ -904,52 +888,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
         from repro.registry.service import RegistryService
         from repro.search.index import VectorIndex
 
-        service = RegistryService(dao)
-        # reporting must not write to the registry unless asked to
-        mode = service.attach_index(VectorIndex(), persist=False)
+        service = RegistryService(dao, VectorIndex())
         shards = service.index.stats()
-        print(f"index: {len(shards)} shard(s)  (attach: {mode})")
+        stamps = dao.shard_stamps()
+        print(
+            f"index: {len(shards)} shard(s)  "
+            f"(mutation counter {dao.mutation_counter()})"
+        )
         for key, info in sorted(shards.items()):
+            user_id, kind = key.split("/")
             print(
                 f"  {key:<20} {info['live']:>6} live rows  "
-                f"(capacity {info['capacity']}, d={info['dim']})"
+                f"(capacity {info['capacity']}, d={info['dim']})  "
+                f"stamp {stamps.get((int(user_id), kind), '-')}"
             )
-        freshness = service.shard_persistence()
-        if not freshness["perShard"]:
-            print("persistence: none (next cold start rebuilds)")
-        else:
-            state = "fresh" if freshness["fresh"] else "stale"
-            print(
-                f"persistence: {state}  "
-                f"({freshness['freshShards']} fresh / "
-                f"{freshness['staleShards']} stale shard(s), "
-                f"{freshness['rows']} base row(s), "
-                f"{freshness['deltas']} journaled delta(s), "
-                f"current counter {freshness['currentCounter']})"
-            )
-            for name, shard in sorted(freshness["perShard"].items()):
-                shard_state = "fresh" if shard["fresh"] else "stale"
-                print(
-                    f"  {name:<20} {shard_state:<6} "
-                    f"stamp {str(shard['stamp']):>5}  "
-                    f"tip {str(shard['tip']):>5}  "
-                    f"base {shard['baseRows']} id(s) / "
-                    f"{8 * shard['baseRows']} B at rest  "
-                    f"chain {shard['chainLen']} delta(s) / "
-                    f"{shard['chainRows']} row(s) / "
-                    f"{shard['chainBytes']} B at rest"
-                )
-            journal = freshness["journal"]
-            if journal["rows"]:
-                print(
-                    f"journal: {journal['rows']} row(s), "
-                    f"{journal['bytes']} B of ids at rest "
-                    f"({journal['bytesPerMutation']:.0f} B/row), "
-                    f"{journal['compactions']} compaction(s)"
-                )
-        if args.persist:
-            saved = service.persist_shards()
-            print(f"persisted: {'yes' if saved else 'no (registry mutated)'}")
     return 0
 
 

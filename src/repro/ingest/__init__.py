@@ -26,7 +26,7 @@ This package turns a source tree into registry records:
     batch holding the server write lock only for its one
     ``executemany`` + ``add_many``.  Searches never take that lock, so
     the serving path stays live mid-ingest and simply watches the
-    corpus grow; shards persist once at the end.  Progress streams
+    corpus grow.  Progress streams
     through monotonic job counters (``chunksDiscovered`` /
     ``chunksEmbedded`` / ``chunksInserted`` / ``chunksDeduped``) and
     cancellation is cooperative at batch boundaries.

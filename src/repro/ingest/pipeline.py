@@ -23,19 +23,16 @@ Progress counters (monotonic, see :class:`repro.jobs.manager.JobContext`):
 
 Cancellation is cooperative at batch boundaries: batches already
 landed stay landed (ingest is not transactional; the counters say
-exactly how far it got).  Shards persist once at the end — mid-ingest
-the live index serves every batch already, persistence only matters
-for the next cold start.
+exactly how far it got).  Mid-ingest the live index serves every
+batch already; the next cold start fills it from the record rows.
 
 The job then **checkpoints the store** (``SqliteDAO.checkpoint()``,
 on the job thread).  A bulk load leaves thousands of committed pages in
 SQLite's write-ahead log; left there, they are copied into the main
 file by whichever later commit trips the automatic threshold — a
 foreground request, which pays for the job's pages inside its own
-latency and, on the benchmark, inside the measured window (until base
-slabs went ids-only the job's closing slab commit was itself large
-enough to trip the threshold, by accident).  The pages are written
-either way; the job is the one that should write them.
+latency and, on the benchmark, inside the measured window.  The pages
+are written either way; the job is the one that should write them.
 
 What a record costs.  Preparing one (``build_pe_record``: a summary
 when the chunk has no docstring, a description embedding, a code
@@ -85,7 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: default chunks per bulk-registration batch — small enough that the
 #: write lock is held for milliseconds, large enough to amortize the
-#: per-batch executemany/add_many/journal costs
+#: per-batch executemany/add_many costs
 DEFAULT_BATCH_SIZE = 64
 
 
@@ -147,8 +144,6 @@ def run_ingest(
             inserted += new
             deduped += old
         if inserted:
-            with app.write_lock:
-                app.registry.persist_shards()
             app.registry.dao.checkpoint()
         return {
             "inserted": inserted,
@@ -188,9 +183,7 @@ def _flush(
         os.sched_yield()
     ctx.advance("chunksEmbedded", len(records))
     with app.write_lock:
-        _, created = app.registry.register_pes_bulk(
-            user, records, persist=False
-        )
+        _, created = app.registry.register_pes_bulk(user, records)
     inserted = sum(1 for flag in created if flag)
     ctx.advance("chunksInserted", inserted)
     ctx.advance("chunksDeduped", len(records) - inserted)

@@ -66,7 +66,6 @@ import json
 import sqlite3
 import threading
 from contextlib import contextmanager
-from functools import partial
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -108,11 +107,6 @@ def _text_documents():
 _NAME_SUBSTRING_BONUS = 2.0
 
 
-#: delta-journal ops
-_OP_ADD = "add"
-_OP_REMOVE = "remove"
-
-
 def _embed_bytes(vec) -> bytes | None:
     """Canonical float32 bytes of an embedding (``None`` stays None) —
     the byte-change test that decides whether a mutation stamps a
@@ -122,20 +116,17 @@ def _embed_bytes(vec) -> bytes | None:
     return np.asarray(vec, dtype=np.float32).tobytes()
 
 
-#: what one mutation does to the shards it stamps — each one's journal
-#: row: ``{(user_id, kind): (op, ids)}``
-_Changes = dict[tuple[int, str], tuple[str, list[int]]]
+#: the shards one mutation changes: ``{(user_id, kind)}``
+_Changes = set[tuple[int, str]]
 
 
 def _shard_changes(
     record_type: type,
-    record_id: int,
     old_owners: set[int],
     old: Mapping[str, bytes | None],
     new: PERecord | WorkflowRecord | None,
 ) -> _Changes:
-    """The shards one record write changes, each with its journal row:
-    ``{(user_id, kind): (op, [record_id])}``.
+    """The shards one record write changes: ``{(user_id, kind)}``.
 
     ``old`` maps the record's shard kinds to the committed row's vector
     bytes (:meth:`SqliteDAO._old_vectors`; empty for an insert) and
@@ -143,13 +134,10 @@ def _shard_changes(
     changes when its owner gains or loses the record (membership) or
     when the vector bytes themselves change (then every owner's shard
     changes).  Pure metadata updates — description text, imports,
-    workflow pe_ids — stamp nothing, so they never stale a persisted
-    slab.  One rule for stamp and journal: a changed shard gets ``add``
-    when the record is in it after the write (the user owns it and it
-    carries a vector of that kind), ``remove`` when it is not.
+    workflow pe_ids — stamp nothing.
     """
     new_owners = set() if new is None else set(new.owners)
-    changes: _Changes = {}
+    changes: _Changes = set()
     for kind in RECORD_KINDS[record_type].shards:
         old_b = old.get(kind)
         new_b = None if new is None else _embed_bytes(
@@ -161,104 +149,8 @@ def _shard_changes(
             users = old_owners ^ new_owners
         else:
             continue
-        for user_id in users:
-            embedded = user_id in new_owners and new_b is not None
-            changes[(user_id, kind)] = (
-                _OP_ADD if embedded else _OP_REMOVE,
-                [int(record_id)],
-            )
+        changes.update((user_id, kind) for user_id in users)
     return changes
-
-
-def _merge_changes(total: _Changes, changes: _Changes) -> None:
-    """Fold one inserted record's changes into its batch's: a bulk
-    insert is one mutation, so each shard gets one ``add`` row carrying
-    every id the batch put in it."""
-    for key, (op, ids) in changes.items():
-        total.setdefault(key, (op, []))[1].extend(ids)
-
-
-def _pick_rows(scan_ids: np.ndarray, column: Sequence, ids: np.ndarray) -> list:
-    """``column``'s entries for ``ids``, where ``column`` runs beside
-    the ascending ``scan_ids`` of one user's owned records.  An id the
-    scan does not hold, or holds without a vector, means a shard names
-    something the record table cannot back — a torn shard,
-    ``ValueError``."""
-    at = np.searchsorted(scan_ids, ids)
-    at[at == scan_ids.shape[0]] = 0
-    if ids.shape[0] and (
-        not scan_ids.shape[0] or not np.array_equal(scan_ids[at], ids)
-    ):
-        raise ValueError("shard id without a record row")
-    picked = [column[row] for row in at.tolist()]
-    if any(entry is None for entry in picked):
-        raise ValueError("shard id without a record vector")
-    return picked
-
-
-def _replay_shard(
-    base: tuple[int, np.ndarray] | None,
-    deltas: list[tuple[int, str, np.ndarray]],
-    fetch,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fold a shard's delta chain onto its base slab and fill it in.
-
-    ``base`` is ``(counter, ids)`` or ``None`` and counts as a run of
-    ``add``s; ``deltas`` are ids-only ``(counter, op, ids)`` rows in
-    journal append order; ``fetch(ids)`` returns the ``(len(ids), dim)``
-    float32 matrix of those records' current vectors and is asked once,
-    for the ascending ids whose *last* event is an ``add`` — a vector
-    lives in its record row, nowhere else.  Returns the replayed
-    ``(ids, matrix, tip)`` with ascending int64 ids and a C-contiguous
-    float32 matrix — byte-for-byte the layout a live
-    :class:`~repro.search.index.VectorIndex` shard holds, so replayed
-    slabs score bitwise-identically.
-
-    Raises ``ValueError`` on a torn chain: a delta stamped at or below
-    the base (a crash left compaction half-applied), a non-increasing
-    chain (two writers raced the journal), an unknown op, or whatever
-    ``fetch`` raises for a winning id whose record row cannot supply
-    the vector.  ``'remove'`` of an absent id is tolerated — a rebuilt
-    base may already reflect a delta appended concurrently with the
-    rebuild.
-    """
-    tip: int | None = None
-    # every id event in replay order: the base slab's ids, then each
-    # delta's; the last event of an id decides it
-    id_parts: list[np.ndarray] = []
-    part_is_add: list[bool] = []
-    if base is not None:
-        tip, ids = base
-        id_parts.append(ids)
-        part_is_add.append(True)
-    for counter, op, rids in deltas:
-        if tip is not None and counter <= tip:
-            # a delta at or below the base stamp means a crash left
-            # compaction half-applied; a non-increasing chain means two
-            # writers raced the journal — either way the chain is torn
-            raise ValueError("non-increasing delta chain")
-        tip = counter
-        if op not in (_OP_ADD, _OP_REMOVE):
-            raise ValueError(f"unknown delta op {op!r}")
-        id_parts.append(rids)
-        part_is_add.append(op == _OP_ADD)
-    if tip is None:
-        raise ValueError("empty shard chain")
-    event_ids = np.concatenate(id_parts).astype(np.int64, copy=False)
-    is_add = np.repeat(
-        np.asarray(part_is_add), [part.shape[0] for part in id_parts]
-    )
-    # stable sort: equal ids stay in replay order, so each run's last
-    # element is that id's deciding event
-    order = np.argsort(event_ids, kind="stable")
-    ordered = event_ids[order]
-    run_end = np.ones(ordered.shape[0], dtype=bool)
-    run_end[:-1] = ordered[1:] != ordered[:-1]
-    winners = order[run_end]
-    ids_out = event_ids[winners[is_add[winners]]]
-    if not ids_out.shape[0]:
-        return ids_out, np.empty((0, 0), dtype=np.float32), int(tip)
-    return ids_out, fetch(ids_out), int(tip)
 
 
 #: the registry-wide counters are rows of ``shard_stamps`` under this
@@ -326,17 +218,6 @@ CREATE TABLE workflow_pes (
     PRIMARY KEY (workflow_id, pe_id)
 ) WITHOUT ROWID;
 CREATE INDEX idx_workflow_pes_pe ON workflow_pes(pe_id, workflow_id);
--- persisted index slabs so a warm cold start skips the O(corpus)
--- rebuild: a slab is its shard's membership (ids) at its stamp, the
--- vectors are read from the record rows
-CREATE TABLE index_shards (
-    user_id INTEGER NOT NULL,
-    kind TEXT NOT NULL,
-    mutation_counter INTEGER NOT NULL,
-    rows INTEGER NOT NULL,
-    ids BLOB NOT NULL,
-    PRIMARY KEY (user_id, kind)
-);
 -- idempotency receipts for the v1 write surface (replaying a stored
 -- (user, key) returns the recorded response verbatim; a fingerprint
 -- mismatch is a 409).  Receipts are claimed (INSERT OR IGNORE of a
@@ -352,29 +233,16 @@ CREATE TABLE write_receipts (
     created_at REAL NOT NULL DEFAULT 0,
     PRIMARY KEY (user_id, idem_key)
 ) WITHOUT ROWID;
--- per-shard freshness stamps + the append-only delta journal.  The
--- journal is an ids-only changelog (no vectors, no secondary index:
--- every reader scans it whole in delta_id order) and each stamp row
--- carries its shard's chain tip beside it, so the one row a mutation
--- rewrites anyway also says whether to journal (tip = stamp: covered;
--- NULL or lower: stale until a base upsert).  The rows of user 0 are
--- the registry-wide counters (_REGISTRY_USER), not shards
+-- per-shard stamps: the mutation counter at which each (user, kind)
+-- shard's membership or vectors last changed, rewritten inside the
+-- mutation that changed it.  The rows of user 0 are the registry-wide
+-- counters (_REGISTRY_USER), not shards
 CREATE TABLE shard_stamps (
     user_id INTEGER NOT NULL,
     kind TEXT NOT NULL,
     mutation_counter INTEGER NOT NULL,
-    tip INTEGER,
     PRIMARY KEY (user_id, kind)
 ) WITHOUT ROWID;
-CREATE TABLE index_deltas (
-    delta_id INTEGER PRIMARY KEY,
-    user_id INTEGER NOT NULL,
-    kind TEXT NOT NULL,
-    op TEXT NOT NULL,
-    mutation_counter INTEGER NOT NULL,
-    rows INTEGER NOT NULL,
-    ids BLOB NOT NULL
-);
 INSERT INTO shard_stamps (user_id, kind, mutation_counter)
 VALUES (0, 'mutations', 0), (0, 'pes', 0), (0, 'workflows', 0);
 """
@@ -423,8 +291,13 @@ CREATE VIRTUAL TABLE {_TEXT_DB}.wf_fts USING fts5(
 """
 
 #: the on-disk format (``PRAGMA user_version``) :data:`_SCHEMA` creates.
-#: A v14 file takes one step to it (:meth:`SqliteDAO._step_from_v14`);
-#: any other version is refused.  v15 dropped the ``pe_text``/``wf_text``
+#: A v15 file takes one step to it (:meth:`SqliteDAO._step_from_v15`);
+#: any other version is refused.  v16 dropped the vector index's
+#: persistence plane — the ``index_shards`` base slabs, the
+#: ``index_deltas`` journal and ``shard_stamps.tip`` — which restated
+#: the membership the owner tables hold: attach fills every shard from
+#: the record rows, so a write logs no journal page.  v15 dropped the
+#: ``pe_text``/``wf_text``
 #: document tables: the documents live only in memory, derived from the
 #: record rows (:data:`_TEXT_INDEX_SCHEMA`), so a write logs no page of
 #: a text table.  v14 began storing a record's code and source deflated
@@ -441,7 +314,7 @@ CREATE VIRTUAL TABLE {_TEXT_DB}.wf_fts USING fts5(
 #: and source plain TEXT (v13 wrote them so): every layout decodes
 #: through the same codecs, and a row re-encodes when its record is next
 #: written.
-_SCHEMA_VERSION = 15
+_SCHEMA_VERSION = 16
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
 #: IN(...) lists well below that
@@ -617,7 +490,7 @@ _STORAGE = {PERecord: _PES, WorkflowRecord: _WORKFLOWS}
 
 def _refusal(path: str | Path, version: int) -> RegistryError:
     """Why a file at schema ``version`` is not opened: only a new file,
-    a v14 file (one step) and a current one are."""
+    a v15 file (one step) and a current one are."""
     if version > _SCHEMA_VERSION:
         advice = "it was written by newer code; open it with that code"
     else:
@@ -649,7 +522,7 @@ class SqliteDAO:
     Opening reads ``PRAGMA user_version`` before anything writes.  A new
     file (version 0, no schema) is created by :data:`_SCHEMA` in one
     transaction and stamped :data:`_SCHEMA_VERSION`; a file one version
-    behind takes :meth:`_step_from_v14`; a current file runs no DDL on
+    behind takes :meth:`_step_from_v15`; a current file runs no DDL on
     ``main``.  Any other version raises :class:`~repro.errors.RegistryError`
     naming it, and the file is left as it was.  Opening fills no text
     index: the first text ranking does (:meth:`_text_topk`), except on a
@@ -670,7 +543,7 @@ class SqliteDAO:
             self._conn.close()
             raise _refusal(path, version)
         # a WAL commit logs whole pages and the rows this registry
-        # commits are tens of bytes (stamps, owners, counter, journal) to
+        # commits are tens of bytes (stamps, owners, counter) to
         # ~780 (a benchmark PE: value-table code vector, deflated code
         # and source — a leaf to itself, no overflow page): 1 KB pages
         # log a quarter of what 4 KB ones do for the same touch.  Two
@@ -701,7 +574,12 @@ class SqliteDAO:
             # the later one's first CREATE TABLE fails
             self._text_version = self._stamped(_SCHEMA)
         elif version < _SCHEMA_VERSION:
-            self._step_from_v14()
+            try:
+                self._step_from_v15()
+            except sqlite3.Error:
+                # closing rolls the step back: the file stays at v15
+                self._conn.close()
+                raise
         # the text index, kept in step by this connection's record
         # writes and filled by a text ranking that finds it behind the
         # file (:meth:`_text_topk`).  ATTACH cannot run inside a
@@ -721,14 +599,17 @@ class SqliteDAO:
         finally:
             self._conn.execute("COMMIT")
 
-    def _step_from_v14(self) -> None:
-        """v14 -> v15: drop the ``pe_text``/``wf_text`` document tables
-        and stamp, in one transaction.  Their documents are a pure
-        function of the record rows, which the first text ranking derives
-        them from again (:meth:`_fill_text_index`); the stamp keeps a
-        v14 checkout, which would read the missing tables, from opening
-        the file."""
-        self._stamped("DROP TABLE pe_text;DROP TABLE wf_text;")
+    def _step_from_v15(self) -> None:
+        """v15 -> v16: drop the base slabs, the journal and each stamp's
+        chain tip, and stamp, in one transaction.  They restated which
+        records each shard holds, which the owner tables and record rows
+        say on their own (attach scans them); the stamp keeps a v15
+        checkout, which would read the missing tables, from opening the
+        file."""
+        self._stamped(
+            "DROP TABLE index_shards;DROP TABLE index_deltas;"
+            "ALTER TABLE shard_stamps DROP COLUMN tip;"
+        )
 
     def _text_rows(self) -> tuple[int, list[tuple[_Storage, list]]]:
         """Every record's id and :attr:`_Storage.sources` fields, per
@@ -825,49 +706,18 @@ class SqliteDAO:
         )
 
     def _stamp_shards(self, changes: _Changes, counter: int) -> None:
-        """Stamp the shards a mutation changed and journal each one that
-        was covered, inside the caller's transaction — the rule of
-        :meth:`shard_stamps`.  Stamp and journal row land in
-        one commit, so *stamp == journal tip* cannot be torn, and a
-        stale shard (a raw-SQL writer raised its stamp, an old file
-        crashed between mutation and append) never gets a row on top of
-        the gap: it keeps its tip and waits for a rebuild."""
-        for (user_id, kind), (op, ids) in sorted(changes.items()):
-            row = self._conn.execute(
-                "SELECT mutation_counter, tip FROM shard_stamps"
-                " WHERE user_id=? AND kind=?",
-                (user_id, kind),
-            ).fetchone()
-            tip = None if row is None else row["tip"]
-            if row is None or row["mutation_counter"] == tip:
-                self.append_index_delta(user_id, kind, op, ids, counter)
-                tip = counter
-            self._conn.execute(
-                "INSERT OR REPLACE INTO shard_stamps"
-                " (user_id, kind, mutation_counter, tip) VALUES (?, ?, ?, ?)",
-                (user_id, kind, counter, tip),
-            )
-
-    def append_index_delta(
-        self, user_id: int, kind: str, op: str, ids: list[int], counter: int
-    ) -> None:
-        """The single journal-row writer: one ids-only ``'add'`` /
-        ``'remove'`` row for one shard at ``counter``.  Only
-        :meth:`_stamp_shards` calls it, inside the mutation's
-        transaction — it must not open (and so commit) one of its own."""
-        self._conn.execute(
-            "INSERT INTO index_deltas"
-            " (user_id, kind, op, mutation_counter, rows, ids)"
-            " VALUES (?, ?, ?, ?, ?, ?)",
-            (
-                user_id,
-                kind,
-                op,
-                counter,
-                len(ids),
-                np.asarray(ids, dtype=np.int64).tobytes(),
-            ),
+        """Stamp the shards a mutation changed with its bumped counter,
+        inside the caller's transaction — the rule of
+        :meth:`shard_stamps`."""
+        self._conn.executemany(
+            "INSERT OR REPLACE INTO shard_stamps"
+            " (user_id, kind, mutation_counter) VALUES (?, ?, ?)",
+            [(user_id, kind, counter) for user_id, kind in sorted(changes)],
         )
+
+    def append_index_delta(self, *_args) -> None:
+        """No-op: schema v16 keeps no index journal.  Kept only because
+        the e2e tracer names it; ROADMAP items 0a/17 delete it."""
 
     def _old_state(self, store: _Storage, record_id: int) -> sqlite3.Row:
         """The committed row of a record, as far as a mutation needs it
@@ -1060,16 +910,11 @@ class SqliteDAO:
         with self._lock, self._conn:
             counter = self._bump_mutation()
             first = self._issue_ids(store.table, len(records))
-            changes: _Changes = {}
+            changes: _Changes = set()
             for record_id, record in enumerate(records, start=first):
                 setattr(record, store.id, record_id)
                 record.revision = 1
-                _merge_changes(
-                    changes,
-                    _shard_changes(
-                        store.record_type, record_id, set(), {}, record
-                    ),
-                )
+                changes |= _shard_changes(store.record_type, set(), {}, record)
             self._stamp_shards(changes, counter)
             self._conn.executemany(
                 f"INSERT INTO {store.table} ({store.id}, {store.column_list},"
@@ -1124,7 +969,7 @@ class SqliteDAO:
             old_owners = self._old_owners(old)
             self._stamp_shards(
                 _shard_changes(
-                    store.record_type, record_id, old_owners,
+                    store.record_type, old_owners,
                     self._old_vectors(old, store.record_type), record,
                 ),
                 counter,
@@ -1142,7 +987,7 @@ class SqliteDAO:
             old_owners = self._old_owners(old)
             self._stamp_shards(
                 _shard_changes(
-                    store.record_type, record_id, old_owners,
+                    store.record_type, old_owners,
                     self._old_vectors(old, store.record_type), None,
                 ),
                 counter,
@@ -1404,11 +1249,10 @@ class SqliteDAO:
     ) -> list[tuple[int, float]]:
         return self._text_topk(_WORKFLOWS, user_id, query, k)
 
-    # -- index-shard persistence ------------------------------------------
+    # -- shard stamps and the vector scan ---------------------------------
     def mutation_counter(self) -> int:
         """Monotonic counter bumped inside every PE/workflow write
-        transaction — the freshness authority for every persisted
-        shard."""
+        transaction (the ``registryVersion`` a write reply carries)."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT mutation_counter FROM shard_stamps"
@@ -1417,72 +1261,15 @@ class SqliteDAO:
             ).fetchone()
         return 0 if row is None else int(row["mutation_counter"])
 
-    @staticmethod
-    def _shard_payload_row(user_id, kind, counter, ids):
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        return (
-            int(user_id), str(kind), int(counter), int(ids.shape[0]),
-            ids.tobytes(),
-        )
-
-    def save_index_shards(
-        self, shards: Mapping[tuple[int, str], np.ndarray], counter: int
-    ) -> None:
-        """Replace the slab snapshot wholesale, stamped at ``counter``.
-
-        A slab is the ascending int64 ids of one (user, kind) shard, as
-        :meth:`~repro.search.index.VectorIndex.ids` lists them.  Being
-        a truth assertion for the *whole* index, it also drops every
-        journaled delta and stamps each written shard; a stamped shard
-        it was not given loses its chain and so its coverage — the
-        caller vouches this is the complete index membership at
-        ``counter``.
-        """
-        payload = [
-            self._shard_payload_row(user_id, kind, counter, ids)
-            for (user_id, kind), ids in shards.items()
-        ]
-        with self._lock, self._conn:
-            self._conn.execute("DELETE FROM index_shards")
-            self._conn.execute("DELETE FROM index_deltas")
-            self._conn.execute("UPDATE shard_stamps SET tip = NULL")
-            self._conn.executemany(
-                """INSERT INTO index_shards
-                   (user_id, kind, mutation_counter, rows, ids)
-                   VALUES (?, ?, ?, ?, ?)""",
-                payload,
-            )
-            self._raise_stamps(payload, int(counter))
-
-    def _raise_stamps(self, payload: list[tuple], stamp: int) -> None:
-        """A base slab was written at ``stamp`` for each payload row:
-        raise its shard's stamp and chain tip to at least that (a
-        racing writer's higher values survive, and with them the truth
-        about whether its journal row does)."""
-        self._conn.executemany(
-            "INSERT INTO shard_stamps (user_id, kind, mutation_counter, tip)"
-            " VALUES (?, ?, ?, ?)"
-            " ON CONFLICT(user_id, kind) DO UPDATE SET"
-            " mutation_counter = MAX(mutation_counter,"
-            " excluded.mutation_counter),"
-            " tip = MAX(COALESCE(tip, 0), excluded.tip)",
-            [(row[0], row[1], stamp, stamp) for row in payload],
-        )
-
     def shard_stamps(self) -> dict[tuple[int, str], int]:
-        """Per-``(user_id, kind)`` expected mutation stamps.
+        """Per-``(user_id, kind)`` shard versions.
 
         Every registry mutation stamps the shards whose *content* it
-        changed (owner gained/lost, embedding bytes changed) with the
-        bumped mutation counter and, in the same transaction, appends
-        that shard's ids-only journal row — provided the shard was
-        *covered* before the write (its stamp equalled its chain tip; a
-        shard's first stamp counts, replay from an empty base is then
-        complete).  A stale shard is only stamped and stays stale until
-        a base upsert rebuilds it, so a journal row never lands on top
-        of a gap.  A persisted shard is fresh iff its replayed chain
-        tip equals this stamp.  The rows of user 0 are the registry-wide
-        counters (:data:`_REGISTRY_USER`), not shards, and are left out.
+        changed (an owner gained or lost the record, or its embedding
+        bytes changed) with the bumped mutation counter, in the
+        mutation's own transaction; a shard no write has changed has no
+        stamp.  The rows of user 0 are the registry-wide counters
+        (:data:`_REGISTRY_USER`), not shards, and are left out.
         """
         with self._lock:
             rows = self._conn.execute(
@@ -1497,39 +1284,9 @@ class SqliteDAO:
             for row in rows
         }
 
-    def upsert_index_shards(
-        self, shards: Mapping[tuple[int, str], np.ndarray], stamp: int
-    ) -> None:
-        """Per-shard base replace + compaction fold at ``stamp``.
-
-        Only the given shards are touched: each gets its base slab (its
-        ids) replaced, its deltas with counter ``<= stamp`` dropped
-        (folded into the new base), and its expected stamp and chain tip
-        raised to at least ``stamp`` (seeding missing stamps, e.g. after
-        the wholesale rebuild of a registry without any) — a shard
-        upserted at its stamp is covered again, and a delta above the
-        stamp (a racing writer's) survives on top of the new base.
-        Untouched shards keep their rows: one tenant's flush never
-        rewrites another tenant's slab.
-        """
-        stamp = int(stamp)
-        payload = [
-            self._shard_payload_row(user_id, kind, stamp, ids)
-            for (user_id, kind), ids in shards.items()
-        ]
-        with self._lock, self._conn:
-            self._conn.executemany(
-                """INSERT OR REPLACE INTO index_shards
-                   (user_id, kind, mutation_counter, rows, ids)
-                   VALUES (?, ?, ?, ?, ?)""",
-                payload,
-            )
-            self._conn.executemany(
-                "DELETE FROM index_deltas WHERE user_id=? AND kind=?"
-                " AND mutation_counter<=?",
-                [(row[0], row[1], stamp) for row in payload],
-            )
-            self._raise_stamps(payload, stamp)
+    def upsert_index_shards(self, *_args) -> None:
+        """No-op: schema v16 keeps no base slab.  Kept only because the
+        e2e tracer names it; ROADMAP items 0a/17 delete it."""
 
     def _scan_owned(
         self, user_id: int, record_type: type, kinds: Sequence[str]
@@ -1563,9 +1320,7 @@ class SqliteDAO:
         ``kinds`` the ``(ids, matrix)`` of the records ``user_id`` owns
         that carry a vector of that kind — ascending int64 ids,
         C-contiguous float32 rows, an empty shard ``(0,)`` / ``(0, 0)``.
-        One :meth:`_scan_owned` per record table the kinds live in —
-        the scan :meth:`load_index_shards` fills replayed shards from,
-        so a rebuilt shard and a replayed one are the same bytes.
+        One :meth:`_scan_owned` per record table the kinds live in.
         Raises ``ValueError`` for a corrupt vector or mixed widths.
         """
         tables: dict[type, list[str]] = {}
@@ -1590,116 +1345,13 @@ class SqliteDAO:
                     )
         return shards
 
-    def load_index_shards(
-        self,
-    ) -> tuple[
-        dict[tuple[int, str], tuple[np.ndarray, np.ndarray, int]], int
-    ]:
-        """Replayed per-shard slabs: ``({key: (ids, matrix, tip)}, discarded)``.
-
-        Base slab and journal hold ids only: the base is replayed as a
-        run of ``add``s followed by its delta chain in append order
-        (:func:`_replay_shard`), and the vector of every id whose last
-        event is an ``add`` is read from its record row — one ordered
-        :meth:`_scan_owned` per (user, record table), however many of
-        the user's kinds read it.  ``tip`` is the counter of the last
-        event folded in (the shard is fresh iff ``tip ==
-        shard_stamps()[key]``).  A corrupt, truncated or torn shard (bad
-        blob, non-monotonic chain, delta at or below the base stamp, a
-        winning id whose record row is gone, not the user's, of another
-        width or without a vector of that kind) discards *only that
-        shard* and increments ``discarded`` — never the whole snapshot.
-        """
-        with self._lock:
-            base_rows = self._conn.execute(
-                "SELECT user_id, kind, mutation_counter, rows, ids"
-                " FROM index_shards"
-            ).fetchall()
-            delta_rows = self._conn.execute(
-                "SELECT user_id, kind, op, mutation_counter, rows, ids"
-                " FROM index_deltas ORDER BY delta_id"
-            ).fetchall()
-            bases: dict[tuple[int, str], tuple] = {}
-            chains: dict[tuple[int, str], list] = {}
-            bad: set[tuple[int, str]] = set()
-            for row in base_rows:
-                key = (int(row["user_id"]), str(row["kind"]))
-                try:
-                    bases[key] = (
-                        int(row["mutation_counter"]), self._decode_ids(row)
-                    )
-                except ValueError:
-                    bad.add(key)
-            for row in delta_rows:
-                key = (int(row["user_id"]), str(row["kind"]))
-                try:
-                    ids = self._decode_ids(row)
-                except ValueError:
-                    bad.add(key)
-                    continue
-                chains.setdefault(key, []).append(
-                    (int(row["mutation_counter"]), str(row["op"]), ids)
-                )
-            # under the same lock hold as the journal read: within this
-            # process the record rows read now are the ones that journal
-            # describes (across processes: read_snapshot)
-            return self._replay_shards(bases, chains, bad)
-
-    def _replay_shards(
-        self,
-        bases: Mapping[tuple[int, str], tuple[int, np.ndarray]],
-        chains: Mapping[tuple[int, str], list[tuple[int, str, np.ndarray]]],
-        bad: set[tuple[int, str]],
-    ) -> tuple[dict[tuple[int, str], tuple[np.ndarray, np.ndarray, int]], int]:
-        """:meth:`load_index_shards` once the ids are in hand: replay
-        every shard (:func:`_replay_shard`) and fill it from one
-        :meth:`_scan_owned` per (user, record table), however many of
-        the user's kinds read it.  ``bad`` shards (rows that did not even
-        parse) and shards that raise are discarded one by one.  Caller
-        holds the lock."""
-        keys = sorted(set(bases) | set(chains) | bad)
-        kinds_of: dict[tuple[int, type], list[str]] = {}
-        for user_id, kind in keys:
-            if kind in SHARD_KINDS:
-                kinds_of.setdefault(
-                    (user_id, SHARD_KINDS[kind].record_type), []
-                ).append(kind)
-        # keys are sorted, so a user's kinds follow one another: holding
-        # the latest scan is holding every scan that will be asked for
-        # again
-        latest: list = [None, None]
-
-        def fetch(key: tuple[int, str], ids: np.ndarray) -> np.ndarray:
-            user_id, kind = key
-            if kind not in SHARD_KINDS:
-                raise ValueError(f"unknown shard kind {kind!r}")
-            source = (user_id, SHARD_KINDS[kind].record_type)
-            if latest[0] != source:
-                latest[:] = source, self._scan_owned(*source, kinds_of[source])
-            scan_ids, columns = latest[1]
-            return decode_many(_pick_rows(scan_ids, columns[kind], ids))
-
-        shards: dict[tuple[int, str], tuple] = {}
-        discarded = 0
-        for key in keys:
-            if key in bad:
-                discarded += 1
-                continue
-            try:
-                shards[key] = _replay_shard(
-                    bases.get(key), chains.get(key, []), partial(fetch, key)
-                )
-            except ValueError:
-                discarded += 1
-        return shards, discarded
-
     @contextmanager
     def read_snapshot(self):
         """Reads made inside this context see one state of the store:
         no write of this or of another process lands between them
-        (attach reads stamps, base slabs, journal and record rows, and
-        a shard is only as fresh as the rows its ids are filled from).
-        Holds the DAO's lock; write nothing inside.
+        (attach scans every user's records inside one, so the index it
+        fills is the registry as of one commit).  Holds the DAO's lock;
+        write nothing inside.
         """
         # WAL gives a read transaction one snapshot of the file from its
         # first read on, whatever other connections commit meanwhile;
@@ -1718,78 +1370,6 @@ class SqliteDAO:
         on ``:memory:``."""
         with self._lock:
             self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)").fetchall()
-
-    @staticmethod
-    def _decode_ids(row) -> np.ndarray:
-        """The int64 ids of one base/delta row, validated against its
-        declared row count; ``ValueError`` on a truncated blob."""
-        ids_blob = row["ids"]
-        if len(ids_blob) != int(row["rows"]) * 8:
-            raise ValueError("truncated blob")
-        return np.frombuffer(ids_blob, dtype=np.int64).copy()
-
-    def index_shards_meta(self) -> dict[str, int | None]:
-        """Cheap snapshot metadata:
-        ``{counter, shards, rows, deltas, deltaBytes}``.
-
-        Never deserializes slab blobs; ``counter`` is the uniform base
-        stamp, or ``None`` when absent or (normal under per-shard
-        persistence) mixed.
-        """
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT mutation_counter, rows FROM index_shards"
-            ).fetchall()
-            delta = self._conn.execute(
-                "SELECT COUNT(*) AS n, COALESCE(SUM(LENGTH(ids)), 0) AS b"
-                " FROM index_deltas"
-            ).fetchone()
-        counters = {row["mutation_counter"] for row in rows}
-        return {
-            "counter": counters.pop() if len(counters) == 1 else None,
-            "shards": len(rows),
-            "rows": sum(row["rows"] for row in rows),
-            "deltas": int(delta["n"]),
-            "deltaBytes": int(delta["b"]),
-        }
-
-    def shard_chain_meta(self) -> dict[tuple[int, str], dict[str, int]]:
-        """Per-shard chain statistics, no blob deserialization:
-        ``{key: {baseCounter, rows, chainLen, chainRows, chainBytes,
-        tip}}`` — ``rows`` counts the base slab, ``chainRows`` the ids
-        journaled on top of it, ``chainBytes`` their bytes at rest (ids
-        only — the journal stores no vectors)."""
-        with self._lock:
-            base_rows = self._conn.execute(
-                "SELECT user_id, kind, mutation_counter, rows"
-                " FROM index_shards"
-            ).fetchall()
-            delta_rows = self._conn.execute(
-                "SELECT user_id, kind, COUNT(*) AS n, SUM(rows) AS r,"
-                " COALESCE(SUM(LENGTH(ids)), 0) AS b,"
-                " MAX(mutation_counter) AS tip"
-                " FROM index_deltas GROUP BY user_id, kind"
-            ).fetchall()
-        meta: dict[tuple[int, str], dict[str, int]] = {}
-        for row in base_rows:
-            meta[(int(row["user_id"]), str(row["kind"]))] = {
-                "baseCounter": int(row["mutation_counter"]),
-                "rows": int(row["rows"]),
-                "chainLen": 0,
-                "chainRows": 0,
-                "chainBytes": 0,
-                "tip": int(row["mutation_counter"]),
-            }
-        for row in delta_rows:
-            entry = meta.setdefault(
-                (int(row["user_id"]), str(row["kind"])),
-                {"baseCounter": None, "rows": 0},
-            )
-            entry["chainLen"] = int(row["n"])
-            entry["chainRows"] = int(row["r"])
-            entry["chainBytes"] = int(row["b"])
-            entry["tip"] = int(row["tip"])
-        return meta
 
     # -- idempotency receipts ---------------------------------------------
     def get_write_receipt(
@@ -1819,9 +1399,8 @@ class SqliteDAO:
         """Record one write's response under ``(user_id, key)``.
 
         Receipts are *not* registry mutations: no ``_bump_mutation()``,
-        so a replayed write leaves the counter (and any persisted shard
-        snapshot's freshness) untouched — the observable no-op
-        guarantee.
+        so a replayed write leaves the counter and every shard stamp
+        untouched — the observable no-op guarantee.
         """
         with self._lock, self._conn:
             self._conn.execute(

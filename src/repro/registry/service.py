@@ -36,15 +36,6 @@ from repro.registry.entities import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.search.index import VectorIndex
 
-#: a shard's journal is folded into its base slab once the rows
-#: journaled since the last fold reach ``max(_FOLD_FLOOR, base rows)``:
-#: a fold then rewrites at most twice what the journal it retires added
-#: (amortised O(delta) per write), and the chain a restart replays never
-#: outgrows the base it is replayed onto.  The floor keeps a small shard
-#: from folding on every write.  Rows, not bytes: replay costs one
-#: last-writer-wins slot per journaled id whatever its encoded size.
-_FOLD_FLOOR = 64
-
 Record = PERecord | WorkflowRecord
 
 #: each record kind's DAO methods, by name: looked up on the DAO when
@@ -94,372 +85,81 @@ class RegistryService:
     ) -> None:
         self.dao = dao
         self.index = None
-        #: the DAO mutation counter the in-memory index is known to
-        #: reflect; persist_shards stamps snapshots with this, never
-        #: with a re-read (a foreign process's write between index
-        #: sync and stamping would otherwise mark a stale snapshot
-        #: fresh).  Lost-update races on the += only under-count,
-        #: which skips a persist — the safe direction.
-        self._index_counter = 0
-        #: write base slabs and fold chains (attach_index's ``persist``
-        #: flag).  Journaling is not this service's to switch: the DAO
-        #: appends each mutation's ids-only journal row inside the
-        #: mutation's own transaction, whoever the writer is
-        self._persist = False
-        #: per-shard ``[base rows, rows journaled since the last fold]``
-        #: — what the fold rule reads.  Seeded from the DAO at attach,
-        #: bumped where a journaled write is mirrored into the live
-        #: index, reset by every base upsert this service issues.  A
-        #: foreign process's rows are not counted, which is harmless: a
-        #: fold is refused anyway while the mutation counters disagree.
-        self._chains: dict[tuple[int, str], list[int]] = {}
-        #: folds this service performed, for ``repro stats --shards``
-        self._compactions = 0
-        #: shards the last attach had to discard (corrupt/torn rows)
-        self._attach_discarded = 0
         if index is not None:
             self.attach_index(index)
 
     # ------------------------------------------------------------------
     # Search-index maintenance
     # ------------------------------------------------------------------
-    def attach_index(
-        self, index: "VectorIndex", *, persist: bool = True
-    ) -> str:
-        """Adopt ``index`` and populate it; returns ``"fresh"``,
-        ``"partial"`` or ``"rebuilt"``.
+    def attach_index(self, index: "VectorIndex") -> None:
+        """Adopt ``index`` and fill it from the record rows.
 
-        Cold start, per shard: every persisted base slab (the shard's
-        ids at its last fold) is replayed through its delta journal
-        chain and filled from the record rows — one ordered scan and one
-        batch decode per (user, record table), no record is hydrated —
-        and a shard whose replayed chain tip equals its expected
-        mutation stamp
-        (:meth:`~repro.registry.dao.SqliteDAO.shard_stamps`) loads
-        straight into the index.  Only shards that are stale (a write
-        this journal never saw — e.g. a foreign process's), torn or
-        corrupt are rebuilt, each from its *own* owner's rows
-        (:meth:`~repro.registry.dao.SqliteDAO.owned_vectors`, the
-        same scan), and (with ``persist``) upserted back so the next
-        cold start finds them covered.  One tenant's write therefore
-        never invalidates anyone else's slab.
+        The store is the only truth about which records a shard holds:
+        every ``(user, kind)`` shard is one ordered scan of the user's
+        owner rows joined to the record rows and one batch decode per
+        (user, record table)
+        (:meth:`~repro.registry.dao.SqliteDAO.owned_vectors`), no record
+        is hydrated, and nothing is written.  Every user's scans run
+        inside one :meth:`~repro.registry.dao.SqliteDAO.read_snapshot`,
+        so what loads is the registry as of one commit even while
+        another process writes.
 
-        Stamps, slabs, journal and rows are read inside one
-        :meth:`~repro.registry.dao.SqliteDAO.read_snapshot`, so what
-        is loaded is the registry as of one mutation counter even
-        while another process writes.
-
-        A registry with no per-shard stamps at all (one that no
-        embedded record has been written to) falls back to the full
-        O(corpus) rebuild.
-
-        ``persist`` also arms chain folding (see :meth:`_journaled`);
-        without it this service writes no base slab and folds nothing —
-        the DAO journals every write regardless.
+        No membership is persisted beside the rows (schema v16 dropped
+        the base slabs and the journal that restated it), so a write
+        logs no index page.  What that costs a cold start, open +
+        attach timed in fresh processes, ten pairs with the sides
+        alternating, on a 2-CPU Linux host: 6 600 PEs with two 2 048-wide
+        vectors each, 145–177 ms (median 161) against the v15 journal
+        replay's 148–197 ms (median 169); 50 000 PEs with one vector
+        each, 0.50–0.84 s (median 0.64) against 0.55–0.87 s (median
+        0.68).
         """
         self.index = index
-        self._persist = persist
-        rebuilt: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
         with self.dao.read_snapshot():
-            counter = self.dao.mutation_counter()
-            stamps = self.dao.shard_stamps()
-            loaded, discarded = self.dao.load_index_shards()
-            chains = self.dao.shard_chain_meta()
-            fresh = {
-                key
-                for key, (_ids, _matrix, tip) in loaded.items()
-                if stamps.get(key) == tip
-            }
-            stale = (set(stamps) | set(loaded)) - fresh
-            # without stamps nothing loaded can be trusted or repaired
-            # shard by shard: the wholesale rebuild below takes over
-            stale_kinds: dict[int, list[str]] = {}
-            for user_id, kind in sorted(stale) if stamps else ():
-                if kind in SHARD_KINDS:
-                    stale_kinds.setdefault(user_id, []).append(kind)
-            for user_id, kinds in stale_kinds.items():
+            shards = {
+                (user.user_id, kind): shard
+                for user in self.dao.all_users()
                 for kind, shard in self.dao.owned_vectors(
-                    user_id, kinds
-                ).items():
-                    rebuilt[(user_id, kind)] = shard
-        self._index_counter = counter
-        self._attach_discarded = discarded
-        self._chains = {
-            key: [chain["rows"], chain["chainRows"]]
-            for key, chain in chains.items()
-        }
-
-        if not stamps:
-            # no stamps (nothing embedded written yet): rebuild
-            # wholesale — persisting re-seeds per-shard stamps
-            self._rebuild_full(index)
-            if persist:
-                self._save_full_snapshot()
-            return "rebuilt"
-
-        for key in sorted(fresh):
-            ids, matrix, _tip = loaded[key]
-            if ids.shape[0]:
-                index.add_many(key[0], key[1], ids, matrix)
-        for (user_id, kind), (ids, matrix) in rebuilt.items():
+                    user.user_id, SHARD_KINDS
+                ).items()
+            }
+        for (user_id, kind), (ids, matrix) in shards.items():
             if ids.shape[0]:
                 index.add_many(user_id, kind, ids, matrix)
-        if rebuilt and persist:
-            # stamped at the counter read above; upsert_index_shards
-            # max-seeds stamps, so a racing foreign write (which stamps
-            # higher) correctly leaves its shard stale
-            self._upsert_shards(
-                {key: ids for key, (ids, _matrix) in rebuilt.items()}, counter
-            )
-        if persist:
-            index.consume_dirty()
-        if not stale:
-            return "fresh"
-        return "partial" if fresh else "rebuilt"
-
-    def _rebuild_full(self, index: "VectorIndex") -> None:
-        """Legacy O(corpus) rebuild: one pass over every record."""
-        shards: dict[tuple[int, str], tuple[list[int], list]] = {}
-        for records in (self.dao.all_pes(), self.dao.all_workflows()):
-            for record in records:
-                for user_id in record.owners:
-                    for kind in RECORD_KINDS[type(record)].shards:
-                        spec = SHARD_KINDS[kind]
-                        vector = getattr(record, spec.vector_field)
-                        if vector is None:
-                            continue
-                        ids, vectors = shards.setdefault(
-                            (user_id, kind), ([], [])
-                        )
-                        ids.append(getattr(record, spec.id_field))
-                        vectors.append(vector)
-        for (user_id, kind), (ids, vectors) in shards.items():
-            index.add_many(user_id, kind, ids, vectors)
-
-    def _note_write(self) -> None:
-        """Record one DAO write performed *through this service* (the
-        index was updated in the same call, so it still reflects the
-        registry at the bumped counter)."""
-        self._index_counter += 1
-
-    def _journaled(
-        self, key: tuple[int, str], rows: int, *, fold: bool = True
-    ) -> None:
-        """Account ``rows`` ids the DAO journaled on shard ``key`` and
-        fold the chain once the rule (``_FOLD_FLOOR``) says it is due.
-
-        The DAO writes a mutation's journal rows itself, in the
-        mutation's transaction; what is left here is the fold, which
-        lists the *live* index's ids — so every call sits right after
-        the loop that applied that same mutation to it, never before.
-        ``fold`` is off for a bulk caller that will issue one
-        ``persist_shards()`` when it finishes (the ingest pipeline):
-        every mid-stream fold rewrites the whole growing id list only
-        for the final persist to do it again.
-        """
-        if not self._persist or self.index is None:
-            return
-        self._chains.setdefault(key, [0, 0])[1] += rows
-        if fold and self._fold_due(key):
-            self._compact_shard(key)
-
-    def _fold_due(self, key: tuple[int, str]) -> bool:
-        base_rows, journaled = self._chains.get(key, (0, 0))
-        return journaled >= max(_FOLD_FLOOR, base_rows)
-
-    def _upsert_shards(
-        self, shards: dict[tuple[int, str], np.ndarray], stamp: int
-    ) -> None:
-        """Write base slabs (``{key: ids}``) at ``stamp`` (folding the
-        chains below it) and restart those shards' fold accounting from
-        the new bases."""
-        self.dao.upsert_index_shards(shards, stamp)
-        self._rebase_chains(shards)
-
-    def _rebase_chains(self, shards) -> None:
-        for key, ids in shards.items():
-            self._chains[key] = [int(ids.shape[0]), 0]
-
-    def _live_ids(self, keys) -> dict[tuple[int, str], np.ndarray]:
-        """What a base slab stores: the ids the live index holds in each
-        of ``keys`` (none for a shard that emptied out or never was, so
-        its stamp stays satisfiable once persisted).  The vectors stay
-        where they are — in the record rows."""
-        return {
-            key: np.asarray(self.index.ids(*key), dtype=np.int64)
-            for key in keys
-        }
-
-    def _compact_shard(self, key: tuple[int, str]) -> bool:
-        """Fold one shard's delta chain into its base slab.
-
-        Guarded by the usual counter check (a foreign write makes the
-        live shard unciteable as truth); the upsert deletes the folded
-        deltas and max-raises the stamp, so a post-check racing write
-        still leaves the shard stale rather than wrongly fresh.
-        """
-        if self.index is None:
-            return False
-        stamp = self._index_counter
-        if self.dao.mutation_counter() != stamp:
-            return False
-        shards = self._live_ids([key])
-        if self.dao.mutation_counter() != stamp:
-            return False
-        self._upsert_shards(shards, stamp)
-        self._compactions += 1
-        return True
-
-    def _save_full_snapshot(self) -> bool:
-        """Wholesale snapshot save — the truth assertion used after a
-        full rebuild (only the ids are kept)."""
-        stamp = self._index_counter
-        if self.dao.mutation_counter() != stamp:
-            return False
-        shards = {
-            key: ids
-            for key, (ids, _matrix) in self.index.export_shards().items()
-        }
-        if self.dao.mutation_counter() != stamp:
-            return False
-        self.dao.save_index_shards(shards, stamp)
-        self._chains.clear()  # the wholesale save dropped every journal
-        self._rebase_chains(shards)
-        self.index.consume_dirty()
-        return True
 
     def persist_shards(self) -> bool:
-        """Flush the index's unpersisted shards through the DAO.
-
-        A dirty shard whose journal chain tip already equals its
-        expected stamp needs nothing — the journal *is* its persistence
-        — unless the fold rule says its chain is due: a
-        persist-deferred bulk caller (an ingest job) leaves its chain
-        unfolded, and this call at the end of the job folds it, off the
-        request path, so a restart replays a bounded chain.  Shards the
-        journal does not cover (stale: stamped by a writer that could
-        not journal them) are upserted individually.  The export is
-        stamped with the counter the index is *known* to reflect —
-        never a fresh counter read, which could cover a foreign
-        process's write this index never saw — and skipped when the
-        DAO's counter disagrees before or after the export.  Returns
-        whether the persisted state is consistent at that stamp.
-        """
-        if self.index is None:
-            return False
-        stamp = self._index_counter
-        if self.dao.mutation_counter() != stamp:
-            return False
-        dirty = set(self.index.dirty_keys())
-        if dirty:
-            stamps = self.dao.shard_stamps()
-            chains = self.dao.shard_chain_meta()
-            uncovered = {
-                key
-                for key in dirty
-                if chains.get(key, {}).get("tip") is None
-                or chains.get(key, {}).get("tip") != stamps.get(key)
-            }
-            due = {key for key in dirty - uncovered if self._fold_due(key)}
-            pending = uncovered | due
-            if pending:
-                shards = self._live_ids(pending)
-                if self.dao.mutation_counter() != stamp:
-                    return False
-                self._upsert_shards(shards, stamp)
-                self._compactions += len(due)
-        self.index.consume_dirty()
+        """No-op: the record rows are the index's only persistence.
+        Kept only because the e2e tracer names it; ROADMAP items 0a/17
+        delete it."""
         return True
 
     def shard_persistence(self) -> dict:
-        """Freshness report for the persisted per-shard state.
+        """The journal report's shape, all zeros (no journal is kept).
+        Kept only because the e2e tracer reads it; ROADMAP items 0a/17
+        delete it."""
+        return {"journal": {"compactions": 0}}
 
-        ``perShard`` maps ``"user/kind"`` to that shard's expected
-        stamp, journaled chain tip, base rows, chain length/rows/bytes
-        and freshness (``tip == stamp``); ``journal`` is the journal at
-        rest (rows, their ids-only bytes) plus the folds this service
-        performed.  Every byte count is bytes at rest — what the DAO
-        stored, not the dense arrays' ``nbytes``.  The legacy top-level
-        keys (``storedCounter``, ``fresh``, ...) are kept for existing
-        callers — ``fresh`` now means *every* known shard replays to its
-        expected stamp.
-        """
-        meta = self.dao.index_shards_meta()
-        stamps = self.dao.shard_stamps()
-        chains = self.dao.shard_chain_meta()
-        current = self.dao.mutation_counter()
-        per_shard: dict[str, dict] = {}
-        fresh_shards = 0
-        for key in sorted(set(stamps) | set(chains)):
-            chain = chains.get(key, {})
-            tip = chain.get("tip")
-            stamp = stamps.get(key)
-            fresh = tip is not None and tip == stamp
-            fresh_shards += int(fresh)
-            per_shard[f"{key[0]}/{key[1]}"] = {
-                "stamp": stamp,
-                "tip": tip,
-                "baseRows": chain.get("rows", 0),
-                "chainLen": chain.get("chainLen", 0),
-                "chainRows": chain.get("chainRows", 0),
-                "chainBytes": chain.get("chainBytes", 0),
-                "fresh": fresh,
-            }
-        total = len(per_shard)
-        stored = meta.get("counter")
-        return {
-            "storedCounter": stored,
-            "currentCounter": current,
-            "shards": meta.get("shards", 0),
-            "rows": meta.get("rows", 0),
-            "deltas": meta.get("deltas", 0),
-            "deltaBytes": meta.get("deltaBytes", 0),
-            "fresh": total > 0 and fresh_shards == total,
-            "freshShards": fresh_shards,
-            "staleShards": total - fresh_shards,
-            "discardedShards": self._attach_discarded,
-            "perShard": per_shard,
-            "journal": {
-                "rows": meta.get("deltas", 0),
-                "bytes": meta.get("deltaBytes", 0),
-                "compactions": self._compactions,
-                "bytesPerMutation": (
-                    meta.get("deltaBytes", 0) / meta["deltas"]
-                    if meta.get("deltas")
-                    else 0.0
-                ),
-            },
-        }
-
-    def _index(
-        self, user_id: int, record: Record, *, journaled: bool = True
-    ) -> None:
+    def _index(self, user_id: int, record: Record) -> None:
         """Put a record into ``user_id``'s shards of the live index, one
-        per shard kind it carries a vector of.  ``journaled`` says a DAO
-        write put it there (and so journaled it); re-indexing a record
-        the caller already owned is not one."""
+        per shard kind it carries a vector of."""
         if self.index is None:
             return
         for kind in RECORD_KINDS[type(record)].shards:
             spec = SHARD_KINDS[kind]
             vector = getattr(record, spec.vector_field)
-            if vector is None:
-                continue
-            self.index.add(user_id, kind, getattr(record, spec.id_field), vector)
-            if journaled:
-                self._journaled((user_id, kind), 1)
+            if vector is not None:
+                self.index.add(
+                    user_id, kind, getattr(record, spec.id_field), vector
+                )
 
     def _unindex(self, user_id: int, record: Record) -> None:
         """Drop a record from every one of ``user_id``'s shards of its
-        kind; the DAO journaled a ``remove`` for the kinds the record
-        embeds."""
+        kind."""
         if self.index is None:
             return
         for kind in RECORD_KINDS[type(record)].shards:
             spec = SHARD_KINDS[kind]
             self.index.remove(user_id, kind, getattr(record, spec.id_field))
-            if getattr(record, spec.vector_field) is not None:
-                self._journaled((user_id, kind), 1)
 
     # ------------------------------------------------------------------
     # Users / auth
@@ -511,18 +211,14 @@ class RegistryService:
         return self._register(user, record)
 
     def register_pes_bulk(
-        self, user: UserRecord, records: list[PERecord], *, persist: bool = True
+        self, user: UserRecord, records: list[PERecord]
     ) -> tuple[list[PERecord], list[bool]]:
-        return self._register_bulk(user, records, persist=persist)
+        return self._register_bulk(user, records)
 
     def register_workflows_bulk(
-        self,
-        user: UserRecord,
-        records: list[WorkflowRecord],
-        *,
-        persist: bool = True,
+        self, user: UserRecord, records: list[WorkflowRecord]
     ) -> tuple[list[WorkflowRecord], list[bool]]:
-        return self._register_bulk(user, records, persist=persist)
+        return self._register_bulk(user, records)
 
     def upsert_pe(
         self, user: UserRecord, current: PERecord, record: PERecord
@@ -569,8 +265,7 @@ class RegistryService:
                 if granted:
                     existing.owners.add(user.user_id)
                     self._dao_method(type(existing), "update")(existing)
-                    self._note_write()
-                self._index(user.user_id, existing, journaled=granted)
+                self._index(user.user_id, existing)
                 return existing
         return None
 
@@ -587,15 +282,14 @@ class RegistryService:
             return hit, False
         record.owners = {user.user_id}
         stored = self._dao_method(type(record), "insert")(record)
-        self._note_write()
         self._index(user.user_id, stored)
         return stored, True
 
     def _register_bulk(
-        self, user: UserRecord, records: list[Record], *, persist: bool
+        self, user: UserRecord, records: list[Record]
     ) -> tuple[list[Record], list[bool]]:
-        """Bulk registration: one DAO ``executemany`` insert, one index
-        ``add_many`` per shard kind, one shard persist.
+        """Bulk registration: one DAO ``executemany`` insert (one
+        mutation) and one index ``add_many`` per shard kind.
 
         Applies the same §3.1 dedup-by-identity rule as
         :meth:`_register` — against the registry *and* within the batch
@@ -631,11 +325,6 @@ class RegistryService:
             created.append(True)
         if fresh:
             self._dao_method(type(fresh[0]), "insert_many")(fresh)
-            # the DAO commits a bulk insert as ONE mutation event
-            self._note_write()
-            # the DAO journaled one row per kind for the whole batch;
-            # with persist deferred to the caller, folding the chain is
-            # deferred with it
             for kind in RECORD_KINDS[type(fresh[0])].shards:
                 spec = SHARD_KINDS[kind]
                 embedded = [
@@ -647,9 +336,6 @@ class RegistryService:
                 if not ids or self.index is None:
                     continue
                 self.index.add_many(user.user_id, kind, ids, vectors)
-                self._journaled((user.user_id, kind), len(ids), fold=persist)
-        if persist:
-            self.persist_shards()
         return stored, created
 
     def _upsert(
@@ -683,9 +369,9 @@ class RegistryService:
         must change the code payload (which forks via upsert).
 
         Only kinds whose embedding *bytes* actually changed touch the
-        index (matching the DAO's stamping and journaling rule); an
-        embedding revised away entirely also drops the stale row from
-        every owner's live shard.
+        index (matching the DAO's stamping rule); an embedding revised
+        away entirely also drops the stale row from every owner's live
+        shard.
         """
         record_kind = RECORD_KINDS[type(record)]
         changed: dict[str, np.ndarray | None] = {}
@@ -697,7 +383,6 @@ class RegistryService:
         for name in (*record_kind.metadata, *record_kind.vector_fields):
             setattr(current, name, getattr(record, name))
         self._dao_method(type(current), "update")(current)
-        self._note_write()
         if self.index is None:
             return current, False
         record_id = getattr(current, record_kind.id_field)
@@ -707,7 +392,6 @@ class RegistryService:
                     self.index.add(owner, kind, record_id, vec)
                 else:
                     self.index.remove(owner, kind, record_id)
-                self._journaled((owner, kind), 1)
         return current, False
 
     def _remove(self, user: UserRecord, record: Record) -> None:
@@ -723,7 +407,6 @@ class RegistryService:
         else:
             record_id = getattr(record, RECORD_KINDS[type(record)].id_field)
             self._dao_method(type(record), "delete")(record_id)
-        self._note_write()
         self._unindex(user.user_id, record)
 
     # ------------------------------------------------------------------
@@ -830,7 +513,6 @@ class RegistryService:
         if pe_id not in workflow.pe_ids:
             workflow.pe_ids.append(pe_id)
             self.dao.update_workflow(workflow)
-            self._note_write()
         return workflow
 
     def workflow_pes(

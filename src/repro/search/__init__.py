@@ -67,9 +67,8 @@ Key properties:
 
 The index is maintained automatically by
 :class:`~repro.registry.service.RegistryService` (every PE/workflow
-add/remove updates the owner's shards — and the DAO journals the same
-ids in the write's own commit, so a warm restart attaches without the
-O(corpus) rebuild; see *Persistence architecture* below) and served by
+add/remove updates the owner's shards; a restart fills them from the
+record rows, see *Cold start* below) and served by
 the HTTP layer's ``/registry/{user}/search`` endpoint and the ``repro
 search`` CLI command.  Every embedding search reaches the index through
 :class:`~repro.search.serving.SearchBatcher`, which batches by group
@@ -79,87 +78,37 @@ window, no size cap (see :mod:`repro.server` for the full request
 flow).  ``benchmarks/test_http_batch.py`` records the coalescing share
 and bitwise parity under concurrent HTTP load.
 
-Persistence architecture
-========================
+Cold start
+==========
 
-Shards persist **incrementally** (storage schema v6, reshaped by v8 and
-v9), and what persists is membership and freshness — never a vector.
-Every registry mutation stamps the ``(user, kind)`` shards whose content
-it changed with the bumped mutation counter (the DAO's
-``shard_stamps``, which since schema v13 also holds the counter itself
-and the id high-water marks as user 0's rows, so a write rewrites one
-page of them) and, in the same transaction, appends each such
-shard's row to an append-only, ids-only delta journal
-(``index_deltas``): ``add`` for the ids that are in the shard after the
-write, ``remove`` for those that are not.  A write is therefore one
-small commit — no second transaction, no copy of a vector, not a
-whole-snapshot export.
-:meth:`~repro.registry.service.RegistryService.attach_index` replays
-each persisted base slab — the shard's ids at its last fold, a run of
-``add``s — through its delta chain and reads the vector of every id
-whose last event is an ``add`` from its record row, in one ordered scan
-and one batch decode per (user, record table): a shard whose replayed
-chain tip equals its stamp loads straight into the index, while stale,
-torn, or corrupt shards rebuild individually through the same scan of
-their own owner's rows.  The invariants:
+Nothing of the index is persisted: the store is the only truth about
+which records a shard holds and what their vectors are, as "A
+Prototype of Serverless Lucene" (PAPERS.md) has it.
+:meth:`~repro.registry.service.RegistryService.attach_index` fills
+every ``(user, kind)`` shard from the record rows — one ordered scan of
+the user's owner rows joined to the record rows and one batch decode
+per (user, record table), every user inside one read transaction
+(:meth:`~repro.registry.dao.SqliteDAO.read_snapshot`), so what loads is
+the registry as of one commit.  The invariants:
 
-* **A vector lives in its record row, nowhere else** — base slabs and
-  the journal name ids; nothing stores a vector a second time, so a
-  fold writes 8 bytes a row and there is no copy to disagree with the
-  record.
-* **One state per attach** — stamps, slabs, journal and rows are read
-  in one read transaction
-  (:meth:`~repro.registry.dao.SqliteDAO.read_snapshot`): ids-only
-  persistence is only as fresh as the rows the ids are filled from, so
-  no other process's commit may land between the two reads.
-* **Stamp == tip by construction** — the DAO helper that stamps a
-  shard is the one that journals it, inside the mutation's commit.
-  There is no state "mutation committed, journal row not yet", and no
-  convention between two layers to keep (lint rule RPR003 rejects a
-  stamp or a journal row written anywhere else).
-* **Only a covered shard is journaled** — a mutation appends a shard's
-  journal row only if the shard was covered before it (stamp == chain
-  tip, kept beside the stamp in ``shard_stamps.tip``; a shard's first
-  stamp counts, the chain then starts from an empty base).  A shard
-  that is already stale — a writer that bypassed the DAO moved its
-  stamp, an old file crashed between mutation and append — is stamped
-  and nothing else: a row on top of the gap would make tip == stamp
-  again with the gap inside.  It stays stale until a base upsert
-  (the next persisting attach) rebuilds it.  Freshness is strict
-  equality, so such a shard, and only it, rebuilds; one tenant's write
-  never invalidates another tenant's slab.
-* **Chains are strictly increasing** — a delta at or below the current
-  tip is a crash-mid-compaction artifact; replay discards exactly that
-  shard (never the whole snapshot), and the attach rebuilds it.  So
-  does a winning id — from the base slab or a journaled ``add`` alike —
-  whose record row is gone, is not the user's, has no vector of that
-  kind, or has one of another width.
-* **Compaction is bounded and crash-safe** — once the rows journaled
-  since a shard's last fold reach ``max(64, rows in its base slab)``
-  the service folds the chain into the base at the same stamp,
-  deleting only the folded counters: a fold rewrites at most twice
-  what the journal it retires added, and a restart never replays a
-  chain longer than the base it lands on.  The fold lists the live
-  index's ids (no slab is copied, nothing is encoded), so the service
-  checks the rule only *after* it has applied the mutation there.  A crash at any point leaves tip <= stamp: stale
-  at worst, never wrongly fresh.
-* **``persist=False`` stops base writes and folds, not journaling** —
-  an attach without persistence (``repro stats --shards``) writes no
-  slab and folds nothing; the DAO journals every write regardless of
-  who makes it or whether an index is attached at all.
+* **A vector lives in its record row, nowhere else** — no base slab or
+  journal restates membership (schema v16 dropped both), so a write
+  logs no index page and there is no copy to disagree with the record.
+* **Never wrongly fresh, vacuously** — with no persisted shard there is
+  no freshness to misjudge: an attached shard is the rows as of the
+  snapshot it was read in.  Each mutation still stamps the shards it
+  changed (``shard_stamps``, one version per shard, written by the one
+  DAO helper lint rule RPR003 allows), for readers that need to tell
+  whether a shard moved.
 * **Vectors are compact at rest, dense in memory** — every vector blob
   goes through one bit-exact codec (:mod:`repro.registry.veccodec`),
   which stores it sparse, as a value table (each distinct value once,
   a byte code per non-zero) or dense, whichever is smallest; decoding
   yields the dense float32 rows the index ranks, so nothing here
   depends on which layout a row was stored in.
-* **Replay is bitwise** — a replayed or rebuilt shard is one
-  C-contiguous float32 matrix in ascending id order, identical to the
-  live index's layout, so warm-started searches equal cold-rebuilt
-  ones byte for byte.
-
-``benchmarks/test_incremental_persist.py`` records the
-bytes-written-per-mutation and warm-attach gains.
+* **Attach is bitwise** — an attached shard is one C-contiguous float32
+  matrix in ascending id order, identical to the live index's layout,
+  so searches after a restart equal the live ones byte for byte.
 
 One ranking engine
 ==================

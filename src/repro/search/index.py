@@ -234,9 +234,6 @@ class VectorIndex:
         self._lock = threading.RLock()
         self._shards: dict[tuple[Hashable, str], _Shard] = {}
         self.query_cache = EmbeddingLRU()
-        #: shard keys mutated since the last :meth:`consume_dirty` —
-        #: the persistence layer flushes exactly these, never O(corpus)
-        self._dirty: set[tuple[Hashable, str]] = set()
 
     # ------------------------------------------------------------------
     # Mutation
@@ -257,7 +254,6 @@ class VectorIndex:
                     f"index d={shard.dim} vs vector d={vec.shape[0]}"
                 )
             shard.add(int(rid), vec)
-            self._dirty.add((user, kind))
 
     def add_many(
         self,
@@ -303,7 +299,6 @@ class VectorIndex:
                 shard.size = count
                 shard.row_of = {int(rid): row for row, rid in enumerate(ids)}
                 self._shards[(user, kind)] = shard
-                self._dirty.add((user, kind))
                 return
             for rid, vector in zip(ids.tolist(), matrix):
                 self.add(user, kind, rid, vector)
@@ -314,30 +309,7 @@ class VectorIndex:
             shard = self._shards.get((user, kind))
             if shard is None:
                 return False
-            removed = shard.remove(int(rid))
-            if removed:
-                self._dirty.add((user, kind))
-            return removed
-
-    # ------------------------------------------------------------------
-    # Dirty tracking (the persistence layer's O(delta) contract)
-    # ------------------------------------------------------------------
-    def dirty_keys(self) -> set[tuple[Hashable, str]]:
-        """Shard keys mutated since the last :meth:`consume_dirty`."""
-        with self._lock:
-            return set(self._dirty)
-
-    def consume_dirty(self) -> set[tuple[Hashable, str]]:
-        """Return and clear the dirty shard-key set.
-
-        The caller owns flushing exactly these keys; a key whose shard
-        no longer exists (or is empty) means the persisted slab should
-        be dropped, not rewritten.
-        """
-        with self._lock:
-            dirty = self._dirty
-            self._dirty = set()
-            return dirty
+            return shard.remove(int(rid))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -357,34 +329,6 @@ class VectorIndex:
         with self._lock:
             shard = self._shards.get((user, kind))
             return [] if shard is None else shard.live_ids()
-
-    def export_shards(
-        self,
-        user: Hashable | None = None,
-        keys: set[tuple[Hashable, str]] | None = None,
-    ) -> dict[tuple[Hashable, str], tuple[np.ndarray, np.ndarray]]:
-        """Snapshot live slabs as ``{(user, kind): (ids, matrix)}``.
-
-        ``ids`` is the ascending int64 id vector and ``matrix`` the
-        matching float32 rows — exactly the layout :meth:`add_many`
-        bulk-stacks on import, so a persisted slab round-trips into an
-        identical shard (bitwise: vectors are copied verbatim).  Empty
-        shards are omitted.  Copies are taken under the lock, so the
-        snapshot is never torn by concurrent mutation.  ``keys``
-        restricts the export to specific shard keys (the dirty-set
-        flush path), ``user`` to one tenant.
-        """
-        with self._lock:
-            return {
-                key: (
-                    shard.ids[: shard.size].copy(),
-                    shard.matrix[: shard.size].copy(),
-                )
-                for key, shard in self._shards.items()
-                if shard.size > 0
-                and (user is None or key[0] == user)
-                and (keys is None or key in keys)
-            }
 
     def stats(self) -> dict[str, dict[str, int]]:
         with self._lock:

@@ -49,19 +49,15 @@ Table-3 route ranks text through the same FTS5 index, so no search
 scores candidates in Python.
 
 Cold start: :meth:`~repro.registry.service.RegistryService.attach_index`
-replays each persisted base slab (a shard's ids at its last fold)
-through its append-only delta journal, fills the surviving ids from
-the record rows — one ordered scan and one batch decode per (user,
-record table), no record hydrated — and loads every shard whose
-replayed chain tip equals the per-shard mutation stamp the DAO keeps,
-all inside one read transaction.  Every write carries its ids-only
-journal rows in its own commit (folded back into the base slab once the
-chain has as many rows as the base; a fold writes 8 bytes a row), so
-the persistence plane holds membership and freshness only: the
-registry's record rows are the one copy of every vector.  Only shards
-that are stale (a stamp the journal never saw — a writer that bypassed
-the DAO), torn, or corrupt rebuild, each from its own owner's rows.
-One tenant's write never invalidates another tenant's slab.
+fills every shard from the store, the only truth about it: one ordered
+scan of a user's owner rows joined to the record rows and one batch
+decode per (user, record table), no record hydrated, every user inside
+one read transaction.  Nothing beside the record rows says which
+records a shard holds (schema v16 dropped the base slabs and the delta
+journal that restated it), so a write logs no index page, and no state
+on disk can claim a shard fresher than its rows.  A corrupt vector blob
+fails the attach with ``ValueError``, as it fails a read of its
+record.
 
 Process start: ``repro serve`` imports what registry and search
 requests use — NumPy, SQLite, the models, the asyncio front end — and
@@ -117,7 +113,7 @@ other      Refused, older (v13 and v12 included) or newer, with a
            migration tool); a newer one belongs to newer code.
 =========  ============================================================
 
-What a v15 file holds, and the rules the DAO keeps on it:
+What a v16 file holds, and the rules the DAO keeps on it:
 
 * **A vector lives in its record row, nowhere else** (the ``pes`` /
   ``workflows`` embedding columns), in whichever layout of
@@ -129,25 +125,10 @@ What a v15 file holds, and the rules the DAO keeps on it:
   code of v6 and older wrote, and sparse ones of v7 to v11, may survive
   in a stepped file; they decode through the same codec and re-encode
   when next written.
-* Base slabs (``index_shards``) and the journal (``index_deltas``) hold
-  ids only.  The DAO appends a shard's journal row inside each
-  mutation's own transaction, wherever it stamps the shard — *stamp ==
-  journal tip* by construction.  ``shard_stamps`` carries each shard's
-  stamp and chain tip: a mutation journals a shard only if it was
-  covered (``tip`` = stamp) before the write, so a stale shard is
-  stamped but never journaled on top of its gap and stays stale until
-  a base upsert.
-* A shard is fresh iff its replayed chain tip *equals* its stamp.
-  Chains must be strictly counter-increasing (a non-increasing chain is
-  a crash artifact and discards only that shard); compaction folds a
-  chain into its base slab at the same stamp and deletes exactly the
-  folded counters, so a crash anywhere leaves tip <= stamp — stale at
-  worst, never wrongly fresh.  A shard folds at ``max(64, base rows)``
-  journaled rows, rewriting 8 bytes a row.
-* Replay treats a base slab as a run of ``add`` events and fills every
-  winning id from the record rows in one ordered scan per (user, record
-  table); an id whose row is gone, is not the user's, has no vector of
-  that kind or is of another width discards only that shard.
+* No index membership is stored: the owner tables say which records
+  each shard holds.  ``shard_stamps`` keeps one version per shard, the
+  mutation counter of the last write that changed its membership or
+  vectors, rewritten inside that write's transaction.
 * Files created by this code use 1 KB pages (a WAL commit logs whole
   pages and these rows are small); page size is fixed once a file has
   pages, so an older file keeps its own — no ``VACUUM``, no option.
@@ -284,8 +265,7 @@ supersedes the caller's binding — the new content registers
 legacy add routes keep the historical register-only behaviour.
 ``DELETE`` removes by the same key, and ``POST …/pes:bulk`` /
 ``POST …/workflows:bulk`` land a batch with one DAO ``executemany``
-transaction, one index ``add_many`` per shard kind and one shard
-persist.  ``PUT``, bulk and ``DELETE`` are one handler each for both
+transaction and one index ``add_many`` per shard kind.  ``PUT``, bulk and ``DELETE`` are one handler each for both
 record kinds (``V1WriteController.put``/``bulk``/``delete``, the kind
 bound per route), as are the listing and the conditional ``GET``
 (``V1Controller.list_records``/``get_record``) and each Table-3 route
@@ -378,8 +358,7 @@ function/class records named ``{path}::{qualname}``, and lands them
 through the same serialized bulk-write core as ``pes:bulk`` in
 **bounded batches** — each batch takes the write lock only for its
 single bulk insert, so search stays live (and consistent) while a
-repository streams in; shard persistence and journal compaction are
-deferred to one fold at the end of the job.  Progress counters
+repository streams in.  Progress counters
 (``filesDiscovered``, ``filesSkipped``, ``chunksDiscovered``,
 ``chunksEmbedded``, ``chunksInserted``, ``chunksDeduped``) make a
 mid-flight job legible, and cancellation between batches keeps every

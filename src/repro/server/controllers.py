@@ -22,6 +22,7 @@ from repro.registry.entities import (
     WorkflowRecord,
 )
 from repro.server.schema import (
+    check_int64,
     legacy_text,
     parse_credentials,
     parse_embedding_field,
@@ -289,6 +290,7 @@ class ExecutionController(BaseController):
                         f"workflowRef id must be an integer, got {ref['id']!r}",
                         params={"workflowRef": ref},
                     )
+                check_int64(record_id, "workflowRef id", {"workflowRef": ref})
                 record = self.app.registry.get_by_id(
                     user, WorkflowRecord, record_id
                 )

@@ -134,6 +134,20 @@ def parse_int(value: Any) -> Any:
     return value
 
 
+#: the integers SQLite stores (64-bit signed): a wider JSON integer
+#: bound into a statement raises ``OverflowError``
+INT64_MAX = 2**63 - 1
+
+
+def check_int64(value: int, field: str, params: dict[str, Any]) -> None:
+    """400 naming ``field`` when the integer ``value`` is outside the
+    64 bits SQLite stores."""
+    if not -INT64_MAX - 1 <= value <= INT64_MAX:
+        raise ValidationError(
+            f"{field} must fit in 64 bits, got {value}", params=params
+        )
+
+
 def parse_limit(value: Any) -> int:
     """Validate a listing/search page size (defaults handled by caller).
 
@@ -162,6 +176,8 @@ def parse_k(body: dict[str, Any]) -> int | None:
         raise ValidationError(
             f"k must be a positive integer, got {k!r}", params={"k": k}
         )
+    if k is not None:
+        check_int64(k, "k", {"k": k})
     return k
 
 
@@ -359,6 +375,8 @@ def parse_pe_ids(body: dict[str, Any]) -> list[int]:
         raise ValidationError(
             "peIds must be an array of integers", params={"peIds": pe_ids}
         )
+    for item in pe_ids:
+        check_int64(item, "peIds", {"peIds": pe_ids})
     return list(pe_ids)
 
 

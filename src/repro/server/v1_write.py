@@ -25,9 +25,9 @@ What the core adds over the legacy path:
   registry is untouched.
 * **Bulk registration** — ``POST /v1/registry/{user}/pes:bulk`` and
   ``POST /v1/registry/{user}/workflows:bulk`` land any number of
-  records with one DAO ``executemany`` transaction, one index
-  ``add_many`` per shard kind and one shard persist (the service's
-  shared bulk body, entered as ``register_{kind}s_bulk``).
+  records with one DAO ``executemany`` transaction and one index
+  ``add_many`` per shard kind (the service's shared bulk body, entered
+  as ``register_{kind}s_bulk``).
 
 Nothing here branches on the record kind: ``PUT``, bulk and
 ``DELETE`` each have one handler with the kind bound per route

@@ -273,63 +273,6 @@ class TestDaoStamps:
         found = findings_for(src, DAO_PATH, rule="RPR003")
         assert [line for _rule, line in found] == [16, 16, 19, 19]
 
-    def test_mutation_stamping_around_the_helper_fires(self):
-        # stamped, but by hand: no journal row rides along, so a fresh
-        # shard would load stale (and the reverse mistake, fresh-looking
-        # over a gap, is one refactor away)
-        src = """
-            class SqliteDAO:
-                def delete_pe(self, pe_id):
-                    counter = self._bump_mutation()
-                    self._conn.execute("DELETE FROM pes WHERE id=?", (pe_id,))
-                    self._stamp_shards({}, counter)
-                    self._conn.execute(
-                        "INSERT OR REPLACE INTO shard_stamps VALUES (?, ?, ?)",
-                        (1, "desc", counter),
-                    )
-        """
-        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 1
-
-    def test_journal_row_outside_the_helper_fires(self):
-        src = """
-            class SqliteDAO:
-                def _stamp_shards(self, changes, counter):
-                    self.append_index_delta(1, "desc", "add", [1], counter)
-
-                def insert_pe(self, record):
-                    counter = self._bump_mutation()
-                    self._conn.execute("INSERT INTO pes VALUES (?)", (1,))
-                    self._stamp_shards({}, counter)
-                    self.append_index_delta(1, "desc", "add", [1], counter)
-        """
-        assert findings_for(src, DAO_PATH, rule="RPR003") == [("RPR003", 6)]
-
-    def test_base_slab_writers_may_raise_stamps(self):
-        # not mutations: they write no pes/workflows row
-        src = """
-            class SqliteDAO:
-                def upsert_index_shards(self, shards, stamp):
-                    self._conn.execute("INSERT OR REPLACE INTO index_shards")
-                    self._conn.execute("DELETE FROM index_deltas")
-                    self._conn.execute("UPDATE shard_stamps SET tip = ?", (1,))
-        """
-        assert rules_fired(src, DAO_PATH, "RPR003") == set()
-
-    def test_mutation_writing_a_base_slab_fires(self):
-        # a slab is membership at a stamp, like the journal: a mutation
-        # editing it by hand has changed a shard around the helper
-        src = """
-            class SqliteDAO:
-                def delete_pe(self, pe_id):
-                    counter = self._bump_mutation()
-                    self._conn.execute("DELETE FROM pes WHERE id=?", (pe_id,))
-                    self._stamp_shards({}, counter)
-                    self._conn.execute(
-                        "UPDATE index_shards SET ids=? WHERE user_id=?", (b"", 1)
-                    )
-        """
-        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 1
-
 
 # ---------------------------------------------------------------------------
 # RPR005 — determinism surface: no entropy, no set iteration

@@ -3,9 +3,9 @@
 This is the point of the whole framework — the invariants in the rule
 table (:mod:`repro.analysis`) hold over the shipped tree on every test
 run, so a regression (a blocking call sneaking into an async handler,
-a DAO write that forgets to stamp, a journal call drifting above its
-index mutation) fails CI the moment it is written, with the rule's
-message explaining which documented invariant broke and why.
+a DAO write that forgets to stamp) fails CI the moment it is written,
+with the rule's message explaining which documented invariant broke and
+why.
 """
 
 from __future__ import annotations

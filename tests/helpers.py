@@ -195,3 +195,48 @@ def e2e_style_functions(count: int, seed: int = 1) -> list[tuple[str, str]]:
         ]
         functions.append(("\n".join(lines), doc))
     return functions
+
+
+def index_shards(index) -> dict:
+    """Every non-empty shard of a ``VectorIndex`` as ``{(user, kind):
+    (ids, matrix)}`` — its ascending int64 ids and their float32 rows,
+    copied from the live layout under the index's lock, for tests that
+    compare shards byte for byte."""
+    with index._lock:
+        return {
+            key: (shard.ids[: shard.size].copy(), shard.matrix[: shard.size].copy())
+            for key, shard in index._shards.items()
+            if shard.size > 0
+        }
+
+
+def shard_bytes(index) -> dict:
+    """:func:`index_shards` as ``{(user, kind): (id bytes, row bytes)}``."""
+    return {
+        key: (ids.tobytes(), matrix.tobytes())
+        for key, (ids, matrix) in index_shards(index).items()
+    }
+
+
+def brute_force_index(dao):
+    """The index one pass over every hydrated record builds — each
+    owner's shard of every kind the record carries a vector of — the
+    reference an attached or a live index must equal."""
+    from repro.registry.entities import RECORD_KINDS, SHARD_KINDS
+    from repro.search import VectorIndex
+
+    shards: dict = {}
+    for records in (dao.all_pes(), dao.all_workflows()):
+        for record in records:
+            for user_id in record.owners:
+                for kind in RECORD_KINDS[type(record)].shards:
+                    spec = SHARD_KINDS[kind]
+                    vector = getattr(record, spec.vector_field)
+                    if vector is not None:
+                        ids, vectors = shards.setdefault((user_id, kind), ([], []))
+                        ids.append(getattr(record, spec.id_field))
+                        vectors.append(vector)
+    index = VectorIndex()
+    for (user_id, kind), (ids, vectors) in shards.items():
+        index.add_many(user_id, kind, ids, vectors)
+    return index

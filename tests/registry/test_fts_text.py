@@ -19,11 +19,11 @@ DAO (service hydration, the v1 route, hybrid fusion) builds on it.
 The index is a cache of the file, so :class:`TestFreshness` holds it
 to "every ranking equals a freshly opened DAO's", exactly, whichever
 connection or process wrote last, and :func:`assert_text_cache_current`
-— which the write matrix and the journal model run after every write —
+— which the write matrix and the attach model run after every write —
 to "the documents are the builders run over the stored rows".  The rest
 covers older files: a v10 file (on-disk FTS5 tables) is refused and
-left as it was.  The one schema step there is, from v14, is
-``test_step_from_v14.py``'s.
+left as it was.  The one schema step there is, from v15, is
+``test_step_from_v15.py``'s.
 """
 
 import hashlib
@@ -599,7 +599,7 @@ DOCUMENT_SOURCES = {
 }
 
 #: queries over the record names and descriptions the write matrix and
-#: the journal model write
+#: the attach model write
 CACHE_QUERIES = ["element", "described again", "flow", "csv file", "p1", "x"]
 
 

@@ -2,9 +2,10 @@
 
 ``SqliteDAO`` reads ``PRAGMA user_version`` before anything writes.  A
 new file (version 0, no schema) is created in one transaction and
-stamped current; a v14 file takes one step, dropping its text document
-tables and stamping in one transaction (``test_step_from_v14.py``
-checks that it serves as before); a current file runs no DDL on
+stamped current; a v15 file takes one step, dropping its index base
+slabs, journal and chain tips and stamping in one transaction
+(``test_step_from_v15.py`` checks that it serves as before); a current
+file runs no DDL on
 ``main``.  None of them fills the text index, which the first text
 ranking does (``test_read_cost.py`` pins what that costs).  Pinned
 here:
@@ -15,8 +16,8 @@ here:
   its own plan and not counted).  Before the open path had three cases
   a new file ran 73 statements and a reopen 43 (an ``IF NOT EXISTS``
   script and four ``COUNT(*)`` drift scans on every open);
-* **refusal** — a file at any other version, older (v13 included, since
-  v15; v12 since v14) or newer, raises a ``RegistryError`` naming that
+* **refusal** — a file at any other version, older (v14 included, since
+  v16; v13 since v15) or newer, raises a ``RegistryError`` naming that
   version and is left byte for byte as it was: no table re-created,
   nothing stamped;
 * **format** — a new file's schema rows, page size and counter.
@@ -34,18 +35,20 @@ from tests.registry.test_fts_text import (
     main_ddl,
     open_traced,
 )
-from tests.registry.test_step_from_v14 import as_v14
+from tests.registry.test_step_from_v15 import as_v15
 
 #: top-level statements of one open: a new file (``:memory:`` too), a
-#: reopen of a current file, a v14 file's one step (the reopen's, plus
-#: ``BEGIN``, two ``DROP TABLE``, the stamp, the ``data_version`` read
-#: every stamping transaction makes and ``COMMIT``).  Schema v14
-#: ran 40, 20 and 23 (its v13 step was the stamp alone): no document
-#: table on disk and no TEMP trigger to create (eight statements), no
-#: fill at open (seven), two memory document tables and, on a new store,
-#: the ``data_version`` its empty index is complete at.  43 new before
-#: v13 dropped ``registry_meta`` and the owner indexes
-OPEN_COST = {"new": 28, "reopen": 9, "v14": 15}
+#: reopen of a current file, a v15 file's one step (the reopen's, plus
+#: ``BEGIN``, two ``DROP TABLE``, one ``ALTER TABLE ... DROP COLUMN``,
+#: the stamp, the ``data_version`` read every stamping transaction makes
+#: and ``COMMIT``).  Schema v15 ran 28 new (two more tables), 9 and 15
+#: (v14's step dropped two tables); v14 ran 40, 20 and 23 (its v13 step
+#: was the stamp alone): no document table on disk and no TEMP trigger
+#: to create (eight statements), no fill at open (seven), two memory
+#: document tables and, on a new store, the ``data_version`` its empty
+#: index is complete at.  43 new before v13 dropped ``registry_meta``
+#: and the owner indexes
+OPEN_COST = {"new": 26, "reopen": 9, "v15": 16}
 
 #: what a new file's ``main.sqlite_schema`` holds: (type, name)
 NEW_FILE_SCHEMA = {
@@ -60,11 +63,8 @@ NEW_FILE_SCHEMA = {
     ("table", "workflow_owners"),
     ("table", "workflow_pes"),
     ("index", "idx_workflow_pes_pe"),
-    ("table", "index_shards"),
-    ("index", "sqlite_autoindex_index_shards_1"),
     ("table", "write_receipts"),
     ("table", "shard_stamps"),
-    ("table", "index_deltas"),
     ("index", "sqlite_autoindex_users_1"),
 }
 
@@ -106,14 +106,14 @@ class TestOpenCost:
         assert not any("COUNT(" in sql.upper() for sql in statements)
         assert main_ddl(statements) == []
 
-    def test_v14_step_then_a_reopen(self, monkeypatch, tmp_path):
-        path = tmp_path / "v14.db"
+    def test_v15_step_then_a_reopen(self, monkeypatch, tmp_path):
+        path = tmp_path / "v15.db"
         fill(SqliteDAO(path))[0].dao.close()
-        as_v14(path)
+        as_v15(path)
         dao, statements = open_traced(monkeypatch, path)
         dao.close()
-        assert len(statements) == OPEN_COST["v14"], statements
-        assert len(main_ddl(statements)) == 2, statements
+        assert len(statements) == OPEN_COST["v15"], statements
+        assert len(main_ddl(statements)) == 3, statements
         assert user_version(path) == _SCHEMA_VERSION
         assert schema_names(path) == {name for _, name in NEW_FILE_SCHEMA}
         # the step is taken once
@@ -137,12 +137,11 @@ class TestNewFileFormat:
             # the registry-wide counters, user 0's rows: the mutation
             # counter and each record table's id high-water mark
             assert conn.execute(
-                "SELECT user_id, kind, mutation_counter, tip"
-                " FROM shard_stamps"
+                "SELECT * FROM shard_stamps"
             ).fetchall() == [
-                (0, "mutations", 0, None),
-                (0, "pes", 0, None),
-                (0, "workflows", 0, None),
+                (0, "mutations", 0),
+                (0, "pes", 0),
+                (0, "workflows", 0),
             ]
         finally:
             conn.close()
@@ -152,12 +151,12 @@ class TestNewFileFormat:
 class TestRefused:
     @pytest.mark.parametrize(
         "version",
-        # newer code's file; a file from before the v14 -> v15 step
-        # (v13, which older code steps to v14: refused since v15); ones
-        # from before that (v12 refused since v14, v11 since v13); older
-        # ones still; a file with a schema but no stamp (not written by
-        # this DAO)
-        [_SCHEMA_VERSION + 1, 13, 12, 11, 10, 9, 0],
+        # newer code's file; a file from before the v15 -> v16 step
+        # (v14, which older code steps to v15: refused since v16); ones
+        # from before that (v13 refused since v15, v12 since v14, v11
+        # since v13); older ones still; a file with a schema but no
+        # stamp (not written by this DAO)
+        [_SCHEMA_VERSION + 1, 14, 13, 12, 11, 10, 9, 0],
     )
     def test_file_at_another_version_is_refused_untouched(
         self, tmp_path, version
@@ -166,7 +165,7 @@ class TestRefused:
         fill(SqliteDAO(path))[0].dao.close()
         conn = sqlite3.connect(path)
         # a table the open path would create if it ran its schema script
-        conn.execute("DROP TABLE index_shards")
+        conn.execute("DROP TABLE write_receipts")
         conn.execute(f"PRAGMA user_version = {version}")
         conn.commit()
         conn.close()
@@ -180,5 +179,5 @@ class TestRefused:
         else:
             assert "older checkout" in err.value.message
         assert digest(path) == before
-        assert "index_shards" not in schema_names(path)
+        assert "write_receipts" not in schema_names(path)
         assert user_version(path) == version

@@ -18,6 +18,8 @@ from repro.registry.entities import PERecord
 from repro.registry.service import RegistryService
 from repro.registry.veccodec import decode_many, decode_vector, encode_vector
 from repro.search import KIND_CODE, KIND_DESC, VectorIndex
+from tests.helpers import brute_force_index, shard_bytes
+from tests.registry.test_attach import attached
 from tests.registry.test_dao import make_pe
 
 #: bit patterns zero-suppression must not touch: -0.0, a quiet and a
@@ -591,8 +593,8 @@ def write_dense_rows(path, encode=lambda vec: vec.tobytes(), ids=None):
     ``ids`` only, when given) the blob ``encode`` makes of it — by
     default the headerless dense float32 blob schema v6 and older wrote
     — through raw SQL: the bytes a long-migrated file may still hold.
-    ``user_version``, the stamps, slabs and journal stay as they are:
-    the vectors do not change, only their encoding."""
+    ``user_version`` and the stamps stay as they are: the vectors do
+    not change, only their encoding."""
     conn = sqlite3.connect(path)
     for table, key, columns in (
         ("pes", "pe_id", ("desc_embedding", "code_embedding")),
@@ -659,9 +661,6 @@ class TestLegacyFile:
                     code_embedding=sparse_unit(rng),
                 ),
             )
-        service.persist_shards()
-        # a base slab *and* a journal tail, both filled from dense rows
-        service._compact_shard((alice.user_id, KIND_DESC))
         service.register_pe(
             alice,
             make_pe("Tail", code="dGFpbA==", desc_embedding=sparse_unit(rng)),
@@ -676,7 +675,7 @@ class TestLegacyFile:
         assert version == _SCHEMA_VERSION
         restarted = RegistryService(dao)
         warm = VectorIndex()
-        assert restarted.attach_index(warm) == "fresh"
+        restarted.attach_index(warm)
         # neither opening nor attaching rewrote a record row
         assert blob_lengths(path) == legacy
 
@@ -712,8 +711,11 @@ class TestLegacyFile:
         }
         dao.close()
 
-        again = RegistryService(SqliteDAO(path))
-        assert again.attach_index(VectorIndex()) == "fresh"
+        again = SqliteDAO(path)
+        assert shard_bytes(attached(again)) == shard_bytes(
+            brute_force_index(again)
+        )
+        again.close()
 
     def test_legacy_dense_row_and_sparse_reencoding_stamp_nothing(
         self, tmp_path
@@ -748,7 +750,7 @@ class TestLegacyFile:
     def test_dense_sparse_and_table_rows_serve_bitwise(self, tmp_path):
         """A file whose record rows hold all three layouts — dense from
         v6 and older, tag-1 sparse from v7 to v11, value tables since
-        v12 — attaches fresh and ranks both vector kinds bitwise as
+        v12 — attaches and ranks both vector kinds bitwise as
         brute force does; a metadata-only revise of an older row stores
         it in the smallest layout and stamps nothing."""
         rng = np.random.default_rng(73)
@@ -779,7 +781,7 @@ class TestLegacyFile:
         dao = SqliteDAO(path)
         restarted = RegistryService(dao)
         warm = VectorIndex()
-        assert restarted.attach_index(warm) == "fresh"
+        restarted.attach_index(warm)
         # neither opening nor attaching rewrote a record row
         assert (blob_lengths(path), blob_tags(path, "code_embedding")) == before
         user = restarted.get_user("alice")
@@ -803,6 +805,8 @@ class TestLegacyFile:
             assert blob_tags(path, "code_embedding")[target] == 2
         assert dao.shard_stamps() == stamps
         dao.close()
-        again = RegistryService(SqliteDAO(path))
-        assert again.attach_index(VectorIndex()) == "fresh"
-        again.dao.close()
+        again = SqliteDAO(path)
+        assert shard_bytes(attached(again)) == shard_bytes(
+            brute_force_index(again)
+        )
+        again.close()

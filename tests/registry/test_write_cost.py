@@ -4,9 +4,7 @@ A WAL commit logs whole pages, so *bytes per write = pages touched per
 commit x bytes per page*.  Both factors are pinned here, over the real
 write surface (``LaminarServer.dispatch``) on a file database: every
 single-record ``PUT``/revise/``DELETE`` and a ``pes:bulk`` of 16 is
-**one** commit when no fold is due — the journal rows ride in the
-mutation's own transaction — and logs at most a pinned number of
-frames.  The counts are exact for fixed inputs on one SQLite build;
+**one** commit and logs at most a pinned number of frames.  The counts are exact for fixed inputs on one SQLite build;
 the bounds leave one frame of slack for another build's b-tree splits.
 
 New files get 1 KB pages; a file that already has pages keeps them
@@ -18,13 +16,12 @@ deflated — is pinned at its exact frames and at the ``pes`` overflow
 pages its row takes (``dbstat``: none), and so is its description-only
 revise.
 
-Two more op classes are pinned the same way.  A **fold** writes a
-shard's ids and nothing else — 8 bytes a row, whatever the vectors
-weigh — in one commit.  An **attach** reads a registry in a number of
-statements that depends on how many (user, record table) pairs it
-holds, not on how many records.
+One more op class is pinned the same way: an **attach** reads a
+registry in a number of statements that depends on how many (user,
+record table) pairs it holds, not on how many records.
 """
 
+import sqlite3
 import struct
 from collections import Counter
 from pathlib import Path
@@ -37,24 +34,31 @@ from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
 from repro.search import KIND_DESC, VectorIndex
 from repro.server import LaminarServer
+from tests.helpers import shard_bytes
 from tests.registry.test_dao import make_pe
-from tests.registry.test_journal_in_transaction import (
-    live_shards,
-    new_4k_file,
-)
 
-#: frames one op may log, per page size — measured 5/3/7/10 of 1 KB
-#: and 5/3/5/5 of 4 KB since the FTS documents live in memory only
-#: (schema v15; v13 and v14, which logged a page of ``pe_text`` each
-#: time: 6/4/8/13 and 6/4/6/6; v11 and v12, before the counter, the id
-#: high-water marks and the stamps shared one b-tree and the owner
-#: tables lost their second index: 9/5/10/16 and 9/5/8/9; with the FTS5
-#: index on disk: 12/8/16/21 and 12/8/11/12; before the journal rode in
-#: the mutation's transaction: 15/12/14/15 of 4 KB, in 3/2/3/3 commits)
+#: frames one op may log, per page size — measured 4/2/6/9 of 1 KB
+#: and 4/2/4/4 of 4 KB since a write logs no journal page (schema v16;
+#: v15, whose ``index_deltas`` took a page of every write that changed
+#: a shard: 5/3/7/10 and 5/3/5/5; v13 and v14, which also logged a page
+#: of ``pe_text`` each time: 6/4/8/13 and 6/4/6/6; v11 and v12, before
+#: the counter, the id high-water marks and the stamps shared one
+#: b-tree and the owner tables lost their second index: 9/5/10/16 and
+#: 9/5/8/9; with the FTS5 index on disk: 12/8/16/21 and 12/8/11/12;
+#: before the journal rode in the mutation's transaction: 15/12/14/15 of
+#: 4 KB, in 3/2/3/3 commits)
 FRAME_BOUNDS = {
-    1024: {"put": 6, "revise": 4, "delete": 8, "bulk": 11},
-    4096: {"put": 6, "revise": 4, "delete": 6, "bulk": 6},
+    1024: {"put": 5, "revise": 3, "delete": 7, "bulk": 10},
+    4096: {"put": 5, "revise": 3, "delete": 5, "bulk": 5},
 }
+
+
+def new_4k_file(path):
+    """A file that had 4 KB pages before this code first opened it."""
+    conn = sqlite3.connect(path)
+    conn.execute("PRAGMA page_size=4096")
+    conn.execute("PRAGMA journal_mode=WAL")  # writes page 1
+    conn.close()
 
 
 def wal_frames(path):
@@ -166,14 +170,12 @@ def test_each_write_is_one_small_commit(registry):
         assert status == expected, name
         assert committed == 1, f"{name}: {committed} commits"
         assert 0 < frames <= bounds[name], f"{name}: {frames} frames"
-    # no fold was due, so none of that wrote a base slab
-    assert dao.index_shards_meta()["shards"] == 0
 
 
 def test_a_put_writes_no_text_index_page(registry):
     """The text index and its documents live in memory: the pages a PUT
-    logs belong to the record, its owners and the counter, stamps and
-    journal rows — none to a text table, FTS5 or document (``dbstat``
+    logs belong to the record, its owners and the counter and stamps —
+    none to a text table, FTS5 or document (``dbstat``
     maps each logged page to its b-tree), and the file holds none."""
     send, dao, path, _page_size = registry
     first, _ = wal_frames(path)
@@ -192,10 +194,10 @@ def test_a_put_writes_no_text_index_page(registry):
 
 
 #: every b-tree a PUT or a bulk of new PEs may log a page of (page 1,
-#: ``sqlite_schema``, when the file grows) — no text table since v15
+#: ``sqlite_schema``, when the file grows) — no text table since v15,
+#: no journal since v16
 PUT_BTREES = {
-    "pes", "idx_pes_name", "pe_owners", "shard_stamps", "index_deltas",
-    "sqlite_schema",
+    "pes", "idx_pes_name", "pe_owners", "shard_stamps", "sqlite_schema",
 }
 
 
@@ -328,8 +330,9 @@ BENCH_CODE = f"""def pofin_bogor_000330(items, limit=944):
             faifin += braifin * 5
     return faifin"""
 #: (WAL frames, new ``pes`` overflow pages) of that record's PUT, per
-#: page size.  Schema v15 logs no ``pe_text`` page: v14 logged (8, 0)
-#: and (6, 0).  Its code and source are stored deflated (schema v14), so
+#: page size.  Schema v16 logs no ``index_deltas`` page: v15 logged
+#: (7, 0) and (5, 0).  Schema v15 logs no ``pe_text`` page: v14 logged
+#: (8, 0) and (6, 0).  Its code and source are stored deflated (schema v14), so
 #: on 1 KB pages the row fits its leaf: schema v13 logged (8, 1).  The
 #: frame count stayed, since the row now fills most of a leaf: the two
 #: ``pes`` pages logged are b-tree pages where v13's were a leaf and an
@@ -339,13 +342,15 @@ BENCH_CODE = f"""def pofin_bogor_000330(items, limit=944):
 #: logged (12, 2) on 1 KB pages — the 2 104-byte row needed two
 #: overflow pages, the 1 420-byte one needs one — and (9, 0) on 4 KB
 #: pages, where either row fits its leaf
-BENCH_PUT_COST = {1024: (7, 0), 4096: (5, 0)}
+BENCH_PUT_COST = {1024: (6, 0), 4096: (4, 0)}
 #: WAL frames of that record's description-only revise, per page size:
-#: the row is rewritten in its leaf, and no ``pe_text`` page is logged
-#: (schema v14 logged 4 on either page size).  Schema v13 logged 7 on
-#: 1 KB pages, freeing the row's overflow page and allocating a new one
-#: (the freelist and header pages with it), and 4 on 4 KB pages
-BENCH_REVISE_FRAMES = {1024: 3, 4096: 3}
+#: the row is rewritten in its leaf, and no ``index_deltas`` page (its
+#: description vector changed, so v15 journaled it: 3 on either page
+#: size) and no ``pe_text`` page (schema v14 logged 4) are logged.
+#: Schema v13 logged 7 on 1 KB pages, freeing the row's overflow page
+#: and allocating a new one (the freelist and header pages with it), and
+#: 4 on 4 KB pages
+BENCH_REVISE_FRAMES = {1024: 2, 4096: 2}
 
 
 def pes_overflow_pages(dao):
@@ -401,13 +406,6 @@ def test_a_benchmark_shaped_put(registry):
 
 #: the e2e corpus' code-embedding shape: ~1 KB a vector at rest
 DIM, NNZ = 2048, 160
-FOLD_ROWS = 1200
-#: frames one fold of a FOLD_ROWS-row shard may log on 1 KB pages —
-#: measured 22: the new slab's 8 bytes a row on overflow pages (10),
-#: the 600-row slab it replaces freed (5), the folded journal rows
-#: deleted, stamps and root pages.  The parent commit, whose slab also
-#: held the vectors, logged 1 156 for the same fold
-FOLD_FRAME_BOUND = 23
 
 
 def sparse_unit(rng, dim=DIM, nnz=NNZ):
@@ -418,8 +416,8 @@ def sparse_unit(rng, dim=DIM, nnz=NNZ):
 
 
 def bulk_load(service, user, rng, start, count, code=False):
-    """``count`` records in batches of 64 that leave folding to the
-    caller, the way an ingest job loads them."""
+    """``count`` records in batches of 64, the way an ingest job loads
+    them."""
     for first in range(start, start + count, 64):
         service.register_pes_bulk(
             user,
@@ -433,41 +431,7 @@ def bulk_load(service, user, rng, start, count, code=False):
                 )
                 for i in range(first, min(first + 64, start + count))
             ],
-            persist=False,
         )
-
-
-def test_a_fold_is_one_commit_of_ids(tmp_path):
-    rng = np.random.default_rng(91)
-    path = tmp_path / "registry.db"
-    dao = SqliteDAO(path)
-    dao._conn.execute("PRAGMA wal_autocheckpoint=0")
-    service = RegistryService(dao)
-    alice = service.register_user("alice", "pw")
-    service.attach_index(VectorIndex())
-    key = (alice.user_id, KIND_DESC)
-    # a first fold, so the measured one also replaces an old slab
-    bulk_load(service, alice, rng, 0, FOLD_ROWS // 2)
-    assert service.persist_shards()
-    bulk_load(service, alice, rng, FOLD_ROWS // 2, FOLD_ROWS // 2)
-    before = dao.shard_chain_meta()[key]
-    assert (before["rows"], before["chainRows"]) == (600, 600)
-
-    saved, statements, frames = traced(dao, path, service.persist_shards)
-    assert saved
-    after = dao.shard_chain_meta()[key]
-    assert (after["rows"], after["chainRows"]) == (FOLD_ROWS, 0)
-    assert commits(statements) == 1
-    assert 0 < frames <= FOLD_FRAME_BOUND, frames
-    # ids and nothing but ids
-    assert [
-        tuple(row)
-        for row in dao._conn.execute("SELECT LENGTH(ids) FROM index_shards")
-    ] == [(8 * FOLD_ROWS,)]
-    assert {
-        row[1] for row in dao._conn.execute("PRAGMA table_info(index_shards)")
-    } == {"user_id", "kind", "mutation_counter", "rows", "ids"}
-    dao.close()
 
 
 def attach_statements(path):
@@ -475,10 +439,10 @@ def attach_statements(path):
     statements = []
     dao._conn.set_trace_callback(statements.append)
     index = VectorIndex()
-    mode = RegistryService(dao).attach_index(index, persist=False)
+    RegistryService(dao).attach_index(index)
     dao._conn.set_trace_callback(None)
     dao.close()
-    return mode, statements, index
+    return statements, index
 
 
 def test_an_attach_reads_in_statements_per_shard_not_per_record(tmp_path):
@@ -491,24 +455,22 @@ def test_an_attach_reads_in_statements_per_shard_not_per_record(tmp_path):
     bulk_load(service, alice, rng, 0, 40, code=True)
     bulk_load(service, bob, rng, 40, 8)
     service.dao.close()
-    mode, small, _index = attach_statements(path)
-    assert mode == "fresh"
+    small, _index = attach_statements(path)
 
     service = RegistryService(SqliteDAO(path))
     index = VectorIndex()
     service.attach_index(index)
     bulk_load(service, service.get_user("alice"), rng, 48, 1300, code=True)
-    assert service.persist_shards()
     service.dao.close()
-    mode, large, warm = attach_statements(path)
-    assert mode == "fresh"
+    large, warm = attach_statements(path)
     assert warm.size(alice.user_id, KIND_DESC) == 1340
-    assert live_shards(warm) == live_shards(index)
+    assert shard_bytes(warm) == shard_bytes(index)
 
-    # one read transaction: counter, stamps, slabs, journal, one scan
-    # per (user, record table) — alice's two kinds share hers — and the
-    # two chain-statistics queries
-    assert len(large) == len(small) == 10, large
+    # one read transaction: the users, then one scan per (user, record
+    # table) — alice's two kinds share hers.  Schema v15 read 10 (the
+    # counter, stamps, slabs, journal and two chain-statistics queries
+    # beside the two PE scans)
+    assert len(large) == len(small) == 7, large
     assert large[0] == "BEGIN" and large[-1] == "COMMIT"
     scans = [sql for sql in large if "JOIN pes" in sql]
     assert len(scans) == 2

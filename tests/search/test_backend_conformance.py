@@ -9,10 +9,9 @@ back to brute force); and concurrent readers see the serial answers.
 
 Each case runs once per *layout*: the same final slabs reached through
 every write path the registry uses — the bulk attach fast path, one
-``add`` per row, out-of-order ids (mid-inserts), churn (removals,
-re-inserts and in-place updates) and a persisted slab re-imported from
-``export_shards``.  All of them must leave the shard contiguous and
-id-ordered, so every layout answers bitwise alike.
+``add`` per row, out-of-order ids (mid-inserts) and churn (removals,
+re-inserts and in-place updates).  All of them must leave the shard
+contiguous and id-ordered, so every layout answers bitwise alike.
 """
 
 import threading
@@ -23,6 +22,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.search import VectorIndex
 from repro.search.index import KIND_CODE, KIND_DESC, KIND_WORKFLOW
+from tests.helpers import index_shards
 
 DIM = 16
 KINDS = (KIND_DESC, KIND_CODE, KIND_WORKFLOW)
@@ -63,19 +63,11 @@ def _churned(index, user, kind, rows):
         assert index.remove(user, kind, decoy)
 
 
-def _restored(index, user, kind, rows):
-    source = VectorIndex()
-    source.add_many(user, kind, RIDS, rows)
-    ((ids, matrix),) = source.export_shards().values()
-    index.add_many(user, kind, ids, matrix)
-
-
 LAYOUTS = {
     "bulk": _bulk,
     "one-by-one": _one_by_one,
     "shuffled": _shuffled,
     "churned": _churned,
-    "restored": _restored,
 }
 
 
@@ -179,9 +171,9 @@ class TestExactParity:
         assert ids == full[:k]
         assert scores.tolist() == [levels[rid] for rid in full[:k]]
 
-    def test_layout_exports_the_slabs_verbatim(self, populated):
+    def test_layout_holds_the_slabs_verbatim(self, populated):
         index, slabs = populated
-        exported = index.export_shards()
+        exported = index_shards(index)
         assert set(exported) == set(slabs)
         for key, (ids, matrix) in exported.items():
             assert ids.tolist() == RIDS

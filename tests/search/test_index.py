@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.search import KIND_CODE, KIND_DESC, EmbeddingLRU, VectorIndex
+from tests.helpers import index_shards
 
 
 def unit(rng, dim=16):
@@ -262,22 +263,8 @@ class TestSearchAmong:
         assert index.search_among("u", KIND_DESC, list(range(10)), unit(rng)) is None
 
 
-class TestDirtyTrackingAndExport:
-    def test_mutations_mark_their_shards_dirty(self, rng):
-        index = VectorIndex()
-        index.add("u", KIND_DESC, 1, unit(rng))
-        pair = np.stack([unit(rng), unit(rng)])
-        index.add_many("v", KIND_CODE, [1, 2], pair)
-        want = {("u", KIND_DESC), ("v", KIND_CODE)}
-        assert index.dirty_keys() == want
-        assert index.consume_dirty() == want
-        assert index.dirty_keys() == set()
-        assert not index.remove("u", KIND_DESC, 99)  # a miss marks nothing
-        assert index.dirty_keys() == set()
-        assert index.remove("u", KIND_DESC, 1)
-        assert index.consume_dirty() == {("u", KIND_DESC)}
-
-    def test_export_shards_filters_by_user_and_keys(self, rng):
+class TestLayout:
+    def test_shards_hold_ascending_ids_and_verbatim_rows(self, rng):
         index = VectorIndex()
         rows = {}
         for user in (1, 2):
@@ -287,18 +274,11 @@ class TestDirtyTrackingAndExport:
                 rows[(user, kind)] = np.stack([one, three])
         index.add("gone", KIND_DESC, 1, unit(rng))
         index.remove("gone", KIND_DESC, 1)
-        everything = index.export_shards()
+        everything = index_shards(index)
         assert set(everything) == set(rows)  # the emptied shard is omitted
         for key, (ids, matrix) in everything.items():
             assert ids.tolist() == [1, 3]  # ascending id, rows verbatim
             assert matrix.tobytes() == rows[key].tobytes()
-        assert set(index.export_shards(user=2)) == {
-            (2, KIND_DESC),
-            (2, KIND_CODE),
-        }
-        assert set(index.export_shards(keys={(1, KIND_CODE)})) == {
-            (1, KIND_CODE)
-        }
 
 
 class TestQueryCache:

@@ -10,6 +10,7 @@ import pytest
 from repro.net.transport import Request
 from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW
 from repro.server import LaminarServer
+from tests.helpers import index_shards
 
 
 @pytest.fixture()
@@ -331,14 +332,14 @@ def served_file(tmp_path, fast_bundle):
         for kind in SEARCH_KINDS
     }
     _register(server, _login(server, "rt", register=True), "rt", 3, 1)
-    slabs = server.index.export_shards()
+    slabs = index_shards(server.index)
     server.registry.dao.close()
     return path, hits, slabs
 
 
 class TestServerRestart:
     """A restarted server over the same file serves what the server
-    before it served: the exact index reloads the persisted slabs
+    before it served: the exact index refills from the record rows
     bitwise, so every ranking is unchanged."""
 
     @pytest.mark.parametrize("kind", SEARCH_KINDS)
@@ -356,15 +357,14 @@ class TestServerRestart:
     ):
         path, _hits, slabs = served_file
         restarted = _file_server(path, fast_bundle)
-        reloaded = restarted.index.export_shards()
+        reloaded = index_shards(restarted.index)
         assert set(reloaded) == set(slabs)
         for key, (ids, matrix) in slabs.items():
             assert reloaded[key][0].tolist() == ids.tolist()
             assert reloaded[key][1].tobytes() == matrix.tobytes()
-        assert restarted.index.dirty_keys() == set()
 
     @pytest.mark.parametrize("query_type", QUERY_TYPES)
-    def test_search_and_persist_write_nothing(
+    def test_search_writes_nothing(
         self, served_file, fast_bundle, query_type
     ):
         """Nothing reaches the file: the first text search fills the
@@ -374,5 +374,4 @@ class TestServerRestart:
         token = _login(server)  # a login writes its session first
         on_disk = _file_bytes(path)
         _v1_search(server, token, query_type, "both", k=None)
-        assert server.registry.persist_shards() is True
         assert _file_bytes(path) == on_disk

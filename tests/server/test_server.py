@@ -253,6 +253,69 @@ class TestLegacyOptionalFields:
         assert flow.status == 201 and flow.body["peIds"] == [pe.body["peId"]]
 
 
+class TestIntegersWiderThan64Bits:
+    """A JSON integer outside the 64 bits SQLite stores is a 400 naming
+    its field, never an ``OverflowError`` (a 500) from the statement it
+    would have been bound into; the widest stored integer still works."""
+
+    WIDE = 2**63
+
+    def send(self, server, token, method, path, body):
+        return server.dispatch(Request(method, path, body, token=token))
+
+    def assert_400_naming(self, response, field):
+        assert response.status == 400, response.body
+        assert response.body["error"] == "ValidationError"
+        assert response.body["message"].startswith(f"{field} must fit")
+
+    def test_search_k(self, server, token):
+        body = {"query": "adds", "queryType": "text"}
+        for k in (self.WIDE, 10**20):
+            self.assert_400_naming(
+                self.send(
+                    server, token, "POST", "/v1/registry/zz46/search",
+                    {**body, "k": k},
+                ),
+                "k",
+            )
+        widest = self.send(
+            server, token, "POST", "/v1/registry/zz46/search",
+            {**body, "k": self.WIDE - 1},
+        )
+        assert widest.status == 200, widest.body
+
+    def test_workflow_pe_ids(self, server, token):
+        for wide in (self.WIDE, -self.WIDE - 1, 10**20):
+            self.assert_400_naming(
+                self.send(
+                    server, token, "PUT", "/v1/registry/zz46/workflows/w",
+                    {"workflowCode": "g", "peIds": [1, wide]},
+                ),
+                "peIds",
+            )
+        assert server.registry.dao.all_workflows() == []
+        widest = self.send(
+            server, token, "PUT", "/v1/registry/zz46/workflows/w",
+            {"workflowCode": "g", "peIds": [self.WIDE - 1, -self.WIDE]},
+        )
+        assert widest.status == 201, widest.body
+
+    def test_run_workflow_ref(self, server, token):
+        for wide in (self.WIDE, 10**20):
+            self.assert_400_naming(
+                self.send(
+                    server, token, "POST", "/execution/zz46/run",
+                    {"workflowRef": {"id": wide}},
+                ),
+                "workflowRef id",
+            )
+        widest = self.send(
+            server, token, "POST", "/execution/zz46/run",
+            {"workflowRef": {"id": self.WIDE - 1}},
+        )
+        assert widest.status == 404, widest.body
+
+
 class TestPEEndpoints:
     def _add(self, server, token, name="AddTen"):
         from repro.serialization import extract_source, serialize_object

@@ -23,20 +23,13 @@ from repro.registry.dao import SqliteDAO
 from repro.registry.service import RegistryService
 from repro.search import VectorIndex
 from repro.server import LaminarServer
+from tests.helpers import brute_force_index, shard_bytes
 from tests.registry.test_fts_text import assert_text_cache_current
 
 KINDS = {
     "pe": {"route": "pes", "name": "peName", "code": "peCode"},
     "workflow": {"route": "workflows", "name": "entryPoint", "code": "workflowCode"},
 }
-
-
-def shard_bytes(index: VectorIndex) -> dict:
-    return {
-        key: (ids.tobytes(), matrix.tobytes())
-        for key, (ids, matrix) in index.export_shards().items()
-        if ids.shape[0]
-    }
 
 
 class Matrix:
@@ -90,15 +83,11 @@ class Matrix:
         reopened_dao = SqliteDAO(self.path)
         try:
             reopened = VectorIndex()
-            status = RegistryService(reopened_dao).attach_index(
-                reopened, persist=False
-            )
-            assert status == "fresh"
+            RegistryService(reopened_dao).attach_index(reopened)
             assert shard_bytes(reopened) == live
         finally:
             reopened_dao.close()
-        brute = VectorIndex()
-        RegistryService(self.server.registry.dao)._rebuild_full(brute)
+        brute = brute_force_index(self.server.registry.dao)
         assert shard_bytes(brute) == live
 
     def close(self) -> None:

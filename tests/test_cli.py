@@ -311,16 +311,11 @@ class TestStats:
 
         conn = sqlite3.connect(path)
         try:
-            counter = conn.execute(
-                "SELECT mutation_counter FROM shard_stamps"
-                " WHERE user_id = 0 AND kind = 'mutations'"
-            ).fetchone()
-            shards = conn.execute(
-                "SELECT * FROM index_shards ORDER BY user_id, kind"
+            return conn.execute(
+                "SELECT * FROM shard_stamps ORDER BY user_id, kind"
             ).fetchall()
         finally:
             conn.close()
-        return counter, shards
 
     def test_without_db_reports_an_empty_in_memory_registry(self, capsys):
         assert main(["stats"]) == 0
@@ -339,41 +334,27 @@ class TestStats:
             "bob": ["1", "PE(s)", "0", "workflow(s)"],
         }
 
-    def test_shards_attach_fresh(self, capsys, tmp_path, fast_bundle):
-        db = tmp_path / "reg.db"
-        self.write_registry(db, fast_bundle)
-        assert main(["stats", "--db", str(db), "--shards"]) == 0
-        out = capsys.readouterr().out
-        assert "index: 5 shard(s)  (attach: fresh)" in out
-        assert "persistence: fresh  (5 fresh / 0 stale shard(s)" in out
-
-    def test_only_persist_writes_to_the_file(
+    def test_shards_report_occupancy_and_stamps(
         self, capsys, tmp_path, fast_bundle
     ):
-        """A stale shard is rebuilt for the report, and written back
-        only with ``--persist``."""
-        import sqlite3
-
+        """The index is filled from the record rows, as at server start;
+        each shard's line carries its stamp, and nothing is written."""
         db = tmp_path / "reg.db"
         self.write_registry(db, fast_bundle)
-        conn = sqlite3.connect(db)
-        conn.execute(
-            "UPDATE shard_stamps SET mutation_counter = mutation_counter + 1"
-            " WHERE user_id = 2 AND kind = 'desc'"
-        )
-        conn.commit()
-        conn.close()
         before = self.persisted_state(db)
         assert main(["stats", "--db", str(db), "--shards"]) == 0
         out = capsys.readouterr().out
-        assert "(attach: partial)" in out and "persisted:" not in out
+        assert "index: 5 shard(s)  (mutation counter 4)" in out
+        stamps = {
+            line.split()[0]: line.split()[-1]
+            for line in out.splitlines()
+            if "live rows" in line
+        }
+        assert stamps == {
+            "1/code": "2", "1/desc": "2", "1/wf-desc": "3",
+            "2/code": "4", "2/desc": "4",
+        }
         assert self.persisted_state(db) == before
-
-        assert main(["stats", "--db", str(db), "--shards", "--persist"]) == 0
-        assert "persisted: yes" in capsys.readouterr().out
-        counter, shards = self.persisted_state(db)
-        assert counter == before[0]
-        assert [(row[0], row[1]) for row in shards] == [(2, "desc")]
 
 
 class TestRefusedRegistryFile:
