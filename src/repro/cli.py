@@ -890,17 +890,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
         service = RegistryService(dao, VectorIndex())
         shards = service.index.stats()
-        stamps = dao.shard_stamps()
+        stamps = {
+            f"{user_id}/{kind}": stamp
+            for (user_id, kind), stamp in dao.shard_stamps().items()
+        }
         print(
             f"index: {len(shards)} shard(s)  "
             f"(mutation counter {dao.mutation_counter()})"
         )
         for key, info in sorted(shards.items()):
-            user_id, kind = key.split("/")
             print(
                 f"  {key:<20} {info['live']:>6} live rows  "
                 f"(capacity {info['capacity']}, d={info['dim']})  "
-                f"stamp {stamps.get((int(user_id), kind), '-')}"
+                f"stamp {stamps.get(key, '-')}"
             )
     return 0
 

@@ -97,9 +97,9 @@ the registry as of one commit.  The invariants:
 * **Never wrongly fresh, vacuously** — with no persisted shard there is
   no freshness to misjudge: an attached shard is the rows as of the
   snapshot it was read in.  Each mutation still stamps the shards it
-  changed (``shard_stamps``, one version per shard, written by the one
-  DAO helper lint rule RPR003 allows), for readers that need to tell
-  whether a shard moved.
+  changed (``shard_stamps``, one version per shard, through the DAO
+  helper lint rule RPR003 makes every record write call), for readers
+  that need to tell whether a shard moved.
 * **Vectors are compact at rest, dense in memory** — every vector blob
   goes through one bit-exact codec (:mod:`repro.registry.veccodec`),
   which stores it sparse, as a value table (each distinct value once,
