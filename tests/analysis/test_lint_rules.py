@@ -273,6 +273,58 @@ class TestDaoStamps:
         found = findings_for(src, DAO_PATH, rule="RPR003")
         assert [line for _rule, line in found] == [16, 16, 19, 19]
 
+    def test_a_bump_without_a_stamp_fires_once(self):
+        src = """
+            class SqliteDAO:
+                def delete_pe(self, pe_id):
+                    self._bump_mutation()
+                    self._conn.execute("DELETE FROM pes WHERE id=?", (pe_id,))
+        """
+        (found,) = lint_source(textwrap.dedent(src), DAO_PATH, rules=["RPR003"])
+        assert (found.line, found.rule) == (3, "RPR003")
+        assert "without stamping the changed shards" in found.message
+
+    def test_a_stamp_without_a_bump_fires_once(self):
+        src = """
+            class SqliteDAO:
+                def delete_pe(self, pe_id, counter):
+                    self._conn.execute("DELETE FROM pes WHERE id=?", (pe_id,))
+                    self._stamp_shards({}, counter)
+        """
+        (found,) = lint_source(textwrap.dedent(src), DAO_PATH, rules=["RPR003"])
+        assert (found.line, found.rule) == (3, "RPR003")
+        assert "without bumping the registry mutation counter" in found.message
+
+    def test_executemany_into_workflows_is_a_write(self):
+        src = """
+            class SqliteDAO:
+                def insert_workflows(self, rows):
+                    self._conn.executemany(
+                        "INSERT OR REPLACE INTO workflows VALUES (?, ?)", rows
+                    )
+        """
+        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 2
+
+    def test_counter_and_stamp_rows_are_no_record_write(self):
+        # the helpers that raise the counter and write the stamps touch
+        # shard_stamps only: they are what a records writer calls
+        src = """
+            class SqliteDAO:
+                def _advance(self, name, by):
+                    return self._conn.execute(
+                        "UPDATE shard_stamps SET mutation_counter ="
+                        " mutation_counter + ? WHERE kind = ?",
+                        (by, name),
+                    ).fetchone()
+
+                def _stamp_shards(self, changes, counter):
+                    self._conn.executemany(
+                        "INSERT OR REPLACE INTO shard_stamps VALUES (?, ?, ?)",
+                        [(1, "desc", counter)],
+                    )
+        """
+        assert rules_fired(src, DAO_PATH, "RPR003") == set()
+
 
 # ---------------------------------------------------------------------------
 # RPR005 — determinism surface: no entropy, no set iteration

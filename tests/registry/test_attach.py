@@ -20,9 +20,17 @@ Pinned here:
   not a row's JSON owners, decides membership;
 * one read transaction: a writer in another process cannot land between
   attach's scans;
-* attach hydrates no record.
+* attach hydrates no record;
+* the scan itself (``SqliteDAO.owned_vectors``): ascending ids, one scan
+  per record table, empty shards, each stored vector layout decoded bit
+  for bit;
+* per-shard versions: each write stamps exactly the shards it changed,
+  with its one counter step;
+* the names the e2e tracer pins resolve, and the persistence stubs
+  among them write nothing.
 """
 
+import importlib
 import tempfile
 from pathlib import Path
 
@@ -31,12 +39,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import NotFoundError
 from repro.registry.dao import SqliteDAO
 from repro.registry.entities import PERecord
 from repro.registry.service import RegistryService
 from repro.registry.veccodec import encode_vector
-from repro.search import KIND_CODE, KIND_DESC, VectorIndex
-from tests.helpers import brute_force_index, shard_bytes
+from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW, VectorIndex
+from tests.helpers import brute_force_index, index_shards, shard_bytes
 from tests.registry.test_dao import make_pe, make_wf
 from tests.registry.test_fts_text import assert_text_cache_current
 
@@ -386,28 +395,73 @@ class TestForeignWriters:
 # (c) damaged rows
 # ---------------------------------------------------------------------------
 class TestDamagedRows:
+    @pytest.mark.parametrize("victim", ["alicePE5", "Tail"])
     @pytest.mark.parametrize(
-        "damage",
+        "damage, kinds_out",
         [
-            "DELETE FROM pes WHERE pe_id = :id",
-            "UPDATE pes SET desc_embedding = NULL WHERE pe_id = :id",
+            ("DELETE FROM pes WHERE pe_id = :id", {KIND_DESC, KIND_CODE}),
+            ("UPDATE pes SET desc_embedding = NULL WHERE pe_id = :id",
+             {KIND_DESC}),
+            ("UPDATE pes SET code_embedding = NULL WHERE pe_id = :id",
+             {KIND_CODE}),
         ],
-        ids=["row-gone", "vector-gone"],
+        ids=["row-gone", "desc-vector-gone", "code-vector-gone"],
     )
     def test_a_missing_row_or_vector_leaves_only_that_record_out(
-        self, tmp_path, damage
+        self, tmp_path, damage, kinds_out, victim
     ):
+        """Only the victim's shards of the damaged kinds lose it; every
+        other shard attaches byte for byte as before ("Tail" carries no
+        code vector, so dropping it changes nothing)."""
         rng = np.random.default_rng(84)
         path = tmp_path / "registry.db"
         alice, _bob = populate(path, rng)
         dao = SqliteDAO(path)
-        victim = dao.find_pe_by_name("alicePE5")[0]
+        before = index_shards(attached(dao))
+        victim = dao.find_pe_by_name(victim)[0]
         dao._conn.execute(damage, {"id": victim.pe_id})
         dao._conn.commit()
         index = attached(dao)
-        assert not index.contains(alice.user_id, KIND_DESC, victim.pe_id)
-        assert index.size(alice.user_id, KIND_DESC) == 9  # of 10
+        after = index_shards(index)
+        assert set(after) == set(before)
+        for key, (ids, matrix) in before.items():
+            kept = ids != victim.pe_id
+            if key[0] != alice.user_id or key[1] not in kinds_out:
+                kept[:] = True
+            assert after[key][0].tobytes() == ids[kept].tobytes()
+            assert after[key][1].tobytes() == matrix[kept].tobytes()
+        for kind in kinds_out:
+            assert not index.contains(alice.user_id, kind, victim.pe_id)
         assert shard_bytes(index) == shard_bytes(brute_force_index(dao))
+        dao.close()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "DELETE FROM workflows WHERE workflow_id = :id",
+            "UPDATE workflows SET desc_embedding = NULL"
+            " WHERE workflow_id = :id",
+        ],
+        ids=["row-gone", "vector-gone"],
+    )
+    def test_a_missing_workflow_row_or_vector_empties_its_shard(
+        self, tmp_path, damage
+    ):
+        rng = np.random.default_rng(86)
+        path = tmp_path / "registry.db"
+        _alice, bob = populate(path, rng)
+        dao = SqliteDAO(path)
+        before = shard_bytes(attached(dao))
+        (victim,) = dao.find_workflow_by_entry_point("flow")
+        dao._conn.execute(damage, {"id": victim.workflow_id})
+        dao._conn.commit()
+        index = attached(dao)
+        assert index.size(bob.user_id, KIND_WORKFLOW) == 0
+        after = shard_bytes(index)
+        assert (bob.user_id, KIND_WORKFLOW) in before
+        del before[(bob.user_id, KIND_WORKFLOW)]
+        assert after == before
+        assert after == shard_bytes(brute_force_index(dao))
         dao.close()
 
     @pytest.mark.parametrize(
@@ -586,3 +640,409 @@ class TestColdStart:
         assert dao.shard_stamps()[(alice.user_id, KIND_DESC)] == (
             dao.mutation_counter()
         )
+
+
+# ---------------------------------------------------------------------------
+# (f) the scan attach is built on
+# ---------------------------------------------------------------------------
+def stored_layout(blob):
+    """Which of the codec's three layouts a vector blob was written in."""
+    if len(blob) % 4 == 0:
+        return "dense"
+    return {1: "sparse", 2: "table"}[blob[-1]]
+
+
+def layout_rows(layout, rng, dim=64):
+    """Three distinct vectors the codec stores in ``layout``."""
+    rows = []
+    for i in range(3):
+        if layout == "dense":
+            row = rng.standard_normal(dim).astype(np.float32)
+        elif layout == "sparse":
+            row = np.zeros(dim, dtype=np.float32)
+            row[[i, 17 + i]] = rng.standard_normal(2).astype(np.float32)
+        else:  # many non-zeros, few distinct values
+            row = np.zeros(dim, dtype=np.float32)
+            row[i::2] = np.float32(0.25 * (i + 1))
+        rows.append(row)
+    return rows
+
+
+class TestOwnedVectors:
+    @pytest.mark.parametrize(
+        "kind, records",
+        [
+            (KIND_DESC, "pes_owned_by"),
+            (KIND_CODE, "pes_owned_by"),
+            (KIND_WORKFLOW, "workflows_owned_by"),
+        ],
+    )
+    def test_a_shard_is_the_owned_records_vectors_in_id_order(
+        self, tmp_path, kind, records
+    ):
+        rng = np.random.default_rng(91)
+        path = tmp_path / "registry.db"
+        users = populate(path, rng)
+        dao = SqliteDAO(path)
+        spec_field = {
+            KIND_DESC: "desc_embedding",
+            KIND_CODE: "code_embedding",
+            KIND_WORKFLOW: "desc_embedding",
+        }[kind]
+        id_field = "workflow_id" if kind == KIND_WORKFLOW else "pe_id"
+        for user in users:
+            want = sorted(
+                (getattr(record, id_field), getattr(record, spec_field))
+                for record in getattr(dao, records)(user.user_id)
+                if getattr(record, spec_field) is not None
+            )
+            ((got_kind, (ids, matrix)),) = dao.owned_vectors(
+                user.user_id, [kind]
+            ).items()
+            assert got_kind == kind
+            assert ids.dtype == np.int64 and matrix.dtype == np.float32
+            assert matrix.flags.c_contiguous
+            assert ids.tolist() == [record_id for record_id, _ in want]
+            assert matrix.tobytes() == b"".join(
+                vector.tobytes() for _, vector in want
+            )
+        dao.close()
+
+    def test_a_user_who_owns_nothing_has_empty_shards(self):
+        dao = SqliteDAO()
+        service = RegistryService(dao)
+        alice = service.register_user("alice", "pw")
+        carol = service.register_user("carol", "pw")
+        service.register_pe(
+            alice, make_pe("P", desc_embedding=unit(np.random.default_rng(1)))
+        )
+        shards = dao.owned_vectors(
+            carol.user_id, [KIND_DESC, KIND_CODE, KIND_WORKFLOW]
+        )
+        assert set(shards) == {KIND_DESC, KIND_CODE, KIND_WORKFLOW}
+        for ids, matrix in shards.values():
+            assert ids.shape == (0,) and ids.dtype == np.int64
+            assert matrix.shape == (0, 0) and matrix.dtype == np.float32
+
+    def test_an_unknown_kind_is_refused(self):
+        dao = SqliteDAO()
+        with pytest.raises(ValueError, match="unknown shard kind 'summary'"):
+            dao.owned_vectors(1, [KIND_DESC, "summary"])
+
+    def test_one_scan_per_record_table(self, tmp_path):
+        """Both PE kinds ride one scan of ``pes``; the workflow kind
+        adds the one scan of ``workflows``."""
+        rng = np.random.default_rng(92)
+        path = tmp_path / "registry.db"
+        alice, _bob = populate(path, rng)
+        dao = SqliteDAO(path)
+        scan = dao._scan_owned
+        scanned = []
+
+        def counted(user_id, record_type, kinds):
+            scanned.append((record_type.__name__, tuple(kinds)))
+            return scan(user_id, record_type, kinds)
+
+        dao._scan_owned = counted
+        assert set(dao.owned_vectors(alice.user_id, [KIND_CODE])) == {
+            KIND_CODE
+        }
+        assert scanned == [("PERecord", (KIND_CODE,))]
+        scanned.clear()
+        dao.owned_vectors(alice.user_id, [KIND_WORKFLOW, KIND_DESC, KIND_CODE])
+        assert sorted(scanned) == [
+            ("PERecord", (KIND_CODE, KIND_DESC)),
+            ("WorkflowRecord", (KIND_WORKFLOW,)),
+        ]
+        dao.close()
+
+    def test_each_shard_keeps_its_own_width(self):
+        rng = np.random.default_rng(93)
+        dao = SqliteDAO()
+        record = dao.insert_pe(
+            make_pe(
+                "Wide",
+                desc_embedding=unit(rng, dim=8),
+                code_embedding=unit(rng, dim=12),
+                owners={1},
+            )
+        )
+        shards = dao.owned_vectors(1, [KIND_DESC, KIND_CODE])
+        assert shards[KIND_DESC][1].shape == (1, 8)
+        assert shards[KIND_CODE][1].shape == (1, 12)
+        assert shards[KIND_CODE][1].tobytes() == record.code_embedding.tobytes()
+
+    @pytest.mark.parametrize("layouts", [
+        ("dense",), ("sparse",), ("table",), ("dense", "sparse", "table"),
+    ], ids=["dense", "sparse", "table", "mixed"])
+    def test_every_stored_layout_decodes_bit_for_bit(self, layouts):
+        """One batch decode per shard, whichever layouts its rows were
+        written in."""
+        rng = np.random.default_rng(94)
+        dao = SqliteDAO()
+        rows = [row for layout in layouts for row in layout_rows(layout, rng)]
+        records = dao.insert_pes(
+            [
+                make_pe(
+                    f"L{i}", code=f"l:{i}".encode().hex(),
+                    desc_embedding=row, owners={1},
+                )
+                for i, row in enumerate(rows)
+            ]
+        )
+        stored = [
+            stored_layout(blob)
+            for (blob,) in dao._conn.execute(
+                "SELECT desc_embedding FROM pes ORDER BY pe_id"
+            )
+        ]
+        assert stored == [layout for layout in layouts for _ in range(3)]
+        ids, matrix = dao.owned_vectors(1, [KIND_DESC])[KIND_DESC]
+        assert ids.tolist() == [record.pe_id for record in records]
+        assert matrix.tobytes() == np.stack(rows).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# (g) per-shard versions: what a write stamps
+# ---------------------------------------------------------------------------
+class TestShardStamps:
+    """Each write stamps, with its bumped counter, exactly the ``(user,
+    kind)`` shards whose membership or vector bytes it changed."""
+
+    @pytest.fixture
+    def service(self):
+        service = RegistryService(SqliteDAO())
+        for name in ("alice", "bob"):
+            service.register_user(name, "pw")
+        yield service
+        service.dao.close()
+
+    def stamped_by(self, service, write):
+        """The counter ``write`` bumped to and the stamps it moved."""
+        before = service.dao.shard_stamps()
+        write()
+        counter = service.dao.mutation_counter()
+        after = service.dao.shard_stamps()
+        moved = {
+            key: stamp
+            for key, stamp in after.items()
+            if before.get(key) != stamp
+        }
+        return counter, moved
+
+    def test_a_register_stamps_the_owners_shards_of_each_vector(
+        self, service
+    ):
+        alice = service.get_user("alice")
+        rng = np.random.default_rng(95)
+        counter, moved = self.stamped_by(service, lambda: service.register_pe(
+            alice,
+            make_pe("P", desc_embedding=unit(rng), code_embedding=unit(rng)),
+        ))
+        assert moved == {
+            (alice.user_id, KIND_DESC): counter,
+            (alice.user_id, KIND_CODE): counter,
+        }
+
+    def test_a_record_without_a_vector_of_a_kind_leaves_that_shard(
+        self, service
+    ):
+        alice = service.get_user("alice")
+        rng = np.random.default_rng(96)
+        counter, moved = self.stamped_by(service, lambda: service.register_pe(
+            alice, make_pe("P", desc_embedding=unit(rng))
+        ))
+        assert moved == {(alice.user_id, KIND_DESC): counter}
+
+    def test_a_text_only_revise_bumps_the_counter_and_stamps_nothing(
+        self, service
+    ):
+        alice = service.get_user("alice")
+        rng = np.random.default_rng(97)
+        current, _ = service.register_pe(
+            alice, make_pe("P", desc_embedding=unit(rng))
+        )
+        revised = make_pe(
+            "P", description="said again",
+            desc_embedding=current.desc_embedding,
+        )
+        counter_before = service.dao.mutation_counter()
+        counter, moved = self.stamped_by(
+            service, lambda: service.revise_pe(alice, current, revised)
+        )
+        assert counter == counter_before + 1
+        assert moved == {}
+
+    def test_a_new_vector_stamps_only_its_kind(self, service):
+        alice = service.get_user("alice")
+        rng = np.random.default_rng(98)
+        current, _ = service.register_pe(
+            alice,
+            make_pe("P", desc_embedding=unit(rng), code_embedding=unit(rng)),
+        )
+        revised = make_pe(
+            "P", desc_embedding=current.desc_embedding,
+            code_embedding=unit(rng),
+        )
+        counter, moved = self.stamped_by(
+            service, lambda: service.revise_pe(alice, current, revised)
+        )
+        assert moved == {(alice.user_id, KIND_CODE): counter}
+
+    def test_a_grant_stamps_only_the_grantees_shards(self, service):
+        alice, bob = service.get_user("alice"), service.get_user("bob")
+        rng = np.random.default_rng(99)
+        desc, code = unit(rng), unit(rng)
+        service.register_pe(
+            alice, make_pe("P", desc_embedding=desc, code_embedding=code)
+        )
+        counter, moved = self.stamped_by(service, lambda: service.register_pe(
+            bob, make_pe("P", desc_embedding=desc, code_embedding=code)
+        ))
+        assert moved == {
+            (bob.user_id, KIND_DESC): counter,
+            (bob.user_id, KIND_CODE): counter,
+        }
+
+    def test_leaving_a_shared_record_stamps_only_the_leavers_shards(
+        self, service
+    ):
+        alice, bob = service.get_user("alice"), service.get_user("bob")
+        rng = np.random.default_rng(100)
+        desc = unit(rng)
+        record, _ = service.register_pe(alice, make_pe("P", desc_embedding=desc))
+        service.register_pe(bob, make_pe("P", desc_embedding=desc))
+        counter, moved = self.stamped_by(
+            service,
+            lambda: service.remove_pe_record(
+                bob, service.get_by_id(bob, PERecord, record.pe_id)
+            ),
+        )
+        assert moved == {(bob.user_id, KIND_DESC): counter}
+        assert service.dao.get_pe(record.pe_id).owners == {alice.user_id}
+
+    def test_deleting_a_record_stamps_every_shard_it_was_in(self, service):
+        alice = service.get_user("alice")
+        rng = np.random.default_rng(101)
+        record, _ = service.register_pe(
+            alice,
+            make_pe("P", desc_embedding=unit(rng), code_embedding=unit(rng)),
+        )
+        counter, moved = self.stamped_by(
+            service, lambda: service.remove_pe_record(alice, record)
+        )
+        assert moved == {
+            (alice.user_id, KIND_DESC): counter,
+            (alice.user_id, KIND_CODE): counter,
+        }
+        assert service.dao.get_pe(record.pe_id) is None
+
+    def test_a_workflow_write_stamps_the_workflow_shard(self, service):
+        bob = service.get_user("bob")
+        wf = make_wf("flow")
+        wf.desc_embedding = unit(np.random.default_rng(102))
+        counter, moved = self.stamped_by(
+            service, lambda: service.register_workflow(bob, wf)
+        )
+        assert moved == {(bob.user_id, KIND_WORKFLOW): counter}
+
+    def test_a_bulk_write_is_one_counter_step(self, service):
+        alice = service.get_user("alice")
+        rng = np.random.default_rng(103)
+        counter_before = service.dao.mutation_counter()
+        records = [
+            make_pe(
+                f"B{i}", code=f"b:{i}".encode().hex(),
+                desc_embedding=unit(rng),
+                code_embedding=unit(rng) if i == 2 else None,
+            )
+            for i in range(3)
+        ]
+        counter, moved = self.stamped_by(
+            service, lambda: service.register_pes_bulk(alice, records)
+        )
+        assert counter == counter_before + 1
+        assert moved == {
+            (alice.user_id, KIND_DESC): counter,
+            (alice.user_id, KIND_CODE): counter,
+        }
+
+    def test_a_failed_write_moves_no_counter_and_no_stamp(self, service):
+        alice = service.get_user("alice")
+        rng = np.random.default_rng(104)
+        record, _ = service.register_pe(
+            alice, make_pe("P", desc_embedding=unit(rng))
+        )
+        service.dao.delete_pe(record.pe_id)
+        counter_before = service.dao.mutation_counter()
+        stamps_before = service.dao.shard_stamps()
+        record.desc_embedding = unit(rng)
+        with pytest.raises(NotFoundError):
+            service.dao.update_pe(record)
+        assert service.dao.mutation_counter() == counter_before
+        assert service.dao.shard_stamps() == stamps_before
+
+    def test_stamps_and_counter_survive_a_reopen(self, tmp_path):
+        rng = np.random.default_rng(105)
+        path = tmp_path / "registry.db"
+        populate(path, rng)
+        dao = SqliteDAO(path)
+        stamps, counter = dao.shard_stamps(), dao.mutation_counter()
+        dao.close()
+        dao = SqliteDAO(path)
+        assert dao.shard_stamps() == stamps
+        assert dao.mutation_counter() == counter
+        assert counter == max(stamps.values())
+        dao.close()
+
+
+# ---------------------------------------------------------------------------
+# (h) names the e2e tracer pins
+# ---------------------------------------------------------------------------
+class TestTracePinnedNames:
+    """The e2e tracer (``benchmarks/e2e/trace.py``) wraps a fixed table
+    of callables and reads the journal report; the index persistence
+    plane's entries stay as no-ops that write nothing."""
+
+    def test_every_trace_target_resolves_to_a_callable(self):
+        from benchmarks.e2e.trace import TARGETS
+
+        for _span, module_name, path in TARGETS:
+            owner = importlib.import_module(module_name)
+            *parents, attr = path.split(".")
+            for part in parents:
+                owner = getattr(owner, part)
+            assert callable(getattr(owner, attr)), (module_name, path)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda service: service.persist_shards(),
+            lambda service: service.dao.append_index_delta(
+                1, KIND_DESC, "add", [1], 1
+            ),
+            lambda service: service.dao.upsert_index_shards(
+                {(1, KIND_DESC): np.asarray([1], dtype=np.int64)}, 1
+            ),
+        ],
+        ids=["persist_shards", "append_index_delta", "upsert_index_shards"],
+    )
+    def test_a_persistence_stub_writes_nothing(self, tmp_path, call):
+        rng = np.random.default_rng(106)
+        path = tmp_path / "registry.db"
+        populate(path, rng)
+        service = RegistryService(SqliteDAO(path), VectorIndex())
+        before = shard_bytes(service.index)
+        changes = service.dao._conn.total_changes
+        counter, stamps = service.dao.mutation_counter(), service.dao.shard_stamps()
+        call(service)
+        assert service.dao._conn.total_changes == changes
+        assert service.dao.mutation_counter() == counter
+        assert service.dao.shard_stamps() == stamps
+        assert shard_bytes(service.index) == before
+        service.dao.close()
+
+    def test_the_journal_report_counts_no_compaction(self):
+        service = RegistryService(SqliteDAO(), VectorIndex())
+        assert service.shard_persistence()["journal"]["compactions"] == 0
+        service.dao.close()

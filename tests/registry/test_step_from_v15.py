@@ -349,3 +349,42 @@ def test_a_v14_file_is_refused_untouched(tmp_path, fast_bundle):
     assert "v15 and v16 files only" in err.value.message
     assert digest(path) == before
     assert {"index_shards", "index_deltas"} <= schema_names(path)
+
+
+def test_the_v15_membership_is_dropped_unread(tmp_path, fast_bundle):
+    """The step reads nothing of what it drops: a v15 file whose base
+    slabs and journal disagree with its rows — a torn journal row, a
+    slab naming records no owner table holds, a ``remove`` emptying a
+    shard — steps all the same and attaches what the rows hold."""
+    path = tmp_path / "registry.db"
+    fill(path, fast_bundle)
+    as_v15(path)
+    conn = sqlite3.connect(path)
+    stamps = conn.execute(
+        "SELECT user_id, kind, mutation_counter FROM shard_stamps"
+        " WHERE user_id != 0 ORDER BY user_id, kind"
+    ).fetchall()
+    (user_id, kind, stamp) = stamps[0]
+    conn.execute(
+        "INSERT INTO index_shards VALUES (?, ?, ?, 2, ?)",
+        (user_id, kind, stamp, np.asarray([9999, 10000], np.int64).tobytes()),
+    )
+    conn.execute(
+        "INSERT INTO index_deltas"
+        " (user_id, kind, op, mutation_counter, rows, ids)"
+        " VALUES (?, ?, 'remove', ?, 1, ?)",
+        (user_id, kind, stamp + 1, b"\x01\x00"),  # torn: not 8 bytes
+    )
+    conn.execute("UPDATE index_deltas SET op = 'remove' WHERE user_id = ?",
+                 (stamps[-1][0],))
+    conn.commit()
+    conn.close()
+
+    dao = SqliteDAO(path)
+    index = VectorIndex()
+    RegistryService(dao).attach_index(index)
+    assert shard_bytes(index) == shard_bytes(brute_force_index(dao))
+    assert index.size(user_id, kind) > 0
+    assert index.size(stamps[-1][0], stamps[-1][1]) > 0
+    dao.close()
+    assert not {"index_shards", "index_deltas"} & schema_names(path)

@@ -9,9 +9,11 @@ back to brute force); and concurrent readers see the serial answers.
 
 Each case runs once per *layout*: the same final slabs reached through
 every write path the registry uses — the bulk attach fast path, one
-``add`` per row, out-of-order ids (mid-inserts) and churn (removals,
-re-inserts and in-place updates).  All of them must leave the shard
-contiguous and id-ordered, so every layout answers bitwise alike.
+``add`` per row, out-of-order ids (mid-inserts), churn (removals,
+re-inserts and in-place updates) and the cold-start path (each row
+encoded as the store keeps it, the shard decoded in one batch, as
+attach reads it).  All of them must leave the shard contiguous and
+id-ordered, so every layout answers bitwise alike.
 """
 
 import threading
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.registry.veccodec import decode_many, encode_vector
 from repro.search import VectorIndex
 from repro.search.index import KIND_CODE, KIND_DESC, KIND_WORKFLOW
 from tests.helpers import index_shards
@@ -63,11 +66,17 @@ def _churned(index, user, kind, rows):
         assert index.remove(user, kind, decoy)
 
 
+def _decoded(index, user, kind, rows):
+    blobs = [encode_vector(row) for row in rows]
+    index.add_many(user, kind, RIDS, decode_many(blobs))
+
+
 LAYOUTS = {
     "bulk": _bulk,
     "one-by-one": _one_by_one,
     "shuffled": _shuffled,
     "churned": _churned,
+    "decoded": _decoded,
 }
 
 
