@@ -71,16 +71,15 @@ AZURE_WAN = LatencyModel(
 )
 
 
+#: the presets by name
+PRESETS = {preset.name: preset for preset in (LOCAL, LAN, AZURE_WAN)}
+
+
 def make_latency(name: str) -> LatencyModel:
     """Fresh (independently seeded/accounted) preset by name."""
-    presets = {
-        "local": LOCAL,
-        "lan": LAN,
-        "azure-wan": AZURE_WAN,
-    }
-    if name not in presets:
-        raise ValueError(f"unknown latency preset {name!r}; have {sorted(presets)}")
-    template = presets[name]
+    if name not in PRESETS:
+        raise ValueError(f"unknown latency preset {name!r}; have {sorted(PRESETS)}")
+    template = PRESETS[name]
     return LatencyModel(
         name=template.name,
         rtt_s=template.rtt_s,

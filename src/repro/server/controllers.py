@@ -22,13 +22,15 @@ from repro.registry.entities import (
     WorkflowRecord,
 )
 from repro.server.schema import (
-    check_int64,
-    legacy_text,
-    parse_credentials,
-    parse_embedding_field,
+    AUTH,
+    ENGINE,
+    PE_ADD,
+    RUN,
+    T3_SEARCH,
+    WORKFLOW_ADD,
+    SearchRequest,
+    parse,
     parse_int,
-    parse_pe_ids,
-    parse_pe_imports,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,13 +88,13 @@ class UserController(BaseController):
 
     def register(self, request: Request, params: dict[str, str]) -> Response:
         user = self.app.registry.register_user(
-            *parse_credentials(request.body)
+            **parse(AUTH, request.body, "auth request", legacy=True)
         )
         return Response(201, user.to_json())
 
     def login(self, request: Request, params: dict[str, str]) -> Response:
         user = self.app.registry.authenticate(
-            *parse_credentials(request.body)
+            **parse(AUTH, request.body, "auth request", legacy=True)
         )
         token = self.app.issue_token(user.user_name)
         return Response(
@@ -166,9 +168,8 @@ class PEController(RecordController):
         byte-identical to the historical handler; the actual write runs
         through the same serialized
         :func:`~repro.server.v1_write.execute_write` path the versioned
-        endpoints use.  The optional fields pass the v1 envelope's
-        checks (``peImports``, the embeddings), so a malformed one is a
-        400 naming it.
+        endpoints use.  The body is the :data:`~repro.server.schema.PE_ADD`
+        table, so a malformed field is a 400 naming it.
         """
         from repro.server.v1_write import (
             WriteCommand,
@@ -177,23 +178,9 @@ class PEController(RecordController):
         )
 
         user = self.authenticated_user(request, params)
-        body = request.body
-        if not body.get("peName"):
-            raise ValidationError("peName is required", params={"keys": sorted(body)})
-        if not body.get("peCode"):
-            raise ValidationError("peCode is required", params={"pe": body.get("peName")})
         record = build_pe_record(
             self.app,
-            name=legacy_text("peName", body["peName"]),
-            code=legacy_text("peCode", body["peCode"]),
-            description=legacy_text("description", body.get("description") or ""),
-            description_origin=legacy_text(
-                "descriptionOrigin", body.get("descriptionOrigin", "user")
-            ),
-            source=legacy_text("peSource", body.get("peSource", "")),
-            imports=parse_pe_imports(body),
-            desc_embedding=parse_embedding_field(body, "descEmbedding"),
-            code_embedding=parse_embedding_field(body, "codeEmbedding"),
+            **parse(PE_ADD, request.body, "register request", legacy=True),
         )
         outcome = execute_write(
             self.app, user, WriteCommand(action="register", kind="pe", record=record)
@@ -216,26 +203,9 @@ class WorkflowController(RecordController):
         )
 
         user = self.authenticated_user(request, params)
-        body = request.body
-        if not body.get("entryPoint"):
-            raise ValidationError(
-                "entryPoint is required", params={"keys": sorted(body)}
-            )
-        if not body.get("workflowCode"):
-            raise ValidationError(
-                "workflowCode is required", params={"workflow": body.get("entryPoint")}
-            )
         record = build_workflow_record(
             self.app,
-            entry_point=legacy_text("entryPoint", body["entryPoint"]),
-            code=legacy_text("workflowCode", body["workflowCode"]),
-            workflow_name=legacy_text(
-                "workflowName", body.get("workflowName", body["entryPoint"])
-            ),
-            description=legacy_text("description", body.get("description") or ""),
-            source=legacy_text("workflowSource", body.get("workflowSource", "")),
-            pe_ids=parse_pe_ids(body),
-            desc_embedding=parse_embedding_field(body, "descEmbedding"),
+            **parse(WORKFLOW_ADD, request.body, "register request", legacy=True),
         )
         outcome = execute_write(
             self.app,
@@ -278,36 +248,26 @@ class ExecutionController(BaseController):
         from repro.serialization.imports import merge_requirements
 
         user = self.authenticated_user(request, params)
-        body = dict(request.body)
+        run = parse(RUN, request.body, "run request", legacy=True)
+        body = dict(request.body or {})
 
         # resolve a registry reference into a shipped payload
-        ref = body.pop("workflowRef", None)
+        ref = run["workflow_ref"]
+        body.pop("workflowRef", None)
         if ref is not None:
-            if isinstance(ref, dict) and "id" in ref:
-                record_id = parse_int(ref["id"])
-                if isinstance(record_id, bool) or not isinstance(record_id, int):
-                    raise ValidationError(
-                        f"workflowRef id must be an integer, got {ref['id']!r}",
-                        params={"workflowRef": ref},
-                    )
-                check_int64(record_id, "workflowRef id", {"workflowRef": ref})
+            if "id" in ref:
                 record = self.app.registry.get_by_id(
-                    user, WorkflowRecord, record_id
-                )
-            elif isinstance(ref, dict) and "name" in ref:
-                record = self.app.registry.get_by_name(
-                    user, WorkflowRecord, str(ref["name"])
+                    user, WorkflowRecord, ref["id"]
                 )
             else:
-                raise ValidationError(
-                    "workflowRef must contain 'id' or 'name'",
-                    params={"workflowRef": ref},
+                record = self.app.registry.get_by_name(
+                    user, WorkflowRecord, ref["name"]
                 )
             body.setdefault("workflowCode", record.workflow_code)
             body.setdefault("workflowName", record.entry_point)
             pes = self.app.registry.workflow_pes(user, record.workflow_id)
             sources = [record.workflow_source] + [pe.pe_source for pe in pes]
-            imports = set(body.get("imports", []))
+            imports = set(run["imports"])
             imports.update(merge_requirements(sources))
             for pe in pes:
                 imports.update(pe.pe_imports)
@@ -333,16 +293,11 @@ class EngineController(BaseController):
 
     def register(self, request: Request, params: dict[str, str]) -> Response:
         self.authenticated_user(request, params)
-        body = request.body
-        name = str(body.get("engineName", "")).strip()
+        engine = parse(ENGINE, request.body, "engine request", legacy=True)
+        name = engine.pop("name").strip()
         if not name:
             raise ValidationError("engineName is required")
-        entry = self.app.engines.create(
-            name,
-            install_scale=float(body.get("installScale", 0.0)),
-            latency_preset=body.get("latencyPreset"),
-            description=str(body.get("description", "")),
-        )
+        entry = self.app.engines.create(name, **engine)
         return Response(201, entry.stats())
 
     def remove(self, request: Request, params: dict[str, str]) -> Response:
@@ -371,18 +326,14 @@ class RegistryController(BaseController):
         """Legacy Table-3 search — a thin adapter over the v1 core.
 
         Only the parameter parsing is its own: the ``{type}`` path
-        segment and a lenient ``queryType`` (``text``, ``semantic`` or
-        ``code``, case-insensitive, with this route's historical error
-        messages).  ``k`` and ``queryEmbedding`` pass the same checks as
-        on v1, and the ranking runs through the same
-        :func:`~repro.server.v1.execute_search` decision tree, so the
-        hits equal the versioned endpoint's field for field.
+        segment and the :data:`~repro.server.schema.T3_SEARCH` body, a
+        lenient ``queryType`` (``text``, ``semantic`` or ``code``,
+        case-insensitive, with this route's historical error messages)
+        and ``k`` and ``queryEmbedding`` as on v1.  The ranking runs
+        through the same :func:`~repro.server.v1.execute_search`
+        decision tree, so the hits equal the versioned endpoint's field
+        for field.
         """
-        from repro.server.schema import (
-            SearchRequest,
-            parse_embedding_field,
-            parse_k,
-        )
         from repro.server.v1 import check_embedding_width, execute_search
 
         user = self.authenticated_user(request, params)
@@ -394,21 +345,11 @@ class RegistryController(BaseController):
                 params={"type": search_type},
                 details="expected 'pe', 'workflow' or 'both'",
             )
-        body = request.body or {}
-        query_type = str(body.get("queryType", "text")).lower()
-        if query_type not in ("text", "semantic", "code"):
-            raise ValidationError(
-                f"unknown query type {query_type!r}",
-                params={"queryType": query_type},
-                details="expected 'text', 'semantic' or 'code'",
-            )
         req = SearchRequest(
             query=search,
             kind=search_type,
-            query_type=query_type,
             backend="exact",
-            k=parse_k(body),
-            query_embedding=parse_embedding_field(body, "queryEmbedding"),
+            **parse(T3_SEARCH, request.body, "search request", legacy=True),
         )
         check_embedding_width(self.app, req)
         search_kind, hits = execute_search(self.app, user, req)

@@ -19,18 +19,9 @@ from __future__ import annotations
 
 from repro.errors import NotFoundError, ValidationError
 from repro.ingest.pipeline import IngestSpec, run_ingest
-from repro.jobs.manager import JOB_STATES
 from repro.net.transport import Request, Response
 from repro.server.controllers import BaseController
-from repro.server.schema import (
-    IngestRequest,
-    parse_limit,
-    reject_unknown_fields,
-)
-
-#: page-size default for the jobs listing (retention caps the store, so
-#: listings are small; no cursor machinery needed)
-_DEFAULT_JOBS_LIMIT = 100
+from repro.server.schema import INGEST, JOBS, parse
 
 
 def _job_body(snapshot: dict) -> dict:
@@ -52,18 +43,12 @@ class JobsController(BaseController):
 
     def list_jobs(self, request: Request, params: dict[str, str]) -> Response:
         principal = self.token_principal(request)
-        body = request.body or {}
-        reject_unknown_fields(body, ("limit", "state"), where="jobs listing")
-        limit = parse_limit(body.get("limit", _DEFAULT_JOBS_LIMIT))
-        state = body.get("state")
-        if state is not None and state not in JOB_STATES:
-            raise ValidationError(
-                f"state must be one of {', '.join(JOB_STATES)}; got {state!r}",
-                params={"state": state},
-            )
-        jobs = self.app.jobs.list(owner=principal.user_name, state=state)[
-            :limit
-        ]
+        # retention caps the store, so listings are small: no cursor
+        listing = parse(JOBS, request.body, "jobs listing")
+        limit = listing["limit"]
+        jobs = self.app.jobs.list(
+            owner=principal.user_name, state=listing["state"]
+        )[:limit]
         return Response(
             200,
             {
@@ -88,19 +73,20 @@ class IngestController(BaseController):
 
     def start(self, request: Request, params: dict[str, str]) -> Response:
         user = self.authenticated_user(request, params)
-        req = IngestRequest.from_json(request.body)
-        spec = IngestSpec(
-            path=req.path,
-            archive=req.archive,
-            batch_size=req.batch_size,
-            max_file_bytes=req.max_file_bytes,
-            max_chunk_lines=req.max_chunk_lines,
-        )
+        spec = IngestSpec(**parse(INGEST, request.body, "ingest request"))
+        if (spec.path is None) == (spec.archive is None):
+            raise ValidationError(
+                "exactly one of path or archive is required",
+                params={
+                    "path": spec.path is not None,
+                    "archive": spec.archive is not None,
+                },
+            )
         # echo only wire-safe request facts (never the archive bytes)
         job_params = {
             "user": user.user_name,
-            "source": "archive" if req.archive is not None else req.path,
-            "batchSize": req.batch_size,
+            "source": "archive" if spec.archive is not None else spec.path,
+            "batchSize": spec.batch_size,
         }
         snapshot = self.app.jobs.submit(
             "ingest",

@@ -1,19 +1,24 @@
-"""Typed API envelopes for the versioned ``/v1/`` surface.
+"""Request envelopes as field tables, and the typed v1 response envelopes.
 
-The legacy Table-3 endpoints grew their parameters ad hoc: search
-options travel as loosely typed body keys, listings return whole
-collections, and validation is scattered through the controllers.  The
-v1 surface validates **once at the edge** instead:
+Every request body the server reads is declared once, as a *table*: a
+tuple of :class:`Field` rows, one per wire field, in the order they are
+checked.  One function, :func:`parse`, runs any table over a body and
+returns the values by attribute name.  What a bad value is, and the 400
+naming it, comes from the row's *kind* (:data:`KINDS`), so every
+envelope decides it alike: a body that is not a JSON object, or that
+carries a key outside its table, is a 400; every string is UTF-8
+encodable ``text`` (``json.loads`` accepts a lone surrogate, which
+neither SQLite nor the text codec stores); every ``int`` fits the 64
+bits SQLite stores; every ``vector`` entry is finite in float32.
 
-* :class:`SearchRequest` — the body of ``POST /v1/registry/{user}/search``,
-  parsed by :meth:`SearchRequest.from_json` with *strict* field
-  checking: unknown fields are rejected (400), every default is
-  explicit, and enum/type errors carry the offending value.
-* :class:`SearchResponse` — the typed result envelope
-  (``apiVersion``/``backend``/``searchKind``/``hits``/``nextCursor``),
-  emitted verbatim by the server and by ``repro search --json``.
-* :class:`Page` — the envelope of every v1 listing: ``items`` plus an
-  opaque ``nextCursor`` resuming after the last item.
+The Table-3 routes parse their own tables ``legacy``: unknown keys
+pass, and a text field is ``str(value)``, as those handlers always
+stored it.  A row may carry the message an envelope has always worded
+its 400 with.
+
+Responses: :class:`SearchResponse` (emitted verbatim by the server and
+by ``repro search --json``), :class:`Page` (every v1 listing: ``items``
+plus an opaque ``nextCursor``) and :class:`WriteResponse`.
 
 Cursors are opaque base64url-encoded JSON, *scoped*: a cursor minted by
 one listing (say ``pes``) is rejected by every other with a 400 instead
@@ -30,9 +35,14 @@ import binascii
 import bisect
 import json
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from repro.errors import ValidationError
+from repro.jobs.manager import JOB_STATES
+from repro.net.latency import PRESETS
 
 #: the version prefix every v1 cursor carries on the wire
 _CURSOR_PREFIX = "v1."
@@ -48,9 +58,12 @@ QUERY_TYPES = ("text", "semantic", "code", "hybrid")
 #: ranking engines a search may name (``GET /v1/backends``)
 BACKENDS = ("exact",)
 
-#: write-surface bounds
+#: the most items one bulk write (or ingest batch) lands
 MAX_BULK_ITEMS = 1000
-MAX_IDEMPOTENCY_KEY_LEN = 200
+
+#: the integers SQLite stores (64-bit signed): a wider JSON integer
+#: bound into a statement raises ``OverflowError``
+INT64_MAX = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -92,27 +105,6 @@ def decode_cursor(cursor: str, scope: str) -> int:
     return int(position)
 
 
-# ---------------------------------------------------------------------------
-# Strict field parsing
-# ---------------------------------------------------------------------------
-def reject_unknown_fields(
-    body: dict[str, Any], allowed: Sequence[str], *, where: str
-) -> None:
-    """400 when ``body`` carries any key outside ``allowed``.
-
-    Unknown fields are almost always a client bug (a typoed option
-    silently changing nothing); the v1 edge refuses them instead of
-    guessing.
-    """
-    unknown = sorted(set(body) - set(allowed))
-    if unknown:
-        raise ValidationError(
-            f"unknown field(s) in {where}: {', '.join(unknown)}",
-            params={"unknownFields": unknown},
-            details=f"allowed fields: {', '.join(sorted(allowed))}",
-        )
-
-
 def parse_int(value: Any) -> Any:
     """``value`` as an ``int`` when it is a string of at most 18 ASCII
     digits (every one fits SQLite's 64-bit integers); any other value
@@ -134,146 +126,569 @@ def parse_int(value: Any) -> Any:
     return value
 
 
-#: the integers SQLite stores (64-bit signed): a wider JSON integer
-#: bound into a statement raises ``OverflowError``
-INT64_MAX = 2**63 - 1
-
-
-def check_int64(value: int, field: str, params: dict[str, Any]) -> None:
-    """400 naming ``field`` when the integer ``value`` is outside the
-    64 bits SQLite stores."""
-    if not -INT64_MAX - 1 <= value <= INT64_MAX:
-        raise ValidationError(
-            f"{field} must fit in 64 bits, got {value}", params=params
-        )
-
-
-def parse_limit(value: Any) -> int:
-    """Validate a listing/search page size (defaults handled by caller).
-
-    Digit strings are accepted because listings also take their page
-    parameters from the URL query string (``?limit=5``), where every
-    value arrives as text.
-    """
-    value = parse_int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(
-            f"limit must be an integer, got {value!r}",
-            params={"limit": value},
-        )
-    if not 1 <= value <= MAX_LIMIT:
-        raise ValidationError(
-            f"limit must be between 1 and {MAX_LIMIT}, got {value}",
-            params={"limit": value},
-        )
-    return int(value)
-
-
-def parse_k(body: dict[str, Any]) -> int | None:
-    """A search's ``k``: ``None`` (unbounded) or a positive integer."""
-    k = body.get("k")
-    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k <= 0):
-        raise ValidationError(
-            f"k must be a positive integer, got {k!r}", params={"k": k}
-        )
-    if k is not None:
-        check_int64(k, "k", {"k": k})
-    return k
-
-
-def _parse_enum(body: dict, key: str, choices: Sequence[str], default: str) -> str:
-    value = body.get(key, default)
-    if not isinstance(value, str) or value.lower() not in choices:
-        raise ValidationError(
-            f"{key} must be one of {', '.join(choices)}; got {value!r}",
-            params={key: value},
-        )
-    return value.lower()
-
-
 # ---------------------------------------------------------------------------
-# Envelopes
+# Field tables
 # ---------------------------------------------------------------------------
-@dataclass
-class SearchRequest:
-    """The validated body of ``POST /v1/registry/{user}/search``.
+#: the ``default`` of a field the body must carry
+REQUIRED: Any = object()
 
-    Every default is explicit here — the wire body may omit any field
-    except ``query`` and always resolves to the same request.
+
+@dataclass(frozen=True)
+class Field:
+    """One wire field of a request envelope.
+
+    ``key`` is the JSON key and ``attr`` the name :func:`parse` returns
+    the value under; ``kind`` names its check in :data:`KINDS`.  An
+    absent field takes ``default`` (or is a 400 when :data:`REQUIRED`);
+    so does a ``null`` one when the default is ``None``.  ``bounds`` are
+    the kind's limits: an ``int``'s ``(low, high)`` (``high`` ``None``
+    for "any 64-bit integer from ``low``"), an ``enum``'s choices, a
+    ``name``'s greatest length, an ``items`` field's item table.
+    ``meta`` marks a request-level field, refused inside a bulk item.
+    ``loose`` lets an ``int`` arrive as ASCII digits and an ``enum`` in
+    any letter case.  ``message`` and ``details`` replace the kind's
+    400 for a value of the wrong shape, and ``params(body)`` the
+    offending parameters of every 400 the row raises.
     """
 
-    query: str
-    kind: str = "both"  # pe | workflow | both
-    query_type: str = "text"  # text | semantic | code (paper default: text)
-    backend: str = "exact"  # ranking engine; "exact" is the only one
-    k: int | None = None  # top-k cap applied at ranking time
-    limit: int | None = None  # page size over the ranked hits
-    cursor: str | None = None  # resume token from a previous page
-    query_embedding: Any = None  # client-side query vector (optional)
+    key: str
+    attr: str
+    kind: str
+    default: Any = None
+    bounds: Any = None
+    meta: bool = False
+    loose: bool = False
+    message: str | None = None
+    details: str | None = None
+    params: Callable[[dict], dict] | None = None
 
-    #: every wire field the envelope accepts
-    FIELDS = (
-        "query",
-        "kind",
-        "queryType",
-        "backend",
-        "k",
-        "limit",
-        "cursor",
-        "queryEmbedding",
+
+class _Wrong(Exception):
+    """A kind's verdict on a value, which :func:`parse` words as the
+    400: ``message`` is a template over the field's ``key`` and
+    ``bounds``, the ``value``, its ``type`` and the envelope
+    (``where``); ``shown`` is what ``params`` report, the value itself
+    unless given."""
+
+    def __init__(self, message: str, value: Any, shown: Any = None) -> None:
+        super().__init__(message)
+        self.message, self.value = message, value
+        self.shown = value if shown is None else shown
+
+    def refusal(self, row: Field, body: dict, where: str) -> ValidationError:
+        text = (row.message or self.message).format(
+            key=row.key,
+            value=self.value,
+            type=type(self.value).__name__,
+            bounds=row.bounds,
+            where=where,
+        )
+        params = row.params(body) if row.params else {row.key: self.shown}
+        return ValidationError(text, params=params, details=row.details)
+
+
+def _utf8(key: str, value: str) -> str:
+    """``value``, if UTF-8 can encode it; a lone surrogate is a 400."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise ValidationError(
+            f"{key} is not valid Unicode text: a lone surrogate at"
+            f" offset {err.start}",
+            params={"field": key, "offset": err.start},
+        ) from None
+    return value
+
+
+def _text(row: Field, value: Any, legacy: bool) -> str:
+    """Any string UTF-8 can encode (a Table-3 body: ``str(value)``)."""
+    if legacy:
+        value = str(value)
+    elif not isinstance(value, str):
+        raise _Wrong("{key} must be a string, got {type}", value)
+    return _utf8(row.key, value)
+
+
+def _name(row: Field, value: Any, legacy: bool) -> str:
+    """Non-empty text, at most ``bounds`` characters.  A Table-3 body
+    takes any truthy value in its string form; a falsy one is absent."""
+    if legacy:
+        if not value and row.default is REQUIRED:
+            raise _Wrong("{key} is required", value)
+        if not value:
+            return row.default
+        value = str(value)
+    elif (
+        not isinstance(value, str)
+        or not value.strip()
+        or (row.bounds is not None and len(value) > row.bounds)
+    ):
+        raise _Wrong(
+            "{key} is required and must be a non-empty string in {where}", value
+        )
+    return _utf8(row.key, value)
+
+
+#: what an ``int`` must be, worded by its lower bound when it has no
+#: upper one
+_INTEGER = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
+
+def _in_int64(value: int) -> bool:
+    return -INT64_MAX - 1 <= value <= INT64_MAX
+
+
+def _int(row: Field, value: Any, legacy: bool) -> int:
+    """An integer within ``bounds``, and always within 64 bits; ASCII
+    digits too when ``loose`` (a value from a query string)."""
+    if row.loose:
+        value = parse_int(value)
+    low, high = row.bounds or (None, None)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (high is None and low is not None and value < low)
+    ):
+        what = _INTEGER[low if high is None else None]
+        raise _Wrong(f"{{key}} must be {what}, got {{value!r}}", value)
+    if high is not None and not low <= value <= high:
+        raise _Wrong(f"{{key}} must be between {low} and {high}, got {{value}}", value)
+    if not _in_int64(value):
+        raise _Wrong("{key} must fit in 64 bits, got {value}", value)
+    return value
+
+
+def _int_list(row: Field, value: Any, legacy: bool) -> list[int]:
+    """An array of integers, each within 64 bits."""
+    if not isinstance(value, list) or not all(
+        isinstance(item, int) and not isinstance(item, bool) for item in value
+    ):
+        raise _Wrong("{key} must be an array of integers", value)
+    for item in value:
+        if not _in_int64(item):
+            raise _Wrong(f"{{key}} must fit in 64 bits, got {item}", value)
+    return list(value)
+
+
+def _str_list(row: Field, value: Any, legacy: bool) -> list[str]:
+    """An array of text."""
+    if not isinstance(value, list) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise _Wrong("{key} must be an array of strings", value)
+    return [_utf8(row.key, item) for item in value]
+
+
+def _vector(row: Field, value: Any, legacy: bool) -> np.ndarray:
+    """A non-empty array of numbers, each finite in float32, as a
+    float32 array.  ``json.loads`` reads ``NaN``, ``Infinity`` and
+    ``1e400``, and ``1e300`` overflows float32: stored, any of them
+    would make every later score on its shard ``NaN``."""
+    if (
+        not isinstance(value, (list, tuple))
+        or not value
+        or not (
+            # one C-level pass over the types; bools are ints to isinstance
+            set(map(type, value)) <= {int, float}
+            or all(
+                isinstance(item, (int, float)) and not isinstance(item, bool)
+                for item in value
+            )
+        )
+    ):
+        raise _Wrong(
+            "{key} must be a non-empty array of numbers", value, type(value).__name__
+        )
+    try:
+        with np.errstate(over="ignore"):
+            vector = np.asarray(value, dtype=np.float32)
+    except OverflowError:  # an integer wider than a double
+        vector = None
+    if vector is None or not np.isfinite(vector).all():
+        raise _Wrong(
+            "{key} must hold numbers that are finite in float32", value, "non-finite"
+        )
+    return vector
+
+
+def _enum(row: Field, value: Any, legacy: bool) -> str:
+    """One of the ``bounds`` choices (a Table-3 body: ``str(value)``,
+    and its messages name the folded value)."""
+    if legacy:
+        value = str(value)
+    choice = value.lower() if row.loose and isinstance(value, str) else value
+    if choice not in row.bounds:
+        choices = ", ".join(row.bounds)
+        raise _Wrong(
+            f"{{key}} must be one of {choices}; got {{value!r}}",
+            choice if legacy else value,
+        )
+    return choice
+
+
+def _cursor(row: Field, value: Any, legacy: bool) -> str:
+    """A resume token: a string, which :func:`decode_cursor` checks
+    against the scope of the listing it resumes."""
+    if not isinstance(value, str):
+        raise _Wrong("{key} must be a string, got {type}", value)
+    return value
+
+
+def _items(row: Field, value: Any, legacy: bool) -> list[dict]:
+    """A bulk body's items: 1 to :data:`MAX_BULK_ITEMS` objects, each
+    parsed with the item table in ``bounds``."""
+    if not isinstance(value, list) or not value:
+        raise _Wrong(
+            "{key} is required and must be a non-empty array",
+            value,
+            type(value).__name__,
+        )
+    if len(value) > MAX_BULK_ITEMS:
+        raise _Wrong(
+            f"{{key}} must contain at most {MAX_BULK_ITEMS} entries, "
+            f"got {len(value)}",
+            value,
+            len(value),
+        )
+    parsed = []
+    for position, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise ValidationError(
+                f"{row.key}[{position}] must be a JSON object, got "
+                f"{type(entry).__name__}",
+                params={"position": position},
+            )
+        parsed.append(parse(row.bounds, entry, f"{row.key}[{position}]"))
+    return parsed
+
+
+def _base64(row: Field, value: Any, legacy: bool) -> bytes:
+    """Non-empty base64 text, decoded."""
+    if not isinstance(value, str) or not value:
+        raise _Wrong("{key} must be a base64 string", value, type(value).__name__)
+    try:
+        return base64.b64decode(value.encode("ascii"), validate=True)
+    except (binascii.Error, ValueError, UnicodeError) as exc:
+        raise ValidationError(
+            f"{row.key} is not valid base64", details=str(exc)
+        ) from None
+
+
+def _number(row: Field, value: Any, legacy: bool) -> float:
+    """What ``float`` reads: the Table-3 bodies' one numeric form."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _Wrong("{key} must be a number, got {value!r}", value) from None
+
+
+def _ref(row: Field, value: Any, legacy: bool) -> dict:
+    """A registry reference, ``{"id": <int>}`` or ``{"name": <text>}``;
+    a wrong id is reported as ``{key} id`` with the whole reference."""
+    if isinstance(value, dict) and "id" in value:
+        by_id = Field(row.key, "id", "int", loose=True)
+        try:
+            return {"id": _int(by_id, value["id"], legacy)}
+        except _Wrong as wrong:
+            raise _Wrong(wrong.message.replace("{key}", "{key} id"), wrong.value, value)
+    if isinstance(value, dict) and "name" in value:
+        return {"name": _text(row, value["name"], legacy)}
+    raise _Wrong("{key} must contain 'id' or 'name'", value)
+
+
+#: every field kind, by the name a :class:`Field` gives it
+KINDS: dict[str, Callable[[Field, Any, bool], Any]] = {
+    "text": _text,
+    "name": _name,
+    "int": _int,
+    "int_list": _int_list,
+    "str_list": _str_list,
+    "vector": _vector,
+    "enum": _enum,
+    "cursor": _cursor,
+    "items": _items,
+    "base64": _base64,
+    "number": _number,
+    "ref": _ref,
+}
+
+
+def parse(
+    table: Sequence[Field],
+    body: Any,
+    where: str,
+    *,
+    legacy: bool = False,
+    path: dict[str, str] | None = None,
+) -> dict[str, Any]:
+    """Check ``body`` against ``table``; the values by ``attr``.
+
+    ``where`` names the envelope in 400 messages.  ``legacy`` parses a
+    Table-3 body (unknown keys pass, text is ``str(value)``).  ``path``
+    holds fields the route's path supplies: the body may repeat one only
+    with the same value.
+    """
+    body = body or {}
+    if not isinstance(body, dict):
+        raise ValidationError(
+            f"{where} must be a JSON object, got {type(body).__name__}"
+        )
+    if not legacy:
+        allowed = [row.key for row in table]
+        unknown = sorted(set(body) - set(allowed))
+        if unknown:
+            raise ValidationError(
+                f"unknown field(s) in {where}: {', '.join(unknown)}",
+                params={"unknownFields": unknown},
+                details=f"allowed fields: {', '.join(sorted(allowed))}",
+            )
+    values = {}
+    for row in table:
+        if path is not None and row.key in path:
+            given, named = body.get(row.key), path[row.key]
+            if given is not None and given != named:
+                raise ValidationError(
+                    f"{row.key} in the body ({given!r}) disagrees with the "
+                    f"path segment ({named!r})",
+                    params={row.key: given, "path": named},
+                )
+            values[row.attr] = named
+            continue
+        default = row.default
+        value = body.get(row.key, None if default is REQUIRED else default)
+        if value is None and default is None:
+            values[row.attr] = None
+            continue
+        try:
+            values[row.attr] = KINDS[row.kind](row, value, legacy)
+        except _Wrong as wrong:
+            raise wrong.refusal(row, body, where) from None
+    return values
+
+
+# -- the v1 envelopes ---------------------------------------------------
+#: ``POST /v1/registry/{user}/search``; a ``limit`` or ``cursor`` pages
+#: over the ranked hits
+SEARCH = (
+    Field(
+        "query", "query", "name", REQUIRED,
+        message="{key} is required and must be a non-empty string",
+    ),
+    Field("kind", "kind", "enum", "both", SEARCH_KINDS, loose=True),
+    Field("queryType", "query_type", "enum", "text", QUERY_TYPES, loose=True),
+    Field(
+        "backend", "backend", "enum", "exact", BACKENDS,
+        message="unknown index backend {value!r}",
+        details=f"registered backends: {', '.join(BACKENDS)}",
+    ),
+    Field("k", "k", "int", bounds=(1, None)),
+    Field("limit", "limit", "int", bounds=(1, MAX_LIMIT), loose=True),
+    Field("cursor", "cursor", "cursor"),
+    Field("queryEmbedding", "query_embedding", "vector"),
+)
+
+#: a write's precondition: the target's ``revision`` (for bulk, the
+#: registry mutation counter) it expects; 0 = "must not exist yet"
+IF_VERSION = Field(
+    "ifVersion", "if_version", "int", bounds=(0, None), meta=True, loose=True
+)
+#: makes a write safely retryable (also the ``Idempotency-Key`` header)
+IDEMPOTENCY_KEY = Field(
+    "idempotencyKey", "idempotency_key", "name",
+    bounds=200, meta=True,
+    message="{key} must be a non-empty string of at most {bounds} characters",
+)
+
+#: ``PUT /v1/registry/{user}/pes/{name}`` (the name from the path)
+PE = (
+    Field("peName", "name", "name", REQUIRED),
+    Field("peCode", "code", "name", REQUIRED),
+    Field("peImports", "imports", "str_list", []),
+    Field("description", "description", "text", ""),
+    Field("descriptionOrigin", "description_origin", "text", "user"),
+    Field("peSource", "source", "text", ""),
+    Field("descEmbedding", "desc_embedding", "vector"),
+    Field("codeEmbedding", "code_embedding", "vector"),
+    IF_VERSION,
+    IDEMPOTENCY_KEY,
+)
+
+#: ``PUT /v1/registry/{user}/workflows/{name}``: the path names the
+#: workflow's entry point
+WORKFLOW = (
+    Field("entryPoint", "entry_point", "name", REQUIRED),
+    Field("workflowCode", "code", "name", REQUIRED),
+    Field("peIds", "pe_ids", "int_list", []),
+    Field("workflowName", "workflow_name", "text", ""),
+    Field("description", "description", "text", ""),
+    Field("workflowSource", "source", "text", ""),
+    Field("descEmbedding", "desc_embedding", "vector"),
+    IF_VERSION,
+    IDEMPOTENCY_KEY,
+)
+
+
+def _bulk(item: Sequence[Field]) -> tuple[Field, ...]:
+    """A bulk body over ``item``'s kind: the items carry their name
+    field and no request-level one."""
+    rows = tuple(row for row in item if not row.meta)
+    return (
+        Field("items", "items", "items", REQUIRED, rows),
+        IF_VERSION,
+        IDEMPOTENCY_KEY,
     )
 
+
+#: ``POST /v1/registry/{user}/pes:bulk`` and ``…/workflows:bulk``
+PE_BULK = _bulk(PE)
+WORKFLOW_BULK = _bulk(WORKFLOW)
+
+#: the (optional) body of the v1 DELETE routes
+DELETE = (IF_VERSION, IDEMPOTENCY_KEY)
+
+#: ``POST /v1/registry/{user}/ingest``: exactly one source, ``path`` (a
+#: directory on the *server's* filesystem) or ``archive`` (a base64
+#: ``.tar.gz``), and the knobs bounding the work per file/chunk/batch
+INGEST = (
+    Field("path", "path", "name", message="{key} must be a non-empty string"),
+    Field(
+        "archive", "archive", "base64",
+        message="{key} must be a base64-encoded tarball string",
+    ),
+    Field("batchSize", "batch_size", "int", 64, (1, MAX_BULK_ITEMS), loose=True),
+    Field(
+        "maxFileBytes", "max_file_bytes", "int", 1_000_000, (1, 10_000_000),
+        loose=True,
+    ),
+    Field(
+        "maxChunkLines", "max_chunk_lines", "int", 200, (10, 2000), loose=True
+    ),
+)
+
+#: every v1 listing (``limit`` defaults to :data:`DEFAULT_LIMIT`)
+PAGE = (
+    Field("limit", "limit", "int", bounds=(1, MAX_LIMIT), loose=True),
+    Field("cursor", "cursor", "cursor"),
+)
+
+#: ``GET /v1/jobs``
+JOBS = (
+    Field("limit", "limit", "int", DEFAULT_LIMIT, (1, MAX_LIMIT), loose=True),
+    Field("state", "state", "enum", bounds=JOB_STATES),
+)
+
+# -- the Table-3 bodies (parsed ``legacy``) --------------------------------
+#: ``/auth/register`` and ``/auth/login``
+AUTH = (
+    Field("userName", "name", "text", ""),
+    Field("password", "password", "text", ""),
+)
+
+#: ``POST /registry/{user}/pe/add``
+PE_ADD = (
+    Field(
+        "peName", "name", "name", REQUIRED,
+        params=lambda body: {"keys": sorted(body)},
+    ),
+    Field(
+        "peCode", "code", "name", REQUIRED,
+        params=lambda body: {"pe": body.get("peName")},
+    ),
+    Field("description", "description", "name", ""),
+    Field("descriptionOrigin", "description_origin", "text", "user"),
+    Field("peSource", "source", "text", ""),
+    Field("peImports", "imports", "str_list", []),
+    Field("descEmbedding", "desc_embedding", "vector"),
+    Field("codeEmbedding", "code_embedding", "vector"),
+)
+
+#: ``POST /registry/{user}/workflow/add``
+WORKFLOW_ADD = (
+    Field(
+        "entryPoint", "entry_point", "name", REQUIRED,
+        params=lambda body: {"keys": sorted(body)},
+    ),
+    Field(
+        "workflowCode", "code", "name", REQUIRED,
+        params=lambda body: {"workflow": body.get("entryPoint")},
+    ),
+    Field("workflowName", "workflow_name", "text", ""),
+    Field("description", "description", "name", ""),
+    Field("workflowSource", "source", "text", ""),
+    Field("peIds", "pe_ids", "int_list", []),
+    Field("descEmbedding", "desc_embedding", "vector"),
+)
+
+#: the body of ``GET /registry/{user}/search/{search}/type/{type}``
+T3_SEARCH = (
+    Field(
+        "queryType", "query_type", "enum", "text", ("text", "semantic", "code"),
+        loose=True, message="unknown query type {value!r}",
+        details="expected 'text', 'semantic' or 'code'",
+    ),
+    Field("k", "k", "int", bounds=(1, None)),
+    Field("queryEmbedding", "query_embedding", "vector"),
+)
+
+#: what ``POST /execution/{user}/run`` reads itself (the execution
+#: request parses the rest)
+RUN = (
+    Field("workflowRef", "workflow_ref", "ref"),
+    Field("imports", "imports", "str_list", []),
+    Field("timeout", "timeout", "number", 300.0),
+)
+
+#: ``POST /engines/{user}/register``
+ENGINE = (
+    Field("engineName", "name", "name", REQUIRED, params=lambda body: {}),
+    Field("installScale", "install_scale", "number", 0.0),
+    Field(
+        "latencyPreset", "latency_preset", "enum",
+        bounds=tuple(PRESETS), loose=True,
+    ),
+    Field("description", "description", "text", ""),
+)
+
+
+class SearchRequest(SimpleNamespace):
+    """A parsed :data:`SEARCH` body."""
+
     @classmethod
-    def from_json(cls, body: dict[str, Any] | None) -> "SearchRequest":
-        """Parse + validate a wire body; raises 400 on any malformation."""
-        body = body or {}
-        if not isinstance(body, dict):
-            raise ValidationError(
-                f"search request must be a JSON object, got "
-                f"{type(body).__name__}"
-            )
-        reject_unknown_fields(body, cls.FIELDS, where="search request")
-        query = body.get("query")
-        if not isinstance(query, str) or not query.strip():
-            raise ValidationError(
-                "query is required and must be a non-empty string",
-                params={"query": query},
-            )
-        _check_text("query", query)
-        kind = _parse_enum(body, "kind", SEARCH_KINDS, "both")
-        query_type = _parse_enum(body, "queryType", QUERY_TYPES, "text")
-        backend = body.get("backend", "exact")
-        if not isinstance(backend, str) or backend not in BACKENDS:
-            raise ValidationError(
-                f"unknown index backend {backend!r}",
-                params={"backend": backend},
-                details=f"registered backends: {', '.join(BACKENDS)}",
-            )
-        k = parse_k(body)
-        limit = body.get("limit")
-        if limit is not None:
-            limit = parse_limit(limit)
-        cursor = body.get("cursor")
-        if cursor is not None and not isinstance(cursor, str):
-            raise ValidationError(
-                f"cursor must be a string, got {type(cursor).__name__}",
-                params={"cursor": cursor},
-            )
-        # edge validation: malformed embeddings must 400 here, not 500
-        # when np.asarray/the shard product chokes downstream
-        query_embedding = parse_embedding_field(body, "queryEmbedding")
+    def from_json(cls, body: Any) -> "SearchRequest":
+        return cls(**parse(SEARCH, body, "search request"))
+
+
+class RegisterPERequest(SimpleNamespace):
+    """A parsed :data:`PE` body, its name from the path."""
+
+    @classmethod
+    def from_json(cls, body: Any, *, name: str) -> "RegisterPERequest":
+        return cls(**parse(PE, body, "register request", path={"peName": name}))
+
+
+class RegisterWorkflowRequest(SimpleNamespace):
+    """A parsed :data:`WORKFLOW` body, its entry point from the path."""
+
+    @classmethod
+    def from_json(cls, body: Any, *, name: str) -> "RegisterWorkflowRequest":
         return cls(
-            query=query,
-            kind=kind,
-            query_type=query_type,
-            backend=backend,
-            k=k,
-            limit=limit,
-            cursor=cursor,
-            query_embedding=query_embedding,
+            **parse(WORKFLOW, body, "register request", path={"entryPoint": name})
         )
 
 
+class BulkRegisterRequest(SimpleNamespace):
+    """A parsed :data:`PE_BULK` or :data:`WORKFLOW_BULK` body."""
+
+    @classmethod
+    def from_json(
+        cls, body: Any, *, table: Sequence[Field]
+    ) -> "BulkRegisterRequest":
+        return cls(**parse(table, body, "bulk register request"))
+
+
+# ---------------------------------------------------------------------------
+# Response envelopes
+# ---------------------------------------------------------------------------
 @dataclass
 class SearchResponse:
     """The typed result envelope of the unified v1 search endpoint."""
@@ -320,491 +735,13 @@ class Page:
         }
 
 
-# ---------------------------------------------------------------------------
-# Write envelopes (the v1 write surface)
-# ---------------------------------------------------------------------------
-def parse_embedding_field(body: dict[str, Any], key: str) -> list | None:
-    """A client-side embedding field: ``None`` or a non-empty number array."""
-    value = body.get(key)
-    if value is None:
-        return None
-    if (
-        not isinstance(value, (list, tuple))
-        or not value
-        or not all(
-            isinstance(item, (int, float)) and not isinstance(item, bool)
-            for item in value
-        )
-    ):
-        raise ValidationError(
-            f"{key} must be a non-empty array of numbers",
-            params={key: type(value).__name__},
-        )
-    return list(value)
-
-
-def check_embedding_dim(key: str, value: list | None, dim: int) -> None:
+def check_embedding_dim(key: str, value: Any, dim: int) -> None:
     """400 unless the client vector ``value`` (if any) has ``dim``
     entries: the width of the model that ranks its shard."""
     if value is not None and len(value) != dim:
         raise ValidationError(
             f"{key} must have {dim} dimensions, got {len(value)}",
             params={f"{key}Dim": len(value)},
-        )
-
-
-def parse_pe_imports(body: dict[str, Any]) -> list[str]:
-    """``peImports``: an array of strings (empty when absent)."""
-    imports = body.get("peImports", [])
-    if not isinstance(imports, list) or not all(
-        isinstance(item, str) for item in imports
-    ):
-        raise ValidationError(
-            "peImports must be an array of strings",
-            params={"peImports": imports},
-        )
-    return list(imports)
-
-
-def parse_pe_ids(body: dict[str, Any]) -> list[int]:
-    """``peIds``: an array of integers (empty when absent)."""
-    pe_ids = body.get("peIds", [])
-    if not isinstance(pe_ids, list) or not all(
-        isinstance(item, int) and not isinstance(item, bool) for item in pe_ids
-    ):
-        raise ValidationError(
-            "peIds must be an array of integers", params={"peIds": pe_ids}
-        )
-    for item in pe_ids:
-        check_int64(item, "peIds", {"peIds": pe_ids})
-    return list(pe_ids)
-
-
-def parse_if_version(body: dict[str, Any]) -> int | None:
-    """``ifVersion``: a non-negative integer or absent.
-
-    0 means "the target must not exist yet" (create-only); n > 0 pins
-    the target's current revision.  Anything else is a 400.
-    """
-    value = body.get("ifVersion")
-    if value is None:
-        return None
-    value = parse_int(value)  # CLI/query-string friendliness, like limit
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValidationError(
-            f"ifVersion must be a non-negative integer, got {value!r}",
-            params={"ifVersion": value},
-        )
-    return int(value)
-
-
-def parse_idempotency_key(body: dict[str, Any]) -> str | None:
-    """``idempotencyKey``: a short, non-empty opaque string or absent."""
-    value = body.get("idempotencyKey")
-    if value is None:
-        return None
-    if (
-        not isinstance(value, str)
-        or not value.strip()
-        or len(value) > MAX_IDEMPOTENCY_KEY_LEN
-    ):
-        raise ValidationError(
-            "idempotencyKey must be a non-empty string of at most "
-            f"{MAX_IDEMPOTENCY_KEY_LEN} characters",
-            params={"idempotencyKey": value},
-        )
-    return value
-
-
-def _check_text(key: str, value: str) -> str:
-    """``value``, if UTF-8 can encode it.  ``json.loads`` accepts a lone
-    surrogate (``"\\ud800"``), which neither SQLite nor the text codec
-    can store: such a string is a 400 naming its field, not a 500."""
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError as err:
-        raise ValidationError(
-            f"{key} is not valid Unicode text: a lone surrogate at"
-            f" offset {err.start}",
-            params={"field": key, "offset": err.start},
-        ) from None
-    return value
-
-
-def legacy_text(key: str, value: Any) -> str:
-    """A legacy Table-3 body field in the string form its handler stores
-    (``str(value)``), through :func:`_check_text`: those routes read
-    their fields one by one, not through a parser here."""
-    return _check_text(key, str(value))
-
-
-def _parse_required_str(body: dict[str, Any], key: str, *, where: str) -> str:
-    value = body.get(key)
-    if not isinstance(value, str) or not value.strip():
-        raise ValidationError(
-            f"{key} is required and must be a non-empty string in {where}",
-            params={key: value},
-        )
-    return _check_text(key, value)
-
-
-def _parse_optional_str(body: dict[str, Any], key: str, default: str = "") -> str:
-    value = body.get(key, default)
-    if not isinstance(value, str):
-        raise ValidationError(
-            f"{key} must be a string, got {type(value).__name__}",
-            params={key: value},
-        )
-    return _check_text(key, value)
-
-
-def parse_credentials(body: dict[str, Any]) -> tuple[str, str]:
-    """The ``(userName, password)`` of an ``/auth`` body, each as its
-    string form (a missing one is empty)."""
-    return (
-        _check_text("userName", str(body.get("userName", ""))),
-        _check_text("password", str(body.get("password", ""))),
-    )
-
-
-def _check_path_name(body: dict[str, Any], key: str, name: str) -> None:
-    """A body identity field, when present, must agree with the path."""
-    value = body.get(key)
-    if value is not None and value != name:
-        raise ValidationError(
-            f"{key} in the body ({value!r}) disagrees with the path "
-            f"segment ({name!r})",
-            params={key: value, "path": name},
-        )
-
-
-@dataclass
-class RegisterPERequest:
-    """The validated body of ``PUT /v1/registry/{user}/pes/{name}``.
-
-    The PE's name comes from the *path*; a ``peName`` body field is
-    allowed only when it agrees.  ``ifVersion`` pins the caller's
-    current record of that name (0 = create-only) and
-    ``idempotencyKey`` makes the write safely retryable.
-    """
-
-    name: str
-    code: str
-    description: str = ""
-    description_origin: str = "user"
-    source: str = ""
-    imports: list[str] = field(default_factory=list)
-    desc_embedding: list | None = None
-    code_embedding: list | None = None
-    if_version: int | None = None
-    idempotency_key: str | None = None
-
-    FIELDS = (
-        "peName",
-        "peCode",
-        "description",
-        "descriptionOrigin",
-        "peSource",
-        "peImports",
-        "descEmbedding",
-        "codeEmbedding",
-        "ifVersion",
-        "idempotencyKey",
-    )
-    #: fields rejected inside bulk items (they are request-level knobs)
-    META_FIELDS = ("ifVersion", "idempotencyKey")
-
-    @classmethod
-    def from_json(
-        cls,
-        body: dict[str, Any] | None,
-        *,
-        name: str | None = None,
-        where: str = "register request",
-        allow_meta: bool = True,
-    ) -> "RegisterPERequest":
-        body = body or {}
-        if not isinstance(body, dict):
-            raise ValidationError(
-                f"{where} must be a JSON object, got {type(body).__name__}"
-            )
-        allowed = cls.FIELDS if allow_meta else tuple(
-            f for f in cls.FIELDS if f not in cls.META_FIELDS
-        )
-        reject_unknown_fields(body, allowed, where=where)
-        if name is None:
-            name = _parse_required_str(body, "peName", where=where)
-        else:
-            _check_path_name(body, "peName", name)
-        code = _parse_required_str(body, "peCode", where=where)
-        imports = parse_pe_imports(body)
-        return cls(
-            name=name,
-            code=code,
-            description=_parse_optional_str(body, "description"),
-            description_origin=_parse_optional_str(
-                body, "descriptionOrigin", "user"
-            ),
-            source=_parse_optional_str(body, "peSource"),
-            imports=imports,
-            desc_embedding=parse_embedding_field(body, "descEmbedding"),
-            code_embedding=parse_embedding_field(body, "codeEmbedding"),
-            if_version=parse_if_version(body) if allow_meta else None,
-            idempotency_key=(
-                parse_idempotency_key(body) if allow_meta else None
-            ),
-        )
-
-
-@dataclass
-class RegisterWorkflowRequest:
-    """The validated body of ``PUT /v1/registry/{user}/workflows/{name}``.
-
-    The path ``{name}`` is the workflow's *entry point* (the identifier
-    users retrieve/run by); an ``entryPoint`` body field is allowed
-    only when it agrees.
-    """
-
-    entry_point: str
-    code: str
-    workflow_name: str = ""
-    description: str = ""
-    source: str = ""
-    pe_ids: list[int] = field(default_factory=list)
-    desc_embedding: list | None = None
-    if_version: int | None = None
-    idempotency_key: str | None = None
-
-    FIELDS = (
-        "entryPoint",
-        "workflowName",
-        "description",
-        "workflowCode",
-        "workflowSource",
-        "peIds",
-        "descEmbedding",
-        "ifVersion",
-        "idempotencyKey",
-    )
-    #: fields rejected inside bulk items (they are request-level knobs)
-    META_FIELDS = ("ifVersion", "idempotencyKey")
-
-    @classmethod
-    def from_json(
-        cls,
-        body: dict[str, Any] | None,
-        *,
-        name: str | None = None,
-        where: str = "register request",
-        allow_meta: bool = True,
-    ) -> "RegisterWorkflowRequest":
-        body = body or {}
-        if not isinstance(body, dict):
-            raise ValidationError(
-                f"{where} must be a JSON object, got {type(body).__name__}"
-            )
-        allowed = cls.FIELDS if allow_meta else tuple(
-            f for f in cls.FIELDS if f not in cls.META_FIELDS
-        )
-        reject_unknown_fields(body, allowed, where=where)
-        if name is None:
-            name = _parse_required_str(body, "entryPoint", where=where)
-        else:
-            _check_path_name(body, "entryPoint", name)
-        code = _parse_required_str(body, "workflowCode", where=where)
-        pe_ids = parse_pe_ids(body)
-        return cls(
-            entry_point=name,
-            code=code,
-            workflow_name=_parse_optional_str(body, "workflowName", name),
-            description=_parse_optional_str(body, "description"),
-            source=_parse_optional_str(body, "workflowSource"),
-            pe_ids=pe_ids,
-            desc_embedding=parse_embedding_field(body, "descEmbedding"),
-            if_version=parse_if_version(body) if allow_meta else None,
-            idempotency_key=(
-                parse_idempotency_key(body) if allow_meta else None
-            ),
-        )
-
-
-@dataclass
-class BulkRegisterRequest:
-    """The validated body of ``POST /v1/registry/{user}/pes:bulk`` and
-    ``POST /v1/registry/{user}/workflows:bulk``.
-
-    ``items`` are complete registrations of one kind, each parsed by
-    ``item`` — that kind's PUT envelope, :class:`RegisterPERequest` or
-    :class:`RegisterWorkflowRequest` — with its name field (``peName``,
-    ``entryPoint``) required per item; ``ifVersion``/``idempotencyKey``
-    are request-level only.  ``ifVersion`` here pins the *registry
-    mutation counter* — the batch is all-or-nothing against a known
-    registry state.
-    """
-
-    items: list
-    if_version: int | None = None
-    idempotency_key: str | None = None
-
-    FIELDS = ("items", "ifVersion", "idempotencyKey")
-
-    @classmethod
-    def from_json(
-        cls, body: dict[str, Any] | None, *, item: type
-    ) -> "BulkRegisterRequest":
-        body = body or {}
-        if not isinstance(body, dict):
-            raise ValidationError(
-                f"bulk register request must be a JSON object, got "
-                f"{type(body).__name__}"
-            )
-        reject_unknown_fields(body, cls.FIELDS, where="bulk register request")
-        items = body.get("items")
-        if not isinstance(items, list) or not items:
-            raise ValidationError(
-                "items is required and must be a non-empty array",
-                params={"items": type(items).__name__},
-            )
-        if len(items) > MAX_BULK_ITEMS:
-            raise ValidationError(
-                f"items must contain at most {MAX_BULK_ITEMS} entries, "
-                f"got {len(items)}",
-                params={"items": len(items)},
-            )
-        parsed = []
-        for position, entry in enumerate(items):
-            if not isinstance(entry, dict):
-                raise ValidationError(
-                    f"items[{position}] must be a JSON object, got "
-                    f"{type(entry).__name__}",
-                    params={"position": position},
-                )
-            parsed.append(
-                item.from_json(
-                    entry, where=f"items[{position}]", allow_meta=False
-                )
-            )
-        return cls(
-            items=parsed,
-            if_version=parse_if_version(body),
-            idempotency_key=parse_idempotency_key(body),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Ingest + jobs envelopes
-# ---------------------------------------------------------------------------
-#: bounds for the ingest envelope's tuning knobs
-MAX_INGEST_FILE_BYTES = 10_000_000
-MIN_CHUNK_LINES, MAX_CHUNK_LINES = 10, 2000
-
-
-def _parse_bounded_int(
-    body: dict[str, Any], key: str, default: int, low: int, high: int
-) -> int:
-    value = parse_int(body.get(key, default))
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(
-            f"{key} must be an integer, got {value!r}", params={key: value}
-        )
-    if not low <= value <= high:
-        raise ValidationError(
-            f"{key} must be between {low} and {high}, got {value}",
-            params={key: value},
-        )
-    return int(value)
-
-
-@dataclass
-class IngestRequest:
-    """The validated body of ``POST /v1/registry/{user}/ingest``.
-
-    Exactly one source is required: ``path`` (a directory on the
-    *server's* filesystem — single-tenant trusted deployments) or
-    ``archive`` (a base64 ``.tar.gz`` uploaded in the request,
-    extracted through the validating walker).  The tuning knobs bound
-    the work per file/chunk/batch; all have safe defaults.
-    """
-
-    path: str | None = None
-    archive: bytes | None = None
-    batch_size: int = 64
-    max_file_bytes: int = 1_000_000
-    max_chunk_lines: int = 200
-
-    FIELDS = ("path", "archive", "batchSize", "maxFileBytes", "maxChunkLines")
-
-    @classmethod
-    def from_json(cls, body: dict[str, Any] | None) -> "IngestRequest":
-        body = body or {}
-        if not isinstance(body, dict):
-            raise ValidationError(
-                f"ingest request must be a JSON object, got "
-                f"{type(body).__name__}"
-            )
-        reject_unknown_fields(body, cls.FIELDS, where="ingest request")
-        path = body.get("path")
-        if path is not None and (not isinstance(path, str) or not path.strip()):
-            raise ValidationError(
-                "path must be a non-empty string", params={"path": path}
-            )
-        raw_archive = body.get("archive")
-        archive: bytes | None = None
-        if raw_archive is not None:
-            if not isinstance(raw_archive, str) or not raw_archive:
-                raise ValidationError(
-                    "archive must be a base64-encoded tarball string",
-                    params={"archive": type(raw_archive).__name__},
-                )
-            try:
-                archive = base64.b64decode(
-                    raw_archive.encode("ascii"), validate=True
-                )
-            except (binascii.Error, ValueError, UnicodeError) as exc:
-                raise ValidationError(
-                    "archive is not valid base64", details=str(exc)
-                ) from None
-        if (path is None) == (archive is None):
-            raise ValidationError(
-                "exactly one of path or archive is required",
-                params={"path": path is not None, "archive": archive is not None},
-            )
-        return cls(
-            path=path,
-            archive=archive,
-            batch_size=_parse_bounded_int(
-                body, "batchSize", 64, 1, MAX_BULK_ITEMS
-            ),
-            max_file_bytes=_parse_bounded_int(
-                body, "maxFileBytes", 1_000_000, 1, MAX_INGEST_FILE_BYTES
-            ),
-            max_chunk_lines=_parse_bounded_int(
-                body, "maxChunkLines", 200, MIN_CHUNK_LINES, MAX_CHUNK_LINES
-            ),
-        )
-
-
-@dataclass
-class DeleteRequest:
-    """The (optional) body of the v1 DELETE routes."""
-
-    if_version: int | None = None
-    idempotency_key: str | None = None
-
-    FIELDS = ("ifVersion", "idempotencyKey")
-
-    @classmethod
-    def from_json(cls, body: dict[str, Any] | None) -> "DeleteRequest":
-        body = body or {}
-        if not isinstance(body, dict):
-            raise ValidationError(
-                f"delete request must be a JSON object, got "
-                f"{type(body).__name__}"
-            )
-        reject_unknown_fields(body, cls.FIELDS, where="delete request")
-        return cls(
-            if_version=parse_if_version(body),
-            idempotency_key=parse_idempotency_key(body),
         )
 
 

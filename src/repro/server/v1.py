@@ -34,12 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import ValidationError
 from repro.net.transport import Request, Response
 from repro.registry.entities import (
     RECORD_CLASSES,
@@ -57,6 +55,7 @@ from repro.server.controllers import BaseController
 from repro.server.schema import (
     BACKENDS,
     DEFAULT_LIMIT,
+    PAGE,
     Page,
     SearchRequest,
     SearchResponse,
@@ -64,8 +63,7 @@ from repro.server.schema import (
     decode_cursor,
     encode_cursor,
     paginate_ids,
-    parse_limit,
-    reject_unknown_fields,
+    parse,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -295,35 +293,19 @@ def _hybrid_hits(
 class V1Controller(BaseController):
     """Handlers behind the ``/v1/`` route table."""
 
-    #: wire fields a listing request may carry
-    _PAGE_FIELDS = ("limit", "cursor")
-
-    def _page_params(self, request: Request) -> tuple[int, str | None]:
-        """Strictly parse the (optional) ``limit``/``cursor`` body."""
-        body = request.body or {}
-        reject_unknown_fields(body, self._PAGE_FIELDS, where="listing request")
-        limit = body.get("limit")
-        limit = DEFAULT_LIMIT if limit is None else parse_limit(limit)
-        cursor = body.get("cursor")
-        if cursor is not None and not isinstance(cursor, str):
-            raise ValidationError(
-                f"cursor must be a string, got {type(cursor).__name__}",
-                params={"cursor": cursor},
-            )
-        return limit, cursor
-
     # ------------------------------------------------------------------
     # Listings (cursor-paginated, ascending id)
     # ------------------------------------------------------------------
     def list_users(self, request: Request, params: dict[str, str]) -> Response:
         # parity with the legacy /auth/all listing: no auth required
-        limit, cursor = self._page_params(request)
+        page = parse(PAGE, request.body, "listing request")
+        limit = page["limit"] or DEFAULT_LIMIT
         users = self.app.registry.all_users()
         page_ids, next_cursor = paginate_ids(
             [user.user_id for user in users],
             scope="users",
             limit=limit,
-            cursor=cursor,
+            cursor=page["cursor"],
         )
         by_id = {user.user_id: user for user in users}
         items = [by_id[user_id].to_json() for user_id in page_ids]
@@ -333,13 +315,14 @@ class V1Controller(BaseController):
         self, kind: str, request: Request, params: dict[str, str]
     ) -> Response:
         user = self.authenticated_user(request, params)
-        limit, cursor = self._page_params(request)
+        page = parse(PAGE, request.body, "listing request")
+        limit = page["limit"] or DEFAULT_LIMIT
         registry = self.app.registry
         page_ids, next_cursor = paginate_ids(
             getattr(registry, f"owned_{kind}_ids")(user),
             scope=f"{RECORD_KINDS[RECORD_CLASSES[kind]].plural}:{user.user_id}",
             limit=limit,
-            cursor=cursor,
+            cursor=page["cursor"],
         )
         # O(page) hydration: only this page's rows are materialized;
         # `revision` rides along so clients can poll for changes cheaply
@@ -394,7 +377,8 @@ class V1Controller(BaseController):
         self, request: Request, params: dict[str, str]
     ) -> Response:
         user = self.authenticated_user(request, params)
-        limit, cursor = self._page_params(request)
+        page = parse(PAGE, request.body, "listing request")
+        limit = page["limit"] or DEFAULT_LIMIT
         workflow_id = self.int_param(params, "id")
         records = self.app.registry.workflow_pes(user, workflow_id)
         # v1 listings order by ascending id and list each PE once (the
@@ -405,7 +389,7 @@ class V1Controller(BaseController):
             sorted(by_id),
             scope=f"workflow-pes:{user.user_id}:{workflow_id}",
             limit=limit,
-            cursor=cursor,
+            cursor=page["cursor"],
         )
         items = [
             {**by_id[pe_id].to_json(), "revision": by_id[pe_id].revision}
@@ -424,9 +408,9 @@ class V1Controller(BaseController):
         scope = limit = offset = None
         if paged:
             # the scope binds every ranking parameter — query text,
-            # kind, queryType, backend, k AND the client-side embedding:
-            # a cursor replayed against any differently-ranked search is
-            # a 400, never a silently shifted hit window
+            # kind, queryType, backend, k AND the client-side embedding
+            # as sent: a cursor replayed against any differently-ranked
+            # search is a 400, never a silently shifted hit window
             fingerprint = hashlib.sha1(
                 json.dumps(
                     [
@@ -435,7 +419,7 @@ class V1Controller(BaseController):
                         req.query_type,
                         req.backend,
                         req.k,
-                        req.query_embedding,
+                        request.body.get("queryEmbedding"),
                     ],
                     separators=(",", ":"),
                 ).encode("utf-8")
@@ -457,7 +441,7 @@ class V1Controller(BaseController):
             # consistent ordering.  Hybrid is excluded: its RRF leg
             # depth derives from k, so a capped ranking is not a prefix
             # of the uncapped one.
-            ranking_req = replace(req, k=offset + limit)
+            ranking_req = SearchRequest(**{**vars(req), "k": offset + limit})
         search_kind, hits = execute_search(self.app, user, ranking_req)
         next_cursor = None
         if paged:

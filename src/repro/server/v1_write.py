@@ -46,7 +46,6 @@ write, and ``ifVersion`` races resolve to exactly one winner.  Reads
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import time
@@ -72,13 +71,16 @@ from repro.registry.entities import (
 )
 from repro.server.controllers import BaseController
 from repro.server.schema import (
+    DELETE,
+    IDEMPOTENCY_KEY,
+    PE_BULK,
+    WORKFLOW_BULK,
     BulkRegisterRequest,
-    DeleteRequest,
     RegisterPERequest,
     RegisterWorkflowRequest,
     WriteResponse,
     check_embedding_dim,
-    parse_idempotency_key,
+    parse,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -170,25 +172,21 @@ def build_workflow_record(
     )
 
 
-#: the PUT envelope of each wire kind (a bulk item parses with it too)
+#: the PUT envelope and the bulk table of each wire kind
 _REQUESTS = {"pe": RegisterPERequest, "workflow": RegisterWorkflowRequest}
+_BULK = {"pe": PE_BULK, "workflow": WORKFLOW_BULK}
 
 
 def _build_record(
-    app: "LaminarServer", kind: str, req: Any
+    app: "LaminarServer", kind: str, fields: dict[str, Any]
 ) -> PERecord | WorkflowRecord:
     """The record a parsed PUT envelope or bulk item describes.
 
-    The envelope's fields, less the request-level ``ifVersion`` and
+    Its fields, less the request-level ``ifVersion`` and
     ``idempotencyKey``, are the keyword arguments of
     ``build_{kind}_record``, which is looked up when called: a wrapper
     installed on this module after import is the one entered.
     """
-    fields = {
-        f.name: getattr(req, f.name)
-        for f in dataclasses.fields(req)
-        if f.name not in ("if_version", "idempotency_key")
-    }
     return globals()[f"build_{kind}_record"](app, **fields)
 
 
@@ -497,7 +495,8 @@ def _effective_idempotency_key(
     header = (request.headers or {}).get("Idempotency-Key")
     if header is None:
         return None
-    return parse_idempotency_key({"idempotencyKey": header})
+    body = {"idempotencyKey": header}
+    return parse((IDEMPOTENCY_KEY,), body, "headers")["idempotency_key"]
 
 
 def _dispatch_write(
@@ -601,8 +600,9 @@ class V1WriteController(BaseController):
 
     def put(self, kind: str, request: Request, params: dict[str, str]) -> Response:
         user = self.authenticated_user(request, params)
-        req = _REQUESTS[kind].from_json(request.body, name=params["name"])
-        key = _effective_idempotency_key(request, req.idempotency_key)
+        fields = vars(_REQUESTS[kind].from_json(request.body, name=params["name"]))
+        if_version = fields.pop("if_version")
+        key = _effective_idempotency_key(request, fields.pop("idempotency_key"))
         fingerprint = _fingerprint_if_keyed(
             key, "register", kind, params["name"], request
         )
@@ -612,8 +612,8 @@ class V1WriteController(BaseController):
         cmd = WriteCommand(
             action="register",
             kind=kind,
-            record=_build_record(self.app, kind, req),
-            if_version=req.if_version,
+            record=_build_record(self.app, kind, fields),
+            if_version=if_version,
             idempotency_key=key,
             fingerprint=fingerprint,
             upsert=True,
@@ -622,7 +622,7 @@ class V1WriteController(BaseController):
 
     def bulk(self, kind: str, request: Request, params: dict[str, str]) -> Response:
         user = self.authenticated_user(request, params)
-        req = BulkRegisterRequest.from_json(request.body, item=_REQUESTS[kind])
+        req = BulkRegisterRequest.from_json(request.body, table=_BULK[kind])
         key = _effective_idempotency_key(request, req.idempotency_key)
         fingerprint = _fingerprint_if_keyed(
             key, "bulk-register", kind, f"{kind}s:bulk", request
@@ -649,13 +649,13 @@ class V1WriteController(BaseController):
         self, kind: str, request: Request, params: dict[str, str]
     ) -> Response:
         user = self.authenticated_user(request, params)
-        req = DeleteRequest.from_json(request.body)
-        key = _effective_idempotency_key(request, req.idempotency_key)
+        req = parse(DELETE, request.body, "delete request")
+        key = _effective_idempotency_key(request, req["idempotency_key"])
         cmd = WriteCommand(
             action="delete",
             kind=kind,
             target_name=params["name"],
-            if_version=req.if_version,
+            if_version=req["if_version"],
             idempotency_key=key,
             fingerprint=_fingerprint_if_keyed(
                 key, "delete", kind, params["name"], request

@@ -53,6 +53,8 @@ LONE_SURROGATES = [
      {"peCode": CODE, "peSource": LONE}),
     ("description", "PUT", "/v1/registry/u/pes/p",
      {"peCode": CODE, "description": LONE}),
+    ("idempotencyKey", "PUT", "/v1/registry/u/pes/p",
+     {"peCode": CODE, "idempotencyKey": LONE}),
     ("peCode", "POST", "/v1/registry/u/pes:bulk",
      {"items": [{"peName": "p", "peCode": LONE}]}),
     ("query", "POST", "/v1/registry/u/search",

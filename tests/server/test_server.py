@@ -316,6 +316,65 @@ class TestIntegersWiderThan64Bits:
         assert widest.status == 404, widest.body
 
 
+#: a lone surrogate, as ``json.loads`` hands it over
+LONE = "x\ud800"
+
+#: Table-3 run and engine bodies whose field was a 500 (a ``TypeError``,
+#: ``ValueError`` or ``UnicodeEncodeError`` from the handler) before it
+#: had a row in its route's field table
+RUN_FIELDS = [
+    ({"workflowCode": "x", "imports": 5}, "imports"),
+    ({"workflowRef": {"name": LONE}}, "workflowRef"),
+    ({"workflowCode": "x", "timeout": "abc"}, "timeout"),
+]
+ENGINE_FIELDS = [
+    ({"engineName": "e", "installScale": "abc"}, "installScale"),
+    ({"engineName": "e", "installScale": [1]}, "installScale"),
+    ({"engineName": "e", "latencyPreset": 5}, "latencyPreset"),
+    ({"engineName": "e", "latencyPreset": "bogus"}, "latencyPreset"),
+]
+
+
+class TestTable3BodyFields:
+    """Every field the run and engine routes read is a row of their
+    field table: a wrong one is a 400 naming it, never a 500."""
+
+    def assert_400_naming(self, response, field):
+        assert response.status == 400, response.body
+        assert response.body["error"] == "ValidationError"
+        assert response.body["message"].startswith(field)
+        params = response.body["params"]
+        assert field in params or params.get("field") == repr(field)
+
+    @pytest.mark.parametrize(
+        "body, field", RUN_FIELDS, ids=[field for _, field in RUN_FIELDS]
+    )
+    def test_run(self, server, token, body, field):
+        self.assert_400_naming(
+            server.dispatch(
+                Request("POST", "/execution/zz46/run", body, token=token)
+            ),
+            field,
+        )
+
+    @pytest.mark.parametrize(
+        "body, field",
+        ENGINE_FIELDS,
+        ids=[f"{field}-{body[field]}" for body, field in ENGINE_FIELDS],
+    )
+    def test_engine_register(self, server, token, body, field):
+        self.assert_400_naming(
+            server.dispatch(
+                Request("POST", "/engines/zz46/register", body, token=token)
+            ),
+            field,
+        )
+        engines = server.dispatch(
+            Request("GET", "/engines/zz46/all", token=token)
+        ).body["engines"]
+        assert "e" not in [engine["name"] for engine in engines]
+
+
 class TestPEEndpoints:
     def _add(self, server, token, name="AddTen"):
         from repro.serialization import extract_source, serialize_object

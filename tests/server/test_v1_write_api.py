@@ -690,6 +690,84 @@ class TestClientVectorWidth:
         reopened.registry.dao.close()
 
 
+def _swap_vector(value, vector):
+    """``value`` with every two-wide client vector replaced by ``vector``."""
+    if value == _WIDE:
+        return vector
+    if isinstance(value, dict):
+        return {key: _swap_vector(item, vector) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_swap_vector(item, vector) for item in value]
+    return value
+
+
+#: entries ``json.loads`` reads that are not finite in float32: ``NaN``,
+#: ``Infinity``, a double past float32's range and an integer past a
+#: double's (``1e400`` without the fraction)
+NON_FINITE = {
+    "nan": float("nan"),
+    "infinity": float("-inf"),
+    "1e300": 1e300,
+    "int-1e400": 10**400,
+}
+
+
+def _non_finite_vector(entry):
+    vector = [0.25] * 2048
+    vector[7] = NON_FINITE[entry]
+    return vector
+
+
+class TestNonFiniteClientVectors:
+    """A client vector with an entry that is not finite in float32 is a
+    400 naming its field, before any model work or write: stored, it
+    made every later semantic, code and hybrid score on the tenant
+    ``NaN``, which is not JSON."""
+
+    @pytest.mark.parametrize("entry", sorted(NON_FINITE))
+    @pytest.mark.parametrize("case", sorted(WRONG_WIDTH_WRITES))
+    def test_a_write_is_a_400_and_stores_nothing(
+        self, server, token, case, entry
+    ):
+        method, path, body = WRONG_WIDTH_WRITES[case]
+        body = _swap_vector(body, _non_finite_vector(entry))
+        dao = server.registry.dao
+        counter = dao.mutation_counter()
+        response = server.dispatch(Request(method, path, body, token=token))
+        field = "codeEmbedding" if case.endswith("-code") else "descEmbedding"
+        assert response.status == 400, response.body
+        assert response.body["message"].startswith(f"{field} must hold")
+        assert field in response.body["params"]
+        assert dao.mutation_counter() == counter
+        assert dao.all_pes() == [] and dao.all_workflows() == []
+
+        assert put_pe(server, token, "next").status == 201
+        for query_type in ("semantic", "code", "hybrid"):
+            search = server.dispatch(Request(
+                "POST", "/v1/registry/zz46/search",
+                {"query": "next", "queryType": query_type}, token=token,
+            ))
+            assert search.status == 200, (query_type, search.body)
+            json.dumps(search.body, allow_nan=False)  # every score is JSON
+
+    @pytest.mark.parametrize("entry", sorted(NON_FINITE))
+    @pytest.mark.parametrize(
+        "path",
+        ["/v1/registry/zz46/search", "/registry/zz46/search/next/type/pe"],
+        ids=["v1", "table-3"],
+    )
+    def test_a_query_embedding_is_a_400(self, server, token, path, entry):
+        assert put_pe(server, token, "next").status == 201
+        body = {"queryType": "semantic", "queryEmbedding": _non_finite_vector(entry)}
+        if path.startswith("/v1/"):
+            request = Request("POST", path, {**body, "query": "next"}, token=token)
+        else:
+            request = Request("GET", path, body, token=token)
+        response = server.dispatch(request)
+        assert response.status == 400, response.body
+        assert response.body["message"].startswith("queryEmbedding must hold")
+
+
 class TestLegacyAdapterParity:
     """The Table-3 write routes must stay byte-identical to the seed."""
 
