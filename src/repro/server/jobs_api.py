@@ -45,16 +45,15 @@ class JobsController(BaseController):
         principal = self.token_principal(request)
         # retention caps the store, so listings are small: no cursor
         listing = parse(JOBS, request.body, "jobs listing")
-        limit = listing["limit"]
         jobs = self.app.jobs.list(
             owner=principal.user_name, state=listing["state"]
-        )[:limit]
+        )[: listing["limit"]]
         return Response(
             200,
             {
                 "apiVersion": "v1",
                 "count": len(jobs),
-                "limit": limit,
+                "limit": listing["limit"],
                 "jobs": jobs,
             },
         )

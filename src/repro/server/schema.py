@@ -13,12 +13,7 @@ bits SQLite stores; every ``vector`` entry is finite in float32.
 
 The Table-3 routes parse their own tables ``legacy``: unknown keys
 pass, and a text field is ``str(value)``, as those handlers always
-stored it.  A row may carry the message an envelope has always worded
-its 400 with.
-
-Responses: :class:`SearchResponse` (emitted verbatim by the server and
-by ``repro search --json``), :class:`Page` (every v1 listing: ``items``
-plus an opaque ``nextCursor``) and :class:`WriteResponse`.
+stored it.
 
 Cursors are opaque base64url-encoded JSON, *scoped*: a cursor minted by
 one listing (say ``pes``) is rejected by every other with a 400 instead
@@ -52,9 +47,6 @@ _CURSOR_PREFIX = "v1."
 DEFAULT_LIMIT = 100
 MAX_LIMIT = 1000
 
-#: search-parameter enums (shared with the legacy adapter)
-SEARCH_KINDS = ("pe", "workflow", "both")
-QUERY_TYPES = ("text", "semantic", "code", "hybrid")
 #: ranking engines a search may name (``GET /v1/backends``)
 BACKENDS = ("exact",)
 
@@ -133,7 +125,7 @@ def parse_int(value: Any) -> Any:
 REQUIRED: Any = object()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Field:
     """One wire field of a request envelope.
 
@@ -146,9 +138,9 @@ class Field:
     ``name``'s greatest length, an ``items`` field's item table.
     ``meta`` marks a request-level field, refused inside a bulk item.
     ``loose`` lets an ``int`` arrive as ASCII digits and an ``enum`` in
-    any letter case.  ``message`` and ``details`` replace the kind's
-    400 for a value of the wrong shape, and ``params(body)`` the
-    offending parameters of every 400 the row raises.
+    any letter case.  ``message`` and ``details`` replace the wording
+    of the kind's 400, and ``params(body)`` its offending parameters,
+    where an envelope has always worded it otherwise.
     """
 
     key: str
@@ -174,17 +166,6 @@ class _Wrong(Exception):
         super().__init__(message)
         self.message, self.value = message, value
         self.shown = value if shown is None else shown
-
-    def refusal(self, row: Field, body: dict, where: str) -> ValidationError:
-        text = (row.message or self.message).format(
-            key=row.key,
-            value=self.value,
-            type=type(self.value).__name__,
-            bounds=row.bounds,
-            where=where,
-        )
-        params = row.params(body) if row.params else {row.key: self.shown}
-        return ValidationError(text, params=params, details=row.details)
 
 
 def _utf8(key: str, value: str) -> str:
@@ -234,10 +215,6 @@ def _name(row: Field, value: Any, legacy: bool) -> str:
 _INTEGER = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
 
 
-def _in_int64(value: int) -> bool:
-    return -INT64_MAX - 1 <= value <= INT64_MAX
-
-
 def _int(row: Field, value: Any, legacy: bool) -> int:
     """An integer within ``bounds``, and always within 64 bits; ASCII
     digits too when ``loose`` (a value from a query string)."""
@@ -253,7 +230,7 @@ def _int(row: Field, value: Any, legacy: bool) -> int:
         raise _Wrong(f"{{key}} must be {what}, got {{value!r}}", value)
     if high is not None and not low <= value <= high:
         raise _Wrong(f"{{key}} must be between {low} and {high}, got {{value}}", value)
-    if not _in_int64(value):
+    if not -INT64_MAX - 1 <= value <= INT64_MAX:
         raise _Wrong("{key} must fit in 64 bits, got {value}", value)
     return value
 
@@ -265,7 +242,7 @@ def _int_list(row: Field, value: Any, legacy: bool) -> list[int]:
     ):
         raise _Wrong("{key} must be an array of integers", value)
     for item in value:
-        if not _in_int64(item):
+        if not -INT64_MAX - 1 <= item <= INT64_MAX:
             raise _Wrong(f"{{key}} must fit in 64 bits, got {item}", value)
     return list(value)
 
@@ -413,8 +390,19 @@ KINDS: dict[str, Callable[[Field, Any, bool], Any]] = {
 }
 
 
+class Table(tuple):
+    """An envelope's fields, in the order :func:`parse` checks them;
+    ``keys`` holds their JSON keys and ``checks`` their kinds' checks."""
+
+    def __new__(cls, *fields: Field) -> "Table":
+        table = super().__new__(cls, fields)
+        table.keys = frozenset(field.key for field in fields)
+        table.checks = tuple(KINDS[field.kind] for field in fields)
+        return table
+
+
 def parse(
-    table: Sequence[Field],
+    table: Table,
     body: Any,
     where: str,
     *,
@@ -433,17 +421,15 @@ def parse(
         raise ValidationError(
             f"{where} must be a JSON object, got {type(body).__name__}"
         )
-    if not legacy:
-        allowed = [row.key for row in table]
-        unknown = sorted(set(body) - set(allowed))
-        if unknown:
-            raise ValidationError(
-                f"unknown field(s) in {where}: {', '.join(unknown)}",
-                params={"unknownFields": unknown},
-                details=f"allowed fields: {', '.join(sorted(allowed))}",
-            )
+    if not legacy and body.keys() - table.keys:
+        unknown = sorted(body.keys() - table.keys)
+        raise ValidationError(
+            f"unknown field(s) in {where}: {', '.join(unknown)}",
+            params={"unknownFields": unknown},
+            details=f"allowed fields: {', '.join(sorted(table.keys))}",
+        )
     values = {}
-    for row in table:
+    for row, check in zip(table, table.checks):
         if path is not None and row.key in path:
             given, named = body.get(row.key), path[row.key]
             if given is not None and given != named:
@@ -455,27 +441,42 @@ def parse(
             values[row.attr] = named
             continue
         default = row.default
-        value = body.get(row.key, None if default is REQUIRED else default)
-        if value is None and default is None:
-            values[row.attr] = None
+        value = body.get(row.key, default)
+        if value is REQUIRED:
+            value = None  # absent: the kind refuses it
+        elif value is default:
+            values[row.attr] = default  # absent, or null where that is the default
             continue
         try:
-            values[row.attr] = KINDS[row.kind](row, value, legacy)
+            values[row.attr] = check(row, value, legacy)
         except _Wrong as wrong:
-            raise wrong.refusal(row, body, where) from None
+            message = (row.message or wrong.message).format(
+                key=row.key,
+                value=wrong.value,
+                type=type(wrong.value).__name__,
+                bounds=row.bounds,
+                where=where,
+            )
+            params = row.params(body) if row.params else {row.key: wrong.shown}
+            raise ValidationError(
+                message, params=params, details=row.details
+            ) from None
     return values
 
 
 # -- the v1 envelopes ---------------------------------------------------
 #: ``POST /v1/registry/{user}/search``; a ``limit`` or ``cursor`` pages
 #: over the ranked hits
-SEARCH = (
+SEARCH = Table(
     Field(
         "query", "query", "name", REQUIRED,
         message="{key} is required and must be a non-empty string",
     ),
-    Field("kind", "kind", "enum", "both", SEARCH_KINDS, loose=True),
-    Field("queryType", "query_type", "enum", "text", QUERY_TYPES, loose=True),
+    Field("kind", "kind", "enum", "both", ("pe", "workflow", "both"), loose=True),
+    Field(
+        "queryType", "query_type", "enum", "text",
+        ("text", "semantic", "code", "hybrid"), loose=True,
+    ),
     Field(
         "backend", "backend", "enum", "exact", BACKENDS,
         message="unknown index backend {value!r}",
@@ -500,10 +501,10 @@ IDEMPOTENCY_KEY = Field(
 )
 
 #: ``PUT /v1/registry/{user}/pes/{name}`` (the name from the path)
-PE = (
+PE = Table(
     Field("peName", "name", "name", REQUIRED),
     Field("peCode", "code", "name", REQUIRED),
-    Field("peImports", "imports", "str_list", []),
+    Field("peImports", "imports", "str_list", ()),
     Field("description", "description", "text", ""),
     Field("descriptionOrigin", "description_origin", "text", "user"),
     Field("peSource", "source", "text", ""),
@@ -515,10 +516,10 @@ PE = (
 
 #: ``PUT /v1/registry/{user}/workflows/{name}``: the path names the
 #: workflow's entry point
-WORKFLOW = (
+WORKFLOW = Table(
     Field("entryPoint", "entry_point", "name", REQUIRED),
     Field("workflowCode", "code", "name", REQUIRED),
-    Field("peIds", "pe_ids", "int_list", []),
+    Field("peIds", "pe_ids", "int_list", ()),
     Field("workflowName", "workflow_name", "text", ""),
     Field("description", "description", "text", ""),
     Field("workflowSource", "source", "text", ""),
@@ -528,11 +529,11 @@ WORKFLOW = (
 )
 
 
-def _bulk(item: Sequence[Field]) -> tuple[Field, ...]:
+def _bulk(item: Table) -> Table:
     """A bulk body over ``item``'s kind: the items carry their name
     field and no request-level one."""
-    rows = tuple(row for row in item if not row.meta)
-    return (
+    rows = Table(*(row for row in item if not row.meta))
+    return Table(
         Field("items", "items", "items", REQUIRED, rows),
         IF_VERSION,
         IDEMPOTENCY_KEY,
@@ -544,12 +545,12 @@ PE_BULK = _bulk(PE)
 WORKFLOW_BULK = _bulk(WORKFLOW)
 
 #: the (optional) body of the v1 DELETE routes
-DELETE = (IF_VERSION, IDEMPOTENCY_KEY)
+DELETE = Table(IF_VERSION, IDEMPOTENCY_KEY)
 
 #: ``POST /v1/registry/{user}/ingest``: exactly one source, ``path`` (a
 #: directory on the *server's* filesystem) or ``archive`` (a base64
 #: ``.tar.gz``), and the knobs bounding the work per file/chunk/batch
-INGEST = (
+INGEST = Table(
     Field("path", "path", "name", message="{key} must be a non-empty string"),
     Field(
         "archive", "archive", "base64",
@@ -566,26 +567,26 @@ INGEST = (
 )
 
 #: every v1 listing (``limit`` defaults to :data:`DEFAULT_LIMIT`)
-PAGE = (
+PAGE = Table(
     Field("limit", "limit", "int", bounds=(1, MAX_LIMIT), loose=True),
     Field("cursor", "cursor", "cursor"),
 )
 
 #: ``GET /v1/jobs``
-JOBS = (
+JOBS = Table(
     Field("limit", "limit", "int", DEFAULT_LIMIT, (1, MAX_LIMIT), loose=True),
     Field("state", "state", "enum", bounds=JOB_STATES),
 )
 
 # -- the Table-3 bodies (parsed ``legacy``) --------------------------------
 #: ``/auth/register`` and ``/auth/login``
-AUTH = (
+AUTH = Table(
     Field("userName", "name", "text", ""),
     Field("password", "password", "text", ""),
 )
 
 #: ``POST /registry/{user}/pe/add``
-PE_ADD = (
+PE_ADD = Table(
     Field(
         "peName", "name", "name", REQUIRED,
         params=lambda body: {"keys": sorted(body)},
@@ -597,13 +598,13 @@ PE_ADD = (
     Field("description", "description", "name", ""),
     Field("descriptionOrigin", "description_origin", "text", "user"),
     Field("peSource", "source", "text", ""),
-    Field("peImports", "imports", "str_list", []),
+    Field("peImports", "imports", "str_list", ()),
     Field("descEmbedding", "desc_embedding", "vector"),
     Field("codeEmbedding", "code_embedding", "vector"),
 )
 
 #: ``POST /registry/{user}/workflow/add``
-WORKFLOW_ADD = (
+WORKFLOW_ADD = Table(
     Field(
         "entryPoint", "entry_point", "name", REQUIRED,
         params=lambda body: {"keys": sorted(body)},
@@ -615,12 +616,12 @@ WORKFLOW_ADD = (
     Field("workflowName", "workflow_name", "text", ""),
     Field("description", "description", "name", ""),
     Field("workflowSource", "source", "text", ""),
-    Field("peIds", "pe_ids", "int_list", []),
+    Field("peIds", "pe_ids", "int_list", ()),
     Field("descEmbedding", "desc_embedding", "vector"),
 )
 
 #: the body of ``GET /registry/{user}/search/{search}/type/{type}``
-T3_SEARCH = (
+T3_SEARCH = Table(
     Field(
         "queryType", "query_type", "enum", "text", ("text", "semantic", "code"),
         loose=True, message="unknown query type {value!r}",
@@ -632,14 +633,14 @@ T3_SEARCH = (
 
 #: what ``POST /execution/{user}/run`` reads itself (the execution
 #: request parses the rest)
-RUN = (
+RUN = Table(
     Field("workflowRef", "workflow_ref", "ref"),
-    Field("imports", "imports", "str_list", []),
+    Field("imports", "imports", "str_list", ()),
     Field("timeout", "timeout", "number", 300.0),
 )
 
 #: ``POST /engines/{user}/register``
-ENGINE = (
+ENGINE = Table(
     Field("engineName", "name", "name", REQUIRED, params=lambda body: {}),
     Field("installScale", "install_scale", "number", 0.0),
     Field(
@@ -680,9 +681,7 @@ class BulkRegisterRequest(SimpleNamespace):
     """A parsed :data:`PE_BULK` or :data:`WORKFLOW_BULK` body."""
 
     @classmethod
-    def from_json(
-        cls, body: Any, *, table: Sequence[Field]
-    ) -> "BulkRegisterRequest":
+    def from_json(cls, body: Any, *, table: Table) -> "BulkRegisterRequest":
         return cls(**parse(table, body, "bulk register request"))
 
 

@@ -55,6 +55,7 @@ from repro.server.controllers import BaseController
 from repro.server.schema import (
     BACKENDS,
     DEFAULT_LIMIT,
+    INT64_MAX,
     PAGE,
     Page,
     SearchRequest,
@@ -236,7 +237,8 @@ def _hybrid_hits(
     registry = app.registry
     k = req.k
     query = req.query
-    depth = None if k is None else max(2 * k, k + 50)
+    # past SQLite's 64-bit LIMIT a depth ranks everything, as None does
+    depth = None if k is None else min(max(2 * k, k + 50), INT64_MAX)
 
     text_matches = _indexed_text_matches(registry, user, req.kind, query, depth)
     text_matches.sort(key=lambda m: (-m.score, m.kind, m.entity_id))

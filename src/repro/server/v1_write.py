@@ -78,6 +78,7 @@ from repro.server.schema import (
     BulkRegisterRequest,
     RegisterPERequest,
     RegisterWorkflowRequest,
+    Table,
     WriteResponse,
     check_embedding_dim,
     parse,
@@ -171,6 +172,9 @@ def build_workflow_record(
         desc_embedding=desc_embedding,
     )
 
+
+#: the ``Idempotency-Key`` header, checked as the body field is
+_HEADER = Table(IDEMPOTENCY_KEY)
 
 #: the PUT envelope and the bulk table of each wire kind
 _REQUESTS = {"pe": RegisterPERequest, "workflow": RegisterWorkflowRequest}
@@ -496,7 +500,7 @@ def _effective_idempotency_key(
     if header is None:
         return None
     body = {"idempotencyKey": header}
-    return parse((IDEMPOTENCY_KEY,), body, "headers")["idempotency_key"]
+    return parse(_HEADER, body, "headers")["idempotency_key"]
 
 
 def _dispatch_write(

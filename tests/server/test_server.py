@@ -316,6 +316,23 @@ class TestIntegersWiderThan64Bits:
         assert widest.status == 404, widest.body
 
 
+def test_a_hybrid_search_takes_the_widest_k(server, token):
+    """Hybrid ranks both legs to depth ``max(2k, k + 50)``: past 64 bits
+    that depth ranks everything, as no ``k`` does, instead of
+    overflowing the text index's ``LIMIT`` (a 500)."""
+    server.dispatch(Request(
+        "PUT", "/v1/registry/zz46/pes/adds", {"peCode": "def adds(): pass"},
+        token=token,
+    ))
+    for k in (2**62, 2**63 - 1):
+        response = server.dispatch(Request(
+            "POST", "/v1/registry/zz46/search",
+            {"query": "adds", "queryType": "hybrid", "k": k}, token=token,
+        ))
+        assert response.status == 200, response.body
+        assert [hit["name"] for hit in response.body["hits"]] == ["adds"]
+
+
 #: a lone surrogate, as ``json.loads`` hands it over
 LONE = "x\ud800"
 
