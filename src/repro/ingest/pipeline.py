@@ -88,7 +88,7 @@ DEFAULT_BATCH_SIZE = 64
 
 @dataclass(frozen=True)
 class IngestSpec:
-    """A validated ingest request (see ``schema.IngestRequest``)."""
+    """A validated ingest request (the ``schema.INGEST`` table)."""
 
     path: str | None = None
     archive: bytes | None = None

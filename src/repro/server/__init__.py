@@ -157,9 +157,21 @@ The legacy Table-3 routes remain installed (thin adapters over the
 shared cores).  The legacy search route keeps its ``{"searchKind",
 "hits"}`` body and its error messages, and its hits equal v1's field
 for field (text ranked by BM25).  New clients should use the
-``/v1/`` table, which validates once at the edge
-(:mod:`repro.server.schema`): **unknown fields are rejected with 400**,
-every default is explicit, and all listings cursor-paginate.
+``/v1/`` table, whose bodies are strict (**unknown fields are rejected
+with 400**), every default explicit, and all listings cursor-paginate.
+
+**Validation.** Every request body either generation reads is declared
+once, as a field table in :mod:`repro.server.schema` (``SEARCH``,
+``PE``, ``WORKFLOW``, ``PE_BULK``, ``WORKFLOW_BULK``, ``DELETE``,
+``INGEST``, ``PAGE``, ``JOBS``; for the Table-3 and extension routes
+``AUTH``, ``PE_ADD``, ``WORKFLOW_ADD``, ``T3_SEARCH``, ``RUN`` and
+``ENGINE``), and checked by one ``parse`` before any model work or
+store access.  A row's kind decides what a bad value is, alike on every
+route: every string must be UTF-8 encodable (``json.loads`` accepts a
+lone surrogate), every integer must fit in 64 bits, and every client
+vector entry must be finite in float32 (``NaN``, ``Infinity``,
+``1e300`` are refused).  The Table-3 bodies are parsed ``legacy``:
+unknown keys pass and text is stored as ``str(value)``, as before.
 
 =======  =========================================  =======================
 Method   Path                                       Body fields
@@ -186,8 +198,7 @@ DELETE   ``/v1/registry/{user}/pes/{name}``         ``ifVersion``,
                                                     ``idempotencyKey``
 DELETE   ``/v1/registry/{user}/workflows/{name}``   ``ifVersion``,
                                                     ``idempotencyKey``
-GET      ``/v1/jobs``                               ``state``, ``limit``,
-                                                    ``cursor``
+GET      ``/v1/jobs``                               ``state``, ``limit``
 GET      ``/v1/jobs/{id}``                          —
 POST     ``/v1/jobs/{id}:cancel``                   —
 =======  =========================================  =======================
@@ -269,9 +280,8 @@ transaction and one index ``add_many`` per shard kind.  ``PUT``, bulk and ``DELE
 record kinds (``V1WriteController.put``/``bulk``/``delete``, the kind
 bound per route), as are the listing and the conditional ``GET``
 (``V1Controller.list_records``/``get_record``) and each Table-3 route
-shape but ``add`` (``RecordController``); both bulk routes parse one
-envelope, ``BulkRegisterRequest``, with that kind's ``PUT`` envelope
-per item.
+shape but ``add`` (``RecordController``); a bulk item is that kind's
+``PUT`` table less its request-level ``ifVersion``/``idempotencyKey``.
 All write routes — and the
 legacy Table-3 register/remove routes, which are thin byte-identical
 adapters — share one serialized core
@@ -307,8 +317,14 @@ Write error envelope (all carry the §3.2.5 JSON shape):
 =====  =====================  =============================================
 Code   ``error``              When
 =====  =====================  =============================================
-400    ValidationError        malformed envelope, unknown fields, body
-                              name disagreeing with the path
+400    ValidationError        a body that is not a JSON object, a key
+                              outside its field table (v1), a field of
+                              the wrong kind or out of its bounds
+                              (integers past 64 bits included), a lone
+                              surrogate in a string, a client vector
+                              entry not finite in float32 or of the
+                              wrong width, a body name disagreeing
+                              with the path
 401    AuthenticationError    missing/foreign token
 404    NotFoundError          delete target absent (or not owned)
 405    MethodNotAllowed       path exists under other methods (the

@@ -157,19 +157,16 @@ class Field:
 
 class _Wrong(Exception):
     """A kind's verdict on a value, which :func:`parse` words as the
-    400: ``message`` is a template over the field's ``key`` and
+    400.  Its args: a message template over the field's ``key`` and
     ``bounds``, the ``value``, its ``type`` and the envelope
-    (``where``); ``shown`` is what ``params`` report, the value itself
-    unless given."""
-
-    def __init__(self, message: str, value: Any, shown: Any = None) -> None:
-        super().__init__(message)
-        self.message, self.value = message, value
-        self.shown = value if shown is None else shown
+    (``where``); the value; and, if given, what ``params`` report in
+    place of the value."""
 
 
 def _utf8(key: str, value: str) -> str:
     """``value``, if UTF-8 can encode it; a lone surrogate is a 400."""
+    if value.isascii():
+        return value
     try:
         value.encode("utf-8")
     except UnicodeEncodeError as err:
@@ -221,11 +218,8 @@ def _int(row: Field, value: Any, legacy: bool) -> int:
     if row.loose:
         value = parse_int(value)
     low, high = row.bounds or (None, None)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or (high is None and low is not None and value < low)
-    ):
+    wrong = isinstance(value, bool) or not isinstance(value, int)
+    if wrong or (high is None and low is not None and value < low):
         what = _INTEGER[low if high is None else None]
         raise _Wrong(f"{{key}} must be {what}, got {{value!r}}", value)
     if high is not None and not low <= value <= high:
@@ -261,18 +255,15 @@ def _vector(row: Field, value: Any, legacy: bool) -> np.ndarray:
     float32 array.  ``json.loads`` reads ``NaN``, ``Infinity`` and
     ``1e400``, and ``1e300`` overflows float32: stored, any of them
     would make every later score on its shard ``NaN``."""
-    if (
-        not isinstance(value, (list, tuple))
-        or not value
-        or not (
-            # one C-level pass over the types; bools are ints to isinstance
-            set(map(type, value)) <= {int, float}
-            or all(
-                isinstance(item, (int, float)) and not isinstance(item, bool)
-                for item in value
-            )
+    numbers = isinstance(value, (list, tuple)) and (
+        # one C-level pass over the types; bools are ints to isinstance
+        set(map(type, value)) <= {int, float}
+        or all(
+            isinstance(item, (int, float)) and not isinstance(item, bool)
+            for item in value
         )
-    ):
+    )
+    if not numbers or not value:
         raise _Wrong(
             "{key} must be a non-empty array of numbers", value, type(value).__name__
         )
@@ -367,7 +358,8 @@ def _ref(row: Field, value: Any, legacy: bool) -> dict:
         try:
             return {"id": _int(by_id, value["id"], legacy)}
         except _Wrong as wrong:
-            raise _Wrong(wrong.message.replace("{key}", "{key} id"), wrong.value, value)
+            template, wrong_id = wrong.args
+            raise _Wrong(template.replace("{key}", "{key} id"), wrong_id, value)
     if isinstance(value, dict) and "name" in value:
         return {"name": _text(row, value["name"], legacy)}
     raise _Wrong("{key} must contain 'id' or 'name'", value)
@@ -391,13 +383,18 @@ KINDS: dict[str, Callable[[Field, Any, bool], Any]] = {
 
 
 class Table(tuple):
-    """An envelope's fields, in the order :func:`parse` checks them;
-    ``keys`` holds their JSON keys and ``checks`` their kinds' checks."""
+    """An envelope's fields, in the order :func:`parse` checks them.
+    ``keys`` holds their JSON keys, and ``steps`` what :func:`parse`
+    reads of each field (its key, attr, default, kind check and row),
+    looked up once."""
 
     def __new__(cls, *fields: Field) -> "Table":
         table = super().__new__(cls, fields)
         table.keys = frozenset(field.key for field in fields)
-        table.checks = tuple(KINDS[field.kind] for field in fields)
+        table.steps = tuple(
+            (field.key, field.attr, field.default, KINDS[field.kind], field)
+            for field in fields
+        )
         return table
 
 
@@ -421,7 +418,7 @@ def parse(
         raise ValidationError(
             f"{where} must be a JSON object, got {type(body).__name__}"
         )
-    if not legacy and body.keys() - table.keys:
+    if not legacy and not table.keys.issuperset(body):
         unknown = sorted(body.keys() - table.keys)
         raise ValidationError(
             f"unknown field(s) in {where}: {', '.join(unknown)}",
@@ -429,35 +426,36 @@ def parse(
             details=f"allowed fields: {', '.join(sorted(table.keys))}",
         )
     values = {}
-    for row, check in zip(table, table.checks):
-        if path is not None and row.key in path:
-            given, named = body.get(row.key), path[row.key]
+    for key, attr, default, check, row in table.steps:
+        if path is not None and key in path:
+            given, named = body.get(key), path[key]
             if given is not None and given != named:
                 raise ValidationError(
-                    f"{row.key} in the body ({given!r}) disagrees with the "
+                    f"{key} in the body ({given!r}) disagrees with the "
                     f"path segment ({named!r})",
-                    params={row.key: given, "path": named},
+                    params={key: given, "path": named},
                 )
-            values[row.attr] = named
+            values[attr] = named
             continue
-        default = row.default
-        value = body.get(row.key, default)
+        value = body.get(key, default)
         if value is REQUIRED:
             value = None  # absent: the kind refuses it
         elif value is default:
-            values[row.attr] = default  # absent, or null where that is the default
+            values[attr] = default  # absent, or null where that is the default
             continue
         try:
-            values[row.attr] = check(row, value, legacy)
+            values[attr] = check(row, value, legacy)
         except _Wrong as wrong:
-            message = (row.message or wrong.message).format(
-                key=row.key,
-                value=wrong.value,
-                type=type(wrong.value).__name__,
+            template, wrong_value, *shown = wrong.args
+            message = (row.message or template).format(
+                key=key,
+                value=wrong_value,
+                type=type(wrong_value).__name__,
                 bounds=row.bounds,
                 where=where,
             )
-            params = row.params(body) if row.params else {row.key: wrong.shown}
+            shown = shown[0] if shown else wrong_value
+            params = row.params(body) if row.params else {key: shown}
             raise ValidationError(
                 message, params=params, details=row.details
             ) from None

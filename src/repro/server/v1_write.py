@@ -186,8 +186,8 @@ def _build_record(
 ) -> PERecord | WorkflowRecord:
     """The record a parsed PUT envelope or bulk item describes.
 
-    Its fields, less the request-level ``ifVersion`` and
-    ``idempotencyKey``, are the keyword arguments of
+    ``fields`` (a PUT body less its request-level ``ifVersion`` and
+    ``idempotencyKey``, or a bulk item) are the keyword arguments of
     ``build_{kind}_record``, which is looked up when called: a wrapper
     installed on this module after import is the one entered.
     """
