@@ -213,7 +213,6 @@ REASONS: list[tuple[str, tuple[str, ...]]] = [
     (
         "Fault and fallback paths no green run takes",
         (
-            "registry/dao.py:SqliteDAO.release_write_receipt",
             # no scenario opens a v15 file or one the DAO refuses
             "registry/dao.py:SqliteDAO._step_from_v15",
             "registry/dao.py:_refusal",

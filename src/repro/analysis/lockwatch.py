@@ -26,8 +26,8 @@ active* is wrapped in an :class:`InstrumentedLock`:
 * configured blocking calls (``time.sleep`` by default) are also
   patched: calling one while holding any instrumented lock records a
   violation, unless some frame of the calling stack, however deep,
-  matches ``blocking_allow`` (used for the write core's deliberate
-  cross-process claim poll — see ``repro/server/v1_write.py``).
+  matches ``blocking_allow`` (empty in the suites: no source module
+  blocks under a lock).
 
 The wrapper implements the ``_release_save``/``_acquire_restore``/
 ``_is_owned`` protocol, so ``threading.Condition`` (and therefore

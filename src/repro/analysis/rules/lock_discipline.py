@@ -2,15 +2,15 @@
 
 Invariant (PRs 3/5, batcher + write core): critical sections guard
 in-memory state transitions and are sized to stay microseconds-short —
-the batcher publishes flush results, the write core serializes
-receipt/CAS checks.  Sleeping or awaiting inside one turns every contending
+the batcher publishes flush results, the DAO lock holds one write's
+transaction.  Sleeping or awaiting inside one turns every contending
 thread (or the whole event loop) into a convoy; the runtime complement
 is :mod:`repro.analysis.lockwatch`, which catches the dynamic cases
 static scoping cannot see.
 
 A context-manager expression "looks like a lock" when its terminal
 identifier contains ``lock`` or ``mutex`` — the repo's naming
-convention (``self._lock``, ``app.write_lock``) makes this exact here.
+convention (``self._lock``, ``self._engines_lock``) makes this exact here.
 """
 
 from __future__ import annotations

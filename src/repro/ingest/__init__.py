@@ -23,10 +23,10 @@ This package turns a source tree into registry records:
 ``pipeline``
     The background-job body: walk -> chunk -> summarize/embed ->
     ``RegistryService.register_pes_bulk`` in **bounded batches**, each
-    batch holding the server write lock only for its one
-    ``executemany`` + ``add_many``.  Searches never take that lock, so
-    the serving path stays live mid-ingest and simply watches the
-    corpus grow.  Progress streams
+    batch one write transaction, its dedup reads and its one
+    ``executemany`` (its ``add_many`` after the commit), so the serving
+    path waits for one batch at most and simply watches the corpus
+    grow.  Progress streams
     through monotonic job counters (``chunksDiscovered`` /
     ``chunksEmbedded`` / ``chunksInserted`` / ``chunksDeduped``) and
     cancellation is cooperative at batch boundaries.

@@ -3,10 +3,10 @@
 Runs as a background job (:mod:`repro.jobs`): the submitting request
 returns immediately and this module streams the repository into the
 registry in **bounded batches** through
-``RegistryService.register_pes_bulk`` — each batch takes the server's
-write lock only for its one ``executemany`` + ``add_many``, so the
-search hot path (which never takes that lock) stays live mid-ingest
-and simply sees the corpus grow batch by batch.
+``RegistryService.register_pes_bulk`` — each batch is one DAO write
+scope, one transaction from its dedup reads to its ``executemany``
+(its ``add_many`` follows the commit), so the search hot path waits for
+one batch at most and sees the corpus grow batch by batch.
 
 Progress counters (monotonic, see :class:`repro.jobs.manager.JobContext`):
 
@@ -80,8 +80,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.jobs.manager import JobContext
     from repro.server.app import LaminarServer
 
-#: default chunks per bulk-registration batch — small enough that the
-#: write lock is held for milliseconds, large enough to amortize the
+#: default chunks per bulk-registration batch — small enough that a
+#: batch's write scope lasts milliseconds, large enough to amortize the
 #: per-batch executemany/add_many costs
 DEFAULT_BATCH_SIZE = 64
 
@@ -182,8 +182,7 @@ def _flush(
         # module docstring)
         os.sched_yield()
     ctx.advance("chunksEmbedded", len(records))
-    with app.write_lock:
-        _, created = app.registry.register_pes_bulk(user, records)
+    _, created = app.registry.register_pes_bulk(user, records)
     inserted = sum(1 for flag in created if flag)
     ctx.advance("chunksInserted", inserted)
     ctx.advance("chunksDeduped", len(records) - inserted)

@@ -3,8 +3,8 @@
 The serving stack answers searches in milliseconds, but some work units
 are minutes long: ingesting a whole repository, executing a registered
 workflow.  Running those inline would
-hold an HTTP connection (and, worse, tempt callers into holding the
-write lock) for the duration.  This package gives the server one
+hold an HTTP connection (and, worse, tempt callers into holding one
+write transaction) for the duration.  This package gives the server one
 general mechanism instead — *A Prototype of Serverless Lucene* draws
 the same line: indexing is an offline/async concern behind a
 synchronous serving path.

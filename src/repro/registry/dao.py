@@ -83,12 +83,6 @@ from repro.registry.entities import (
 from repro.registry.textcodec import decode_texts, encode_texts
 from repro.registry.veccodec import decode_many, decode_vector, encode_vector
 
-#: status stored while a write's idempotency key is *claimed* but its
-#: outcome not yet recorded — the cross-process serialization marker.
-#: Losers of a claim race poll until the status leaves this sentinel.
-RECEIPT_PENDING = -1
-
-
 def _text_documents():
     """Deferred import of the normalized text-document builders.
 
@@ -220,8 +214,8 @@ CREATE TABLE workflow_pes (
 CREATE INDEX idx_workflow_pes_pe ON workflow_pes(pe_id, workflow_id);
 -- idempotency receipts for the v1 write surface (replaying a stored
 -- (user, key) returns the recorded response verbatim; a fingerprint
--- mismatch is a 409).  Receipts are claimed (INSERT OR IGNORE of a
--- pending row — the cross-process write-serialization point);
+-- mismatch is a 409).  A receipt commits in its write's transaction
+-- (SqliteDAO.write): a write and its receipt land or vanish together.
 -- created_at is written but nothing prunes by it (receipts are
 -- unbounded)
 CREATE TABLE write_receipts (
@@ -567,6 +561,9 @@ class SqliteDAO:
         # index: a fill whose documents were derived outside the lock
         # swaps them in only if none has since (:meth:`_fill_text_index`)
         self._text_writes = 0
+        # the open write scope's after-commit actions; None outside one
+        # (:meth:`write`)
+        self._after_commit: list[Callable[[], None]] | None = None
         if new:
             # one transaction: a crash leaves an empty file, not a
             # half-made one that the next open refuses.  Two connections
@@ -675,6 +672,51 @@ class SqliteDAO:
 
     def close(self) -> None:
         self._conn.close()
+
+    # -- the write scope ----------------------------------------------------
+    @contextmanager
+    def write(self):
+        """One registry write: all of it commits, or none of it does.
+
+        Holds the DAO lock and opens ``BEGIN IMMEDIATE``, which takes
+        SQLite's write lock before the first read: what the scope reads
+        (a receipt, an ``ifVersion`` revision, a dedup lookup) is what it
+        writes against, across processes too.  A deferred ``BEGIN``
+        could not upgrade to a write after a read once another
+        connection had committed.  Another connection's scope waits on
+        that lock for the connection's busy timeout.  Every DAO write
+        made inside the scope joins it, and so does a scope opened
+        inside it; the outermost one commits or rolls back, once.  The
+        actions :meth:`after_commit` queued run after the commit, still
+        under the lock so they apply in commit order, and are dropped on
+        a rollback.
+
+        The durability contract: one write is one commit.  Under
+        ``synchronous=NORMAL`` a committed write survives a process
+        crash and may be lost on power loss, whole, with its receipt.
+        """
+        with self._lock:
+            if self._after_commit is not None:
+                yield
+                return
+            self._conn.execute("BEGIN IMMEDIATE")
+            self._after_commit = actions = []
+            try:
+                yield
+                self._conn.commit()
+            except BaseException:
+                self._conn.rollback()
+                raise
+            finally:
+                self._after_commit = None
+            for action in actions:
+                action()
+
+    def after_commit(self, action: Callable[[], None]) -> None:
+        """Queue ``action`` on the open write scope (:meth:`write`, held
+        by the caller): it runs once the scope commits, never if the
+        scope rolls back."""
+        self._after_commit.append(action)
 
     def _bump_mutation(self) -> int:
         """Advance the registry mutation counter (inside the caller's
@@ -866,7 +908,7 @@ class SqliteDAO:
 
     # -- users ------------------------------------------------------------
     def insert_user(self, name: str, password_hash: str) -> UserRecord:
-        with self._lock, self._conn:
+        with self.write():
             cursor = self._conn.execute(
                 "INSERT INTO users (user_name, password_hash) VALUES (?, ?)",
                 (name, password_hash),
@@ -894,9 +936,9 @@ class SqliteDAO:
 
     # -- records: one body per operation, driven by a storage row ---------
     # The writes encode their rows (vector blobs, JSON columns) and FTS
-    # documents before taking the lock: neither needs the id, and inside
-    # the lock they would run under an open write transaction that every
-    # other DAO call waits behind.
+    # documents before entering the write scope: neither needs the id,
+    # and a scope they open would run them under an open write
+    # transaction that every other DAO call waits behind.
     def _insert_many(
         self, store: _Storage, records: Sequence[PERecord | WorkflowRecord]
     ) -> list:
@@ -907,7 +949,7 @@ class SqliteDAO:
             return []
         params = [store.params(r) for r in records]
         texts = [store.documents(r) for r in records]
-        with self._lock, self._conn:
+        with self.write():
             counter = self._bump_mutation()
             first = self._issue_ids(store.table, len(records))
             changes: _Changes = set()
@@ -946,9 +988,11 @@ class SqliteDAO:
         owners."""
         params, text = store.params(record), store.documents(record)
         record_id = getattr(record, store.id)
-        with self._lock, self._conn:
-            counter = self._bump_mutation()
+        with self.write():
+            # read first: a missing record raises before anything is
+            # written, so a scope that goes on writes nothing of it
             old = self._old_state(store, record_id)
+            counter = self._bump_mutation()
             renamed = old[store.name] != getattr(record, store.name)
             written = [
                 (column, value)
@@ -981,9 +1025,9 @@ class SqliteDAO:
                 self._index_text(store, [(record_id, *text)])
 
     def _delete(self, store: _Storage, record_id: int) -> None:
-        with self._lock, self._conn:
-            counter = self._bump_mutation()
+        with self.write():
             old = self._old_state(store, record_id)
+            counter = self._bump_mutation()
             old_owners = self._old_owners(old)
             self._stamp_shards(
                 _shard_changes(
@@ -1376,11 +1420,20 @@ class SqliteDAO:
         self, user_id: int, key: str
     ) -> tuple[str, int, dict] | None:
         """The stored ``(fingerprint, status, body)`` for an idempotency
-        key, or ``None``."""
+        key, or ``None``.
+
+        A row with a negative status reads as none.  Before a write and
+        its receipt shared one transaction, a v16 file's writers claimed
+        a key by committing a row of status -1 first and replaced it
+        with the outcome after the write; a row still holding it was
+        left by a process that died in between.  Its key is free: the
+        next write under it replaces the row (:meth:`save_write_receipt`)
+        inside that write's transaction.  No schema step clears them.
+        """
         with self._lock:
             row = self._conn.execute(
                 "SELECT fingerprint, status, body FROM write_receipts"
-                " WHERE user_id=? AND idem_key=?",
+                " WHERE user_id=? AND idem_key=? AND status >= 0",
                 (int(user_id), str(key)),
             ).fetchone()
         if row is None:
@@ -1396,13 +1449,14 @@ class SqliteDAO:
         body: dict,
         created_at: float = 0.0,
     ) -> None:
-        """Record one write's response under ``(user_id, key)``.
+        """Record one write's response under ``(user_id, key)``, inside
+        the write's scope when one is open (:meth:`write`).
 
         Receipts are *not* registry mutations: no ``_bump_mutation()``,
         so a replayed write leaves the counter and every shard stamp
         untouched — the observable no-op guarantee.
         """
-        with self._lock, self._conn:
+        with self.write():
             self._conn.execute(
                 "INSERT OR REPLACE INTO write_receipts"
                 " (user_id, idem_key, fingerprint, status, body, created_at)"
@@ -1415,54 +1469,4 @@ class SqliteDAO:
                     json.dumps(body),
                     float(created_at),
                 ),
-            )
-
-    def claim_write_receipt(
-        self, user_id: int, key: str, fingerprint: str, created_at: float = 0.0
-    ) -> bool:
-        """Atomically claim ``(user_id, key)`` for one writer: ``True``
-        if this caller won (a :data:`RECEIPT_PENDING` placeholder row now
-        exists) and must execute the write, ``False`` if another writer
-        holds or completed it.  ``INSERT OR IGNORE`` of the pending row —
-        SQLite serializes the insert across *processes* sharing the
-        file, so exactly one writer in a fleet wins the key; everyone
-        else sees the row."""
-        with self._lock, self._conn:
-            cursor = self._conn.execute(
-                "INSERT OR IGNORE INTO write_receipts"
-                " (user_id, idem_key, fingerprint, status, body, created_at)"
-                " VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    int(user_id),
-                    str(key),
-                    str(fingerprint),
-                    RECEIPT_PENDING,
-                    "{}",
-                    float(created_at),
-                ),
-            )
-            return cursor.rowcount == 1
-
-    def finalize_write_receipt(
-        self,
-        user_id: int,
-        key: str,
-        fingerprint: str,
-        status: int,
-        body: dict,
-        created_at: float = 0.0,
-    ) -> None:
-        """Replace a pending claim with the write's recorded outcome."""
-        self.save_write_receipt(
-            user_id, key, fingerprint, status, body, created_at
-        )
-
-    def release_write_receipt(self, user_id: int, key: str) -> None:
-        """Drop a *pending* claim (the write failed), so the key is
-        retryable; a finalized receipt is never released."""
-        with self._lock, self._conn:
-            self._conn.execute(
-                "DELETE FROM write_receipts WHERE user_id=? AND idem_key=?"
-                " AND status=?",
-                (int(user_id), str(key), RECEIPT_PENDING),
             )

@@ -13,6 +13,7 @@ Implements the ownership semantics the paper describes:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -78,6 +79,11 @@ class RegistryService:
     PE/workflow mutation: registration adds the stored embeddings under
     each owner's shard, removal drops them, and a pre-populated DAO
     (e.g. a reopened SQLite registry) is bulk-loaded at attach time.
+
+    Every write is one DAO write scope
+    (:meth:`~repro.registry.dao.SqliteDAO.write`), the caller's when one
+    is open; its index changes apply after the commit, so a rolled-back
+    write leaves the live index as it was.
     """
 
     def __init__(
@@ -139,27 +145,30 @@ class RegistryService:
         delete it."""
         return {"journal": {"compactions": 0}}
 
+    def _on_commit(self, method: str, *args) -> None:
+        """Queue the live index's ``method`` on the open write scope,
+        its arguments taken now; nothing without an index."""
+        if self.index is not None:
+            self.dao.after_commit(partial(getattr(self.index, method), *args))
+
     def _index(self, user_id: int, record: Record) -> None:
         """Put a record into ``user_id``'s shards of the live index, one
-        per shard kind it carries a vector of."""
-        if self.index is None:
-            return
+        per shard kind it carries a vector of, once the write commits."""
         for kind in RECORD_KINDS[type(record)].shards:
             spec = SHARD_KINDS[kind]
             vector = getattr(record, spec.vector_field)
             if vector is not None:
-                self.index.add(
-                    user_id, kind, getattr(record, spec.id_field), vector
-                )
+                record_id = getattr(record, spec.id_field)
+                self._on_commit("add", user_id, kind, record_id, vector)
 
     def _unindex(self, user_id: int, record: Record) -> None:
         """Drop a record from every one of ``user_id``'s shards of its
-        kind."""
-        if self.index is None:
-            return
+        kind, once the write commits."""
         for kind in RECORD_KINDS[type(record)].shards:
             spec = SHARD_KINDS[kind]
-            self.index.remove(user_id, kind, getattr(record, spec.id_field))
+            self._on_commit(
+                "remove", user_id, kind, getattr(record, spec.id_field)
+            )
 
     # ------------------------------------------------------------------
     # Users / auth
@@ -169,11 +178,12 @@ class RegistryService:
             raise ValidationError("user name must be non-empty", params={"user": name})
         if not password:
             raise ValidationError("password must be non-empty")
-        if self.dao.get_user_by_name(name) is not None:
-            raise DuplicateError(
-                f"user {name!r} already exists", params={"user": name}
-            )
-        return self.dao.insert_user(name, hash_password(password))
+        with self.dao.write():
+            if self.dao.get_user_by_name(name) is not None:
+                raise DuplicateError(
+                    f"user {name!r} already exists", params={"user": name}
+                )
+            return self.dao.insert_user(name, hash_password(password))
 
     def authenticate(self, name: str, password: str) -> UserRecord:
         user = self.dao.get_user_by_name(name)
@@ -198,17 +208,19 @@ class RegistryService:
     # RECORD_KINDS.  The per-kind names are the entry points; the v1
     # write core looks them up by kind (``register_{kind}``,
     # ``register_{kind}s_bulk``, ``upsert_{kind}``, ``revise_{kind}``,
-    # ``remove_{kind}_record``).
+    # ``remove_{kind}_record``).  ``named``, where taken, is what
+    # :meth:`named` returned for the record's name inside the caller's
+    # open write scope, so the name is read once.
     # ------------------------------------------------------------------
     def register_pe(
-        self, user: UserRecord, record: PERecord
+        self, user: UserRecord, record: PERecord, named=None
     ) -> tuple[PERecord, bool]:
-        return self._register(user, record)
+        return self._register(user, record, named)
 
     def register_workflow(
-        self, user: UserRecord, record: WorkflowRecord
+        self, user: UserRecord, record: WorkflowRecord, named=None
     ) -> tuple[WorkflowRecord, bool]:
-        return self._register(user, record)
+        return self._register(user, record, named)
 
     def register_pes_bulk(
         self, user: UserRecord, records: list[PERecord]
@@ -221,14 +233,15 @@ class RegistryService:
         return self._register_bulk(user, records)
 
     def upsert_pe(
-        self, user: UserRecord, current: PERecord, record: PERecord
+        self, user: UserRecord, current: PERecord, record: PERecord, named=None
     ) -> tuple[PERecord, bool]:
-        return self._upsert(user, current, record)
+        return self._upsert(user, current, record, named)
 
     def upsert_workflow(
-        self, user: UserRecord, current: WorkflowRecord, record: WorkflowRecord
+        self, user: UserRecord, current: WorkflowRecord,
+        record: WorkflowRecord, named=None,
     ) -> tuple[WorkflowRecord, bool]:
-        return self._upsert(user, current, record)
+        return self._upsert(user, current, record, named)
 
     def revise_pe(
         self, user: UserRecord, current: PERecord, record: PERecord
@@ -253,13 +266,23 @@ class RegistryService:
         ``record_type``."""
         return getattr(self.dao, _DAO_METHODS[record_type][name])
 
-    def _dedup_hit(self, user: UserRecord, record: Record) -> Record | None:
-        """The §3.1 dedup resolution: an identity match grants the
-        caller ownership (and indexes the record for them); ``None``
-        means the registration is genuinely new."""
+    def named(self, record_type: type, name: str) -> list:
+        """Every ``record_type`` record bound to ``name``, any owner's,
+        ascending id."""
+        return self._dao_method(record_type, "find")(name)
+
+    def _dedup_hit(
+        self, user: UserRecord, record: Record, named=None
+    ) -> Record | None:
+        """The §3.1 dedup resolution, among ``named`` (read here when not
+        given): an identity match grants the caller ownership (and
+        indexes the record for them); ``None`` means the registration is
+        genuinely new."""
         identity = record.identity_key()
-        name = getattr(record, RECORD_KINDS[type(record)].name_field)
-        for existing in self._dao_method(type(record), "find")(name):
+        if named is None:
+            name = getattr(record, RECORD_KINDS[type(record)].name_field)
+            named = self.named(type(record), name)
+        for existing in named:
             if existing.identity_key() == identity:
                 granted = user.user_id not in existing.owners
                 if granted:
@@ -269,7 +292,9 @@ class RegistryService:
                 return existing
         return None
 
-    def _register(self, user: UserRecord, record: Record) -> tuple[Record, bool]:
+    def _register(
+        self, user: UserRecord, record: Record, named=None
+    ) -> tuple[Record, bool]:
         """Dedup-or-insert; returns ``(stored, created)``.
 
         ``created`` is False when the §3.1 identity rule resolved the
@@ -277,69 +302,72 @@ class RegistryService:
         caller already owned it); the v1 write envelope surfaces the
         distinction.
         """
-        hit = self._dedup_hit(user, record)
-        if hit is not None:
-            return hit, False
-        record.owners = {user.user_id}
-        stored = self._dao_method(type(record), "insert")(record)
-        self._index(user.user_id, stored)
-        return stored, True
+        with self.dao.write():
+            hit = self._dedup_hit(user, record, named)
+            if hit is not None:
+                return hit, False
+            record.owners = {user.user_id}
+            stored = self._dao_method(type(record), "insert")(record)
+            self._index(user.user_id, stored)
+            return stored, True
 
     def _register_bulk(
         self, user: UserRecord, records: list[Record]
     ) -> tuple[list[Record], list[bool]]:
-        """Bulk registration: one DAO ``executemany`` insert (one
-        mutation) and one index ``add_many`` per shard kind.
+        """Bulk registration: one write scope, one DAO ``executemany``
+        insert (one mutation) and one index ``add_many`` per shard kind.
 
         Applies the same §3.1 dedup-by-identity rule as
         :meth:`_register` — against the registry *and* within the batch
         itself (two identical items resolve to one record).  Returns the
         stored records in item order plus per-item ``created`` flags.
         """
-        stored: list[Record] = []
-        created: list[bool] = []
-        fresh: list[Record] = []
-        by_identity: dict[str, Record] = {}
-        for record in records:
-            identity = record.identity_key()
-            batch_hit = by_identity.get(identity)
-            if batch_hit is not None:
-                # in-batch duplicate: resolves to whatever the first
-                # occurrence resolved to.  Never index here — a fresh
-                # first occurrence has no id yet (it is inserted and
-                # indexed with its real id after the loop), and a
-                # registry hit was already indexed then.
-                stored.append(batch_hit)
-                created.append(False)
-                continue
-            hit = self._dedup_hit(user, record)
-            if hit is not None:
-                by_identity[identity] = hit
-                stored.append(hit)
-                created.append(False)
-                continue
-            record.owners = {user.user_id}
-            fresh.append(record)
-            by_identity[identity] = record
-            stored.append(record)
-            created.append(True)
-        if fresh:
-            self._dao_method(type(fresh[0]), "insert_many")(fresh)
-            for kind in RECORD_KINDS[type(fresh[0])].shards:
-                spec = SHARD_KINDS[kind]
-                embedded = [
-                    (getattr(r, spec.id_field), getattr(r, spec.vector_field))
-                    for r in fresh
-                ]
-                ids = [rid for rid, vec in embedded if vec is not None]
-                vectors = [vec for _, vec in embedded if vec is not None]
-                if not ids or self.index is None:
+        with self.dao.write():
+            stored: list[Record] = []
+            created: list[bool] = []
+            fresh: list[Record] = []
+            by_identity: dict[str, Record] = {}
+            for record in records:
+                identity = record.identity_key()
+                batch_hit = by_identity.get(identity)
+                if batch_hit is not None:
+                    # in-batch duplicate: resolves to whatever the first
+                    # occurrence resolved to.  Never index here — a fresh
+                    # first occurrence has no id yet (it is inserted and
+                    # indexed with its real id after the loop), and a
+                    # registry hit was already indexed then.
+                    stored.append(batch_hit)
+                    created.append(False)
                     continue
-                self.index.add_many(user.user_id, kind, ids, vectors)
-        return stored, created
+                hit = self._dedup_hit(user, record)
+                if hit is not None:
+                    by_identity[identity] = hit
+                    stored.append(hit)
+                    created.append(False)
+                    continue
+                record.owners = {user.user_id}
+                fresh.append(record)
+                by_identity[identity] = record
+                stored.append(record)
+                created.append(True)
+            if fresh:
+                self._dao_method(type(fresh[0]), "insert_many")(fresh)
+                for kind in RECORD_KINDS[type(fresh[0])].shards:
+                    spec = SHARD_KINDS[kind]
+                    embedded = [
+                        (getattr(r, spec.id_field), vec)
+                        for r in fresh
+                        if (vec := getattr(r, spec.vector_field)) is not None
+                    ]
+                    if embedded:
+                        ids, vectors = map(list, zip(*embedded))
+                        self._on_commit(
+                            "add_many", user.user_id, kind, ids, vectors
+                        )
+            return stored, created
 
     def _upsert(
-        self, user: UserRecord, current: Record, record: Record
+        self, user: UserRecord, current: Record, record: Record, named=None
     ) -> tuple[Record, bool]:
         """Replace the user's name binding: ``record`` supersedes
         ``current`` (same name, different identity).
@@ -353,8 +381,11 @@ class RegistryService:
         resolve to the record now holding the PUT content.
         """
         kind = RECORD_KINDS[type(record)].kind
-        stored, created = getattr(self, f"register_{kind}")(user, record)
-        getattr(self, f"remove_{kind}_record")(user, current)
+        with self.dao.write():
+            stored, created = getattr(self, f"register_{kind}")(
+                user, record, named
+            )
+            getattr(self, f"remove_{kind}_record")(user, current)
         return stored, created
 
     def _revise(self, current: Record, record: Record) -> tuple[Record, bool]:
@@ -382,16 +413,15 @@ class RegistryService:
                 changed[kind] = new_vec
         for name in (*record_kind.metadata, *record_kind.vector_fields):
             setattr(current, name, getattr(record, name))
-        self._dao_method(type(current), "update")(current)
-        if self.index is None:
-            return current, False
         record_id = getattr(current, record_kind.id_field)
-        for kind, vec in changed.items():
-            for owner in current.owners:
-                if vec is not None:
-                    self.index.add(owner, kind, record_id, vec)
-                else:
-                    self.index.remove(owner, kind, record_id)
+        with self.dao.write():
+            self._dao_method(type(current), "update")(current)
+            for kind, vec in changed.items():
+                for owner in current.owners:
+                    if vec is not None:
+                        self._on_commit("add", owner, kind, record_id, vec)
+                    else:
+                        self._on_commit("remove", owner, kind, record_id)
         return current, False
 
     def _remove(self, user: UserRecord, record: Record) -> None:
@@ -399,15 +429,16 @@ class RegistryService:
 
         The write core resolves the target once for its revision check;
         re-reading it here would unblob the embeddings a second time
-        inside the write lock.
+        inside the write scope.
         """
         record.owners.discard(user.user_id)
-        if record.owners:
-            self._dao_method(type(record), "update")(record)
-        else:
-            record_id = getattr(record, RECORD_KINDS[type(record)].id_field)
-            self._dao_method(type(record), "delete")(record_id)
-        self._unindex(user.user_id, record)
+        record_id = getattr(record, RECORD_KINDS[type(record)].id_field)
+        with self.dao.write():
+            if record.owners:
+                self._dao_method(type(record), "update")(record)
+            else:
+                self._dao_method(type(record), "delete")(record_id)
+            self._unindex(user.user_id, record)
 
     # ------------------------------------------------------------------
     # Record reads: one body per operation, keyed by record class and
@@ -435,7 +466,7 @@ class RegistryService:
     ) -> Record:
         """The caller's ``record_type`` record bound to ``name``; 404
         when they hold none."""
-        for record in self._dao_method(record_type, "find")(name):
+        for record in self.named(record_type, name):
             if user.user_id in record.owners:
                 return record
         spec = RECORD_KINDS[record_type]
@@ -507,12 +538,14 @@ class RegistryService:
     def link_pe_to_workflow(
         self, user: UserRecord, workflow_id: int, pe_id: int
     ) -> WorkflowRecord:
-        """PUT /registry/{user}/workflow/{workflowId}/pe/{peId}."""
-        workflow = self.get_by_id(user, WorkflowRecord, workflow_id)
-        self.get_by_id(user, PERecord, pe_id)
-        if pe_id not in workflow.pe_ids:
-            workflow.pe_ids.append(pe_id)
-            self.dao.update_workflow(workflow)
+        """PUT /registry/{user}/workflow/{workflowId}/pe/{peId}: one
+        write scope, so the checks hold for the update."""
+        with self.dao.write():
+            workflow = self.get_by_id(user, WorkflowRecord, workflow_id)
+            self.get_by_id(user, PERecord, pe_id)
+            if pe_id not in workflow.pe_ids:
+                workflow.pe_ids.append(pe_id)
+                self.dao.update_workflow(workflow)
         return workflow
 
     def workflow_pes(

@@ -140,6 +140,9 @@ What a v16 file holds, and the rules the DAO keeps on it:
   the ``shard_stamps`` b-tree.  ``shard_stamps()`` leaves user 0 out.
 * Idempotency receipts (``write_receipts``) are kept forever:
   ``created_at`` is written, nothing prunes by it.
+* One write is one commit (``SqliteDAO.write()``): a write that fails,
+  or a process killed mid-write, leaves neither its mutation nor its
+  receipt.
 
 Front end: :func:`repro.server.http.serve_http` runs an **asyncio
 server core** — one coroutine per connection on a background event
@@ -284,7 +287,7 @@ shape but ``add`` (``RecordController``); a bulk item is that kind's
 ``PUT`` table less its request-level ``ifVersion``/``idempotencyKey``.
 All write routes — and the
 legacy Table-3 register/remove routes, which are thin byte-identical
-adapters — share one serialized core
+adapters — share one core, one transaction a write
 (:func:`repro.server.v1_write.execute_write`), and below it one
 service body per operation (``RegistryService._register``,
 ``_register_bulk``, ``_upsert``, ``_revise``, ``_remove``; the reads
@@ -304,13 +307,18 @@ key + identical request returns the stored envelope verbatim
 (``Idempotent-Replay: true`` header, registry mutation counter
 untouched, no model work re-paid), while the same key fronting a
 different request is a 409.  Only successful responses are recorded —
-errors stay retryable.
+errors stay retryable.  The receipt commits in the write's own
+transaction, which takes SQLite's write lock before it reads the
+receipt: of concurrent writers under one key, in any process on the
+file, exactly one writes and the others wait for its commit and replay.
 
 *Conditional writes*: ``ifVersion`` pins the target record's
 ``revision`` (0 = create-only; every update bumps it, and deleting a
 PE bumps each workflow that linked it) — or, for bulk,
 the registry mutation counter — and a mismatch is a 412 with the
-registry untouched.
+registry untouched.  The check runs in the write's transaction, so of
+concurrent writes pinning one revision, from any process on the file,
+exactly one lands.
 
 Write error envelope (all carry the §3.2.5 JSON shape):
 
@@ -371,8 +379,8 @@ under ``jobId``).  The pipeline (:mod:`repro.ingest`) walks the tree
 (or a base64 tar.gz upload, extracted with traversal/symlink/zip-bomb
 guards), chunks every ``.py`` file with a pure-Python AST chunker into
 function/class records named ``{path}::{qualname}``, and lands them
-through the same serialized bulk-write core as ``pes:bulk`` in
-**bounded batches** — each batch takes the write lock only for its
+through the same bulk-write body as ``pes:bulk`` in **bounded
+batches** — each batch is one transaction, its dedup reads and its
 single bulk insert, so search stays live (and consistent) while a
 repository streams in.  Progress counters
 (``filesDiscovered``, ``filesSkipped``, ``chunksDiscovered``,

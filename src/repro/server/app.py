@@ -74,11 +74,6 @@ class LaminarServer:
         self.registry = RegistryService(
             SqliteDAO() if dao is None else dao, index=self.index
         )
-        #: serializes every API write (v1 routes AND the legacy
-        #: adapters) through repro.server.v1_write.execute_write, making
-        #: idempotency-receipt checks and ifVersion CAS races atomic;
-        #: the search hot path never takes it
-        self.write_lock = threading.RLock()
         #: the background-job plane (repro.jobs): ingest requests (and
         #: any future long-running work, e.g. workflow runs) submit
         #: here and stream progress through the /v1/jobs routes (a
@@ -264,7 +259,9 @@ class LaminarServer:
 
         Standard HTTP tooling cannot attach a body to GET, so the v1
         listings accept ``?limit=…&cursor=…`` too; an explicit JSON
-        body always takes precedence over the query string.  Paths
+        body always takes precedence over the query string.  Only an
+        object or an empty body takes the pairs: any other body goes
+        on as sent, for the route's own check to refuse.  Paths
         without a ``?`` pass through untouched (path *segments* encode
         literal question marks as ``%3F``, so splitting on the raw
         ``?`` is exactly the HTTP semantics).
@@ -272,13 +269,14 @@ class LaminarServer:
         path, sep, query = request.path.partition("?")
         if not sep:
             return request
-        merged: dict = {
-            key: values[-1]
-            for key, values in urllib.parse.parse_qs(query).items()
-        }
-        merged.update(request.body or {})
+        body = request.body
+        if not body or isinstance(body, dict):
+            body = {
+                key: values[-1]
+                for key, values in urllib.parse.parse_qs(query).items()
+            } | (body or {})
         return Request(
-            request.method, path, merged, request.token, request.headers
+            request.method, path, body, request.token, request.headers
         )
 
     def endpoints(self) -> list[tuple[str, str]]:

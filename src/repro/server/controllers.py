@@ -226,15 +226,11 @@ class WorkflowController(RecordController):
 
     def link_pe(self, request: Request, params: dict[str, str]) -> Response:
         user = self.authenticated_user(request, params)
-        # a registry write like any other: linking bumps the workflow's
-        # revision and the mutation counter, so it must serialize with
-        # the v1 write core or it would race every ifVersion CAS
-        with self.app.write_lock:
-            record = self.app.registry.link_pe_to_workflow(
-                user,
-                self.int_param(params, "workflowId"),
-                self.int_param(params, "peId"),
-            )
+        record = self.app.registry.link_pe_to_workflow(
+            user,
+            self.int_param(params, "workflowId"),
+            self.int_param(params, "peId"),
+        )
         return Response(200, record.to_json())
 
 

@@ -68,8 +68,11 @@ def encode_cursor(scope: str, after: int) -> str:
     return _CURSOR_PREFIX + token
 
 
-def decode_cursor(cursor: str, scope: str) -> int:
-    """The ``after`` id of ``cursor``; 400 on garbage or scope mismatch."""
+def decode_cursor(cursor: str, scope: str, limit: int = 0) -> int:
+    """The ``after`` id of ``cursor``; 400 on garbage, on a scope
+    mismatch, or on a position whose page of ``limit`` would end past
+    :data:`INT64_MAX` (no response mints one: a search ranks to the
+    page's end, which SQLite must bind)."""
 
     def bad(details: str) -> ValidationError:
         return ValidationError(
@@ -90,6 +93,8 @@ def decode_cursor(cursor: str, scope: str) -> int:
     # page backwards — both are forgeries, not positions
     if isinstance(position, bool) or not isinstance(position, int) or position < 0:
         raise bad("cursor payload is not a position")
+    if position > INT64_MAX - limit:
+        raise bad("cursor position is past the last one a page can reach")
     if payload.get("s") != scope:
         raise bad(
             f"cursor was minted by {payload.get('s')!r}, not {scope!r}"

@@ -429,7 +429,7 @@ class V1Controller(BaseController):
             scope = f"search:{user.user_id}:{fingerprint}"
             limit = req.limit if req.limit is not None else DEFAULT_LIMIT
             offset = (
-                decode_cursor(req.cursor, scope)
+                decode_cursor(req.cursor, scope, limit)
                 if req.cursor is not None
                 else 0
             )

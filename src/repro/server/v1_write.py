@@ -36,12 +36,14 @@ from :data:`~repro.registry.entities.RECORD_KINDS`, and the service's
 per-kind entries (``register_pe``, ``revise_workflow``, ...) are looked
 up by kind when called.
 
-All writes serialize on ``LaminarServer.write_lock``: the
-receipt-check → conditional-check → service-write → receipt-store
-sequence is atomic with respect to every other API write, which is what
-makes N concurrent replays of one key resolve to exactly one registry
-write, and ``ifVersion`` races resolve to exactly one winner.  Reads
-(the search hot path) never take this lock.
+Each write is one transaction, the DAO's write scope
+(:meth:`~repro.registry.dao.SqliteDAO.write`): the receipt read → the
+``ifVersion`` check → the §3.1 dedup → the mutation(s) → the receipt
+store commit together or not at all.  The scope takes SQLite's write
+lock before its first read, so writers of every process on one file
+run one at a time: N concurrent replays of one key resolve to exactly
+one registry write, and ``ifVersion`` races to exactly one winner.  A
+process killed mid-write leaves neither its mutation nor its receipt.
 """
 
 from __future__ import annotations
@@ -56,12 +58,11 @@ import numpy as np
 
 from repro.errors import (
     IdempotencyError,
-    NotFoundError,
     PreconditionFailedError,
     ValidationError,
 )
 from repro.net.transport import Request, Response
-from repro.registry.dao import RECEIPT_PENDING, _embed_bytes
+from repro.registry.dao import _embed_bytes
 from repro.registry.entities import (
     RECORD_CLASSES,
     RECORD_KINDS,
@@ -286,14 +287,6 @@ class WriteOutcome:
 # ---------------------------------------------------------------------------
 # The core
 # ---------------------------------------------------------------------------
-def _current_by_name(registry, user: UserRecord, kind: str, name: str):
-    """The caller's record under ``name``, or ``None`` (no 404 here)."""
-    try:
-        return registry.get_by_name(user, RECORD_CLASSES[kind], name)
-    except NotFoundError:
-        return None
-
-
 def _check_revision(
     if_version: int | None, actual: int, *, kind: str, name: str
 ) -> None:
@@ -335,12 +328,9 @@ def _register_single(
     registry = app.registry
     record = cmd.record
     name = getattr(record, RECORD_KINDS[type(record)].name_field)
-    # the by-name lookup is only needed for conditional or upsert
-    # semantics — the unconditional legacy path must not pay a second
-    # name scan on every registration
-    current = None
-    if cmd.if_version is not None or cmd.upsert:
-        current = _current_by_name(registry, user, cmd.kind, name)
+    # one read of the name: the caller's binding and the dedup candidates
+    named = registry.named(type(record), name)
+    current = next((r for r in named if user.user_id in r.owners), None)
     _check_revision(
         cmd.if_version,
         0 if current is None else current.revision,
@@ -350,20 +340,13 @@ def _register_single(
     # v1 PUT semantics against an existing binding: changed identity
     # (code) supersedes the record, changed metadata revises it in
     # place, identical content is the §3.1 dedup no-op
-    write = None
+    write, args = "register", (user, record, named)
     if cmd.upsert and current is not None:
         if current.identity_key() != record.identity_key():
-            write = "upsert"
+            write, args = "upsert", (user, current, record, named)
         elif not _metadata_equal(current, record):
-            write = "revise"
-    if write is None:
-        stored, created = getattr(registry, f"register_{cmd.kind}")(
-            user, record
-        )
-    else:
-        stored, created = getattr(registry, f"{write}_{cmd.kind}")(
-            user, current, record
-        )
+            write, args = "revise", (user, current, record)
+    stored, created = getattr(registry, f"{write}_{cmd.kind}")(*args)
     item = {**stored.to_json(), "revision": stored.revision}
     item["created"] = created
     status = 201 if created else 200
@@ -445,14 +428,6 @@ def _receipt_outcome(
 ) -> WriteOutcome:
     """Resolve a stored receipt: replay on a match, 409 on a mismatch."""
     stored_fingerprint, status, body = receipt
-    if status == RECEIPT_PENDING:
-        # another writer (possibly another process) holds the key right
-        # now; the caller should retry once its write lands
-        raise IdempotencyError(
-            f"a write with idempotency key {key!r} is still in progress",
-            params={"idempotencyKey": key},
-            details="retry after the in-flight write completes",
-        )
     if stored_fingerprint != fingerprint:
         raise IdempotencyError(
             f"idempotency key {key!r} was already used by a different request",
@@ -474,17 +449,13 @@ def _try_replay(
     Replays must not re-pay the summarize/embed model work the original
     write did — a receipt needs only the key and the wire fingerprint.
     Receipts are immutable once stored, so a hit here (outside the
-    write lock) is authoritative; a miss falls through to the locked
-    check inside :func:`execute_write`.
+    write scope) is authoritative; a miss falls through to the check
+    inside :func:`execute_write`'s scope.
     """
     if key is None:
         return None
     receipt = app.registry.dao.get_write_receipt(user.user_id, key)
     if receipt is None:
-        return None
-    if receipt[1] == RECEIPT_PENDING:
-        # another writer holds the key: fall through to execute_write,
-        # which waits for the outcome instead of erroring eagerly
         return None
     return _receipt_outcome(receipt, fingerprint, key)
 
@@ -519,79 +490,52 @@ def _dispatch_write(
     )
 
 
-#: how long a claim loser waits for the in-flight winner's outcome, and
-#: how often it re-reads the receipt while waiting
-_CLAIM_WAIT = 2.0
-_CLAIM_POLL = 0.005
-
-
 def execute_write(
     app: "LaminarServer", user: UserRecord, cmd: WriteCommand
 ) -> WriteOutcome:
-    """Run one registry write under the server's write serialization.
+    """Run one registry write as one transaction: one DAO write scope
+    (:meth:`~repro.registry.dao.SqliteDAO.write`), one commit.
 
-    Order matters and is atomic under ``app.write_lock``:
+    Inside it, in order:
 
-    1. **key claim** — a keyed write first claims ``(user,
-       idempotencyKey)`` via the DAO's ``INSERT OR IGNORE``.  The claim
-       is the *cross-process* serialization point: SQLite arbitrates
-       the insert across every process sharing the file, so exactly one
-       writer in a fleet wins a key.  A lost claim resolves to the
-       stored receipt — matching fingerprint returns the recorded
-       response verbatim (replay = no-op), a different fingerprint is a
-       409; a still-pending claim is polled briefly (the winner is
-       mid-write in another process) before giving up with a 409;
-    2. **conditional check + write** — ``ifVersion`` verified against
-       the live revision (or the mutation counter for bulk) in the same
-       critical section as the service write, so concurrent CAS races
-       resolve to exactly one winner;
-    3. **receipt finalize** — only *successful* responses are recorded;
-       a write that raises releases its claim so the key stays
-       retryable (errors are retryable by design: a 412/409/404 must
-       re-evaluate on the next attempt, not replay).
+    1. **receipt** — a keyed write reads the receipt of ``(user,
+       idempotencyKey)``.  A stored one resolves the write: a matching
+       fingerprint returns the recorded response verbatim (replay =
+       no-op), a different one is a 409;
+    2. **conditional check + write** — ``ifVersion`` is checked against
+       the live revision (or the mutation counter for bulk), then the
+       service writes;
+    3. **receipt store** — a keyed write records its response.
+
+    The scope holds SQLite's write lock from its first read, so a
+    writer of this or another process sharing the file waits for the
+    commit and then sees the receipt or revision it left: exactly one
+    writer wins a key, and one ``ifVersion`` race.  A write that raises
+    rolls back whole — no mutation, no receipt, no index change — so its
+    key stays retryable (errors are retryable by design: a 412/409/404
+    must re-evaluate on the next attempt, not replay).
 
     Receipts are never pruned: a key replays for the life of the
     registry file (the ``created_at`` stamp is kept but nothing reads
     it).
     """
-    registry = app.registry
-    with app.write_lock:
-        if cmd.idempotency_key is None:
-            return _dispatch_write(app, user, cmd)
-        dao = registry.dao
-        key = cmd.idempotency_key
-        deadline = time.monotonic() + _CLAIM_WAIT
-        while not dao.claim_write_receipt(
-            user.user_id, key, cmd.fingerprint, time.time()
-        ):
+    dao = app.registry.dao
+    key = cmd.idempotency_key
+    with dao.write():
+        if key is not None:
             receipt = dao.get_write_receipt(user.user_id, key)
-            if receipt is None:
-                continue  # claim released between our attempt and read
-            if receipt[1] != RECEIPT_PENDING:
+            if receipt is not None:
                 return _receipt_outcome(receipt, cmd.fingerprint, key)
-            if time.monotonic() >= deadline:
-                # the winner (another process) is still mid-write;
-                # _receipt_outcome turns a pending receipt into a 409
-                return _receipt_outcome(receipt, cmd.fingerprint, key)
-            # Deliberate sleep under the write lock: the receipt holder
-            # is another *process*, so polling under our in-process
-            # write lock cannot deadlock with it, and releasing and
-            # reacquiring would let local writers starve the poller.
-            # Runtime twin: lockwatch blocking_allow=("v1_write.py",).
-            time.sleep(_CLAIM_POLL)  # lint: disable=RPR002 — cross-process claim poll
-        try:
-            outcome = _dispatch_write(app, user, cmd)
-        except BaseException:
-            dao.release_write_receipt(user.user_id, key)
-            raise
-        dao.finalize_write_receipt(
-            user.user_id,
-            key,
-            cmd.fingerprint,
-            outcome.status,
-            outcome.body,
-            time.time(),
-        )
+        outcome = _dispatch_write(app, user, cmd)
+        if key is not None:
+            dao.save_write_receipt(
+                user.user_id,
+                key,
+                cmd.fingerprint,
+                outcome.status,
+                outcome.body,
+                time.time(),
+            )
         return outcome
 
 
@@ -634,7 +578,7 @@ class V1WriteController(BaseController):
         # the fast paths matter most here: neither a replay nor a
         # stale-CAS batch may pay the per-item summarize/embed model
         # work just to discard it.  Both are advisory (the authoritative
-        # receipt and counter checks re-run inside the write lock).
+        # receipt and counter checks re-run inside the write scope).
         replay = _try_replay(self.app, user, key, fingerprint)
         if replay is not None:
             return replay.response()

@@ -25,13 +25,11 @@ def lockwatch():
 
     Yields the active :class:`~repro.analysis.lockwatch.LockWatch`;
     at teardown, uninstalls and fails the test if any lock-order cycle
-    or blocking-call-under-lock was recorded.  ``v1_write.py`` is on
-    the blocking allowlist — its claim poll deliberately sleeps under
-    the write lock (see the suppression comment at the call site).
+    or blocking-call-under-lock was recorded.
     """
     from repro.analysis.lockwatch import LockWatch
 
-    watch = LockWatch(blocking_allow=("v1_write.py",))
+    watch = LockWatch()
     watch.install()
     try:
         yield watch

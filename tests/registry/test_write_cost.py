@@ -6,6 +6,11 @@ write surface (``LaminarServer.dispatch``) on a file database: every
 single-record ``PUT``/revise/``DELETE`` and a ``pes:bulk`` of 16 is
 **one** commit and logs at most a pinned number of frames.  The counts are exact for fixed inputs on one SQLite build;
 the bounds leave one frame of slack for another build's b-tree splits.
+So is every other registry write — a keyed ``PUT``, bulk and
+``DELETE`` (the receipt commits with the write), an upsert that
+replaces a name's record, the Table-3 add and remove, and an ingest
+batch whose items join existing records — each pinned at one commit
+and its exact frames, and a ``PUT`` reads its name once.
 
 New files get 1 KB pages; a file that already has pages keeps them
 (page size is fixed once a WAL file exists) and passes the same cases.
@@ -191,6 +196,118 @@ def test_a_put_writes_no_text_index_page(registry):
                    for name in owner.values()), set(owner.values())
     # and the PE is indexed all the same
     assert dao.text_topk_pes(dao.get_user_by_name("u").user_id, "fresh")
+
+
+#: WAL frames, per page size, of the writes
+#: :func:`test_every_write_is_one_commit` runs in turn.  Before a write and its receipt shared one transaction
+#: a keyed write was three commits (claim, mutation, receipt) and an
+#: upsert two (insert, then release the old record); the same sequence
+#: logged, on 1 KB and 4 KB pages: keyed PUT 8 and 6, keyed bulk of 16
+#: 16 and 8, keyed DELETE 6 and 6, upsert 8 and 11; the Table-3 add and
+#: remove were one commit then too
+ONE_COMMIT_FRAMES = {
+    1024: {"keyed-put": 7, "keyed-bulk": 14, "keyed-delete": 5,
+           "upsert": 5, "add": 4, "remove": 4},
+    4096: {"keyed-put": 5, "keyed-bulk": 7, "keyed-delete": 5,
+           "upsert": 7, "add": 4, "remove": 7},
+}
+
+
+def test_every_write_is_one_commit(registry):
+    send, dao, path, page_size = registry
+    code = "def keyed(x):\n    return x + 1\n"
+    bulk = {
+        "idempotencyKey": "bulk-key",
+        "items": [
+            {
+                "peName": f"kb{i}",
+                "peCode": f"def kb{i}(x):\n    return x * {i}\n",
+                "description": f"keyed bulk element {i} scales its input",
+            }
+            for i in range(16)
+        ],
+    }
+    legacy = {"peName": "legacy", "peCode": "def legacy(): pass",
+              "description": "a legacy element"}
+    ops = [
+        ("keyed-put", 201, lambda: send(
+            "PUT", "/v1/registry/u/pes/keyed",
+            {"peCode": code, "description": "adds", "idempotencyKey": "k1"},
+        )),
+        ("keyed-bulk", 201,
+         lambda: send("POST", "/v1/registry/u/pes:bulk", bulk)),
+        ("keyed-delete", 200, lambda: send(
+            "DELETE", "/v1/registry/u/pes/keyed", {"idempotencyKey": "k2"}
+        )),
+        # new code under seed3's name: a new record takes the name, and
+        # the old one goes
+        ("upsert", 201, lambda: send(
+            "PUT", "/v1/registry/u/pes/seed3",
+            {"peCode": "def seed3(x):\n    return x + 2\n"},
+        )),
+        ("add", 201, lambda: send("POST", "/registry/u/pe/add", legacy)),
+        ("remove", 200,
+         lambda: send("DELETE", "/registry/u/pe/remove/name/legacy")),
+    ]
+    measured = {}
+    for name, expected, op in ops:
+        status, committed, measured[name] = cost(dao, path, op)
+        assert status == expected, name
+        assert committed == 1, f"{name}: {committed} commits"
+    assert measured == ONE_COMMIT_FRAMES[page_size]
+    assert len(dao.find_pe_by_name("seed3")) == 1
+    # a replay reads its receipt and writes nothing
+    status, committed, frames = cost(dao, path, lambda: send(
+        "PUT", "/v1/registry/u/pes/keyed",
+        {"peCode": code, "description": "adds", "idempotencyKey": "k1"},
+    ))
+    assert (status, committed, frames) == (201, 0, 0)
+
+
+#: WAL frames of that batch, per page size; it was five commits and 16
+#: frames on either, one per grant and one for the insert
+INGEST_BATCH_FRAMES = {1024: 5, 4096: 4}
+
+
+def test_an_ingest_batch_is_one_commit(registry):
+    """A batch whose items join records another user registered (the
+    §3.1 grant, an update each) and add new ones commits once."""
+    send, dao, path, page_size = registry
+    send("POST", "/auth/register", {"userName": "v", "password": "pw"})
+    user = dao.get_user_by_name("v")
+    batch = [
+        make_pe(f"seed{i}", code=f"def seed{i}(x):\n    return x + 1\n")
+        for i in range(4)
+    ] + [make_pe(f"new{i}", code=f"def new{i}(): pass") for i in range(4)]
+    (stored, created), statements, frames = traced(
+        dao, path, lambda: RegistryService(dao).register_pes_bulk(user, batch)
+    )
+    assert created == [False] * 4 + [True] * 4
+    assert commits(statements) == 1
+    assert frames == INGEST_BATCH_FRAMES[page_size]
+    assert dao.pe_ids_owned_by(user.user_id) == [r.pe_id for r in stored]
+
+
+#: the top-level statements of a new PE's ``PUT`` and of its revise: the
+#: user, ``BEGIN IMMEDIATE``, one read of the name, then the write and
+#: the mutation counter the reply carries, and the ``COMMIT``.  The new
+#: PE's read the name twice before (14 statements): once for the
+#: caller's binding, once for the §3.1 dedup
+PUT_STATEMENTS = {"put": 13, "revise": 13}
+
+
+def test_a_put_reads_its_name_once(registry):
+    send, dao, path, _page_size = registry
+    for name, description in (("put", "adds one"), ("revise", "adds two")):
+        response, statements, _frames = traced(
+            dao, path, lambda: put(send, "once", description)
+        )
+        assert response.status == (201 if name == "put" else 200)
+        top = [sql for sql in statements if not sql.startswith("--")]
+        assert len(top) == PUT_STATEMENTS[name], (name, top)
+        assert sum(
+            sql.startswith("SELECT * FROM pes WHERE pe_name") for sql in top
+        ) == 1, top
 
 
 #: every b-tree a PUT or a bulk of new PEs may log a page of (page 1,

@@ -1,13 +1,16 @@
 """DAO-level contracts behind the v1 write surface.
 
-Per-record revisions and idempotency receipts (stored verbatim, never
-bumping the mutation counter).
+Per-record revisions, idempotency receipts (stored verbatim, never
+bumping the mutation counter) and the write scope a write and its
+receipt commit in together.
 """
+
+import sqlite3
 
 import numpy as np
 import pytest
 
-from repro.registry.dao import RECEIPT_PENDING, SqliteDAO
+from repro.registry.dao import SqliteDAO
 from repro.registry.entities import PERecord, WorkflowRecord
 
 
@@ -92,39 +95,100 @@ class TestReceipts:
         assert dao.mutation_counter() == before
 
 
-class TestReceiptClaims:
-    """The INSERT OR IGNORE claim protocol serializing multi-process writers."""
+def leave_pending_row(dao, user_id, key):
+    """The row a writer of an earlier checkout committed before its
+    write ran (status -1), as one killed in between left it."""
+    dao._conn.execute(
+        "INSERT INTO write_receipts"
+        " (user_id, idem_key, fingerprint, status, body, created_at)"
+        " VALUES (?, ?, 'fp-old', -1, '{}', 0)",
+        (user_id, key),
+    )
+    dao._conn.commit()
 
-    def test_first_claim_wins(self, dao):
-        assert dao.claim_write_receipt(1, "k", "fp", 10.0) is True
-        assert dao.claim_write_receipt(1, "k", "fp", 11.0) is False
 
-    def test_claim_leaves_a_pending_receipt(self, dao):
-        dao.claim_write_receipt(1, "k", "fp", 10.0)
-        fingerprint, status, body = dao.get_write_receipt(1, "k")
-        assert fingerprint == "fp"
-        assert status == RECEIPT_PENDING
-        assert body == {}
+def commits(dao, op):
+    """How many ``COMMIT`` statements ``op()`` runs on ``dao``."""
+    statements = []
+    dao._conn.set_trace_callback(statements.append)
+    try:
+        op()
+    finally:
+        dao._conn.set_trace_callback(None)
+    return sum(sql.startswith("COMMIT") for sql in statements)
 
-    def test_release_frees_only_pending_claims(self, dao):
-        dao.claim_write_receipt(1, "k", "fp", 10.0)
-        dao.release_write_receipt(1, "k")
+
+class TestWriteScope:
+    """One write, its receipt and the writes nested in it: one commit."""
+
+    def test_a_write_and_its_receipt_commit_once(self, dao):
+        def write():
+            with dao.write():
+                dao.insert_pe(make_pe())
+                dao.save_write_receipt(1, "k", "fp", 201, {"peId": 1})
+
+        assert commits(dao, write) == 1
+        assert dao.get_write_receipt(1, "k") == ("fp", 201, {"peId": 1})
+        assert [r.pe_name for r in dao.find_pe_by_name("p")] == ["p"]
+
+    def test_a_raising_scope_leaves_neither_write_nor_receipt(self, dao):
+        before = dao.mutation_counter()
+        ran = []
+        with pytest.raises(RuntimeError):
+            with dao.write():
+                dao.insert_pe(make_pe())
+                dao.after_commit(lambda: ran.append("index"))
+                dao.save_write_receipt(1, "k", "fp", 201, {})
+                raise RuntimeError("fault before the commit")
         assert dao.get_write_receipt(1, "k") is None
-        assert dao.claim_write_receipt(1, "k", "fp", 12.0) is True
-        # once finalized, release is a no-op — the receipt is durable
-        dao.finalize_write_receipt(1, "k", "fp", 201, {"done": True}, 13.0)
-        dao.release_write_receipt(1, "k")
-        assert dao.get_write_receipt(1, "k")[1] == 201
+        assert dao.find_pe_by_name("p") == []
+        assert dao.mutation_counter() == before
+        assert ran == []
+        # the key is free: the next write under it records its receipt
+        dao.save_write_receipt(1, "k", "fp", 201, {"retried": True})
+        assert dao.get_write_receipt(1, "k")[2] == {"retried": True}
 
-    def test_finalize_overwrites_the_pending_row(self, dao):
-        dao.claim_write_receipt(1, "k", "fp", 10.0)
-        dao.finalize_write_receipt(1, "k", "fp", 201, {"peId": 9}, 11.0)
-        fingerprint, status, body = dao.get_write_receipt(1, "k")
-        assert (fingerprint, status, body) == ("fp", 201, {"peId": 9})
+    def test_nested_scopes_join_the_outermost(self, dao):
+        ran = []
 
-    def test_claims_scoped_per_user(self, dao):
-        assert dao.claim_write_receipt(1, "k", "fp", 10.0) is True
-        assert dao.claim_write_receipt(2, "k", "fp", 10.0) is True
+        def write():
+            with dao.write():
+                with dao.write():
+                    dao.insert_pe(make_pe("a"))
+                    dao.after_commit(lambda: ran.append("inner"))
+                dao.insert_pe(make_pe("b"))
+                dao.after_commit(lambda: ran.append("outer"))
+                assert ran == []
+
+        assert commits(dao, write) == 1
+        assert ran == ["inner", "outer"]
+
+    def test_a_pending_row_reads_as_absent_and_is_replaced(self, dao):
+        leave_pending_row(dao, 1, "k")
+        assert dao.get_write_receipt(1, "k") is None
+        with dao.write():
+            dao.save_write_receipt(1, "k", "fp", 201, {"peId": 9})
+        assert dao.get_write_receipt(1, "k") == ("fp", 201, {"peId": 9})
+
+
+def test_a_scope_holds_the_write_lock_from_its_first_read(tmp_path):
+    """Another connection on the file sees nothing of an open scope and
+    cannot begin a write of its own until it commits."""
+    path = tmp_path / "reg.db"
+    first, second = SqliteDAO(path), SqliteDAO(path)
+    second._conn.execute("PRAGMA busy_timeout = 0")
+    with first.write():
+        assert first.get_write_receipt(1, "k") is None
+        first.save_write_receipt(1, "k", "fp", 201, {"peId": 1})
+        assert second.get_write_receipt(1, "k") is None
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            with second.write():
+                pass
+    assert second.get_write_receipt(1, "k") == ("fp", 201, {"peId": 1})
+    with second.write():
+        second.save_write_receipt(1, "k2", "fp", 200, {})
+    first.close()
+    second.close()
 
 
 class TestReceiptLifetime:
@@ -138,19 +202,7 @@ class TestReceiptLifetime:
             for n in range(200)
         )
 
-    def test_finalized_key_cannot_be_claimed_again(self, dao):
-        dao.claim_write_receipt(1, "k", "fp", 10.0)
-        dao.finalize_write_receipt(1, "k", "fp", 201, {"peId": 4}, 11.0)
-        assert dao.claim_write_receipt(1, "k", "fp", 1_000_000.0) is False
-        assert dao.get_write_receipt(1, "k") == ("fp", 201, {"peId": 4})
-
     def test_save_replaces_the_receipt_under_its_key(self, dao):
         dao.save_write_receipt(1, "k", "fp1", 201, {"v": 1}, 1.0)
         dao.save_write_receipt(1, "k", "fp2", 200, {"v": 2}, 2.0)
         assert dao.get_write_receipt(1, "k") == ("fp2", 200, {"v": 2})
-
-    def test_pending_claim_survives_later_receipts(self, dao):
-        dao.claim_write_receipt(1, "inflight", "fp", 0.0)
-        for n in range(10):
-            dao.save_write_receipt(1, f"k{n}", "fp", 201, {}, 1_000_000.0 + n)
-        assert dao.get_write_receipt(1, "inflight")[1] == RECEIPT_PENDING

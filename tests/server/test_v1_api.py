@@ -1,5 +1,7 @@
 """The versioned /v1 surface: envelopes, cursors, legacy parity."""
 
+import base64
+import json
 import threading
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from repro.net.transport import Request
 from repro.server import LaminarServer
 from repro.server.api import quote_segment
-from repro.server.schema import decode_cursor, encode_cursor
+from repro.server.schema import INT64_MAX, decode_cursor, encode_cursor
 from tests.server.test_api import (
     ADD_TEN,
     IS_PRIME,
@@ -348,6 +350,19 @@ class TestListingPagination:
         )
         assert response.body["count"] == 3
 
+    def test_a_list_body_beside_a_query_string_is_400(self, server, token):
+        """The pairs fold into an object body only: a list reaches the
+        listing's own check, as it does without a query string."""
+        for path in ("/v1/users?limit=5", "/v1/registry/zz46/pes?limit=5"):
+            for body in ([1], ["limit"]):
+                response = server.dispatch(
+                    Request("GET", path, body, token=token)
+                )
+                assert response.status == 400, (path, body, response.body)
+                assert response.body["message"] == (
+                    "listing request must be a JSON object, got list"
+                )
+
     def test_invalid_cursor_is_400(self, server, token):
         response = server.dispatch(
             Request(
@@ -619,6 +634,39 @@ class TestSearchEnvelope:
             )
         )
         assert second.status == 200
+
+    def test_a_cursor_past_64_bits_is_400(self, server, token):
+        """A forged search cursor, minted with the search's own scope,
+        whose page would end past 2**63 - 1 is a 400, not a LIMIT that
+        SQLite cannot bind; the last position a page can reach serves
+        an empty page."""
+        for i in range(4):
+            add_pe(server, token, f"pe{i}", f"helper {i}")
+        body = {"query": "helper", "queryType": "text", "kind": "pe",
+                "limit": 3}
+        minted = server.dispatch(
+            Request("POST", "/v1/registry/zz46/search", body, token=token)
+        ).body["nextCursor"]
+        scope = json.loads(base64.urlsafe_b64decode(minted[3:]))["s"]
+
+        def search(position):
+            cursor = encode_cursor(scope, position)
+            return server.dispatch(
+                Request(
+                    "POST",
+                    "/v1/registry/zz46/search",
+                    {**body, "cursor": cursor},
+                    token=token,
+                )
+            )
+
+        for position in (INT64_MAX - 2, INT64_MAX, 2**63):
+            response = search(position)
+            assert response.status == 400, (position, response.body)
+            assert response.body["message"] == "invalid cursor"
+        last = search(INT64_MAX - 3)
+        assert last.status == 200, last.body
+        assert last.body["hits"] == []
 
     def test_backends_discovery_endpoint(self, server):
         response = server.dispatch(Request("GET", "/v1/backends", {}))
