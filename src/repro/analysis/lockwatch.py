@@ -25,9 +25,7 @@ active* is wrapped in an :class:`InstrumentedLock`:
   stacks*;
 * configured blocking calls (``time.sleep`` by default) are also
   patched: calling one while holding any instrumented lock records a
-  violation, unless some frame of the calling stack, however deep,
-  matches ``blocking_allow`` (empty in the suites: no source module
-  blocks under a lock).
+  violation.
 
 The wrapper implements the ``_release_save``/``_acquire_restore``/
 ``_is_owned`` protocol, so ``threading.Condition`` (and therefore
@@ -78,12 +76,10 @@ def _allocation_site() -> str:
 _RECORDED_FRAMES = 8
 
 
-def _short_stack(limit: int | None = _RECORDED_FRAMES) -> list[str]:
+def _short_stack(limit: int = _RECORDED_FRAMES) -> list[str]:
     """``file:line in function`` for the innermost ``limit`` frames
-    outside ``threading``/this module (``None``: the whole stack)."""
-    frames = traceback.extract_stack(
-        limit=None if limit is None else limit + 4
-    )[:-3]
+    outside ``threading``/this module."""
+    frames = traceback.extract_stack(limit=limit + 4)[:-3]
     stack = [
         f"{f.filename.rsplit('/', 1)[-1]}:{f.lineno} in {f.name}"
         for f in frames
@@ -91,7 +87,7 @@ def _short_stack(limit: int | None = _RECORDED_FRAMES) -> list[str]:
             ("/threading.py", "/lockwatch.py")
         )
     ]
-    return stack if limit is None else stack[-limit:]
+    return stack[-limit:]
 
 
 class InstrumentedLock:
@@ -175,19 +171,12 @@ class LockWatch:
         Dotted names of module-level callables to guard (patched while
         installed); each records a violation when invoked with any
         instrumented lock held.  Default: ``time.sleep``.
-    blocking_allow:
-        Substrings of a ``file:line in function`` frame; a blocking
-        call with any matching frame anywhere on its stack is exempt
-        (documented deliberate cases only).
     """
 
     def __init__(
-        self,
-        blocking_calls: Iterable[str] = ("time.sleep",),
-        blocking_allow: Iterable[str] = (),
+        self, blocking_calls: Iterable[str] = ("time.sleep",)
     ) -> None:
         self.blocking_calls = tuple(blocking_calls)
-        self.blocking_allow = tuple(blocking_allow)
         self._graph_lock = _REAL_LOCK()
         #: edge (held_site, acquired_site) -> stack recorded at first sight
         self.edges: dict[tuple[str, str], list[str]] = {}
@@ -275,19 +264,12 @@ class LockWatch:
         held = self._held()
         if not held:
             return
-        # the allowlist sees every frame (an exempt caller may sit any
-        # number of helpers above the call); the violation keeps the
-        # innermost few
-        stack = _short_stack(None)
-        for allowed in self.blocking_allow:
-            if any(allowed in frame for frame in stack):
-                return
         self.violations.append(
             {
                 "kind": "blocking-call-under-lock",
                 "call": name,
                 "held": sorted({lock.site for lock in held}),
-                "stack": stack[-_RECORDED_FRAMES:],
+                "stack": _short_stack(),
             }
         )
 

@@ -23,7 +23,7 @@ This package turns a source tree into registry records:
 ``pipeline``
     The background-job body: walk -> chunk -> summarize/embed ->
     ``RegistryService.register_pes_bulk`` in **bounded batches**, each
-    batch one write transaction, its dedup reads and its one
+    batch one write transaction, its one dedup read and its one
     ``executemany`` (its ``add_many`` after the commit), so the serving
     path waits for one batch at most and simply watches the corpus
     grow.  Progress streams

@@ -4,7 +4,7 @@ Runs as a background job (:mod:`repro.jobs`): the submitting request
 returns immediately and this module streams the repository into the
 registry in **bounded batches** through
 ``RegistryService.register_pes_bulk`` — each batch is one DAO write
-scope, one transaction from its dedup reads to its ``executemany``
+scope, one transaction from its one dedup read to its ``executemany``
 (its ``add_many`` follows the commit), so the search hot path waits for
 one batch at most and sees the corpus grow batch by batch.
 

@@ -324,9 +324,9 @@ def _unblob(raw: bytes | None) -> np.ndarray | None:
     return None if raw is None else decode_vector(raw)
 
 
-def _chunked(ids: Sequence[int]) -> Iterable[Sequence[int]]:
-    for start in range(0, len(ids), _IN_CHUNK):
-        yield ids[start : start + _IN_CHUNK]
+def _chunked(values: Sequence) -> Iterable[Sequence]:
+    for start in range(0, len(values), _IN_CHUNK):
+        yield values[start : start + _IN_CHUNK]
 
 
 #: how a record column is stored: ``(encode, decode)``, or ``_PLAIN``
@@ -1076,13 +1076,18 @@ class SqliteDAO:
         )
         return records[0] if records else None
 
-    def _find(self, store: _Storage, name: str) -> list:
-        return self._select(
-            store,
-            f"SELECT * FROM {store.table} WHERE {store.name} = ?"
-            f" ORDER BY {store.id}",
-            (name,),
-        )
+    def _find(self, store: _Storage, names: Sequence[str]) -> list:
+        """Every record bound to one of ``names``, by id within a name."""
+        distinct = list(dict.fromkeys(names))
+        records = []
+        for chunk in _chunked(distinct):
+            records += self._select(
+                store,
+                f"SELECT * FROM {store.table} WHERE {store.name}"
+                f" IN ({','.join('?' * len(chunk))}) ORDER BY {store.id}",
+                tuple(chunk),
+            )
+        return records
 
     def _all(self, store: _Storage) -> list:
         return self._select(
@@ -1240,7 +1245,10 @@ class SqliteDAO:
         return self._get_many(_PES, pe_ids)
 
     def find_pe_by_name(self, name: str) -> list[PERecord]:
-        return self._find(_PES, name)
+        return self._find(_PES, (name,))
+
+    def find_pes_by_names(self, names: Sequence[str]) -> list[PERecord]:
+        return self._find(_PES, names)
 
     def all_pes(self) -> list[PERecord]:
         return self._all(_PES)
@@ -1277,7 +1285,10 @@ class SqliteDAO:
         return self._get_many(_WORKFLOWS, workflow_ids)
 
     def find_workflow_by_entry_point(self, entry_point: str) -> list[WorkflowRecord]:
-        return self._find(_WORKFLOWS, entry_point)
+        return self._find(_WORKFLOWS, (entry_point,))
+
+    def find_workflows_by_entry_points(self, names: Sequence[str]) -> list[WorkflowRecord]:
+        return self._find(_WORKFLOWS, names)
 
     def all_workflows(self) -> list[WorkflowRecord]:
         return self._all(_WORKFLOWS)
@@ -1422,13 +1433,14 @@ class SqliteDAO:
         """The stored ``(fingerprint, status, body)`` for an idempotency
         key, or ``None``.
 
-        A row with a negative status reads as none.  Before a write and
-        its receipt shared one transaction, a v16 file's writers claimed
-        a key by committing a row of status -1 first and replaced it
-        with the outcome after the write; a row still holding it was
-        left by a process that died in between.  Its key is free: the
-        next write under it replaces the row (:meth:`save_write_receipt`)
-        inside that write's transaction.  No schema step clears them.
+        A row with a negative status reads as none: older checkouts
+        claimed a key by committing a row of status -1 before the write
+        and replaced it after, so one left over marks a process that
+        died in between, and the next write under its key replaces it
+        (:meth:`save_write_receipt`).  No schema step clears them.  An
+        older process still running holds live -1 claims too, which this
+        code would write beside: stop every process on a file before a
+        newer checkout opens it.
         """
         with self._lock:
             row = self._conn.execute(

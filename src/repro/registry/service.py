@@ -46,6 +46,7 @@ Record = PERecord | WorkflowRecord
 _DAO_METHODS = {
     PERecord: {
         "find": "find_pe_by_name",
+        "find_many": "find_pes_by_names",
         "insert": "insert_pe",
         "insert_many": "insert_pes",
         "update": "update_pe",
@@ -58,6 +59,7 @@ _DAO_METHODS = {
     },
     WorkflowRecord: {
         "find": "find_workflow_by_entry_point",
+        "find_many": "find_workflows_by_entry_points",
         "insert": "insert_workflow",
         "insert_many": "insert_workflows",
         "update": "update_workflow",
@@ -272,16 +274,13 @@ class RegistryService:
         return self._dao_method(record_type, "find")(name)
 
     def _dedup_hit(
-        self, user: UserRecord, record: Record, named=None
+        self, user: UserRecord, record: Record, named: list
     ) -> Record | None:
-        """The §3.1 dedup resolution, among ``named`` (read here when not
-        given): an identity match grants the caller ownership (and
-        indexes the record for them); ``None`` means the registration is
-        genuinely new."""
+        """The §3.1 dedup resolution among ``named``, the records bound
+        to ``record``'s name: an identity match grants the caller
+        ownership (and indexes the record for them); ``None`` means the
+        registration is genuinely new."""
         identity = record.identity_key()
-        if named is None:
-            name = getattr(record, RECORD_KINDS[type(record)].name_field)
-            named = self.named(type(record), name)
         for existing in named:
             if existing.identity_key() == identity:
                 granted = user.user_id not in existing.owners
@@ -303,6 +302,9 @@ class RegistryService:
         distinction.
         """
         with self.dao.write():
+            if named is None:
+                name = getattr(record, RECORD_KINDS[type(record)].name_field)
+                named = self.named(type(record), name)
             hit = self._dedup_hit(user, record, named)
             if hit is not None:
                 return hit, False
@@ -318,11 +320,20 @@ class RegistryService:
         insert (one mutation) and one index ``add_many`` per shard kind.
 
         Applies the same §3.1 dedup-by-identity rule as
-        :meth:`_register` — against the registry *and* within the batch
-        itself (two identical items resolve to one record).  Returns the
-        stored records in item order plus per-item ``created`` flags.
+        :meth:`_register` — against the registry, read with one
+        statement for the batch's names, *and* within the batch itself
+        (two identical items resolve to one record).  Returns the stored
+        records in item order plus per-item ``created`` flags.
         """
+        if not records:
+            return [], []
+        record_type = type(records[0])
+        name_field = RECORD_KINDS[record_type].name_field
         with self.dao.write():
+            names = [getattr(record, name_field) for record in records]
+            named: dict[str, list[Record]] = {name: [] for name in names}
+            for existing in self._dao_method(record_type, "find_many")(names):
+                named[getattr(existing, name_field)].append(existing)
             stored: list[Record] = []
             created: list[bool] = []
             fresh: list[Record] = []
@@ -339,7 +350,7 @@ class RegistryService:
                     stored.append(batch_hit)
                     created.append(False)
                     continue
-                hit = self._dedup_hit(user, record)
+                hit = self._dedup_hit(user, record, named[getattr(record, name_field)])
                 if hit is not None:
                     by_identity[identity] = hit
                     stored.append(hit)
@@ -351,8 +362,8 @@ class RegistryService:
                 stored.append(record)
                 created.append(True)
             if fresh:
-                self._dao_method(type(fresh[0]), "insert_many")(fresh)
-                for kind in RECORD_KINDS[type(fresh[0])].shards:
+                self._dao_method(record_type, "insert_many")(fresh)
+                for kind in RECORD_KINDS[record_type].shards:
                     spec = SHARD_KINDS[kind]
                     embedded = [
                         (getattr(r, spec.id_field), vec)

@@ -310,7 +310,8 @@ different request is a 409.  Only successful responses are recorded —
 errors stay retryable.  The receipt commits in the write's own
 transaction, which takes SQLite's write lock before it reads the
 receipt: of concurrent writers under one key, in any process on the
-file, exactly one writes and the others wait for its commit and replay.
+file (all of one version: ``SqliteDAO.get_write_receipt``), exactly
+one writes and the others wait for its commit and replay.
 
 *Conditional writes*: ``ifVersion`` pins the target record's
 ``revision`` (0 = create-only; every update bumps it, and deleting a

@@ -20,7 +20,7 @@ from repro.analysis.lockwatch import LockWatch, current_watch
 
 @pytest.fixture()
 def watch():
-    w = LockWatch(blocking_allow=())
+    w = LockWatch()
     w.install()
     try:
         yield w
@@ -148,54 +148,18 @@ class TestBlockingUnderLock:
         time.sleep(0)
         assert watch.violations == []
 
-    def test_allowlist_exempts_caller(self):
-        w = LockWatch(blocking_allow=("test_lockwatch.py",))
-        w.install()
-        try:
-            lock = threading.Lock()
-            with lock:
-                time.sleep(0)
-        finally:
-            w.uninstall()
-        assert w.violations == []
-
-    def test_allowlist_matches_a_frame_far_above_the_sleep(self):
-        # the allowlisted frame sits nine helper frames above the sleep
-        # — past the short stack a violation records
+    def test_a_deep_sleep_records_a_short_stack(self, watch):
         def descend(remaining):
             if remaining:
                 return descend(remaining - 1)
             time.sleep(0)
 
-        def allowlisted_caller():
-            with threading.Lock():
-                descend(9)
-
-        w = LockWatch(blocking_allow=(" in allowlisted_caller",))
-        w.install()
-        try:
-            allowlisted_caller()
-        finally:
-            w.uninstall()
-        assert w.violations == []
-
-    def test_deep_sleep_outside_the_allowlist_records_a_short_stack(self):
-        def descend(remaining):
-            if remaining:
-                return descend(remaining - 1)
-            time.sleep(0)
-
-        w = LockWatch(blocking_allow=(" in allowlisted_caller",))
-        w.install()
-        try:
-            with threading.Lock():
-                descend(20)
-        finally:
-            w.uninstall()
-        assert [v["kind"] for v in w.violations] == [
+        with threading.Lock():
+            descend(20)
+        assert [v["kind"] for v in watch.violations] == [
             "blocking-call-under-lock"
         ]
-        stack = w.violations[0]["stack"]
+        stack = watch.violations[0]["stack"]
         assert len(stack) == 8
         assert all(" in descend" in frame for frame in stack)
 

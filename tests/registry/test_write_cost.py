@@ -4,13 +4,15 @@ A WAL commit logs whole pages, so *bytes per write = pages touched per
 commit x bytes per page*.  Both factors are pinned here, over the real
 write surface (``LaminarServer.dispatch``) on a file database: every
 single-record ``PUT``/revise/``DELETE`` and a ``pes:bulk`` of 16 is
-**one** commit and logs at most a pinned number of frames.  The counts are exact for fixed inputs on one SQLite build;
-the bounds leave one frame of slack for another build's b-tree splits.
-So is every other registry write — a keyed ``PUT``, bulk and
-``DELETE`` (the receipt commits with the write), an upsert that
-replaces a name's record, the Table-3 add and remove, and an ingest
-batch whose items join existing records — each pinned at one commit
-and its exact frames, and a ``PUT`` reads its name once.
+**one** commit and logs at most a pinned number of frames.  The
+counts are exact for fixed inputs on one SQLite build; the bounds
+leave one frame of slack for another build's b-tree splits.  So is
+every other registry write — a keyed ``PUT``, bulk and ``DELETE`` (the
+receipt commits with the write), an upsert that replaces a name's
+record, the Table-3 add and remove, and an ingest batch whose items
+join existing records — each pinned at one commit and its exact
+frames; a ``PUT`` reads its name once, and a bulk or an ingest batch
+its names in one statement.
 
 New files get 1 KB pages; a file that already has pages keeps them
 (page size is fixed once a WAL file exists) and passes the same cases.
@@ -199,12 +201,9 @@ def test_a_put_writes_no_text_index_page(registry):
 
 
 #: WAL frames, per page size, of the writes
-#: :func:`test_every_write_is_one_commit` runs in turn.  Before a write and its receipt shared one transaction
-#: a keyed write was three commits (claim, mutation, receipt) and an
-#: upsert two (insert, then release the old record); the same sequence
-#: logged, on 1 KB and 4 KB pages: keyed PUT 8 and 6, keyed bulk of 16
-#: 16 and 8, keyed DELETE 6 and 6, upsert 8 and 11; the Table-3 add and
-#: remove were one commit then too
+#: :func:`test_every_write_is_one_commit` runs in turn, each one commit:
+#: a keyed write's receipt and an upsert's release of the old record
+#: ride in the write's transaction
 ONE_COMMIT_FRAMES = {
     1024: {"keyed-put": 7, "keyed-bulk": 14, "keyed-delete": 5,
            "upsert": 5, "add": 4, "remove": 4},
@@ -264,8 +263,8 @@ def test_every_write_is_one_commit(registry):
     assert (status, committed, frames) == (201, 0, 0)
 
 
-#: WAL frames of that batch, per page size; it was five commits and 16
-#: frames on either, one per grant and one for the insert
+#: WAL frames of that batch, per page size: its four grants and its
+#: insert in one commit
 INGEST_BATCH_FRAMES = {1024: 5, 4096: 4}
 
 
@@ -284,16 +283,22 @@ def test_an_ingest_batch_is_one_commit(registry):
     )
     assert created == [False] * 4 + [True] * 4
     assert commits(statements) == 1
+    assert name_reads(statements) == 1, statements
     assert frames == INGEST_BATCH_FRAMES[page_size]
     assert dao.pe_ids_owned_by(user.user_id) == [r.pe_id for r in stored]
 
 
 #: the top-level statements of a new PE's ``PUT`` and of its revise: the
-#: user, ``BEGIN IMMEDIATE``, one read of the name, then the write and
-#: the mutation counter the reply carries, and the ``COMMIT``.  The new
-#: PE's read the name twice before (14 statements): once for the
-#: caller's binding, once for the §3.1 dedup
+#: user, ``BEGIN IMMEDIATE``, one read of the name (the caller's
+#: binding and the §3.1 dedup candidates both), then the write and the
+#: mutation counter the reply carries, and the ``COMMIT``
 PUT_STATEMENTS = {"put": 13, "revise": 13}
+
+
+def name_reads(statements):
+    return sum(
+        sql.startswith("SELECT * FROM pes WHERE pe_name") for sql in statements
+    )
 
 
 def test_a_put_reads_its_name_once(registry):
@@ -305,9 +310,26 @@ def test_a_put_reads_its_name_once(registry):
         assert response.status == (201 if name == "put" else 200)
         top = [sql for sql in statements if not sql.startswith("--")]
         assert len(top) == PUT_STATEMENTS[name], (name, top)
-        assert sum(
-            sql.startswith("SELECT * FROM pes WHERE pe_name") for sql in top
-        ) == 1, top
+        assert name_reads(top) == 1, top
+
+
+def test_a_bulk_reads_its_names_once(registry):
+    """The §3.1 dedup candidates of every item of a bulk, two of which
+    join records already there, come from one statement."""
+    send, dao, path, _page_size = registry
+    items = [
+        {"peName": f"seed{i}", "peCode": f"def seed{i}(x):\n    return x + 1\n"}
+        for i in range(2)
+    ] + [{"peName": f"bulk{i}", "peCode": f"def bulk{i}(): pass"}
+         for i in range(14)]
+    response, statements, _frames = traced(dao, path, lambda: send(
+        "POST", "/v1/registry/u/pes:bulk", {"items": items}
+    ))
+    assert response.status == 201
+    assert [item["created"] for item in response.body["items"]] == (
+        [False] * 2 + [True] * 14
+    )
+    assert name_reads(statements) == 1, statements
 
 
 #: every b-tree a PUT or a bulk of new PEs may log a page of (page 1,
