@@ -37,10 +37,8 @@ RPR002  No ``await``/blocking call while a ``with <lock>:`` block is
         (batcher PR 3, write core PR 5); a sleep inside
         one convoys every contender.  Runtime complement: lockwatch.
 RPR003  Every DAO method whose SQL writes the ``pes``/``workflows``
-        tables bumps the registry mutation counter *and* calls
-        ``_stamp_shards``, which stamps the shards it changed in the
-        mutation's transaction: an unbumped or unstamped write leaves
-        the registry's and the shard's version behind the rows.
+        tables bumps the registry mutation counter: an unbumped write
+        leaves the registry's version behind the rows.
 RPR005  No ``time.time()``/``random``/``uuid``/set-iteration in the
         bitwise-determinism surface (``repro/search/{index,fusion,
         serving}.py``) — batched == single-shot == brute-force is a

@@ -1,20 +1,15 @@
-"""RPR003 — every DAO write to pes/workflows bumps the mutation counter
-and stamps the shards it changed.
+"""RPR003 — every DAO write to pes/workflows bumps the mutation counter.
 
 Invariant (``repro/registry/dao.py``): the registry mutation counter
 versions the whole registry (a write reply's ``registryVersion``, a
-bulk write's ``ifVersion``), and each mutation stamps exactly the
-``(user, kind)`` shards it changed with the bumped counter
-(``_stamp_shards``, in the mutation's transaction), so a shard's stamp
-says when its membership or vectors last moved.  An unbumped or
-unstamped write leaves a reader of either version behind the rows.
+bulk write's ``ifVersion``), so an unbumped write leaves a reader of it
+behind the rows.
 
 Where the counter lives: since schema v13 it is a row of
-``shard_stamps`` itself, ``(0, 'mutations')`` — user 0 is no user, its
-rows are the registry-wide counters, the record tables' id high-water
-marks beside it — so one page holds it and the stamps a write moves.
-Its writers are helpers too (``_bump_mutation``, ``_issue_ids``), not
-the mutating method.
+``shard_stamps``, ``(0, 'mutations')`` — user 0 is no user, its rows
+are the registry-wide counters, the record tables' id high-water marks
+beside it.  Its writers are helpers (``_bump_mutation``,
+``_issue_ids``), not the mutating method.
 
 Detection: a method "writes" when it executes SQL matching
 ``INSERT INTO/UPDATE/DELETE FROM pes|workflows`` — string literals and
@@ -22,13 +17,12 @@ f-strings, where a storage row's record-table placeholder
 (``{store.table}``) counts as a record table and its owner table and
 memory text tables (``{store.owners}``, ``{store.docs}``,
 ``{store.fts}``) do not, so the SQL must sit inline at the ``execute``
-call.  Such a method must contain both a ``_bump_mutation()`` call and
-a ``_stamp_shards(...)`` call.
+call.  Such a method must contain a ``_bump_mutation()`` call.
 
 Hooks: a method a storage row names in a hook slot (``link=``,
 ``relink=``, ``unlink=``, a string) runs inside the write that calls it,
-so its own record writes need no bump or stamp; instead a method that
-runs hooks (``_hook(...)``) or calls one by name counts as writing.
+so its own record writes need no bump; instead a method that runs hooks
+(``_hook(...)``) or calls one by name counts as writing.
 """
 
 from __future__ import annotations
@@ -50,7 +44,6 @@ _SQL_WRITE = re.compile(
     r"(pes\b|workflows\b|\{[^{}]*\.table\})"
 )
 
-_STAMP_HELPER = "_stamp_shards"
 _HOOK_RUNNER = "_hook"
 _HOOK_SLOTS = frozenset({"link", "relink", "unlink"})
 
@@ -112,12 +105,9 @@ def _calls(fn: ast.FunctionDef, method: str) -> bool:
 
 
 @register_rule
-class DaoStampRule(Rule):
+class DaoCounterRule(Rule):
     name = "RPR003"
-    summary = (
-        "DAO methods writing pes/workflows must bump the mutation"
-        " counter and stamp the changed shards (_stamp_shards)"
-    )
+    summary = "DAO methods writing pes/workflows must bump the mutation counter"
 
     def applies_to(self, module: LintModule) -> bool:
         return module.posix.endswith("repro/registry/dao.py")
@@ -137,20 +127,11 @@ class DaoStampRule(Rule):
                     _calls(fn, name) for name in {_HOOK_RUNNER, *hooks}
                 ):
                     tables.add("its hooks' tables")
-                if not tables:
-                    continue
-                wrote = "/".join(sorted(tables))
-                if not hook and not _calls(fn, "_bump_mutation"):
+                if tables and not hook and not _calls(fn, "_bump_mutation"):
                     yield self.finding(
                         module,
                         fn,
-                        f"{cls.name}.{fn.name} writes {wrote} without"
-                        " bumping the registry mutation counter",
-                    )
-                if not hook and not _calls(fn, _STAMP_HELPER):
-                    yield self.finding(
-                        module,
-                        fn,
-                        f"{cls.name}.{fn.name} writes {wrote} without"
-                        f" stamping the changed shards ({_STAMP_HELPER})",
+                        f"{cls.name}.{fn.name} writes"
+                        f" {'/'.join(sorted(tables))} without bumping the"
+                        " registry mutation counter",
                     )

@@ -272,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--shards", action="store_true",
         help="also build the vector index from the record rows, like "
-        "server startup, and report each shard's occupancy and stamp (the "
-        "mutation counter of the last write that changed it); writes "
-        "nothing",
+        "server startup, and report each shard's occupancy; writes nothing",
     )
 
     lint = sub.add_parser(
@@ -864,7 +862,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     unblobbing, no model or server construction — so the default mode
     stays cheap even against a huge registry.  ``--shards`` additionally
     builds the vector index the way server startup does — one scan of
-    each user's record rows — and reports per-shard occupancy and stamp.
+    each user's record rows — and reports per-shard occupancy.
     """
     from repro.registry.dao import SqliteDAO
 
@@ -890,10 +888,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
         service = RegistryService(dao, VectorIndex())
         shards = service.index.stats()
-        stamps = {
-            f"{user_id}/{kind}": stamp
-            for (user_id, kind), stamp in dao.shard_stamps().items()
-        }
         print(
             f"index: {len(shards)} shard(s)  "
             f"(mutation counter {dao.mutation_counter()})"
@@ -901,8 +895,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for key, info in sorted(shards.items()):
             print(
                 f"  {key:<20} {info['live']:>6} live rows  "
-                f"(capacity {info['capacity']}, d={info['dim']})  "
-                f"stamp {stamps.get(key, '-')}"
+                f"(capacity {info['capacity']}, d={info['dim']})"
             )
     return 0
 

@@ -44,7 +44,7 @@ from repro.ingest.chunker import (
     chunk_python,
     chunk_text,
 )
-from repro.ingest.pipeline import DEFAULT_BATCH_SIZE, IngestSpec, run_ingest
+from repro.ingest.pipeline import run_ingest
 from repro.ingest.walker import (
     DEFAULT_MAX_FILE_BYTES,
     extract_archive,
@@ -53,10 +53,8 @@ from repro.ingest.walker import (
 
 __all__ = [
     "Chunk",
-    "DEFAULT_BATCH_SIZE",
     "DEFAULT_MAX_CHUNK_LINES",
     "DEFAULT_MAX_FILE_BYTES",
-    "IngestSpec",
     "chunk_file",
     "chunk_python",
     "chunk_text",

@@ -66,44 +66,29 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.ingest.chunker import DEFAULT_MAX_CHUNK_LINES, Chunk, chunk_file
-from repro.ingest.walker import (
-    DEFAULT_MAX_FILE_BYTES,
-    extract_archive,
-    iter_repo_files,
-)
+from repro.ingest.chunker import Chunk, chunk_file
+from repro.ingest.walker import extract_archive, iter_repo_files
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.jobs.manager import JobContext
     from repro.server.app import LaminarServer
 
-#: default chunks per bulk-registration batch — small enough that a
-#: batch's write scope lasts milliseconds, large enough to amortize the
-#: per-batch executemany/add_many costs
-DEFAULT_BATCH_SIZE = 64
-
-
-@dataclass(frozen=True)
-class IngestSpec:
-    """A validated ingest request (the ``schema.INGEST`` table)."""
-
-    path: str | None = None
-    archive: bytes | None = None
-    batch_size: int = DEFAULT_BATCH_SIZE
-    max_file_bytes: int = DEFAULT_MAX_FILE_BYTES
-    max_chunk_lines: int = DEFAULT_MAX_CHUNK_LINES
-
-
 def run_ingest(
     app: "LaminarServer",
     user_name: str,
-    spec: IngestSpec,
+    spec: dict[str, Any],
     ctx: "JobContext",
 ) -> dict[str, Any]:
     """The job body: ingest one repository for ``user_name``.
+
+    ``spec`` is the checked ingest request, as ``schema.parse`` returns
+    it from the ``schema.INGEST`` table (``path`` or ``archive``,
+    ``batch_size``, ``max_file_bytes``, ``max_chunk_lines``, the
+    defaults filled in).  ``batch_size`` chunks go to each bulk
+    registration: small enough that a batch's write scope lasts
+    milliseconds, large enough to amortize its ``executemany``.
 
     The user is re-resolved here (not at submit time) — the job may
     start after an account mutation, and a failure surfaces as the
@@ -112,21 +97,21 @@ def run_ingest(
     user = app.registry.get_user(user_name)
     scratch: str | None = None
     try:
-        if spec.archive is not None:
+        if spec["archive"] is not None:
             scratch = tempfile.mkdtemp(prefix="repro-ingest-")
-            extract_archive(spec.archive, scratch)
+            extract_archive(spec["archive"], scratch)
             root = scratch
         else:
-            root = spec.path or "."
+            root = spec["path"] or "."
         inserted = deduped = 0
         batch: list[Chunk] = []
         for relative, text in iter_repo_files(
-            root, max_file_bytes=spec.max_file_bytes
+            root, max_file_bytes=spec["max_file_bytes"]
         ):
             ctx.checkpoint()
             ctx.advance("filesDiscovered")
             chunks = None if text is None else chunk_file(
-                relative, text, max_chunk_lines=spec.max_chunk_lines
+                relative, text, max_chunk_lines=spec["max_chunk_lines"]
             )
             if chunks is None:
                 ctx.advance("filesSkipped")
@@ -134,7 +119,7 @@ def run_ingest(
             for chunk in chunks:
                 ctx.advance("chunksDiscovered")
                 batch.append(chunk)
-                if len(batch) >= spec.batch_size:
+                if len(batch) >= spec["batch_size"]:
                     new, old = _flush(app, user, batch, ctx)
                     inserted += new
                     deduped += old

@@ -32,16 +32,19 @@ corpus:
   ``all_pes()`` in Python.
 * ``pe_ids_owned_by(user_id)`` / ``workflow_ids_owned_by(user_id)`` —
   id-only projections that never materialize rows or unblob embedding
-  BLOBs; the search serving path uses them for shard-membership checks
-  (``RegistryService.owned_ids``).
+  BLOBs, for the v1 listings' cursor pages
+  (``RegistryService.owned_ids``).  No search reads them: the vector
+  index checks its freshness with ``data_version``
+  (``RegistryService.on_current_shard``).
 * ``get_pes(ids)`` / ``get_workflows(ids)`` — id-batched fetch in
   request order, used by ``RegistryService.resolve`` to hydrate exactly
   the top-k search winners.
 * ``insert_pes`` / ``insert_workflows`` — bulk load (one
   ``executemany`` batch per table).
 
-Each service read takes the record class; the search path enters two of
-them by per-kind name (``owned_{kind}_ids``, ``resolve_{kind}s``).
+Each service read takes the record class; the v1 listings enter two of
+them by per-kind name (``owned_{kind}_ids``, ``resolve_{kind}s``), the
+search path the second.
 """
 
 from repro.registry.entities import PERecord, UserRecord, WorkflowRecord

@@ -19,8 +19,8 @@ however, own the *access paths* that make ownership filtering cheap:
 * ``pes_owned_by`` / ``workflows_owned_by`` — owner-scoped listings
   whose cost is O(user's records), not O(total registry);
 * ``pe_ids_owned_by`` / ``workflow_ids_owned_by`` — id-only projections
-  that never materialize rows or unblob embeddings, used by the search
-  serving path for shard-membership checks;
+  that never materialize rows or unblob embeddings, for listings only
+  (v1 cursor pages, ``repro stats``): no search reads them;
 * ``get_pes`` / ``get_workflows`` — id-batched fetch for top-k result
   hydration;
 * ``insert_pes`` / ``insert_workflows`` — batched bulk load.
@@ -68,7 +68,7 @@ import threading
 from contextlib import contextmanager
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -103,56 +103,19 @@ _NAME_SUBSTRING_BONUS = 2.0
 
 def _embed_bytes(vec) -> bytes | None:
     """Canonical float32 bytes of an embedding (``None`` stays None) —
-    the byte-change test that decides whether a mutation stamps a
-    shard."""
+    the byte-change test that decides whether a revise touches a
+    shard of the live index."""
     if vec is None:
         return None
     return np.asarray(vec, dtype=np.float32).tobytes()
 
 
-#: the shards one mutation changes: ``{(user_id, kind)}``
-_Changes = set[tuple[int, str]]
-
-
-def _shard_changes(
-    record_type: type,
-    old_owners: set[int],
-    old: Mapping[str, bytes | None],
-    new: PERecord | WorkflowRecord | None,
-) -> _Changes:
-    """The shards one record write changes: ``{(user_id, kind)}``.
-
-    ``old`` maps the record's shard kinds to the committed row's vector
-    bytes (:meth:`SqliteDAO._old_vectors`; empty for an insert) and
-    ``new`` is the record as written (``None`` for a delete).  A shard
-    changes when its owner gains or loses the record (membership) or
-    when the vector bytes themselves change (then every owner's shard
-    changes).  Pure metadata updates — description text, imports,
-    workflow pe_ids — stamp nothing.
-    """
-    new_owners = set() if new is None else set(new.owners)
-    changes: _Changes = set()
-    for kind in RECORD_KINDS[record_type].shards:
-        old_b = old.get(kind)
-        new_b = None if new is None else _embed_bytes(
-            getattr(new, SHARD_KINDS[kind].vector_field)
-        )
-        if old_b != new_b:
-            users = old_owners | new_owners
-        elif new_b is not None:
-            users = old_owners ^ new_owners
-        else:
-            continue
-        changes.update((user_id, kind) for user_id in users)
-    return changes
-
-
 #: the registry-wide counters are rows of ``shard_stamps`` under this
 #: user id, which no user has (user ids start at 1): the mutation
 #: counter under :data:`_MUTATIONS`, and under each record table's name
-#: the highest id it has issued.  Every write rewrites the counter and
-#: the stamps of the shards it changed, so keeping them in one b-tree
-#: keeps them on one page
+#: the highest id it has issued.  Every record write rewrites the
+#: counter.  The table's other rows are per-shard stamps an older
+#: checkout wrote; nothing reads or writes them now
 _REGISTRY_USER = 0
 _MUTATIONS = "mutations"
 
@@ -227,10 +190,9 @@ CREATE TABLE write_receipts (
     created_at REAL NOT NULL DEFAULT 0,
     PRIMARY KEY (user_id, idem_key)
 ) WITHOUT ROWID;
--- per-shard stamps: the mutation counter at which each (user, kind)
--- shard's membership or vectors last changed, rewritten inside the
--- mutation that changed it.  The rows of user 0 are the registry-wide
--- counters (_REGISTRY_USER), not shards
+-- the registry-wide counters, as rows of user 0 (_REGISTRY_USER).  A
+-- file an older checkout wrote also holds per-(user, kind) stamps,
+-- which nothing reads
 CREATE TABLE shard_stamps (
     user_id INTEGER NOT NULL,
     kind TEXT NOT NULL,
@@ -390,12 +352,11 @@ class _Storage:
         # one mark for the id and each column
         self.marks = ", ".join("?" * (1 + len(self.columns)))
         # the committed row as a mutation reads it: what decides
-        # whether the name, the text or the links are rewritten, then
-        # the owners and vectors that decide which shards it stamps
+        # whether the name, the text, the links or the owner rows are
+        # rewritten
         kept = {self.name, *self.sources, self.links}
         self.old_columns = ", ".join(
-            [c for c in self.column_names if c in kept]
-            + ["owners", *kind.vector_fields]
+            [c for c in self.column_names if c in kept] + ["owners"]
         )
         # a row's values in the record's field order, so a record is
         # built positionally: every field of a record is a column
@@ -592,7 +553,7 @@ class SqliteDAO:
             f"BEGIN;{script}PRAGMA user_version = {_SCHEMA_VERSION};"
         )
         try:
-            return self._conn.execute("PRAGMA main.data_version").fetchone()[0]
+            return self.data_version()
         finally:
             self._conn.execute("COMMIT")
 
@@ -619,8 +580,7 @@ class SqliteDAO:
             ).fetchall())
             for store in _STORAGE.values()
         ]
-        version = self._conn.execute("PRAGMA main.data_version").fetchone()[0]
-        return version, rows
+        return self.data_version(), rows
 
     @staticmethod
     def _derived_documents(
@@ -656,7 +616,7 @@ class SqliteDAO:
         version it records, never ahead of or behind it.
         """
         self._conn.execute("BEGIN")
-        current = self._conn.execute("PRAGMA main.data_version").fetchone()[0]
+        current = self.data_version()
         if current == self._text_version:
             return
         if (current, self._text_writes) != (version, writes):
@@ -718,14 +678,11 @@ class SqliteDAO:
         scope rolls back."""
         self._after_commit.append(action)
 
-    def _bump_mutation(self) -> int:
-        """Advance the registry mutation counter (inside the caller's
-        transaction) and return the bumped value — the stamp the
-        caller's :meth:`_stamp_shards` marks changed shards with.  The
-        counter is the ``shard_stamps`` row ``(0, 'mutations')``
-        (:data:`_REGISTRY_USER`), beside the stamps the same commit
-        rewrites."""
-        return self._advance(_MUTATIONS, 1)
+    def _bump_mutation(self) -> None:
+        """Advance the registry mutation counter, inside the caller's
+        transaction.  The counter is the ``shard_stamps`` row ``(0,
+        'mutations')`` (:data:`_REGISTRY_USER`)."""
+        self._advance(_MUTATIONS, 1)
 
     def _issue_ids(self, table: str, count: int) -> int:
         """The first of ``count`` new ids of record table ``table``,
@@ -747,26 +704,15 @@ class SqliteDAO:
             ).fetchall()[0][0]
         )
 
-    def _stamp_shards(self, changes: _Changes, counter: int) -> None:
-        """Stamp the shards a mutation changed with its bumped counter,
-        inside the caller's transaction — the rule of
-        :meth:`shard_stamps`."""
-        self._conn.executemany(
-            "INSERT OR REPLACE INTO shard_stamps"
-            " (user_id, kind, mutation_counter) VALUES (?, ?, ?)",
-            [(user_id, kind, counter) for user_id, kind in sorted(changes)],
-        )
-
     def append_index_delta(self, *_args) -> None:
         """No-op: schema v16 keeps no index journal.  Kept only because
         the e2e tracer names it; ROADMAP items 0a/17 delete it."""
 
     def _old_state(self, store: _Storage, record_id: int) -> sqlite3.Row:
         """The committed row of a record, as far as a mutation needs it
-        (:attr:`_Storage.old_columns`): to decide which shards it stamps
-        (owners, vectors) and which derived rows an update can leave
-        alone (name, text, links).  ``NotFoundError`` when there is
-        none."""
+        (:attr:`_Storage.old_columns`): which owner rows it moves and
+        which derived rows an update can leave alone (name, text,
+        links).  ``NotFoundError`` when there is none."""
         row = self._conn.execute(
             f"SELECT {store.old_columns} FROM {store.table}"
             f" WHERE {store.id}=?",
@@ -783,19 +729,6 @@ class SqliteDAO:
     @staticmethod
     def _old_owners(row: sqlite3.Row) -> set[int]:
         return {int(uid) for uid in json.loads(row["owners"])}
-
-    @staticmethod
-    def _old_vectors(
-        row: sqlite3.Row, record_type: type
-    ) -> dict[str, bytes | None]:
-        """Each shard kind of ``record_type`` -> the canonical dense
-        bytes (:func:`_embed_bytes`) of the committed row's vector, not
-        its stored encoding: a legacy dense row and its sparse
-        re-encoding are the same vector."""
-        return {
-            kind: _embed_bytes(_unblob(row[SHARD_KINDS[kind].vector_field]))
-            for kind in RECORD_KINDS[record_type].shards
-        }
 
     # -- join-table sync ---------------------------------------------------
     def _sync_owners(
@@ -950,14 +883,11 @@ class SqliteDAO:
         params = [store.params(r) for r in records]
         texts = [store.documents(r) for r in records]
         with self.write():
-            counter = self._bump_mutation()
+            self._bump_mutation()
             first = self._issue_ids(store.table, len(records))
-            changes: _Changes = set()
             for record_id, record in enumerate(records, start=first):
                 setattr(record, store.id, record_id)
                 record.revision = 1
-                changes |= _shard_changes(store.record_type, set(), {}, record)
-            self._stamp_shards(changes, counter)
             self._conn.executemany(
                 f"INSERT INTO {store.table} ({store.id}, {store.column_list},"
                 f" revision) VALUES ({store.marks}, 1)",
@@ -992,7 +922,7 @@ class SqliteDAO:
             # read first: a missing record raises before anything is
             # written, so a scope that goes on writes nothing of it
             old = self._old_state(store, record_id)
-            counter = self._bump_mutation()
+            self._bump_mutation()
             renamed = old[store.name] != getattr(record, store.name)
             written = [
                 (column, value)
@@ -1010,15 +940,9 @@ class SqliteDAO:
                 ),
             )
             record.revision += 1
-            old_owners = self._old_owners(old)
-            self._stamp_shards(
-                _shard_changes(
-                    store.record_type, old_owners,
-                    self._old_vectors(old, store.record_type), record,
-                ),
-                counter,
+            self._sync_owners(
+                store, record_id, self._old_owners(old), record.owners
             )
-            self._sync_owners(store, record_id, old_owners, record.owners)
             self._hook(store.relink, record, old)
             if any(old[f] != getattr(record, f) for f in store.sources):
                 self._unindex_text(store, record_id)
@@ -1027,19 +951,11 @@ class SqliteDAO:
     def _delete(self, store: _Storage, record_id: int) -> None:
         with self.write():
             old = self._old_state(store, record_id)
-            counter = self._bump_mutation()
-            old_owners = self._old_owners(old)
-            self._stamp_shards(
-                _shard_changes(
-                    store.record_type, old_owners,
-                    self._old_vectors(old, store.record_type), None,
-                ),
-                counter,
-            )
+            self._bump_mutation()
             self._conn.execute(
                 f"DELETE FROM {store.table} WHERE {store.id}=?", (record_id,)
             )
-            self._sync_owners(store, record_id, old_owners, ())
+            self._sync_owners(store, record_id, self._old_owners(old), ())
             self._hook(store.unlink, record_id)
             self._unindex_text(store, record_id)
 
@@ -1304,7 +1220,7 @@ class SqliteDAO:
     ) -> list[tuple[int, float]]:
         return self._text_topk(_WORKFLOWS, user_id, query, k)
 
-    # -- shard stamps and the vector scan ---------------------------------
+    # -- the counter, the file's version and the vector scan -------------
     def mutation_counter(self) -> int:
         """Monotonic counter bumped inside every PE/workflow write
         transaction (the ``registryVersion`` a write reply carries)."""
@@ -1316,28 +1232,13 @@ class SqliteDAO:
             ).fetchone()
         return 0 if row is None else int(row["mutation_counter"])
 
-    def shard_stamps(self) -> dict[tuple[int, str], int]:
-        """Per-``(user_id, kind)`` shard versions.
-
-        Every registry mutation stamps the shards whose *content* it
-        changed (an owner gained or lost the record, or its embedding
-        bytes changed) with the bumped mutation counter, in the
-        mutation's own transaction; a shard no write has changed has no
-        stamp.  The rows of user 0 are the registry-wide counters
-        (:data:`_REGISTRY_USER`), not shards, and are left out.
-        """
+    def data_version(self) -> int:
+        """The file's ``PRAGMA data_version``: it moves when, and only
+        when, another connection commits, so an in-memory copy of the
+        rows read at one value is current while the value holds and this
+        connection's own writes reach it.  One statement."""
         with self._lock:
-            rows = self._conn.execute(
-                "SELECT user_id, kind, mutation_counter FROM shard_stamps"
-                " WHERE user_id != ?",
-                (_REGISTRY_USER,),
-            ).fetchall()
-        return {
-            (int(row["user_id"]), str(row["kind"])): int(
-                row["mutation_counter"]
-            )
-            for row in rows
-        }
+            return self._conn.execute("PRAGMA main.data_version").fetchone()[0]
 
     def upsert_index_shards(self, *_args) -> None:
         """No-op: schema v16 keeps no base slab.  Kept only because the

@@ -100,17 +100,11 @@ class RegistryService:
     # Search-index maintenance
     # ------------------------------------------------------------------
     def attach_index(self, index: "VectorIndex") -> None:
-        """Adopt ``index`` and fill it from the record rows.
-
-        The store is the only truth about which records a shard holds:
-        every ``(user, kind)`` shard is one ordered scan of the user's
-        owner rows joined to the record rows and one batch decode per
-        (user, record table)
-        (:meth:`~repro.registry.dao.SqliteDAO.owned_vectors`), no record
-        is hydrated, and nothing is written.  Every user's scans run
-        inside one :meth:`~repro.registry.dao.SqliteDAO.read_snapshot`,
-        so what loads is the registry as of one commit even while
-        another process writes.
+        """Adopt ``index`` and fill every user's shards from the record
+        rows (:meth:`_fill`), every user inside one
+        :meth:`~repro.registry.dao.SqliteDAO.read_snapshot`, so what
+        loads is the registry as of one commit even while another
+        process writes.
 
         No membership is persisted beside the rows (schema v16 dropped
         the base slabs and the journal that restated it), so a write
@@ -124,16 +118,52 @@ class RegistryService:
         """
         self.index = index
         with self.dao.read_snapshot():
-            shards = {
-                (user.user_id, kind): shard
-                for user in self.dao.all_users()
-                for kind, shard in self.dao.owned_vectors(
-                    user.user_id, SHARD_KINDS
-                ).items()
-            }
-        for (user_id, kind), (ids, matrix) in shards.items():
-            if ids.shape[0]:
-                index.add_many(user_id, kind, ids, matrix)
+            self._fill(SHARD_KINDS, [u.user_id for u in self.dao.all_users()])
+
+    def _fill(self, kinds, user_ids: list[int]) -> bool:
+        """Install the ``kinds`` shards of ``user_ids`` from the record
+        rows into the live index, inside the caller's
+        :meth:`~repro.registry.dao.SqliteDAO.read_snapshot`, and return
+        whether another connection had committed since the index was
+        last filled (then every other resident shard is dropped).
+
+        Each shard is one ordered scan of the user's owner rows joined
+        to the record rows and one batch decode per (user, record
+        table) (:meth:`~repro.registry.dao.SqliteDAO.owned_vectors`); no
+        record is hydrated and nothing is written.  The snapshot holds
+        the DAO lock, which every write's index changes run under
+        (:meth:`~repro.registry.dao.SqliteDAO.after_commit`), so no write
+        of this process lands between the read and the install.
+        """
+        shards = {
+            (user_id, kind): shard
+            for user_id in user_ids
+            for kind, shard in self.dao.owned_vectors(user_id, kinds).items()
+        }
+        return self.index.fill(self.dao.data_version(), shards)
+
+    def on_current_shard(self, user_id: int, kind: str, rank):
+        """``(rank(), refilled)``: ``rank`` run on ``user_id``'s ``kind``
+        shard of the live index as the store stands now.
+
+        The index is current while the file's ``data_version`` — which
+        only another connection's commit moves; this process's writes
+        reach the index themselves — is the one it was filled at.  Then
+        ``rank`` runs as it is, unless the shard is not resident
+        (``rank`` answers ``None``).  Otherwise the shard is filled from
+        the record rows first (:meth:`_fill`) and ``rank`` runs inside
+        the same snapshot, under the DAO lock, where no fill can drop
+        it; ``refilled`` says another connection had committed.  The
+        text index keeps the same rule
+        (:meth:`~repro.registry.dao.SqliteDAO.text_topk_pes`).
+        """
+        if self.dao.data_version() == self.index.version:
+            ranked = rank()
+            if ranked is not None:
+                return ranked, False
+        with self.dao.read_snapshot():
+            refilled = self._fill((kind,), [user_id])
+            return rank(), refilled
 
     def persist_shards(self) -> bool:
         """No-op: the record rows are the index's only persistence.
@@ -155,7 +185,8 @@ class RegistryService:
 
     def _index(self, user_id: int, record: Record) -> None:
         """Put a record into ``user_id``'s shards of the live index, one
-        per shard kind it carries a vector of, once the write commits."""
+        per shard kind it carries a vector of, once the write commits
+        (a shard that is not resident is left to its next fill)."""
         for kind in RECORD_KINDS[type(record)].shards:
             spec = SHARD_KINDS[kind]
             vector = getattr(record, spec.vector_field)
@@ -185,7 +216,14 @@ class RegistryService:
                 raise DuplicateError(
                     f"user {name!r} already exists", params={"user": name}
                 )
-            return self.dao.insert_user(name, hash_password(password))
+            user = self.dao.insert_user(name, hash_password(password))
+            if self.index is not None:
+                # a new user's shards are complete as empty ones
+                self._on_commit(
+                    "fill", self.index.version,
+                    {(user.user_id, kind): ((), ()) for kind in SHARD_KINDS},
+                )
+            return user
 
     def authenticate(self, name: str, password: str) -> UserRecord:
         user = self.dao.get_user_by_name(name)
@@ -411,9 +449,8 @@ class RegistryService:
         must change the code payload (which forks via upsert).
 
         Only kinds whose embedding *bytes* actually changed touch the
-        index (matching the DAO's stamping rule); an embedding revised
-        away entirely also drops the stale row from every owner's live
-        shard.
+        index; an embedding revised away entirely also drops the stale
+        row from every owner's live shard.
         """
         record_kind = RECORD_KINDS[type(record)]
         changed: dict[str, np.ndarray | None] = {}
@@ -453,9 +490,9 @@ class RegistryService:
 
     # ------------------------------------------------------------------
     # Record reads: one body per operation, keyed by record class and
-    # reading what differs by kind from RECORD_KINDS.  The search
-    # serving path looks its two entries up by kind
-    # (``owned_{kind}_ids``, ``resolve_{kind}s``).
+    # reading what differs by kind from RECORD_KINDS.  The v1 listings
+    # look two entries up by kind (``owned_{kind}_ids``,
+    # ``resolve_{kind}s``), the search serving path the second.
     # ------------------------------------------------------------------
     def get_by_id(
         self, user: UserRecord, record_type: type, record_id: int

@@ -30,13 +30,15 @@ Quick tour::
     )
 
     index = VectorIndex()
+    index.fill(version, {(user_id, KIND_DESC): (ids, vectors)})  # the rows
     index.add(user_id, KIND_DESC, pe.pe_id, pe.desc_embedding)   # at register
     index.remove(user_id, KIND_DESC, pe.pe_id)                    # at remove
 
     searcher = SemanticSearcher(model)
     ranked = SearchBatcher().submit(          # [(record, score), ...]
         index=index, user=user_id, kind=KIND_DESC, k=10,
-        owned_ids=lambda: owned_pe_ids, resolve=lambda ids: get_pes(ids),
+        current=lambda rank: (rank(), False),  # the service refills here
+        resolve=lambda ids: get_pes(ids),
         embed_many=searcher.embed_queries, embed_key=query, embed_text=query,
     )
     hits = [SemanticHit.of(record, score) for record, score in ranked]
@@ -55,9 +57,8 @@ Key properties:
 * **Exact** — the indexed path and the brute-force :func:`exact_scan`
   return identical ids and scores, including stable ascending-id
   tie-breaking for equal similarities
-  (``tests/search/test_index_parity.py`` asserts this; the batcher
-  falls back to :func:`exact_scan` when the owned set does not match
-  the shard).  Live rows stay contiguous in id order precisely so
+  (``tests/search/test_index_parity.py`` asserts this).  Live rows
+  stay contiguous in id order precisely so
   the BLAS scoring call is bitwise identical to the brute-force matrix
   rebuild over the same id-ordered records.
 * **Thread-safe** — one reentrant lock per index; searches never observe
@@ -67,8 +68,9 @@ Key properties:
 
 The index is maintained automatically by
 :class:`~repro.registry.service.RegistryService` (every PE/workflow
-add/remove updates the owner's shards; a restart fills them from the
-record rows, see *Cold start* below) and served by
+add/remove updates the owner's resident shards; a restart, and a search
+after another connection's commit, fill them from the record rows, see
+*Cold start and freshness* below) and served by
 the HTTP layer's ``/registry/{user}/search`` endpoint and the ``repro
 search`` CLI command.  Every embedding search reaches the index through
 :class:`~repro.search.serving.SearchBatcher`, which batches by group
@@ -78,8 +80,8 @@ window, no size cap (see :mod:`repro.server` for the full request
 flow).  ``benchmarks/test_http_batch.py`` records the coalescing share
 and bitwise parity under concurrent HTTP load.
 
-Cold start
-==========
+Cold start and freshness
+========================
 
 Nothing of the index is persisted: the store is the only truth about
 which records a shard holds and what their vectors are, as "A
@@ -94,12 +96,19 @@ the registry as of one commit.  The invariants:
 * **A vector lives in its record row, nowhere else** — no base slab or
   journal restates membership (schema v16 dropped both), so a write
   logs no index page and there is no copy to disagree with the record.
-* **Never wrongly fresh, vacuously** — with no persisted shard there is
-  no freshness to misjudge: an attached shard is the rows as of the
-  snapshot it was read in.  Each mutation still stamps the shards it
-  changed (``shard_stamps``, one version per shard, through the DAO
-  helper lint rule RPR003 makes every record write call), for readers
-  that need to tell whether a shard moved.
+* **One freshness rule for both in-memory indexes** — the index
+  records the file's ``data_version`` it was filled at
+  (:attr:`VectorIndex.version`).  That value moves when, and only when,
+  another connection commits; this process's writes reach the index
+  themselves.  So each flush reads it once
+  (:meth:`~repro.registry.service.RegistryService.on_current_shard`),
+  and when it has moved drops every resident shard and refills the
+  flushing one in one read snapshot, under the DAO lock the index's
+  own writes apply under — the text index's rule
+  (:meth:`~repro.registry.dao.SqliteDAO.text_topk_pes`).  A shard is
+  resident only as a complete copy of its rows, so a write to one that
+  is not touches only the store, and the shard refills on its next
+  search.
 * **Vectors are compact at rest, dense in memory** — every vector blob
   goes through one bit-exact codec (:mod:`repro.registry.veccodec`),
   which stores it sparse, as a value table (each distinct value once,

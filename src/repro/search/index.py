@@ -23,11 +23,19 @@ a Python-level loop over the corpus followed by a full ``argsort``.
 * top-k retrieval uses ``np.argpartition`` (O(N) selection) instead of a
   full O(N log N) sort, while reproducing the brute-force scan's stable
   tie-break (equal scores rank by insertion order) *exactly*;
-* a multi-query batch (``search_among_many``) is verified once and
+* a multi-query batch (``search_among_many``) takes the lock once and
   scores each query as its own ``(1, D)`` product, bitwise equal to a
   single search;
 * a small LRU cache keeps recently embedded query vectors, so repeated
   queries skip the embedder entirely.
+
+The index is a cache of the record rows.  A shard is *resident* only as
+a complete copy of its ``(user, kind)`` rows, installed by :meth:`fill`;
+``add``, ``add_many`` and ``remove`` change resident shards only, so a
+write to a shard that is not resident touches only the store.
+:attr:`VectorIndex.version` is the store's ``data_version`` the
+resident shards are current at: a fill at another version drops every
+resident shard first.
 
 All operations are guarded by one reentrant lock per index, making the
 structure safe for the threaded HTTP server: a search never observes a
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -136,6 +144,29 @@ class _Shard:
         self.size = 0
         self.row_of: dict[int, int] = {}
 
+    @classmethod
+    def of(cls, ids: np.ndarray, matrix: np.ndarray) -> "_Shard":
+        """A shard holding ``matrix``'s rows under ``ids``, stacked at
+        once: no per-row ``searchsorted``, shifting or regrowth.  Rows
+        are taken in ascending-id order (the store's scan order; sorted
+        here otherwise); no rows make an empty shard of width 0, which
+        takes the width of its first row."""
+        count = int(ids.shape[0])
+        if count == 0:
+            return cls(0)
+        if not bool(np.all(ids[:-1] < ids[1:])):
+            order = np.argsort(ids, kind="stable")
+            ids, matrix = ids[order], matrix[order]
+        shard = cls(int(matrix.shape[1]))
+        capacity = max(_INITIAL_CAPACITY, 1 << (count - 1).bit_length())
+        shard.matrix = np.zeros((capacity, shard.dim), dtype=np.float32)
+        shard.matrix[:count] = matrix
+        shard.ids = np.zeros(capacity, dtype=np.int64)
+        shard.ids[:count] = ids
+        shard.size = count
+        shard.row_of = {int(rid): row for row, rid in enumerate(ids)}
+        return shard
+
     # -- mutation ---------------------------------------------------------
     def _grow(self) -> None:
         capacity = max(_INITIAL_CAPACITY, self.matrix.shape[0] * 2)
@@ -218,9 +249,11 @@ class VectorIndex:
     shard.  Vectors are stored as float32 exactly as supplied (the
     embedders in this package emit L2-normalized rows, making the dot
     product a cosine similarity), so scoring one query is exactly one
-    matrix-vector product.  Shard membership is owned by the registry
-    service — searchers only read, via :meth:`search_among`, which
-    verifies the candidate set and searches under a single lock hold.
+    matrix-vector product.  What a shard holds is owned by the registry
+    service, which fills it from the record rows (:meth:`fill`) and
+    keeps a resident shard in step with every write of its own; readers
+    rank through :meth:`search_among` / :meth:`search_among_many`,
+    which answer ``None`` for a shard that is not resident.
 
     This exact scan is the only ranking engine: IVF-flat and HNSW were
     measured against it and deleted, because neither was faster at any
@@ -233,21 +266,65 @@ class VectorIndex:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._shards: dict[tuple[Hashable, str], _Shard] = {}
+        #: the store's ``data_version`` the resident shards are current
+        #: at (None before the first fill)
+        self.version: int | None = None
         self.query_cache = EmbeddingLRU()
 
     # ------------------------------------------------------------------
-    # Mutation
+    # Residency
+    # ------------------------------------------------------------------
+    def fill(
+        self,
+        version: int | None,
+        shards: Mapping[
+            tuple[Hashable, str],
+            tuple[Sequence[int], np.ndarray | Sequence[np.ndarray]],
+        ],
+    ) -> bool:
+        """Install ``shards`` — ``{(user, kind): (ids, vectors)}``, each
+        a complete copy of its rows as of the store's ``version`` — and
+        return whether ``version`` differs from :attr:`version`.
+
+        If it does, another connection has committed since the resident
+        shards were read, so every one of them is dropped first and
+        ``version`` recorded: each refills on its next search.
+        """
+        built = {}
+        for key, (rids, vectors) in shards.items():
+            ids = np.asarray(rids, dtype=np.int64).reshape(-1)
+            matrix = np.asarray(vectors, dtype=np.float32)
+            if ids.shape[0] and (
+                matrix.ndim != 2 or matrix.shape[0] != ids.shape[0]
+            ):
+                raise ValidationError(
+                    f"got {ids.shape[0]} ids for vectors of shape "
+                    f"{matrix.shape}"
+                )
+            built[key] = _Shard.of(ids, matrix)
+        with self._lock:
+            moved = version != self.version
+            if moved:
+                self._shards.clear()
+                self.version = version
+            self._shards.update(built)
+            return moved
+
+    # ------------------------------------------------------------------
+    # Mutation (resident shards only)
     # ------------------------------------------------------------------
     def add(
         self, user: Hashable, kind: str, rid: int, vector: np.ndarray
     ) -> None:
-        """Insert or update (idempotent by ``rid``) one vector."""
+        """Insert or update (idempotent by ``rid``) one vector of a
+        resident shard; nothing when the shard is not resident."""
         vec = _as_vector(vector)
         with self._lock:
             shard = self._shards.get((user, kind))
             if shard is None:
-                shard = _Shard(vec.shape[0])
-                self._shards[(user, kind)] = shard
+                return
+            if shard.size == 0 and shard.dim != vec.shape[0]:
+                shard = self._shards[(user, kind)] = _Shard(vec.shape[0])
             elif shard.dim != vec.shape[0]:
                 raise ValidationError(
                     f"dimension mismatch for shard ({user!r}, {kind!r}): "
@@ -262,18 +339,12 @@ class VectorIndex:
         rids: Sequence[int],
         vectors: np.ndarray | Sequence[np.ndarray],
     ) -> None:
-        """Bulk insert one shard's rows in a single vectorized pass.
+        """Insert a batch of one resident shard's rows; nothing when the
+        shard is not resident.
 
-        The attach-time fast path: when the shard does not exist yet and
-        ``rids`` arrive in strictly ascending order (the DAO's natural
-        id order), the whole slab is stacked at once — no per-row
-        ``searchsorted``, shifting or geometric regrowth.  Any other
-        case falls back to per-row :meth:`add`, which preserves the
-        id-ordered layout invariant.
-
-        ``rids`` may be an int64 ndarray (the DAO hands slabs back that
-        way) — it is consumed vectorized, with no per-id Python
-        conversion loop on the fast path.
+        An empty shard and ascending ``rids`` (a bulk write's fresh ids)
+        take :meth:`_Shard.of`'s stacking path; any other case adds row
+        by row, which preserves the id-ordered layout invariant.
         """
         ids = np.asarray(rids, dtype=np.int64).reshape(-1)
         matrix = np.asarray(vectors, dtype=np.float32)
@@ -283,28 +354,21 @@ class VectorIndex:
             raise ValidationError(
                 f"got {ids.shape[0]} ids for {matrix.shape[0]} vectors"
             )
-        count = int(ids.shape[0])
-        if count == 0:
+        if ids.shape[0] == 0:
             return
         with self._lock:
             shard = self._shards.get((user, kind))
-            ascending = bool(np.all(ids[:-1] < ids[1:]))
-            if shard is None and ascending:
-                shard = _Shard(int(matrix.shape[1]))
-                capacity = max(_INITIAL_CAPACITY, 1 << (count - 1).bit_length())
-                shard.matrix = np.zeros((capacity, shard.dim), dtype=np.float32)
-                shard.matrix[:count] = matrix
-                shard.ids = np.zeros(capacity, dtype=np.int64)
-                shard.ids[:count] = ids
-                shard.size = count
-                shard.row_of = {int(rid): row for row, rid in enumerate(ids)}
-                self._shards[(user, kind)] = shard
+            if shard is None:
+                return
+            if shard.size == 0 and bool(np.all(ids[:-1] < ids[1:])):
+                self._shards[(user, kind)] = _Shard.of(ids, matrix)
                 return
             for rid, vector in zip(ids.tolist(), matrix):
                 self.add(user, kind, rid, vector)
 
     def remove(self, user: Hashable, kind: str, rid: int) -> bool:
-        """Drop one record from a shard; returns whether it was present."""
+        """Drop one record from a resident shard; returns whether it was
+        present."""
         with self._lock:
             shard = self._shards.get((user, kind))
             if shard is None:
@@ -351,104 +415,67 @@ class VectorIndex:
         query: np.ndarray,
         k: int | None = None,
     ) -> tuple[list[int], np.ndarray]:
-        """Top-k ``(ids, scores)`` for one query vector.
+        """Top-k ``(ids, scores)`` for one query vector; a shard that is
+        not resident answers empty.
 
         Results are ordered by descending similarity with stable
         ascending-id tie-breaking — identical ids *and* scores to a
         linear scan over the same vectors in id order.
         """
-        if k is not None and k <= 0:
-            raise ValidationError(f"k must be positive, got {k}")
-        qvec = _as_vector(query)
-        with self._lock:
-            shard = self._shards.get((user, kind))
-            if shard is None or shard.live_count == 0:
-                return [], np.empty(0, dtype=np.float32)
-            return self._shard_topk(shard, qvec, k)
+        return self.search_among(user, kind, query, k) or (
+            [], np.empty(0, dtype=np.float32)
+        )
 
     @staticmethod
     def _shard_topk(
         shard: _Shard, qvec: np.ndarray, k: int | None
     ) -> tuple[list[int], np.ndarray]:
+        if shard.size == 0:
+            return [], np.empty(0, dtype=np.float32)
         sims = shard.scores(qvec[np.newaxis, :])[0]
         rows = shard.topk_rows(sims, k)
         return [int(i) for i in shard.ids[rows]], sims[rows].astype(
             np.float32, copy=False
         )
 
-    def _verified_shard(
-        self, user: Hashable, kind: str, rids: Sequence[int]
-    ) -> _Shard | None:
-        """The shard for ``(user, kind)`` iff it holds *exactly* ``rids``.
-
-        Must be called (and the returned shard used) under ``self._lock``
-        — this is the membership verification every ``search_among*``
-        variant performs before ranking.
-        """
-        shard = self._shards.get((user, kind))
-        if shard is None or shard.size != len(rids):
-            return None
-        row_of = shard.row_of
-        for rid in rids:
-            if int(rid) not in row_of:
-                return None
-        return shard
-
     def search_among(
         self,
         user: Hashable,
         kind: str,
-        rids: Sequence[int],
         query: np.ndarray,
         k: int | None = None,
     ) -> tuple[list[int], np.ndarray] | None:
-        """Atomic membership-checked search for the searcher fast path.
-
-        Returns top-k ``(ids, scores)`` only if the shard holds *exactly*
-        the records in ``rids`` — verified and searched under one lock
-        hold, so a concurrent add/remove can never make the result
-        under-filled or include a stale id.  Returns ``None`` when the
-        shard and candidate set disagree (caller passed a subset, some
-        records were never indexed, or the registry mutated since the
-        caller snapshotted it); the caller then serves the query brute
-        force, which is always exact.
-        """
+        """Top-k ``(ids, scores)`` of one query on the resident ``(user,
+        kind)`` shard, or ``None`` when the shard is not resident (the
+        caller fills it and asks again)."""
         if k is not None and k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
         qvec = _as_vector(query)
         with self._lock:
-            shard = self._verified_shard(user, kind, rids)
+            shard = self._shards.get((user, kind))
             if shard is None:
                 return None
-            if shard.size == 0:
-                return [], np.empty(0, dtype=np.float32)
             return self._shard_topk(shard, qvec, k)
 
     def search_among_many(
         self,
         user: Hashable,
         kind: str,
-        rids: Sequence[int],
         queries: Sequence[np.ndarray],
         ks: Sequence[int | None],
     ) -> list[tuple[list[int], np.ndarray]] | None:
-        """Membership-checked search for a whole batch of queries.
+        """:meth:`search_among` for a whole batch of queries on one
+        shard, or ``None`` when the shard is not resident.
 
-        The batched counterpart of :meth:`search_among`: one candidate
-        set (all queries come from the same (user, kind) serving key),
-        verified *once*, with every query scored under the same lock
-        hold.  Each query is scored as its own ``(1, D)`` product — the
-        identical computation :meth:`search_among` performs — so the
-        per-query results are bitwise identical to the single-shot path
-        (a joint ``(Q, D)`` product would not be: BLAS accumulation
-        order differs between matrix-vector and matrix-matrix kernels,
-        which lets floating-point near-ties rank differently).  The
-        amortization is everything *around* the product: one lock
-        acquisition, one membership verification and one shard lookup
-        for the whole batch.
-
-        Returns ``None`` when the shard and candidate set disagree; the
-        caller then serves every query brute force, which is exact.
+        Every query is scored under the same lock hold, each as its own
+        ``(1, D)`` product — the identical computation
+        :meth:`search_among` performs — so the per-query results are
+        bitwise identical to the single-shot path (a joint ``(Q, D)``
+        product would not be: BLAS accumulation order differs between
+        matrix-vector and matrix-matrix kernels, which lets
+        floating-point near-ties rank differently).  The amortization is
+        everything *around* the product: one lock acquisition and one
+        shard lookup for the whole batch.
         """
         for k in ks:
             if k is not None and k <= 0:
@@ -459,12 +486,9 @@ class VectorIndex:
             )
         qvecs = [_as_vector(query) for query in queries]
         with self._lock:
-            shard = self._verified_shard(user, kind, rids)
+            shard = self._shards.get((user, kind))
             if shard is None:
                 return None
-            if shard.size == 0:
-                empty = ([], np.empty(0, dtype=np.float32))
-                return [empty for _ in qvecs]
             # identical queries (trending searches landing in one batch)
             # are scored once — the same bytes produce the same product,
             # so sharing the result stays bitwise exact; distinct (k,

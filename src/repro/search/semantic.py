@@ -10,7 +10,7 @@ the Figure 7 table.
 the one embedding-search path of :mod:`repro.search.serving` —
 :meth:`~repro.search.serving.SearchBatcher.submit` on the served path,
 :func:`~repro.search.serving.exact_scan` as the brute-force reference
-and fallback — over the ``KIND_DESC`` (PE) or ``KIND_WORKFLOW`` shard,
+— over the ``KIND_DESC`` (PE) or ``KIND_WORKFLOW`` shard,
 each the first of its record kind's ``RECORD_KINDS`` shards; the served
 path hydrates the winners through the service's ``resolve_{kind}s``
 entry.  Both return ``(record, score)`` pairs with equal ids and

@@ -15,8 +15,9 @@ Batch size therefore follows the load, with no timer and no size cap
 (the queue holds at most one request per dispatch thread), and no
 thread leads more than one flush.
 
-One flush is *one* index pass for its Q requests: one owned-id
-projection, one membership verification under one lock hold
+One flush is *one* index pass for its Q requests: one freshness check
+of the shard (the caller's ``current``: one ``PRAGMA data_version`` on
+the registry's connection), one ranking under one lock hold
 (:meth:`~repro.search.index.VectorIndex.search_among_many`), one
 ``embed_many`` model call for the batch's distinct uncached query
 texts (the index's query LRU is read first and filled after), and one
@@ -29,13 +30,14 @@ A request gets back ``(record, score)`` pairs, best first; the caller
 renders them.  A batch is one ``(user, kind)``: the kind says how its
 records read (:data:`~repro.registry.entities.SHARD_KINDS`: id, stored
 vector, text that embeds a record without one), and its one embedder
-embeds the batch's queries and, in the fallback, vector-less records.
+embeds the batch's queries.
 
-Any shard / owned-set mismatch (records without stored embeddings,
-concurrent mutation) falls back to :func:`exact_scan` over the fully
-materialized corpus, which is always exact.  Ids that vanish between
-ranking and hydration are skipped — the result is then slightly
-under-filled rather than wrong.
+The index is a cache of the record rows, so no flush scans records:
+when another connection has committed since the index was filled, or
+the shard is not resident, ``current`` refills the shard from the rows
+before it ranks (the former counted in ``fallbacks``).  Ids that vanish
+between ranking and hydration are skipped — the result is then
+slightly under-filled rather than wrong.
 """
 
 from __future__ import annotations
@@ -51,17 +53,16 @@ from repro.registry.entities import SHARD_KINDS
 from repro.search.index import VectorIndex
 
 R = TypeVar("R")  # record type
-
-#: owned ids may be given materialized or as a lazy projection thunk
-OwnedIds = Sequence[int] | Callable[[], Sequence[int]]
+T = TypeVar("T")
 
 #: batched query embedder: texts -> (len(texts), D) float32 rows
 EmbedMany = Callable[[list[str]], np.ndarray]
 
-
-def _materialize_owned(owned_ids: OwnedIds) -> list[int]:
-    ids = owned_ids() if callable(owned_ids) else owned_ids
-    return [int(rid) for rid in ids]
+#: ``current(rank)`` -> ``(rank(), refilled)``: runs ``rank`` on the
+#: shard as the store stands now, refilling it first when another
+#: connection has committed or it is not resident (``refilled`` says the
+#: former); ``rank`` answers ``None`` for a shard that is not resident
+Current = Callable[[Callable[[], T | None]], tuple[T, bool]]
 
 
 def exact_scan(
@@ -72,7 +73,7 @@ def exact_scan(
     embed_many: EmbedMany,
 ) -> list[tuple[R, float]]:
     """Rank ``records`` of shard ``kind`` by cosine to ``qvec``: the
-    brute-force reference the served path equals, and its fallback.
+    brute-force reference the served path equals.
 
     The corpus matrix is rebuilt from the records in the order given
     (ascending id from every caller) and sorted stably, so equal scores
@@ -105,7 +106,7 @@ class _BatchRequest:
     """One submitted search awaiting its share of a flush."""
 
     __slots__ = (
-        "owned_ids",
+        "current",
         "k",
         "resolve",
         "embed_many",
@@ -119,13 +120,12 @@ class _BatchRequest:
     )
 
     def __init__(
-        self, owned_ids, k, resolve, embed_many, qvec, embed_key, embed_text
+        self, current, k, resolve, embed_many, qvec, embed_key, embed_text
     ) -> None:
-        self.owned_ids = owned_ids
+        self.current = current
         self.k = k
         self.resolve = resolve
-        #: embeds query texts and, in the fallback scan, vector-less
-        #: records
+        #: embeds query texts
         self.embed_many = embed_many
         #: the caller's query embedding, or None until the flush embeds
         #: ``embed_text`` (LRU key ``embed_key``)
@@ -145,8 +145,8 @@ class SearchBatcher:
 
     What one flush amortizes across its Q requests:
 
-    * the owned-id projection (one DAO query instead of Q);
-    * the shard membership verification and lock acquisition;
+    * the freshness check (one ``data_version`` read instead of Q);
+    * the shard lookup and lock acquisition;
     * query embedding — one ``embed_many`` call for the distinct texts
       the query LRU does not hold;
     * top-k hydration — the union of all winners is materialized in a
@@ -173,7 +173,7 @@ class SearchBatcher:
         index: VectorIndex,
         user: Hashable,
         kind: str,
-        owned_ids: OwnedIds,
+        current: Current,
         k: int | None,
         resolve: Callable[[list[int]], Sequence[R]],
         embed_many: EmbedMany,
@@ -189,10 +189,9 @@ class SearchBatcher:
         caller's ``query_embedding`` when given; otherwise the flush
         embeds ``embed_text`` — the index's query LRU under
         ``embed_key`` first, then one ``embed_many`` call for the
-        batch's distinct uncached texts.  An empty owned set returns
-        ``[]`` without embedding.  ``resolve(ids)`` hydrates records;
-        on a shard mismatch the flush resolves the whole owned set and
-        ranks it with :func:`exact_scan`.  Exceptions raised by the
+        batch's distinct uncached texts.  ``current`` (:data:`Current`)
+        brings the shard up to the store around the ranking, and
+        ``resolve(ids)`` hydrates the winners.  Exceptions raised by the
         callbacks re-raise in the submitting thread.
         """
         if k is not None and k <= 0:
@@ -206,7 +205,7 @@ class SearchBatcher:
                 "(embed_key, embed_text, embed_many) spec"
             )
         request = _BatchRequest(
-            owned_ids,
+            current,
             k,
             resolve,
             embed_many,
@@ -329,7 +328,7 @@ class SearchBatcher:
     ) -> None:
         """Serve every request of one batch in one index pass.
 
-        A failure that is not one request's own (the owned-id fetch,
+        A failure that is not one request's own (the freshness check,
         ranking, hydration) propagates and fails the whole batch.
         """
         with self._lock:
@@ -338,35 +337,20 @@ class SearchBatcher:
             if len(requests) > 1:
                 self.batched_requests += len(requests)
         lead = requests[0]
-        owned = _materialize_owned(lead.owned_ids)
-        if not owned:
-            for request in requests:
-                request.result = []
-            return
         live = self._resolve_query_vectors(index, requests)
         if not live:
             return
-        results = index.search_among_many(
-            user,
-            kind,
-            owned,
-            [request.qvec for request in live],
-            [request.k for request in live],
+        results, refilled = lead.current(
+            lambda: index.search_among_many(
+                user,
+                kind,
+                [request.qvec for request in live],
+                [request.k for request in live],
+            )
         )
-        if results is None:
-            # shard/owned-set mismatch: materialize the corpus once and
-            # serve every query with the exact scan
+        if refilled:
             with self._lock:
                 self.fallbacks += 1
-            records = lead.resolve(owned)
-            for request in live:
-                try:
-                    request.result = exact_scan(
-                        kind, records, request.qvec, request.k, lead.embed_many
-                    )
-                except Exception as exc:
-                    request.error = exc
-            return
         # one hydration round trip for the union of every query's top-k
         union: list[int] = []
         seen: set[int] = set()
@@ -389,7 +373,9 @@ class SearchBatcher:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
-        """Dispatcher counters (requests, batches, coalescing, fallbacks)."""
+        """Dispatcher counters (requests, batches, coalescing, and in
+        ``fallbacks`` the flushes that refilled their shard after another
+        connection's commit)."""
         with self._lock:
             return {
                 "requests": self.requests_total,

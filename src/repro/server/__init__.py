@@ -25,19 +25,31 @@ scaling with the *result*, not the corpus::
                   │  shard flushes at once; requests arriving while a
                   │  flush runs share the next one — no window
                   ▼
+            RegistryService.on_current_shard
+                  │  one PRAGMA data_version per batch: the shard is
+                  │  current unless another connection has committed
+                  │  or it is not resident, then it refills first
+                  ▼
             VectorIndex.search_among_many (repro.search.index)
-                  │  one lock hold + one membership check per batch;
-                  │  every query scored as its own (1, D) product, so
-                  │  batched == single-shot bitwise
+                  │  one lock hold per batch; every query scored as
+                  │  its own (1, D) product, so batched == single-shot
+                  │  bitwise
                   ▼
             RegistryService.resolve_{kind}s
                      one batched DAO fetch hydrates the union of all
                      top-k winners; ownership re-checked per record
 
-The owned-id projection the membership check needs is fetched lazily,
-once per batch.  Any shard/owned-set disagreement (unindexed records,
-concurrent mutation) drops that batch to the exact brute-force scan —
-results are then still bitwise identical to the historical behaviour.
+The vector index is a cache of the record rows, kept to the text
+index's freshness rule.  This process's writes reach it themselves,
+after their commit, and move no ``data_version``; another connection's
+commit does.  When a flush finds the version moved, the index drops
+every resident shard and refills the flushing one from the rows inside
+one read snapshot, under the DAO lock its own writes apply under
+(counted in the batcher's ``fallbacks``); every other shard refills on
+its own next search.  A shard is resident only as a complete copy of
+its rows: a write to one that is not touches only the store.  Results
+are bitwise identical to the brute-force scan of the same rows
+(:func:`~repro.search.serving.exact_scan`).
 Text queries (``queryType=text``) skip the vector index entirely and
 rank in the DAO's inverted text index (SQLite FTS5, held in memory and
 derived from the record rows by the first text ranking): an owner-joined
@@ -96,7 +108,7 @@ v15        Current: no DDL on the file.  It holds no text document
            tables are keyed ``(user_id, id)`` with no second index
            (since v13), and the mutation counter and each record
            table's id high-water mark are rows of ``shard_stamps``
-           under user 0, beside the shard stamps;
+           under user 0;
            the record tables have no AUTOINCREMENT (the DAO issues
            ids).  Its vector blobs may be in the value-table layout
            (:mod:`repro.registry.veccodec`, tag 2, since v12), which
@@ -126,18 +138,16 @@ What a v16 file holds, and the rules the DAO keeps on it:
   in a stepped file; they decode through the same codec and re-encode
   when next written.
 * No index membership is stored: the owner tables say which records
-  each shard holds.  ``shard_stamps`` keeps one version per shard, the
-  mutation counter of the last write that changed its membership or
-  vectors, rewritten inside that write's transaction.
+  each shard holds.  Per-shard rows an older checkout wrote into
+  ``shard_stamps`` are left there unread; no write adds one.
 * Files created by this code use 1 KB pages (a WAL commit logs whole
   pages and these rows are small); page size is fixed once a file has
   pages, so an older file keeps its own — no ``VACUUM``, no option.
 * One write rewrites one page of counters: the mutation counter
-  (``shard_stamps`` row ``(0, 'mutations')``), a new record's id
+  (``shard_stamps`` row ``(0, 'mutations')``) and a new record's id
   high-water mark (``(0, 'pes')`` / ``(0, 'workflows')``, raised in the
   write's transaction; no delete lowers it, so an id and its ETags are
-  never issued twice) and the stamps of the shards it changed share
-  the ``shard_stamps`` b-tree.  ``shard_stamps()`` leaves user 0 out.
+  never issued twice) share the ``shard_stamps`` b-tree.
 * Idempotency receipts (``write_receipts``) are kept forever:
   ``created_at`` is written, nothing prunes by it.
 * One write is one commit (``SqliteDAO.write()``): a write that fails,

@@ -260,8 +260,8 @@ class LaminarServer:
         Standard HTTP tooling cannot attach a body to GET, so the v1
         listings accept ``?limit=…&cursor=…`` too; an explicit JSON
         body always takes precedence over the query string.  Only an
-        object or an empty body takes the pairs: any other body goes
-        on as sent, for the route's own check to refuse.  Paths
+        object or an absent body (``None``) takes the pairs: any other
+        body goes on as sent, for the route's own check to refuse.  Paths
         without a ``?`` pass through untouched (path *segments* encode
         literal question marks as ``%3F``, so splitting on the raw
         ``?`` is exactly the HTTP semantics).
@@ -270,7 +270,7 @@ class LaminarServer:
         if not sep:
             return request
         body = request.body
-        if not body or isinstance(body, dict):
+        if body is None or isinstance(body, dict):
             body = {
                 key: values[-1]
                 for key, values in urllib.parse.parse_qs(query).items()

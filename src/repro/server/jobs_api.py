@@ -18,7 +18,7 @@ Two small controllers over :class:`repro.jobs.JobManager`:
 from __future__ import annotations
 
 from repro.errors import NotFoundError, ValidationError
-from repro.ingest.pipeline import IngestSpec, run_ingest
+from repro.ingest.pipeline import run_ingest
 from repro.net.transport import Request, Response
 from repro.server.controllers import BaseController
 from repro.server.schema import INGEST, JOBS, parse
@@ -72,20 +72,18 @@ class IngestController(BaseController):
 
     def start(self, request: Request, params: dict[str, str]) -> Response:
         user = self.authenticated_user(request, params)
-        spec = IngestSpec(**parse(INGEST, request.body, "ingest request"))
-        if (spec.path is None) == (spec.archive is None):
+        spec = parse(INGEST, request.body, "ingest request")
+        path, archive = spec["path"], spec["archive"]
+        if (path is None) == (archive is None):
             raise ValidationError(
                 "exactly one of path or archive is required",
-                params={
-                    "path": spec.path is not None,
-                    "archive": spec.archive is not None,
-                },
+                params={"path": path is not None, "archive": archive is not None},
             )
         # echo only wire-safe request facts (never the archive bytes)
         job_params = {
             "user": user.user_name,
-            "source": "archive" if spec.archive is not None else spec.path,
-            "batchSize": spec.batch_size,
+            "source": "archive" if archive is not None else path,
+            "batchSize": spec["batch_size"],
         }
         snapshot = self.app.jobs.submit(
             "ingest",

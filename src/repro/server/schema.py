@@ -416,9 +416,11 @@ def parse(
     ``where`` names the envelope in 400 messages.  ``legacy`` parses a
     Table-3 body (unknown keys pass, text is ``str(value)``).  ``path``
     holds fields the route's path supplies: the body may repeat one only
-    with the same value.
+    with the same value.  Only an absent body (``None``) reads as
+    ``{}``; any other value that is not an object is a 400.
     """
-    body = body or {}
+    if body is None:
+        body = {}
     if not isinstance(body, dict):
         raise ValidationError(
             f"{where} must be a JSON object, got {type(body).__name__}"

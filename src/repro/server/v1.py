@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -138,15 +139,14 @@ def _embedding_search(
     ``user``'s ``kind`` shard through the group-commit batcher."""
     registry = app.registry
     searcher = app.code_search if kind == KIND_CODE else app.semantic
-    # the service's per-kind entries, looked up when called
+    # the service's per-kind entry, looked up when called
     record_kind = RECORD_KINDS[SHARD_KINDS[kind].record_type].kind
-    owned = getattr(registry, f"owned_{record_kind}_ids")
     resolve = getattr(registry, f"resolve_{record_kind}s")
     return app.batcher.submit(
         index=app.index,
         user=user.user_id,
         kind=kind,
-        owned_ids=lambda: owned(user),
+        current=partial(registry.on_current_shard, user.user_id, kind),
         k=k,
         resolve=lambda ids: resolve(user, ids),
         embed_many=searcher.embed_queries,

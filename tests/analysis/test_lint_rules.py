@@ -153,28 +153,28 @@ class TestLockDiscipline:
 
 
 # ---------------------------------------------------------------------------
-# RPR003 — DAO writes to pes/workflows must bump + stamp
+# RPR003 — DAO writes to pes/workflows must bump the mutation counter
 # ---------------------------------------------------------------------------
 DAO_PATH = "repro/registry/dao.py"
 
 
 class TestDaoStamps:
-    def test_sql_write_without_bump_or_stamp_fires_twice(self):
+    def test_sql_write_without_bump_fires_once(self):
         src = """
             class SqliteDAO:
                 def delete_pe(self, pe_id):
                     self._conn.execute("DELETE FROM pes WHERE id=?", (pe_id,))
         """
-        found = findings_for(src, DAO_PATH, rule="RPR003")
-        assert len(found) == 2  # missing bump AND missing stamp
+        (found,) = lint_source(textwrap.dedent(src), DAO_PATH, rules=["RPR003"])
+        assert (found.line, found.rule) == (3, "RPR003")
+        assert "without bumping the registry mutation counter" in found.message
 
-    def test_sql_write_with_bump_and_stamp_is_fine(self):
+    def test_sql_write_with_bump_is_fine(self):
         src = """
             class SqliteDAO:
                 def delete_pe(self, pe_id):
                     self._conn.execute("DELETE FROM pes WHERE id=?", (pe_id,))
                     self._bump_mutation()
-                    self._stamp_shards([pe_id])
         """
         assert rules_fired(src, DAO_PATH, "RPR003") == set()
 
@@ -215,7 +215,7 @@ class TestDaoStamps:
                         (record.revision, record.pe_id),
                     )
         """
-        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 2
+        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 1
 
     def test_formatted_record_table_write_fires(self):
         # one body for every record kind names its table through the
@@ -228,7 +228,7 @@ class TestDaoStamps:
                         (record_id,),
                     )
         """
-        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 2
+        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 1
 
     def test_formatted_owner_and_text_table_writes_are_fine(self):
         src = """
@@ -248,7 +248,7 @@ class TestDaoStamps:
 
     def test_a_hook_write_is_checked_where_the_hook_runs(self):
         # a storage row's hook writes inside the body that runs it: the
-        # hook is fine, a runner that neither bumps nor stamps is not
+        # hook is fine, a runner that does not bump is not
         src = """
             ROW = Storage(unlink="_unlink_pe")
 
@@ -260,8 +260,7 @@ class TestDaoStamps:
                     )
 
                 def _delete(self, store, record_id):
-                    counter = self._bump_mutation()
-                    self._stamp_shards({}, counter)
+                    self._bump_mutation()
                     self._hook(store.unlink, record_id)
 
                 def _sloppy_delete(self, store, record_id):
@@ -271,29 +270,16 @@ class TestDaoStamps:
                     self._unlink_pe(pe_id)
         """
         found = findings_for(src, DAO_PATH, rule="RPR003")
-        assert [line for _rule, line in found] == [16, 16, 19, 19]
+        assert [line for _rule, line in found] == [15, 18]
 
-    def test_a_bump_without_a_stamp_fires_once(self):
+    def test_a_bump_before_the_write_counts(self):
         src = """
             class SqliteDAO:
                 def delete_pe(self, pe_id):
                     self._bump_mutation()
                     self._conn.execute("DELETE FROM pes WHERE id=?", (pe_id,))
         """
-        (found,) = lint_source(textwrap.dedent(src), DAO_PATH, rules=["RPR003"])
-        assert (found.line, found.rule) == (3, "RPR003")
-        assert "without stamping the changed shards" in found.message
-
-    def test_a_stamp_without_a_bump_fires_once(self):
-        src = """
-            class SqliteDAO:
-                def delete_pe(self, pe_id, counter):
-                    self._conn.execute("DELETE FROM pes WHERE id=?", (pe_id,))
-                    self._stamp_shards({}, counter)
-        """
-        (found,) = lint_source(textwrap.dedent(src), DAO_PATH, rules=["RPR003"])
-        assert (found.line, found.rule) == (3, "RPR003")
-        assert "without bumping the registry mutation counter" in found.message
+        assert rules_fired(src, DAO_PATH, "RPR003") == set()
 
     def test_executemany_into_workflows_is_a_write(self):
         src = """
@@ -303,11 +289,11 @@ class TestDaoStamps:
                         "INSERT OR REPLACE INTO workflows VALUES (?, ?)", rows
                     )
         """
-        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 2
+        assert len(findings_for(src, DAO_PATH, rule="RPR003")) == 1
 
-    def test_counter_and_stamp_rows_are_no_record_write(self):
-        # the helpers that raise the counter and write the stamps touch
-        # shard_stamps only: they are what a records writer calls
+    def test_counter_rows_are_no_record_write(self):
+        # the helpers that raise the counters touch shard_stamps only:
+        # they are what a records writer calls
         src = """
             class SqliteDAO:
                 def _advance(self, name, by):
@@ -316,12 +302,6 @@ class TestDaoStamps:
                         " mutation_counter + ? WHERE kind = ?",
                         (by, name),
                     ).fetchone()
-
-                def _stamp_shards(self, changes, counter):
-                    self._conn.executemany(
-                        "INSERT OR REPLACE INTO shard_stamps VALUES (?, ?, ?)",
-                        [(1, "desc", counter)],
-                    )
         """
         assert rules_fired(src, DAO_PATH, "RPR003") == set()
 

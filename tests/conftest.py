@@ -9,10 +9,12 @@ from repro.client import LaminarClient, local_stack
 from repro.ml.bundle import ModelBundle
 
 #: suites that run under lock-order/blocking-call instrumentation —
-#: the concurrency-heavy surfaces (batcher, write core, jobs).
+#: the concurrency-heavy surfaces (batcher, write core, jobs, the vector
+#: index's refill beside the DAO and index locks).
 #: Matched against the test module's posix path.
 _LOCKWATCH_SUITES = (
     "tests/search/test_batcher",
+    "tests/registry/test_vector_freshness",
     "tests/server/test_v1_write_api",
     "tests/server/test_write_concurrency",
     "tests/jobs/test_manager",

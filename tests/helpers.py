@@ -197,6 +197,17 @@ def e2e_style_functions(count: int, seed: int = 1) -> list[tuple[str, str]]:
     return functions
 
 
+def resident_index(*keys):
+    """A ``VectorIndex`` whose ``(user, kind)`` shards in ``keys`` are
+    resident and empty, as a newly registered user's are: only a
+    resident shard takes ``add``/``add_many``/``remove``."""
+    from repro.search import VectorIndex
+
+    index = VectorIndex()
+    index.fill(None, {key: ((), ()) for key in keys})
+    return index
+
+
 def index_shards(index) -> dict:
     """Every non-empty shard of a ``VectorIndex`` as ``{(user, kind):
     (ids, matrix)}`` — its ascending int64 ids and their float32 rows,
@@ -237,6 +248,5 @@ def brute_force_index(dao):
                         ids.append(getattr(record, spec.id_field))
                         vectors.append(vector)
     index = VectorIndex()
-    for (user_id, kind), (ids, vectors) in shards.items():
-        index.add_many(user_id, kind, ids, vectors)
+    index.fill(None, shards)
     return index

@@ -24,8 +24,8 @@ Pinned here:
 * the scan itself (``SqliteDAO.owned_vectors``): ascending ids, one scan
   per record table, empty shards, each stored vector layout decoded bit
   for bit;
-* per-shard versions: each write stamps exactly the shards it changed,
-  with its one counter step;
+* the mutation counter: one step per record write, none for a failed
+  one;
 * the names the e2e tracer pins resolve, and the persistence stubs
   among them write nothing.
 """
@@ -594,16 +594,11 @@ class TestColdStart:
         alice, _bob = populate(path, rng)
         query = unit(rng)
         live = RegistryService(SqliteDAO(path), VectorIndex())
-        owned = live.owned_pe_ids(alice)
-        reference = live.index.search_among(
-            alice.user_id, KIND_DESC, owned, query, 5
-        )
+        reference = live.index.search_among(alice.user_id, KIND_DESC, query, 5)
         live.dao.close()
 
         restarted = RegistryService(SqliteDAO(path), VectorIndex())
-        got = restarted.index.search_among(
-            alice.user_id, KIND_DESC, restarted.owned_pe_ids(alice), query, 5
-        )
+        got = restarted.index.search_among(alice.user_id, KIND_DESC, query, 5)
         assert got is not None and reference is not None
         assert got[0] == reference[0]
         assert np.array_equal(got[1], reference[1])
@@ -632,14 +627,23 @@ class TestColdStart:
         service.register_pe(alice, record)
         after_add = dao.mutation_counter()
         assert after_add > 0
-        assert dao.shard_stamps()[(alice.user_id, KIND_DESC)] == after_add
         service.remove_pe_record(
             alice, service.get_by_id(alice, PERecord, record.pe_id)
         )
         assert dao.mutation_counter() > after_add
-        assert dao.shard_stamps()[(alice.user_id, KIND_DESC)] == (
-            dao.mutation_counter()
-        )
+        # a bulk write is one step, a failed write none
+        before_bulk = dao.mutation_counter()
+        service.register_pes_bulk(alice, [
+            make_pe(f"B{i}", code=f"b:{i}".encode().hex(),
+                    desc_embedding=unit(rng))
+            for i in range(3)
+        ])
+        assert dao.mutation_counter() == before_bulk + 1
+        gone = make_pe("G", code="Z29uZQ==", desc_embedding=unit(rng))
+        gone.pe_id = 10**6
+        with pytest.raises(NotFoundError):
+            dao.update_pe(gone)
+        assert dao.mutation_counter() == before_bulk + 1
 
 
 # ---------------------------------------------------------------------------
@@ -803,201 +807,7 @@ class TestOwnedVectors:
 
 
 # ---------------------------------------------------------------------------
-# (g) per-shard versions: what a write stamps
-# ---------------------------------------------------------------------------
-class TestShardStamps:
-    """Each write stamps, with its bumped counter, exactly the ``(user,
-    kind)`` shards whose membership or vector bytes it changed."""
-
-    @pytest.fixture
-    def service(self):
-        service = RegistryService(SqliteDAO())
-        for name in ("alice", "bob"):
-            service.register_user(name, "pw")
-        yield service
-        service.dao.close()
-
-    def stamped_by(self, service, write):
-        """The counter ``write`` bumped to and the stamps it moved."""
-        before = service.dao.shard_stamps()
-        write()
-        counter = service.dao.mutation_counter()
-        after = service.dao.shard_stamps()
-        moved = {
-            key: stamp
-            for key, stamp in after.items()
-            if before.get(key) != stamp
-        }
-        return counter, moved
-
-    def test_a_register_stamps_the_owners_shards_of_each_vector(
-        self, service
-    ):
-        alice = service.get_user("alice")
-        rng = np.random.default_rng(95)
-        counter, moved = self.stamped_by(service, lambda: service.register_pe(
-            alice,
-            make_pe("P", desc_embedding=unit(rng), code_embedding=unit(rng)),
-        ))
-        assert moved == {
-            (alice.user_id, KIND_DESC): counter,
-            (alice.user_id, KIND_CODE): counter,
-        }
-
-    def test_a_record_without_a_vector_of_a_kind_leaves_that_shard(
-        self, service
-    ):
-        alice = service.get_user("alice")
-        rng = np.random.default_rng(96)
-        counter, moved = self.stamped_by(service, lambda: service.register_pe(
-            alice, make_pe("P", desc_embedding=unit(rng))
-        ))
-        assert moved == {(alice.user_id, KIND_DESC): counter}
-
-    def test_a_text_only_revise_bumps_the_counter_and_stamps_nothing(
-        self, service
-    ):
-        alice = service.get_user("alice")
-        rng = np.random.default_rng(97)
-        current, _ = service.register_pe(
-            alice, make_pe("P", desc_embedding=unit(rng))
-        )
-        revised = make_pe(
-            "P", description="said again",
-            desc_embedding=current.desc_embedding,
-        )
-        counter_before = service.dao.mutation_counter()
-        counter, moved = self.stamped_by(
-            service, lambda: service.revise_pe(alice, current, revised)
-        )
-        assert counter == counter_before + 1
-        assert moved == {}
-
-    def test_a_new_vector_stamps_only_its_kind(self, service):
-        alice = service.get_user("alice")
-        rng = np.random.default_rng(98)
-        current, _ = service.register_pe(
-            alice,
-            make_pe("P", desc_embedding=unit(rng), code_embedding=unit(rng)),
-        )
-        revised = make_pe(
-            "P", desc_embedding=current.desc_embedding,
-            code_embedding=unit(rng),
-        )
-        counter, moved = self.stamped_by(
-            service, lambda: service.revise_pe(alice, current, revised)
-        )
-        assert moved == {(alice.user_id, KIND_CODE): counter}
-
-    def test_a_grant_stamps_only_the_grantees_shards(self, service):
-        alice, bob = service.get_user("alice"), service.get_user("bob")
-        rng = np.random.default_rng(99)
-        desc, code = unit(rng), unit(rng)
-        service.register_pe(
-            alice, make_pe("P", desc_embedding=desc, code_embedding=code)
-        )
-        counter, moved = self.stamped_by(service, lambda: service.register_pe(
-            bob, make_pe("P", desc_embedding=desc, code_embedding=code)
-        ))
-        assert moved == {
-            (bob.user_id, KIND_DESC): counter,
-            (bob.user_id, KIND_CODE): counter,
-        }
-
-    def test_leaving_a_shared_record_stamps_only_the_leavers_shards(
-        self, service
-    ):
-        alice, bob = service.get_user("alice"), service.get_user("bob")
-        rng = np.random.default_rng(100)
-        desc = unit(rng)
-        record, _ = service.register_pe(alice, make_pe("P", desc_embedding=desc))
-        service.register_pe(bob, make_pe("P", desc_embedding=desc))
-        counter, moved = self.stamped_by(
-            service,
-            lambda: service.remove_pe_record(
-                bob, service.get_by_id(bob, PERecord, record.pe_id)
-            ),
-        )
-        assert moved == {(bob.user_id, KIND_DESC): counter}
-        assert service.dao.get_pe(record.pe_id).owners == {alice.user_id}
-
-    def test_deleting_a_record_stamps_every_shard_it_was_in(self, service):
-        alice = service.get_user("alice")
-        rng = np.random.default_rng(101)
-        record, _ = service.register_pe(
-            alice,
-            make_pe("P", desc_embedding=unit(rng), code_embedding=unit(rng)),
-        )
-        counter, moved = self.stamped_by(
-            service, lambda: service.remove_pe_record(alice, record)
-        )
-        assert moved == {
-            (alice.user_id, KIND_DESC): counter,
-            (alice.user_id, KIND_CODE): counter,
-        }
-        assert service.dao.get_pe(record.pe_id) is None
-
-    def test_a_workflow_write_stamps_the_workflow_shard(self, service):
-        bob = service.get_user("bob")
-        wf = make_wf("flow")
-        wf.desc_embedding = unit(np.random.default_rng(102))
-        counter, moved = self.stamped_by(
-            service, lambda: service.register_workflow(bob, wf)
-        )
-        assert moved == {(bob.user_id, KIND_WORKFLOW): counter}
-
-    def test_a_bulk_write_is_one_counter_step(self, service):
-        alice = service.get_user("alice")
-        rng = np.random.default_rng(103)
-        counter_before = service.dao.mutation_counter()
-        records = [
-            make_pe(
-                f"B{i}", code=f"b:{i}".encode().hex(),
-                desc_embedding=unit(rng),
-                code_embedding=unit(rng) if i == 2 else None,
-            )
-            for i in range(3)
-        ]
-        counter, moved = self.stamped_by(
-            service, lambda: service.register_pes_bulk(alice, records)
-        )
-        assert counter == counter_before + 1
-        assert moved == {
-            (alice.user_id, KIND_DESC): counter,
-            (alice.user_id, KIND_CODE): counter,
-        }
-
-    def test_a_failed_write_moves_no_counter_and_no_stamp(self, service):
-        alice = service.get_user("alice")
-        rng = np.random.default_rng(104)
-        record, _ = service.register_pe(
-            alice, make_pe("P", desc_embedding=unit(rng))
-        )
-        service.dao.delete_pe(record.pe_id)
-        counter_before = service.dao.mutation_counter()
-        stamps_before = service.dao.shard_stamps()
-        record.desc_embedding = unit(rng)
-        with pytest.raises(NotFoundError):
-            service.dao.update_pe(record)
-        assert service.dao.mutation_counter() == counter_before
-        assert service.dao.shard_stamps() == stamps_before
-
-    def test_stamps_and_counter_survive_a_reopen(self, tmp_path):
-        rng = np.random.default_rng(105)
-        path = tmp_path / "registry.db"
-        populate(path, rng)
-        dao = SqliteDAO(path)
-        stamps, counter = dao.shard_stamps(), dao.mutation_counter()
-        dao.close()
-        dao = SqliteDAO(path)
-        assert dao.shard_stamps() == stamps
-        assert dao.mutation_counter() == counter
-        assert counter == max(stamps.values())
-        dao.close()
-
-
-# ---------------------------------------------------------------------------
-# (h) names the e2e tracer pins
+# (g) names the e2e tracer pins
 # ---------------------------------------------------------------------------
 class TestTracePinnedNames:
     """The e2e tracer (``benchmarks/e2e/trace.py``) wraps a fixed table
@@ -1034,11 +844,10 @@ class TestTracePinnedNames:
         service = RegistryService(SqliteDAO(path), VectorIndex())
         before = shard_bytes(service.index)
         changes = service.dao._conn.total_changes
-        counter, stamps = service.dao.mutation_counter(), service.dao.shard_stamps()
+        counter = service.dao.mutation_counter()
         call(service)
         assert service.dao._conn.total_changes == changes
         assert service.dao.mutation_counter() == counter
-        assert service.dao.shard_stamps() == stamps
         assert shard_bytes(service.index) == before
         service.dao.close()
 

@@ -16,8 +16,10 @@ v1 text costs:
   from a row);
 * **embedding bytes** — vector blobs decoded on the way
   (``veccodec.decode_vector``), though no response carries a vector;
-* **ids** — owned ids projected for the membership check
-  (``pe_ids_owned_by`` plus ``workflow_ids_owned_by``, summed lengths).
+* **ids** — owned ids projected (``pe_ids_owned_by`` plus
+  ``workflow_ids_owned_by``, summed lengths): none, since an embedding
+  flush checks the vector index's freshness with one ``PRAGMA
+  data_version`` instead of comparing the shard with the owned ids.
 
 The counts are exact for these fixed inputs; no timing is involved.  A
 change to the read path moves them on purpose and re-pins them here.
@@ -42,16 +44,16 @@ QUERY = "element adds to a stream"
 
 #: queryType -> (statements, rows hydrated, embedding bytes, ids projected)
 READ_COST = {
-    # user lookup, two owned-id projections, two hydrations
-    "semantic": (5, 6, 333, 30),
+    # user lookup, two data_version reads, two hydrations
+    "semantic": (5, 6, 333, 0),
     # user lookup, two FTS rankings, two hydrations of the k winners
     "text": (5, 6, 333, 0),
     # the Table-3 route: the same ranking core, so the same reads
     "table3-text": (5, 6, 333, 0),
     # both legs rank to depth max(2k, k + 50): 60 rows hydrated for 3 hits
-    "hybrid": (9, 60, 3852, 30),
-    # user lookup, one projection, one hydration
-    "code": (3, 3, 210, 24),
+    "hybrid": (9, 60, 3852, 0),
+    # user lookup, one data_version read, one hydration
+    "code": (3, 3, 210, 0),
 }
 
 

@@ -9,10 +9,11 @@ and stamps, in one transaction.
 
 A v15 file is made here from the committed DDL of that schema
 (``schemas/v15.sql``) by :func:`as_v15`: every table the two schemas
-share is copied from a served v16 file column by column, and the
-journal is what a v15 DAO leaves when nothing folded — one ``add`` row
-per stamped shard at its stamp, holding the shard's ids, every stamp
-its own chain tip.  The next schema step costs one more DDL file.
+share is copied from a served v16 file column by column, every shard
+that holds a vector gets the per-shard stamp a v15 writer kept (the
+mutation counter here; v16 writes none), and the journal is what a v15
+DAO leaves when nothing folded — one ``add`` row per stamped shard at
+its stamp, holding the shard's ids, every stamp its own chain tip.  The next schema step costs one more DDL file.
 Opening the file runs those three statements and no other DDL on
 ``main``; every record ``GET``, every listing and every search answers
 byte for byte what it answered before, and the attached index is the
@@ -61,6 +62,12 @@ def columns(conn, table, schema="main"):
     return [row[1] for row in conn.execute(f"PRAGMA {schema}.table_info({table})")]
 
 
+STAMP_ROWS = (
+    "SELECT user_id, kind, mutation_counter FROM shard_stamps"
+    " ORDER BY user_id, kind"
+)
+
+
 def as_v15(path):
     """Rewrite the current registry file at ``path`` as the v15 file
     holding the same registry (see the module docstring).  ``path``
@@ -86,34 +93,35 @@ def as_v15(path):
                 f"INSERT INTO main.{table} ({listed})"
                 f" SELECT {listed} FROM current.{table}"
             )
-        stamps = conn.execute(
-            "SELECT user_id, kind, mutation_counter FROM shard_stamps"
-            " WHERE user_id != 0 ORDER BY mutation_counter, user_id, kind"
-        ).fetchall()
-        for user_id, kind, stamp in stamps:
-            spec = SHARD_KINDS[kind]
+        (stamp,) = conn.execute(
+            "SELECT mutation_counter FROM shard_stamps"
+            " WHERE user_id = 0 AND kind = 'mutations'"
+        ).fetchone()
+        for kind, spec in sorted(SHARD_KINDS.items()):
             table = "pes" if spec.id_field == "pe_id" else "workflows"
-            ids = [
-                row[0] for row in conn.execute(
-                    f"SELECT o.{spec.id_field} FROM {table[:-1]}_owners o"
-                    f" JOIN {table} r USING ({spec.id_field})"
-                    f" WHERE o.user_id = ? AND r.{spec.vector_field}"
-                    f" IS NOT NULL ORDER BY o.{spec.id_field}",
-                    (user_id,),
+            owned: dict[int, list[int]] = {}
+            for user_id, record_id in conn.execute(
+                f"SELECT o.user_id, o.{spec.id_field}"
+                f" FROM {table[:-1]}_owners o"
+                f" JOIN {table} r USING ({spec.id_field})"
+                f" WHERE r.{spec.vector_field} IS NOT NULL"
+                f" ORDER BY o.user_id, o.{spec.id_field}"
+            ):
+                owned.setdefault(user_id, []).append(record_id)
+            for user_id, ids in owned.items():
+                conn.execute(
+                    "INSERT INTO shard_stamps VALUES (?, ?, ?, ?)",
+                    (user_id, kind, stamp, stamp),
                 )
-            ]
-            conn.execute(
-                "INSERT INTO index_deltas"
-                " (user_id, kind, op, mutation_counter, rows, ids)"
-                " VALUES (?, ?, 'add', ?, ?, ?)",
-                (
-                    user_id, kind, stamp, len(ids),
-                    np.asarray(ids, dtype=np.int64).tobytes(),
-                ),
-            )
-        conn.execute(
-            "UPDATE shard_stamps SET tip = mutation_counter WHERE user_id != 0"
-        )
+                conn.execute(
+                    "INSERT INTO index_deltas"
+                    " (user_id, kind, op, mutation_counter, rows, ids)"
+                    " VALUES (?, ?, 'add', ?, ?, ?)",
+                    (
+                        user_id, kind, stamp, len(ids),
+                        np.asarray(ids, dtype=np.int64).tobytes(),
+                    ),
+                )
         conn.execute("PRAGMA user_version = 15")
         conn.commit()
         conn.execute("DETACH DATABASE current")
@@ -273,11 +281,12 @@ def test_a_v15_file_steps_to_v16_and_serves_as_before(
     before = replies(path, fast_bundle)
     # the searches found something to serve
     assert sum('"hits": []' not in reply for reply in before) > len(SEARCHES)
-    stamps = SqliteDAO(path)
-    stamped = stamps.shard_stamps()
-    stamps.close()
 
     as_v15(path)
+    conn = sqlite3.connect(path)
+    stamped = conn.execute(STAMP_ROWS).fetchall()
+    conn.close()
+    assert any(user_id for user_id, _kind, _stamp in stamped)
     assert {"index_shards", "index_deltas"} <= schema_names(path)
     dao, statements = open_traced(monkeypatch, path)
     # the three statements of the step, inside one transaction with
@@ -293,7 +302,8 @@ def test_a_v15_file_steps_to_v16_and_serves_as_before(
     assert columns(dao._conn, "shard_stamps") == [
         "user_id", "kind", "mutation_counter",
     ]
-    assert dao.shard_stamps() == stamped
+    # the step keeps every stamp row, a v15 writer's per-shard ones too
+    assert [tuple(row) for row in dao._conn.execute(STAMP_ROWS)] == stamped
     index = VectorIndex()
     RegistryService(dao).attach_index(index)
     assert shard_bytes(index) == shard_bytes(brute_force_index(dao))

@@ -717,12 +717,11 @@ class TestLegacyFile:
         )
         again.close()
 
-    def test_legacy_dense_row_and_sparse_reencoding_stamp_nothing(
+    def test_a_legacy_dense_row_reencodes_on_a_metadata_write(
         self, tmp_path
     ):
-        """The stamping rule compares vectors, not encodings: rewriting
-        a legacy dense row with the same vector (now stored sparse) must
-        not stale the shard."""
+        """Rewriting a legacy dense row with the same vector stores it
+        sparse, and the vector reads back bit for bit."""
         rng = np.random.default_rng(72)
         path = tmp_path / "registry.db"
         service = RegistryService(SqliteDAO(path))
@@ -740,19 +739,20 @@ class TestLegacyFile:
         assert blob_lengths(path)[stored.pe_id] == DIM * 4
 
         dao = SqliteDAO(path)
-        stamps = dao.shard_stamps()
         record = dao.get_pe(stored.pe_id)
         record.description = "after"  # metadata only, same vector
         dao.update_pe(record)
-        assert dao.shard_stamps() == stamps
         assert blob_lengths(path)[stored.pe_id] < DIM * 4
+        assert dao.get_pe(stored.pe_id).desc_embedding.tobytes() == (
+            stored.desc_embedding.tobytes()
+        )
 
     def test_dense_sparse_and_table_rows_serve_bitwise(self, tmp_path):
         """A file whose record rows hold all three layouts — dense from
         v6 and older, tag-1 sparse from v7 to v11, value tables since
         v12 — attaches and ranks both vector kinds bitwise as
         brute force does; a metadata-only revise of an older row stores
-        it in the smallest layout and stamps nothing."""
+        it in the smallest layout."""
         rng = np.random.default_rng(73)
         path = tmp_path / "registry.db"
         service = RegistryService(SqliteDAO(path))
@@ -797,13 +797,11 @@ class TestLegacyFile:
                 assert got == [records[row].pe_id for row in order]
                 assert np.array_equal(scores, sims[order])
 
-        stamps = dao.shard_stamps()
         for target in (ids[0], ids[8]):
             record = dao.get_pe(target)
             record.description = "same vectors, new words"
             dao.update_pe(record)
             assert blob_tags(path, "code_embedding")[target] == 2
-        assert dao.shard_stamps() == stamps
         dao.close()
         again = SqliteDAO(path)
         assert shard_bytes(attached(again)) == shard_bytes(

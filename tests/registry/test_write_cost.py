@@ -291,8 +291,10 @@ def test_an_ingest_batch_is_one_commit(registry):
 #: the top-level statements of a new PE's ``PUT`` and of its revise: the
 #: user, ``BEGIN IMMEDIATE``, one read of the name (the caller's
 #: binding and the §3.1 dedup candidates both), then the write and the
-#: mutation counter the reply carries, and the ``COMMIT``
-PUT_STATEMENTS = {"put": 13, "revise": 13}
+#: mutation counter the reply carries, and the ``COMMIT``.  The put
+#: raises the id high-water mark; the revise reads the committed row and
+#: swaps its text documents
+PUT_STATEMENTS = {"put": 11, "revise": 12}
 
 
 def name_reads(statements):
@@ -605,11 +607,12 @@ def test_an_attach_reads_in_statements_per_shard_not_per_record(tmp_path):
     assert warm.size(alice.user_id, KIND_DESC) == 1340
     assert shard_bytes(warm) == shard_bytes(index)
 
-    # one read transaction: the users, then one scan per (user, record
-    # table) — alice's two kinds share hers.  Schema v15 read 10 (the
-    # counter, stamps, slabs, journal and two chain-statistics queries
-    # beside the two PE scans)
-    assert len(large) == len(small) == 7, large
+    # one read transaction: the users, one scan per (user, record
+    # table) — alice's two kinds share hers — and the data_version the
+    # index is current at.  Schema v15 read 10 (the counter, stamps,
+    # slabs, journal and two chain-statistics queries beside the two PE
+    # scans)
+    assert len(large) == len(small) == 8, large
     assert large[0] == "BEGIN" and large[-1] == "COMMIT"
     scans = [sql for sql in large if "JOIN pes" in sql]
     assert len(scans) == 2

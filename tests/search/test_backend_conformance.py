@@ -3,16 +3,16 @@
 Every case feeds identical 23-row slabs into one :class:`VectorIndex`
 and checks what the serving layer relies on: the ranking equals a
 plain descending-score, ascending-id scan for every ``k``; the batched
-and unverified entry points answer bitwise like ``search_among``; the
-membership contract returns ``None`` on any mismatch (so callers fall
-back to brute force); and concurrent readers see the serial answers.
+and plain entry points answer bitwise like ``search_among``; a shard
+that is not resident answers ``None`` (so callers fill it first); and
+concurrent readers see the serial answers.
 
 Each case runs once per *layout*: the same final slabs reached through
-every write path the registry uses — the bulk attach fast path, one
-``add`` per row, out-of-order ids (mid-inserts), churn (removals,
-re-inserts and in-place updates) and the cold-start path (each row
-encoded as the store keeps it, the shard decoded in one batch, as
-attach reads it).  All of them must leave the shard contiguous and
+every write path the registry uses — a bulk write into a new user's
+empty shard, one ``add`` per row, out-of-order ids (mid-inserts), churn
+(removals, re-inserts and in-place updates) and the fill path (each row
+encoded as the store keeps it, the shard decoded in one batch and
+installed whole, as attach and a refill read it).  All of them must leave the shard contiguous and
 id-ordered, so every layout answers bitwise alike.
 """
 
@@ -23,9 +23,8 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.registry.veccodec import decode_many, encode_vector
-from repro.search import VectorIndex
 from repro.search.index import KIND_CODE, KIND_DESC, KIND_WORKFLOW
-from tests.helpers import index_shards
+from tests.helpers import index_shards, resident_index
 
 DIM = 16
 KINDS = (KIND_DESC, KIND_CODE, KIND_WORKFLOW)
@@ -68,7 +67,7 @@ def _churned(index, user, kind, rows):
 
 def _decoded(index, user, kind, rows):
     blobs = [encode_vector(row) for row in rows]
-    index.add_many(user, kind, RIDS, decode_many(blobs))
+    index.fill(index.version, {(user, kind): (RIDS, decode_many(blobs))})
 
 
 LAYOUTS = {
@@ -86,7 +85,7 @@ def populated(request):
     layout; returns it with ``{(user, kind): rows}`` for brute-force
     references."""
     write = LAYOUTS[request.param]
-    index = VectorIndex()
+    index = resident_index(*[(user, kind) for user in USERS for kind in KINDS])
     slabs = {}
     seed = 0
     for user in USERS:
@@ -117,7 +116,7 @@ class TestExactParity:
         index, slabs = populated
         for (user, kind), rows in slabs.items():
             query = _vectors(1, seed=1000 + user)[0]
-            got = index.search_among(user, kind, RIDS, query, k)
+            got = index.search_among(user, kind, query, k)
             assert got[0] == _brute_ids(rows, RIDS, query, k)
             np.testing.assert_allclose(
                 got[1], np.sort(rows @ query)[::-1][: len(got[0])], rtol=1e-6
@@ -129,24 +128,24 @@ class TestExactParity:
         queries.append(queries[0])  # a duplicate coalesces, same answer
         ks = [1, 5, None, ROWS, 1]
         for user in USERS:
-            got = index.search_among_many(user, KIND_DESC, RIDS, queries, ks)
+            got = index.search_among_many(user, KIND_DESC, queries, ks)
             assert len(got) == len(queries)
             for got_one, query, k in zip(got, queries, ks):
                 _assert_same(
-                    got_one, index.search_among(user, KIND_DESC, RIDS, query, k)
+                    got_one, index.search_among(user, KIND_DESC, query, k)
                 )
 
-    def test_unverified_search_matches_search_among(self, populated):
+    def test_plain_search_matches_search_among(self, populated):
         index, _slabs = populated
         query = _vectors(1, seed=3)[0]
         for kind in KINDS:
             _assert_same(
                 index.search(1, kind, query, 7),
-                index.search_among(1, kind, RIDS, query, 7),
+                index.search_among(1, kind, query, 7),
             )
 
     def test_tie_break_is_ascending_id(self):
-        index = VectorIndex()
+        index = resident_index(("u", KIND_DESC))
         top = np.zeros(DIM, dtype=np.float32)
         top[0] = 2.0
         tied = np.zeros(DIM, dtype=np.float32)
@@ -156,10 +155,10 @@ class TestExactParity:
             index.add("u", KIND_DESC, rid, vec)
         query = np.zeros(DIM, dtype=np.float32)
         query[0] = 1.0
-        ids, scores = index.search_among("u", KIND_DESC, [2, 5, 7, 9], query)
+        ids, scores = index.search_among("u", KIND_DESC, query)
         assert ids == [7, 2, 5, 9]
         assert scores.tolist() == [2.0, 1.0, 1.0, 1.0]
-        ids, _ = index.search_among("u", KIND_DESC, [2, 5, 7, 9], query, 2)
+        ids, _ = index.search_among("u", KIND_DESC, query, 2)
         assert ids == [7, 2]
 
     @pytest.mark.parametrize("k", range(1, 8))
@@ -168,7 +167,7 @@ class TestExactParity:
         # partial selection must pull in every row tied with the k-th
         # score, so each cut keeps the lowest ids of the tied run
         levels = {8: 0.0, 1: 3.0, 6: 2.0, 3: 2.0, 4: 2.0, 7: 1.0, 2: 1.0, 5: 1.0}
-        index = VectorIndex()
+        index = resident_index(("u", KIND_DESC))
         for rid in sorted(levels, reverse=True):
             vec = np.zeros(DIM, dtype=np.float32)
             vec[0] = levels[rid]
@@ -176,7 +175,7 @@ class TestExactParity:
         query = np.zeros(DIM, dtype=np.float32)
         query[0] = 1.0
         full = [1, 3, 4, 6, 2, 5, 7, 8]
-        ids, scores = index.search_among("u", KIND_DESC, sorted(levels), query, k)
+        ids, scores = index.search_among("u", KIND_DESC, query, k)
         assert ids == full[:k]
         assert scores.tolist() == [levels[rid] for rid in full[:k]]
 
@@ -190,19 +189,12 @@ class TestExactParity:
 
 
 class TestMembership:
-    def test_membership_mismatch_returns_none(self, populated):
+    def test_a_shard_that_is_not_resident_returns_none(self, populated):
         index, _slabs = populated
         query = _vectors(1, seed=5)[0]
-        assert index.search_among(1, KIND_DESC, RIDS[:-1], query, 3) is None
-        assert index.search_among(1, KIND_DESC, RIDS + [999], query, 3) is None
-        assert (
-            index.search_among(1, KIND_DESC, RIDS[:-1] + [999], query, 3)
-            is None
-        )
-        assert index.search_among(99, KIND_DESC, RIDS, query, 3) is None
-        assert (
-            index.search_among_many(1, KIND_DESC, [1, 2], [query], [3]) is None
-        )
+        assert index.search_among(99, KIND_DESC, query, 3) is None
+        assert index.search_among_many(99, KIND_DESC, [query], [3]) is None
+        assert index.search_among(1, KIND_DESC, query, 3) is not None
 
     def test_parity_survives_removals(self, populated):
         index, slabs = populated
@@ -217,23 +209,22 @@ class TestMembership:
         slab = slabs[(user, KIND_DESC)]
         rows = np.vstack([slab[r - 1] for r in keep] + [extra])
         query = _vectors(1, seed=6)[0]
-        got = index.search_among(user, KIND_DESC, rids, query, 7)
+        got = index.search_among(user, KIND_DESC, query, 7)
         assert got[0] == _brute_ids(rows, rids, query, 7)
-        # the stale candidate list (still naming a removed id) must not
-        # serve: the caller falls back instead of resurrecting id 3
-        assert index.search_among(user, KIND_DESC, RIDS, query, 7) is None
         # other kinds of the same user are untouched by the removals
-        assert index.search_among(user, KIND_CODE, RIDS, query, 7) is not None
+        assert index.search_among(user, KIND_CODE, query, 7)[0] == (
+            _brute_ids(slabs[(user, KIND_CODE)], RIDS, query, 7)
+        )
 
     def test_emptied_shard_serves_empty_not_none(self, populated):
         index, _slabs = populated
         for rid in RIDS:
             assert index.remove(2, KIND_WORKFLOW, rid)
         query = _vectors(1, seed=8)[0]
-        ids, scores = index.search_among(2, KIND_WORKFLOW, [], query, 5)
+        ids, scores = index.search_among(2, KIND_WORKFLOW, query, 5)
         assert ids == [] and scores.size == 0
         batch = index.search_among_many(
-            2, KIND_WORKFLOW, [], [query, query], [1, None]
+            2, KIND_WORKFLOW, [query, query], [1, None]
         )
         assert [ids for ids, _ in batch] == [[], []]
 
@@ -242,7 +233,7 @@ class TestMembership:
         jobs = [(user, 3000 + n) for n, user in enumerate(USERS * 5)]
         serial = {
             (user, seed, kind): index.search_among(
-                user, kind, RIDS, _vectors(1, seed=seed)[0], 5
+                user, kind, _vectors(1, seed=seed)[0], 5
             )
             for user, seed in jobs
             for kind in KINDS
@@ -253,7 +244,7 @@ class TestMembership:
             query = _vectors(1, seed=seed)[0]
             for kind in KINDS:
                 want = serial[(user, seed, kind)]
-                got = index.search_among(user, kind, RIDS, query, 5)
+                got = index.search_among(user, kind, query, 5)
                 if got is None or got[0] != want[0] or (
                     got[1].tobytes() != want[1].tobytes()
                 ):
@@ -271,8 +262,8 @@ class TestMembership:
         index, _slabs = populated
         query = _vectors(1, seed=9)[0]
         with pytest.raises(ValidationError, match="queries"):
-            index.search_among_many(1, KIND_DESC, RIDS, [query], [1, 2])
+            index.search_among_many(1, KIND_DESC, [query], [1, 2])
         with pytest.raises(ValidationError, match="k must be positive"):
-            index.search_among_many(1, KIND_DESC, RIDS, [query], [0])
+            index.search_among_many(1, KIND_DESC, [query], [0])
         with pytest.raises(ValidationError, match="k must be positive"):
-            index.search_among(1, KIND_DESC, RIDS, query, -1)
+            index.search_among(1, KIND_DESC, query, -1)

@@ -1,4 +1,4 @@
-"""SearchBatcher: group-commit coalescing, bitwise parity and fallback.
+"""SearchBatcher: group-commit coalescing, bitwise parity and refills.
 
 Coalescing is tested without clocks: a running flush is parked inside
 ``resolve`` on an :class:`threading.Event`, the requests that must queue
@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import NotFoundError, ValidationError
 from repro.search import KIND_CODE, KIND_DESC, SearchBatcher, VectorIndex
+from tests.helpers import resident_index
 
 #: generous bound on every wait: reached only when the code under test
 #: deadlocks, never on a correct run
@@ -36,8 +37,16 @@ def no_embedding(texts):
     raise AssertionError(f"unexpected embed of {texts}")
 
 
+def as_is(rank):
+    """A ``current`` for an index that is current as it stands."""
+    return rank(), False
+
+
 class Corpus:
-    """A tiny record store mimicking the registry's resolve protocol."""
+    """A tiny record store mimicking the registry's serving protocol:
+    ``current`` fills a shard of the index that is not resident from the
+    records, as the service refills one from the rows, and a commit of
+    "another connection" (:meth:`commit`) makes the next one refill."""
 
     def __init__(self, user, vectors):
         self.user = user
@@ -46,11 +55,26 @@ class Corpus:
             for rid, vec in vectors.items()
         }
         self.resolve_calls = 0
-        self.owned_calls = 0
+        self.current_calls = 0
+        self.version = 0
 
-    def owned_ids(self):
-        self.owned_calls += 1
-        return sorted(self.records)
+    def commit(self, rid, vec):
+        """Another connection's write: the index is behind until its
+        next refill."""
+        self.records[rid] = record(rid, np.asarray(vec, dtype=np.float32))
+        self.version += 1
+
+    def current(self, index, kind, rank):
+        self.current_calls += 1
+        if self.version == index.version:
+            ranked = rank()
+            if ranked is not None:
+                return ranked, False
+        ids = sorted(self.records)
+        refilled = index.fill(self.version, {(self.user, kind): (
+            ids, [self.records[rid].desc_embedding for rid in ids]
+        )})
+        return rank(), refilled
 
     def resolve(self, ids):
         self.resolve_calls += 1
@@ -170,19 +194,20 @@ def stack():
     vectors = {rid: unit(rng) for rid in range(1, 21)}
     corpus = Corpus("u", vectors)
     index = VectorIndex()
-    for rid, vec in vectors.items():
-        index.add("u", KIND_DESC, rid, vec)
+    index.fill(corpus.version, {("u", KIND_DESC): (
+        list(vectors), list(vectors.values())
+    )})
     return index, corpus, rng
 
 
 def protocol_kwargs(index, corpus, qvec, k, kind=KIND_DESC):
-    """The submit arguments.  ``resolve`` and ``owned_ids`` are looked
-    up per call, so a test may wrap them."""
+    """The submit arguments.  ``resolve`` and ``current`` are looked up
+    per call, so a test may wrap them."""
     return dict(
         index=index,
         user=corpus.user,
         kind=kind,
-        owned_ids=lambda: corpus.owned_ids(),
+        current=lambda rank: corpus.current(index, kind, rank),
         k=k,
         query_embedding=qvec,
         resolve=lambda ids: corpus.resolve(ids),
@@ -210,17 +235,14 @@ class TestSingleRequest:
         assert stats["requests"] == stats["batches"] == 3
         assert stats["batchedRequests"] == 0
 
-    def test_empty_owned_set_returns_empty_without_embedding(self, stack):
-        index, _, _ = stack
-        empty = Corpus("u", {})
-        batcher = SearchBatcher()
-
-        def boom(texts):
-            raise AssertionError("embedded despite empty owned set")
-
-        kwargs = protocol_kwargs(index, empty, None, 3)
-        kwargs.update(embed_key="q", embed_text="q", embed_many=boom)
-        assert batcher.submit(**kwargs) == []
+    def test_an_empty_shard_returns_empty(self):
+        index = resident_index(("u", KIND_DESC))
+        kwargs = protocol_kwargs(index, Corpus("u", {}), None, 3)
+        kwargs.update(
+            embed_key="q", embed_text="q",
+            embed_many=lambda texts: np.ones((len(texts), 4), np.float32),
+        )
+        assert SearchBatcher().submit(**kwargs) == []
 
     def test_callback_error_reraises_in_submitter(self, stack):
         index, corpus, rng = stack
@@ -282,12 +304,12 @@ class TestCoalescing:
             assert got == corpus.reference(qvec, 5)
             assert got == submit(lone, index, corpus, qvec)
 
-    def test_batch_amortizes_owned_and_resolve_calls(self, stack):
-        # each flush costs exactly one owned-id fetch and one hydration
+    def test_batch_amortizes_freshness_and_resolve_calls(self, stack):
+        # each flush costs exactly one freshness check and one hydration
         # round trip, however many requests it carries
         index, corpus, rng = stack
         self.park_and_queue(index, corpus, rng)
-        assert corpus.owned_calls == corpus.resolve_calls == 2
+        assert corpus.current_calls == corpus.resolve_calls == 2
 
     def test_each_thread_leads_at_most_one_flush(self, stack):
         """The leader of a flush hands the queue that formed meanwhile
@@ -373,8 +395,8 @@ class TestCoalescing:
 
     def test_distinct_kinds_never_share_a_batch(self, stack):
         """Another key's running flush never delays a lone submit: the
-        other kind (no code shard, so it falls back to the exact scan)
-        is served while the KIND_DESC flush is parked."""
+        other kind (no code shard yet, so its flush fills it) is served
+        while the KIND_DESC flush is parked."""
         index, corpus, rng = stack
         batcher = SearchBatcher()
         park = Park(corpus.resolve)
@@ -390,7 +412,8 @@ class TestCoalescing:
         stats = batcher.stats()
         assert stats["batches"] == 2
         assert stats["batchedRequests"] == 0
-        assert stats["fallbacks"] == 1
+        assert stats["fallbacks"] == 0  # a first fill is no refill
+        assert index.size("u", KIND_CODE) == len(corpus.records)
 
 
 class TestStress:
@@ -405,7 +428,7 @@ class TestStress:
         index, corpus, rng = stack
         batcher = SearchBatcher()
         qvecs = [unit(rng) for _ in range(8)]
-        # the code shard is absent: its flushes take the fallback path
+        # the code shard is absent: its first flushes fill it
         kinds = [KIND_DESC, KIND_CODE]
 
         def work(tid):
@@ -437,46 +460,43 @@ class TestStress:
         assert batcher._queues == {}
 
 
-class TestFallback:
-    def test_shard_mismatch_falls_back_brute_force(self, stack):
+class TestRefill:
+    def test_a_flush_after_a_foreign_commit_refills_and_counts(self, stack):
         index, corpus, rng = stack
-        # grow the owned set past the shard: membership check must fail
-        corpus.records[99] = record(99, unit(rng))
         batcher = SearchBatcher()
         qvec = unit(rng)
+        submit(batcher, index, corpus, qvec, k=None)
+        corpus.commit(99, qvec)
         got = submit(batcher, index, corpus, qvec, k=None)
         assert got == corpus.reference(qvec)
+        assert got[0][0] == 99
+        assert batcher.stats()["fallbacks"] == 1
+        # current again: the next flush ranks as it stands
+        assert submit(batcher, index, corpus, qvec, k=None) == got
         assert batcher.stats()["fallbacks"] == 1
 
 
 class TestSearchAmongMany:
     def test_bitwise_identical_to_search_among(self, stack):
-        index, corpus, rng = stack
-        owned = corpus.owned_ids()
+        index, _corpus, rng = stack
         qvecs = [unit(rng) for _ in range(5)]
         ks = [1, 3, None, 20, 2]
-        batch = index.search_among_many("u", KIND_DESC, owned, qvecs, ks)
+        batch = index.search_among_many("u", KIND_DESC, qvecs, ks)
         assert batch is not None
         for qvec, k, (ids, scores) in zip(qvecs, ks, batch):
-            single = index.search_among("u", KIND_DESC, owned, qvec, k)
+            single = index.search_among("u", KIND_DESC, qvec, k)
             assert single is not None
             assert ids == single[0]
             assert np.array_equal(scores, single[1])
 
-    def test_mismatch_returns_none(self, stack):
-        index, corpus, rng = stack
-        owned = corpus.owned_ids() + [999]
-        assert (
-            index.search_among_many("u", KIND_DESC, owned, [unit(rng)], [3])
-            is None
-        )
+    def test_a_shard_that_is_not_resident_returns_none(self, stack):
+        index, _corpus, rng = stack
+        assert index.search_among_many("v", KIND_DESC, [unit(rng)], [3]) is None
 
     def test_rejects_bad_k(self, stack):
-        index, corpus, rng = stack
+        index, _corpus, rng = stack
         with pytest.raises(ValidationError):
-            index.search_among_many(
-                "u", KIND_DESC, corpus.owned_ids(), [unit(rng)], [0]
-            )
+            index.search_among_many("u", KIND_DESC, [unit(rng)], [0])
 
 
 class TestEmbedMany:
@@ -508,7 +528,7 @@ class TestEmbedMany:
                 return out
 
         embedder = Embedder()
-        index = VectorIndex()
+        index = resident_index(("u", KIND_DESC))
         rids = list(range(1, 6))
         for rid in rids:
             vec = np.zeros(8, dtype=np.float32)
@@ -524,7 +544,7 @@ class TestEmbedMany:
                 index=index,
                 user="u",
                 kind=KIND_DESC,
-                owned_ids=lambda: sorted(records),
+                current=as_is,
                 k=3,
                 resolve=park,
                 embed_key=("t", text),
@@ -569,7 +589,7 @@ class TestEmbedMany:
             calls.append(list(texts))
             return original(model_self, texts, kind)
 
-        index = VectorIndex()
+        index = resident_index(("u", KIND_DESC))
         records = {}
         for rid in range(1, 9):
             desc = f"record about topic {rid}"
@@ -588,7 +608,7 @@ class TestEmbedMany:
                 index=index,
                 user="u",
                 kind=KIND_DESC,
-                owned_ids=lambda: sorted(records),
+                current=as_is,
                 k=3,
                 resolve=park,
                 embed_many=searcher.embed_queries,
@@ -630,14 +650,14 @@ class TestEmbedMany:
             seen.extend(texts)
             return np.ones((len(texts), 4), dtype=np.float32)
 
-        index = VectorIndex()
+        index = resident_index(("u", KIND_DESC))
         index.add("u", KIND_DESC, 1, np.ones(4, np.float32))
         batcher = SearchBatcher()
         kwargs = dict(
             index=index,
             user="u",
             kind=KIND_DESC,
-            owned_ids=lambda: [1],
+            current=as_is,
             k=1,
             resolve=lambda wanted: [record(1)],
             embed_key=("t", "q"),
@@ -656,7 +676,7 @@ class TestEmbedMany:
         """Without a query embedding a request must say how to embed
         its text: keyless specs would share one batch slot and serve
         every request the first one's vector."""
-        index = VectorIndex()
+        index = resident_index(("u", KIND_DESC))
         index.add("u", KIND_DESC, 1, np.ones(4, np.float32))
         batcher = SearchBatcher()
         spec = dict(
@@ -670,7 +690,7 @@ class TestEmbedMany:
                 index=index,
                 user="u",
                 kind=KIND_DESC,
-                owned_ids=lambda: [1],
+                current=as_is,
                 k=1,
                 resolve=lambda wanted: [record(1)],
                 **spec,
@@ -681,7 +701,7 @@ class TestEmbedMany:
         def embed_many(texts):
             raise RuntimeError("model down")
 
-        index = VectorIndex()
+        index = resident_index(("u", KIND_DESC))
         index.add("u", KIND_DESC, 1, np.ones(4, np.float32))
         batcher = SearchBatcher()
         with pytest.raises(RuntimeError, match="model down"):
@@ -689,7 +709,7 @@ class TestEmbedMany:
                 index=index,
                 user="u",
                 kind=KIND_DESC,
-                owned_ids=lambda: [1],
+                current=as_is,
                 k=1,
                 resolve=lambda wanted: [record(1)],
                 embed_key=("t", "q"),

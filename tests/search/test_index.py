@@ -5,7 +5,10 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.search import KIND_CODE, KIND_DESC, EmbeddingLRU, VectorIndex
-from tests.helpers import index_shards
+from tests.helpers import index_shards, resident_index
+
+#: the one shard most cases write: resident before their first add
+U = ("u", KIND_DESC)
 
 
 def unit(rng, dim=16):
@@ -20,7 +23,7 @@ def rng():
 
 class TestMutation:
     def test_add_then_search(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         vec = unit(rng)
         index.add("u", KIND_DESC, 1, vec)
         ids, scores = index.search("u", KIND_DESC, vec)
@@ -28,7 +31,7 @@ class TestMutation:
         assert scores[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_add_same_id_updates_in_place(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         index.add("u", KIND_DESC, 1, unit(rng))
         replacement = unit(rng)
         index.add("u", KIND_DESC, 1, replacement)
@@ -37,7 +40,7 @@ class TestMutation:
         assert ids == [1] and scores[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_remove_drops_id(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         q = unit(rng)
         index.add("u", KIND_DESC, 1, unit(rng))
         index.add("u", KIND_DESC, 2, unit(rng))
@@ -52,14 +55,14 @@ class TestMutation:
         assert not index.remove("nobody", KIND_DESC, 1)
 
     def test_growth_beyond_initial_capacity(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         for rid in range(100):
             index.add("u", KIND_DESC, rid, unit(rng))
         assert index.size("u", KIND_DESC) == 100
         assert index.ids("u", KIND_DESC) == list(range(100))
 
     def test_removal_preserves_insertion_order(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         for rid in range(200):
             index.add("u", KIND_DESC, rid, unit(rng))
         for rid in range(0, 200, 2):
@@ -68,7 +71,7 @@ class TestMutation:
         assert index.stats()["u/desc"]["live"] == 100
 
     def test_shards_isolated_per_user_and_kind(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         q = unit(rng)
         index.add("u", KIND_DESC, 1, q)
         other_user_ids, other_user_scores = index.search("v", KIND_DESC, q)
@@ -77,7 +80,7 @@ class TestMutation:
         assert other_kind_ids == [] and other_kind_scores.size == 0
 
     def test_dimension_mismatch_rejected(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         index.add("u", KIND_DESC, 1, unit(rng, dim=8))
         with pytest.raises(ValidationError):
             index.add("u", KIND_DESC, 2, unit(rng, dim=16))
@@ -85,7 +88,7 @@ class TestMutation:
     def test_non_unit_vectors_stored_verbatim(self, rng):
         """Raw dot-product semantics, exactly like the brute-force scan —
         the index must never renormalize caller-supplied vectors."""
-        index = VectorIndex()
+        index = resident_index(U)
         vec = unit(rng)
         index.add("u", KIND_DESC, 1, vec * 42.0)
         _, scores = index.search("u", KIND_DESC, vec)
@@ -98,7 +101,7 @@ class TestAddMany:
     def test_bulk_matches_incremental(self, rng):
         vectors = np.stack([unit(rng) for _ in range(20)])
         ids = list(range(1, 21))
-        bulk, incremental = VectorIndex(), VectorIndex()
+        bulk, incremental = resident_index(U), resident_index(U)
         bulk.add_many("u", KIND_DESC, ids, vectors)
         for rid, vec in zip(ids, vectors):
             incremental.add("u", KIND_DESC, rid, vec)
@@ -111,12 +114,12 @@ class TestAddMany:
 
     def test_unsorted_ids_fall_back_to_incremental_path(self, rng):
         vectors = np.stack([unit(rng) for _ in range(4)])
-        index = VectorIndex()
+        index = resident_index(U)
         index.add_many("u", KIND_DESC, [4, 2, 9, 1], vectors)
         assert index.ids("u", KIND_DESC) == [1, 2, 4, 9]
 
     def test_bulk_into_existing_shard_merges(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         index.add("u", KIND_DESC, 5, unit(rng))
         index.add_many(
             "u", KIND_DESC, [1, 9], np.stack([unit(rng), unit(rng)])
@@ -124,7 +127,7 @@ class TestAddMany:
         assert index.ids("u", KIND_DESC) == [1, 5, 9]
 
     def test_incremental_adds_after_bulk(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         index.add_many(
             "u", KIND_DESC, [1, 2, 3], np.stack([unit(rng)] * 3)
         )
@@ -145,7 +148,7 @@ class TestAddMany:
 
 class TestSearch:
     def test_k_validation(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         index.add("u", KIND_DESC, 1, unit(rng))
         with pytest.raises(ValidationError):
             index.search("u", KIND_DESC, unit(rng), k=0)
@@ -156,32 +159,31 @@ class TestSearch:
         assert ids == [] and scores.shape == (0,)
 
     def test_k_larger_than_corpus(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         for rid in range(3):
             index.add("u", KIND_DESC, rid, unit(rng))
         ids, _ = index.search("u", KIND_DESC, unit(rng), k=50)
         assert len(ids) == 3
 
     def test_scores_descending(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         for rid in range(50):
             index.add("u", KIND_DESC, rid, unit(rng))
         _, scores = index.search("u", KIND_DESC, unit(rng), k=10)
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
 
     def test_removed_id_never_returned(self, rng):
-        index = VectorIndex()
+        index = resident_index(U)
         vectors = [unit(rng) for _ in range(30)]
         for rid, vec in enumerate(vectors):
             index.add("u", KIND_DESC, rid, vec)
         index.remove("u", KIND_DESC, 12)
-        live = [rid for rid in range(30) if rid != 12]
         query = vectors[12]  # the removed row would rank first
         for k in (1, 5, None):
             answers = [
                 index.search("u", KIND_DESC, query, k),
-                index.search_among("u", KIND_DESC, live, query, k),
-                *index.search_among_many("u", KIND_DESC, live, [query], [k]),
+                index.search_among("u", KIND_DESC, query, k),
+                *index.search_among_many("u", KIND_DESC, [query], [k]),
             ]
             for ids, _scores in answers:
                 assert 12 not in ids
@@ -190,8 +192,8 @@ class TestSearch:
     def test_indexes_fed_alike_answer_bitwise(self, rng):
         vectors = np.stack([unit(rng) for _ in range(40)])
         first, second = VectorIndex(), VectorIndex()
-        first.add_many("u", KIND_DESC, range(40), vectors)
-        second.add_many("u", KIND_DESC, range(40), vectors)
+        first.fill(1, {U: (range(40), vectors)})
+        second.fill(1, {U: (range(40), vectors)})
         for _ in range(5):
             query = unit(rng)
             got = first.search("u", KIND_DESC, query, 7)
@@ -200,72 +202,77 @@ class TestSearch:
             assert got[1].tobytes() == want[1].tobytes()
 
 
-class TestSearchAmong:
-    """The membership-verified fast path the searchers use."""
+class TestResidency:
+    """A shard is resident only as a complete copy of its rows."""
 
-    def _index(self, rng, n=10):
+    def test_a_shard_that_is_not_resident_takes_no_write(self, rng):
         index = VectorIndex()
-        vectors = [unit(rng) for _ in range(n)]
-        for rid, vec in enumerate(vectors):
-            index.add("u", KIND_DESC, rid, vec)
-        return index, vectors
+        index.add("u", KIND_DESC, 1, unit(rng))
+        index.add_many("u", KIND_DESC, [2, 3], np.stack([unit(rng)] * 2))
+        assert not index.remove("u", KIND_DESC, 1)
+        assert index.stats() == {}
+        assert index.search_among("u", KIND_DESC, unit(rng)) is None
+        assert index.search_among_many("u", KIND_DESC, [unit(rng)], [2]) is None
+        ids, scores = index.search("u", KIND_DESC, unit(rng))
+        assert ids == [] and scores.shape == (0,)
 
-    def test_exact_membership_matches_plain_search(self, rng):
-        index, _ = self._index(rng)
+    def test_a_fill_installs_complete_shards(self, rng):
+        vectors = np.stack([unit(rng) for _ in range(4)])
+        index = VectorIndex()
+        assert index.fill(7, {U: ([4, 2, 9, 1], vectors), ("v", KIND_CODE): ((), ())})
+        assert index.version == 7
+        assert index.ids("u", KIND_DESC) == [1, 2, 4, 9]
+        ids, scores = index.search_among("u", KIND_DESC, vectors[2], 1)
+        assert ids == [9] and scores[0] == pytest.approx(1.0, abs=1e-6)
+        ids, scores = index.search_among("v", KIND_CODE, unit(rng))
+        assert ids == [] and scores.size == 0
+
+    def test_a_fill_at_another_version_drops_every_resident_shard(self, rng):
+        index = VectorIndex()
+        index.fill(1, {U: ([1], [unit(rng)]), ("v", KIND_DESC): ([2], [unit(rng)])})
+        assert not index.fill(1, {("w", KIND_DESC): ((), ())})
+        assert set(index.stats()) == {"u/desc", "v/desc", "w/desc"}
+        assert index.fill(2, {("v", KIND_DESC): ([3], [unit(rng)])})
+        assert index.version == 2
+        assert set(index.stats()) == {"v/desc"}
+        assert index.ids("v", KIND_DESC) == [3]
+        assert index.search_among("u", KIND_DESC, unit(rng)) is None
+
+    def test_an_empty_shard_takes_its_first_rows_width(self, rng):
+        index = resident_index(U)
+        assert index.stats()["u/desc"]["dim"] == 0
+        index.add("u", KIND_DESC, 5, unit(rng, dim=8))
+        assert index.stats()["u/desc"]["dim"] == 8
+        with pytest.raises(ValidationError):
+            index.add("u", KIND_DESC, 6, unit(rng, dim=16))
+
+    def test_an_emptied_shard_serves_empty_not_none(self, rng):
+        index = resident_index(U)
+        index.add("u", KIND_DESC, 1, unit(rng))
+        assert index.remove("u", KIND_DESC, 1)
+        ids, scores = index.search_among("u", KIND_DESC, unit(rng), 3)
+        assert ids == [] and scores.size == 0
+        assert [ids for ids, _ in index.search_among_many(
+            "u", KIND_DESC, [unit(rng)] * 2, [1, None]
+        )] == [[], []]
+
+    def test_resident_search_among_matches_plain_search(self, rng):
+        index = resident_index(U)
+        for rid in range(10):
+            index.add("u", KIND_DESC, rid, unit(rng))
         q = unit(rng)
-        result = index.search_among("u", KIND_DESC, list(range(10)), q, k=4)
-        assert result is not None
-        ids, scores = result
+        ids, scores = index.search_among("u", KIND_DESC, q, k=4)
         plain_ids, plain_scores = index.search("u", KIND_DESC, q, k=4)
         assert ids == plain_ids
         np.testing.assert_array_equal(scores, plain_scores)
 
-    def test_candidate_order_is_irrelevant(self, rng):
-        index, _ = self._index(rng)
-        q = unit(rng)
-        shuffled = list(rng.permutation(10))
-        assert index.search_among("u", KIND_DESC, shuffled, q) is not None
-
-    def test_subset_returns_none(self, rng):
-        index, _ = self._index(rng)
-        assert index.search_among("u", KIND_DESC, [0, 1, 2], unit(rng)) is None
-
-    def test_superset_returns_none(self, rng):
-        index, _ = self._index(rng)
-        rids = list(range(11))  # one record the shard never saw
-        assert index.search_among("u", KIND_DESC, rids, unit(rng)) is None
-
-    def test_same_size_different_ids_returns_none(self, rng):
-        index, _ = self._index(rng)
-        rids = list(range(1, 10)) + [99]
-        assert index.search_among("u", KIND_DESC, rids, unit(rng)) is None
-
-    def test_missing_shard_returns_none(self, rng):
-        index = VectorIndex()
-        assert index.search_among("u", KIND_DESC, [1], unit(rng)) is None
-
-    def test_batch_on_a_missing_shard_returns_none(self, rng):
-        # even for an empty candidate list: the caller's brute force over
-        # its (empty) owned set is the answer, not a page per query
-        index = VectorIndex()
-        queries = [unit(rng)] * 3
-        for rids in ([], [1]):
-            assert (
-                index.search_among_many("u", KIND_DESC, rids, queries, [2] * 3)
-                is None
-            )
-
-    def test_stale_after_remove_returns_none(self, rng):
-        index, _ = self._index(rng)
-        index.remove("u", KIND_DESC, 3)
-        # caller's snapshot still lists id 3 -> must fall back, never
-        # resurrect or silently drop the removed record
-        assert index.search_among("u", KIND_DESC, list(range(10)), unit(rng)) is None
-
 
 class TestLayout:
     def test_shards_hold_ascending_ids_and_verbatim_rows(self, rng):
-        index = VectorIndex()
+        index = resident_index(
+            *[(user, kind) for user in (1, 2) for kind in (KIND_DESC, KIND_CODE)],
+            ("gone", KIND_DESC),
+        )
         rows = {}
         for user in (1, 2):
             for kind in (KIND_DESC, KIND_CODE):

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 
 from repro.search import KIND_DESC, VectorIndex
+from tests.helpers import resident_index
 
 DIM = 32
 USER = "u"
@@ -66,7 +67,7 @@ class Worker(threading.Thread):
 
 class TestConcurrentHammer:
     def test_threads_never_observe_torn_or_stale_state(self):
-        index = VectorIndex()
+        index = resident_index((USER, KIND_DESC))
         workers = [Worker(index, base=i * 1000, rounds=300) for i in range(6)]
         for worker in workers:
             worker.start()
@@ -88,7 +89,7 @@ class TestConcurrentHammer:
             assert abs(float(scores[0]) - 1.0) < 1e-5
 
     def test_concurrent_batch_search_during_mutation(self):
-        index = VectorIndex()
+        index = resident_index((USER, KIND_DESC))
         for rid in range(64):
             index.add(USER, KIND_DESC, rid, vector_for(rid))
         stop = threading.Event()
@@ -106,18 +107,16 @@ class TestConcurrentHammer:
             queries = [vector_for(5000 + i) for i in range(4)]
             while not stop.is_set():
                 try:
-                    # the churn may move the shard between the snapshot
-                    # and the batch: then the batch must refuse (None),
-                    # never rank a shard other than the one verified
-                    rids = index.ids(USER, KIND_DESC)
+                    # the whole batch ranks one state of the shard: ids
+                    # the churn may hold, rows intact
                     batch = index.search_among_many(
-                        USER, KIND_DESC, rids, queries, [5] * len(queries)
+                        USER, KIND_DESC, queries, [5] * len(queries)
                     )
-                    for qvec, (ids, scores) in zip(queries, batch or []):
+                    for qvec, (ids, scores) in zip(queries, batch):
                         if len(ids) != len(scores):
                             errors.append("ragged batch result")
-                        if not set(ids) <= set(rids):
-                            errors.append(f"unverified ids {ids}")
+                        if not set(ids) <= set(range(96)):
+                            errors.append(f"unknown ids {ids}")
                         for got_id, got_score in zip(ids, scores):
                             expected = float(vector_for(got_id) @ qvec)
                             if abs(expected - float(got_score)) > 1e-5:

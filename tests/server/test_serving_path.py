@@ -11,7 +11,6 @@ listing endpoints:
   filter-everything-in-Python behaviour.
 """
 
-import json
 from collections import Counter
 
 import numpy as np
@@ -20,7 +19,7 @@ import pytest
 from repro.net.transport import Request
 from repro.registry.dao import SqliteDAO
 from repro.registry.entities import PERecord, WorkflowRecord
-from repro.search import KIND_CODE, KIND_DESC, KIND_WORKFLOW, exact_scan
+from repro.search import KIND_DESC, exact_scan
 from repro.server import LaminarServer
 from tests.registry.test_dao import make_pe, make_wf
 
@@ -219,115 +218,6 @@ class TestListingsAreOwnerScoped:
         assert [r.to_json() for r in wf_scoped] == [
             r.to_json() for r in wf_legacy
         ]
-
-
-class TestFallbackStaysExact:
-    def test_unindexed_record_falls_back_to_brute_force(self, setup):
-        """A PE whose embeddings never reached the shard breaks the
-        membership check; the request then serves brute force and still
-        returns every record."""
-        server, dao, tokens = setup
-        alice = server.registry.get_user("alice")
-        record = make_pe("Ghost", code="Z2hvc3Q=", owners={alice.user_id})
-        server.registry.dao.insert_pe(record)  # bypass service: no indexing
-        dao.reset()
-        hits = search(server, tokens["alice"], k=9)
-        assert {h["peName"] for h in hits} >= {"Ghost"}
-        assert len(hits) == 9
-
-    def test_desynced_index_degrades_to_fallback_not_failure(self, setup):
-        """Requests degrade, never fail: an owned row the exact index
-        lost behind the service's back fails the membership check, and
-        the v1 search serves the same hits from the brute-force
-        fallback — counted once by the batcher."""
-        server, _dao, tokens = setup
-
-        def v1_search():
-            reply = server.dispatch(
-                Request(
-                    "POST",
-                    "/v1/registry/alice/search",
-                    {
-                        "query": "element",
-                        "kind": "pe",
-                        "queryType": "semantic",
-                        "backend": "exact",
-                        "k": 5,
-                    },
-                    token=tokens["alice"],
-                )
-            )
-            assert reply.status == 200, reply.body
-            return reply.body["hits"]
-
-        before = v1_search()
-        fallbacks = server.batcher.stats()["fallbacks"]
-        alice = server.registry.get_user("alice")
-        victim = before[0]["peId"]  # the top hit: losing it would show
-        assert server.index.remove(alice.user_id, KIND_DESC, victim)
-        assert v1_search() == before
-        assert server.batcher.stats()["fallbacks"] == fallbacks + 1
-
-    #: v1 search body -> the shard kinds its embedding flushes rank
-    CALL_SHAPES = {
-        "semantic-pe": ({"queryType": "semantic", "kind": "pe"}, (KIND_DESC,)),
-        "semantic-workflow": (
-            {"queryType": "semantic", "kind": "workflow"},
-            (KIND_WORKFLOW,),
-        ),
-        "semantic-both": (
-            {"queryType": "semantic", "kind": "both"},
-            (KIND_DESC, KIND_WORKFLOW),
-        ),
-        "text-pe": ({"queryType": "text", "kind": "pe"}, (KIND_DESC,)),
-        "code": ({"queryType": "code", "kind": "pe"}, (KIND_CODE,)),
-        "hybrid": (
-            {"queryType": "hybrid", "kind": "both"},
-            (KIND_DESC, KIND_WORKFLOW),
-        ),
-    }
-
-    @pytest.mark.parametrize("shape", list(CALL_SHAPES))
-    def test_every_embedding_call_shape_degrades_to_an_equal_answer(
-        self, setup, shape
-    ):
-        """Every search that ranks an embedding shard — semantic over
-        each kind, text over ``kind=pe``, code, and hybrid's semantic
-        leg — answers byte for byte the same once the user's shards are
-        emptied behind the service's back: each flush fails its
-        membership check and serves the exact scan, counted once."""
-        server, _dao, tokens = setup
-        alice = server.registry.get_user("alice")
-        for i in range(3):
-            record = make_wf(f"aliceFlow{i}", description=f"element flow {i}")
-            record.desc_embedding = server.semantic.embed_description(
-                record.description
-            )
-            server.registry.register_workflow(alice, record)
-        body, kinds = self.CALL_SHAPES[shape]
-
-        def v1_search():
-            reply = server.dispatch(
-                Request(
-                    "POST",
-                    "/v1/registry/alice/search",
-                    {"query": "element", "k": 5, **body},
-                    token=tokens["alice"],
-                )
-            )
-            assert reply.status == 200, reply.body
-            assert reply.body["hits"]
-            return json.dumps(reply.body)
-
-        before = v1_search()
-        stats = server.batcher.stats()
-        for kind in kinds:
-            for rid in server.index.ids(alice.user_id, kind):
-                assert server.index.remove(alice.user_id, kind, rid)
-        assert v1_search() == before
-        after = server.batcher.stats()
-        assert after["batches"] - stats["batches"] == len(kinds)
-        assert after["fallbacks"] - stats["fallbacks"] == len(kinds)
 
 
 class TestBothKindsMergeOnRawScores:

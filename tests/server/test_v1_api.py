@@ -363,6 +363,25 @@ class TestListingPagination:
                     "listing request must be a JSON object, got list"
                 )
 
+    @pytest.mark.parametrize("body", [[], 0, False, ""], ids=repr)
+    def test_a_falsy_body_that_is_no_object_is_400(self, server, token, body):
+        """Only an absent body reads as ``{}``: an empty list, zero,
+        false or an empty string is a 400 like ``[1]``, with a query
+        string or without."""
+        for path in (
+            "/v1/users", "/v1/registry/zz46/pes",
+            "/v1/users?limit=5", "/v1/registry/zz46/pes?limit=5",
+        ):
+            response = server.dispatch(Request("GET", path, body, token=token))
+            assert response.status == 400, (path, body, response.body)
+            assert response.body["message"] == (
+                "listing request must be a JSON object, got "
+                + type(body).__name__
+            )
+        for path in ("/v1/users", "/v1/users?limit=5"):
+            response = server.dispatch(Request("GET", path, None, token=token))
+            assert response.status == 200, response.body
+
     def test_invalid_cursor_is_400(self, server, token):
         response = server.dispatch(
             Request(

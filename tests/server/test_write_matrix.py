@@ -273,11 +273,12 @@ READ_SPANS = (
 )
 
 
-def test_searches_enter_every_traced_dao_read_name(monkeypatch, fast_bundle):
-    """The search path reaches the per-kind DAO read methods by looking
+def test_reads_enter_every_traced_dao_read_name(monkeypatch, fast_bundle):
+    """The read paths reach the per-kind DAO read methods by looking
     them up when called: each pinned name is entered after a wrapper is
     installed on ``SqliteDAO`` post-import, as the benchmark's tracer
-    installs its spans."""
+    installs its spans.  The owned-id projection is a listing's: no
+    search enters it (the index's freshness is ``data_version``'s)."""
     from benchmarks.e2e.trace import TARGETS
 
     entered: set[str] = set()
@@ -317,4 +318,7 @@ def test_searches_enter_every_traced_dao_read_name(monkeypatch, fast_bundle):
             Request(method, f"/v1/registry/u{path}", body, token=token)
         )
         assert response.status < 300, response.body
+    assert entered == pinned - {"SqliteDAO.pe_ids_owned_by"}
+    listing = server.dispatch(Request("GET", "/v1/registry/u/pes", {}, token=token))
+    assert listing.status == 200, listing.body
     assert entered == pinned

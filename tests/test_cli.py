@@ -334,26 +334,26 @@ class TestStats:
             "bob": ["1", "PE(s)", "0", "workflow(s)"],
         }
 
-    def test_shards_report_occupancy_and_stamps(
-        self, capsys, tmp_path, fast_bundle
-    ):
-        """The index is filled from the record rows, as at server start;
-        each shard's line carries its stamp, and nothing is written."""
+    def test_shards_report_occupancy(self, capsys, tmp_path, fast_bundle):
+        """The index is filled from the record rows, as at server start:
+        every user's shard of every kind, an empty one included, and
+        nothing is written."""
         db = tmp_path / "reg.db"
         self.write_registry(db, fast_bundle)
         before = self.persisted_state(db)
         assert main(["stats", "--db", str(db), "--shards"]) == 0
         out = capsys.readouterr().out
-        assert "index: 5 shard(s)  (mutation counter 4)" in out
-        stamps = {
-            line.split()[0]: line.split()[-1]
+        assert "index: 6 shard(s)  (mutation counter 4)" in out
+        live = {
+            line.split()[0]: line.split()[1]
             for line in out.splitlines()
             if "live rows" in line
         }
-        assert stamps == {
-            "1/code": "2", "1/desc": "2", "1/wf-desc": "3",
-            "2/code": "4", "2/desc": "4",
+        assert live == {
+            "1/code": "2", "1/desc": "2", "1/wf-desc": "1",
+            "2/code": "1", "2/desc": "1", "2/wf-desc": "0",
         }
+        assert "stamp" not in out
         assert self.persisted_state(db) == before
 
 
