@@ -25,7 +25,8 @@ Pinned here:
   per record table, empty shards, each stored vector layout decoded bit
   for bit;
 * the mutation counter: one step per record write, none for a failed
-  one;
+  one, and the same for a reopen; a write leaves its own connection's
+  ``data_version`` and moves a peer's;
 * the names the e2e tracer pins resolve, and the persistence stubs
   among them write nothing.
 """
@@ -807,7 +808,156 @@ class TestOwnedVectors:
 
 
 # ---------------------------------------------------------------------------
-# (g) names the e2e tracer pins
+# (g) one counter step per write; data_version moves only for a peer
+# ---------------------------------------------------------------------------
+def _register(service, alice, _bob, rng):
+    return lambda: service.register_pe(
+        alice, make_pe("P", desc_embedding=unit(rng), code_embedding=unit(rng))
+    )
+
+
+def _revise_text_only(service, alice, _bob, rng):
+    current, _ = service.register_pe(
+        alice, make_pe("P", desc_embedding=unit(rng))
+    )
+    revised = make_pe(
+        "P", description="said again", desc_embedding=current.desc_embedding
+    )
+    return lambda: service.revise_pe(alice, current, revised)
+
+
+def _revise_new_vector(service, alice, _bob, rng):
+    current, _ = service.register_pe(
+        alice, make_pe("P", desc_embedding=unit(rng), code_embedding=unit(rng))
+    )
+    revised = make_pe(
+        "P", desc_embedding=current.desc_embedding, code_embedding=unit(rng)
+    )
+    return lambda: service.revise_pe(alice, current, revised)
+
+
+def _grant(service, alice, bob, rng):
+    desc, code = unit(rng), unit(rng)
+    service.register_pe(
+        alice, make_pe("P", desc_embedding=desc, code_embedding=code)
+    )
+    return lambda: service.register_pe(
+        bob, make_pe("P", desc_embedding=desc, code_embedding=code)
+    )
+
+
+def _leave_shared(service, alice, bob, rng):
+    desc = unit(rng)
+    record, _ = service.register_pe(alice, make_pe("P", desc_embedding=desc))
+    service.register_pe(bob, make_pe("P", desc_embedding=desc))
+    return lambda: service.remove_pe_record(
+        bob, service.get_by_id(bob, PERecord, record.pe_id)
+    )
+
+
+def _delete(service, alice, _bob, rng):
+    record, _ = service.register_pe(
+        alice, make_pe("P", desc_embedding=unit(rng), code_embedding=unit(rng))
+    )
+    return lambda: service.remove_pe_record(alice, record)
+
+
+def _workflow(service, _alice, bob, rng):
+    wf = make_wf("flow")
+    wf.desc_embedding = unit(rng)
+    return lambda: service.register_workflow(bob, wf)
+
+
+def _bulk(service, alice, _bob, rng):
+    records = [
+        make_pe(
+            f"B{i}", code=f"b:{i}".encode().hex(),
+            desc_embedding=unit(rng),
+            code_embedding=unit(rng) if i == 2 else None,
+        )
+        for i in range(3)
+    ]
+    return lambda: service.register_pes_bulk(alice, records)
+
+
+WRITES = {
+    "register": _register,
+    "text-only-revise": _revise_text_only,
+    "new-vector-revise": _revise_new_vector,
+    "grant": _grant,
+    "leave-shared": _leave_shared,
+    "delete": _delete,
+    "workflow": _workflow,
+    "bulk": _bulk,
+}
+
+
+class TestMutationCounter:
+    """Every record write, whatever shards it touches, is one step of
+    the mutation counter (the registry version ``ifVersion`` checks) and
+    one commit: the writer's own ``data_version`` holds, a peer
+    connection's moves.  That split is what the vector and text indexes'
+    freshness rule rests on."""
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        path = tmp_path / "registry.db"
+        service = RegistryService(SqliteDAO(path))
+        alice = service.register_user("alice", "pw")
+        bob = service.register_user("bob", "pw")
+        peer = SqliteDAO(path)
+        yield path, service, alice, bob, peer
+        peer.close()
+        service.dao.close()
+
+    @pytest.mark.parametrize("write", list(WRITES), ids=list(WRITES))
+    def test_a_write_is_one_counter_step(self, setup, write):
+        _path, service, alice, bob, _peer = setup
+        thunk = WRITES[write](service, alice, bob, np.random.default_rng(95))
+        before = service.dao.mutation_counter()
+        thunk()
+        assert service.dao.mutation_counter() == before + 1
+
+    @pytest.mark.parametrize("write", list(WRITES), ids=list(WRITES))
+    def test_only_a_peer_sees_a_write_move_data_version(self, setup, write):
+        _path, service, alice, bob, peer = setup
+        thunk = WRITES[write](service, alice, bob, np.random.default_rng(96))
+        own, theirs = service.dao.data_version(), peer.data_version()
+        thunk()
+        assert service.dao.data_version() == own
+        assert peer.data_version() != theirs
+        assert peer.mutation_counter() == service.dao.mutation_counter()
+
+    def test_a_failed_write_moves_no_counter_and_no_data_version(
+        self, setup
+    ):
+        _path, service, alice, _bob, peer = setup
+        rng = np.random.default_rng(104)
+        record, _ = service.register_pe(
+            alice, make_pe("P", desc_embedding=unit(rng))
+        )
+        service.dao.delete_pe(record.pe_id)
+        counter, theirs = service.dao.mutation_counter(), peer.data_version()
+        record.desc_embedding = unit(rng)
+        with pytest.raises(NotFoundError):
+            service.dao.update_pe(record)
+        assert service.dao.mutation_counter() == counter
+        assert peer.data_version() == theirs
+
+    def test_the_counter_survives_a_reopen(self, tmp_path):
+        path = tmp_path / "registry.db"
+        populate(path, np.random.default_rng(105))
+        dao = SqliteDAO(path)
+        counter = dao.mutation_counter()
+        dao.close()
+        dao = SqliteDAO(path)
+        assert counter > 0
+        assert dao.mutation_counter() == counter
+        dao.close()
+
+
+# ---------------------------------------------------------------------------
+# (h) names the e2e tracer pins
 # ---------------------------------------------------------------------------
 class TestTracePinnedNames:
     """The e2e tracer (``benchmarks/e2e/trace.py``) wraps a fixed table

@@ -271,3 +271,16 @@ class TestSearcherParity:
         records[1].desc_embedding = None
         brute(semantic, KIND_DESC, "variant", records)
         assert records[1].desc_embedding is not None
+
+    def test_removed_record_never_resurrected_by_search(self, semantic):
+        """A search whose resolver still holds a concurrently removed
+        record neither serves it nor puts it back in the shard."""
+        rng = np.random.default_rng(9)
+        records = make_pes(rng, 6, semantic.model)
+        index = index_pes(records)
+        index.remove(1, KIND_DESC, records[3].pe_id)  # concurrent removal
+        hits = served(semantic, KIND_DESC, "variant", records, index)
+        assert records[3].pe_id not in [r.pe_id for r, _ in hits]
+        assert len(hits) == 5
+        assert not index.contains(1, KIND_DESC, records[3].pe_id)
+        assert index.size(1, KIND_DESC) == 5
