@@ -228,6 +228,8 @@ REASONS: list[tuple[str, tuple[str, ...]]] = [
         "Pinned by the span table of benchmarks/e2e/trace.py",
         (
             "search/index.py:VectorIndex.search_among",
+            # no src/ caller since searches stopped being batched
+            "search/index.py:VectorIndex.search_among_many",
             "registry/service.py:RegistryService.upsert_pe",
             # no-op stubs of the index journal schema v16 dropped
             "registry/dao.py:SqliteDAO.append_index_delta",

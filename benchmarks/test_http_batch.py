@@ -1,17 +1,15 @@
-"""Concurrent HTTP serving under group commit + cold start.
+"""Concurrent HTTP search serving + cold start.
 
 Two measurements for the concurrent serving layer, emitted as the
 ``BENCH_http_batch.json`` trajectory point:
 
-* **Concurrent throughput and coalescing** — T keep-alive client
-  threads hammer ``/registry/{user}/search`` on a real ``serve_http``
-  socket against an N≈3000-record SQLite registry.  Searches that
-  arrive while a same-shard flush runs share the next one (group
-  commit), which amortizes the owned-id projection, the shard
-  membership check and the top-k hydration.  Gated on exact counts,
-  not timings: every response — sequential or coalesced — equals the
-  brute-force scan's, and at least half of all requests
-  ride a batch of two or more (``batchedRequests / requests``).
+* **Concurrent throughput** — T keep-alive client threads hammer
+  ``/registry/{user}/search`` on a real ``serve_http`` socket, all on
+  one ``(user, kind)`` shard of an N≈3000-record SQLite registry.  Each
+  search is one direct pass (query LRU, one ranking, one hydration of
+  the top k); none waits for another.  Gated on exact results, not
+  timings: every response, sequential or concurrent, equals the
+  brute-force scan's bitwise.  The req/s is recorded, not gated.
 * **Cold start** — attaching a ``VectorIndex`` to the same registry:
   one scan of each user's record rows, no record hydrated (zero
   ``all_pes()`` calls).
@@ -161,14 +159,14 @@ def _hammer_best(
     return min(runs, key=lambda r: r[0])
 
 
-def test_http_group_commit_and_cold_start(tmp_path, record, out_dir):
+def test_http_concurrent_search_and_cold_start(tmp_path, record, out_dir):
     db = tmp_path / "bench.db"
     _build_registry(db)
 
-    # -- concurrent serving through the group-commit batcher ------------
+    # -- concurrent serving, one direct pass per search -----------------
     server, handle, token = _serve(db)
     # brute-force reference over the fully materialized corpus; every
-    # served response below, sequential or coalesced, must equal it
+    # served response below, sequential or concurrent, must equal it
     alice = server.registry.get_user("alice")
     corpus = server.registry.owned_records(alice, PERecord)
     semantic = server.semantic
@@ -190,9 +188,7 @@ def test_http_group_commit_and_cold_start(tmp_path, record, out_dir):
         assert _search_once(conn, token, query) == expected[query]
     conn.close()
     seconds, rps = _hammer_best(handle, token, expected)
-    stats = server.batcher.stats()
     handle.shutdown()
-    coalesced_share = stats["batchedRequests"] / stats["requests"]
 
     # -- cold start: one scan of the record rows ------------------------
     attach_dao = _AttachCounter(SqliteDAO(db))
@@ -217,8 +213,6 @@ def test_http_group_commit_and_cold_start(tmp_path, record, out_dir):
         "throughput": {
             "rps": round(rps, 1),
             "seconds": round(seconds, 3),
-            "coalesced_share": round(coalesced_share, 3),
-            "stats": stats,
         },
         "cold_start": {
             "attach_seconds": round(attach_seconds, 4),
@@ -235,11 +229,7 @@ def test_http_group_commit_and_cold_start(tmp_path, record, out_dir):
             [
                 f"Concurrent HTTP search serving  (N={N_USER}, d={DIM}, "
                 f"k={K}, {THREADS} threads x {REQUESTS_PER_THREAD} reqs)",
-                f"{'group commit':<34}{rps:>9.1f} req/s",
-                f"{'coalesced share':<34}{coalesced_share:>9.3f}"
-                f"   ({stats['batchedRequests']} of {stats['requests']})",
-                f"{'batches / largest batch':<34}{stats['batches']:>9d}"
-                f" / {stats['largestBatch']}",
+                f"{'one direct pass per search':<34}{rps:>9.1f} req/s",
                 "",
                 "Cold-start attach  (same registry, from the record rows)",
                 f"{'attach':<34}{attach_seconds * 1000:>9.1f} ms"
@@ -247,6 +237,3 @@ def test_http_group_commit_and_cold_start(tmp_path, record, out_dir):
             ]
         ),
     )
-    # the acceptance bar: at 12 threads at least half of all requests
-    # share a flush (an exact count, not a timing)
-    assert coalesced_share >= 0.5, payload["throughput"]

@@ -8,9 +8,9 @@ repo-specific rules (:mod:`repro.analysis.lint`,
 (:mod:`repro.analysis.lockwatch`) that instruments ``threading`` locks
 during the concurrency-heavy test suites.  Both are tier-1 gates:
 ``tests/analysis/test_self_lint.py`` lints the repo's own source on
-every run, and the lockwatch fixture fails any batcher/write-core/
-jobs test that exhibits a lock-order cycle or a blocking call under a
-lock.
+every run, and the lockwatch fixture fails any search-serving/
+write-core/jobs test that exhibits a lock-order cycle or a blocking
+call under a lock.
 
 Run it yourself::
 
@@ -34,7 +34,7 @@ RPR001  No blocking calls (``time.sleep``, ``sqlite3``, sockets,
         blocking call on the loop stalls every open connection.
 RPR002  No ``await``/blocking call while a ``with <lock>:`` block is
         held — critical sections are sized to stay microseconds-short
-        (batcher PR 3, write core PR 5); a sleep inside
+        (search serving PR 3, write core PR 5); a sleep inside
         one convoys every contender.  Runtime complement: lockwatch.
 RPR003  Every DAO method whose SQL writes the ``pes``/``workflows``
         tables bumps the registry mutation counter: an unbumped write
@@ -70,8 +70,8 @@ acquisition order into a global graph keyed by allocation site; a
 cycle (AB/BA between any two threads, ever) fails the test with both
 stacks, and configured blocking calls (``time.sleep``) made while any
 lock is held fail it too.  Activation is the opt-in ``lockwatch``
-fixture in ``tests/conftest.py``, autouse for the batcher/write-core/
-jobs suites.
+fixture in ``tests/conftest.py``, autouse for the search-serving/
+write-core/jobs suites.
 
 Adding a rule is one module in ``repro/analysis/rules/`` registered
 with ``@register_rule`` — e.g. the multi-tenant arc's

@@ -35,8 +35,8 @@ the lock: held-state is popped for the wait and restored after, so
 sleeping inside ``wait`` never false-positives.
 
 Activation is opt-in via the ``lockwatch`` fixture in
-``tests/conftest.py``, autouse-enabled for the batcher, write-core and
-jobs suites (the concurrency-heavy surfaces).  The fixture
+``tests/conftest.py``, autouse-enabled for the search-serving,
+write-core and jobs suites (the concurrency-heavy surfaces).  The fixture
 fails the test at teardown if any violation was recorded.
 """
 

@@ -1,12 +1,12 @@
 """RPR002 — no ``await``/blocking call while a lock is held.
 
-Invariant (PRs 3/5, batcher + write core): critical sections guard
-in-memory state transitions and are sized to stay microseconds-short —
-the batcher publishes flush results, the DAO lock holds one write's
-transaction.  Sleeping or awaiting inside one turns every contending
-thread (or the whole event loop) into a convoy; the runtime complement
-is :mod:`repro.analysis.lockwatch`, which catches the dynamic cases
-static scoping cannot see.
+Invariant (PRs 3/5, search serving + write core): critical sections
+guard in-memory state transitions and are sized to stay
+microseconds-short — the index lock holds one ranking, the DAO lock
+holds one write's transaction.  Sleeping or awaiting inside one turns
+every contending thread (or the whole event loop) into a convoy; the
+runtime complement is :mod:`repro.analysis.lockwatch`, which catches
+the dynamic cases static scoping cannot see.
 
 A context-manager expression "looks like a lock" when its terminal
 identifier contains ``lock`` or ``mutex`` — the repo's naming

@@ -119,10 +119,11 @@ class EmbeddingModel(ABC):
     def embed_many(self, texts: Sequence[str], kind: Kind = "auto") -> np.ndarray:
         """Embed a batch of query texts in one call.
 
-        The cross-request batching entry point used by the search
-        batcher: one call vectorizes a whole batch's distinct
-        queries.  Rows are computed independently — each text is
-        featurized into runs, accumulated by one scatter-add
+        A search calls it with its one query text on a miss of the
+        query LRU; :func:`~repro.search.serving.exact_scan` with every
+        record that has no stored vector.  Rows are computed
+        independently — each text is featurized into runs, accumulated
+        by one scatter-add
         (:meth:`~repro.ml.vectorize.HashingVectorizer.scatter`) and
         normalized row-wise on the dense row — so ``embed_many(texts)[i]``
         is bitwise identical to ``embed_one(texts[i])``.  What a batch

@@ -153,8 +153,11 @@ class RegistryService:
         (``rank`` answers ``None``).  Otherwise the shard is filled from
         the record rows first (:meth:`_fill`) and ``rank`` runs inside
         the same snapshot, under the DAO lock, where no fill can drop
-        it; ``refilled`` says another connection had committed.  The
-        text index keeps the same rule
+        it; ``refilled`` says another connection had committed.  Inside
+        the snapshot the check runs once more before the fill, so a
+        search that waited on the lock behind another search's refill
+        of the same shard ranks that fill instead of scanning the owner
+        rows again.  The text index keeps the same rule
         (:meth:`~repro.registry.dao.SqliteDAO.text_topk_pes`).
         """
         if self.dao.data_version() == self.index.version:
@@ -162,6 +165,10 @@ class RegistryService:
             if ranked is not None:
                 return ranked, False
         with self.dao.read_snapshot():
+            if self.dao.data_version() == self.index.version:
+                ranked = rank()
+                if ranked is not None:
+                    return ranked, False
             refilled = self._fill((kind,), [user_id])
             return rank(), refilled
 
@@ -536,8 +543,8 @@ class RegistryService:
     ) -> list:
         """Batch-hydrate ``ids`` in order, dropping non-owned records.
 
-        The top-k serving path: the batcher ranks on the index shard
-        and materializes only the winners through this call.  Ids that
+        The top-k serving path: a search ranks on the index shard and
+        materializes only the winners through this call.  Ids that
         vanished or changed hands since ranking are silently skipped —
         the caller's result is then slightly under-filled rather than
         wrong.

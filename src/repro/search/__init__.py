@@ -73,12 +73,11 @@ after another connection's commit, fill them from the record rows, see
 *Cold start and freshness* below) and served by
 the HTTP layer's ``/registry/{user}/search`` endpoint and the ``repro
 search`` CLI command.  Every embedding search reaches the index through
-:class:`~repro.search.serving.SearchBatcher`, which batches by group
-commit: a search on an idle shard flushes at once, and the searches
-that queue behind a running flush share the next index pass — no
-window, no size cap (see :mod:`repro.server` for the full request
-flow).  ``benchmarks/test_http_batch.py`` records the coalescing share
-and bitwise parity under concurrent HTTP load.
+:class:`~repro.search.serving.SearchBatcher`, which serves it in one
+direct pass — query LRU or one embed call, one ranking on the current
+shard, one hydration of the winners (see :mod:`repro.server` for the
+full request flow).  ``benchmarks/test_http_batch.py`` records
+throughput and bitwise parity under concurrent HTTP load.
 
 Cold start and freshness
 ========================
@@ -100,10 +99,10 @@ the registry as of one commit.  The invariants:
   records the file's ``data_version`` it was filled at
   (:attr:`VectorIndex.version`).  That value moves when, and only when,
   another connection commits; this process's writes reach the index
-  themselves.  So each flush reads it once
+  themselves.  So each search reads it once
   (:meth:`~repro.registry.service.RegistryService.on_current_shard`),
   and when it has moved drops every resident shard and refills the
-  flushing one in one read snapshot, under the DAO lock the index's
+  searched one in one read snapshot, under the DAO lock the index's
   own writes apply under — the text index's rule
   (:meth:`~repro.registry.dao.SqliteDAO.text_topk_pes`).  A shard is
   resident only as a complete copy of its rows, so a write to one that

@@ -9,7 +9,7 @@ retrieve-then-reuse loop).
 Like :class:`~repro.search.semantic.SemanticSearcher`,
 :class:`CodeSearcher` holds only the model and its embedders: the
 ``KIND_CODE`` shard ranks through the one embedding-search path of
-:mod:`repro.search.serving` (the batcher, with
+:mod:`repro.search.serving` (one direct pass per search, with
 :func:`~repro.search.serving.exact_scan` as its reference),
 and :meth:`CodeHit.of` renders a ranked ``(record, score)`` pair,
 continuation included.

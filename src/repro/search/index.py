@@ -23,9 +23,6 @@ a Python-level loop over the corpus followed by a full ``argsort``.
 * top-k retrieval uses ``np.argpartition`` (O(N) selection) instead of a
   full O(N log N) sort, while reproducing the brute-force scan's stable
   tie-break (equal scores rank by insertion order) *exactly*;
-* a multi-query batch (``search_among_many``) takes the lock once and
-  scores each query as its own ``(1, D)`` product, bitwise equal to a
-  single search;
 * a small LRU cache keeps recently embedded query vectors, so repeated
   queries skip the embedder entirely.
 
@@ -88,9 +85,8 @@ class EmbeddingLRU:
         self.misses = 0
 
     def get(self, key: Hashable) -> np.ndarray | None:
-        """The cached vector for ``key``, or None (the batcher embeds
-        every miss of a batch in one bulk call and stores them with
-        :meth:`put`)."""
+        """The cached vector for ``key``, or None (the search embeds a
+        miss and stores it with :meth:`put`)."""
         with self._lock:
             cached = self._data.get(key)
             if cached is not None:
@@ -252,8 +248,8 @@ class VectorIndex:
     matrix-vector product.  What a shard holds is owned by the registry
     service, which fills it from the record rows (:meth:`fill`) and
     keeps a resident shard in step with every write of its own; readers
-    rank through :meth:`search_among` / :meth:`search_among_many`,
-    which answer ``None`` for a shard that is not resident.
+    rank through :meth:`search_among`, which answers ``None`` for a
+    shard that is not resident.
 
     This exact scan is the only ranking engine: IVF-flat and HNSW were
     measured against it and deleted, because neither was faster at any
@@ -476,6 +472,10 @@ class VectorIndex:
         floating-point near-ties rank differently).  The amortization is
         everything *around* the product: one lock acquisition and one
         shard lookup for the whole batch.
+
+        No search calls it (each ranks one query through
+        :meth:`search_among`); kept only because the e2e tracer names
+        it, ROADMAP item 0a deletes it.
         """
         for k in ks:
             if k is not None and k <= 0:

@@ -8,7 +8,8 @@ the Figure 7 table.
 
 :class:`SemanticSearcher` holds the model and its embedders; ranking is
 the one embedding-search path of :mod:`repro.search.serving` —
-:meth:`~repro.search.serving.SearchBatcher.submit` on the served path,
+:meth:`~repro.search.serving.SearchBatcher.submit`, one direct pass
+per search, on the served path,
 :func:`~repro.search.serving.exact_scan` as the brute-force reference
 — over the ``KIND_DESC`` (PE) or ``KIND_WORKFLOW`` shard,
 each the first of its record kind's ``RECORD_KINDS`` shards; the served

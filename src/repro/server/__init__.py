@@ -21,33 +21,33 @@ scaling with the *result*, not the corpus::
                   │  parse queryType/k, authenticate
                   ▼
             SearchBatcher.submit          (repro.search.serving)
-                  │  group commit per (user, kind): an idle
-                  │  shard flushes at once; requests arriving while a
-                  │  flush runs share the next one — no window
+                  │  one direct pass per search: the query LRU, else
+                  │  one embed_many call for the query text
                   ▼
             RegistryService.on_current_shard
-                  │  one PRAGMA data_version per batch: the shard is
+                  │  one PRAGMA data_version per search: the shard is
                   │  current unless another connection has committed
                   │  or it is not resident, then it refills first
                   ▼
-            VectorIndex.search_among_many (repro.search.index)
-                  │  one lock hold per batch; every query scored as
-                  │  its own (1, D) product, so batched == single-shot
-                  │  bitwise
+            VectorIndex.search_among     (repro.search.index)
+                  │  one (1, D) product under the index lock,
+                  │  argpartition top-k
                   ▼
             RegistryService.resolve_{kind}s
-                     one batched DAO fetch hydrates the union of all
-                     top-k winners; ownership re-checked per record
+                     one batched DAO fetch hydrates the top-k
+                     winners; ownership re-checked per record
 
 The vector index is a cache of the record rows, kept to the text
 index's freshness rule.  This process's writes reach it themselves,
 after their commit, and move no ``data_version``; another connection's
-commit does.  When a flush finds the version moved, the index drops
-every resident shard and refills the flushing one from the rows inside
+commit does.  When a search finds the version moved, the index drops
+every resident shard and refills the searched one from the rows inside
 one read snapshot, under the DAO lock its own writes apply under
-(counted in the batcher's ``fallbacks``); every other shard refills on
-its own next search.  A shard is resident only as a complete copy of
-its rows: a write to one that is not touches only the store.  Results
+(counted in the batcher's ``fallbacks``); a search on the same shard
+that waited on that lock ranks the fill instead of repeating it, and
+every other shard refills on its own next search.  A shard is resident
+only as a complete copy of its rows: a write to one that is not
+touches only the store.  Results
 are bitwise identical to the brute-force scan of the same rows
 (:func:`~repro.search.serving.exact_scan`).
 Text queries (``queryType=text``) skip the vector index entirely and
@@ -156,9 +156,8 @@ What a v16 file holds, and the rules the DAO keeps on it:
 
 Front end: :func:`repro.server.http.serve_http` runs an **asyncio
 server core** — one coroutine per connection on a background event
-loop, with the blocking dispatch hopping to a bounded thread pool whose
-concurrent searches queue behind each other's ``SearchBatcher`` flushes
-(the pool bounds that queue).  Thousands of idle
+loop, with the blocking dispatch hopping to a bounded thread pool
+(its size bounds the searches in flight).  Thousands of idle
 keep-alive connections cost one task each (not one OS thread), client
 disconnects are counted instead of raising, and response bytes are
 identical to the previous thread-per-connection front end.
@@ -268,7 +267,7 @@ Ranking path per ``queryType``:
                ``kind=pe`` preserves the historical quirk of serving
                through semantic search.
 ``semantic``   description embeddings ranked by the exact
-               ``VectorIndex`` through the group-commit batcher.
+               ``VectorIndex``, one direct pass per search.
 ``code``       code embeddings, PEs only, same index plumbing.
 ``hybrid``     BM25 text leg (above) + semantic leg (exact index),
                fused with deterministic RRF; hits carry the fused

@@ -41,10 +41,9 @@ class LaminarServer:
     """The coordinating element of the framework.
 
     Every embedding search reaches its index through ``self.batcher``
-    (:class:`~repro.search.serving.SearchBatcher`), which batches by
-    group commit: a search on an idle shard flushes at once, and the
-    searches that arrive while a flush runs share the next one.  There
-    is no batch window to tune.
+    (:class:`~repro.search.serving.SearchBatcher`), which serves each
+    search in one direct pass: embed, rank, hydrate.  Nothing is
+    batched and there is nothing to tune.
 
     Parameters
     ----------
@@ -68,8 +67,7 @@ class LaminarServer:
         #: per-(user, kind) embedding shards serving /registry/{user}/search;
         #: maintained by the registry service on every PE/workflow mutation
         self.index = VectorIndex()
-        #: group-commit dispatcher: searches that queue behind a running
-        #: same-shard flush share the next index pass (bitwise-identical)
+        #: the one embedding-search path: one direct pass per search
         self.batcher = SearchBatcher()
         self.registry = RegistryService(
             SqliteDAO() if dao is None else dao, index=self.index

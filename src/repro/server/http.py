@@ -10,10 +10,8 @@ a real socket and a client connect to it over HTTP:
   previous thread-per-connection ``ThreadingHTTPServer``, so thousands
   of idle keep-alive sockets cost one task each instead of one OS
   thread each.  Dispatch itself is synchronous (SQLite, BLAS), so each
-  parsed request hops to a bounded thread pool — concurrent searches
-  from that pool queue behind each other's
-  :class:`~repro.search.serving.SearchBatcher` flushes (group commit),
-  so the pool size bounds every batch.
+  parsed request hops to a bounded thread pool, whose size bounds the
+  searches in flight.
 * :class:`HttpTransport` — a :class:`~repro.net.transport.Transport`
   speaking the same JSON protocol over ``urllib``.  It forwards *all*
   request metadata headers (``Idempotency-Key`` included — previously
@@ -117,8 +115,7 @@ class _AsyncHttpCore:
     """Per-connection HTTP/1.1 state machine feeding ``laminar.dispatch``.
 
     Parsing happens on the event loop; the blocking dispatch (SQLite,
-    BLAS scoring) runs in ``executor``, so searches in flight together
-    share ``SearchBatcher`` flushes.
+    BLAS scoring) runs in ``executor``.
     """
 
     def __init__(

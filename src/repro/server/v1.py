@@ -7,9 +7,9 @@ Two pieces live here:
   :class:`~repro.server.schema.SearchRequest` and runs the paper's
   text/semantic/code branches over the exact index.  Every embedding
   branch ranks through one helper per ``(user, kind)`` shard
-  (:func:`_embedding_search`, ``(record, score)`` pairs from the
-  batcher) and renders hits only once ranked; ``kind=both`` merges PE
-  and workflow rows on the raw score.
+  (:func:`_embedding_search`, ``(record, score)`` pairs from
+  ``SearchBatcher.submit``) and renders hits only once ranked;
+  ``kind=both`` merges PE and workflow rows on the raw score.
   The legacy Table-3 route (``GET /registry/{user}/search/...``) is a
   thin adapter that builds a ``SearchRequest`` (always
   ``backend="exact"``) and re-shapes the result into the historical
@@ -80,13 +80,13 @@ def execute_search(
     """Run one registry search; returns ``(search_kind, hits_json)``.
 
     The embedding branches rank one shard per ``(user, kind)`` through
-    :func:`_embedding_search` (the group-commit batcher over the exact
-    index: rank on the shard, check membership against the lazily
-    fetched owned-id projection, and materialize only the top-k union
-    through the DAO; a shard mismatch falls back to the exact scan),
-    and render hits only once ranked.  ``queryType=text`` ranks in the
-    DAO's FTS5/BM25 inverted index and hydrates only the top-k winners;
-    ``queryType=hybrid`` RRF-fuses that ranking with the semantic one.
+    :func:`_embedding_search` (one direct pass over the exact index:
+    embed the query unless the LRU holds it, rank on the shard once it
+    is current with the store, and hydrate only the top-k winners
+    through the DAO), and render hits only once ranked.
+    ``queryType=text`` ranks in the DAO's FTS5/BM25 inverted index and
+    hydrates only the top-k winners; ``queryType=hybrid`` RRF-fuses
+    that ranking with the semantic one.
     Both API generations share this decision tree — including the
     historical quirk that ``queryType=text`` over ``kind=pe`` serves
     *semantic* ranking.
@@ -136,7 +136,8 @@ def _embedding_search(
     query_embedding: np.ndarray | None,
 ) -> list[tuple[Any, float]]:
     """``(record, score)`` pairs, best first, of one search over
-    ``user``'s ``kind`` shard through the group-commit batcher."""
+    ``user``'s ``kind`` shard (:meth:`SearchBatcher.submit
+    <repro.search.serving.SearchBatcher.submit>`)."""
     registry = app.registry
     searcher = app.code_search if kind == KIND_CODE else app.semantic
     # the service's per-kind entry, looked up when called

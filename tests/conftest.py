@@ -9,8 +9,8 @@ from repro.client import LaminarClient, local_stack
 from repro.ml.bundle import ModelBundle
 
 #: suites that run under lock-order/blocking-call instrumentation —
-#: the concurrency-heavy surfaces (batcher, write core, jobs, the vector
-#: index's refill beside the DAO and index locks).
+#: the concurrency-heavy surfaces (search serving, write core, jobs, the
+#: vector index's refill beside the DAO and index locks).
 #: Matched against the test module's posix path.
 _LOCKWATCH_SUITES = (
     "tests/search/test_batcher",

@@ -209,7 +209,7 @@ class TestFreshness:
             assert got == fresh_answers(path, fast_bundle), write.__name__
             assert got == a.answers(), write.__name__
             assert got != before, f"{write.__name__} moved no answer"
-            # one counted refill a round: B's first flush refills its own
+            # one counted refill a round: B's first search refills its own
             # shard and drops the rest, which refill uncounted
             assert b.fallbacks == counted + 1, write.__name__
             before = got
@@ -237,7 +237,7 @@ class TestFreshness:
         assert b.fallbacks == 2
         assert b.answers() == fresh_answers(path, fast_bundle)
 
-    #: v1 search body -> the shard kinds its embedding flushes rank
+    #: v1 search body -> the shard kinds its embedding searches rank
     CALL_SHAPES = {
         "semantic-pe": ({"queryType": "semantic", "kind": "pe"}, (KIND_DESC,)),
         "semantic-workflow": (
@@ -263,7 +263,7 @@ class TestFreshness:
         """Every search that ranks an embedding shard — semantic over
         each kind, text over ``kind=pe``, code, and hybrid's semantic
         leg — answers byte for byte what a fresh server does after A's
-        commit, one flush a shard, one counted refill."""
+        commit, one search a shard, one counted refill."""
         path, a, b = shared
         body, kinds = self.CALL_SHAPES[shape]
         search = {"query": QUERY, "k": 5, **body}
@@ -278,7 +278,7 @@ class TestFreshness:
             fresh.close()
         assert got["hits"]
         after = b.app.batcher.stats()
-        assert after["batches"] - stats["batches"] == len(kinds)
+        assert after["requests"] - stats["requests"] == len(kinds)
         assert after["fallbacks"] - stats["fallbacks"] == 1
 
     def test_its_own_write_after_a_foreign_one_still_refills(
@@ -302,7 +302,7 @@ class TestFreshness:
         its shard gone, refills it and ranks the rows as they are."""
         path, a, b = shared
         index = b.app.index
-        rank = index.search_among_many
+        rank = index.search_among
         entered, release = threading.Event(), threading.Event()
         calls = []
 
@@ -313,7 +313,7 @@ class TestFreshness:
                 assert release.wait(TIMEOUT)
             return rank(*args)
 
-        index.search_among_many = parked
+        index.search_among = parked
         alice = b.app.registry.get_user("alice")
         result = []
         thread = threading.Thread(target=lambda: result.append(
@@ -328,7 +328,7 @@ class TestFreshness:
         release.set()
         thread.join(TIMEOUT)
         assert not thread.is_alive()
-        del index.search_among_many
+        del index.search_among
         fresh = fresh_answers(path, fast_bundle)[1]
         assert result == [fresh[KIND_DESC]]
         assert [(r.pe_id, s) for r, s in code] == fresh[KIND_CODE]

@@ -1,21 +1,29 @@
-"""SearchBatcher: group-commit coalescing, bitwise parity and refills.
+"""SearchBatcher: one direct pass per search, bitwise parity, refills.
 
-Coalescing is tested without clocks: a running flush is parked inside
-``resolve`` on an :class:`threading.Event`, the requests that must queue
-behind it are counted in through the batcher's own lock
-(:class:`ArrivalWatch`), and only then is the flush released.  Every
-schedule therefore produces the same batches.
+Concurrency is tested without clocks: a search is parked on a
+:class:`threading.Event` inside one of its callbacks (:class:`Park`)
+while another runs to its end, and only then released.  Every schedule
+therefore interleaves the same way.
 """
 
-import sys
 import threading
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.errors import NotFoundError, ValidationError
-from repro.search import KIND_CODE, KIND_DESC, SearchBatcher, VectorIndex
+from repro.registry.dao import SqliteDAO
+from repro.registry.entities import PERecord
+from repro.registry.service import RegistryService
+from repro.search import (
+    KIND_CODE,
+    KIND_DESC,
+    SearchBatcher,
+    VectorIndex,
+    exact_scan,
+)
 from tests.helpers import resident_index
 
 #: generous bound on every wait: reached only when the code under test
@@ -96,42 +104,12 @@ class Corpus:
         )
 
 
-class ArrivalWatch:
-    """Lets a test wait, without polling, until ``n`` submits arrived.
-
-    A submit counts itself and joins its key's queue in one critical
-    section of ``batcher._lock``; this wrapper takes that lock's place
-    and notifies on every release.
-    """
-
-    def __init__(self, batcher):
-        self.batcher = batcher
-        self._inner = batcher._lock
-        self._released = threading.Condition()
-        batcher._lock = self
-
-    def __enter__(self):
-        self._inner.acquire()
-
-    def __exit__(self, *exc_info):
-        self._inner.release()
-        with self._released:
-            self._released.notify_all()
-
-    def wait_for_requests(self, n):
-        with self._released:
-            assert self._released.wait_for(
-                lambda: self.batcher.requests_total >= n, TIMEOUT
-            )
-
-
 class Park:
     """Wraps a callback; the calls numbered in ``at`` (1-based) block
-    inside it until released, holding their flush mid-run."""
+    inside it until released, holding their search mid-run."""
 
-    def __init__(self, fn, at=(1,), error=None):
+    def __init__(self, fn, at=(1,)):
         self.fn = fn
-        self.error = error
         self.threads = []
         self.entered = {n: threading.Event() for n in at}
         self.release = {n: threading.Event() for n in at}
@@ -142,8 +120,6 @@ class Park:
         if n in self.entered:
             self.entered[n].set()
             assert self.release[n].wait(TIMEOUT)
-            if self.error is not None:
-                raise self.error
         return self.fn(*args)
 
 
@@ -168,19 +144,6 @@ class Submitter(threading.Thread):
         if self.error is not None:
             raise self.error
         return self.result
-
-
-def queue_behind(watch, calls):
-    """Start ``calls`` one at a time, each only after the previous one
-    has queued, so the oldest waiter is ``calls[0]``."""
-    threads = []
-    for call in calls:
-        arrived = watch.batcher.requests_total + 1
-        thread = Submitter(call)
-        thread.start()
-        watch.wait_for_requests(arrived)
-        threads.append(thread)
-    return threads
 
 
 def unit(rng, dim=16):
@@ -231,9 +194,9 @@ class TestSingleRequest:
             assert submit(batcher, index, corpus, qvec, k) == corpus.reference(
                 qvec, k
             )
-        stats = batcher.stats()
-        assert stats["requests"] == stats["batches"] == 3
-        assert stats["batchedRequests"] == 0
+        assert batcher.stats() == {
+            "requests": 3, "batchedRequests": 0, "fallbacks": 0,
+        }
 
     def test_an_empty_shard_returns_empty(self):
         index = resident_index(("u", KIND_DESC))
@@ -264,202 +227,6 @@ class TestSingleRequest:
         assert batcher.stats()["requests"] == 0
 
 
-class TestCoalescing:
-    N = 6
-
-    def park_and_queue(self, index, corpus, rng):
-        """One submit's flush parked in ``resolve`` while N more queue
-        behind it; returns the batcher, the N + 1 queries and results."""
-        batcher = SearchBatcher()
-        watch = ArrivalWatch(batcher)
-        park = Park(corpus.resolve)
-        corpus.resolve = park
-        qvecs = [unit(rng) for _ in range(self.N + 1)]
-        first = Submitter(lambda: submit(batcher, index, corpus, qvecs[0]))
-        first.start()
-        assert park.entered[1].wait(TIMEOUT)
-        queued = queue_behind(
-            watch,
-            [
-                lambda q=q: submit(batcher, index, corpus, q)
-                for q in qvecs[1:]
-            ],
-        )
-        park.release[1].set()
-        results = [first.outcome()] + [t.outcome() for t in queued]
-        return batcher, qvecs, results
-
-    def test_concurrent_submits_coalesce_and_match_single_shot(self, stack):
-        """N submits queued behind a running flush ride exactly one more
-        flush, and every result equals its lone-submit (and brute-force)
-        result."""
-        index, corpus, rng = stack
-        batcher, qvecs, results = self.park_and_queue(index, corpus, rng)
-        stats = batcher.stats()
-        assert stats["requests"] == self.N + 1
-        assert stats["batches"] == 2
-        assert stats["batchedRequests"] == stats["largestBatch"] == self.N
-        lone = SearchBatcher()
-        for qvec, got in zip(qvecs, results):
-            assert got == corpus.reference(qvec, 5)
-            assert got == submit(lone, index, corpus, qvec)
-
-    def test_batch_amortizes_freshness_and_resolve_calls(self, stack):
-        # each flush costs exactly one freshness check and one hydration
-        # round trip, however many requests it carries
-        index, corpus, rng = stack
-        self.park_and_queue(index, corpus, rng)
-        assert corpus.current_calls == corpus.resolve_calls == 2
-
-    def test_each_thread_leads_at_most_one_flush(self, stack):
-        """The leader of a flush hands the queue that formed meanwhile
-        to its oldest waiter instead of flushing it itself."""
-        index, corpus, rng = stack
-        batcher = SearchBatcher()
-        watch = ArrivalWatch(batcher)
-        park = Park(corpus.resolve, at=(1, 2))
-        corpus.resolve = park
-
-        def call():
-            qvec = unit(rng)
-            return lambda: (qvec, submit(batcher, index, corpus, qvec))
-
-        first = Submitter(call())
-        first.start()
-        assert park.entered[1].wait(TIMEOUT)
-        second = queue_behind(watch, [call() for _ in range(3)])
-        park.release[1].set()
-        assert park.entered[2].wait(TIMEOUT)
-        third = queue_behind(watch, [call() for _ in range(2)])
-        park.release[2].set()
-        for thread in [first] + second + third:
-            qvec, got = thread.outcome()
-            assert got == corpus.reference(qvec, 5)
-        assert park.threads == [first, second[0], third[0]]
-        assert batcher.stats()["batches"] == 3
-
-    def test_distinct_embedded_queries_share_one_model_call(self, stack):
-        index, corpus, rng = stack
-        batcher = SearchBatcher()
-        watch = ArrivalWatch(batcher)
-        park = Park(corpus.resolve)
-        corpus.resolve = park
-        texts = [f"query {i}" for i in range(self.N)]
-        rows = {text: unit(rng) for text in texts}
-        calls = []
-
-        def embed_many(batch):
-            calls.append(list(batch))
-            return np.stack([rows[text] for text in batch])
-
-        def by_text(text):
-            kwargs = protocol_kwargs(index, corpus, None, 5)
-            kwargs.update(
-                embed_key=("t", text), embed_text=text, embed_many=embed_many
-            )
-            return lambda: pairs(batcher.submit(**kwargs))
-
-        first = Submitter(lambda: submit(batcher, index, corpus, unit(rng)))
-        first.start()
-        assert park.entered[1].wait(TIMEOUT)
-        queued = queue_behind(watch, [by_text(text) for text in texts])
-        park.release[1].set()
-        first.outcome()
-        for text, thread in zip(texts, queued):
-            assert thread.outcome() == corpus.reference(rows[text], 5)
-        assert calls == [texts]
-        stats = batcher.stats()
-        assert stats["batchEmbeds"] == 1
-        assert stats["batchEmbeddedQueries"] == self.N
-
-    def test_failed_flush_fails_only_its_requests(self, stack):
-        index, corpus, rng = stack
-        batcher = SearchBatcher()
-        watch = ArrivalWatch(batcher)
-        park = Park(corpus.resolve, error=NotFoundError("gone"))
-        corpus.resolve = park
-        first = Submitter(lambda: submit(batcher, index, corpus, unit(rng)))
-        first.start()
-        assert park.entered[1].wait(TIMEOUT)
-        qvecs = [unit(rng) for _ in range(3)]
-        queued = queue_behind(
-            watch,
-            [lambda q=q: submit(batcher, index, corpus, q) for q in qvecs],
-        )
-        park.release[1].set()
-        with pytest.raises(NotFoundError):
-            first.outcome()
-        for qvec, thread in zip(qvecs, queued):
-            assert thread.outcome() == corpus.reference(qvec, 5)
-        assert batcher.stats()["batches"] == 2
-
-    def test_distinct_kinds_never_share_a_batch(self, stack):
-        """Another key's running flush never delays a lone submit: the
-        other kind (no code shard yet, so its flush fills it) is served
-        while the KIND_DESC flush is parked."""
-        index, corpus, rng = stack
-        batcher = SearchBatcher()
-        park = Park(corpus.resolve)
-        corpus.resolve = park
-        qvec = unit(rng)
-        desc = Submitter(lambda: submit(batcher, index, corpus, qvec))
-        desc.start()
-        assert park.entered[1].wait(TIMEOUT)
-        other = submit(batcher, index, corpus, qvec, kind=KIND_CODE)
-        assert other == corpus.reference(qvec, 5)
-        park.release[1].set()
-        assert desc.outcome() == corpus.reference(qvec, 5)
-        stats = batcher.stats()
-        assert stats["batches"] == 2
-        assert stats["batchedRequests"] == 0
-        assert stats["fallbacks"] == 0  # a first fill is no refill
-        assert index.size("u", KIND_CODE) == len(corpus.records)
-
-
-class TestStress:
-    THREADS = 12  # more than this host's cores
-    PER_THREAD = 15
-
-    def test_every_request_served_once_under_preemption(self, stack):
-        """Many threads over two keys with a tiny switch interval: each
-        submit returns its own brute-force result, the request counter
-        adds up, and no key is left busy (a lost hand-over would hang
-        its waiters or leave the key queued)."""
-        index, corpus, rng = stack
-        batcher = SearchBatcher()
-        qvecs = [unit(rng) for _ in range(8)]
-        # the code shard is absent: its first flushes fill it
-        kinds = [KIND_DESC, KIND_CODE]
-
-        def work(tid):
-            out = []
-            for i in range(self.PER_THREAD):
-                qvec = qvecs[(tid + i) % len(qvecs)]
-                kind = kinds[(tid + i) % len(kinds)]
-                out.append(
-                    (qvec, submit(batcher, index, corpus, qvec, kind=kind))
-                )
-            return out
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                Submitter(lambda tid=tid: work(tid))
-                for tid in range(self.THREADS)
-            ]
-            for thread in threads:
-                thread.start()
-            outcomes = [thread.outcome() for thread in threads]
-        finally:
-            sys.setswitchinterval(interval)
-        for out in outcomes:
-            for qvec, got in out:
-                assert got == corpus.reference(qvec, 5)
-        assert batcher.stats()["requests"] == self.THREADS * self.PER_THREAD
-        assert batcher._queues == {}
-
-
 class TestRefill:
     def test_a_flush_after_a_foreign_commit_refills_and_counts(self, stack):
         index, corpus, rng = stack
@@ -471,9 +238,124 @@ class TestRefill:
         assert got == corpus.reference(qvec)
         assert got[0][0] == 99
         assert batcher.stats()["fallbacks"] == 1
-        # current again: the next flush ranks as it stands
+        # current again: the next search ranks as it stands
         assert submit(batcher, index, corpus, qvec, k=None) == got
         assert batcher.stats()["fallbacks"] == 1
+
+    def test_a_shard_that_is_not_resident_fills_uncounted(self, stack):
+        """The code shard was never filled: its first search fills it
+        from the records and ranks it, and no foreign commit is
+        counted."""
+        index, corpus, rng = stack
+        batcher = SearchBatcher()
+        qvec = unit(rng)
+        got = submit(batcher, index, corpus, qvec, kind=KIND_CODE)
+        assert got == corpus.reference(qvec, 5)
+        assert index.size("u", KIND_CODE) == len(corpus.records)
+        assert batcher.stats()["fallbacks"] == 0
+
+
+def owned(corpus):
+    """The corpus's records in ascending id, as every caller passes them
+    to :func:`exact_scan`."""
+    return [corpus.records[rid] for rid in sorted(corpus.records)]
+
+
+class TestDirectPass:
+    def test_a_search_parked_in_resolve_holds_up_no_other_on_its_key(
+        self, stack
+    ):
+        """The first search is parked inside ``resolve``; a second one
+        on the same ``(user, kind)`` is served meanwhile, on this
+        thread.  Both answer what the brute-force scan does, bitwise."""
+        index, corpus, rng = stack
+        batcher = SearchBatcher()
+        park = Park(corpus.resolve)
+        corpus.resolve = park
+        first_q, second_q = unit(rng), unit(rng)
+        first = Submitter(lambda: submit(batcher, index, corpus, first_q))
+        first.start()
+        assert park.entered[1].wait(TIMEOUT)
+        second = submit(batcher, index, corpus, second_q)
+        assert park.threads == [first, threading.current_thread()]
+        park.release[1].set()
+        for qvec, got in ((first_q, first.outcome()), (second_q, second)):
+            assert got == pairs(
+                exact_scan(KIND_DESC, owned(corpus), qvec, 5, no_embedding)
+            )
+        assert batcher.stats()["requests"] == 2
+
+    def test_two_searches_after_one_foreign_commit_fill_once(self, tmp_path):
+        """Both searches find the moved ``data_version`` before either
+        refills: the first is parked on its way into the read snapshot,
+        the second refills the shard and answers.  Released, the first
+        finds the shard current inside its snapshot and ranks that fill:
+        one owner-row scan and one counted refill for the two."""
+        path = tmp_path / "reg.db"
+        dao = SqliteDAO(path)
+        registry = RegistryService(dao, VectorIndex())
+        alice = registry.register_user("alice", "pw")
+        rng = np.random.default_rng(11)
+
+        def pe(name, vec):
+            return PERecord(
+                pe_id=0, pe_name=name, description=name,
+                pe_code=name.encode().hex(), desc_embedding=vec,
+            )
+
+        for i in range(8):
+            registry.register_pe(alice, pe(f"p{i}", unit(rng)))
+        qvec = unit(rng)
+        batcher = SearchBatcher()
+
+        def search():
+            return batcher.submit(
+                index=registry.index,
+                user=alice.user_id,
+                kind=KIND_DESC,
+                current=partial(
+                    registry.on_current_shard, alice.user_id, KIND_DESC
+                ),
+                k=None,
+                resolve=lambda ids: registry.resolve_pes(alice, ids),
+                embed_many=no_embedding,
+                query_embedding=qvec,
+            )
+
+        search()  # current: ranks the attached shard as it stands
+        peer = SqliteDAO(path)
+        try:
+            RegistryService(peer).register_pe(alice, pe("late", qvec))
+        finally:
+            peer.close()
+        scans = []
+        owned_vectors = dao.owned_vectors
+
+        def counted(*args):
+            scans.append(args)
+            return owned_vectors(*args)
+
+        dao.owned_vectors = counted
+        read_snapshot = dao.read_snapshot
+        park = Park(lambda scope: scope)
+        dao.read_snapshot = lambda: park(read_snapshot())
+        first = Submitter(search)
+        first.start()
+        assert park.entered[1].wait(TIMEOUT)
+        second = search()
+        park.release[1].set()
+        want = exact_scan(
+            KIND_DESC, registry.owned_records(alice, PERecord), qvec, None,
+            no_embedding,
+        )
+        for got in (first.outcome(), second):
+            assert [(r.pe_name, s) for r, s in got] == [
+                (r.pe_name, s) for r, s in want
+            ]
+        assert want[0][0].pe_name == "late"
+        assert len(scans) == 1
+        assert batcher.stats()["fallbacks"] == 1
+        dao.close()
 
 
 class TestSearchAmongMany:
@@ -506,142 +388,6 @@ class TestEmbedMany:
         batch = model.embed_many(texts, kind="text")
         for i, text in enumerate(texts):
             assert np.array_equal(batch[i], model.embed_one(text, kind="text"))
-
-    def test_batcher_embeds_distinct_queries_in_one_call(self):
-        """The flush leader makes ONE embed_many call for a batch.
-
-        Mirrors the production call shape: every request passes a
-        *fresh bound method* (Python mints a new bound-method object
-        per attribute access, exactly like ``searcher.embed_queries``);
-        a batch is one kind, so one embedder serves all of them.
-        """
-
-        class Embedder:
-            def __init__(self):
-                self.calls = []
-
-            def embed_queries(self, texts):
-                self.calls.append(list(texts))
-                out = np.zeros((len(texts), 8), dtype=np.float32)
-                for i, text in enumerate(texts):
-                    out[i, hash(text) % 8] = 1.0
-                return out
-
-        embedder = Embedder()
-        index = resident_index(("u", KIND_DESC))
-        rids = list(range(1, 6))
-        for rid in rids:
-            vec = np.zeros(8, dtype=np.float32)
-            vec[rid % 8] = 1.0
-            index.add("u", KIND_DESC, rid, vec)
-        records = {rid: record(rid) for rid in rids}
-        batcher = SearchBatcher()
-        watch = ArrivalWatch(batcher)
-        park = Park(lambda ids: [records[r] for r in ids if r in records])
-
-        def submit(text, embed_many):
-            return batcher.submit(
-                index=index,
-                user="u",
-                kind=KIND_DESC,
-                current=as_is,
-                k=3,
-                resolve=park,
-                embed_key=("t", text),
-                embed_text=text,
-                embed_many=embed_many,
-            )
-
-        # park a running flush, queue four requests behind it (a fresh
-        # bound method each, as production passes), then release: they
-        # ride one flush
-        first = Submitter(lambda: submit("first", embedder.embed_queries))
-        first.start()
-        assert park.entered[1].wait(30)
-        texts = ["alpha", "beta", "alpha", "gamma"]
-        queued = queue_behind(
-            watch,
-            [
-                lambda text=text: submit(text, embedder.embed_queries)
-                for text in texts
-            ],
-        )
-        park.release[1].set()
-        assert first.outcome() is not None
-        assert all(thread.outcome() is not None for thread in queued)
-        # the four embedded their three distinct texts in ONE model call
-        # (the duplicate coalesces through the shared embed_key)
-        assert embedder.calls == [["first"], ["alpha", "beta", "gamma"]]
-        stats = batcher.stats()
-        assert stats["batchedRequests"] == 4
-        assert stats["batchEmbeds"] == 1
-
-    def test_production_searcher_batches_distinct_queries(self, fast_bundle):
-        """End-to-end: searches queued behind a running flush reach the
-        model in one call through a real searcher."""
-        from repro.search import SemanticSearcher, exact_scan
-
-        calls = []
-        searcher = SemanticSearcher(fast_bundle.code_search)
-        original = type(fast_bundle.code_search).embed_many
-
-        def counting_embed_many(model_self, texts, kind="auto"):
-            calls.append(list(texts))
-            return original(model_self, texts, kind)
-
-        index = resident_index(("u", KIND_DESC))
-        records = {}
-        for rid in range(1, 9):
-            desc = f"record about topic {rid}"
-            vec = searcher.embed_description(desc)
-            index.add("u", KIND_DESC, rid, vec)
-            records[rid] = type("R", (), {
-                "pe_id": rid, "pe_name": f"r{rid}", "description": desc,
-                "description_origin": "user", "desc_embedding": vec,
-            })()
-        batcher = SearchBatcher()
-        watch = ArrivalWatch(batcher)
-        park = Park(lambda ids: [records[r] for r in ids if r in records])
-
-        def search(query):
-            return batcher.submit(
-                index=index,
-                user="u",
-                kind=KIND_DESC,
-                current=as_is,
-                k=3,
-                resolve=park,
-                embed_many=searcher.embed_queries,
-                embed_key=(KIND_DESC, searcher.model.name, query),
-                embed_text=query,
-            )
-
-        queries = ["find alpha", "find beta", "find gamma", "find delta"]
-        patched = type(fast_bundle.code_search)
-        patched.embed_many = counting_embed_many
-        try:
-            first = Submitter(lambda: search("find first"))
-            first.start()
-            assert park.entered[1].wait(30)
-            queued = queue_behind(
-                watch, [lambda q=q: search(q) for q in queries]
-            )
-            park.release[1].set()
-            first.outcome()
-            results = [thread.outcome() for thread in queued]
-        finally:
-            patched.embed_many = original
-        assert calls == [["find first"], queries]
-        assert batcher.stats()["batchEmbeds"] == 1
-        for query, ranked in zip(queries, results):
-            want = exact_scan(
-                KIND_DESC,
-                list(records.values()),
-                searcher.embed_query(query),
-                3,
-                searcher.embed_queries,
-            )
-            assert pairs(ranked) == pairs(want)
 
     def test_batch_embed_populates_query_lru(self):
         seen = []

@@ -2,7 +2,7 @@
 
 Parallel searches against a mutating registry must stay exact and
 tenant-isolated: alice's corpus is static, so every response she gets —
-whatever batch it rode in — must equal the single-shot and brute-force
+however it interleaved with the others — must equal the brute-force
 results over exactly her records, while bob's thread adds and removes
 records mid-flight.  Also covers the HTTP/1.1 satellite behaviours:
 keep-alive connection reuse and the 400 envelope for malformed JSON.
@@ -19,12 +19,7 @@ from repro.search import KIND_DESC, SemanticHit, exact_scan
 from repro.server import LaminarServer
 from repro.server.http import serve_http
 from tests.registry.test_dao import make_pe
-from tests.search.test_batcher import (
-    ArrivalWatch,
-    Park,
-    Submitter,
-    queue_behind,
-)
+from tests.search.test_batcher import Park, Submitter
 
 N_ALICE = 40
 SEARCH_THREADS = 6
@@ -153,8 +148,8 @@ class TestConcurrentSearchAgainstMutatingRegistry:
             assert len(results) == ROUNDS
             for status, body in results:
                 assert status == 200
-                # batched == single-shot == brute force, and bob's
-                # records never leak into alice's results
+                # served == brute force, and bob's records never leak
+                # into alice's results
                 assert body["hits"] == expected
                 assert {h["peName"] for h in body["hits"]} <= alice_names
 
@@ -185,13 +180,13 @@ class TestConcurrentSearchAgainstMutatingRegistry:
         assert body["hits"]
         assert all(h["peName"].startswith("BobStatic") for h in body["hits"])
 
-    def test_batcher_coalesced_requests(self, stack):
-        """Searches that arrive over HTTP while a flush runs ride the
-        next flush together.  Deterministic: the first search's flush is
-        parked inside the DAO hydration until every other search has
-        queued behind it."""
+    def test_concurrent_searches_equal_brute_force(self, stack):
+        """Searches sent over HTTP while another is parked inside the DAO
+        hydration are served meanwhile, each equal to the brute-force
+        scan over exactly alice's records, and so is the parked one once
+        released.  Deterministic: every other search has answered
+        before the first is let go."""
         server, handle, tokens, alice, bob = stack
-        watch = ArrivalWatch(server.batcher)
         park = Park(server.registry.resolve_pes)
         server.registry.resolve_pes = park
         conns = [
@@ -214,23 +209,18 @@ class TestConcurrentSearchAgainstMutatingRegistry:
         first = Submitter(lambda: search(0))
         first.start()
         assert park.entered[1].wait(30)
-        queued = queue_behind(
-            watch,
-            [lambda i=i: search(i) for i in range(1, SEARCH_THREADS)],
-        )
+        others = [
+            Submitter(lambda i=i: search(i)) for i in range(1, SEARCH_THREADS)
+        ]
+        for thread in others:
+            thread.start()
+        answered = [thread.outcome() for thread in others]
         park.release[1].set()
         pes = server.registry.owned_records(alice, PERecord)
-        for thread in [first] + queued:
-            query, status, body = thread.outcome()
+        for query, status, body in [first.outcome()] + answered:
             assert status == 200
-            # batched == brute force over exactly alice's records
             assert body["hits"] == brute_force_json(server, query, pes, 3)
-        stats = server.batcher.stats()
-        assert stats["requests"] == SEARCH_THREADS
-        assert stats["batches"] == 2
-        assert stats["batchedRequests"] == SEARCH_THREADS - 1
-        assert stats["batchEmbeds"] == 1
-        assert stats["batchEmbeddedQueries"] == SEARCH_THREADS - 1
+        assert server.batcher.stats()["requests"] == SEARCH_THREADS
 
 
 class TestHttp11Satellites:
