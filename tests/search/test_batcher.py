@@ -6,6 +6,7 @@ while another runs to its end, and only then released.  Every schedule
 therefore interleaves the same way.
 """
 
+import sys
 import threading
 from functools import partial
 from types import SimpleNamespace
@@ -106,10 +107,12 @@ class Corpus:
 
 class Park:
     """Wraps a callback; the calls numbered in ``at`` (1-based) block
-    inside it until released, holding their search mid-run."""
+    inside it until released, holding their search mid-run.  With
+    ``error`` the first call raises it once released."""
 
-    def __init__(self, fn, at=(1,)):
+    def __init__(self, fn, at=(1,), error=None):
         self.fn = fn
+        self.error = error
         self.threads = []
         self.entered = {n: threading.Event() for n in at}
         self.release = {n: threading.Event() for n in at}
@@ -120,6 +123,8 @@ class Park:
         if n in self.entered:
             self.entered[n].set()
             assert self.release[n].wait(TIMEOUT)
+        if n == 1 and self.error is not None:
+            raise self.error
         return self.fn(*args)
 
 
@@ -262,6 +267,84 @@ def owned(corpus):
 
 
 class TestDirectPass:
+    N = 6
+
+    def parked_and_beside(self, index, corpus, rng):
+        """One search parked in ``resolve`` while N more run to their end
+        on this thread; returns the batcher, the N + 1 queries and their
+        results."""
+        batcher = SearchBatcher()
+        park = Park(corpus.resolve)
+        corpus.resolve = park
+        qvecs = [unit(rng) for _ in range(self.N + 1)]
+        first = Submitter(lambda: submit(batcher, index, corpus, qvecs[0]))
+        first.start()
+        assert park.entered[1].wait(TIMEOUT)
+        beside = [submit(batcher, index, corpus, q) for q in qvecs[1:]]
+        park.release[1].set()
+        return batcher, qvecs, [first.outcome()] + beside
+
+    def test_searches_beside_a_parked_one_match_single_shot(self, stack):
+        """N searches served while one is parked each equal their
+        lone-submit (and brute-force) result; nothing is batched."""
+        index, corpus, rng = stack
+        batcher, qvecs, results = self.parked_and_beside(index, corpus, rng)
+        assert batcher.stats() == {
+            "requests": self.N + 1, "batchedRequests": 0, "fallbacks": 0,
+        }
+        lone = SearchBatcher()
+        for qvec, got in zip(qvecs, results):
+            assert got == corpus.reference(qvec, 5)
+            assert got == submit(lone, index, corpus, qvec)
+
+    def test_each_search_costs_one_freshness_check_and_one_hydration(
+        self, stack
+    ):
+        index, corpus, rng = stack
+        self.parked_and_beside(index, corpus, rng)
+        assert corpus.current_calls == corpus.resolve_calls == self.N + 1
+
+    def test_a_failed_search_fails_only_itself(self, stack):
+        """The parked search raises from ``resolve`` once released; the
+        ones served meanwhile, and the next one, answer in full."""
+        index, corpus, rng = stack
+        batcher = SearchBatcher()
+        park = Park(corpus.resolve, error=NotFoundError("gone"))
+        corpus.resolve = park
+        failing = unit(rng)
+        first = Submitter(lambda: submit(batcher, index, corpus, failing))
+        first.start()
+        assert park.entered[1].wait(TIMEOUT)
+        qvecs = [unit(rng) for _ in range(3)]
+        beside = [submit(batcher, index, corpus, q) for q in qvecs]
+        park.release[1].set()
+        with pytest.raises(NotFoundError):
+            first.outcome()
+        for qvec, got in zip(qvecs, beside):
+            assert got == corpus.reference(qvec, 5)
+        assert submit(batcher, index, corpus, failing) == corpus.reference(
+            failing, 5
+        )
+
+    def test_another_kind_is_served_beside_a_parked_search(self, stack):
+        """A KIND_CODE search (no code shard yet, so it fills it) is
+        served while a KIND_DESC one is parked; a first fill is no
+        refill."""
+        index, corpus, rng = stack
+        batcher = SearchBatcher()
+        park = Park(corpus.resolve)
+        corpus.resolve = park
+        qvec = unit(rng)
+        desc = Submitter(lambda: submit(batcher, index, corpus, qvec))
+        desc.start()
+        assert park.entered[1].wait(TIMEOUT)
+        other = submit(batcher, index, corpus, qvec, kind=KIND_CODE)
+        assert other == corpus.reference(qvec, 5)
+        park.release[1].set()
+        assert desc.outcome() == corpus.reference(qvec, 5)
+        assert batcher.stats()["fallbacks"] == 0
+        assert index.size("u", KIND_CODE) == len(corpus.records)
+
     def test_a_search_parked_in_resolve_holds_up_no_other_on_its_key(
         self, stack
     ):
@@ -358,6 +441,52 @@ class TestDirectPass:
         dao.close()
 
 
+class TestStress:
+    THREADS = 12  # more than this host's cores
+    PER_THREAD = 15
+
+    def test_every_request_served_once_under_preemption(self, stack):
+        """Many threads over two keys with a tiny switch interval: each
+        submit returns its own brute-force result and the request
+        counter adds up."""
+        index, corpus, rng = stack
+        batcher = SearchBatcher()
+        qvecs = [unit(rng) for _ in range(8)]
+        # the code shard is absent: its first searches fill it
+        kinds = [KIND_DESC, KIND_CODE]
+
+        def work(tid):
+            out = []
+            for i in range(self.PER_THREAD):
+                qvec = qvecs[(tid + i) % len(qvecs)]
+                kind = kinds[(tid + i) % len(kinds)]
+                out.append(
+                    (qvec, submit(batcher, index, corpus, qvec, kind=kind))
+                )
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                Submitter(lambda tid=tid: work(tid))
+                for tid in range(self.THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            outcomes = [thread.outcome() for thread in threads]
+        finally:
+            sys.setswitchinterval(interval)
+        for out in outcomes:
+            for qvec, got in out:
+                assert got == corpus.reference(qvec, 5)
+        assert batcher.stats() == {
+            "requests": self.THREADS * self.PER_THREAD,
+            "batchedRequests": 0,
+            "fallbacks": 0,
+        }
+
+
 class TestSearchAmongMany:
     def test_bitwise_identical_to_search_among(self, stack):
         index, _corpus, rng = stack
@@ -388,6 +517,101 @@ class TestEmbedMany:
         batch = model.embed_many(texts, kind="text")
         for i, text in enumerate(texts):
             assert np.array_equal(batch[i], model.embed_one(text, kind="text"))
+
+    def test_a_search_parked_in_its_embed_holds_up_no_other_text(
+        self, stack
+    ):
+        """A search parked inside its ``embed_many`` call: searches on
+        other texts are served meanwhile, each embedded once in a call
+        of its own text, a repeated text from the query LRU, and every
+        search ranks its own text's vector."""
+        index, corpus, rng = stack
+        batcher = SearchBatcher()
+        rows = {text: unit(rng) for text in ("alpha", "beta", "gamma")}
+        calls = []
+
+        def embed_many(texts):
+            calls.append(list(texts))
+            return np.stack([rows[text] for text in texts])
+
+        park = Park(embed_many)
+
+        def by_text(text):
+            kwargs = protocol_kwargs(index, corpus, None, 5)
+            kwargs.update(
+                embed_key=("t", text), embed_text=text, embed_many=park
+            )
+            return pairs(batcher.submit(**kwargs))
+
+        first = Submitter(lambda: by_text("alpha"))
+        first.start()
+        assert park.entered[1].wait(TIMEOUT)
+        texts = ["beta", "gamma", "beta"]
+        beside = [by_text(text) for text in texts]
+        park.release[1].set()
+        assert first.outcome() == corpus.reference(rows["alpha"], 5)
+        for text, got in zip(texts, beside):
+            assert got == corpus.reference(rows[text], 5)
+        assert calls == [["beta"], ["gamma"], ["alpha"]]
+        assert by_text("alpha") == corpus.reference(rows["alpha"], 5)
+        assert len(calls) == 3
+
+    def test_production_searcher_embeds_each_query_once(self, fast_bundle):
+        """End-to-end through a real searcher: each distinct query
+        reaches the model once, alone; a repeat is an LRU hit; every
+        answer equals the exact scan."""
+        from repro.search import SemanticSearcher
+
+        calls = []
+        searcher = SemanticSearcher(fast_bundle.code_search)
+        original = type(fast_bundle.code_search).embed_many
+
+        def counting_embed_many(model_self, texts, kind="auto"):
+            calls.append(list(texts))
+            return original(model_self, texts, kind)
+
+        index = resident_index(("u", KIND_DESC))
+        records = {}
+        for rid in range(1, 9):
+            desc = f"record about topic {rid}"
+            vec = searcher.embed_description(desc)
+            index.add("u", KIND_DESC, rid, vec)
+            records[rid] = type("R", (), {
+                "pe_id": rid, "pe_name": f"r{rid}", "description": desc,
+                "description_origin": "user", "desc_embedding": vec,
+            })()
+        batcher = SearchBatcher()
+
+        def search(query):
+            return batcher.submit(
+                index=index,
+                user="u",
+                kind=KIND_DESC,
+                current=as_is,
+                k=3,
+                resolve=lambda ids: [records[r] for r in ids if r in records],
+                embed_many=searcher.embed_queries,
+                embed_key=(KIND_DESC, searcher.model.name, query),
+                embed_text=query,
+            )
+
+        queries = ["find alpha", "find beta", "find alpha", "find gamma"]
+        patched = type(fast_bundle.code_search)
+        patched.embed_many = counting_embed_many
+        try:
+            results = [search(query) for query in queries]
+        finally:
+            patched.embed_many = original
+        assert calls == [["find alpha"], ["find beta"], ["find gamma"]]
+        for query, ranked in zip(queries, results):
+            want = exact_scan(
+                KIND_DESC,
+                list(records.values()),
+                searcher.embed_query(query),
+                3,
+                searcher.embed_queries,
+            )
+            assert pairs(ranked) == pairs(want)
 
     def test_batch_embed_populates_query_lru(self):
         seen = []
