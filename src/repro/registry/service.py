@@ -557,21 +557,14 @@ class RegistryService:
 
     def text_topk(
         self, user: UserRecord, record_type: type, query: str, k: int | None = None
-    ) -> list[tuple[Record, float]]:
-        """Indexed BM25+substring text ranking — O(k) hydration: the DAO
-        ranks owned ids inside its inverted index and only the winners
-        are materialized, as on the semantic top-k path.  ``(record,
-        score)`` pairs in rank order; ids that vanished or changed hands
-        since ranking are skipped."""
-        ranked = self._dao_method(record_type, "text_topk")(
+    ) -> list[tuple[int, float]]:
+        """Indexed BM25+substring text ranking: the DAO ranks the user's
+        ids inside its inverted index and returns ``(id, score)`` pairs
+        in rank order; the caller hydrates the ones it keeps
+        (:meth:`resolve`)."""
+        return self._dao_method(record_type, "text_topk")(
             user.user_id, query, k
         )
-        id_field = RECORD_KINDS[record_type].id_field
-        by_id = {
-            getattr(record, id_field): record
-            for record in self.resolve(user, record_type, [i for i, _ in ranked])
-        }
-        return [(by_id[i], score) for i, score in ranked if i in by_id]
 
     def owned_pe_ids(self, user: UserRecord) -> list[int]:
         return self.owned_ids(user, PERecord)

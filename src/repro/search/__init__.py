@@ -35,14 +35,15 @@ Quick tour::
     index.remove(user_id, KIND_DESC, pe.pe_id)                    # at remove
 
     searcher = SemanticSearcher(model)
-    ranked = SearchBatcher().submit(          # [(record, score), ...]
+    ranked = SearchBatcher().submit(          # [(id, score), ...]
         index=index, user=user_id, kind=KIND_DESC, k=10,
         current=lambda rank: (rank(), False),  # the service refills here
-        resolve=lambda ids: get_pes(ids),
         embed_many=searcher.embed_queries, embed_key=query, embed_text=query,
     )
-    hits = [SemanticHit.of(record, score) for record, score in ranked]
-    # brute force over the records, the same pairs
+    # hydrate only the winners, then render
+    by_id = {pe.pe_id: pe for pe in get_pes([rid for rid, _ in ranked])}
+    hits = [SemanticHit.of(by_id[rid], score) for rid, score in ranked]
+    # brute force over the records, the same ranking
     reference = exact_scan(
         KIND_DESC, pes, searcher.embed_query(query), 10,
         searcher.embed_queries,
@@ -137,8 +138,9 @@ after open derives them from the record rows
 rewrites its record's inside its own transaction, and a ranking fills
 them again when another connection has committed — and
 ``RegistryService.text_topk`` (one body for either record kind)
-returns the owner-scoped BM25 top-k directly, so only the ``k``
-winning records are hydrated.  It is the only text ranker: the legacy
+returns the owner-scoped BM25 top-k as ``(id, score)`` pairs, so only
+the ``k`` winning records are hydrated, by the search that keeps
+them.  It is the only text ranker: the legacy
 Table-3 route and v1 serve the same hits.  :func:`text_search_records` remains
 as the brute-force reference whose match sets the indexed ranking must
 equal (``tests/registry/test_text_candidates.py``).
@@ -149,7 +151,9 @@ ranking via reciprocal-rank fusion
 independently to a fused depth, fused scores are ``sum(1/(60+rank))``
 accumulated in fixed leg order, and ties break on the ``(kind, id)``
 key — the fused ordering is a pure function of the leg orders, so
-hybrid pages are bitwise stable across repeats.
+hybrid pages are bitwise stable across repeats.  Both legs rank ids
+only; the ``k`` fused winners are the only records a hybrid search
+reads.
 """
 
 from repro.search.text_search import TextMatch, text_search_records

@@ -11,8 +11,8 @@ Like :class:`~repro.search.semantic.SemanticSearcher`,
 ``KIND_CODE`` shard ranks through the one embedding-search path of
 :mod:`repro.search.serving` (one direct pass per search, with
 :func:`~repro.search.serving.exact_scan` as its reference),
-and :meth:`CodeHit.of` renders a ranked ``(record, score)`` pair,
-continuation included.
+and :meth:`CodeHit.of` renders a ranked, hydrated record and its
+score, continuation included.
 """
 
 from __future__ import annotations

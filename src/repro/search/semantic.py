@@ -12,11 +12,11 @@ the one embedding-search path of :mod:`repro.search.serving` —
 per search, on the served path,
 :func:`~repro.search.serving.exact_scan` as the brute-force reference
 — over the ``KIND_DESC`` (PE) or ``KIND_WORKFLOW`` shard,
-each the first of its record kind's ``RECORD_KINDS`` shards; the served
-path hydrates the winners through the service's ``resolve_{kind}s``
-entry.  Both return ``(record, score)`` pairs with equal ids and
-scores, ties by ascending id; :class:`SemanticHit` and
-:class:`WorkflowSemanticHit` render them.
+each the first of its record kind's ``RECORD_KINDS`` shards.  Both
+rank to equal ids and scores, ties by ascending id (the served path to
+``(id, score)`` pairs, whose surviving ids the search then hydrates
+through the service's ``resolve_{kind}s`` entry); :class:`SemanticHit`
+and :class:`WorkflowSemanticHit` render a record and its score.
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ Every semantic, workflow and code search reaches its index through
    call whose row the LRU then keeps;
 2. the caller's ``current`` brings the shard up to the store (one
    ``PRAGMA data_version`` on the registry's connection) around one
-   :meth:`~repro.search.index.VectorIndex.search_among`;
-3. one ``resolve`` call hydrates the winners.
+   :meth:`~repro.search.index.VectorIndex.search_among`.
 
 Concurrent searches, on one shard or on many, wait for nothing here but
 the index's and the store's own locks.  Results are bitwise identical
@@ -24,17 +23,18 @@ requests per second at 12 threads in ``benchmarks/test_http_batch.py``
 one cost more than ranking (944 µs against 798 µs a search, seed 1,
 2-CPU host).
 
-A request gets back ``(record, score)`` pairs, best first; the caller
-renders them.  The kind says how a shard's records read
+A request gets back ``(id, score)`` pairs, best first, and reads no
+record: the caller merges them with its other rankings, cuts them to
+``k`` and hydrates the survivors in one place
+(:func:`repro.server.v1._hydrate`), which skips ids that vanished since
+ranking.  The kind says how a shard's records read
 (:data:`~repro.registry.entities.SHARD_KINDS`: id, stored vector, text
 that embeds a record without one).
 
 The index is a cache of the record rows, so no search scans records:
 when another connection has committed since the index was filled, or
 the shard is not resident, ``current`` refills the shard from the rows
-before it ranks (the former counted in ``fallbacks``).  Ids that vanish
-between ranking and hydration are skipped — the result is then
-slightly under-filled rather than wrong.
+before it ranks (the former counted in ``fallbacks``).
 """
 
 from __future__ import annotations
@@ -122,14 +122,13 @@ class SearchBatcher:
         kind: str,
         current: Current,
         k: int | None,
-        resolve: Callable[[list[int]], Sequence[R]],
         embed_many: EmbedMany,
         query_embedding: np.ndarray | None = None,
         embed_key: Hashable | None = None,
         embed_text: str | None = None,
-    ) -> list[tuple[R, float]]:
-        """Serve one query: ``(record, score)`` pairs, best first, ties
-        by ascending id.
+    ) -> list[tuple[int, float]]:
+        """Serve one query: ``(id, score)`` pairs, best first, ties by
+        ascending id.
 
         ``kind`` names the shard and how its records read
         (:data:`~repro.registry.entities.SHARD_KINDS`).  The query is the
@@ -137,8 +136,8 @@ class SearchBatcher:
         query LRU under ``embed_key``, or on a miss one
         ``embed_many([embed_text])`` call whose row the LRU keeps.
         ``current`` (:data:`Current`) brings the shard up to the store
-        around the ranking, and one ``resolve(ids)`` call hydrates the
-        winners.  Exceptions raised by the callbacks propagate.
+        around the ranking.  Exceptions raised by the callbacks
+        propagate.
         """
         if k is not None and k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
@@ -164,13 +163,7 @@ class SearchBatcher:
         if refilled:
             with self._lock:
                 self.fallbacks += 1
-        id_field = SHARD_KINDS[kind].id_field
-        by_id = {getattr(record, id_field): record for record in resolve(ids)}
-        return [
-            (by_id[rid], float(score))
-            for rid, score in zip(ids, scores)
-            if rid in by_id
-        ]
+        return [(rid, float(score)) for rid, score in zip(ids, scores)]
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:

@@ -31,11 +31,13 @@ scaling with the *result*, not the corpus::
                   ▼
             VectorIndex.search_among     (repro.search.index)
                   │  one (1, D) product under the index lock,
-                  │  argpartition top-k
+                  │  argpartition top-k: ranked ids, no record read
                   ▼
             RegistryService.resolve_{kind}s
-                     one batched DAO fetch hydrates the top-k
-                     winners; ownership re-checked per record
+                     once every ranking is merged and cut to k,
+                     one batched DAO fetch per record kind hydrates
+                     the survivors (repro.server.v1._hydrate, the one
+                     hydration site); ownership re-checked per record
 
 The vector index is a cache of the record rows, kept to the text
 index's freshness rule.  This process's writes reach it themselves,
@@ -53,10 +55,11 @@ are bitwise identical to the brute-force scan of the same rows
 Text queries (``queryType=text``) skip the vector index entirely and
 rank in the DAO's inverted text index (SQLite FTS5, held in memory and
 derived from the record rows by the first text ranking): an owner-joined
-BM25 top-k returns ``k`` ids and the service hydrates only those
-records.  Hybrid queries (``queryType=hybrid``) run the text and
-semantic legs to a fused depth and merge them with deterministic
-reciprocal-rank fusion (:mod:`repro.search.fusion`).  The legacy
+BM25 top-k returns ``k`` ids, and only those records are hydrated.
+Hybrid queries (``queryType=hybrid``) run the text and semantic legs
+to a fused depth as ids, merge them with deterministic reciprocal-rank
+fusion (:mod:`repro.search.fusion`) and hydrate only the ``k`` fused
+winners.  The legacy
 Table-3 route ranks text through the same FTS5 index, so no search
 scores candidates in Python.
 

@@ -5,11 +5,15 @@ Two pieces live here:
 * :func:`execute_search` — the single search core behind **both** API
   generations.  It receives an already validated
   :class:`~repro.server.schema.SearchRequest` and runs the paper's
-  text/semantic/code branches over the exact index.  Every embedding
-  branch ranks through one helper per ``(user, kind)`` shard
-  (:func:`_embedding_search`, ``(record, score)`` pairs from
-  ``SearchBatcher.submit``) and renders hits only once ranked;
-  ``kind=both`` merges PE and workflow rows on the raw score.
+  text/semantic/code/hybrid branches over the exact index.  Every
+  branch ranks to ``(score, kind, id)`` rows (each embedding shard
+  through :func:`_embedding_search`, ``(id, score)`` pairs from
+  ``SearchBatcher.submit``; text through the DAO's BM25 index);
+  ``kind=both`` merges PE and workflow rows on the raw score, hybrid
+  RRF-fuses its two legs, and the rows are cut to ``k`` before any
+  record is read.  :func:`_hydrate` then reads the survivors — one
+  ``resolve_{kind}s`` call per record kind, the only place a search
+  hydrates — and the hits are rendered from them.
   The legacy Table-3 route (``GET /registry/{user}/search/...``) is a
   thin adapter that builds a ``SearchRequest`` (always
   ``backend="exact"``) and re-shapes the result into the historical
@@ -35,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import partial
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,7 +48,6 @@ from repro.registry.entities import (
     RECORD_CLASSES,
     RECORD_KINDS,
     SHARD_KINDS,
-    RecordKind,
     UserRecord,
 )
 from repro.search.code_search import CodeHit
@@ -72,6 +75,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.app import LaminarServer
 
 
+#: one ranked search result before hydration: ``(score, record kind,
+#: id)`` — all a search needs to merge, fuse and cut to ``k``
+Row = tuple[float, str, int]
+
+#: the semantic hit class of each record kind
+_SEMANTIC_HITS = {"pe": SemanticHit, "workflow": WorkflowSemanticHit}
+
+
 def execute_search(
     app: "LaminarServer",
     user: UserRecord,
@@ -79,14 +90,15 @@ def execute_search(
 ) -> tuple[str, list[dict]]:
     """Run one registry search; returns ``(search_kind, hits_json)``.
 
-    The embedding branches rank one shard per ``(user, kind)`` through
+    Every branch ranks to :data:`Row` s and reads no record: the
+    embedding branches one shard per ``(user, kind)`` through
     :func:`_embedding_search` (one direct pass over the exact index:
     embed the query unless the LRU holds it, rank on the shard once it
-    is current with the store, and hydrate only the top-k winners
-    through the DAO), and render hits only once ranked.
-    ``queryType=text`` ranks in the DAO's FTS5/BM25 inverted index and
-    hydrates only the top-k winners; ``queryType=hybrid`` RRF-fuses
-    that ranking with the semantic one.
+    is current with the store), ``queryType=text`` in the DAO's
+    FTS5/BM25 inverted index, and ``queryType=hybrid`` RRF-fuses those
+    two rankings.  The rows are merged (or fused) and cut to ``k`` on
+    ids alone; only the survivors are read, at the one hydration site
+    (:func:`_hydrate`), and then rendered.
     Both API generations share this decision tree — including the
     historical quirk that ``queryType=text`` over ``kind=pe`` serves
     *semantic* ranking.
@@ -98,33 +110,51 @@ def execute_search(
         query_embedding = np.asarray(query_embedding, dtype=np.float32)
 
     if req.query_type == "code":
-        ranked = _embedding_search(
-            app, user, KIND_CODE, query, k, query_embedding
+        rows = _embedding_search(app, user, KIND_CODE, query, k, query_embedding)
+        search_kind, render = "code", (
+            lambda record, row: CodeHit.of(record, row[0], query).to_json()
         )
-        return "code", [
-            CodeHit.of(record, score, query).to_json()
-            for record, score in ranked
-        ]
-    if req.query_type == "hybrid":
-        return "hybrid", _hybrid_hits(app, user, req, query_embedding)
-    if req.query_type == "semantic" or req.kind == "pe":
+    elif req.query_type == "hybrid":
+        search_kind = "hybrid"
+        rows, render = _hybrid(app, user, req, query_embedding)
+    elif req.query_type == "semantic" or req.kind == "pe":
         # semantic is the §8 extension over PEs and/or workflows; text
         # over kind=pe is the historical quirk that serves *semantic*
         # ranking (identical on both API generations)
         rows = _semantic_rows(app, user, req.kind, query, k, query_embedding)
-        return "semantic", [
-            (SemanticHit if kind == "pe" else WorkflowSemanticHit)
-            .of(record, score)
-            .to_json()
-            for score, kind, _rid, record in rows
-        ]
-    # indexed text: ranked inside the DAO's inverted index
-    # (BM25 + whole-query name-substring bonus), O(k) hydration
-    matches = _indexed_text_matches(app.registry, user, req.kind, query, k)
-    matches.sort(key=lambda m: (-m.score, m.kind, m.entity_id))
-    if k is not None:
-        matches = matches[:k]
-    return "text", [m.to_json() for m in matches]
+        search_kind, render = "semantic", (
+            lambda record, row: _SEMANTIC_HITS[row[1]].of(record, row[0]).to_json()
+        )
+    else:
+        # indexed text: ranked inside the DAO's inverted index
+        # (BM25 + whole-query name-substring bonus)
+        rows = _text_rows(app.registry, user, req.kind, query, k)
+        search_kind, render = "text", (
+            lambda record, row: TextMatch.of(
+                record, match_label(query, record), row[0]
+            ).to_json()
+        )
+    records = _hydrate(app.registry, user, rows)
+    return search_kind, [
+        render(records[row[1:]], row) for row in rows if row[1:] in records
+    ]
+
+
+def _hydrate(registry, user: UserRecord, rows: list[Row]) -> dict:
+    """The one place a search reads records: ``rows``' records by
+    ``(kind, id)``, one ``resolve_{kind}s`` call per record kind that
+    has a row.  Ids that vanished or changed hands since ranking are
+    absent, so the response is slightly under-filled rather than
+    wrong."""
+    records = {}
+    for spec in RECORD_KINDS.values():
+        ids = [rid for _score, kind, rid in rows if kind == spec.kind]
+        if ids:
+            # the service's per-kind entry, looked up when called
+            resolve = getattr(registry, f"resolve_{spec.kind}s")
+            for record in resolve(user, ids):
+                records[spec.kind, getattr(record, spec.id_field)] = record
+    return records
 
 
 def _embedding_search(
@@ -134,22 +164,18 @@ def _embedding_search(
     query: str,
     k: int | None,
     query_embedding: np.ndarray | None,
-) -> list[tuple[Any, float]]:
-    """``(record, score)`` pairs, best first, of one search over
-    ``user``'s ``kind`` shard (:meth:`SearchBatcher.submit
+) -> list[Row]:
+    """The rows, best first, of one search over ``user``'s ``kind``
+    shard (:meth:`SearchBatcher.submit
     <repro.search.serving.SearchBatcher.submit>`)."""
-    registry = app.registry
     searcher = app.code_search if kind == KIND_CODE else app.semantic
-    # the service's per-kind entry, looked up when called
     record_kind = RECORD_KINDS[SHARD_KINDS[kind].record_type].kind
-    resolve = getattr(registry, f"resolve_{record_kind}s")
-    return app.batcher.submit(
+    ranked = app.batcher.submit(
         index=app.index,
         user=user.user_id,
         kind=kind,
-        current=partial(registry.on_current_shard, user.user_id, kind),
+        current=partial(app.registry.on_current_shard, user.user_id, kind),
         k=k,
-        resolve=lambda ids: resolve(user, ids),
         embed_many=searcher.embed_queries,
         query_embedding=query_embedding,
         # PE and workflow descriptions share one query vector per text
@@ -160,16 +186,23 @@ def _embedding_search(
         ),
         embed_text=query,
     )
+    return [(score, record_kind, rid) for rid, score in ranked]
 
 
-def _record_kinds(kind: str) -> list[tuple[type, RecordKind]]:
-    """The record classes a search over ``kind`` (``pe``, ``workflow``
-    or ``both``) visits, PEs first."""
-    return [
-        (record_type, spec)
-        for record_type, spec in RECORD_KINDS.items()
-        if kind in (spec.kind, "both")
-    ]
+def _merged(kind: str, k: int | None, leg) -> list[Row]:
+    """``leg(record_type, spec)``'s rows for each record kind a search
+    over ``kind`` (``pe``, ``workflow`` or ``both``) visits, merged on
+    the raw score with ties by kind then id, and cut to ``k``."""
+    rows = sorted(
+        (
+            row
+            for record_type, spec in RECORD_KINDS.items()
+            if kind in (spec.kind, "both")
+            for row in leg(record_type, spec)
+        ),
+        key=lambda row: (-row[0], row[1], row[2]),
+    )
+    return rows if k is None else rows[:k]
 
 
 def _semantic_rows(
@@ -179,20 +212,22 @@ def _semantic_rows(
     query: str,
     k: int | None,
     query_embedding: np.ndarray | None,
-) -> list[tuple[float, str, int, Any]]:
-    """Semantic ``(score, kind, id, record)`` rows over ``kind`` (pe,
-    workflow or both), each record kind ranked on its description
-    shard, merged on the raw score with ties by kind then id, and cut
-    to ``k``."""
-    rows = [
-        (score, spec.kind, getattr(record, spec.id_field), record)
-        for _record_type, spec in _record_kinds(kind)
-        for record, score in _embedding_search(
-            app, user, spec.shards[0], query, k, query_embedding
-        )
-    ]
-    rows.sort(key=lambda row: (-row[0], row[1], row[2]))
-    return rows if k is None else rows[:k]
+) -> list[Row]:
+    """Semantic rows over ``kind``, each record kind ranked on its
+    description shard."""
+    return _merged(kind, k, lambda _type, spec: _embedding_search(
+        app, user, spec.shards[0], query, k, query_embedding
+    ))
+
+
+def _text_rows(
+    registry, user: UserRecord, kind: str, query: str, k: int | None
+) -> list[Row]:
+    """FTS-ranked rows over ``kind``, scored by the DAO."""
+    return _merged(kind, k, lambda record_type, spec: [
+        (score, spec.kind, rid)
+        for rid, score in registry.text_topk(user, record_type, query, k)
+    ])
 
 
 def check_embedding_width(app: "LaminarServer", req: SearchRequest) -> None:
@@ -207,25 +242,13 @@ def check_embedding_width(app: "LaminarServer", req: SearchRequest) -> None:
     check_embedding_dim("queryEmbedding", req.query_embedding, model.dim)
 
 
-def _indexed_text_matches(
-    registry, user: UserRecord, kind: str, query: str, k: int | None
-) -> list[TextMatch]:
-    """FTS-ranked :class:`TextMatch` rows for ``kind`` (already scored
-    by the DAO; ``matchedOn`` labels recomputed from the records)."""
-    return [
-        TextMatch.of(record, match_label(query, record), score)
-        for record_type, _spec in _record_kinds(kind)
-        for record, score in registry.text_topk(user, record_type, query, k)
-    ]
-
-
-def _hybrid_hits(
+def _hybrid(
     app: "LaminarServer",
     user: UserRecord,
     req: SearchRequest,
     query_embedding,
-) -> list[dict]:
-    """``queryType=hybrid``: RRF-fuse the text and semantic rankings.
+):
+    """``queryType=hybrid``: the fused rows and their renderer.
 
     Both legs rank to depth ``max(2k, k+50)`` (unbounded when ``k`` is
     ``None``) so the fusion sees well past the final cut, then
@@ -233,64 +256,48 @@ def _hybrid_hits(
     — given the two leg rankings the fused ordering is bitwise-stable.
     The text leg is the *real* BM25 ranking even for ``kind=pe`` (the
     text-route quirk is a ``queryType=text`` compatibility artifact;
-    hybrid is new surface and fuses what it says it fuses).
+    hybrid is new surface and fuses what it says it fuses).  A row's
+    score is the fused one; each leg's rank and score ride in the
+    renderer.
     """
-    registry = app.registry
     k = req.k
-    query = req.query
     # past SQLite's 64-bit LIMIT a depth ranks everything, as None does
     depth = None if k is None else min(max(2 * k, k + 50), INT64_MAX)
-
-    text_matches = _indexed_text_matches(registry, user, req.kind, query, depth)
-    text_matches.sort(key=lambda m: (-m.score, m.kind, m.entity_id))
-    if depth is not None:
-        text_matches = text_matches[:depth]
-    sem_rows = _semantic_rows(app, user, req.kind, query, depth, query_embedding)
-
-    by_key: dict[tuple[str, int], dict] = {}
-    text_leg: list[tuple[str, int]] = []
-    for m in text_matches:
-        key = (m.kind, m.entity_id)
-        text_leg.append(key)
-        by_key.setdefault(key, {})["text"] = m
-    semantic_leg: list[tuple[str, int]] = []
-    for score, kind_, rid, record in sem_rows:
-        key = (kind_, rid)
-        semantic_leg.append(key)
-        by_key.setdefault(key, {})["semantic"] = (score, record)
-
-    fused = rrf_fuse([text_leg, semantic_leg])
+    # each leg's scores by (kind, id), in its rank order
+    legs = [
+        {row[1:]: row[0] for row in rows}
+        for rows in (
+            _text_rows(app.registry, user, req.kind, req.query, depth),
+            _semantic_rows(
+                app, user, req.kind, req.query, depth, query_embedding
+            ),
+        )
+    ]
+    fused = rrf_fuse([list(leg) for leg in legs])
     if k is not None:
         fused = fused[:k]
-    hits = []
-    for key, score, (text_rank, semantic_rank) in fused:
-        kind_, rid = key
-        text_hit = by_key[key].get("text")
-        sem_hit = by_key[key].get("semantic")
-        if text_hit is not None:
-            name, description = text_hit.name, text_hit.description
-        else:
-            record = sem_hit[1]
-            name = getattr(record, RECORD_KINDS[type(record)].name_field)
-            description = record.description
-        hits.append(
-            {
-                "kind": kind_,
-                "id": rid,
-                "name": name,
-                "description": description,
-                "score": round(score, 6),
-                "textRank": text_rank,
-                "semanticRank": semantic_rank,
-                "textScore": (
-                    round(text_hit.score, 4) if text_hit is not None else None
-                ),
-                "semanticScore": (
-                    round(sem_hit[0], 4) if sem_hit is not None else None
-                ),
-            }
-        )
-    return hits
+    ranks = {key: leg_ranks for key, _score, leg_ranks in fused}
+
+    def render(record, row: Row) -> dict:
+        score, kind, rid = row
+        text_score, semantic_score = (leg.get((kind, rid)) for leg in legs)
+        return {
+            "kind": kind,
+            "id": rid,
+            "name": getattr(record, RECORD_KINDS[type(record)].name_field),
+            "description": record.description,
+            "score": round(score, 6),
+            "textRank": ranks[kind, rid][0],
+            "semanticRank": ranks[kind, rid][1],
+            "textScore": (
+                round(text_score, 4) if text_score is not None else None
+            ),
+            "semanticScore": (
+                round(semantic_score, 4) if semantic_score is not None else None
+            ),
+        }
+
+    return [(score, *key) for key, score, _ranks in fused], render
 
 
 class V1Controller(BaseController):

@@ -42,16 +42,23 @@ PES, WORKFLOWS, OTHER_PES = 24, 6, 10
 K = 3
 QUERY = "element adds to a stream"
 
-#: queryType -> (statements, rows hydrated, embedding bytes, ids projected)
+#: queryType -> (statements, rows hydrated, embedding bytes, ids projected).
+#: Every search ranks ids only, merges or fuses its rankings, cuts them
+#: to k and then hydrates the k survivors, one fetch per record kind
+#: among them — here all three are PEs.  Before that, each record
+#: kind's ranking hydrated its own k winners ahead of the merge (5, 6,
+#: 333 for semantic and text) and hybrid both legs to their depth
+#: max(2k, k + 50) (9, 60, 3 852: 60 rows read for 3 hits)
 READ_COST = {
-    # user lookup, two data_version reads, two hydrations
-    "semantic": (5, 6, 333, 0),
-    # user lookup, two FTS rankings, two hydrations of the k winners
-    "text": (5, 6, 333, 0),
+    # user lookup, two data_version reads, one hydration
+    "semantic": (4, 3, 210, 0),
+    # user lookup, two FTS rankings, one hydration
+    "text": (4, 3, 210, 0),
     # the Table-3 route: the same ranking core, so the same reads
-    "table3-text": (5, 6, 333, 0),
-    # both legs rank to depth max(2k, k + 50): 60 rows hydrated for 3 hits
-    "hybrid": (9, 60, 3852, 0),
+    "table3-text": (4, 3, 210, 0),
+    # user lookup, two FTS rankings, two data_version reads, one
+    # hydration of the 3 fused winners
+    "hybrid": (6, 3, 210, 0),
     # user lookup, one data_version read, one hydration
     "code": (3, 3, 210, 0),
 }

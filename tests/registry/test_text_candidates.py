@@ -99,11 +99,18 @@ def backend(request, tmp_path):
     return fill(SqliteDAO(tmp_path / "text.db"))
 
 
+def ranked_records(service, user, record_type, query):
+    """The BM25 path's records in rank order: ``text_topk``'s ids,
+    hydrated."""
+    ids = [rid for rid, _score in service.text_topk(user, record_type, query)]
+    return service.resolve(user, record_type, ids)
+
+
 def indexed_pes(service, user, query):
     """``{pe_id: matchedOn}`` of the BM25 path."""
     return {
         record.pe_id: match_label(query, record)
-        for record, _score in service.text_topk(user, PERecord, query)
+        for record in ranked_records(service, user, PERecord, query)
     }
 
 
@@ -119,7 +126,7 @@ def reference_pes(service, user, query):
 def indexed_workflows(service, user, query):
     return {
         record.workflow_id: match_label(query, record)
-        for record, _score in service.text_topk(user, WorkflowRecord, query)
+        for record in ranked_records(service, user, WorkflowRecord, query)
     }
 
 
@@ -156,7 +163,7 @@ class TestMatchSetParity:
         names = {
             record.pe_name
             for query in ("bar baz", "b cd", "naive bayes")
-            for record, _score in service.text_topk(alice, PERecord, query)
+            for record in ranked_records(service, alice, PERecord, query)
         }
         assert names == {"foo:barBaz", "a+bCd", "naïveBayes"}
 
@@ -165,7 +172,7 @@ class TestMatchSetParity:
         for query in ("prime", "bob", "primeBob"):
             names = {
                 record.pe_name
-                for record, _score in service.text_topk(alice, PERecord, query)
+                for record in ranked_records(service, alice, PERecord, query)
             }
             assert "primeBob" not in names
         # the DAO ranking itself is owner-joined, not just filtered on
@@ -176,7 +183,7 @@ class TestMatchSetParity:
             assert not bob_ids & {pe_id for pe_id, _score in ranked}
         # the record is indexed: its owner finds it
         assert [
-            record.pe_name for record, _score in service.text_topk(bob, PERecord, "prime")
+            record.pe_name for record in ranked_records(service, bob, PERecord, "prime")
         ] == ["primeBob"]
 
 
@@ -196,7 +203,7 @@ class TestWideQueries:
         assert got == reference_pes(service, alice, query)
         names = {
             record.pe_name
-            for record, _score in service.text_topk(alice, PERecord, query)
+            for record in ranked_records(service, alice, PERecord, query)
         }
         assert names == {"isPrime", "primality"}
 

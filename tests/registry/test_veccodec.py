@@ -354,6 +354,111 @@ def encode_through_blocks(matrix):
     return matrix.tobytes()
 
 
+def parent_encode_vector(vector):
+    """The encoder as it was before the distinct-prefix shortcut — every
+    eligible vector's distinct values counted in full — kept as the
+    reference :func:`encode_vector` must equal byte for byte."""
+    row = np.ascontiguousarray(vector, dtype=np.float32).reshape(-1)
+    dim = row.shape[0]
+    if not 0 < dim <= 0xFFFF:
+        return row.tobytes()
+    bits = row.view(np.uint32)
+    stored = bits.nonzero()[0]
+    count = len(stored)
+    sparse = 4 + 6 * count + 13
+    best = min(sparse, dim * 4)
+    if 8 + 4 + 2 * count + 13 < best:
+        steps = stored.copy()
+        steps[1:] -= stored[:-1]
+        if steps.max() <= 255:
+            values = bits[stored]
+            table = np.unique(values)
+            size = 8 + 4 * len(table) + 2 * count + 13
+            if len(table) <= 256 and size < best:
+                pairs = np.empty((count, 2), dtype=np.uint8)
+                pairs[:, 0] = table.searchsorted(values)
+                pairs[:, 1] = steps
+                body = struct.pack("=II", count, len(table))
+                return seal(body + table.tobytes() + pairs.tobytes(), dim,
+                            layout=2)
+    if sparse < dim * 4:
+        body = struct.pack("=I", count) + row[stored].tobytes()
+        return seal(body + stored.astype(np.uint16).tobytes(), dim)
+    return row.tobytes()
+
+
+@st.composite
+def wide_vectors(draw):
+    """Vectors on both sides of the shortcut: up to 2 048 wide, from no
+    stored value to every column, their values drawn from a palette of
+    one to a few hundred bit patterns (specials among them: -0.0, NaN
+    payloads) — so more than 256 stored values with at most 256
+    distinct ones, and dense client vectors whose first 257 differ, are
+    both common — in column order or shuffled."""
+    dim = draw(st.one_of(
+        st.integers(1, 2048), st.sampled_from([300, 700, 2048]),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.one_of(
+        st.integers(0, dim),
+        st.sampled_from([min(dim, n) for n in (255, 256, 257, 258, dim)]),
+    ))
+    distinct = draw(st.one_of(
+        st.integers(1, 300), st.sampled_from([255, 256, 257, max(1, count)]),
+    ))
+    palette = rng.integers(1, 2**32, size=distinct, dtype=np.uint32)
+    # specials in place of a few, each at most once: the palette's
+    # patterns stay distinct
+    specials = draw(st.integers(0, min(distinct, len(SPECIALS))))
+    palette[rng.choice(distinct, size=specials, replace=False)] = SPECIALS[
+        :specials
+    ]
+    values = palette[np.arange(count) % distinct]
+    if draw(st.booleans()):
+        values = rng.permutation(values)
+    bits = np.zeros(dim, dtype=np.uint32)
+    bits[np.sort(rng.choice(dim, size=count, replace=False))] = values
+    return bits.view(np.float32)
+
+
+class TestDistinctPrefixShortcut:
+    """A vector whose first 257 stored values already differ skips the
+    full distinct-value count; every blob stays what it was."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(wide_vectors(), vectors(), palette_vectors(max_dim=80)))
+    def test_blobs_equal_the_parent_encoder(self, vector):
+        blob = encode_vector(vector)
+        assert blob == parent_encode_vector(vector)
+        assert decode_vector(blob).tobytes() == vector.tobytes()
+
+    @pytest.mark.parametrize(
+        "count, distinct, shuffled, layout",
+        [
+            # a dense client vector: dense, as before
+            (2048, 2048, False, 0),
+            # 256 distinct, the first 256 stored values among them: a table
+            (700, 256, False, 2),
+            # the first 257 stored values differ: sparse, uncounted
+            (700, 257, False, 1),
+            # 257 distinct, repeats among the first 257: counted, sparse
+            (700, 257, True, 1),
+        ],
+    )
+    def test_the_edges(self, count, distinct, shuffled, layout):
+        """``count`` stored values in the first columns, cycling through
+        ``distinct`` bit patterns in column order, or shuffled."""
+        bits = np.zeros(2048, dtype=np.uint32)
+        bits[:count] = 0x3F800000 + np.arange(count) % distinct
+        if shuffled:
+            bits[:count] = np.random.default_rng(count).permutation(
+                bits[:count]
+            )
+        vector = bits.view(np.float32)
+        blob = encode_vector(vector)
+        assert (tag(blob), blob) == (layout, parent_encode_vector(vector))
+
+
 class TestOneRowLayout:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(vectors(max_dim=64), palette_vectors(max_dim=64)))

@@ -95,9 +95,8 @@ class Peer:
         alice = self.app.registry.get_user("alice")
         return {
             kind: [
-                (record.pe_id if kind != KIND_WORKFLOW else record.workflow_id,
-                 score)
-                for record, score in _embedding_search(
+                (rid, score)
+                for score, _kind, rid in _embedding_search(
                     self.app, alice, kind, QUERY, None, None
                 )
             ]
@@ -317,7 +316,7 @@ class TestFreshness:
         alice = b.app.registry.get_user("alice")
         result = []
         thread = threading.Thread(target=lambda: result.append(
-            [(r.pe_id, s) for r, s in _embedding_search(
+            [(rid, s) for s, _kind, rid in _embedding_search(
                 b.app, alice, KIND_DESC, QUERY, None, None)]
         ))
         thread.start()
@@ -331,7 +330,7 @@ class TestFreshness:
         del index.search_among
         fresh = fresh_answers(path, fast_bundle)[1]
         assert result == [fresh[KIND_DESC]]
-        assert [(r.pe_id, s) for r, s in code] == fresh[KIND_CODE]
+        assert [(rid, s) for s, _kind, rid in code] == fresh[KIND_CODE]
         # the code search refilled after A's commit; the parked one only
         # because its shard was gone
         assert calls[:2] == [KIND_DESC, KIND_CODE]

@@ -334,6 +334,121 @@ def test_a_bulk_reads_its_names_once(registry):
     assert name_reads(statements) == 1, statements
 
 
+#: "A bulk amortizes the per-record transaction and index add" — the
+#: claim ``benchmarks/test_bulk_register.py`` and
+#: ``benchmarks/test_ingest.py`` once gated as wall-clock ratios (2x and
+#: 3x) — as exact counts.  A PUT pays a whole write per record: one
+#: commit, :data:`PUT_STATEMENTS` ``["put"]`` (11) top-level statements —
+#: the user lookup, ``BEGIN IMMEDIATE``, the name read, two counter
+#: updates, the counter read and ``COMMIT``, seven, beside its four row
+#: writes (the record, its owner row, its text document and its FTS
+#: entry) — and one index ``add`` per shard kind.  A bulk of N pays the
+#: seven once: one commit, ``7 + 4 N`` statements and one ``add_many``
+#: per shard kind.  An ingest batch of b records pays five of them
+#: (no user lookup, no counter read): one commit, ``5 + 4 b``
+#: statements; the job adds four around its batches — the request's
+#: and the job's user lookups, its checkpoint and its closing counter
+#: read.  :func:`write_counts` counts all of these
+BULK_STATEMENTS = (7, 4)  # (per bulk, per record)
+INGEST_STATEMENTS = (4, 5, 4)  # (per job, per batch, per record)
+AMORTIZED = 16
+
+
+def write_counts(dao, app, op):
+    """``(commits, top-level statements, {index method: calls})`` of
+    ``op``, every thread's; the index calls as the service queues them
+    on its writes' commits."""
+    calls = Counter()
+    queue = app.registry._on_commit
+
+    def counted(method, *args):
+        calls[method] += 1
+        queue(method, *args)
+
+    app.registry._on_commit = counted
+    statements = []
+    dao._conn.set_trace_callback(statements.append)
+    try:
+        op()
+    finally:
+        dao._conn.set_trace_callback(None)
+        del app.registry._on_commit
+    top = [sql for sql in statements if not sql.startswith("--")]
+    return commits(top), len(top), dict(calls)
+
+
+@pytest.fixture()
+def writer(tmp_path, fast_bundle):
+    """A served file registry and ``send`` for its logged-in user."""
+    dao = SqliteDAO(tmp_path / "registry.db")
+    app = LaminarServer(dao=dao, models=fast_bundle)
+    credentials = {"userName": "u", "password": "pw"}
+    app.dispatch(Request("POST", "/auth/register", credentials))
+    token = app.dispatch(
+        Request("POST", "/auth/login", credentials)
+    ).body["token"]
+
+    def send(method, path_, body=None):
+        return app.dispatch(Request(method, path_, body or {}, token=token))
+
+    yield app, dao, send
+    app.jobs.shutdown(wait=True)
+    dao.close()
+
+
+def pe_item(name, i):
+    return {"peName": name, "peCode": f"def {name}(x):\n    return x + {i}\n",
+            "description": f"element {i} adds {i}"}
+
+
+def test_a_bulk_amortizes_the_per_record_transaction_and_index_add(writer):
+    app, dao, send = writer
+
+    def puts():
+        for i in range(AMORTIZED):
+            item = pe_item(f"put{i}", i)
+            name = item.pop("peName")
+            assert send("PUT", f"/v1/registry/u/pes/{name}", item).status == 201
+
+    def bulk():
+        items = [pe_item(f"bulk{i}", i) for i in range(AMORTIZED)]
+        reply = send("POST", "/v1/registry/u/pes:bulk", {"items": items})
+        assert reply.status == 201
+
+    assert write_counts(dao, app, puts) == (
+        AMORTIZED, AMORTIZED * PUT_STATEMENTS["put"], {"add": 2 * AMORTIZED}
+    )
+    fixed, per_record = BULK_STATEMENTS
+    assert write_counts(dao, app, bulk) == (
+        1, fixed + per_record * AMORTIZED, {"add_many": 2}
+    )
+
+
+def test_an_ingest_amortizes_the_per_record_transaction(writer, tmp_path):
+    """An ingest job of ``AMORTIZED`` chunks in batches of 6: a commit
+    and an ``add_many`` per shard kind for each of its three batches."""
+    app, dao, send = writer
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "mod.py").write_text("\n".join(
+        f'def f{i}(x):\n    """Adds {i}."""\n    return x + {i}\n'
+        for i in range(AMORTIZED)
+    ))
+
+    def ingest():
+        reply = send("POST", "/v1/registry/u/ingest",
+                     {"path": str(tree), "batchSize": 6})
+        assert reply.status == 202
+        assert app.jobs.join(timeout=60)
+        job = app.jobs.get(reply.body["jobId"])
+        assert job["progress"]["chunksInserted"] == AMORTIZED, job
+
+    per_job, per_batch, per_record = INGEST_STATEMENTS
+    assert write_counts(dao, app, ingest) == (
+        3, per_job + 3 * per_batch + per_record * AMORTIZED, {"add_many": 6}
+    )
+
+
 #: every b-tree a PUT or a bulk of new PEs may log a page of (page 1,
 #: ``sqlite_schema``, when the file grows) — no text table since v15,
 #: no journal since v16

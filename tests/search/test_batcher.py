@@ -1,7 +1,9 @@
 """SearchBatcher: one direct pass per search, bitwise parity, refills.
 
-Concurrency is tested without clocks: a search is parked on a
-:class:`threading.Event` inside one of its callbacks (:class:`Park`)
+A search ranks ids and reads no record: its callbacks are ``current``
+(the freshness check around the ranking) and, on an LRU miss,
+``embed_many``.  Concurrency is tested without clocks: a search is
+parked on a :class:`threading.Event` inside one of them (:class:`Park`)
 while another runs to its end, and only then released.  Every schedule
 therefore interleaves the same way.
 """
@@ -38,7 +40,8 @@ def record(rid, vec=None):
 
 
 def pairs(ranked):
-    """``(id, score)`` of the batcher's ``(record, score)`` pairs."""
+    """``(id, score)`` of :func:`exact_scan`'s ``(record, score)``
+    pairs, as the batcher returns them."""
     return [(r.pe_id, score) for r, score in ranked]
 
 
@@ -63,7 +66,6 @@ class Corpus:
             rid: record(rid, np.asarray(vec, dtype=np.float32))
             for rid, vec in vectors.items()
         }
-        self.resolve_calls = 0
         self.current_calls = 0
         self.version = 0
 
@@ -84,10 +86,6 @@ class Corpus:
             ids, [self.records[rid].desc_embedding for rid in ids]
         )})
         return rank(), refilled
-
-    def resolve(self, ids):
-        self.resolve_calls += 1
-        return [self.records[rid] for rid in ids if rid in self.records]
 
     def brute_force(self, records, qvec, k=None):
         """The reference scan: ``(1, D) @ (D, N)`` over the id-ordered
@@ -169,8 +167,8 @@ def stack():
 
 
 def protocol_kwargs(index, corpus, qvec, k, kind=KIND_DESC):
-    """The submit arguments.  ``resolve`` and ``current`` are looked up
-    per call, so a test may wrap them."""
+    """The submit arguments.  ``current`` is looked up per call, so a
+    test may wrap it."""
     return dict(
         index=index,
         user=corpus.user,
@@ -178,16 +176,13 @@ def protocol_kwargs(index, corpus, qvec, k, kind=KIND_DESC):
         current=lambda rank: corpus.current(index, kind, rank),
         k=k,
         query_embedding=qvec,
-        resolve=lambda ids: corpus.resolve(ids),
         embed_many=no_embedding,
     )
 
 
 def submit(batcher, index, corpus, qvec, k=5, kind=KIND_DESC):
     """``(id, score)`` pairs of one submit."""
-    return pairs(
-        batcher.submit(**protocol_kwargs(index, corpus, qvec, k, kind))
-    )
+    return batcher.submit(**protocol_kwargs(index, corpus, qvec, k, kind))
 
 
 class TestSingleRequest:
@@ -216,11 +211,11 @@ class TestSingleRequest:
         index, corpus, rng = stack
         batcher = SearchBatcher()
 
-        def broken_resolve(ids):
+        def broken_current(rank):
             raise NotFoundError("gone")
 
         kwargs = protocol_kwargs(index, corpus, unit(rng), 2)
-        kwargs["resolve"] = broken_resolve
+        kwargs["current"] = broken_current
         with pytest.raises(NotFoundError):
             batcher.submit(**kwargs)
 
@@ -270,12 +265,12 @@ class TestDirectPass:
     N = 6
 
     def parked_and_beside(self, index, corpus, rng):
-        """One search parked in ``resolve`` while N more run to their end
+        """One search parked in ``current`` while N more run to their end
         on this thread; returns the batcher, the N + 1 queries and their
         results."""
         batcher = SearchBatcher()
-        park = Park(corpus.resolve)
-        corpus.resolve = park
+        park = Park(corpus.current)
+        corpus.current = park
         qvecs = [unit(rng) for _ in range(self.N + 1)]
         first = Submitter(lambda: submit(batcher, index, corpus, qvecs[0]))
         first.start()
@@ -297,20 +292,18 @@ class TestDirectPass:
             assert got == corpus.reference(qvec, 5)
             assert got == submit(lone, index, corpus, qvec)
 
-    def test_each_search_costs_one_freshness_check_and_one_hydration(
-        self, stack
-    ):
+    def test_each_search_costs_one_freshness_check(self, stack):
         index, corpus, rng = stack
         self.parked_and_beside(index, corpus, rng)
-        assert corpus.current_calls == corpus.resolve_calls == self.N + 1
+        assert corpus.current_calls == self.N + 1
 
     def test_a_failed_search_fails_only_itself(self, stack):
-        """The parked search raises from ``resolve`` once released; the
+        """The parked search raises from ``current`` once released; the
         ones served meanwhile, and the next one, answer in full."""
         index, corpus, rng = stack
         batcher = SearchBatcher()
-        park = Park(corpus.resolve, error=NotFoundError("gone"))
-        corpus.resolve = park
+        park = Park(corpus.current, error=NotFoundError("gone"))
+        corpus.current = park
         failing = unit(rng)
         first = Submitter(lambda: submit(batcher, index, corpus, failing))
         first.start()
@@ -332,8 +325,8 @@ class TestDirectPass:
         refill."""
         index, corpus, rng = stack
         batcher = SearchBatcher()
-        park = Park(corpus.resolve)
-        corpus.resolve = park
+        park = Park(corpus.current)
+        corpus.current = park
         qvec = unit(rng)
         desc = Submitter(lambda: submit(batcher, index, corpus, qvec))
         desc.start()
@@ -345,16 +338,16 @@ class TestDirectPass:
         assert batcher.stats()["fallbacks"] == 0
         assert index.size("u", KIND_CODE) == len(corpus.records)
 
-    def test_a_search_parked_in_resolve_holds_up_no_other_on_its_key(
+    def test_a_search_parked_in_current_holds_up_no_other_on_its_key(
         self, stack
     ):
-        """The first search is parked inside ``resolve``; a second one
+        """The first search is parked inside ``current``; a second one
         on the same ``(user, kind)`` is served meanwhile, on this
         thread.  Both answer what the brute-force scan does, bitwise."""
         index, corpus, rng = stack
         batcher = SearchBatcher()
-        park = Park(corpus.resolve)
-        corpus.resolve = park
+        park = Park(corpus.current)
+        corpus.current = park
         first_q, second_q = unit(rng), unit(rng)
         first = Submitter(lambda: submit(batcher, index, corpus, first_q))
         first.start()
@@ -400,7 +393,6 @@ class TestDirectPass:
                     registry.on_current_shard, alice.user_id, KIND_DESC
                 ),
                 k=None,
-                resolve=lambda ids: registry.resolve_pes(alice, ids),
                 embed_many=no_embedding,
                 query_embedding=qvec,
             )
@@ -432,9 +424,7 @@ class TestDirectPass:
             no_embedding,
         )
         for got in (first.outcome(), second):
-            assert [(r.pe_name, s) for r, s in got] == [
-                (r.pe_name, s) for r, s in want
-            ]
+            assert got == pairs(want)
         assert want[0][0].pe_name == "late"
         assert len(scans) == 1
         assert batcher.stats()["fallbacks"] == 1
@@ -541,7 +531,7 @@ class TestEmbedMany:
             kwargs.update(
                 embed_key=("t", text), embed_text=text, embed_many=park
             )
-            return pairs(batcher.submit(**kwargs))
+            return batcher.submit(**kwargs)
 
         first = Submitter(lambda: by_text("alpha"))
         first.start()
@@ -589,7 +579,6 @@ class TestEmbedMany:
                 kind=KIND_DESC,
                 current=as_is,
                 k=3,
-                resolve=lambda ids: [records[r] for r in ids if r in records],
                 embed_many=searcher.embed_queries,
                 embed_key=(KIND_DESC, searcher.model.name, query),
                 embed_text=query,
@@ -611,7 +600,7 @@ class TestEmbedMany:
                 3,
                 searcher.embed_queries,
             )
-            assert pairs(ranked) == pairs(want)
+            assert ranked == pairs(want)
 
     def test_batch_embed_populates_query_lru(self):
         seen = []
@@ -629,7 +618,6 @@ class TestEmbedMany:
             kind=KIND_DESC,
             current=as_is,
             k=1,
-            resolve=lambda wanted: [record(1)],
             embed_key=("t", "q"),
             embed_text="q",
             embed_many=embed_many,
@@ -662,7 +650,6 @@ class TestEmbedMany:
                 kind=KIND_DESC,
                 current=as_is,
                 k=1,
-                resolve=lambda wanted: [record(1)],
                 **spec,
             )
         assert batcher.stats()["requests"] == 0
@@ -681,7 +668,6 @@ class TestEmbedMany:
                 kind=KIND_DESC,
                 current=as_is,
                 k=1,
-                resolve=lambda wanted: [record(1)],
                 embed_key=("t", "q"),
                 embed_text="q",
                 embed_many=embed_many,

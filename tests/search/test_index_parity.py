@@ -199,20 +199,21 @@ def index_pes(records, user=1):
 
 
 def served(searcher, kind, query, records, index, k=None, user=1):
-    """Serve ``query`` the way the server does: through a batcher, over
-    an index that holds ``records`` (id-ordered)."""
+    """Serve ``query`` the way the server does: rank ids through a
+    batcher, over an index that holds ``records`` (id-ordered), then
+    hydrate the winners."""
     by_id = {record.pe_id: record for record in records}
-    return SearchBatcher().submit(
+    ranked = SearchBatcher().submit(
         index=index,
         user=user,
         kind=kind,
         current=lambda rank: (rank(), False),
         k=k,
-        resolve=lambda ids: [by_id[rid] for rid in ids if rid in by_id],
         embed_many=searcher.embed_queries,
         embed_key=(kind, searcher.model.name, query),
         embed_text=query,
     )
+    return [(by_id[rid], score) for rid, score in ranked]
 
 
 def brute(searcher, kind, query, records, k=None):
@@ -273,8 +274,9 @@ class TestSearcherParity:
         assert records[1].desc_embedding is not None
 
     def test_removed_record_never_resurrected_by_search(self, semantic):
-        """A search whose resolver still holds a concurrently removed
-        record neither serves it nor puts it back in the shard."""
+        """A search whose record store still holds a concurrently
+        removed record neither serves it nor puts it back in the
+        shard."""
         rng = np.random.default_rng(9)
         records = make_pes(rng, 6, semantic.model)
         index = index_pes(records)
