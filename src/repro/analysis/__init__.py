@@ -50,6 +50,12 @@ RPR006  Server error responses only through the documented constructors
         never raw ``{"error": ...}`` dict literals; the §3.2.5 envelope
         (see the error table in :mod:`repro.server`) stays in one
         place, and parity tests elsewhere pin its exact bytes.
+RPR008  No ``ast.parse`` under ``repro/`` outside
+        :func:`repro.pyast.parse` — CPython 3.11 shares the AST
+        converter's recursion counter between threads, so an ingest job
+        parsing files beside a request thread summarizing code failed
+        with ``SystemError`` in some traced ``ingest_live`` runs; the
+        helper serializes every parse behind one lock.
 RPR101  Unused imports (F401) — the framework's own dead-code pass;
         ``__init__.py`` re-exports are exempt by convention.
 RPR102  Unused local bindings (F841), conservative: simple

@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from repro import pyast
+
 __all__ = [
     "Finding",
     "LintError",
@@ -97,7 +99,7 @@ class LintModule:
         #: posix-style path string rules scope on (``applies_to``)
         self.posix = self.path.as_posix()
         self.source = source
-        self.tree = ast.parse(source, filename=str(path))
+        self.tree = pyast.parse(source, filename=str(path))
         self.import_map = _build_import_map(self.tree)
         self.line_disables: dict[int, set[str]] = {}
         self.file_disables: set[str] = set()

@@ -15,4 +15,5 @@ from repro.analysis.rules import (  # noqa: F401  (import-for-effect)
     determinism,
     error_envelope,
     lock_discipline,
+    parse_lock,
 )

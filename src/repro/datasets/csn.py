@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from repro import pyast
 from repro.datasets.codebank import PROBLEMS
 from repro.datasets.mutate import (
     collect_renameable,
@@ -26,7 +27,7 @@ def _entry_names(code: str) -> set[str]:
     import ast
 
     try:
-        tree = ast.parse(code)
+        tree = pyast.parse(code)
     except SyntaxError:
         return set()
     return {

@@ -21,6 +21,8 @@ import builtins
 import random
 import re
 
+from repro import pyast
+
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
 #: naming-style pools for renaming
@@ -47,7 +49,7 @@ def collect_renameable(source: str) -> list[str]:
     anything only ever read (likely a global/builtin reference).
     """
     try:
-        tree = ast.parse(source)
+        tree = pyast.parse(source)
     except SyntaxError:
         return []
     imported: set[str] = set()
@@ -138,7 +140,7 @@ def rename_identifiers(
 def strip_docstrings(source: str) -> str:
     """Remove module/function/class docstrings, keeping code lines."""
     try:
-        tree = ast.parse(source)
+        tree = pyast.parse(source)
     except SyntaxError:
         return source
     doomed: list[tuple[int, int]] = []

@@ -41,6 +41,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro import pyast
+
 #: default size cap (lines) before a chunk re-splits into windows
 DEFAULT_MAX_CHUNK_LINES = 200
 
@@ -106,7 +108,7 @@ def chunk_python(
 ) -> list[Chunk] | None:
     """AST-chunk a python source; ``None`` when it does not parse."""
     try:
-        tree = ast.parse(source)
+        tree = pyast.parse(source)
     except (SyntaxError, ValueError):  # ValueError: NUL bytes
         return None
     lines = source.splitlines()

@@ -23,6 +23,8 @@ from __future__ import annotations
 import ast
 import textwrap
 
+from repro import pyast
+
 
 def parse_lenient(source: str) -> ast.AST | None:
     """Parse ``source``, tolerating indentation and trailing fragments.
@@ -39,7 +41,7 @@ def parse_lenient(source: str) -> ast.AST | None:
     candidates.append(wrapped)
     for candidate in candidates:
         try:
-            return ast.parse(candidate)
+            return pyast.parse(candidate)
         except SyntaxError:
             continue
     # longest parsable prefix, useful for cut-off partial code
@@ -51,7 +53,7 @@ def parse_lenient(source: str) -> ast.AST | None:
             "def __fragment__():\n" + textwrap.indent(prefix or "pass", "    "),
         ):
             try:
-                return ast.parse(candidate)
+                return pyast.parse(candidate)
             except SyntaxError:
                 continue
     return None

@@ -51,9 +51,11 @@ Quick tour::
 
 Key properties:
 
-* **Incremental** — ``add``/``remove`` are keyed by record id (``add``
-  of a present id updates it in place);
-  insertion and removal shift at most the row tail, so registry
+* **Incremental** — ``add``/``add_many``/``remove`` are keyed by record
+  id (a present id is updated in place).  Each is one vectorized write
+  on the shard, whatever the batch's size or id order: new ids past the
+  tail (the registry's monotonic ids) append as one slice, others merge
+  in order, and a remove compacts the rows after it, so registry
   mutations never trigger a rebuild.
 * **Exact** — the indexed path and the brute-force :func:`exact_scan`
   return identical ids and scores, including stable ascending-id
@@ -77,8 +79,9 @@ search`` CLI command.  Every embedding search reaches the index through
 :class:`~repro.search.serving.SearchBatcher`, which serves it in one
 direct pass — query LRU or one embed call, one ranking on the current
 shard, one hydration of the winners (see :mod:`repro.server` for the
-full request flow).  ``benchmarks/test_http_batch.py`` records
-throughput and bitwise parity under concurrent HTTP load.
+full request flow).  ``tests/server/test_http_concurrent.py`` checks
+bitwise parity with :func:`exact_scan` under concurrent HTTP searches
+while another tenant writes.
 
 Cold start and freshness
 ========================

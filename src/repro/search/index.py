@@ -11,13 +11,14 @@ a Python-level loop over the corpus followed by a full ``argsort``.
   package's embedders emit L2-normalized rows, making that product the
   cosine similarity; vectors are stored verbatim so scores match the
   brute-force scan bit for bit);
-* ``add`` / ``remove`` are incremental and keyed by record id (``add``
-  of a present id updates its row in place) — insertion and removal
-  shift at most the row tail (appends, the common case for the
-  registry's monotonic ids, are O(1) amortized), so registry mutations
-  never trigger a full rebuild.  Live rows stay
-  *contiguous and in ascending-id order*, which makes the scoring call
-  see exactly the matrix the brute-force rebuild would produce from the
+* writes are incremental and keyed by record id: ``add`` / ``add_many``
+  insert a batch in any id order, or update present ids in place, and
+  ``remove`` drops one, each in one vectorized step on the shard (the
+  registry's monotonic ids make a write an append, one slice
+  assignment), so registry mutations never trigger a full rebuild.  Live
+  rows stay *contiguous and in ascending-id order*, and the sorted id
+  array is the only id-to-row map, which makes the scoring call see
+  exactly the matrix the brute-force rebuild would produce from the
   same id-ordered records — scores are bitwise identical, so even
   floating-point near-ties rank the same;
 * top-k retrieval uses ``np.argpartition`` (O(N) selection) instead of a
@@ -72,6 +73,20 @@ def _as_vector(vector: np.ndarray) -> np.ndarray:
     return np.asarray(vector, dtype=np.float32).reshape(-1)
 
 
+def _rows(
+    rids: Sequence[int], vectors: np.ndarray | Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rids`` as int64 and ``vectors`` as a float32 matrix of as many
+    rows (any shape when there are no ids)."""
+    ids = np.asarray(rids, dtype=np.int64).reshape(-1)
+    matrix = np.asarray(vectors, dtype=np.float32)
+    if ids.shape[0] and (matrix.ndim != 2 or matrix.shape[0] != ids.shape[0]):
+        raise ValidationError(
+            f"got {ids.shape[0]} ids for vectors of shape {matrix.shape}"
+        )
+    return ids, matrix
+
+
 class EmbeddingLRU:
     """Small thread-safe LRU of query embeddings keyed by (kind, text)."""
 
@@ -114,105 +129,110 @@ class EmbeddingLRU:
 class _Shard:
     """One (user, kind) slab: contiguous rows in ascending-id order.
 
-    Rows are kept sorted by record id — for the registry's monotonic
-    ids that *is* insertion order, and it stays correct even when a
-    dedup ownership grant adds an older record to a user's shard after
-    newer ones.  Insertion/removal shift the tail one row.  Keeping
-    live rows contiguous and id-ordered is what makes the scoring call
-    *bitwise identical* to the brute-force matrix rebuild over the same
-    (id-ordered) records — BLAS rounding is position-dependent, so any
-    other layout (e.g. tombstoned rows) would let floating-point
-    near-ties rank differently than the reference scan.
+    The sorted ``ids`` array is the shard's only id-to-row map
+    (``searchsorted``).  Rows are kept sorted by record id — for the
+    registry's monotonic ids that *is* insertion order, and it stays
+    correct even when a dedup ownership grant adds an older record to a
+    user's shard after newer ones.  Keeping live rows contiguous and
+    id-ordered is what makes the scoring call *bitwise identical* to the
+    brute-force matrix rebuild over the same (id-ordered) records — BLAS
+    rounding is position-dependent, so any other layout (e.g. tombstoned
+    rows) would let floating-point near-ties rank differently than the
+    reference scan.
+
+    Every write is one :meth:`put` or one :meth:`drop` of a whole batch;
+    neither loops over rows in Python.
     """
 
-    __slots__ = (
-        "matrix",
-        "ids",
-        "size",
-        "row_of",
-        "dim",
-    )
+    __slots__ = ("key", "matrix", "ids", "size")
 
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        self.matrix = np.zeros((_INITIAL_CAPACITY, dim), dtype=np.float32)
+    def __init__(self, key: tuple[Hashable, str]) -> None:
+        self.key = key
+        # width 0 until the first rows arrive
+        self.matrix = np.zeros((_INITIAL_CAPACITY, 0), dtype=np.float32)
         self.ids = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
         self.size = 0
-        self.row_of: dict[int, int] = {}
 
-    @classmethod
-    def of(cls, ids: np.ndarray, matrix: np.ndarray) -> "_Shard":
-        """A shard holding ``matrix``'s rows under ``ids``, stacked at
-        once: no per-row ``searchsorted``, shifting or regrowth.  Rows
-        are taken in ascending-id order (the store's scan order; sorted
-        here otherwise); no rows make an empty shard of width 0, which
-        takes the width of its first row."""
-        count = int(ids.shape[0])
-        if count == 0:
-            return cls(0)
-        if not bool(np.all(ids[:-1] < ids[1:])):
-            order = np.argsort(ids, kind="stable")
-            ids, matrix = ids[order], matrix[order]
-        shard = cls(int(matrix.shape[1]))
-        capacity = max(_INITIAL_CAPACITY, 1 << (count - 1).bit_length())
-        shard.matrix = np.zeros((capacity, shard.dim), dtype=np.float32)
-        shard.matrix[:count] = matrix
-        shard.ids = np.zeros(capacity, dtype=np.int64)
-        shard.ids[:count] = ids
-        shard.size = count
-        shard.row_of = {int(rid): row for row, rid in enumerate(ids)}
-        return shard
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    def _find(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each of ``ids``' sorted position among the live ids, and
+        whether it is live there."""
+        pos = self.ids[: self.size].searchsorted(ids)
+        live = (pos < self.size) & (self.ids.take(pos, mode="clip") == ids)
+        return pos, live
 
     # -- mutation ---------------------------------------------------------
-    def _grow(self) -> None:
-        capacity = max(_INITIAL_CAPACITY, self.matrix.shape[0] * 2)
-        matrix = np.zeros((capacity, self.dim), dtype=np.float32)
-        matrix[: self.size] = self.matrix[: self.size]
-        ids = np.zeros(capacity, dtype=np.int64)
-        ids[: self.size] = self.ids[: self.size]
-        self.matrix, self.ids = matrix, ids
+    def put(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        """Insert or overwrite ``rows`` under ``ids`` in one step.
 
-    def add(self, rid: int, vector: np.ndarray) -> None:
-        row = self.row_of.get(rid)
-        if row is not None:  # update in place, keeping the row position
-            self.matrix[row] = vector
-            return
-        if self.size == self.matrix.shape[0]:
-            self._grow()
-        pos = int(np.searchsorted(self.ids[: self.size], rid))
-        if pos < self.size:  # mid-insert: shift the tail up one row
-            self.matrix[pos + 1 : self.size + 1] = self.matrix[
-                pos : self.size
-            ].copy()
-            self.ids[pos + 1 : self.size + 1] = self.ids[pos : self.size].copy()
-            for shifted in range(pos + 1, self.size + 1):
-                self.row_of[int(self.ids[shifted])] = shifted
-        self.matrix[pos] = vector
-        self.ids[pos] = rid
-        self.row_of[rid] = pos
-        self.size += 1
+        A repeated id keeps its last row.  Present ids are overwritten in
+        place; new ids that sort after the tail (the registry's appends)
+        land in one slice, and any others are merged in order.  Capacity
+        grows at most once, to the next power of two.  An empty shard
+        takes the width of its first rows; any other width is refused.
+        """
+        if ids.shape[0] > 1 and not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            ranked = ids[order]
+            order = order[np.append(ranked[1:] != ranked[:-1], True)]
+            ids, rows = ids[order], rows[order]
+        if rows.shape[1] != self.dim:
+            if self.size:
+                user, kind = self.key
+                raise ValidationError(
+                    f"dimension mismatch for shard ({user!r}, {kind!r}): "
+                    f"index d={self.dim} vs vector d={rows.shape[1]}"
+                )
+            self.matrix = np.zeros(
+                (self.ids.shape[0], rows.shape[1]), dtype=np.float32
+            )
+        pos, present = self._find(ids)
+        if np.count_nonzero(present):
+            self.matrix[pos[present]] = rows[present]
+            fresh = ~present
+            ids, rows, pos = ids[fresh], rows[fresh], pos[fresh]
+            if not ids.shape[0]:
+                return
+        size, count = self.size, self.size + ids.shape[0]
+        if count > self.matrix.shape[0]:
+            capacity = 1 << (count - 1).bit_length()
+            matrix = np.zeros((capacity, self.dim), dtype=np.float32)
+            matrix[:size] = self.matrix[:size]
+            grown = np.zeros(capacity, dtype=np.int64)
+            grown[:size] = self.ids[:size]
+            self.matrix, self.ids = matrix, grown
+        first = int(pos[0])
+        if first < size:  # some sort below the tail: shift it up in order
+            at = pos + np.arange(ids.shape[0])
+            moved = np.ones(count - first, dtype=bool)
+            moved[at - first] = False
+            self.matrix[first:count][moved] = self.matrix[first:size].copy()
+            self.ids[first:count][moved] = self.ids[first:size].copy()
+            self.matrix[at], self.ids[at] = rows, ids
+        else:
+            self.matrix[size:count], self.ids[size:count] = rows, ids
+        self.size = count
 
-    def remove(self, rid: int) -> bool:
-        row = self.row_of.pop(rid, None)
-        if row is None:
-            return False
-        last = self.size - 1
-        if row != last:
-            self.matrix[row:last] = self.matrix[row + 1 : self.size]
-            self.ids[row:last] = self.ids[row + 1 : self.size]
-            for shifted in range(row, last):
-                self.row_of[int(self.ids[shifted])] = shifted
-        self.size = last
-        return True
+    def drop(self, ids: np.ndarray) -> int:
+        """Remove whichever of ``ids`` are live, compacting the rows
+        after the first of them in one step; returns how many went."""
+        pos, present = self._find(ids)
+        if not np.count_nonzero(present):
+            return 0
+        gone = pos[present]
+        first = int(gone.min())
+        keep = np.ones(self.size - first, dtype=bool)
+        keep[gone - first] = False
+        count = first + int(keep.sum())
+        self.matrix[first:count] = self.matrix[first : self.size][keep]
+        self.ids[first:count] = self.ids[first : self.size][keep]
+        dropped, self.size = self.size - count, count
+        return dropped
 
     # -- query ------------------------------------------------------------
-    @property
-    def live_count(self) -> int:
-        return self.size
-
-    def live_ids(self) -> list[int]:
-        return self.ids[: self.size].tolist()
-
     def scores(self, queries: np.ndarray) -> np.ndarray:
         """(nq, d) @ slab -> (nq, size)."""
         return queries @ self.matrix[: self.size].T
@@ -288,16 +308,10 @@ class VectorIndex:
         """
         built = {}
         for key, (rids, vectors) in shards.items():
-            ids = np.asarray(rids, dtype=np.int64).reshape(-1)
-            matrix = np.asarray(vectors, dtype=np.float32)
-            if ids.shape[0] and (
-                matrix.ndim != 2 or matrix.shape[0] != ids.shape[0]
-            ):
-                raise ValidationError(
-                    f"got {ids.shape[0]} ids for vectors of shape "
-                    f"{matrix.shape}"
-                )
-            built[key] = _Shard.of(ids, matrix)
+            built[key] = _Shard(key)
+            ids, matrix = _rows(rids, vectors)
+            if ids.shape[0]:
+                built[key].put(ids, matrix)
         with self._lock:
             moved = version != self.version
             if moved:
@@ -313,20 +327,8 @@ class VectorIndex:
         self, user: Hashable, kind: str, rid: int, vector: np.ndarray
     ) -> None:
         """Insert or update (idempotent by ``rid``) one vector of a
-        resident shard; nothing when the shard is not resident."""
-        vec = _as_vector(vector)
-        with self._lock:
-            shard = self._shards.get((user, kind))
-            if shard is None:
-                return
-            if shard.size == 0 and shard.dim != vec.shape[0]:
-                shard = self._shards[(user, kind)] = _Shard(vec.shape[0])
-            elif shard.dim != vec.shape[0]:
-                raise ValidationError(
-                    f"dimension mismatch for shard ({user!r}, {kind!r}): "
-                    f"index d={shard.dim} vs vector d={vec.shape[0]}"
-                )
-            shard.add(int(rid), vec)
+        resident shard: :meth:`add_many` of one row."""
+        self.add_many(user, kind, [rid], _as_vector(vector)[np.newaxis])
 
     def add_many(
         self,
@@ -335,41 +337,25 @@ class VectorIndex:
         rids: Sequence[int],
         vectors: np.ndarray | Sequence[np.ndarray],
     ) -> None:
-        """Insert a batch of one resident shard's rows; nothing when the
-        shard is not resident.
-
-        An empty shard and ascending ``rids`` (a bulk write's fresh ids)
-        take :meth:`_Shard.of`'s stacking path; any other case adds row
-        by row, which preserves the id-ordered layout invariant.
-        """
-        ids = np.asarray(rids, dtype=np.int64).reshape(-1)
-        matrix = np.asarray(vectors, dtype=np.float32)
-        if matrix.ndim == 1:
-            matrix = matrix.reshape(1, -1)
-        if matrix.shape[0] != ids.shape[0]:
-            raise ValidationError(
-                f"got {ids.shape[0]} ids for {matrix.shape[0]} vectors"
-            )
+        """Insert or update a batch of one resident shard's rows, in any
+        id order, in one :meth:`_Shard.put`; nothing when the shard is
+        not resident."""
+        ids, matrix = _rows(rids, vectors)
         if ids.shape[0] == 0:
             return
         with self._lock:
             shard = self._shards.get((user, kind))
-            if shard is None:
-                return
-            if shard.size == 0 and bool(np.all(ids[:-1] < ids[1:])):
-                self._shards[(user, kind)] = _Shard.of(ids, matrix)
-                return
-            for rid, vector in zip(ids.tolist(), matrix):
-                self.add(user, kind, rid, vector)
+            if shard is not None:
+                shard.put(ids, matrix)
 
     def remove(self, user: Hashable, kind: str, rid: int) -> bool:
         """Drop one record from a resident shard; returns whether it was
         present."""
         with self._lock:
             shard = self._shards.get((user, kind))
-            if shard is None:
-                return False
-            return shard.remove(int(rid))
+            return shard is not None and bool(
+                shard.drop(np.array([rid], dtype=np.int64))
+            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -377,24 +363,24 @@ class VectorIndex:
     def contains(self, user: Hashable, kind: str, rid: int) -> bool:
         with self._lock:
             shard = self._shards.get((user, kind))
-            return shard is not None and int(rid) in shard.row_of
+            return shard is not None and int(rid) in shard.ids[: shard.size]
 
     def size(self, user: Hashable, kind: str) -> int:
         with self._lock:
             shard = self._shards.get((user, kind))
-            return 0 if shard is None else shard.live_count
+            return 0 if shard is None else shard.size
 
     def ids(self, user: Hashable, kind: str) -> list[int]:
         """Live record ids in ascending order (the ranking tie-break)."""
         with self._lock:
             shard = self._shards.get((user, kind))
-            return [] if shard is None else shard.live_ids()
+            return [] if shard is None else shard.ids[: shard.size].tolist()
 
     def stats(self) -> dict[str, dict[str, int]]:
         with self._lock:
             return {
                 f"{user}/{kind}": {
-                    "live": shard.live_count,
+                    "live": shard.size,
                     "capacity": shard.matrix.shape[0],
                     "dim": shard.dim,
                 }
@@ -463,19 +449,10 @@ class VectorIndex:
         """:meth:`search_among` for a whole batch of queries on one
         shard, or ``None`` when the shard is not resident.
 
-        Every query is scored under the same lock hold, each as its own
-        ``(1, D)`` product — the identical computation
-        :meth:`search_among` performs — so the per-query results are
-        bitwise identical to the single-shot path (a joint ``(Q, D)``
-        product would not be: BLAS accumulation order differs between
-        matrix-vector and matrix-matrix kernels, which lets
-        floating-point near-ties rank differently).  The amortization is
-        everything *around* the product: one lock acquisition and one
-        shard lookup for the whole batch.
-
-        No search calls it (each ranks one query through
-        :meth:`search_among`); kept only because the e2e tracer names
-        it, ROADMAP item 0a deletes it.
+        Each query is ranked exactly as :meth:`search_among` ranks it,
+        under one lock hold, so the results are bitwise identical to the
+        single-shot path.  No search calls it; kept only because the e2e
+        tracer names it, ROADMAP item 0a deletes it.
         """
         for k in ks:
             if k is not None and k <= 0:
@@ -489,17 +466,4 @@ class VectorIndex:
             shard = self._shards.get((user, kind))
             if shard is None:
                 return None
-            # identical queries (trending searches landing in one batch)
-            # are scored once — the same bytes produce the same product,
-            # so sharing the result stays bitwise exact; distinct (k,
-            # vector) pairs still select their own top-k
-            cache: dict[tuple[bytes, int | None], tuple] = {}
-            results = []
-            for qvec, k in zip(qvecs, ks):
-                key = (qvec.tobytes(), k)
-                hit = cache.get(key)
-                if hit is None:
-                    hit = self._shard_topk(shard, qvec, k)
-                    cache[key] = hit
-                results.append(hit)
-            return results
+            return [self._shard_topk(shard, q, k) for q, k in zip(qvecs, ks)]

@@ -17,8 +17,8 @@ to :func:`exact_scan` over the same id-ordered records.
 There is no group commit (the searches that arrive while one runs on
 their shard sharing the next pass).  It paid only with many searches
 in flight on one shard — ~1.7x the
-requests per second at 12 threads in ``benchmarks/test_http_batch.py``
-— and no benchmark workload has that shape: at most 3 % of
+requests per second at 12 threads searching one shard over HTTP — and
+no benchmark workload has that shape: at most 3 % of
 ``read_static``'s searches shared a pass, and waiting for the running
 one cost more than ranking (944 µs against 798 µs a search, seed 1,
 2-CPU host).

@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro import pyast
 from repro.errors import SerializationError
 
 #: modules shipped with the engine environment itself; never "installed"
@@ -70,7 +71,7 @@ def analyze_imports(source: str) -> list[ImportInfo]:
     errors, carrying the parser message for the client to display.
     """
     try:
-        tree = ast.parse(source)
+        tree = pyast.parse(source)
     except SyntaxError as exc:
         raise SerializationError(
             "cannot analyze imports: source does not parse",

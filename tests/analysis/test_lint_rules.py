@@ -405,6 +405,61 @@ class TestErrorEnvelope:
 
 
 # ---------------------------------------------------------------------------
+# RPR008 — every parse goes through the locked repro.pyast.parse
+# ---------------------------------------------------------------------------
+class TestParseLock:
+    def test_ast_parse_fires(self):
+        src = """
+            import ast
+
+            def chunk(source):
+                return ast.parse(source)
+        """
+        assert findings_for(src, "repro/ingest/chunker.py", "RPR008") == [
+            ("RPR008", 5)
+        ]
+
+    def test_resolves_through_aliases(self):
+        src = """
+            import ast as syntax
+            from ast import parse as read
+
+            def features(source):
+                return syntax.parse(source), read(source, filename="x")
+        """
+        found = findings_for(src, "repro/ml/ast_features.py", "RPR008")
+        assert found == [("RPR008", 6), ("RPR008", 6)]
+
+    def test_the_locked_helper_is_fine(self):
+        src = """
+            import ast
+
+            from repro import pyast
+
+            def chunk(source):
+                return [type(n) for n in ast.walk(pyast.parse(source))]
+        """
+        assert rules_fired(src, "repro/ingest/chunker.py", "RPR008") == set()
+
+    def test_the_helper_itself_is_exempt(self):
+        src = """
+            import ast
+
+            def parse(source, **kwargs):
+                return ast.parse(source, **kwargs)
+        """
+        assert rules_fired(src, "repro/pyast.py", "RPR008") == set()
+
+    def test_outside_repro_is_ignored(self):
+        src = """
+            import ast
+
+            tree = ast.parse("x = 1")
+        """
+        assert rules_fired(src, "benchmarks/reach.py", "RPR008") == set()
+
+
+# ---------------------------------------------------------------------------
 # RPR101 / RPR102 — dead code
 # ---------------------------------------------------------------------------
 class TestDeadCode:

@@ -25,9 +25,9 @@ def test_source_tree_lints_clean():
 
 def test_rule_registry_is_complete():
     rules = all_rules()
-    # the five repo invariants plus the two dead-code passes
+    # the six repo invariants plus the two dead-code passes
     expected = {
-        "RPR001", "RPR002", "RPR003", "RPR005", "RPR006",
+        "RPR001", "RPR002", "RPR003", "RPR005", "RPR006", "RPR008",
         "RPR101", "RPR102",
     }
     assert expected == set(rules)
