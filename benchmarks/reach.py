@@ -238,13 +238,34 @@ REASONS: list[tuple[str, tuple[str, ...]]] = [
         ),
     ),
     (
-        "Paper surface and parked features: groupings, lifted PEs, code "
-        "completion, the workflow library's PE bodies",
+        "Paper surface and parked features: groupings, lifted PEs, the "
+        "workflow library's PE bodies",
         (
             "dataflow/grouping.py:*",
             "dataflow/core.py:make_iterative_pe*",
-            "ml/completion.py:*",
             "workflows/library.py:*",
+        ),
+    ),
+    (
+        "API a user or PE author calls and no scenario does: dispel4py's "
+        "GenericPE process and log, mpi4py's comm.size, the client's "
+        "describe (one of the thirteen user functions of paper §3.4.1)",
+        (
+            "dataflow/core.py:ProcessingElement.process",
+            "dataflow/core.py:ProcessingElement.log",
+            "mpisim/communicator.py:Communicator.size",
+            "client/client.py:LaminarClient.describe",
+        ),
+    ),
+    (
+        "Called from src/ on inputs no scenario sends: a non-Python file "
+        "in an ingest, a package not preinstalled, a result port under "
+        "MPI, text through a model every table uses on code alone",
+        (
+            "ingest/chunker.py:chunk_text",
+            "engine/environment.py:SimulatedCondaEnvironment.install_cost",
+            "dataflow/mappings/mpi.py:_MPITransport.emit_result",
+            "ml/models.py:*.text_runs",
         ),
     ),
 ]

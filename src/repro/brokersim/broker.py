@@ -157,9 +157,3 @@ class BrokerServer:
             if self._process.is_alive():
                 self._process.terminate()
                 self._process.join(timeout=1.0)
-
-    def __enter__(self) -> "BrokerServer":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.shutdown()

@@ -60,6 +60,3 @@ class BrokerClient:
         """
         client_wait = None if timeout is None else timeout + 10.0
         return self._call("BLPOP", (key, timeout), timeout=client_wait)
-
-    def __repr__(self) -> str:
-        return f"<BrokerClient id={self.client_id}>"

@@ -331,17 +331,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except RegistryError as exc:  # a --db file this code does not open
         print(exc.message)
         return 1
-    handle = serve_http(server, host=args.host, port=args.port)
-    print(f"Laminar serving on {handle.url}  (registry: "
-          f"{args.db or 'in-memory'}; Ctrl-C to stop)")
-    try:
-        import time
+    with serve_http(server, host=args.host, port=args.port) as handle:
+        print(f"Laminar serving on {handle.url}  (registry: "
+              f"{args.db or 'in-memory'}; Ctrl-C to stop)")
+        try:
+            import time
 
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        print("\nshutting down")
-        handle.shutdown()
+            while True:
+                time.sleep(3600)
+        except KeyboardInterrupt:
+            print("\nshutting down")
     return 0
 
 
@@ -367,6 +366,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from repro.evalharness.reporting import check
+
     if args.table == 5:
         from repro.evalharness.experiments import run_table5
 
@@ -383,7 +384,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print()
     ok = True
     for label, passed in result["checks"].items():
-        print(f"  [{'OK' if passed else 'MISS'}] {label}")
+        print(check(label, passed))
         ok = ok and passed
     return 0 if ok else 1
 

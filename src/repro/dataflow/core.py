@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.errors import GraphError
 
@@ -192,19 +192,6 @@ class ProcessingElement:
     def clone(self) -> "ProcessingElement":
         """Deep copy used to create independent instances of a PE."""
         return copy.deepcopy(self)
-
-    @property
-    def is_source(self) -> bool:
-        """True when the PE declares no input ports (it drives the stream)."""
-        return not self.inputconnections
-
-    def port_names(self, inputs: bool) -> Iterable[str]:
-        return (self.inputconnections if inputs else self.outputconnections).keys()
-
-    def __repr__(self) -> str:
-        ins = ",".join(self.inputconnections)
-        outs = ",".join(self.outputconnections)
-        return f"<{type(self).__name__} {self.name} in=[{ins}] out=[{outs}]>"
 
 
 class GenericPE(ProcessingElement):

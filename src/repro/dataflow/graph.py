@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterator
 
 from repro.dataflow.core import ProcessingElement
 from repro.errors import GraphError
@@ -24,12 +23,6 @@ class Connection:
     source_port: str
     dest: ProcessingElement
     dest_port: str
-
-    def __repr__(self) -> str:
-        return (
-            f"{self.source.name}.{self.source_port} -> "
-            f"{self.dest.name}.{self.dest_port}"
-        )
 
 
 class WorkflowGraph:
@@ -123,11 +116,6 @@ class WorkflowGraph:
         dests = {c.dest for c in self._connections}
         return [pe for pe in self._pes if pe not in dests]
 
-    def leaves(self) -> list[ProcessingElement]:
-        """PEs with no outgoing connections — the stream sinks."""
-        sources = {c.source for c in self._connections}
-        return [pe for pe in self._pes if pe not in sources]
-
     def topological_order(self) -> list[ProcessingElement]:
         """Kahn topological sort; raises :class:`GraphError` on cycles."""
         indeg: dict[int, int] = {id(pe): 0 for pe in self._pes}
@@ -185,14 +173,8 @@ class WorkflowGraph:
             seen[pe.name] = count + 1
         return names
 
-    def __iter__(self) -> Iterator[ProcessingElement]:
-        return iter(self._pes)
-
     def __len__(self) -> int:
         return len(self._pes)
-
-    def __contains__(self, pe: Any) -> bool:
-        return pe in self._pes
 
     def __repr__(self) -> str:
         return (

@@ -50,13 +50,6 @@ class MappingResult:
     def add_result(self, pe_name: str, port: str, value: Any) -> None:
         self.results.setdefault(f"{pe_name}.{port}", []).append(value)
 
-    def __repr__(self) -> str:
-        return (
-            f"<MappingResult {self.mapping} nprocs={self.nprocs} "
-            f"results={ {k: len(v) for k, v in self.results.items()} } "
-            f"elapsed={self.elapsed:.3f}s>"
-        )
-
 
 class InstanceTransport(ABC):
     """Substrate-specific message plumbing for a single instance."""

@@ -8,7 +8,6 @@ be attributed to workload rather than framework overhead.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 
@@ -24,27 +23,6 @@ class InstanceCounters:
 
     def merge_key(self) -> str:
         return self.pe_name
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "consumed": self.consumed,
-            "produced": self.produced,
-            "process_seconds": self.process_seconds,
-        }
-
-
-@dataclass
-class Stopwatch:
-    """Context-manager accumulating elapsed wall time into a counter."""
-
-    counters: InstanceCounters
-
-    def __enter__(self) -> "Stopwatch":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.counters.process_seconds += time.perf_counter() - self._t0
 
 
 def merge_counters(items: list[InstanceCounters]) -> dict[str, dict[str, float]]:

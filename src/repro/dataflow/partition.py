@@ -34,9 +34,6 @@ class InstanceInfo:
     local_index: int
     pe_name: str
 
-    def __repr__(self) -> str:
-        return f"<instance {self.gid}: {self.pe_name}[{self.local_index}]>"
-
 
 @dataclass(frozen=True)
 class RouteTarget:
@@ -179,19 +176,6 @@ class ConcreteWorkflow:
     def root_pe_indices(self) -> list[int]:
         """Indices of root PEs (automatic starting-point detection, §3.3)."""
         return [i for i, pe in enumerate(self.pes) if not self.graph.incoming(pe)]
-
-    def describe(self) -> str:
-        lines = [f"concrete workflow ({self.total_instances} instances):"]
-        for pe_index, name in enumerate(self.pe_names):
-            gids = self.instances_of[pe_index]
-            lines.append(f"  {name}: instances {gids}")
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"<ConcreteWorkflow pes={len(self.pes)} "
-            f"instances={self.total_instances}>"
-        )
 
 
 def build_concrete_workflow(

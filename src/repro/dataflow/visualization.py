@@ -13,29 +13,6 @@ from repro.dataflow.grouping import make_grouping
 from repro.dataflow.partition import ConcreteWorkflow
 
 
-def abstract_to_dot(graph: WorkflowGraph) -> str:
-    """DOT rendering of the abstract workflow (Figure 1's green graph)."""
-    names = graph.unique_names()
-    lines = [
-        "digraph abstract {",
-        "  rankdir=LR;",
-        '  node [shape=box, style=filled, fillcolor="palegreen"];',
-    ]
-    for pe in graph:
-        lines.append(f'  "{names[id(pe)]}";')
-    for conn in graph.get_connections():
-        label = f"{conn.source_port}->{conn.dest_port}"
-        decl = conn.dest.inputconnections[conn.dest_port].grouping
-        if decl is not None:
-            label += f" [{make_grouping(decl).label}]"
-        lines.append(
-            f'  "{names[id(conn.source)]}" -> "{names[id(conn.dest)]}" '
-            f'[label="{label}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def concrete_to_dot(workflow: ConcreteWorkflow) -> str:
     """DOT rendering of the concrete workflow (Figure 1's blue graph).
 

@@ -42,11 +42,3 @@ class RetrievalDataset:
     @property
     def n_corpus(self) -> int:
         return len(self.corpus)
-
-    def describe(self) -> str:
-        sizes = [len(r) for r in self.relevant]
-        avg = sum(sizes) / len(sizes) if sizes else 0.0
-        return (
-            f"{self.name}: {self.n_queries} queries over {self.n_corpus} "
-            f"corpus items, avg {avg:.1f} relevant/query"
-        )

@@ -49,19 +49,6 @@ class ExecutionRequest:
     capture_stdout: bool = True
     timeout: float = 300.0
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "workflowCode": self.workflow_code,
-            "workflowName": self.workflow_name,
-            "imports": list(self.imports),
-            "input": self.input,
-            "mapping": self.mapping,
-            "nprocs": self.nprocs,
-            "resources": self.resources_payload,
-            "captureStdout": self.capture_stdout,
-            "timeout": self.timeout,
-        }
-
     @classmethod
     def from_json(cls, body: dict[str, Any]) -> "ExecutionRequest":
         if "workflowCode" not in body:

@@ -60,14 +60,6 @@ class InstallReport:
     already_present: list[str] = field(default_factory=list)
     seconds: float = 0.0
 
-    def to_json(self) -> dict:
-        return {
-            "requested": self.requested,
-            "installedNow": self.installed_now,
-            "alreadyPresent": self.already_present,
-            "seconds": round(self.seconds, 6),
-        }
-
 
 class SimulatedCondaEnvironment:
     """A self-contained environment with package management latency."""
@@ -88,9 +80,6 @@ class SimulatedCondaEnvironment:
         self.strict = strict
         #: cumulative modelled install seconds (accounting even at scale 0)
         self.accounted_install_s = 0.0
-
-    def is_installed(self, package: str) -> bool:
-        return package in self.installed
 
     def install_cost(self, package: str) -> float:
         """Nominal (unscaled) install seconds for ``package``."""
@@ -127,9 +116,3 @@ class SimulatedCondaEnvironment:
             DEFAULT_PREINSTALLED if preinstalled is None else preinstalled
         )
         self.accounted_install_s = 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"<SimulatedCondaEnvironment installed={len(self.installed)} "
-            f"scale={self.install_latency_scale}>"
-        )

@@ -11,7 +11,7 @@ engine-side hop, plus a dispatch policy for unpinned runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.engine.engine import ExecutionEngine, ExecutionRequest
 from repro.engine.environment import SimulatedCondaEnvironment
@@ -133,12 +133,3 @@ class EnginePool:
     # ------------------------------------------------------------------
     def stats(self) -> list[dict[str, Any]]:
         return [entry.stats() for _name, entry in sorted(self._entries.items())]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[EngineEntry]:
-        return iter(self._entries.values())

@@ -56,9 +56,6 @@ class ReproError(Exception):
             body["details"] = self.details
         return body
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(code={self.code}, message={self.message!r})"
-
 
 class ValidationError(ReproError):
     """A request or workflow definition failed validation."""

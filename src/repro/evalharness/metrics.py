@@ -123,17 +123,6 @@ class RetrievalScores:
     n_queries: int
     n_corpus: int
 
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "dataset": self.dataset,
-            "mrr": round(self.mrr, 4),
-            "map@100": round(self.map_at_100, 4),
-            "p@1": round(self.p_at_1, 4),
-            "queries": self.n_queries,
-            "corpus": self.n_corpus,
-        }
-
 
 def evaluate_retrieval(
     model: EmbeddingModel,

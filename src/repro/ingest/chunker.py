@@ -23,8 +23,8 @@ entirely with the stdlib ``ast`` module:
   text files fall back to plain line windows — the size cap bounds
   both the embedding cost and the stored payload per record.
 
-Chunk identity is *stable*: :attr:`Chunk.chunk_id` hashes
-``path + qualname + code-hash``, so re-ingesting an unchanged file
+Chunk identity is *stable*: a chunk is its :attr:`Chunk.name`
+(``path::qualname``) and its code, so re-ingesting an unchanged file
 reproduces byte-identical names and codes and the registry's §3.1
 dedup-by-identity resolves every chunk onto its existing record.
 
@@ -37,7 +37,6 @@ semantic shard without polluting the stored code payload.
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -70,13 +69,6 @@ class Chunk:
         """The registry name this chunk registers under — stable and
         human-readable: ``pkg/mod.py::Class.method``."""
         return f"{self.path}::{self.qualname}"
-
-    @property
-    def chunk_id(self) -> str:
-        """Stable id: same path + qualname + code bytes -> same id."""
-        digest = hashlib.sha1(self.code.encode("utf-8")).hexdigest()
-        raw = f"{self.path}::{self.qualname}::{digest}"
-        return hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
 
     def source_text(self) -> str:
         """What the semantic/code shards embed: context + code."""

@@ -91,10 +91,6 @@ class JobContext:
         self._manager = manager
         self._record = record
 
-    @property
-    def job_id(self) -> str:
-        return self._record.job_id
-
     def advance(self, counter: str, delta: int = 1) -> int:
         """Add ``delta`` (>= 0) to a named progress counter.
 
@@ -306,13 +302,6 @@ class JobManager:
             elif record.state == JOB_RUNNING:
                 record.cancel_requested = True
             return record.to_json()
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            counts = {state: 0 for state in JOB_STATES}
-            for record in self._records.values():
-                counts[record.state] += 1
-            return counts
 
     # ------------------------------------------------------------------
     # Retention + shutdown

@@ -16,7 +16,9 @@ sequences vs. plain text), so the relative orderings of Tables 6 and 7
 are reproduced by mechanism, not by fiat.
 
 Code summarization (CodeT5's role) is an AST-driven template summarizer;
-code completion (ReACC's role) is retrieval + suffix alignment.
+code completion (ReACC's role) is the registry's code search (the
+ReACC-style retriever over stored code embeddings) plus the suffix
+alignment of :func:`~repro.ml.completion.align_continuation`.
 """
 
 from repro.ml.embedding import BiEncoder, CrossEncoder, EmbeddingModel
@@ -34,7 +36,6 @@ from repro.ml.models import (
 )
 from repro.ml.similarity import cosine_similarity_matrix, cosine_topk
 from repro.ml.summarize import CodeT5Summarizer, summarize_code
-from repro.ml.completion import CodeCompleter, CompletionMatch
 
 __all__ = [
     "EmbeddingModel",
@@ -54,6 +55,4 @@ __all__ = [
     "cosine_similarity_matrix",
     "CodeT5Summarizer",
     "summarize_code",
-    "CodeCompleter",
-    "CompletionMatch",
 ]

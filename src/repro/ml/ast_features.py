@@ -5,8 +5,6 @@ Syntax Trees into sequential text so the encoder sees structure as well
 as surface tokens.  This module provides the equivalent hand-rolled
 features:
 
-* :func:`ast_sequence` — a flattened pre-order serialization of node
-  types (the "AST as a sentence" view).
 * :func:`structural_features` — parent>child node-type bigrams, call
   targets, literal kinds, control-flow shape.  These are *identifier
   independent*, which is what lets AST-based models find renamed clones.
@@ -57,24 +55,6 @@ def parse_lenient(source: str) -> ast.AST | None:
             except SyntaxError:
                 continue
     return None
-
-
-def ast_sequence(source: str) -> list[str]:
-    """Pre-order node-type sequence (UnixCoder's AST serialization)."""
-    tree = parse_lenient(source)
-    if tree is None:
-        return []
-    sequence: list[str] = []
-
-    def visit(node: ast.AST) -> None:
-        name = type(node).__name__
-        if name not in ("Load", "Store", "Del"):  # ctx noise
-            sequence.append(name)
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(tree)
-    return sequence
 
 
 def structural_features(source: str) -> list[str]:

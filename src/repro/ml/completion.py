@@ -1,25 +1,17 @@
-"""Retrieval-based code completion — the ReACC substitute (§2.5, §4.3).
+"""Suffix alignment for retrieval-based code completion (§2.5, §4.3).
 
-Given a partial (or complete) code snippet, retrieve the most similar
-registered PE codes by cosine similarity of ReACC-style embeddings, and
-additionally align the query against the best match to extract the
+Completion is served by registry code search (``queryType: "code"``,
+:mod:`repro.search.code_search`): the ReACC-style retriever ranks the
+registered PE codes against a partial snippet, and each hit carries its
 *continuation* — the suffix of the retrieved code after the region that
-matches the query.  This mirrors ReACC's retrieve-then-reuse design: the
-retriever finds lexically/semantically similar code, and the reused
-fragment completes the user's input.
+matches the query, computed here.  This mirrors ReACC's
+retrieve-then-reuse design: the retriever finds lexically/semantically
+similar code, and the reused fragment completes the user's input.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-
-from repro.ml.embedding import EmbeddingModel
-from repro.ml.models import ReACCRetriever
-from repro.ml.similarity import cosine_topk
 
 _TOKEN_SPANS = re.compile(
     r"'[^'\n]*'|\"[^\"\n]*\"|\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*"
@@ -32,20 +24,6 @@ def _token_spans(source: str) -> list[tuple[str, int, int]]:
         (match.group(), match.start(), match.end())
         for match in _TOKEN_SPANS.finditer(source)
     ]
-
-
-@dataclass
-class CompletionMatch:
-    """One retrieved candidate for a completion query."""
-
-    name: str
-    code: str
-    score: float
-    #: suggested continuation: candidate code following the aligned region
-    continuation: str
-
-    def __repr__(self) -> str:
-        return f"<CompletionMatch {self.name} score={self.score:.3f}>"
 
 
 def align_continuation(query: str, candidate: str, window: int = 8) -> str:
@@ -80,51 +58,3 @@ def align_continuation(query: str, candidate: str, window: int = 8) -> str:
     if best_score == 0:
         return candidate
     return candidate[best_end:].lstrip("\n")
-
-
-class CodeCompleter:
-    """Bi-encoder index over registered PE codes for completion queries."""
-
-    def __init__(self, model: EmbeddingModel | None = None) -> None:
-        self.model = model or ReACCRetriever()
-        self._names: list[str] = []
-        self._codes: list[str] = []
-        self._matrix: np.ndarray | None = None
-
-    def index(
-        self, names: Sequence[str], codes: Sequence[str]
-    ) -> "CodeCompleter":
-        """(Re)build the index; embeddings computed once, stored densely."""
-        if len(names) != len(codes):
-            raise ValueError("names and codes must align")
-        self._names = list(names)
-        self._codes = list(codes)
-        self._matrix = self.model.embed(self._codes, kind="code")
-        return self
-
-    @property
-    def size(self) -> int:
-        return len(self._names)
-
-    def complete(self, partial_code: str, k: int = 5) -> list[CompletionMatch]:
-        """Rank registered codes against ``partial_code``.
-
-        Returns up to ``k`` matches, best first, each with its aligned
-        continuation.
-        """
-        if self._matrix is None or not self._names:
-            return []
-        qvec = self.model.embed_one(partial_code, kind="code")
-        indices, scores = cosine_topk(qvec, self._matrix, k)
-        matches = []
-        for index, score in zip(indices.tolist(), scores.tolist()):
-            code = self._codes[index]
-            matches.append(
-                CompletionMatch(
-                    name=self._names[index],
-                    code=code,
-                    score=float(score),
-                    continuation=align_continuation(partial_code, code),
-                )
-            )
-        return matches

@@ -11,7 +11,6 @@ precompute anything.
 
 from __future__ import annotations
 
-import re
 from abc import ABC, abstractmethod
 from typing import Iterable, Literal, Sequence
 
@@ -19,24 +18,10 @@ import numpy as np
 
 from repro.ml.vectorize import FeatureRun, HashingVectorizer, l2_normalize
 
-Kind = Literal["auto", "code", "text"]
+Kind = Literal["code", "text"]
 
 #: weighted feature: (feature string, weight)
 Feature = tuple[str, float]
-
-_CODE_HINTS = re.compile(
-    r"def |class |return |import |lambda |self\.|==|\(\)|:\n|=\s|\.append\(|\[|\]"
-)
-
-
-def looks_like_code(text: str) -> bool:
-    """Heuristic: does this string look like Python rather than prose?"""
-    if "\n" in text and re.search(r"\n\s+\S", text):
-        return True
-    hits = len(_CODE_HINTS.findall(text))
-    words = max(1, len(text.split()))
-    return hits >= 2 or hits / words > 0.2
-
 
 class EmbeddingModel(ABC):
     """Base class for all embedders in the model zoo.
@@ -79,12 +64,10 @@ class EmbeddingModel(ABC):
     def text_runs(self, text: str) -> list[FeatureRun]:
         """Weighted feature runs for a natural-language string."""
 
-    def runs(self, text: str, kind: Kind = "auto") -> list[FeatureRun]:
-        if kind == "code" or (kind == "auto" and looks_like_code(text)):
-            return self.code_runs(text)
-        return self.text_runs(text)
+    def runs(self, text: str, kind: Kind) -> list[FeatureRun]:
+        return self.code_runs(text) if kind == "code" else self.text_runs(text)
 
-    def features(self, text: str, kind: Kind = "auto") -> list[Feature]:
+    def features(self, text: str, kind: Kind) -> list[Feature]:
         """Every weighted feature of ``text``, in accumulation order."""
         return [
             (prefix + suffix, weight)
@@ -106,17 +89,17 @@ class EmbeddingModel(ABC):
         return self._idf.is_fitted
 
     # -- embedding ----------------------------------------------------------
-    def embed(self, texts: Sequence[str], kind: Kind = "auto") -> np.ndarray:
+    def embed(self, texts: Sequence[str], kind: Kind) -> np.ndarray:
         """Embed a batch; rows are L2-normalized float32."""
         out = np.zeros((len(texts), self.dim), dtype=np.float32)
         for i, text in enumerate(texts):
             out[i] = self._vectorizer.scatter(self.runs(text, kind))
         return l2_normalize(out)
 
-    def embed_one(self, text: str, kind: Kind = "auto") -> np.ndarray:
+    def embed_one(self, text: str, kind: Kind) -> np.ndarray:
         return self.embed([text], kind)[0]
 
-    def embed_many(self, texts: Sequence[str], kind: Kind = "auto") -> np.ndarray:
+    def embed_many(self, texts: Sequence[str], kind: Kind) -> np.ndarray:
         """Embed a batch of query texts in one call.
 
         A search calls it with its one query text on a miss of the
@@ -131,10 +114,6 @@ class EmbeddingModel(ABC):
         text (of any call) hashed is a dict hit.
         """
         return self.embed(list(texts), kind)
-
-    def __repr__(self) -> str:
-        fitted = "fitted" if self.is_fitted else "zero-shot"
-        return f"<{type(self).__name__} {self.name!r} dim={self.dim} {fitted}>"
 
 
 class BiEncoder:

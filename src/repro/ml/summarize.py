@@ -71,9 +71,6 @@ class CodeSummary:
     text: str
     source: str  # "docstring" | "comment" | "template"
 
-    def __str__(self) -> str:
-        return self.text
-
 
 def _first_comment(source: str) -> str | None:
     for line in source.splitlines():
@@ -223,6 +220,3 @@ class CodeT5Summarizer:
 
     def summarize(self, source: str, name: str | None = None) -> str:
         return summarize_code(source, name).text
-
-    def __repr__(self) -> str:
-        return f"<CodeT5Summarizer {self.name!r}>"

@@ -148,16 +148,6 @@ class HashingVectorizer:
             ]
         )
 
-    def transform(
-        self,
-        documents: Sequence[Sequence[str]],
-        weights: Mapping[str, float] | None = None,
-    ) -> np.ndarray:
-        out = np.zeros((len(documents), self.dim), dtype=np.float32)
-        for i, features in enumerate(documents):
-            out[i] = self.transform_one(features, weights)
-        return out
-
 
 class IdfWeighter:
     """Inverse document frequency weighting, fitted on a corpus.

@@ -143,6 +143,3 @@ class Communicator:
         """All ranks block until every rank has arrived."""
         self.gather(None, root=0)
         self.bcast(None, root=0)
-
-    def __repr__(self) -> str:
-        return f"<Communicator rank={self._rank}/{self._size}>"

@@ -97,16 +97,18 @@ def mpi_run(
             errors.append((rank, payload))
             break
 
-    for proc in processes:
-        proc.join(timeout=2.0)
-    _terminate(processes)
-
     if errors:
+        # the surviving ranks block on messages the failed one will
+        # never send: stop them now rather than wait for each in turn
+        _terminate(processes)
         details = "\n---\n".join(f"rank {r}:\n{tb}" for r, tb in errors)
         raise MPIRunError(
             f"{len(errors)} rank(s) failed during simulated MPI run",
             details=details,
         )
+    for proc in processes:
+        proc.join(timeout=2.0)
+    _terminate(processes)
     return [results[r] for r in range(nprocs)]
 
 

@@ -52,9 +52,6 @@ class LatencyModel:
             time.sleep(cost)
         return cost
 
-    def reset_accounting(self) -> None:
-        self.accounted_s = 0.0
-
 
 #: zero-cost model: client, server and engine in one process
 LOCAL = LatencyModel(name="local", rtt_s=0.0, bandwidth_bps=0.0)

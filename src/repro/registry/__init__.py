@@ -27,9 +27,8 @@ exposes access paths whose cost scales with the *result*, not the
 corpus:
 
 * ``pes_owned_by(user_id)`` / ``workflows_owned_by(user_id)`` —
-  owner-scoped listings, O(user's rows).
-  ``RegistryService.owned_records`` delegates here instead of filtering
-  ``all_pes()`` in Python.
+  owner-scoped listings, O(user's rows), the only listings there are
+  (``RegistryService.owned_records`` delegates here).
 * ``pe_ids_owned_by(user_id)`` / ``workflow_ids_owned_by(user_id)`` —
   id-only projections that never materialize rows or unblob embedding
   BLOBs, for the v1 listings' cursor pages

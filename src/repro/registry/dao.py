@@ -1005,11 +1005,6 @@ class SqliteDAO:
             )
         return records
 
-    def _all(self, store: _Storage) -> list:
-        return self._select(
-            store, f"SELECT * FROM {store.table} ORDER BY {store.id}"
-        )
-
     def _owned(self, store: _Storage, user_id: int) -> list:
         """All records owned by ``user_id``, ascending id —
         O(user's records)."""
@@ -1166,9 +1161,6 @@ class SqliteDAO:
     def find_pes_by_names(self, names: Sequence[str]) -> list[PERecord]:
         return self._find(_PES, names)
 
-    def all_pes(self) -> list[PERecord]:
-        return self._all(_PES)
-
     def pes_owned_by(self, user_id: int) -> list[PERecord]:
         return self._owned(_PES, user_id)
 
@@ -1205,9 +1197,6 @@ class SqliteDAO:
 
     def find_workflows_by_entry_points(self, names: Sequence[str]) -> list[WorkflowRecord]:
         return self._find(_WORKFLOWS, names)
-
-    def all_workflows(self) -> list[WorkflowRecord]:
-        return self._all(_WORKFLOWS)
 
     def workflows_owned_by(self, user_id: int) -> list[WorkflowRecord]:
         return self._owned(_WORKFLOWS, user_id)

@@ -27,12 +27,6 @@ def hash_password(password: str, salt: str = "laminar") -> str:
     return hashlib.sha256(f"{salt}:{password}".encode("utf-8")).hexdigest()
 
 
-def _embedding_to_json(vec: np.ndarray | None) -> list[float] | None:
-    if vec is None:
-        return None
-    return [float(x) for x in np.asarray(vec, dtype=np.float32)]
-
-
 @dataclass
 class UserRecord:
     """A registered user (Table 2: userId, userName, password)."""
@@ -82,8 +76,8 @@ class PERecord:
         digest = hashlib.sha256(self.pe_code.encode("utf-8")).hexdigest()[:16]
         return f"{self.pe_name}:{digest}"
 
-    def to_json(self, *, include_embeddings: bool = False) -> dict[str, Any]:
-        body: dict[str, Any] = {
+    def to_json(self) -> dict[str, Any]:
+        return {
             "peId": self.pe_id,
             "peName": self.pe_name,
             "description": self.description,
@@ -93,10 +87,6 @@ class PERecord:
             "peImports": list(self.pe_imports),
             "owners": sorted(self.owners),
         }
-        if include_embeddings:
-            body["codeEmbedding"] = _embedding_to_json(self.code_embedding)
-            body["descEmbedding"] = _embedding_to_json(self.desc_embedding)
-        return body
 
 @dataclass
 class WorkflowRecord:
@@ -124,8 +114,8 @@ class WorkflowRecord:
         digest = hashlib.sha256(self.workflow_code.encode("utf-8")).hexdigest()[:16]
         return f"{self.entry_point}:{digest}"
 
-    def to_json(self, *, include_embeddings: bool = False) -> dict[str, Any]:
-        body = {
+    def to_json(self) -> dict[str, Any]:
+        return {
             "workflowId": self.workflow_id,
             "workflowName": self.workflow_name,
             "entryPoint": self.entry_point,
@@ -135,9 +125,6 @@ class WorkflowRecord:
             "peIds": list(self.pe_ids),
             "owners": sorted(self.owners),
         }
-        if include_embeddings:
-            body["descEmbedding"] = _embedding_to_json(self.desc_embedding)
-        return body
 
 
 #: shard kinds: the per-owner search shards a record's vectors live in

@@ -7,7 +7,8 @@ Three search mechanisms over registered PEs and workflows:
 * :mod:`repro.search.semantic` — bi-encoder semantic search of PE
   descriptions with the (fine-tuned) code-search model (§4.2, Figure 7).
 * :mod:`repro.search.code_search` — code-completion retrieval over PE
-  code embeddings with the ReACC-style model (§4.3, Figure 8).
+  code embeddings with the ReACC-style model (§4.3, Figure 8), each hit
+  with its aligned continuation; it is the only completion index.
 
 All searches exploit embeddings stored in the Registry at registration
 time (§3.1.1) — nothing is re-embedded on the corpus side at query time.

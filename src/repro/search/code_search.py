@@ -68,14 +68,11 @@ class CodeSearcher:
     def __init__(self, model: EmbeddingModel | None = None) -> None:
         self.model = model or ReACCRetriever()
 
-    def embed_query(self, code: str) -> np.ndarray:
-        return self.model.embed_one(code, kind="code")
-
     def embed_code(self, code: str) -> np.ndarray:
         """The embedding computed at registration time (§3.1.1)."""
         return self.model.embed_one(code, kind="code")
 
     def embed_queries(self, code_queries: list[str]) -> np.ndarray:
         """Batch-embed code queries in one model call (row-independent,
-        bitwise identical to per-query :meth:`embed_query`)."""
+        bitwise identical to embedding each query on its own)."""
         return self.model.embed_many(code_queries, kind="code")

@@ -121,10 +121,6 @@ class EmbeddingLRU:
                 self._data.popitem(last=False)
         return vec
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
 
 class _Shard:
     """One (user, kind) slab: contiguous rows in ascending-id order.
@@ -360,22 +356,6 @@ class VectorIndex:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def contains(self, user: Hashable, kind: str, rid: int) -> bool:
-        with self._lock:
-            shard = self._shards.get((user, kind))
-            return shard is not None and int(rid) in shard.ids[: shard.size]
-
-    def size(self, user: Hashable, kind: str) -> int:
-        with self._lock:
-            shard = self._shards.get((user, kind))
-            return 0 if shard is None else shard.size
-
-    def ids(self, user: Hashable, kind: str) -> list[int]:
-        """Live record ids in ascending order (the ranking tie-break)."""
-        with self._lock:
-            shard = self._shards.get((user, kind))
-            return [] if shard is None else shard.ids[: shard.size].tolist()
-
     def stats(self) -> dict[str, dict[str, int]]:
         with self._lock:
             return {
@@ -390,24 +370,6 @@ class VectorIndex:
     # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
-    def search(
-        self,
-        user: Hashable,
-        kind: str,
-        query: np.ndarray,
-        k: int | None = None,
-    ) -> tuple[list[int], np.ndarray]:
-        """Top-k ``(ids, scores)`` for one query vector; a shard that is
-        not resident answers empty.
-
-        Results are ordered by descending similarity with stable
-        ascending-id tie-breaking — identical ids *and* scores to a
-        linear scan over the same vectors in id order.
-        """
-        return self.search_among(user, kind, query, k) or (
-            [], np.empty(0, dtype=np.float32)
-        )
-
     @staticmethod
     def _shard_topk(
         shard: _Shard, qvec: np.ndarray, k: int | None

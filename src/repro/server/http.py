@@ -32,7 +32,7 @@ traces see no difference.
 Peer disconnects are a fact of life, not an error: a client that drops
 the socket mid-request or mid-response used to surface as a spurious
 ``BrokenPipeError`` traceback from the handler thread; the async core
-counts it (``handle.stats()["peerDisconnects"]``) and closes quietly.
+closes such a connection quietly.
 """
 
 from __future__ import annotations
@@ -58,14 +58,6 @@ _SERVER_STRING = "LaminarRepro/1.0 Python/" + sys.version.split()[0]
 
 _SUPPORTED_METHODS = frozenset({"GET", "POST", "PUT", "DELETE"})
 
-#: network errors that mean "the peer went away", never a server fault
-_PEER_DISCONNECT = (
-    ConnectionResetError,
-    BrokenPipeError,
-    ConnectionAbortedError,
-    asyncio.IncompleteReadError,
-)
-
 
 class _BadBody(ValueError):
     """Raised when the request body is not a JSON object."""
@@ -87,30 +79,6 @@ def _client_url(host: str, port: int) -> str:
     return f"http://{host}:{port}"
 
 
-class _ConnectionStats:
-    """Shared front-end counters, exposed via ``HttpServerHandle.stats``."""
-
-    __slots__ = ("connections", "requests", "peer_disconnects", "_lock")
-
-    def __init__(self) -> None:
-        self.connections = 0
-        self.requests = 0
-        self.peer_disconnects = 0
-        self._lock = threading.Lock()
-
-    def bump(self, field: str, by: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + by)
-
-    def to_json(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "connections": self.connections,
-                "requests": self.requests,
-                "peerDisconnects": self.peer_disconnects,
-            }
-
-
 class _AsyncHttpCore:
     """Per-connection HTTP/1.1 state machine feeding ``laminar.dispatch``.
 
@@ -118,20 +86,13 @@ class _AsyncHttpCore:
     BLAS scoring) runs in ``executor``.
     """
 
-    def __init__(
-        self,
-        laminar: Any,
-        executor: ThreadPoolExecutor,
-        stats: _ConnectionStats,
-    ) -> None:
+    def __init__(self, laminar: Any, executor: ThreadPoolExecutor) -> None:
         self.laminar = laminar
         self.executor = executor
-        self.stats = stats
 
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.stats.bump("connections")
         sock = writer.get_extra_info("socket")
         if sock is not None:
             # headers and body leave in separate writes; without
@@ -146,14 +107,11 @@ class _AsyncHttpCore:
                 keep_open = await self._handle_one(reader, writer)
                 if not keep_open:
                     break
-        except _PEER_DISCONNECT:
-            # client dropped the socket mid-request or mid-response:
-            # count it and close quietly — never a traceback
-            self.stats.bump("peer_disconnects")
-        except asyncio.CancelledError:
-            raise
         except Exception:
-            pass  # defensive: a broken connection never kills the loop
+            # a client that dropped the socket mid-request or
+            # mid-response, or any other broken connection, closes
+            # quietly: never a traceback, never a dead loop
+            pass
         finally:
             writer.close()
             try:
@@ -244,7 +202,6 @@ class _AsyncHttpCore:
         if auth.startswith("Bearer "):
             token = auth[len("Bearer "):].strip()
         request = Request(method, path, body, token, metadata)
-        self.stats.bump("requests")
         loop = asyncio.get_running_loop()
         response = await loop.run_in_executor(
             self.executor, self.laminar.dispatch, request
@@ -347,23 +304,17 @@ class HttpServerHandle:
         thread: threading.Thread,
         server: asyncio.base_events.Server,
         executor: ThreadPoolExecutor,
-        stats: _ConnectionStats,
     ) -> None:
         self._loop = loop
         self._thread = thread
         self._server = server
         self._executor = executor
-        self._stats = stats
         sockname = server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
 
     @property
     def url(self) -> str:
         return _client_url(self.host, self.port)
-
-    def stats(self) -> dict[str, int]:
-        """Front-end counters (connections, requests, peer disconnects)."""
-        return self._stats.to_json()
 
     def shutdown(self) -> None:
         loop = self._loop
@@ -408,11 +359,10 @@ def serve_http(
     and socket I/O stay on the event loop regardless, so idle keep-alive
     connections are effectively free.
     """
-    stats = _ConnectionStats()
     executor = ThreadPoolExecutor(
         max_workers=workers, thread_name_prefix="laminar-http"
     )
-    core = _AsyncHttpCore(laminar_server, executor, stats)
+    core = _AsyncHttpCore(laminar_server, executor)
     loop = asyncio.new_event_loop()
     started: list[asyncio.base_events.Server] = []
     ready = threading.Event()
@@ -451,7 +401,7 @@ def serve_http(
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=5.0)
         raise failure[0]
-    return HttpServerHandle(loop, thread, started[0], executor, stats)
+    return HttpServerHandle(loop, thread, started[0], executor)
 
 
 class HttpTransport(Transport):

@@ -114,10 +114,11 @@ class TestProtocol:
         with pytest.raises(MappingError, match="out of range"):
             broker.client(99)
 
-    def test_context_manager_shutdown(self):
-        with BrokerServer(n_clients=1) as server:
-            assert server.client(0).ping() == "PONG"
-        # after exit the broker process is gone
+    def test_shutdown_stops_the_process(self):
+        server = BrokerServer(n_clients=1)
+        server.start()
+        assert server.client(0).ping() == "PONG"
+        server.shutdown()
         assert not server._process.is_alive()
 
     def test_shutdown_idempotent(self, broker):

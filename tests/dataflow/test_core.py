@@ -17,26 +17,26 @@ from tests.helpers import Collector, OneToTenProducer
 class TestPortDeclaration:
     def test_producer_has_single_output(self):
         pe = ProducerPE()
-        assert list(pe.port_names(inputs=False)) == ["output"]
-        assert list(pe.port_names(inputs=True)) == []
+        assert list(pe.outputconnections) == ["output"]
+        assert list(pe.inputconnections) == []
 
     def test_iterative_has_input_and_output(self):
         pe = IterativePE()
-        assert list(pe.port_names(inputs=True)) == ["input"]
-        assert list(pe.port_names(inputs=False)) == ["output"]
+        assert list(pe.inputconnections) == ["input"]
+        assert list(pe.outputconnections) == ["output"]
 
     def test_consumer_has_single_input(self):
         pe = ConsumerPE()
-        assert list(pe.port_names(inputs=True)) == ["input"]
-        assert list(pe.port_names(inputs=False)) == []
+        assert list(pe.inputconnections) == ["input"]
+        assert list(pe.outputconnections) == []
 
     def test_generic_custom_ports(self):
         pe = GenericPE()
         pe._add_input("left", grouping=[0])
         pe._add_input("right")
         pe._add_output("merged")
-        assert set(pe.port_names(inputs=True)) == {"left", "right"}
-        assert set(pe.port_names(inputs=False)) == {"merged"}
+        assert set(pe.inputconnections) == {"left", "right"}
+        assert set(pe.outputconnections) == {"merged"}
         assert pe.inputconnections["left"].grouping == [0]
 
     def test_duplicate_input_port_rejected(self):
@@ -50,10 +50,6 @@ class TestPortDeclaration:
         pe._add_output("out")
         with pytest.raises(GraphError, match="duplicate output port"):
             pe._add_output("out")
-
-    def test_is_source_reflects_input_ports(self):
-        assert ProducerPE().is_source
-        assert not IterativePE().is_source
 
 
 class TestProcessSemantics:

@@ -44,26 +44,31 @@ def _graph(stage):
     return graph
 
 
+#: a healthy run of the same two-stage graph finishes in under 0.1 s on
+#: every mapping (2-CPU host), so a run still going at 0.5 s is the hang
+HANG_TIMEOUT_S = 0.5
+
+
 class TestTimeouts:
     def test_multi_times_out_on_hang(self):
         with pytest.raises(MappingError, match="timed out"):
             run_workflow(
                 _graph(HangingPE()), input=1, mapping="multi", nprocs=2,
-                timeout=2.0,
+                timeout=HANG_TIMEOUT_S,
             )
 
     def test_redis_times_out_on_hang(self):
         with pytest.raises(MappingError, match="timed out"):
             run_workflow(
                 _graph(HangingPE()), input=1, mapping="redis", nprocs=2,
-                timeout=2.0,
+                timeout=HANG_TIMEOUT_S,
             )
 
     def test_mpi_times_out_on_hang(self):
         with pytest.raises(MappingError, match="timed out"):
             run_workflow(
                 _graph(HangingPE()), input=1, mapping="mpi", nprocs=2,
-                timeout=2.0,
+                timeout=HANG_TIMEOUT_S,
             )
 
 

@@ -1,8 +1,6 @@
 """Tests for per-instance counters and aggregation."""
 
-import time
-
-from repro.dataflow.monitoring import InstanceCounters, Stopwatch, merge_counters
+from repro.dataflow.monitoring import InstanceCounters, merge_counters
 
 
 class TestCounters:
@@ -11,19 +9,6 @@ class TestCounters:
         assert counters.consumed == 0
         assert counters.produced == 0
         assert counters.process_seconds == 0.0
-
-    def test_as_dict_round_trip(self):
-        counters = InstanceCounters(pe_name="X", instance=1, consumed=3, produced=2)
-        data = counters.as_dict()
-        assert data["consumed"] == 3 and data["produced"] == 2
-
-    def test_stopwatch_accumulates(self):
-        counters = InstanceCounters(pe_name="X")
-        with Stopwatch(counters):
-            time.sleep(0.01)
-        with Stopwatch(counters):
-            time.sleep(0.01)
-        assert counters.process_seconds >= 0.02
 
 
 class TestMerge:

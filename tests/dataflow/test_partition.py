@@ -91,12 +91,6 @@ class TestConcreteWorkflow:
         roots = workflow.root_pe_indices()
         assert [workflow.pe_names[i] for i in roots] == ["OneToTenProducer"]
 
-    def test_describe_mentions_every_pe(self):
-        workflow = build_concrete_workflow(build_isprime_graph(), 5)
-        text = workflow.describe()
-        for name in workflow.pe_names:
-            assert name in text
-
 
 class TestRouter:
     def test_shuffle_round_robin_over_instances(self):

@@ -3,7 +3,6 @@
 from repro.dataflow.partition import build_concrete_workflow
 from repro.dataflow.visualization import (
     abstract_to_ascii,
-    abstract_to_dot,
     concrete_to_ascii,
     concrete_to_dot,
 )
@@ -12,21 +11,11 @@ from tests.helpers import build_wordcount_graph
 
 
 class TestAbstractViews:
-    def test_dot_contains_all_pes_and_edges(self):
-        dot = abstract_to_dot(build_isprime_graph())
-        for name in ("NumberProducer", "IsPrime", "PrintPrime"):
-            assert f'"{name}"' in dot
-        assert '"NumberProducer" -> "IsPrime"' in dot
-        assert dot.startswith("digraph abstract")
-
-    def test_dot_labels_groupings(self):
-        dot = abstract_to_dot(build_wordcount_graph())
-        assert "group-by" in dot
-
     def test_ascii_lists_edges_and_sinks(self):
         text = abstract_to_ascii(build_isprime_graph())
         assert "NumberProducer.output --> IsPrime.input" in text
         assert "PrintPrime (sink)" in text
+        assert "~group-by~" in abstract_to_ascii(build_wordcount_graph())
 
 
 class TestConcreteViews:

@@ -101,12 +101,12 @@ class TestBankStructure:
 
     def test_variants_of_problem_differ_structurally(self):
         """Variants are genuinely different implementations, not renames."""
-        from repro.ml.ast_features import ast_sequence
+        from repro.ml.ast_features import structural_features
 
         different = 0
         for problem in PROBLEMS:
-            sequences = {tuple(ast_sequence(v)) for v in problem.variants}
-            if len(sequences) == len(problem.variants):
+            shapes = {frozenset(structural_features(v)) for v in problem.variants}
+            if len(shapes) == len(problem.variants):
                 different += 1
         assert different >= len(PROBLEMS) * 0.9
 

@@ -27,11 +27,6 @@ class TestRetrievalDatasetContainer:
         ds = RetrievalDataset("x", ["q"], ["c"], [{0}])
         assert ds.exclude == [None]
 
-    def test_describe(self):
-        ds = RetrievalDataset("mini", ["q"], ["c", "d"], [{0, 1}])
-        assert "mini" in ds.describe()
-        assert "1 queries" in ds.describe()
-
 
 class TestCosqa:
     def test_deterministic(self):

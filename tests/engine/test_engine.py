@@ -92,9 +92,11 @@ class TestPayloadShapes:
         with pytest.raises(ValidationError, match="workflowCode"):
             ExecutionRequest.from_json({"input": 3})
 
-    def test_request_json_round_trip(self):
-        request = request_for(build_pipeline_graph(), input=5, mapping="multi")
-        restored = ExecutionRequest.from_json(request.to_json())
+    def test_request_from_json(self):
+        request = request_for(build_pipeline_graph())
+        restored = ExecutionRequest.from_json(
+            {"workflowCode": request.workflow_code, "input": 5, "mapping": "multi"}
+        )
         assert restored.mapping == "multi"
         assert restored.input == 5
 
@@ -107,7 +109,7 @@ class TestAutoInstall:
             request_for(build_pipeline_graph(), input=1, imports=["astropy"])
         )
         assert outcome.installed_packages == ["astropy"]
-        assert env.is_installed("astropy")
+        assert "astropy" in env.installed
 
     def test_second_run_already_installed(self):
         engine = ExecutionEngine(SimulatedCondaEnvironment())

@@ -22,7 +22,7 @@ class TestEnsure:
         env = SimulatedCondaEnvironment()
         report = env.ensure(["astropy", "scipy"])
         assert set(report.installed_now) == {"astropy", "scipy"}
-        assert env.is_installed("astropy")
+        assert "astropy" in env.installed
 
     def test_ensure_idempotent(self):
         env = SimulatedCondaEnvironment()
@@ -46,12 +46,6 @@ class TestEnsure:
         env = SimulatedCondaEnvironment(strict=True)
         with pytest.raises(EnvironmentError_, match="not available"):
             env.ensure(["leftpad"])
-
-    def test_report_json(self):
-        report = SimulatedCondaEnvironment().ensure(["astropy"])
-        body = report.to_json()
-        assert body["installedNow"] == ["astropy"]
-        assert body["seconds"] >= 0
 
 
 class TestLatencyModel:
@@ -81,7 +75,7 @@ class TestReset:
         env.reset()
         assert env.installed == set(DEFAULT_PREINSTALLED)
         assert env.accounted_install_s == 0.0
-        assert not env.is_installed("astropy")
+        assert "astropy" not in env.installed
 
     def test_repro_package_preinstalled(self):
         # PEs importing the bundled substrates need no installation

@@ -16,8 +16,7 @@ def request_for(graph, **kw):
 class TestPoolManagement:
     def test_default_local_engine_present(self):
         pool = EnginePool()
-        assert "local" in pool
-        assert len(pool) == 1
+        assert [entry["name"] for entry in pool.stats()] == ["local"]
 
     def test_register_and_get(self):
         pool = EnginePool()
@@ -51,7 +50,8 @@ class TestPoolManagement:
         pool = EnginePool()
         pool.create("temp")
         pool.remove("temp")
-        assert "temp" not in pool
+        with pytest.raises(NotFoundError):
+            pool.get("temp")
 
     def test_default_engine_not_removable(self):
         with pytest.raises(ValidationError, match="cannot be removed"):

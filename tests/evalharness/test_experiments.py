@@ -66,40 +66,40 @@ class TestTable7:
         assert reacc > runner_up
 
 
-class TestTable5:
-    def test_small_config_shape(self):
-        # structure only: the wall-clock orderings (original < local <
-        # remote, Multi < Simple) are reproduced at full scale under the
-        # `slow` marker by benchmarks/test_table5_latency.py — asserted
-        # here they made tier-1 depend on the runner's load
-        result = run_table5(
-            Table5Config(
-                n_galaxies=16,
-                votable_latency_s=0.006,
-                nprocs=5,
-                install_scale=0.01,
-            )
+@pytest.fixture(scope="module")
+def table5():
+    # structure only: the wall-clock orderings (original < local <
+    # remote, Multi < Simple) are reproduced at full scale under the
+    # `slow` marker by benchmarks/test_table5_latency.py — asserted
+    # here they made tier-1 depend on the runner's load
+    return run_table5(
+        Table5Config(
+            n_galaxies=16,
+            votable_latency_s=0.006,
+            nprocs=5,
+            install_scale=0.01,
         )
+    )
+
+
+class TestTable5:
+    def test_small_config_shape(self, table5):
         methods = [
             "original dispel4py",
             "Local Execution (with Laminar)",
             "Remote Execution (with Laminar)",
         ]
-        assert list(result["times"]) == methods
-        for times in result["times"].values():
+        assert list(table5["times"]) == methods
+        for times in table5["times"].values():
             assert set(times) == {"simple", "multi"}
-        assert [row[0] for row in result["rows"]] == methods
-        assert all(len(row) == 3 for row in result["rows"])
-        assert len(result["checks"]) == 4
-        assert all(isinstance(ok, bool) for ok in result["checks"].values())
-        assert "Simple" in result["table"] and "Multi" in result["table"]
+        assert [row[0] for row in table5["rows"]] == methods
+        assert all(len(row) == 3 for row in table5["rows"])
+        assert len(table5["checks"]) == 4
+        assert all(isinstance(ok, bool) for ok in table5["checks"].values())
+        assert "Simple" in table5["table"] and "Multi" in table5["table"]
 
-    def test_times_positive_and_ordered(self):
-        result = run_table5(
-            Table5Config(n_galaxies=10, votable_latency_s=0.004, nprocs=4)
-        )
-        times = result["times"]
-        for method in times.values():
+    def test_times_positive_and_ordered(self, table5):
+        for method in table5["times"].values():
             for value in method.values():
                 assert value > 0
 

@@ -230,16 +230,19 @@ def shard_bytes(index) -> dict:
 
 
 def brute_force_index(dao):
-    """The index one pass over every hydrated record builds — each
-    owner's shard of every kind the record carries a vector of — the
+    """The index one pass over every user's hydrated records builds —
+    the user's shard of every kind a record carries a vector of — the
     reference an attached or a live index must equal."""
     from repro.registry.entities import RECORD_KINDS, SHARD_KINDS
     from repro.search import VectorIndex
 
     shards: dict = {}
-    for records in (dao.all_pes(), dao.all_workflows()):
-        for record in records:
-            for user_id in record.owners:
+    for user in dao.all_users():
+        user_id = user.user_id
+        for records in (
+            dao.pes_owned_by(user_id), dao.workflows_owned_by(user_id)
+        ):
+            for record in records:
                 for kind in RECORD_KINDS[type(record)].shards:
                     spec = SHARD_KINDS[kind]
                     vector = getattr(record, spec.vector_field)

@@ -115,17 +115,18 @@ class TestPythonChunking:
     def test_syntax_error_returns_none(self):
         assert chunk_python("bad.py", "def broken(:\n  pass\n") is None
 
-    def test_chunk_ids_are_stable_and_content_sensitive(self):
+    def test_chunks_are_stable_and_content_sensitive(self):
         first = by_qualname(chunk_python("pkg/mod.py", MODULE))
         second = by_qualname(chunk_python("pkg/mod.py", MODULE))
-        assert first["outer"].chunk_id == second["outer"].chunk_id
+        assert first["outer"] == second["outer"]
         mutated = by_qualname(
             chunk_python("pkg/mod.py", MODULE.replace("y + 1", "y + 2"))
         )
-        assert mutated["outer"].chunk_id != first["outer"].chunk_id
-        # moving the file moves the id too (path is part of identity)
+        assert mutated["outer"].code != first["outer"].code
+        assert mutated["outer"].name == first["outer"].name
+        # moving the file moves the name too (path is part of identity)
         moved = by_qualname(chunk_python("other/mod.py", MODULE))
-        assert moved["outer"].chunk_id != first["outer"].chunk_id
+        assert moved["outer"].name != first["outer"].name
 
     def test_names_are_path_scoped(self):
         chunks = by_qualname(chunk_python("pkg/mod.py", MODULE))

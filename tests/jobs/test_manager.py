@@ -191,9 +191,12 @@ class TestCancellation:
 
     def test_checkpoint_raises_job_cancelled(self, manager):
         raised = []
+        entered = threading.Event()
+        release = threading.Event()
 
         def body(ctx):
-            manager.cancel(ctx.job_id)
+            entered.set()
+            release.wait(5)
             try:
                 ctx.checkpoint()
             except JobCancelled:
@@ -202,6 +205,9 @@ class TestCancellation:
             return None
 
         snapshot = manager.submit("demo", body)
+        assert entered.wait(5)
+        manager.cancel(snapshot["jobId"])
+        release.set()
         done = wait_state(manager, snapshot["jobId"], TERMINAL_STATES)
         assert raised == [True]
         assert done["state"] == "cancelled"

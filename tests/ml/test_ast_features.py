@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.ast_features import (
-    ast_sequence,
     dataflow_pairs,
     docstring_of,
     parse_lenient,
@@ -44,20 +43,6 @@ class TestParseLenient:
     @settings(max_examples=60, deadline=None)
     def test_never_raises(self, text):
         parse_lenient(text)
-
-
-class TestAstSequence:
-    def test_preorder_sequence(self):
-        sequence = ast_sequence(SAMPLE)
-        assert sequence[0] == "Module"
-        assert "FunctionDef" in sequence
-        assert "For" in sequence and "If" in sequence
-
-    def test_ctx_nodes_filtered(self):
-        assert "Load" not in ast_sequence("x = y")
-
-    def test_unparsable_gives_empty(self):
-        assert ast_sequence(")(") == []
 
 
 class TestStructuralFeatures:

@@ -1,8 +1,8 @@
-"""Tests for retrieval-based code completion (the ReACC role)."""
+"""Suffix alignment for retrieval-based code completion (the ReACC
+role); the served route's completion pins are in
+``tests/server/test_v1_api.py::TestCodeCompletion``."""
 
-import pytest
-
-from repro.ml.completion import CodeCompleter, align_continuation
+from repro.ml.completion import align_continuation
 
 PRODUCER = (
     "class NumberProducer(ProducerPE):\n"
@@ -40,39 +40,3 @@ class TestAlignment:
         partial = "\n".join(lines[:2])
         continuation = align_continuation(partial, PRIME)
         assert continuation.strip().startswith("if all(")
-
-
-class TestCompleter:
-    @pytest.fixture()
-    def completer(self):
-        return CodeCompleter().index(
-            ["NumberProducer", "IsPrime"], [PRODUCER, PRIME]
-        )
-
-    def test_figure_8_scenario(self, completer):
-        """The paper's query: random.randint(1, 1000) -> NumberProducer."""
-        matches = completer.complete("random.randint(1, 1000)", k=2)
-        assert matches[0].name == "NumberProducer"
-        assert matches[0].score > matches[1].score
-
-    def test_continuation_attached(self, completer):
-        [match] = completer.complete("result = random.randint(1, 1000)", k=1)
-        assert "return result" in match.continuation
-
-    def test_k_bounds_results(self, completer):
-        assert len(completer.complete("num", k=1)) == 1
-
-    def test_empty_index_returns_nothing(self):
-        assert CodeCompleter().complete("anything") == []
-
-    def test_index_validates_alignment(self):
-        with pytest.raises(ValueError, match="align"):
-            CodeCompleter().index(["a"], [])
-
-    def test_size_property(self, completer):
-        assert completer.size == 2
-
-    def test_reindex_replaces(self, completer):
-        completer.index(["Only"], [PRIME])
-        assert completer.size == 1
-        assert completer.complete("num", k=5)[0].name == "Only"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.ml.embedding import BiEncoder, CrossEncoder, looks_like_code
+from repro.ml.embedding import BiEncoder, CrossEncoder
 from repro.ml.models import MODEL_REGISTRY, get_model
 
 CODE_A = "def is_prime(num):\n    return all(num % i for i in range(2, num))\n"
@@ -41,7 +41,12 @@ class TestEmbeddingContract:
 
     def test_rows_l2_normalized(self, name):
         model = get_model(name)
-        matrix = model.embed([CODE_A, CODE_B, "check primes"], kind="auto")
+        matrix = np.vstack(
+            [
+                model.embed([CODE_A, CODE_B], kind="code"),
+                model.embed(["check primes"], kind="text"),
+            ]
+        )
         norms = np.linalg.norm(matrix, axis=1)
         for norm in norms:
             assert norm == pytest.approx(1.0, abs=1e-5) or norm == 0.0
@@ -68,16 +73,6 @@ class TestEmbeddingContract:
         model = get_model(name)
         assert model.fit([CODE_A, CODE_B], kind="code") is model
         assert model.is_fitted
-
-
-class TestKindDetection:
-    def test_code_detected(self):
-        assert looks_like_code(CODE_A)
-        assert looks_like_code("x = random.randint(1, 1000)")
-
-    def test_text_detected(self):
-        assert not looks_like_code("a PE that checks if a number is prime")
-        assert not looks_like_code("find the maximum value")
 
 
 class TestModelBehaviours:
@@ -171,5 +166,6 @@ class TestCrossEncoder:
 def test_every_model_total_on_arbitrary_input(text):
     """No input may crash an embedder (queries are user-controlled)."""
     for name in MODEL_REGISTRY:
-        vec = get_model(name).embed_one(text, kind="auto")
-        assert not np.isnan(vec).any()
+        for kind in ("code", "text"):
+            vec = get_model(name).embed_one(text, kind=kind)
+            assert not np.isnan(vec).any()

@@ -29,12 +29,10 @@ class TestHashingVectorizer:
         b = HashingVectorizer(dim=128, salt="b").transform_one(["tok"])
         assert not np.array_equal(a, b)
 
-    def test_batch_transform_shape(self):
-        v = HashingVectorizer(dim=64, salt="s")
-        matrix = v.transform([["a"], ["b", "c"], []])
-        assert matrix.shape == (3, 64)
-        assert matrix.dtype == np.float32
-        np.testing.assert_array_equal(matrix[2], np.zeros(64))
+    def test_empty_document_is_the_zero_row(self):
+        row = HashingVectorizer(dim=64, salt="s").transform_one([])
+        assert row.dtype == np.float32
+        np.testing.assert_array_equal(row, np.zeros(64))
 
     def test_weights_mapping_applied(self):
         v = HashingVectorizer(dim=64, salt="s")

@@ -49,6 +49,13 @@ def _crash(comm):
     return comm.rank
 
 
+def _crash_before_receiving(comm):
+    """Rank 1 fails; the others wait for a message it never sends."""
+    if comm.rank == 1:
+        raise ValueError("rank 1 exploded")
+    return comm.recv(source=1, tag=3)
+
+
 class TestPointToPoint:
     def test_ring_exchange(self):
         results = mpi_run(4, _ring, timeout=60)
@@ -77,6 +84,35 @@ class TestErrors:
         with pytest.raises(MPIRunError) as excinfo:
             mpi_run(3, _crash, timeout=60)
         assert "rank 1 exploded" in (excinfo.value.details or "")
+
+    def test_a_failed_run_waits_on_no_live_rank(self, monkeypatch):
+        """After the first rank error the launcher stops the others at
+        once: every ``join`` it makes is on a rank it has terminated or
+        that has already exited, never a timed wait on a live one."""
+        from multiprocessing.process import BaseProcess
+
+        terminated, waits_on_live = set(), []
+        terminate, join = BaseProcess.terminate, BaseProcess.join
+
+        def recording_terminate(self):
+            terminated.add(self.pid)
+            terminate(self)
+
+        def recording_join(self, timeout=None):
+            if self.pid not in terminated and self.exitcode is None:
+                waits_on_live.append((self.pid, timeout))
+            join(self, timeout)
+
+        monkeypatch.setattr(BaseProcess, "terminate", recording_terminate)
+        monkeypatch.setattr(BaseProcess, "join", recording_join)
+        with pytest.raises(MPIRunError) as excinfo:
+            mpi_run(3, _crash_before_receiving, timeout=60)
+        assert excinfo.value.message == (
+            "1 rank(s) failed during simulated MPI run"
+        )
+        assert "rank 1 exploded" in (excinfo.value.details or "")
+        assert terminated  # the blocked ranks were stopped
+        assert waits_on_live == []
 
     def test_zero_ranks_rejected(self):
         with pytest.raises(MappingError, match=">= 1"):

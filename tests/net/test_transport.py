@@ -93,12 +93,6 @@ class TestLatencyModel:
         assert time.perf_counter() - t0 < 0.1
         assert model.accounted_s == pytest.approx(0.5)
 
-    def test_reset_accounting(self):
-        model = LatencyModel(name="m", rtt_s=0.002)
-        model.apply(0)
-        model.reset_accounting()
-        assert model.accounted_s == 0.0
-
     def test_presets(self):
         lan = make_latency("lan")
         wan = make_latency("azure-wan")

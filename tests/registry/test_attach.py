@@ -77,7 +77,7 @@ def assert_attach_equals_live_equals_brute_force(path, dao, index):
 
 
 class CallCountingDAO:
-    """Transparent proxy counting full-corpus hydrations."""
+    """Transparent proxy counting batched record hydrations."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -85,7 +85,7 @@ class CallCountingDAO:
 
     def __getattr__(self, name):
         attr = getattr(self.inner, name)
-        if name in ("all_pes", "all_workflows", "get_pes", "get_workflows"):
+        if name in ("get_pes", "get_workflows"):
             def counted(*args, **kwargs):
                 self.hydrations += 1
                 return attr(*args, **kwargs)
@@ -320,7 +320,8 @@ class TestForeignWriters:
         assert counted.hydrations == 0
         user = restarted.get_user("bob")
         landed = restarted.get_by_name(user, PERecord, "Foreign")
-        assert restarted.index.contains(user.user_id, KIND_DESC, landed.pe_id)
+        shards = index_shards(restarted.index)
+        assert landed.pe_id in shards[(user.user_id, KIND_DESC)][0]
         assert shard_bytes(restarted.index) == shard_bytes(
             brute_force_index(counted.inner)
         )
@@ -361,7 +362,7 @@ class TestForeignWriters:
         for user, prefix in ((bob, "Foreign"), (alice, "Interleaved")):
             for i in range(3):
                 landed = dao.find_pe_by_name(f"{prefix}{i}")[0]
-                assert index.contains(user.user_id, KIND_DESC, landed.pe_id)
+                assert landed.pe_id in index_shards(index)[(user.user_id, KIND_DESC)][0]
         assert shard_bytes(index) == shard_bytes(brute_force_index(dao))
         dao.close()
 
@@ -432,7 +433,7 @@ class TestDamagedRows:
             assert after[key][0].tobytes() == ids[kept].tobytes()
             assert after[key][1].tobytes() == matrix[kept].tobytes()
         for kind in kinds_out:
-            assert not index.contains(alice.user_id, kind, victim.pe_id)
+            assert victim.pe_id not in after.get((alice.user_id, kind), ((),))[0]
         assert shard_bytes(index) == shard_bytes(brute_force_index(dao))
         dao.close()
 
@@ -457,7 +458,7 @@ class TestDamagedRows:
         dao._conn.execute(damage, {"id": victim.workflow_id})
         dao._conn.commit()
         index = attached(dao)
-        assert index.size(bob.user_id, KIND_WORKFLOW) == 0
+        assert index.stats()[f"{bob.user_id}/{KIND_WORKFLOW}"]["live"] == 0
         after = shard_bytes(index)
         assert (bob.user_id, KIND_WORKFLOW) in before
         del before[(bob.user_id, KIND_WORKFLOW)]
@@ -519,10 +520,10 @@ class TestDamagedRows:
             (bob.user_id, victim.pe_id),
         )
         dao._conn.commit()
-        index = attached(dao)
+        after = index_shards(attached(dao))
         for kind in (KIND_DESC, KIND_CODE):
-            assert not index.contains(alice.user_id, kind, victim.pe_id)
-            assert index.contains(bob.user_id, kind, victim.pe_id)
+            assert victim.pe_id not in after.get((alice.user_id, kind), ((),))[0]
+            assert victim.pe_id in after[(bob.user_id, kind)][0]
         dao.close()
 
 
@@ -582,7 +583,7 @@ class TestColdStart:
         counted = CallCountingDAO(SqliteDAO(path))
         service = RegistryService(counted, VectorIndex())
         assert counted.hydrations == 0
-        assert service.index.ids(alice.user_id, KIND_DESC) == [
+        assert index_shards(service.index)[(alice.user_id, KIND_DESC)][0].tolist() == [
             record.pe_id
             for record in counted.inner.pes_owned_by(alice.user_id)
             if record.desc_embedding is not None

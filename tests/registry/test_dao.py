@@ -141,12 +141,6 @@ class TestWorkflows:
         with pytest.raises(NotFoundError):
             dao.delete_workflow(stored.workflow_id)
 
-    def test_all_workflows_ordered(self, dao):
-        dao.insert_workflow(make_wf("a"))
-        dao.insert_workflow(make_wf("b"))
-        assert [w.entry_point for w in dao.all_workflows()] == ["a", "b"]
-
-
 class TestOwnerScopedQueries:
     """The O(k)-serving access paths, identical across backends."""
 
@@ -216,7 +210,8 @@ class TestOwnerScopedQueries:
         assert [r.pe_id for r in stored] == [
             seeded.pe_id + 1 + i for i in range(5)
         ]
-        assert len(dao.all_pes()) == 6
+        names = ["Seed"] + [f"Bulk{i}" for i in range(5)]
+        assert len(dao.find_pes_by_names(names)) == 6
         assert dao.pe_ids_owned_by(1) == [stored[0].pe_id, stored[2].pe_id,
                                           stored[4].pe_id]
         # ids keep incrementing past the bulk block
@@ -506,5 +501,5 @@ class TestSqlitePersistence:
         dao.close()
         reopened = SqliteDAO(path)
         assert reopened.get_user_by_name("alice") is not None
-        assert len(reopened.all_pes()) == 1
+        assert len(reopened.pes_owned_by(1)) == 1
         reopened.close()

@@ -1,7 +1,5 @@
 """Tests for registry entities and their JSON projections (Table 2)."""
 
-import numpy as np
-
 from repro.registry.entities import (
     PERecord,
     UserRecord,
@@ -54,12 +52,6 @@ class TestPERecord:
         body = self._record().to_json()
         assert "codeEmbedding" not in body
 
-    def test_embeddings_as_float_lists(self):
-        vec = np.array([0.1, 0.2], dtype=np.float32)
-        body = self._record(desc_embedding=vec).to_json(include_embeddings=True)
-        assert isinstance(body["descEmbedding"], list)
-        assert body["codeEmbedding"] is None
-
     def test_identity_key_depends_on_code(self):
         a = self._record()
         b = self._record()
@@ -104,12 +96,6 @@ class TestWorkflowRecord:
         assert body["peIds"] == [1, 2, 3]
         assert body["owners"] == [1]
         assert "descEmbedding" not in body
-
-    def test_embedding_as_float_list(self):
-        record = self._record()
-        record.desc_embedding = np.array([0.5, 0.25], dtype=np.float32)
-        body = record.to_json(include_embeddings=True)
-        assert body["descEmbedding"] == [0.5, 0.25]
 
     def test_identity_key_uses_entry_point_and_code(self):
         a, b = self._record(), self._record()

@@ -70,7 +70,7 @@ class TestPEOwnership:
         second = service.register_pe(bob, make_pe("Shared", code="c2FtZQ=="))[0]
         assert first.pe_id == second.pe_id
         assert second.owners == {alice.user_id, bob.user_id}
-        assert len(service.dao.all_pes()) == 1
+        assert len(service.dao.find_pe_by_name("Shared")) == 1
 
     def test_same_name_different_code_is_new_entry(self, service, users):
         alice, _ = users

@@ -394,7 +394,7 @@ def test_the_v15_membership_is_dropped_unread(tmp_path, fast_bundle):
     index = VectorIndex()
     RegistryService(dao).attach_index(index)
     assert shard_bytes(index) == shard_bytes(brute_force_index(dao))
-    assert index.size(user_id, kind) > 0
-    assert index.size(stamps[-1][0], stamps[-1][1]) > 0
+    assert index.stats()[f"{user_id}/{kind}"]["live"] > 0
+    assert index.stats()[f"{stamps[-1][0]}/{stamps[-1][1]}"]["live"] > 0
     dao.close()
     assert not {"index_shards", "index_deltas"} & schema_names(path)

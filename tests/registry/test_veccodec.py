@@ -794,7 +794,7 @@ class TestLegacyFile:
             query = sparse_unit(rng)
             sims = vectors @ query
             order = np.argsort(-sims, kind="stable")[:5]
-            ids, scores = warm.search(user.user_id, kind, query, 5)
+            ids, scores = warm.search_among(user.user_id, kind, query, 5)
             assert ids == [held[row].pe_id for row in order]
             assert np.array_equal(scores, sims[order])
 
@@ -898,7 +898,7 @@ class TestLegacyFile:
             for query in (sparse_unit(rng), palette_unit(rng)):
                 sims = vectors @ query
                 order = np.argsort(-sims, kind="stable")[:5]
-                got, scores = warm.search(user.user_id, kind, query, 5)
+                got, scores = warm.search_among(user.user_id, kind, query, 5)
                 assert got == [records[row].pe_id for row in order]
                 assert np.array_equal(scores, sims[order])
 

@@ -323,7 +323,7 @@ class TestFreshness:
         assert entered.wait(TIMEOUT)
         insert(a)
         code = _embedding_search(b.app, alice, KIND_CODE, QUERY, None, None)
-        assert index.size(alice.user_id, KIND_DESC) == 0  # dropped
+        assert f"{alice.user_id}/{KIND_DESC}" not in index.stats()  # dropped
         release.set()
         thread.join(TIMEOUT)
         assert not thread.is_alive()

@@ -719,7 +719,7 @@ def test_an_attach_reads_in_statements_per_shard_not_per_record(tmp_path):
     bulk_load(service, service.get_user("alice"), rng, 48, 1300, code=True)
     service.dao.close()
     large, warm = attach_statements(path)
-    assert warm.size(alice.user_id, KIND_DESC) == 1340
+    assert warm.stats()[f"{alice.user_id}/{KIND_DESC}"]["live"] == 1340
     assert shard_bytes(warm) == shard_bytes(index)
 
     # one read transaction: the users, one scan per (user, record

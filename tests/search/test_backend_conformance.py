@@ -135,15 +135,6 @@ class TestExactParity:
                     got_one, index.search_among(user, KIND_DESC, query, k)
                 )
 
-    def test_plain_search_matches_search_among(self, populated):
-        index, _slabs = populated
-        query = _vectors(1, seed=3)[0]
-        for kind in KINDS:
-            _assert_same(
-                index.search(1, kind, query, 7),
-                index.search_among(1, kind, query, 7),
-            )
-
     def test_tie_break_is_ascending_id(self):
         index = resident_index(("u", KIND_DESC))
         top = np.zeros(DIM, dtype=np.float32)

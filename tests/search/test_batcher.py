@@ -251,7 +251,7 @@ class TestRefill:
         qvec = unit(rng)
         got = submit(batcher, index, corpus, qvec, kind=KIND_CODE)
         assert got == corpus.reference(qvec, 5)
-        assert index.size("u", KIND_CODE) == len(corpus.records)
+        assert index.stats()["u/code"]["live"] == len(corpus.records)
         assert batcher.stats()["fallbacks"] == 0
 
 
@@ -336,7 +336,7 @@ class TestDirectPass:
         park.release[1].set()
         assert desc.outcome() == corpus.reference(qvec, 5)
         assert batcher.stats()["fallbacks"] == 0
-        assert index.size("u", KIND_CODE) == len(corpus.records)
+        assert index.stats()["u/code"]["live"] == len(corpus.records)
 
     def test_a_search_parked_in_current_holds_up_no_other_on_its_key(
         self, stack
@@ -556,7 +556,7 @@ class TestEmbedMany:
         searcher = SemanticSearcher(fast_bundle.code_search)
         original = type(fast_bundle.code_search).embed_many
 
-        def counting_embed_many(model_self, texts, kind="auto"):
+        def counting_embed_many(model_self, texts, kind):
             calls.append(list(texts))
             return original(model_self, texts, kind)
 

@@ -26,7 +26,7 @@ class TestMutation:
         index = resident_index(U)
         vec = unit(rng)
         index.add("u", KIND_DESC, 1, vec)
-        ids, scores = index.search("u", KIND_DESC, vec)
+        ids, scores = index.search_among("u", KIND_DESC, vec)
         assert ids == [1]
         assert scores[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -35,8 +35,8 @@ class TestMutation:
         index.add("u", KIND_DESC, 1, unit(rng))
         replacement = unit(rng)
         index.add("u", KIND_DESC, 1, replacement)
-        assert index.size("u", KIND_DESC) == 1
-        ids, scores = index.search("u", KIND_DESC, replacement)
+        assert index.stats()["u/desc"]["live"] == 1
+        ids, scores = index.search_among("u", KIND_DESC, replacement)
         assert ids == [1] and scores[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_remove_drops_id(self, rng):
@@ -45,9 +45,9 @@ class TestMutation:
         index.add("u", KIND_DESC, 1, unit(rng))
         index.add("u", KIND_DESC, 2, unit(rng))
         assert index.remove("u", KIND_DESC, 1)
-        ids, _ = index.search("u", KIND_DESC, q)
+        ids, _ = index.search_among("u", KIND_DESC, q)
         assert ids == [2]
-        assert index.size("u", KIND_DESC) == 1
+        assert index.stats()["u/desc"]["live"] == 1
 
     def test_remove_missing_is_false(self):
         index = VectorIndex()
@@ -58,8 +58,8 @@ class TestMutation:
         index = resident_index(U)
         for rid in range(100):
             index.add("u", KIND_DESC, rid, unit(rng))
-        assert index.size("u", KIND_DESC) == 100
-        assert index.ids("u", KIND_DESC) == list(range(100))
+        assert index.stats()["u/desc"]["live"] == 100
+        assert index_shards(index)[U][0].tolist() == list(range(100))
 
     def test_removal_preserves_insertion_order(self, rng):
         index = resident_index(U)
@@ -67,17 +67,16 @@ class TestMutation:
             index.add("u", KIND_DESC, rid, unit(rng))
         for rid in range(0, 200, 2):
             index.remove("u", KIND_DESC, rid)
-        assert index.ids("u", KIND_DESC) == list(range(1, 200, 2))
+        ids, _ = index_shards(index)[U]
+        assert ids.tolist() == list(range(1, 200, 2))
         assert index.stats()["u/desc"]["live"] == 100
 
     def test_shards_isolated_per_user_and_kind(self, rng):
         index = resident_index(U)
         q = unit(rng)
         index.add("u", KIND_DESC, 1, q)
-        other_user_ids, other_user_scores = index.search("v", KIND_DESC, q)
-        assert other_user_ids == [] and other_user_scores.size == 0
-        other_kind_ids, other_kind_scores = index.search("u", KIND_CODE, q)
-        assert other_kind_ids == [] and other_kind_scores.size == 0
+        assert index.search_among("v", KIND_DESC, q) is None
+        assert index.search_among("u", KIND_CODE, q) is None
 
     def test_dimension_mismatch_rejected(self, rng):
         index = resident_index(U)
@@ -91,7 +90,7 @@ class TestMutation:
         index = resident_index(U)
         vec = unit(rng)
         index.add("u", KIND_DESC, 1, vec * 42.0)
-        _, scores = index.search("u", KIND_DESC, vec)
+        _, scores = index.search_among("u", KIND_DESC, vec)
         assert scores[0] == pytest.approx(42.0, abs=1e-3)
 
 
@@ -106,17 +105,17 @@ class TestAddMany:
         for rid, vec in zip(ids, vectors):
             incremental.add("u", KIND_DESC, rid, vec)
         query = unit(rng)
-        got = bulk.search("u", KIND_DESC, query, k=5)
-        want = incremental.search("u", KIND_DESC, query, k=5)
+        got = bulk.search_among("u", KIND_DESC, query, k=5)
+        want = incremental.search_among("u", KIND_DESC, query, k=5)
         assert got[0] == want[0]
         np.testing.assert_array_equal(got[1], want[1])
-        assert bulk.ids("u", KIND_DESC) == ids
+        assert index_shards(bulk)[U][0].tolist() == ids
 
     def test_unsorted_ids_fall_back_to_incremental_path(self, rng):
         vectors = np.stack([unit(rng) for _ in range(4)])
         index = resident_index(U)
         index.add_many("u", KIND_DESC, [4, 2, 9, 1], vectors)
-        assert index.ids("u", KIND_DESC) == [1, 2, 4, 9]
+        assert index_shards(index)[U][0].tolist() == [1, 2, 4, 9]
 
     def test_bulk_into_existing_shard_merges(self, rng):
         index = resident_index(U)
@@ -124,7 +123,7 @@ class TestAddMany:
         index.add_many(
             "u", KIND_DESC, [1, 9], np.stack([unit(rng), unit(rng)])
         )
-        assert index.ids("u", KIND_DESC) == [1, 5, 9]
+        assert index_shards(index)[U][0].tolist() == [1, 5, 9]
 
     def test_incremental_adds_after_bulk(self, rng):
         index = resident_index(U)
@@ -133,7 +132,7 @@ class TestAddMany:
         )
         index.add("u", KIND_DESC, 2, unit(rng))  # in-place update
         index.add("u", KIND_DESC, 10, unit(rng))  # append past capacity
-        assert index.ids("u", KIND_DESC) == [1, 2, 3, 10]
+        assert index_shards(index)[U][0].tolist() == [1, 2, 3, 10]
 
     def test_length_mismatch_rejected(self, rng):
         index = VectorIndex()
@@ -143,7 +142,7 @@ class TestAddMany:
     def test_empty_batch_is_noop(self):
         index = VectorIndex()
         index.add_many("u", KIND_DESC, [], np.empty((0, 8), dtype=np.float32))
-        assert index.size("u", KIND_DESC) == 0
+        assert index.stats() == {}
 
 
 class TestSearch:
@@ -151,25 +150,25 @@ class TestSearch:
         index = resident_index(U)
         index.add("u", KIND_DESC, 1, unit(rng))
         with pytest.raises(ValidationError):
-            index.search("u", KIND_DESC, unit(rng), k=0)
+            index.search_among("u", KIND_DESC, unit(rng), k=0)
 
-    def test_empty_index(self, rng):
-        index = VectorIndex()
-        ids, scores = index.search("u", KIND_DESC, unit(rng), k=5)
+    def test_empty_shard(self, rng):
+        index = resident_index(U)
+        ids, scores = index.search_among("u", KIND_DESC, unit(rng), k=5)
         assert ids == [] and scores.shape == (0,)
 
     def test_k_larger_than_corpus(self, rng):
         index = resident_index(U)
         for rid in range(3):
             index.add("u", KIND_DESC, rid, unit(rng))
-        ids, _ = index.search("u", KIND_DESC, unit(rng), k=50)
+        ids, _ = index.search_among("u", KIND_DESC, unit(rng), k=50)
         assert len(ids) == 3
 
     def test_scores_descending(self, rng):
         index = resident_index(U)
         for rid in range(50):
             index.add("u", KIND_DESC, rid, unit(rng))
-        _, scores = index.search("u", KIND_DESC, unit(rng), k=10)
+        _, scores = index.search_among("u", KIND_DESC, unit(rng), k=10)
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
 
     def test_removed_id_never_returned(self, rng):
@@ -181,7 +180,7 @@ class TestSearch:
         query = vectors[12]  # the removed row would rank first
         for k in (1, 5, None):
             answers = [
-                index.search("u", KIND_DESC, query, k),
+                index.search_among("u", KIND_DESC, query, k),
                 index.search_among("u", KIND_DESC, query, k),
                 *index.search_among_many("u", KIND_DESC, [query], [k]),
             ]
@@ -196,8 +195,8 @@ class TestSearch:
         second.fill(1, {U: (range(40), vectors)})
         for _ in range(5):
             query = unit(rng)
-            got = first.search("u", KIND_DESC, query, 7)
-            want = second.search("u", KIND_DESC, query, 7)
+            got = first.search_among("u", KIND_DESC, query, 7)
+            want = second.search_among("u", KIND_DESC, query, 7)
             assert got[0] == want[0]
             assert got[1].tobytes() == want[1].tobytes()
 
@@ -213,15 +212,13 @@ class TestResidency:
         assert index.stats() == {}
         assert index.search_among("u", KIND_DESC, unit(rng)) is None
         assert index.search_among_many("u", KIND_DESC, [unit(rng)], [2]) is None
-        ids, scores = index.search("u", KIND_DESC, unit(rng))
-        assert ids == [] and scores.shape == (0,)
 
     def test_a_fill_installs_complete_shards(self, rng):
         vectors = np.stack([unit(rng) for _ in range(4)])
         index = VectorIndex()
         assert index.fill(7, {U: ([4, 2, 9, 1], vectors), ("v", KIND_CODE): ((), ())})
         assert index.version == 7
-        assert index.ids("u", KIND_DESC) == [1, 2, 4, 9]
+        assert index_shards(index)[U][0].tolist() == [1, 2, 4, 9]
         ids, scores = index.search_among("u", KIND_DESC, vectors[2], 1)
         assert ids == [9] and scores[0] == pytest.approx(1.0, abs=1e-6)
         ids, scores = index.search_among("v", KIND_CODE, unit(rng))
@@ -235,7 +232,7 @@ class TestResidency:
         assert index.fill(2, {("v", KIND_DESC): ([3], [unit(rng)])})
         assert index.version == 2
         assert set(index.stats()) == {"v/desc"}
-        assert index.ids("v", KIND_DESC) == [3]
+        assert index_shards(index)[("v", KIND_DESC)][0].tolist() == [3]
         assert index.search_among("u", KIND_DESC, unit(rng)) is None
 
     def test_an_empty_shard_takes_its_first_rows_width(self, rng):
@@ -262,7 +259,7 @@ class TestResidency:
             index.add("u", KIND_DESC, rid, unit(rng))
         q = unit(rng)
         ids, scores = index.search_among("u", KIND_DESC, q, k=4)
-        plain_ids, plain_scores = index.search("u", KIND_DESC, q, k=4)
+        plain_ids, plain_scores = index.search_among("u", KIND_DESC, q, k=4)
         assert ids == plain_ids
         np.testing.assert_array_equal(scores, plain_scores)
 
@@ -303,7 +300,6 @@ class TestQueryCache:
         cache.put("b", zero)
         assert cache.get("a") is not None  # refresh a
         cache.put("c", zero)  # evicts b
-        assert len(cache) == 2
         misses = cache.misses
         assert cache.get("b") is None
         assert cache.misses == misses + 1

@@ -11,7 +11,7 @@ import threading
 import numpy as np
 
 from repro.search import KIND_DESC, VectorIndex
-from tests.helpers import resident_index
+from tests.helpers import index_shards, resident_index
 
 DIM = 32
 USER = "u"
@@ -45,7 +45,7 @@ class Worker(threading.Thread):
                     assert self.index.remove(USER, KIND_DESC, rid)
                     self.live.discard(rid)
                     # a removed id must never be visible once remove returned
-                    ids, _ = self.index.search(USER, KIND_DESC, vector_for(rid))
+                    ids, _ = self.index.search_among(USER, KIND_DESC, vector_for(rid))
                     if rid in ids:
                         self.errors.append(f"stale id {rid} after remove")
                 else:
@@ -53,7 +53,7 @@ class Worker(threading.Thread):
                     self.live.add(rid)
                 if step % 3 == 0:
                     qvec = vector_for(self.base + 1000 + step)
-                    ids, scores = self.index.search(USER, KIND_DESC, qvec, k=8)
+                    ids, scores = self.index.search_among(USER, KIND_DESC, qvec, k=8)
                     for got_id, got_score in zip(ids, scores):
                         expected = float(vector_for(got_id) @ qvec)
                         if abs(expected - float(got_score)) > 1e-5:
@@ -79,12 +79,12 @@ class TestConcurrentHammer:
 
         # final state: exactly the union of per-thread live sets
         expected_live = set().union(*(w.live for w in workers))
-        assert set(index.ids(USER, KIND_DESC)) == expected_live
-        assert index.size(USER, KIND_DESC) == len(expected_live)
+        assert set(index_shards(index)[(USER, KIND_DESC)][0].tolist()) == expected_live
+        assert index.stats()[f"{USER}/{KIND_DESC}"]["live"] == len(expected_live)
 
         # and every surviving vector is intact
         for rid in sorted(expected_live):
-            ids, scores = index.search(USER, KIND_DESC, vector_for(rid), k=1)
+            ids, scores = index.search_among(USER, KIND_DESC, vector_for(rid), k=1)
             assert ids[0] == rid
             assert abs(float(scores[0]) - 1.0) < 1e-5
 
@@ -137,4 +137,4 @@ class TestConcurrentHammer:
         timer.cancel()
         assert errors == []
         # ids 0..63 were never touched by the churn threads
-        assert set(index.ids(USER, KIND_DESC)) >= set(range(64))
+        assert set(index_shards(index)[(USER, KIND_DESC)][0].tolist()) >= set(range(64))

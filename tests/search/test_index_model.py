@@ -186,7 +186,7 @@ def test_a_batch_into_a_non_empty_shard_is_one_write(monkeypatch):
     batch = np.arange(24, dtype=np.float32).reshape(6, 4)
     index.add_many(*KEYS[0], [30, 5, 20, 40, 5, 50], batch)
     assert entered == []
-    assert index.ids(*KEYS[0]) == [5, 10, 20, 30, 40, 50]
+    assert index_shards(index)[KEYS[0]][0].tolist() == [5, 10, 20, 30, 40, 50]
     _, matrix = index_shards(index)[KEYS[0]]
     assert matrix[0].tobytes() == batch[4].tobytes()  # the last row of 5
     assert matrix[2].tobytes() == batch[2].tobytes()  # 20, overwritten

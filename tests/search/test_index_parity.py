@@ -24,7 +24,7 @@ from repro.search import (
     VectorIndex,
     exact_scan,
 )
-from tests.helpers import resident_index
+from tests.helpers import index_shards, resident_index
 
 DIM = 24
 
@@ -56,7 +56,7 @@ def build_index(ids, vectors, user="u"):
 
 
 class TestRawParity:
-    """VectorIndex.search vs the linear scan over identical vectors."""
+    """VectorIndex.search_among vs the linear scan over identical vectors."""
 
     N = 57
 
@@ -74,7 +74,7 @@ class TestRawParity:
         for _ in range(10):
             qvec = unit_vectors(rng, 1)[0]
             expected_rows, expected_scores = brute_force(qvec, vectors, k)
-            got_ids, got_scores = index.search("u", KIND_DESC, qvec, k)
+            got_ids, got_scores = index.search_among("u", KIND_DESC, qvec, k)
             assert got_ids == [ids[r] for r in expected_rows]
             np.testing.assert_allclose(got_scores, expected_scores, atol=1e-6)
 
@@ -84,17 +84,17 @@ class TestRawParity:
         # the top, which must come back in insertion order
         qvec = vectors[5]
         index = build_index(ids, vectors)
-        got_ids, got_scores = index.search("u", KIND_DESC, qvec, k=3)
+        got_ids, got_scores = index.search_among("u", KIND_DESC, qvec, k=3)
         expected_rows, _ = brute_force(qvec, vectors, 3)
         assert got_ids == [ids[r] for r in expected_rows]
         assert got_scores[0] == pytest.approx(got_scores[1], abs=1e-6)
         assert got_ids[0] < got_ids[1]  # tie broken by insertion order
 
     def test_empty_index_parity(self):
-        index = VectorIndex()
+        index = resident_index(("u", KIND_DESC))
         qvec = unit_vectors(np.random.default_rng(0), 1)[0]
         for k in (1, 5, None):
-            got_ids, got_scores = index.search("u", KIND_DESC, qvec, k)
+            got_ids, got_scores = index.search_among("u", KIND_DESC, qvec, k)
             assert got_ids == [] and got_scores.size == 0
 
     @pytest.mark.parametrize("k", [1, 5, None])
@@ -110,7 +110,7 @@ class TestRawParity:
         for _ in range(5):
             qvec = unit_vectors(rng, 1)[0]
             expected_rows, expected_scores = brute_force(qvec, live_vectors, k)
-            got_ids, got_scores = index.search("u", KIND_DESC, qvec, k)
+            got_ids, got_scores = index.search_among("u", KIND_DESC, qvec, k)
             assert got_ids == [live_ids[r] for r in expected_rows]
             np.testing.assert_allclose(got_scores, expected_scores, atol=1e-6)
 
@@ -128,7 +128,7 @@ class TestRawParity:
         for _ in range(5):
             qvec = unit_vectors(rng, 1)[0]
             expected_rows, expected_scores = brute_force(qvec, vectors, k)
-            got_ids, got_scores = index.search("u", KIND_DESC, qvec, k)
+            got_ids, got_scores = index.search_among("u", KIND_DESC, qvec, k)
             assert got_ids == [ids[r] for r in expected_rows]
             np.testing.assert_allclose(got_scores, expected_scores, atol=1e-6)
 
@@ -142,11 +142,11 @@ class TestRawParity:
         index = resident_index(("u", KIND_DESC))
         for i in order:
             index.add("u", KIND_DESC, ids[i], vectors[i])
-        assert index.ids("u", KIND_DESC) == ids
+        assert index_shards(index)[("u", KIND_DESC)][0].tolist() == ids
         for _ in range(5):
             qvec = unit_vectors(rng, 1)[0]
             expected_rows, expected_scores = brute_force(qvec, vectors, k)
-            got_ids, got_scores = index.search("u", KIND_DESC, qvec, k)
+            got_ids, got_scores = index.search_among("u", KIND_DESC, qvec, k)
             assert got_ids == [ids[r] for r in expected_rows]
             np.testing.assert_allclose(got_scores, expected_scores, atol=1e-6)
 
@@ -164,7 +164,7 @@ class TestRawParity:
         index = build_index(ids, vectors)
         qvec = unit_vectors(rng, 1)[0]
         expected_rows, expected_scores = brute_force(qvec, vectors, k)
-        got_ids, got_scores = index.search("u", KIND_DESC, qvec, k)
+        got_ids, got_scores = index.search_among("u", KIND_DESC, qvec, k)
         assert got_ids == expected_rows
         np.testing.assert_allclose(got_scores, expected_scores, atol=1e-6)
 
@@ -219,7 +219,8 @@ def served(searcher, kind, query, records, index, k=None, user=1):
 def brute(searcher, kind, query, records, k=None):
     """The exact scan over ``records``."""
     return exact_scan(
-        kind, records, searcher.embed_query(query), k, searcher.embed_queries
+        kind, records, searcher.embed_queries([query])[0], k,
+        searcher.embed_queries,
     )
 
 
@@ -284,5 +285,5 @@ class TestSearcherParity:
         hits = served(semantic, KIND_DESC, "variant", records, index)
         assert records[3].pe_id not in [r.pe_id for r, _ in hits]
         assert len(hits) == 5
-        assert not index.contains(1, KIND_DESC, records[3].pe_id)
-        assert index.size(1, KIND_DESC) == 5
+        assert records[3].pe_id not in index_shards(index)[(1, KIND_DESC)][0]
+        assert index.stats()["1/desc"]["live"] == 5

@@ -20,7 +20,8 @@ from repro.search.text_search import normalize
 def scan(searcher, kind, query, records, k=None):
     """The exact scan of ``records`` for ``query`` (``(record, score)``)."""
     return exact_scan(
-        kind, records, searcher.embed_query(query), k, searcher.embed_queries
+        kind, records, searcher.embed_queries([query])[0], k,
+        searcher.embed_queries,
     )
 
 

@@ -56,8 +56,8 @@ class TestRoundTrip:
         graph = build_pipeline_graph()
         restored = deserialize_object(serialize_object(graph))
         assert len(restored) == len(graph)
-        assert [type(pe).__name__ for pe in restored] == [
-            type(pe).__name__ for pe in graph
+        assert [type(pe).__name__ for pe in restored.get_pes()] == [
+            type(pe).__name__ for pe in graph.get_pes()
         ]
 
     def test_interactively_defined_class_round_trips(self):

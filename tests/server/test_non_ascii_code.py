@@ -95,8 +95,7 @@ def test_a_lone_surrogate_is_a_400_naming_its_field(
     assert response.status == 400, response.body
     assert response.body["error"] == "ValidationError"
     assert response.body["message"].startswith(f"{field} is not valid")
-    assert server.registry.dao.find_pe_by_name("p") == []
-    assert server.registry.dao.all_workflows() == []
+    assert server.registry.dao.mutation_counter() == 0
     assert [user.user_name for user in server.registry.all_users()] == ["u"]
 
 

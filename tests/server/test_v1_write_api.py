@@ -573,10 +573,12 @@ class TestBulkRegister:
         # regression: an in-batch duplicate must never index a phantom
         # id-0 row (which would fail shard-membership forever after)
         from repro.search.index import KIND_CODE, KIND_DESC
+        from tests.helpers import index_shards
 
         owned = server.registry.dao.pe_ids_owned_by(1)
-        assert server.index.ids(1, KIND_DESC) == owned
-        assert server.index.ids(1, KIND_CODE) == owned
+        shards = index_shards(server.index)
+        assert shards[(1, KIND_DESC)][0].tolist() == owned
+        assert shards[(1, KIND_CODE)][0].tolist() == owned
 
     def test_bulk_replay_is_a_no_op(self, server, token):
         items = [
@@ -656,7 +658,8 @@ class TestClientVectorWidth:
             ))
             assert first_flow.status == 201
         dao = server.registry.dao
-        before = (len(dao.all_pes()), len(dao.all_workflows()))
+        user_id = server.registry.get_user("zz46").user_id
+        before = (dao.pe_ids_owned_by(user_id), dao.workflow_ids_owned_by(user_id))
         counter = dao.mutation_counter()
 
         method, path_, body = WRONG_WIDTH_WRITES[case]
@@ -666,7 +669,9 @@ class TestClientVectorWidth:
         assert response.body["message"] == (
             f"{field} must have 2048 dimensions, got 2"
         )
-        assert (len(dao.all_pes()), len(dao.all_workflows())) == before
+        assert (
+            dao.pe_ids_owned_by(user_id), dao.workflow_ids_owned_by(user_id)
+        ) == before
         assert dao.mutation_counter() == counter
 
         assert put_pe(server, token, "next").status == 201
@@ -738,8 +743,7 @@ class TestNonFiniteClientVectors:
         assert response.status == 400, response.body
         assert response.body["message"].startswith(f"{field} must hold")
         assert field in response.body["params"]
-        assert dao.mutation_counter() == counter
-        assert dao.all_pes() == [] and dao.all_workflows() == []
+        assert dao.mutation_counter() == counter == 0
 
         assert put_pe(server, token, "next").status == 201
         for query_type in ("semantic", "code", "hybrid"):

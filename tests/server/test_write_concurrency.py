@@ -194,13 +194,13 @@ class TestOneTransactionPerWrite:
         assert dao.mutation_counter() == counter
         assert dao.get_write_receipt(user_id, "k") is None
         for kind in (KIND_DESC, KIND_CODE):
-            assert server.index.size(user_id, kind) == 0
+            assert server.index.stats()[f"{user_id}/{kind}"]["live"] == 0
         # the key is free: the retry is the write, not a replay
         retry = _put(server, token, body)
         assert retry.status == 201
         assert "Idempotent-Replay" not in retry.headers
         assert len(dao.find_pe_by_name("guard")) == 1
-        assert server.index.size(user_id, KIND_DESC) == 1
+        assert server.index.stats()[f"{user_id}/{KIND_DESC}"]["live"] == 1
 
     def test_if_version_puts_from_two_servers_have_one_winner(
         self, tmp_path, fast_bundle, monkeypatch

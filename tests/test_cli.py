@@ -458,7 +458,10 @@ class TestMissingRegistryFile:
         class Handle:
             url = "http://127.0.0.1:0"
 
-            def shutdown(self):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
                 pass
 
         def interrupt(_seconds):
