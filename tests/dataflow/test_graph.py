@@ -66,6 +66,12 @@ class TestIntrospection:
         assert graph.roots() == [producer]
         assert graph.outgoing(consumer) == []
 
+    def test_an_unconnected_pe_is_a_root_too(self):
+        graph, producer, _consumer = two_stage()
+        loner = AddTen()
+        graph.add(loner)
+        assert graph.roots() == [producer, loner]
+
     def test_topological_order_respects_edges(self):
         graph = build_diamond_graph()
         order = graph.topological_order()

@@ -24,5 +24,12 @@ class TestMerge:
         assert merged["A"]["instances"] == 2
         assert merged["B"]["instances"] == 1
 
+    def test_merge_sums_process_seconds(self):
+        items = [
+            InstanceCounters(pe_name="A", instance=0, process_seconds=0.25),
+            InstanceCounters(pe_name="A", instance=1, process_seconds=0.5),
+        ]
+        assert merge_counters(items)["A"]["process_seconds"] == 0.75
+
     def test_merge_empty(self):
         assert merge_counters([]) == {}

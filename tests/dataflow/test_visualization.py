@@ -1,5 +1,6 @@
 """Tests for DOT/ASCII workflow rendering (Figure 1 views)."""
 
+from repro.dataflow.graph import WorkflowGraph
 from repro.dataflow.partition import build_concrete_workflow
 from repro.dataflow.visualization import (
     abstract_to_ascii,
@@ -7,7 +8,7 @@ from repro.dataflow.visualization import (
     concrete_to_dot,
 )
 from repro.workflows.isprime import build_isprime_graph
-from tests.helpers import build_wordcount_graph
+from tests.helpers import AddTen, build_wordcount_graph
 
 
 class TestAbstractViews:
@@ -16,6 +17,13 @@ class TestAbstractViews:
         assert "NumberProducer.output --> IsPrime.input" in text
         assert "PrintPrime (sink)" in text
         assert "~group-by~" in abstract_to_ascii(build_wordcount_graph())
+
+    def test_ascii_tells_repeated_pes_apart(self):
+        graph = WorkflowGraph("twice")
+        graph.connect(AddTen(), "output", AddTen(), "input")
+        text = abstract_to_ascii(graph)
+        assert "AddTen.output --> AddTen#2.input" in text
+        assert "AddTen#2 (sink)" in text
 
 
 class TestConcreteViews:
@@ -27,6 +35,15 @@ class TestConcreteViews:
         # producer fans out to both IsPrime instances
         assert '"NumberProducer[0]" -> "IsPrime[0]"' in dot
         assert '"NumberProducer[0]" -> "IsPrime[1]"' in dot
+
+    def test_dot_edges_carry_their_ports(self):
+        workflow = build_concrete_workflow(build_isprime_graph(), 5)
+        dot = concrete_to_dot(workflow)
+        assert (
+            '"NumberProducer[0]" -> "IsPrime[0]" [label="output->input"];'
+            in dot
+        )
+        assert dot.startswith("digraph concrete {") and dot.endswith("}")
 
     def test_ascii_matches_figure_1_caption(self):
         workflow = build_concrete_workflow(build_isprime_graph(), 5)

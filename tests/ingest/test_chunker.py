@@ -162,6 +162,16 @@ class TestTextChunking:
         assert chunks[0].context == "# file: docs/notes.md"
         assert len(chunks) == 3
 
+    def test_last_window_holds_the_remainder(self):
+        text = "\n".join(f"line {i}" for i in range(25))
+        last = chunk_text("docs/notes.md", text, window_lines=10)[-1]
+        assert last.qualname == "L21-L25"
+        assert (last.start_line, last.end_line) == (21, 25)
+        assert last.code == "\n".join(f"line {i}" for i in range(20, 25))
+
+    def test_empty_text_has_no_windows(self):
+        assert chunk_text("docs/empty.md", "") == []
+
     def test_binary_like_text_is_skipped(self):
         assert chunk_text("blob.txt", "abc\x00def") is None
 

@@ -68,6 +68,15 @@ class TestStructuralFeatures:
         assert "shape:loops=1" in features
         assert any(f.startswith("shape:depth=") for f in features)
 
+    def test_ctx_nodes_filtered(self):
+        # Load/Store/Del only say how a name is used; no edge names them
+        edges = [f for f in structural_features(SAMPLE) if f.startswith("ast2:")]
+        assert "ast2:FunctionDef>arguments" in edges
+        assert not any(f.endswith((">Load", ">Store", ">Del")) for f in edges)
+
+    def test_unparsable_gives_empty(self):
+        assert structural_features("((((") == []
+
 
 class TestDataflow:
     def test_def_use_pairs_slot_normalized(self):

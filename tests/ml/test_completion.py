@@ -40,3 +40,22 @@ class TestAlignment:
         partial = "\n".join(lines[:2])
         continuation = align_continuation(partial, PRIME)
         assert continuation.strip().startswith("if all(")
+
+    def test_only_the_trailing_window_aligns(self):
+        # tokens before the last ``window`` ones play no part
+        query = "zzz qqq www " * 5 + "result = random.randint(1, 1000)"
+        continuation = align_continuation(query, PRODUCER)
+        assert continuation == "        return result\n"
+
+    def test_first_of_equal_alignments_wins(self):
+        candidate = "x = 1\ny = 2\nx = 1\nz = 3\n"
+        assert align_continuation("x = 1", candidate) == "y = 2\nx = 1\nz = 3\n"
+
+    def test_string_literal_is_one_token(self):
+        candidate = "s = 'a b'\nreturn s\n"
+        assert align_continuation("s = 'a b'", candidate) == "return s\n"
+        # a literal matches whole or not at all
+        assert align_continuation("'a'", candidate) == candidate
+
+    def test_query_ending_the_candidate_leaves_nothing(self):
+        assert align_continuation(PRODUCER, PRODUCER) == ""

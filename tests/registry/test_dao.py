@@ -141,6 +141,22 @@ class TestWorkflows:
         with pytest.raises(NotFoundError):
             dao.delete_workflow(stored.workflow_id)
 
+    def test_find_workflows_by_entry_points(self, dao):
+        a = dao.insert_workflow(make_wf("a"))
+        dao.insert_workflow(make_wf("b"))
+        c = dao.insert_workflow(make_wf("c"))
+        found = dao.find_workflows_by_entry_points(["c", "a", "missing"])
+        assert sorted(w.workflow_id for w in found) == [
+            a.workflow_id, c.workflow_id
+        ]
+        assert dao.find_workflows_by_entry_points([]) == []
+
+    def test_workflows_owned_by_in_insertion_order(self, dao):
+        dao.insert_workflow(make_wf("a", owners={1}))
+        dao.insert_workflow(make_wf("b", owners={1}))
+        assert [w.entry_point for w in dao.workflows_owned_by(1)] == ["a", "b"]
+
+
 class TestOwnerScopedQueries:
     """The O(k)-serving access paths, identical across backends."""
 

@@ -1,5 +1,7 @@
 """Tests for registry entities and their JSON projections (Table 2)."""
 
+import numpy as np
+
 from repro.registry.entities import (
     PERecord,
     UserRecord,
@@ -52,6 +54,12 @@ class TestPERecord:
         body = self._record().to_json()
         assert "codeEmbedding" not in body
 
+    def test_stored_vectors_never_rendered(self):
+        vec = np.array([0.1, 0.2], dtype=np.float32)
+        body = self._record(desc_embedding=vec, code_embedding=vec).to_json()
+        assert "descEmbedding" not in body and "codeEmbedding" not in body
+        assert body["peName"] == "IsPrime"
+
     def test_identity_key_depends_on_code(self):
         a = self._record()
         b = self._record()
@@ -96,6 +104,13 @@ class TestWorkflowRecord:
         assert body["peIds"] == [1, 2, 3]
         assert body["owners"] == [1]
         assert "descEmbedding" not in body
+
+    def test_stored_vector_never_rendered(self):
+        record = self._record()
+        record.desc_embedding = np.array([0.5, 0.25], dtype=np.float32)
+        body = record.to_json()
+        assert "descEmbedding" not in body
+        assert body["entryPoint"] == "isPrime"
 
     def test_identity_key_uses_entry_point_and_code(self):
         a, b = self._record(), self._record()

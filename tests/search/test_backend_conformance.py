@@ -170,6 +170,16 @@ class TestExactParity:
         assert ids == full[:k]
         assert scores.tolist() == [levels[rid] for rid in full[:k]]
 
+    def test_stats_count_every_slab(self, populated):
+        """``stats()`` (what ``/stats`` reports) sees each layout's
+        shards whole: every row live, at the slab's width."""
+        index, slabs = populated
+        stats = index.stats()
+        assert set(stats) == {f"{user}/{kind}" for user, kind in slabs}
+        for entry in stats.values():
+            assert entry["live"] == ROWS and entry["dim"] == DIM
+            assert entry["capacity"] >= ROWS
+
     def test_layout_holds_the_slabs_verbatim(self, populated):
         index, slabs = populated
         exported = index_shards(index)

@@ -731,10 +731,10 @@ class TestCodeCompletion:
         return server, token
 
     @staticmethod
-    def complete(server, token, query, k):
+    def complete(server, token, query, k, user="zz46"):
         response = server.dispatch(
             Request(
-                "POST", "/v1/registry/zz46/search",
+                "POST", f"/v1/registry/{user}/search",
                 {"query": query, "queryType": "code", "kind": "pe", "k": k},
                 token=token,
             )
@@ -763,6 +763,46 @@ class TestCodeCompletion:
 
     def test_an_empty_registry_completes_nothing(self, server, token):
         assert self.complete(server, token, "random.randint(1, 1000)", k=5) == []
+
+    def test_a_new_pe_completes_at_once(self, figure_8):
+        server, token = figure_8
+        source = (
+            "class Doubler(IterativePE):\n"
+            "    def _process(self, value):\n"
+            "        doubled = value * 2\n"
+            "        return doubled\n"
+        )
+        response = server.dispatch(
+            Request(
+                "PUT", "/v1/registry/zz46/pes/Doubler",
+                {"peCode": source, "peSource": source}, token=token,
+            )
+        )
+        assert response.status == 201, response.body
+        [hit] = self.complete(server, token, "doubled = value * 2", k=1)
+        assert hit["peName"] == "Doubler"
+        assert hit["continuation"] == "        return doubled\n"
+
+    def test_a_removed_pe_completes_no_more(self, figure_8):
+        server, token = figure_8
+        response = server.dispatch(
+            Request("DELETE", "/v1/registry/zz46/pes/NumberProducer", token=token)
+        )
+        assert response.status == 200, response.body
+        hits = self.complete(server, token, "random.randint(1, 1000)", k=5)
+        assert [hit["peName"] for hit in hits] == ["IsPrime"]
+
+    def test_completion_reads_only_the_callers_pes(self, figure_8):
+        server, _token = figure_8
+        server.dispatch(
+            Request("POST", "/auth/register", {"userName": "bob", "password": "pw"})
+        )
+        bob = server.dispatch(
+            Request("POST", "/auth/login", {"userName": "bob", "password": "pw"})
+        ).body["token"]
+        assert self.complete(
+            server, bob, "random.randint(1, 1000)", k=5, user="bob"
+        ) == []
 
 
 def seed_prime_registry(server, token, user="zz46"):
