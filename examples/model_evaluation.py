@@ -11,6 +11,7 @@ Run:  python examples/model_evaluation.py
 """
 
 from repro.evalharness.experiments import run_table6, run_table7
+from repro.evalharness.reporting import check
 
 
 def main() -> None:
@@ -18,13 +19,13 @@ def main() -> None:
     table6 = run_table6()
     print(table6["table"])
     for label, ok in table6["checks"].items():
-        print(f"  [{'OK' if ok else 'MISS'}] {label}")
+        print(check(label, ok))
 
     print("\nevaluating Table 7 (clone detection, 7 models)...\n")
     table7 = run_table7()
     print(table7["table"])
     for label, ok in table7["checks"].items():
-        print(f"  [{'OK' if ok else 'MISS'}] {label}")
+        print(check(label, ok))
 
     print(
         "\nNote: absolute scores exceed the paper's because the synthetic"

@@ -9,7 +9,7 @@ Run:  python examples/remote_vs_local.py
 """
 
 from repro.evalharness.experiments import Table5Config, run_table5
-from repro.evalharness.reporting import environment_header
+from repro.evalharness.reporting import check, environment_header
 
 
 def main() -> None:
@@ -30,7 +30,7 @@ def main() -> None:
     print(result["table"])
     print()
     for label, ok in result["checks"].items():
-        print(f"  [{'OK' if ok else 'MISS'}] {label}")
+        print(check(label, ok))
 
     times = result["times"]
     original = times["original dispel4py"]

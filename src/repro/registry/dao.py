@@ -497,18 +497,30 @@ class SqliteDAO:
         if not new and version not in (_SCHEMA_VERSION - 1, _SCHEMA_VERSION):
             self._conn.close()
             raise _refusal(path, version)
-        # a WAL commit logs whole pages and the rows this registry
-        # commits are tens of bytes (stamps, owners, counter) to
-        # ~780 (a benchmark PE: value-table code vector, deflated code
-        # and source — a leaf to itself, no overflow page): 1 KB pages
-        # log a quarter of what 4 KB ones do for the same touch.  Two
-        # alternatives were measured on the e2e runs (seed 1, 2-CPU
-        # Linux host) and not taken.  512-byte pages write 23 % fewer
-        # bytes on mixed_rw (16.81 -> 12.90 MB), but a row spans pages
-        # again, and read_static's DAO reads 7x the bytes
-        # (registry.dao.io_read_mb 55.9 -> 392.6 MB).  Takes effect on
-        # a file without pages only; an existing file keeps its own
-        self._conn.execute("PRAGMA page_size=1024")
+        # a WAL commit logs whole pages, and most pages a write touches
+        # (the name index, the owner rows, the counters in
+        # ``shard_stamps``, the header page) change by tens of bytes:
+        # 512-byte pages log each of them at half the bytes of 1 KB
+        # ones; a ~780-byte benchmark PE row (value-table code
+        # vector, deflated code and source) takes a leaf and one
+        # overflow page instead of one 1 KB leaf, and a
+        # description-only revise frees and reallocates that overflow
+        # page (5 frames, 2.5 KB, against 2 of 1 KB).  Measured at
+        # schema v16 on the e2e runs (seed 1, 2-CPU Linux host), 1 KB
+        # -> 512-byte pages: io_write_mb 12 607 928 -> 9 522 240 bytes
+        # on mixed_rw, 1 566 192 -> 997 440 on read_static, ~22.1 ->
+        # ~19.1 MB on ingest_live; registry.dao.io_read_mb 8.9 -> 10.0
+        # MB on mixed_rw and 19.6 -> 23.9 on read_static (page-cache
+        # reads; no search or fetch p50 moved beyond noise); db_mb
+        # 4.33 -> 3.66 and 2.91 -> 2.29 (fuller pages); setup_s flat
+        # over ten alternating pairs a workload, restart_s within the
+        # parent's own spread (medians +5 %, -12 %, +7 % on mixed_rw,
+        # read_static, ingest_live).  (At schema v14 the same switch grew
+        # read_static's DAO reads 7x, 55.9 -> 392.6 MB, and was not
+        # taken.)  4 KB pages log four times the bytes of 1 KB ones for
+        # the same touch.  Takes effect on a file without pages only;
+        # an existing file keeps its own
+        self._conn.execute("PRAGMA page_size=512")
         # WAL lets readers proceed during writes; NORMAL fsyncs once per
         # checkpoint instead of per transaction (both no-ops for
         # :memory: databases)

@@ -143,9 +143,10 @@ What a v16 file holds, and the rules the DAO keeps on it:
 * No index membership is stored: the owner tables say which records
   each shard holds.  Per-shard rows an older checkout wrote into
   ``shard_stamps`` are left there unread; no write adds one.
-* Files created by this code use 1 KB pages (a WAL commit logs whole
-  pages and these rows are small); page size is fixed once a file has
-  pages, so an older file keeps its own — no ``VACUUM``, no option.
+* Files created by this code use 512-byte pages (a WAL commit logs
+  whole pages and most pages a write touches change by tens of bytes);
+  page size is fixed once a file has pages, so an older file keeps its
+  own (1 KB for every file made before) — no ``VACUUM``, no option.
 * One write rewrites one page of counters: the mutation counter
   (``shard_stamps`` row ``(0, 'mutations')``) and a new record's id
   high-water mark (``(0, 'pes')`` / ``(0, 'workflows')``, raised in the

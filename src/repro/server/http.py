@@ -32,7 +32,10 @@ traces see no difference.
 Peer disconnects are a fact of life, not an error: a client that drops
 the socket mid-request or mid-response used to surface as a spurious
 ``BrokenPipeError`` traceback from the handler thread; the async core
-closes such a connection quietly.
+closes such a connection quietly.  Any other fault that ends a
+connection (a ``Content-Length`` that is not a number, say) closes it
+too, with one ``WARNING`` line on this module's :mod:`logging` logger
+naming the peer and the exception.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import email.utils
 import json
+import logging
 import socket
 import sys
 import threading
@@ -57,6 +61,8 @@ from repro.net.transport import Request, Response, Transport
 _SERVER_STRING = "LaminarRepro/1.0 Python/" + sys.version.split()[0]
 
 _SUPPORTED_METHODS = frozenset({"GET", "POST", "PUT", "DELETE"})
+
+_log = logging.getLogger(__name__)
 
 
 class _BadBody(ValueError):
@@ -107,11 +113,18 @@ class _AsyncHttpCore:
                 keep_open = await self._handle_one(reader, writer)
                 if not keep_open:
                     break
-        except Exception:
+        except (ConnectionError, asyncio.IncompleteReadError):
             # a client that dropped the socket mid-request or
-            # mid-response, or any other broken connection, closes
-            # quietly: never a traceback, never a dead loop
+            # mid-response closes quietly
             pass
+        except Exception as exc:
+            # any other fault closes the connection with one line, never
+            # a traceback, never a dead loop
+            _log.warning(
+                "connection from %s closed: %r",
+                writer.get_extra_info("peername"),
+                exc,
+            )
         finally:
             writer.close()
             try:

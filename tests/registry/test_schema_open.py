@@ -133,7 +133,7 @@ class TestNewFileFormat:
             ).fetchall()
             assert len(rows) == len(NEW_FILE_SCHEMA)
             assert set(rows) == NEW_FILE_SCHEMA
-            assert conn.execute("PRAGMA page_size").fetchone() == (1024,)
+            assert conn.execute("PRAGMA page_size").fetchone() == (512,)
             # the registry-wide counters, user 0's rows: the mutation
             # counter and each record table's id high-water mark
             assert conn.execute(

@@ -14,14 +14,16 @@ join existing records — each pinned at one commit and its exact
 frames; a ``PUT`` reads its name once, and a bulk or an ingest batch
 its names in one statement.
 
-New files get 1 KB pages; a file that already has pages keeps them
-(page size is fixed once a WAL file exists) and passes the same cases.
+New files get 512-byte pages; a file that already has pages keeps them
+(page size is fixed once a WAL file exists) and passes the same cases,
+run here on 1 KB pages (what every earlier v14 to v16 file has) and 4 KB
+ones.
 
 A **benchmark-shaped PUT** — a record of the e2e corpus, whose code
 vector is stored as a value table and whose code and source are stored
 deflated — is pinned at its exact frames and at the ``pes`` overflow
-pages its row takes (``dbstat``: none), and so is its description-only
-revise.
+pages its row takes (``dbstat``: one on 512-byte pages, none on 1 KB or
+4 KB ones), and so is its description-only revise.
 
 One more op class is pinned the same way: an **attach** reads a
 registry in a number of statements that depends on how many (user,
@@ -44,8 +46,14 @@ from repro.server import LaminarServer
 from tests.helpers import shard_bytes
 from tests.registry.test_dao import make_pe
 
-#: frames one op may log, per page size — measured 4/2/6/9 of 1 KB
-#: and 4/2/4/4 of 4 KB since a write logs no journal page (schema v16;
+#: the page size :class:`SqliteDAO` gives a file without pages
+NEW_FILE_PAGE = 512
+
+#: frames one op may log, per page size — measured 4/2/4/11 of 512
+#: bytes (the bulk's 16 rows fill more, smaller ``pes`` and index
+#: leaves: two frames more than on 1 KB pages, each half the bytes),
+#: 4/2/6/9 of 1 KB and 4/2/4/4 of 4 KB since a write logs no journal
+#: page (schema v16;
 #: v15, whose ``index_deltas`` took a page of every write that changed
 #: a shard: 5/3/7/10 and 5/3/5/5; v13 and v14, which also logged a page
 #: of ``pe_text`` each time: 6/4/8/13 and 6/4/6/6; v11 and v12, before
@@ -55,15 +63,17 @@ from tests.registry.test_dao import make_pe
 #: before the journal rode in the mutation's transaction: 15/12/14/15 of
 #: 4 KB, in 3/2/3/3 commits)
 FRAME_BOUNDS = {
+    512: {"put": 5, "revise": 3, "delete": 5, "bulk": 12},
     1024: {"put": 5, "revise": 3, "delete": 7, "bulk": 10},
     4096: {"put": 5, "revise": 3, "delete": 5, "bulk": 5},
 }
 
 
-def new_4k_file(path):
-    """A file that had 4 KB pages before this code first opened it."""
+def new_file(path, page_size):
+    """A file that had ``page_size`` pages before this code first
+    opened it."""
     conn = sqlite3.connect(path)
-    conn.execute("PRAGMA page_size=4096")
+    conn.execute(f"PRAGMA page_size={page_size}")
     conn.execute("PRAGMA journal_mode=WAL")  # writes page 1
     conn.close()
 
@@ -88,13 +98,14 @@ def wal_pages(path, first):
     }
 
 
-@pytest.fixture(params=[1024, 4096])
+@pytest.fixture(params=[512, 1024, 4096])
 def registry(request, tmp_path, fast_bundle):
-    """A served file registry with a few records in it; the 4 KB one is
-    a file that had pages before this code first opened it."""
+    """A served file registry with a few records in it: a new file (512-
+    byte pages), and files that had 1 KB or 4 KB pages before this code
+    first opened them — every earlier v14 to v16 file has 1 KB pages."""
     path = tmp_path / "registry.db"
-    if request.param == 4096:
-        new_4k_file(path)
+    if request.param != NEW_FILE_PAGE:
+        new_file(path, request.param)
     dao = SqliteDAO(path)
     # the WAL only grows: frames logged = growth of the file
     dao._conn.execute("PRAGMA wal_autocheckpoint=0")
@@ -203,8 +214,14 @@ def test_a_put_writes_no_text_index_page(registry):
 #: WAL frames, per page size, of the writes
 #: :func:`test_every_write_is_one_commit` runs in turn, each one commit:
 #: a keyed write's receipt and an upsert's release of the old record
-#: ride in the write's transaction
+#: ride in the write's transaction.  On 512-byte pages the keyed bulk's
+#: 16 rows and its receipt fill more leaves (``pes`` 9 and
+#: ``write_receipts`` 9: 22 frames, 11 KB, against 5, 5 and 14 of 1 KB),
+#: and the keyed DELETE's receipt and the upsert's new row each split a
+#: full leaf, growing the file (page 1): 7 frames each against 5
 ONE_COMMIT_FRAMES = {
+    512: {"keyed-put": 7, "keyed-bulk": 22, "keyed-delete": 7,
+          "upsert": 7, "add": 4, "remove": 4},
     1024: {"keyed-put": 7, "keyed-bulk": 14, "keyed-delete": 5,
            "upsert": 5, "add": 4, "remove": 4},
     4096: {"keyed-put": 5, "keyed-bulk": 7, "keyed-delete": 5,
@@ -264,8 +281,10 @@ def test_every_write_is_one_commit(registry):
 
 
 #: WAL frames of that batch, per page size: its four grants and its
-#: insert in one commit
-INGEST_BATCH_FRAMES = {1024: 5, 4096: 4}
+#: insert in one commit (on 512-byte pages the eight rows and their
+#: owner and name entries span more leaves: 9 frames, 4.5 KB, against
+#: 5 of 1 KB)
+INGEST_BATCH_FRAMES = {512: 9, 1024: 5, 4096: 4}
 
 
 def test_an_ingest_batch_is_one_commit(registry):
@@ -586,7 +605,11 @@ BENCH_CODE = f"""def pofin_bogor_000330(items, limit=944):
             faifin += braifin * 5
     return faifin"""
 #: (WAL frames, new ``pes`` overflow pages) of that record's PUT, per
-#: page size.  Schema v16 logs no ``index_deltas`` page: v15 logged
+#: page size.  On 512-byte pages the ~780-byte row is a leaf and one
+#: overflow page: 7 frames (page 1 as the file grows, a ``pes`` interior
+#: page, the leaf, the overflow page, and one page each of
+#: ``pe_owners``, ``idx_pes_name`` and ``shard_stamps``), 3.5 KB against
+#: 6 KB on 1 KB pages.  Schema v16 logs no ``index_deltas`` page: v15 logged
 #: (7, 0) and (5, 0).  Schema v15 logs no ``pe_text`` page: v14 logged
 #: (8, 0) and (6, 0).  Its code and source are stored deflated (schema v14), so
 #: on 1 KB pages the row fits its leaf: schema v13 logged (8, 1).  The
@@ -598,15 +621,19 @@ BENCH_CODE = f"""def pofin_bogor_000330(items, limit=944):
 #: logged (12, 2) on 1 KB pages — the 2 104-byte row needed two
 #: overflow pages, the 1 420-byte one needs one — and (9, 0) on 4 KB
 #: pages, where either row fits its leaf
-BENCH_PUT_COST = {1024: (6, 0), 4096: (4, 0)}
+BENCH_PUT_COST = {512: (7, 1), 1024: (6, 0), 4096: (4, 0)}
 #: WAL frames of that record's description-only revise, per page size:
-#: the row is rewritten in its leaf, and no ``index_deltas`` page (its
+#: the row is rewritten in its leaf.  On 512-byte pages that frees its
+#: overflow page and allocates a new one, so the freed page, the new one
+#: and page 1 (freelist and file size) are logged beside the leaf and
+#: ``shard_stamps``: 5 frames, 2.5 KB against 2 KB on 1 KB pages.  No
+#: ``index_deltas`` page (its
 #: description vector changed, so v15 journaled it: 3 on either page
 #: size) and no ``pe_text`` page (schema v14 logged 4) are logged.
 #: Schema v13 logged 7 on 1 KB pages, freeing the row's overflow page
 #: and allocating a new one (the freelist and header pages with it), and
 #: 4 on 4 KB pages
-BENCH_REVISE_FRAMES = {1024: 2, 4096: 2}
+BENCH_REVISE_FRAMES = {512: 5, 1024: 2, 4096: 2}
 
 
 def pes_overflow_pages(dao):
@@ -644,7 +671,8 @@ def test_a_benchmark_shaped_put(registry):
     ).fetchone()) == (186, "blob", 18, "blob")
     assert cost == BENCH_PUT_COST[page_size]
 
-    # a description-only revise rewrites the row in its own leaf
+    # a description-only revise rewrites the row in its own leaf, and
+    # keeps as many overflow pages as the PUT took
     first, _ = wal_frames(path)
     response = send(
         "PUT",
@@ -657,7 +685,7 @@ def test_a_benchmark_shaped_put(registry):
     )
     assert response.status == 200
     revise = (wal_frames(path)[0] - first, pes_overflow_pages(dao) - overflow)
-    assert revise == (BENCH_REVISE_FRAMES[page_size], 0)
+    assert revise == (BENCH_REVISE_FRAMES[page_size], cost[1])
 
 
 #: the e2e corpus' code-embedding shape: ~1 KB a vector at rest

@@ -1,5 +1,7 @@
 """Tests for the real-HTTP deployment adapter (loopback socket)."""
 
+import asyncio
+import logging
 import socket
 import uuid
 
@@ -9,7 +11,12 @@ from repro.client import LaminarClient
 from repro.errors import AuthenticationError, TransportError
 from repro.net.transport import Request
 from repro.server import LaminarServer
-from repro.server.http import HttpTransport, _client_url, serve_http
+from repro.server.http import (
+    HttpTransport,
+    _AsyncHttpCore,
+    _client_url,
+    serve_http,
+)
 from tests.helpers import AddTen, build_pipeline_graph
 
 
@@ -210,3 +217,100 @@ class TestPeerDisconnect:
             while chunk := sock.recv(4096):
                 reply += chunk
         assert b"200" in reply.split(b"\r\n", 1)[0]
+
+
+class _Writer:
+    """The part of ``asyncio.StreamWriter`` a connection handler uses."""
+
+    def __init__(self):
+        self.sent = bytearray()
+        self.closed = False
+
+    def get_extra_info(self, name):
+        return None
+
+    def write(self, data):
+        self.sent += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        self.closed = True
+
+    async def wait_closed(self):
+        pass
+
+
+def handle(feed):
+    """Run one connection over a reader that ``feed`` fills; return its
+    writer.  No request gets as far as dispatch."""
+
+    async def run():
+        reader = asyncio.StreamReader()
+        feed(reader)
+        writer = _Writer()
+        core = _AsyncHttpCore(laminar=None, executor=None)
+        await core.handle_connection(reader, writer)
+        return writer
+
+    return asyncio.run(run())
+
+
+def warnings_of(caplog):
+    return [
+        record.getMessage() for record in caplog.records
+        if record.name == "repro.server.http"
+    ]
+
+
+def promised(length):
+    return (
+        b"POST /auth/login HTTP/1.1\r\n"
+        b"Content-Length: " + length + b"\r\n\r\n"
+    )
+
+
+class TestConnectionFaults:
+    """A dropped client closes in silence; any other fault that ends a
+    connection is one logged line naming the peer and the exception."""
+
+    def test_a_body_cut_short_is_not_logged(self, caplog):
+        def cut(reader):
+            reader.feed_data(promised(b"500") + b'{"partial')
+            reader.feed_eof()
+
+        with caplog.at_level(logging.DEBUG, logger="repro.server.http"):
+            writer = handle(cut)
+        assert writer.closed and not writer.sent
+        assert warnings_of(caplog) == []
+
+    def test_a_reset_is_not_logged(self, caplog):
+        def reset(reader):
+            reader.feed_data(promised(b"500"))
+            reader.set_exception(ConnectionResetError("reset by peer"))
+
+        with caplog.at_level(logging.DEBUG, logger="repro.server.http"):
+            writer = handle(reset)
+        assert writer.closed
+        assert warnings_of(caplog) == []
+
+    def test_a_framing_fault_is_logged_once(self, http_stack, caplog):
+        """The line is logged before the connection closes, so a client
+        that has read to the end of the stream finds it there."""
+        with caplog.at_level(logging.DEBUG, logger="repro.server.http"):
+            with socket.create_connection(
+                (http_stack.host, http_stack.port), timeout=5.0
+            ) as sock:
+                peer = sock.getsockname()
+                sock.sendall(promised(b"abc") + b"{}")
+                assert sock.recv(4096) == b""
+            (record,) = [
+                r for r in caplog.records if r.name == "repro.server.http"
+            ]
+        line = record.getMessage()
+        assert str(peer) in line and "ValueError" in line, line
+        assert record.levelno == logging.WARNING and record.exc_info is None
+        # and the server goes on serving
+        transport = HttpTransport(http_stack.url, timeout=5.0)
+        assert transport.request(Request("GET", "/v1/backends", {})).status == 200
