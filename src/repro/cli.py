@@ -25,16 +25,30 @@ Commands:
   (:mod:`repro.analysis`) over files/directories; ``--json`` for
   machine-readable findings, ``--list-rules`` for the rule table.
 * ``endpoints`` — print the server's API table (paper Table 3 + extensions).
+
+The five registry commands (``search``, ``register``, ``delete``,
+``ingest``, ``jobs``) reach a server one way, :func:`_session`: an
+in-process server over ``--db`` (in-memory without one) or, with
+``--server URL``, a running deployment over HTTP.  An option that more
+than one command takes is declared once, on an argparse parent parser.
+A command that fails says why in one line on stdout and exits 1: a
+refused ``--db`` file with the :class:`~repro.errors.RegistryError`'s
+message, a failed request with ``<what> failed: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import RegistryError
+
+
+class _Failed(Exception):
+    """Ends a command: :func:`main` prints the message and returns 1."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,16 +59,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    serve = sub.add_parser("serve", help="serve Laminar over HTTP")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8075)
-    serve.add_argument(
-        "--db", default=None, help="SQLite registry path (default: in-memory)"
-    )
-    serve.add_argument(
+    # an option more than one command takes, declared once: each parent
+    # parser below is handed to every command that takes its options
+    db = argparse.ArgumentParser(add_help=False)
+    db.add_argument("--db", help="SQLite registry path (default: in-memory)")
+    no_fit = argparse.ArgumentParser(add_help=False)
+    no_fit.add_argument(
         "--no-fit", action="store_true",
         help="skip model IDF fitting (faster startup, weaker search)",
     )
+    login = argparse.ArgumentParser(add_help=False)
+    login.add_argument("--user", default="cli", help="registry user name")
+    login.add_argument("--password", default="cli", help="registry password")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument(
+        "--json", action="store_true",
+        help="print the reply's v1 envelope verbatim (ingest: the final "
+        "job snapshot) as one JSON object",
+    )
+    kind = argparse.ArgumentParser(add_help=False)
+    kind.add_argument(
+        "--kind", default="pe", choices=["pe", "workflow"],
+        help="record kind (--bulk is PE-only)",
+    )
+    conditional = argparse.ArgumentParser(add_help=False)
+    conditional.add_argument(
+        "--if-version", type=int,
+        help="conditional write: the record's current revision (0 = "
+        "create-only; with --bulk, the registry mutation counter); a "
+        "mismatch is a 412",
+    )
+    conditional.add_argument(
+        "--idempotency-key",
+        help="retry-safe write: replaying the key returns the stored "
+        "response verbatim",
+    )
+    remote = argparse.ArgumentParser(add_help=False)
+    remote.add_argument(
+        "--server", metavar="URL",
+        help="talk to a running deployment instead of an in-process "
+        "server (ingest uploads the tree packed into a .tar.gz)",
+    )
+
+    serve = sub.add_parser(
+        "serve", parents=[db, no_fit], help="serve Laminar over HTTP"
+    )
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--port", type=int, default=8075)
 
     demo = sub.add_parser("demo", help="run the IsPrime showcase")
     demo.add_argument("--input", type=int, default=10, help="iterations")
@@ -68,150 +119,72 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("table", type=int, choices=[5, 6, 7])
 
     search = sub.add_parser(
-        "search",
+        "search", parents=[db, login, no_fit, as_json],
         help="search a registry from the terminal (index-served)",
     )
     search.add_argument("query", help="the search string (no '/' characters)")
-    search.add_argument(
-        "--db", default=None, help="SQLite registry path (default: in-memory)"
-    )
-    search.add_argument("--user", default="cli", help="registry user name")
-    search.add_argument("--password", default="cli", help="registry password")
     search.add_argument(
         "--type", dest="search_type", default="both",
         choices=["pe", "workflow", "both"],
     )
     search.add_argument(
-        "--query-type", dest="query_type", default="semantic",
+        "--query-type", default="semantic",
         choices=["text", "semantic", "code", "hybrid"],
     )
+    search.add_argument("-k", "--k", type=int, help="max results")
     search.add_argument(
-        "-k", "--k", dest="k", type=int, default=None, help="max results"
-    )
-    search.add_argument(
-        "--limit", type=int, default=None,
+        "--limit", type=int,
         help="page size over the ranked hits (v1 cursor pagination)",
     )
     search.add_argument(
-        "--cursor", default=None,
-        help="opaque resume token from a previous page's nextCursor",
-    )
-    search.add_argument(
-        "--json", action="store_true",
-        help="emit the v1 SearchResponse envelope verbatim (one JSON "
-        "object on stdout)",
-    )
-    search.add_argument(
-        "--no-fit", action="store_true",
-        help="skip model IDF fitting (faster startup, weaker search)",
+        "--cursor", help="opaque resume token from a previous page's nextCursor"
     )
 
     register = sub.add_parser(
-        "register",
+        "register", parents=[kind, db, login, conditional, no_fit, as_json],
         help="register a PE or workflow via the v1 write endpoint",
     )
     register.add_argument(
-        "name", nargs="?", default=None,
+        "name", nargs="?",
         help="PE name / workflow entry point (omit with --bulk)",
     )
     register.add_argument(
-        "--kind", default="pe", choices=["pe", "workflow"],
-        help="what to register (--bulk is PE-only)",
+        "--code", help="the code payload (peCode/workflowCode)"
     )
     register.add_argument(
-        "--db", default=None, help="SQLite registry path (default: in-memory)"
-    )
-    register.add_argument("--user", default="cli", help="registry user name")
-    register.add_argument("--password", default="cli", help="registry password")
-    register.add_argument(
-        "--code", default=None, help="the code payload (peCode/workflowCode)"
-    )
-    register.add_argument(
-        "--code-file", default=None,
+        "--code-file",
         help="read the code payload from a file (also used as the "
         "source text for search/summarization unless --code is given)",
     )
     register.add_argument("--description", default="", help="description text")
     register.add_argument(
-        "--if-version", dest="if_version", type=int, default=None,
-        help="conditional write: current record revision (0 = create-only); "
-        "with --bulk it pins the registry mutation counter instead; "
-        "mismatch is a 412",
-    )
-    register.add_argument(
-        "--idempotency-key", dest="idempotency_key", default=None,
-        help="retry-safe write: replaying the same key returns the stored "
-        "response verbatim",
-    )
-    register.add_argument(
-        "--bulk", default=None, metavar="FILE.json",
+        "--bulk", metavar="FILE.json",
         help="bulk-register PEs: a JSON array of item objects "
         "(peName/peCode/description/...) sent to /v1/registry/{user}/pes:bulk",
     )
-    register.add_argument(
-        "--json", action="store_true",
-        help="emit the v1 WriteResponse envelope verbatim",
-    )
-    register.add_argument(
-        "--no-fit", action="store_true",
-        help="skip model IDF fitting (faster startup, weaker search)",
-    )
 
     delete = sub.add_parser(
-        "delete", help="remove a PE or workflow via the v1 delete endpoint"
+        "delete", parents=[kind, db, login, conditional, no_fit, as_json],
+        help="remove a PE or workflow via the v1 delete endpoint",
     )
     delete.add_argument("name", help="PE name / workflow entry point")
-    delete.add_argument(
-        "--kind", default="pe", choices=["pe", "workflow"],
-    )
-    delete.add_argument(
-        "--db", default=None, help="SQLite registry path (default: in-memory)"
-    )
-    delete.add_argument("--user", default="cli", help="registry user name")
-    delete.add_argument("--password", default="cli", help="registry password")
-    delete.add_argument(
-        "--if-version", dest="if_version", type=int, default=None,
-        help="conditional delete: the record's current revision",
-    )
-    delete.add_argument(
-        "--idempotency-key", dest="idempotency_key", default=None,
-        help="retry-safe delete (replay returns the stored response)",
-    )
-    delete.add_argument(
-        "--json", action="store_true",
-        help="emit the v1 WriteResponse envelope verbatim",
-    )
-    delete.add_argument(
-        "--no-fit", action="store_true",
-        help="skip model IDF fitting (faster startup, weaker search)",
-    )
 
     ingest = sub.add_parser(
-        "ingest",
+        "ingest", parents=[db, remote, login, no_fit, as_json],
         help="ingest a source tree into the registry as a background job",
     )
     ingest.add_argument("path", help="directory to walk, chunk and register")
     ingest.add_argument(
-        "--db", default=None, help="SQLite registry path (default: in-memory)"
-    )
-    ingest.add_argument(
-        "--server", default=None, metavar="URL",
-        help="ingest into a running deployment instead: the tree is "
-        "packed into a .tar.gz and uploaded as the request's archive",
-    )
-    ingest.add_argument("--user", default="cli", help="registry user name")
-    ingest.add_argument("--password", default="cli", help="registry password")
-    ingest.add_argument(
-        "--batch-size", dest="batch_size", type=int, default=None,
+        "--batch-size", type=int,
         help="chunks per bulk-registration batch (searches stay live "
         "between batches)",
     )
     ingest.add_argument(
-        "--max-file-bytes", dest="max_file_bytes", type=int, default=None,
+        "--max-file-bytes", type=int,
         help="skip files larger than this many bytes",
     )
     ingest.add_argument(
-        "--max-chunk-lines", dest="max_chunk_lines", type=int, default=None,
+        "--max-chunk-lines", type=int,
         help="re-split chunks longer than this many lines into windows",
     )
     ingest.add_argument(
@@ -220,54 +193,29 @@ def build_parser() -> argparse.ArgumentParser:
         "(only meaningful with --server: an in-process job dies with "
         "the command)",
     )
-    ingest.add_argument(
-        "--json", action="store_true",
-        help="emit the final job snapshot as one JSON object",
-    )
-    ingest.add_argument(
-        "--no-fit", action="store_true",
-        help="skip model IDF fitting (faster startup, weaker search)",
-    )
 
     jobs = sub.add_parser(
-        "jobs",
+        "jobs", parents=[db, remote, login, as_json],
         help="list, inspect or cancel background jobs (/v1/jobs); most "
         "useful with --server against a running deployment",
     )
     jobs.add_argument(
-        "job_id", nargs="?", default=None,
-        help="show one job (omit to list)",
+        "job_id", nargs="?", help="show one job (omit to list)"
     )
     jobs.add_argument(
         "--cancel", action="store_true",
         help="request cancellation of the given job id",
     )
     jobs.add_argument(
-        "--state", default=None,
+        "--state",
         choices=["queued", "running", "succeeded", "failed", "cancelled"],
         help="filter the listing by state",
     )
-    jobs.add_argument(
-        "--db", default=None, help="SQLite registry path (default: in-memory)"
-    )
-    jobs.add_argument(
-        "--server", default=None, metavar="URL",
-        help="talk to a running deployment instead of an in-process server",
-    )
-    jobs.add_argument("--user", default="cli", help="registry user name")
-    jobs.add_argument("--password", default="cli", help="registry password")
-    jobs.add_argument(
-        "--json", action="store_true",
-        help="emit the response envelope verbatim",
-    )
 
     stats = sub.add_parser(
-        "stats",
+        "stats", parents=[db],
         help="registry ownership counts (cheap) and, with --shards, "
         "index shard occupancy",
-    )
-    stats.add_argument(
-        "--db", default=None, help="SQLite registry path (default: in-memory)"
     )
     stats.add_argument(
         "--shards", action="store_true",
@@ -288,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine-readable output: {findings: [...], errors: [...]}",
     )
     lint.add_argument(
-        "--rules", default=None,
-        help="comma-separated rule names to run (default: all)",
+        "--rules", help="comma-separated rule names to run (default: all)"
     )
     lint.add_argument(
         "--list-rules", action="store_true",
@@ -300,37 +247,96 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_registry(db: str):
+    """A :class:`~repro.registry.dao.SqliteDAO` over ``db``; a file at a
+    schema version this code does not open ends the command with the
+    :class:`~repro.errors.RegistryError`'s message."""
+    from repro.registry.dao import SqliteDAO
+
+    try:
+        return SqliteDAO(db)
+    except RegistryError as exc:
+        raise _Failed(exc.message) from None
+
+
 def _build_server(db: str | None, fit: bool):
     """An in-process server over the registry file ``db`` (in-memory
-    without one).  A file at a schema version this code does not open
-    raises :class:`~repro.errors.RegistryError`; every command prints
-    its message and exits 1."""
+    without one)."""
     from repro.ml.bundle import ModelBundle
-    from repro.registry.dao import SqliteDAO
     from repro.server import LaminarServer
 
-    dao = SqliteDAO(db) if db else None
+    dao = _open_registry(db) if db else None
     return LaminarServer(dao=dao, models=ModelBundle.default(fit=fit))
 
 
-def _missing_registry(db: str | None) -> bool:
-    """Whether a read-only command's ``--db`` names no file — said on
-    stdout — which opening it would leave behind as a new, empty
-    registry."""
-    if db is None or db == ":memory:" or os.path.exists(db):
-        return False
-    print(f"no registry file at {db}")
-    return True
+def _require_file(db: str | None) -> None:
+    """A read-only command's ``--db`` must name a file: opening a missing
+    one would leave a new, empty registry behind."""
+    if db is not None and db != ":memory:" and not os.path.exists(db):
+        raise _Failed(f"no registry file at {db}")
+
+
+def _answer(what: str, response, as_json: bool = False) -> dict | None:
+    """``response``'s body, or ``None`` once ``as_json`` has printed it
+    verbatim; a failed response ends the command with ``<what> failed:
+    <message>``."""
+    if not response.ok:
+        message = response.body.get("message", response.body)
+        raise _Failed(f"{what} failed: {message}")
+    if as_json:
+        print(json.dumps(response.body))
+        return None
+    return response.body
+
+
+def _session(
+    args: argparse.Namespace, *, read_only: bool = False
+) -> Callable[..., dict | None]:
+    """The one way a registry command reaches a server: a logged-in
+    ``call(what, method, path, body=None, as_json=False)`` that sends one
+    request and returns :func:`_answer` of its reply.
+
+    In-process over ``--db`` (in-memory without one), or a running
+    deployment over HTTP with ``--server URL``.  The user is introduced
+    first (``/auth/register`` refuses one that exists; only the login
+    counts), except by a ``read_only`` command over ``--db``: it never
+    adds a user to a registry file, nor creates the file.
+    """
+    from repro.net.transport import Request
+
+    if getattr(args, "server", None):
+        from repro.server.http import HttpTransport
+
+        request = HttpTransport(args.server).request
+    else:
+        if read_only:
+            _require_file(args.db)
+        server = _build_server(args.db, fit=not getattr(args, "no_fit", True))
+        request = server.dispatch
+    credentials = {"userName": args.user, "password": args.password}
+    if not (read_only and args.db is not None):
+        request(Request("POST", "/auth/register", credentials))
+    elif server.registry.dao.get_user_by_name(args.user) is None:
+        raise _Failed(f"unknown user {args.user!r} in registry {args.db}")
+    login = request(Request("POST", "/auth/login", credentials))
+    token = _answer("login", login)["token"]
+
+    def call(what, method, path, body=None, as_json=False) -> dict | None:
+        reply = request(Request(method, path, body or {}, token=token))
+        return _answer(what, reply, as_json)
+
+    return call
+
+
+def _given(**fields: Any) -> dict:
+    """The request fields whose options were given (not ``None``)."""
+    return {name: value for name, value in fields.items() if value is not None}
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.http import serve_http
 
-    try:
-        server = _build_server(args.db, fit=not args.no_fit)
-    except RegistryError as exc:  # a --db file this code does not open
-        print(exc.message)
-        return 1
+    server = _build_server(args.db, fit=not args.no_fit)
     with serve_http(server, host=args.host, port=args.port) as handle:
         print(f"Laminar serving on {handle.url}  (registry: "
               f"{args.db or 'in-memory'}; Ctrl-C to stop)")
@@ -366,27 +372,15 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from repro.evalharness.experiments import run_table5, run_table6, run_table7
     from repro.evalharness.reporting import check
 
-    if args.table == 5:
-        from repro.evalharness.experiments import run_table5
-
-        result = run_table5()
-    elif args.table == 6:
-        from repro.evalharness.experiments import run_table6
-
-        result = run_table6()
-    else:
-        from repro.evalharness.experiments import run_table7
-
-        result = run_table7()
+    result = {5: run_table5, 6: run_table6, 7: run_table7}[args.table]()
     print(result["table"])
     print()
-    ok = True
     for label, passed in result["checks"].items():
         print(check(label, passed))
-        ok = ok and passed
-    return 0 if ok else 1
+    return 0 if all(result["checks"].values()) else 1
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -401,109 +395,44 @@ def cmd_search(args: argparse.Namespace) -> int:
     :class:`~repro.server.schema.SearchResponse` envelope verbatim for
     scripting.
     """
-    import json as _json
-
     from repro.client.display import render_search_hits
-    from repro.errors import NotFoundError
-    from repro.net.transport import Request
+    from repro.server.api import quote_segment
 
-    if _missing_registry(args.db):
-        return 1
-    try:
-        server = _build_server(args.db, fit=not args.no_fit)
-    except RegistryError as exc:
-        print(exc.message)
-        return 1
-    try:
-        server.registry.get_user(args.user)
-    except NotFoundError:
-        if args.db is not None:
-            # never mutate a persistent registry from a read-only command
-            print(f"unknown user {args.user!r} in registry {args.db}")
-            return 1
-        # ephemeral in-memory registry: create the throwaway user
-        server.registry.register_user(args.user, args.password)
-    login = server.dispatch(
-        Request(
-            "POST",
-            "/auth/login",
-            {"userName": args.user, "password": args.password},
-        )
-    )
-    if login.status != 200:
-        print(f"login failed: {login.body.get('message', login.body)}")
-        return 1
-    body: dict = {
+    call = _session(args, read_only=True)
+    body = {
         "query": args.query,
         "kind": args.search_type,
         "queryType": args.query_type,
+        **_given(k=args.k, limit=args.limit, cursor=args.cursor),
     }
-    if args.k is not None:
-        body["k"] = args.k
-    if args.limit is not None:
-        body["limit"] = args.limit
-    if args.cursor is not None:
-        body["cursor"] = args.cursor
-    response = server.dispatch(
-        Request(
-            "POST",
-            f"/v1/registry/{args.user}/search",
-            body,
-            token=login.body["token"],
-        )
-    )
-    if response.status != 200:
-        print(f"search failed: {response.body.get('message', response.body)}")
-        return 1
-    if args.json:
-        print(_json.dumps(response.body))
-        return 0
-    print(
-        render_search_hits(
-            response.body.get("searchKind", "text"), response.body.get("hits", [])
-        )
-    )
-    next_cursor = response.body.get("nextCursor")
-    if next_cursor:
-        print(f"next page: --cursor {next_cursor}")
+    path = f"/v1/registry/{quote_segment(args.user)}/search"
+    reply = call("search", "POST", path, body, as_json=args.json)
+    if reply is not None:
+        kind = reply.get("searchKind", "text")
+        print(render_search_hits(kind, reply.get("hits", [])))
+        if reply.get("nextCursor"):
+            print(f"next page: --cursor {reply['nextCursor']}")
     return 0
 
 
-def _login_for_write(server, user: str, password: str):
-    """Token for a write command, introducing the user when missing.
+def _write(args: argparse.Namespace, method: str, tail: str, body: dict) -> int:
+    """Send one v1 write under ``/v1/registry/{user}/`` and print its
+    :class:`~repro.server.schema.WriteResponse` (``--json``: verbatim)."""
+    from repro.server.api import quote_segment
 
-    Unlike the read-only ``search`` command (which refuses to touch a
-    persistent registry), registration *is* a write — a missing user is
-    created on the spot, also against ``--db``.
-    """
-    from repro.errors import NotFoundError
-    from repro.net.transport import Request
-
-    try:
-        server.registry.get_user(user)
-    except NotFoundError:
-        server.registry.register_user(user, password)
-    login = server.dispatch(
-        Request(
-            "POST", "/auth/login", {"userName": user, "password": password}
-        )
+    body.update(
+        _given(ifVersion=args.if_version, idempotencyKey=args.idempotency_key)
     )
-    if login.status != 200:
-        return None, f"login failed: {login.body.get('message', login.body)}"
-    return login.body["token"], None
-
-
-def _print_write_response(body: dict, as_json: bool) -> None:
-    import json as _json
-
-    if as_json:
-        print(_json.dumps(body))
-        return
-    op, kind = body.get("op"), body.get("kind")
-    if op == "delete":
-        print(f"removed {kind} (registry version {body.get('registryVersion')})")
-        return
-    for item in body.get("items", []):
+    call = _session(args)
+    path = f"/v1/registry/{quote_segment(args.user)}/{tail}"
+    reply = call(args.command, method, path, body, as_json=args.json)
+    if reply is None:
+        return 0
+    kind = reply.get("kind")
+    if reply.get("op") == "delete":
+        print(f"removed {kind} (registry version {reply.get('registryVersion')})")
+        return 0
+    for item in reply.get("items", []):
         name = item.get("peName") or item.get("entryPoint")
         rid = item.get("peId") or item.get("workflowId")
         state = "created" if item.get("created") else "existing"
@@ -511,7 +440,8 @@ def _print_write_response(body: dict, as_json: bool) -> None:
             f"registered {kind} {name!r} (id {rid}, revision "
             f"{item.get('revision')}, {state})"
         )
-    print(f"registry version {body.get('registryVersion')}")
+    print(f"registry version {reply.get('registryVersion')}")
+    return 0
 
 
 def cmd_register(args: argparse.Namespace) -> int:
@@ -519,147 +449,46 @@ def cmd_register(args: argparse.Namespace) -> int:
     (or ``POST .../pes:bulk`` with ``--bulk``), the typed write surface:
     ``--idempotency-key`` makes retries exact replays, ``--if-version``
     turns the write into a compare-and-set on the record revision."""
-    import json as _json
-
-    from repro.net.transport import Request
     from repro.server.api import quote_segment
 
     # every argument error is knowable up front — fail before paying
     # server construction (model loading) and login
     if args.bulk is None and not args.name:
-        print("a name is required unless --bulk is given")
-        return 1
+        raise _Failed("a name is required unless --bulk is given")
     if args.bulk is not None and args.kind != "pe":
-        print("--bulk registers PEs only")
-        return 1
-    code = args.code
+        raise _Failed("--bulk registers PEs only")
     source = ""
     if args.code_file is not None:
         try:
             with open(args.code_file, "r", encoding="utf-8") as handle:
                 source = handle.read()
         except OSError as exc:
-            print(f"cannot read --code-file: {exc}")
-            return 1
-        if code is None:
-            code = source
-    items = None
+            raise _Failed(f"cannot read --code-file: {exc}") from None
+    code = source if args.code is None else args.code
     if args.bulk is not None:
         try:
             with open(args.bulk, "r", encoding="utf-8") as handle:
-                items = _json.load(handle)
+                items = json.load(handle)
         except (OSError, ValueError) as exc:
-            print(f"cannot read --bulk file: {exc}")
-            return 1
+            raise _Failed(f"cannot read --bulk file: {exc}") from None
         if not isinstance(items, list):
-            print("--bulk file must hold a JSON array of item objects")
-            return 1
-    elif not code:
-        print("either --code or --code-file is required")
-        return 1
-    try:
-        server = _build_server(args.db, fit=not args.no_fit)
-    except RegistryError as exc:
-        print(exc.message)
-        return 1
-    token, error = _login_for_write(server, args.user, args.password)
-    if error:
-        print(error)
-        return 1
-    if items is not None:
-        body: dict = {"items": items}
-        method, path = "POST", f"/v1/registry/{args.user}/pes:bulk"
-    else:
-        key = "peCode" if args.kind == "pe" else "workflowCode"
-        body = {key: code}
-        if args.description:
-            body["description"] = args.description
-        if source:
-            body["peSource" if args.kind == "pe" else "workflowSource"] = source
-        collection = "pes" if args.kind == "pe" else "workflows"
-        method = "PUT"
-        path = (
-            f"/v1/registry/{args.user}/{collection}/"
-            f"{quote_segment(args.name)}"
-        )
-    if args.if_version is not None:
-        body["ifVersion"] = args.if_version
-    if args.idempotency_key is not None:
-        body["idempotencyKey"] = args.idempotency_key
-    response = server.dispatch(Request(method, path, body, token=token))
-    if not response.ok:
-        print(f"register failed: {response.body.get('message', response.body)}")
-        return 1
-    _print_write_response(response.body, args.json)
-    return 0
+            raise _Failed("--bulk file must hold a JSON array of item objects")
+        return _write(args, "POST", "pes:bulk", {"items": items})
+    if not code:
+        raise _Failed("either --code or --code-file is required")
+    body = {f"{args.kind}Code": code}
+    if args.description:
+        body["description"] = args.description
+    if source:
+        body[f"{args.kind}Source"] = source
+    return _write(args, "PUT", f"{args.kind}s/{quote_segment(args.name)}", body)
 
 
 def cmd_delete(args: argparse.Namespace) -> int:
     """Remove through ``DELETE /v1/registry/{user}/pes|workflows/{name}``."""
-    from repro.net.transport import Request
     from repro.server.api import quote_segment
 
-    try:
-        server = _build_server(args.db, fit=not args.no_fit)
-    except RegistryError as exc:
-        print(exc.message)
-        return 1
-    token, error = _login_for_write(server, args.user, args.password)
-    if error:
-        print(error)
-        return 1
-    body: dict = {}
-    if args.if_version is not None:
-        body["ifVersion"] = args.if_version
-    if args.idempotency_key is not None:
-        body["idempotencyKey"] = args.idempotency_key
-    collection = "pes" if args.kind == "pe" else "workflows"
-    response = server.dispatch(
-        Request(
-            "DELETE",
-            f"/v1/registry/{args.user}/{collection}/"
-            f"{quote_segment(args.name)}",
-            body,
-            token=token,
-        )
-    )
-    if not response.ok:
-        print(f"delete failed: {response.body.get('message', response.body)}")
-        return 1
-    _print_write_response(response.body, args.json)
-    return 0
-
-
-def _connect_for_write(args: argparse.Namespace, *, fit: bool = False):
-    """``(dispatch, token, error)`` for a write command.
-
-    In-process by default (``--db`` or in-memory), or a real deployment
-    when ``--server URL`` is given — the remote path introduces the user
-    over the wire first (``/auth/register`` may 4xx when the user
-    already exists; only the login outcome matters).
-    """
-    from repro.net.transport import Request
-
-    if getattr(args, "server", None):
-        from repro.server.http import HttpTransport
-
-        dispatch = HttpTransport(args.server).request
-        creds = {"userName": args.user, "password": args.password}
-        dispatch(Request("POST", "/auth/register", creds))
-        login = dispatch(Request("POST", "/auth/login", creds))
-        if login.status != 200:
-            return None, None, (
-                f"login failed: {login.body.get('message', login.body)}"
-            )
-        return dispatch, login.body["token"], None
-    try:
-        server = _build_server(args.db, fit=fit)
-    except RegistryError as exc:
-        return None, None, exc.message
-    token, error = _login_for_write(server, args.user, args.password)
-    if error:
-        return None, None, error
-    return server.dispatch, token, None
+    return _write(args, "DELETE", f"{args.kind}s/{quote_segment(args.name)}", {})
 
 
 def _pack_tree(path: str) -> tuple[str, int]:
@@ -689,11 +518,11 @@ def _pack_tree(path: str) -> tuple[str, int]:
     return base64.b64encode(buffer.getvalue()).decode("ascii"), count
 
 
-def _format_progress(progress: dict) -> str:
-    files = progress.get("filesDiscovered", 0)
-    skipped = progress.get("filesSkipped", 0)
+def _format_progress(job: dict) -> str:
+    progress = job.get("progress", {})
     return (
-        f"files {files} (+{skipped} skipped)  "
+        f"files {progress.get('filesDiscovered', 0)} "
+        f"(+{progress.get('filesSkipped', 0)} skipped)  "
         f"chunks {progress.get('chunksDiscovered', 0)} discovered / "
         f"{progress.get('chunksEmbedded', 0)} embedded / "
         f"{progress.get('chunksInserted', 0)} inserted / "
@@ -710,57 +539,32 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     into a tarball client-side (the path means nothing to a remote
     machine) and uploaded as the request's ``archive``.
     """
-    import json as _json
-    import os
     import time
 
-    from repro.net.transport import Request
     from repro.server.api import quote_segment
 
     if not os.path.isdir(args.path):
-        print(f"not a directory: {args.path}")
-        return 1
-    dispatch, token, error = _connect_for_write(args, fit=not args.no_fit)
-    if error:
-        print(error)
-        return 1
-    body: dict = {}
+        raise _Failed(f"not a directory: {args.path}")
+    call = _session(args)
+    body = _given(
+        batchSize=args.batch_size,
+        maxFileBytes=args.max_file_bytes,
+        maxChunkLines=args.max_chunk_lines,
+    )
     if args.server:
         body["archive"], packed = _pack_tree(args.path)
         print(f"packed {packed} file(s) for upload")
     else:
         body["path"] = os.path.abspath(args.path)
-    if args.batch_size is not None:
-        body["batchSize"] = args.batch_size
-    if args.max_file_bytes is not None:
-        body["maxFileBytes"] = args.max_file_bytes
-    if args.max_chunk_lines is not None:
-        body["maxChunkLines"] = args.max_chunk_lines
-    response = dispatch(
-        Request(
-            "POST",
-            f"/v1/registry/{quote_segment(args.user)}/ingest",
-            body,
-            token=token,
-        )
-    )
-    if response.status != 202:
-        print(f"ingest failed: {response.body.get('message', response.body)}")
-        return 1
-    job_id = response.body["jobId"]
+    path = f"/v1/registry/{quote_segment(args.user)}/ingest"
+    job_id = call("ingest", "POST", path, body)["jobId"]
     print(f"job {job_id} queued")
     if args.no_wait:
         return 0
     last_line = None
     while True:
-        poll = dispatch(
-            Request("GET", f"/v1/jobs/{quote_segment(job_id)}", token=token)
-        )
-        if not poll.ok:
-            print(f"job lookup failed: {poll.body.get('message', poll.body)}")
-            return 1
-        job = poll.body["job"]
-        line = _format_progress(job.get("progress", {}))
+        job = call("job lookup", "GET", f"/v1/jobs/{quote_segment(job_id)}")["job"]
+        line = _format_progress(job)
         if line != last_line:
             print(f"  {line}")
             last_line = line
@@ -768,22 +572,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             break
         time.sleep(0.15)
     if args.json:
-        print(_json.dumps(job))
-        return 0 if job["state"] == "succeeded" else 1
-    if job["state"] == "succeeded":
+        print(json.dumps(job))
+    elif job["state"] == "succeeded":
         result = job.get("result") or {}
         print(
             f"succeeded: {result.get('inserted', 0)} inserted, "
             f"{result.get('deduped', 0)} deduped "
             f"(registry version {result.get('registryVersion')})"
         )
-        return 0
-    error_body = job.get("error") or {}
-    print(
-        f"{job['state']}: "
-        f"{error_body.get('message', 'no error detail recorded')}"
-    )
-    return 1
+    else:
+        error = job.get("error") or {}
+        print(f"{job['state']}: "
+              f"{error.get('message', 'no error detail recorded')}")
+    return 0 if job["state"] == "succeeded" else 1
 
 
 def cmd_jobs(args: argparse.Namespace) -> int:
@@ -794,63 +595,32 @@ def cmd_jobs(args: argparse.Namespace) -> int:
     server, whose job store starts empty — the command is mostly
     useful against a running deployment.
     """
-    import json as _json
-
-    from repro.net.transport import Request
     from repro.server.api import quote_segment
 
     if args.cancel and not args.job_id:
-        print("--cancel requires a job id")
-        return 1
-    dispatch, token, error = _connect_for_write(args)
-    if error:
-        print(error)
-        return 1
-    if args.job_id:
-        if args.cancel:
-            request = Request(
-                "POST",
-                f"/v1/jobs/{quote_segment(args.job_id)}:cancel",
-                token=token,
-            )
-        else:
-            request = Request(
-                "GET", f"/v1/jobs/{quote_segment(args.job_id)}", token=token
-            )
-        response = dispatch(request)
-        if not response.ok:
-            print(f"jobs failed: {response.body.get('message', response.body)}")
-            return 1
-        if args.json:
-            print(_json.dumps(response.body))
-            return 0
-        job = response.body["job"]
+        raise _Failed("--cancel requires a job id")
+    call = _session(args)
+    if not args.job_id:
+        body = _given(state=args.state)
+        reply = call("jobs", "GET", "/v1/jobs", body, as_json=args.json)
+        if reply is not None:
+            for job in reply.get("jobs", []):
+                print(f"{job['jobId']}  {job['kind']:<10} {job['state']:<10} "
+                      f"{_format_progress(job)}")
+            if not reply.get("jobs"):
+                print("no jobs")
+        return 0
+    method, path = "GET", f"/v1/jobs/{quote_segment(args.job_id)}"
+    if args.cancel:
+        method, path = "POST", f"{path}:cancel"
+    reply = call("jobs", method, path, as_json=args.json)
+    if reply is not None:
+        job = reply["job"]
         print(f"{job['jobId']}  {job['kind']:<10} {job['state']}")
-        print(f"  {_format_progress(job.get('progress', {}))}")
-        if job.get("result"):
-            print(f"  result: {_json.dumps(job['result'])}")
-        if job.get("error"):
-            print(f"  error: {_json.dumps(job['error'])}")
-        return 0
-    body = {}
-    if args.state:
-        body["state"] = args.state
-    response = dispatch(Request("GET", "/v1/jobs", body, token=token))
-    if not response.ok:
-        print(f"jobs failed: {response.body.get('message', response.body)}")
-        return 1
-    if args.json:
-        print(_json.dumps(response.body))
-        return 0
-    jobs = response.body.get("jobs", [])
-    if not jobs:
-        print("no jobs")
-        return 0
-    for job in jobs:
-        print(
-            f"{job['jobId']}  {job['kind']:<10} {job['state']:<10} "
-            f"{_format_progress(job.get('progress', {}))}"
-        )
+        print(f"  {_format_progress(job)}")
+        for key in ("result", "error"):
+            if job.get(key):
+                print(f"  {key}: {json.dumps(job[key])}")
     return 0
 
 
@@ -865,15 +635,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     builds the vector index the way server startup does — one scan of
     each user's record rows — and reports per-shard occupancy.
     """
-    from repro.registry.dao import SqliteDAO
-
-    if _missing_registry(args.db):
-        return 1
-    try:
-        dao = SqliteDAO(args.db or ":memory:")
-    except RegistryError as exc:
-        print(exc.message)
-        return 1
+    _require_file(args.db)
+    dao = _open_registry(args.db or ":memory:")
     users = dao.all_users()
     print(f"registry: {args.db or 'in-memory'}  ({len(users)} user(s))")
     for user in users:
@@ -951,7 +714,11 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _Failed as exc:
+        print(exc)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,16 +26,20 @@ def _token_spans(source: str) -> list[tuple[str, int, int]]:
     ]
 
 
-def align_continuation(query: str, candidate: str, window: int = 8) -> str:
+#: how many of the query's trailing tokens are aligned
+_WINDOW = 8
+
+
+def align_continuation(query: str, candidate: str) -> str:
     """Suffix of ``candidate`` after its best alignment with ``query``.
 
-    Slides the query's trailing ``window`` tokens over the candidate's
+    Slides the query's trailing ``_WINDOW`` tokens over the candidate's
     token stream and picks the position with maximal token agreement; the
     continuation starts after the aligned region.  Falls back to the
     whole candidate when nothing aligns (the query may be functionality
     description-ish rather than a literal prefix).
     """
-    query_tokens = [t for t, _s, _e in _token_spans(query)][-window:]
+    query_tokens = [t for t, _s, _e in _token_spans(query)][-_WINDOW:]
     if not query_tokens:
         return candidate
     cand_spans = _token_spans(candidate)

@@ -44,19 +44,21 @@ association in a ``workflow_pes`` link table.  The record rows carry
 the same facts as JSON ``owners`` / ``pe_ids`` columns, which hydration
 reads; every write keeps both in step.
 
-Do the JSON columns earn their place?  Measured by building a record's
-``owners`` / ``pe_ids`` from the join tables at hydration instead (one
-correlated subquery a column in the hydrating statement, the columns
-written as ``'[]'``): ``test_read_cost.py``'s ``READ_COST`` stays
-statement for statement and row for row what it is (semantic 5/6, text
-5/6, hybrid 9/60, code 3/3), ``test_write_cost.py``'s frames stay what
-they were at schema v12, 9/5/10/16 (PUT/revise/DELETE/bulk of 16, 1 KB
-pages) and 9/5/8/9 (4 KB)
-— a record row spans pages whether or not it holds a few bytes of JSON
-— and ``get_pes`` of 60 ids takes ~10 % longer (~480 -> ~540 us on a
+Do the JSON columns earn their place?  Measured at schema v11, on 1 KB
+pages and on a 4 KB file, by building a record's ``owners`` /
+``pe_ids`` from the join tables at hydration instead (one correlated
+subquery a column in the hydrating statement, the columns written as
+``'[]'``): ``test_read_cost.py``'s ``READ_COST`` stayed statement for
+statement and row for row what it was then (semantic 5/6, text 5/6,
+hybrid 9/60, code 3/3), ``test_write_cost.py``'s frames stayed 9/5/10/16
+(PUT/revise/DELETE/bulk of 16, 1 KB pages) and 9/5/8/9 (4 KB) — a
+record row spans pages whether or not it holds a few bytes of JSON —
+and ``get_pes`` of 60 ids took ~10 % longer (~480 -> ~540 us on a
 2-CPU Linux host).  ``workflow_pes`` is a set ordered by ``pe_id``;
-``pe_ids`` is the list as registered.  No frame is saved, so the
-columns stay; dropping them would need its own schema step.
+``pe_ids`` is the list as registered.  No frame was saved, so the
+columns stay; dropping them would need its own schema step.  Both tests
+pin other figures at schema v16, where a new file has 512-byte pages;
+the measurement has not been repeated there.
 """
 
 from __future__ import annotations

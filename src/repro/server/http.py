@@ -33,7 +33,7 @@ Peer disconnects are a fact of life, not an error: a client that drops
 the socket mid-request or mid-response used to surface as a spurious
 ``BrokenPipeError`` traceback from the handler thread; the async core
 closes such a connection quietly.  Any other fault that ends a
-connection (a ``Content-Length`` that is not a number, say) closes it
+connection (a header line longer than the stream limit, say) closes it
 too, with one ``WARNING`` line on this module's :mod:`logging` logger
 naming the peer and the exception.
 """
@@ -55,6 +55,7 @@ from typing import Any
 
 from repro.errors import TransportError, error_envelope
 from repro.net.transport import Request, Response, Transport
+from repro.server.schema import parse_int
 
 #: mirrors ``BaseHTTPRequestHandler.version_string()`` so the Server
 #: header is byte-identical to the previous threaded front end
@@ -64,9 +65,23 @@ _SUPPORTED_METHODS = frozenset({"GET", "POST", "PUT", "DELETE"})
 
 _log = logging.getLogger(__name__)
 
+#: the dispatch thread pool's size: the requests that may block in
+#: SQLite/BLAS at once; parsing and socket I/O stay on the event loop
+#: regardless, so idle keep-alive connections are effectively free
+_WORKERS = 32
+
 
 class _BadBody(ValueError):
-    """Raised when the request body is not a JSON object."""
+    """A request body refused with a 400; the connection reads on."""
+
+    close = False
+
+
+class _BadFraming(_BadBody):
+    """A 400 that closes the connection: where the body ends is unknown,
+    so nothing after it can be read as a request."""
+
+    close = True
 
 
 def _client_url(host: str, port: int) -> str:
@@ -188,16 +203,16 @@ class _AsyncHttpCore:
             body = await self._read_body(reader, headers)
         except _BadBody as exc:
             # standardized envelope (paper §3.2.5) for transport-level
-            # rejects; chunked bodies close (framing would desync), a
-            # fully-read malformed body keeps the connection alive
-            close = bool(headers.get("transfer-encoding"))
+            # rejects; a body of unknown framing closes (the next
+            # request would desync), a fully-read malformed body keeps
+            # the connection alive
             await self._send_json(
                 writer,
                 400,
                 error_envelope("BadRequest", 400, str(exc)),
-                close=close,
+                close=exc.close,
             )
-            return keep_alive and not close
+            return keep_alive and not exc.close
         metadata: dict[str, str] = {}
         idempotency_key = headers.get("idempotency-key")
         if idempotency_key is not None:
@@ -254,11 +269,15 @@ class _AsyncHttpCore:
             # ignoring a chunked body would desynchronize the
             # kept-alive connection (the unread chunks would be parsed
             # as the next request line)
-            raise _BadBody(
+            raise _BadFraming(
                 "Transfer-Encoding is not supported; send a"
                 " Content-Length-framed body"
             )
-        length = int(headers.get("content-length") or 0)
+        length = parse_int(headers.get("content-length", "0"))
+        if not isinstance(length, int):
+            raise _BadFraming(
+                f"Content-Length must be 1 to 18 ASCII digits, got {length!r}"
+            )
         if length == 0:
             return {}
         raw = await reader.readexactly(length)
@@ -361,19 +380,14 @@ def serve_http(
     laminar_server: Any,
     host: str = "127.0.0.1",
     port: int = 0,
-    *,
-    workers: int = 32,
 ) -> HttpServerHandle:
     """Serve ``laminar_server`` over HTTP on a background event loop.
 
     ``port=0`` picks a free port; the handle exposes the bound, client-
-    usable URL.  ``workers`` bounds the dispatch thread pool — the
-    number of requests that may block in SQLite/BLAS at once; parsing
-    and socket I/O stay on the event loop regardless, so idle keep-alive
-    connections are effectively free.
+    usable URL.  ``_WORKERS`` threads dispatch requests.
     """
     executor = ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="laminar-http"
+        max_workers=_WORKERS, thread_name_prefix="laminar-http"
     )
     core = _AsyncHttpCore(laminar_server, executor)
     loop = asyncio.new_event_loop()

@@ -1,6 +1,7 @@
 """Tests for the real-HTTP deployment adapter (loopback socket)."""
 
 import asyncio
+import json
 import logging
 import socket
 import uuid
@@ -296,15 +297,25 @@ class TestConnectionFaults:
         assert warnings_of(caplog) == []
 
     def test_a_framing_fault_is_logged_once(self, http_stack, caplog):
-        """The line is logged before the connection closes, so a client
+        """A header line longer than the stream limit (64 KiB) leaves the
+        request's framing unknown: the connection closes with no reply.
+        The line is logged before the connection closes, so a client
         that has read to the end of the stream finds it there."""
         with caplog.at_level(logging.DEBUG, logger="repro.server.http"):
             with socket.create_connection(
                 (http_stack.host, http_stack.port), timeout=5.0
             ) as sock:
                 peer = sock.getsockname()
-                sock.sendall(promised(b"abc") + b"{}")
-                assert sock.recv(4096) == b""
+                sock.sendall(
+                    b"GET /v1/backends HTTP/1.1\r\n"
+                    b"X-Pad: " + b"a" * 70_000 + b"\r\n\r\n"
+                )
+                try:
+                    reply = sock.recv(4096)
+                except ConnectionResetError:
+                    # closed with the rest of the line still unread
+                    reply = b""
+                assert reply == b""
             (record,) = [
                 r for r in caplog.records if r.name == "repro.server.http"
             ]
@@ -314,3 +325,43 @@ class TestConnectionFaults:
         # and the server goes on serving
         transport = HttpTransport(http_stack.url, timeout=5.0)
         assert transport.request(Request("GET", "/v1/backends", {})).status == 200
+
+
+class TestContentLength:
+    """A ``Content-Length`` that is not 1 to 18 ASCII digits is a 400
+    envelope, and the connection closes: where the body ends is
+    unknown, so nothing after it can be read as a request."""
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "+5", "1_0", ""])
+    def test_a_malformed_length_is_a_400_that_closes(self, http_stack, length):
+        with socket.create_connection(
+            (http_stack.host, http_stack.port), timeout=5.0
+        ) as sock:
+            sock.sendall(promised(length.encode()))
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status, *headers = head.decode("latin-1").split("\r\n")
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in headers
+        assert json.loads(body) == {
+            "error": "BadRequest",
+            "code": 400,
+            "message": "Content-Length must be 1 to 18 ASCII digits, "
+            f"got {length!r}",
+        }
+
+    def test_eighteen_digits_frame_a_body(self, http_stack):
+        body = b'{"userName": "nobody", "password": "pw"}'
+        with socket.create_connection(
+            (http_stack.host, http_stack.port), timeout=5.0
+        ) as sock:
+            sock.sendall(
+                promised(b"%018d" % len(body)).replace(b"HTTP/1.1", b"HTTP/1.0")
+                + body
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 401 ")
