@@ -222,6 +222,10 @@ REASONS: list[tuple[str, tuple[str, ...]]] = [
             "errors.py:error_from_json",
             "errors.py:error_envelope",
             "brokersim/broker.py:_broker_main.<locals>.reply_error",
+            # a BLPOP that times out, and the broker stopped after a
+            # failed or timed-out redis run
+            "brokersim/broker.py:_broker_main.<locals>.sweep_timeouts",
+            "brokersim/broker.py:BrokerServer.kill",
         ),
     ),
     (
@@ -259,12 +263,11 @@ REASONS: list[tuple[str, tuple[str, ...]]] = [
     ),
     (
         "Called from src/ on inputs no scenario sends: a non-Python file "
-        "in an ingest, a package not preinstalled, a result port under "
-        "MPI, text through a model every table uses on code alone",
+        "in an ingest, a package not preinstalled, text through a model "
+        "every table uses on code alone",
         (
             "ingest/chunker.py:chunk_text",
             "engine/environment.py:SimulatedCondaEnvironment.install_cost",
-            "dataflow/mappings/mpi.py:_MPITransport.emit_result",
             "ml/models.py:*.text_runs",
         ),
     ),

@@ -155,5 +155,11 @@ class BrokerServer:
                 pass
             self._process.join(timeout=timeout)
             if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(timeout=1.0)
+                self.kill()
+
+    def kill(self) -> None:
+        """Stop the broker without a word on the request queue: a client
+        killed mid-write may have left that queue unusable, and a write
+        to it would then never finish."""
+        self._process.terminate()
+        self._process.join(timeout=1.0)

@@ -1,22 +1,30 @@
-"""Mapping base classes and the shared instance execution loop.
+"""Mapping base classes and the shared parallel enactment.
 
 A *mapping* enacts a concrete workflow on an execution substrate (paper
 §2.1: Simple, Multi, MPI, Redis).  All parallel mappings share the same
 per-instance behaviour — consume until end-of-stream, route writes, then
-flush ``_postprocess`` — which lives in :class:`InstanceRunner` and talks
-to the substrate through the narrow :class:`InstanceTransport` interface.
-This keeps the four mappings semantically identical by construction: only
-the message transport differs.
+flush ``_postprocess`` — which lives in :class:`InstanceRunner`, and the
+same plumbing, :class:`InstanceTransport`, over a :class:`Mailboxes`
+fabric.  Multi and Redis also share their enactment,
+:class:`MailboxMapping`: each gives only its fabric.  This keeps the four
+mappings semantically identical by construction: only the message
+transport differs.
 """
 
 from __future__ import annotations
 
 import io
+import multiprocessing as mp
 import sys
 import time
+import traceback
 from abc import ABC, abstractmethod
+from collections.abc import Iterable, Iterator
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Any
+
+import cloudpickle
 
 from repro.dataflow.core import PEOutput
 from repro.dataflow.graph import WorkflowGraph
@@ -50,36 +58,63 @@ class MappingResult:
     def add_result(self, pe_name: str, port: str, value: Any) -> None:
         self.results.setdefault(f"{pe_name}.{port}", []).append(value)
 
+    def add_messages(self, messages: Iterable[tuple]) -> None:
+        """Take the collector's ``result`` and ``stdout`` messages, in
+        order."""
+        stdout = [self.stdout]
+        for msg in messages:
+            if msg[0] == "result":
+                self.add_result(*msg[1:])
+            else:
+                stdout.append(msg[1])
+        self.stdout = "".join(stdout)
 
-class InstanceTransport(ABC):
-    """Substrate-specific message plumbing for a single instance."""
+
+#: mailbox of the collector; an instance's mailbox is its gid
+COLLECTOR = -1
+
+
+class Mailboxes(ABC):
+    """The message fabric of a parallel mapping: one FIFO mailbox per
+    instance gid plus one for the collector (:data:`COLLECTOR`).  A
+    handle given to a worker process must pickle."""
 
     @abstractmethod
+    def put(self, gid: int, msg: tuple) -> None:
+        """Append ``msg`` to mailbox ``gid``."""
+
+    @abstractmethod
+    def take(self, gid: int, timeout: float | None) -> tuple | None:
+        """Pop the oldest message of mailbox ``gid``, or ``None`` when
+        none came within ``timeout`` seconds; ``None`` waits for as long
+        as the fabric allows."""
+
+
+class InstanceTransport:
+    """One instance's plumbing over a :class:`Mailboxes` fabric."""
+
+    def __init__(self, gid: int, mailboxes: Mailboxes) -> None:
+        self.gid = gid
+        self.mailboxes = mailboxes
+
     def send_data(self, dest_gid: int, port: str, value: Any) -> None:
-        """Deliver one data unit to instance ``dest_gid``."""
+        self.mailboxes.put(dest_gid, (MSG_DATA, port, value))
 
-    @abstractmethod
     def send_eos(self, dest_gid: int) -> None:
-        """Deliver one end-of-stream token to instance ``dest_gid``."""
+        self.mailboxes.put(dest_gid, (MSG_EOS, None, None))
 
-    @abstractmethod
     def recv(self) -> tuple[str, Any, Any]:
-        """Blocking receive of the next message for *this* instance.
+        """Blocking receive of the next message for *this* instance:
+        ``(MSG_DATA, port, value)`` or ``(MSG_EOS, None, None)``."""
+        return self.mailboxes.take(self.gid, None)
 
-        Returns ``(MSG_DATA, port, value)`` or ``(MSG_EOS, None, None)``.
-        """
-
-    @abstractmethod
     def emit_result(self, pe_name: str, port: str, value: Any) -> None:
         """Report a terminal (result-port) write to the collector."""
+        self.mailboxes.put(COLLECTOR, ("result", pe_name, port, value))
 
-    @abstractmethod
     def emit_stdout(self, text: str) -> None:
         """Forward captured stdout to the collector."""
-
-    @abstractmethod
-    def emit_done(self, counters: InstanceCounters) -> None:
-        """Signal that this instance has finished."""
+        self.mailboxes.put(COLLECTOR, ("stdout", text))
 
 
 class _StdoutForwarder(io.TextIOBase):
@@ -189,8 +224,9 @@ class InstanceRunner:
             self.counters.consumed += 1
             self._dispatch(outputs)
 
-    def run(self) -> None:
-        """Full instance lifecycle: preprocess, stream, postprocess, EOS."""
+    def run(self) -> InstanceCounters:
+        """Full instance lifecycle: preprocess, stream, postprocess, EOS;
+        returns the instance's counters."""
         original_stdout = sys.stdout
         forwarder: _StdoutForwarder | None = None
         if self.capture_stdout:
@@ -210,7 +246,34 @@ class InstanceRunner:
             if forwarder is not None:
                 forwarder.flush_remainder()
                 sys.stdout = original_stdout
-            self.transport.emit_done(self.counters)
+        return self.counters
+
+
+def run_instance(
+    mailboxes: Mailboxes,
+    blob: bytes,
+    gid: int,
+    produce_n: int | None,
+    expected_eos: int,
+    capture_stdout: bool,
+) -> None:
+    """Worker entry point (module-level for spawn-safety): run instance
+    ``gid`` of the cloudpickled workflow ``blob``, then post exactly one
+    terminal message to the collector, after all its others: ``done``
+    with the counters, or ``error`` with the traceback."""
+    try:
+        counters = InstanceRunner(
+            cloudpickle.loads(blob),
+            gid,
+            InstanceTransport(gid, mailboxes),
+            produce_n=produce_n,
+            expected_eos=expected_eos,
+            capture_stdout=capture_stdout,
+        ).run()
+    except Exception:
+        mailboxes.put(COLLECTOR, ("error", gid, traceback.format_exc()))
+    else:
+        mailboxes.put(COLLECTOR, ("done", counters))
 
 
 # ----------------------------------------------------------------------
@@ -376,3 +439,115 @@ class Mapping(ABC):
         result.counters = merge_counters(counters)
         result.elapsed = time.perf_counter() - t0
         return result
+
+
+def inject(
+    mailboxes: Mailboxes,
+    workflow: ConcreteWorkflow,
+    external_items: list[tuple[int, dict[str, Any]]],
+) -> None:
+    """Deliver the externally supplied items to the root instances, then
+    close the external stream with one EOS per fed instance."""
+    driver = ExternalDriver(workflow)
+    for pe_index, item in external_items:
+        for gid, port, value in driver.route_item(pe_index, item):
+            mailboxes.put(gid, (MSG_DATA, port, value))
+    for gid in driver.eos_messages():
+        mailboxes.put(gid, (MSG_EOS, None, None))
+
+
+class MailboxMapping(Mapping):
+    """A parallel mapping: one OS process per instance, every message
+    through a :class:`Mailboxes` fabric, which is all a subclass gives."""
+
+    parallel = True
+
+    @abstractmethod
+    def _fabric(
+        self, total: int
+    ) -> AbstractContextManager[tuple[Mailboxes, list[Mailboxes]]]:
+        """Open the fabric for ``total`` instances; yield the parent's
+        handle and one handle per worker gid."""
+
+    def execute(
+        self,
+        graph: WorkflowGraph,
+        input: Any = None,
+        nprocs: int | None = None,
+        *,
+        capture_stdout: bool = True,
+        timeout: float = 300.0,
+    ) -> MappingResult:
+        t0 = time.perf_counter()
+        workflow = self._build(graph, nprocs)
+        produce_counts, external_items = normalize_input(workflow, input)
+        expected = effective_expected_eos(workflow)
+        total = workflow.total_instances
+        blob = cloudpickle.dumps(workflow)
+        ctx = mp.get_context()
+        result = MappingResult(mapping=self.name, nprocs=total)
+        counters: list[InstanceCounters] = []
+        processes: list[mp.process.BaseProcess] = []
+        with self._fabric(total) as (mailboxes, handles):
+            try:
+                for info in workflow.instances:
+                    proc = ctx.Process(
+                        target=run_instance,
+                        args=(
+                            handles[info.gid],
+                            blob,
+                            info.gid,
+                            produce_counts.get(info.gid),
+                            expected[info.gid],
+                            capture_stdout,
+                        ),
+                        daemon=True,
+                    )
+                    proc.start()
+                    processes.append(proc)
+                inject(mailboxes, workflow, external_items)
+                result.add_messages(
+                    self._collect(mailboxes, total, timeout, counters)
+                )
+                # every worker has posted its last message: let each exit
+                # on its own, since one killed mid-write can leave a
+                # shared queue unusable
+                for proc in processes:
+                    proc.join(timeout=5.0)
+            finally:
+                for proc in processes:
+                    if proc.is_alive():
+                        proc.terminate()
+                for proc in processes:
+                    proc.join(timeout=1.0)
+        return self._finalize(result, counters, t0)
+
+    def _collect(
+        self,
+        mailboxes: Mailboxes,
+        total: int,
+        timeout: float,
+        counters: list[InstanceCounters],
+    ) -> Iterator[tuple]:
+        """Yield the collector's result and stdout messages until all
+        ``total`` workers have posted ``done``, whose counters go to
+        ``counters``; an ``error`` or the timeout raises."""
+        deadline = time.monotonic() + timeout
+        while len(counters) < total:
+            remaining = deadline - time.monotonic()
+            msg = mailboxes.take(COLLECTOR, remaining) if remaining > 0 else None
+            if msg is None:
+                raise MappingError(
+                    f"{self.name} mapping timed out after {timeout}s "
+                    f"({len(counters)}/{total} instances finished)",
+                    params={"timeout": timeout},
+                )
+            if msg[0] == "error":
+                raise MappingError(
+                    f"worker process(es) failed during {self.name} enactment",
+                    details=msg[2],
+                )
+            if msg[0] == "done":
+                counters.append(msg[1])
+            else:
+                yield msg

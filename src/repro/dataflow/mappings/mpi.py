@@ -21,17 +21,16 @@ import cloudpickle
 
 from repro.dataflow.graph import WorkflowGraph
 from repro.dataflow.mappings.base import (
-    MSG_DATA,
-    MSG_EOS,
-    ExternalDriver,
+    COLLECTOR,
     InstanceRunner,
     InstanceTransport,
+    Mailboxes,
     Mapping,
     MappingResult,
     effective_expected_eos,
+    inject,
     normalize_input,
 )
-from repro.dataflow.monitoring import InstanceCounters
 from repro.errors import MappingError
 from repro.mpisim import Communicator, mpi_run
 
@@ -39,38 +38,26 @@ from repro.mpisim import Communicator, mpi_run
 TAG_STREAM = 7
 
 
-class _MPITransport(InstanceTransport):
-    """Stream transport over the simulated communicator.
+class _RankMailboxes(Mailboxes):
+    """Stream messages travel point to point over the simulated
+    communicator; the collector's stay on the rank and reach rank 0 in
+    one final ``gather`` — minimizing message volume, as the mpi4py guide
+    recommends for small-object communication."""
 
-    Results, stdout and counters are accumulated locally and shipped to
-    rank 0 in one final ``gather`` — minimizing message volume, as the
-    mpi4py guide recommends for small-object communication.
-    """
-
-    def __init__(self, comm: Communicator, gid: int) -> None:
+    def __init__(self, comm: Communicator) -> None:
         self.comm = comm
-        self.gid = gid
-        self.results: list[tuple[str, str, Any]] = []
-        self.stdout_parts: list[str] = []
-        self.counters: InstanceCounters | None = None
+        self.collected: list[tuple] = []
 
-    def send_data(self, dest_gid: int, port: str, value: Any) -> None:
-        self.comm.send((MSG_DATA, port, value), dest=dest_gid, tag=TAG_STREAM)
+    def put(self, gid: int, msg: tuple) -> None:
+        if gid == COLLECTOR:
+            self.collected.append(msg)
+        else:
+            self.comm.send(msg, dest=gid, tag=TAG_STREAM)
 
-    def send_eos(self, dest_gid: int) -> None:
-        self.comm.send((MSG_EOS, None, None), dest=dest_gid, tag=TAG_STREAM)
-
-    def recv(self) -> tuple[str, Any, Any]:
+    def take(self, gid: int, timeout: float | None) -> tuple | None:
+        # a rank takes only its own stream, waiting as long as the
+        # launcher lets the run go on
         return self.comm.recv(tag=TAG_STREAM)
-
-    def emit_result(self, pe_name: str, port: str, value: Any) -> None:
-        self.results.append((pe_name, port, value))
-
-    def emit_stdout(self, text: str) -> None:
-        self.stdout_parts.append(text)
-
-    def emit_done(self, counters: InstanceCounters) -> None:
-        self.counters = counters
 
 
 def _mpi_workflow_main(
@@ -78,30 +65,25 @@ def _mpi_workflow_main(
     blob: bytes,
     produce_counts: dict[int, int],
     expected: dict[int, int],
-    external_messages: list[tuple[int, str, Any]],
-    external_eos: list[int],
+    external_items: list[tuple[int, dict[str, Any]]],
     capture_stdout: bool,
 ) -> Any:
     """Per-rank body of the MPI enactment."""
     workflow = cloudpickle.loads(blob)
     comm.bcast("start", root=0)  # synchronize before streaming begins
     gid = comm.rank
-    transport = _MPITransport(comm, gid)
+    mailboxes = _RankMailboxes(comm)
     if comm.rank == 0:
-        for dest, port, value in external_messages:
-            comm.send((MSG_DATA, port, value), dest=dest, tag=TAG_STREAM)
-        for dest in external_eos:
-            comm.send((MSG_EOS, None, None), dest=dest, tag=TAG_STREAM)
-    InstanceRunner(
+        inject(mailboxes, workflow, external_items)
+    counters = InstanceRunner(
         workflow,
         gid,
-        transport,
+        InstanceTransport(gid, mailboxes),
         produce_n=produce_counts.get(gid),
         expected_eos=expected[gid],
         capture_stdout=capture_stdout,
     ).run()
-    payload = (transport.results, "".join(transport.stdout_parts), transport.counters)
-    gathered = comm.gather(payload, root=0)
+    gathered = comm.gather((mailboxes.collected, counters), root=0)
     comm.barrier()
     return gathered
 
@@ -124,23 +106,14 @@ class MPIMapping(Mapping):
         t0 = time.perf_counter()
         workflow = self._build(graph, nprocs)
         produce_counts, external_items = normalize_input(workflow, input)
-        expected = effective_expected_eos(workflow)
-
-        driver = ExternalDriver(workflow)
-        external_messages: list[tuple[int, str, Any]] = []
-        for pe_index, item in external_items:
-            external_messages.extend(driver.route_item(pe_index, item))
-        external_eos = driver.eos_messages()
-
         ranks = workflow.total_instances
         per_rank = mpi_run(
             ranks,
             _mpi_workflow_main,
             cloudpickle.dumps(workflow),
             produce_counts,
-            expected,
-            external_messages,
-            external_eos,
+            effective_expected_eos(workflow),
+            external_items,
             capture_stdout,
             timeout=timeout,
         )
@@ -149,13 +122,5 @@ class MPIMapping(Mapping):
             raise MappingError("MPI rank 0 returned no gathered payload")
 
         result = MappingResult(mapping=self.name, nprocs=ranks)
-        counters: list[InstanceCounters] = []
-        stdout_parts: list[str] = []
-        for results, stdout_text, rank_counters in gathered:
-            for pe_name, port, value in results:
-                result.add_result(pe_name, port, value)
-            stdout_parts.append(stdout_text)
-            if rank_counters is not None:
-                counters.append(rank_counters)
-        result.stdout = "".join(stdout_parts)
-        return self._finalize(result, counters, t0)
+        result.add_messages(msg for collected, _ in gathered for msg in collected)
+        return self._finalize(result, [c for _, c in gathered], t0)

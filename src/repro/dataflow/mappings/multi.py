@@ -12,199 +12,35 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import queue as queue_mod
-import time
-import traceback
-from typing import Any
+from collections.abc import Iterator
+from contextlib import contextmanager
 
-import cloudpickle
-
-from repro.dataflow.graph import WorkflowGraph
-from repro.dataflow.mappings.base import (
-    MSG_DATA,
-    MSG_EOS,
-    ExternalDriver,
-    InstanceRunner,
-    InstanceTransport,
-    Mapping,
-    MappingResult,
-    effective_expected_eos,
-    normalize_input,
-)
-from repro.dataflow.monitoring import InstanceCounters
-from repro.errors import MappingError
+from repro.dataflow.mappings.base import COLLECTOR, MailboxMapping, Mailboxes
 
 
-class _MultiTransport(InstanceTransport):
-    """Queue plumbing for one worker process."""
+class _Queues(Mailboxes):
+    """One ``multiprocessing`` queue per mailbox, shared by every process."""
 
-    def __init__(
-        self,
-        gid: int,
-        inboxes: dict[int, "mp.queues.Queue"],
-        collector: "mp.queues.Queue",
-    ) -> None:
-        self.gid = gid
-        self.inboxes = inboxes
-        self.collector = collector
+    def __init__(self, total: int) -> None:
+        ctx = mp.get_context()
+        self.queues = {gid: ctx.Queue() for gid in [*range(total), COLLECTOR]}
 
-    def send_data(self, dest_gid: int, port: str, value: Any) -> None:
-        self.inboxes[dest_gid].put((MSG_DATA, port, value))
+    def put(self, gid: int, msg: tuple) -> None:
+        self.queues[gid].put(msg)
 
-    def send_eos(self, dest_gid: int) -> None:
-        self.inboxes[dest_gid].put((MSG_EOS, None, None))
-
-    def recv(self) -> tuple[str, Any, Any]:
-        return self.inboxes[self.gid].get()
-
-    def emit_result(self, pe_name: str, port: str, value: Any) -> None:
-        self.collector.put(("result", pe_name, port, value))
-
-    def emit_stdout(self, text: str) -> None:
-        self.collector.put(("stdout", text))
-
-    def emit_done(self, counters: InstanceCounters) -> None:
-        self.collector.put(("done", counters))
+    def take(self, gid: int, timeout: float | None) -> tuple | None:
+        try:
+            return self.queues[gid].get(timeout=timeout)
+        except queue_mod.Empty:
+            return None
 
 
-def _worker(
-    blob: bytes,
-    gid: int,
-    produce_n: int | None,
-    expected_eos: int,
-    inboxes: dict[int, "mp.queues.Queue"],
-    collector: "mp.queues.Queue",
-    capture_stdout: bool,
-) -> None:
-    """Worker entry point (module-level for spawn-safety)."""
-    transport = _MultiTransport(gid, inboxes, collector)
-    try:
-        workflow = cloudpickle.loads(blob)
-        InstanceRunner(
-            workflow,
-            gid,
-            transport,
-            produce_n=produce_n,
-            expected_eos=expected_eos,
-            capture_stdout=capture_stdout,
-        ).run()
-    except Exception:
-        collector.put(("error", gid, traceback.format_exc()))
-
-
-class MultiMapping(Mapping):
+class MultiMapping(MailboxMapping):
     """Parallel enactment over ``multiprocessing`` queues."""
 
     name = "multi"
-    parallel = True
 
-    def execute(
-        self,
-        graph: WorkflowGraph,
-        input: Any = None,
-        nprocs: int | None = None,
-        *,
-        capture_stdout: bool = True,
-        timeout: float = 300.0,
-    ) -> MappingResult:
-        t0 = time.perf_counter()
-        workflow = self._build(graph, nprocs)
-        produce_counts, external_items = normalize_input(workflow, input)
-        expected = effective_expected_eos(workflow)
-        total = workflow.total_instances
-
-        ctx = mp.get_context()
-        inboxes: dict[int, Any] = {info.gid: ctx.Queue() for info in workflow.instances}
-        collector = ctx.Queue()
-        blob = cloudpickle.dumps(workflow)
-
-        processes: list[mp.Process] = []
-        for info in workflow.instances:
-            proc = ctx.Process(
-                target=_worker,
-                args=(
-                    blob,
-                    info.gid,
-                    produce_counts.get(info.gid),
-                    expected[info.gid],
-                    inboxes,
-                    collector,
-                    capture_stdout,
-                ),
-                daemon=True,
-            )
-            processes.append(proc)
-            proc.start()
-
-        # drive externally supplied items, then close the external stream
-        driver = ExternalDriver(workflow)
-        for pe_index, item in external_items:
-            for gid, port, value in driver.route_item(pe_index, item):
-                inboxes[gid].put((MSG_DATA, port, value))
-        for gid in driver.eos_messages():
-            inboxes[gid].put((MSG_EOS, None, None))
-
-        result = MappingResult(mapping=self.name, nprocs=total)
-        counters: list[InstanceCounters] = []
-        stdout_parts: list[str] = []
-        errors: list[str] = []
-
-        def consume(msg: tuple) -> int:
-            """Process one collector message; returns 1 for 'done'."""
-            kind = msg[0]
-            if kind == "result":
-                _, pe_name, port, value = msg
-                result.add_result(pe_name, port, value)
-            elif kind == "stdout":
-                stdout_parts.append(msg[1])
-            elif kind == "done":
-                counters.append(msg[1])
-                return 1
-            elif kind == "error":
-                errors.append(msg[2])
-            return 0
-
-        deadline = time.monotonic() + timeout
-        done = 0
-        while done < total and not errors:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._cleanup(processes)
-                raise MappingError(
-                    f"multi mapping timed out after {timeout}s "
-                    f"({done}/{total} instances finished)",
-                    params={"timeout": timeout},
-                )
-            try:
-                msg = collector.get(timeout=min(remaining, 0.5))
-            except queue_mod.Empty:
-                continue
-            done += consume(msg)
-
-        if not errors:
-            for proc in processes:
-                proc.join(timeout=5.0)
-        # drain trailing messages (a worker's "error" can legitimately
-        # arrive after its "done" because the runner emits done in finally)
-        while True:
-            try:
-                consume(collector.get_nowait())
-            except queue_mod.Empty:
-                break
-        self._cleanup(processes)
-
-        if errors:
-            raise MappingError(
-                "worker process(es) failed during enactment",
-                details="\n---\n".join(errors),
-            )
-
-        result.stdout = "".join(stdout_parts)
-        return self._finalize(result, counters, t0)
-
-    @staticmethod
-    def _cleanup(processes: list[mp.Process]) -> None:
-        for proc in processes:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in processes:
-            proc.join(timeout=1.0)
+    @contextmanager
+    def _fabric(self, total: int) -> Iterator[tuple[Mailboxes, list[Mailboxes]]]:
+        queues = _Queues(total)
+        yield queues, [queues] * total

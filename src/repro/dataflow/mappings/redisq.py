@@ -15,209 +15,60 @@ real OS processes, one per instance, each holding its own broker client
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import time
-import traceback
-from typing import Any
-
-import cloudpickle
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 from repro.brokersim import BrokerClient, BrokerServer
-from repro.dataflow.graph import WorkflowGraph
-from repro.dataflow.mappings.base import (
-    MSG_DATA,
-    MSG_EOS,
-    ExternalDriver,
-    InstanceRunner,
-    InstanceTransport,
-    Mapping,
-    MappingResult,
-    effective_expected_eos,
-    normalize_input,
-)
-from repro.dataflow.monitoring import InstanceCounters
+from repro.dataflow.mappings.base import COLLECTOR, MailboxMapping, Mailboxes
 from repro.errors import MappingError
 
-_COLLECTOR_KEY = "collector"
+#: longest an instance waits for its next message before it gives up
 _BLPOP_TIMEOUT = 290.0
 
 
-def _queue_key(gid: int) -> str:
-    return f"q:{gid}"
+class _BrokerLists(Mailboxes):
+    """The broker's lists, reached through one process's own client."""
 
-
-class _RedisTransport(InstanceTransport):
-    """Broker-list plumbing for one worker process."""
-
-    def __init__(self, gid: int, client: BrokerClient) -> None:
-        self.gid = gid
+    def __init__(self, client: BrokerClient) -> None:
         self.client = client
 
-    def send_data(self, dest_gid: int, port: str, value: Any) -> None:
-        self.client.rpush(_queue_key(dest_gid), (MSG_DATA, port, value))
+    @staticmethod
+    def _key(gid: int) -> str:
+        return "collector" if gid == COLLECTOR else f"q:{gid}"
 
-    def send_eos(self, dest_gid: int) -> None:
-        self.client.rpush(_queue_key(dest_gid), (MSG_EOS, None, None))
+    def put(self, gid: int, msg: tuple) -> None:
+        self.client.rpush(self._key(gid), msg)
 
-    def recv(self) -> tuple[str, Any, Any]:
-        popped = self.client.blpop(_queue_key(self.gid), timeout=_BLPOP_TIMEOUT)
-        if popped is None:
+    def take(self, gid: int, timeout: float | None) -> tuple | None:
+        popped = self.client.blpop(
+            self._key(gid), timeout=_BLPOP_TIMEOUT if timeout is None else timeout
+        )
+        if popped is None and timeout is None:
             raise MappingError(
-                f"instance {self.gid} starved: no message within "
-                f"{_BLPOP_TIMEOUT}s",
-                params={"gid": self.gid},
+                f"instance {gid} starved: no message within {_BLPOP_TIMEOUT}s",
+                params={"gid": gid},
             )
-        _key, message = popped
-        return message
-
-    def emit_result(self, pe_name: str, port: str, value: Any) -> None:
-        self.client.rpush(_COLLECTOR_KEY, ("result", pe_name, port, value))
-
-    def emit_stdout(self, text: str) -> None:
-        self.client.rpush(_COLLECTOR_KEY, ("stdout", text))
-
-    def emit_done(self, counters: InstanceCounters) -> None:
-        self.client.rpush(_COLLECTOR_KEY, ("done", counters))
+        return None if popped is None else popped[1]
 
 
-def _redis_worker(
-    blob: bytes,
-    gid: int,
-    produce_n: int | None,
-    expected_eos: int,
-    client: BrokerClient,
-    capture_stdout: bool,
-) -> None:
-    """Worker entry point (module-level for spawn-safety)."""
-    try:
-        workflow = cloudpickle.loads(blob)
-        transport = _RedisTransport(gid, client)
-        InstanceRunner(
-            workflow,
-            gid,
-            transport,
-            produce_n=produce_n,
-            expected_eos=expected_eos,
-            capture_stdout=capture_stdout,
-        ).run()
-    except Exception:
-        client.rpush(_COLLECTOR_KEY, ("error", gid, traceback.format_exc()))
-
-
-class RedisMapping(Mapping):
+class RedisMapping(MailboxMapping):
     """Parallel enactment through the simulated Redis broker."""
 
     name = "redis"
-    parallel = True
 
-    def execute(
-        self,
-        graph: WorkflowGraph,
-        input: Any = None,
-        nprocs: int | None = None,
-        *,
-        capture_stdout: bool = True,
-        timeout: float = 300.0,
-    ) -> MappingResult:
-        t0 = time.perf_counter()
-        workflow = self._build(graph, nprocs)
-        produce_counts, external_items = normalize_input(workflow, input)
-        expected = effective_expected_eos(workflow)
-        total = workflow.total_instances
-
-        # client 0..total-1 for the workers, client `total` for the driver
+    @contextmanager
+    def _fabric(self, total: int) -> Iterator[tuple[Mailboxes, list[Mailboxes]]]:
+        # client 0..total-1 for the workers, client `total` for the parent
         server = BrokerServer(n_clients=total + 1)
         server.start()
-        driver_client = server.client(total)
-        blob = cloudpickle.dumps(workflow)
-
-        processes: list[mp.Process] = []
         try:
-            driver_client.ping()
-            ctx = mp.get_context()
-            for info in workflow.instances:
-                proc = ctx.Process(
-                    target=_redis_worker,
-                    args=(
-                        blob,
-                        info.gid,
-                        produce_counts.get(info.gid),
-                        expected[info.gid],
-                        server.client(info.gid),
-                        capture_stdout,
-                    ),
-                    daemon=True,
-                )
-                processes.append(proc)
-                proc.start()
-
-            # inject external items and close the external stream
-            driver = ExternalDriver(workflow)
-            for pe_index, item in external_items:
-                for gid, port, value in driver.route_item(pe_index, item):
-                    driver_client.rpush(_queue_key(gid), (MSG_DATA, port, value))
-            for gid in driver.eos_messages():
-                driver_client.rpush(_queue_key(gid), (MSG_EOS, None, None))
-
-            result = MappingResult(mapping=self.name, nprocs=total)
-            counters: list[InstanceCounters] = []
-            stdout_parts: list[str] = []
-            errors: list[str] = []
-            deadline = time.monotonic() + timeout
-            done = 0
-            while done < total and not errors:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise MappingError(
-                        f"redis mapping timed out after {timeout}s "
-                        f"({done}/{total} instances finished)",
-                        params={"timeout": timeout},
-                    )
-                popped = driver_client.blpop(
-                    _COLLECTOR_KEY, timeout=min(remaining, 0.5)
-                )
-                if popped is None:
-                    continue
-                _key, msg = popped
-                kind = msg[0]
-                if kind == "result":
-                    _, pe_name, port, value = msg
-                    result.add_result(pe_name, port, value)
-                elif kind == "stdout":
-                    stdout_parts.append(msg[1])
-                elif kind == "done":
-                    counters.append(msg[1])
-                    done += 1
-                elif kind == "error":
-                    errors.append(msg[2])
-
-            # drain any trailing messages (error can follow its done)
-            while True:
-                popped = driver_client.blpop(_COLLECTOR_KEY, timeout=0.05)
-                if popped is None:
-                    break
-                msg = popped[1]
-                if msg[0] == "error":
-                    errors.append(msg[2])
-                elif msg[0] == "stdout":
-                    stdout_parts.append(msg[1])
-                elif msg[0] == "result":
-                    result.add_result(msg[1], msg[2], msg[3])
-
-            if errors:
-                raise MappingError(
-                    "worker process(es) failed during redis enactment",
-                    details="\n---\n".join(errors),
-                )
-
-            for proc in processes:
-                proc.join(timeout=5.0)
-            result.stdout = "".join(stdout_parts)
-            return self._finalize(result, counters, t0)
-        finally:
-            for proc in processes:
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in processes:
-                proc.join(timeout=1.0)
-            server.shutdown()
+            parent = server.client(total)
+            parent.ping()
+            yield _BrokerLists(parent), [
+                _BrokerLists(server.client(gid)) for gid in range(total)
+            ]
+        except BaseException:
+            # workers were killed at once, perhaps one mid-write
+            server.kill()
+            raise
+        server.shutdown()

@@ -93,9 +93,11 @@ The SQLite DAO reads ``PRAGMA user_version`` before anything writes
 version    On open
 =========  ============================================================
 new file   Version 0 and no schema (``":memory:"`` too): the schema is
-           created in one transaction and stamped v15.
-v15        Current: no DDL on the file.  It holds no text document
-           and no FTS5 table: the text index is a cache — per record
+           created in one transaction and stamped v16.
+v16        Current: no DDL on the file.  It holds no vector-index state:
+           a vector lives in its record row, and attach fills every
+           shard from the rows.  It holds no text document and no FTS5
+           table: the text index is a cache — per record
            kind a table of each record's normalized name and
            description documents and a contentless FTS5 table over
            them, in an attached ``':memory:'`` database.  The first
@@ -116,12 +118,12 @@ v15        Current: no DDL on the file.  It holds no text document
            ids).  Its vector blobs may be in the value-table layout
            (:mod:`repro.registry.veccodec`, tag 2, since v12), which
            **older code cannot decode**.
-v14        Accepted: one step, in one transaction — drop the
-           ``pe_text`` / ``wf_text`` document tables (the documents
-           are derived again from the records) and stamp.  v14 kept
-           the documents on disk and filled the memory FTS5 index
-           from them at open, so each write logged a page of them.
-other      Refused, older (v13 and v12 included) or newer, with a
+v15        Accepted: one step, in one transaction — drop the
+           ``index_shards`` base slabs, the ``index_deltas`` journal
+           and the ``shard_stamps.tip`` column (they restated which
+           records each shard holds, which the owner tables and record
+           rows say on their own) and stamp v16.
+other      Refused, older (v14 and v13 included) or newer, with a
            ``RegistryError`` naming the version; the file is left as it
            was.  An older file steps up when opened once with an older
            checkout of this repository (the git history is the

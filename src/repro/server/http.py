@@ -32,9 +32,10 @@ traces see no difference.
 Peer disconnects are a fact of life, not an error: a client that drops
 the socket mid-request or mid-response used to surface as a spurious
 ``BrokenPipeError`` traceback from the handler thread; the async core
-closes such a connection quietly.  Any other fault that ends a
-connection (a header line longer than the stream limit, say) closes it
-too, with one ``WARNING`` line on this module's :mod:`logging` logger
+closes such a connection quietly.  A request line or a header line
+longer than the stream limit gets a 414 or a 431 envelope and closes the
+connection.  Any other fault that ends a connection closes it too, with
+no reply and one ``WARNING`` line on this module's :mod:`logging` logger
 naming the peer and the exception.
 """
 
@@ -173,7 +174,16 @@ class _AsyncHttpCore:
             )
             return False
         method, path, version = parts
-        headers = await self._read_headers(reader)
+        try:
+            headers = await self._read_headers(reader)
+        except ValueError:  # a header line over the stream limit
+            await self._send_json(
+                writer,
+                431,
+                error_envelope("BadRequest", 431, "header line too long"),
+                close=True,
+            )
+            return False
         if headers is None:
             await self._send_json(
                 writer,
@@ -283,7 +293,8 @@ class _AsyncHttpCore:
         raw = await reader.readexactly(length)
         try:
             body = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+            # RecursionError: nested deeper than the decoder recurses
             raise _BadBody(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(body, dict):
             raise _BadBody(

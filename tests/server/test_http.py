@@ -10,7 +10,7 @@ import pytest
 
 from repro.client import LaminarClient
 from repro.errors import AuthenticationError, TransportError
-from repro.net.transport import Request
+from repro.net.transport import Request, Response
 from repro.server import LaminarServer
 from repro.server.http import (
     HttpTransport,
@@ -243,19 +243,35 @@ class _Writer:
         pass
 
 
-def handle(feed):
+def handle(feed, laminar=None):
     """Run one connection over a reader that ``feed`` fills; return its
-    writer.  No request gets as far as dispatch."""
+    writer.  A request gets as far as dispatch only with a ``laminar``."""
 
     async def run():
         reader = asyncio.StreamReader()
         feed(reader)
         writer = _Writer()
-        core = _AsyncHttpCore(laminar=None, executor=None)
+        core = _AsyncHttpCore(laminar=laminar, executor=None)
         await core.handle_connection(reader, writer)
         return writer
 
     return asyncio.run(run())
+
+
+def replies(writer):
+    """Each response the writer sent, as ``(status line, headers, body)``."""
+    out = []
+    rest = bytes(writer.sent)
+    while rest:
+        head, _, rest = rest.partition(b"\r\n\r\n")
+        status, *headers = head.decode("latin-1").split("\r\n")
+        length = next(
+            int(h.split(":")[1]) for h in headers
+            if h.startswith("Content-Length:")
+        )
+        out.append((status, headers, json.loads(rest[:length])))
+        rest = rest[length:]
+    return out
 
 
 def warnings_of(caplog):
@@ -296,35 +312,85 @@ class TestConnectionFaults:
         assert writer.closed
         assert warnings_of(caplog) == []
 
-    def test_a_framing_fault_is_logged_once(self, http_stack, caplog):
-        """A header line longer than the stream limit (64 KiB) leaves the
-        request's framing unknown: the connection closes with no reply.
-        The line is logged before the connection closes, so a client
-        that has read to the end of the stream finds it there."""
+    def test_a_fault_that_ends_a_connection_is_logged_once(self, caplog):
+        """A response that cannot be encoded as JSON (here a set in the
+        body) ends the connection with no reply and one logged line."""
+
+        class Unencodable:
+            def dispatch(self, request):
+                return Response(200, {"values": {1, 2}})
+
+        def ask(reader):
+            reader.feed_data(b"GET /v1/backends HTTP/1.1\r\n\r\n")
+            reader.feed_eof()
+
         with caplog.at_level(logging.DEBUG, logger="repro.server.http"):
-            with socket.create_connection(
-                (http_stack.host, http_stack.port), timeout=5.0
-            ) as sock:
-                peer = sock.getsockname()
-                sock.sendall(
-                    b"GET /v1/backends HTTP/1.1\r\n"
-                    b"X-Pad: " + b"a" * 70_000 + b"\r\n\r\n"
-                )
-                try:
-                    reply = sock.recv(4096)
-                except ConnectionResetError:
-                    # closed with the rest of the line still unread
-                    reply = b""
-                assert reply == b""
-            (record,) = [
-                r for r in caplog.records if r.name == "repro.server.http"
-            ]
+            writer = handle(ask, laminar=Unencodable())
+        assert writer.closed and not writer.sent
+        (record,) = [
+            r for r in caplog.records if r.name == "repro.server.http"
+        ]
         line = record.getMessage()
-        assert str(peer) in line and "ValueError" in line, line
+        assert "TypeError" in line and "set" in line, line
         assert record.levelno == logging.WARNING and record.exc_info is None
-        # and the server goes on serving
-        transport = HttpTransport(http_stack.url, timeout=5.0)
-        assert transport.request(Request("GET", "/v1/backends", {})).status == 200
+
+    def test_an_over_long_header_line_is_a_431_that_closes(self, caplog):
+        """A header line longer than the stream limit (64 KiB) leaves the
+        request's framing unknown: a 431 envelope, and the connection
+        closes, as a request line over the limit gets a 414."""
+
+        def pad(reader):
+            reader.feed_data(
+                b"GET /v1/backends HTTP/1.1\r\n"
+                b"X-Pad: " + b"a" * 70_000 + b"\r\n\r\n"
+            )
+            reader.feed_eof()
+
+        with caplog.at_level(logging.DEBUG, logger="repro.server.http"):
+            writer = handle(pad)
+        ((status, headers, body),) = replies(writer)
+        assert status == "HTTP/1.1 431 Request Header Fields Too Large"
+        assert "Connection: close" in headers
+        assert body == {
+            "error": "BadRequest",
+            "code": 431,
+            "message": "header line too long",
+        }
+        assert writer.closed
+        assert warnings_of(caplog) == []
+
+
+class TestDeepBody:
+    """A JSON body nested deeper than the decoder recurses is a 400 like
+    any other malformed body, and the connection reads on."""
+
+    def test_a_deeply_nested_body_is_a_400_that_keeps_the_connection(
+        self, caplog
+    ):
+        deep = b"[" * 100_000
+
+        def send(reader):
+            reader.feed_data(promised(b"%d" % len(deep)) + deep)
+            reader.feed_data(b"GET /v1/backends HTTP/1.1\r\n\r\n")
+            reader.feed_eof()
+
+        class Backends:
+            def dispatch(self, request):
+                return Response(200, {"path": request.path})
+
+        with caplog.at_level(logging.DEBUG, logger="repro.server.http"):
+            writer = handle(send, laminar=Backends())
+        (first, second) = replies(writer)
+        status, headers, body = first
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" not in headers
+        assert body["error"] == "BadRequest"
+        assert body["message"].startswith("request body is not valid JSON: ")
+        assert "recursion" in body["message"]
+        # the next request on the same connection is served
+        assert second[0] == "HTTP/1.1 200 OK"
+        assert second[2] == {"path": "/v1/backends"}
+        assert warnings_of(caplog) == []
 
 
 class TestContentLength:
