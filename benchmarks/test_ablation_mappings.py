@@ -20,8 +20,9 @@ from repro.dataflow.mappings import run_workflow
 N_ITEMS = 24
 IO_DELAY_S = 0.004
 CPU_LOOPS = 20_000
-#: alternating (simple, multi) runs the IO claim takes the medians of
+#: rounds of every (graph, mapping) run whose medians are recorded
 IO_REPEATS = 5
+MAPPINGS = ("simple", "multi", "mpi", "redis")
 
 
 class _Producer(ProducerPE):
@@ -78,7 +79,7 @@ def _graph(stage_cls, hint):
     return graph
 
 
-@pytest.mark.parametrize("mapping", ["simple", "multi", "mpi", "redis"])
+@pytest.mark.parametrize("mapping", MAPPINGS)
 class TestMappingAblation:
     def test_io_bound(self, benchmark, mapping):
         benchmark.group = "ablation-io-bound"
@@ -108,35 +109,57 @@ class TestMappingAblation:
 def test_multi_beats_simple_on_io(benchmark, record):
     """The Table 5 mechanism in isolation: IO overlap across processes.
 
-    Printed, not asserted.  Unprofiled, Multi's median is ~0.055 s
-    against Simple's ~0.100 s; under a profile hook (``reach.py``
-    arms one in every process) Multi's own Python overhead grows to
-    ~0.095 s, and even the median of five alternating runs came out
-    slower than Simple in 1 of 10 hooked runs.  CPU time cannot show
-    the claim: what Multi overlaps is sleeping, not computing.
+    Every mapping runs both graphs in each of :data:`IO_REPEATS` rounds,
+    in turn, and the medians of all of them are written to
+    ``benchmarks/out/ablation_mappings.txt``.  The claim is printed, not
+    asserted.  Unprofiled, Multi's IO median is ~0.055 s against
+    Simple's ~0.100 s; under a profile hook (``reach.py`` arms one in
+    every process) Multi's own Python overhead grows to ~0.095 s, and
+    even the median of five alternating runs came out slower than
+    Simple in 1 of 10 hooked runs.  CPU time cannot show the claim:
+    what Multi overlaps is sleeping, not computing.
     """
     import time
 
-    def timed(mapping):
+    stages = {"IO-bound": _IOStage, "CPU-bound": _CPUStage}
+
+    def timed(stage, mapping):
         t0 = time.perf_counter()
         run_workflow(
-            _graph(_IOStage, hint=4), input=N_ITEMS, mapping=mapping,
+            _graph(stages[stage], hint=4), input=N_ITEMS, mapping=mapping,
             nprocs=6, timeout=120,
         )
         return time.perf_counter() - t0
 
     runs = benchmark.pedantic(
-        lambda: [(timed("simple"), timed("multi")) for _ in range(IO_REPEATS)],
+        lambda: [
+            {
+                (stage, mapping): timed(stage, mapping)
+                for stage in stages
+                for mapping in MAPPINGS
+            }
+            for _ in range(IO_REPEATS)
+        ],
         rounds=1,
         iterations=1,
     )
-    simple = statistics.median(pair[0] for pair in runs)
-    multi = statistics.median(pair[1] for pair in runs)
+    median = {
+        cell: statistics.median(run[cell] for run in runs) for cell in runs[0]
+    }
+    simple, multi = median["IO-bound", "simple"], median["IO-bound", "multi"]
+    rows = [
+        f"  {mapping:<8}" + "".join(
+            f" {median[stage, mapping]:>9.3f}s" for stage in stages
+        )
+        for mapping in MAPPINGS
+    ]
     record(
         "ablation_mappings",
-        f"IO-bound ({N_ITEMS} items x {IO_DELAY_S * 1000:.0f}ms, "
-        f"median of {IO_REPEATS} runs):\n"
-        f"  simple: {simple:.3f}s\n  multi:  {multi:.3f}s\n"
-        f"  speedup: {simple / multi:.2f}x\n"
-        f"  multi faster than simple: {'yes' if multi < simple else 'NO'}",
+        f"Median of {IO_REPEATS} rounds, every mapping in turn in each "
+        f"({N_ITEMS} items, nprocs 6; IO-bound {IO_DELAY_S * 1000:.0f} ms an "
+        f"item, CPU-bound {CPU_LOOPS} loop steps an item):\n"
+        f"  {'mapping':<8}" + "".join(f" {stage:>10}" for stage in stages)
+        + "\n" + "\n".join(rows) + "\n"
+        f"IO-bound speedup of multi over simple: {simple / multi:.2f}x\n"
+        f"multi faster than simple on IO: {'yes' if multi < simple else 'NO'}",
     )

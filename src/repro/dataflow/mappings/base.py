@@ -260,7 +260,8 @@ def run_instance(
     """Worker entry point (module-level for spawn-safety): run instance
     ``gid`` of the cloudpickled workflow ``blob``, then post exactly one
     terminal message to the collector, after all its others: ``done``
-    with the counters, or ``error`` with the traceback."""
+    with the gid and the counters, or ``error`` with the gid and the
+    traceback."""
     try:
         counters = InstanceRunner(
             cloudpickle.loads(blob),
@@ -273,7 +274,7 @@ def run_instance(
     except Exception:
         mailboxes.put(COLLECTOR, ("error", gid, traceback.format_exc()))
     else:
-        mailboxes.put(COLLECTOR, ("done", counters))
+        mailboxes.put(COLLECTOR, ("done", gid, counters))
 
 
 # ----------------------------------------------------------------------
@@ -456,6 +457,11 @@ def inject(
         mailboxes.put(gid, (MSG_EOS, None, None))
 
 
+#: the longest the collector waits for a message before it checks which
+#: workers have exited (:meth:`MailboxMapping._collect`)
+_LIVENESS_SLICE = 0.5
+
+
 class MailboxMapping(Mapping):
     """A parallel mapping: one OS process per instance, every message
     through a :class:`Mailboxes` fabric, which is all a subclass gives."""
@@ -487,7 +493,7 @@ class MailboxMapping(Mapping):
         ctx = mp.get_context()
         result = MappingResult(mapping=self.name, nprocs=total)
         counters: list[InstanceCounters] = []
-        processes: list[mp.process.BaseProcess] = []
+        processes: dict[int, mp.process.BaseProcess] = {}
         with self._fabric(total) as (mailboxes, handles):
             try:
                 for info in workflow.instances:
@@ -504,50 +510,79 @@ class MailboxMapping(Mapping):
                         daemon=True,
                     )
                     proc.start()
-                    processes.append(proc)
+                    processes[info.gid] = proc
                 inject(mailboxes, workflow, external_items)
                 result.add_messages(
-                    self._collect(mailboxes, total, timeout, counters)
+                    self._collect(mailboxes, processes, timeout, counters)
                 )
                 # every worker has posted its last message: let each exit
                 # on its own, since one killed mid-write can leave a
                 # shared queue unusable
-                for proc in processes:
+                for proc in processes.values():
                     proc.join(timeout=5.0)
             finally:
-                for proc in processes:
+                for proc in processes.values():
                     if proc.is_alive():
                         proc.terminate()
-                for proc in processes:
+                for proc in processes.values():
                     proc.join(timeout=1.0)
         return self._finalize(result, counters, t0)
 
     def _collect(
         self,
         mailboxes: Mailboxes,
-        total: int,
+        processes: dict[int, mp.process.BaseProcess],
         timeout: float,
         counters: list[InstanceCounters],
     ) -> Iterator[tuple]:
-        """Yield the collector's result and stdout messages until all
-        ``total`` workers have posted ``done``, whose counters go to
-        ``counters``; an ``error`` or the timeout raises."""
+        """Yield the collector's result and stdout messages until every
+        worker of ``processes`` (by gid) has posted ``done``, whose
+        counters go to ``counters``; an ``error``, the timeout or a
+        worker that exited without its terminal message raises.
+
+        The wait is cut into slices of at most :data:`_LIVENESS_SLICE`
+        seconds, and when one comes back empty the collector notes which
+        workers have exited.  Those have put every message they ever
+        will, so if the next slice comes back empty too and one of them
+        has not posted its terminal message, it never will: the run ends
+        then, naming the worker and its exit code, instead of at the
+        timeout.  No worker is polled while messages flow.
+        """
         deadline = time.monotonic() + timeout
-        while len(counters) < total:
+        pending = dict(processes)
+        # the workers seen exited when a slice last came back empty
+        exited: list[int] = []
+        while pending:
             remaining = deadline - time.monotonic()
-            msg = mailboxes.take(COLLECTOR, remaining) if remaining > 0 else None
-            if msg is None:
+            if remaining <= 0:
                 raise MappingError(
                     f"{self.name} mapping timed out after {timeout}s "
-                    f"({len(counters)}/{total} instances finished)",
+                    f"({len(processes) - len(pending)}/{len(processes)}"
+                    " instances finished)",
                     params={"timeout": timeout},
                 )
+            msg = mailboxes.take(COLLECTOR, min(remaining, _LIVENESS_SLICE))
+            if msg is None:
+                for gid in exited:
+                    if gid in pending:
+                        code = pending[gid].exitcode
+                        raise MappingError(
+                            f"{self.name} worker {gid} exited with code"
+                            f" {code} without posting its terminal message",
+                            params={"gid": gid, "exitcode": code},
+                        )
+                exited = [
+                    gid for gid, proc in pending.items()
+                    if proc.exitcode is not None
+                ]
+                continue
             if msg[0] == "error":
                 raise MappingError(
                     f"worker process(es) failed during {self.name} enactment",
                     details=msg[2],
                 )
             if msg[0] == "done":
-                counters.append(msg[1])
+                pending.pop(msg[1], None)
+                counters.append(msg[2])
             else:
                 yield msg

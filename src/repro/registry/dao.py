@@ -22,7 +22,9 @@ however, own the *access paths* that make ownership filtering cheap:
   that never materialize rows or unblob embeddings, for listings only
   (v1 cursor pages, ``repro stats``): no search reads them;
 * ``get_pes`` / ``get_workflows`` — id-batched fetch for top-k result
-  hydration;
+  hydration; it and the finds by name read a record without its
+  vectors where the caller renders none (``vectors=False``: v1
+  searches, listings and single-record reads);
 * ``insert_pes`` / ``insert_workflows`` — batched bulk load.
 
 Both record kinds are stored under one set of rules, so each record
@@ -57,7 +59,7 @@ and ``get_pes`` of 60 ids took ~10 % longer (~480 -> ~540 us on a
 2-CPU Linux host).  ``workflow_pes`` is a set ordered by ``pe_id``;
 ``pe_ids`` is the list as registered.  No frame was saved, so the
 columns stay; dropping them would need its own schema step.  Both tests
-pin other figures at schema v16, where a new file has 512-byte pages;
+pin other figures at schema v17, where a new file has 512-byte pages;
 the measurement has not been repeated there.
 """
 
@@ -83,7 +85,12 @@ from repro.registry.entities import (
     WorkflowRecord,
 )
 from repro.registry.textcodec import decode_texts, encode_texts
-from repro.registry.veccodec import decode_many, decode_vector, encode_vector
+from repro.registry.veccodec import (
+    decode_many,
+    decode_vector,
+    encode_vector,
+    restate,
+)
 
 def _text_documents():
     """Deferred import of the normalized text-document builders.
@@ -249,8 +256,12 @@ CREATE VIRTUAL TABLE {_TEXT_DB}.wf_fts USING fts5(
 """
 
 #: the on-disk format (``PRAGMA user_version``) :data:`_SCHEMA` creates.
-#: A v15 file takes one step to it (:meth:`SqliteDAO._step_from_v15`);
-#: any other version is refused.  v16 dropped the vector index's
+#: A v16 file takes one step to it (:meth:`SqliteDAO._step_from_v16`),
+#: a v15 file two (:data:`_STEPS`); any other version is refused.  v17
+#: stores every vector in one bit-packed layout
+#: (:mod:`repro.registry.veccodec`, tag 3), which older code cannot
+#: decode, and this code reads no other headed layout: the step
+#: re-encodes every stored blob.  v16 dropped the vector index's
 #: persistence plane — the ``index_shards`` base slabs, the
 #: ``index_deltas`` journal and ``shard_stamps.tip`` — which restated
 #: the membership the owner tables hold: attach fills every shard from
@@ -265,14 +276,18 @@ CREATE VIRTUAL TABLE {_TEXT_DB}.wf_fts USING fts5(
 #: (:data:`_REGISTRY_USER`) and dropped ``registry_meta`` and the record
 #: tables' AUTOINCREMENT, so a write logs no page of an owner index, of
 #: ``registry_meta`` or of ``sqlite_sequence``; v12 added the
-#: value-table vector layout (:mod:`repro.registry.veccodec`, tag 2),
-#: which older code cannot decode; v11 moved the FTS5 index into memory,
-#: so a write logs no FTS5 page.  Vector blobs may still be dense
-#: float32 (v6 and older wrote them so) or sparse (v7 to v11), and code
+#: value-table vector layout (tag 2), which v17 retired; v11 moved the
+#: FTS5 index into memory, so a write logs no FTS5 page.  Vector blobs
+#: may still be dense float32 where packing is not smaller, and code
 #: and source plain TEXT (v13 wrote them so): every layout decodes
 #: through the same codecs, and a row re-encodes when its record is next
 #: written.
-_SCHEMA_VERSION = 16
+_SCHEMA_VERSION = 17
+
+#: the step that takes a file at each older version one version on,
+#: each in its own transaction: a file stopped between two steps is at
+#: the version the last one stamped
+_STEPS = {15: "_step_from_v15", 16: "_step_from_v16"}
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
 #: IN(...) lists well below that
@@ -286,6 +301,18 @@ def _blob(vec: np.ndarray | None) -> bytes | None:
 def _unblob(raw: bytes | None) -> np.ndarray | None:
     """One record's vector; a corrupt blob raises ``ValueError``."""
     return None if raw is None else decode_vector(raw)
+
+
+def _restated(raw: bytes | None) -> bytes | None:
+    """The blob this code writes for the vector ``raw`` holds, in any
+    layout a v16 file may hold; a blob that does not decode stays as
+    it is."""
+    if raw is None:
+        return None
+    try:
+        return restate(raw)
+    except ValueError:
+        return raw
 
 
 def _chunked(values: Sequence) -> Iterable[Sequence]:
@@ -351,6 +378,20 @@ class _Storage:
         self.sources = (*kind.text_names, "description")
         self.column_names = tuple(column for column, _ in self.columns)
         self.column_list = ", ".join(self.column_names)
+        self.vector_columns = [
+            column for column, codec in self.columns if codec is _VECTOR
+        ]
+        # a whole row but its vectors, which read as NULL: all a
+        # response renders (:meth:`SqliteDAO._get_many`, ``_find``)
+        self.without_vectors = ", ".join(
+            [self.id]
+            + [
+                f"NULL AS {column}" if column in self.vector_columns
+                else column
+                for column in self.column_names
+            ]
+            + ["revision"]
+        )
         # one mark for the id and each column
         self.marks = ", ".join("?" * (1 + len(self.columns)))
         # the committed row as a mutation reads it: what decides
@@ -447,7 +488,7 @@ _STORAGE = {PERecord: _PES, WorkflowRecord: _WORKFLOWS}
 
 def _refusal(path: str | Path, version: int) -> RegistryError:
     """Why a file at schema ``version`` is not opened: only a new file,
-    a v15 file (one step) and a current one are."""
+    one :data:`_STEPS` can step up and a current one are."""
     if version > _SCHEMA_VERSION:
         advice = "it was written by newer code; open it with that code"
     else:
@@ -457,7 +498,7 @@ def _refusal(path: str | Path, version: int) -> RegistryError:
         )
     return RegistryError(
         f"registry file {path} is at schema v{version}; this code opens"
-        f" v{_SCHEMA_VERSION - 1} and v{_SCHEMA_VERSION} files only — "
+        f" v{min(_STEPS)} to v{_SCHEMA_VERSION} files only — "
         + advice,
         params={"path": str(path), "userVersion": version},
     )
@@ -478,9 +519,9 @@ class SqliteDAO:
 
     Opening reads ``PRAGMA user_version`` before anything writes.  A new
     file (version 0, no schema) is created by :data:`_SCHEMA` in one
-    transaction and stamped :data:`_SCHEMA_VERSION`; a file one version
-    behind takes :meth:`_step_from_v15`; a current file runs no DDL on
-    ``main``.  Any other version raises :class:`~repro.errors.RegistryError`
+    transaction and stamped :data:`_SCHEMA_VERSION`; an older file
+    takes the :data:`_STEPS` from its version on; a current file runs no
+    DDL on ``main``.  Any other version raises :class:`~repro.errors.RegistryError`
     naming it, and the file is left as it was.  Opening fills no text
     index: the first text ranking does (:meth:`_text_topk`), except on a
     new store, whose empty index is complete as created.
@@ -496,16 +537,18 @@ class SqliteDAO:
         new = version == 0 and not self._conn.execute(
             "SELECT 1 FROM main.sqlite_schema LIMIT 1"
         ).fetchone()
-        if not new and version not in (_SCHEMA_VERSION - 1, _SCHEMA_VERSION):
+        if not new and version not in (*_STEPS, _SCHEMA_VERSION):
             self._conn.close()
             raise _refusal(path, version)
         # a WAL commit logs whole pages, and most pages a write touches
         # (the name index, the owner rows, the counters in
         # ``shard_stamps``, the header page) change by tens of bytes:
         # 512-byte pages log each of them at half the bytes of 1 KB
-        # ones; a ~780-byte benchmark PE row (value-table code
-        # vector, deflated code and source) takes a leaf and one
-        # overflow page instead of one 1 KB leaf, and a
+        # ones; a benchmark PE row (bit-packed vectors, deflated code
+        # and source: ~615 bytes on the mixed_rw corpus at schema v17,
+        # ~760 at v16) takes a leaf and one overflow page instead of
+        # one 1 KB leaf, ~120 of its bytes on the leaf (~260 at v16,
+        # so three rows share a leaf where one did), and a
         # description-only revise frees and reallocates that overflow
         # page (5 frames, 2.5 KB, against 2 of 1 KB).  Measured at
         # schema v16 on the e2e runs (seed 1, 2-CPU Linux host), 1 KB
@@ -547,9 +590,11 @@ class SqliteDAO:
             self._text_version = self._stamped(_SCHEMA)
         elif version < _SCHEMA_VERSION:
             try:
-                self._step_from_v15()
+                for step in range(version, _SCHEMA_VERSION):
+                    getattr(self, _STEPS[step])()
             except sqlite3.Error:
-                # closing rolls the step back: the file stays at v15
+                # closing rolls the failed step back: the file stays at
+                # the version the step before it stamped
                 self._conn.close()
                 raise
         # the text index, kept in step by this connection's record
@@ -559,12 +604,12 @@ class SqliteDAO:
         self._conn.execute(f"ATTACH DATABASE ':memory:' AS {_TEXT_DB}")
         self._conn.executescript(_TEXT_INDEX_SCHEMA)
 
-    def _stamped(self, script: str) -> int:
-        """Run ``script`` and stamp the file :data:`_SCHEMA_VERSION`, in
-        one transaction; return the file's ``data_version`` read inside
-        it, which only another connection's later commit moves."""
+    def _stamped(self, script: str, version: int = _SCHEMA_VERSION) -> int:
+        """Run ``script`` and stamp the file ``version``, in one
+        transaction; return the file's ``data_version`` read inside it,
+        which only another connection's later commit moves."""
         self._conn.executescript(
-            f"BEGIN;{script}PRAGMA user_version = {_SCHEMA_VERSION};"
+            f"BEGIN;{script}PRAGMA user_version = {version};"
         )
         try:
             return self.data_version()
@@ -580,8 +625,42 @@ class SqliteDAO:
         file."""
         self._stamped(
             "DROP TABLE index_shards;DROP TABLE index_deltas;"
-            "ALTER TABLE shard_stamps DROP COLUMN tip;"
+            "ALTER TABLE shard_stamps DROP COLUMN tip;",
+            16,
         )
+
+    def _step_from_v16(self) -> None:
+        """v16 -> v17: re-encode every stored vector blob — dense,
+        sparse (tag 1) or value table (tag 2) — as :func:`encode_vector`
+        writes it now, and stamp, in one transaction.  Each vector reads
+        back bit for bit as before.  Only rows whose blob changes are
+        written, and the mutation counter moves if any is: the rows'
+        bytes changed, if no record did.  A blob that does not decode
+        is left as it is: reading its record raises ``ValueError``, as
+        it did before the step."""
+        with self._conn:
+            self._conn.execute("BEGIN")
+            rewritten = False
+            for store in _STORAGE.values():
+                columns = store.vector_columns
+                restated = []
+                for record_id, *blobs in self._conn.execute(
+                    f"SELECT {store.id}, {', '.join(columns)}"
+                    f" FROM {store.table}"
+                ).fetchall():
+                    new = [_restated(blob) for blob in blobs]
+                    if new != blobs:
+                        restated.append((*new, record_id))
+                assignments = ", ".join(f"{column} = ?" for column in columns)
+                self._conn.executemany(
+                    f"UPDATE {store.table} SET {assignments}"
+                    f" WHERE {store.id} = ?",
+                    restated,
+                )
+                rewritten = rewritten or bool(restated)
+            if rewritten:
+                self._bump_mutation()
+            self._conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
 
     def _text_rows(self) -> tuple[int, list[tuple[_Storage, list]]]:
         """Every record's id and :attr:`_Storage.sources` fields, per
@@ -973,17 +1052,21 @@ class SqliteDAO:
             self._hook(store.unlink, record_id)
             self._unindex_text(store, record_id)
 
-    def _get_many(self, store: _Storage, record_ids: Sequence[int]) -> list:
+    def _get_many(
+        self, store: _Storage, record_ids: Sequence[int], vectors: bool
+    ) -> list:
         """Batched fetch, in the order of ``record_ids``; missing ids
-        skipped."""
+        skipped.  Without ``vectors`` the records' vector fields are
+        ``None``: their blobs are neither read nor decoded."""
         ids = [int(record_id) for record_id in record_ids]
         hydrate = getattr(self, store.hydrate)
+        listed = "*" if vectors else store.without_vectors
         by_id = {}
         with self._lock:
             for chunk in _chunked(ids):
                 placeholders = ",".join("?" * len(chunk))
                 rows = self._conn.execute(
-                    f"SELECT * FROM {store.table} WHERE {store.id}"
+                    f"SELECT {listed} FROM {store.table} WHERE {store.id}"
                     f" IN ({placeholders})",
                     tuple(chunk),
                 ).fetchall()
@@ -1006,14 +1089,18 @@ class SqliteDAO:
         )
         return records[0] if records else None
 
-    def _find(self, store: _Storage, names: Sequence[str]) -> list:
-        """Every record bound to one of ``names``, by id within a name."""
+    def _find(
+        self, store: _Storage, names: Sequence[str], vectors: bool = True
+    ) -> list:
+        """Every record bound to one of ``names``, by id within a name;
+        without ``vectors``, their vector fields ``None``."""
         distinct = list(dict.fromkeys(names))
+        listed = "*" if vectors else store.without_vectors
         records = []
         for chunk in _chunked(distinct):
             records += self._select(
                 store,
-                f"SELECT * FROM {store.table} WHERE {store.name}"
+                f"SELECT {listed} FROM {store.table} WHERE {store.name}"
                 f" IN ({','.join('?' * len(chunk))}) ORDER BY {store.id}",
                 tuple(chunk),
             )
@@ -1166,11 +1253,15 @@ class SqliteDAO:
     def get_pe(self, pe_id: int) -> PERecord | None:
         return self._get(_PES, pe_id)
 
-    def get_pes(self, pe_ids: Sequence[int]) -> list[PERecord]:
-        return self._get_many(_PES, pe_ids)
+    def get_pes(
+        self, pe_ids: Sequence[int], vectors: bool = True
+    ) -> list[PERecord]:
+        return self._get_many(_PES, pe_ids, vectors)
 
-    def find_pe_by_name(self, name: str) -> list[PERecord]:
-        return self._find(_PES, (name,))
+    def find_pe_by_name(
+        self, name: str, vectors: bool = True
+    ) -> list[PERecord]:
+        return self._find(_PES, (name,), vectors)
 
     def find_pes_by_names(self, names: Sequence[str]) -> list[PERecord]:
         return self._find(_PES, names)
@@ -1203,11 +1294,15 @@ class SqliteDAO:
     def get_workflow(self, workflow_id: int) -> WorkflowRecord | None:
         return self._get(_WORKFLOWS, workflow_id)
 
-    def get_workflows(self, workflow_ids: Sequence[int]) -> list[WorkflowRecord]:
-        return self._get_many(_WORKFLOWS, workflow_ids)
+    def get_workflows(
+        self, workflow_ids: Sequence[int], vectors: bool = True
+    ) -> list[WorkflowRecord]:
+        return self._get_many(_WORKFLOWS, workflow_ids, vectors)
 
-    def find_workflow_by_entry_point(self, entry_point: str) -> list[WorkflowRecord]:
-        return self._find(_WORKFLOWS, (entry_point,))
+    def find_workflow_by_entry_point(
+        self, entry_point: str, vectors: bool = True
+    ) -> list[WorkflowRecord]:
+        return self._find(_WORKFLOWS, (entry_point,), vectors)
 
     def find_workflows_by_entry_points(self, names: Sequence[str]) -> list[WorkflowRecord]:
         return self._find(_WORKFLOWS, names)

@@ -313,10 +313,12 @@ class RegistryService:
         ``record_type``."""
         return getattr(self.dao, _DAO_METHODS[record_type][name])
 
-    def named(self, record_type: type, name: str) -> list:
+    def named(
+        self, record_type: type, name: str, vectors: bool = True
+    ) -> list:
         """Every ``record_type`` record bound to ``name``, any owner's,
-        ascending id."""
-        return self._dao_method(record_type, "find")(name)
+        ascending id; without ``vectors``, their vector fields ``None``."""
+        return self._dao_method(record_type, "find")(name, vectors)
 
     def _dedup_hit(
         self, user: UserRecord, record: Record, named: list
@@ -517,11 +519,16 @@ class RegistryService:
         return record
 
     def get_by_name(
-        self, user: UserRecord, record_type: type, name: str
+        self,
+        user: UserRecord,
+        record_type: type,
+        name: str,
+        vectors: bool = True,
     ) -> Record:
         """The caller's ``record_type`` record bound to ``name``; 404
-        when they hold none."""
-        for record in self.named(record_type, name):
+        when they hold none.  Without ``vectors``, its vector fields are
+        ``None``."""
+        for record in self.named(record_type, name, vectors):
             if user.user_id in record.owners:
                 return record
         spec = RECORD_KINDS[record_type]
@@ -539,19 +546,26 @@ class RegistryService:
         return self._dao_method(record_type, "owned_ids")(user.user_id)
 
     def resolve(
-        self, user: UserRecord, record_type: type, ids: list[int]
+        self,
+        user: UserRecord,
+        record_type: type,
+        ids: list[int],
+        vectors: bool = True,
     ) -> list:
         """Batch-hydrate ``ids`` in order, dropping non-owned records.
 
         The top-k serving path: a search ranks on the index shard and
-        materializes only the winners through this call.  Ids that
-        vanished or changed hands since ranking are silently skipped —
-        the caller's result is then slightly under-filled rather than
-        wrong.
+        materializes only the winners through this call, without
+        ``vectors`` (their vector fields ``None``: no search renders
+        one).  Ids that vanished or changed hands since ranking are
+        silently skipped — the caller's result is then slightly
+        under-filled rather than wrong.
         """
         return [
             record
-            for record in self._dao_method(record_type, "get_many")(ids)
+            for record in self._dao_method(record_type, "get_many")(
+                ids, vectors
+            )
             if user.user_id in record.owners
         ]
 
@@ -572,13 +586,15 @@ class RegistryService:
     def owned_workflow_ids(self, user: UserRecord) -> list[int]:
         return self.owned_ids(user, WorkflowRecord)
 
-    def resolve_pes(self, user: UserRecord, ids: list[int]) -> list[PERecord]:
-        return self.resolve(user, PERecord, ids)
+    def resolve_pes(
+        self, user: UserRecord, ids: list[int], vectors: bool = True
+    ) -> list[PERecord]:
+        return self.resolve(user, PERecord, ids, vectors)
 
     def resolve_workflows(
-        self, user: UserRecord, ids: list[int]
+        self, user: UserRecord, ids: list[int], vectors: bool = True
     ) -> list[WorkflowRecord]:
-        return self.resolve(user, WorkflowRecord, ids)
+        return self.resolve(user, WorkflowRecord, ids, vectors)
 
     # ------------------------------------------------------------------
     # Associations

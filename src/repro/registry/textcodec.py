@@ -9,8 +9,9 @@ only that row used — logged on every insert, freed and re-allocated
 (freelist and header pages with it) on every revise and delete.  Stored
 through this codec, 7 % do.  Files made since have 512-byte pages, on
 which a row spills either way, and the codec still saves a page: a
-benchmark PE's ~780-byte row is a leaf and one overflow page, where its
-~1 130 bytes as plain text would take a leaf and two.
+benchmark PE's ~615-byte row (its vectors bit-packed, schema v17) is a
+leaf and one overflow page, where its ~1 020 bytes with plain text
+would take a leaf and two.
 
 :func:`encode_texts` stores the code zlib-deflated, and the source
 deflated with the code's UTF-8 bytes as zlib's preset dictionary

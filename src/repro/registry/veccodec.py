@@ -3,96 +3,94 @@
 A vector lives in its record row (``pes.code_embedding`` /
 ``desc_embedding``, ``workflows.desc_embedding``) and nowhere else, one
 vector to a blob: :func:`encode_vector` writes it, :func:`decode_vector`
-reads one back (top-k hydration) and :func:`decode_many` reads a whole
+reads one back (a record's fetch) and :func:`decode_many` reads a whole
 shard's rows into one matrix (cold start).  Hashed embeddings are mostly
-zeros (median 7 and 172 non-zeros of 2 048 on the e2e corpus), and an
-unfitted code embedding's non-zeros take few distinct values (median
-22: term counts over one norm).  So a blob is written in whichever of
-three layouts is strictly smallest; decoding always yields dense
-float32, so nothing above the DAO can tell which layout a row was
-stored in.
+zeros (median 7 and 168 non-zeros of 2 048 on the e2e corpus), and an
+unfitted code embedding's non-zeros take few distinct magnitudes
+(median 14: term counts over one norm, each with either sign).  So a
+blob is written in one of two layouts, the packed one wherever it is
+strictly smaller than dense; decoding always yields dense float32, so
+nothing above the DAO can tell which layout a row was stored in.
 
 **Dense** — the vector's float32 bytes, ``dim * 4`` bytes, no header.
-This is the only layout schema v6 and older wrote, so legacy files
-decode through the same functions with no rewrite pass.
+Written where packing would not be smaller (a client's dense vector),
+and for a vector wider than 65 535.
 
-**Sparse** (tag 1) — chosen only when strictly smaller than dense::
+**Packed** (tag 3, schema v17)::
 
-    count    uint32              stored values; == dim marks a vector
-                                 kept whole (never written for a single
-                                 vector — sparse would not be smaller —
-                                 but part of the layout, so decoded)
-    values   float32[count]
-    columns  uint16[count]       ascending; absent when count == dim
-    trailer  uint32 1, uint32 dim, uint32 crc32(all before it),
-             uint8 1
+    count      uint32          stored (non-zero) values, <= dim
+    nmag       uint16          distinct magnitudes among them
+    step_bits  uint16          bits of a column step, <= 16
+    mags       uint32[nmag]    the magnitudes: each stored value's bit
+                               pattern with the sign bit cleared,
+                               ascending; starts at byte 8
+    fields     count fields of width = 1 + code_bits + step_bits bits,
+               in column order, then a zero byte if that made an odd
+               number of bytes
+    trailer    uint32 1, uint32 dim, uint32 crc32(all before it),
+               uint8 3
 
-**Value table** (tag 2, schema v12) — chosen only when strictly
-smaller than both others::
-
-    count    uint32              stored values
-    nvals    uint32              distinct stored bit patterns, <= 256
-    table    float32[nvals]      those bit patterns, ascending as uint32
-    pairs    uint8[count][2]     per stored value, in column order: its
-                                 index into the table, then its column
-                                 less the previous stored column (the
-                                 first: its column), so <= 255
-    trailer  uint32 1, uint32 dim, uint32 crc32(all before it),
-             uint8 2
-
-A vector with more than 256 distinct values, or a stored column more
-than 255 past the previous one (the first: past column 0), is not
-eligible.  Measured on 1 200
-records of the e2e corpus, bulk-loaded through the server with
-unfitted models on 1 KB pages: the median code vector takes 443 bytes
-instead of 1 043 sparse, and a ``pes`` row 1.23 pages instead of 1.92
-(0.40 leaf + 0.82 overflow instead of 0.85 + 1.06); since schema v14
-deflates its code and source (:mod:`repro.registry.textcodec`) the row
-fits one leaf, 1.01 pages (1.00 leaf, no overflow; ~780 bytes instead
-of ~1 130).  The e2e runs write
-25 % fewer bytes on ``ingest_live`` (seed 1: 45.86 -> 34.39 MB), 15 %
-on ``mixed_rw`` (25.56 -> 21.69) and 8 % on ``read_static`` (2.96 ->
-2.73).  A fitted server (``repro serve`` without ``--no-fit``) weighs
-terms by IDF, which spreads the values (median 85 distinct of 170 on
-the same corpus): the table still wins there, at ~700 bytes.  No blob
-ever grows — the table is written only where it is the smaller.
-
-A ``ceil(dim / 8)``-byte column bitmap in place of the steps was built
-and measured too: numpy turns a bitmap
-back into columns only through a mask over every cell or a pass per set
-bit, and its ``decode_many`` took 2.1x the sparse layout's time, while
-a running sum over byte steps is one in-place ``cumsum`` — and the
-steps are the smaller for fewer than ``dim / 8`` non-zeros (200 bytes
-against 256 at 200 of 2 048).  What the table still costs, against the
-sparse layout on a 2-CPU Linux host (500 benchmark-shaped vectors, 60
-interleaved pairs, medians): ``decode_many`` 3.0 us a row instead of
-2.7 (the running sum and the table lookup are the difference),
-``decode_vector`` 7.5 us instead of 5.0 and ``encode_vector`` 22 us
-instead of 9.  A cold start does not pay for it: an attach — the owner
-scan that reads the rows, plus ``decode_many`` — of 1 200 records takes
-14.2 ms instead of 13.9 and of 6 600 records 85.5 ms instead of 89.2,
-since the scan reads a third fewer pages.
-
-Both headed layouts start their float payload at a multiple of four
-bytes (an unaligned ``frombuffer`` view costs microseconds per vector on
-the hydration path) and end in a 13-byte trailer, which makes every
-headed blob's length odd — ``17 + 6 * count`` sparse, ``21 + 4 * nvals
-+ 2 * count`` table — and that is what tells it from a dense one: a
-record row carries no ``dim`` column to compare against.  Zero is
-decided on the ``uint32`` view and a table moves values as ``uint32``,
-so ``-0.0`` and NaN payloads survive: ``decode(encode(v)).tobytes() ==
+A field is the integer ``sign | code << 1 | step << (1 + code_bits)``:
+the value's sign bit, the index of its magnitude in ``mags``
+(``code_bits = ceil(log2(nmag))``, none for one magnitude) and its
+column less the previous stored column (the first: its column;
+``step_bits`` is the bit length of the largest).  The fields are one
+little-endian bit stream: a field's bits go least significant first,
+and bit ``i`` of the stream is bit ``i % 8`` of its byte ``i // 8``.
+Every blob is odd in length — ``21 + 4 * nmag`` plus the even field
+bytes — and that is what tells it from a dense one: a record row
+carries no ``dim`` column to compare against.  Zero is decided on the
+``uint32`` view and values move as ``uint32``, so ``-0.0`` (magnitude
+0, sign 1) and NaN payloads survive: ``decode(encode(v)).tobytes() ==
 v.tobytes()`` for every float32 vector.  (The leading ``1`` of the
-trailer is the row count of the sparse layout's multi-row form, which
-base slabs used until schema v9 dropped them; nothing at rest holds
-more than one row now.)
+trailer is the row count of a multi-row form that base slabs used until
+schema v9 dropped them; nothing at rest holds more than one row.)
+
+Measured on the 640 seeded records of the e2e ``mixed_rw`` corpus
+(seed 1, unfitted models), against schema v16's value table (tag 2: a
+byte code and a byte column step per value, each distinct float32
+once): the median code vector takes 311 bytes instead of 437, and a
+description vector 35 instead of 59 (one magnitude, so a field is a
+sign bit and a step).  Such a PE row (deflated code and source, both
+vectors) is ~615 bytes instead of ~760, so on 512-byte pages it keeps
+~120 bytes on its leaf beside its overflow page instead of ~260: three
+rows share a leaf where one did.  The e2e runs write 15 % fewer bytes
+on ``mixed_rw`` (seed 1: 9 522 240 -> 8 090 208), 8 % on
+``read_static`` (997 440 -> 915 320) and 11 % on ``ingest_live``
+(~19.06 -> ~16.90 MB).
+
+What it costs, against v16's codec on a 2-CPU Linux host (the 640
+records' 1 280 vectors, 30 interleaved passes, medians):
+``encode_vector`` 25.5 us a vector instead of 17.9 (the sort of the
+magnitudes and the bit packing), ``decode_many`` 6.7 us a row instead
+of 4.1 (6.3 instead of 3.7 over the same rows ten times over) and
+``decode_vector`` 16.7 us instead of 6.5.  An attach of the ``mixed_rw``
+seeded registry (~770 records, both vector kinds) takes 20.6 ms
+instead of 17.0, of ``read_static``'s 44.6 instead of 30.5 (medians of
+40 attaches each).  A search no longer decodes any vector (it hydrates
+its hits without them), so the slower single-vector decode is paid on
+a record's fetch and on a write's reads.
+
+``decode_many`` reads every field as the 64-bit little-endian word at
+its first byte (a field is at most 33 bits, at most 7 in), shifted and
+masked, one numpy pass over all rows' joined streams; a field's sign
+bit and code, read together as one key, index a table that holds each
+row's magnitudes twice, positive then negative, so the sign costs no
+pass of its own.
 
 Decoding validates everything it reads and raises ``ValueError`` on a
 truncated, inconsistent or out-of-range blob; the checksum extends that
-to any flipped bit of a headed blob.  (That columns ascend is not
-checked, in either headed layout: a well-sealed blob that repeats a
-column decodes, its later value winning.)  A headerless dense blob has no
-redundancy beyond its length, and a record row cut to a multiple of four
-bytes still reads as a narrower dense vector, as it always did.
+to any flipped bit of a packed blob.  (That columns ascend, and that
+``mags`` ascends without a sign bit, is not checked: a well-sealed blob
+that repeats a column decodes, its later value winning.)  A headerless
+dense blob has no redundancy beyond its length, and a record row cut to
+a multiple of four bytes still reads as a narrower dense vector, as it
+always did.
+
+Schema v7 to v16 wrote two other layouts, sparse (tag 1: float32 values
+and uint16 columns) and the value table (tag 2).  Neither decoder reads
+them: opening a v16 file re-encodes every stored blob through
+:func:`restate`, the one reader of those layouts left.
 """
 
 from __future__ import annotations
@@ -103,116 +101,141 @@ from typing import Sequence
 
 import numpy as np
 
-_COUNT = struct.Struct("=I")
-_TABLE_HEAD = struct.Struct("=II")  # count, nvals
+#: count, distinct magnitudes, bits of a column step
+_HEAD = struct.Struct("=IHH")
 _SHAPE = struct.Struct("=II")
 _SEAL = struct.Struct("=IB")  # crc32 of everything before it, layout tag
 _TRAILER = struct.Struct("=IIIB")  # _SHAPE then _SEAL, read in one call
-_SPARSE_TAG = 1
-_TABLE_TAG = 2
-#: codes and column steps are uint8
-_MAX_TABLE_VALUES = 256
-_MAX_STEP = 255
-#: sparse columns are uint16, and the table layout shares the limit:
-#: wider vectors are always stored dense
-_MAX_SPARSE_DIM = 0xFFFF
+_PACKED_TAG = 3
+#: a count and a code fit 16 bits: wider vectors are always stored dense
+_MAX_PACKED_DIM = 0xFFFF
+_MAX_STEP_BITS = 16
+_MAGNITUDE = np.uint32(0x7FFFFFFF)
+_SIGN = np.uint32(0x80000000)
 
 
-def _table_size(count: int, nvals: int) -> int:
-    """Bytes of a table blob — always odd, like a sparse blob's."""
-    return _TABLE_HEAD.size + 4 * nvals + 2 * count + _TRAILER.size
+def _field_bytes(count: int, width: int) -> int:
+    """Bytes of ``count`` ``width``-bit fields, rounded up to an even
+    number: what makes a packed blob's length odd."""
+    size = (count * width + 7) // 8
+    return size + (size & 1)
+
+
+def _code_bits(nmag: int) -> int:
+    """Bits of a magnitude code: ``ceil(log2(nmag))``, none for one."""
+    return max(nmag - 1, 0).bit_length()
 
 
 def encode_vector(vector: np.ndarray) -> bytes:
     """The at-rest bytes of one float32 ``vector``."""
     row = np.ascontiguousarray(vector, dtype=np.float32).reshape(-1)
     dim = row.shape[0]
-    if not 0 < dim <= _MAX_SPARSE_DIM:
+    if not 0 < dim <= _MAX_PACKED_DIM:
         return row.tobytes()
     bits = row.view(np.uint32)
     stored = bits.nonzero()[0]
-    sparse = _COUNT.size + 6 * len(stored) + _TRAILER.size
-    table = _value_table(bits, stored, dim, min(sparse, dim * 4))
-    if table is not None:
-        return table
-    if sparse < dim * 4:
-        sealed = b"".join(
-            (
-                _COUNT.pack(len(stored)),
-                row[stored].tobytes(),
-                stored.astype(np.uint16).tobytes(),
-                _SHAPE.pack(1, dim),
-            )
-        )
-        return sealed + _SEAL.pack(zlib.crc32(sealed), _SPARSE_TAG)
-    return row.tobytes()
-
-
-def _value_table(
-    bits: np.ndarray, stored: np.ndarray, dim: int, best: int
-) -> bytes | None:
-    """The value-table blob of the ``uint32`` view ``bits`` of a vector
-    whose non-zeros are at ``stored``, if it is eligible and smaller than
-    ``best`` bytes.  The cheap bounds go first: the size of a one-value
-    table, then the column steps, then whether the first 257 stored
-    values are already all distinct (a dense client vector's are: a
-    2 048-wide one encodes in ~63 instead of ~290 us on a 2-CPU Xeon
-    host), and only then the distinct values."""
     count = len(stored)
-    if _table_size(count, 1) >= best:
-        return None
+    # the least a packed blob of ``count`` values can take: one
+    # magnitude (none for no value), a sign bit a value
+    least = (
+        _HEAD.size + 4 * min(count, 1) + _field_bytes(count, 1)
+        + _TRAILER.size
+    )
+    if least >= 4 * dim:
+        return row.tobytes()
     steps = stored.copy()
     steps[1:] -= stored[:-1]
-    if steps.max() > _MAX_STEP:
-        return None
+    step_bits = int(steps.max()).bit_length() if count else 0
     values = bits[stored]
-    head = values[: _MAX_TABLE_VALUES + 1]
-    if len(head) > _MAX_TABLE_VALUES and len(np.unique(head)) == len(head):
-        return None
-    table = np.unique(values)
-    if len(table) > _MAX_TABLE_VALUES or _table_size(count, len(table)) >= best:
-        return None
-    pairs = np.empty((count, 2), dtype=np.uint8)
-    pairs[:, 0] = table.searchsorted(values)
-    pairs[:, 1] = steps
+    magnitudes = values & _MAGNITUDE
+    ordered = np.sort(magnitudes)
+    distinct = np.empty(count, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    mags = ordered[distinct]
+    code_bits = _code_bits(len(mags))
+    width = 1 + code_bits + step_bits
+    if (
+        _HEAD.size + 4 * len(mags) + _field_bytes(count, width)
+        + _TRAILER.size >= 4 * dim
+    ):
+        return row.tobytes()
+    fields = steps
+    fields <<= 1 + code_bits
+    fields |= mags.searchsorted(magnitudes) << 1
+    fields |= values >> 31
+    # each field's low ``width`` bits, least significant first
+    stream = np.packbits(
+        np.unpackbits(
+            fields.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8),
+            axis=1, count=width, bitorder="little",
+        ),
+        bitorder="little",
+    ).tobytes()
     sealed = b"".join(
         (
-            _TABLE_HEAD.pack(count, len(table)),
-            table.tobytes(),
-            pairs.tobytes(),
+            _HEAD.pack(count, len(mags), step_bits),
+            mags.tobytes(),
+            stream,
+            bytes(len(stream) & 1),
             _SHAPE.pack(1, dim),
         )
     )
-    return sealed + _SEAL.pack(zlib.crc32(sealed), _TABLE_TAG)
+    return sealed + _SEAL.pack(zlib.crc32(sealed), _PACKED_TAG)
 
 
-def _layout(blob: bytes) -> tuple[int, int, int, int]:
-    """``(tag, dim, count, nvals)`` of a headed blob (``nvals`` 0 for a
-    sparse one), after checking its trailer, checksum and length —
-    everything but the columns and codes."""
+def _sealed(blob: bytes) -> tuple[int, int, int]:
+    """``(body, dim, tag)`` of a headed blob — ``body`` its length
+    before the trailer — after checking the trailer and checksum."""
     body = len(blob) - _TRAILER.size
-    if body < _COUNT.size:
+    if body < 4:
         raise ValueError("truncated blob")
     rows, dim, crc, tag = _TRAILER.unpack_from(blob, body)
-    if rows != 1 or not 0 < dim <= _MAX_SPARSE_DIM:
-        raise ValueError("inconsistent sparse trailer")
+    if rows != 1 or not 0 < dim <= _MAX_PACKED_DIM:
+        raise ValueError("inconsistent trailer")
     # a sliced copy checksums faster than a memoryview of the same bytes
     if zlib.crc32(blob[: body + _SHAPE.size]) != crc:
-        raise ValueError("sparse blob checksum mismatch")
-    if tag == _TABLE_TAG:
-        # a blob too short for this head fails the length check
-        count, nvals = _TABLE_HEAD.unpack_from(blob)
-        if body != _TABLE_HEAD.size + 4 * nvals + 2 * count:
-            raise ValueError("truncated blob")
-        if nvals > _MAX_TABLE_VALUES:
-            raise ValueError("inconsistent value table")
-        return tag, dim, count, nvals
-    if tag != _SPARSE_TAG:
-        raise ValueError("inconsistent sparse trailer")
-    (count,) = _COUNT.unpack_from(blob)
-    if body != _COUNT.size + (4 if count == dim else 6) * count:
+        raise ValueError("blob checksum mismatch")
+    return body, dim, tag
+
+
+def _layout(blob: bytes) -> tuple[int, int, int, int, int]:
+    """``(dim, count, nmag, code_bits, step_bits)`` of a packed blob,
+    after checking its trailer, checksum, head and length — everything
+    but the fields."""
+    body, dim, tag = _sealed(blob)
+    if tag != _PACKED_TAG:
+        raise ValueError(f"vector layout {tag} is not read by this code")
+    # a blob too short for this head fails the length check
+    count, nmag, step_bits = _HEAD.unpack_from(blob)
+    if count > dim or step_bits > _MAX_STEP_BITS:
+        raise ValueError("inconsistent packed head")
+    code_bits = _code_bits(nmag)
+    width = 1 + code_bits + step_bits
+    if body != _HEAD.size + 4 * nmag + _field_bytes(count, width):
         raise ValueError("truncated blob")
-    return tag, dim, count, 0
+    return dim, count, nmag, code_bits, step_bits
+
+
+def _words(stream: bytes, at: np.ndarray) -> np.ndarray:
+    """The bits of ``stream`` from bit ``at[i]`` on, as int64: the
+    field that starts there is their low ``width`` bits."""
+    padded = stream + bytes(8)
+    # every eight bytes from each byte on, as one little-endian word
+    words = np.ndarray(
+        (len(padded) - 7,), dtype="<i8", buffer=padded, strides=(1,)
+    )
+    return words[at >> 3] >> (at & 7)
+
+
+def _signed(mags: bytes) -> np.ndarray:
+    """Each magnitude of ``mags`` twice, positive then negative: indexed
+    by a field's sign bit and code read together as one key."""
+    magnitudes = np.frombuffer(mags, dtype=np.uint32)
+    signed = np.empty((magnitudes.shape[0], 2), dtype=np.uint32)
+    signed[:, 0] = magnitudes
+    signed[:, 1] = magnitudes | _SIGN
+    return signed.reshape(-1)
 
 
 def decode_vector(blob: bytes) -> np.ndarray:
@@ -225,37 +248,22 @@ def decode_vector(blob: bytes) -> np.ndarray:
     """
     if len(blob) % 4 == 0:
         return np.frombuffer(blob, dtype=np.float32).copy()
-    tag, dim, count, nvals = _layout(blob)
-    if tag == _TABLE_TAG:
-        at = _TABLE_HEAD.size + 4 * nvals
-        pairs = np.frombuffer(
-            blob, dtype=np.uint8, count=2 * count, offset=at
-        ).reshape(count, 2)
-        columns = pairs[:, 1].astype(np.intp)
+    dim, count, nmag, code_bits, step_bits = _layout(blob)
+    out = np.zeros(dim, dtype=np.uint32)
+    if count:
+        width = 1 + code_bits + step_bits
+        at = _HEAD.size + 4 * nmag
+        words = _words(blob[at:], np.arange(0, count * width, width))
+        keys = words & ((2 << code_bits) - 1)
+        if keys.max() >= 2 * nmag:
+            raise ValueError("code out of range")
+        columns = words >> (1 + code_bits)
+        columns &= (1 << step_bits) - 1
         columns.cumsum(out=columns)
-        table = np.frombuffer(
-            blob, dtype=np.uint32, count=nvals, offset=_TABLE_HEAD.size
-        )
-        out = np.zeros(dim, dtype=np.uint32)
-        try:
-            out[columns] = table[pairs[:, 0]]
-        except IndexError:
-            raise ValueError("column or code out of range") from None
-        return out.view(np.float32)
-    values = np.frombuffer(
-        blob, dtype=np.float32, count=count, offset=_COUNT.size
-    )
-    if count == dim:
-        return values.copy()
-    columns = np.frombuffer(
-        blob, dtype=np.uint16, count=count, offset=_COUNT.size + 4 * count
-    )
-    out = np.zeros(dim, dtype=np.float32)
-    try:
-        out[columns] = values
-    except IndexError:
-        raise ValueError("column out of range") from None
-    return out
+        if columns[-1] >= dim:
+            raise ValueError("column out of range")
+        out[columns] = _signed(blob[_HEAD.size : at])[keys]
+    return out.view(np.float32)
 
 
 def decode_many(blobs: Sequence[bytes]) -> np.ndarray:
@@ -263,87 +271,140 @@ def decode_many(blobs: Sequence[bytes]) -> np.ndarray:
     ``decode_vector(blobs[i])`` — C-contiguous, writable, same bits.
 
     Every blob is validated exactly as :func:`decode_vector` validates
-    it; what is batched is the numpy work: one zeroed slab, one scatter
-    for all sparse rows and one for all table rows (their cells one
-    running sum over the joined steps), instead of arrays, views and a
-    scatter per row (a cold start decodes every vector of the registry).
-    Raises ``ValueError`` for a malformed blob or one of another width;
-    no blobs decode to a ``(0, 0)`` matrix.
+    it; what is batched is the numpy work: one zeroed slab, one copy of
+    the dense rows and one pass over the joined fields of all packed
+    rows (their cells one running sum over the joined steps), instead
+    of arrays, views and a scatter per row (a cold start decodes every
+    vector of the registry).  Raises ``ValueError`` for a malformed blob
+    or one of another width; no blobs decode to a ``(0, 0)`` matrix.
     """
     dim = None
-    whole_rows: list[int] = []
-    whole_parts: list[bytes] = []
-    sparse_rows: list[int] = []
+    dense_rows: list[int] = []
+    dense_parts: list[bytes] = []
+    rows: list[int] = []
     counts: list[int] = []
-    value_parts: list[bytes] = []
-    column_parts: list[bytes] = []
-    table_rows: list[int] = []
-    table_counts: list[int] = []
-    table_nvals: list[int] = []
-    table_parts: list[bytes] = []
-    pair_parts: list[bytes] = []
+    nmags: list[int] = []
+    code_bits: list[int] = []
+    widths: list[int] = []
+    mag_parts: list[bytes] = []
+    streams: list[bytes] = []
     for row, blob in enumerate(blobs):
         if len(blob) % 4 == 0:
             width = len(blob) // 4
-            whole_rows.append(row)
-            whole_parts.append(blob)
+            dense_rows.append(row)
+            dense_parts.append(blob)
         else:
-            tag, width, count, nvals = _layout(blob)
-            if tag == _TABLE_TAG:
-                at = _TABLE_HEAD.size + 4 * nvals
-                table_rows.append(row)
-                table_counts.append(count)
-                table_nvals.append(nvals)
-                table_parts.append(blob[_TABLE_HEAD.size : at])
-                pair_parts.append(blob[at : at + 2 * count])
-            elif count == width:
-                whole_rows.append(row)
-                whole_parts.append(blob[_COUNT.size : _COUNT.size + 4 * count])
-            else:
-                values_end = _COUNT.size + 4 * count
-                sparse_rows.append(row)
+            width, count, nmag, bits, step_bits = _layout(blob)
+            if count:
+                at = _HEAD.size + 4 * nmag
+                rows.append(row)
                 counts.append(count)
-                value_parts.append(blob[_COUNT.size : values_end])
-                column_parts.append(blob[values_end : values_end + 2 * count])
+                nmags.append(nmag)
+                code_bits.append(bits)
+                widths.append(1 + bits + step_bits)
+                mag_parts.append(blob[_HEAD.size : at])
+                streams.append(blob[at : len(blob) - _TRAILER.size])
         if dim is None:
             dim = width
         elif width != dim:
             raise ValueError("record vector dimension mismatch")
     out = np.zeros((len(blobs), dim or 0), dtype=np.float32)
-    if whole_rows:
-        out[whole_rows] = np.frombuffer(
-            b"".join(whole_parts), dtype=np.float32
-        ).reshape(len(whole_rows), dim)
-    if sparse_rows:
-        columns = np.frombuffer(b"".join(column_parts), dtype=np.uint16)
-        if columns.shape[0] and int(columns.max()) >= dim:
-            raise ValueError("column out of range")
-        out[np.repeat(sparse_rows, counts), columns] = np.frombuffer(
-            b"".join(value_parts), dtype=np.float32
-        )
-    pairs = np.frombuffer(b"".join(pair_parts), dtype=np.uint8)
-    if pairs.size:
-        sizes = np.array(table_counts)
-        held = sizes > 0
-        firsts = (np.cumsum(sizes) - sizes)[held]
-        nvals = np.array(table_nvals)
-        codes, steps = pairs.reshape(-1, 2).T
-        if (np.maximum.reduceat(codes, firsts) >= nvals[held]).any():
-            raise ValueError("code out of range")
-        # each row's codes index its own table inside the joined ones
-        values = np.frombuffer(b"".join(table_parts), dtype=np.uint32)[
-            codes + np.repeat(np.cumsum(nvals) - nvals, sizes)
-        ]
-        # a row's last column is the sum of its steps
-        lasts = np.add.reduceat(steps, firsts, dtype=np.intp)
-        if (lasts >= dim).any():
-            raise ValueError("column out of range")
-        # one running sum over all rows' steps lands on the rows' cells
-        # of ``out`` once each row's first step also jumps there from the
-        # previous row's last cell
-        starts = np.asarray(table_rows)[held] * dim
-        cells = steps.astype(np.intp)
-        cells[firsts] += starts - np.concatenate(([0], (starts + lasts)[:-1]))
-        cells.cumsum(out=cells)  # in place: measured 2x faster
-        out.reshape(-1).view(np.uint32)[cells] = values
+    if dense_rows:
+        out[dense_rows] = np.frombuffer(
+            b"".join(dense_parts), dtype=np.float32
+        ).reshape(len(dense_rows), dim)
+    if not rows:
+        return out
+    sizes = np.array(counts)
+    firsts = np.cumsum(sizes) - sizes
+    width = np.array(widths)
+    # each field's first bit in the joined streams: a running sum of
+    # the widths, each row's first field jumping past the rest of the
+    # previous row's stream
+    lengths = np.array([len(stream) for stream in streams])
+    at = np.repeat(width, sizes)
+    at[0] = 0
+    at[firsts[1:]] = 8 * lengths[:-1] - (sizes[:-1] - 1) * width[:-1]
+    at.cumsum(out=at)
+    words = _words(b"".join(streams), at)
+    bits = np.array(code_bits)
+    keys = words & np.repeat((2 << bits) - 1, sizes)
+    nmag = np.array(nmags)
+    if (np.maximum.reduceat(keys, firsts) >= 2 * nmag).any():
+        raise ValueError("code out of range")
+    columns = words >> np.repeat(1 + bits, sizes)
+    columns &= np.repeat((1 << (width - 1 - bits)) - 1, sizes)
+    # a row's last column is the sum of its steps
+    lasts = np.add.reduceat(columns, firsts)
+    if (lasts >= dim).any():
+        raise ValueError("column out of range")
+    # each row's keys index its own magnitudes inside the joined ones
+    keys += np.repeat(2 * (np.cumsum(nmag) - nmag), sizes)
+    # one running sum over all rows' steps lands on the rows' cells of
+    # ``out`` once each row's first step also jumps there from the
+    # previous row's last cell
+    starts = np.asarray(rows) * dim
+    columns[firsts] += starts - np.concatenate(([0], (starts + lasts)[:-1]))
+    columns.cumsum(out=columns)
+    out.reshape(-1).view(np.uint32)[columns] = _signed(b"".join(mag_parts))[
+        keys
+    ]
     return out
+
+
+def restate(blob: bytes) -> bytes:
+    """The blob :func:`encode_vector` writes for the vector ``blob``
+    holds — ``blob`` itself where it already is that blob.
+
+    ``blob`` may be in any layout this schema's predecessors wrote:
+    dense, packed, or the sparse (tag 1) and value-table (tag 2)
+    layouts of schema v7 to v16, which only this function still reads
+    (the v16 -> v17 step re-encodes every stored blob through it).  A
+    retired layout is validated as its own decoder did; raises
+    ``ValueError`` for a malformed blob.
+    """
+    if len(blob) % 4 == 0 or blob[-1] == _PACKED_TAG:
+        return encode_vector(decode_vector(blob))
+    return encode_vector(_retired_vector(blob))
+
+
+def _retired_vector(blob: bytes) -> np.ndarray:
+    """The vector of a sparse (tag 1) or value-table (tag 2) blob.
+
+    Sparse: uint32 count, float32 values, uint16 columns (absent when
+    count == dim).  Value table: uint32 count, uint32 nvals <= 256,
+    uint32 bit patterns, then a byte code and a byte column step a
+    value.  Both end in this module's trailer."""
+    body, dim, tag = _sealed(blob)
+    (count,) = struct.unpack_from("=I", blob)
+    out = np.zeros(dim, dtype=np.uint32)
+    if tag == 1:
+        whole = count == dim
+        if body != 4 + (4 if whole else 6) * count:
+            raise ValueError("truncated blob")
+        values = np.frombuffer(blob, dtype=np.uint32, count=count, offset=4)
+        if whole:
+            return values.view(np.float32).copy()
+        columns = np.frombuffer(
+            blob, dtype=np.uint16, count=count, offset=4 + 4 * count
+        )
+    elif tag == 2:
+        (nvals,) = struct.unpack_from("=I", blob, 4)
+        if body != 8 + 4 * nvals + 2 * count:
+            raise ValueError("truncated blob")
+        if nvals > 256:
+            raise ValueError("inconsistent value table")
+        pairs = np.frombuffer(
+            blob, dtype=np.uint8, count=2 * count, offset=8 + 4 * nvals
+        ).reshape(count, 2)
+        table = np.frombuffer(blob, dtype=np.uint32, count=nvals, offset=8)
+        columns = pairs[:, 1].astype(np.intp).cumsum()
+        if count and pairs[:, 0].max() >= nvals:
+            raise ValueError("code out of range")
+        values = table[pairs[:, 0]]
+    else:
+        raise ValueError(f"unknown vector layout {tag}")
+    if count and columns.max() >= dim:
+        raise ValueError("column out of range")
+    out[columns] = values
+    return out.view(np.float32)

@@ -93,9 +93,14 @@ The SQLite DAO reads ``PRAGMA user_version`` before anything writes
 version    On open
 =========  ============================================================
 new file   Version 0 and no schema (``":memory:"`` too): the schema is
-           created in one transaction and stamped v16.
-v16        Current: no DDL on the file.  It holds no vector-index state:
-           a vector lives in its record row, and attach fills every
+           created in one transaction and stamped v17.
+v17        Current: no DDL on the file.  Every vector blob is dense
+           or bit-packed (:mod:`repro.registry.veccodec`, tag 3: the
+           distinct magnitudes once, then a sign bit, a magnitude code
+           and a column step per stored value), a layout **older code
+           cannot decode**; this code reads no other headed layout.
+           Otherwise the tables are v16's.  It holds no vector-index
+           state: a vector lives in its record row, and attach fills every
            shard from the rows.  It holds no text document and no FTS5
            table: the text index is a cache — per record
            kind a table of each record's normalized name and
@@ -115,14 +120,18 @@ v16        Current: no DDL on the file.  It holds no vector-index state:
            table's id high-water mark are rows of ``shard_stamps``
            under user 0;
            the record tables have no AUTOINCREMENT (the DAO issues
-           ids).  Its vector blobs may be in the value-table layout
-           (:mod:`repro.registry.veccodec`, tag 2, since v12), which
-           **older code cannot decode**.
-v15        Accepted: one step, in one transaction — drop the
+           ids).
+v16        Accepted: one step, in one transaction — re-encode every
+           stored vector blob (sparse, tag 1; value table, tag 2;
+           dense where packing is smaller) as v17 writes it, each
+           vector bit for bit, moving the mutation counter if any row
+           changed, and stamp v17.  A blob that does not decode is left
+           as it is (its record's reads fail, as they did).
+v15        Accepted: two steps, each in its own transaction — drop the
            ``index_shards`` base slabs, the ``index_deltas`` journal
            and the ``shard_stamps.tip`` column (they restated which
            records each shard holds, which the owner tables and record
-           rows say on their own) and stamp v16.
+           rows say on their own) and stamp v16; then v16's step.
 other      Refused, older (v14 and v13 included) or newer, with a
            ``RegistryError`` naming the version; the file is left as it
            was.  An older file steps up when opened once with an older
@@ -130,18 +139,13 @@ other      Refused, older (v14 and v13 included) or newer, with a
            migration tool); a newer one belongs to newer code.
 =========  ============================================================
 
-What a v16 file holds, and the rules the DAO keeps on it:
+What a v17 file holds, and the rules the DAO keeps on it:
 
 * **A vector lives in its record row, nowhere else** (the ``pes`` /
-  ``workflows`` embedding columns), in whichever layout of
-  :mod:`repro.registry.veccodec` is smallest, checksummed: sparse
-  (count, float32 values, uint16 columns) or the value table (each
-  distinct float32 once, then a byte code and a byte column step per
-  stored value — an unfitted code embedding, 2 048 wide with ~200
-  non-zeros, takes ~520 bytes instead of ~1 220).  Dense blobs that
-  code of v6 and older wrote, and sparse ones of v7 to v11, may survive
-  in a stepped file; they decode through the same codec and re-encode
-  when next written.
+  ``workflows`` embedding columns), bit-packed and checksummed wherever
+  that is smaller than dense (an unfitted code embedding, 2 048 wide
+  with ~170 non-zeros of ~14 magnitudes, takes ~310 bytes; it took ~440
+  as v16's value table and ~1 040 sparse), dense otherwise.
 * No index membership is stored: the owner tables say which records
   each shard holds.  Per-shard rows an older checkout wrote into
   ``shard_stamps`` are left there unread; no write adds one.

@@ -34,9 +34,11 @@ the socket mid-request or mid-response used to surface as a spurious
 ``BrokenPipeError`` traceback from the handler thread; the async core
 closes such a connection quietly.  A request line or a header line
 longer than the stream limit gets a 414 or a 431 envelope and closes the
-connection.  Any other fault that ends a connection closes it too, with
-no reply and one ``WARNING`` line on this module's :mod:`logging` logger
-naming the peer and the exception.
+connection.  A reply body JSON cannot encode (a ``set`` in a workflow
+run's result, say) is sent as a 500 ``InternalError`` envelope naming
+why, and logged as one ``WARNING`` line.  Any other fault that ends a
+connection closes it too, with no reply and one ``WARNING`` line on this
+module's :mod:`logging` logger naming the peer and the exception.
 """
 
 from __future__ import annotations
@@ -312,7 +314,21 @@ class _AsyncHttpCore:
     ) -> None:
         # RFC 9110 §15.4.5: a 304 carries no content — the client keeps
         # its cached representation; everything else is a JSON document
-        payload = b"" if status == 304 else json.dumps(body).encode("utf-8")
+        try:
+            payload = (
+                b"" if status == 304 else json.dumps(body).encode("utf-8")
+            )
+        except (TypeError, ValueError) as exc:
+            # not the reply's fault to surface as a dropped connection:
+            # the client gets an envelope, without the reply's headers
+            _log.warning("reply body not JSON-encodable: %r", exc)
+            status, extra = 500, None
+            payload = json.dumps(
+                error_envelope(
+                    "InternalError", 500,
+                    f"the reply body is not JSON-encodable: {exc}",
+                )
+            ).encode("utf-8")
         phrase = _HTTP_PHRASES.get(status, "")
         # header names, values and order mirror the BaseHTTPRequestHandler
         # front end this core replaced — response bytes stay identical

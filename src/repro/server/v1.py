@@ -143,16 +143,17 @@ def execute_search(
 def _hydrate(registry, user: UserRecord, rows: list[Row]) -> dict:
     """The one place a search reads records: ``rows``' records by
     ``(kind, id)``, one ``resolve_{kind}s`` call per record kind that
-    has a row.  Ids that vanished or changed hands since ranking are
-    absent, so the response is slightly under-filled rather than
-    wrong."""
+    has a row, their vectors left out (``None``: no hit renders one,
+    so no blob is decoded).  Ids that vanished or changed hands since
+    ranking are absent, so the response is slightly under-filled
+    rather than wrong."""
     records = {}
     for spec in RECORD_KINDS.values():
         ids = [rid for _score, kind, rid in rows if kind == spec.kind]
         if ids:
             # the service's per-kind entry, looked up when called
             resolve = getattr(registry, f"resolve_{spec.kind}s")
-            for record in resolve(user, ids):
+            for record in resolve(user, ids, vectors=False):
                 records[spec.kind, getattr(record, spec.id_field)] = record
     return records
 
@@ -337,7 +338,10 @@ class V1Controller(BaseController):
         # O(page) hydration: only this page's rows are materialized;
         # `revision` rides along so clients can poll for changes cheaply
         # (conditional reads — the legacy wire shapes stay untouched)
-        records = getattr(registry, f"resolve_{kind}s")(user, page_ids)
+        # without vectors: a listing renders none
+        records = getattr(registry, f"resolve_{kind}s")(
+            user, page_ids, vectors=False
+        )
         items = [
             {**record.to_json(), "revision": record.revision}
             for record in records
@@ -373,7 +377,10 @@ class V1Controller(BaseController):
     ) -> Response:
         user = self.authenticated_user(request, params)
         record_type = RECORD_CLASSES[kind]
-        record = self.app.registry.get_by_name(user, record_type, params["name"])
+        # without vectors: the item renders none
+        record = self.app.registry.get_by_name(
+            user, record_type, params["name"], vectors=False
+        )
         record_id = getattr(record, RECORD_KINDS[record_type].id_field)
         etag = f'"{kind}-{record_id}-{record.revision}"'
         body = {

@@ -4,6 +4,9 @@ A serverless engine must never hang forever on a broken workflow; these
 tests verify every parallel mapping escalates cleanly.
 """
 
+import os
+import time
+
 import pytest
 
 from repro.dataflow.core import ConsumerPE, IterativePE
@@ -36,6 +39,17 @@ class CrashInPostprocess(ConsumerPE):
 
     def _postprocess(self):
         raise RuntimeError("flush failed")
+
+
+class DiesSilently(ConsumerPE):
+    """Ends its own process on its first input: no traceback, no
+    terminal message, exit code 1."""
+
+    def __init__(self):
+        ConsumerPE.__init__(self)
+
+    def _process(self, x):
+        os._exit(1)
 
 
 def _graph(stage):
@@ -89,6 +103,22 @@ class TestCrashes:
         graph.connect(failing, "output", Collector(), "input")
         with pytest.raises(MappingError):
             run_workflow(graph, input=6, mapping=mapping, nprocs=4, timeout=60)
+
+
+@pytest.mark.parametrize("mapping", ["multi", "redis"])
+def test_a_worker_that_dies_silently_ends_the_run(mapping):
+    """The collector checks which workers have exited while it waits: a
+    worker gone without its terminal message fails the run within a
+    slice or two of its death, not at the 30 s timeout."""
+    started = time.monotonic()
+    with pytest.raises(MappingError, match="exited with code 1") as excinfo:
+        run_workflow(
+            _graph(DiesSilently()), input=2, mapping=mapping, nprocs=2,
+            timeout=30,
+        )
+    assert time.monotonic() - started < 3
+    assert excinfo.value.params["exitcode"] == 1
+    assert f"worker {excinfo.value.params['gid']} " in excinfo.value.message
 
 
 class TestSimpleMappingPropagates:

@@ -2,7 +2,8 @@
 
 Multi and Redis collect until every worker has posted its terminal
 message, and read nothing after it: each worker posts exactly one —
-``done`` with its counters, or ``error`` — after all its other messages.
+``done`` with its gid and counters, or ``error`` with its gid — after
+all its other messages.
 The worker entry runs here in-process over list-backed mailboxes.
 """
 
@@ -101,8 +102,9 @@ class TestTerminalMessage:
             ("result", "Tally", "output", 2),
             ("stdout", "total 2"),
         ]
-        kind, counters = last
-        assert kind == "done" and isinstance(counters, InstanceCounters)
+        kind, gid, counters = last
+        assert kind == "done" and gid == tally_gid()
+        assert isinstance(counters, InstanceCounters)
         assert counters.consumed == 2 and counters.produced == 1
 
     def test_a_producer_posts_done_after_its_stream(self):

@@ -652,24 +652,24 @@ class TestColdStart:
 # (f) the scan attach is built on
 # ---------------------------------------------------------------------------
 def stored_layout(blob):
-    """Which of the codec's three layouts a vector blob was written in."""
+    """Which of the codec's two layouts a vector blob was written in."""
     if len(blob) % 4 == 0:
         return "dense"
-    return {1: "sparse", 2: "table"}[blob[-1]]
+    return {3: "packed"}[blob[-1]]
 
 
 def layout_rows(layout, rng, dim=64):
-    """Three distinct vectors the codec stores in ``layout``."""
+    """Four distinct vectors the codec stores in ``layout``."""
     rows = []
-    for i in range(3):
+    for i in range(4):
+        row = np.zeros(dim, dtype=np.float32)
         if layout == "dense":
             row = rng.standard_normal(dim).astype(np.float32)
-        elif layout == "sparse":
-            row = np.zeros(dim, dtype=np.float32)
+        elif i % 2:  # a few non-zeros, all distinct
             row[[i, 17 + i]] = rng.standard_normal(2).astype(np.float32)
-        else:  # many non-zeros, few distinct values
-            row = np.zeros(dim, dtype=np.float32)
+        else:  # many non-zeros, few distinct magnitudes, either sign
             row[i::2] = np.float32(0.25 * (i + 1))
+            row[i + 2::4] *= -1
         rows.append(row)
     return rows
 
@@ -779,8 +779,8 @@ class TestOwnedVectors:
         assert shards[KIND_CODE][1].tobytes() == record.code_embedding.tobytes()
 
     @pytest.mark.parametrize("layouts", [
-        ("dense",), ("sparse",), ("table",), ("dense", "sparse", "table"),
-    ], ids=["dense", "sparse", "table", "mixed"])
+        ("dense",), ("packed",), ("dense", "packed"), ("packed", "dense"),
+    ], ids=["dense", "packed", "mixed", "mixed-reversed"])
     def test_every_stored_layout_decodes_bit_for_bit(self, layouts):
         """One batch decode per shard, whichever layouts its rows were
         written in."""
@@ -802,7 +802,7 @@ class TestOwnedVectors:
                 "SELECT desc_embedding FROM pes ORDER BY pe_id"
             )
         ]
-        assert stored == [layout for layout in layouts for _ in range(3)]
+        assert stored == [layout for layout in layouts for _ in range(4)]
         ids, matrix = dao.owned_vectors(1, [KIND_DESC])[KIND_DESC]
         assert ids.tolist() == [record.pe_id for record in records]
         assert matrix.tobytes() == np.stack(rows).tobytes()

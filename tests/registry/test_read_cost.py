@@ -15,7 +15,8 @@ v1 text costs:
 * **rows** — records hydrated (``PERecord``/``WorkflowRecord`` built
   from a row);
 * **embedding bytes** — vector blobs decoded on the way
-  (``veccodec.decode_vector``), though no response carries a vector;
+  (``veccodec.decode_vector``): none, since a search hydrates its hits
+  without their vectors (no response carries one);
 * **ids** — owned ids projected (``pe_ids_owned_by`` plus
   ``workflow_ids_owned_by``, summed lengths): none, since an embedding
   flush checks the vector index's freshness with one ``PRAGMA
@@ -48,19 +49,21 @@ QUERY = "element adds to a stream"
 #: among them — here all three are PEs.  Before that, each record
 #: kind's ranking hydrated its own k winners ahead of the merge (5, 6,
 #: 333 for semantic and text) and hybrid both legs to their depth
-#: max(2k, k + 50) (9, 60, 3 852: 60 rows read for 3 hits)
+#: max(2k, k + 50) (9, 60, 3 852: 60 rows read for 3 hits).  The
+#: hydration read and decoded the hits' vectors too (210 bytes each
+#: search) until it left them out of its projection
 READ_COST = {
     # user lookup, two data_version reads, one hydration
-    "semantic": (4, 3, 210, 0),
+    "semantic": (4, 3, 0, 0),
     # user lookup, two FTS rankings, one hydration
-    "text": (4, 3, 210, 0),
+    "text": (4, 3, 0, 0),
     # the Table-3 route: the same ranking core, so the same reads
-    "table3-text": (4, 3, 210, 0),
+    "table3-text": (4, 3, 0, 0),
     # user lookup, two FTS rankings, two data_version reads, one
     # hydration of the 3 fused winners
-    "hybrid": (6, 3, 210, 0),
+    "hybrid": (6, 3, 0, 0),
     # user lookup, one data_version read, one hydration
-    "code": (3, 3, 210, 0),
+    "code": (3, 3, 0, 0),
 }
 
 

@@ -2,8 +2,10 @@
 
 ``SqliteDAO`` reads ``PRAGMA user_version`` before anything writes.  A
 new file (version 0, no schema) is created in one transaction and
-stamped current; a v15 file takes one step, dropping its index base
-slabs, journal and chain tips and stamping in one transaction
+stamped current; a v16 file takes one step, re-encoding its vector
+blobs and stamping in one transaction (``test_step_from_v16.py``); a
+v15 file takes one more before it, dropping its index base slabs,
+journal and chain tips and stamping in one transaction
 (``test_step_from_v15.py`` checks that it serves as before); a current
 file runs no DDL on
 ``main``.  None of them fills the text index, which the first text
@@ -38,17 +40,20 @@ from tests.registry.test_fts_text import (
 from tests.registry.test_step_from_v15 import as_v15
 
 #: top-level statements of one open: a new file (``:memory:`` too), a
-#: reopen of a current file, a v15 file's one step (the reopen's, plus
-#: ``BEGIN``, two ``DROP TABLE``, one ``ALTER TABLE ... DROP COLUMN``,
-#: the stamp, the ``data_version`` read every stamping transaction makes
-#: and ``COMMIT``).  Schema v15 ran 28 new (two more tables), 9 and 15
+#: reopen of a current file, a v16 file's one step whose blobs are all
+#: written as this code writes them (the reopen's, plus ``BEGIN``, one
+#: ``SELECT`` of each record table's vector blobs, the stamp and
+#: ``COMMIT``: no row rewritten, no counter moved), and a v15 file's two
+#: steps (that, plus ``BEGIN``, two ``DROP TABLE``, one ``ALTER TABLE
+#: ... DROP COLUMN``, the stamp, the ``data_version`` read every
+#: stamping script makes and ``COMMIT``: 16 until v17).  Schema v15 ran 28 new (two more tables), 9 and 15
 #: (v14's step dropped two tables); v14 ran 40, 20 and 23 (its v13 step
 #: was the stamp alone): no document table on disk and no TEMP trigger
 #: to create (eight statements), no fill at open (seven), two memory
 #: document tables and, on a new store, the ``data_version`` its empty
 #: index is complete at.  43 new before v13 dropped ``registry_meta``
 #: and the owner indexes
-OPEN_COST = {"new": 26, "reopen": 9, "v15": 16}
+OPEN_COST = {"new": 26, "reopen": 9, "v16": 14, "v15": 21}
 
 #: what a new file's ``main.sqlite_schema`` holds: (type, name)
 NEW_FILE_SCHEMA = {
@@ -105,6 +110,22 @@ class TestOpenCost:
         assert len(statements) == OPEN_COST["reopen"], statements
         assert not any("COUNT(" in sql.upper() for sql in statements)
         assert main_ddl(statements) == []
+
+    def test_v16_step_then_a_reopen(self, monkeypatch, tmp_path):
+        path = tmp_path / "v16.db"
+        fill(SqliteDAO(path))[0].dao.close()
+        conn = sqlite3.connect(path)
+        conn.execute("PRAGMA user_version = 16")
+        conn.commit()
+        conn.close()
+        dao, statements = open_traced(monkeypatch, path)
+        dao.close()
+        assert len(statements) == OPEN_COST["v16"], statements
+        assert main_ddl(statements) == [], statements
+        assert user_version(path) == _SCHEMA_VERSION
+        dao, statements = open_traced(monkeypatch, path)
+        dao.close()
+        assert len(statements) == OPEN_COST["reopen"], statements
 
     def test_v15_step_then_a_reopen(self, monkeypatch, tmp_path):
         path = tmp_path / "v15.db"

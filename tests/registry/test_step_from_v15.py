@@ -1,4 +1,4 @@
-"""A v15 registry file takes one step to v16 and serves as before.
+"""A v15 registry file steps to v16, then on, and serves as before.
 
 Schema v16 keeps nothing of the vector index on disk: which records a
 shard holds is what the owner tables say, and attach scans them.  A v15
@@ -9,13 +9,14 @@ and stamps, in one transaction.
 
 A v15 file is made here from the committed DDL of that schema
 (``schemas/v15.sql``) by :func:`as_v15`: every table the two schemas
-share is copied from a served v16 file column by column, every shard
+share is copied from a served current file column by column, every shard
 that holds a vector gets the per-shard stamp a v15 writer kept (the
 mutation counter here; v16 writes none), and the journal is what a v15
 DAO leaves when nothing folded — one ``add`` row per stamped shard at
-its stamp, holding the shard's ids, every stamp its own chain tip.  The next schema step costs one more DDL file.
+its stamp, holding the shard's ids, every stamp its own chain tip.
 Opening the file runs those three statements and no other DDL on
-``main``; every record ``GET``, every listing and every search answers
+``main`` — the v16 -> v17 step that follows, in a transaction of its
+own, runs none (``test_step_from_v16.py``); every record ``GET``, every listing and every search answers
 byte for byte what it answered before, and the attached index is the
 brute-force one.  A v14 file is refused and left as it was.
 """
@@ -297,8 +298,8 @@ def test_a_v15_file_steps_to_v16_and_serves_as_before(
         *(f"{sql};" for sql in STEP_DDL), "PRAGMA user_version = 16;",
     ], statements
     assert statements[step + 6] == "COMMIT", statements
-    assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 16
-    assert _SCHEMA_VERSION == 16
+    assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 17
+    assert _SCHEMA_VERSION == 17
     assert columns(dao._conn, "shard_stamps") == [
         "user_id", "kind", "mutation_counter",
     ]
@@ -356,7 +357,7 @@ def test_a_v14_file_is_refused_untouched(tmp_path, fast_bundle):
         SqliteDAO(path)
     assert err.value.params["userVersion"] == 14
     assert "older checkout" in err.value.message
-    assert "v15 and v16 files only" in err.value.message
+    assert "v15 to v17 files only" in err.value.message
     assert digest(path) == before
     assert {"index_shards", "index_deltas"} <= schema_names(path)
 

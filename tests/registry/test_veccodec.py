@@ -1,7 +1,11 @@
 """The at-rest vector codec: bit-exact, validated, legacy-compatible.
 
-Three layouts — dense, sparse (tag 1) and the value table (tag 2) — and
-the encoder writes the strictly smallest; every decoder reads all three.
+Two layouts — dense and bit-packed (tag 3) — and the encoder writes the
+packed one wherever it is strictly smaller; both decoders read both.
+The sparse (tag 1) and value-table (tag 2) layouts of schema v7 to v16
+are read by ``restate`` alone, which the v16 -> v17 step runs; they are
+built here by hand, the references their retired encoders were checked
+against.
 """
 
 import sqlite3
@@ -16,19 +20,26 @@ from hypothesis import strategies as st
 from repro.registry.dao import _SCHEMA_VERSION, SqliteDAO
 from repro.registry.entities import PERecord
 from repro.registry.service import RegistryService
-from repro.registry.veccodec import decode_many, decode_vector, encode_vector
+from repro.registry.veccodec import (
+    decode_many,
+    decode_vector,
+    encode_vector,
+    restate,
+)
 from repro.search import KIND_CODE, KIND_DESC, VectorIndex
 from tests.helpers import brute_force_index, shard_bytes
 from tests.registry.test_attach import attached
 from tests.registry.test_dao import make_pe
 
 #: bit patterns zero-suppression must not touch: -0.0, a quiet and a
-#: signalling NaN with payloads, infinities, the smallest denormal
+#: signalling NaN with payloads, infinities, the smallest and the
+#: largest subnormal
 SPECIALS = np.array(
     [0x80000000, 0x7FC00001, 0xFFC12345, 0x7F800001, 0x7F800000,
-     0xFF800000, 0x00000001],
+     0xFF800000, 0x00000001, 0x807FFFFF],
     dtype=np.uint32,
 )
+SIGN = 0x80000000
 
 
 @st.composite
@@ -49,23 +60,19 @@ def matrices(draw, max_rows=6, max_dim=40, min_rows=0):
     return bits.view(np.float32)
 
 
-def vectors(max_dim=40):
-    return matrices(min_rows=1, max_rows=1, max_dim=max_dim).map(
-        lambda matrix: matrix[0]
-    )
-
-
 @st.composite
 def palette_matrices(draw, max_rows=6, max_dim=40, min_rows=0):
     """float32 matrices whose non-zeros take a few distinct bit patterns
-    (special ones among them) — the value table's home ground — with
-    now and then a row of many distinct values or none."""
+    (special ones among them, and each pattern's negation) — the packed
+    layout's home ground — with now and then a row of many distinct
+    values or none."""
     rows = draw(st.integers(min_rows, max_rows))
     dim = draw(st.integers(0, max_dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     palette = rng.integers(1, 2**32, size=draw(st.integers(1, 8)),
                            dtype=np.uint32)
     palette[rng.random(palette.shape[0]) < 0.3] = rng.choice(SPECIALS)
+    palette = np.concatenate([palette, palette ^ SIGN])
     bits = rng.choice(palette, size=(rows, dim))
     bits[rng.random((rows, dim)) >= draw(st.sampled_from([0.1, 0.3, 0.6]))] = 0
     if rows >= 2:
@@ -75,9 +82,14 @@ def palette_matrices(draw, max_rows=6, max_dim=40, min_rows=0):
     return bits.view(np.float32)
 
 
-def palette_vectors(max_dim=40):
-    return palette_matrices(min_rows=1, max_rows=1, max_dim=max_dim).map(
-        lambda matrix: matrix[0]
+def one_row(strategy):
+    return strategy.map(lambda matrix: matrix[0])
+
+
+def vectors(max_dim=40):
+    return st.one_of(
+        one_row(matrices(min_rows=1, max_rows=1, max_dim=max_dim)),
+        one_row(palette_matrices(min_rows=1, max_rows=1, max_dim=max_dim)),
     )
 
 
@@ -85,27 +97,94 @@ def any_matrices(**sizes):
     return st.one_of(matrices(**sizes), palette_matrices(**sizes))
 
 
+@st.composite
+def wide_vectors(draw):
+    """Vectors 1 to 65 535 wide: no stored value to a few thousand, their
+    magnitudes one, a few, all distinct or the specials (-0.0, NaN
+    payloads, subnormals), each with either sign, at random columns or
+    at the far ends (the largest column step a width allows)."""
+    dim = draw(st.one_of(
+        st.integers(1, 0xFFFF), st.sampled_from([1, 2, 7, 2048, 0xFFFF]),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    placement = draw(st.sampled_from(["random", "ends", "last"]))
+    if placement == "last":
+        columns = np.array([dim - 1])
+    elif placement == "ends":
+        columns = np.unique([0, dim - 1])
+    else:
+        count = draw(st.integers(0, min(dim, 3000)))
+        columns = np.sort(rng.choice(dim, size=count, replace=False))
+    magnitudes = draw(st.sampled_from(["one", "few", "distinct", "specials"]))
+    if magnitudes == "one":
+        values = np.full(len(columns), 0x3DCCCCCD, dtype=np.uint32)
+    elif magnitudes == "few":
+        values = rng.choice(
+            rng.integers(1, 2**31, size=5, dtype=np.uint32), len(columns)
+        )
+    elif magnitudes == "distinct":
+        values = rng.choice(2**31 - 1, size=len(columns), replace=False)
+        values = values.astype(np.uint32) + 1
+    else:
+        values = rng.choice(SPECIALS, len(columns))
+    values ^= rng.integers(0, 2, size=len(columns), dtype=np.uint32) << 31
+    bits = np.zeros(dim, dtype=np.uint32)
+    bits[columns] = values
+    return bits.view(np.float32)
+
+
 def is_headed(blob):
-    """A sparse or value-table blob: a dense one's length is a multiple
-    of four, a headed one's never is."""
+    """A packed blob (or a retired headed one): a dense one's length is
+    a multiple of four, a headed one's never is."""
     return len(blob) % 4 != 0
 
 
 def tag(blob):
-    """1 sparse, 2 value table, 0 dense."""
+    """3 packed, 0 dense (1 sparse, 2 value table: retired)."""
     return blob[-1] if is_headed(blob) else 0
 
 
-def seal(body, dim, rows=1, layout=1):
+def seal(body, dim, rows=1, layout=3):
     sealed = body + struct.pack("=II", rows, dim)
     return sealed + struct.pack("=IB", zlib.crc32(sealed), layout)
 
 
+def packed_size(vector):
+    """Bytes of ``vector``'s packed blob, whether or not it is written."""
+    return len(packed_blob(vector))
+
+
+def packed_blob(vector):
+    """The packed layout written out by hand, the reference the
+    encoder's packed blobs must equal byte for byte: count, nmag, step
+    bits, the distinct magnitudes ascending, then per stored value in
+    column order the field ``sign | code << 1 | step << (1 + code
+    bits)``, one little-endian bit stream padded to an even number of
+    bytes, sealed with tag 3."""
+    bits = vector.view(np.uint32)
+    columns = [int(c) for c in np.flatnonzero(bits)]
+    values = [int(bits[c]) for c in columns]
+    mags = sorted({value & ~SIGN for value in values})
+    code_bits = (len(mags) - 1).bit_length() if mags else 0
+    steps = [c - p for c, p in zip(columns, [0] + columns[:-1])]
+    step_bits = max(steps, default=0).bit_length()
+    width = 1 + code_bits + step_bits
+    stream = 0
+    for at, (value, step) in enumerate(zip(values, steps)):
+        field = value >> 31 | mags.index(value & ~SIGN) << 1
+        stream |= (field | step << (1 + code_bits)) << (at * width)
+    size = (len(columns) * width + 7) // 8
+    body = struct.pack(
+        f"=IHH{len(mags)}I", len(columns), len(mags), step_bits, *mags
+    ) + stream.to_bytes(size + size % 2, "little")
+    return seal(body, bits.shape[0])
+
+
 def table_blob(vector):
-    """The value-table layout written out by hand, the reference the
-    encoder's table blobs must equal byte for byte: count, nvals, the
-    distinct bit patterns ascending, then a (code, column step) byte
-    pair per stored value in column order, sealed with tag 2."""
+    """The retired value-table layout (tag 2, schema v12 to v16),
+    written out by hand: count, nvals, the distinct bit patterns
+    ascending, then a (code, column step) byte pair per stored value in
+    column order."""
     bits = vector.view(np.uint32)
     columns = [c for c in range(bits.shape[0]) if bits[c]]
     table = sorted({int(bits[c]) for c in columns})
@@ -117,18 +196,30 @@ def table_blob(vector):
     return seal(body, bits.shape[0], layout=2)
 
 
+def sparse_blob(vector):
+    """The retired sparse layout (tag 1, schema v7 to v16): count, the
+    float32 values, their uint16 columns."""
+    bits = vector.view(np.uint32)
+    columns = np.flatnonzero(bits)
+    body = (
+        struct.pack("=I", len(columns)) + bits[columns].tobytes()
+        + columns.astype(np.uint16).tobytes()
+    )
+    return seal(body, bits.shape[0], layout=1)
+
+
 def kept_whole(vector):
-    """The layout's ``count == dim`` form of a vector: every value, no
-    columns.  The encoder never picks it for a single vector (dense is
-    smaller), but it is part of the layout, so both decoders read it."""
+    """The sparse layout's ``count == dim`` form of a vector: every
+    value, no columns."""
     return seal(
-        struct.pack("=I", vector.shape[0]) + vector.tobytes(), vector.shape[0]
+        struct.pack("=I", vector.shape[0]) + vector.tobytes(),
+        vector.shape[0], layout=1,
     )
 
 
 class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(vectors(), palette_vectors()))
+    @given(vectors())
     def test_decode_of_encode_is_the_same_bytes(self, vector):
         blob = encode_vector(vector)
         decoded = decode_vector(blob)
@@ -136,22 +227,43 @@ class TestRoundTrip:
         assert decoded.shape == vector.shape
         assert decoded.dtype == np.float32
         assert decoded.flags.c_contiguous and decoded.flags.writeable
-        # never larger than dense; a headed layout only when smaller
+        # never larger than dense; packed exactly where that is smaller
         assert len(blob) <= vector.nbytes
-        assert is_headed(blob) == (len(blob) < vector.nbytes)
+        headed = bool(vector.shape[0]) and packed_size(vector) < vector.nbytes
+        assert is_headed(blob) == headed
+        if headed:
+            assert blob == packed_blob(vector)
 
-    def test_typical_embedding_is_stored_sparse(self):
+    @settings(max_examples=300, deadline=None)
+    @given(wide_vectors())
+    def test_every_width_to_65535_round_trips_bitwise(self, vector):
+        blob = encode_vector(vector)
+        assert decode_vector(blob).tobytes() == vector.tobytes()
+        assert decode_many([blob, blob]).tobytes() == (
+            np.stack([vector, vector]).tobytes()
+        )
+        assert len(blob) <= vector.nbytes
+        if is_headed(blob):
+            assert tag(blob) == 3 and len(blob) % 2 == 1
+
+    def test_typical_description_vector_is_packed(self):
+        """Three non-zeros of 2 048: three magnitudes (2-bit codes),
+        steps up to 1 347 (11 bits): 14-bit fields, 6 bytes of them."""
         vec = np.zeros(2048, dtype=np.float32)
         vec[[3, 700, 2047]] = [0.5, -0.25, 1.0]
         blob = encode_vector(vec)
-        assert len(blob) == 4 + 3 * 6 + 13
+        assert len(blob) == 8 + 3 * 4 + 6 + 13
+        assert blob == packed_blob(vec)
         assert decode_vector(blob).tobytes() == vec.tobytes()
 
-    def test_vector_kept_whole_inside_the_sparse_layout(self):
-        vec = np.arange(1, 33, dtype=np.float32)
-        assert decode_vector(kept_whole(vec)).tobytes() == vec.tobytes()
+    def test_the_largest_column_step_takes_16_bits(self):
+        vec = np.zeros(0xFFFF, dtype=np.float32)
+        vec[0xFFFE] = -0.0
+        blob = encode_vector(vec)
+        assert struct.unpack_from("=IHH", blob) == (1, 1, 16)
+        assert decode_vector(blob).tobytes() == vec.tobytes()
 
-    def test_width_beyond_uint16_columns_falls_back_to_dense(self):
+    def test_width_beyond_65535_falls_back_to_dense(self):
         assert is_headed(encode_vector(np.zeros(0xFFFF, dtype=np.float32)))
         wider = np.zeros(0x10000, dtype=np.float32)
         wider[0xFFFF] = 1.0
@@ -185,145 +297,155 @@ def spread(rng, dim, count, distinct):
     return bits.view(np.float32)
 
 
-class TestValueTable:
-    """The third layout: distinct bit patterns once, a byte code and a
-    byte column step per stored value."""
+class TestPackedLayout:
+    """Distinct magnitudes once, then a sign bit, a magnitude code and a
+    column step per stored value, bit-packed."""
 
     @pytest.mark.parametrize(
-        "dim, count, distinct, layout",
+        "dim, count, distinct",
         [
-            # -0.0, NaN payloads, infinities, a denormal
-            (2048, 300, SPECIALS, 2),
-            (2048, 200, 1, 2),
-            (2048, 700, 256, 2),
-            # one value too many for a byte code: stays sparse
-            (2048, 700, 257, 1),
+            # -0.0, NaN payloads, infinities, subnormals
+            (2048, 300, SPECIALS),
+            (2048, 200, 1),
+            (2048, 700, 256),
+            # more distinct values than a byte code could name
+            (2048, 700, 300),
             # a width that is not a multiple of 8
-            (1001, 150, 10, 2),
+            (1001, 150, 10),
         ],
-        ids=["specials", "one-value", "256-values", "257-values", "dim-1001"],
+        ids=["specials", "one-value", "256-values", "300-values", "dim-1001"],
     )
-    def test_round_trip_is_bitwise(self, dim, count, distinct, layout):
+    def test_round_trip_is_bitwise(self, dim, count, distinct):
         rng = np.random.default_rng(dim + count)
         vector = spread(rng, dim, count, distinct)
         blob = encode_vector(vector)
-        assert tag(blob) == layout
-        if layout == 2:
-            assert blob == table_blob(vector)
+        assert blob == packed_blob(vector)
         assert decode_vector(blob).tobytes() == vector.tobytes()
         pair = np.stack([vector, vector])
         assert decode_many([blob, blob]).tobytes() == pair.tobytes()
 
     def test_the_all_zero_vector(self):
-        """Stored sparse (17 bytes); its table form, never written, still
-        decodes."""
+        """No magnitude and no field: 21 bytes."""
         vector = np.zeros(300, dtype=np.float32)
-        assert tag(encode_vector(vector)) == 1
-        blob = table_blob(vector)
-        assert len(blob) == 21
+        blob = encode_vector(vector)
+        assert (len(blob), tag(blob)) == (21, 3)
         assert decode_vector(blob).tobytes() == vector.tobytes()
         assert decode_many([blob]).tobytes() == vector.tobytes()
 
-    @pytest.mark.parametrize(
-        "columns, layout",
-        [
-            ([256, 300, 301, 302], 1),  # the first column is its step
-            ([0, 256, 257, 258], 1),
-            ([0, 255, 256, 257], 2),  # steps 0, 255, 1, 1: a byte each
-        ],
-    )
-    def test_a_column_step_beyond_a_byte_stays_sparse(self, columns, layout):
-        vector = np.zeros(512, dtype=np.float32)
-        vector[columns] = 0.5
+    def test_a_sign_shares_its_magnitude(self):
+        """0.5 and -0.5 are one magnitude: no code bit, a sign bit each."""
+        vector = np.zeros(64, dtype=np.float32)
+        vector[[5, 9, 30]] = [0.5, -0.5, 0.5]
         blob = encode_vector(vector)
-        assert tag(blob) == layout
+        assert struct.unpack_from("=IHH", blob) == (3, 1, 5)
+        assert len(blob) == 8 + 4 + 4 + 13
         assert decode_vector(blob).tobytes() == vector.tobytes()
 
     def test_benchmark_shaped_code_vector(self):
-        """200 non-zeros of 2 048, 24 distinct: 517 bytes instead of the
-        sparse layout's 1 217."""
+        """200 non-zeros of 2 048 ten columns apart (4-bit steps), 24
+        distinct magnitudes (5-bit codes), either sign: 10-bit fields,
+        250 bytes of them — 367 bytes in all, against 613 as a value
+        table (48 distinct values) and 1 217 sparse."""
         rng = np.random.default_rng(5)
-        vector = spread(rng, 2048, 200, 24)
-        assert len(encode_vector(vector)) == 8 + 4 * 24 + 2 * 200 + 13 == 517
-        assert len(encode_through_blocks(vector.reshape(1, -1))) == 1217
+        bits = np.zeros(2048, dtype=np.uint32)
+        bits[np.arange(0, 2000, 10)] = rng.choice(
+            np.arange(24, dtype=np.uint32) + 0x3D000000, 200
+        ) | (rng.integers(0, 2, 200, dtype=np.uint32) << 31)
+        vector = bits.view(np.float32)
+        mags = len(np.unique(bits[bits != 0] & ~np.uint32(SIGN)))
+        assert mags == 24
+        assert len(encode_vector(vector)) == 8 + 4 * 24 + 250 + 13 == 367
+        assert len(table_blob(vector)) == 8 + 4 * 48 + 2 * 200 + 13 == 613
+        assert len(sparse_blob(vector)) == 1217
 
     @settings(max_examples=200, deadline=None)
-    @given(palette_vectors(max_dim=80))
-    def test_a_table_blob_length_is_never_a_multiple_of_four(self, vector):
+    @given(vectors(max_dim=80))
+    def test_a_packed_blob_length_is_odd(self, vector):
         blob = encode_vector(vector)
-        if tag(blob) == 2:
-            assert len(blob) % 2 == 1
-            assert blob == table_blob(vector)
+        if is_headed(blob):
+            assert len(blob) % 2 == 1 and tag(blob) == 3
 
-    def small_table_blob(self):
+    def small_blobs(self):
+        """A few small packed blobs: a palette, a single sign-only
+        field, specials, and the empty vector."""
         rng = np.random.default_rng(6)
-        vector = spread(rng, 40, 12, 2)
-        blob = encode_vector(vector)
-        assert tag(blob) == 2
-        return vector, blob
+        vectors = [
+            spread(rng, 40, 12, 2),
+            spread(rng, 9, 1, 1),
+            spread(rng, 24, 8, SPECIALS),
+            np.zeros(8, dtype=np.float32),
+        ]
+        blobs = [encode_vector(vector) for vector in vectors]
+        assert all(tag(blob) == 3 for blob in blobs)
+        return blobs
 
     def test_every_bit_flip_raises(self):
-        _vector, blob = self.small_table_blob()
-        for position in range(len(blob) * 8):
-            flipped = bytearray(blob)
-            flipped[position // 8] ^= 1 << (position % 8)
-            with pytest.raises(ValueError):
-                decode_vector(bytes(flipped))
-            with pytest.raises(ValueError):
-                decode_many([blob, bytes(flipped)])
+        good = encode_vector(spread(np.random.default_rng(8), 40, 6, 2))
+        for blob in self.small_blobs():
+            for position in range(len(blob) * 8):
+                flipped = bytearray(blob)
+                flipped[position // 8] ^= 1 << (position % 8)
+                with pytest.raises(ValueError):
+                    decode_vector(bytes(flipped))
+                with pytest.raises(ValueError):
+                    decode_many([good, bytes(flipped)])
 
     def test_every_truncation_raises_or_reads_as_narrower_dense(self):
-        _vector, blob = self.small_table_blob()
-        for cut in range(len(blob)):
-            if cut % 4:
-                with pytest.raises(ValueError):
-                    decode_vector(blob[:cut])
-                with pytest.raises(ValueError):
-                    decode_many([blob[:cut]])
-            else:
-                assert decode_vector(blob[:cut]).tobytes() == blob[:cut]
+        for blob in self.small_blobs():
+            for cut in range(len(blob)):
+                if cut % 4:
+                    with pytest.raises(ValueError):
+                        decode_vector(blob[:cut])
+                    with pytest.raises(ValueError):
+                        decode_many([blob[:cut]])
+                else:
+                    assert decode_vector(blob[:cut]).tobytes() == blob[:cut]
 
     @pytest.mark.parametrize(
         "body, dim, message",
         [
-            # count 1, nvals 1: code 1 of a one-value table
-            (struct.pack("=III", 1, 1, 7) + bytes([1, 0]), 8, "out of range"),
-            # a step that lands past the last column
-            (struct.pack("=III", 2, 1, 7) + bytes([0, 3, 0, 5]), 8,
-             "out of range"),
-            # 257 values: more than a byte code can name
-            (struct.pack("=II", 0, 257) + bytes(4 * 257), 8,
-             "inconsistent value table"),
-            # a pair short
-            (struct.pack("=III", 2, 1, 7) + bytes([0, 1]), 8, "truncated"),
+            # three magnitudes, 2-bit codes: code 3 names none
+            (struct.pack("=IHHIII", 1, 3, 0, 7, 9, 11)
+             + bytes([3 << 1, 0]), 8, "code out of range"),
+            # a step that lands past the last column: steps 3 and 5
+            (struct.pack("=IHHI", 2, 1, 3, 7)
+             + bytes([3 << 1 | 5 << 5, 0]), 8, "column out of range"),
+            # a 17-bit step
+            (struct.pack("=IHHI", 1, 1, 17, 7) + bytes(4), 8,
+             "inconsistent packed head"),
+            # more stored values than columns
+            (struct.pack("=IHHI", 9, 1, 1, 7) + bytes(4), 8,
+             "inconsistent packed head"),
+            # a field byte short
+            (struct.pack("=IHHI", 2, 1, 3, 7), 8, "truncated"),
         ],
-        ids=["code", "column", "nvals", "length"],
+        ids=["code", "column", "step-bits", "count", "length"],
     )
     def test_a_well_sealed_but_inconsistent_blob_is_a_value_error(
         self, body, dim, message
     ):
-        blob = seal(body, dim, layout=2)
-        good = table_blob(spread(np.random.default_rng(7), dim, 4, 1))
+        blob = seal(body, dim)
+        good = encode_vector(spread(np.random.default_rng(7), dim, 4, 1))
         with pytest.raises(ValueError, match=message):
             decode_vector(blob)
         for rows in ([blob], [good, blob], [blob, good]):
             with pytest.raises(ValueError, match=message):
                 decode_many(rows)
 
-    def test_decode_many_over_all_three_layouts_equals_row_by_row(self):
+    def test_decode_many_over_both_layouts_equals_row_by_row(self):
         rng = np.random.default_rng(8)
         rows = [
-            spread(rng, 64, 20, 3),  # value table
-            spread(rng, 64, 6, 6),  # sparse
+            spread(rng, 64, 20, 3),  # packed
+            spread(rng, 64, 6, 6),  # packed
             spread(rng, 64, 60, 60),  # dense
-            np.zeros(64, dtype=np.float32),  # sparse, empty
-            spread(rng, 64, 30, SPECIALS),  # value table
+            np.zeros(64, dtype=np.float32),  # packed, empty
+            spread(rng, 64, 30, SPECIALS),  # packed
         ]
         blobs = [encode_vector(row) for row in rows]
-        assert [tag(blob) for blob in blobs] == [2, 1, 0, 1, 2]
-        # and the forms a record row may still hold from older code
-        blobs += [rows[0].tobytes(), kept_whole(rows[4])]
-        matrix = np.stack(rows + [rows[0], rows[4]])
+        assert [tag(blob) for blob in blobs] == [3, 3, 0, 3, 3]
+        # and the dense form a record row may still hold from older code
+        blobs.append(rows[0].tobytes())
+        matrix = np.stack(rows + [rows[0]])
         reference = np.stack([decode_vector(blob) for blob in blobs])
         assert reference.tobytes() == matrix.tobytes()
         for order in (range(len(blobs)), reversed(range(len(blobs)))):
@@ -332,178 +454,90 @@ class TestValueTable:
             assert decoded.tobytes() == matrix[order].tobytes()
 
 
-def encode_through_blocks(matrix):
-    """The multi-row layout as base slabs stored it until schema v9:
-    the reference a vector's blob must match byte for byte (it is that
-    layout's one-row case, so legacy rows and new ones are one format)."""
-    rows, dim = matrix.shape
-    stored = matrix.view(np.uint32) != 0
-    nnz = np.count_nonzero(stored, axis=1)
-    keep_dense = 6 * nnz >= 4 * dim
-    stored[keep_dense] = True
-    counts = np.where(keep_dense, dim, nnz).astype(np.uint32)
-    flat = np.flatnonzero(stored)
-    values = matrix.reshape(-1)[flat].tobytes()
-    columns = (flat[~np.repeat(keep_dense, counts)] % dim).astype(np.uint16)
-    sealed = b"".join(
-        (counts.tobytes(), values, columns.tobytes(),
-         struct.pack("=II", rows, dim))
-    )
-    if len(sealed) + 5 < matrix.nbytes:
-        return sealed + struct.pack("=IB", zlib.crc32(sealed), 1)
-    return matrix.tobytes()
+class TestRetiredLayouts:
+    """Neither decoder reads a sparse or value-table blob; ``restate``
+    reads them, once, for the v16 -> v17 step."""
 
+    @settings(max_examples=200, deadline=None)
+    @given(vectors(max_dim=64))
+    def test_restate_writes_any_older_blob_as_the_encoder_does(self, vector):
+        if not vector.shape[0]:
+            return
+        now = encode_vector(vector)
+        older = [vector.tobytes(), kept_whole(vector)]
+        bits = vector.view(np.uint32)
+        # a sparse blob with every value stored is the kept-whole form
+        if np.count_nonzero(bits) < vector.shape[0]:
+            older.append(sparse_blob(vector))
+        steps = np.diff(np.flatnonzero(bits), prepend=0)
+        # a table names at most 256 values, each a byte step on
+        if len(np.unique(bits[bits != 0])) <= 256 and steps.max(initial=0) < 256:
+            older.append(table_blob(vector))
+        for blob in older + [now]:
+            assert restate(blob) == now
+            if tag(blob) in (1, 2):
+                with pytest.raises(ValueError, match="layout"):
+                    decode_vector(blob)
+                with pytest.raises(ValueError, match="layout"):
+                    decode_many([now, blob])
 
-def parent_encode_vector(vector):
-    """The encoder as it was before the distinct-prefix shortcut — every
-    eligible vector's distinct values counted in full — kept as the
-    reference :func:`encode_vector` must equal byte for byte."""
-    row = np.ascontiguousarray(vector, dtype=np.float32).reshape(-1)
-    dim = row.shape[0]
-    if not 0 < dim <= 0xFFFF:
-        return row.tobytes()
-    bits = row.view(np.uint32)
-    stored = bits.nonzero()[0]
-    count = len(stored)
-    sparse = 4 + 6 * count + 13
-    best = min(sparse, dim * 4)
-    if 8 + 4 + 2 * count + 13 < best:
-        steps = stored.copy()
-        steps[1:] -= stored[:-1]
-        if steps.max() <= 255:
-            values = bits[stored]
-            table = np.unique(values)
-            size = 8 + 4 * len(table) + 2 * count + 13
-            if len(table) <= 256 and size < best:
-                pairs = np.empty((count, 2), dtype=np.uint8)
-                pairs[:, 0] = table.searchsorted(values)
-                pairs[:, 1] = steps
-                body = struct.pack("=II", count, len(table))
-                return seal(body + table.tobytes() + pairs.tobytes(), dim,
-                            layout=2)
-    if sparse < dim * 4:
-        body = struct.pack("=I", count) + row[stored].tobytes()
-        return seal(body + stored.astype(np.uint16).tobytes(), dim)
-    return row.tobytes()
-
-
-@st.composite
-def wide_vectors(draw):
-    """Vectors on both sides of the shortcut: up to 2 048 wide, from no
-    stored value to every column, their values drawn from a palette of
-    one to a few hundred bit patterns (specials among them: -0.0, NaN
-    payloads) — so more than 256 stored values with at most 256
-    distinct ones, and dense client vectors whose first 257 differ, are
-    both common — in column order or shuffled."""
-    dim = draw(st.one_of(
-        st.integers(1, 2048), st.sampled_from([300, 700, 2048]),
-    ))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    count = draw(st.one_of(
-        st.integers(0, dim),
-        st.sampled_from([min(dim, n) for n in (255, 256, 257, 258, dim)]),
-    ))
-    distinct = draw(st.one_of(
-        st.integers(1, 300), st.sampled_from([255, 256, 257, max(1, count)]),
-    ))
-    palette = rng.integers(1, 2**32, size=distinct, dtype=np.uint32)
-    # specials in place of a few, each at most once: the palette's
-    # patterns stay distinct
-    specials = draw(st.integers(0, min(distinct, len(SPECIALS))))
-    palette[rng.choice(distinct, size=specials, replace=False)] = SPECIALS[
-        :specials
-    ]
-    values = palette[np.arange(count) % distinct]
-    if draw(st.booleans()):
-        values = rng.permutation(values)
-    bits = np.zeros(dim, dtype=np.uint32)
-    bits[np.sort(rng.choice(dim, size=count, replace=False))] = values
-    return bits.view(np.float32)
-
-
-class TestDistinctPrefixShortcut:
-    """A vector whose first 257 stored values already differ skips the
-    full distinct-value count; every blob stays what it was."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.one_of(wide_vectors(), vectors(), palette_vectors(max_dim=80)))
-    def test_blobs_equal_the_parent_encoder(self, vector):
-        blob = encode_vector(vector)
-        assert blob == parent_encode_vector(vector)
-        assert decode_vector(blob).tobytes() == vector.tobytes()
+    def test_every_bit_flip_of_a_retired_blob_raises(self):
+        vector = spread(np.random.default_rng(9), 40, 12, 3)
+        for blob in (table_blob(vector), sparse_blob(vector)):
+            for position in range(len(blob) * 8):
+                flipped = bytearray(blob)
+                flipped[position // 8] ^= 1 << (position % 8)
+                with pytest.raises(ValueError):
+                    restate(bytes(flipped))
 
     @pytest.mark.parametrize(
-        "count, distinct, shuffled, layout",
+        "body, layout, message",
         [
-            # a dense client vector: dense, as before
-            (2048, 2048, False, 0),
-            # 256 distinct, the first 256 stored values among them: a table
-            (700, 256, False, 2),
-            # the first 257 stored values differ: sparse, uncounted
-            (700, 257, False, 1),
-            # 257 distinct, repeats among the first 257: counted, sparse
-            (700, 257, True, 1),
+            # count 1, nvals 1: code 1 of a one-value table
+            (struct.pack("=III", 1, 1, 7) + bytes([1, 0]), 2, "out of range"),
+            # a step that lands past the last column
+            (struct.pack("=III", 2, 1, 7) + bytes([0, 3, 0, 5]), 2,
+             "out of range"),
+            # 257 values: more than a byte code can name
+            (struct.pack("=II", 0, 257) + bytes(4 * 257), 2,
+             "inconsistent value table"),
+            # a sparse column past the row
+            (struct.pack("=If", 1, 1.0) + struct.pack("=H", 9), 1,
+             "out of range"),
+            # a sparse value short
+            (struct.pack("=IH", 2, 3), 1, "truncated"),
         ],
+        ids=["code", "column", "nvals", "sparse-column", "sparse-length"],
     )
-    def test_the_edges(self, count, distinct, shuffled, layout):
-        """``count`` stored values in the first columns, cycling through
-        ``distinct`` bit patterns in column order, or shuffled."""
-        bits = np.zeros(2048, dtype=np.uint32)
-        bits[:count] = 0x3F800000 + np.arange(count) % distinct
-        if shuffled:
-            bits[:count] = np.random.default_rng(count).permutation(
-                bits[:count]
-            )
-        vector = bits.view(np.float32)
-        blob = encode_vector(vector)
-        assert (tag(blob), blob) == (layout, parent_encode_vector(vector))
-
-
-class TestOneRowLayout:
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(vectors(max_dim=64), palette_vectors(max_dim=64)))
-    def test_same_bytes_as_the_block_layout(self, vector):
-        """Wherever the value table is not strictly smaller, a vector's
-        blob is the block layout's, byte for byte; where it is, the
-        table blob is strictly smaller than that."""
-        if vector.shape[0]:
-            blob = encode_vector(vector)
-            block = encode_through_blocks(vector.reshape(1, -1))
-            if tag(blob) == 2:
-                assert len(blob) < len(block)
-            else:
-                assert blob == block
+    def test_an_inconsistent_retired_blob_is_a_value_error(
+        self, body, layout, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            restate(seal(body, 8, layout=layout))
 
     def test_a_multi_row_blob_is_not_a_vector(self):
-        """Nothing at rest holds one since v9; both decoders refuse it
-        rather than read its first count as a vector's."""
-        matrix = np.zeros((2, 48), dtype=np.float32)
-        matrix[0, 3] = matrix[1, 7] = 1.0
-        blob = encode_through_blocks(matrix)
-        assert is_headed(blob)
-        with pytest.raises(ValueError, match="inconsistent sparse trailer"):
-            decode_vector(blob)
-        with pytest.raises(ValueError, match="inconsistent sparse trailer"):
-            decode_many([blob])
+        """The sparse layout's multi-row form, which base slabs used
+        until schema v9: nothing reads it."""
+        body = struct.pack("=II", 1, 1) + struct.pack("=ff", 1.0, 2.0)
+        blob = seal(body + struct.pack("=HH", 3, 7), 48, rows=2, layout=1)
+        for read in (decode_vector, restate, lambda b: decode_many([b])):
+            with pytest.raises(ValueError, match="inconsistent trailer"):
+                read(blob)
 
 
-def as_stored(matrix, whole):
+def as_stored(matrix, forms):
     """One blob per row, as record rows hold them: the codec's choice,
-    or — where ``whole`` says so — the headerless dense bytes a legacy
-    row holds, or the layout's kept-whole form."""
-    blobs = []
-    for row, form in zip(matrix, whole):
-        if form == "legacy" or not row.shape[0]:
-            blobs.append(row.tobytes())
-        elif form == "whole":
-            blobs.append(kept_whole(row))
-        else:
-            blobs.append(encode_vector(row))
-    return blobs
+    or — where ``forms`` says so — the headerless dense bytes a legacy
+    row holds."""
+    return [
+        row.tobytes() if form == "legacy" or not row.shape[0]
+        else encode_vector(row)
+        for row, form in zip(matrix, forms)
+    ]
 
 
 row_forms = st.lists(
-    st.sampled_from(["codec", "codec", "codec", "legacy", "whole"]),
+    st.sampled_from(["codec", "codec", "codec", "legacy"]),
     min_size=6, max_size=6,
 )
 
@@ -528,7 +562,7 @@ class TestDecodeMany:
 
     @settings(max_examples=40, deadline=None)
     @given(any_matrices(min_rows=1, max_rows=3, max_dim=24), row_forms)
-    def test_every_bit_flip_of_a_sparse_row_raises(self, matrix, forms):
+    def test_every_bit_flip_of_a_packed_row_raises(self, matrix, forms):
         blobs = as_stored(matrix, forms)
         for row, blob in enumerate(blobs):
             if not is_headed(blob):
@@ -548,9 +582,7 @@ class TestDecodeMany:
         """Exactly :func:`decode_vector`'s verdict on the cut blob: an
         error, or (the documented limit of headerless dense bytes) a
         dense vector — which then is of another width than its
-        neighbours unless it is the only row, or a kept-whole row cut to
-        exactly ``4 * dim`` bytes, which reads as a dense row as wide as
-        the others."""
+        neighbours unless it is the only row."""
         blobs = as_stored(matrix, forms)
         row = data.draw(st.integers(0, len(blobs) - 1))
         if not blobs[row]:
@@ -574,41 +606,20 @@ class TestDecodeMany:
         narrow = np.ones(4, dtype=np.float32)
         wide = np.zeros(64, dtype=np.float32)
         wide[3] = 1.0
+        narrow_packed = np.zeros(32, dtype=np.float32)
+        narrow_packed[1] = 1.0
         for blobs in (
             [encode_vector(wide), encode_vector(narrow)],
             [encode_vector(narrow), encode_vector(wide)],
-            [encode_vector(wide), kept_whole(narrow)],
+            [encode_vector(wide), encode_vector(narrow_packed)],
         ):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 decode_many(blobs)
 
-    def test_kept_whole_row_cut_to_its_width_reads_as_a_dense_row(self):
-        """The count and the first ``dim - 1`` values of a kept-whole
-        row are ``4 * dim`` bytes: nothing tells them from a dense row."""
-        matrix = np.zeros((3, 7), dtype=np.float32)
-        matrix[0] = 1.0
-        blobs = as_stored(matrix, ["codec", "codec", "whole"])
-        torn = [*blobs[:2], blobs[2][:28]]
-        reference = np.stack([decode_vector(blob) for blob in torn])
-        assert reference.shape == matrix.shape
-        assert decode_many(torn).tobytes() == reference.tobytes()
-
-    def test_column_out_of_range_in_any_row_is_a_value_error(self):
-        good = np.zeros(8, dtype=np.float32)
-        good[2] = 1.0
-        bad = seal(
-            struct.pack("=I", 1)
-            + np.array([1.0], dtype=np.float32).tobytes()
-            + np.array([9], dtype=np.uint16).tobytes(),
-            8,
-        )
-        with pytest.raises(ValueError, match="column out of range"):
-            decode_many([encode_vector(good), bad, encode_vector(good)])
-
 
 class TestCorruptInput:
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(vectors(), palette_vectors()))
+    @given(vectors())
     def test_every_truncation_raises_or_reads_as_narrower_dense(self, vector):
         """(Nothing beside a record row says how wide it is, so a blob
         cut to a multiple of four bytes is a narrower dense vector —
@@ -622,11 +633,11 @@ class TestCorruptInput:
                 assert decode_vector(blob[:cut]).tobytes() == blob[:cut]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(vectors(max_dim=24), palette_vectors(max_dim=24)))
-    def test_every_bit_flip_of_a_sparse_blob_raises(self, vector):
+    @given(vectors(max_dim=24))
+    def test_every_bit_flip_of_a_packed_blob_raises(self, vector):
         """A flipped bit never decodes to a different vector.  (Only the
-        sparse layout carries a checksum; a headerless dense blob — the
-        legacy format — has no redundancy beyond its length.)"""
+        packed layout carries a checksum; a headerless dense blob has
+        no redundancy beyond its length.)"""
         blob = encode_vector(vector)
         if not is_headed(blob):
             return
@@ -635,17 +646,6 @@ class TestCorruptInput:
             flipped[position // 8] ^= 1 << (position % 8)
             with pytest.raises(ValueError):
                 decode_vector(bytes(flipped))
-
-    def test_column_out_of_range_is_a_value_error(self):
-        """A well-sealed blob whose column points past the row."""
-        blob = seal(
-            np.array([1], dtype=np.uint32).tobytes()
-            + np.array([1.0], dtype=np.float32).tobytes()
-            + np.array([9], dtype=np.uint16).tobytes(),
-            8,
-        )
-        with pytest.raises(ValueError, match="column out of range"):
-            decode_vector(blob)
 
     def test_corrupt_record_blob_surfaces_as_an_error_not_zeros(
         self, tmp_path
@@ -659,7 +659,7 @@ class TestCorruptInput:
         ).fetchone()[0]
         assert is_headed(stored)
         torn = bytearray(stored)
-        torn[5] ^= 0x10  # one bit of the stored value
+        torn[8] ^= 0x10  # one bit of the stored magnitude
         for damaged in (stored[:-1], bytes(torn)):
             dao._conn.execute(
                 "UPDATE pes SET desc_embedding=? WHERE pe_id=?",
@@ -685,8 +685,7 @@ def sparse_unit(rng):
 
 def palette_unit(rng):
     """A hashed-code-embedding-like vector: a few term counts over one
-    norm, so its non-zeros take a few distinct values (the value table
-    wins)."""
+    norm, so its non-zeros take a few distinct magnitudes."""
     vec = np.zeros(DIM, dtype=np.float32)
     hot = rng.choice(DIM, size=int(rng.integers(12, 24)), replace=False)
     vec[hot] = rng.integers(1, 4, size=hot.size) * rng.choice([-1, 1], hot.size)
@@ -718,11 +717,6 @@ def write_dense_rows(path, encode=lambda vec: vec.tobytes(), ids=None):
                     )
     conn.commit()
     conn.close()
-
-
-def sparse_blob(vec):
-    """The tag-1 blob code of schema v7 to v11 wrote for ``vec``."""
-    return encode_through_blocks(vec.reshape(1, -1))
 
 
 def blob_tags(path, column):
@@ -826,7 +820,7 @@ class TestLegacyFile:
         self, tmp_path
     ):
         """Rewriting a legacy dense row with the same vector stores it
-        sparse, and the vector reads back bit for bit."""
+        packed, and the vector reads back bit for bit."""
         rng = np.random.default_rng(72)
         path = tmp_path / "registry.db"
         service = RegistryService(SqliteDAO(path))
@@ -852,12 +846,11 @@ class TestLegacyFile:
             stored.desc_embedding.tobytes()
         )
 
-    def test_dense_sparse_and_table_rows_serve_bitwise(self, tmp_path):
-        """A file whose record rows hold all three layouts — dense from
-        v6 and older, tag-1 sparse from v7 to v11, value tables since
-        v12 — attaches and ranks both vector kinds bitwise as
-        brute force does; a metadata-only revise of an older row stores
-        it in the smallest layout."""
+    def test_dense_and_packed_rows_serve_bitwise(self, tmp_path):
+        """A file whose record rows hold both layouts — dense from v6
+        and older, packed since v17 — attaches and ranks both vector
+        kinds bitwise as brute force does; a metadata-only revise of a
+        dense row stores it packed."""
         rng = np.random.default_rng(73)
         path = tmp_path / "registry.db"
         service = RegistryService(SqliteDAO(path))
@@ -877,10 +870,9 @@ class TestLegacyFile:
         ids = sorted(blob_tags(path, "code_embedding"))
         service.dao.close()
         write_dense_rows(path, ids=set(ids[:8]))
-        write_dense_rows(path, encode=sparse_blob, ids=set(ids[8:16]))
         tags = blob_tags(path, "code_embedding")
-        assert [tags[i] for i in ids] == [0] * 8 + [1] * 8 + [2] * 8
-        assert set(blob_tags(path, "desc_embedding").values()) == {0, 1}
+        assert [tags[i] for i in ids] == [0] * 8 + [3] * 16
+        assert set(blob_tags(path, "desc_embedding").values()) == {0, 3}
         before = blob_lengths(path), blob_tags(path, "code_embedding")
 
         dao = SqliteDAO(path)
@@ -906,7 +898,7 @@ class TestLegacyFile:
             record = dao.get_pe(target)
             record.description = "same vectors, new words"
             dao.update_pe(record)
-            assert blob_tags(path, "code_embedding")[target] == 2
+            assert blob_tags(path, "code_embedding")[target] == 3
         dao.close()
         again = SqliteDAO(path)
         assert shard_bytes(attached(again)) == shard_bytes(

@@ -20,7 +20,7 @@ run here on 1 KB pages (what every earlier v14 to v16 file has) and 4 KB
 ones.
 
 A **benchmark-shaped PUT** — a record of the e2e corpus, whose code
-vector is stored as a value table and whose code and source are stored
+vector is stored bit-packed and whose code and source are stored
 deflated — is pinned at its exact frames and at the ``pes`` overflow
 pages its row takes (``dbstat``: one on 512-byte pages, none on 1 KB or
 4 KB ones), and so is its description-only revise.
@@ -217,15 +217,25 @@ def test_a_put_writes_no_text_index_page(registry):
 #: ride in the write's transaction.  On 512-byte pages the keyed bulk's
 #: 16 rows and its receipt fill more leaves (``pes`` 9 and
 #: ``write_receipts`` 9: 22 frames, 11 KB, against 5, 5 and 14 of 1 KB),
-#: and the keyed DELETE's receipt and the upsert's new row each split a
-#: full leaf, growing the file (page 1): 7 frames each against 5
+#: and the keyed DELETE's receipt splits a full leaf, growing the file
+#: (page 1): 7 frames against 5.  Where a row splits or merges a leaf
+#: depends on how full the leaves are, so the bit-packed vectors of
+#: schema v17 (~650-byte rows here instead of ~800) moved these: the
+#: keyed bulk's 16 rows take one ``pes`` leaf fewer (20 and 13 frames,
+#: 22 and 14 at v16); on 512-byte and 4 KB pages the upsert's new row
+#: no longer splits a leaf (5 and 4, 7 and 7 at v16) nor does the 4 KB
+#: remove merge one (4, 7 at v16); on 1 KB pages the upsert now splits
+#: the fuller leaf (7, 5 at v16: page 1, a ``pes`` interior page and
+#: the new leaf) and the remove, which empties most of that new leaf,
+#: merges it with its two siblings (7, 4 at v16).  Summed over the six
+#: writes: 47, 43 and 29 frames, 51, 39 and 35 at v16
 ONE_COMMIT_FRAMES = {
-    512: {"keyed-put": 7, "keyed-bulk": 22, "keyed-delete": 7,
-          "upsert": 7, "add": 4, "remove": 4},
-    1024: {"keyed-put": 7, "keyed-bulk": 14, "keyed-delete": 5,
-           "upsert": 5, "add": 4, "remove": 4},
-    4096: {"keyed-put": 5, "keyed-bulk": 7, "keyed-delete": 5,
+    512: {"keyed-put": 7, "keyed-bulk": 20, "keyed-delete": 7,
+          "upsert": 5, "add": 4, "remove": 4},
+    1024: {"keyed-put": 7, "keyed-bulk": 13, "keyed-delete": 5,
            "upsert": 7, "add": 4, "remove": 7},
+    4096: {"keyed-put": 5, "keyed-bulk": 7, "keyed-delete": 5,
+           "upsert": 4, "add": 4, "remove": 4},
 }
 
 
@@ -283,8 +293,9 @@ def test_every_write_is_one_commit(registry):
 #: WAL frames of that batch, per page size: its four grants and its
 #: insert in one commit (on 512-byte pages the eight rows and their
 #: owner and name entries span more leaves: 9 frames, 4.5 KB, against
-#: 5 of 1 KB)
-INGEST_BATCH_FRAMES = {512: 9, 1024: 5, 4096: 4}
+#: 6 of 1 KB).  On 1 KB pages the batch's new rows now split a ``pes``
+#: leaf the fixture's smaller rows filled (5 frames at schema v16)
+INGEST_BATCH_FRAMES = {512: 9, 1024: 6, 4096: 4}
 
 
 def test_an_ingest_batch_is_one_commit(registry):
@@ -588,8 +599,8 @@ def test_an_update_writes_only_what_changed(registry, kind):
 #: a record of the e2e corpus (``benchmarks/e2e/corpus.py`` generates
 #: it): 356 bytes of code, sent as its code and its source, described
 #: by its docstring.  Its unfitted code embedding has 199 non-zeros of
-#: 2 048 taking 27 distinct values, 527 bytes as a value table (1 211 in
-#: the sparse layout)
+#: 2 048 taking 27 distinct values of 18 magnitudes, 393 bytes bit-packed
+#: (527 as schema v16's value table, 1 211 in the sparse layout)
 BENCH_NAME = "pofin_bogor_000330"
 BENCH_DOC = "Glefin lubo bogor bolum nibo degor badak kaidak bidak brabo."
 BENCH_CODE = f"""def pofin_bogor_000330(items, limit=944):
@@ -605,11 +616,14 @@ BENCH_CODE = f"""def pofin_bogor_000330(items, limit=944):
             faifin += braifin * 5
     return faifin"""
 #: (WAL frames, new ``pes`` overflow pages) of that record's PUT, per
-#: page size.  On 512-byte pages the ~780-byte row is a leaf and one
-#: overflow page: 7 frames (page 1 as the file grows, a ``pes`` interior
+#: page size.  On 512-byte pages the ~730-byte row (~860 at schema v16)
+#: is a leaf and one overflow page, with ~220 of its bytes on the leaf
+#: (~350 at v16): 7 frames (page 1 as the file grows, a ``pes`` interior
 #: page, the leaf, the overflow page, and one page each of
 #: ``pe_owners``, ``idx_pes_name`` and ``shard_stamps``), 3.5 KB against
-#: 6 KB on 1 KB pages.  Schema v16 logs no ``index_deltas`` page: v15 logged
+#: 4 KB on 1 KB pages.  On 1 KB pages the smaller row no longer splits
+#: a ``pes`` leaf of the fixture's: 4 frames (6 at schema v16).  Schema
+#: v16 logs no ``index_deltas`` page: v15 logged
 #: (7, 0) and (5, 0).  Schema v15 logs no ``pe_text`` page: v14 logged
 #: (8, 0) and (6, 0).  Its code and source are stored deflated (schema v14), so
 #: on 1 KB pages the row fits its leaf: schema v13 logged (8, 1).  The
@@ -621,7 +635,7 @@ BENCH_CODE = f"""def pofin_bogor_000330(items, limit=944):
 #: logged (12, 2) on 1 KB pages — the 2 104-byte row needed two
 #: overflow pages, the 1 420-byte one needs one — and (9, 0) on 4 KB
 #: pages, where either row fits its leaf
-BENCH_PUT_COST = {512: (7, 1), 1024: (6, 0), 4096: (4, 0)}
+BENCH_PUT_COST = {512: (7, 1), 1024: (4, 0), 4096: (4, 0)}
 #: WAL frames of that record's description-only revise, per page size:
 #: the row is rewritten in its leaf.  On 512-byte pages that frees its
 #: overflow page and allocates a new one, so the freed page, the new one
@@ -660,10 +674,11 @@ def test_a_benchmark_shaped_put(registry):
     bits = record.code_embedding.view(np.uint32)
     assert np.count_nonzero(bits) == 199
     assert len(np.unique(bits[bits != 0])) == 27
+    assert len(np.unique(bits[bits != 0] & 0x7FFFFFFF)) == 18
     (blob,) = dao._conn.execute(
         "SELECT code_embedding FROM pes WHERE pe_id = ?", (record.pe_id,)
     ).fetchone()
-    assert (len(blob), blob[-1]) == (527, 2)
+    assert (len(blob), blob[-1]) == (393, 3)
     # its code deflated, its source (the same text) a reference to it
     assert tuple(dao._conn.execute(
         "SELECT LENGTH(pe_code), typeof(pe_code), LENGTH(pe_source),"

@@ -9,7 +9,9 @@ import uuid
 import pytest
 
 from repro.client import LaminarClient
-from repro.errors import AuthenticationError, TransportError
+from repro.dataflow.core import IterativePE
+from repro.dataflow.graph import WorkflowGraph
+from repro.errors import AuthenticationError, ReproError, TransportError
 from repro.net.transport import Request, Response
 from repro.server import LaminarServer
 from repro.server.http import (
@@ -18,7 +20,17 @@ from repro.server.http import (
     _client_url,
     serve_http,
 )
-from tests.helpers import AddTen, build_pipeline_graph
+from tests.helpers import AddTen, OneToTenProducer, build_pipeline_graph
+
+
+class AsSet(IterativePE):
+    """Emit each input as a one-element set, which JSON cannot encode."""
+
+    def __init__(self) -> None:
+        IterativePE.__init__(self)
+
+    def _process(self, value):
+        return {value}
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +67,22 @@ class TestHttpRoundTrips:
         outcome = http_client.run(build_pipeline_graph(), input=3, register=False)
         assert outcome.status == "ok"
         assert outcome.results["Collector.output"] == [[11, 12, 13]]
+
+    def test_a_run_whose_result_is_not_json_raises_its_envelope(
+        self, http_client
+    ):
+        """A result holding a set cannot be sent as JSON: the client gets
+        the server's 500 envelope as an error, not a dropped
+        connection."""
+        graph = WorkflowGraph("sets")
+        graph.connect(OneToTenProducer(), "output", AsSet(), "input")
+        with pytest.raises(ReproError, match="not JSON-encodable") as err:
+            http_client.run(graph, input=2, register=False)
+        assert type(err.value) is ReproError
+        # and the connection serves on
+        assert http_client.run(
+            build_pipeline_graph(), input=1, register=False
+        ).status == "ok"
 
     def test_search_over_http(self, http_client):
         http_client.register_PE(AddTen, "Adds ten to each incoming number")
@@ -313,26 +341,54 @@ class TestConnectionFaults:
         assert warnings_of(caplog) == []
 
     def test_a_fault_that_ends_a_connection_is_logged_once(self, caplog):
-        """A response that cannot be encoded as JSON (here a set in the
-        body) ends the connection with no reply and one logged line."""
+        """A dispatch that raises ends the connection with no reply and
+        one logged line."""
 
-        class Unencodable:
+        class Failing:
             def dispatch(self, request):
-                return Response(200, {"values": {1, 2}})
+                raise RuntimeError("dispatch broke")
 
         def ask(reader):
             reader.feed_data(b"GET /v1/backends HTTP/1.1\r\n\r\n")
             reader.feed_eof()
 
         with caplog.at_level(logging.DEBUG, logger="repro.server.http"):
-            writer = handle(ask, laminar=Unencodable())
+            writer = handle(ask, laminar=Failing())
         assert writer.closed and not writer.sent
         (record,) = [
             r for r in caplog.records if r.name == "repro.server.http"
         ]
         line = record.getMessage()
-        assert "TypeError" in line and "set" in line, line
+        assert "RuntimeError" in line and "dispatch broke" in line, line
         assert record.levelno == logging.WARNING and record.exc_info is None
+
+    def test_an_unencodable_reply_is_a_500_envelope(self, caplog):
+        """A reply body JSON cannot encode (here a set) is sent as a 500
+        ``InternalError`` envelope, without the reply's own headers, and
+        logged once; the connection stays open for the next request."""
+
+        class Unencodable:
+            def dispatch(self, request):
+                if request.path == "/set":
+                    return Response(200, {"values": {1, 2}}, {"ETag": '"1"'})
+                return Response(200, {"ok": True})
+
+        def ask(reader):
+            reader.feed_data(b"GET /set HTTP/1.1\r\n\r\n")
+            reader.feed_data(b"GET /fine HTTP/1.1\r\n\r\n")
+            reader.feed_eof()
+
+        with caplog.at_level(logging.DEBUG, logger="repro.server.http"):
+            writer = handle(ask, laminar=Unencodable())
+        (status, headers, body), second = replies(writer)
+        assert status == "HTTP/1.1 500 Internal Server Error"
+        assert not any(header.startswith("ETag") for header in headers)
+        assert body["error"] == "InternalError" and body["code"] == 500
+        assert "not JSON-encodable" in body["message"]
+        assert "set" in body["message"]
+        assert second[0] == "HTTP/1.1 200 OK" and second[2] == {"ok": True}
+        (line,) = warnings_of(caplog)
+        assert "not JSON-encodable" in line
 
     def test_an_over_long_header_line_is_a_431_that_closes(self, caplog):
         """A header line longer than the stream limit (64 KiB) leaves the
