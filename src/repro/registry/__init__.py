@@ -37,8 +37,8 @@ corpus:
   (``RegistryService.on_current_shard``).
 * ``get_pes(ids)`` / ``get_workflows(ids)`` — id-batched fetch in
   request order, used by ``RegistryService.resolve`` to hydrate exactly
-  the top-k search winners, without their vectors
-  (``vectors=False``: no hit renders one).
+  the top-k search winners and listing pages, without their vectors
+  (``None``: no hit or listing renders one).
 * ``insert_pes`` / ``insert_workflows`` — bulk load (one
   ``executemany`` batch per table).
 

@@ -22,9 +22,10 @@ however, own the *access paths* that make ownership filtering cheap:
   that never materialize rows or unblob embeddings, for listings only
   (v1 cursor pages, ``repro stats``): no search reads them;
 * ``get_pes`` / ``get_workflows`` — id-batched fetch for top-k result
-  hydration; it and the finds by name read a record without its
-  vectors where the caller renders none (``vectors=False``: v1
-  searches, listings and single-record reads);
+  hydration and listing pages, each record's vectors left out
+  (``None``): no caller renders one, so no blob is decoded; the finds
+  by name read them too where a single-record read renders none
+  (``vectors=False``);
 * ``insert_pes`` / ``insert_workflows`` — batched bulk load.
 
 Both record kinds are stored under one set of rules, so each record
@@ -257,7 +258,8 @@ CREATE VIRTUAL TABLE {_TEXT_DB}.wf_fts USING fts5(
 
 #: the on-disk format (``PRAGMA user_version``) :data:`_SCHEMA` creates.
 #: A v16 file takes one step to it (:meth:`SqliteDAO._step_from_v16`),
-#: a v15 file two (:data:`_STEPS`); any other version is refused.  v17
+#: a v15 file :meth:`SqliteDAO._step_from_v15` first; any other version
+#: is refused.  v17
 #: stores every vector in one bit-packed layout
 #: (:mod:`repro.registry.veccodec`, tag 3), which older code cannot
 #: decode, and this code reads no other headed layout: the step
@@ -284,10 +286,8 @@ CREATE VIRTUAL TABLE {_TEXT_DB}.wf_fts USING fts5(
 #: written.
 _SCHEMA_VERSION = 17
 
-#: the step that takes a file at each older version one version on,
-#: each in its own transaction: a file stopped between two steps is at
-#: the version the last one stamped
-_STEPS = {15: "_step_from_v15", 16: "_step_from_v16"}
+#: the oldest on-disk format this code steps up to :data:`_SCHEMA_VERSION`
+_OLDEST_VERSION = 15
 
 #: SQLite caps host parameters per statement (999 before 3.32); chunk
 #: IN(...) lists well below that
@@ -488,7 +488,7 @@ _STORAGE = {PERecord: _PES, WorkflowRecord: _WORKFLOWS}
 
 def _refusal(path: str | Path, version: int) -> RegistryError:
     """Why a file at schema ``version`` is not opened: only a new file,
-    one :data:`_STEPS` can step up and a current one are."""
+    one this code steps up and a current one are."""
     if version > _SCHEMA_VERSION:
         advice = "it was written by newer code; open it with that code"
     else:
@@ -498,7 +498,7 @@ def _refusal(path: str | Path, version: int) -> RegistryError:
         )
     return RegistryError(
         f"registry file {path} is at schema v{version}; this code opens"
-        f" v{min(_STEPS)} to v{_SCHEMA_VERSION} files only — "
+        f" v{_OLDEST_VERSION} to v{_SCHEMA_VERSION} files only — "
         + advice,
         params={"path": str(path), "userVersion": version},
     )
@@ -519,9 +519,10 @@ class SqliteDAO:
 
     Opening reads ``PRAGMA user_version`` before anything writes.  A new
     file (version 0, no schema) is created by :data:`_SCHEMA` in one
-    transaction and stamped :data:`_SCHEMA_VERSION`; an older file
-    takes the :data:`_STEPS` from its version on; a current file runs no
-    DDL on ``main``.  Any other version raises :class:`~repro.errors.RegistryError`
+    transaction and stamped :data:`_SCHEMA_VERSION`; a v16 file takes
+    :meth:`_step_from_v16`, a v15 file :meth:`_step_from_v15` first, each
+    in its own transaction; a current file runs no DDL on ``main``.  Any
+    other version raises :class:`~repro.errors.RegistryError`
     naming it, and the file is left as it was.  Opening fills no text
     index: the first text ranking does (:meth:`_text_topk`), except on a
     new store, whose empty index is complete as created.
@@ -537,7 +538,7 @@ class SqliteDAO:
         new = version == 0 and not self._conn.execute(
             "SELECT 1 FROM main.sqlite_schema LIMIT 1"
         ).fetchone()
-        if not new and version not in (*_STEPS, _SCHEMA_VERSION):
+        if not new and not _OLDEST_VERSION <= version <= _SCHEMA_VERSION:
             self._conn.close()
             raise _refusal(path, version)
         # a WAL commit logs whole pages, and most pages a write touches
@@ -590,8 +591,9 @@ class SqliteDAO:
             self._text_version = self._stamped(_SCHEMA)
         elif version < _SCHEMA_VERSION:
             try:
-                for step in range(version, _SCHEMA_VERSION):
-                    getattr(self, _STEPS[step])()
+                if version == 15:
+                    self._step_from_v15()
+                self._step_from_v16()
             except sqlite3.Error:
                 # closing rolls the failed step back: the file stays at
                 # the version the step before it stamped
@@ -604,12 +606,12 @@ class SqliteDAO:
         self._conn.execute(f"ATTACH DATABASE ':memory:' AS {_TEXT_DB}")
         self._conn.executescript(_TEXT_INDEX_SCHEMA)
 
-    def _stamped(self, script: str, version: int = _SCHEMA_VERSION) -> int:
-        """Run ``script`` and stamp the file ``version``, in one
-        transaction; return the file's ``data_version`` read inside it,
-        which only another connection's later commit moves."""
+    def _stamped(self, script: str) -> int:
+        """Run ``script`` and stamp the file :data:`_SCHEMA_VERSION`, in
+        one transaction; return the file's ``data_version`` read inside
+        it, which only another connection's later commit moves."""
         self._conn.executescript(
-            f"BEGIN;{script}PRAGMA user_version = {version};"
+            f"BEGIN;{script}PRAGMA user_version = {_SCHEMA_VERSION};"
         )
         try:
             return self.data_version()
@@ -623,10 +625,10 @@ class SqliteDAO:
         say on their own (attach scans them); the stamp keeps a v15
         checkout, which would read the missing tables, from opening the
         file."""
-        self._stamped(
-            "DROP TABLE index_shards;DROP TABLE index_deltas;"
-            "ALTER TABLE shard_stamps DROP COLUMN tip;",
-            16,
+        self._conn.executescript(
+            "BEGIN;DROP TABLE index_shards;DROP TABLE index_deltas;"
+            "ALTER TABLE shard_stamps DROP COLUMN tip;"
+            "PRAGMA user_version = 16;COMMIT;"
         )
 
     def _step_from_v16(self) -> None:
@@ -1052,22 +1054,20 @@ class SqliteDAO:
             self._hook(store.unlink, record_id)
             self._unindex_text(store, record_id)
 
-    def _get_many(
-        self, store: _Storage, record_ids: Sequence[int], vectors: bool
-    ) -> list:
+    def _get_many(self, store: _Storage, record_ids: Sequence[int]) -> list:
         """Batched fetch, in the order of ``record_ids``; missing ids
-        skipped.  Without ``vectors`` the records' vector fields are
-        ``None``: their blobs are neither read nor decoded."""
+        skipped.  The records' vector fields are ``None``: every caller
+        renders records, none a vector, so no blob is read or
+        decoded."""
         ids = [int(record_id) for record_id in record_ids]
         hydrate = getattr(self, store.hydrate)
-        listed = "*" if vectors else store.without_vectors
         by_id = {}
         with self._lock:
             for chunk in _chunked(ids):
                 placeholders = ",".join("?" * len(chunk))
                 rows = self._conn.execute(
-                    f"SELECT {listed} FROM {store.table} WHERE {store.id}"
-                    f" IN ({placeholders})",
+                    f"SELECT {store.without_vectors} FROM {store.table}"
+                    f" WHERE {store.id} IN ({placeholders})",
                     tuple(chunk),
                 ).fetchall()
                 for row in rows:
@@ -1253,10 +1253,8 @@ class SqliteDAO:
     def get_pe(self, pe_id: int) -> PERecord | None:
         return self._get(_PES, pe_id)
 
-    def get_pes(
-        self, pe_ids: Sequence[int], vectors: bool = True
-    ) -> list[PERecord]:
-        return self._get_many(_PES, pe_ids, vectors)
+    def get_pes(self, pe_ids: Sequence[int]) -> list[PERecord]:
+        return self._get_many(_PES, pe_ids)
 
     def find_pe_by_name(
         self, name: str, vectors: bool = True
@@ -1294,10 +1292,8 @@ class SqliteDAO:
     def get_workflow(self, workflow_id: int) -> WorkflowRecord | None:
         return self._get(_WORKFLOWS, workflow_id)
 
-    def get_workflows(
-        self, workflow_ids: Sequence[int], vectors: bool = True
-    ) -> list[WorkflowRecord]:
-        return self._get_many(_WORKFLOWS, workflow_ids, vectors)
+    def get_workflows(self, workflow_ids: Sequence[int]) -> list[WorkflowRecord]:
+        return self._get_many(_WORKFLOWS, workflow_ids)
 
     def find_workflow_by_entry_point(
         self, entry_point: str, vectors: bool = True

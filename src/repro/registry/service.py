@@ -546,26 +546,20 @@ class RegistryService:
         return self._dao_method(record_type, "owned_ids")(user.user_id)
 
     def resolve(
-        self,
-        user: UserRecord,
-        record_type: type,
-        ids: list[int],
-        vectors: bool = True,
+        self, user: UserRecord, record_type: type, ids: list[int]
     ) -> list:
-        """Batch-hydrate ``ids`` in order, dropping non-owned records.
+        """Batch-hydrate ``ids`` in order, dropping non-owned records;
+        their vector fields are ``None`` (no caller renders one).
 
         The top-k serving path: a search ranks on the index shard and
-        materializes only the winners through this call, without
-        ``vectors`` (their vector fields ``None``: no search renders
-        one).  Ids that vanished or changed hands since ranking are
-        silently skipped — the caller's result is then slightly
-        under-filled rather than wrong.
+        materializes only the winners through this call.  Ids that
+        vanished or changed hands since ranking are silently skipped —
+        the caller's result is then slightly under-filled rather than
+        wrong.
         """
         return [
             record
-            for record in self._dao_method(record_type, "get_many")(
-                ids, vectors
-            )
+            for record in self._dao_method(record_type, "get_many")(ids)
             if user.user_id in record.owners
         ]
 
@@ -586,15 +580,13 @@ class RegistryService:
     def owned_workflow_ids(self, user: UserRecord) -> list[int]:
         return self.owned_ids(user, WorkflowRecord)
 
-    def resolve_pes(
-        self, user: UserRecord, ids: list[int], vectors: bool = True
-    ) -> list[PERecord]:
-        return self.resolve(user, PERecord, ids, vectors)
+    def resolve_pes(self, user: UserRecord, ids: list[int]) -> list[PERecord]:
+        return self.resolve(user, PERecord, ids)
 
     def resolve_workflows(
-        self, user: UserRecord, ids: list[int], vectors: bool = True
+        self, user: UserRecord, ids: list[int]
     ) -> list[WorkflowRecord]:
-        return self.resolve(user, WorkflowRecord, ids, vectors)
+        return self.resolve(user, WorkflowRecord, ids)
 
     # ------------------------------------------------------------------
     # Associations

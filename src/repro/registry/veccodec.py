@@ -59,17 +59,39 @@ on ``mixed_rw`` (seed 1: 9 522 240 -> 8 090 208), 8 % on
 ``read_static`` (997 440 -> 915 320) and 11 % on ``ingest_live``
 (~19.06 -> ~16.90 MB).
 
+A packed blob is only ever smaller than dense; against v16's layouts
+it can be larger, since each distinct magnitude costs 4 bytes and a
+field grows with the bits of the largest column step.  On the same 640
+records embedded by an IDF-fitted bundle (``repro serve`` without
+``--no-fit``: median 73 distinct magnitudes of 168 non-zeros) the
+median code vector takes 608 bytes instead of 695 and a description
+vector 39 instead of 59, and none of the 1 280 grows.  A client's
+vector whose non-zeros are all distinct gains nothing and may grow a
+little: 300 random non-zeros of 2 048 take a median 1 821 bytes packed
+against 1 817 as v16's sparse layout (181 of 200 vectors grew, at most
+42 bytes; +0.1 % over all 200), and 300 at a column step of 64 (17-bit
+fields) 1 859 against 1 817 (every one grew, +2.3 %); 30 random
+non-zeros took 195 bytes against 197, 800 took 4 721 against 4 817.
+Such blobs grow by that much at the v16 -> v17 step too.
+
 What it costs, against v16's codec on a 2-CPU Linux host (the 640
 records' 1 280 vectors, 30 interleaved passes, medians):
 ``encode_vector`` 25.5 us a vector instead of 17.9 (the sort of the
 magnitudes and the bit packing), ``decode_many`` 6.7 us a row instead
 of 4.1 (6.3 instead of 3.7 over the same rows ten times over) and
-``decode_vector`` 16.7 us instead of 6.5.  An attach of the ``mixed_rw``
+``decode_vector`` 16.7 us instead of 6.5.  On the fitted bundle's
+vectors (15 interleaved passes): ``encode_vector`` 48.1 us a code
+vector instead of 46.0 and 20.7 instead of 9.6 a description vector
+(together 1.24x), ``decode_many`` 11.5 us a code row instead of 7.9
+and 2.9 a description row instead of 2.0; on the 300 all-distinct
+client vectors 46.0 instead of 37.9 to encode and 10.7 instead of 4.4
+a row to decode in a batch.  An attach of the ``mixed_rw``
 seeded registry (~770 records, both vector kinds) takes 20.6 ms
 instead of 17.0, of ``read_static``'s 44.6 instead of 30.5 (medians of
-40 attaches each).  A search no longer decodes any vector (it hydrates
-its hits without them), so the slower single-vector decode is paid on
-a record's fetch and on a write's reads.
+40 attaches each).  No search or listing decodes a vector (the id
+fetch that hydrates hits and listing pages reads none), nor does a v1
+record read, so the slower single-vector decode is paid on a legacy
+record read and on a write's reads.
 
 ``decode_many`` reads every field as the 64-bit little-endian word at
 its first byte (a field is at most 33 bits, at most 7 in), shifted and

@@ -145,7 +145,10 @@ What a v17 file holds, and the rules the DAO keeps on it:
   ``workflows`` embedding columns), bit-packed and checksummed wherever
   that is smaller than dense (an unfitted code embedding, 2 048 wide
   with ~170 non-zeros of ~14 magnitudes, takes ~310 bytes; it took ~440
-  as v16's value table and ~1 040 sparse), dense otherwise.
+  as v16's value table and ~1 040 sparse; a fitted one, ~73 magnitudes,
+  ~610 against ~700), dense otherwise.  A vector whose non-zeros are
+  all distinct can take a few bytes more than v16's sparse layout gave
+  it (:mod:`repro.registry.veccodec`).
 * No index membership is stored: the owner tables say which records
   each shard holds.  Per-shard rows an older checkout wrote into
   ``shard_stamps`` are left there unread; no write adds one.

@@ -153,7 +153,7 @@ def _hydrate(registry, user: UserRecord, rows: list[Row]) -> dict:
         if ids:
             # the service's per-kind entry, looked up when called
             resolve = getattr(registry, f"resolve_{spec.kind}s")
-            for record in resolve(user, ids, vectors=False):
+            for record in resolve(user, ids):
                 records[spec.kind, getattr(record, spec.id_field)] = record
     return records
 
@@ -338,10 +338,7 @@ class V1Controller(BaseController):
         # O(page) hydration: only this page's rows are materialized;
         # `revision` rides along so clients can poll for changes cheaply
         # (conditional reads — the legacy wire shapes stay untouched)
-        # without vectors: a listing renders none
-        records = getattr(registry, f"resolve_{kind}s")(
-            user, page_ids, vectors=False
-        )
+        records = getattr(registry, f"resolve_{kind}s")(user, page_ids)
         items = [
             {**record.to_json(), "revision": record.revision}
             for record in records

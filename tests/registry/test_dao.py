@@ -192,11 +192,16 @@ class TestOwnerScopedQueries:
         assert [r.pe_id for r in records] == [second.pe_id, first.pe_id]
         assert dao.get_pes([]) == []
 
-    def test_get_pes_preserves_embeddings(self, dao):
+    def test_get_pes_leaves_the_embeddings_out(self, dao):
+        """The batched fetch renders records, not vectors: its vector
+        fields are ``None``, while a single read keeps them."""
         vec = np.arange(6, dtype=np.float32)
         stored = dao.insert_pe(make_pe(desc_embedding=vec))
         [fetched] = dao.get_pes([stored.pe_id])
-        np.testing.assert_allclose(fetched.desc_embedding, vec)
+        assert fetched.desc_embedding is None
+        assert fetched.code_embedding is None
+        assert fetched.to_json() == stored.to_json()
+        np.testing.assert_allclose(dao.get_pe(stored.pe_id).desc_embedding, vec)
 
     def test_workflows_owned_by(self, dao):
         a = dao.insert_workflow(make_wf("a", owners={1}))

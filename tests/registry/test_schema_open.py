@@ -45,15 +45,16 @@ from tests.registry.test_step_from_v15 import as_v15
 #: ``SELECT`` of each record table's vector blobs, the stamp and
 #: ``COMMIT``: no row rewritten, no counter moved), and a v15 file's two
 #: steps (that, plus ``BEGIN``, two ``DROP TABLE``, one ``ALTER TABLE
-#: ... DROP COLUMN``, the stamp, the ``data_version`` read every
-#: stamping script makes and ``COMMIT``: 16 until v17).  Schema v15 ran 28 new (two more tables), 9 and 15
+#: ... DROP COLUMN``, the stamp and ``COMMIT``: 16 until v17, when the
+#: step also read a ``data_version`` it had no use for).  Schema v15
+#: ran 28 new (two more tables), 9 and 15
 #: (v14's step dropped two tables); v14 ran 40, 20 and 23 (its v13 step
 #: was the stamp alone): no document table on disk and no TEMP trigger
 #: to create (eight statements), no fill at open (seven), two memory
 #: document tables and, on a new store, the ``data_version`` its empty
 #: index is complete at.  43 new before v13 dropped ``registry_meta``
 #: and the owner indexes
-OPEN_COST = {"new": 26, "reopen": 9, "v16": 14, "v15": 21}
+OPEN_COST = {"new": 26, "reopen": 9, "v16": 14, "v15": 20}
 
 #: what a new file's ``main.sqlite_schema`` holds: (type, name)
 NEW_FILE_SCHEMA = {

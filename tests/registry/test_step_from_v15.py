@@ -16,7 +16,8 @@ DAO leaves when nothing folded — one ``add`` row per stamped shard at
 its stamp, holding the shard's ids, every stamp its own chain tip.
 Opening the file runs those three statements and no other DDL on
 ``main`` — the v16 -> v17 step that follows, in a transaction of its
-own, runs none (``test_step_from_v16.py``); every record ``GET``, every listing and every search answers
+own, runs none (``test_step_from_v16.py``); every record ``GET``, every
+listing and every search answers
 byte for byte what it answered before, and the attached index is the
 brute-force one.  A v14 file is refused and left as it was.
 """
@@ -294,10 +295,10 @@ def test_a_v15_file_steps_to_v16_and_serves_as_before(
     # its stamp
     assert [sql.rstrip(";") for sql in main_ddl(statements)] == STEP_DDL
     step = statements.index("BEGIN;")
-    assert statements[step + 1:step + 5] == [
+    assert statements[step + 1:step + 6] == [
         *(f"{sql};" for sql in STEP_DDL), "PRAGMA user_version = 16;",
+        "COMMIT;",
     ], statements
-    assert statements[step + 6] == "COMMIT", statements
     assert dao._conn.execute("PRAGMA user_version").fetchone()[0] == 17
     assert _SCHEMA_VERSION == 17
     assert columns(dao._conn, "shard_stamps") == [

@@ -669,7 +669,7 @@ class TestCorruptInput:
             with pytest.raises(ValueError):
                 dao.get_pe(record.pe_id)
             with pytest.raises(ValueError):
-                dao.get_pes([record.pe_id])
+                dao.find_pe_by_name("P")
 
 
 DIM = 64

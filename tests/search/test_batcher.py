@@ -115,7 +115,7 @@ class Park:
         self.entered = {n: threading.Event() for n in at}
         self.release = {n: threading.Event() for n in at}
 
-    def __call__(self, *args, **kwargs):
+    def __call__(self, *args):
         self.threads.append(threading.current_thread())
         n = len(self.threads)
         if n in self.entered:
@@ -123,7 +123,7 @@ class Park:
             assert self.release[n].wait(TIMEOUT)
         if n == 1 and self.error is not None:
             raise self.error
-        return self.fn(*args, **kwargs)
+        return self.fn(*args)
 
 
 class Submitter(threading.Thread):

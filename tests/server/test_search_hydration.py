@@ -309,17 +309,15 @@ def test_a_cursor_page_equals_the_reference(
 
 
 def count_hydration(app, monkeypatch):
-    """Per ``resolve_{kind}s`` call, the ids it was given; every call
-    leaves the vectors out."""
+    """Per ``resolve_{kind}s`` call, the ids it was given."""
     calls = []
     for kind in ("pe", "workflow"):
         name = f"resolve_{kind}s"
         real = getattr(app.registry, name)
 
-        def counted(user, ids, real=real, kind=kind, **kwargs):
-            assert kwargs == {"vectors": False}
+        def counted(user, ids, real=real, kind=kind):
             calls.append((kind, list(ids)))
-            return real(user, ids, **kwargs)
+            return real(user, ids)
 
         monkeypatch.setattr(app.registry, name, counted)
     return calls
@@ -366,8 +364,7 @@ def test_an_id_gone_before_hydration_is_skipped(served, monkeypatch):
     full = app.dispatch(v1_search(token, body)).body["hits"]
     real = app.registry.resolve_pes
     monkeypatch.setattr(
-        app.registry, "resolve_pes",
-        lambda user, ids, **kwargs: real(user, ids[1:], **kwargs),
+        app.registry, "resolve_pes", lambda user, ids: real(user, ids[1:])
     )
     hits = app.dispatch(v1_search(token, body)).body["hits"]
     assert hits == full[1:]
@@ -390,12 +387,12 @@ def test_a_search_parked_at_its_hydration_holds_up_no_other(
     entered, release = threading.Event(), threading.Event()
     parked = []
 
-    def park(user, ids, **kwargs):
+    def park(user, ids):
         if not parked:
             parked.append(threading.current_thread())
             entered.set()
             assert release.wait(TIMEOUT)
-        return real(user, ids, **kwargs)
+        return real(user, ids)
 
     monkeypatch.setattr(app.registry, "resolve_pes", park)
     result = []
