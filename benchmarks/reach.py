@@ -213,8 +213,12 @@ REASONS: list[tuple[str, tuple[str, ...]]] = [
     (
         "Fault and fallback paths no green run takes",
         (
-            # no scenario opens a v15 file or one the DAO refuses
+            # no scenario opens a v15 or v16 file or one the DAO refuses
             "registry/dao.py:SqliteDAO._step_from_v15",
+            "registry/dao.py:SqliteDAO._step_from_v16",
+            "registry/dao.py:_restated",
+            "registry/veccodec.py:restate",
+            "registry/veccodec.py:_retired_vector",
             "registry/dao.py:_refusal",
             "server/schema.py:decode_cursor.<locals>.bad",
             "server/api.py:Router.allowed_methods",
@@ -252,12 +256,11 @@ REASONS: list[tuple[str, tuple[str, ...]]] = [
     ),
     (
         "API a user or PE author calls and no scenario does: dispel4py's "
-        "GenericPE process and log, mpi4py's comm.size, the client's "
-        "describe (one of the thirteen user functions of paper §3.4.1)",
+        "GenericPE process and log, the client's describe (one of the "
+        "thirteen user functions of paper §3.4.1)",
         (
             "dataflow/core.py:ProcessingElement.process",
             "dataflow/core.py:ProcessingElement.log",
-            "mpisim/communicator.py:Communicator.size",
             "client/client.py:LaminarClient.describe",
         ),
     ),

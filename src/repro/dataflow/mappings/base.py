@@ -5,10 +5,10 @@ A *mapping* enacts a concrete workflow on an execution substrate (paper
 per-instance behaviour — consume until end-of-stream, route writes, then
 flush ``_postprocess`` — which lives in :class:`InstanceRunner`, and the
 same plumbing, :class:`InstanceTransport`, over a :class:`Mailboxes`
-fabric.  Multi and Redis also share their enactment,
-:class:`MailboxMapping`: each gives only its fabric.  This keeps the four
-mappings semantically identical by construction: only the message
-transport differs.
+fabric.  The three parallel mappings, Multi, MPI and Redis, also share
+their enactment, :class:`MailboxMapping`: each gives only its fabric.
+This keeps the four mappings semantically identical by construction:
+only the message transport differs.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 Implements the part of mpi4py's "communication of generic Python
 objects" API (all-lowercase method names, objects pickled under the
-hood) that the MPI mapping calls: ``send``, ``recv`` and the collectives
-``bcast``, ``gather`` and ``barrier``, plus the ``rank``/``size``
-properties.
+hood) that the MPI mapping calls: ``send`` and ``recv``, plus the
+``size`` property.
 
 Message matching follows MPI semantics: ``recv`` can select by source
 rank and tag, with :data:`ANY_SOURCE`/:data:`ANY_TAG` wildcards; messages
@@ -24,8 +23,9 @@ from repro.errors import MappingError
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-#: tag space reserved for collective operations (user tags must be >= 0)
-_COLLECTIVE_TAG_BASE = -1000
+
+class RecvTimeout(MappingError):
+    """No matching message arrived within a ``recv``'s timeout."""
 
 
 class Communicator:
@@ -47,25 +47,16 @@ class Communicator:
         self._size = size
         self._inboxes = inboxes
         self._buffer: list[tuple[int, int, Any]] = []
-        #: per-collective sequence number; all ranks execute collectives in
-        #: the same program order, so these tags agree across the world.
-        self._collective_seq = 0
-
-    # -- accessors -------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        return self._rank
 
     @property
     def size(self) -> int:
         return self._size
 
-    # -- point to point --------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking-buffered send (returns once the message is enqueued)."""
         if not 0 <= dest < self._size:
             raise MappingError(f"send to invalid rank {dest}")
-        if tag < 0 and tag > _COLLECTIVE_TAG_BASE:
+        if tag < 0:
             raise MappingError(f"negative tags are reserved, got {tag}")
         self._inboxes[dest].put((self._rank, tag, obj))
 
@@ -82,23 +73,18 @@ class Communicator:
         tag: int = ANY_TAG,
         timeout: float | None = None,
     ) -> Any:
-        """Blocking receive; returns the received object."""
-        _src, _tag, obj = self._recv_full(source, tag, timeout)
-        return obj
-
-    def _recv_full(
-        self, source: int, tag: int, timeout: float | None
-    ) -> tuple[int, int, Any]:
+        """Blocking receive; returns the received object, or raises
+        :class:`RecvTimeout` if none matched within ``timeout`` seconds."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             hit = self._match(source, tag)
             if hit is not None:
-                return hit
+                return hit[2]
             remaining: float | None = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    raise MappingError(
+                    raise RecvTimeout(
                         f"recv(source={source}, tag={tag}) timed out on "
                         f"rank {self._rank}",
                         params={"timeout": timeout},
@@ -109,37 +95,3 @@ class Communicator:
                 )
             except queue_mod.Empty:
                 continue
-
-    # -- collectives -----------------------------------------------------
-    def _next_collective_tag(self) -> int:
-        self._collective_seq += 1
-        return _COLLECTIVE_TAG_BASE - self._collective_seq
-
-    def _csend(self, obj: Any, dest: int, ctag: int) -> None:
-        self._inboxes[dest].put((self._rank, ctag, obj))
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        ctag = self._next_collective_tag()
-        if self._rank == root:
-            for dest in range(self._size):
-                if dest != root:
-                    self._csend(obj, dest, ctag)
-            return obj
-        return self.recv(source=root, tag=ctag)
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        ctag = self._next_collective_tag()
-        if self._rank == root:
-            out: list[Any] = [None] * self._size
-            out[root] = obj
-            for src in range(self._size):
-                if src != root:
-                    out[src] = self.recv(source=src, tag=ctag)
-            return out
-        self._csend(obj, root, ctag)
-        return None
-
-    def barrier(self) -> None:
-        """All ranks block until every rank has arrived."""
-        self.gather(None, root=0)
-        self.bcast(None, root=0)

@@ -63,27 +63,13 @@ def _graph(stage):
 HANG_TIMEOUT_S = 0.5
 
 
-class TestTimeouts:
-    def test_multi_times_out_on_hang(self):
-        with pytest.raises(MappingError, match="timed out"):
-            run_workflow(
-                _graph(HangingPE()), input=1, mapping="multi", nprocs=2,
-                timeout=HANG_TIMEOUT_S,
-            )
-
-    def test_redis_times_out_on_hang(self):
-        with pytest.raises(MappingError, match="timed out"):
-            run_workflow(
-                _graph(HangingPE()), input=1, mapping="redis", nprocs=2,
-                timeout=HANG_TIMEOUT_S,
-            )
-
-    def test_mpi_times_out_on_hang(self):
-        with pytest.raises(MappingError, match="timed out"):
-            run_workflow(
-                _graph(HangingPE()), input=1, mapping="mpi", nprocs=2,
-                timeout=HANG_TIMEOUT_S,
-            )
+@pytest.mark.parametrize("mapping", ["multi", "mpi", "redis"])
+def test_a_hang_times_out(mapping):
+    with pytest.raises(MappingError, match=f"{mapping} mapping timed out"):
+        run_workflow(
+            _graph(HangingPE()), input=1, mapping=mapping, nprocs=2,
+            timeout=HANG_TIMEOUT_S,
+        )
 
 
 @pytest.mark.parametrize("mapping", ["multi", "mpi", "redis"])
@@ -104,8 +90,38 @@ class TestCrashes:
         with pytest.raises(MappingError):
             run_workflow(graph, input=6, mapping=mapping, nprocs=4, timeout=60)
 
+    def test_a_failed_run_waits_on_no_live_worker(self, mapping, monkeypatch):
+        """After a worker's error the runner stops the others at once:
+        every ``join`` it makes is on a process it has terminated or
+        that has already exited, never a timed wait on a live one."""
+        from multiprocessing.process import BaseProcess
 
-@pytest.mark.parametrize("mapping", ["multi", "redis"])
+        terminated, waits_on_live = set(), []
+        terminate, join = BaseProcess.terminate, BaseProcess.join
+
+        def recording_terminate(self):
+            terminated.add(self.pid)
+            terminate(self)
+
+        def recording_join(self, timeout=None):
+            if self.pid not in terminated and self.exitcode is None:
+                waits_on_live.append((self.pid, timeout))
+            join(self, timeout)
+
+        monkeypatch.setattr(BaseProcess, "terminate", recording_terminate)
+        monkeypatch.setattr(BaseProcess, "join", recording_join)
+        graph = WorkflowGraph("failure")
+        failing = FailingPE(poison=2)
+        graph.connect(OneToTenProducer(), "output", failing, "input")
+        graph.connect(failing, "output", Collector(), "input")
+        with pytest.raises(MappingError) as excinfo:
+            run_workflow(graph, input=6, mapping=mapping, nprocs=4, timeout=60)
+        assert "poisoned input 2" in (excinfo.value.details or "")
+        assert terminated  # the blocked workers were stopped
+        assert waits_on_live == []
+
+
+@pytest.mark.parametrize("mapping", ["multi", "mpi", "redis"])
 def test_a_worker_that_dies_silently_ends_the_run(mapping):
     """The collector checks which workers have exited while it waits: a
     worker gone without its terminal message fails the run within a
